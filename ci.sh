@@ -46,4 +46,10 @@ cargo run --release --offline -p avfs-bench --bin chaos -- --smoke
 echo "==> sta_crosscheck --smoke (STA oracle gate: sim within STA bound, critical-path agreement)"
 cargo run --release --offline -p avfs-bench --bin sta_crosscheck -- --smoke
 
+echo "==> perfbench build (the repo benchmark compiles against the layer crates' public APIs)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> benchmark run --smoke (repo-benchmark gate: every oracle passes on the smoke workloads)"
+cargo run --release --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- run --smoke
+
 echo "CI OK"

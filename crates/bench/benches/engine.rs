@@ -8,7 +8,7 @@
 
 use avfs_atpg::PatternSet;
 use avfs_circuits::{random_netlist, GeneratorConfig};
-use avfs_core::{slots, Engine, SimOptions};
+use avfs_core::{slots, CompiledNetlist, SimOptions};
 use avfs_delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs_delay::StaticModel;
 use avfs_netlist::{CellLibrary, NetlistStats, NodeKind};
@@ -58,7 +58,7 @@ fn bench_engine(c: &mut Criterion) {
     group.sample_size(20);
     group.throughput(Throughput::Elements(evals));
 
-    let static_engine = Engine::new(
+    let static_engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(&annotation),
         Arc::new(StaticModel::new(*chars.space())),
@@ -67,19 +67,23 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("static_delays", |b| {
         b.iter(|| {
             static_engine
-                .run(&patterns, &slot_list, &opts)
+                .launch(&patterns, &slot_list, &opts)
                 .expect("runs")
         })
     });
 
-    let poly_engine = Engine::new(
+    let poly_engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(&annotation),
         Arc::new(chars.model().clone()),
     )
     .expect("engine builds");
     group.bench_function("polynomial_n3", |b| {
-        b.iter(|| poly_engine.run(&patterns, &slot_list, &opts).expect("runs"))
+        b.iter(|| {
+            poly_engine
+                .launch(&patterns, &slot_list, &opts)
+                .expect("runs")
+        })
     });
     group.finish();
 }

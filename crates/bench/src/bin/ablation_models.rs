@@ -20,7 +20,7 @@
 use avfs_atpg::PatternSet;
 use avfs_bench::{characterize_used, Args};
 use avfs_circuits::ripple_carry_adder;
-use avfs_core::{slots, Engine, SimOptions};
+use avfs_core::{slots, CompiledNetlist, SimOptions};
 use avfs_delay::model::DelayModel;
 use avfs_delay::op::NormalizedPoint;
 use avfs_delay::AlphaPowerModel;
@@ -143,9 +143,10 @@ fn main() {
         models
             .into_iter()
             .map(|(name, model)| {
-                let engine = Engine::new(Arc::clone(&netlist), Arc::clone(&annotation), model)
-                    .expect("engine builds");
-                let run = engine.run(&patterns, &slot_list, &opts).expect("runs");
+                let engine =
+                    CompiledNetlist::compile(Arc::clone(&netlist), Arc::clone(&annotation), model)
+                        .expect("engine builds");
+                let run = engine.launch(&patterns, &slot_list, &opts).expect("runs");
                 (
                     name.to_owned(),
                     run.latest_arrival_at(0.6).expect("adder toggles"),

@@ -17,7 +17,7 @@
 
 use avfs_bench::{activity_patterns, characterize_used, measure_activity_point, Args};
 use avfs_circuits::{ripple_carry_adder, PAPER_PROFILES};
-use avfs_core::Engine;
+use avfs_core::CompiledNetlist;
 use avfs_netlist::CellLibrary;
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ fn main() {
         let netlist = Arc::new(ripple_carry_adder(32, &library).expect("adder builds"));
         let chars = characterize_used(&[netlist.as_ref()], &library, 2);
         let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&netlist),
             annotation,
             Arc::new(chars.model().clone()),
@@ -80,7 +80,7 @@ fn main() {
     );
     let chars = characterize_used(&[netlist.as_ref()], &library, 3);
     let annotation = Arc::new(chars.annotate(&netlist).expect("all cells characterized"));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         annotation,
         Arc::new(chars.model().clone()),

@@ -1,20 +1,16 @@
 //! batch_throughput — compile-once / simulate-many amortization check.
 //!
 //! Runs the same short workload N times two ways on identical inputs:
-//! once the legacy way (a fresh [`avfs_core::Engine`] — and with it a
-//! fresh compile and worker pool — per run) and once through a
+//! once the one-shot way (a fresh [`avfs_core::CompiledNetlist::compile`]
+//! — and with it a fresh worker pool — per run) and once through a
 //! [`avfs_core::BatchRunner`] that compiles a single shared
 //! [`avfs_core::CompiledNetlist`] and keeps the pool parked between
 //! launches. Results are asserted bit-for-bit identical run-for-run and
-//! arm-for-arm; the printed table is the setup-amortization payoff. A
-//! shard-size sweep then executes a slot grid wider than one arena batch
-//! at several shard sizes (including auto under a reduced waveform
-//! budget) and asserts every stitched result identical to the unsharded
-//! reference — the acceptance gate for transparent sharding.
+//! arm-for-arm; the printed table is the setup-amortization payoff.
 //!
 //! `--smoke` is the CI gate: a small adder, a handful of runs, identity
 //! plus the cache contract (`compile_misses == 1`,
-//! `compile_hits == runs`) enforced, fast enough for every commit. The
+//! `compile_hits == runs - 1`) enforced, fast enough for every commit. The
 //! speedup itself is *reported* but not gated in smoke mode — on a
 //! loaded 1-CPU CI container wall-clock ratios are too noisy to assert.
 //!
@@ -33,7 +29,7 @@ use std::sync::Arc;
 fn main() {
     let args = Args::capture();
     if args.flag("--help") {
-        println!("batch_throughput: compile-once vs compile-per-run A/B with shard sweep");
+        println!("batch_throughput: compile-once vs compile-per-run A/B");
         println!("  --scale <f>    circuit scale factor (default 0.01 of paper node counts)");
         println!("  --runs <n>     repeated runs per arm (default 64)");
         println!(
@@ -68,27 +64,18 @@ fn main() {
                 threads,
                 ..SimOptions::default()
             },
-            &[0, 3],
-            5,
         );
-        // The helper already asserted run-for-run and shard-vs-unsharded
-        // identity; the smoke gate additionally pins the cache contract.
+        // The helper already asserted run-for-run identity; the smoke
+        // gate additionally pins the cache contract.
         assert_eq!(bt.compile_misses, 1, "one compile for the whole batch");
         assert_eq!(
-            bt.compile_hits, runs as u64,
-            "every launch after the first reuses the artifact (plus the shard sweep's hit)"
-        );
-        assert!(
-            bt.shard_points.iter().all(|p| p.identical),
-            "every sharded run is bit-identical to the unsharded reference"
-        );
-        assert!(
-            bt.shard_points.iter().any(|p| p.shards > 1),
-            "the sweep actually sharded"
+            bt.compile_hits,
+            runs as u64 - 1,
+            "every launch after the first reuses the artifact"
         );
         println!(
             "batch_throughput --smoke: {} runs identical across arms ({:.2}x amortized), \
-             sharded == unsharded, compile_misses=1, OK",
+             compile_misses=1, OK",
             bt.runs, bt.speedup
         );
         return;
@@ -123,22 +110,13 @@ fn main() {
         arena_capacity: args.value("--arena").unwrap_or(0),
         ..SimOptions::default()
     };
-    let bt = measure_batch_throughput(
-        profile.name,
-        &netlist,
-        &chars,
-        &patterns,
-        runs,
-        &base,
-        &[0, 4, 7],
-        3,
-    );
+    let bt = measure_batch_throughput(profile.name, &netlist, &chars, &patterns, runs, &base);
     println!(
         "batch_throughput: {} ({} nodes, {} pairs, {} runs, {} threads)",
         bt.circuit, bt.nodes, bt.pairs, bt.runs, threads
     );
     println!(
-        "  per-run Engine::new  {:>9.1} ms  ({:.3} ms/run)",
+        "  per-run compile      {:>9.1} ms  ({:.3} ms/run)",
         bt.per_run_ms,
         bt.per_run_ms / bt.runs as f64
     );
@@ -152,16 +130,4 @@ fn main() {
         "  compile cache        {} miss, {} hits",
         bt.compile_misses, bt.compile_hits
     );
-    println!("  shard sweep (grid of {} slots):", 4 * bt.pairs);
-    for p in &bt.shard_points {
-        let label = if p.shard_slots == 0 {
-            "auto".to_owned()
-        } else {
-            p.shard_slots.to_string()
-        };
-        println!(
-            "    shard_slots={label:<5} {:>2} shards  {:>9.1} ms  identical={}",
-            p.shards, p.elapsed_ms, p.identical
-        );
-    }
 }

@@ -35,7 +35,7 @@
 use avfs_bench::{activity_patterns, characterize_used, Args};
 use avfs_circuits::ripple_carry_adder;
 use avfs_core::slots::cross;
-use avfs_core::{Engine, EventDrivenSimulator, SimError, SimOptions, SimRun, SlotStatus};
+use avfs_core::{CompiledNetlist, EventDrivenSimulator, SimError, SimOptions, SimRun, SlotStatus};
 use avfs_delay::characterize::{characterize_library_injected, CharacterizationConfig};
 use avfs_inject::{FaultPlan, InjectionSite, Injector, SITE_COUNT};
 use avfs_netlist::{CellLibrary, Netlist};
@@ -89,7 +89,7 @@ impl Tally {
 /// The subject circuit: small enough to soak in seconds, busy enough
 /// that every injection site has something to bite on.
 struct Subject {
-    engine: Engine,
+    engine: CompiledNetlist,
     baseline: EventDrivenSimulator,
     patterns: avfs_atpg::PatternSet,
     slots: Vec<avfs_core::slots::SlotSpec>,
@@ -102,7 +102,7 @@ fn subject(seed: u64) -> Subject {
     let netlist = Arc::new(ripple_carry_adder(8, &library).expect("adder builds"));
     let chars = characterize_used(&[netlist.as_ref()], &library, 2);
     let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(&annotation),
         Arc::new(chars.model().clone()),
@@ -178,7 +178,7 @@ fn checked_run(
     let plan = options.fault_plan.as_deref().expect("chaos runs are armed");
     match subject
         .engine
-        .run(&subject.patterns, &subject.slots, options)
+        .launch(&subject.patterns, &subject.slots, options)
     {
         Ok(run) => {
             assert_eq!(
@@ -223,7 +223,7 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     let plan = Arc::new(FaultPlan::empty(0x0DD5EED).with_rate(InjectionSite::ArenaOverflow, 1.0));
     let clean = subject
         .engine
-        .run(&subject.patterns, &subject.slots, &SimOptions::default())
+        .launch(&subject.patterns, &subject.slots, &SimOptions::default())
         .expect("clean reference run");
     let opts = SimOptions {
         fault_plan: Some(Arc::clone(&plan)),
@@ -314,7 +314,7 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     };
     let clean_tiny = subject
         .engine
-        .run(
+        .launch(
             &subject.patterns,
             &subject.slots,
             &SimOptions {
@@ -367,7 +367,10 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
         deadline: Some(Duration::ZERO),
         ..SimOptions::default()
     };
-    match subject.engine.run(&subject.patterns, &subject.slots, &opts) {
+    match subject
+        .engine
+        .launch(&subject.patterns, &subject.slots, &opts)
+    {
         Err(SimError::AllSlotsFailed { slots }) => {
             assert_eq!(slots, subject.slots.len());
             tally.graceful_all_failed += 1;
@@ -390,7 +393,10 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
             waveform_budget: one_slot_batches,
             ..SimOptions::default()
         };
-        match subject.engine.run(&subject.patterns, &subject.slots, &opts) {
+        match subject
+            .engine
+            .launch(&subject.patterns, &subject.slots, &opts)
+        {
             Ok(run) => {
                 let partial = run
                     .slots
@@ -415,7 +421,7 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     for cap in [2, 4, 8, 16, 32] {
         let probe = subject
             .engine
-            .run(
+            .launch(
                 &subject.patterns,
                 &subject.slots,
                 &SimOptions {
@@ -433,7 +439,7 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     let (cap, overflowers) = probed.expect("some capacity splits the slot population");
     let run = subject
         .engine
-        .run(
+        .launch(
             &subject.patterns,
             &subject.slots,
             &SimOptions {
@@ -464,7 +470,7 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
 fn soak_sweep(subject: &Subject, seeds: &[u64], thread_axis: &[usize], tally: &mut Tally) {
     let clean = subject
         .engine
-        .run(&subject.patterns, &subject.slots, &SimOptions::default())
+        .launch(&subject.patterns, &subject.slots, &SimOptions::default())
         .expect("clean reference run");
     for &seed in seeds {
         // Short stall so a firing WorkerStall site costs microseconds,
@@ -515,8 +521,8 @@ fn soak_sweep(subject: &Subject, seeds: &[u64], thread_axis: &[usize], tally: &m
         };
         let first = subject
             .engine
-            .run(&subject.patterns, &subject.slots, &replay_opts(&plan));
-        let second = subject.engine.run(
+            .launch(&subject.patterns, &subject.slots, &replay_opts(&plan));
+        let second = subject.engine.launch(
             &subject.patterns,
             &subject.slots,
             &replay_opts(&replay_plan),

@@ -22,7 +22,7 @@ use avfs_bench::{
     activity_patterns, characterize_used, measure_activity_point, measure_batch_throughput, Args,
 };
 use avfs_circuits::{CircuitProfile, PAPER_PROFILES};
-use avfs_core::{slots, Engine, EventDrivenSimulator, SimOptions, SimRun};
+use avfs_core::{slots, CompiledNetlist, EventDrivenSimulator, SimOptions, SimRun};
 use avfs_delay::{CharacterizedLibrary, TimingAnnotation};
 use avfs_netlist::{CellLibrary, Netlist, NetlistStats};
 use std::sync::Arc;
@@ -118,8 +118,6 @@ fn main() {
                 threads,
                 ..SimOptions::default()
             },
-            &[0, 3],
-            5,
         ));
         let text = report.to_json().to_string_pretty();
         let back = PerfReport::validate(&text).expect("schema validates");
@@ -245,10 +243,9 @@ fn main() {
         report.lane_scaling = Some(sweep);
 
         // Compile-once / simulate-many A/B on the same design: a short
-        // per-run workload repeated 64 times with a fresh `Engine::new`
-        // per run versus one `BatchRunner` compile and a parked pool,
-        // identity asserted run-for-run, plus a shard-size sweep against
-        // the unsharded reference.
+        // per-run workload repeated 64 times with a fresh compile per
+        // run versus one `BatchRunner` compile and a parked pool,
+        // identity asserted run-for-run.
         eprintln!("perf_report: batch-throughput A/B on {} ...", profile.name);
         // Same workload shape as the `batch_throughput` binary's default:
         // short low-activity runs with a right-sized arena — the
@@ -269,8 +266,6 @@ fn main() {
                 threads,
                 ..SimOptions::default()
             },
-            &[0, 4, 7],
-            3,
         );
         eprintln!(
             "perf_report:   {} runs: per-run {:>8.1} ms, batched {:>8.1} ms ({:.2}x, {} compile misses)",
@@ -307,7 +302,7 @@ fn measure(
         .run_profiled(patterns, &slot_list, false, true)
         .expect("baseline runs");
 
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
         Arc::new(chars.model().clone()),
@@ -319,7 +314,7 @@ fn measure(
         ..SimOptions::default()
     };
     let run = engine
-        .run(patterns, &slot_list, &opts)
+        .launch(patterns, &slot_list, &opts)
         .expect("engine runs");
     eprint!("{}", run.summary());
 
@@ -353,7 +348,7 @@ fn scaling_sweep(
     sweep: &[usize],
     prior_engine_elapsed_ms: Option<f64>,
 ) -> ThreadScaling {
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
         Arc::new(chars.model().clone()),
@@ -365,7 +360,7 @@ fn scaling_sweep(
     let mut single_ms = 0.0;
     for &threads in sweep {
         let run = engine
-            .run(
+            .launch(
                 patterns,
                 &slot_list,
                 &SimOptions {
@@ -417,7 +412,7 @@ fn lane_sweep(
     sweep: &[usize],
     threads: usize,
 ) -> LaneScaling {
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
         Arc::new(chars.model().clone()),
@@ -429,7 +424,7 @@ fn lane_sweep(
     let mut scalar_ms = 0.0;
     for &lanes in sweep {
         let run = engine
-            .run(
+            .launch(
                 patterns,
                 &slot_list,
                 &SimOptions {
@@ -480,7 +475,7 @@ fn activity_sweep(
     factors: &[f64],
     threads: usize,
 ) -> ActivitySweep {
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
         Arc::new(chars.model().clone()),

@@ -30,7 +30,7 @@ use avfs_bench::perf::{PerfReport, ScenarioPoint, ScenarioSweep};
 use avfs_bench::{characterize_used, Args};
 use avfs_circuits::{ripple_carry_adder, PAPER_PROFILES};
 use avfs_core::scenario::{cross_schedules, MonteCarlo, Schedule};
-use avfs_core::{cross, Engine, SimOptions, VariationConfig};
+use avfs_core::{cross, CompiledNetlist, SimOptions, VariationConfig};
 use avfs_netlist::CellLibrary;
 use std::sync::Arc;
 
@@ -60,7 +60,8 @@ fn main() {
         let chars = characterize_used(&[netlist.as_ref()], &library, 2);
         let annotation = Arc::new(chars.annotate(&netlist).expect("annotates"));
         let model = Arc::new(chars.model().clone());
-        let engine = Engine::new(Arc::clone(&netlist), annotation, model).expect("engine builds");
+        let engine = CompiledNetlist::compile(Arc::clone(&netlist), annotation, model)
+            .expect("engine builds");
         let patterns = PatternSet::lfsr(netlist.inputs().len(), 4, 7);
         let voltages = [0.7, 0.9];
 
@@ -73,10 +74,10 @@ fn main() {
                 ..SimOptions::default()
             };
             let fixed = engine
-                .run(&patterns, &cross(patterns.len(), &voltages), &opts)
+                .launch(&patterns, &cross(patterns.len(), &voltages), &opts)
                 .expect("static run");
             let scheduled = engine
-                .run_scenarios(&patterns, &scenarios, None, None, &opts)
+                .launch_scenarios(&patterns, &scenarios, None, None, &opts)
                 .expect("scheduled run");
             assert_eq!(
                 scheduled.slots, fixed.slots,
@@ -101,7 +102,7 @@ fn main() {
         };
         let run_mc = |threads: usize, seed: u64| {
             engine
-                .run_scenarios(
+                .launch_scenarios(
                     &patterns,
                     &droop_scenarios,
                     Some(&mc(seed)),
@@ -170,7 +171,8 @@ fn main() {
     let chars = characterize_used(&[netlist.as_ref()], &library, 3);
     let annotation = Arc::new(chars.annotate(&netlist).expect("annotates"));
     let model = Arc::new(chars.model().clone());
-    let engine = Engine::new(Arc::clone(&netlist), annotation, model).expect("engine builds");
+    let engine =
+        CompiledNetlist::compile(Arc::clone(&netlist), annotation, model).expect("engine builds");
     let patterns = PatternSet::lfsr(netlist.inputs().len(), pairs, 0x5CE0 ^ profile.nodes as u64);
     let opts = SimOptions {
         threads,
@@ -180,7 +182,7 @@ fn main() {
     // The capture deadline: 5% margin over the nominal-supply static run.
     let nominal_v = 0.8;
     let nominal = engine
-        .run(&patterns, &cross(patterns.len(), &[nominal_v]), &opts)
+        .launch(&patterns, &cross(patterns.len(), &[nominal_v]), &opts)
         .expect("nominal run");
     let deadline = nominal
         .latest_arrival_at(nominal_v)
@@ -210,7 +212,7 @@ fn main() {
         scenarios.len() * samples
     );
     let run = engine
-        .run_scenarios(&patterns, &scenarios, Some(&mc), Some(deadline), &opts)
+        .launch_scenarios(&patterns, &scenarios, Some(&mc), Some(deadline), &opts)
         .expect("sweep run");
     let summary = run.scenario.as_ref().expect("scenario summary");
 

@@ -20,7 +20,7 @@ use avfs_atpg::timing_aware::{collect_pairs, generate_timing_aware};
 use avfs_atpg::{k_longest_paths, PatternSet};
 use avfs_bench::{characterize_used, fmt_runtime, Args};
 use avfs_circuits::{CircuitProfile, PAPER_PROFILES};
-use avfs_core::{slots, Engine, EventDrivenSimulator, SimOptions};
+use avfs_core::{slots, CompiledNetlist, EventDrivenSimulator, SimOptions};
 use avfs_delay::StaticModel;
 use avfs_netlist::{CellLibrary, NetlistStats};
 use std::sync::Arc;
@@ -96,25 +96,25 @@ fn main() {
         };
 
         // Parallel engine, static delays ([25]).
-        let static_engine = Engine::new(
+        let static_engine = CompiledNetlist::compile(
             Arc::clone(netlist),
             Arc::clone(&annotation),
             Arc::new(StaticModel::new(*chars.space())),
         )
         .expect("engine builds");
         let static_run = static_engine
-            .run(&patterns, &slot_list, &opts)
+            .launch(&patterns, &slot_list, &opts)
             .expect("static engine runs");
 
         // Parallel engine, polynomial kernels (proposed).
-        let poly_engine = Engine::new(
+        let poly_engine = CompiledNetlist::compile(
             Arc::clone(netlist),
             Arc::clone(&annotation),
             Arc::new(chars.model().clone()),
         )
         .expect("engine builds");
         let poly_run = poly_engine
-            .run(&patterns, &slot_list, &opts)
+            .launch(&patterns, &slot_list, &opts)
             .expect("parametric engine runs");
 
         let name = if profile.false_paths_only {
@@ -184,7 +184,7 @@ fn slots_ablation(
         netlist.name()
     );
     let annotation = Arc::new(chars.annotate(netlist).expect("annotation"));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(&annotation),
         Arc::new(chars.model().clone()),
@@ -206,7 +206,7 @@ fn slots_ablation(
             threads,
             ..SimOptions::default()
         };
-        let run = engine.run(&patterns, &slot_list, &opts).expect("runs");
+        let run = engine.launch(&patterns, &slot_list, &opts).expect("runs");
         println!(
             "{:>10} {:>10} {:>10} {:>9} {:>8.1}",
             stimuli,
@@ -233,7 +233,7 @@ fn order_sweep(
     for order in 1..=5usize {
         let chars = characterize_used(&[netlist.as_ref()], library, order);
         let annotation = Arc::new(chars.annotate(netlist).expect("annotation"));
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(netlist),
             annotation,
             Arc::new(chars.model().clone()),
@@ -244,7 +244,7 @@ fn order_sweep(
             threads,
             ..SimOptions::default()
         };
-        let run = engine.run(&patterns, &slot_list, &opts).expect("runs");
+        let run = engine.launch(&patterns, &slot_list, &opts).expect("runs");
         println!(
             "{:>5} {:>9} {:>8.1}",
             order,

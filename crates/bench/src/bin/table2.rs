@@ -17,7 +17,7 @@
 use avfs_atpg::PatternSet;
 use avfs_bench::{characterize_used, fmt_ps, Args};
 use avfs_circuits::{CircuitProfile, PAPER_PROFILES};
-use avfs_core::{slots, sta, Engine, SimOptions};
+use avfs_core::{slots, sta, CompiledNetlist, SimOptions};
 use avfs_delay::StaticModel;
 use avfs_netlist::CellLibrary;
 use std::sync::Arc;
@@ -88,14 +88,14 @@ fn main() {
         let sta_report = sta::longest_path(netlist, &levels, &annotation);
 
         // One launch: every pattern under every voltage.
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(netlist),
             Arc::clone(&annotation),
             Arc::new(chars.model().clone()),
         )
         .expect("engine builds");
         let run = engine
-            .run(
+            .launch(
                 &patterns,
                 &slots::cross(patterns.len(), &SWEEP_VOLTAGES),
                 &opts,
@@ -103,14 +103,14 @@ fn main() {
             .expect("sweep runs");
 
         // Static-delay reference at the nominal voltage.
-        let static_engine = Engine::new(
+        let static_engine = CompiledNetlist::compile(
             Arc::clone(netlist),
             Arc::clone(&annotation),
             Arc::new(StaticModel::new(*chars.space())),
         )
         .expect("engine builds");
         let static_run = static_engine
-            .run(&patterns, &slots::at_voltage(patterns.len(), 0.8), &opts)
+            .launch(&patterns, &slots::at_voltage(patterns.len(), 0.8), &opts)
             .expect("static runs");
 
         let name = if profile.false_paths_only {

@@ -15,7 +15,7 @@
 use avfs_atpg::PatternSet;
 use avfs_bench::{characterize_used, Args};
 use avfs_circuits::{ripple_carry_adder, PAPER_PROFILES};
-use avfs_core::{slots, Engine, SimOptions, SimRun};
+use avfs_core::{slots, CompiledNetlist, SimOptions, SimRun};
 use avfs_delay::{CharacterizedLibrary, TimingAnnotation};
 use avfs_netlist::{CellLibrary, Netlist};
 use std::sync::Arc;
@@ -83,7 +83,7 @@ fn sweep(
     patterns: &PatternSet,
     counts: &[usize],
 ) {
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
         Arc::new(chars.model().clone()),
@@ -99,7 +99,7 @@ fn sweep(
     );
     for &threads in counts {
         let run = engine
-            .run(
+            .launch(
                 patterns,
                 &slot_list,
                 &SimOptions {

@@ -86,10 +86,9 @@ pub struct ScenarioPoint {
 }
 
 /// Compile-once / simulate-many measurement: the same N-run workload
-/// executed once with a fresh `Engine::new` per run (compile paid N
-/// times, pool respawned N times) and once through a `BatchRunner`
-/// (compile paid once, pool parked), plus a shard-size sweep of one
-/// oversized grid stitched back bit-identically.
+/// executed once with a fresh `CompiledNetlist::compile` per run
+/// (compile paid N times, pool respawned N times) and once through a
+/// `BatchRunner` (compile paid once, pool parked).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchThroughput {
     /// Circuit the workload ran on.
@@ -114,24 +113,6 @@ pub struct BatchThroughput {
     /// Artifact-cache misses (compiles performed) across the batched
     /// workload — 1 for a compile-once workload.
     pub compile_misses: u64,
-    /// Shard-size sweep of one grid larger than a single arena batch,
-    /// each point stitched and compared against the unsharded reference.
-    pub shard_points: Vec<ShardPoint>,
-}
-
-/// One point of a [`BatchThroughput`] shard sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardPoint {
-    /// Requested shard size, slots (`0` = auto: one arena batch).
-    pub shard_slots: u64,
-    /// Shards the grid actually split into.
-    pub shards: u64,
-    /// Wall-clock of the sharded run, milliseconds.
-    pub elapsed_ms: f64,
-    /// Whether slots and diagnostics were bit-identical to the
-    /// unsharded reference run (must always be `true`; recorded so a
-    /// regression is visible in the committed report).
-    pub identical: bool,
 }
 
 /// Lane-width scaling sweep of the lane-major engine: the report's
@@ -381,22 +362,6 @@ impl PerfReport {
                     ("speedup".into(), Json::Num(bt.speedup)),
                     ("compile_hits".into(), Json::Num(bt.compile_hits as f64)),
                     ("compile_misses".into(), Json::Num(bt.compile_misses as f64)),
-                    (
-                        "shard_points".into(),
-                        Json::Arr(
-                            bt.shard_points
-                                .iter()
-                                .map(|p| {
-                                    Json::Obj(vec![
-                                        ("shard_slots".into(), Json::Num(p.shard_slots as f64)),
-                                        ("shards".into(), Json::Num(p.shards as f64)),
-                                        ("elapsed_ms".into(), Json::Num(p.elapsed_ms)),
-                                        ("identical".into(), Json::Bool(p.identical)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
                 ]),
             ));
         }
@@ -587,37 +552,18 @@ impl PerfReport {
         };
         let batch_throughput = match value.get("batch_throughput") {
             None | Some(Json::Null) => None,
-            Some(bt) => {
-                let mut shard_points = Vec::new();
-                for p in bt
-                    .get("shard_points")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| fail("missing batch_throughput shard_points array"))?
-                {
-                    shard_points.push(ShardPoint {
-                        shard_slots: req_u64(p, "shard_slots")?,
-                        shards: req_u64(p, "shards")?,
-                        elapsed_ms: req_f64(p, "elapsed_ms")?,
-                        identical: p
-                            .get("identical")
-                            .and_then(Json::as_bool)
-                            .ok_or_else(|| fail("missing/invalid field 'identical'"))?,
-                    });
-                }
-                Some(BatchThroughput {
-                    circuit: req_str(bt, "circuit")?,
-                    nodes: req_u64(bt, "nodes")?,
-                    runs: req_u64(bt, "runs")?,
-                    pairs: req_u64(bt, "pairs")?,
-                    slots: req_u64(bt, "slots")?,
-                    per_run_ms: req_f64(bt, "per_run_ms")?,
-                    batched_ms: req_f64(bt, "batched_ms")?,
-                    speedup: req_f64(bt, "speedup")?,
-                    compile_hits: req_u64(bt, "compile_hits")?,
-                    compile_misses: req_u64(bt, "compile_misses")?,
-                    shard_points,
-                })
-            }
+            Some(bt) => Some(BatchThroughput {
+                circuit: req_str(bt, "circuit")?,
+                nodes: req_u64(bt, "nodes")?,
+                runs: req_u64(bt, "runs")?,
+                pairs: req_u64(bt, "pairs")?,
+                slots: req_u64(bt, "slots")?,
+                per_run_ms: req_f64(bt, "per_run_ms")?,
+                batched_ms: req_f64(bt, "batched_ms")?,
+                speedup: req_f64(bt, "speedup")?,
+                compile_hits: req_u64(bt, "compile_hits")?,
+                compile_misses: req_u64(bt, "compile_misses")?,
+            }),
         };
         let scenario_sweep = match value.get("scenario_sweep") {
             None | Some(Json::Null) => None,
@@ -784,20 +730,6 @@ mod tests {
                 speedup: 5.0,
                 compile_hits: 63,
                 compile_misses: 1,
-                shard_points: vec![
-                    ShardPoint {
-                        shard_slots: 0,
-                        shards: 3,
-                        elapsed_ms: 0.9,
-                        identical: true,
-                    },
-                    ShardPoint {
-                        shard_slots: 3,
-                        shards: 3,
-                        elapsed_ms: 1.0,
-                        identical: true,
-                    },
-                ],
             }),
             scenario_sweep: Some(ScenarioSweep {
                 circuit: "c17".into(),
@@ -934,11 +866,11 @@ mod tests {
             if let Some((_, Json::Obj(s))) =
                 fields.iter_mut().find(|(k, _)| k == "batch_throughput")
             {
-                s.retain(|(k, _)| k != "shard_points");
+                s.retain(|(k, _)| k != "compile_misses");
             }
         }
         let err = PerfReport::validate(&v.to_string_pretty()).unwrap_err();
-        assert!(err.contains("batch_throughput shard_points"), "{err}");
+        assert!(err.contains("compile_misses"), "{err}");
     }
 
     #[test]

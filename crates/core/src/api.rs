@@ -8,7 +8,8 @@
 //! or had its panic contained, and inspect per-slot
 //! [`SlotStatus`](crate::results::SlotStatus) for the verdicts.
 
-use crate::engine::{Engine, SimOptions};
+use crate::compile::CompiledNetlist;
+use crate::engine::SimOptions;
 use crate::event_driven::EventDrivenSimulator;
 use crate::results::SimRun;
 use crate::slots::{at_voltage, cross};
@@ -53,9 +54,7 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimeSimulator {
-    engine: Engine,
-    netlist: Arc<Netlist>,
-    annotation: Arc<TimingAnnotation>,
+    compiled: Arc<CompiledNetlist>,
 }
 
 impl TimeSimulator {
@@ -70,11 +69,8 @@ impl TimeSimulator {
         annotation: Arc<TimingAnnotation>,
         model: Arc<dyn DelayModel>,
     ) -> Result<TimeSimulator, SimError> {
-        let engine = Engine::new(Arc::clone(&netlist), Arc::clone(&annotation), model)?;
         Ok(TimeSimulator {
-            engine,
-            netlist,
-            annotation,
+            compiled: Arc::new(CompiledNetlist::compile(netlist, annotation, model)?),
         })
     }
 
@@ -95,34 +91,36 @@ impl TimeSimulator {
         TimeSimulator::new(netlist, annotation, model)
     }
 
-    /// The underlying engine.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+    /// The compiled artifact every run launches — share it with a
+    /// [`Session`](crate::Session) or [`BatchRunner`](crate::BatchRunner)
+    /// for repeated runs.
+    pub fn compiled(&self) -> &Arc<CompiledNetlist> {
+        &self.compiled
     }
 
     /// The simulated netlist.
     pub fn netlist(&self) -> &Arc<Netlist> {
-        &self.netlist
+        self.compiled.netlist()
     }
 
     /// The nominal annotation.
     pub fn annotation(&self) -> &Arc<TimingAnnotation> {
-        &self.annotation
+        self.compiled.annotation()
     }
 
     /// Simulates all patterns at a single supply voltage.
     ///
     /// # Errors
     ///
-    /// See [`Engine::run`].
+    /// See [`CompiledNetlist::launch`].
     pub fn run_at(
         &self,
         patterns: &PatternSet,
         voltage: f64,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        self.engine
-            .run(patterns, &at_voltage(patterns.len(), voltage), options)
+        self.compiled
+            .launch(patterns, &at_voltage(patterns.len(), voltage), options)
     }
 
     /// Simulates the full cross product `patterns × voltages` in one
@@ -130,15 +128,15 @@ impl TimeSimulator {
     ///
     /// # Errors
     ///
-    /// See [`Engine::run`].
+    /// See [`CompiledNetlist::launch`].
     pub fn voltage_sweep(
         &self,
         patterns: &PatternSet,
         voltages: &[f64],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        self.engine
-            .run(patterns, &cross(patterns.len(), voltages), options)
+        self.compiled
+            .launch(patterns, &cross(patterns.len(), voltages), options)
     }
 
     /// Simulates time-domain AVFS scenarios: each slot replays its
@@ -154,7 +152,7 @@ impl TimeSimulator {
     ///
     /// # Errors
     ///
-    /// See [`CompiledNetlist::launch_scenarios`](crate::CompiledNetlist::launch_scenarios).
+    /// See [`CompiledNetlist::launch_scenarios`].
     ///
     /// [`Schedule`]: crate::scenario::Schedule
     /// [`MonteCarlo`]: crate::scenario::MonteCarlo
@@ -166,8 +164,8 @@ impl TimeSimulator {
         capture_deadline_ps: Option<f64>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        self.engine
-            .run_scenarios(patterns, scenarios, mc, capture_deadline_ps, options)
+        self.compiled
+            .launch_scenarios(patterns, scenarios, mc, capture_deadline_ps, options)
     }
 
     /// Builds the serial event-driven baseline over the same netlist and
@@ -177,13 +175,13 @@ impl TimeSimulator {
     ///
     /// See [`EventDrivenSimulator::new`].
     pub fn event_driven_baseline(&self) -> Result<EventDrivenSimulator, SimError> {
-        EventDrivenSimulator::new(Arc::clone(&self.netlist), Arc::clone(&self.annotation))
+        EventDrivenSimulator::new(Arc::clone(self.netlist()), Arc::clone(self.annotation()))
     }
 
     /// Static timing analysis over the nominal annotation (Table II
     /// column 2).
     pub fn sta(&self) -> StaReport {
-        longest_path(&self.netlist, self.engine.levels(), &self.annotation)
+        longest_path(self.netlist(), self.compiled.levels(), self.annotation())
     }
 }
 

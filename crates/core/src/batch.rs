@@ -1,6 +1,6 @@
-//! Cross-run batch execution: a parked worker pool, bounded artifact
-//! caches, and sharded slot grids — the server-shaped front half of the
-//! compile-once / simulate-many split.
+//! Cross-run batch execution: a parked worker pool and bounded artifact
+//! caches — the server-shaped front half of the compile-once /
+//! simulate-many split.
 //!
 //! Where a [`Session`](crate::session::Session) binds one compiled
 //! artifact to one pool, a [`BatchRunner`] is the amortization hub for a
@@ -12,46 +12,25 @@
 //! * **artifact caching** — compiled netlists and characterized
 //!   libraries live in bounded LRUs keyed by
 //!   [`CompileKey`] = (netlist hash, library hash, corner), with
-//!   `engine.compile_{hits,misses}` counters riding `avfs-obs`;
-//! * **grid sharding** — a slot grid larger than
-//!   [`SimOptions::shard_slots`] (auto: one arena batch) is split into
-//!   shards executed back-to-back on the parked pool and stitched in
-//!   slot-major order, bit-for-bit identical to an unsharded run.
+//!   `engine.compile_{hits,misses}` counters riding `avfs-obs`.
 //!
-//! # Shard stitching and determinism
-//!
-//! Slots are independent: the engine's own internal batching is already
-//! result-transparent, and a shard is nothing but an externally imposed
-//! batch boundary. The stitcher concatenates shard slot results in grid
-//! order, re-bases per-shard diagnostic slot indexes to global grid
-//! indexes through a [`LaneWindow`](avfs_waveform::LaneWindow),
-//! sums the additive counters
-//! (retries, aborts, denials, injected faults), maxes the arena
-//! occupancy water mark, and re-checks total loss over the whole grid.
-//! Validation runs **once** over the whole grid (global `slot {i}`
-//! labels, one `Deny` decision); quarantine, deadline and injection
-//! semantics are per-shard, exactly as they are per-run today. The one
-//! non-slot-local counter is `kernel_fallbacks` (counted per
-//! (level, voltage-group) evaluation, which shard boundaries can split);
-//! it is exact on fallback-free runs and an upper bound otherwise.
-//! Multi-shard runs return no profile (per-shard registries are not
-//! merged).
+//! A run is the same launch [`CompiledNetlist::launch`] performs — slot
+//! grids larger than the waveform budget are batched inside the engine —
+//! so results, diagnostics and profiles are bit-for-bit identical.
 
 use crate::compile::CompiledNetlist;
-use crate::engine::{Exec, SimOptions, SlotWork};
+use crate::engine::{LaunchPlan, SimOptions};
 use crate::phases;
-use crate::pool::WorkerPool;
-use crate::results::{RunDiagnostics, SimRun};
+use crate::pool::ParkedPool;
+use crate::results::SimRun;
 use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
 use avfs_delay::CharacterizedLibrary;
 use avfs_netlist::Netlist;
 use avfs_obs::{Metrics, Profile};
-use avfs_waveform::LaneLayout;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Cache key of one compiled artifact: what the compile step actually
 /// depends on — the netlist's structure, the characterized library's
@@ -86,9 +65,8 @@ impl CompileKey {
 
 /// A bounded LRU over a small linear-scan table — caches hold a handful
 /// of multi-megabyte artifacts, so scan cost is noise and zero
-/// dependencies beat an ordered map. Shared with the engine's
-/// per-voltage delay-table cache
-/// ([`CompiledNetlist::cached_delay_table`](crate::CompiledNetlist)).
+/// dependencies beat an ordered map. Shared with the artifact's
+/// per-voltage delay-table cache.
 #[derive(Debug)]
 pub(crate) struct Lru<K, V> {
     cap: usize,
@@ -176,10 +154,8 @@ impl<K: PartialEq + Copy, V> Lru<K, V> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct BatchRunner {
-    /// Worker count resolved once at construction.
-    threads: usize,
-    /// The parked pool (`None` for single-threaded runners).
-    pool: Option<WorkerPool>,
+    /// The parked pool, resolved once at construction.
+    pool: ParkedPool,
     /// Serializes runs: the epoch-barrier pool admits one run at a time.
     run_lock: Mutex<()>,
     /// Runs currently waiting on (or holding) the run lock — sampled
@@ -201,14 +177,8 @@ impl BatchRunner {
     /// parallelism once, here) and at most `cache_capacity` entries in
     /// each artifact cache (clamped to at least 1).
     pub fn new(threads: usize, cache_capacity: usize) -> BatchRunner {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
         BatchRunner {
-            threads,
-            pool: (threads > 1).then(|| WorkerPool::new(threads)),
+            pool: ParkedPool::new(threads),
             run_lock: Mutex::new(()),
             waiting: AtomicU64::new(0),
             artifacts: Mutex::new(Lru::new(cache_capacity)),
@@ -223,7 +193,7 @@ impl BatchRunner {
 
     /// The worker count resolved at construction.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.threads()
     }
 
     /// Returns the cached artifact for `key`, or compiles it via
@@ -316,25 +286,20 @@ impl BatchRunner {
 
     /// Snapshot of the runner's instrument registry
     /// (`engine.compile_{hits,misses}`, `engine.library_{hits,misses}`,
-    /// `engine.batch_{runs,shards}`, queue depth, cache occupancy).
+    /// `engine.batch_runs`, queue depth, cache occupancy).
     pub fn profile(&self) -> Profile {
         self.metrics.snapshot()
     }
 
-    /// Simulates `slots` over `patterns` on the parked pool, sharding
-    /// the grid when it exceeds [`SimOptions::shard_slots`] (auto: one
-    /// arena batch). Results — slots and diagnostics — are bit-for-bit
-    /// identical to an unsharded [`CompiledNetlist::launch`] of the same
-    /// grid (see the module docs for the stitching argument); sharded
-    /// runs return `profile: None`.
+    /// Simulates `slots` over `patterns` on the parked pool — bit-for-bit
+    /// the launch [`CompiledNetlist::launch`] performs.
     ///
     /// # Errors
     ///
     /// Same as [`CompiledNetlist::launch`], plus
     /// [`SimError::ThreadMismatch`] for a per-run
     /// [`SimOptions::threads`] override that differs from the runner's
-    /// pool. [`SimError::AllSlotsFailed`] is decided over the whole
-    /// stitched grid, not per shard.
+    /// pool.
     pub fn run(
         &self,
         compiled: &Arc<CompiledNetlist>,
@@ -342,30 +307,13 @@ impl BatchRunner {
         slots: &[SlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        if options.threads != 0 && options.threads != self.threads {
-            return Err(SimError::ThreadMismatch {
-                pool: self.threads,
-                requested: options.threads,
-            });
-        }
-        let options = SimOptions {
-            threads: self.threads,
-            ..options.clone()
-        };
-        // Whole-grid preparation and validation, once: global `slot {i}`
-        // labels, one findings list, one Deny decision — shards below
-        // run with validation pre-paid.
-        let (work, slot_points) = compiled.prepare_uniform(patterns, slots)?;
-        let validation = compiled.validate_launch(options.strict_validation, &slot_points)?;
-        self.run_prepared(compiled, patterns, work, options, validation)
+        let plan = compiled.prepare_uniform(patterns, slots, options)?;
+        self.execute(compiled, plan, options)
     }
 
     /// Simulates piecewise-scheduled scenarios (optionally Monte Carlo
-    /// sampled) on the parked pool, sharding like [`BatchRunner::run`].
-    /// The scenario reduction is computed over the whole stitched grid,
-    /// so the returned [`SimRun::scenario`] summary is bit-identical to
-    /// an unsharded [`CompiledNetlist::launch_scenarios`] of the same
-    /// scenarios — see there for semantics and errors.
+    /// sampled) on the parked pool — see
+    /// [`CompiledNetlist::launch_scenarios`] for semantics and errors.
     pub fn run_scenarios(
         &self,
         compiled: &Arc<CompiledNetlist>,
@@ -375,143 +323,32 @@ impl BatchRunner {
         capture_deadline_ps: Option<f64>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        if options.threads != 0 && options.threads != self.threads {
-            return Err(SimError::ThreadMismatch {
-                pool: self.threads,
-                requested: options.threads,
-            });
-        }
-        let options = SimOptions {
-            threads: self.threads,
-            ..options.clone()
-        };
-        let (work, findings) = compiled.prepare_scenarios(patterns, scenarios, mc)?;
-        let validation =
-            compiled.validate_launch_extra(options.strict_validation, &[], &findings)?;
-        let mut run = self.run_prepared(compiled, patterns, work, options, validation)?;
-        run.scenario = Some(crate::scenario::summarize(
-            &run.slots,
-            mc,
-            capture_deadline_ps,
-        ));
-        Ok(run)
+        let plan =
+            compiled.prepare_scenarios(patterns, scenarios, mc, capture_deadline_ps, options)?;
+        self.execute(compiled, plan, options)
     }
 
-    /// The shared post-preparation run path: queue admission, shard
-    /// split, stitched execution. `options` must already be pinned to
-    /// the pool's thread count and `validation` pre-rendered over the
-    /// whole grid.
-    fn run_prepared(
+    /// Queue admission, then the launch: the epoch-barrier pool admits
+    /// one run at a time.
+    fn execute(
         &self,
-        compiled: &Arc<CompiledNetlist>,
-        patterns: &PatternSet,
-        work: Vec<SlotWork>,
-        options: SimOptions,
-        validation: Vec<String>,
+        compiled: &CompiledNetlist,
+        plan: LaunchPlan<'_>,
+        options: &SimOptions,
     ) -> Result<SimRun, SimError> {
         let depth = self.waiting.fetch_add(1, Ordering::Relaxed);
         let _guard = self.run_lock.lock().expect("run lock");
         self.waiting.fetch_sub(1, Ordering::Relaxed);
         self.metrics.record(phases::ENGINE_BATCH_QUEUE_DEPTH, depth);
         self.metrics.add(phases::ENGINE_BATCH_RUNS, 1);
-
-        let start = Instant::now();
-        let nodes = compiled.netlist().num_nodes();
-        let shard_slots = if options.shard_slots != 0 {
-            options.shard_slots
-        } else {
-            // Auto: one round-0 arena batch per shard, so shard
-            // boundaries coincide with the engine's internal batch
-            // boundaries and sharding adds no extra batch splits.
-            (options.waveform_budget / (nodes.max(1) * options.resolved_arena_capacity())).max(1)
-        };
-        if work.len() <= shard_slots {
-            self.metrics.add(phases::ENGINE_BATCH_SHARDS, 1);
-            return compiled.run_work(
-                patterns,
-                &work,
-                &options,
-                validation,
-                &Exec {
-                    pool: self.pool.as_ref(),
-                    allow_total_loss: false,
-                    prevalidated: None,
-                },
-            );
-        }
-
-        // Sharded execution: back-to-back sub-runs on the parked pool,
-        // stitched in slot-major order.
-        let mut stitched: Vec<crate::results::SlotResult> = Vec::with_capacity(work.len());
-        let mut diag = RunDiagnostics {
-            clamped_loads: compiled.clamped_loads(),
-            validation_findings: validation,
-            ..RunDiagnostics::default()
-        };
-        let mut node_evaluations = 0u64;
-        let mut shards = 0u64;
-        for (index, shard) in work.chunks(shard_slots).enumerate() {
-            let base = index * shard_slots;
-            let run = compiled.run_work(
-                patterns,
-                shard,
-                &options,
-                Vec::new(),
-                &Exec {
-                    pool: self.pool.as_ref(),
-                    allow_total_loss: true,
-                    prevalidated: None,
-                },
-            )?;
-            shards += 1;
-            node_evaluations += run.node_evaluations;
-            // Shard-local slot indexes re-base to the global grid through
-            // the shard's lane window; per-shard lists arrive sorted and
-            // shard bases ascend, so plain concatenation stays sorted.
-            let window =
-                LaneLayout::new(options.resolved_lanes(), nodes.max(1), shard.len()).window(base);
-            let d = run.diagnostics;
-            diag.overflowed_slots
-                .extend(d.overflowed_slots.iter().map(|&s| window.global_slot(s)));
-            diag.panicked_slots
-                .extend(d.panicked_slots.iter().map(|&s| window.global_slot(s)));
-            diag.failed_slots
-                .extend(d.failed_slots.iter().map(|&s| window.global_slot(s)));
-            diag.slot_retries += d.slot_retries;
-            diag.kernel_fallbacks += d.kernel_fallbacks;
-            diag.deadline_aborts += d.deadline_aborts;
-            diag.budget_denials += d.budget_denials;
-            diag.watchdog_stalls += d.watchdog_stalls;
-            diag.faults_injected += d.faults_injected;
-            diag.peak_arena_occupancy = diag.peak_arena_occupancy.max(d.peak_arena_occupancy);
-            diag.budget_tripped = diag.budget_tripped.or(d.budget_tripped);
-            stitched.extend(run.slots);
-        }
-        self.metrics.add(phases::ENGINE_BATCH_SHARDS, shards);
-        // Total loss is decided over the whole grid: a shard may lose
-        // every one of its slots without failing the run.
-        if stitched.iter().all(|s| !s.status.is_completed()) {
-            return Err(SimError::AllSlotsFailed {
-                slots: stitched.len(),
-            });
-        }
-        Ok(SimRun {
-            slots: stitched,
-            elapsed: start.elapsed(),
-            node_evaluations,
-            diagnostics: diag,
-            // Per-shard registries are not merged; sharded runs are
-            // throughput runs, profile one shard-sized grid instead.
-            profile: None,
-            scenario: None,
-        })
+        compiled.execute(plan, options, &self.pool)
     }
 }
 
 impl std::fmt::Debug for BatchRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchRunner")
-            .field("threads", &self.threads)
+            .field("threads", &self.threads())
             .field("compile_hits", &self.compile_hits())
             .field("compile_misses", &self.compile_misses())
             .finish()
@@ -570,14 +407,13 @@ mod tests {
         )
     }
 
-    /// The determinism matrix of ISSUE 8: shard sizes (single shard,
-    /// arena-sized, prime-sized tail) × threads (1, 4) × lanes (1, 8),
+    /// The runner's determinism matrix: threads (1, 4) × lanes (1, 8),
     /// in a normal scenario and a tight-arena scenario that forces
-    /// quarantine-and-retry inside shards — every cell bit-identical
-    /// (slots, diagnostics, node evaluations) to the unsharded
-    /// single-threaded reference.
+    /// quarantine-and-retry — every cell bit-identical (slots,
+    /// diagnostics, node evaluations) to the single-threaded
+    /// [`CompiledNetlist::launch`] reference.
     #[test]
-    fn sharded_batch_matches_unsharded_matrix() {
+    fn batch_runs_match_compiled_launch_matrix() {
         let compiled = compiled_adder();
         let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 10, 7);
         let slot_list = cross(patterns.len(), &[0.7, 0.8]); // 20 slots
@@ -587,7 +423,7 @@ mod tests {
                 "tight-arena",
                 SimOptions {
                     // Capacity 1 overflows glitchy carry-chain nets and
-                    // exercises quarantine-and-retry per shard.
+                    // exercises quarantine-and-retry.
                     arena_capacity: 1,
                     ..SimOptions::default()
                 },
@@ -612,39 +448,33 @@ mod tests {
             }
             for threads in [1usize, 4] {
                 let runner = BatchRunner::new(threads, 4);
-                for shard_slots in [slot_list.len(), 4, 3] {
-                    for lanes in [1usize, 8] {
-                        let run = runner
-                            .run(
-                                &compiled,
-                                &patterns,
-                                &slot_list,
-                                &SimOptions {
-                                    shard_slots,
-                                    lanes,
-                                    ..base.clone()
-                                },
-                            )
-                            .unwrap();
-                        let label =
-                            format!("{name} threads={threads} shard={shard_slots} lanes={lanes}");
-                        assert_eq!(run.slots, reference.slots, "{label}");
-                        assert_eq!(run.diagnostics, reference.diagnostics, "{label}");
-                        assert_eq!(run.node_evaluations, reference.node_evaluations, "{label}");
-                    }
+                for lanes in [1usize, 8] {
+                    let run = runner
+                        .run(
+                            &compiled,
+                            &patterns,
+                            &slot_list,
+                            &SimOptions {
+                                lanes,
+                                ..base.clone()
+                            },
+                        )
+                        .unwrap();
+                    let label = format!("{name} threads={threads} lanes={lanes}");
+                    assert_eq!(run.slots, reference.slots, "{label}");
+                    assert_eq!(run.diagnostics, reference.diagnostics, "{label}");
+                    assert_eq!(run.node_evaluations, reference.node_evaluations, "{label}");
                 }
             }
         }
     }
 
-    /// The scenario-engine extension of the shard matrix: scheduled
-    /// (droop) and Monte Carlo sampled grids stay bit-identical to the
-    /// unsharded single-threaded [`CompiledNetlist::launch_scenarios`]
-    /// across threads × shard sizes × lanes, summary included — the
-    /// scenario reduction is computed over the stitched grid, so shard
-    /// boundaries never show in the failure-probability curve.
+    /// The scenario-engine extension of the matrix: scheduled (droop)
+    /// and Monte Carlo sampled grids stay bit-identical to the
+    /// single-threaded [`CompiledNetlist::launch_scenarios`] across
+    /// threads × lanes, summary included.
     #[test]
-    fn sharded_scenarios_match_unsharded_matrix() {
+    fn batch_scenarios_match_compiled_launch_matrix() {
         use crate::scenario::{cross_schedules, MonteCarlo, Schedule};
         let compiled = compiled_adder();
         let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 6, 11);
@@ -680,38 +510,35 @@ mod tests {
         assert!(reference.scenario.is_some());
         for threads in [1usize, 4] {
             let runner = BatchRunner::new(threads, 4);
-            for shard_slots in [reference.slots.len(), 5, 3] {
-                for lanes in [1usize, 8] {
-                    let run = runner
-                        .run_scenarios(
-                            &compiled,
-                            &patterns,
-                            &scenarios,
-                            Some(&mc),
-                            deadline,
-                            &SimOptions {
-                                shard_slots,
-                                lanes,
-                                ..SimOptions::default()
-                            },
-                        )
-                        .unwrap();
-                    let label = format!("threads={threads} shard={shard_slots} lanes={lanes}");
-                    assert_eq!(run.slots, reference.slots, "{label}");
-                    assert_eq!(run.diagnostics, reference.diagnostics, "{label}");
-                    assert_eq!(run.node_evaluations, reference.node_evaluations, "{label}");
-                    assert_eq!(run.scenario, reference.scenario, "{label}");
-                }
+            for lanes in [1usize, 8] {
+                let run = runner
+                    .run_scenarios(
+                        &compiled,
+                        &patterns,
+                        &scenarios,
+                        Some(&mc),
+                        deadline,
+                        &SimOptions {
+                            lanes,
+                            ..SimOptions::default()
+                        },
+                    )
+                    .unwrap();
+                let label = format!("threads={threads} lanes={lanes}");
+                assert_eq!(run.slots, reference.slots, "{label}");
+                assert_eq!(run.diagnostics, reference.diagnostics, "{label}");
+                assert_eq!(run.node_evaluations, reference.node_evaluations, "{label}");
+                assert_eq!(run.scenario, reference.scenario, "{label}");
             }
         }
     }
 
-    /// The auto shard size follows the waveform budget: a budget that
-    /// only fits a few slots per arena batch shards the grid at exactly
-    /// those batch boundaries — still bit-identical to the unsharded
-    /// large-budget reference.
+    /// A grid larger than the waveform budget is batched inside the
+    /// engine, on the runner's parked pool: a budget that only fits a
+    /// few slots per arena batch stays bit-identical to the large-budget
+    /// reference, and the run keeps its profile.
     #[test]
-    fn auto_sharding_follows_the_waveform_budget() {
+    fn oversized_grids_batch_inside_the_engine() {
         let compiled = compiled_adder();
         let nodes = compiled.netlist().num_nodes();
         let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 6, 9);
@@ -727,7 +554,7 @@ mod tests {
             )
             .unwrap();
         let runner = BatchRunner::new(2, 4);
-        // Budget fits 5 slots per arena batch → shards of 5, 5, 2.
+        // Budget fits 5 slots per arena batch → batches of 5, 5, 2.
         let run = runner
             .run(
                 &compiled,
@@ -735,16 +562,16 @@ mod tests {
                 &slot_list,
                 &SimOptions {
                     waveform_budget: nodes * SimOptions::default().resolved_arena_capacity() * 5,
+                    profiling: true,
                     ..SimOptions::default()
                 },
             )
             .unwrap();
         assert_eq!(run.slots, reference.slots);
         assert_eq!(run.diagnostics, reference.diagnostics);
-        assert!(run.profile.is_none(), "sharded runs do not merge profiles");
-        let profile = runner.profile();
-        assert_eq!(profile.counter(phases::ENGINE_BATCH_SHARDS), Some(3));
-        assert_eq!(profile.counter(phases::ENGINE_BATCH_RUNS), Some(1));
+        let profile = run.profile.expect("profiled run");
+        assert_eq!(profile.counter(phases::ENGINE_BATCHES), Some(3));
+        assert_eq!(runner.profile().counter(phases::ENGINE_BATCH_RUNS), Some(1));
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! The artifact is immutable, `Send + Sync`, and `Arc`-shared: clone the
 //! `Arc` into any number of [`Session`](crate::session::Session)s or
 //! hand it to a [`BatchRunner`](crate::batch::BatchRunner), and every
-//! launch is launch-only. The legacy [`Engine`](crate::Engine) is now a
-//! thin shim that compiles at construction and launches through here.
+//! launch is launch-only.
 
 use crate::batch::Lru;
 use crate::engine::DelayTable;
@@ -60,7 +59,7 @@ pub(crate) struct LevelPlan {
 /// Compile once with [`CompiledNetlist::compile`], share via `Arc`, then
 /// launch any number of runs — directly via
 /// [`CompiledNetlist::launch`], with a parked worker pool via
-/// [`Session`](crate::session::Session), or sharded-and-cached via
+/// [`Session`](crate::session::Session), or cached across a workload via
 /// [`BatchRunner`](crate::batch::BatchRunner).
 ///
 /// ```
@@ -114,19 +113,18 @@ pub struct CompiledNetlist {
     /// has an empty plan).
     pub(crate) level_plans: Vec<LevelPlan>,
     /// Per-voltage modified-delay tables, keyed by the supply's bit
-    /// pattern and built lazily on first launch at that voltage: the
-    /// delay-kernel initialization phase is a pure function of (artifact,
-    /// uniform supply), so repeated launches reuse it instead of
-    /// re-evaluating every `φ_V`/`φ_C` factor
-    /// (see [`CompiledNetlist::cached_delay_table`]).
+    /// pattern and built lazily on first launch at that voltage: delay
+    /// initialisation is a pure function of (artifact, uniform supply),
+    /// so repeated launches reuse it instead of re-evaluating every
+    /// `φ_V`/`φ_C` factor.
     pub(crate) delay_tables: Mutex<Lru<u64, Arc<DelayTable>>>,
 }
 
 impl CompiledNetlist {
     /// Compiles a netlist, annotation and delay model into an immutable
-    /// launch artifact. This is the formerly per-`Engine` setup cost —
-    /// levelization, input hardening, load normalization, lints, level
-    /// planning — paid exactly once per (netlist, library, corner).
+    /// launch artifact: levelization, input hardening, load
+    /// normalization, lints, level planning — paid exactly once per
+    /// (netlist, library, corner).
     ///
     /// # Errors
     ///

@@ -12,7 +12,8 @@
 //! of the fault site, reusing the unmodified engine. Detection is judged
 //! against a capture period.
 
-use crate::engine::{Engine, SimOptions};
+use crate::compile::CompiledNetlist;
+use crate::engine::SimOptions;
 use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
@@ -115,12 +116,12 @@ impl DelayFaultSimulator {
         opts.keep_waveforms = true;
 
         // Fault-free reference captures.
-        let golden_engine = Engine::new(
+        let golden_engine = CompiledNetlist::compile(
             Arc::clone(&self.netlist),
             Arc::clone(&self.annotation),
             Arc::clone(&self.model),
         )?;
-        let golden = golden_engine.run(patterns, &slots, &opts)?;
+        let golden = golden_engine.launch(patterns, &slots, &opts)?;
         let golden_captures: Vec<Vec<bool>> = golden
             .slots
             .iter()
@@ -130,12 +131,12 @@ impl DelayFaultSimulator {
         let mut verdicts = Vec::with_capacity(faults.len());
         for &fault in faults {
             let faulty_annotation = Arc::new(self.inject(fault));
-            let engine = Engine::new(
+            let engine = CompiledNetlist::compile(
                 Arc::clone(&self.netlist),
                 faulty_annotation,
                 Arc::clone(&self.model),
             )?;
-            let run = engine.run(patterns, &slots, &opts)?;
+            let run = engine.launch(patterns, &slots, &opts)?;
             let mut detected_by = None;
             let mut worst_overshoot = f64::NEG_INFINITY;
             for (pi, slot) in run.slots.iter().enumerate() {

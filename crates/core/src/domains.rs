@@ -3,9 +3,10 @@
 //! The paper's introduction describes AVFS systems that "actively control
 //! internal voltages" — in real SoCs those are multiple independently
 //! scaled supply rails. [`VoltageDomains`] partitions a netlist's nodes
-//! into such rails; [`Engine::run_domains`](crate::engine::Engine) then
-//! sweeps per-island voltage configurations exactly as slots sweep global
-//! supplies.
+//! into such rails;
+//! [`CompiledNetlist::launch_domains`](crate::CompiledNetlist::launch_domains)
+//! then sweeps per-island voltage configurations exactly as slots sweep
+//! global supplies.
 
 use avfs_netlist::{Netlist, NodeId};
 
@@ -136,7 +137,8 @@ pub struct DomainSlotSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, SimOptions};
+    use crate::compile::CompiledNetlist;
+    use crate::engine::SimOptions;
     use crate::slots;
     use avfs_atpg::PatternSet;
     use avfs_delay::characterize::{characterize_library, CharacterizationConfig};
@@ -144,7 +146,7 @@ mod tests {
     use avfs_spice::Technology;
     use std::sync::Arc;
 
-    fn setup() -> (Arc<Netlist>, Engine) {
+    fn setup() -> (Arc<Netlist>, CompiledNetlist) {
         let library = CellLibrary::nangate15_like();
         let netlist =
             Arc::new(avfs_circuits::ripple_carry_adder(8, &library).expect("adder builds"));
@@ -165,7 +167,7 @@ mod tests {
         )
         .expect("characterizes");
         let annotation = Arc::new(chars.annotate(&netlist).expect("annotates"));
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&netlist),
             annotation,
             Arc::new(chars.model().clone()),
@@ -191,10 +193,10 @@ mod tests {
             ..SimOptions::default()
         };
         let island_run = engine
-            .run_domains(&patterns, &domains, &specs, &opts)
+            .launch_domains(&patterns, &domains, &specs, &opts)
             .expect("runs");
         let uniform_run = engine
-            .run(&patterns, &slots::at_voltage(patterns.len(), 0.7), &opts)
+            .launch(&patterns, &slots::at_voltage(patterns.len(), 0.7), &opts)
             .expect("runs");
         for (a, b) in island_run.slots.iter().zip(&uniform_run.slots) {
             assert_eq!(a.responses, b.responses);
@@ -232,7 +234,7 @@ mod tests {
                 })
                 .collect();
             engine
-                .run_domains(
+                .launch_domains(
                     &patterns,
                     &domains,
                     &specs,
@@ -280,30 +282,65 @@ mod tests {
         assert!(strictly_slower, "island 1's cone must slow down somewhere");
     }
 
+    /// `launch_domains` refuses what `launch` refuses, with the same
+    /// typed errors: its slots go through the same stimulus/operating-point
+    /// check.
     #[test]
     fn validation_rejects_bad_specs() {
+        use crate::SimError;
         let (netlist, engine) = setup();
         let domains = VoltageDomains::by_output_cones(&netlist, 2);
         let patterns = PatternSet::lfsr(netlist.inputs().len(), 2, 1);
         let opts = SimOptions::default();
-        // Wrong voltage count.
-        let bad = vec![DomainSlotSpec {
-            pattern: 0,
-            voltages: vec![0.8],
-        }];
-        assert!(engine
-            .run_domains(&patterns, &domains, &bad, &opts)
-            .is_err());
+        let launch = |patterns: &PatternSet, pattern: usize, voltages: &[f64]| {
+            let specs = [DomainSlotSpec {
+                pattern,
+                voltages: voltages.to_vec(),
+            }];
+            engine.launch_domains(patterns, &domains, &specs, &opts)
+        };
+        // A voltage vector that does not assign every domain.
+        assert_eq!(
+            launch(&patterns, 0, &[0.8]).unwrap_err(),
+            SimError::DomainCount {
+                slot: 0,
+                expected: 2,
+                got: 1
+            }
+        );
         // Empty specs.
-        assert!(engine.run_domains(&patterns, &domains, &[], &opts).is_err());
+        assert_eq!(
+            engine
+                .launch_domains(&patterns, &domains, &[], &opts)
+                .unwrap_err(),
+            SimError::EmptySlots
+        );
         // Bad pattern index.
-        let bad = vec![DomainSlotSpec {
-            pattern: 9,
-            voltages: vec![0.8, 0.8],
-        }];
-        assert!(engine
-            .run_domains(&patterns, &domains, &bad, &opts)
-            .is_err());
+        assert_eq!(
+            launch(&patterns, 9, &[0.8, 0.8]).unwrap_err(),
+            SimError::BadPatternIndex {
+                index: 9,
+                available: 2
+            }
+        );
+        // Non-finite and non-positive domain supplies.
+        for bad in [f64::NAN, -1.0, 0.0] {
+            match launch(&patterns, 0, &[0.8, bad]) {
+                Err(SimError::InvalidOperatingPoint { slot: 0, voltage }) => {
+                    assert!(voltage.is_nan() || voltage == bad);
+                }
+                other => panic!("expected InvalidOperatingPoint, got {other:?}"),
+            }
+        }
+        // A pattern set one bit too narrow.
+        let narrow = PatternSet::lfsr(netlist.inputs().len() - 1, 2, 1);
+        assert_eq!(
+            launch(&narrow, 0, &[0.8, 0.8]).unwrap_err(),
+            SimError::PatternWidth {
+                expected: netlist.inputs().len(),
+                got: netlist.inputs().len() - 1
+            }
+        );
     }
 
     #[test]

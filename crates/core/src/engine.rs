@@ -12,6 +12,11 @@
 //! slot's operating point, evaluate the delay kernel for each
 //! (pin, polarity), scale, then run the waveform-processing loop.
 //!
+//! There is one launch path. The uniform, domain and scenario preparers
+//! lower their inputs to a `LaunchPlan`; `CompiledNetlist::execute`
+//! runs it on a pool — retry rounds and arena-sized batches here, one
+//! batch's level loop in `batch`, delay initialisation in `delays`.
+//!
 //! # Fault isolation
 //!
 //! The arena is *capacity-bounded*: every `(slot, net)` cell holds at most
@@ -25,26 +30,31 @@
 //! [`RunDiagnostics`] instead of poisoning the batch. Only when *every*
 //! slot fails does a run return an error.
 
+#![deny(clippy::too_many_lines)]
+
+mod batch;
+mod delays;
+#[cfg(test)]
+mod tests;
+
+pub(crate) use delays::{scale_or_fallback, DelayTable};
+
 use crate::compile::CompiledNetlist;
+use crate::domains::{DomainSlotSpec, VoltageDomains};
 use crate::phases;
-use crate::pool::{Watchdog, WorkerPool};
+use crate::pool::{ParkedPool, Watchdog, WorkerPool};
 use crate::results::{RunDiagnostics, SimRun, SlotResult, SlotStatus, TrippedBudget};
+use crate::scenario::MonteCarlo;
 use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
-use avfs_delay::model::DelayModel;
-use avfs_delay::op::{NormalizedPoint, OperatingPoint};
-use avfs_delay::TimingAnnotation;
+use avfs_delay::op::OperatingPoint;
 use avfs_inject::{FaultPlan, InjectionSite, Injector};
-use avfs_netlist::{Levelization, Netlist, NodeId, NodeKind};
-use avfs_obs::{time_option, Metrics};
-use avfs_waveform::{
-    evaluate_gate_bounded_raw, CapacityOverflow, GateScratch, LaneLayout, LevelWriter, PinDelays,
-    SwitchingActivity, Waveform, WaveformArena, WaveformStats, WaveformView,
-};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use avfs_obs::Metrics;
+use avfs_waveform::WaveformArena;
+use batch::Batch;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default per-`(slot, net)` transition capacity when
@@ -131,7 +141,7 @@ pub struct SimOptions {
     /// measurement (see the `activity_sweep` bench bin).
     ///
     /// ```
-    /// use avfs_core::{slots, Engine, SimOptions};
+    /// use avfs_core::{slots, CompiledNetlist, SimOptions};
     /// use avfs_atpg::PatternSet;
     /// use avfs_delay::{ParameterSpace, StaticModel, TimingAnnotation};
     /// use avfs_netlist::CellLibrary;
@@ -139,15 +149,15 @@ pub struct SimOptions {
     ///
     /// let library = CellLibrary::nangate15_like();
     /// let netlist = Arc::new(avfs_circuits::ripple_carry_adder(4, &library)?);
-    /// let engine = Engine::new(
+    /// let compiled = CompiledNetlist::compile(
     ///     Arc::clone(&netlist),
     ///     Arc::new(TimingAnnotation::zero(&netlist)),
     ///     Arc::new(StaticModel::new(ParameterSpace::paper())),
     /// )?;
     /// let patterns = PatternSet::lfsr(netlist.inputs().len(), 4, 7);
     /// let slot_list = slots::at_voltage(patterns.len(), 0.8);
-    /// let gated = engine.run(&patterns, &slot_list, &SimOptions::default())?;
-    /// let ungated = engine.run(
+    /// let gated = compiled.launch(&patterns, &slot_list, &SimOptions::default())?;
+    /// let ungated = compiled.launch(
     ///     &patterns,
     ///     &slot_list,
     ///     &SimOptions {
@@ -213,27 +223,13 @@ pub struct SimOptions {
     /// in [`RunDiagnostics::budget_denials`]. `0` (the default) is
     /// unlimited — the seed behavior of unconditional ×4 growth.
     pub memory_budget: usize,
-    /// Shard size — slots per shard — used by
-    /// [`BatchRunner::run`](crate::batch::BatchRunner::run) when it
-    /// splits an oversized slot grid into back-to-back sub-runs on the
-    /// parked pool. `0` (the default) sizes shards to the engine's own
-    /// round-0 arena batch (`waveform_budget / (nodes × arena
-    /// capacity)`), so shard boundaries coincide with internal batch
-    /// boundaries. Ignored by direct [`Engine::run`] /
-    /// [`Session`](crate::session::Session) launches, which batch
-    /// internally regardless.
-    pub shard_slots: usize,
 }
 
 impl SimOptions {
     /// The effective worker count: `threads`, with 0 resolved to the
     /// machine's available parallelism.
     pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
+        crate::pool::resolve_threads(self.threads)
     }
 
     /// The effective lane width: `lanes`, with 0 resolved to the default
@@ -252,7 +248,7 @@ impl SimOptions {
         if self.arena_capacity == 0 {
             DEFAULT_ARENA_CAPACITY
         } else {
-            self.arena_capacity.max(1)
+            self.arena_capacity
         }
     }
 }
@@ -274,7 +270,6 @@ impl Default for SimOptions {
             deadline: None,
             stall_timeout: None,
             memory_budget: 0,
-            shard_slots: 0,
         }
     }
 }
@@ -291,195 +286,33 @@ fn slot_arena_bytes(nodes: usize, capacity: usize) -> usize {
     )
 }
 
-/// The parallel time simulator bound to one netlist, annotation and delay
-/// model — since the compile/launch split, a thin cheaply-cloneable shim
-/// over an `Arc`-shared [`CompiledNetlist`].
-///
-/// [`Engine::new`] compiles at construction and [`Engine::run`] launches
-/// directly, so existing one-shot callers keep working unchanged — but
-/// every such run re-resolves threads and spawns a fresh worker pool.
-/// Repeated-run workloads should compile once and launch through
-/// [`Session`](crate::session::Session) (parked pool) or
-/// [`BatchRunner`](crate::batch::BatchRunner) (parked pool + artifact
-/// cache + grid sharding); [`Engine::compiled`] hands the artifact over.
-///
-/// ```
-/// // The legacy one-shot shim still works (and is still the simplest
-/// // way to run exactly once):
-/// use avfs_core::{slots, Engine, SimOptions};
-/// use avfs_atpg::PatternSet;
-/// use avfs_delay::{ParameterSpace, StaticModel, TimingAnnotation};
-/// use avfs_netlist::CellLibrary;
-/// use std::sync::Arc;
-///
-/// let library = CellLibrary::nangate15_like();
-/// let netlist = Arc::new(avfs_circuits::ripple_carry_adder(2, &library)?);
-/// let engine = Engine::new(
-///     Arc::clone(&netlist),
-///     Arc::new(TimingAnnotation::zero(&netlist)),
-///     Arc::new(StaticModel::new(ParameterSpace::paper())),
-/// )?;
-/// let patterns = PatternSet::lfsr(netlist.inputs().len(), 2, 7);
-/// let run = engine.run(&patterns, &slots::at_voltage(2, 0.8), &SimOptions::default())?;
-/// assert_eq!(run.slots.len(), 2);
-/// // Repeated runs? Reuse the compiled artifact instead:
-/// let compiled = Arc::clone(engine.compiled());
-/// # let _ = compiled;
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct Engine {
-    compiled: Arc<CompiledNetlist>,
-}
-
-impl Engine {
-    /// Creates an engine by compiling the triple into a
-    /// [`CompiledNetlist`] (which this delegates to) and wrapping it.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::AnnotationMismatch`] if the annotation does not cover
-    ///   the netlist,
-    /// * [`SimError::Netlist`] if the netlist contains a combinational
-    ///   loop,
-    /// * [`SimError::InvalidLoad`] / [`SimError::InvalidDelay`] if the
-    ///   annotation carries non-finite or negative loads or delays.
-    pub fn new(
-        netlist: Arc<Netlist>,
-        annotation: Arc<TimingAnnotation>,
-        model: Arc<dyn DelayModel>,
-    ) -> Result<Engine, SimError> {
-        Ok(Engine {
-            compiled: Arc::new(CompiledNetlist::compile(netlist, annotation, model)?),
-        })
-    }
-
-    /// Wraps an already-compiled artifact; no compile cost is paid.
-    pub fn from_compiled(compiled: Arc<CompiledNetlist>) -> Engine {
-        Engine { compiled }
-    }
-
-    /// The underlying compiled artifact, for sharing with
-    /// [`Session`](crate::session::Session) or
-    /// [`BatchRunner`](crate::batch::BatchRunner).
-    pub fn compiled(&self) -> &Arc<CompiledNetlist> {
-        &self.compiled
-    }
-
-    /// The bound netlist.
-    pub fn netlist(&self) -> &Arc<Netlist> {
-        self.compiled.netlist()
-    }
-
-    /// The bound levelization.
-    pub fn levels(&self) -> &Arc<Levelization> {
-        self.compiled.levels()
-    }
-
-    /// The bound annotation.
-    pub fn annotation(&self) -> &Arc<TimingAnnotation> {
-        self.compiled.annotation()
-    }
-
-    /// The bound delay model.
-    pub fn model(&self) -> &Arc<dyn DelayModel> {
-        self.compiled.model()
-    }
-
-    /// The compile-time tier-1/tier-2 findings (netlist lints,
-    /// levelization cross-check, clamped annotated loads) — the
-    /// construction-time part of what
-    /// [`SimOptions::strict_validation`] reports per run.
-    pub fn setup_findings(&self) -> &[avfs_check::Finding] {
-        self.compiled.setup_findings()
-    }
-
-    /// Simulates `slots` over `patterns` — the one-shot shim over
-    /// [`CompiledNetlist::launch`]; see there for semantics and errors.
-    /// A fresh worker pool is spawned per call when `threads > 1`.
-    pub fn run(
-        &self,
-        patterns: &PatternSet,
-        slots: &[SlotSpec],
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        self.compiled.launch(patterns, slots, options)
-    }
-
-    /// Simulates with per-node voltage *domains* — the one-shot shim
-    /// over [`CompiledNetlist::launch_domains`]; see there for semantics
-    /// and errors.
-    pub fn run_domains(
-        &self,
-        patterns: &PatternSet,
-        domains: &crate::domains::VoltageDomains,
-        specs: &[crate::domains::DomainSlotSpec],
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        self.compiled
-            .launch_domains(patterns, domains, specs, options)
-    }
-
-    /// Simulates piecewise-scheduled scenarios (optionally Monte Carlo
-    /// sampled) — the one-shot shim over
-    /// [`CompiledNetlist::launch_scenarios`]; see there for semantics
-    /// and errors.
-    pub fn run_scenarios(
-        &self,
-        patterns: &PatternSet,
-        scenarios: &[crate::scenario::ScenarioSpec],
-        mc: Option<&crate::scenario::MonteCarlo>,
-        capture_deadline_ps: Option<f64>,
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        self.compiled
-            .launch_scenarios(patterns, scenarios, mc, capture_deadline_ps, options)
-    }
-}
-
-/// How one launch executes beyond its [`SimOptions`]: which worker pool
-/// to use (a caller-parked one, or none — then the run spawns its own
-/// when `threads > 1`), whether a total loss is an error (sharded runs
-/// re-check over the stitched grid instead), and optionally
-/// pre-rendered validation findings (a grid-level caller validates once,
-/// not per shard).
-#[derive(Default)]
-pub(crate) struct Exec<'a> {
-    /// A caller-owned parked pool ([`Session`](crate::session::Session),
-    /// [`BatchRunner`](crate::batch::BatchRunner)); `None` spawns per
-    /// run — the legacy `Engine::run` shape.
-    pub(crate) pool: Option<&'a WorkerPool>,
-    /// Suppress the [`SimError::AllSlotsFailed`] check; the sharding
-    /// caller re-checks over the whole stitched grid.
-    pub(crate) allow_total_loss: bool,
-    /// Pre-rendered validation findings; `Some` skips per-launch
-    /// validation entirely (the grid-level caller already ran it).
-    pub(crate) prevalidated: Option<Vec<String>>,
+/// One validated launch, ready for [`CompiledNetlist::execute`]: what
+/// the uniform, domain and scenario preparers lower their inputs to.
+pub(crate) struct LaunchPlan<'a> {
+    pub(crate) patterns: &'a PatternSet,
+    /// Per-slot resolved work, in launch order.
+    pub(crate) work: Vec<SlotWork>,
+    /// Rendered validation findings for
+    /// [`RunDiagnostics::validation_findings`].
+    pub(crate) validation: Vec<String>,
+    /// Scenario launches reduce their slots into a
+    /// [`ScenarioSummary`](crate::scenario::ScenarioSummary) against
+    /// this Monte Carlo plan and capture deadline.
+    pub(crate) reduction: Option<(Option<MonteCarlo>, Option<f64>)>,
 }
 
 impl CompiledNetlist {
     /// Runs the launch validation: the artifact's pre-rendered setup
-    /// findings plus an `AVC-D005` check of every slot operating point
-    /// in `slot_points` — the only validation work left per run after
-    /// the netlist/delay-model tiers were hoisted into compile. Returns
-    /// the rendered findings for
+    /// findings, an `AVC-D005` check of every slot operating point in
+    /// `slot_points`, and any launch-specific findings the preparer
+    /// already produced (`extra`: the scenario layer's
+    /// `AVC-N010`/`AVC-D006` schedule lints) — the only validation work
+    /// left per run after the netlist/delay-model tiers were hoisted
+    /// into compile. Returns the rendered findings for
     /// [`RunDiagnostics::validation_findings`], or
     /// [`SimError::Validation`] under [`ValidationMode::Deny`] when any
     /// warn-or-worse finding exists.
     pub(crate) fn validate_launch(
-        &self,
-        mode: ValidationMode,
-        slot_points: &[(String, OperatingPoint)],
-    ) -> Result<Vec<String>, SimError> {
-        self.validate_launch_extra(mode, slot_points, &[])
-    }
-
-    /// [`CompiledNetlist::validate_launch`] with additional
-    /// launch-specific findings already produced by the caller (the
-    /// scenario layer's `AVC-N010`/`AVC-D006` schedule lints): they join
-    /// the rendered findings and participate in the Deny decision
-    /// exactly like slot-operating-point findings.
-    pub(crate) fn validate_launch_extra(
         &self,
         mode: ValidationMode,
         slot_points: &[(String, OperatingPoint)],
@@ -503,77 +336,86 @@ impl CompiledNetlist {
         Ok(rendered)
     }
 
-    /// Validates one uniform-voltage launch's stimuli and slot list and
-    /// resolves them into the internal work list (per-slot normalized
-    /// voltage assignments) plus the labelled operating points the
-    /// launch validation checks. Shared by [`CompiledNetlist::launch`]
-    /// and the sharding [`BatchRunner`](crate::batch::BatchRunner),
-    /// which prepares the whole grid once — global `slot {i}` labels —
-    /// and slices the work list per shard.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn prepare_uniform(
+    /// The stimulus/operating-point check every preparer runs first, over
+    /// its slots as `(pattern index, supply voltages)`: a non-empty slot
+    /// list, pattern pairs as wide as the netlist's primary inputs, and
+    /// per slot an existing pattern under finite, positive supplies —
+    /// checked *before* normalization clamps them into the characterized
+    /// domain.
+    pub(crate) fn check_launch<V: IntoIterator<Item = f64>>(
         &self,
         patterns: &PatternSet,
-        slots: &[SlotSpec],
-    ) -> Result<(Vec<SlotWork>, Vec<(String, OperatingPoint)>), SimError> {
-        if slots.is_empty() {
+        slots: impl ExactSizeIterator<Item = (usize, V)>,
+    ) -> Result<(), SimError> {
+        if slots.len() == 0 {
             return Err(SimError::EmptySlots);
         }
         let width = self.netlist.inputs().len();
-        for pair in patterns {
-            if pair.width() != width {
-                return Err(SimError::PatternWidth {
-                    expected: width,
-                    got: pair.width(),
-                });
-            }
+        if let Some(pair) = patterns.into_iter().find(|pair| pair.width() != width) {
+            return Err(SimError::PatternWidth {
+                expected: width,
+                got: pair.width(),
+            });
         }
-        for (i, spec) in slots.iter().enumerate() {
-            if spec.pattern >= patterns.len() {
+        for (slot, (pattern, voltages)) in slots.enumerate() {
+            if pattern >= patterns.len() {
                 return Err(SimError::BadPatternIndex {
-                    index: spec.pattern,
+                    index: pattern,
                     available: patterns.len(),
                 });
             }
-            if !spec.voltage.is_finite() || spec.voltage <= 0.0 {
-                return Err(SimError::InvalidOperatingPoint {
-                    slot: i,
-                    voltage: spec.voltage,
-                });
+            if let Some(voltage) = voltages.into_iter().find(|v| !v.is_finite() || *v <= 0.0) {
+                return Err(SimError::InvalidOperatingPoint { slot, voltage });
             }
         }
+        Ok(())
+    }
+
+    /// A supply voltage normalized into the model's characterized
+    /// domain — computed once per slot, like the paper's parameter
+    /// memory (clamped so a sweep endpoint such as exactly V_max stays
+    /// valid under floating-point noise).
+    pub(crate) fn v_norm(&self, voltage: f64) -> f64 {
+        let space = self.model.space();
+        space
+            .normalize_clamped(OperatingPoint::new(voltage, space.load_range().0))
+            .v
+    }
+
+    /// Validates one uniform-voltage launch and lowers it to a plan.
+    pub(crate) fn prepare_uniform<'a>(
+        &self,
+        patterns: &'a PatternSet,
+        slots: &[SlotSpec],
+        options: &SimOptions,
+    ) -> Result<LaunchPlan<'a>, SimError> {
+        self.check_launch(patterns, slots.iter().map(|s| (s.pattern, [s.voltage])))?;
         // Slot operating points are checked against the model's
         // characterized domain *before* normalization clamps them into
         // it, so an out-of-domain sweep point is recorded (Warn) or
         // refused (Deny) instead of silently repaired.
-        let space = self.model.space();
+        let c_min = self.model.space().load_range().0;
         let slot_points: Vec<(String, OperatingPoint)> = slots
             .iter()
             .enumerate()
-            .map(|(i, s)| {
-                (
-                    format!("slot {i}"),
-                    OperatingPoint::new(s.voltage, space.load_range().0),
-                )
-            })
+            .map(|(i, s)| (format!("slot {i}"), OperatingPoint::new(s.voltage, c_min)))
             .collect();
-        // Per-slot normalized voltage — computed once per slot, like the
-        // paper's parameter memory (clamped so a sweep endpoint such as
-        // exactly V_max stays valid under floating-point noise).
-        let work: Vec<SlotWork> = slots
+        let validation = self.validate_launch(options.strict_validation, &slot_points, &[])?;
+        let work = slots
             .iter()
             .map(|s| SlotWork {
                 pattern: s.pattern,
-                assign: VoltageAssign::Uniform(
-                    space
-                        .normalize_clamped(OperatingPoint::new(s.voltage, space.load_range().0))
-                        .v,
-                ),
+                assign: VoltageAssign::Uniform(self.v_norm(s.voltage)),
                 voltage: s.voltage,
                 variation: None,
             })
             .collect();
-        Ok((work, slot_points))
+        Ok(LaunchPlan {
+            patterns,
+            work,
+            validation,
+            reduction: None,
+        })
     }
 
     /// Simulates `slots` over `patterns` — the launch half of the
@@ -604,22 +446,75 @@ impl CompiledNetlist {
         slots: &[SlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        self.launch_with(patterns, slots, options, Exec::default())
+        let plan = self.prepare_uniform(patterns, slots, options)?;
+        self.execute(plan, options, &ParkedPool::new(options.threads))
     }
 
-    pub(crate) fn launch_with(
+    /// Validates one voltage-island launch and lowers it to a plan.
+    pub(crate) fn prepare_domains<'a>(
         &self,
-        patterns: &PatternSet,
-        slots: &[SlotSpec],
+        patterns: &'a PatternSet,
+        domains: &VoltageDomains,
+        specs: &[DomainSlotSpec],
         options: &SimOptions,
-        mut exec: Exec<'_>,
-    ) -> Result<SimRun, SimError> {
-        let (work, slot_points) = self.prepare_uniform(patterns, slots)?;
-        let validation = match exec.prevalidated.take() {
-            Some(v) => v,
-            None => self.validate_launch(options.strict_validation, &slot_points)?,
-        };
-        self.run_work(patterns, &work, options, validation, &exec)
+    ) -> Result<LaunchPlan<'a>, SimError> {
+        if domains.len() != self.netlist.num_nodes() {
+            return Err(SimError::AnnotationMismatch);
+        }
+        if let Some((slot, spec)) = specs
+            .iter()
+            .enumerate()
+            .find(|(_, spec)| spec.voltages.len() != domains.count())
+        {
+            return Err(SimError::DomainCount {
+                slot,
+                expected: domains.count(),
+                got: spec.voltages.len(),
+            });
+        }
+        let slots = specs
+            .iter()
+            .map(|s| (s.pattern, s.voltages.iter().copied()));
+        self.check_launch(patterns, slots)?;
+        // Each distinct (slot, domain) supply is a checked operating
+        // point — islands extend the validation the same way they extend
+        // the voltage assignment.
+        let c_min = self.model.space().load_range().0;
+        let slot_points: Vec<(String, OperatingPoint)> = specs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, spec)| {
+                spec.voltages.iter().enumerate().map(move |(d, &v)| {
+                    (
+                        format!("slot {i}/domain {d}"),
+                        OperatingPoint::new(v, c_min),
+                    )
+                })
+            })
+            .collect();
+        let validation = self.validate_launch(options.strict_validation, &slot_points, &[])?;
+        let work = specs
+            .iter()
+            .map(|spec| {
+                // Normalize each domain voltage once, then expand per node.
+                let per_domain: Vec<f64> = spec.voltages.iter().map(|&v| self.v_norm(v)).collect();
+                let per_node: Vec<f64> = (0..self.netlist.num_nodes())
+                    .map(|n| per_domain[domains.domain_of_index(n)])
+                    .collect();
+                SlotWork {
+                    pattern: spec.pattern,
+                    assign: VoltageAssign::PerNode(Arc::new(per_node)),
+                    voltage: spec.voltages[0],
+                    variation: None,
+                }
+            })
+            .collect();
+        Ok(LaunchPlan {
+            patterns,
+            work,
+            validation,
+            reduction: None,
+        })
     }
 
     /// Simulates with per-node voltage *domains* (voltage islands): every
@@ -635,104 +530,32 @@ impl CompiledNetlist {
     ///
     /// # Errors
     ///
-    /// Same as [`CompiledNetlist::launch`], plus [`SimError::Model`]
-    /// variants surfaced through domain validation in
-    /// [`VoltageDomains`](crate::domains::VoltageDomains).
+    /// Same as [`CompiledNetlist::launch`], plus
+    /// [`SimError::AnnotationMismatch`] for a domain map that does not
+    /// cover the netlist and [`SimError::DomainCount`] for a slot whose
+    /// voltage vector does not assign every domain.
     pub fn launch_domains(
         &self,
         patterns: &PatternSet,
-        domains: &crate::domains::VoltageDomains,
-        specs: &[crate::domains::DomainSlotSpec],
+        domains: &VoltageDomains,
+        specs: &[DomainSlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        self.launch_domains_with(patterns, domains, specs, options, Exec::default())
+        let plan = self.prepare_domains(patterns, domains, specs, options)?;
+        self.execute(plan, options, &ParkedPool::new(options.threads))
     }
 
-    pub(crate) fn launch_domains_with(
+    /// Executes a prepared launch on `pool` — the one path every front
+    /// door ([`CompiledNetlist::launch`] and its domain/scenario
+    /// siblings, [`Session`](crate::session::Session),
+    /// [`BatchRunner`](crate::batch::BatchRunner)) ends in.
+    pub(crate) fn execute(
         &self,
-        patterns: &PatternSet,
-        domains: &crate::domains::VoltageDomains,
-        specs: &[crate::domains::DomainSlotSpec],
+        plan: LaunchPlan<'_>,
         options: &SimOptions,
-        mut exec: Exec<'_>,
+        pool: &ParkedPool,
     ) -> Result<SimRun, SimError> {
-        if specs.is_empty() {
-            return Err(SimError::EmptySlots);
-        }
-        if domains.len() != self.netlist.num_nodes() {
-            return Err(SimError::AnnotationMismatch);
-        }
-        let space = self.model.space();
-        let c_min = space.load_range().0;
-        // Each distinct (slot, domain) supply is a checked operating
-        // point — islands extend the validation the same way they extend
-        // the voltage assignment.
-        let slot_points: Vec<(String, OperatingPoint)> = specs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, spec)| {
-                spec.voltages.iter().enumerate().map(move |(d, &v)| {
-                    (
-                        format!("slot {i}/domain {d}"),
-                        OperatingPoint::new(v, c_min),
-                    )
-                })
-            })
-            .collect();
-        let validation = match exec.prevalidated.take() {
-            Some(v) => v,
-            None => self.validate_launch(options.strict_validation, &slot_points)?,
-        };
-        let work: Vec<SlotWork> = specs
-            .iter()
-            .map(|spec| {
-                if spec.voltages.len() != domains.count() {
-                    return Err(SimError::BadPatternIndex {
-                        index: spec.voltages.len(),
-                        available: domains.count(),
-                    });
-                }
-                // Normalize each domain voltage once, then expand per node.
-                let per_domain: Vec<f64> = spec
-                    .voltages
-                    .iter()
-                    .map(|&v| {
-                        space
-                            .normalize_clamped(avfs_delay::op::OperatingPoint::new(v, c_min))
-                            .v
-                    })
-                    .collect();
-                let per_node: Vec<f64> = (0..self.netlist.num_nodes())
-                    .map(|n| per_domain[domains.domain_of_index(n)])
-                    .collect();
-                Ok(SlotWork {
-                    pattern: spec.pattern,
-                    assign: VoltageAssign::PerNode(Arc::new(per_node)),
-                    voltage: spec.voltages[0],
-                    variation: None,
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        for w in &work {
-            if w.pattern >= patterns.len() {
-                return Err(SimError::BadPatternIndex {
-                    index: w.pattern,
-                    available: patterns.len(),
-                });
-            }
-        }
-        self.run_work(patterns, &work, options, validation, &exec)
-    }
-
-    pub(crate) fn run_work(
-        &self,
-        patterns: &PatternSet,
-        work: &[SlotWork],
-        options: &SimOptions,
-        validation_findings: Vec<String>,
-        exec: &Exec<'_>,
-    ) -> Result<SimRun, SimError> {
-        let nodes = self.netlist.num_nodes();
+        pool.admit(options)?;
         // Lane-width hygiene before any work launches: masks are single
         // u64 words and power-of-two widths keep full lane groups inside
         // one claim word.
@@ -742,7 +565,6 @@ impl CompiledNetlist {
                 lanes: options.lanes,
             });
         }
-        let base_cap = options.resolved_arena_capacity();
         // Profiling is strictly observational: all instruments live in a
         // per-run registry touched only by this coordinator thread, so the
         // deterministic schedule (and therefore every waveform) is
@@ -752,191 +574,54 @@ impl CompiledNetlist {
         let run_span = metrics.map(|m| m.span(phases::ENGINE_RUN));
         if let Some(m) = metrics {
             m.record(phases::ENGINE_LANES_WIDTH, lanes as u64);
-            // Scenario instruments are recorded only when the work list
-            // actually carries a multi-segment schedule or a Monte Carlo
-            // die: a constant-schedule scenario launch lowers to static
-            // slots and stays bit-identical to the static run — profile
-            // included (DESIGN.md §15).
-            if work
-                .iter()
-                .any(|w| w.assign.segments() > 1 || w.variation.is_some())
-            {
-                m.add(
-                    phases::ENGINE_SCENARIO_SEGMENTS,
-                    work.iter().map(|w| w.assign.segments() as u64).sum(),
-                );
-                m.add(
-                    phases::ENGINE_MC_SAMPLES,
-                    work.iter().filter(|w| w.variation.is_some()).count() as u64,
-                );
-            }
+            record_scenario_shape(m, &plan.work);
         }
         let start = Instant::now();
-        // Fault injection: unarmed (the default) reduces every probe to
-        // one Option-discriminant branch; an armed plan is consulted with
-        // pure (site, key, salt) decisions, so the schedule — and with an
-        // all-zero plan, every result bit — is identical to a clean run.
-        let injector = options
-            .fault_plan
-            .as_ref()
-            .map_or_else(Injector::unarmed, |p| Injector::armed(Arc::clone(p)));
+        let ctx = RunCtx {
+            compiled: self,
+            patterns: plan.patterns,
+            work: &plan.work,
+            options,
+            pool: pool.workers(),
+            tallies: PoolTallies::new(pool.threads()),
+            // Fault injection: unarmed (the default) reduces every probe
+            // to one Option-discriminant branch; an armed plan is
+            // consulted with pure (site, key, salt) decisions, so the
+            // schedule — and with an all-zero plan, every result bit —
+            // is identical to a clean run.
+            injector: options
+                .fault_plan
+                .as_ref()
+                .map_or_else(Injector::unarmed, |p| Injector::armed(Arc::clone(p))),
+            deadline_at: options.deadline.map(|d| start + d),
+            // The watchdog observes coordinator progress (bumped at level
+            // barriers) from a monitor thread; it never intervenes, so
+            // arming it cannot perturb results. Disarmed on drop, Err
+            // paths included.
+            watchdog: options.stall_timeout.map(Watchdog::arm),
+            metrics,
+        };
         // Snapshot so a plan reused across runs reports per-run deltas.
         let fired_before = options.fault_plan.as_ref().map_or(0, |p| p.total_fired());
-        let deadline_at = options.deadline.map(|d| start + d);
-        // The watchdog observes coordinator progress (bumped at level
-        // barriers) from a monitor thread; it never intervenes, so arming
-        // it cannot perturb results. Disarmed on drop, Err paths included.
-        let watchdog = options.stall_timeout.map(Watchdog::arm);
-        // The persistent pool: a caller-parked pool (Session/BatchRunner)
-        // is reused as-is; otherwise workers are spawned once here and
-        // parked between levels. Either way every level of every batch
-        // and retry round is released through the pool's epoch barrier
-        // (the GPU grid analogue). A single-threaded run needs no pool.
-        let threads = options.resolved_threads();
-        let owned_pool = (exec.pool.is_none() && threads > 1).then(|| WorkerPool::new(threads));
-        let pool = exec.pool.or(owned_pool.as_ref());
-        let tallies = PoolTallies::new(pool.map_or(1, WorkerPool::size));
-        let mut diag = RunDiagnostics {
-            clamped_loads: self.clamped_loads,
-            validation_findings,
-            ..RunDiagnostics::default()
+        let mut state = RunState {
+            results: vec![None; plan.work.len()],
+            diag: RunDiagnostics {
+                clamped_loads: self.clamped_loads,
+                validation_findings: plan.validation,
+                ..RunDiagnostics::default()
+            },
+            slot_sims: 0,
         };
-        let mut results: Vec<Option<SlotResult>> = vec![None; work.len()];
-        let mut slot_sims = 0u64;
-        // Quarantine-and-retry rounds: round 0 simulates every slot at the
-        // base capacity; each later round re-simulates only the slots that
-        // overflowed, at geometrically grown capacity — the CPU analogue of
-        // the GPU's overflow-flag-and-relaunch loop.
-        let mut pending: Vec<usize> = (0..work.len()).collect();
-        let mut cap = base_cap;
-        let mut round = 0u32;
-        loop {
-            let batch_slots =
-                (options.waveform_budget / (nodes.max(1) * cap)).clamp(1, pending.len());
-            let mut arena = WaveformArena::new(batch_slots * nodes, cap);
-            let mut overflowed: Vec<usize> = Vec::new();
-            for chunk in pending.chunks(batch_slots) {
-                // Between-batch deadline check: once the budget is spent,
-                // remaining batches are not even launched — their slots
-                // resolve to DeadlineExceeded while completed ones keep
-                // their results (graceful degradation).
-                if deadline_at.is_some_and(|t| Instant::now() >= t) {
-                    for &slot in chunk {
-                        results[slot] = Some(SlotResult::failed(
-                            SlotSpec {
-                                pattern: work[slot].pattern,
-                                voltage: work[slot].voltage,
-                            },
-                            SlotStatus::DeadlineExceeded,
-                        ));
-                        diag.deadline_aborts += 1;
-                        diag.budget_tripped = Some(TrippedBudget::Deadline);
-                        diag.failed_slots.push(slot);
-                    }
-                    continue;
-                }
-                slot_sims += chunk.len() as u64;
-                if let Some(m) = metrics {
-                    m.add(phases::ENGINE_BATCHES, 1);
-                    m.record(phases::ENGINE_BATCH_SLOTS, chunk.len() as u64);
-                }
-                self.run_batch(
-                    patterns,
-                    work,
-                    chunk,
-                    options,
-                    round,
-                    pool,
-                    &tallies,
-                    &injector,
-                    deadline_at,
-                    watchdog.as_ref(),
-                    &mut arena,
-                    &mut results,
-                    &mut overflowed,
-                    &mut diag,
-                    metrics,
-                )?;
-                if let Some(m) = metrics {
-                    m.record(
-                        phases::ENGINE_ARENA_OCCUPANCY,
-                        arena.peak_occupancy() as u64,
-                    );
-                }
-            }
-            diag.peak_arena_occupancy = diag.peak_arena_occupancy.max(arena.peak_occupancy());
-            for &s in &overflowed {
-                if !diag.overflowed_slots.contains(&s) {
-                    diag.overflowed_slots.push(s);
-                }
-            }
-            if overflowed.is_empty() {
-                break;
-            }
-            if round >= options.overflow_retries {
-                for &s in &overflowed {
-                    results[s] = Some(SlotResult::failed(
-                        SlotSpec {
-                            pattern: work[s].pattern,
-                            voltage: work[s].voltage,
-                        },
-                        SlotStatus::Overflowed { capacity: cap },
-                    ));
-                    diag.failed_slots.push(s);
-                }
-                break;
-            }
-            round += 1;
-            // Retry admission control: growing the arena ×4 is the one
-            // place the engine's memory use escalates, so the memory
-            // budget (and the injected allocation-cap breach that
-            // rehearses it) gates entry into the next round. Denied slots
-            // fail as BudgetExceeded at today's capacity instead of
-            // growing it.
-            let next_cap = cap.saturating_mul(CAPACITY_GROWTH);
-            let admitted: Vec<usize> = if options.memory_budget != 0 || injector.is_armed() {
-                let mut admitted = Vec::with_capacity(overflowed.len());
-                for &slot in &overflowed {
-                    let over_budget = options.memory_budget != 0
-                        && slot_arena_bytes(nodes, next_cap) > options.memory_budget;
-                    let injected = injector.fires(
-                        InjectionSite::AllocCapBreach,
-                        slot as u64,
-                        u64::from(round),
-                    );
-                    if over_budget || injected {
-                        results[slot] = Some(SlotResult::failed(
-                            SlotSpec {
-                                pattern: work[slot].pattern,
-                                voltage: work[slot].voltage,
-                            },
-                            SlotStatus::BudgetExceeded,
-                        ));
-                        diag.budget_denials += 1;
-                        diag.budget_tripped = Some(TrippedBudget::Memory);
-                        diag.failed_slots.push(slot);
-                    } else {
-                        admitted.push(slot);
-                    }
-                }
-                admitted
-            } else {
-                overflowed
-            };
-            if admitted.is_empty() {
-                break;
-            }
-            if let Some(m) = metrics {
-                m.add(phases::ENGINE_RETRY_ROUNDS, 1);
-            }
-            diag.slot_retries += admitted.len() as u64;
-            cap = next_cap;
-            pending = admitted;
-        }
+        ctx.retry_rounds(&mut state)?;
+        let RunState {
+            results,
+            mut diag,
+            slot_sims,
+        } = state;
         diag.overflowed_slots.sort_unstable();
         diag.panicked_slots.sort_unstable();
         diag.failed_slots.sort_unstable();
-        if let Some(wd) = &watchdog {
+        if let Some(wd) = &ctx.watchdog {
             diag.watchdog_stalls = wd.stalls();
         }
         diag.faults_injected = options
@@ -944,1107 +629,207 @@ impl CompiledNetlist {
             .as_ref()
             .map_or(0, |p| p.total_fired())
             .saturating_sub(fired_before);
+        let slots: Vec<SlotResult> = results
+            .into_iter()
+            .map(|r| r.expect("every slot resolved by the retry loop"))
+            .collect();
+        if slots.iter().all(|s| !s.status.is_completed()) {
+            return Err(SimError::AllSlotsFailed { slots: slots.len() });
+        }
         if let Some(m) = metrics {
             // Always recorded (created at zero on clean runs) so report
             // tooling can assert a profiled run was fault- and budget-free.
             m.add(phases::ENGINE_FAULTS_INJECTED, diag.faults_injected);
             m.add(phases::ENGINE_DEADLINE_ABORTS, diag.deadline_aborts);
             m.add(phases::ENGINE_BUDGET_DENIALS, diag.budget_denials);
-        }
-        let slots: Vec<SlotResult> = results
-            .into_iter()
-            .map(|r| r.expect("every slot resolved by the retry loop"))
-            .collect();
-        if !exec.allow_total_loss && slots.iter().all(|s| !s.status.is_completed()) {
-            return Err(SimError::AllSlotsFailed { slots: slots.len() });
-        }
-        if let Some(m) = metrics {
-            let mut steals = 0u64;
-            for w in 0..tallies.tasks.len() {
-                m.record(
-                    phases::ENGINE_POOL_WORKER_TASKS,
-                    tallies.tasks[w].load(Ordering::Relaxed),
-                );
-                steals += tallies.steals[w].load(Ordering::Relaxed);
-            }
-            m.add(phases::ENGINE_POOL_STEALS, steals);
+            ctx.tallies.record(m);
         }
         let elapsed = start.elapsed();
         if let Some(span) = run_span {
             span.finish();
         }
+        let scenario = plan
+            .reduction
+            .map(|(mc, deadline)| crate::scenario::summarize(&slots, mc.as_ref(), deadline));
         Ok(SimRun {
             slots,
             elapsed,
-            node_evaluations: (nodes as u64) * slot_sims,
+            node_evaluations: (self.netlist.num_nodes() as u64) * slot_sims,
             diagnostics: diag,
             profile: metrics.map(Metrics::snapshot),
-            scenario: None,
+            scenario,
         })
     }
+}
 
-    /// Simulates one batch (`chunk` indexes into `work`) against the
-    /// bounded `arena`. Slots that overflow the arena are appended to
-    /// `overflowed` for the caller's retry loop; slots whose delay
-    /// evaluation panics are contained and recorded as failed. Only errors
-    /// affecting the whole run (a delay-model error) propagate as `Err`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch(
-        &self,
-        patterns: &PatternSet,
-        work: &[SlotWork],
-        chunk: &[usize],
-        options: &SimOptions,
-        round: u32,
-        pool: Option<&WorkerPool>,
-        tallies: &PoolTallies,
-        injector: &Injector,
-        deadline_at: Option<Instant>,
-        watchdog: Option<&Watchdog>,
-        arena: &mut WaveformArena,
-        results: &mut [Option<SlotResult>],
-        overflowed: &mut Vec<usize>,
-        diag: &mut RunDiagnostics,
-        metrics: Option<&Metrics>,
-    ) -> Result<(), SimError> {
-        let nodes = self.netlist.num_nodes();
-        // The lane-major (slot-packed) address map of this batch: chunk
-        // slots are grouped `L` at a time and one net's `L` waveforms are
-        // stored contiguously, so every per-gate pass below advances a
-        // whole lane group. `L = 1` degenerates exactly to the slot-major
-        // layout, which is what the determinism matrix compares against.
-        let layout = LaneLayout::new(options.resolved_lanes(), nodes.max(1), chunk.len());
-        arena.reset();
-
-        // Per-slot fault status within this batch. A dead slot's remaining
-        // work is skipped; flags are only updated at level barriers so the
-        // schedule stays deterministic.
-        let mut dead: Vec<Option<Dead>> = vec![None; chunk.len()];
-
-        // Level 0: stimuli waveforms, written through lane-group-disjoint
-        // arena partitions (one per lane group of the batch; a group's
-        // cells are contiguous by construction).
-        time_option(metrics, phases::ENGINE_STIMULI, || {
-            for (g, mut part) in arena
-                .partitions(layout.group_entries())
-                .take(layout.groups())
-                .enumerate()
-            {
-                let w = layout.group_width(g);
-                for lane in 0..w {
-                    let si = layout.group_slot(g) + lane;
-                    let pair = &patterns.pairs()[work[chunk[si]].pattern];
-                    for (k, &pi) in self.netlist.inputs().iter().enumerate() {
-                        let wf = Waveform::from_pattern(
-                            pair.launch.bit(k),
-                            pair.capture.bit(k),
-                            options.launch_time_ps,
-                        );
-                        // Partition-local lane-major index: net-major
-                        // within the group, lanes contiguous.
-                        if part.write(pi.index() * w + lane, &wf).is_err() {
-                            dead[si] = Some(Dead::Overflow);
-                        }
-                    }
-                }
-            }
-        });
-
-        // Distinct voltage groups within the batch: slots at the same
-        // operating point share identical delay kernels ("the delay
-        // calculations of threads from parallel instances of a gate
-        // utilize the same coefficients and delay function calls"), so the
-        // per-gate initialization phase runs once per (level, voltage)
-        // instead of once per (slot, gate). A Monte Carlo die is part of
-        // the key: sampled slots only share a group with slots of the
-        // same die, since variation derates the initialized delays.
-        let mut group_keys: Vec<(&VoltageAssign, Option<VariationSample>)> = Vec::new();
-        let group_of_slot: Vec<usize> = chunk
-            .iter()
-            .map(|&slot| {
-                let key = (&work[slot].assign, work[slot].variation);
-                match group_keys
-                    .iter()
-                    .position(|(a, v)| *a == key.0 && *v == key.1)
-                {
-                    Some(g) => g,
-                    None => {
-                        group_keys.push(key);
-                        group_keys.len() - 1
-                    }
-                }
-            })
-            .collect();
-        let group_assigns: Vec<&VoltageAssign> = group_keys.iter().map(|(a, _)| *a).collect();
-        let group_variation: Vec<Option<VariationSample>> =
-            group_keys.iter().map(|(_, v)| *v).collect();
-
-        // Per-voltage delay tables cached on the artifact: when every
-        // group in the batch is a uniform or scheduled assignment with no
-        // Monte Carlo die (variation derates are per-sample, never
-        // cacheable) and no fault plan is armed (factor corruption is
-        // keyed per run and round), the per-level kernel initialization
-        // below is a pure function of (artifact, supply) and is served
-        // from [`CompiledNetlist::cached_delay_table`] instead of being
-        // re-evaluated — a scheduled group fetches one table per segment,
-        // so a droop schedule over an already-swept voltage grid pays no
-        // kernel work at all. All-or-nothing per batch: any island
-        // assignment, sampled die, armed injector or failed table build
-        // takes the online path for the whole batch, which reproduces
-        // uncached error/panic semantics exactly.
-        let group_tables: Option<Vec<Vec<Arc<DelayTable>>>> =
-            if injector.is_armed() || group_variation.iter().any(Option::is_some) {
-                None
-            } else {
-                // Table fetches (and first-use builds) are delay-kernel
-                // work; attribute them to the same phase the online path
-                // uses.
-                let table_span = metrics.map(|m| m.span(phases::ENGINE_DELAY_KERNEL));
-                let tables: Option<Vec<Vec<Arc<DelayTable>>>> = group_assigns
-                    .iter()
-                    .map(|a| match a {
-                        VoltageAssign::Uniform(v) => {
-                            self.cached_delay_table(*v, metrics).map(|t| vec![t])
-                        }
-                        VoltageAssign::Scheduled(s) => s
-                            .v_norms
-                            .iter()
-                            .map(|&v| self.cached_delay_table(v, metrics))
-                            .collect(),
-                        VoltageAssign::PerNode(_) => None,
-                    })
-                    .collect();
-                if let Some(span) = table_span {
-                    span.finish();
-                }
-                if tables.is_some() {
-                    if let Some(m) = metrics {
-                        m.add(phases::ENGINE_DELAY_TABLE_HITS, 1);
-                    }
-                }
-                tables
-            };
-
-        // Levels 1…L: the vertical dimension with a barrier per level.
-        let mut fallbacks = 0u64;
-        let mut variation_draws = 0u64;
-        // One buffer per (voltage group, schedule segment); static groups
-        // have exactly one segment.
-        let mut level_delays: Vec<Vec<Vec<PinDelays>>> = group_assigns
-            .iter()
-            .map(|a| vec![Vec::new(); a.segments()])
-            .collect();
-        for level in 1..self.levels.depth() {
-            if dead.iter().all(Option::is_some) {
-                break;
-            }
-            let level_nodes = self.levels.level(level);
-            if level_nodes.is_empty() {
-                continue;
-            }
-            if let Some(m) = metrics {
-                m.add(phases::ENGINE_LEVELS, 1);
-            }
-
-            // Level plan: gates become pool tasks; primary outputs are mere
-            // passthroughs, copied cell-to-cell at the barrier instead of
-            // being scheduled as tasks. Precomputed once at compile.
-            let plan = &self.level_plans[level];
-            let gate_nodes = &plan.gate_nodes;
-            let gate_offsets = &plan.gate_offsets;
-            let output_nodes = &plan.output_nodes;
-            let kernel_span = metrics.map(|m| m.span(phases::ENGINE_DELAY_KERNEL));
-            let mut kernel_evals = 0u64;
-            let mut lane_batches = 0u64;
-            for bufs in level_delays.iter_mut() {
-                for buf in bufs.iter_mut() {
-                    buf.clear();
-                }
-            }
-            // Voltage groups still live this level (a group is live while
-            // any of its slots is).
-            let live_vgroups: Vec<usize> = (0..group_assigns.len())
-                .filter(|&g| {
-                    group_of_slot
-                        .iter()
-                        .zip(&dead)
-                        .any(|(&gg, d)| gg == g && d.is_none())
-                })
-                .collect();
-            if let Some(tables) = &group_tables {
-                // Cached per-voltage tables: skip the kernel and replay
-                // each table's fallback tally for the live groups (every
-                // segment of a scheduled group), so cached and online
-                // launches report identical
-                // [`RunDiagnostics::kernel_fallbacks`].
-                for &g in &live_vgroups {
-                    for t in &tables[g] {
-                        fallbacks += t.fallbacks_per_level[level];
-                    }
-                }
-            } else {
-                // Injected non-finite kernel output, keyed by the global slot
-                // of each group's first batch member (voltage groups share one
-                // kernel evaluation, so the site is per group): corrupted
-                // factors flow into scale_or_fallback exactly like an
-                // organically broken kernel would.
-                let nf_keys: Vec<Option<u64>> = live_vgroups
-                    .iter()
-                    .map(|&g| {
-                        injector.is_armed().then(|| {
-                            let si = group_of_slot
-                                .iter()
-                                .position(|&gg| gg == g)
-                                .expect("live group has a member");
-                            chunk[si] as u64
-                        })
-                    })
-                    .collect();
-                // Lane-batched kernel initialization: for each (gate, pin,
-                // polarity) the factors of ALL live voltage groups — one
-                // lane per (group, schedule segment) — are evaluated in
-                // one `factor_lanes` call: the hand-unrolled Horner path
-                // of `avfs_delay`. The batched arithmetic performs the
-                // identical per-lane operation sequence as scalar
-                // `factor`, so this path and the per-group scalar fallback
-                // below produce bit-identical delays; the fallback exists only
-                // to preserve per-group panic attribution when a model panics
-                // mid-batch. Monte Carlo derates are hashed per
-                // (die, node, pin, polarity) — segment- and
-                // schedule-independent — and multiply the scaled delay
-                // after the fallback guard (a nominal die multiplies by
-                // exactly 1.0).
-                let lane_count: usize = live_vgroups
-                    .iter()
-                    .map(|&g| group_assigns[g].segments())
-                    .sum();
-                let batched = (!live_vgroups.is_empty()).then(|| {
-                    catch_unwind(AssertUnwindSafe(|| -> Result<(u64, u64), SimError> {
-                        let mut fb = 0u64;
-                        let mut draws = 0u64;
-                        let mut points: Vec<NormalizedPoint> = Vec::with_capacity(lane_count);
-                        let mut f_rise = vec![0.0f64; lane_count];
-                        let mut f_fall = vec![0.0f64; lane_count];
-                        for &node_id in level_nodes {
-                            if let NodeKind::Gate(cell_id) = self.netlist.node(node_id).kind() {
-                                let nominal = self.annotation.node_delays(node_id);
-                                points.clear();
-                                for &g in &live_vgroups {
-                                    for seg in 0..group_assigns[g].segments() {
-                                        points.push(NormalizedPoint {
-                                            v: group_assigns[g].v_norm_at(node_id.index(), seg),
-                                            c: self.c_norm[node_id.index()],
-                                        });
-                                    }
-                                }
-                                for (pin, d) in nominal.iter().enumerate() {
-                                    self.model.factor_lanes(
-                                        cell_id,
-                                        pin,
-                                        avfs_netlist::library::Polarity::Rise,
-                                        &points,
-                                        &mut f_rise,
-                                    )?;
-                                    self.model.factor_lanes(
-                                        cell_id,
-                                        pin,
-                                        avfs_netlist::library::Polarity::Fall,
-                                        &points,
-                                        &mut f_fall,
-                                    )?;
-                                    lane_batches += 2;
-                                    let mut lane = 0;
-                                    for (k, &g) in live_vgroups.iter().enumerate() {
-                                        let (dr, df) = match &group_variation[g] {
-                                            Some(vs) => {
-                                                draws += 2;
-                                                (
-                                                    avfs_delay::variation::derate(
-                                                        &vs.config,
-                                                        vs.sample,
-                                                        node_id,
-                                                        pin,
-                                                        avfs_netlist::library::Polarity::Rise,
-                                                    ),
-                                                    avfs_delay::variation::derate(
-                                                        &vs.config,
-                                                        vs.sample,
-                                                        node_id,
-                                                        pin,
-                                                        avfs_netlist::library::Polarity::Fall,
-                                                    ),
-                                                )
-                                            }
-                                            None => (1.0, 1.0),
-                                        };
-                                        let segs = group_assigns[g].segments();
-                                        for seg_buf in level_delays[g].iter_mut().take(segs) {
-                                            let (mut fr, mut ff) = (f_rise[lane], f_fall[lane]);
-                                            lane += 1;
-                                            if let Some(key) = nf_keys[k] {
-                                                fr = injector.corrupt_factor(
-                                                    fr,
-                                                    key,
-                                                    u64::from(round),
-                                                );
-                                                ff = injector.corrupt_factor(
-                                                    ff,
-                                                    key,
-                                                    u64::from(round),
-                                                );
-                                            }
-                                            seg_buf.push(PinDelays {
-                                                rise: derate_delay(
-                                                    scale_or_fallback(d.rise, fr, &mut fb),
-                                                    dr,
-                                                ),
-                                                fall: derate_delay(
-                                                    scale_or_fallback(d.fall, ff, &mut fb),
-                                                    df,
-                                                ),
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Ok((fb, draws))
-                    }))
-                });
-                match batched {
-                    None => {}
-                    Some(Ok(Ok((fb, draws)))) => {
-                        fallbacks += fb;
-                        variation_draws += draws;
-                        // Two kernel evaluations (rise + fall) per pin per
-                        // live (group, segment) lane.
-                        for &g in &live_vgroups {
-                            for buf in &level_delays[g] {
-                                kernel_evals += 2 * buf.len() as u64;
-                            }
-                        }
-                    }
-                    Some(Ok(Err(e))) => return Err(e),
-                    Some(Err(_)) => {
-                        // A model panicked mid-batch. Re-run group by group so
-                        // the panic is attributed to exactly the poisoned
-                        // voltage group(s), as a scalar engine would; healthy
-                        // groups recompute their (bit-identical) delays.
-                        lane_batches = 0;
-                        for bufs in level_delays.iter_mut() {
-                            for buf in bufs.iter_mut() {
-                                buf.clear();
-                            }
-                        }
-                        for (k, &g) in live_vgroups.iter().enumerate() {
-                            let bufs = &mut level_delays[g];
-                            let assign = group_assigns[g];
-                            let variation = group_variation[g];
-                            let nf_key = nf_keys[k];
-                            let outcome = catch_unwind(AssertUnwindSafe(
-                                || -> Result<(u64, u64), SimError> {
-                                    let mut fb = 0u64;
-                                    let mut draws = 0u64;
-                                    for &node_id in level_nodes {
-                                        if let NodeKind::Gate(cell_id) =
-                                            self.netlist.node(node_id).kind()
-                                        {
-                                            let nominal = self.annotation.node_delays(node_id);
-                                            for (pin, d) in nominal.iter().enumerate() {
-                                                let (dr, df) = match &variation {
-                                                    Some(vs) => {
-                                                        draws += 2;
-                                                        (
-                                                            avfs_delay::variation::derate(
-                                                                &vs.config,
-                                                                vs.sample,
-                                                                node_id,
-                                                                pin,
-                                                                avfs_netlist::library::Polarity::Rise,
-                                                            ),
-                                                            avfs_delay::variation::derate(
-                                                                &vs.config,
-                                                                vs.sample,
-                                                                node_id,
-                                                                pin,
-                                                                avfs_netlist::library::Polarity::Fall,
-                                                            ),
-                                                        )
-                                                    }
-                                                    None => (1.0, 1.0),
-                                                };
-                                                let segs = assign.segments();
-                                                for (seg, seg_buf) in
-                                                    bufs.iter_mut().enumerate().take(segs)
-                                                {
-                                                    let p = NormalizedPoint {
-                                                        v: assign.v_norm_at(node_id.index(), seg),
-                                                        c: self.c_norm[node_id.index()],
-                                                    };
-                                                    let mut f_rise = self.model.factor(
-                                                        cell_id,
-                                                        pin,
-                                                        avfs_netlist::library::Polarity::Rise,
-                                                        p,
-                                                    )?;
-                                                    let mut f_fall = self.model.factor(
-                                                        cell_id,
-                                                        pin,
-                                                        avfs_netlist::library::Polarity::Fall,
-                                                        p,
-                                                    )?;
-                                                    if let Some(key) = nf_key {
-                                                        f_rise = injector.corrupt_factor(
-                                                            f_rise,
-                                                            key,
-                                                            u64::from(round),
-                                                        );
-                                                        f_fall = injector.corrupt_factor(
-                                                            f_fall,
-                                                            key,
-                                                            u64::from(round),
-                                                        );
-                                                    }
-                                                    seg_buf.push(PinDelays {
-                                                        rise: derate_delay(
-                                                            scale_or_fallback(
-                                                                d.rise, f_rise, &mut fb,
-                                                            ),
-                                                            dr,
-                                                        ),
-                                                        fall: derate_delay(
-                                                            scale_or_fallback(
-                                                                d.fall, f_fall, &mut fb,
-                                                            ),
-                                                            df,
-                                                        ),
-                                                    });
-                                                }
-                                            }
-                                        }
-                                    }
-                                    Ok((fb, draws))
-                                },
-                            ));
-                            match outcome {
-                                Ok(Ok((fb, draws))) => {
-                                    fallbacks += fb;
-                                    variation_draws += draws;
-                                    // Two kernel evaluations (rise + fall) per
-                                    // pin per segment.
-                                    for buf in bufs.iter() {
-                                        kernel_evals += 2 * buf.len() as u64;
-                                    }
-                                }
-                                Ok(Err(e)) => return Err(e),
-                                Err(_) => {
-                                    for buf in bufs.iter_mut() {
-                                        buf.clear();
-                                    }
-                                    for (si, &gg) in group_of_slot.iter().enumerate() {
-                                        if gg == g && dead[si].is_none() {
-                                            dead[si] = Some(Dead::Panic);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-
-            if let Some(m) = metrics {
-                m.add(phases::ENGINE_KERNEL_EVALS, kernel_evals);
-                m.add(phases::ENGINE_LANES_KERNEL_BATCHES, lane_batches);
-            }
-            if let Some(span) = kernel_span {
-                span.finish();
-            }
-
-            // Task grid of the level: live lane groups × gates. Dead
-            // lanes are masked out of their group's live mask up front, so
-            // neither round 0 nor retry rounds ever evaluate a quarantined
-            // slot's lanes; a fully dead group is dropped from the grid.
-            let live_count = dead.iter().filter(|d| d.is_none()).count();
-            let live_groups: Vec<(usize, u64)> = (0..layout.groups())
-                .filter_map(|g| {
-                    let mut mask = 0u64;
-                    for lane in 0..layout.group_width(g) {
-                        if dead[layout.group_slot(g) + lane].is_none() {
-                            mask |= 1 << lane;
-                        }
-                    }
-                    (mask != 0).then_some((g, mask))
-                })
-                .collect();
-            if live_groups.is_empty() {
-                continue;
-            }
-            if let Some(m) = metrics {
-                m.add(phases::ENGINE_LANES_GROUPS, live_groups.len() as u64);
-            }
-            // Per-(slot, gate) grid size — the unit the activity counters
-            // are denominated in, independent of the lane width.
-            let grid_tasks = live_count * gate_nodes.len();
-            // Per-group delay slices for this level — one slice per
-            // schedule segment plus the boundaries selecting among them:
-            // borrowed from the artifact's cached tables when the batch
-            // qualified, from the freshly computed buffers otherwise.
-            // Bit-identical either way (`factor_lanes` is documented and
-            // tested bit-identical to scalar `factor`).
-            let level_slices: Vec<GroupDelays<'_>> = match &group_tables {
-                Some(tables) => group_assigns
-                    .iter()
-                    .zip(tables)
-                    .map(|(a, ts)| GroupDelays {
-                        segs: ts.iter().map(|t| t.per_level[level].as_slice()).collect(),
-                        boundaries: a.boundaries(),
-                    })
-                    .collect(),
-                None => group_assigns
-                    .iter()
-                    .zip(&level_delays)
-                    .map(|(a, bufs)| GroupDelays {
-                        segs: bufs.iter().map(Vec::as_slice).collect(),
-                        boundaries: a.boundaries(),
-                    })
-                    .collect(),
-            };
-            let ctx = LevelCtx {
-                gate_nodes,
-                gate_offsets,
-                level_delays: &level_slices,
-                group_of_slot: &group_of_slot,
-                live_groups: &live_groups,
-                layout,
-            };
-            // Verdicts (grid-task index, fault) collected by workers;
-            // applied deterministically at the barrier below.
-            let verdicts: Mutex<Vec<(usize, Dead)>> = Mutex::new(Vec::new());
-            let merge_span = metrics.map(|m| m.span(phases::ENGINE_WAVEFORM_MERGE));
-            if grid_tasks > 0 {
-                // Injected forced overflow: an armed run installs a hook
-                // that maps the written cell back to its global slot and
-                // asks the plan; a firing cell reports CapacityOverflow
-                // exactly like a real capacity miss, feeding the same
-                // quarantine-and-retry loop.
-                let overflow_hook = injector.is_armed().then_some(move |idx: usize| {
-                    injector.fires(
-                        InjectionSite::ArenaOverflow,
-                        chunk[layout.slot_of(idx)] as u64,
-                        u64::from(round),
-                    )
-                });
-                // In-place epoch writer: tasks write this level's cells
-                // directly into the arena (claim-guarded, cell-disjoint)
-                // while reading only previous levels' cells — no per-task
-                // waveform allocation, no serial write-back.
-                let writer = arena.level_writer_hooked(
-                    overflow_hook
-                        .as_ref()
-                        .map(|h| h as &avfs_waveform::OverflowHook),
-                );
-                // Activity gating, lane-packed: a gate whose fanin cells
-                // are all quiet (zero transitions) has a constant output.
-                // Per (lane group, gate) the quiet lanes are found with
-                // word-wide quiet-bit reads, the constant outputs computed
-                // with one bit-parallel `eval_lanes` word op, and written
-                // back under a single masked run claim — the coordinator
-                // resolves whole lane words at once and only lanes with
-                // active fanin survive into the scheduled task list. The
-                // scan claims runs in (group, gate) order on one thread,
-                // so the schedule stays deterministic; retry rounds
-                // re-derive quiet bits from the surviving lanes' freshly
-                // written cells.
-                let active: Option<(Vec<(usize, u64)>, u64)> = options.activity_gating.then(|| {
-                    let mut active: Vec<(usize, u64)> = Vec::new();
-                    let mut quiet_lanes = 0u64;
-                    let mut fan_words: Vec<u64> = Vec::new();
-                    for (gi, &(g, live_mask)) in live_groups.iter().enumerate() {
-                        let w = layout.group_width(g);
-                        for (pos, &node_id) in gate_nodes.iter().enumerate() {
-                            let node = self.netlist.node(node_id);
-                            let mut quiet = live_mask;
-                            for f in node.fanin() {
-                                if quiet == 0 {
-                                    break;
-                                }
-                                quiet &= writer.quiet_run(layout.run_start(g, f.index()), w);
-                            }
-                            if quiet != 0 {
-                                fan_words.clear();
-                                fan_words.extend(node.fanin().iter().map(|f| {
-                                    writer.initial_run(layout.run_start(g, f.index()), w)
-                                }));
-                                let cell = self.netlist.cell_of(node_id).expect("gate has a cell");
-                                writer.write_constant_run(
-                                    layout.run_start(g, node_id.index()),
-                                    quiet,
-                                    cell.eval_lanes(&fan_words),
-                                );
-                                quiet_lanes += u64::from(quiet.count_ones());
-                            }
-                            let rest = live_mask & !quiet;
-                            if rest != 0 {
-                                active.push((gi * gate_nodes.len() + pos, rest));
-                            }
-                        }
-                    }
-                    (active, quiet_lanes)
-                });
-                if let (Some(m), Some((active, quiet_lanes))) = (metrics, active.as_ref()) {
-                    m.add(phases::ENGINE_GATES_SKIPPED_QUIET, *quiet_lanes);
-                    let active_lanes: u64 = active
-                        .iter()
-                        .map(|&(_, mask)| u64::from(mask.count_ones()))
-                        .sum();
-                    m.record(
-                        phases::ENGINE_LEVEL_ACTIVITY,
-                        active_lanes * 100 / grid_tasks as u64,
-                    );
-                }
-                // The scheduled task list: (lane-group grid index, eval
-                // mask) pairs — the whole grid when ungated, the surviving
-                // active lanes when gated.
-                let gates = gate_nodes.len();
-                let scheduled: Vec<(usize, u64)> = match active {
-                    Some((active, _)) => active,
-                    None => live_groups
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(gi, &(_, mask))| {
-                            (0..gates).map(move |pos| (gi * gates + pos, mask))
-                        })
-                        .collect(),
-                };
-                let tasks = scheduled.len();
-                if tasks > 0 {
-                    let workers = pool.map_or(1, WorkerPool::size).clamp(1, tasks);
-                    let chunk_tasks =
-                        (tasks / (workers * STEAL_GRABS_PER_WORKER)).clamp(1, MAX_STEAL_CHUNK);
-                    let cursor = AtomicUsize::new(0);
-                    let ctx_ref = &ctx;
-                    let writer_ref = &writer;
-                    let scheduled_ref = &scheduled;
-                    // One worker's share of the level: steal task chunks
-                    // off the shared cursor until it runs dry. A task is
-                    // one (lane group, gate) pair; its eval mask names the
-                    // lanes to run, each evaluated under its own
-                    // catch_unwind so one lane's panic or overflow never
-                    // takes down the group's other slots.
-                    let job = |w: usize| {
-                        let mut scratch = GateScratch::new();
-                        let mut inputs: Vec<WaveformView<'_>> = Vec::new();
-                        let mut local_verdicts: Vec<(usize, Dead)> = Vec::new();
-                        let mut executed = 0u64;
-                        let mut grabs = 0u64;
-                        loop {
-                            let t0 = cursor.fetch_add(chunk_tasks, Ordering::Relaxed);
-                            if t0 >= tasks {
-                                break;
-                            }
-                            grabs += 1;
-                            let t1 = (t0 + chunk_tasks).min(tasks);
-                            for &(gt, mask) in &scheduled_ref[t0..t1] {
-                                let gi = gt / ctx_ref.gate_nodes.len();
-                                let pos = gt % ctx_ref.gate_nodes.len();
-                                let (g, _) = ctx_ref.live_groups[gi];
-                                let mut rem = mask;
-                                while rem != 0 {
-                                    let lane = rem.trailing_zeros() as usize;
-                                    rem &= rem - 1;
-                                    let si = ctx_ref.layout.group_slot(g) + lane;
-                                    executed += 1;
-                                    // Verdicts carry the slot-major grid
-                                    // index (slot × gates + gate) so
-                                    // barrier reconciliation is independent
-                                    // of gating, lane width and stealing.
-                                    let grid = si * ctx_ref.gate_nodes.len() + pos;
-                                    let r = catch_unwind(AssertUnwindSafe(|| {
-                                        // Injected kernel panic: every lane
-                                        // task of the affected (slot,
-                                        // round) panics, so the
-                                        // first-in-grid-order verdict is
-                                        // schedule-independent.
-                                        if injector.is_armed()
-                                            && injector.fires(
-                                                InjectionSite::KernelPanic,
-                                                chunk[si] as u64,
-                                                u64::from(round),
-                                            )
-                                        {
-                                            panic!("injected kernel panic (slot {})", chunk[si]);
-                                        }
-                                        self.eval_lane(
-                                            si,
-                                            pos,
-                                            ctx_ref,
-                                            writer_ref,
-                                            &mut scratch,
-                                            &mut inputs,
-                                        )
-                                    }));
-                                    inputs.clear();
-                                    match r {
-                                        Ok(Ok(())) => {}
-                                        Ok(Err(_)) => {
-                                            local_verdicts.push((grid, Dead::Overflow));
-                                        }
-                                        Err(_) => local_verdicts.push((grid, Dead::Panic)),
-                                    }
-                                }
-                            }
-                        }
-                        if !local_verdicts.is_empty() {
-                            verdicts
-                                .lock()
-                                .expect("verdict lock survives (worker panics are contained)")
-                                .extend(local_verdicts);
-                        }
-                        tallies.tasks[w].fetch_add(executed, Ordering::Relaxed);
-                        tallies.steals[w].fetch_add(grabs.saturating_sub(1), Ordering::Relaxed);
-                    };
-                    match pool {
-                        Some(p) => {
-                            let idle = p.run(&job, injector, metrics.is_some());
-                            if let Some(m) = metrics {
-                                m.record_duration(phases::ENGINE_POOL_IDLE, idle);
-                            }
-                        }
-                        None => job(0),
-                    }
-                }
-            }
-            if let Some(span) = merge_span {
-                span.finish();
-            }
-            // The barrier: primary-output passthroughs, then fault
-            // verdicts. Sorting by task index makes reconciliation
-            // independent of which worker stole which chunk — first fault
-            // in task order wins, exactly as a serial sweep would decide.
-            time_option(metrics, phases::ENGINE_BARRIER, || {
-                for &(g, mask) in &live_groups {
-                    let mut rem = mask;
-                    while rem != 0 {
-                        let lane = rem.trailing_zeros() as usize;
-                        rem &= rem - 1;
-                        let si = layout.group_slot(g) + lane;
-                        for &out in output_nodes {
-                            let from = self.netlist.node(out).fanin()[0].index();
-                            arena.copy_cell(layout.index(si, from), layout.index(si, out.index()));
-                        }
-                    }
-                }
-                let mut pending = verdicts
-                    .into_inner()
-                    .expect("verdict lock survives (worker panics are contained)");
-                pending.sort_unstable_by_key(|&(t, _)| t);
-                for (t, verdict) in pending {
-                    let si = t / gate_nodes.len();
-                    if dead[si].is_none() {
-                        dead[si] = Some(verdict);
-                    }
-                }
-            });
-            // Level-barrier progress bump (the watchdog's liveness signal)
-            // and the cooperative deadline check: a level runs to its
-            // barrier, then every still-live slot of an expired batch is
-            // abandoned at once.
-            if let Some(wd) = watchdog {
-                wd.progress();
-            }
-            if deadline_at.is_some_and(|t| Instant::now() >= t) {
-                for d in dead.iter_mut() {
-                    if d.is_none() {
-                        *d = Some(Dead::Deadline);
-                    }
-                }
-                break;
-            }
-        }
-        diag.kernel_fallbacks += fallbacks;
-        if variation_draws > 0 {
-            if let Some(m) = metrics {
-                m.add(phases::ENGINE_VARIATION_DRAWS, variation_draws);
-            }
-        }
-
-        // Waveform analysis (Fig. 2, step 4) for surviving slots;
-        // quarantine verdicts for the rest.
-        let analysis_span = metrics.map(|m| m.span(phases::ENGINE_ANALYSIS));
-        for (si, &slot) in chunk.iter().enumerate() {
-            let spec = SlotSpec {
-                pattern: work[slot].pattern,
-                voltage: work[slot].voltage,
-            };
-            match dead[si] {
-                Some(Dead::Overflow) => overflowed.push(slot),
-                Some(Dead::Panic) => {
-                    results[slot] = Some(SlotResult::failed(spec, SlotStatus::Panicked));
-                    diag.panicked_slots.push(slot);
-                    diag.failed_slots.push(slot);
-                }
-                Some(Dead::Deadline) => {
-                    results[slot] = Some(SlotResult::failed(spec, SlotStatus::DeadlineExceeded));
-                    diag.deadline_aborts += 1;
-                    diag.budget_tripped = Some(TrippedBudget::Deadline);
-                    diag.failed_slots.push(slot);
-                }
-                None => {
-                    let mut responses = Vec::with_capacity(self.netlist.outputs().len());
-                    let mut latest: Option<f64> = None;
-                    for &po in self.netlist.outputs() {
-                        let stats = WaveformStats::of(&arena.view(layout.index(si, po.index())));
-                        responses.push(stats.final_value);
-                        latest = match (latest, stats.latest_transition) {
-                            (Some(a), Some(b)) => Some(a.max(b)),
-                            (a, b) => a.or(b),
-                        };
-                    }
-                    let activity = SwitchingActivity::of(
-                        (0..nodes).map(|net| arena.view(layout.index(si, net))),
-                    );
-                    if let Some(m) = metrics {
-                        // The activity headroom gating exploits: quiet
-                        // cells observed over the whole window (recorded
-                        // whether or not gating is on).
-                        m.add(
-                            phases::ENGINE_QUIET_CELLS,
-                            (activity.nets - activity.active_nets) as u64,
-                        );
-                    }
-                    results[slot] = Some(SlotResult {
-                        spec,
-                        status: SlotStatus::Completed { retries: round },
-                        responses,
-                        latest_output_transition_ps: latest,
-                        activity,
-                        waveforms: options.keep_waveforms.then(|| {
-                            (0..nodes)
-                                .map(|net| arena.to_waveform(layout.index(si, net)))
-                                .collect()
-                        }),
-                    });
-                }
-            }
-        }
-        if let Some(span) = analysis_span {
-            span.finish();
-        }
-        Ok(())
-    }
-
-    /// Evaluates one lane of a (lane group, gate) task — gate
-    /// `gate_nodes[pos]` for batch slot `si` — the body of a device
-    /// thread. The modified delays were precomputed per (level, voltage
-    /// group) by the initialization phase. Inputs are read through the
-    /// epoch `writer` from previous levels' cells and the result is
-    /// written in place into this level's output cell; `inputs` is
-    /// reusable scratch whose borrows of the writer end when the function
-    /// returns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CapacityOverflow`] when the gate's output history would
-    /// outgrow the arena's per-net capacity — the quarantine signal (the
-    /// output cell is left untouched and unclaimed).
-    fn eval_lane<'a>(
-        &self,
-        si: usize,
-        pos: usize,
-        ctx: &LevelCtx<'_>,
-        writer: &'a LevelWriter<'_>,
-        scratch: &mut GateScratch,
-        inputs: &mut Vec<WaveformView<'a>>,
-    ) -> Result<(), CapacityOverflow> {
-        let node_id = ctx.gate_nodes[pos];
-        let node = self.netlist.node(node_id);
-        let cell = self.netlist.cell_of(node_id).expect("gate has a cell");
-        let npins = node.fanin().len();
-        let off = ctx.gate_offsets[pos];
-        let gd = &ctx.level_delays[ctx.group_of_slot[si]];
-        inputs.clear();
-        inputs.extend(
-            node.fanin()
-                .iter()
-                .map(|f| writer.view(ctx.layout.index(si, f.index()))),
+/// Scenario instruments are recorded only when the work list actually
+/// carries a multi-segment schedule or a Monte Carlo die: a
+/// constant-schedule scenario launch lowers to static slots and stays
+/// bit-identical to the static run — profile included (DESIGN.md §15).
+fn record_scenario_shape(m: &Metrics, work: &[SlotWork]) {
+    if work
+        .iter()
+        .any(|w| w.assign.segments() > 1 || w.variation.is_some())
+    {
+        m.add(
+            phases::ENGINE_SCENARIO_SEGMENTS,
+            work.iter().map(|w| w.assign.segments() as u64).sum(),
         );
-        let initial = if gd.boundaries.is_empty() {
-            // Static timeline: the exact single-segment evaluator every
-            // non-scheduled slot has always used.
-            let delays = &gd.segs[0][off..off + npins];
-            evaluate_gate_bounded_raw(
-                inputs,
-                delays,
-                |vals| cell.eval(vals),
-                scratch,
-                writer.capacity(),
-            )?
-        } else {
-            // Scheduled timeline: each input event is charged the delay
-            // of the segment its cause time falls in.
-            avfs_waveform::evaluate_gate_bounded_raw_segmented(
-                inputs,
-                gd.boundaries,
-                |seg, pin| gd.segs[seg][off + pin],
-                |vals| cell.eval(vals),
-                scratch,
-                writer.capacity(),
-            )?
-        };
-        writer.write(
-            ctx.layout.index(si, node_id.index()),
-            initial,
-            scratch.scheduled(),
-        )
+        m.add(
+            phases::ENGINE_MC_SAMPLES,
+            work.iter().filter(|w| w.variation.is_some()).count() as u64,
+        );
+    }
+}
+
+/// Everything one launch's batches share and none of them mutates.
+struct RunCtx<'a> {
+    compiled: &'a CompiledNetlist,
+    patterns: &'a PatternSet,
+    work: &'a [SlotWork],
+    options: &'a SimOptions,
+    /// The parked workers every level of every batch and retry round is
+    /// released through (the GPU grid analogue); `None` runs inline on
+    /// the coordinator.
+    pool: Option<&'a WorkerPool>,
+    tallies: PoolTallies,
+    injector: Injector,
+    deadline_at: Option<Instant>,
+    watchdog: Option<Watchdog>,
+    metrics: Option<&'a Metrics>,
+}
+
+/// What a launch accumulates across batches and retry rounds.
+struct RunState {
+    results: Vec<Option<SlotResult>>,
+    diag: RunDiagnostics,
+    slot_sims: u64,
+}
+
+impl RunState {
+    /// Resolves `slot` to a failed result with `status`.
+    fn fail(&mut self, work: &[SlotWork], slot: usize, status: SlotStatus) {
+        match status {
+            SlotStatus::Panicked => self.diag.panicked_slots.push(slot),
+            SlotStatus::DeadlineExceeded => {
+                self.diag.deadline_aborts += 1;
+                self.diag.budget_tripped = Some(TrippedBudget::Deadline);
+            }
+            SlotStatus::BudgetExceeded => {
+                self.diag.budget_denials += 1;
+                self.diag.budget_tripped = Some(TrippedBudget::Memory);
+            }
+            _ => {}
+        }
+        self.diag.failed_slots.push(slot);
+        self.results[slot] = Some(SlotResult::failed(work[slot].spec(), status));
+    }
+}
+
+impl RunCtx<'_> {
+    fn deadline_expired(&self) -> bool {
+        self.deadline_at.is_some_and(|t| Instant::now() >= t)
     }
 
-    /// Builds the fully-scaled per-level delay table for one uniform
-    /// normalized supply with the scalar kernel. `avfs_delay` documents
-    /// (and tests) `factor_lanes` as bit-identical to per-lane `factor`,
-    /// so a table built here is bit-for-bit the buffer the lane-batched
-    /// online path would produce for the same voltage group — the
-    /// identity [`CompiledNetlist::cached_delay_table`] rests on.
-    fn build_delay_table(
-        &self,
-        v_norm: f64,
-        metrics: Option<&Metrics>,
-    ) -> Result<DelayTable, SimError> {
-        let depth = self.levels.depth();
-        let mut evals = 0u64;
-        let mut per_level: Vec<Vec<PinDelays>> = Vec::with_capacity(depth);
-        let mut fallbacks_per_level: Vec<u64> = Vec::with_capacity(depth);
-        for level in 0..depth {
-            let mut buf = Vec::new();
-            let mut fb = 0u64;
-            // Level 0 is the stimuli level: no gates, empty buffer.
-            if level > 0 {
-                for &node_id in self.levels.level(level) {
-                    if let NodeKind::Gate(cell_id) = self.netlist.node(node_id).kind() {
-                        let nominal = self.annotation.node_delays(node_id);
-                        let p = NormalizedPoint {
-                            v: v_norm,
-                            c: self.c_norm[node_id.index()],
-                        };
-                        for (pin, d) in nominal.iter().enumerate() {
-                            let f_rise = self.model.factor(
-                                cell_id,
-                                pin,
-                                avfs_netlist::library::Polarity::Rise,
-                                p,
-                            )?;
-                            let f_fall = self.model.factor(
-                                cell_id,
-                                pin,
-                                avfs_netlist::library::Polarity::Fall,
-                                p,
-                            )?;
-                            evals += 2;
-                            buf.push(PinDelays {
-                                rise: scale_or_fallback(d.rise, f_rise, &mut fb),
-                                fall: scale_or_fallback(d.fall, f_fall, &mut fb),
-                            });
-                        }
+    /// Quarantine-and-retry rounds: round 0 simulates every slot at the
+    /// base capacity; each later round re-simulates only the slots that
+    /// overflowed, at geometrically grown capacity — the CPU analogue of
+    /// the GPU's overflow-flag-and-relaunch loop. Within a round, slots
+    /// run in arena-sized batches (the global-memory budget).
+    fn retry_rounds(&self, state: &mut RunState) -> Result<(), SimError> {
+        let nodes = self.compiled.netlist.num_nodes();
+        let mut pending: Vec<usize> = (0..self.work.len()).collect();
+        let mut cap = self.options.resolved_arena_capacity();
+        let mut round = 0u32;
+        loop {
+            let batch_slots =
+                (self.options.waveform_budget / (nodes.max(1) * cap)).clamp(1, pending.len());
+            let mut arena = WaveformArena::new(batch_slots * nodes, cap);
+            let mut overflowed: Vec<usize> = Vec::new();
+            for chunk in pending.chunks(batch_slots) {
+                // Between-batch deadline check: once the budget is spent,
+                // remaining batches are not even launched — their slots
+                // resolve to DeadlineExceeded while completed ones keep
+                // their results (graceful degradation).
+                if self.deadline_expired() {
+                    for &slot in chunk {
+                        state.fail(self.work, slot, SlotStatus::DeadlineExceeded);
                     }
+                    continue;
+                }
+                state.slot_sims += chunk.len() as u64;
+                if let Some(m) = self.metrics {
+                    m.add(phases::ENGINE_BATCHES, 1);
+                    m.record(phases::ENGINE_BATCH_SLOTS, chunk.len() as u64);
+                }
+                Batch::new(self, chunk, round).run(&mut arena, state, &mut overflowed)?;
+                if let Some(m) = self.metrics {
+                    m.record(
+                        phases::ENGINE_ARENA_OCCUPANCY,
+                        arena.peak_occupancy() as u64,
+                    );
                 }
             }
-            per_level.push(buf);
-            fallbacks_per_level.push(fb);
+            let diag = &mut state.diag;
+            diag.peak_arena_occupancy = diag.peak_arena_occupancy.max(arena.peak_occupancy());
+            for &s in &overflowed {
+                if !diag.overflowed_slots.contains(&s) {
+                    diag.overflowed_slots.push(s);
+                }
+            }
+            if overflowed.is_empty() {
+                return Ok(());
+            }
+            if round >= self.options.overflow_retries {
+                for &s in &overflowed {
+                    state.fail(self.work, s, SlotStatus::Overflowed { capacity: cap });
+                }
+                return Ok(());
+            }
+            round += 1;
+            cap = cap.saturating_mul(CAPACITY_GROWTH);
+            pending = self.admit_retries(state, overflowed, cap, round);
+            if pending.is_empty() {
+                return Ok(());
+            }
+            if let Some(m) = self.metrics {
+                m.add(phases::ENGINE_RETRY_ROUNDS, 1);
+            }
+            state.diag.slot_retries += pending.len() as u64;
         }
-        if let Some(m) = metrics {
-            m.add(phases::ENGINE_KERNEL_EVALS, evals);
-            m.add(phases::ENGINE_DELAY_TABLE_BUILDS, 1);
-        }
-        Ok(DelayTable {
-            per_level,
-            fallbacks_per_level,
-        })
     }
 
-    /// The artifact's cached fully-scaled delay table for one uniform
-    /// normalized supply (keyed by the supply's bit pattern), built
-    /// lazily on first use. Returns `None` — and caches nothing — when
-    /// the model errors or panics on this voltage, or when the cache
-    /// mutex is poisoned: the caller then takes the online per-launch
-    /// path, which reproduces the uncached error/panic semantics
-    /// exactly (and is why a model panic can never poison this mutex —
-    /// the build runs outside the lock).
-    pub(crate) fn cached_delay_table(
+    /// Retry admission control: growing the arena ×4 is the one place
+    /// the engine's memory use escalates, so the memory budget (and the
+    /// injected allocation-cap breach that rehearses it) gates entry
+    /// into round `round` at capacity `cap`. Denied slots fail as
+    /// BudgetExceeded instead of growing; the admitted ones are returned.
+    fn admit_retries(
         &self,
-        v_norm: f64,
-        metrics: Option<&Metrics>,
-    ) -> Option<Arc<DelayTable>> {
-        let key = v_norm.to_bits();
-        if let Some(hit) = self.delay_tables.lock().ok()?.get(&key) {
-            return Some(Arc::clone(hit));
+        state: &mut RunState,
+        overflowed: Vec<usize>,
+        cap: usize,
+        round: u32,
+    ) -> Vec<usize> {
+        let budget = self.options.memory_budget;
+        if budget == 0 && !self.injector.is_armed() {
+            return overflowed;
         }
-        let table = catch_unwind(AssertUnwindSafe(|| self.build_delay_table(v_norm, metrics)))
-            .ok()?
-            .ok()?;
-        let table = Arc::new(table);
-        if let Ok(mut cache) = self.delay_tables.lock() {
-            cache.insert(key, Arc::clone(&table));
+        let nodes = self.compiled.netlist.num_nodes();
+        let over_budget = budget != 0 && slot_arena_bytes(nodes, cap) > budget;
+        let mut admitted = Vec::with_capacity(overflowed.len());
+        for slot in overflowed {
+            let injected =
+                self.injector
+                    .fires(InjectionSite::AllocCapBreach, slot as u64, u64::from(round));
+            if over_budget || injected {
+                state.fail(self.work, slot, SlotStatus::BudgetExceeded);
+            } else {
+                admitted.push(slot);
+            }
         }
-        Some(table)
+        admitted
     }
-}
-
-/// A fully-scaled per-level delay table for one uniform normalized
-/// supply — the entire delay-kernel initialization phase of a launch,
-/// materialized. Cached per voltage on the [`CompiledNetlist`]
-/// (bounded LRU) so repeated launches of a compiled artifact skip the
-/// kernel entirely when the batch qualifies: uniform assignments only,
-/// no armed fault plan. `per_level[level]` is laid out exactly like the
-/// online path's per-group buffer — gate-major in level order, one
-/// [`PinDelays`] per fanin pin, addressed through the level plan's
-/// `gate_offsets`.
-#[derive(Debug)]
-pub(crate) struct DelayTable {
-    pub(crate) per_level: Vec<Vec<PinDelays>>,
-    /// Non-finite scaled delays that fell back to nominal while the
-    /// table was built, per level — replayed into
-    /// [`RunDiagnostics::kernel_fallbacks`] for every launch the table
-    /// serves, so cached and online runs report identical diagnostics.
-    pub(crate) fallbacks_per_level: Vec<u64>,
-}
-
-/// Guards the online delay calculation: a non-finite scaled delay falls
-/// back to the nominal delay and is counted in
-/// [`RunDiagnostics::kernel_fallbacks`]. Crate-visible because the STA
-/// glue (`crate::sta`) re-derives per-node scaled delays with the exact
-/// same guard so oracle and kernel share one delay matrix bitwise.
-pub(crate) fn scale_or_fallback(nominal: f64, factor: f64, fallbacks: &mut u64) -> f64 {
-    let scaled = nominal * factor;
-    if scaled.is_finite() {
-        scaled.max(0.0)
-    } else {
-        *fallbacks += 1;
-        nominal.max(0.0)
-    }
-}
-
-/// Applies a Monte Carlo process-variation derate to an already-scaled
-/// delay. The nominal die passes `derate == 1.0`, and `d * 1.0 == d`
-/// bit-exactly for every value `scale_or_fallback` can return, so a
-/// variation-free group's delays are untouched. Both operands are finite
-/// and non-negative (the derate is `(1 + ε).max(0)` with bounded `ε`),
-/// so the product needs no fallback guard of its own.
-#[inline]
-fn derate_delay(scaled: f64, derate: f64) -> f64 {
-    (scaled * derate).max(0.0)
-}
-
-/// Why a slot died within a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dead {
-    /// A gate's output outgrew the bounded arena — retry at larger
-    /// capacity.
-    Overflow,
-    /// The slot's evaluation panicked — contained, no retry.
-    Panic,
-    /// The run's wall-clock deadline expired at a level barrier — the
-    /// slot is abandoned, no retry.
-    Deadline,
 }
 
 /// Per-worker execution tallies over a whole run (tasks executed and
@@ -2063,6 +848,18 @@ impl PoolTallies {
             steals: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
     }
+
+    fn record(&self, m: &Metrics) {
+        let mut steals = 0u64;
+        for (tasks, s) in self.tasks.iter().zip(&self.steals) {
+            m.record(
+                phases::ENGINE_POOL_WORKER_TASKS,
+                tasks.load(Ordering::Relaxed),
+            );
+            steals += s.load(Ordering::Relaxed);
+        }
+        m.add(phases::ENGINE_POOL_STEALS, steals);
+    }
 }
 
 /// One slot's resolved work: which pattern to replay under which voltage
@@ -2080,6 +877,16 @@ pub(crate) struct SlotWork {
     /// delay-initialization group only when both their voltage
     /// assignment *and* their die agree.
     pub(crate) variation: Option<VariationSample>,
+}
+
+impl SlotWork {
+    /// The spec reported back in this slot's [`SlotResult`].
+    fn spec(&self) -> SlotSpec {
+        SlotSpec {
+            pattern: self.pattern,
+            voltage: self.voltage,
+        }
+    }
 }
 
 /// One Monte Carlo die: a variation configuration plus the sample index
@@ -2146,2011 +953,5 @@ impl VoltageAssign {
             VoltageAssign::Scheduled(s) => &s.boundaries,
             _ => &[],
         }
-    }
-}
-
-/// Shared per-level context handed to the device threads. The task grid
-/// is `live_groups × gate_nodes`: scheduled entry `(gt, mask)` evaluates
-/// gate `gate_nodes[gt % gates]` for every lane set in `mask` of lane
-/// group `live_groups[gt / gates]`.
-struct LevelCtx<'l> {
-    /// The level's gate nodes (outputs are barrier passthroughs, not
-    /// tasks).
-    gate_nodes: &'l [NodeId],
-    /// `level_delays[group].segs[segment][gate_offsets[pos] + pin]` —
-    /// modified pin delays per voltage group and schedule segment
-    /// (borrowed from the artifact's cached per-voltage tables or from
-    /// the batch's freshly computed buffers). Static groups have exactly
-    /// one segment and empty boundaries.
-    level_delays: &'l [GroupDelays<'l>],
-    gate_offsets: &'l [usize],
-    group_of_slot: &'l [usize],
-    /// Lane groups with at least one live lane at the start of the level,
-    /// as `(group index, live-lane mask)`.
-    live_groups: &'l [(usize, u64)],
-    /// The batch's lane-major arena layout.
-    layout: LaneLayout,
-}
-
-/// One voltage group's delay view of a level: one pin-delay slice per
-/// schedule segment plus the segment boundaries that select among them.
-/// `segs.len() == 1` with empty `boundaries` is the static case, which
-/// [`CompiledNetlist::eval_lane`] dispatches to the exact single-segment
-/// evaluator the static engine has always used.
-struct GroupDelays<'l> {
-    segs: Vec<&'l [PinDelays]>,
-    boundaries: &'l [f64],
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::slots::{at_voltage, cross};
-    use avfs_delay::{ParameterSpace, StaticModel};
-    use avfs_netlist::{CellLibrary, NetlistBuilder};
-
-    fn chain_netlist() -> Arc<Netlist> {
-        let lib = CellLibrary::nangate15_like();
-        let mut b = NetlistBuilder::new("chain", &lib);
-        let a = b.add_input("a").unwrap();
-        let g1 = b.add_gate("g1", "INV_X1", &[a]).unwrap();
-        let g2 = b.add_gate("g2", "INV_X1", &[g1]).unwrap();
-        b.add_output("y", g2).unwrap();
-        Arc::new(b.finish().unwrap())
-    }
-
-    fn static_engine(netlist: &Arc<Netlist>, rise: f64, fall: f64) -> Engine {
-        let mut ann = TimingAnnotation::zero(netlist);
-        for (id, node) in netlist.iter() {
-            if matches!(node.kind(), NodeKind::Gate(_)) {
-                for pin in 0..node.fanin().len() {
-                    ann.node_delays_mut(id)[pin] = PinDelays { rise, fall };
-                }
-            }
-        }
-        Engine::new(
-            Arc::clone(netlist),
-            Arc::new(ann),
-            Arc::new(StaticModel::new(ParameterSpace::paper())),
-        )
-        .unwrap()
-    }
-
-    fn one_pattern() -> PatternSet {
-        use avfs_atpg::pattern::{Pattern, PatternPair};
-        std::iter::once(
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
-        )
-        .collect()
-    }
-
-    #[test]
-    fn chain_propagates_with_static_delays() {
-        let n = chain_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let opts = SimOptions {
-            keep_waveforms: true,
-            threads: 1,
-            ..SimOptions::default()
-        };
-        let run = engine
-            .run(&one_pattern(), &at_voltage(1, 0.8), &opts)
-            .unwrap();
-        assert_eq!(run.slots.len(), 1);
-        let slot = &run.slots[0];
-        // Input rises at 0; y (after two inverters) rises at 20.
-        assert_eq!(slot.latest_output_transition_ps, Some(20.0));
-        assert_eq!(slot.responses, vec![true]);
-        let wfs = slot.waveforms.as_ref().unwrap();
-        let g1 = n.find("g1").unwrap();
-        assert_eq!(wfs[g1.index()].transitions(), &[10.0]);
-        assert!(!wfs[g1.index()].final_value());
-        assert_eq!(run.node_evaluations, 4);
-        assert!(run.meps() >= 0.0);
-    }
-
-    #[test]
-    fn voltage_slots_share_pattern() {
-        let n = chain_netlist();
-        let engine = static_engine(&n, 5.0, 7.0);
-        let run = engine
-            .run(
-                &one_pattern(),
-                &cross(1, &[0.6, 0.8, 1.0]),
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        // Static model: identical timing regardless of voltage.
-        assert_eq!(run.slots.len(), 3);
-        let t0 = run.slots[0].latest_output_transition_ps;
-        assert!(run
-            .slots
-            .iter()
-            .all(|s| s.latest_output_transition_ps == t0));
-        assert_eq!(run.voltages(), vec![0.6, 0.8, 1.0]);
-    }
-
-    #[test]
-    fn batching_is_transparent() {
-        // Force a one-slot batch via a tiny waveform budget and compare
-        // against an unbatched run.
-        let n = chain_netlist();
-        let engine = static_engine(&n, 3.0, 4.0);
-        let patterns = one_pattern();
-        let slots = cross(1, &[0.8, 0.9, 1.0, 1.1]);
-        let big = engine
-            .run(
-                &patterns,
-                &slots,
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        let tiny = engine
-            .run(
-                &patterns,
-                &slots,
-                &SimOptions {
-                    threads: 1,
-                    waveform_budget: 1, // → batch of one slot
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(big.slots.len(), tiny.slots.len());
-        for (a, b) in big.slots.iter().zip(&tiny.slots) {
-            assert_eq!(a.responses, b.responses);
-            assert_eq!(a.latest_output_transition_ps, b.latest_output_transition_ps);
-            assert_eq!(a.activity, b.activity);
-        }
-    }
-
-    /// Determinism matrix: the hard invariant of the pooled engine is that
-    /// results are bit-for-bit identical to the single-threaded path
-    /// across worker counts, profiling on/off, and the fault paths
-    /// (overflow quarantine-and-retry, panic containment).
-    #[test]
-    fn multithreaded_matches_single_threaded() {
-        let lib = CellLibrary::nangate15_like();
-        let cfg = avfs_circuits::GeneratorConfig::small();
-        let rnd = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 11).unwrap());
-        let rnd_engine = static_engine(&rnd, 8.0, 9.5);
-        let rnd_patterns = PatternSet::lfsr(rnd.inputs().len(), 4, 5);
-        let glitch = glitch_netlist();
-        let glitch_engine = static_engine(&glitch, 10.0, 10.0);
-        let chain = chain_netlist();
-        let panicky_engine = Engine::new(
-            Arc::clone(&chain),
-            Arc::new(
-                static_engine(&chain, 10.0, 10.0)
-                    .annotation()
-                    .as_ref()
-                    .clone(),
-            ),
-            Arc::new(PanickyModel {
-                inner: StaticModel::new(ParameterSpace::paper()),
-            }),
-        )
-        .unwrap();
-        type Scenario<'a> = (&'a str, Box<dyn Fn(SimOptions) -> SimRun + 'a>);
-        let scenarios: Vec<Scenario<'_>> = vec![
-            (
-                "normal",
-                Box::new(|opts| {
-                    rnd_engine
-                        .run(
-                            &rnd_patterns,
-                            &cross(4, &[0.8, 1.0]),
-                            &SimOptions {
-                                keep_waveforms: true,
-                                ..opts
-                            },
-                        )
-                        .unwrap()
-                }),
-            ),
-            (
-                "overflow-retry",
-                Box::new(|opts| {
-                    glitch_engine
-                        .run(
-                            &one_pattern(),
-                            &cross(1, &[0.7, 0.8, 0.9, 1.0]),
-                            &SimOptions {
-                                keep_waveforms: true,
-                                arena_capacity: 1,
-                                ..opts
-                            },
-                        )
-                        .unwrap()
-                }),
-            ),
-            (
-                "panicking",
-                Box::new(|opts| {
-                    // 1.1 V normalizes to the poisoned operating point.
-                    panicky_engine
-                        .run(&one_pattern(), &cross(1, &[0.8, 1.1, 0.9]), &opts)
-                        .unwrap()
-                }),
-            ),
-        ];
-        for (name, run) in &scenarios {
-            // The reference is the plainest possible path: single thread,
-            // unprofiled, activity gating off, scalar (lane width 1)
-            // slot-major layout.
-            let reference = run(SimOptions {
-                threads: 1,
-                profiling: false,
-                activity_gating: false,
-                lanes: 1,
-                ..SimOptions::default()
-            });
-            if *name == "overflow-retry" {
-                assert_eq!(reference.diagnostics.slot_retries, 4, "scenario {name}");
-            }
-            for injection in ["unarmed", "armed-empty"] {
-                // The profiled-identity principle extended to injection:
-                // an armed-but-empty fault plan (every rate zero) must be
-                // bit-for-bit identical to no plan at all.
-                let fault_plan =
-                    (injection == "armed-empty").then(|| Arc::new(FaultPlan::empty(0xC0FFEE)));
-                for activity_gating in [false, true] {
-                    for lanes in [1, 4, 8] {
-                        for threads in [1, 2, 4, 8] {
-                            for profiling in [false, true] {
-                                let got = run(SimOptions {
-                                    threads,
-                                    profiling,
-                                    activity_gating,
-                                    lanes,
-                                    fault_plan: fault_plan.clone(),
-                                    ..SimOptions::default()
-                                });
-                                let case = format!(
-                                    "{name}, threads={threads}, lanes={lanes}, \
-                                     profiling={profiling}, gating={activity_gating}, \
-                                     injection={injection}"
-                                );
-                                assert_eq!(got.slots, reference.slots, "{case}");
-                                assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
-                                assert_eq!(
-                                    got.node_evaluations, reference.node_evaluations,
-                                    "{case}"
-                                );
-                                assert_eq!(got.profile.is_some(), profiling, "{case}");
-                            }
-                        }
-                    }
-                }
-                if let Some(plan) = &fault_plan {
-                    assert_eq!(plan.total_fired(), 0, "an empty plan never fires");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quiet_stimuli_resolve_without_pool_tasks() {
-        // launch == capture: every stimulus is a constant, so every gate
-        // of every level is quiet and the whole run resolves through the
-        // coordinator's constant fast path — zero pool tasks.
-        use avfs_atpg::pattern::PatternPair;
-        let lib = CellLibrary::nangate15_like();
-        let cfg = avfs_circuits::GeneratorConfig::small();
-        let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 3).unwrap());
-        let engine = static_engine(&n, 8.0, 9.0);
-        let p = PatternSet::random(n.inputs().len(), 1, 0xBEEF).pairs()[0]
-            .launch
-            .clone();
-        let patterns: PatternSet =
-            std::iter::once(PatternPair::new(p.clone(), p).unwrap()).collect();
-        let opts = SimOptions {
-            threads: 1,
-            profiling: true,
-            keep_waveforms: true,
-            ..SimOptions::default()
-        };
-        let run = engine.run(&patterns, &at_voltage(1, 0.8), &opts).unwrap();
-        assert!(run.is_complete());
-        let gates = n
-            .iter()
-            .filter(|(_, node)| matches!(node.kind(), NodeKind::Gate(_)))
-            .count() as u64;
-        let profile = run.profile.as_ref().unwrap();
-        assert_eq!(
-            profile.counter(phases::ENGINE_GATES_SKIPPED_QUIET),
-            Some(gates),
-            "every gate resolved by the quiet fast path"
-        );
-        assert_eq!(
-            profile.counter(phases::ENGINE_QUIET_CELLS),
-            Some(n.num_nodes() as u64),
-            "every cell stayed quiet"
-        );
-        // Nothing toggles: every retained waveform is constant and the
-        // responses are the combinational function of the launch values.
-        assert_eq!(run.slots[0].activity.total_transitions, 0);
-        for wf in run.slots[0].waveforms.as_ref().unwrap() {
-            assert_eq!(wf.num_transitions(), 0);
-        }
-        // The ungated run agrees bit for bit and reports no skip counter.
-        let ungated = engine
-            .run(
-                &patterns,
-                &at_voltage(1, 0.8),
-                &SimOptions {
-                    activity_gating: false,
-                    ..opts
-                },
-            )
-            .unwrap();
-        assert_eq!(run.slots, ungated.slots);
-        assert_eq!(
-            ungated
-                .profile
-                .as_ref()
-                .unwrap()
-                .counter(phases::ENGINE_GATES_SKIPPED_QUIET),
-            None,
-            "ungated runs record no skip counter"
-        );
-    }
-
-    #[test]
-    fn lane_width_validation() {
-        let n = chain_netlist();
-        let engine = static_engine(&n, 1.0, 1.0);
-        let patterns = one_pattern();
-        for lanes in [3usize, 5, 6, 128] {
-            let err = engine
-                .run(
-                    &patterns,
-                    &at_voltage(1, 0.8),
-                    &SimOptions {
-                        lanes,
-                        threads: 1,
-                        ..SimOptions::default()
-                    },
-                )
-                .unwrap_err();
-            assert_eq!(err, SimError::InvalidLanes { lanes });
-        }
-        // 0 resolves to the default width; every power of two ≤ 64 works.
-        for lanes in [0usize, 1, 2, 64] {
-            engine
-                .run(
-                    &patterns,
-                    &at_voltage(1, 0.8),
-                    &SimOptions {
-                        lanes,
-                        threads: 1,
-                        ..SimOptions::default()
-                    },
-                )
-                .unwrap();
-        }
-    }
-
-    #[test]
-    fn partial_tail_lane_groups_match_scalar() {
-        // 5 slots at lane width 4 → one full group plus a 1-lane tail;
-        // lane width 64 → a single partial group wider than the whole
-        // batch. Both must be bit-identical to the scalar layout.
-        let lib = CellLibrary::nangate15_like();
-        let cfg = avfs_circuits::GeneratorConfig::small();
-        let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 7).unwrap());
-        let engine = static_engine(&n, 6.0, 7.0);
-        let patterns = PatternSet::lfsr(n.inputs().len(), 5, 3);
-        let slots: Vec<SlotSpec> = (0..5)
-            .map(|p| SlotSpec {
-                pattern: p,
-                voltage: 0.8,
-            })
-            .collect();
-        let opts = |lanes| SimOptions {
-            threads: 1,
-            lanes,
-            keep_waveforms: true,
-            ..SimOptions::default()
-        };
-        let reference = engine.run(&patterns, &slots, &opts(1)).unwrap();
-        for lanes in [4, 64] {
-            let got = engine.run(&patterns, &slots, &opts(lanes)).unwrap();
-            assert_eq!(got.slots, reference.slots, "lanes={lanes}");
-            assert_eq!(got.diagnostics, reference.diagnostics, "lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn quarantined_lane_masking_on_overflow_retry() {
-        // A capacity-1 arena overflows the glitching slots of a lane
-        // group while their constant-stimulus neighbours complete in
-        // round 0; the retry rounds must mask the quarantined lanes out
-        // of their groups' live masks (never re-evaluating the finished
-        // lanes) and end bit-identical to the scalar path.
-        use avfs_atpg::pattern::{Pattern, PatternPair};
-        let n = glitch_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let patterns: PatternSet = [
-            // Glitches: the XOR of a rising input with its inverse.
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
-            // Constant: nothing ever toggles.
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([false])).unwrap(),
-        ]
-        .into_iter()
-        .collect();
-        let slots: Vec<SlotSpec> = (0..6)
-            .map(|i| SlotSpec {
-                pattern: i % 2,
-                voltage: 0.8,
-            })
-            .collect();
-        let opts = |lanes| SimOptions {
-            threads: 1,
-            lanes,
-            arena_capacity: 1,
-            keep_waveforms: true,
-            ..SimOptions::default()
-        };
-        let reference = engine.run(&patterns, &slots, &opts(1)).unwrap();
-        assert!(
-            reference.diagnostics.slot_retries > 0,
-            "glitch slots must hit the quarantine-and-retry path"
-        );
-        for lanes in [4, 8] {
-            let got = engine.run(&patterns, &slots, &opts(lanes)).unwrap();
-            assert_eq!(got.slots, reference.slots, "lanes={lanes}");
-            assert_eq!(got.diagnostics, reference.diagnostics, "lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn launch_time_offsets_all_transitions() {
-        let n = chain_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let patterns = one_pattern();
-        let base = engine
-            .run(
-                &patterns,
-                &at_voltage(1, 0.8),
-                &SimOptions {
-                    threads: 1,
-                    launch_time_ps: 0.0,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        let shifted = engine
-            .run(
-                &patterns,
-                &at_voltage(1, 0.8),
-                &SimOptions {
-                    threads: 1,
-                    launch_time_ps: 250.0,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        let (t0, t1) = (
-            base.slots[0].latest_output_transition_ps.unwrap(),
-            shifted.slots[0].latest_output_transition_ps.unwrap(),
-        );
-        assert!((t1 - t0 - 250.0).abs() < 1e-9, "{t0} vs {t1}");
-        assert_eq!(base.slots[0].responses, shifted.slots[0].responses);
-    }
-
-    #[test]
-    fn mixed_island_vectors_group_correctly() {
-        // Slots with different per-domain voltage vectors in ONE launch:
-        // the per-(level, voltage-assignment) grouping must keep them
-        // apart; results must match per-vector launches.
-        let lib = CellLibrary::nangate15_like();
-        let n = Arc::new(avfs_circuits::ripple_carry_adder(4, &lib).unwrap());
-        // A voltage-sensitive analytic model so distinct vectors actually
-        // produce distinct timing.
-        let mut ann = TimingAnnotation::zero(&n);
-        for (id, node) in n.iter() {
-            if matches!(node.kind(), NodeKind::Gate(_)) {
-                for pin in 0..node.fanin().len() {
-                    ann.node_delays_mut(id)[pin] = PinDelays {
-                        rise: 6.0,
-                        fall: 7.0,
-                    };
-                }
-            }
-        }
-        let engine = Engine::new(
-            Arc::clone(&n),
-            Arc::new(ann),
-            Arc::new(avfs_delay::AlphaPowerModel::new(
-                0.24,
-                1.35,
-                ParameterSpace::paper(),
-            )),
-        )
-        .unwrap();
-        let domains = crate::domains::VoltageDomains::by_output_cones(&n, 2);
-        let patterns = PatternSet::lfsr(n.inputs().len(), 2, 8);
-        let opts = SimOptions {
-            threads: 1,
-            ..SimOptions::default()
-        };
-        let mixed = vec![
-            crate::domains::DomainSlotSpec {
-                pattern: 0,
-                voltages: vec![0.8, 0.8],
-            },
-            crate::domains::DomainSlotSpec {
-                pattern: 1,
-                voltages: vec![0.6, 1.0],
-            },
-            crate::domains::DomainSlotSpec {
-                pattern: 0,
-                voltages: vec![0.6, 1.0],
-            },
-        ];
-        let run = engine
-            .run_domains(&patterns, &domains, &mixed, &opts)
-            .unwrap();
-        assert_eq!(run.slots.len(), 3);
-        for (spec, slot) in mixed.iter().zip(&run.slots) {
-            let solo = engine
-                .run_domains(&patterns, &domains, std::slice::from_ref(spec), &opts)
-                .unwrap();
-            assert_eq!(slot.responses, solo.slots[0].responses);
-            assert_eq!(
-                slot.latest_output_transition_ps,
-                solo.slots[0].latest_output_transition_ps
-            );
-        }
-    }
-
-    #[test]
-    fn input_validation() {
-        let n = chain_netlist();
-        let engine = static_engine(&n, 1.0, 1.0);
-        let patterns = one_pattern();
-        assert!(matches!(
-            engine.run(&patterns, &[], &SimOptions::default()),
-            Err(SimError::EmptySlots)
-        ));
-        assert!(matches!(
-            engine.run(
-                &patterns,
-                &[SlotSpec {
-                    pattern: 7,
-                    voltage: 0.8
-                }],
-                &SimOptions::default()
-            ),
-            Err(SimError::BadPatternIndex {
-                index: 7,
-                available: 1
-            })
-        ));
-        // Wrong-width pattern.
-        use avfs_atpg::pattern::{Pattern, PatternPair};
-        let wide: PatternSet =
-            std::iter::once(PatternPair::new(Pattern::zeros(3), Pattern::zeros(3)).unwrap())
-                .collect();
-        assert!(matches!(
-            engine.run(&wide, &at_voltage(1, 0.8), &SimOptions::default()),
-            Err(SimError::PatternWidth {
-                expected: 1,
-                got: 3
-            })
-        ));
-    }
-
-    #[test]
-    fn annotation_mismatch_rejected() {
-        let n = chain_netlist();
-        let other = {
-            let lib = CellLibrary::nangate15_like();
-            let mut b = NetlistBuilder::new("other", &lib);
-            let a = b.add_input("a").unwrap();
-            b.add_output("y", a).unwrap();
-            Arc::new(b.finish().unwrap())
-        };
-        let ann = Arc::new(TimingAnnotation::zero(&other));
-        let model = Arc::new(StaticModel::new(ParameterSpace::paper()));
-        assert!(matches!(
-            Engine::new(Arc::clone(&n), ann, model),
-            Err(SimError::AnnotationMismatch)
-        ));
-    }
-
-    /// A delay model that panics for operating points at the top of the
-    /// normalized voltage range — the fault-injection vehicle for the
-    /// panic-containment tests (distinct voltages form distinct kernel
-    /// groups, so the panic hits exactly the marker slot).
-    #[derive(Debug)]
-    struct PanickyModel {
-        inner: StaticModel,
-    }
-
-    impl avfs_delay::model::DelayModel for PanickyModel {
-        fn factor(
-            &self,
-            cell: avfs_netlist::CellId,
-            pin: usize,
-            polarity: avfs_netlist::library::Polarity,
-            p: NormalizedPoint,
-        ) -> Result<f64, avfs_delay::DelayError> {
-            assert!(p.v < 0.999, "injected fault: poisoned operating point");
-            self.inner.factor(cell, pin, polarity, p)
-        }
-        fn name(&self) -> &str {
-            "panicky"
-        }
-        fn space(&self) -> &ParameterSpace {
-            self.inner.space()
-        }
-    }
-
-    /// A delay model whose kernel output is garbage (non-finite factors):
-    /// exercises the online-delay-calculation guard.
-    #[derive(Debug)]
-    struct BrokenKernelModel {
-        space: ParameterSpace,
-    }
-
-    impl avfs_delay::model::DelayModel for BrokenKernelModel {
-        fn factor(
-            &self,
-            _cell: avfs_netlist::CellId,
-            _pin: usize,
-            _polarity: avfs_netlist::library::Polarity,
-            _p: NormalizedPoint,
-        ) -> Result<f64, avfs_delay::DelayError> {
-            Ok(f64::INFINITY)
-        }
-        fn name(&self) -> &str {
-            "broken-kernel"
-        }
-        fn space(&self) -> &ParameterSpace {
-            &self.space
-        }
-    }
-
-    /// A glitching netlist: reconvergent XOR whose output pulses on every
-    /// input transition (see `glitch_visible_in_activity`).
-    fn glitch_netlist() -> Arc<Netlist> {
-        let lib = CellLibrary::nangate15_like();
-        let mut b = NetlistBuilder::new("glitch", &lib);
-        let a = b.add_input("a").unwrap();
-        let inv = b.add_gate("inv", "INV_X1", &[a]).unwrap();
-        let x = b.add_gate("x", "XOR2_X1", &[a, inv]).unwrap();
-        b.add_output("y", x).unwrap();
-        Arc::new(b.finish().unwrap())
-    }
-
-    #[test]
-    fn invalid_operating_points_rejected() {
-        let n = chain_netlist();
-        let engine = static_engine(&n, 1.0, 1.0);
-        let patterns = one_pattern();
-        for bad in [f64::NAN, f64::INFINITY, 0.0, -0.8] {
-            let slots = [
-                SlotSpec {
-                    pattern: 0,
-                    voltage: 0.8,
-                },
-                SlotSpec {
-                    pattern: 0,
-                    voltage: bad,
-                },
-            ];
-            match engine.run(&patterns, &slots, &SimOptions::default()) {
-                Err(SimError::InvalidOperatingPoint { slot: 1, voltage }) => {
-                    assert!(voltage.is_nan() || voltage == bad);
-                }
-                other => panic!("expected InvalidOperatingPoint, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn corrupt_annotation_rejected() {
-        let n = chain_netlist();
-        let model: Arc<dyn DelayModel> = Arc::new(StaticModel::new(ParameterSpace::paper()));
-        // Non-finite load.
-        let mut ann = TimingAnnotation::zero(&n);
-        ann.set_load_ff(n.find("g1").unwrap(), f64::NAN);
-        assert!(matches!(
-            Engine::new(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
-            Err(SimError::InvalidLoad { node, .. }) if node == "g1"
-        ));
-        // Negative load.
-        let mut ann = TimingAnnotation::zero(&n);
-        ann.set_load_ff(n.find("g2").unwrap(), -3.0);
-        assert!(matches!(
-            Engine::new(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
-            Err(SimError::InvalidLoad { node, load }) if node == "g2" && load == -3.0
-        ));
-        // Non-finite delay.
-        let mut ann = TimingAnnotation::zero(&n);
-        ann.node_delays_mut(n.find("g1").unwrap())[0] = PinDelays {
-            rise: f64::NAN,
-            fall: 1.0,
-        };
-        assert!(matches!(
-            Engine::new(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
-            Err(SimError::InvalidDelay { gate, pin: 0 }) if gate == "g1"
-        ));
-        // Negative delay.
-        let mut ann = TimingAnnotation::zero(&n);
-        ann.node_delays_mut(n.find("g2").unwrap())[0] = PinDelays {
-            rise: 1.0,
-            fall: -2.0,
-        };
-        assert!(matches!(
-            Engine::new(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
-            Err(SimError::InvalidDelay { gate, pin: 0 }) if gate == "g2"
-        ));
-    }
-
-    #[test]
-    fn combinational_loop_rejected() {
-        let lib = CellLibrary::nangate15_like();
-        let mut b = NetlistBuilder::new("loop", &lib);
-        let a = b.add_input("a").unwrap();
-        let g1 = b.add_gate("g1", "NAND2_X1", &[a, a]).unwrap();
-        let g2 = b.add_gate("g2", "INV_X1", &[g1]).unwrap();
-        b.add_output("y", g2).unwrap();
-        b.rewire_unchecked(g1, 1, g2);
-        let n = Arc::new(b.finish_unchecked());
-        let ann = Arc::new(TimingAnnotation::zero(&n));
-        let model = Arc::new(StaticModel::new(ParameterSpace::paper()));
-        match Engine::new(n, ann, model) {
-            Err(SimError::Netlist(avfs_netlist::NetlistError::CombinationalLoop { nodes })) => {
-                let mut nodes = nodes;
-                nodes.sort();
-                assert_eq!(nodes, vec!["g1".to_owned(), "g2".to_owned()]);
-            }
-            other => panic!("expected a combinational-loop error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn model_error_propagates() {
-        /// Rejects every factor request.
-        #[derive(Debug)]
-        struct NoKernelModel {
-            space: ParameterSpace,
-        }
-        impl avfs_delay::model::DelayModel for NoKernelModel {
-            fn factor(
-                &self,
-                cell: avfs_netlist::CellId,
-                _pin: usize,
-                _polarity: avfs_netlist::library::Polarity,
-                _p: NormalizedPoint,
-            ) -> Result<f64, avfs_delay::DelayError> {
-                Err(avfs_delay::DelayError::MissingCell {
-                    cell_index: cell.index(),
-                })
-            }
-            fn name(&self) -> &str {
-                "no-kernel"
-            }
-            fn space(&self) -> &ParameterSpace {
-                &self.space
-            }
-        }
-        let n = chain_netlist();
-        let engine = Engine::new(
-            Arc::clone(&n),
-            Arc::new(TimingAnnotation::zero(&n)),
-            Arc::new(NoKernelModel {
-                space: ParameterSpace::paper(),
-            }),
-        )
-        .unwrap();
-        assert!(matches!(
-            engine.run(&one_pattern(), &at_voltage(1, 0.8), &SimOptions::default()),
-            Err(SimError::Model(avfs_delay::DelayError::MissingCell { .. }))
-        ));
-    }
-
-    #[test]
-    fn overflow_quarantine_and_retry_converges() {
-        // The glitch pulse needs 2 transitions per net; a capacity-1 arena
-        // must overflow, quarantine the slot and retry at capacity 4.
-        let n = glitch_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let patterns = one_pattern();
-        let tight = SimOptions {
-            threads: 1,
-            keep_waveforms: true,
-            arena_capacity: 1,
-            ..SimOptions::default()
-        };
-        let run = engine.run(&patterns, &at_voltage(1, 0.8), &tight).unwrap();
-        assert!(run.is_complete());
-        assert_eq!(run.slots[0].status, SlotStatus::Completed { retries: 1 });
-        assert_eq!(run.diagnostics.overflowed_slots, vec![0]);
-        assert_eq!(run.diagnostics.slot_retries, 1);
-        assert!(run.diagnostics.failed_slots.is_empty());
-        assert_eq!(run.diagnostics.peak_arena_occupancy, 2);
-        // Retries are visible in the throughput accounting.
-        assert_eq!(run.node_evaluations, 2 * n.num_nodes() as u64);
-        // The retried result is identical to an untroubled run.
-        let easy = engine
-            .run(
-                &patterns,
-                &at_voltage(1, 0.8),
-                &SimOptions {
-                    threads: 1,
-                    keep_waveforms: true,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(run.slots[0].responses, easy.slots[0].responses);
-        assert_eq!(run.slots[0].activity, easy.slots[0].activity);
-        assert_eq!(run.slots[0].waveforms, easy.slots[0].waveforms);
-    }
-
-    #[test]
-    fn overflow_past_retry_limit_fails_only_that_slot() {
-        let n = glitch_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        // Pattern 0 glitches (input rises); pattern 1 is quiet.
-        use avfs_atpg::pattern::{Pattern, PatternPair};
-        let patterns: PatternSet = [
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([false])).unwrap(),
-        ]
-        .into_iter()
-        .collect();
-        let slots = [
-            SlotSpec {
-                pattern: 0,
-                voltage: 0.8,
-            },
-            SlotSpec {
-                pattern: 1,
-                voltage: 0.8,
-            },
-        ];
-        let opts = SimOptions {
-            threads: 1,
-            arena_capacity: 1,
-            overflow_retries: 0,
-            ..SimOptions::default()
-        };
-        let run = engine.run(&patterns, &slots, &opts).unwrap();
-        assert!(!run.is_complete());
-        assert_eq!(run.slots[0].status, SlotStatus::Overflowed { capacity: 1 });
-        assert!(run.slots[0].responses.is_empty());
-        assert_eq!(run.slots[1].status, SlotStatus::Completed { retries: 0 });
-        assert_eq!(run.slots[1].responses, vec![true]); // quiet XOR: a ⊕ ā = 1
-        assert_eq!(run.diagnostics.failed_slots, vec![0]);
-        assert_eq!(run.diagnostics.overflowed_slots, vec![0]);
-        assert_eq!(run.diagnostics.slot_retries, 0);
-    }
-
-    #[test]
-    fn all_slots_failed_is_an_error() {
-        let n = glitch_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let opts = SimOptions {
-            threads: 1,
-            arena_capacity: 1,
-            overflow_retries: 0,
-            ..SimOptions::default()
-        };
-        assert!(matches!(
-            engine.run(&one_pattern(), &at_voltage(1, 0.8), &opts),
-            Err(SimError::AllSlotsFailed { slots: 1 })
-        ));
-    }
-
-    #[test]
-    fn panicking_slot_is_contained() {
-        let n = chain_netlist();
-        let engine = Engine::new(
-            Arc::clone(&n),
-            Arc::new(static_engine(&n, 10.0, 10.0).annotation().as_ref().clone()),
-            Arc::new(PanickyModel {
-                inner: StaticModel::new(ParameterSpace::paper()),
-            }),
-        )
-        .unwrap();
-        let patterns = one_pattern();
-        // 1.1 V normalizes to 1.0 — the poisoned operating point.
-        let slots = cross(1, &[0.8, 1.1, 0.9]);
-        for threads in [1, 4] {
-            let opts = SimOptions {
-                threads,
-                ..SimOptions::default()
-            };
-            let run = engine.run(&patterns, &slots, &opts).unwrap();
-            assert!(!run.is_complete());
-            assert_eq!(run.slots[1].status, SlotStatus::Panicked);
-            assert!(run.slots[1].responses.is_empty());
-            assert_eq!(run.diagnostics.panicked_slots, vec![1]);
-            assert_eq!(run.diagnostics.failed_slots, vec![1]);
-            // The healthy slots are unaffected.
-            for i in [0, 2] {
-                assert_eq!(run.slots[i].status, SlotStatus::Completed { retries: 0 });
-                assert_eq!(run.slots[i].latest_output_transition_ps, Some(20.0));
-                assert_eq!(run.slots[i].responses, vec![true]);
-            }
-        }
-        // All slots at the poisoned point → the run itself errors.
-        assert!(matches!(
-            engine.run(&patterns, &at_voltage(1, 1.1), &SimOptions::default()),
-            Err(SimError::AllSlotsFailed { slots: 1 })
-        ));
-    }
-
-    #[test]
-    fn kernel_fallback_guards_nonfinite_delays() {
-        let n = chain_netlist();
-        let mut ann = TimingAnnotation::zero(&n);
-        for (id, node) in n.iter() {
-            if matches!(node.kind(), NodeKind::Gate(_)) {
-                ann.node_delays_mut(id)[0] = PinDelays {
-                    rise: 10.0,
-                    fall: 10.0,
-                };
-            }
-        }
-        let broken = Engine::new(
-            Arc::clone(&n),
-            Arc::new(ann),
-            Arc::new(BrokenKernelModel {
-                space: ParameterSpace::paper(),
-            }),
-        )
-        .unwrap();
-        let opts = SimOptions {
-            threads: 1,
-            ..SimOptions::default()
-        };
-        let run = broken
-            .run(&one_pattern(), &at_voltage(1, 0.8), &opts)
-            .unwrap();
-        // Every scaled delay was non-finite; all fell back to nominal.
-        assert!(run.diagnostics.kernel_fallbacks > 0);
-        assert!(run.is_complete());
-        let nominal = static_engine(&n, 10.0, 10.0)
-            .run(&one_pattern(), &at_voltage(1, 0.8), &opts)
-            .unwrap();
-        assert_eq!(run.slots[0].responses, nominal.slots[0].responses);
-        assert_eq!(
-            run.slots[0].latest_output_transition_ps,
-            nominal.slots[0].latest_output_transition_ps
-        );
-        // A healthy kernel reports no fallbacks.
-        assert_eq!(nominal.diagnostics.kernel_fallbacks, 0);
-    }
-
-    #[test]
-    fn dangling_net_clamp_reported() {
-        // TimingAnnotation::zero leaves dangling nets at 0 fF, below the
-        // paper space's 0.5 fF minimum — the engine clamps and reports.
-        let n = chain_netlist();
-        let engine = static_engine(&n, 1.0, 1.0);
-        let run = engine
-            .run(
-                &one_pattern(),
-                &at_voltage(1, 0.8),
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(run.diagnostics.clamped_loads > 0);
-    }
-
-    #[test]
-    fn strict_validation_modes() {
-        let n = chain_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let patterns = one_pattern();
-        // 0.3 V is well below the paper space's 0.55 V minimum; Warn (the
-        // default) clamps-and-records, Deny refuses the launch.
-        let low = at_voltage(1, 0.3);
-        let warn = engine
-            .run(
-                &patterns,
-                &low,
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(
-            warn.diagnostics
-                .validation_findings
-                .iter()
-                .any(|f| f.contains("AVC-D005") && f.contains("slot 0")),
-            "{:?}",
-            warn.diagnostics.validation_findings
-        );
-        let off = engine
-            .run(
-                &patterns,
-                &low,
-                &SimOptions {
-                    threads: 1,
-                    strict_validation: ValidationMode::Off,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(off.diagnostics.validation_findings.is_empty());
-        assert_eq!(off.slots, warn.slots, "validation never changes results");
-        let denied = engine.run(
-            &patterns,
-            &low,
-            &SimOptions {
-                threads: 1,
-                strict_validation: ValidationMode::Deny,
-                ..SimOptions::default()
-            },
-        );
-        match denied {
-            Err(SimError::Validation { findings }) => {
-                assert!(findings.iter().any(|f| f.contains("AVC-D005")));
-            }
-            other => panic!("expected SimError::Validation, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn deny_passes_a_clean_launch() {
-        // Explicit in-range loads so the setup stage has nothing to clamp.
-        let n = chain_netlist();
-        let delays = n
-            .nodes()
-            .iter()
-            .map(|node| {
-                vec![
-                    PinDelays {
-                        rise: 10.0,
-                        fall: 10.0
-                    };
-                    node.fanin().len()
-                ]
-            })
-            .collect();
-        let ann = TimingAnnotation::from_parts(delays, vec![1.0; n.num_nodes()]);
-        let engine = Engine::new(
-            Arc::clone(&n),
-            Arc::new(ann),
-            Arc::new(StaticModel::new(ParameterSpace::paper())),
-        )
-        .unwrap();
-        assert!(engine.setup_findings().is_empty());
-        let run = engine
-            .run(
-                &one_pattern(),
-                &at_voltage(1, 0.8),
-                &SimOptions {
-                    threads: 1,
-                    strict_validation: ValidationMode::Deny,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(run.diagnostics.validation_findings.is_empty());
-    }
-
-    #[test]
-    fn glitch_visible_in_activity() {
-        // Reconvergent XOR: a ─┬────────► x
-        //                      └─ inv ──► x ; x = a ⊕ ā glitches on input
-        // change when path delays differ.
-        let lib = CellLibrary::nangate15_like();
-        let mut b = NetlistBuilder::new("glitch", &lib);
-        let a = b.add_input("a").unwrap();
-        let inv = b.add_gate("inv", "INV_X1", &[a]).unwrap();
-        let x = b.add_gate("x", "XOR2_X1", &[a, inv]).unwrap();
-        b.add_output("y", x).unwrap();
-        let n = Arc::new(b.finish().unwrap());
-        let engine = static_engine(&n, 10.0, 10.0);
-        let run = engine
-            .run(
-                &one_pattern(),
-                &at_voltage(1, 0.8),
-                &SimOptions {
-                    threads: 1,
-                    keep_waveforms: true,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        let slot = &run.slots[0];
-        // x is 1 in steady state both before and after (a ⊕ ā = 1); the
-        // inverter delay opens a 10 ps window where both inputs agree →
-        // a glitch pulse at the XOR output.
-        let wfs = slot.waveforms.as_ref().unwrap();
-        let x_wf = &wfs[n.find("x").unwrap().index()];
-        assert_eq!(x_wf.num_transitions(), 2, "expected a glitch pulse");
-        assert!(x_wf.initial_value() && x_wf.final_value());
-        assert!(slot.activity.total_glitch_transitions >= 2);
-    }
-
-    /// A delay model that sleeps at the poisoned operating point (v_norm
-    /// ≈ 1): the kernel phase runs on the coordinator, so the sleep
-    /// stalls exactly the path the deadline and the watchdog observe.
-    #[derive(Debug)]
-    struct SlowModel {
-        inner: StaticModel,
-        sleep: Duration,
-    }
-
-    impl avfs_delay::model::DelayModel for SlowModel {
-        fn factor(
-            &self,
-            cell: avfs_netlist::CellId,
-            pin: usize,
-            polarity: avfs_netlist::library::Polarity,
-            p: NormalizedPoint,
-        ) -> Result<f64, avfs_delay::DelayError> {
-            if p.v >= 0.999 {
-                std::thread::sleep(self.sleep);
-            }
-            self.inner.factor(cell, pin, polarity, p)
-        }
-        fn name(&self) -> &str {
-            "slow"
-        }
-        fn space(&self) -> &ParameterSpace {
-            self.inner.space()
-        }
-    }
-
-    fn slow_engine(netlist: &Arc<Netlist>, sleep: Duration) -> Engine {
-        Engine::new(
-            Arc::clone(netlist),
-            Arc::new(
-                static_engine(netlist, 10.0, 10.0)
-                    .annotation()
-                    .as_ref()
-                    .clone(),
-            ),
-            Arc::new(SlowModel {
-                inner: StaticModel::new(ParameterSpace::paper()),
-                sleep,
-            }),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn memory_budget_denies_retry_growth() {
-        // The glitch slot needs capacity 2, so the capacity-1 round
-        // overflows and the retry wants cap 4 — which the budget refuses.
-        let n = glitch_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        use avfs_atpg::pattern::{Pattern, PatternPair};
-        let patterns: PatternSet = [
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([false])).unwrap(),
-        ]
-        .into_iter()
-        .collect();
-        let slots = [
-            SlotSpec {
-                pattern: 0,
-                voltage: 0.8,
-            },
-            SlotSpec {
-                pattern: 1,
-                voltage: 0.8,
-            },
-        ];
-        let budget = super::slot_arena_bytes(n.num_nodes(), 4) - 1;
-        let run = engine
-            .run(
-                &patterns,
-                &slots,
-                &SimOptions {
-                    threads: 1,
-                    arena_capacity: 1,
-                    memory_budget: budget,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(run.slots[0].status, SlotStatus::BudgetExceeded);
-        assert!(run.slots[0].responses.is_empty());
-        assert_eq!(run.slots[1].status, SlotStatus::Completed { retries: 0 });
-        assert_eq!(run.diagnostics.budget_denials, 1);
-        assert_eq!(run.diagnostics.budget_tripped, Some(TrippedBudget::Memory));
-        // Admission was denied, so no retry round ran and no capacity grew.
-        assert_eq!(run.diagnostics.slot_retries, 0);
-        assert_eq!(run.diagnostics.peak_arena_occupancy, 1);
-        assert_eq!(run.diagnostics.failed_slots, vec![0]);
-        // One byte more admits the retry and the slot completes.
-        let run = engine
-            .run(
-                &patterns,
-                &slots,
-                &SimOptions {
-                    threads: 1,
-                    arena_capacity: 1,
-                    memory_budget: budget + 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(run.slots[0].status, SlotStatus::Completed { retries: 1 });
-        assert_eq!(run.diagnostics.budget_denials, 0);
-        assert_eq!(run.diagnostics.budget_tripped, None);
-    }
-
-    #[test]
-    fn zero_deadline_fails_every_slot() {
-        // An already-expired deadline abandons every slot before any
-        // batch launches — and an all-loss run is an error, like any
-        // other total failure.
-        let n = chain_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let err = engine.run(
-            &one_pattern(),
-            &cross(1, &[0.7, 0.8, 0.9]),
-            &SimOptions {
-                threads: 1,
-                deadline: Some(Duration::ZERO),
-                ..SimOptions::default()
-            },
-        );
-        assert!(matches!(err, Err(SimError::AllSlotsFailed { slots: 3 })));
-    }
-
-    #[test]
-    fn deadline_degrades_gracefully_mid_run() {
-        // One-slot batches; the second slot's kernel phase sleeps past
-        // the deadline, so the first slot's completed result is returned
-        // while the second resolves to DeadlineExceeded at the barrier.
-        let n = chain_netlist();
-        let engine = slow_engine(&n, Duration::from_millis(40));
-        // 1.1 V normalizes to the slow operating point.
-        let slots = cross(1, &[0.8, 1.1]);
-        let run = engine
-            .run(
-                &one_pattern(),
-                &slots,
-                &SimOptions {
-                    threads: 1,
-                    waveform_budget: 1, // → one slot per batch
-                    deadline: Some(Duration::from_millis(60)),
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(!run.is_complete());
-        assert_eq!(run.slots[0].status, SlotStatus::Completed { retries: 0 });
-        assert_eq!(run.slots[0].responses, vec![true]);
-        assert_eq!(run.slots[1].status, SlotStatus::DeadlineExceeded);
-        assert!(run.slots[1].responses.is_empty());
-        assert_eq!(run.diagnostics.deadline_aborts, 1);
-        assert_eq!(
-            run.diagnostics.budget_tripped,
-            Some(TrippedBudget::Deadline)
-        );
-        assert_eq!(run.diagnostics.failed_slots, vec![1]);
-    }
-
-    #[test]
-    fn watchdog_counts_engine_stalls() {
-        let n = chain_netlist();
-        let engine = slow_engine(&n, Duration::from_millis(40));
-        // The slow kernel phase stalls far past the 5 ms timeout; the
-        // watchdog observes it but the run still completes untouched.
-        let run = engine
-            .run(
-                &one_pattern(),
-                &at_voltage(1, 1.1),
-                &SimOptions {
-                    threads: 1,
-                    stall_timeout: Some(Duration::from_millis(5)),
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(run.is_complete());
-        assert!(
-            run.diagnostics.watchdog_stalls >= 1,
-            "stalls: {}",
-            run.diagnostics.watchdog_stalls
-        );
-        // A generous timeout on a fast run records nothing.
-        let calm = engine
-            .run(
-                &one_pattern(),
-                &at_voltage(1, 0.8),
-                &SimOptions {
-                    threads: 1,
-                    stall_timeout: Some(Duration::from_secs(10)),
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(calm.diagnostics.watchdog_stalls, 0);
-        assert_eq!(calm.slots[0].responses, run.slots[0].responses);
-    }
-
-    #[test]
-    fn injected_overflow_hits_predicted_slots_and_replays() {
-        // The plan's decisions are pure (site, key, salt) hashes, so the
-        // harness can predict the affected slots offline — and a second
-        // run with the same seed replays bit for bit.
-        let n = chain_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let slots = cross(1, &[0.8; 4]);
-        let mk_plan = || Arc::new(FaultPlan::empty(7).with_rate(InjectionSite::ArenaOverflow, 0.5));
-        let plan = mk_plan();
-        let opts = SimOptions {
-            threads: 2,
-            overflow_retries: 0,
-            fault_plan: Some(Arc::clone(&plan)),
-            ..SimOptions::default()
-        };
-        let run = engine.run(&one_pattern(), &slots, &opts).unwrap();
-        let mut predicted_hits = 0;
-        for (i, slot) in run.slots.iter().enumerate() {
-            if plan.decide(InjectionSite::ArenaOverflow, i as u64, 0) {
-                predicted_hits += 1;
-                assert_eq!(
-                    slot.status,
-                    SlotStatus::Overflowed { capacity: 64 },
-                    "slot {i}"
-                );
-            } else {
-                assert_eq!(
-                    slot.status,
-                    SlotStatus::Completed { retries: 0 },
-                    "slot {i}"
-                );
-            }
-        }
-        assert!(predicted_hits >= 1, "seed 7 must hit at least one slot");
-        assert!(predicted_hits < 4, "seed 7 must spare at least one slot");
-        assert_eq!(run.diagnostics.faults_injected, plan.total_fired());
-        assert_eq!(
-            plan.fired_keys(InjectionSite::ArenaOverflow).len(),
-            predicted_hits
-        );
-        // Replay from a fresh plan with the same seed.
-        let replay = engine
-            .run(
-                &one_pattern(),
-                &slots,
-                &SimOptions {
-                    fault_plan: Some(mk_plan()),
-                    ..opts.clone()
-                },
-            )
-            .unwrap();
-        assert_eq!(replay.slots, run.slots);
-        assert_eq!(replay.diagnostics, run.diagnostics);
-    }
-
-    #[test]
-    fn injected_kernel_panic_is_contained_like_an_organic_one() {
-        let n = chain_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let slots = cross(1, &[0.8; 4]);
-        let plan = Arc::new(FaultPlan::empty(3).with_rate(InjectionSite::KernelPanic, 0.5));
-        let run = engine
-            .run(
-                &one_pattern(),
-                &slots,
-                &SimOptions {
-                    threads: 2,
-                    fault_plan: Some(Arc::clone(&plan)),
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        let mut panicked = Vec::new();
-        for (i, slot) in run.slots.iter().enumerate() {
-            if plan.decide(InjectionSite::KernelPanic, i as u64, 0) {
-                panicked.push(i);
-                assert_eq!(slot.status, SlotStatus::Panicked, "slot {i}");
-            } else {
-                assert_eq!(
-                    slot.status,
-                    SlotStatus::Completed { retries: 0 },
-                    "slot {i}"
-                );
-            }
-        }
-        assert!(!panicked.is_empty() && panicked.len() < 4, "{panicked:?}");
-        assert_eq!(run.diagnostics.panicked_slots, panicked);
-    }
-
-    #[test]
-    fn injected_nonfinite_kernel_falls_back_to_nominal() {
-        // A corrupted (infinite) kernel factor exercises the
-        // scale_or_fallback guard: results equal the nominal-delay run,
-        // with the fallback and the fault both on the books.
-        let n = chain_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        let plan = Arc::new(FaultPlan::empty(1).with_rate(InjectionSite::NonFiniteKernel, 1.0));
-        let opts = SimOptions {
-            threads: 1,
-            ..SimOptions::default()
-        };
-        let injected = engine
-            .run(
-                &one_pattern(),
-                &at_voltage(1, 0.8),
-                &SimOptions {
-                    fault_plan: Some(Arc::clone(&plan)),
-                    ..opts.clone()
-                },
-            )
-            .unwrap();
-        let clean = engine
-            .run(&one_pattern(), &at_voltage(1, 0.8), &opts)
-            .unwrap();
-        assert!(injected.is_complete());
-        assert!(injected.diagnostics.kernel_fallbacks > 0);
-        assert!(injected.diagnostics.faults_injected > 0);
-        assert_eq!(injected.slots, clean.slots);
-        assert_eq!(clean.diagnostics.kernel_fallbacks, 0);
-        assert_eq!(clean.diagnostics.faults_injected, 0);
-    }
-
-    #[test]
-    fn injected_alloc_cap_breach_denies_the_retry() {
-        // Rate-1.0 AllocCapBreach: the organic overflow wants a retry,
-        // the injected breach denies the admission — BudgetExceeded
-        // without any memory_budget configured.
-        let n = glitch_netlist();
-        let engine = static_engine(&n, 10.0, 10.0);
-        use avfs_atpg::pattern::{Pattern, PatternPair};
-        let patterns: PatternSet = [
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([false])).unwrap(),
-        ]
-        .into_iter()
-        .collect();
-        let slots = [
-            SlotSpec {
-                pattern: 0,
-                voltage: 0.8,
-            },
-            SlotSpec {
-                pattern: 1,
-                voltage: 0.8,
-            },
-        ];
-        let plan = Arc::new(FaultPlan::empty(9).with_rate(InjectionSite::AllocCapBreach, 1.0));
-        let run = engine
-            .run(
-                &patterns,
-                &slots,
-                &SimOptions {
-                    threads: 1,
-                    arena_capacity: 1,
-                    fault_plan: Some(Arc::clone(&plan)),
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(run.slots[0].status, SlotStatus::BudgetExceeded);
-        assert_eq!(run.slots[1].status, SlotStatus::Completed { retries: 0 });
-        assert_eq!(run.diagnostics.budget_denials, 1);
-        assert_eq!(run.diagnostics.budget_tripped, Some(TrippedBudget::Memory));
-        assert_eq!(run.diagnostics.slot_retries, 0);
-        assert_eq!(plan.fired_keys(InjectionSite::AllocCapBreach), vec![0]);
-    }
-
-    // ---- scenario engine: schedules and Monte Carlo variation ----
-
-    use crate::scenario::{cross_schedules, MonteCarlo, ScenarioSpec, Schedule};
-    use avfs_delay::VariationConfig;
-
-    /// A kernel whose factor actually depends on voltage — the flat
-    /// [`StaticModel`] would make every schedule segment indistinguishable,
-    /// so the segment-snapping and schedule tests need this instead.
-    #[derive(Debug)]
-    struct VoltageScaledModel {
-        space: ParameterSpace,
-    }
-
-    impl avfs_delay::model::DelayModel for VoltageScaledModel {
-        fn factor(
-            &self,
-            _cell: avfs_netlist::CellId,
-            _pin: usize,
-            _polarity: avfs_netlist::library::Polarity,
-            p: NormalizedPoint,
-        ) -> Result<f64, avfs_delay::DelayError> {
-            // Monotone decreasing in voltage, strictly positive on [0, 1].
-            Ok(1.5 - p.v)
-        }
-        fn name(&self) -> &str {
-            "voltage-scaled"
-        }
-        fn space(&self) -> &ParameterSpace {
-            &self.space
-        }
-    }
-
-    fn voltage_scaled_engine(netlist: &Arc<Netlist>, rise: f64, fall: f64) -> Engine {
-        let mut ann = TimingAnnotation::zero(netlist);
-        for (id, node) in netlist.iter() {
-            if matches!(node.kind(), NodeKind::Gate(_)) {
-                for pin in 0..node.fanin().len() {
-                    ann.node_delays_mut(id)[pin] = PinDelays { rise, fall };
-                }
-            }
-        }
-        Engine::new(
-            Arc::clone(netlist),
-            Arc::new(ann),
-            Arc::new(VoltageScaledModel {
-                space: ParameterSpace::paper(),
-            }),
-        )
-        .unwrap()
-    }
-
-    /// The tentpole identity: a constant (single-segment) schedule is the
-    /// static run, bit for bit — slots, diagnostics, node evaluations —
-    /// at every thread count and lane width, profiled or not, and the
-    /// profile carries no scenario instruments (so even profiles stay
-    /// identical to the static launch).
-    #[test]
-    fn constant_schedule_is_bit_identical_to_static() {
-        let lib = CellLibrary::nangate15_like();
-        let cfg = avfs_circuits::GeneratorConfig::small();
-        let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 23).unwrap());
-        let engine = voltage_scaled_engine(&n, 8.0, 9.5);
-        let patterns = PatternSet::lfsr(n.inputs().len(), 4, 5);
-        let voltages = [0.7, 0.9];
-        let slots = cross(patterns.len(), &voltages);
-        let scenarios = cross_schedules(
-            patterns.len(),
-            &[Schedule::constant(0.7), Schedule::constant(0.9)],
-        );
-        for threads in [1usize, 4] {
-            for lanes in [1usize, 8] {
-                for profiling in [false, true] {
-                    let opts = SimOptions {
-                        threads,
-                        lanes,
-                        profiling,
-                        ..SimOptions::default()
-                    };
-                    let case = format!("threads={threads}, lanes={lanes}, profiling={profiling}");
-                    let fixed = engine.run(&patterns, &slots, &opts).unwrap();
-                    let scheduled = engine
-                        .run_scenarios(&patterns, &scenarios, None, None, &opts)
-                        .unwrap();
-                    assert_eq!(scheduled.slots, fixed.slots, "{case}");
-                    assert_eq!(scheduled.diagnostics, fixed.diagnostics, "{case}");
-                    assert_eq!(scheduled.node_evaluations, fixed.node_evaluations, "{case}");
-                    if profiling {
-                        let profile = scheduled.profile.as_ref().unwrap();
-                        assert_eq!(
-                            profile.counter(phases::ENGINE_SCENARIO_SEGMENTS),
-                            None,
-                            "constant schedules record no scenario instruments ({case})"
-                        );
-                        assert_eq!(profile.counter(phases::ENGINE_MC_SAMPLES), None, "{case}");
-                        assert_eq!(
-                            profile.counter(phases::ENGINE_VARIATION_DRAWS),
-                            None,
-                            "{case}"
-                        );
-                    }
-                    let summary = scheduled.scenario.as_ref().unwrap();
-                    assert_eq!(summary.samples_per_scenario, 1);
-                    assert_eq!(summary.points.len(), voltages.len());
-                }
-            }
-        }
-    }
-
-    /// Multi-segment schedules and Monte Carlo sampling obey the same
-    /// determinism matrix as every other engine path: bit-identical to
-    /// the single-threaded scalar reference at all thread counts and lane
-    /// widths, profiled or not.
-    #[test]
-    fn scheduled_mc_runs_match_single_threaded_reference() {
-        let lib = CellLibrary::nangate15_like();
-        let cfg = avfs_circuits::GeneratorConfig::small();
-        let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 31).unwrap());
-        let engine = voltage_scaled_engine(&n, 8.0, 9.5);
-        let patterns = PatternSet::lfsr(n.inputs().len(), 3, 9);
-        let scenarios = cross_schedules(
-            patterns.len(),
-            &[
-                Schedule::droop(0.9, 0.15, 12.0, 40.0),
-                Schedule::steps([(0.0, 0.7), (25.0, 1.0)]),
-            ],
-        );
-        let mc = MonteCarlo {
-            samples: 3,
-            variation: VariationConfig {
-                sigma: 0.05,
-                max_deviation: 0.2,
-                seed: 0xD1CE,
-            },
-        };
-        let reference = engine
-            .run_scenarios(
-                &patterns,
-                &scenarios,
-                Some(&mc),
-                Some(500.0),
-                &SimOptions {
-                    threads: 1,
-                    lanes: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(reference.slots.len(), scenarios.len() * mc.samples);
-        for threads in [1usize, 4] {
-            for lanes in [1usize, 8] {
-                for profiling in [false, true] {
-                    let case = format!("threads={threads}, lanes={lanes}, profiling={profiling}");
-                    let got = engine
-                        .run_scenarios(
-                            &patterns,
-                            &scenarios,
-                            Some(&mc),
-                            Some(500.0),
-                            &SimOptions {
-                                threads,
-                                lanes,
-                                profiling,
-                                ..SimOptions::default()
-                            },
-                        )
-                        .unwrap();
-                    assert_eq!(got.slots, reference.slots, "{case}");
-                    assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
-                    assert_eq!(got.scenario, reference.scenario, "{case}");
-                    if profiling {
-                        let profile = got.profile.as_ref().unwrap();
-                        // 3 segments + 2 segments, × patterns × dice.
-                        let segments = (3 + 2) as u64 * patterns.len() as u64 * mc.samples as u64;
-                        assert_eq!(
-                            profile.counter(phases::ENGINE_SCENARIO_SEGMENTS),
-                            Some(segments),
-                            "{case}"
-                        );
-                        assert_eq!(
-                            profile.counter(phases::ENGINE_MC_SAMPLES),
-                            Some(reference.slots.len() as u64),
-                            "{case}"
-                        );
-                        assert!(
-                            profile.counter(phases::ENGINE_VARIATION_DRAWS).unwrap() > 0,
-                            "{case}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Segment selection snaps on the *cause* (input event) time: an
-    /// event exactly at a boundary belongs to the later segment, one just
-    /// before it to the earlier — checked through a two-inverter chain
-    /// whose second stage's input event lands exactly on the boundary.
-    #[test]
-    fn boundary_event_snaps_to_later_segment() {
-        let n = chain_netlist();
-        let engine = voltage_scaled_engine(&n, 10.0, 10.0);
-        let space = ParameterSpace::paper();
-        let c_min = space.load_range().0;
-        let f = |v: f64| 1.5 - space.normalize_clamped(OperatingPoint::new(v, c_min)).v;
-        let (v0, v1) = (0.7, 1.0);
-        // Input flips at t = 0 (segment 0): g1's output lands at t1.
-        let t1 = 10.0 * f(v0);
-        let opts = SimOptions {
-            threads: 1,
-            ..SimOptions::default()
-        };
-        let run_with_boundary = |boundary: f64| {
-            let scenarios = [ScenarioSpec {
-                pattern: 0,
-                schedule: Schedule::steps([(0.0, v0), (boundary, v1)]),
-            }];
-            let run = engine
-                .run_scenarios(&one_pattern(), &scenarios, None, None, &opts)
-                .unwrap();
-            run.slots[0].latest_output_transition_ps.unwrap()
-        };
-        // Boundary exactly at g2's input event: the event sees the
-        // *later* (faster) segment.
-        let at = run_with_boundary(t1);
-        assert!(
-            (at - (t1 + 10.0 * f(v1))).abs() < 1e-9,
-            "boundary event must use the later segment: got {at}"
-        );
-        // Boundary just after the event: still the earlier segment.
-        let after = run_with_boundary(t1 + 0.01);
-        assert!(
-            (after - (t1 + 10.0 * f(v0))).abs() < 1e-9,
-            "pre-boundary event must use the earlier segment: got {after}"
-        );
-    }
-
-    /// Monte Carlo draws replay exactly from the seed (pure hashes, no
-    /// stateful RNG), a different seed draws different dice, and a
-    /// zero-sigma die is bit-identical to the variation-free run.
-    #[test]
-    fn mc_replays_exactly_from_seed() {
-        let lib = CellLibrary::nangate15_like();
-        let cfg = avfs_circuits::GeneratorConfig::small();
-        let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 47).unwrap());
-        let engine = voltage_scaled_engine(&n, 8.0, 9.0);
-        let patterns = PatternSet::lfsr(n.inputs().len(), 2, 3);
-        let scenarios = cross_schedules(patterns.len(), &[Schedule::droop(0.9, 0.1, 15.0, 60.0)]);
-        let opts = SimOptions {
-            threads: 1,
-            ..SimOptions::default()
-        };
-        let mc = |sigma: f64, seed: u64| MonteCarlo {
-            samples: 4,
-            variation: VariationConfig {
-                sigma,
-                max_deviation: 0.25,
-                seed,
-            },
-        };
-        let a = engine
-            .run_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
-            .unwrap();
-        let b = engine
-            .run_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
-            .unwrap();
-        assert_eq!(a.slots, b.slots, "same seed must replay exactly");
-        assert_eq!(a.scenario, b.scenario);
-        let c = engine
-            .run_scenarios(&patterns, &scenarios, Some(&mc(0.08, 8)), None, &opts)
-            .unwrap();
-        assert_ne!(
-            a.slots
-                .iter()
-                .map(|s| s.latest_output_transition_ps)
-                .collect::<Vec<_>>(),
-            c.slots
-                .iter()
-                .map(|s| s.latest_output_transition_ps)
-                .collect::<Vec<_>>(),
-            "a different seed must draw different dice"
-        );
-        // Zero sigma: derates are exactly 1.0, so the sampled run is the
-        // variation-free run bit for bit (slot-for-slot: each scenario's
-        // single nominal die).
-        let nominal = engine
-            .run_scenarios(
-                &patterns,
-                &scenarios,
-                Some(&MonteCarlo {
-                    samples: 1,
-                    variation: VariationConfig {
-                        sigma: 0.0,
-                        max_deviation: 0.25,
-                        seed: 99,
-                    },
-                }),
-                None,
-                &opts,
-            )
-            .unwrap();
-        let plain = engine
-            .run_scenarios(&patterns, &scenarios, None, None, &opts)
-            .unwrap();
-        assert_eq!(nominal.slots, plain.slots);
-    }
-
-    #[test]
-    fn malformed_scenarios_rejected() {
-        let n = chain_netlist();
-        let engine = voltage_scaled_engine(&n, 10.0, 10.0);
-        let patterns = one_pattern();
-        let opts = SimOptions::default();
-        let launch = |schedule: Schedule| {
-            engine.run_scenarios(
-                &patterns,
-                &[ScenarioSpec {
-                    pattern: 0,
-                    schedule,
-                }],
-                None,
-                None,
-                &opts,
-            )
-        };
-        // Structurally un-lowerable shapes: refused in every validation
-        // mode (the segment lookup has no semantics for them).
-        for (name, schedule) in [
-            ("empty", Schedule { segments: vec![] }),
-            (
-                "unsorted",
-                Schedule::steps([(0.0, 0.8), (50.0, 0.7), (40.0, 0.9)]),
-            ),
-            (
-                "duplicate",
-                Schedule::steps([(0.0, 0.8), (50.0, 0.7), (50.0, 0.9)]),
-            ),
-            ("nan-start", Schedule::steps([(0.0, 0.8), (f64::NAN, 0.7)])),
-        ] {
-            match launch(schedule) {
-                Err(SimError::InvalidSchedule { slot: 0, .. }) => {}
-                other => panic!("{name}: expected InvalidSchedule, got {other:?}"),
-            }
-        }
-        // Voltage problems: the same refusal a static slot gets.
-        for bad in [f64::NAN, f64::INFINITY, 0.0, -0.8] {
-            match launch(Schedule::steps([(0.0, 0.8), (10.0, bad)])) {
-                Err(SimError::InvalidOperatingPoint { slot: 0, .. }) => {}
-                other => panic!("expected InvalidOperatingPoint, got {other:?}"),
-            }
-        }
-        // Empty launches.
-        assert_eq!(
-            engine
-                .run_scenarios(&patterns, &[], None, None, &opts)
-                .unwrap_err(),
-            SimError::EmptySlots
-        );
-        assert_eq!(
-            engine
-                .run_scenarios(
-                    &patterns,
-                    &[ScenarioSpec {
-                        pattern: 0,
-                        schedule: Schedule::constant(0.8),
-                    }],
-                    Some(&MonteCarlo {
-                        samples: 0,
-                        variation: VariationConfig::sigma5(0),
-                    }),
-                    None,
-                    &opts,
-                )
-                .unwrap_err(),
-            SimError::EmptySlots
-        );
-        // Pattern index out of range.
-        match engine.run_scenarios(
-            &patterns,
-            &[ScenarioSpec {
-                pattern: 7,
-                schedule: Schedule::constant(0.8),
-            }],
-            None,
-            None,
-            &opts,
-        ) {
-            Err(SimError::BadPatternIndex {
-                index: 7,
-                available: 1,
-            }) => {}
-            other => panic!("expected BadPatternIndex, got {other:?}"),
-        }
-    }
-
-    /// Repairable schedule findings — an unanchored first segment
-    /// (`AVC-N010`, lowering extends it back to `t = 0`) and supplies
-    /// outside the characterized range (`AVC-D006`, the kernel clamps) —
-    /// follow `SimOptions::strict_validation` instead of hard-failing:
-    /// recorded under `Warn`, refused under `Deny`, silent under `Off`.
-    #[test]
-    fn repairable_schedules_follow_validation_mode() {
-        let n = chain_netlist();
-        let engine = voltage_scaled_engine(&n, 10.0, 10.0);
-        let patterns = one_pattern();
-        let launch = |schedule: Schedule, mode: ValidationMode| {
-            engine.run_scenarios(
-                &patterns,
-                &[ScenarioSpec {
-                    pattern: 0,
-                    schedule,
-                }],
-                None,
-                None,
-                &SimOptions {
-                    strict_validation: mode,
-                    ..SimOptions::default()
-                },
-            )
-        };
-        // The paper space characterizes [0.55, 1.1] V; 1.3 V clamps.
-        let cases = [
-            ("AVC-N010", Schedule::steps([(5.0, 0.8), (20.0, 0.7)])),
-            ("AVC-D006", Schedule::steps([(0.0, 0.8), (20.0, 1.3)])),
-        ];
-        for (rule, schedule) in &cases {
-            // Warn (the default): the run proceeds, the finding lands in
-            // the diagnostics.
-            let run = launch(schedule.clone(), ValidationMode::Warn).unwrap();
-            assert!(
-                run.diagnostics
-                    .validation_findings
-                    .iter()
-                    .any(|f| f.contains(rule)),
-                "{rule} missing from {:?}",
-                run.diagnostics.validation_findings
-            );
-            assert!(run.slots[0].status.is_completed());
-            // Deny: the same launch is refused, carrying the finding.
-            match launch(schedule.clone(), ValidationMode::Deny) {
-                Err(SimError::Validation { findings }) => {
-                    assert!(findings.iter().any(|f| f.contains(rule)), "{findings:?}");
-                }
-                other => panic!("{rule}: expected Validation refusal, got {other:?}"),
-            }
-            // Off: runs, records nothing.
-            let off = launch(schedule.clone(), ValidationMode::Off).unwrap();
-            assert!(off.diagnostics.validation_findings.is_empty());
-        }
-        // An unanchored schedule still lowers soundly: segment 0 extends
-        // back to the launch instant, so this two-segment trace equals
-        // the anchored trace with the same boundary.
-        let unanchored = launch(
-            Schedule::steps([(5.0, 0.8), (20.0, 0.7)]),
-            ValidationMode::Warn,
-        )
-        .unwrap();
-        let anchored = launch(
-            Schedule::steps([(0.0, 0.8), (20.0, 0.7)]),
-            ValidationMode::Warn,
-        )
-        .unwrap();
-        assert_eq!(unanchored.slots, anchored.slots);
-    }
-
-    /// The failure-probability reduction against a capture deadline:
-    /// lower supplies are slower under the voltage-scaled kernel, so a
-    /// deadline between the two arrival times separates the curve.
-    #[test]
-    fn scenario_summary_separates_voltages_at_a_deadline() {
-        let n = chain_netlist();
-        let engine = voltage_scaled_engine(&n, 10.0, 10.0);
-        let space = ParameterSpace::paper();
-        let c_min = space.load_range().0;
-        let f = |v: f64| 1.5 - space.normalize_clamped(OperatingPoint::new(v, c_min)).v;
-        let (slow_v, fast_v) = (0.6, 1.0);
-        let deadline = 20.0 * (f(slow_v) + f(fast_v)) / 2.0;
-        let scenarios =
-            cross_schedules(1, &[Schedule::constant(slow_v), Schedule::constant(fast_v)]);
-        let run = engine
-            .run_scenarios(
-                &one_pattern(),
-                &scenarios,
-                None,
-                Some(deadline),
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        let summary = run.scenario.as_ref().unwrap();
-        assert_eq!(summary.capture_deadline_ps, Some(deadline));
-        assert_eq!(summary.points.len(), 2);
-        let slow = summary.points.iter().find(|p| p.voltage == slow_v).unwrap();
-        let fast = summary.points.iter().find(|p| p.voltage == fast_v).unwrap();
-        assert_eq!((slow.samples, slow.failures), (1, 1), "slow slot misses");
-        assert!((slow.p_fail - 1.0).abs() < 1e-12);
-        assert_eq!((fast.samples, fast.failures), (1, 0), "fast slot makes it");
-        assert_eq!(fast.p_fail, 0.0);
     }
 }

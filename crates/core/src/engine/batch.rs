@@ -1,0 +1,701 @@
+//! One batch of a launch: as many slots as fit the arena, simulated
+//! level by level with a barrier per level (paper Fig. 3) in named
+//! phases — stimuli, voltage grouping, delay initialisation, activity
+//! gating, dispatch, barrier, analysis.
+
+use super::delays::{DelayFault, GroupDelays, VoltageGroup};
+use super::{RunCtx, RunState, MAX_STEAL_CHUNK, STEAL_GRABS_PER_WORKER};
+use crate::phases;
+use crate::pool::WorkerPool;
+use crate::results::{SlotResult, SlotStatus};
+use crate::SimError;
+use avfs_inject::InjectionSite;
+use avfs_netlist::NodeId;
+use avfs_obs::time_option;
+use avfs_waveform::{
+    evaluate_gate_bounded_raw, evaluate_gate_bounded_raw_segmented, CapacityOverflow, GateScratch,
+    LaneLayout, LevelWriter, OverflowHook, SwitchingActivity, Waveform, WaveformArena,
+    WaveformStats, WaveformView,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Why a slot died within a batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dead {
+    /// A gate's output outgrew the bounded arena — retry at larger
+    /// capacity.
+    Overflow,
+    /// The slot's evaluation panicked — contained, no retry.
+    Panic,
+    /// The run's wall-clock deadline expired at a level barrier — the
+    /// slot is abandoned, no retry.
+    Deadline,
+}
+
+/// One batch in flight: `chunk` indexes into the launch's work list.
+pub(super) struct Batch<'c> {
+    ctx: &'c RunCtx<'c>,
+    chunk: &'c [usize],
+    round: u32,
+    /// The lane-major (slot-packed) address map of this batch: chunk
+    /// slots are grouped `L` at a time and one net's `L` waveforms are
+    /// stored contiguously, so every per-gate pass advances a whole lane
+    /// group. `L = 1` degenerates exactly to the slot-major layout,
+    /// which is what the determinism matrix compares against.
+    layout: LaneLayout,
+    /// Per-slot fault status. A dead slot's remaining work is skipped;
+    /// flags are only updated at level barriers so the schedule stays
+    /// deterministic.
+    dead: Vec<Option<Dead>>,
+    groups: Vec<VoltageGroup<'c>>,
+    group_of_slot: Vec<usize>,
+    fallbacks: u64,
+    variation_draws: u64,
+}
+
+/// Shared per-level context handed to the device threads. The task grid
+/// is `live_groups × gate_nodes`: scheduled entry `(gt, mask)` evaluates
+/// gate `gate_nodes[gt % gates]` for every lane set in `mask` of lane
+/// group `live_groups[gt / gates]`.
+struct LevelCtx<'l> {
+    /// The level's gate nodes (outputs are barrier passthroughs, not
+    /// tasks).
+    gate_nodes: &'l [NodeId],
+    gate_offsets: &'l [usize],
+    /// `delays[group].segs[segment][gate_offsets[pos] + pin]` — modified
+    /// pin delays per voltage group and schedule segment.
+    delays: Vec<GroupDelays<'l>>,
+    /// Lane groups with at least one live lane at the start of the level,
+    /// as `(group index, live-lane mask)`.
+    live_groups: &'l [(usize, u64)],
+}
+
+impl<'c> Batch<'c> {
+    /// Grouping phase: lays the chunk out lane-major and sorts its slots
+    /// into voltage groups, so delay initialisation runs once per
+    /// (level, group) instead of once per (slot, gate).
+    pub(super) fn new(ctx: &'c RunCtx<'c>, chunk: &'c [usize], round: u32) -> Self {
+        let nodes = ctx.compiled.netlist.num_nodes();
+        let mut groups: Vec<VoltageGroup<'c>> = Vec::new();
+        let group_of_slot = chunk
+            .iter()
+            .map(|&slot| {
+                let w = &ctx.work[slot];
+                groups
+                    .iter()
+                    .position(|g| g.matches(&w.assign, w.variation))
+                    .unwrap_or_else(|| {
+                        groups.push(VoltageGroup::new(&w.assign, w.variation, slot as u64));
+                        groups.len() - 1
+                    })
+            })
+            .collect();
+        Batch {
+            ctx,
+            chunk,
+            round,
+            layout: LaneLayout::new(ctx.options.resolved_lanes(), nodes.max(1), chunk.len()),
+            dead: vec![None; chunk.len()],
+            groups,
+            group_of_slot,
+            fallbacks: 0,
+            variation_draws: 0,
+        }
+    }
+
+    /// Simulates the batch against the bounded `arena`. Slots that
+    /// overflow the arena are appended to `overflowed` for the caller's
+    /// retry loop; slots whose evaluation panics are contained and
+    /// recorded as failed. Only errors affecting the whole run (a
+    /// delay-model error) propagate as `Err`.
+    pub(super) fn run(
+        mut self,
+        arena: &mut WaveformArena,
+        state: &mut RunState,
+        overflowed: &mut Vec<usize>,
+    ) -> Result<(), SimError> {
+        let metrics = self.ctx.metrics;
+        arena.reset();
+        time_option(metrics, phases::ENGINE_STIMULI, || self.stimuli(arena));
+        self.bind_delay_tables()?;
+        // Levels 1…L: the vertical dimension with a barrier per level.
+        for level in 1..self.ctx.compiled.levels.depth() {
+            if self.dead.iter().all(Option::is_some) {
+                break;
+            }
+            if self.ctx.compiled.levels.level(level).is_empty() {
+                continue;
+            }
+            if let Some(m) = metrics {
+                m.add(phases::ENGINE_LEVELS, 1);
+            }
+            self.init_delays(level)?;
+            let live_groups = self.live_lane_groups();
+            if live_groups.is_empty() {
+                continue;
+            }
+            if let Some(m) = metrics {
+                m.add(phases::ENGINE_LANES_GROUPS, live_groups.len() as u64);
+            }
+            let verdicts = time_option(metrics, phases::ENGINE_WAVEFORM_MERGE, || {
+                self.merge_level(level, &live_groups, arena)
+            });
+            time_option(metrics, phases::ENGINE_BARRIER, || {
+                self.barrier(level, &live_groups, verdicts, arena);
+            });
+            // Level-barrier progress bump (the watchdog's liveness signal)
+            // and the cooperative deadline check: a level runs to its
+            // barrier, then every still-live slot of an expired batch is
+            // abandoned at once.
+            if let Some(wd) = &self.ctx.watchdog {
+                wd.progress();
+            }
+            if self.ctx.deadline_expired() {
+                for d in self.dead.iter_mut().filter(|d| d.is_none()) {
+                    *d = Some(Dead::Deadline);
+                }
+                break;
+            }
+        }
+        state.diag.kernel_fallbacks += self.fallbacks;
+        if let Some(m) = metrics.filter(|_| self.variation_draws > 0) {
+            m.add(phases::ENGINE_VARIATION_DRAWS, self.variation_draws);
+        }
+        time_option(metrics, phases::ENGINE_ANALYSIS, || {
+            self.analyze(arena, state, overflowed);
+        });
+        Ok(())
+    }
+
+    /// Level 0: stimuli waveforms, written through lane-group-disjoint
+    /// arena partitions (one per lane group of the batch; a group's
+    /// cells are contiguous by construction).
+    fn stimuli(&mut self, arena: &mut WaveformArena) {
+        let ctx = self.ctx;
+        let layout = self.layout;
+        for (g, mut part) in arena
+            .partitions(layout.group_entries())
+            .take(layout.groups())
+            .enumerate()
+        {
+            let w = layout.group_width(g);
+            for lane in 0..w {
+                let si = layout.group_slot(g) + lane;
+                let pair = &ctx.patterns.pairs()[ctx.work[self.chunk[si]].pattern];
+                for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
+                    let wf = Waveform::from_pattern(
+                        pair.launch.bit(k),
+                        pair.capture.bit(k),
+                        ctx.options.launch_time_ps,
+                    );
+                    // Partition-local lane-major index: net-major
+                    // within the group, lanes contiguous.
+                    if part.write(pi.index() * w + lane, &wf).is_err() {
+                        self.dead[si] = Some(Dead::Overflow);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Marks every still-live slot of voltage group `g` dead.
+    fn kill_group(&mut self, g: usize, verdict: Dead) {
+        for (d, &gg) in self.dead.iter_mut().zip(&self.group_of_slot) {
+            if gg == g && d.is_none() {
+                *d = Some(verdict);
+            }
+        }
+    }
+
+    /// Delay initialisation, launch half: binds every uniform and
+    /// scheduled group to the artifact's per-voltage tables. An armed
+    /// fault plan corrupts factors per (run, round), which no cached
+    /// table can reflect, so armed runs bind nothing and initialize
+    /// every group per level instead.
+    fn bind_delay_tables(&mut self) -> Result<(), SimError> {
+        let ctx = self.ctx;
+        if ctx.injector.is_armed() {
+            return Ok(());
+        }
+        // Table fetches (and first-use builds) are delay-kernel work.
+        let _span = ctx.metrics.map(|m| m.span(phases::ENGINE_DELAY_KERNEL));
+        for g in 0..self.groups.len() {
+            match self.groups[g].bind_tables(ctx.compiled, ctx.metrics) {
+                Ok(()) => {}
+                Err(DelayFault::Model(e)) => return Err(e),
+                Err(DelayFault::Panicked) => self.kill_group(g, Dead::Panic),
+            }
+        }
+        if let Some(m) = ctx
+            .metrics
+            .filter(|_| self.groups.iter().all(VoltageGroup::is_cached))
+        {
+            m.add(phases::ENGINE_DELAY_TABLE_HITS, 1);
+        }
+        Ok(())
+    }
+
+    /// Delay initialisation, level half: every voltage group still live
+    /// this level (a group is live while any of its slots is) gets its
+    /// modified pin delays for `level`.
+    fn init_delays(&mut self, level: usize) -> Result<(), SimError> {
+        let ctx = self.ctx;
+        let _span = ctx.metrics.map(|m| m.span(phases::ENGINE_DELAY_KERNEL));
+        let mut kernel_evals = 0u64;
+        for g in 0..self.groups.len() {
+            let live = self
+                .group_of_slot
+                .iter()
+                .zip(&self.dead)
+                .any(|(&gg, d)| gg == g && d.is_none());
+            if !live {
+                continue;
+            }
+            // Injected non-finite kernel output: corrupted factors flow
+            // into the fallback guard exactly like an organically broken
+            // kernel's would.
+            let (key, salt) = (self.groups[g].key(), u64::from(self.round));
+            let corrupt = |f| ctx.injector.corrupt_factor(f, key, salt);
+            match self.groups[g].init_level(ctx.compiled, level, corrupt) {
+                Ok(init) => {
+                    self.fallbacks += init.fallbacks;
+                    self.variation_draws += init.draws;
+                    kernel_evals += init.kernel_evals;
+                }
+                Err(DelayFault::Model(e)) => return Err(e),
+                Err(DelayFault::Panicked) => self.kill_group(g, Dead::Panic),
+            }
+        }
+        if let Some(m) = ctx.metrics {
+            m.add(phases::ENGINE_KERNEL_EVALS, kernel_evals);
+        }
+        Ok(())
+    }
+
+    /// The lane groups of the level's task grid: dead lanes are masked
+    /// out of their group's live mask up front, so neither round 0 nor
+    /// retry rounds ever evaluate a quarantined slot's lanes; a fully
+    /// dead group is dropped from the grid.
+    fn live_lane_groups(&self) -> Vec<(usize, u64)> {
+        (0..self.layout.groups())
+            .filter_map(|g| {
+                let mut mask = 0u64;
+                for lane in 0..self.layout.group_width(g) {
+                    if self.dead[self.layout.group_slot(g) + lane].is_none() {
+                        mask |= 1 << lane;
+                    }
+                }
+                (mask != 0).then_some((g, mask))
+            })
+            .collect()
+    }
+
+    /// Evaluates the level's live lane groups × gates and returns the
+    /// fault verdicts `(slot-major grid index, fault)` the workers
+    /// collected.
+    fn merge_level(
+        &self,
+        level: usize,
+        live_groups: &[(usize, u64)],
+        arena: &mut WaveformArena,
+    ) -> Vec<(usize, Dead)> {
+        let ctx = self.ctx;
+        let plan = &ctx.compiled.level_plans[level];
+        // Per-(slot, gate) grid size — the unit the activity counters
+        // are denominated in, independent of the lane width.
+        let live_count = self.dead.iter().filter(|d| d.is_none()).count();
+        let grid_tasks = live_count * plan.gate_nodes.len();
+        if grid_tasks == 0 {
+            return Vec::new();
+        }
+        let level_ctx = LevelCtx {
+            gate_nodes: &plan.gate_nodes,
+            gate_offsets: &plan.gate_offsets,
+            delays: self.groups.iter().map(|g| g.level_view(level)).collect(),
+            live_groups,
+        };
+        // Injected forced overflow: an armed run installs a hook that
+        // maps the written cell back to its global slot and asks the
+        // plan; a firing cell reports CapacityOverflow exactly like a
+        // real capacity miss, feeding the same quarantine-and-retry loop.
+        let (chunk, layout, round) = (self.chunk, self.layout, u64::from(self.round));
+        let overflow_hook = ctx.injector.is_armed().then_some(move |idx: usize| {
+            let slot = chunk[layout.slot_of(idx)] as u64;
+            ctx.injector
+                .fires(InjectionSite::ArenaOverflow, slot, round)
+        });
+        // In-place epoch writer: tasks write this level's cells directly
+        // into the arena (claim-guarded, cell-disjoint) while reading
+        // only previous levels' cells — no per-task waveform allocation,
+        // no serial write-back.
+        let writer = arena.level_writer_hooked(overflow_hook.as_ref().map(|h| h as &OverflowHook));
+        // The scheduled task list: (lane-group grid index, eval mask)
+        // pairs — the surviving active lanes when gated, the whole grid
+        // otherwise.
+        let scheduled: Vec<(usize, u64)> = if ctx.options.activity_gating {
+            self.gate(&level_ctx, &writer, grid_tasks)
+        } else {
+            let gates = plan.gate_nodes.len();
+            live_groups
+                .iter()
+                .enumerate()
+                .flat_map(|(gi, &(_, mask))| (0..gates).map(move |pos| (gi * gates + pos, mask)))
+                .collect()
+        };
+        if scheduled.is_empty() {
+            return Vec::new();
+        }
+        self.dispatch(&level_ctx, &writer, &scheduled)
+    }
+
+    /// Activity gating, lane-packed: a gate whose fanin cells are all
+    /// quiet (zero transitions) has a constant output. Per (lane group,
+    /// gate) the quiet lanes are found with word-wide quiet-bit reads,
+    /// the constant outputs computed with one bit-parallel `eval_lanes`
+    /// word op, and written back under a single masked run claim — the
+    /// coordinator resolves whole lane words at once and only lanes with
+    /// active fanin survive into the returned task list. The scan claims
+    /// runs in (group, gate) order on one thread, so the schedule stays
+    /// deterministic; retry rounds re-derive quiet bits from the
+    /// surviving lanes' freshly written cells.
+    fn gate(
+        &self,
+        level_ctx: &LevelCtx<'_>,
+        writer: &LevelWriter<'_>,
+        grid_tasks: usize,
+    ) -> Vec<(usize, u64)> {
+        let netlist = &self.ctx.compiled.netlist;
+        let layout = self.layout;
+        let gates = level_ctx.gate_nodes.len();
+        let mut active: Vec<(usize, u64)> = Vec::new();
+        let mut quiet_lanes = 0u64;
+        let mut fan_words: Vec<u64> = Vec::new();
+        for (gi, &(g, live_mask)) in level_ctx.live_groups.iter().enumerate() {
+            let w = layout.group_width(g);
+            for (pos, &node_id) in level_ctx.gate_nodes.iter().enumerate() {
+                let node = netlist.node(node_id);
+                let mut quiet = live_mask;
+                for f in node.fanin() {
+                    if quiet == 0 {
+                        break;
+                    }
+                    quiet &= writer.quiet_run(layout.run_start(g, f.index()), w);
+                }
+                if quiet != 0 {
+                    fan_words.clear();
+                    fan_words.extend(
+                        node.fanin()
+                            .iter()
+                            .map(|f| writer.initial_run(layout.run_start(g, f.index()), w)),
+                    );
+                    let cell = netlist.cell_of(node_id).expect("gate has a cell");
+                    writer.write_constant_run(
+                        layout.run_start(g, node_id.index()),
+                        quiet,
+                        cell.eval_lanes(&fan_words),
+                    );
+                    quiet_lanes += u64::from(quiet.count_ones());
+                }
+                let rest = live_mask & !quiet;
+                if rest != 0 {
+                    active.push((gi * gates + pos, rest));
+                }
+            }
+        }
+        if let Some(m) = self.ctx.metrics {
+            m.add(phases::ENGINE_GATES_SKIPPED_QUIET, quiet_lanes);
+            let active_lanes: u64 = active
+                .iter()
+                .map(|&(_, mask)| u64::from(mask.count_ones()))
+                .sum();
+            m.record(
+                phases::ENGINE_LEVEL_ACTIVITY,
+                active_lanes * 100 / grid_tasks as u64,
+            );
+        }
+        active
+    }
+
+    /// Releases the level's scheduled tasks to the pool (or runs them
+    /// inline) and returns the workers' fault verdicts.
+    fn dispatch(
+        &self,
+        level_ctx: &LevelCtx<'_>,
+        writer: &LevelWriter<'_>,
+        scheduled: &[(usize, u64)],
+    ) -> Vec<(usize, Dead)> {
+        let ctx = self.ctx;
+        let workers = ctx
+            .pool
+            .map_or(1, WorkerPool::size)
+            .clamp(1, scheduled.len());
+        let epoch = Epoch {
+            batch: self,
+            level_ctx,
+            writer,
+            scheduled,
+            cursor: AtomicUsize::new(0),
+            chunk_tasks: (scheduled.len() / (workers * STEAL_GRABS_PER_WORKER))
+                .clamp(1, MAX_STEAL_CHUNK),
+            verdicts: Mutex::new(Vec::new()),
+        };
+        let job = |w: usize| epoch.work(w);
+        match ctx.pool {
+            Some(p) => {
+                let idle = p.run(&job, &ctx.injector, ctx.metrics.is_some());
+                if let Some(m) = ctx.metrics {
+                    m.record_duration(phases::ENGINE_POOL_IDLE, idle);
+                }
+            }
+            None => job(0),
+        }
+        epoch
+            .verdicts
+            .into_inner()
+            .expect("verdict lock survives (worker panics are contained)")
+    }
+
+    /// The barrier: primary-output passthroughs, then fault verdicts.
+    /// Sorting by task index makes reconciliation independent of which
+    /// worker stole which chunk — first fault in task order wins, exactly
+    /// as a serial sweep would decide.
+    fn barrier(
+        &mut self,
+        level: usize,
+        live_groups: &[(usize, u64)],
+        mut verdicts: Vec<(usize, Dead)>,
+        arena: &mut WaveformArena,
+    ) {
+        let compiled = self.ctx.compiled;
+        let plan = &compiled.level_plans[level];
+        let layout = self.layout;
+        for &(g, mask) in live_groups {
+            let mut rem = mask;
+            while rem != 0 {
+                let lane = rem.trailing_zeros() as usize;
+                rem &= rem - 1;
+                let si = layout.group_slot(g) + lane;
+                for &out in &plan.output_nodes {
+                    let from = compiled.netlist.node(out).fanin()[0].index();
+                    arena.copy_cell(layout.index(si, from), layout.index(si, out.index()));
+                }
+            }
+        }
+        verdicts.sort_unstable_by_key(|&(t, _)| t);
+        for (t, verdict) in verdicts {
+            let si = t / plan.gate_nodes.len();
+            if self.dead[si].is_none() {
+                self.dead[si] = Some(verdict);
+            }
+        }
+    }
+
+    /// Waveform analysis (Fig. 2, step 4) for surviving slots;
+    /// quarantine verdicts for the rest.
+    fn analyze(&self, arena: &WaveformArena, state: &mut RunState, overflowed: &mut Vec<usize>) {
+        let ctx = self.ctx;
+        let netlist = &ctx.compiled.netlist;
+        let nodes = netlist.num_nodes();
+        let layout = self.layout;
+        for (si, &slot) in self.chunk.iter().enumerate() {
+            let status = match self.dead[si] {
+                Some(Dead::Overflow) => {
+                    overflowed.push(slot);
+                    continue;
+                }
+                Some(Dead::Panic) => SlotStatus::Panicked,
+                Some(Dead::Deadline) => SlotStatus::DeadlineExceeded,
+                None => SlotStatus::Completed {
+                    retries: self.round,
+                },
+            };
+            if !status.is_completed() {
+                state.fail(ctx.work, slot, status);
+                continue;
+            }
+            let mut responses = Vec::with_capacity(netlist.outputs().len());
+            let mut latest: Option<f64> = None;
+            for &po in netlist.outputs() {
+                let stats = WaveformStats::of(&arena.view(layout.index(si, po.index())));
+                responses.push(stats.final_value);
+                latest = match (latest, stats.latest_transition) {
+                    (Some(a), Some(b)) => Some(a.max(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+            let activity =
+                SwitchingActivity::of((0..nodes).map(|net| arena.view(layout.index(si, net))));
+            if let Some(m) = ctx.metrics {
+                // The activity headroom gating exploits: quiet cells
+                // observed over the whole window (recorded whether or not
+                // gating is on).
+                m.add(
+                    phases::ENGINE_QUIET_CELLS,
+                    (activity.nets - activity.active_nets) as u64,
+                );
+            }
+            state.results[slot] = Some(SlotResult {
+                spec: ctx.work[slot].spec(),
+                status,
+                responses,
+                latest_output_transition_ps: latest,
+                activity,
+                waveforms: ctx.options.keep_waveforms.then(|| {
+                    (0..nodes)
+                        .map(|net| arena.to_waveform(layout.index(si, net)))
+                        .collect()
+                }),
+            });
+        }
+    }
+}
+
+/// One level's release to the workers: the scheduled tasks, the shared
+/// work-stealing cursor and the verdicts collected so far.
+struct Epoch<'l> {
+    batch: &'l Batch<'l>,
+    level_ctx: &'l LevelCtx<'l>,
+    writer: &'l LevelWriter<'l>,
+    scheduled: &'l [(usize, u64)],
+    cursor: AtomicUsize,
+    chunk_tasks: usize,
+    /// Verdicts (grid-task index, fault) collected by workers; applied
+    /// deterministically at the barrier.
+    verdicts: Mutex<Vec<(usize, Dead)>>,
+}
+
+impl Epoch<'_> {
+    /// One worker's share of the level: steal task chunks off the shared
+    /// cursor until it runs dry. A task is one (lane group, gate) pair;
+    /// its eval mask names the lanes to run, each evaluated under its
+    /// own `catch_unwind` so one lane's panic or overflow never takes
+    /// down the group's other slots.
+    fn work(&self, w: usize) {
+        let batch = self.batch;
+        let ctx = batch.ctx;
+        let gates = self.level_ctx.gate_nodes.len();
+        let tasks = self.scheduled.len();
+        let mut scratch = GateScratch::new();
+        let mut inputs: Vec<WaveformView<'_>> = Vec::new();
+        let mut local_verdicts: Vec<(usize, Dead)> = Vec::new();
+        let mut executed = 0u64;
+        let mut grabs = 0u64;
+        loop {
+            let t0 = self.cursor.fetch_add(self.chunk_tasks, Ordering::Relaxed);
+            if t0 >= tasks {
+                break;
+            }
+            grabs += 1;
+            let t1 = (t0 + self.chunk_tasks).min(tasks);
+            for &(gt, mask) in &self.scheduled[t0..t1] {
+                let (g, _) = self.level_ctx.live_groups[gt / gates];
+                let pos = gt % gates;
+                let mut rem = mask;
+                while rem != 0 {
+                    let lane = rem.trailing_zeros() as usize;
+                    rem &= rem - 1;
+                    let si = batch.layout.group_slot(g) + lane;
+                    executed += 1;
+                    let r = catch_unwind(AssertUnwindSafe(|| {
+                        // Injected kernel panic: every lane task of the
+                        // affected (slot, round) panics, so the
+                        // first-in-grid-order verdict is
+                        // schedule-independent.
+                        let slot = batch.chunk[si];
+                        if ctx.injector.is_armed()
+                            && ctx.injector.fires(
+                                InjectionSite::KernelPanic,
+                                slot as u64,
+                                u64::from(batch.round),
+                            )
+                        {
+                            panic!("injected kernel panic (slot {slot})");
+                        }
+                        self.eval_lane(si, pos, &mut scratch, &mut inputs)
+                    }));
+                    inputs.clear();
+                    // Verdicts carry the slot-major grid index (slot ×
+                    // gates + gate) so barrier reconciliation is
+                    // independent of gating, lane width and stealing.
+                    let grid = si * gates + pos;
+                    match r {
+                        Ok(Ok(())) => {}
+                        Ok(Err(_)) => local_verdicts.push((grid, Dead::Overflow)),
+                        Err(_) => local_verdicts.push((grid, Dead::Panic)),
+                    }
+                }
+            }
+        }
+        if !local_verdicts.is_empty() {
+            self.verdicts
+                .lock()
+                .expect("verdict lock survives (worker panics are contained)")
+                .extend(local_verdicts);
+        }
+        ctx.tallies.tasks[w].fetch_add(executed, Ordering::Relaxed);
+        ctx.tallies.steals[w].fetch_add(grabs.saturating_sub(1), Ordering::Relaxed);
+    }
+
+    /// Evaluates one lane of a (lane group, gate) task — gate
+    /// `gate_nodes[pos]` for batch slot `si` — the body of a device
+    /// thread. Inputs are read through the epoch writer from previous
+    /// levels' cells and the result is written in place into this
+    /// level's output cell; `inputs` is reusable scratch whose borrows
+    /// of the writer end when the caller clears it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CapacityOverflow`] when the gate's output history would
+    /// outgrow the arena's per-net capacity — the quarantine signal (the
+    /// output cell is left untouched and unclaimed).
+    fn eval_lane<'a>(
+        &'a self,
+        si: usize,
+        pos: usize,
+        scratch: &mut GateScratch,
+        inputs: &mut Vec<WaveformView<'a>>,
+    ) -> Result<(), CapacityOverflow> {
+        let netlist = &self.batch.ctx.compiled.netlist;
+        let layout = self.batch.layout;
+        let node_id = self.level_ctx.gate_nodes[pos];
+        let node = netlist.node(node_id);
+        let cell = netlist.cell_of(node_id).expect("gate has a cell");
+        let npins = node.fanin().len();
+        let off = self.level_ctx.gate_offsets[pos];
+        let gd = &self.level_ctx.delays[self.batch.group_of_slot[si]];
+        inputs.clear();
+        inputs.extend(
+            node.fanin()
+                .iter()
+                .map(|f| self.writer.view(layout.index(si, f.index()))),
+        );
+        let initial = if gd.boundaries.is_empty() {
+            // Static timeline: one delay per pin.
+            evaluate_gate_bounded_raw(
+                inputs,
+                &gd.segs[0][off..off + npins],
+                |vals| cell.eval(vals),
+                scratch,
+                self.writer.capacity(),
+            )?
+        } else {
+            // Scheduled timeline: each input event is charged the delay
+            // of the segment its cause time falls in.
+            evaluate_gate_bounded_raw_segmented(
+                inputs,
+                gd.boundaries,
+                |seg, pin| gd.segs[seg][off + pin],
+                |vals| cell.eval(vals),
+                scratch,
+                self.writer.capacity(),
+            )?
+        };
+        self.writer.write(
+            layout.index(si, node_id.index()),
+            initial,
+            scratch.scheduled(),
+        )
+    }
+}

@@ -1,0 +1,2059 @@
+#![allow(clippy::too_many_lines)]
+
+use super::*;
+use crate::slots::{at_voltage, cross};
+use avfs_delay::model::DelayModel;
+use avfs_delay::op::NormalizedPoint;
+use avfs_delay::{ParameterSpace, StaticModel, TimingAnnotation};
+use avfs_netlist::{CellLibrary, Netlist, NetlistBuilder, NodeKind};
+use avfs_waveform::PinDelays;
+
+fn chain_netlist() -> Arc<Netlist> {
+    let lib = CellLibrary::nangate15_like();
+    let mut b = NetlistBuilder::new("chain", &lib);
+    let a = b.add_input("a").unwrap();
+    let g1 = b.add_gate("g1", "INV_X1", &[a]).unwrap();
+    let g2 = b.add_gate("g2", "INV_X1", &[g1]).unwrap();
+    b.add_output("y", g2).unwrap();
+    Arc::new(b.finish().unwrap())
+}
+
+fn static_engine(netlist: &Arc<Netlist>, rise: f64, fall: f64) -> CompiledNetlist {
+    let mut ann = TimingAnnotation::zero(netlist);
+    for (id, node) in netlist.iter() {
+        if matches!(node.kind(), NodeKind::Gate(_)) {
+            for pin in 0..node.fanin().len() {
+                ann.node_delays_mut(id)[pin] = PinDelays { rise, fall };
+            }
+        }
+    }
+    CompiledNetlist::compile(
+        Arc::clone(netlist),
+        Arc::new(ann),
+        Arc::new(StaticModel::new(ParameterSpace::paper())),
+    )
+    .unwrap()
+}
+
+fn one_pattern() -> PatternSet {
+    use avfs_atpg::pattern::{Pattern, PatternPair};
+    std::iter::once(
+        PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
+    )
+    .collect()
+}
+
+#[test]
+fn chain_propagates_with_static_delays() {
+    let n = chain_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let opts = SimOptions {
+        keep_waveforms: true,
+        threads: 1,
+        ..SimOptions::default()
+    };
+    let run = engine
+        .launch(&one_pattern(), &at_voltage(1, 0.8), &opts)
+        .unwrap();
+    assert_eq!(run.slots.len(), 1);
+    let slot = &run.slots[0];
+    // Input rises at 0; y (after two inverters) rises at 20.
+    assert_eq!(slot.latest_output_transition_ps, Some(20.0));
+    assert_eq!(slot.responses, vec![true]);
+    let wfs = slot.waveforms.as_ref().unwrap();
+    let g1 = n.find("g1").unwrap();
+    assert_eq!(wfs[g1.index()].transitions(), &[10.0]);
+    assert!(!wfs[g1.index()].final_value());
+    assert_eq!(run.node_evaluations, 4);
+    assert!(run.meps() >= 0.0);
+}
+
+#[test]
+fn voltage_slots_share_pattern() {
+    let n = chain_netlist();
+    let engine = static_engine(&n, 5.0, 7.0);
+    let run = engine
+        .launch(
+            &one_pattern(),
+            &cross(1, &[0.6, 0.8, 1.0]),
+            &SimOptions {
+                threads: 1,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    // Static model: identical timing regardless of voltage.
+    assert_eq!(run.slots.len(), 3);
+    let t0 = run.slots[0].latest_output_transition_ps;
+    assert!(run
+        .slots
+        .iter()
+        .all(|s| s.latest_output_transition_ps == t0));
+    assert_eq!(run.voltages(), vec![0.6, 0.8, 1.0]);
+}
+
+#[test]
+fn batching_is_transparent() {
+    // Force a one-slot batch via a tiny waveform budget and compare
+    // against an unbatched run.
+    let n = chain_netlist();
+    let engine = static_engine(&n, 3.0, 4.0);
+    let patterns = one_pattern();
+    let slots = cross(1, &[0.8, 0.9, 1.0, 1.1]);
+    let big = engine
+        .launch(
+            &patterns,
+            &slots,
+            &SimOptions {
+                threads: 1,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    let tiny = engine
+        .launch(
+            &patterns,
+            &slots,
+            &SimOptions {
+                threads: 1,
+                waveform_budget: 1, // → batch of one slot
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(big.slots.len(), tiny.slots.len());
+    for (a, b) in big.slots.iter().zip(&tiny.slots) {
+        assert_eq!(a.responses, b.responses);
+        assert_eq!(a.latest_output_transition_ps, b.latest_output_transition_ps);
+        assert_eq!(a.activity, b.activity);
+    }
+}
+
+/// Determinism matrix: the hard invariant of the pooled engine is that
+/// results are bit-for-bit identical to the single-threaded path
+/// across worker counts, profiling on/off, and the fault paths
+/// (overflow quarantine-and-retry, panic containment).
+#[test]
+fn multithreaded_matches_single_threaded() {
+    let lib = CellLibrary::nangate15_like();
+    let cfg = avfs_circuits::GeneratorConfig::small();
+    let rnd = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 11).unwrap());
+    let rnd_engine = static_engine(&rnd, 8.0, 9.5);
+    let rnd_patterns = PatternSet::lfsr(rnd.inputs().len(), 4, 5);
+    let glitch = glitch_netlist();
+    let glitch_engine = static_engine(&glitch, 10.0, 10.0);
+    let chain = chain_netlist();
+    let panicky_engine = CompiledNetlist::compile(
+        Arc::clone(&chain),
+        Arc::new(
+            static_engine(&chain, 10.0, 10.0)
+                .annotation()
+                .as_ref()
+                .clone(),
+        ),
+        Arc::new(PanickyModel {
+            inner: StaticModel::new(ParameterSpace::paper()),
+        }),
+    )
+    .unwrap();
+    type Scenario<'a> = (&'a str, Box<dyn Fn(SimOptions) -> SimRun + 'a>);
+    let scenarios: Vec<Scenario<'_>> = vec![
+        (
+            "normal",
+            Box::new(|opts| {
+                rnd_engine
+                    .launch(
+                        &rnd_patterns,
+                        &cross(4, &[0.8, 1.0]),
+                        &SimOptions {
+                            keep_waveforms: true,
+                            ..opts
+                        },
+                    )
+                    .unwrap()
+            }),
+        ),
+        (
+            "overflow-retry",
+            Box::new(|opts| {
+                glitch_engine
+                    .launch(
+                        &one_pattern(),
+                        &cross(1, &[0.7, 0.8, 0.9, 1.0]),
+                        &SimOptions {
+                            keep_waveforms: true,
+                            arena_capacity: 1,
+                            ..opts
+                        },
+                    )
+                    .unwrap()
+            }),
+        ),
+        (
+            "panicking",
+            Box::new(|opts| {
+                // 1.1 V normalizes to the poisoned operating point.
+                panicky_engine
+                    .launch(&one_pattern(), &cross(1, &[0.8, 1.1, 0.9]), &opts)
+                    .unwrap()
+            }),
+        ),
+    ];
+    for (name, run) in &scenarios {
+        // The reference is the plainest possible path: single thread,
+        // unprofiled, activity gating off, scalar (lane width 1)
+        // slot-major layout.
+        let reference = run(SimOptions {
+            threads: 1,
+            profiling: false,
+            activity_gating: false,
+            lanes: 1,
+            ..SimOptions::default()
+        });
+        if *name == "overflow-retry" {
+            assert_eq!(reference.diagnostics.slot_retries, 4, "scenario {name}");
+        }
+        for injection in ["unarmed", "armed-empty"] {
+            // The profiled-identity principle extended to injection:
+            // an armed-but-empty fault plan (every rate zero) must be
+            // bit-for-bit identical to no plan at all.
+            let fault_plan =
+                (injection == "armed-empty").then(|| Arc::new(FaultPlan::empty(0xC0FFEE)));
+            for activity_gating in [false, true] {
+                for lanes in [1, 4, 8] {
+                    for threads in [1, 2, 4, 8] {
+                        for profiling in [false, true] {
+                            let got = run(SimOptions {
+                                threads,
+                                profiling,
+                                activity_gating,
+                                lanes,
+                                fault_plan: fault_plan.clone(),
+                                ..SimOptions::default()
+                            });
+                            let case = format!(
+                                "{name}, threads={threads}, lanes={lanes}, \
+                                 profiling={profiling}, gating={activity_gating}, \
+                                 injection={injection}"
+                            );
+                            assert_eq!(got.slots, reference.slots, "{case}");
+                            assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
+                            assert_eq!(got.node_evaluations, reference.node_evaluations, "{case}");
+                            assert_eq!(got.profile.is_some(), profiling, "{case}");
+                        }
+                    }
+                }
+            }
+            if let Some(plan) = &fault_plan {
+                assert_eq!(plan.total_fired(), 0, "an empty plan never fires");
+            }
+        }
+    }
+}
+
+#[test]
+fn quiet_stimuli_resolve_without_pool_tasks() {
+    // launch == capture: every stimulus is a constant, so every gate
+    // of every level is quiet and the whole run resolves through the
+    // coordinator's constant fast path — zero pool tasks.
+    use avfs_atpg::pattern::PatternPair;
+    let lib = CellLibrary::nangate15_like();
+    let cfg = avfs_circuits::GeneratorConfig::small();
+    let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 3).unwrap());
+    let engine = static_engine(&n, 8.0, 9.0);
+    let p = PatternSet::random(n.inputs().len(), 1, 0xBEEF).pairs()[0]
+        .launch
+        .clone();
+    let patterns: PatternSet = std::iter::once(PatternPair::new(p.clone(), p).unwrap()).collect();
+    let opts = SimOptions {
+        threads: 1,
+        profiling: true,
+        keep_waveforms: true,
+        ..SimOptions::default()
+    };
+    let run = engine
+        .launch(&patterns, &at_voltage(1, 0.8), &opts)
+        .unwrap();
+    assert!(run.is_complete());
+    let gates = n
+        .iter()
+        .filter(|(_, node)| matches!(node.kind(), NodeKind::Gate(_)))
+        .count() as u64;
+    let profile = run.profile.as_ref().unwrap();
+    assert_eq!(
+        profile.counter(phases::ENGINE_GATES_SKIPPED_QUIET),
+        Some(gates),
+        "every gate resolved by the quiet fast path"
+    );
+    assert_eq!(
+        profile.counter(phases::ENGINE_QUIET_CELLS),
+        Some(n.num_nodes() as u64),
+        "every cell stayed quiet"
+    );
+    // Nothing toggles: every retained waveform is constant and the
+    // responses are the combinational function of the launch values.
+    assert_eq!(run.slots[0].activity.total_transitions, 0);
+    for wf in run.slots[0].waveforms.as_ref().unwrap() {
+        assert_eq!(wf.num_transitions(), 0);
+    }
+    // The ungated run agrees bit for bit and reports no skip counter.
+    let ungated = engine
+        .launch(
+            &patterns,
+            &at_voltage(1, 0.8),
+            &SimOptions {
+                activity_gating: false,
+                ..opts
+            },
+        )
+        .unwrap();
+    assert_eq!(run.slots, ungated.slots);
+    assert_eq!(
+        ungated
+            .profile
+            .as_ref()
+            .unwrap()
+            .counter(phases::ENGINE_GATES_SKIPPED_QUIET),
+        None,
+        "ungated runs record no skip counter"
+    );
+}
+
+#[test]
+fn lane_width_validation() {
+    let n = chain_netlist();
+    let engine = static_engine(&n, 1.0, 1.0);
+    let patterns = one_pattern();
+    for lanes in [3usize, 5, 6, 128] {
+        let err = engine
+            .launch(
+                &patterns,
+                &at_voltage(1, 0.8),
+                &SimOptions {
+                    lanes,
+                    threads: 1,
+                    ..SimOptions::default()
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err, SimError::InvalidLanes { lanes });
+    }
+    // 0 resolves to the default width; every power of two ≤ 64 works.
+    for lanes in [0usize, 1, 2, 64] {
+        engine
+            .launch(
+                &patterns,
+                &at_voltage(1, 0.8),
+                &SimOptions {
+                    lanes,
+                    threads: 1,
+                    ..SimOptions::default()
+                },
+            )
+            .unwrap();
+    }
+}
+
+#[test]
+fn partial_tail_lane_groups_match_scalar() {
+    // 5 slots at lane width 4 → one full group plus a 1-lane tail;
+    // lane width 64 → a single partial group wider than the whole
+    // batch. Both must be bit-identical to the scalar layout.
+    let lib = CellLibrary::nangate15_like();
+    let cfg = avfs_circuits::GeneratorConfig::small();
+    let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 7).unwrap());
+    let engine = static_engine(&n, 6.0, 7.0);
+    let patterns = PatternSet::lfsr(n.inputs().len(), 5, 3);
+    let slots: Vec<SlotSpec> = (0..5)
+        .map(|p| SlotSpec {
+            pattern: p,
+            voltage: 0.8,
+        })
+        .collect();
+    let opts = |lanes| SimOptions {
+        threads: 1,
+        lanes,
+        keep_waveforms: true,
+        ..SimOptions::default()
+    };
+    let reference = engine.launch(&patterns, &slots, &opts(1)).unwrap();
+    for lanes in [4, 64] {
+        let got = engine.launch(&patterns, &slots, &opts(lanes)).unwrap();
+        assert_eq!(got.slots, reference.slots, "lanes={lanes}");
+        assert_eq!(got.diagnostics, reference.diagnostics, "lanes={lanes}");
+    }
+}
+
+#[test]
+fn quarantined_lane_masking_on_overflow_retry() {
+    // A capacity-1 arena overflows the glitching slots of a lane
+    // group while their constant-stimulus neighbours complete in
+    // round 0; the retry rounds must mask the quarantined lanes out
+    // of their groups' live masks (never re-evaluating the finished
+    // lanes) and end bit-identical to the scalar path.
+    use avfs_atpg::pattern::{Pattern, PatternPair};
+    let n = glitch_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let patterns: PatternSet = [
+        // Glitches: the XOR of a rising input with its inverse.
+        PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
+        // Constant: nothing ever toggles.
+        PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([false])).unwrap(),
+    ]
+    .into_iter()
+    .collect();
+    let slots: Vec<SlotSpec> = (0..6)
+        .map(|i| SlotSpec {
+            pattern: i % 2,
+            voltage: 0.8,
+        })
+        .collect();
+    let opts = |lanes| SimOptions {
+        threads: 1,
+        lanes,
+        arena_capacity: 1,
+        keep_waveforms: true,
+        ..SimOptions::default()
+    };
+    let reference = engine.launch(&patterns, &slots, &opts(1)).unwrap();
+    assert!(
+        reference.diagnostics.slot_retries > 0,
+        "glitch slots must hit the quarantine-and-retry path"
+    );
+    for lanes in [4, 8] {
+        let got = engine.launch(&patterns, &slots, &opts(lanes)).unwrap();
+        assert_eq!(got.slots, reference.slots, "lanes={lanes}");
+        assert_eq!(got.diagnostics, reference.diagnostics, "lanes={lanes}");
+    }
+}
+
+#[test]
+fn launch_time_offsets_all_transitions() {
+    let n = chain_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let patterns = one_pattern();
+    let base = engine
+        .launch(
+            &patterns,
+            &at_voltage(1, 0.8),
+            &SimOptions {
+                threads: 1,
+                launch_time_ps: 0.0,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    let shifted = engine
+        .launch(
+            &patterns,
+            &at_voltage(1, 0.8),
+            &SimOptions {
+                threads: 1,
+                launch_time_ps: 250.0,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    let (t0, t1) = (
+        base.slots[0].latest_output_transition_ps.unwrap(),
+        shifted.slots[0].latest_output_transition_ps.unwrap(),
+    );
+    assert!((t1 - t0 - 250.0).abs() < 1e-9, "{t0} vs {t1}");
+    assert_eq!(base.slots[0].responses, shifted.slots[0].responses);
+}
+
+#[test]
+fn mixed_island_vectors_group_correctly() {
+    // Slots with different per-domain voltage vectors in ONE launch:
+    // the per-(level, voltage-assignment) grouping must keep them
+    // apart; results must match per-vector launches.
+    let lib = CellLibrary::nangate15_like();
+    let n = Arc::new(avfs_circuits::ripple_carry_adder(4, &lib).unwrap());
+    // A voltage-sensitive analytic model so distinct vectors actually
+    // produce distinct timing.
+    let mut ann = TimingAnnotation::zero(&n);
+    for (id, node) in n.iter() {
+        if matches!(node.kind(), NodeKind::Gate(_)) {
+            for pin in 0..node.fanin().len() {
+                ann.node_delays_mut(id)[pin] = PinDelays {
+                    rise: 6.0,
+                    fall: 7.0,
+                };
+            }
+        }
+    }
+    let engine = CompiledNetlist::compile(
+        Arc::clone(&n),
+        Arc::new(ann),
+        Arc::new(avfs_delay::AlphaPowerModel::new(
+            0.24,
+            1.35,
+            ParameterSpace::paper(),
+        )),
+    )
+    .unwrap();
+    let domains = crate::domains::VoltageDomains::by_output_cones(&n, 2);
+    let patterns = PatternSet::lfsr(n.inputs().len(), 2, 8);
+    let opts = SimOptions {
+        threads: 1,
+        ..SimOptions::default()
+    };
+    let mixed = vec![
+        crate::domains::DomainSlotSpec {
+            pattern: 0,
+            voltages: vec![0.8, 0.8],
+        },
+        crate::domains::DomainSlotSpec {
+            pattern: 1,
+            voltages: vec![0.6, 1.0],
+        },
+        crate::domains::DomainSlotSpec {
+            pattern: 0,
+            voltages: vec![0.6, 1.0],
+        },
+    ];
+    let run = engine
+        .launch_domains(&patterns, &domains, &mixed, &opts)
+        .unwrap();
+    assert_eq!(run.slots.len(), 3);
+    for (spec, slot) in mixed.iter().zip(&run.slots) {
+        let solo = engine
+            .launch_domains(&patterns, &domains, std::slice::from_ref(spec), &opts)
+            .unwrap();
+        assert_eq!(slot.responses, solo.slots[0].responses);
+        assert_eq!(
+            slot.latest_output_transition_ps,
+            solo.slots[0].latest_output_transition_ps
+        );
+    }
+}
+
+#[test]
+fn input_validation() {
+    let n = chain_netlist();
+    let engine = static_engine(&n, 1.0, 1.0);
+    let patterns = one_pattern();
+    assert!(matches!(
+        engine.launch(&patterns, &[], &SimOptions::default()),
+        Err(SimError::EmptySlots)
+    ));
+    assert!(matches!(
+        engine.launch(
+            &patterns,
+            &[SlotSpec {
+                pattern: 7,
+                voltage: 0.8
+            }],
+            &SimOptions::default()
+        ),
+        Err(SimError::BadPatternIndex {
+            index: 7,
+            available: 1
+        })
+    ));
+    // Wrong-width pattern.
+    use avfs_atpg::pattern::{Pattern, PatternPair};
+    let wide: PatternSet =
+        std::iter::once(PatternPair::new(Pattern::zeros(3), Pattern::zeros(3)).unwrap()).collect();
+    assert!(matches!(
+        engine.launch(&wide, &at_voltage(1, 0.8), &SimOptions::default()),
+        Err(SimError::PatternWidth {
+            expected: 1,
+            got: 3
+        })
+    ));
+}
+
+#[test]
+fn annotation_mismatch_rejected() {
+    let n = chain_netlist();
+    let other = {
+        let lib = CellLibrary::nangate15_like();
+        let mut b = NetlistBuilder::new("other", &lib);
+        let a = b.add_input("a").unwrap();
+        b.add_output("y", a).unwrap();
+        Arc::new(b.finish().unwrap())
+    };
+    let ann = Arc::new(TimingAnnotation::zero(&other));
+    let model = Arc::new(StaticModel::new(ParameterSpace::paper()));
+    assert!(matches!(
+        CompiledNetlist::compile(Arc::clone(&n), ann, model),
+        Err(SimError::AnnotationMismatch)
+    ));
+}
+
+/// A delay model that panics for operating points at the top of the
+/// normalized voltage range — the fault-injection vehicle for the
+/// panic-containment tests (distinct voltages form distinct kernel
+/// groups, so the panic hits exactly the marker slot).
+#[derive(Debug)]
+struct PanickyModel {
+    inner: StaticModel,
+}
+
+impl avfs_delay::model::DelayModel for PanickyModel {
+    fn factor(
+        &self,
+        cell: avfs_netlist::CellId,
+        pin: usize,
+        polarity: avfs_netlist::library::Polarity,
+        p: NormalizedPoint,
+    ) -> Result<f64, avfs_delay::DelayError> {
+        assert!(p.v < 0.999, "injected fault: poisoned operating point");
+        self.inner.factor(cell, pin, polarity, p)
+    }
+    fn name(&self) -> &str {
+        "panicky"
+    }
+    fn space(&self) -> &ParameterSpace {
+        self.inner.space()
+    }
+}
+
+/// A delay model whose kernel output is garbage (non-finite factors):
+/// exercises the online-delay-calculation guard.
+#[derive(Debug)]
+struct BrokenKernelModel {
+    space: ParameterSpace,
+}
+
+impl avfs_delay::model::DelayModel for BrokenKernelModel {
+    fn factor(
+        &self,
+        _cell: avfs_netlist::CellId,
+        _pin: usize,
+        _polarity: avfs_netlist::library::Polarity,
+        _p: NormalizedPoint,
+    ) -> Result<f64, avfs_delay::DelayError> {
+        Ok(f64::INFINITY)
+    }
+    fn name(&self) -> &str {
+        "broken-kernel"
+    }
+    fn space(&self) -> &ParameterSpace {
+        &self.space
+    }
+}
+
+/// A glitching netlist: reconvergent XOR whose output pulses on every
+/// input transition (see `glitch_visible_in_activity`).
+fn glitch_netlist() -> Arc<Netlist> {
+    let lib = CellLibrary::nangate15_like();
+    let mut b = NetlistBuilder::new("glitch", &lib);
+    let a = b.add_input("a").unwrap();
+    let inv = b.add_gate("inv", "INV_X1", &[a]).unwrap();
+    let x = b.add_gate("x", "XOR2_X1", &[a, inv]).unwrap();
+    b.add_output("y", x).unwrap();
+    Arc::new(b.finish().unwrap())
+}
+
+#[test]
+fn invalid_operating_points_rejected() {
+    let n = chain_netlist();
+    let engine = static_engine(&n, 1.0, 1.0);
+    let patterns = one_pattern();
+    for bad in [f64::NAN, f64::INFINITY, 0.0, -0.8] {
+        let slots = [
+            SlotSpec {
+                pattern: 0,
+                voltage: 0.8,
+            },
+            SlotSpec {
+                pattern: 0,
+                voltage: bad,
+            },
+        ];
+        match engine.launch(&patterns, &slots, &SimOptions::default()) {
+            Err(SimError::InvalidOperatingPoint { slot: 1, voltage }) => {
+                assert!(voltage.is_nan() || voltage == bad);
+            }
+            other => panic!("expected InvalidOperatingPoint, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn corrupt_annotation_rejected() {
+    let n = chain_netlist();
+    let model: Arc<dyn DelayModel> = Arc::new(StaticModel::new(ParameterSpace::paper()));
+    // Non-finite load.
+    let mut ann = TimingAnnotation::zero(&n);
+    ann.set_load_ff(n.find("g1").unwrap(), f64::NAN);
+    assert!(matches!(
+        CompiledNetlist::compile(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
+        Err(SimError::InvalidLoad { node, .. }) if node == "g1"
+    ));
+    // Negative load.
+    let mut ann = TimingAnnotation::zero(&n);
+    ann.set_load_ff(n.find("g2").unwrap(), -3.0);
+    assert!(matches!(
+        CompiledNetlist::compile(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
+        Err(SimError::InvalidLoad { node, load }) if node == "g2" && load == -3.0
+    ));
+    // Non-finite delay.
+    let mut ann = TimingAnnotation::zero(&n);
+    ann.node_delays_mut(n.find("g1").unwrap())[0] = PinDelays {
+        rise: f64::NAN,
+        fall: 1.0,
+    };
+    assert!(matches!(
+        CompiledNetlist::compile(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
+        Err(SimError::InvalidDelay { gate, pin: 0 }) if gate == "g1"
+    ));
+    // Negative delay.
+    let mut ann = TimingAnnotation::zero(&n);
+    ann.node_delays_mut(n.find("g2").unwrap())[0] = PinDelays {
+        rise: 1.0,
+        fall: -2.0,
+    };
+    assert!(matches!(
+        CompiledNetlist::compile(Arc::clone(&n), Arc::new(ann), Arc::clone(&model)),
+        Err(SimError::InvalidDelay { gate, pin: 0 }) if gate == "g2"
+    ));
+}
+
+#[test]
+fn combinational_loop_rejected() {
+    let lib = CellLibrary::nangate15_like();
+    let mut b = NetlistBuilder::new("loop", &lib);
+    let a = b.add_input("a").unwrap();
+    let g1 = b.add_gate("g1", "NAND2_X1", &[a, a]).unwrap();
+    let g2 = b.add_gate("g2", "INV_X1", &[g1]).unwrap();
+    b.add_output("y", g2).unwrap();
+    b.rewire_unchecked(g1, 1, g2);
+    let n = Arc::new(b.finish_unchecked());
+    let ann = Arc::new(TimingAnnotation::zero(&n));
+    let model = Arc::new(StaticModel::new(ParameterSpace::paper()));
+    match CompiledNetlist::compile(n, ann, model) {
+        Err(SimError::Netlist(avfs_netlist::NetlistError::CombinationalLoop { nodes })) => {
+            let mut nodes = nodes;
+            nodes.sort();
+            assert_eq!(nodes, vec!["g1".to_owned(), "g2".to_owned()]);
+        }
+        other => panic!("expected a combinational-loop error, got {other:?}"),
+    }
+}
+
+#[test]
+fn model_error_propagates() {
+    /// Rejects every factor request.
+    #[derive(Debug)]
+    struct NoKernelModel {
+        space: ParameterSpace,
+    }
+    impl avfs_delay::model::DelayModel for NoKernelModel {
+        fn factor(
+            &self,
+            cell: avfs_netlist::CellId,
+            _pin: usize,
+            _polarity: avfs_netlist::library::Polarity,
+            _p: NormalizedPoint,
+        ) -> Result<f64, avfs_delay::DelayError> {
+            Err(avfs_delay::DelayError::MissingCell {
+                cell_index: cell.index(),
+            })
+        }
+        fn name(&self) -> &str {
+            "no-kernel"
+        }
+        fn space(&self) -> &ParameterSpace {
+            &self.space
+        }
+    }
+    let n = chain_netlist();
+    let engine = CompiledNetlist::compile(
+        Arc::clone(&n),
+        Arc::new(TimingAnnotation::zero(&n)),
+        Arc::new(NoKernelModel {
+            space: ParameterSpace::paper(),
+        }),
+    )
+    .unwrap();
+    assert!(matches!(
+        engine.launch(&one_pattern(), &at_voltage(1, 0.8), &SimOptions::default()),
+        Err(SimError::Model(avfs_delay::DelayError::MissingCell { .. }))
+    ));
+}
+
+#[test]
+fn overflow_quarantine_and_retry_converges() {
+    // The glitch pulse needs 2 transitions per net; a capacity-1 arena
+    // must overflow, quarantine the slot and retry at capacity 4.
+    let n = glitch_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let patterns = one_pattern();
+    let tight = SimOptions {
+        threads: 1,
+        keep_waveforms: true,
+        arena_capacity: 1,
+        ..SimOptions::default()
+    };
+    let run = engine
+        .launch(&patterns, &at_voltage(1, 0.8), &tight)
+        .unwrap();
+    assert!(run.is_complete());
+    assert_eq!(run.slots[0].status, SlotStatus::Completed { retries: 1 });
+    assert_eq!(run.diagnostics.overflowed_slots, vec![0]);
+    assert_eq!(run.diagnostics.slot_retries, 1);
+    assert!(run.diagnostics.failed_slots.is_empty());
+    assert_eq!(run.diagnostics.peak_arena_occupancy, 2);
+    // Retries are visible in the throughput accounting.
+    assert_eq!(run.node_evaluations, 2 * n.num_nodes() as u64);
+    // The retried result is identical to an untroubled run.
+    let easy = engine
+        .launch(
+            &patterns,
+            &at_voltage(1, 0.8),
+            &SimOptions {
+                threads: 1,
+                keep_waveforms: true,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(run.slots[0].responses, easy.slots[0].responses);
+    assert_eq!(run.slots[0].activity, easy.slots[0].activity);
+    assert_eq!(run.slots[0].waveforms, easy.slots[0].waveforms);
+}
+
+#[test]
+fn overflow_past_retry_limit_fails_only_that_slot() {
+    let n = glitch_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    // Pattern 0 glitches (input rises); pattern 1 is quiet.
+    use avfs_atpg::pattern::{Pattern, PatternPair};
+    let patterns: PatternSet = [
+        PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
+        PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([false])).unwrap(),
+    ]
+    .into_iter()
+    .collect();
+    let slots = [
+        SlotSpec {
+            pattern: 0,
+            voltage: 0.8,
+        },
+        SlotSpec {
+            pattern: 1,
+            voltage: 0.8,
+        },
+    ];
+    let opts = SimOptions {
+        threads: 1,
+        arena_capacity: 1,
+        overflow_retries: 0,
+        ..SimOptions::default()
+    };
+    let run = engine.launch(&patterns, &slots, &opts).unwrap();
+    assert!(!run.is_complete());
+    assert_eq!(run.slots[0].status, SlotStatus::Overflowed { capacity: 1 });
+    assert!(run.slots[0].responses.is_empty());
+    assert_eq!(run.slots[1].status, SlotStatus::Completed { retries: 0 });
+    assert_eq!(run.slots[1].responses, vec![true]); // quiet XOR: a ⊕ ā = 1
+    assert_eq!(run.diagnostics.failed_slots, vec![0]);
+    assert_eq!(run.diagnostics.overflowed_slots, vec![0]);
+    assert_eq!(run.diagnostics.slot_retries, 0);
+}
+
+#[test]
+fn all_slots_failed_is_an_error() {
+    let n = glitch_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let opts = SimOptions {
+        threads: 1,
+        arena_capacity: 1,
+        overflow_retries: 0,
+        ..SimOptions::default()
+    };
+    assert!(matches!(
+        engine.launch(&one_pattern(), &at_voltage(1, 0.8), &opts),
+        Err(SimError::AllSlotsFailed { slots: 1 })
+    ));
+}
+
+#[test]
+fn panicking_slot_is_contained() {
+    let n = chain_netlist();
+    let engine = CompiledNetlist::compile(
+        Arc::clone(&n),
+        Arc::new(static_engine(&n, 10.0, 10.0).annotation().as_ref().clone()),
+        Arc::new(PanickyModel {
+            inner: StaticModel::new(ParameterSpace::paper()),
+        }),
+    )
+    .unwrap();
+    let patterns = one_pattern();
+    // 1.1 V normalizes to 1.0 — the poisoned operating point.
+    let slots = cross(1, &[0.8, 1.1, 0.9]);
+    for threads in [1, 4] {
+        let opts = SimOptions {
+            threads,
+            ..SimOptions::default()
+        };
+        let run = engine.launch(&patterns, &slots, &opts).unwrap();
+        assert!(!run.is_complete());
+        assert_eq!(run.slots[1].status, SlotStatus::Panicked);
+        assert!(run.slots[1].responses.is_empty());
+        assert_eq!(run.diagnostics.panicked_slots, vec![1]);
+        assert_eq!(run.diagnostics.failed_slots, vec![1]);
+        // The healthy slots are unaffected.
+        for i in [0, 2] {
+            assert_eq!(run.slots[i].status, SlotStatus::Completed { retries: 0 });
+            assert_eq!(run.slots[i].latest_output_transition_ps, Some(20.0));
+            assert_eq!(run.slots[i].responses, vec![true]);
+        }
+    }
+    // All slots at the poisoned point → the run itself errors.
+    assert!(matches!(
+        engine.launch(&patterns, &at_voltage(1, 1.1), &SimOptions::default()),
+        Err(SimError::AllSlotsFailed { slots: 1 })
+    ));
+}
+
+#[test]
+fn kernel_fallback_guards_nonfinite_delays() {
+    let n = chain_netlist();
+    let mut ann = TimingAnnotation::zero(&n);
+    for (id, node) in n.iter() {
+        if matches!(node.kind(), NodeKind::Gate(_)) {
+            ann.node_delays_mut(id)[0] = PinDelays {
+                rise: 10.0,
+                fall: 10.0,
+            };
+        }
+    }
+    let broken = CompiledNetlist::compile(
+        Arc::clone(&n),
+        Arc::new(ann),
+        Arc::new(BrokenKernelModel {
+            space: ParameterSpace::paper(),
+        }),
+    )
+    .unwrap();
+    let opts = SimOptions {
+        threads: 1,
+        ..SimOptions::default()
+    };
+    let run = broken
+        .launch(&one_pattern(), &at_voltage(1, 0.8), &opts)
+        .unwrap();
+    // Every scaled delay was non-finite; all fell back to nominal.
+    assert!(run.diagnostics.kernel_fallbacks > 0);
+    assert!(run.is_complete());
+    let nominal = static_engine(&n, 10.0, 10.0)
+        .launch(&one_pattern(), &at_voltage(1, 0.8), &opts)
+        .unwrap();
+    assert_eq!(run.slots[0].responses, nominal.slots[0].responses);
+    assert_eq!(
+        run.slots[0].latest_output_transition_ps,
+        nominal.slots[0].latest_output_transition_ps
+    );
+    // A healthy kernel reports no fallbacks.
+    assert_eq!(nominal.diagnostics.kernel_fallbacks, 0);
+}
+
+#[test]
+fn dangling_net_clamp_reported() {
+    // TimingAnnotation::zero leaves dangling nets at 0 fF, below the
+    // paper space's 0.5 fF minimum — the engine clamps and reports.
+    let n = chain_netlist();
+    let engine = static_engine(&n, 1.0, 1.0);
+    let run = engine
+        .launch(
+            &one_pattern(),
+            &at_voltage(1, 0.8),
+            &SimOptions {
+                threads: 1,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert!(run.diagnostics.clamped_loads > 0);
+}
+
+#[test]
+fn strict_validation_modes() {
+    let n = chain_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let patterns = one_pattern();
+    // 0.3 V is well below the paper space's 0.55 V minimum; Warn (the
+    // default) clamps-and-records, Deny refuses the launch.
+    let low = at_voltage(1, 0.3);
+    let warn = engine
+        .launch(
+            &patterns,
+            &low,
+            &SimOptions {
+                threads: 1,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert!(
+        warn.diagnostics
+            .validation_findings
+            .iter()
+            .any(|f| f.contains("AVC-D005") && f.contains("slot 0")),
+        "{:?}",
+        warn.diagnostics.validation_findings
+    );
+    let off = engine
+        .launch(
+            &patterns,
+            &low,
+            &SimOptions {
+                threads: 1,
+                strict_validation: ValidationMode::Off,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert!(off.diagnostics.validation_findings.is_empty());
+    assert_eq!(off.slots, warn.slots, "validation never changes results");
+    let denied = engine.launch(
+        &patterns,
+        &low,
+        &SimOptions {
+            threads: 1,
+            strict_validation: ValidationMode::Deny,
+            ..SimOptions::default()
+        },
+    );
+    match denied {
+        Err(SimError::Validation { findings }) => {
+            assert!(findings.iter().any(|f| f.contains("AVC-D005")));
+        }
+        other => panic!("expected SimError::Validation, got {other:?}"),
+    }
+}
+
+#[test]
+fn deny_passes_a_clean_launch() {
+    // Explicit in-range loads so the setup stage has nothing to clamp.
+    let n = chain_netlist();
+    let delays = n
+        .nodes()
+        .iter()
+        .map(|node| {
+            vec![
+                PinDelays {
+                    rise: 10.0,
+                    fall: 10.0
+                };
+                node.fanin().len()
+            ]
+        })
+        .collect();
+    let ann = TimingAnnotation::from_parts(delays, vec![1.0; n.num_nodes()]);
+    let engine = CompiledNetlist::compile(
+        Arc::clone(&n),
+        Arc::new(ann),
+        Arc::new(StaticModel::new(ParameterSpace::paper())),
+    )
+    .unwrap();
+    assert!(engine.setup_findings().is_empty());
+    let run = engine
+        .launch(
+            &one_pattern(),
+            &at_voltage(1, 0.8),
+            &SimOptions {
+                threads: 1,
+                strict_validation: ValidationMode::Deny,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert!(run.diagnostics.validation_findings.is_empty());
+}
+
+#[test]
+fn glitch_visible_in_activity() {
+    // Reconvergent XOR: a ─┬────────► x
+    //                      └─ inv ──► x ; x = a ⊕ ā glitches on input
+    // change when path delays differ.
+    let lib = CellLibrary::nangate15_like();
+    let mut b = NetlistBuilder::new("glitch", &lib);
+    let a = b.add_input("a").unwrap();
+    let inv = b.add_gate("inv", "INV_X1", &[a]).unwrap();
+    let x = b.add_gate("x", "XOR2_X1", &[a, inv]).unwrap();
+    b.add_output("y", x).unwrap();
+    let n = Arc::new(b.finish().unwrap());
+    let engine = static_engine(&n, 10.0, 10.0);
+    let run = engine
+        .launch(
+            &one_pattern(),
+            &at_voltage(1, 0.8),
+            &SimOptions {
+                threads: 1,
+                keep_waveforms: true,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    let slot = &run.slots[0];
+    // x is 1 in steady state both before and after (a ⊕ ā = 1); the
+    // inverter delay opens a 10 ps window where both inputs agree →
+    // a glitch pulse at the XOR output.
+    let wfs = slot.waveforms.as_ref().unwrap();
+    let x_wf = &wfs[n.find("x").unwrap().index()];
+    assert_eq!(x_wf.num_transitions(), 2, "expected a glitch pulse");
+    assert!(x_wf.initial_value() && x_wf.final_value());
+    assert!(slot.activity.total_glitch_transitions >= 2);
+}
+
+/// A delay model that sleeps at the poisoned operating point (v_norm
+/// ≈ 1): the kernel phase runs on the coordinator, so the sleep
+/// stalls exactly the path the deadline and the watchdog observe.
+#[derive(Debug)]
+struct SlowModel {
+    inner: StaticModel,
+    sleep: Duration,
+}
+
+impl avfs_delay::model::DelayModel for SlowModel {
+    fn factor(
+        &self,
+        cell: avfs_netlist::CellId,
+        pin: usize,
+        polarity: avfs_netlist::library::Polarity,
+        p: NormalizedPoint,
+    ) -> Result<f64, avfs_delay::DelayError> {
+        if p.v >= 0.999 {
+            std::thread::sleep(self.sleep);
+        }
+        self.inner.factor(cell, pin, polarity, p)
+    }
+    fn name(&self) -> &str {
+        "slow"
+    }
+    fn space(&self) -> &ParameterSpace {
+        self.inner.space()
+    }
+}
+
+fn slow_engine(netlist: &Arc<Netlist>, sleep: Duration) -> CompiledNetlist {
+    CompiledNetlist::compile(
+        Arc::clone(netlist),
+        Arc::new(
+            static_engine(netlist, 10.0, 10.0)
+                .annotation()
+                .as_ref()
+                .clone(),
+        ),
+        Arc::new(SlowModel {
+            inner: StaticModel::new(ParameterSpace::paper()),
+            sleep,
+        }),
+    )
+    .unwrap()
+}
+
+#[test]
+fn memory_budget_denies_retry_growth() {
+    // The glitch slot needs capacity 2, so the capacity-1 round
+    // overflows and the retry wants cap 4 — which the budget refuses.
+    let n = glitch_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    use avfs_atpg::pattern::{Pattern, PatternPair};
+    let patterns: PatternSet = [
+        PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
+        PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([false])).unwrap(),
+    ]
+    .into_iter()
+    .collect();
+    let slots = [
+        SlotSpec {
+            pattern: 0,
+            voltage: 0.8,
+        },
+        SlotSpec {
+            pattern: 1,
+            voltage: 0.8,
+        },
+    ];
+    let budget = super::slot_arena_bytes(n.num_nodes(), 4) - 1;
+    let run = engine
+        .launch(
+            &patterns,
+            &slots,
+            &SimOptions {
+                threads: 1,
+                arena_capacity: 1,
+                memory_budget: budget,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(run.slots[0].status, SlotStatus::BudgetExceeded);
+    assert!(run.slots[0].responses.is_empty());
+    assert_eq!(run.slots[1].status, SlotStatus::Completed { retries: 0 });
+    assert_eq!(run.diagnostics.budget_denials, 1);
+    assert_eq!(run.diagnostics.budget_tripped, Some(TrippedBudget::Memory));
+    // Admission was denied, so no retry round ran and no capacity grew.
+    assert_eq!(run.diagnostics.slot_retries, 0);
+    assert_eq!(run.diagnostics.peak_arena_occupancy, 1);
+    assert_eq!(run.diagnostics.failed_slots, vec![0]);
+    // One byte more admits the retry and the slot completes.
+    let run = engine
+        .launch(
+            &patterns,
+            &slots,
+            &SimOptions {
+                threads: 1,
+                arena_capacity: 1,
+                memory_budget: budget + 1,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(run.slots[0].status, SlotStatus::Completed { retries: 1 });
+    assert_eq!(run.diagnostics.budget_denials, 0);
+    assert_eq!(run.diagnostics.budget_tripped, None);
+}
+
+#[test]
+fn zero_deadline_fails_every_slot() {
+    // An already-expired deadline abandons every slot before any
+    // batch launches — and an all-loss run is an error, like any
+    // other total failure.
+    let n = chain_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let err = engine.launch(
+        &one_pattern(),
+        &cross(1, &[0.7, 0.8, 0.9]),
+        &SimOptions {
+            threads: 1,
+            deadline: Some(Duration::ZERO),
+            ..SimOptions::default()
+        },
+    );
+    assert!(matches!(err, Err(SimError::AllSlotsFailed { slots: 3 })));
+}
+
+#[test]
+fn deadline_degrades_gracefully_mid_run() {
+    // One-slot batches; the second slot's kernel phase sleeps past
+    // the deadline, so the first slot's completed result is returned
+    // while the second resolves to DeadlineExceeded at the barrier.
+    let n = chain_netlist();
+    let engine = slow_engine(&n, Duration::from_millis(40));
+    // 1.1 V normalizes to the slow operating point.
+    let slots = cross(1, &[0.8, 1.1]);
+    let run = engine
+        .launch(
+            &one_pattern(),
+            &slots,
+            &SimOptions {
+                threads: 1,
+                waveform_budget: 1, // → one slot per batch
+                deadline: Some(Duration::from_millis(60)),
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert!(!run.is_complete());
+    assert_eq!(run.slots[0].status, SlotStatus::Completed { retries: 0 });
+    assert_eq!(run.slots[0].responses, vec![true]);
+    assert_eq!(run.slots[1].status, SlotStatus::DeadlineExceeded);
+    assert!(run.slots[1].responses.is_empty());
+    assert_eq!(run.diagnostics.deadline_aborts, 1);
+    assert_eq!(
+        run.diagnostics.budget_tripped,
+        Some(TrippedBudget::Deadline)
+    );
+    assert_eq!(run.diagnostics.failed_slots, vec![1]);
+}
+
+#[test]
+fn watchdog_counts_engine_stalls() {
+    let n = chain_netlist();
+    let engine = slow_engine(&n, Duration::from_millis(40));
+    // The slow kernel phase stalls far past the 5 ms timeout; the
+    // watchdog observes it but the run still completes untouched.
+    let run = engine
+        .launch(
+            &one_pattern(),
+            &at_voltage(1, 1.1),
+            &SimOptions {
+                threads: 1,
+                stall_timeout: Some(Duration::from_millis(5)),
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert!(run.is_complete());
+    assert!(
+        run.diagnostics.watchdog_stalls >= 1,
+        "stalls: {}",
+        run.diagnostics.watchdog_stalls
+    );
+    // A generous timeout on a fast run records nothing.
+    let calm = engine
+        .launch(
+            &one_pattern(),
+            &at_voltage(1, 0.8),
+            &SimOptions {
+                threads: 1,
+                stall_timeout: Some(Duration::from_secs(10)),
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(calm.diagnostics.watchdog_stalls, 0);
+    assert_eq!(calm.slots[0].responses, run.slots[0].responses);
+}
+
+#[test]
+fn injected_overflow_hits_predicted_slots_and_replays() {
+    // The plan's decisions are pure (site, key, salt) hashes, so the
+    // harness can predict the affected slots offline — and a second
+    // run with the same seed replays bit for bit.
+    let n = chain_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let slots = cross(1, &[0.8; 4]);
+    let mk_plan = || Arc::new(FaultPlan::empty(7).with_rate(InjectionSite::ArenaOverflow, 0.5));
+    let plan = mk_plan();
+    let opts = SimOptions {
+        threads: 2,
+        overflow_retries: 0,
+        fault_plan: Some(Arc::clone(&plan)),
+        ..SimOptions::default()
+    };
+    let run = engine.launch(&one_pattern(), &slots, &opts).unwrap();
+    let mut predicted_hits = 0;
+    for (i, slot) in run.slots.iter().enumerate() {
+        if plan.decide(InjectionSite::ArenaOverflow, i as u64, 0) {
+            predicted_hits += 1;
+            assert_eq!(
+                slot.status,
+                SlotStatus::Overflowed { capacity: 64 },
+                "slot {i}"
+            );
+        } else {
+            assert_eq!(
+                slot.status,
+                SlotStatus::Completed { retries: 0 },
+                "slot {i}"
+            );
+        }
+    }
+    assert!(predicted_hits >= 1, "seed 7 must hit at least one slot");
+    assert!(predicted_hits < 4, "seed 7 must spare at least one slot");
+    assert_eq!(run.diagnostics.faults_injected, plan.total_fired());
+    assert_eq!(
+        plan.fired_keys(InjectionSite::ArenaOverflow).len(),
+        predicted_hits
+    );
+    // Replay from a fresh plan with the same seed.
+    let replay = engine
+        .launch(
+            &one_pattern(),
+            &slots,
+            &SimOptions {
+                fault_plan: Some(mk_plan()),
+                ..opts.clone()
+            },
+        )
+        .unwrap();
+    assert_eq!(replay.slots, run.slots);
+    assert_eq!(replay.diagnostics, run.diagnostics);
+}
+
+#[test]
+fn injected_kernel_panic_is_contained_like_an_organic_one() {
+    let n = chain_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let slots = cross(1, &[0.8; 4]);
+    let plan = Arc::new(FaultPlan::empty(3).with_rate(InjectionSite::KernelPanic, 0.5));
+    let run = engine
+        .launch(
+            &one_pattern(),
+            &slots,
+            &SimOptions {
+                threads: 2,
+                fault_plan: Some(Arc::clone(&plan)),
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    let mut panicked = Vec::new();
+    for (i, slot) in run.slots.iter().enumerate() {
+        if plan.decide(InjectionSite::KernelPanic, i as u64, 0) {
+            panicked.push(i);
+            assert_eq!(slot.status, SlotStatus::Panicked, "slot {i}");
+        } else {
+            assert_eq!(
+                slot.status,
+                SlotStatus::Completed { retries: 0 },
+                "slot {i}"
+            );
+        }
+    }
+    assert!(!panicked.is_empty() && panicked.len() < 4, "{panicked:?}");
+    assert_eq!(run.diagnostics.panicked_slots, panicked);
+}
+
+#[test]
+fn injected_nonfinite_kernel_falls_back_to_nominal() {
+    // A corrupted (infinite) kernel factor exercises the
+    // scale_or_fallback guard: results equal the nominal-delay run,
+    // with the fallback and the fault both on the books.
+    let n = chain_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    let plan = Arc::new(FaultPlan::empty(1).with_rate(InjectionSite::NonFiniteKernel, 1.0));
+    let opts = SimOptions {
+        threads: 1,
+        ..SimOptions::default()
+    };
+    let injected = engine
+        .launch(
+            &one_pattern(),
+            &at_voltage(1, 0.8),
+            &SimOptions {
+                fault_plan: Some(Arc::clone(&plan)),
+                ..opts.clone()
+            },
+        )
+        .unwrap();
+    let clean = engine
+        .launch(&one_pattern(), &at_voltage(1, 0.8), &opts)
+        .unwrap();
+    assert!(injected.is_complete());
+    assert!(injected.diagnostics.kernel_fallbacks > 0);
+    assert!(injected.diagnostics.faults_injected > 0);
+    assert_eq!(injected.slots, clean.slots);
+    assert_eq!(clean.diagnostics.kernel_fallbacks, 0);
+    assert_eq!(clean.diagnostics.faults_injected, 0);
+}
+
+#[test]
+fn injected_alloc_cap_breach_denies_the_retry() {
+    // Rate-1.0 AllocCapBreach: the organic overflow wants a retry,
+    // the injected breach denies the admission — BudgetExceeded
+    // without any memory_budget configured.
+    let n = glitch_netlist();
+    let engine = static_engine(&n, 10.0, 10.0);
+    use avfs_atpg::pattern::{Pattern, PatternPair};
+    let patterns: PatternSet = [
+        PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
+        PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([false])).unwrap(),
+    ]
+    .into_iter()
+    .collect();
+    let slots = [
+        SlotSpec {
+            pattern: 0,
+            voltage: 0.8,
+        },
+        SlotSpec {
+            pattern: 1,
+            voltage: 0.8,
+        },
+    ];
+    let plan = Arc::new(FaultPlan::empty(9).with_rate(InjectionSite::AllocCapBreach, 1.0));
+    let run = engine
+        .launch(
+            &patterns,
+            &slots,
+            &SimOptions {
+                threads: 1,
+                arena_capacity: 1,
+                fault_plan: Some(Arc::clone(&plan)),
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(run.slots[0].status, SlotStatus::BudgetExceeded);
+    assert_eq!(run.slots[1].status, SlotStatus::Completed { retries: 0 });
+    assert_eq!(run.diagnostics.budget_denials, 1);
+    assert_eq!(run.diagnostics.budget_tripped, Some(TrippedBudget::Memory));
+    assert_eq!(run.diagnostics.slot_retries, 0);
+    assert_eq!(plan.fired_keys(InjectionSite::AllocCapBreach), vec![0]);
+}
+
+// ---- scenario engine: schedules and Monte Carlo variation ----
+
+use crate::scenario::{cross_schedules, MonteCarlo, ScenarioSpec, Schedule};
+use avfs_delay::VariationConfig;
+
+/// A kernel whose factor actually depends on voltage — the flat
+/// [`StaticModel`] would make every schedule segment indistinguishable,
+/// so the segment-snapping and schedule tests need this instead.
+#[derive(Debug)]
+struct VoltageScaledModel {
+    space: ParameterSpace,
+}
+
+impl avfs_delay::model::DelayModel for VoltageScaledModel {
+    fn factor(
+        &self,
+        _cell: avfs_netlist::CellId,
+        _pin: usize,
+        _polarity: avfs_netlist::library::Polarity,
+        p: NormalizedPoint,
+    ) -> Result<f64, avfs_delay::DelayError> {
+        // Monotone decreasing in voltage, strictly positive on [0, 1].
+        Ok(1.5 - p.v)
+    }
+    fn name(&self) -> &str {
+        "voltage-scaled"
+    }
+    fn space(&self) -> &ParameterSpace {
+        &self.space
+    }
+}
+
+fn voltage_scaled_engine(netlist: &Arc<Netlist>, rise: f64, fall: f64) -> CompiledNetlist {
+    let mut ann = TimingAnnotation::zero(netlist);
+    for (id, node) in netlist.iter() {
+        if matches!(node.kind(), NodeKind::Gate(_)) {
+            for pin in 0..node.fanin().len() {
+                ann.node_delays_mut(id)[pin] = PinDelays { rise, fall };
+            }
+        }
+    }
+    CompiledNetlist::compile(
+        Arc::clone(netlist),
+        Arc::new(ann),
+        Arc::new(VoltageScaledModel {
+            space: ParameterSpace::paper(),
+        }),
+    )
+    .unwrap()
+}
+
+/// The tentpole identity: a constant (single-segment) schedule is the
+/// static run, bit for bit — slots, diagnostics, node evaluations —
+/// at every thread count and lane width, profiled or not, and the
+/// profile carries no scenario instruments (so even profiles stay
+/// identical to the static launch).
+#[test]
+fn constant_schedule_is_bit_identical_to_static() {
+    let lib = CellLibrary::nangate15_like();
+    let cfg = avfs_circuits::GeneratorConfig::small();
+    let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 23).unwrap());
+    let engine = voltage_scaled_engine(&n, 8.0, 9.5);
+    let patterns = PatternSet::lfsr(n.inputs().len(), 4, 5);
+    let voltages = [0.7, 0.9];
+    let slots = cross(patterns.len(), &voltages);
+    let scenarios = cross_schedules(
+        patterns.len(),
+        &[Schedule::constant(0.7), Schedule::constant(0.9)],
+    );
+    for threads in [1usize, 4] {
+        for lanes in [1usize, 8] {
+            for profiling in [false, true] {
+                let opts = SimOptions {
+                    threads,
+                    lanes,
+                    profiling,
+                    ..SimOptions::default()
+                };
+                let case = format!("threads={threads}, lanes={lanes}, profiling={profiling}");
+                let fixed = engine.launch(&patterns, &slots, &opts).unwrap();
+                let scheduled = engine
+                    .launch_scenarios(&patterns, &scenarios, None, None, &opts)
+                    .unwrap();
+                assert_eq!(scheduled.slots, fixed.slots, "{case}");
+                assert_eq!(scheduled.diagnostics, fixed.diagnostics, "{case}");
+                assert_eq!(scheduled.node_evaluations, fixed.node_evaluations, "{case}");
+                if profiling {
+                    let profile = scheduled.profile.as_ref().unwrap();
+                    assert_eq!(
+                        profile.counter(phases::ENGINE_SCENARIO_SEGMENTS),
+                        None,
+                        "constant schedules record no scenario instruments ({case})"
+                    );
+                    assert_eq!(profile.counter(phases::ENGINE_MC_SAMPLES), None, "{case}");
+                    assert_eq!(
+                        profile.counter(phases::ENGINE_VARIATION_DRAWS),
+                        None,
+                        "{case}"
+                    );
+                }
+                let summary = scheduled.scenario.as_ref().unwrap();
+                assert_eq!(summary.samples_per_scenario, 1);
+                assert_eq!(summary.points.len(), voltages.len());
+            }
+        }
+    }
+}
+
+/// Multi-segment schedules and Monte Carlo sampling obey the same
+/// determinism matrix as every other engine path: bit-identical to
+/// the single-threaded scalar reference at all thread counts and lane
+/// widths, profiled or not.
+#[test]
+fn scheduled_mc_runs_match_single_threaded_reference() {
+    let lib = CellLibrary::nangate15_like();
+    let cfg = avfs_circuits::GeneratorConfig::small();
+    let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 31).unwrap());
+    let engine = voltage_scaled_engine(&n, 8.0, 9.5);
+    let patterns = PatternSet::lfsr(n.inputs().len(), 3, 9);
+    let scenarios = cross_schedules(
+        patterns.len(),
+        &[
+            Schedule::droop(0.9, 0.15, 12.0, 40.0),
+            Schedule::steps([(0.0, 0.7), (25.0, 1.0)]),
+        ],
+    );
+    let mc = MonteCarlo {
+        samples: 3,
+        variation: VariationConfig {
+            sigma: 0.05,
+            max_deviation: 0.2,
+            seed: 0xD1CE,
+        },
+    };
+    let reference = engine
+        .launch_scenarios(
+            &patterns,
+            &scenarios,
+            Some(&mc),
+            Some(500.0),
+            &SimOptions {
+                threads: 1,
+                lanes: 1,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    assert_eq!(reference.slots.len(), scenarios.len() * mc.samples);
+    for threads in [1usize, 4] {
+        for lanes in [1usize, 8] {
+            for profiling in [false, true] {
+                let case = format!("threads={threads}, lanes={lanes}, profiling={profiling}");
+                let got = engine
+                    .launch_scenarios(
+                        &patterns,
+                        &scenarios,
+                        Some(&mc),
+                        Some(500.0),
+                        &SimOptions {
+                            threads,
+                            lanes,
+                            profiling,
+                            ..SimOptions::default()
+                        },
+                    )
+                    .unwrap();
+                assert_eq!(got.slots, reference.slots, "{case}");
+                assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
+                assert_eq!(got.scenario, reference.scenario, "{case}");
+                if profiling {
+                    let profile = got.profile.as_ref().unwrap();
+                    // 3 segments + 2 segments, × patterns × dice.
+                    let segments = (3 + 2) as u64 * patterns.len() as u64 * mc.samples as u64;
+                    assert_eq!(
+                        profile.counter(phases::ENGINE_SCENARIO_SEGMENTS),
+                        Some(segments),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        profile.counter(phases::ENGINE_MC_SAMPLES),
+                        Some(reference.slots.len() as u64),
+                        "{case}"
+                    );
+                    assert!(
+                        profile.counter(phases::ENGINE_VARIATION_DRAWS).unwrap() > 0,
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The unified delay path's identity: a scheduled × Monte Carlo launch
+/// with no fault plan reads the artifact's cached tables and derates
+/// them per die; the same launch under an armed all-zero plan runs the
+/// delay routine uncached, level by level. Both must agree in slots and
+/// diagnostics — `kernel_fallbacks` included, which a kernel that is
+/// non-finite across the droop segment makes nonzero.
+#[test]
+fn cached_tables_match_the_uncached_routine() {
+    /// [`VoltageScaledModel`] with a non-finite kernel at low supply.
+    #[derive(Debug)]
+    struct DroopBlindModel(VoltageScaledModel);
+    impl avfs_delay::model::DelayModel for DroopBlindModel {
+        fn factor(
+            &self,
+            cell: avfs_netlist::CellId,
+            pin: usize,
+            polarity: avfs_netlist::library::Polarity,
+            p: NormalizedPoint,
+        ) -> Result<f64, avfs_delay::DelayError> {
+            if p.v < 0.3 {
+                return Ok(f64::INFINITY);
+            }
+            self.0.factor(cell, pin, polarity, p)
+        }
+        fn name(&self) -> &str {
+            "droop-blind"
+        }
+        fn space(&self) -> &ParameterSpace {
+            self.0.space()
+        }
+    }
+    let lib = CellLibrary::nangate15_like();
+    let cfg = avfs_circuits::GeneratorConfig::small();
+    let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 31).unwrap());
+    let engine = CompiledNetlist::compile(
+        Arc::clone(&n),
+        Arc::clone(voltage_scaled_engine(&n, 8.0, 9.5).annotation()),
+        Arc::new(DroopBlindModel(VoltageScaledModel {
+            space: ParameterSpace::paper(),
+        })),
+    )
+    .unwrap();
+    let patterns = PatternSet::lfsr(n.inputs().len(), 3, 9);
+    let scenarios = cross_schedules(
+        patterns.len(),
+        &[
+            Schedule::droop(0.9, 0.3, 12.0, 40.0),
+            Schedule::constant(0.8),
+        ],
+    );
+    let mc = MonteCarlo {
+        samples: 3,
+        variation: VariationConfig {
+            sigma: 0.05,
+            max_deviation: 0.2,
+            seed: 0xD1CE,
+        },
+    };
+    for threads in [1usize, 2] {
+        for lanes in [1usize, 8] {
+            let launch = |fault_plan: Option<Arc<FaultPlan>>| {
+                engine
+                    .launch_scenarios(
+                        &patterns,
+                        &scenarios,
+                        Some(&mc),
+                        Some(500.0),
+                        &SimOptions {
+                            threads,
+                            lanes,
+                            fault_plan,
+                            ..SimOptions::default()
+                        },
+                    )
+                    .unwrap()
+            };
+            let cached = launch(None);
+            let uncached = launch(Some(Arc::new(FaultPlan::empty(0xC0FFEE))));
+            let case = format!("threads={threads}, lanes={lanes}");
+            assert!(cached.diagnostics.kernel_fallbacks > 0, "{case}");
+            assert_eq!(cached.slots, uncached.slots, "{case}");
+            assert_eq!(cached.diagnostics, uncached.diagnostics, "{case}");
+            assert_eq!(cached.scenario, uncached.scenario, "{case}");
+        }
+    }
+}
+
+/// Segment selection snaps on the *cause* (input event) time: an
+/// event exactly at a boundary belongs to the later segment, one just
+/// before it to the earlier — checked through a two-inverter chain
+/// whose second stage's input event lands exactly on the boundary.
+#[test]
+fn boundary_event_snaps_to_later_segment() {
+    let n = chain_netlist();
+    let engine = voltage_scaled_engine(&n, 10.0, 10.0);
+    let space = ParameterSpace::paper();
+    let c_min = space.load_range().0;
+    let f = |v: f64| 1.5 - space.normalize_clamped(OperatingPoint::new(v, c_min)).v;
+    let (v0, v1) = (0.7, 1.0);
+    // Input flips at t = 0 (segment 0): g1's output lands at t1.
+    let t1 = 10.0 * f(v0);
+    let opts = SimOptions {
+        threads: 1,
+        ..SimOptions::default()
+    };
+    let run_with_boundary = |boundary: f64| {
+        let scenarios = [ScenarioSpec {
+            pattern: 0,
+            schedule: Schedule::steps([(0.0, v0), (boundary, v1)]),
+        }];
+        let run = engine
+            .launch_scenarios(&one_pattern(), &scenarios, None, None, &opts)
+            .unwrap();
+        run.slots[0].latest_output_transition_ps.unwrap()
+    };
+    // Boundary exactly at g2's input event: the event sees the
+    // *later* (faster) segment.
+    let at = run_with_boundary(t1);
+    assert!(
+        (at - (t1 + 10.0 * f(v1))).abs() < 1e-9,
+        "boundary event must use the later segment: got {at}"
+    );
+    // Boundary just after the event: still the earlier segment.
+    let after = run_with_boundary(t1 + 0.01);
+    assert!(
+        (after - (t1 + 10.0 * f(v0))).abs() < 1e-9,
+        "pre-boundary event must use the earlier segment: got {after}"
+    );
+}
+
+/// Monte Carlo draws replay exactly from the seed (pure hashes, no
+/// stateful RNG), a different seed draws different dice, and a
+/// zero-sigma die is bit-identical to the variation-free run.
+#[test]
+fn mc_replays_exactly_from_seed() {
+    let lib = CellLibrary::nangate15_like();
+    let cfg = avfs_circuits::GeneratorConfig::small();
+    let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 47).unwrap());
+    let engine = voltage_scaled_engine(&n, 8.0, 9.0);
+    let patterns = PatternSet::lfsr(n.inputs().len(), 2, 3);
+    let scenarios = cross_schedules(patterns.len(), &[Schedule::droop(0.9, 0.1, 15.0, 60.0)]);
+    let opts = SimOptions {
+        threads: 1,
+        ..SimOptions::default()
+    };
+    let mc = |sigma: f64, seed: u64| MonteCarlo {
+        samples: 4,
+        variation: VariationConfig {
+            sigma,
+            max_deviation: 0.25,
+            seed,
+        },
+    };
+    let a = engine
+        .launch_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
+        .unwrap();
+    let b = engine
+        .launch_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
+        .unwrap();
+    assert_eq!(a.slots, b.slots, "same seed must replay exactly");
+    assert_eq!(a.scenario, b.scenario);
+    let c = engine
+        .launch_scenarios(&patterns, &scenarios, Some(&mc(0.08, 8)), None, &opts)
+        .unwrap();
+    assert_ne!(
+        a.slots
+            .iter()
+            .map(|s| s.latest_output_transition_ps)
+            .collect::<Vec<_>>(),
+        c.slots
+            .iter()
+            .map(|s| s.latest_output_transition_ps)
+            .collect::<Vec<_>>(),
+        "a different seed must draw different dice"
+    );
+    // Zero sigma: derates are exactly 1.0, so the sampled run is the
+    // variation-free run bit for bit (slot-for-slot: each scenario's
+    // single nominal die).
+    let nominal = engine
+        .launch_scenarios(
+            &patterns,
+            &scenarios,
+            Some(&MonteCarlo {
+                samples: 1,
+                variation: VariationConfig {
+                    sigma: 0.0,
+                    max_deviation: 0.25,
+                    seed: 99,
+                },
+            }),
+            None,
+            &opts,
+        )
+        .unwrap();
+    let plain = engine
+        .launch_scenarios(&patterns, &scenarios, None, None, &opts)
+        .unwrap();
+    assert_eq!(nominal.slots, plain.slots);
+}
+
+#[test]
+fn malformed_scenarios_rejected() {
+    let n = chain_netlist();
+    let engine = voltage_scaled_engine(&n, 10.0, 10.0);
+    let patterns = one_pattern();
+    let opts = SimOptions::default();
+    let launch = |schedule: Schedule| {
+        engine.launch_scenarios(
+            &patterns,
+            &[ScenarioSpec {
+                pattern: 0,
+                schedule,
+            }],
+            None,
+            None,
+            &opts,
+        )
+    };
+    // Structurally un-lowerable shapes: refused in every validation
+    // mode (the segment lookup has no semantics for them).
+    for (name, schedule) in [
+        ("empty", Schedule { segments: vec![] }),
+        (
+            "unsorted",
+            Schedule::steps([(0.0, 0.8), (50.0, 0.7), (40.0, 0.9)]),
+        ),
+        (
+            "duplicate",
+            Schedule::steps([(0.0, 0.8), (50.0, 0.7), (50.0, 0.9)]),
+        ),
+        ("nan-start", Schedule::steps([(0.0, 0.8), (f64::NAN, 0.7)])),
+    ] {
+        match launch(schedule) {
+            Err(SimError::InvalidSchedule { slot: 0, .. }) => {}
+            other => panic!("{name}: expected InvalidSchedule, got {other:?}"),
+        }
+    }
+    // Voltage problems: the same refusal a static slot gets.
+    for bad in [f64::NAN, f64::INFINITY, 0.0, -0.8] {
+        match launch(Schedule::steps([(0.0, 0.8), (10.0, bad)])) {
+            Err(SimError::InvalidOperatingPoint { slot: 0, .. }) => {}
+            other => panic!("expected InvalidOperatingPoint, got {other:?}"),
+        }
+    }
+    // Empty launches.
+    assert_eq!(
+        engine
+            .launch_scenarios(&patterns, &[], None, None, &opts)
+            .unwrap_err(),
+        SimError::EmptySlots
+    );
+    assert_eq!(
+        engine
+            .launch_scenarios(
+                &patterns,
+                &[ScenarioSpec {
+                    pattern: 0,
+                    schedule: Schedule::constant(0.8),
+                }],
+                Some(&MonteCarlo {
+                    samples: 0,
+                    variation: VariationConfig::sigma5(0),
+                }),
+                None,
+                &opts,
+            )
+            .unwrap_err(),
+        SimError::EmptySlots
+    );
+    // Pattern index out of range.
+    match engine.launch_scenarios(
+        &patterns,
+        &[ScenarioSpec {
+            pattern: 7,
+            schedule: Schedule::constant(0.8),
+        }],
+        None,
+        None,
+        &opts,
+    ) {
+        Err(SimError::BadPatternIndex {
+            index: 7,
+            available: 1,
+        }) => {}
+        other => panic!("expected BadPatternIndex, got {other:?}"),
+    }
+}
+
+/// Repairable schedule findings — an unanchored first segment
+/// (`AVC-N010`, lowering extends it back to `t = 0`) and supplies
+/// outside the characterized range (`AVC-D006`, the kernel clamps) —
+/// follow `SimOptions::strict_validation` instead of hard-failing:
+/// recorded under `Warn`, refused under `Deny`, silent under `Off`.
+#[test]
+fn repairable_schedules_follow_validation_mode() {
+    let n = chain_netlist();
+    let engine = voltage_scaled_engine(&n, 10.0, 10.0);
+    let patterns = one_pattern();
+    let launch = |schedule: Schedule, mode: ValidationMode| {
+        engine.launch_scenarios(
+            &patterns,
+            &[ScenarioSpec {
+                pattern: 0,
+                schedule,
+            }],
+            None,
+            None,
+            &SimOptions {
+                strict_validation: mode,
+                ..SimOptions::default()
+            },
+        )
+    };
+    // The paper space characterizes [0.55, 1.1] V; 1.3 V clamps.
+    let cases = [
+        ("AVC-N010", Schedule::steps([(5.0, 0.8), (20.0, 0.7)])),
+        ("AVC-D006", Schedule::steps([(0.0, 0.8), (20.0, 1.3)])),
+    ];
+    for (rule, schedule) in &cases {
+        // Warn (the default): the run proceeds, the finding lands in
+        // the diagnostics.
+        let run = launch(schedule.clone(), ValidationMode::Warn).unwrap();
+        assert!(
+            run.diagnostics
+                .validation_findings
+                .iter()
+                .any(|f| f.contains(rule)),
+            "{rule} missing from {:?}",
+            run.diagnostics.validation_findings
+        );
+        assert!(run.slots[0].status.is_completed());
+        // Deny: the same launch is refused, carrying the finding.
+        match launch(schedule.clone(), ValidationMode::Deny) {
+            Err(SimError::Validation { findings }) => {
+                assert!(findings.iter().any(|f| f.contains(rule)), "{findings:?}");
+            }
+            other => panic!("{rule}: expected Validation refusal, got {other:?}"),
+        }
+        // Off: runs, records nothing.
+        let off = launch(schedule.clone(), ValidationMode::Off).unwrap();
+        assert!(off.diagnostics.validation_findings.is_empty());
+    }
+    // An unanchored schedule still lowers soundly: segment 0 extends
+    // back to the launch instant, so this two-segment trace equals
+    // the anchored trace with the same boundary.
+    let unanchored = launch(
+        Schedule::steps([(5.0, 0.8), (20.0, 0.7)]),
+        ValidationMode::Warn,
+    )
+    .unwrap();
+    let anchored = launch(
+        Schedule::steps([(0.0, 0.8), (20.0, 0.7)]),
+        ValidationMode::Warn,
+    )
+    .unwrap();
+    assert_eq!(unanchored.slots, anchored.slots);
+}
+
+/// The failure-probability reduction against a capture deadline:
+/// lower supplies are slower under the voltage-scaled kernel, so a
+/// deadline between the two arrival times separates the curve.
+#[test]
+fn scenario_summary_separates_voltages_at_a_deadline() {
+    let n = chain_netlist();
+    let engine = voltage_scaled_engine(&n, 10.0, 10.0);
+    let space = ParameterSpace::paper();
+    let c_min = space.load_range().0;
+    let f = |v: f64| 1.5 - space.normalize_clamped(OperatingPoint::new(v, c_min)).v;
+    let (slow_v, fast_v) = (0.6, 1.0);
+    let deadline = 20.0 * (f(slow_v) + f(fast_v)) / 2.0;
+    let scenarios = cross_schedules(1, &[Schedule::constant(slow_v), Schedule::constant(fast_v)]);
+    let run = engine
+        .launch_scenarios(
+            &one_pattern(),
+            &scenarios,
+            None,
+            Some(deadline),
+            &SimOptions {
+                threads: 1,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    let summary = run.scenario.as_ref().unwrap();
+    assert_eq!(summary.capture_deadline_ps, Some(deadline));
+    assert_eq!(summary.points.len(), 2);
+    let slow = summary.points.iter().find(|p| p.voltage == slow_v).unwrap();
+    let fast = summary.points.iter().find(|p| p.voltage == fast_v).unwrap();
+    assert_eq!((slow.samples, slow.failures), (1, 1), "slow slot misses");
+    assert!((slow.p_fail - 1.0).abs() < 1e-12);
+    assert_eq!((fast.samples, fast.failures), (1, 0), "fast slot makes it");
+    assert_eq!(fast.p_fail, 0.0);
+}

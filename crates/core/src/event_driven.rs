@@ -436,7 +436,8 @@ impl EventDrivenSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, SimOptions};
+    use crate::compile::CompiledNetlist;
+    use crate::engine::SimOptions;
     use crate::slots::at_voltage;
     use avfs_atpg::pattern::{Pattern, PatternPair};
     use avfs_delay::{ParameterSpace, StaticModel};
@@ -491,7 +492,7 @@ mod tests {
         let n = inverter_chain();
         let ann = Arc::new(annotate_static(&n, 3));
         let ed = EventDrivenSimulator::new(Arc::clone(&n), Arc::clone(&ann)).unwrap();
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&n),
             Arc::clone(&ann),
             Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -507,7 +508,7 @@ mod tests {
             keep_waveforms: true,
             ..SimOptions::default()
         };
-        let run_engine = engine.run(&patterns, &slots, &opts).unwrap();
+        let run_engine = engine.launch(&patterns, &slots, &opts).unwrap();
         let run_ed = ed.run(&patterns, &slots, true).unwrap();
         let wf_a = run_engine.slots[0].waveforms.as_ref().unwrap();
         let wf_b = run_ed.slots[0].waveforms.as_ref().unwrap();
@@ -539,7 +540,7 @@ mod tests {
             let n = Arc::new(avfs_circuits::random_netlist("xval", &cfg, &lib, seed).unwrap());
             let ann = Arc::new(annotate_static(&n, seed.wrapping_mul(77).wrapping_add(1)));
             let ed = EventDrivenSimulator::new(Arc::clone(&n), Arc::clone(&ann)).unwrap();
-            let engine = Engine::new(
+            let engine = CompiledNetlist::compile(
                 Arc::clone(&n),
                 Arc::clone(&ann),
                 Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -552,7 +553,7 @@ mod tests {
                 keep_waveforms: true,
                 ..SimOptions::default()
             };
-            let run_a = engine.run(&patterns, &slots, &opts).unwrap();
+            let run_a = engine.launch(&patterns, &slots, &opts).unwrap();
             let run_b = ed.run(&patterns, &slots, true).unwrap();
             for (sa, sb) in run_a.slots.iter().zip(&run_b.slots) {
                 let wa = sa.waveforms.as_ref().unwrap();

@@ -1,8 +1,8 @@
 //! Massively parallel voltage-aware gate-level time simulation — the
 //! paper's primary contribution (Sec. IV).
 //!
-//! The centerpiece is [`engine::Engine`], a CPU realization of the GPU
-//! execution model of Fig. 3:
+//! The centerpiece is [`CompiledNetlist::launch`], a CPU realization of
+//! the GPU execution model of Fig. 3:
 //!
 //! * **vertical dimension** — structural parallelism: the circuit is
 //!   processed level by level, all gates of a level concurrently;
@@ -70,7 +70,7 @@ pub use batch::{BatchRunner, CompileKey};
 pub use compile::CompiledNetlist;
 pub use delay_fault::{DelayFaultSimulator, FaultVerdict, SmallDelayFault};
 pub use domains::{DomainSlotSpec, VoltageDomains};
-pub use engine::{Engine, SimOptions, ValidationMode};
+pub use engine::{SimOptions, ValidationMode};
 pub use event_driven::EventDrivenSimulator;
 pub use power::{energy_by_voltage, slot_energy, EnergyEstimate};
 pub use results::{RunDiagnostics, SimRun, SlotResult, SlotStatus};
@@ -105,6 +105,16 @@ pub enum SimError {
     },
     /// No slots were requested.
     EmptySlots,
+    /// A voltage-island slot's voltage vector does not assign exactly one
+    /// supply per domain.
+    DomainCount {
+        /// Index of the offending slot.
+        slot: usize,
+        /// Domains in the partition.
+        expected: usize,
+        /// Voltages the slot supplied.
+        got: usize,
+    },
     /// The delay model failed (missing kernel, out-of-range operating
     /// point).
     Model(avfs_delay::DelayError),
@@ -202,6 +212,16 @@ impl fmt::Display for SimError {
                 write!(f, "slot references pattern {index} of {available}")
             }
             SimError::EmptySlots => write!(f, "no simulation slots requested"),
+            SimError::DomainCount {
+                slot,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "slot {slot} supplies {got} domain voltage(s) for {expected} domain(s)"
+                )
+            }
             SimError::Model(e) => write!(f, "delay model error: {e}"),
             SimError::NonPositiveDelay { gate } => {
                 write!(

@@ -14,9 +14,10 @@ pub const ENGINE_RUN: &str = "engine/run";
 /// Level 0 of each batch: expanding pattern pairs into stimuli waveforms.
 pub const ENGINE_STIMULI: &str = "engine/stimuli";
 
-/// Per-(level, voltage group) delay-kernel evaluation — the
-/// initialization phase of the online delay calculation (paper Sec.
-/// IV.A). One call per simulated level.
+/// Delay initialisation (paper Sec. IV.A): per batch, binding voltage
+/// groups to the artifact's per-voltage tables (first-use builds
+/// included); per simulated level, the uncached groups' kernel
+/// evaluation and the Monte Carlo derate pass.
 pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 
 /// Per-level gate evaluation: the waveform-processing loop across the
@@ -53,8 +54,10 @@ pub const ENGINE_PHASES: [&str; 6] = [
     ENGINE_ANALYSIS,
 ];
 
-/// Delay-kernel factor evaluations (two per annotated pin per live
-/// voltage group per level: rise and fall).
+/// Delay-kernel factor evaluations (rise and fall per annotated pin):
+/// a whole netlist's worth per delay-table build, plus one level's worth
+/// per level for every live voltage group that is not table-served
+/// (voltage islands, armed fault plans).
 pub const ENGINE_KERNEL_EVALS: &str = "engine.kernel_evals";
 
 /// Circuit levels processed, summed over batches and retry rounds.
@@ -107,13 +110,6 @@ pub const ENGINE_LANES_WIDTH: &str = "engine.lanes_width";
 /// live; quarantined lanes are masked out of it rather than removed.
 pub const ENGINE_LANES_GROUPS: &str = "engine.lanes_groups";
 
-/// Lane-batched delay-kernel calls: `factor_lanes` invocations that
-/// evaluated all live voltage groups of a level in one hand-unrolled
-/// Horner pass (two per annotated pin per level: rise and fall). Falls
-/// to 0 for levels where a kernel panic forced the scalar per-group
-/// fallback.
-pub const ENGINE_LANES_KERNEL_BATCHES: &str = "engine.lanes_kernel_batches";
-
 /// Work-stealing chunk grabs beyond each worker's first in a level,
 /// summed over the run — how often the atomic cursor rebalanced load
 /// across the pool.
@@ -161,10 +157,6 @@ pub const ENGINE_LIBRARY_MISSES: &str = "engine.library_misses";
 /// queue.
 pub const ENGINE_BATCH_RUNS: &str = "engine.batch_runs";
 
-/// Shards executed across all [`BatchRunner`](crate::BatchRunner) runs
-/// (1 per unsharded run).
-pub const ENGINE_BATCH_SHARDS: &str = "engine.batch_shards";
-
 /// Histogram of [`BatchRunner`](crate::BatchRunner) run-queue depth:
 /// how many runs were already waiting on (or holding) the parked pool
 /// when each run got in line — 0 means the pool was free.
@@ -181,11 +173,11 @@ pub const ENGINE_CACHE_OCCUPANCY: &str = "engine.cache_occupancy";
 /// stays at the number of distinct supplies.
 pub const ENGINE_DELAY_TABLE_BUILDS: &str = "engine.delay_table_builds";
 
-/// Per-voltage delay-table cache hits — batches whose entire kernel
-/// initialization was served from a
+/// Per-voltage delay-table cache hits — batches whose every voltage
+/// group was served from a
 /// [`CompiledNetlist`](crate::CompiledNetlist)'s resident tables
-/// (uniform assignments, no armed fault plan) instead of being
-/// re-evaluated.
+/// (uniform and scheduled assignments, Monte Carlo dice included, no
+/// armed fault plan) instead of being re-evaluated.
 pub const ENGINE_DELAY_TABLE_HITS: &str = "engine.delay_table_hits";
 
 /// Total schedule segments across a launch's slots (1 per static slot).
@@ -202,8 +194,8 @@ pub const ENGINE_SCENARIO_SEGMENTS: &str = "engine.scenario_segments";
 pub const ENGINE_MC_SAMPLES: &str = "engine.mc_samples";
 
 /// Hashed process-variation derate draws performed by the delay
-/// initialization phase (two per annotated pin per sampled voltage
-/// group per level: rise and fall). Coordinator-only, like every other
+/// initialisation's derate pass (two per annotated pin per sampled
+/// voltage group per level: rise and fall). Coordinator-only, like every other
 /// instrument; recorded only when at least one draw happened.
 pub const ENGINE_VARIATION_DRAWS: &str = "engine.variation_draws";
 

@@ -65,8 +65,8 @@ struct Shared {
 /// A pool of parked worker threads released level-by-level via an epoch
 /// barrier. Created once per [`Session`](crate::session::Session) /
 /// [`BatchRunner`](crate::batch::BatchRunner) (or once per run by a bare
-/// [`Engine::run`](crate::Engine::run)) and reusable across any number of
-/// runs; dropping it joins all workers.
+/// [`CompiledNetlist::launch`](crate::CompiledNetlist::launch)) and
+/// reusable across any number of runs; dropping it joins all workers.
 pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -187,6 +187,64 @@ impl std::fmt::Debug for WorkerPool {
         f.debug_struct("WorkerPool")
             .field("size", &self.size())
             .finish()
+    }
+}
+
+/// Resolves a requested worker count: 0 selects the machine's available
+/// parallelism.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+}
+
+/// A worker count resolved once plus the pool it stands for — what a
+/// [`Session`](crate::session::Session) and a
+/// [`BatchRunner`](crate::batch::BatchRunner) park across runs and what
+/// a bare launch owns for its own duration.
+#[derive(Debug)]
+pub(crate) struct ParkedPool {
+    threads: usize,
+    /// `None` when `threads == 1`: a single-threaded run executes inline
+    /// on the caller.
+    workers: Option<WorkerPool>,
+}
+
+impl ParkedPool {
+    /// Resolves `threads` (0 = available parallelism) and spawns the
+    /// workers now.
+    pub fn new(threads: usize) -> ParkedPool {
+        let threads = resolve_threads(threads);
+        ParkedPool {
+            threads,
+            workers: (threads > 1).then(|| WorkerPool::new(threads)),
+        }
+    }
+
+    /// The resolved worker count.
+    pub fn threads(&self) -> usize {
+        self.threads
+    }
+
+    /// The parked workers (`None` = run inline).
+    pub fn workers(&self) -> Option<&WorkerPool> {
+        self.workers.as_ref()
+    }
+
+    /// Checks a per-run thread override against the pool: a parked pool
+    /// cannot be resized mid-flight, and silently ignoring the override
+    /// would make the same options behave differently on different front
+    /// doors. Trivially passes for a pool built from these options.
+    pub fn admit(&self, options: &crate::SimOptions) -> Result<(), crate::SimError> {
+        if options.threads != 0 && options.threads != self.threads {
+            return Err(crate::SimError::ThreadMismatch {
+                pool: self.threads,
+                requested: options.threads,
+            });
+        }
+        Ok(())
     }
 }
 

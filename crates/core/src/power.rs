@@ -114,7 +114,8 @@ pub fn energy_by_voltage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, SimOptions};
+    use crate::compile::CompiledNetlist;
+    use crate::engine::SimOptions;
     use crate::slots;
     use avfs_atpg::pattern::{Pattern, PatternPair};
     use avfs_atpg::PatternSet;
@@ -141,7 +142,7 @@ mod tests {
             }
         }
         let ann = Arc::new(ann);
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&n),
             Arc::clone(&ann),
             Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -152,7 +153,7 @@ mod tests {
         )
         .collect();
         let run = engine
-            .run(
+            .launch(
                 &patterns,
                 &slots::cross(1, voltages),
                 &SimOptions {
@@ -223,7 +224,7 @@ mod tests {
             }
         }
         let ann = Arc::new(ann);
-        let engine = Engine::new(
+        let engine = CompiledNetlist::compile(
             Arc::clone(&n),
             Arc::clone(&ann),
             Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -234,7 +235,7 @@ mod tests {
         )
         .collect();
         let run = engine
-            .run(
+            .launch(
                 &patterns,
                 &slots::at_voltage(1, 0.8),
                 &SimOptions {

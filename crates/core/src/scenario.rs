@@ -4,9 +4,9 @@
 //! A *scenario* replays one stimulus pair under a [`Schedule`] — a
 //! piecewise-constant supply trace of `(t_start, voltage)` [`Segment`]s
 //! modeling DVFS governor steps, voltage-droop transients, or per-domain
-//! supply sequences. The engine re-evaluates the delay kernel once per
-//! segment (the per-voltage delay-table LRU still serves repeated
-//! voltages), and every gate evaluation picks its segment by the *cause*
+//! supply sequences. The engine binds one per-voltage delay table per
+//! segment (the same tables static launches at those supplies use), and
+//! every gate evaluation picks its segment by the *cause*
 //! time: an input event at time `t` uses segment
 //! `boundaries.partition_point(|b| *b <= t)`, so an event exactly at a
 //! boundary sees the later segment's supply.
@@ -16,7 +16,7 @@
 //! "die": a deterministic per-`(sample, node, pin, polarity)` delay
 //! derate drawn by hashing, never by a stateful RNG (see
 //! [`avfs_delay::variation::derate`]), so draws are independent of the
-//! schedule, of slot order, of sharding, and of the thread count —
+//! schedule, of slot order, of batching, and of the thread count —
 //! replaying a seed replays the dice exactly. The run's
 //! [`ScenarioSummary`] reduces the sampled slots into a
 //! failure-probability-vs-voltage curve against a capture deadline.
@@ -27,7 +27,7 @@
 //! assignment as a static slot before any kernel work happens, so a
 //! constant-schedule scenario run is **bit-identical** to the
 //! corresponding static run — same responses, same arrival times, same
-//! profile — at every thread count, lane width, and shard split:
+//! profile — at every thread count, lane width, and batch split:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -68,12 +68,12 @@
 
 use crate::compile::CompiledNetlist;
 use crate::engine::{
-    Exec, NormalizedSchedule, SimOptions, SlotWork, VariationSample, VoltageAssign,
+    LaunchPlan, NormalizedSchedule, SimOptions, SlotWork, VariationSample, VoltageAssign,
 };
+use crate::pool::ParkedPool;
 use crate::results::{SimRun, SlotResult};
 use crate::SimError;
 use avfs_atpg::PatternSet;
-use avfs_delay::op::OperatingPoint;
 use avfs_delay::VariationConfig;
 use std::sync::Arc;
 
@@ -178,7 +178,7 @@ pub fn cross_schedules(num_patterns: usize, schedules: &[Schedule]) -> Vec<Scena
 
 /// A Monte Carlo process-variation plan: expand every scenario into
 /// `samples` dice drawn from `variation`. Sample 0 of seed `s` is the
-/// same die in every launch, shard, and schedule — draws are pure hashes
+/// same die in every launch, batch, and schedule — draws are pure hashes
 /// of `(seed, sample, node, pin, polarity)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarlo {
@@ -270,13 +270,11 @@ pub(crate) fn summarize(
 }
 
 impl CompiledNetlist {
-    /// Validates a scenario launch and resolves it into the internal work
-    /// list (per-slot voltage assignments plus Monte Carlo dice) and the
-    /// schedule lint findings the launch validation routes through
-    /// [`SimOptions::strict_validation`] — one finding set per scenario
-    /// *segment*, not per die, so findings don't multiply with the sample
-    /// count. Shared by [`CompiledNetlist::launch_scenarios`] and the
-    /// sharding [`BatchRunner`](crate::batch::BatchRunner).
+    /// Validates a scenario launch and lowers it to a plan: per-slot
+    /// voltage assignments plus Monte Carlo dice, with the schedule lint
+    /// findings routed through [`SimOptions::strict_validation`] — one
+    /// finding set per scenario *segment*, not per die, so findings don't
+    /// multiply with the sample count.
     ///
     /// Schedules with no lowering semantics — empty, non-finite, or
     /// non-increasing segment starts (`partition_point` needs a strictly
@@ -285,54 +283,31 @@ impl CompiledNetlist {
     /// repairable findings — a first segment not anchored at `t = 0`
     /// (`AVC-N010`: lowering extends it back to the launch instant) and
     /// supplies outside the characterized voltage range (`AVC-D006`: the
-    /// kernel clamps them onto the boundary) — are returned for the
-    /// mode-dependent launch validation instead.
+    /// kernel clamps them onto the boundary) — follow the validation
+    /// mode instead.
     ///
     /// Scenario `i`'s dice occupy slots `i * samples .. (i + 1) * samples`
     /// in launch order.
-    pub(crate) fn prepare_scenarios(
+    pub(crate) fn prepare_scenarios<'a>(
         &self,
-        patterns: &PatternSet,
+        patterns: &'a PatternSet,
         scenarios: &[ScenarioSpec],
         mc: Option<&MonteCarlo>,
-    ) -> Result<(Vec<SlotWork>, Vec<avfs_check::Finding>), SimError> {
-        if scenarios.is_empty() {
-            return Err(SimError::EmptySlots);
-        }
+        capture_deadline_ps: Option<f64>,
+        options: &SimOptions,
+    ) -> Result<LaunchPlan<'a>, SimError> {
         if mc.is_some_and(|m| m.samples == 0) {
             return Err(SimError::EmptySlots);
         }
-        let width = self.netlist.inputs().len();
-        for pair in patterns {
-            if pair.width() != width {
-                return Err(SimError::PatternWidth {
-                    expected: width,
-                    got: pair.width(),
-                });
-            }
-        }
-        let space = self.model.space();
-        let c_min = space.load_range().0;
-        let (v_min, v_max) = space.voltage_range();
+        let slots = scenarios.iter().map(|spec| {
+            let voltages = spec.schedule.segments.iter().map(|seg| seg.voltage);
+            (spec.pattern, voltages)
+        });
+        self.check_launch(patterns, slots)?;
+        let (v_min, v_max) = self.model.space().voltage_range();
         let mut findings = Vec::new();
         let mut scenario_work: Vec<SlotWork> = Vec::with_capacity(scenarios.len());
         for (i, spec) in scenarios.iter().enumerate() {
-            if spec.pattern >= patterns.len() {
-                return Err(SimError::BadPatternIndex {
-                    index: spec.pattern,
-                    available: patterns.len(),
-                });
-            }
-            // Voltage validity first (the same refusal a static slot
-            // gets), then schedule shape via the shared AVC-N010 lint.
-            for seg in &spec.schedule.segments {
-                if !seg.voltage.is_finite() || seg.voltage <= 0.0 {
-                    return Err(SimError::InvalidOperatingPoint {
-                        slot: i,
-                        voltage: seg.voltage,
-                    });
-                }
-            }
             let segs = &spec.schedule.segments;
             // Structurally un-lowerable shapes have no simulation
             // semantics (the segment lookup's `partition_point` needs a
@@ -356,38 +331,30 @@ impl CompiledNetlist {
             findings.extend(avfs_check::schedule::lint_schedule_voltages(
                 &location, &pairs, v_min, v_max,
             ));
-            let v_norms: Vec<f64> = spec
-                .schedule
-                .segments
-                .iter()
-                .map(|seg| {
-                    space
-                        .normalize_clamped(OperatingPoint::new(seg.voltage, c_min))
-                        .v
-                })
-                .collect();
+            let v_norms: Vec<f64> = segs.iter().map(|seg| self.v_norm(seg.voltage)).collect();
             // A single-segment schedule lowers to the exact assignment a
             // static slot gets — the constant-schedule ≡ static identity
             // holds by construction, not by numerical luck.
             let assign = if v_norms.len() == 1 {
                 VoltageAssign::Uniform(v_norms[0])
             } else {
-                let boundaries: Vec<f64> = spec.schedule.segments[1..]
-                    .iter()
-                    .map(|s| s.t_start_ps)
-                    .collect();
                 VoltageAssign::Scheduled(Arc::new(NormalizedSchedule {
                     v_norms,
-                    boundaries,
+                    boundaries: segs[1..].iter().map(|s| s.t_start_ps).collect(),
                 }))
             };
             scenario_work.push(SlotWork {
                 pattern: spec.pattern,
                 assign,
-                voltage: spec.schedule.segments[0].voltage,
+                voltage: segs[0].voltage,
                 variation: None,
             });
         }
+        let validation = self.validate_launch(
+            options.strict_validation,
+            &[],
+            &avfs_check::cap_findings(findings),
+        )?;
         let samples = mc.map_or(1, |m| m.samples);
         let mut work = Vec::with_capacity(scenario_work.len() * samples);
         for w in &scenario_work {
@@ -401,7 +368,12 @@ impl CompiledNetlist {
                 });
             }
         }
-        Ok((work, avfs_check::cap_findings(findings)))
+        Ok(LaunchPlan {
+            patterns,
+            work,
+            validation,
+            reduction: Some((mc.copied(), capture_deadline_ps)),
+        })
     }
 
     /// Simulates `scenarios` over `patterns`, each slot driven by its
@@ -433,33 +405,8 @@ impl CompiledNetlist {
         capture_deadline_ps: Option<f64>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        self.launch_scenarios_with(
-            patterns,
-            scenarios,
-            mc,
-            capture_deadline_ps,
-            options,
-            Exec::default(),
-        )
-    }
-
-    pub(crate) fn launch_scenarios_with(
-        &self,
-        patterns: &PatternSet,
-        scenarios: &[ScenarioSpec],
-        mc: Option<&MonteCarlo>,
-        capture_deadline_ps: Option<f64>,
-        options: &SimOptions,
-        mut exec: Exec<'_>,
-    ) -> Result<SimRun, SimError> {
-        let (work, findings) = self.prepare_scenarios(patterns, scenarios, mc)?;
-        let validation = match exec.prevalidated.take() {
-            Some(v) => v,
-            None => self.validate_launch_extra(options.strict_validation, &[], &findings)?,
-        };
-        let mut run = self.run_work(patterns, &work, options, validation, &exec)?;
-        run.scenario = Some(summarize(&run.slots, mc, capture_deadline_ps));
-        Ok(run)
+        let plan = self.prepare_scenarios(patterns, scenarios, mc, capture_deadline_ps, options)?;
+        self.execute(plan, options, &ParkedPool::new(options.threads))
     }
 }
 

@@ -3,20 +3,21 @@
 //!
 //! A [`Session`] binds an `Arc`-shared [`CompiledNetlist`] to a worker
 //! pool that is spawned **once** — at session construction — and parked
-//! across runs, instead of respawned per `run` as the legacy
-//! [`Engine::run`](crate::Engine::run) shim does. Repeated launches on a
-//! session therefore pay neither compile cost nor thread-spawn cost;
-//! only the launch itself.
+//! across runs, instead of respawned per launch as a bare
+//! [`CompiledNetlist::launch`] does. Repeated launches on a session
+//! therefore pay neither compile cost nor thread-spawn cost; only the
+//! launch itself.
 //!
 //! Threads are resolved once, at pool construction. A per-run
 //! [`SimOptions::threads`] override that disagrees with the pool is a
 //! hard [`SimError::ThreadMismatch`] — a parked pool cannot be resized
 //! mid-flight, and silently ignoring the override would make the same
-//! options behave differently on `Engine` and `Session`.
+//! options behave differently on `CompiledNetlist::launch` and
+//! `Session::run`.
 
 use crate::compile::CompiledNetlist;
-use crate::engine::{Exec, SimOptions};
-use crate::pool::WorkerPool;
+use crate::engine::SimOptions;
+use crate::pool::ParkedPool;
 use crate::results::SimRun;
 use crate::slots::SlotSpec;
 use crate::SimError;
@@ -59,11 +60,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Session {
     compiled: Arc<CompiledNetlist>,
-    /// The parked pool; `None` when `threads == 1` (a single-threaded
-    /// run executes inline on the caller, exactly like the engine).
-    pool: Option<WorkerPool>,
-    /// Worker count the pool was resolved to at construction.
-    threads: usize,
+    pool: ParkedPool,
 }
 
 impl Session {
@@ -71,16 +68,9 @@ impl Session {
     /// now and parked across runs; `0` resolves to the machine's
     /// available parallelism once, here, rather than per run.
     pub fn new(compiled: Arc<CompiledNetlist>, threads: usize) -> Session {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
-        let pool = (threads > 1).then(|| WorkerPool::new(threads));
         Session {
             compiled,
-            pool,
-            threads,
+            pool: ParkedPool::new(threads),
         }
     }
 
@@ -91,22 +81,7 @@ impl Session {
 
     /// The worker count resolved at construction.
     pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Checks a per-run thread override against the parked pool and
-    /// pins the effective options to the pool's count.
-    fn pin_threads(&self, options: &SimOptions) -> Result<SimOptions, SimError> {
-        if options.threads != 0 && options.threads != self.threads {
-            return Err(SimError::ThreadMismatch {
-                pool: self.threads,
-                requested: options.threads,
-            });
-        }
-        Ok(SimOptions {
-            threads: self.threads,
-            ..options.clone()
-        })
+        self.pool.threads()
     }
 
     /// Simulates `slots` over `patterns` on the parked pool. Semantics,
@@ -121,16 +96,8 @@ impl Session {
         slots: &[SlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let options = self.pin_threads(options)?;
-        self.compiled.launch_with(
-            patterns,
-            slots,
-            &options,
-            Exec {
-                pool: self.pool.as_ref(),
-                ..Exec::default()
-            },
-        )
+        let plan = self.compiled.prepare_uniform(patterns, slots, options)?;
+        self.compiled.execute(plan, options, &self.pool)
     }
 
     /// Simulates with per-node voltage domains on the parked pool — see
@@ -142,17 +109,10 @@ impl Session {
         specs: &[crate::domains::DomainSlotSpec],
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let options = self.pin_threads(options)?;
-        self.compiled.launch_domains_with(
-            patterns,
-            domains,
-            specs,
-            &options,
-            Exec {
-                pool: self.pool.as_ref(),
-                ..Exec::default()
-            },
-        )
+        let plan = self
+            .compiled
+            .prepare_domains(patterns, domains, specs, options)?;
+        self.compiled.execute(plan, options, &self.pool)
     }
 
     /// Simulates piecewise-scheduled scenarios (optionally Monte Carlo
@@ -166,18 +126,14 @@ impl Session {
         capture_deadline_ps: Option<f64>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let options = self.pin_threads(options)?;
-        self.compiled.launch_scenarios_with(
+        let plan = self.compiled.prepare_scenarios(
             patterns,
             scenarios,
             mc,
             capture_deadline_ps,
-            &options,
-            Exec {
-                pool: self.pool.as_ref(),
-                ..Exec::default()
-            },
-        )
+            options,
+        )?;
+        self.compiled.execute(plan, options, &self.pool)
     }
 
     /// Cross-validates a finished uniform-voltage run of this session's

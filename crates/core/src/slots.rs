@@ -37,30 +37,6 @@ pub fn at_voltage(num_patterns: usize, voltage: f64) -> Vec<SlotSpec> {
     cross(num_patterns, std::slice::from_ref(&voltage))
 }
 
-/// Partitions a slot list into `devices` balanced contiguous groups — the
-/// paper's multi-GPU outlook ("simulation problems could be grouped for
-/// distribution and execution on multi-GPU systems"). Every group's size
-/// differs by at most one; group order preserves slot order, so merged
-/// results stay in launch order.
-///
-/// # Panics
-///
-/// Panics if `devices == 0`.
-pub fn partition(slots: &[SlotSpec], devices: usize) -> Vec<Vec<SlotSpec>> {
-    assert!(devices > 0, "at least one device required");
-    let devices = devices.min(slots.len().max(1));
-    let base = slots.len() / devices;
-    let extra = slots.len() % devices;
-    let mut out = Vec::with_capacity(devices);
-    let mut start = 0;
-    for d in 0..devices {
-        let len = base + usize::from(d < extra);
-        out.push(slots[start..start + len].to_vec());
-        start += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,32 +87,5 @@ mod tests {
     fn empty_inputs() {
         assert!(cross(0, &[0.8]).is_empty());
         assert!(cross(5, &[]).is_empty());
-    }
-
-    #[test]
-    fn partition_balances_and_preserves_order() {
-        let specs = cross(10, &[0.8]);
-        let parts = partition(&specs, 3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].len(), 4);
-        assert_eq!(parts[1].len(), 3);
-        assert_eq!(parts[2].len(), 3);
-        let merged: Vec<SlotSpec> = parts.into_iter().flatten().collect();
-        assert_eq!(merged, specs);
-    }
-
-    #[test]
-    fn partition_more_devices_than_slots() {
-        let specs = cross(2, &[0.8]);
-        let parts = partition(&specs, 8);
-        assert_eq!(parts.len(), 2);
-        assert!(parts.iter().all(|p| p.len() == 1));
-    }
-
-    #[test]
-    fn partition_empty_slot_list() {
-        let parts = partition(&[], 4);
-        assert_eq!(parts.len(), 1);
-        assert!(parts[0].is_empty());
     }
 }

@@ -97,7 +97,7 @@ pub fn apply_variation(
 /// SplitMix64 finalizer, so
 ///
 /// * any slot of a sampled grid can be (re)computed independently, in
-///   any order, on any shard, by any thread — the draw never depends on
+///   any order, in any batch, by any thread — the draw never depends on
 ///   evaluation order (the determinism idiom of `avfs-inject`'s
 ///   `decide`),
 /// * the draw is independent of the slot's operating-point *schedule*:

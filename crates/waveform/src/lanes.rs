@@ -203,68 +203,6 @@ impl LaneLayout {
         let lane = r % self.group_width(g);
         g * self.lanes + lane
     }
-
-    /// Views this layout as one shard of a larger slot grid whose first
-    /// slot sits at global index `base` — the slot-index translator used
-    /// when a sharded batch run stitches per-shard results (diagnostic
-    /// slot lists, injection keys) back onto the global grid.
-    pub fn window(self, base: usize) -> LaneWindow {
-        LaneWindow { layout: self, base }
-    }
-}
-
-/// A [`LaneLayout`] positioned inside a larger slot grid: the layout
-/// addresses the shard's own arena (local slots `0..slots`), while the
-/// window maps those local slots to/from the global grid indexes the
-/// caller sees.
-///
-/// ```
-/// use avfs_waveform::LaneLayout;
-///
-/// // Shard of 5 slots starting at global slot 12.
-/// let win = LaneLayout::new(4, 2, 5).window(12);
-/// assert_eq!(win.global_slot(0), 12);
-/// assert_eq!(win.global_slot(4), 16);
-/// assert_eq!(win.local_slot(13), Some(1));
-/// assert_eq!(win.local_slot(11), None); // before the shard
-/// assert_eq!(win.local_slot(17), None); // past the shard
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneWindow {
-    layout: LaneLayout,
-    base: usize,
-}
-
-impl LaneWindow {
-    /// The shard's own (local) layout.
-    pub fn layout(&self) -> &LaneLayout {
-        &self.layout
-    }
-
-    /// Global index of the shard's first slot.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Maps a shard-local slot to its global grid index.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertions) if `local` is outside the shard.
-    #[inline]
-    pub fn global_slot(&self, local: usize) -> usize {
-        debug_assert!(local < self.layout.slots(), "slot {local} out of shard");
-        self.base + local
-    }
-
-    /// Maps a global grid index into the shard, or `None` if the slot
-    /// belongs to a different shard.
-    #[inline]
-    pub fn local_slot(&self, global: usize) -> Option<usize> {
-        global
-            .checked_sub(self.base)
-            .filter(|&local| local < self.layout.slots())
-    }
 }
 
 #[cfg(test)]
@@ -339,27 +277,6 @@ mod tests {
         let full = LaneLayout::new(64, 1, 64);
         assert_eq!(lay.group_slot(1), 4);
         assert_eq!(full.group_mask(0), !0u64);
-    }
-
-    #[test]
-    fn windows_translate_shard_slots_to_the_global_grid() {
-        // Three shards of a 10-slot grid: sizes 4, 4, 2.
-        let shards = [(0usize, 4usize), (4, 4), (8, 2)];
-        for (base, len) in shards {
-            let win = LaneLayout::new(4, 3, len).window(base);
-            assert_eq!(win.base(), base);
-            assert_eq!(win.layout().slots(), len);
-            for local in 0..len {
-                let global = win.global_slot(local);
-                assert_eq!(global, base + local);
-                assert_eq!(win.local_slot(global), Some(local));
-            }
-            // Slots of other shards do not resolve into this window.
-            if base > 0 {
-                assert_eq!(win.local_slot(base - 1), None);
-            }
-            assert_eq!(win.local_slot(base + len), None);
-        }
     }
 
     #[test]

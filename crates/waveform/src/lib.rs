@@ -41,7 +41,7 @@ pub mod vcd;
 
 pub use activity::{SwitchingActivity, WaveformStats};
 pub use arena::{ArenaPartition, LevelWriter, OverflowHook, WaveformArena, WaveformView};
-pub use lanes::{LaneLayout, LaneWindow};
+pub use lanes::LaneLayout;
 
 use std::error::Error;
 use std::fmt;
@@ -426,6 +426,68 @@ pub fn evaluate_gate_bounded_raw<W: WaveformRead>(
         delays.len(),
         "one PinDelays entry per input pin required"
     );
+    merge_transitions(inputs, |_, pin| delays[pin], eval, scratch, cap)
+}
+
+/// [`evaluate_gate_bounded_raw`] over a *segmented* delay timeline — the
+/// piecewise-operating-point form used by the AVFS scenario engine.
+///
+/// The simulation window is split into `boundaries.len() + 1` *segments*
+/// by the strictly increasing `boundaries` (segment start times in ps,
+/// excluding the implicit segment 0 start at −∞). An input event at time
+/// `t` belongs to segment `boundaries.partition_point(|b| *b <= t)` — an
+/// event **exactly at** a boundary belongs to the *later* segment, the
+/// convention under which a supply step applied at the launch instant of
+/// a transition already sees the new voltage. The pin-to-output delay
+/// charged to that event is `delays(segment, pin)`.
+///
+/// Segment selection is by the *cause* (input event) time, not the
+/// resulting output time: the voltage in effect while the gate
+/// propagates the event is the one at the moment the input switches, the
+/// same first-order approximation the per-segment delay tables make.
+///
+/// Both entry points share one merge loop and differ only in the delay
+/// lookup, so with empty `boundaries` this performs the identical
+/// operation sequence as [`evaluate_gate_bounded_raw`] with
+/// `delays(0, ·)` — the single-segment identity the scenario layer's
+/// constant-schedule ≡ static-run guarantee rests on.
+///
+/// # Errors
+///
+/// Returns [`CapacityOverflow`] when the schedule would exceed `cap`.
+///
+/// # Panics
+///
+/// Panics if `inputs` is empty.
+pub fn evaluate_gate_bounded_raw_segmented<W: WaveformRead>(
+    inputs: &[W],
+    boundaries: &[f64],
+    delays: impl Fn(usize, usize) -> PinDelays,
+    eval: impl Fn(&[bool]) -> bool,
+    scratch: &mut GateScratch,
+    cap: usize,
+) -> Result<bool, CapacityOverflow> {
+    merge_transitions(
+        inputs,
+        |t, pin| delays(boundaries.partition_point(|b| *b <= t), pin),
+        eval,
+        scratch,
+        cap,
+    )
+}
+
+/// The waveform-processing loop behind both bounded evaluators: a k-way
+/// merge over the input transition lists with inertial cancellation.
+/// `delay(t, pin)` is consulted only for input events that change the
+/// scheduled output value, with the event's cause time `t`.
+#[inline]
+fn merge_transitions<W: WaveformRead>(
+    inputs: &[W],
+    delay: impl Fn(f64, usize) -> PinDelays,
+    eval: impl Fn(&[bool]) -> bool,
+    scratch: &mut GateScratch,
+    cap: usize,
+) -> Result<bool, CapacityOverflow> {
     assert!(!inputs.is_empty(), "gate must have at least one input");
 
     let values = &mut scratch.values;
@@ -468,108 +530,9 @@ pub fn evaluate_gate_bounded_raw<W: WaveformRead>(
         if new_out == scheduled_value {
             continue;
         }
-        let tt = t + delays[pin].for_output(new_out);
+        let tt = t + delay(t, pin).for_output(new_out);
         // Inertial cancellation: the new cause overtakes any scheduled
         // transition at tt or later.
-        while let Some(&last) = sched.last() {
-            if last >= tt {
-                sched.pop();
-                scheduled_value = !scheduled_value;
-            } else {
-                break;
-            }
-        }
-        if scheduled_value != new_out {
-            if sched.len() >= cap {
-                return Err(CapacityOverflow { capacity: cap });
-            }
-            sched.push(tt);
-            scheduled_value = new_out;
-        }
-    }
-
-    debug_assert!(sched.iter().all(|t| t.is_finite()) && sched.windows(2).all(|w| w[0] < w[1]));
-    Ok(initial_out)
-}
-
-/// [`evaluate_gate_bounded_raw`] over a *segmented* delay timeline — the
-/// piecewise-operating-point form used by the AVFS scenario engine.
-///
-/// The simulation window is split into `boundaries.len() + 1` *segments*
-/// by the strictly increasing `boundaries` (segment start times in ps,
-/// excluding the implicit segment 0 start at −∞). An input event at time
-/// `t` belongs to segment `boundaries.partition_point(|b| *b <= t)` — an
-/// event **exactly at** a boundary belongs to the *later* segment, the
-/// convention under which a supply step applied at the launch instant of
-/// a transition already sees the new voltage. The pin-to-output delay
-/// charged to that event is `delays(segment, pin)`.
-///
-/// Segment selection is by the *cause* (input event) time, not the
-/// resulting output time: the voltage in effect while the gate
-/// propagates the event is the one at the moment the input switches, the
-/// same first-order approximation the per-segment delay tables make.
-///
-/// With empty `boundaries` this performs the identical operation
-/// sequence as [`evaluate_gate_bounded_raw`] with `delays(0, ·)` — the
-/// single-segment identity the scenario layer's constant-schedule ≡
-/// static-run guarantee rests on.
-///
-/// # Errors
-///
-/// Returns [`CapacityOverflow`] when the schedule would exceed `cap`.
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-pub fn evaluate_gate_bounded_raw_segmented<W: WaveformRead>(
-    inputs: &[W],
-    boundaries: &[f64],
-    delays: impl Fn(usize, usize) -> PinDelays,
-    eval: impl Fn(&[bool]) -> bool,
-    scratch: &mut GateScratch,
-    cap: usize,
-) -> Result<bool, CapacityOverflow> {
-    assert!(!inputs.is_empty(), "gate must have at least one input");
-
-    let values = &mut scratch.values;
-    values.clear();
-    values.extend(inputs.iter().map(|w| w.initial_value()));
-    let initial_out = eval(values);
-
-    let sched = &mut scratch.sched;
-    sched.clear();
-
-    // Fast path: quiescent inputs produce a constant output.
-    if inputs.iter().all(|w| w.transitions().is_empty()) {
-        return Ok(initial_out);
-    }
-
-    let mut scheduled_value = initial_out;
-
-    // K-way merge over the input transition lists (identical to
-    // `evaluate_gate_bounded_raw` except for the delay lookup).
-    let cursors = &mut scratch.cursors;
-    cursors.clear();
-    cursors.resize(inputs.len(), 0);
-    loop {
-        let mut best: Option<(f64, usize)> = None;
-        for (p, w) in inputs.iter().enumerate() {
-            if let Some(&t) = w.transitions().get(cursors[p]) {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, p));
-                }
-            }
-        }
-        let Some((t, pin)) = best else { break };
-        cursors[pin] += 1;
-        values[pin] = !values[pin];
-
-        let new_out = eval(values);
-        if new_out == scheduled_value {
-            continue;
-        }
-        let segment = boundaries.partition_point(|b| *b <= t);
-        let tt = t + delays(segment, pin).for_output(new_out);
         while let Some(&last) = sched.last() {
             if last >= tt {
                 sched.pop();

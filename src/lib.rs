@@ -18,8 +18,8 @@
 //! * [`sim`] — the parallel thread-grid time simulator and baselines
 //!   (the paper's Sec. IV), split compile-once / simulate-many:
 //!   [`CompiledNetlist`](sim::CompiledNetlist) artifacts,
-//!   [`Session`](sim::Session)s and the caching, sharding
-//!   [`BatchRunner`](sim::BatchRunner),
+//!   [`Session`](sim::Session)s and the caching
+//!   [`BatchRunner`](sim::BatchRunner), all ending in one launch path,
 //! * [`atpg`] — pattern-pair generation (transition + timing-aware),
 //! * [`circuits`] — benchmark circuits and Table-I/II profiles,
 //! * [`obs`] — phase timers, counters and histograms behind
@@ -89,9 +89,9 @@
 //! run. Compile the netlist into an immutable
 //! [`CompiledNetlist`](sim::CompiledNetlist) artifact and launch it
 //! through a [`BatchRunner`](sim::BatchRunner), which caches artifacts
-//! by content hash, keeps its worker pool parked between runs, and
-//! transparently shards slot grids that outgrow the waveform budget
-//! (bit-identical to the unsharded run):
+//! by content hash and keeps its worker pool parked between runs
+//! (bit-identical to a bare
+//! [`CompiledNetlist::launch`](sim::CompiledNetlist::launch)):
 //!
 //! ```
 //! use avfs::atpg::PatternSet;

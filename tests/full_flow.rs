@@ -7,7 +7,7 @@ use avfs::circuits::{random_netlist, ripple_carry_adder, GeneratorConfig};
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::delay::{CharacterizedLibrary, StaticModel};
 use avfs::netlist::{CellLibrary, Netlist, NodeKind};
-use avfs::sim::{slots, Engine, EventDrivenSimulator, SimOptions, TimeSimulator};
+use avfs::sim::{slots, CompiledNetlist, EventDrivenSimulator, SimOptions, TimeSimulator};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn engine_matches_event_driven_on_adder() {
     let chars = characterize_for(&netlist, &library);
     let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
 
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(&annotation),
         Arc::new(StaticModel::new(*chars.space())),
@@ -55,7 +55,7 @@ fn engine_matches_event_driven_on_adder() {
         ..SimOptions::default()
     };
     let a = engine
-        .run(&patterns, &slot_list, &opts)
+        .launch(&patterns, &slot_list, &opts)
         .expect("engine runs");
     let b = baseline
         .run(&patterns, &slot_list, true)

@@ -7,7 +7,7 @@ use avfs::circuits::ripple_carry_adder;
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::delay::CharacterizedLibrary;
 use avfs::netlist::{CellLibrary, Netlist, NodeKind};
-use avfs::sim::{phases, slots, Engine, EventDrivenSimulator, SimOptions, SimRun};
+use avfs::sim::{phases, slots, CompiledNetlist, EventDrivenSimulator, SimOptions, SimRun};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn run_adder(profiling: bool) -> SimRun {
     let netlist = Arc::new(ripple_carry_adder(8, &library).expect("adder builds"));
     let chars = characterize_for(&netlist, &library);
     let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         annotation,
         Arc::new(chars.model().clone()),
@@ -54,7 +54,7 @@ fn run_adder(profiling: bool) -> SimRun {
         ..SimOptions::default()
     };
     engine
-        .run(&patterns, &slot_list, &options)
+        .launch(&patterns, &slot_list, &options)
         .expect("engine runs")
 }
 

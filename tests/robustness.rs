@@ -10,7 +10,9 @@ use avfs::delay::op::NormalizedPoint;
 use avfs::delay::{DelayError, ParameterSpace, StaticModel, TimingAnnotation};
 use avfs::netlist::library::Polarity;
 use avfs::netlist::{CellId, CellLibrary, Netlist, NetlistBuilder, NodeKind};
-use avfs::sim::{slots, Engine, EventDrivenSimulator, SimError, SimOptions, SimRun, SlotStatus};
+use avfs::sim::{
+    slots, CompiledNetlist, EventDrivenSimulator, SimError, SimOptions, SimRun, SlotStatus,
+};
 use avfs::waveform::PinDelays;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -63,7 +65,7 @@ fn glitch_cascade(stages: usize) -> Arc<Netlist> {
 fn overflow_quarantine_retries_until_result_matches_oracle() {
     let netlist = glitch_cascade(3);
     let annotation = Arc::new(static_annotation(&netlist, 7.0, 5.0));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(&annotation),
         Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -80,7 +82,7 @@ fn overflow_quarantine_retries_until_result_matches_oracle() {
         arena_capacity: 2, // deliberately too small for the cascade
         ..SimOptions::default()
     };
-    let run = engine.run(&patterns, &specs, &opts).unwrap();
+    let run = engine.launch(&patterns, &specs, &opts).unwrap();
 
     // The slot overflowed, was quarantined and completed on a retry.
     assert!(run.is_complete());
@@ -142,7 +144,7 @@ fn panicked_slot_is_quarantined_while_others_match_oracle() {
     };
     let netlist = Arc::new(random_netlist("rnd", &cfg, &lib, 23).unwrap());
     let annotation = Arc::new(static_annotation(&netlist, 9.0, 11.0));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(&annotation),
         Arc::new(PanickyModel {
@@ -165,7 +167,7 @@ fn panicked_slot_is_quarantined_while_others_match_oracle() {
         keep_waveforms: true,
         ..SimOptions::default()
     };
-    let run = engine.run(&patterns, &specs, &opts).unwrap();
+    let run = engine.launch(&patterns, &specs, &opts).unwrap();
 
     assert!(!run.is_complete());
     assert_eq!(run.diagnostics.panicked_slots, poisoned);
@@ -193,7 +195,7 @@ fn panicked_slot_is_quarantined_while_others_match_oracle() {
 fn every_slot_poisoned_is_a_run_error() {
     let netlist = glitch_cascade(1);
     let annotation = Arc::new(static_annotation(&netlist, 3.0, 3.0));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         annotation,
         Arc::new(PanickyModel {
@@ -205,7 +207,7 @@ fn every_slot_poisoned_is_a_run_error() {
         PatternPair::new(Pattern::from_bits([true]), Pattern::from_bits([false])).unwrap(),
     )
     .collect();
-    match engine.run(&patterns, &slots::cross(1, &[1.1]), &SimOptions::default()) {
+    match engine.launch(&patterns, &slots::cross(1, &[1.1]), &SimOptions::default()) {
         Err(SimError::AllSlotsFailed { slots: 1 }) => {}
         other => panic!("expected AllSlotsFailed, got {other:?}"),
     }
@@ -214,10 +216,10 @@ fn every_slot_poisoned_is_a_run_error() {
 /// A fixed engine + stimuli pair for the fault-plan property below: a
 /// glitchy netlist (so injected overflows and retries actually bite)
 /// with static delays and eight mixed-voltage slots.
-fn chaos_fixture() -> (Engine, PatternSet, Vec<slots::SlotSpec>) {
+fn chaos_fixture() -> (CompiledNetlist, PatternSet, Vec<slots::SlotSpec>) {
     let netlist = glitch_cascade(3);
     let annotation = Arc::new(static_annotation(&netlist, 4.0, 6.0));
-    let engine = Engine::new(
+    let engine = CompiledNetlist::compile(
         Arc::clone(&netlist),
         annotation,
         Arc::new(StaticModel::new(ParameterSpace::paper())),
@@ -248,7 +250,7 @@ proptest! {
         use avfs::inject::{FaultPlan, InjectionSite};
         let (engine, patterns, specs) = chaos_fixture();
         let run = |plan: Arc<FaultPlan>| {
-            engine.run(
+            engine.launch(
                 &patterns,
                 &specs,
                 &SimOptions {

@@ -30,8 +30,8 @@ fn warn_mode_records_out_of_domain_slots() {
     // engine used to clamp it silently. Warn (the default) still clamps
     // but records the finding.
     let run = sim
-        .engine()
-        .run(
+        .compiled()
+        .launch(
             &patterns,
             &slots::cross(1, &[0.3, 0.8]),
             &SimOptions {
@@ -58,7 +58,7 @@ fn deny_mode_refuses_and_off_mode_ignores() {
     let sim = simulator();
     let patterns = PatternSet::lfsr(sim.netlist().inputs().len(), 2, 9);
     let bad = slots::at_voltage(patterns.len(), 1.4); // above v_max
-    let denied = sim.engine().run(
+    let denied = sim.compiled().launch(
         &patterns,
         &bad,
         &SimOptions {
@@ -77,8 +77,8 @@ fn deny_mode_refuses_and_off_mode_ignores() {
     );
     // Off mode simulates the same launch and records nothing.
     let run = sim
-        .engine()
-        .run(
+        .compiled()
+        .launch(
             &patterns,
             &bad,
             &SimOptions {

@@ -92,7 +92,7 @@ fn nominal_parametric_deviation_is_small() {
     let static_sim = TimeSimulator::new(
         Arc::clone(&netlist),
         Arc::clone(sim.annotation()),
-        Arc::new(StaticModel::new(*sim.engine().model().space())),
+        Arc::new(StaticModel::new(*sim.compiled().model().space())),
     )
     .expect("builds");
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 8);
@@ -126,7 +126,7 @@ fn alpha_power_baseline_tracks_polynomial_roughly() {
         Arc::new(AlphaPowerModel::new(
             tech.vth_n,
             tech.alpha,
-            *sim.engine().model().space(),
+            *sim.compiled().model().space(),
         )),
     )
     .expect("builds");
@@ -200,13 +200,13 @@ fn process_variation_shifts_arrivals_modestly() {
     let varied_sim = TimeSimulator::new(
         Arc::clone(&netlist),
         varied,
-        Arc::new(StaticModel::new(*sim.engine().model().space())),
+        Arc::new(StaticModel::new(*sim.compiled().model().space())),
     )
     .expect("builds");
     let base_sim = TimeSimulator::new(
         Arc::clone(&netlist),
         Arc::clone(sim.annotation()),
-        Arc::new(StaticModel::new(*sim.engine().model().space())),
+        Arc::new(StaticModel::new(*sim.compiled().model().space())),
     )
     .expect("builds");
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 2);
