@@ -22,7 +22,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> perf_report --smoke (schema gate)"
 cargo run --release --offline -p avfs-bench --bin perf_report -- --smoke
 
-echo "==> thread_scaling --smoke (pool determinism gate)"
+echo "==> thread_scaling --smoke (pool determinism gate: threads 1 vs 2 over pooled and inline epochs)"
 cargo run --release --offline -p avfs-bench --bin thread_scaling -- --smoke
 
 echo "==> activity_sweep --smoke (gating determinism gate)"
@@ -31,7 +31,7 @@ cargo run --release --offline -p avfs-bench --bin activity_sweep -- --smoke
 echo "==> lane_scaling --smoke (lane-major identity gate)"
 cargo run --release --offline -p avfs-bench --bin lane_scaling -- --smoke
 
-echo "==> batch_throughput --smoke (compile-once identity-and-amortization gate)"
+echo "==> batch_throughput --smoke (compile-once identity-and-amortization gate: one compile, one arena allocation)"
 cargo run --release --offline -p avfs-bench --bin batch_throughput -- --smoke
 
 echo "==> scenario_sweep --smoke (schedule identity and Monte Carlo replay gate)"

@@ -10,7 +10,8 @@
 //!
 //! `--smoke` is the CI gate: a small adder, a handful of runs, identity
 //! plus the cache contract (`compile_misses == 1`,
-//! `compile_hits == runs - 1`) enforced, fast enough for every commit. The
+//! `compile_hits == runs - 1`, and — asserted by the shared helper —
+//! `arena_allocations == 1`) enforced, fast enough for every commit. The
 //! speedup itself is *reported* but not gated in smoke mode — on a
 //! loaded 1-CPU CI container wall-clock ratios are too noisy to assert.
 //!
@@ -65,8 +66,9 @@ fn main() {
                 ..SimOptions::default()
             },
         );
-        // The helper already asserted run-for-run identity; the smoke
-        // gate additionally pins the cache contract.
+        // The helper already asserted run-for-run identity and that the
+        // launches shared one resident arena; the smoke gate additionally
+        // pins the cache contract.
         assert_eq!(bt.compile_misses, 1, "one compile for the whole batch");
         assert_eq!(
             bt.compile_hits,

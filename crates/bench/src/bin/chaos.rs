@@ -97,9 +97,13 @@ struct Subject {
     netlist: Arc<Netlist>,
 }
 
+/// A 64-bit adder under 32 slots: its first gate level schedules
+/// thousands of lane tasks and wakes the pool — the only place the
+/// worker-stall site is consulted — while its carry chain runs on the
+/// coordinator, so every fault plan meets both dispatch arms.
 fn subject(seed: u64) -> Subject {
     let library = CellLibrary::nangate15_like();
-    let netlist = Arc::new(ripple_carry_adder(8, &library).expect("adder builds"));
+    let netlist = Arc::new(ripple_carry_adder(64, &library).expect("adder builds"));
     let chars = characterize_used(&[netlist.as_ref()], &library, 2);
     let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
     let engine = CompiledNetlist::compile(
@@ -110,7 +114,7 @@ fn subject(seed: u64) -> Subject {
     .expect("engine builds");
     let baseline =
         EventDrivenSimulator::new(Arc::clone(&netlist), annotation).expect("baseline builds");
-    let patterns = activity_patterns(netlist.inputs().len(), 4, 0.7, seed);
+    let patterns = activity_patterns(netlist.inputs().len(), 8, 0.7, seed);
     let slots = cross(patterns.len(), &[0.8, 0.9, 1.0, 1.1]);
     Subject {
         engine,

@@ -4,8 +4,10 @@
 //! Re-runs one circuit at increasing worker counts on identical inputs,
 //! asserts the pooled engine's hard invariant (results bit-for-bit
 //! identical to the single-threaded path at every count) and prints the
-//! wall-clock scaling table. `--smoke` is the CI gate: a small adder,
-//! threads 1 vs 2, identity enforced, fast enough for every commit.
+//! wall-clock scaling table. `--smoke` is the CI gate: the s38417
+//! stand-in at a scale whose levels straddle the engine's pooled-epoch
+//! threshold, threads 1 vs 2, identity enforced and both dispatch arms
+//! required, fast enough for every commit.
 //!
 //! ```text
 //! cargo run --release -p avfs-bench --bin thread_scaling [-- --scale 0.01 --pairs 24]
@@ -14,8 +16,8 @@
 
 use avfs_atpg::PatternSet;
 use avfs_bench::{characterize_used, Args};
-use avfs_circuits::{ripple_carry_adder, PAPER_PROFILES};
-use avfs_core::{slots, CompiledNetlist, SimOptions, SimRun};
+use avfs_circuits::PAPER_PROFILES;
+use avfs_core::{phases, slots, CompiledNetlist, SimOptions, SimRun};
 use avfs_delay::{CharacterizedLibrary, TimingAnnotation};
 use avfs_netlist::{CellLibrary, Netlist};
 use std::sync::Arc;
@@ -26,18 +28,50 @@ fn main() {
         println!("thread_scaling: worker-pool scaling sweep with identity checks");
         println!("  --scale <f>   circuit scale factor (default 0.01 of paper node counts)");
         println!("  --pairs <n>   cap on pattern pairs (default 24)");
-        println!("  --smoke       CI mode: small adder, threads 1 vs 2, no table");
+        println!("  --smoke       CI mode: small design, threads 1 vs 2, both dispatch arms");
         return;
     }
     let library = CellLibrary::nangate15_like();
 
     if args.flag("--smoke") {
-        let netlist = Arc::new(ripple_carry_adder(32, &library).expect("adder builds"));
+        // s38417 at 3 134 nodes × 48 slots: about a third of its levels
+        // schedule enough lane tasks to wake the pool, the rest run on
+        // the coordinator.
+        let design = &PAPER_PROFILES[0];
+        let netlist = Arc::new(
+            design
+                .synthesize(0.165, &library)
+                .expect("synthesis succeeds"),
+        );
         let chars = characterize_used(&[netlist.as_ref()], &library, 2);
         let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
-        let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 7);
-        sweep("rca32", &netlist, &annotation, &chars, &patterns, &[1, 2]);
-        println!("thread_scaling --smoke: identical results at threads 1 and 2, OK");
+        let patterns = PatternSet::lfsr(netlist.inputs().len(), 48, 7);
+        let last = sweep(
+            design.name,
+            &netlist,
+            &annotation,
+            &chars,
+            &patterns,
+            &[1, 2],
+            true,
+        );
+        // Identity at threads = 2 only gates the pool if the pool ran, and
+        // only gates the inline arm if some epochs stayed off it.
+        let profile = last.profile.expect("the smoke sweep is profiled");
+        let epochs = |name| profile.counter(name).unwrap_or(0);
+        let (pooled, inline) = (
+            epochs(phases::ENGINE_EPOCHS_POOLED),
+            epochs(phases::ENGINE_EPOCHS_INLINE),
+        );
+        assert!(
+            pooled > 0 && inline > 0,
+            "the smoke design must exercise both dispatch arms at threads=2 \
+             ({pooled} pooled, {inline} inline)"
+        );
+        println!(
+            "thread_scaling --smoke: identical results at threads 1 and 2 \
+             ({pooled} pooled + {inline} inline epochs), OK"
+        );
         return;
     }
 
@@ -70,11 +104,12 @@ fn main() {
         &chars,
         &patterns,
         &[1, 2, 4, 8],
+        false,
     );
 }
 
 /// Runs the sweep, asserting identity against the first (single-worker)
-/// run and printing one line per point.
+/// run and printing one line per point. Returns the last point's run.
 fn sweep(
     name: &str,
     netlist: &Arc<Netlist>,
@@ -82,7 +117,8 @@ fn sweep(
     chars: &CharacterizedLibrary,
     patterns: &PatternSet,
     counts: &[usize],
-) {
+    profiling: bool,
+) -> SimRun {
     let engine = CompiledNetlist::compile(
         Arc::clone(netlist),
         Arc::clone(annotation),
@@ -90,8 +126,7 @@ fn sweep(
     )
     .expect("engine builds");
     let slot_list = slots::at_voltage(patterns.len(), 0.8);
-    let mut reference: Option<SimRun> = None;
-    let mut single_ms = 0.0;
+    let mut runs: Vec<SimRun> = Vec::new();
     println!(
         "thread_scaling: {name} ({} nodes, {} slots)",
         netlist.num_nodes(),
@@ -104,30 +139,26 @@ fn sweep(
                 &slot_list,
                 &SimOptions {
                     threads,
+                    profiling,
                     ..SimOptions::default()
                 },
             )
             .expect("engine runs");
-        let elapsed_ms = run.elapsed.as_secs_f64() * 1e3;
-        match &reference {
-            None => {
-                single_ms = elapsed_ms;
-                reference = Some(run);
-            }
-            Some(r) => {
-                assert_eq!(
-                    r.slots, run.slots,
-                    "{name}: results diverge at threads={threads}"
-                );
-                assert_eq!(
-                    r.diagnostics, run.diagnostics,
-                    "{name}: diagnostics diverge at threads={threads}"
-                );
-            }
-        }
-        println!(
-            "  threads={threads:<2} {elapsed_ms:>9.1} ms  ({:.2}x vs single)",
-            single_ms / elapsed_ms.max(1e-9)
+        let single = runs.first().unwrap_or(&run);
+        assert_eq!(
+            single.slots, run.slots,
+            "{name}: results diverge at threads={threads}"
         );
+        assert_eq!(
+            single.diagnostics, run.diagnostics,
+            "{name}: diagnostics diverge at threads={threads}"
+        );
+        println!(
+            "  threads={threads:<2} {:>9.1} ms  ({:.2}x vs single)",
+            run.elapsed.as_secs_f64() * 1e3,
+            single.elapsed.as_secs_f64() / run.elapsed.as_secs_f64().max(1e-12)
+        );
+        runs.push(run);
     }
+    runs.pop().expect("at least one thread count")
 }

@@ -274,6 +274,15 @@ impl BatchRunner {
         self.compile_misses.load(Ordering::Relaxed)
     }
 
+    /// Times a run on this runner had to allocate its waveform arena
+    /// instead of reusing the resident one (shared by every artifact the
+    /// runner launches): the first run, and any later one whose
+    /// `(slots × nodes, arena_capacity)` shape the resident allocations
+    /// could not hold. 1 after any number of same-shape runs.
+    pub fn arena_allocations(&self) -> u64 {
+        self.pool.arena_allocations()
+    }
+
     /// Library-cache hits so far.
     pub fn library_hits(&self) -> u64 {
         self.library_hits.load(Ordering::Relaxed)

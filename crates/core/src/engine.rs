@@ -42,7 +42,7 @@ pub(crate) use delays::{scale_or_fallback, DelayTable};
 use crate::compile::CompiledNetlist;
 use crate::domains::{DomainSlotSpec, VoltageDomains};
 use crate::phases;
-use crate::pool::{ParkedPool, Watchdog, WorkerPool};
+use crate::pool::{ParkedPool, Watchdog};
 use crate::results::{RunDiagnostics, SimRun, SlotResult, SlotStatus, TrippedBudget};
 use crate::scenario::MonteCarlo;
 use crate::slots::SlotSpec;
@@ -582,7 +582,7 @@ impl CompiledNetlist {
             patterns: plan.patterns,
             work: &plan.work,
             options,
-            pool: pool.workers(),
+            pool,
             tallies: PoolTallies::new(pool.threads()),
             // Fault injection: unarmed (the default) reduces every probe
             // to one Option-discriminant branch; an armed plan is
@@ -688,10 +688,10 @@ struct RunCtx<'a> {
     patterns: &'a PatternSet,
     work: &'a [SlotWork],
     options: &'a SimOptions,
-    /// The parked workers every level of every batch and retry round is
-    /// released through (the GPU grid analogue); `None` runs inline on
-    /// the coordinator.
-    pool: Option<&'a WorkerPool>,
+    /// The parked workers every level epoch worth waking them for is
+    /// released through (the GPU grid analogue), and the resident arena
+    /// round 0 runs in.
+    pool: &'a ParkedPool,
     tallies: PoolTallies,
     injector: Injector,
     deadline_at: Option<Instant>,
@@ -734,8 +734,11 @@ impl RunCtx<'_> {
     /// Quarantine-and-retry rounds: round 0 simulates every slot at the
     /// base capacity; each later round re-simulates only the slots that
     /// overflowed, at geometrically grown capacity — the CPU analogue of
-    /// the GPU's overflow-flag-and-relaunch loop. Within a round, slots
-    /// run in arena-sized batches (the global-memory budget).
+    /// the GPU's overflow-flag-and-relaunch loop. Round 0 runs in the
+    /// pool's resident arena, checked out for the round and parked again
+    /// whatever the outcome; a retry round's capacity × 4 arena is
+    /// allocated for that round and dropped, so one glitchy launch
+    /// cannot pin 4× the memory.
     fn retry_rounds(&self, state: &mut RunState) -> Result<(), SimError> {
         let nodes = self.compiled.netlist.num_nodes();
         let mut pending: Vec<usize> = (0..self.work.len()).collect();
@@ -744,34 +747,18 @@ impl RunCtx<'_> {
         loop {
             let batch_slots =
                 (self.options.waveform_budget / (nodes.max(1) * cap)).clamp(1, pending.len());
-            let mut arena = WaveformArena::new(batch_slots * nodes, cap);
-            let mut overflowed: Vec<usize> = Vec::new();
-            for chunk in pending.chunks(batch_slots) {
-                // Between-batch deadline check: once the budget is spent,
-                // remaining batches are not even launched — their slots
-                // resolve to DeadlineExceeded while completed ones keep
-                // their results (graceful degradation).
-                if self.deadline_expired() {
-                    for &slot in chunk {
-                        state.fail(self.work, slot, SlotStatus::DeadlineExceeded);
-                    }
-                    continue;
-                }
-                state.slot_sims += chunk.len() as u64;
-                if let Some(m) = self.metrics {
-                    m.add(phases::ENGINE_BATCHES, 1);
-                    m.record(phases::ENGINE_BATCH_SLOTS, chunk.len() as u64);
-                }
-                Batch::new(self, chunk, round).run(&mut arena, state, &mut overflowed)?;
-                if let Some(m) = self.metrics {
-                    m.record(
-                        phases::ENGINE_ARENA_OCCUPANCY,
-                        arena.peak_occupancy() as u64,
-                    );
-                }
+            let entries = batch_slots * nodes;
+            let mut arena = if round == 0 {
+                self.pool.take_arena(entries, cap)
+            } else {
+                WaveformArena::new(entries, cap)
+            };
+            let outcome = self.run_round(&mut arena, &pending, batch_slots, round, state);
+            if round == 0 {
+                self.pool.park_arena(arena);
             }
+            let overflowed = outcome?;
             let diag = &mut state.diag;
-            diag.peak_arena_occupancy = diag.peak_arena_occupancy.max(arena.peak_occupancy());
             for &s in &overflowed {
                 if !diag.overflowed_slots.contains(&s) {
                     diag.overflowed_slots.push(s);
@@ -797,6 +784,47 @@ impl RunCtx<'_> {
             }
             state.diag.slot_retries += pending.len() as u64;
         }
+    }
+
+    /// One round: `pending` simulated in arena-sized batches (the
+    /// global-memory budget) against `arena`, whose occupancy watermark
+    /// starts the round at zero. Returns the slots that overflowed.
+    fn run_round(
+        &self,
+        arena: &mut WaveformArena,
+        pending: &[usize],
+        batch_slots: usize,
+        round: u32,
+        state: &mut RunState,
+    ) -> Result<Vec<usize>, SimError> {
+        let mut overflowed: Vec<usize> = Vec::new();
+        for chunk in pending.chunks(batch_slots) {
+            // Between-batch deadline check: once the budget is spent,
+            // remaining batches are not even launched — their slots
+            // resolve to DeadlineExceeded while completed ones keep
+            // their results (graceful degradation).
+            if self.deadline_expired() {
+                for &slot in chunk {
+                    state.fail(self.work, slot, SlotStatus::DeadlineExceeded);
+                }
+                continue;
+            }
+            state.slot_sims += chunk.len() as u64;
+            if let Some(m) = self.metrics {
+                m.add(phases::ENGINE_BATCHES, 1);
+                m.record(phases::ENGINE_BATCH_SLOTS, chunk.len() as u64);
+            }
+            Batch::new(self, chunk, round).run(arena, state, &mut overflowed)?;
+            if let Some(m) = self.metrics {
+                m.record(
+                    phases::ENGINE_ARENA_OCCUPANCY,
+                    arena.peak_occupancy() as u64,
+                );
+            }
+        }
+        let diag = &mut state.diag;
+        diag.peak_arena_occupancy = diag.peak_arena_occupancy.max(arena.peak_occupancy());
+        Ok(overflowed)
     }
 
     /// Retry admission control: growing the arena ×4 is the one place

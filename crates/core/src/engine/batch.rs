@@ -21,6 +21,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+/// Lane tasks (one lane of one gate) an epoch needs before waking the
+/// pool pays: a release is a mutex + condvar round trip of ~35 µs per
+/// epoch against ~0.15 µs per lane task, so a level below the threshold
+/// finishes on the coordinator before a second worker would have
+/// started. Chosen from the sweep recorded in DESIGN.md §9; not an
+/// option, because no caller has a better number than the measurement.
+const POOLED_EPOCH_LANE_TASKS: usize = 2048;
+
 /// Why a slot died within a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Dead {
@@ -418,8 +426,11 @@ impl<'c> Batch<'c> {
         active
     }
 
-    /// Releases the level's scheduled tasks to the pool (or runs them
-    /// inline) and returns the workers' fault verdicts.
+    /// Runs the level's scheduled tasks — on the pool when the epoch is
+    /// worth a wake-up, on the coordinator otherwise — and returns the
+    /// fault verdicts. The choice depends on the scheduled work alone,
+    /// never on timing, and either arm claims, writes and reports the
+    /// same cells, so results are independent of it.
     fn dispatch(
         &self,
         level_ctx: &LevelCtx<'_>,
@@ -427,10 +438,17 @@ impl<'c> Batch<'c> {
         scheduled: &[(usize, u64)],
     ) -> Vec<(usize, Dead)> {
         let ctx = self.ctx;
-        let workers = ctx
+        let lane_tasks = || -> usize {
+            scheduled
+                .iter()
+                .map(|&(_, mask)| mask.count_ones() as usize)
+                .sum()
+        };
+        let pool = ctx
             .pool
-            .map_or(1, WorkerPool::size)
-            .clamp(1, scheduled.len());
+            .workers()
+            .filter(|_| lane_tasks() >= POOLED_EPOCH_LANE_TASKS);
+        let workers = pool.map_or(1, WorkerPool::size).clamp(1, scheduled.len());
         let epoch = Epoch {
             batch: self,
             level_ctx,
@@ -441,15 +459,18 @@ impl<'c> Batch<'c> {
                 .clamp(1, MAX_STEAL_CHUNK),
             verdicts: Mutex::new(Vec::new()),
         };
-        let job = |w: usize| epoch.work(w);
-        match ctx.pool {
+        if let Some(m) = ctx.metrics {
+            m.add(phases::ENGINE_EPOCHS_POOLED, u64::from(pool.is_some()));
+            m.add(phases::ENGINE_EPOCHS_INLINE, u64::from(pool.is_none()));
+        }
+        match pool {
             Some(p) => {
-                let idle = p.run(&job, &ctx.injector, ctx.metrics.is_some());
+                let idle = p.run(&|w| epoch.work(w), &ctx.injector, ctx.metrics.is_some());
                 if let Some(m) = ctx.metrics {
                     m.record_duration(phases::ENGINE_POOL_IDLE, idle);
                 }
             }
-            None => job(0),
+            None => epoch.work(0),
         }
         epoch
             .verdicts
@@ -580,6 +601,9 @@ impl Epoch<'_> {
         let mut scratch = GateScratch::new();
         let mut inputs: Vec<WaveformView<'_>> = Vec::new();
         let mut local_verdicts: Vec<(usize, Dead)> = Vec::new();
+        // Longest waveform this worker wrote: folded into the arena's
+        // occupancy watermark once, below, instead of once per gate.
+        let mut peak = 0usize;
         let mut executed = 0u64;
         let mut grabs = 0u64;
         loop {
@@ -621,7 +645,7 @@ impl Epoch<'_> {
                     // independent of gating, lane width and stealing.
                     let grid = si * gates + pos;
                     match r {
-                        Ok(Ok(())) => {}
+                        Ok(Ok(written)) => peak = peak.max(written),
                         Ok(Err(_)) => local_verdicts.push((grid, Dead::Overflow)),
                         Err(_) => local_verdicts.push((grid, Dead::Panic)),
                     }
@@ -634,6 +658,7 @@ impl Epoch<'_> {
                 .expect("verdict lock survives (worker panics are contained)")
                 .extend(local_verdicts);
         }
+        self.writer.note_occupancy(peak);
         ctx.tallies.tasks[w].fetch_add(executed, Ordering::Relaxed);
         ctx.tallies.steals[w].fetch_add(grabs.saturating_sub(1), Ordering::Relaxed);
     }
@@ -643,7 +668,8 @@ impl Epoch<'_> {
     /// thread. Inputs are read through the epoch writer from previous
     /// levels' cells and the result is written in place into this
     /// level's output cell; `inputs` is reusable scratch whose borrows
-    /// of the writer end when the caller clears it.
+    /// of the writer end when the caller clears it. Returns the number
+    /// of transitions written.
     ///
     /// # Errors
     ///
@@ -656,7 +682,7 @@ impl Epoch<'_> {
         pos: usize,
         scratch: &mut GateScratch,
         inputs: &mut Vec<WaveformView<'a>>,
-    ) -> Result<(), CapacityOverflow> {
+    ) -> Result<usize, CapacityOverflow> {
         let netlist = &self.batch.ctx.compiled.netlist;
         let layout = self.batch.layout;
         let node_id = self.level_ctx.gate_nodes[pos];
@@ -692,10 +718,9 @@ impl Epoch<'_> {
                 self.writer.capacity(),
             )?
         };
-        self.writer.write(
-            layout.index(si, node_id.index()),
-            initial,
-            scratch.scheduled(),
-        )
+        let transitions = scratch.scheduled();
+        self.writer
+            .write(layout.index(si, node_id.index()), initial, transitions)?;
+        Ok(transitions.len())
     }
 }

@@ -2057,3 +2057,315 @@ fn scenario_summary_separates_voltages_at_a_deadline() {
     assert_eq!((fast.samples, fast.failures), (1, 0), "fast slot makes it");
     assert_eq!(fast.p_fail, 0.0);
 }
+
+/// Resident ≡ fresh: the arena a `Session` / `BatchRunner` keeps across
+/// launches must be unobservable. Every launch of a sequence that
+/// changes shape, capacity, artifact and fault mode between launches
+/// equals the bare [`CompiledNetlist::launch`] of the same inputs — which
+/// allocates its arena for itself — in slots and diagnostics, the
+/// occupancy watermark included (a loud launch is followed by quieter
+/// ones, so a watermark that leaked across launches would show).
+#[test]
+fn resident_arena_is_indistinguishable_from_a_fresh_one() {
+    use crate::batch::BatchRunner;
+    use crate::session::Session;
+    use avfs_atpg::pattern::{Pattern, PatternPair};
+
+    // Artifact 0 overflows a capacity-1 arena (the glitch pulse) and
+    // panics at 1.1 V; artifact 1 is wide enough for pooled epochs.
+    let glitch = glitch_netlist();
+    let glitchy = Arc::new(
+        CompiledNetlist::compile(
+            Arc::clone(&glitch),
+            Arc::new(
+                static_engine(&glitch, 10.0, 10.0)
+                    .annotation()
+                    .as_ref()
+                    .clone(),
+            ),
+            Arc::new(PanickyModel {
+                inner: StaticModel::new(ParameterSpace::paper()),
+            }),
+        )
+        .unwrap(),
+    );
+    let lib = CellLibrary::nangate15_like();
+    let adder = Arc::new(avfs_circuits::ripple_carry_adder(64, &lib).unwrap());
+    let wide = Arc::new(static_engine(&adder, 8.0, 9.5));
+    let artifacts = [glitchy, wide];
+    // Pattern 0 toggles the glitch input, pattern 1 holds it.
+    let bit = |b: bool| Pattern::from_bits([b]);
+    let toggle_and_hold: PatternSet = [(false, true), (true, true)]
+        .into_iter()
+        .map(|(l, c)| PatternPair::new(bit(l), bit(c)).unwrap())
+        .collect();
+    let wide_patterns = PatternSet::random(adder.inputs().len(), 8, 0xA7E4A);
+    let toggling = |voltages: &[f64]| cross(1, voltages);
+    let eight = || toggling(&[0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95]);
+    let holding = |n: usize| {
+        vec![
+            SlotSpec {
+                pattern: 1,
+                voltage: 0.8
+            };
+            n
+        ]
+    };
+    let overflowing = || {
+        Some(Arc::new(
+            FaultPlan::empty(0x5EED).with_rate(InjectionSite::ArenaOverflow, 0.5),
+        ))
+    };
+    type Step<'a> = (
+        &'a str,
+        usize,
+        &'a PatternSet,
+        Vec<SlotSpec>,
+        SimOptions,
+        Option<u64>,
+    );
+    let default = SimOptions::default;
+    let steps: Vec<Step<'_>> = vec![
+        (
+            "base",
+            0,
+            &toggle_and_hold,
+            toggling(&[0.6, 0.7, 0.8, 0.9]),
+            default(),
+            Some(1),
+        ),
+        (
+            "same shape",
+            0,
+            &toggle_and_hold,
+            toggling(&[0.6, 0.7, 0.8, 0.9]),
+            default(),
+            Some(1),
+        ),
+        (
+            "fewer slots, quiet",
+            0,
+            &toggle_and_hold,
+            holding(3),
+            default(),
+            Some(1),
+        ),
+        (
+            "more slots",
+            0,
+            &toggle_and_hold,
+            holding(16),
+            default(),
+            Some(2),
+        ),
+        (
+            "smaller cells",
+            0,
+            &toggle_and_hold,
+            eight(),
+            SimOptions {
+                arena_capacity: 16,
+                ..default()
+            },
+            Some(2),
+        ),
+        (
+            "overflow and retry",
+            0,
+            &toggle_and_hold,
+            toggling(&[0.7, 0.8, 0.9]),
+            SimOptions {
+                arena_capacity: 1,
+                ..default()
+            },
+            Some(2),
+        ),
+        (
+            "contained panic",
+            0,
+            &toggle_and_hold,
+            toggling(&[0.8, 1.1, 0.9]),
+            default(),
+            Some(2),
+        ),
+        (
+            "another artifact",
+            1,
+            &wide_patterns,
+            cross(8, &[0.7, 0.8, 0.9, 1.0]),
+            default(),
+            None,
+        ),
+        (
+            "armed plan",
+            0,
+            &toggle_and_hold,
+            eight(),
+            SimOptions {
+                fault_plan: overflowing(),
+                ..default()
+            },
+            None,
+        ),
+        (
+            "clean after armed",
+            0,
+            &toggle_and_hold,
+            eight(),
+            default(),
+            None,
+        ),
+    ];
+    let outcome = |run: Result<SimRun, SimError>| run.map(|r| (r.slots, r.diagnostics));
+    for threads in [1usize, 2] {
+        for lanes in [1usize, 8] {
+            let mut session = Session::new(Arc::clone(&artifacts[0]), threads);
+            let runner = BatchRunner::new(threads, 4);
+            for (name, artifact, patterns, slots, base, allocations) in &steps {
+                let case = format!("{name}, threads={threads}, lanes={lanes}");
+                // A fresh plan per launch, so each records only its own
+                // firings.
+                let opts = || SimOptions {
+                    lanes,
+                    fault_plan: base.fault_plan.as_ref().and_then(|_| overflowing()),
+                    ..base.clone()
+                };
+                let compiled = &artifacts[*artifact];
+                let fresh =
+                    outcome(compiled.launch(patterns, slots, &SimOptions { threads, ..opts() }));
+                let (_, diag) = fresh.as_ref().expect("every step keeps a slot alive");
+                match *name {
+                    "overflow and retry" => assert!(diag.slot_retries > 0, "{case}"),
+                    "contained panic" => assert_eq!(diag.panicked_slots, vec![1], "{case}"),
+                    "armed plan" => assert!(diag.faults_injected > 0, "{case}"),
+                    _ => {}
+                }
+                let batched = outcome(runner.run(compiled, patterns, slots, &opts()));
+                assert_eq!(batched, fresh, "BatchRunner: {case}");
+                if *artifact == 0 {
+                    let resident = outcome(session.run(patterns, slots, &opts()));
+                    assert_eq!(resident, fresh, "Session: {case}");
+                }
+                if let Some(expected) = allocations {
+                    assert_eq!(session.arena_allocations(), *expected, "Session: {case}");
+                    assert_eq!(runner.arena_allocations(), *expected, "BatchRunner: {case}");
+                }
+            }
+        }
+    }
+}
+
+/// The dispatch boundary: a 64-bit adder's first gate level is thousands
+/// of lane tasks (released to the pool), its carry chain a handful per
+/// level (run on the coordinator). Two workers must reproduce one
+/// worker bit for bit — every exact count of the profile included —
+/// while actually using both arms, and a worker-stall plan, which only
+/// pooled epochs consult, must replay from its seed.
+#[test]
+fn epoch_dispatch_boundary_is_invisible_in_results() {
+    let lib = CellLibrary::nangate15_like();
+    let n = Arc::new(avfs_circuits::ripple_carry_adder(64, &lib).unwrap());
+    let engine = static_engine(&n, 8.0, 9.5);
+    let patterns = PatternSet::random(n.inputs().len(), 8, 0xD15);
+    let slots = cross(8, &[0.7, 0.8, 0.9, 1.0]);
+    let launch = |opts: SimOptions| engine.launch(&patterns, &slots, &opts).unwrap();
+    // Fill the delay-table cache so every profiled launch below hits it.
+    launch(SimOptions::default());
+    let count = |run: &SimRun, name: &str| run.profile.as_ref().unwrap().counter(name).unwrap_or(0);
+    for activity_gating in [true, false] {
+        let profiled = |threads: usize| {
+            launch(SimOptions {
+                threads,
+                activity_gating,
+                profiling: true,
+                ..SimOptions::default()
+            })
+        };
+        let (one, two) = (profiled(1), profiled(2));
+        let case = format!("gating={activity_gating}");
+        assert_eq!(one.slots, two.slots, "{case}");
+        assert_eq!(one.diagnostics, two.diagnostics, "{case}");
+        assert_eq!(one.node_evaluations, two.node_evaluations, "{case}");
+        for counter in [
+            phases::ENGINE_LEVELS,
+            phases::ENGINE_BATCHES,
+            phases::ENGINE_KERNEL_EVALS,
+            phases::ENGINE_RETRY_ROUNDS,
+            phases::ENGINE_GATES_SKIPPED_QUIET,
+            phases::ENGINE_QUIET_CELLS,
+            phases::ENGINE_LANES_GROUPS,
+            phases::ENGINE_DELAY_TABLE_BUILDS,
+            phases::ENGINE_DELAY_TABLE_HITS,
+        ] {
+            assert_eq!(
+                count(&one, counter),
+                count(&two, counter),
+                "{case}: {counter}"
+            );
+        }
+        let (p1, p2) = (one.profile.as_ref().unwrap(), two.profile.as_ref().unwrap());
+        for histogram in [
+            phases::ENGINE_ARENA_OCCUPANCY,
+            phases::ENGINE_BATCH_SLOTS,
+            phases::ENGINE_LEVEL_ACTIVITY,
+        ] {
+            assert_eq!(
+                p1.histogram(histogram),
+                p2.histogram(histogram),
+                "{case}: {histogram}"
+            );
+        }
+        let (inline, pooled) = (
+            count(&two, phases::ENGINE_EPOCHS_INLINE),
+            count(&two, phases::ENGINE_EPOCHS_POOLED),
+        );
+        assert!(
+            inline > 0 && pooled > 0,
+            "{case}: {inline} inline, {pooled} pooled"
+        );
+        // One worker runs the same epochs, all of them itself.
+        assert_eq!(count(&one, phases::ENGINE_EPOCHS_POOLED), 0, "{case}");
+        assert_eq!(
+            count(&one, phases::ENGINE_EPOCHS_INLINE),
+            inline + pooled,
+            "{case}"
+        );
+        // The coordinator waits at a barrier only where it woke the pool.
+        assert_eq!(
+            p2.phase(phases::ENGINE_POOL_IDLE).unwrap().calls,
+            pooled,
+            "{case}"
+        );
+        assert!(p1.phase(phases::ENGINE_POOL_IDLE).is_none(), "{case}");
+    }
+    // Worker 1 stalls at every epoch it is woken for: once per pooled
+    // epoch, never for an inline one — and identically on a second run.
+    let clean = launch(SimOptions {
+        threads: 2,
+        profiling: true,
+        ..SimOptions::default()
+    });
+    let stalled = || {
+        let plan = Arc::new(
+            FaultPlan::empty(0x57A11)
+                .with_rate(InjectionSite::WorkerStall, 1.0)
+                .with_stall(Duration::from_micros(50)),
+        );
+        let run = launch(SimOptions {
+            threads: 2,
+            fault_plan: Some(Arc::clone(&plan)),
+            ..SimOptions::default()
+        });
+        (run, plan.hits(InjectionSite::WorkerStall))
+    };
+    let ((first, first_stalls), (second, second_stalls)) = (stalled(), stalled());
+    assert_eq!(first_stalls, count(&clean, phases::ENGINE_EPOCHS_POOLED));
+    assert_eq!(
+        first_stalls, second_stalls,
+        "the plan replays from its seed"
+    );
+    for run in [&first, &second] {
+        assert_eq!(run.slots, clean.slots, "stalls are timing-only");
+        assert_eq!(run.diagnostics.faults_injected, first_stalls);
+    }
+}

@@ -21,10 +21,11 @@ pub const ENGINE_STIMULI: &str = "engine/stimuli";
 pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 
 /// Per-level gate evaluation: the waveform-processing loop across the
-/// level's (slot, gate) tasks, distributed over the persistent worker
-/// pool by work stealing, with outputs written in place into disjoint
-/// arena cells (no per-task waveform copies). One call per simulated
-/// level.
+/// level's (slot, gate) tasks — distributed over the persistent worker
+/// pool by work stealing, or run on the coordinator when the level is
+/// too small to repay a wake-up — with outputs written in place into
+/// disjoint arena cells (no per-task waveform copies). One call per
+/// simulated level.
 pub const ENGINE_WAVEFORM_MERGE: &str = "engine/waveform_merge";
 
 /// Per-level barrier: reconciling worker fault verdicts, copying
@@ -34,8 +35,9 @@ pub const ENGINE_BARRIER: &str = "engine/barrier";
 
 /// Coordinator wait time at the level barrier: after finishing its own
 /// share of the level, the time spent blocked until the remaining pool
-/// workers drain the work-stealing cursor. Recorded only when a pool is
-/// active (resolved `threads > 1`), so it is *not* part of
+/// workers drain the work-stealing cursor. Recorded once per pooled
+/// epoch ([`ENGINE_EPOCHS_POOLED`]) — never at `threads = 1` or for a
+/// launch whose every level ran inline — so it is *not* part of
 /// [`ENGINE_PHASES`].
 pub const ENGINE_POOL_IDLE: &str = "engine/pool_idle";
 
@@ -114,6 +116,18 @@ pub const ENGINE_LANES_GROUPS: &str = "engine.lanes_groups";
 /// summed over the run — how often the atomic cursor rebalanced load
 /// across the pool.
 pub const ENGINE_POOL_STEALS: &str = "engine.pool_steals";
+
+/// Level epochs released to the parked pool: the scheduled lane tasks
+/// were worth a wake-up (DESIGN.md §9). Together with
+/// [`ENGINE_EPOCHS_INLINE`] this counts every dispatched level epoch —
+/// a simulated level with at least one task left after activity gating.
+pub const ENGINE_EPOCHS_POOLED: &str = "engine.epochs_pooled";
+
+/// Level epochs the coordinator ran itself — every epoch of a
+/// single-threaded run, and with a pool the ones too small to amortize
+/// a wake-up. A pure function of the scheduled work, so it repeats
+/// exactly from run to run.
+pub const ENGINE_EPOCHS_INLINE: &str = "engine.epochs_inline";
 
 /// Histogram of gate tasks executed per pool worker over the whole run
 /// (one sample per worker) — the load-balance fingerprint of the

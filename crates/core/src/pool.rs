@@ -24,6 +24,7 @@
 //! (alongside the job) rather than captured at construction.
 
 use avfs_inject::Injector;
+use avfs_waveform::WaveformArena;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -200,16 +201,27 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// A worker count resolved once plus the pool it stands for — what a
+/// The state a launch needs that outlives it: a worker count resolved
+/// once, the pool it stands for, and the waveform arena — what a
 /// [`Session`](crate::session::Session) and a
 /// [`BatchRunner`](crate::batch::BatchRunner) park across runs and what
-/// a bare launch owns for its own duration.
+/// a bare launch owns for its own duration. The paper's engine
+/// allocates its waveform memory once in GPU global memory and keeps
+/// the grid resident; this is the CPU stand-in for both.
 #[derive(Debug)]
 pub(crate) struct ParkedPool {
     threads: usize,
     /// `None` when `threads == 1`: a single-threaded run executes inline
     /// on the caller.
     workers: Option<WorkerPool>,
+    /// The round-0 arena of the previous launch (empty before the first
+    /// launch and while a launch has it checked out). Holds up to
+    /// [`SimOptions::waveform_budget`](crate::SimOptions::waveform_budget)
+    /// × 8 B while idle; dropping the owner frees it.
+    arena: Mutex<WaveformArena>,
+    /// Times [`ParkedPool::take_arena`] had to allocate (first use or a
+    /// shape the resident allocations could not hold).
+    arena_allocations: AtomicU64,
 }
 
 impl ParkedPool {
@@ -220,6 +232,8 @@ impl ParkedPool {
         ParkedPool {
             threads,
             workers: (threads > 1).then(|| WorkerPool::new(threads)),
+            arena: Mutex::new(WaveformArena::default()),
+            arena_allocations: AtomicU64::new(0),
         }
     }
 
@@ -231,6 +245,33 @@ impl ParkedPool {
     /// The parked workers (`None` = run inline).
     pub fn workers(&self) -> Option<&WorkerPool> {
         self.workers.as_ref()
+    }
+
+    /// Checks the resident arena out for one launch, shaped to `entries`
+    /// cells of `capacity` transitions with a fresh occupancy watermark.
+    /// A steady-state launch gets the previous launch's allocations back
+    /// untouched — no allocation, no `memset`, no page faults; cell
+    /// contents are stale until the batch's `reset()`. The launch hands
+    /// it back with [`ParkedPool::park_arena`]; one that unwinds instead
+    /// simply drops it, leaving the empty arena behind, and the next
+    /// launch allocates afresh.
+    pub fn take_arena(&self, entries: usize, capacity: usize) -> WaveformArena {
+        let mut arena = std::mem::take(&mut *self.arena.lock().expect("arena lock"));
+        if arena.reshape(entries, capacity) {
+            self.arena_allocations.fetch_add(1, Ordering::Relaxed);
+        }
+        arena
+    }
+
+    /// Parks `arena` for the next launch.
+    pub fn park_arena(&self, arena: WaveformArena) {
+        *self.arena.lock().expect("arena lock") = arena;
+    }
+
+    /// Arena allocations so far (see [`ParkedPool::take_arena`]): 1 after
+    /// any number of same-shape launches.
+    pub fn arena_allocations(&self) -> u64 {
+        self.arena_allocations.load(Ordering::Relaxed)
     }
 
     /// Checks a per-run thread override against the pool: a parked pool

@@ -84,6 +84,15 @@ impl Session {
         self.pool.threads()
     }
 
+    /// Times a launch on this session had to allocate its waveform
+    /// arena instead of reusing the resident one: the first launch, and
+    /// any later one whose `(slots × nodes, arena_capacity)` shape the
+    /// resident allocations could not hold. 1 after any number of
+    /// same-shape launches.
+    pub fn arena_allocations(&self) -> u64 {
+        self.pool.arena_allocations()
+    }
+
     /// Simulates `slots` over `patterns` on the parked pool. Semantics,
     /// results and errors are identical to
     /// [`CompiledNetlist::launch`] (bit-for-bit: the pool only changes

@@ -33,8 +33,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Flat bounded storage for a batch of waveforms.
 ///
 /// Entry `i` occupies `times[i * capacity .. i * capacity + len[i]]`; the
-/// engine indexes entries as `slot_in_batch * nets + net`.
-#[derive(Debug)]
+/// engine indexes entries as `slot_in_batch * nets + net`. The default
+/// arena is empty and owns no storage — what a long-lived owner holds
+/// until the first [`WaveformArena::reshape`].
+#[derive(Debug, Default)]
 pub struct WaveformArena {
     capacity: usize,
     initial: Vec<bool>,
@@ -45,9 +47,9 @@ pub struct WaveformArena {
     /// width of [`crate::LaneLayout`], so a full lane run's claims live in
     /// one word and batch claims are a single `fetch_or`.
     claims: Vec<AtomicU64>,
-    /// Peak transitions ever written to any entry; atomic so concurrent
-    /// writers can maintain it (max is order-independent, hence
-    /// deterministic).
+    /// Peak transitions written to any entry since construction or the
+    /// last [`Self::reshape`]; atomic so concurrent writers can fold
+    /// into it (max is order-independent, hence deterministic).
     peak: AtomicUsize,
 }
 
@@ -118,6 +120,44 @@ impl WaveformArena {
         for word in &mut self.claims {
             *word.get_mut() = 0;
         }
+    }
+
+    /// Re-purposes the arena for `entries` waveforms of `capacity`
+    /// transitions each and starts a new peak-occupancy watermark — what
+    /// a long-lived owner calls between launches instead of
+    /// [`Self::new`]. Storage is kept whenever the new shape fits the
+    /// existing allocations (an unchanged shape touches no cell at all),
+    /// so the `times` lane is neither re-allocated, re-zeroed nor
+    /// re-faulted; a shape that does not fit replaces the arena with a
+    /// fresh one. Returns whether it had to allocate.
+    ///
+    /// Cells are valid but stale afterwards (a changed shape leaves them
+    /// constant-low, an unchanged one leaves them as they were): call
+    /// [`Self::reset`] before use, as after any earlier batch.
+    pub fn reshape(&mut self, entries: usize, capacity: usize) -> bool {
+        *self.peak.get_mut() = 0;
+        if entries == self.entries() && capacity == self.capacity {
+            return false;
+        }
+        let cells = entries
+            .checked_mul(capacity)
+            .expect("arena shape fits usize");
+        if cells > self.times.capacity() || entries > self.len.capacity() {
+            // Release the old lanes before asking for larger ones, so
+            // the two never coexist.
+            *self = WaveformArena::default();
+            *self = WaveformArena::new(entries, capacity);
+            return true;
+        }
+        self.capacity = capacity;
+        self.initial.resize(entries, false);
+        self.len.resize(entries, 0);
+        self.times.resize(cells, 0.0);
+        self.claims
+            .resize_with(entries.div_ceil(64), || AtomicU64::new(0));
+        // Old lengths are meaningless under the new cell stride.
+        self.reset();
+        false
     }
 
     /// A read view of entry `idx`.
@@ -198,9 +238,11 @@ impl WaveformArena {
         self.len[idx] as usize
     }
 
-    /// The largest transition count ever written to any entry — the
-    /// watermark the engine reports as peak arena occupancy (survives
-    /// [`Self::reset`]).
+    /// The largest transition count written to any entry since
+    /// construction or the last [`Self::reshape`] — the watermark the
+    /// engine reports as peak arena occupancy (survives [`Self::reset`]).
+    /// Writes through a [`LevelWriter`] count once their writer reports
+    /// them with [`LevelWriter::note_occupancy`].
     pub fn peak_occupancy(&self) -> usize {
         self.peak.load(Ordering::Relaxed)
     }
@@ -685,7 +727,11 @@ impl LevelWriter<'_> {
     }
 
     /// Writes `transitions` (with initial value `initial`) into cell
-    /// `idx`, claiming it for this epoch.
+    /// `idx`, claiming it for this epoch. The arena's peak-occupancy
+    /// watermark is *not* touched — one shared cache line per gate
+    /// written is what this path avoids; the caller keeps its own
+    /// running maximum of the lengths it wrote and reports it once with
+    /// [`LevelWriter::note_occupancy`].
     ///
     /// # Errors
     ///
@@ -735,8 +781,16 @@ impl LevelWriter<'_> {
                 transitions.len(),
             );
         }
-        self.peak.fetch_max(transitions.len(), Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Folds a worker's running maximum of written transition counts
+    /// into the arena's peak-occupancy watermark — called once per
+    /// worker per epoch rather than once per write. Max is
+    /// order-independent, so the watermark equals what per-write
+    /// updates would have produced.
+    pub fn note_occupancy(&self, transitions: usize) {
+        self.peak.fetch_max(transitions, Ordering::Relaxed);
     }
 }
 
@@ -778,6 +832,90 @@ mod tests {
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
         assert_eq!(arena.occupancy(1), 0);
         assert_eq!(arena.peak_occupancy(), 2);
+    }
+
+    #[test]
+    fn reshape_to_a_smaller_shape_keeps_storage() {
+        let mut arena = WaveformArena::new(8, 16);
+        let w = Waveform::with_transitions(true, vec![1.0, 2.0, 3.0]).unwrap();
+        arena.write(7, &w).unwrap();
+        let (times, lens) = (arena.times.as_ptr(), arena.len.as_ptr());
+        // Fewer entries, then fewer-but-wider cells, then the original
+        // shape again: all fit the first allocation.
+        for (entries, capacity) in [(3, 16), (2, 64), (8, 16)] {
+            assert!(!arena.reshape(entries, capacity), "{entries}×{capacity}");
+            assert_eq!((arena.entries(), arena.capacity()), (entries, capacity));
+            assert_eq!(arena.times.as_ptr(), times, "times lane kept");
+            assert_eq!(arena.len.as_ptr(), lens, "len lane kept");
+            assert_eq!(arena.peak_occupancy(), 0, "a new watermark per reshape");
+            arena.reset();
+            for idx in 0..entries {
+                assert_eq!(arena.to_waveform(idx), Waveform::constant(false));
+            }
+            // The reshaped arena is fully usable: last cell, full capacity.
+            let full: Vec<f64> = (0..capacity).map(|t| t as f64).collect();
+            let w = Waveform::with_transitions(false, full).unwrap();
+            arena.write(entries - 1, &w).unwrap();
+            assert_eq!(arena.to_waveform(entries - 1), w);
+            let writer = arena.level_writer();
+            assert_eq!(writer.entries(), entries);
+            writer.write_constant(0, true);
+        }
+    }
+
+    #[test]
+    fn reshape_to_the_same_shape_touches_nothing_but_the_watermark() {
+        let mut arena = WaveformArena::new(4, 4);
+        let w = Waveform::with_transitions(true, vec![1.0, 2.0]).unwrap();
+        arena.write(1, &w).unwrap();
+        assert_eq!(arena.peak_occupancy(), 2);
+        assert!(!arena.reshape(4, 4));
+        assert_eq!(arena.peak_occupancy(), 0);
+        // Stale but valid until the caller's reset.
+        assert_eq!(arena.to_waveform(1), w);
+        arena.reset();
+        assert_eq!(arena.to_waveform(1), Waveform::constant(false));
+    }
+
+    #[test]
+    fn reshape_beyond_the_allocation_reallocates() {
+        let mut arena = WaveformArena::new(4, 4);
+        let w = Waveform::with_transitions(true, vec![1.0, 2.0]).unwrap();
+        arena.write(3, &w).unwrap();
+        // More cells than the times lane holds.
+        assert!(arena.reshape(4, 8));
+        assert_eq!((arena.entries(), arena.capacity()), (4, 8));
+        // More entries than the len lane holds, though fewer cells.
+        assert!(arena.reshape(16, 1));
+        assert_eq!((arena.entries(), arena.capacity()), (16, 1));
+        assert_eq!(arena.peak_occupancy(), 0);
+        arena.reset();
+        for idx in 0..16 {
+            assert_eq!(arena.to_waveform(idx), Waveform::constant(false));
+        }
+        let w = Waveform::with_transitions(false, vec![9.0]).unwrap();
+        arena.write(15, &w).unwrap();
+        assert_eq!(arena.to_waveform(15), w);
+    }
+
+    #[test]
+    fn level_writer_reports_occupancy_once_per_worker() {
+        let mut arena = WaveformArena::new(4, 8);
+        {
+            let writer = arena.level_writer();
+            writer.write(0, false, &[1.0, 2.0, 3.0]).unwrap();
+            writer.write(1, false, &[1.0]).unwrap();
+            // Writes alone leave the shared watermark alone ...
+            writer.note_occupancy(1);
+        }
+        assert_eq!(arena.peak_occupancy(), 1);
+        {
+            // ... until the worker folds its running maximum in.
+            let writer = arena.level_writer();
+            writer.note_occupancy(3);
+            writer.note_occupancy(2);
+        }
+        assert_eq!(arena.peak_occupancy(), 3);
     }
 
     #[test]

@@ -31,11 +31,13 @@ fn characterize_for(netlist: &Netlist, library: &Arc<CellLibrary>) -> Characteri
     .expect("characterization succeeds")
 }
 
-/// A run that exercises every engine phase: multi-level circuit, several
-/// patterns, two voltages, waveforms retained.
+/// A run that exercises every engine phase and both dispatch arms:
+/// several patterns at two voltages over a 64-bit adder, whose first
+/// gate level is wide enough to wake the pool and whose carry chain is
+/// not; waveforms retained.
 fn run_adder(profiling: bool) -> SimRun {
     let library = CellLibrary::nangate15_like();
-    let netlist = Arc::new(ripple_carry_adder(8, &library).expect("adder builds"));
+    let netlist = Arc::new(ripple_carry_adder(64, &library).expect("adder builds"));
     let chars = characterize_for(&netlist, &library);
     let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
     let engine = CompiledNetlist::compile(
@@ -44,7 +46,7 @@ fn run_adder(profiling: bool) -> SimRun {
         Arc::new(chars.model().clone()),
     )
     .expect("engine builds");
-    let patterns = PatternSet::lfsr(netlist.inputs().len(), 12, 7);
+    let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 7);
     let mut slot_list = slots::at_voltage(patterns.len(), 0.8);
     slot_list.extend(slots::at_voltage(patterns.len(), 0.6));
     let options = SimOptions {
@@ -107,13 +109,26 @@ fn profile_reports_every_documented_phase() {
         occupancy.max as usize, run.diagnostics.peak_arena_occupancy,
         "histogram max agrees with diagnostics"
     );
-    // Worker-pool instrumentation (the run used threads = 2): coordinator
-    // wait time at the level barriers, the work-stealing counter, and one
-    // per-worker task-count sample each.
+    // Worker-pool instrumentation (the run used threads = 2): how many
+    // level epochs woke the pool and how many the coordinator ran itself,
+    // its wait time at the barrier of each pooled one, the work-stealing
+    // counter, and one per-worker task-count sample each.
+    let pooled = profile
+        .counter(phases::ENGINE_EPOCHS_POOLED)
+        .expect("pooled-epoch counter recorded");
+    let inline = profile
+        .counter(phases::ENGINE_EPOCHS_INLINE)
+        .expect("inline-epoch counter recorded");
+    assert!(pooled > 0, "the wide first level wakes the pool");
+    assert!(inline > 0, "the carry chain runs on the coordinator");
+    assert!(
+        pooled + inline <= profile.counter(phases::ENGINE_LEVELS).unwrap(),
+        "at most one dispatched epoch per simulated level"
+    );
     let idle = profile
         .phase(phases::ENGINE_POOL_IDLE)
         .expect("pool idle recorded for a threads=2 run");
-    assert!(idle.calls > 0, "one idle sample per pooled level");
+    assert_eq!(idle.calls, pooled, "one idle sample per pooled epoch");
     assert!(
         profile.counter(phases::ENGINE_POOL_STEALS).is_some(),
         "steal counter present (possibly zero)"
