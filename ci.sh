@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Hermetic CI gate: formatting, lints, build and tests, all offline.
 # The workspace vendors its own dev-dependency shims (crates/proptest,
-# crates/criterion, crates/prng), so no registry access is ever needed.
+# crates/prng), so no registry access is ever needed.
 set -eu
 
 echo "==> cargo fmt --check"
@@ -19,23 +19,10 @@ cargo test --workspace --offline -q
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> perf_report --smoke (schema gate)"
-cargo run --release --offline -p avfs-bench --bin perf_report -- --smoke
-
-echo "==> thread_scaling --smoke (pool determinism gate: threads 1 vs 2 over pooled and inline epochs)"
-cargo run --release --offline -p avfs-bench --bin thread_scaling -- --smoke
-
-echo "==> activity_sweep --smoke (gating determinism gate)"
-cargo run --release --offline -p avfs-bench --bin activity_sweep -- --smoke
-
-echo "==> lane_scaling --smoke (lane-major identity gate)"
-cargo run --release --offline -p avfs-bench --bin lane_scaling -- --smoke
-
-echo "==> batch_throughput --smoke (compile-once identity-and-amortization gate: one compile, one arena allocation)"
-cargo run --release --offline -p avfs-bench --bin batch_throughput -- --smoke
-
-echo "==> scenario_sweep --smoke (schedule identity and Monte Carlo replay gate)"
-cargo run --release --offline -p avfs-bench --bin scenario_sweep -- --smoke
+echo "==> doc references (every --bin the docs name is 'benchmark' or a file in crates/bench/src/bin)"
+for bin in $(grep -oh -e '--bin [a-z0-9_]*' README.md EXPERIMENTS.md DESIGN.md | cut -d' ' -f2 | sort -u); do
+    [ "$bin" = benchmark ] || [ -f "crates/bench/src/bin/$bin.rs" ] || { echo "docs name a missing bin: $bin"; exit 1; }
+done
 
 echo "==> checker --smoke (static-analysis gate: avfs-check/1 schema, zero deny findings)"
 cargo run --release --offline -p avfs-bench --bin checker -- --smoke

@@ -5,19 +5,19 @@
 //! `a` (the activity factor, see [`avfs_bench::activity_patterns`]), then
 //! A/B-runs the engine with the quiet-cell fast path on and off on
 //! identical inputs, asserting the gating invariant (results bit-for-bit
-//! identical) at every point and printing the speedup table. `--smoke` is
-//! the CI gate: a small adder, three factors spanning quiescent to fully
-//! toggling, identity enforced at two worker counts, fast enough for
-//! every commit.
+//! identical) at every point and printing the speedup table
+//! (EXPERIMENTS.md E6). This is the one instrument on the losing side of
+//! default-on gating (activity 1.0) — the repo benchmark has no
+//! high-activity workload yet.
 //!
 //! ```text
 //! cargo run --release -p avfs-bench --bin activity_sweep [-- --scale 0.01 --pairs 24]
-//! cargo run --release -p avfs-bench --bin activity_sweep -- --smoke
 //! ```
 
-use avfs_bench::{activity_patterns, characterize_used, measure_activity_point, Args};
-use avfs_circuits::{ripple_carry_adder, PAPER_PROFILES};
-use avfs_core::CompiledNetlist;
+use avfs_atpg::PatternSet;
+use avfs_bench::{activity_patterns, characterize_used, Args};
+use avfs_circuits::PAPER_PROFILES;
+use avfs_core::{phases, slots, CompiledNetlist, SimOptions, SimRun};
 use avfs_netlist::CellLibrary;
 use std::sync::Arc;
 
@@ -31,37 +31,9 @@ fn main() {
         println!("  --scale <f>    circuit scale factor (default 0.01 of paper node counts)");
         println!("  --pairs <n>    cap on pattern pairs (default 24)");
         println!("  --threads <n>  engine worker threads (0 = auto, the default)");
-        println!("  --smoke        CI mode: small adder, factors 0/0.5/1, no table");
         return;
     }
     let library = CellLibrary::nangate15_like();
-
-    if args.flag("--smoke") {
-        let netlist = Arc::new(ripple_carry_adder(32, &library).expect("adder builds"));
-        let chars = characterize_used(&[netlist.as_ref()], &library, 2);
-        let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
-        let engine = CompiledNetlist::compile(
-            Arc::clone(&netlist),
-            annotation,
-            Arc::new(chars.model().clone()),
-        )
-        .expect("engine builds");
-        for &factor in &[0.0, 0.5, 1.0] {
-            let patterns = activity_patterns(netlist.inputs().len(), 16, factor, 0xAC71_0001);
-            for threads in [1, 2] {
-                let p = measure_activity_point(&engine, &patterns, factor, threads);
-                if factor == 0.0 {
-                    assert_eq!(
-                        p.gates_skipped_quiet, p.gate_tasks,
-                        "fully quiescent stimuli must skip every gate task"
-                    );
-                }
-            }
-        }
-        println!("activity_sweep --smoke: gated and ungated runs identical, OK");
-        return;
-    }
-
     let scale: f64 = args.value("--scale").unwrap_or(0.01);
     let pairs_cap: usize = args.value("--pairs").unwrap_or(24);
     let threads: usize = args.value("--threads").unwrap_or(0);
@@ -100,11 +72,52 @@ fn main() {
             factor,
             0xAC71_0000 ^ netlist.num_nodes() as u64,
         );
-        let p = measure_activity_point(&engine, &patterns, factor, threads);
+        // Both arms run profiled — profiling is observation-only, and the
+        // gated arm's profile carries the skipped-task tally.
+        let ungated = launch(&engine, &patterns, threads, false);
+        let gated = launch(&engine, &patterns, threads, true);
+        assert_eq!(
+            gated.slots, ungated.slots,
+            "activity gating changed results at factor {factor}"
+        );
+        assert_eq!(
+            gated.diagnostics, ungated.diagnostics,
+            "activity gating changed diagnostics at factor {factor}"
+        );
+        let skipped = gated
+            .profile
+            .as_ref()
+            .and_then(|p| p.counter(phases::ENGINE_GATES_SKIPPED_QUIET))
+            .unwrap_or(0);
+        let (gated_ms, ungated_ms) = (
+            gated.elapsed.as_secs_f64() * 1e3,
+            ungated.elapsed.as_secs_f64() * 1e3,
+        );
         println!(
-            "  a={factor:<5} gated {:>9.1} ms  ungated {:>9.1} ms  speedup {:>5.2}x  \
-             skipped {}/{} tasks",
-            p.gated_ms, p.ungated_ms, p.speedup, p.gates_skipped_quiet, p.gate_tasks
+            "  a={factor:<5} gated {gated_ms:>9.1} ms  ungated {ungated_ms:>9.1} ms  \
+             speedup {:>5.2}x  skipped {skipped}/{} tasks",
+            ungated_ms / gated_ms.max(1e-9),
+            netlist.num_gates() * patterns.len()
         );
     }
+}
+
+fn launch(
+    engine: &CompiledNetlist,
+    patterns: &PatternSet,
+    threads: usize,
+    activity_gating: bool,
+) -> SimRun {
+    engine
+        .launch(
+            patterns,
+            &slots::at_voltage(patterns.len(), 0.8),
+            &SimOptions {
+                threads,
+                profiling: true,
+                activity_gating,
+                ..SimOptions::default()
+            },
+        )
+        .expect("engine runs")
 }

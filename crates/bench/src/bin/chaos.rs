@@ -344,7 +344,7 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     // SPICE / characterization failure: the delay flow must abort with a
     // clean error, not a panic.
     let plan = Arc::new(FaultPlan::empty(0x0DD5EED).with_rate(InjectionSite::SpiceFailure, 1.0));
-    let cells = avfs_bench::used_cells(&[subject.netlist.as_ref()], &subject.library);
+    let cells = avfs_bench::used_cells(&[subject.netlist.as_ref()]);
     let config = CharacterizationConfig {
         order: 2,
         ..CharacterizationConfig::default()

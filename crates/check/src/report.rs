@@ -4,8 +4,8 @@
 //! one [`Subject`] per analyzed artifact (a netlist, a delay model, the
 //! concurrency protocols, the workspace source tree) with the subject's
 //! findings, plus a derived severity summary. The JSON round-trip is
-//! built on [`avfs_obs::Json`] like the perf report's
-//! `avfs-perf-report/1`; [`Report::from_json`] doubles as the schema
+//! built on [`avfs_obs::Json`] like `avfs-profile/1`;
+//! [`Report::from_json`] doubles as the schema
 //! validator `checker --smoke` and CI gate on.
 
 use crate::{rule_spec, Finding, Severity};

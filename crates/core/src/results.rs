@@ -134,8 +134,8 @@ pub struct RunDiagnostics {
 }
 
 impl fmt::Display for RunDiagnostics {
-    /// One-line-per-counter human-readable summary — the rendering shared
-    /// by `perf_report` and the examples.
+    /// One-line-per-counter human-readable summary — the rendering the
+    /// examples print.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "diagnostics:")?;
         writeln!(
@@ -278,8 +278,7 @@ impl SimRun {
     }
 
     /// Human-readable run summary: throughput, diagnostics, and — when
-    /// profiling was on — the phase-level profile. Used by `perf_report`
-    /// and the examples.
+    /// profiling was on — the phase-level profile. Used by the examples.
     pub fn summary(&self) -> String {
         let mut out = format!(
             "{} slots in {:.3} ms — {:.2} MEPS ({} node evaluations)\n",

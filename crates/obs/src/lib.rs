@@ -27,7 +27,8 @@
 //!   [`Display`](std::fmt::Display) rendering and a JSON round-trip
 //!   ([`Profile::to_json`] / [`Profile::from_json`]).
 //! * [`json`] — a minimal self-contained JSON value type (emit + parse)
-//!   used for the schema-versioned perf reports (`BENCH_core.json`).
+//!   used for the schema-versioned reports (`avfs-profile/1`,
+//!   `avfs-check/1`, `avfs-chaos/1`).
 //!
 //! # Cost model
 //!

@@ -16,7 +16,7 @@ pub const PROFILE_SCHEMA: &str = "avfs-profile/1";
 /// compare equal structurally.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
-    /// The registry name (e.g. `"engine"`, `"perf_report"`).
+    /// The registry name (e.g. `"engine"`, `"event_driven"`).
     pub name: String,
     /// Per-phase wall-clock aggregates, keyed by `/`-separated span path.
     pub phases: Vec<PhaseStats>,

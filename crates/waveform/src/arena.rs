@@ -30,6 +30,26 @@
 use crate::{CapacityOverflow, Waveform, WaveformRead};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+/// A `times` lane below this size always comes from the allocator's heap.
+const HEAP_LANE_BYTES: usize = 128 << 10;
+
+/// What a `times` lane of at least [`HEAP_LANE_BYTES`] reserves, so that
+/// dropping the arena gives its pages back to the OS whatever the process
+/// allocated before.
+///
+/// glibc's malloc serves a request from a private mapping, unmapped on
+/// free, once it reaches the *mmap threshold* — 128 KiB at first, then
+/// the size of the largest mapped block freed so far, up to 32 MiB. A
+/// lane between the two is mapped the first time and carved from the heap
+/// the next, where it stays after the drop; whether a later arena can
+/// reuse that hole depends on what else was allocated in between, so the
+/// peak RSS of a process that builds several arenas in turn flips between
+/// one lane and two (perfbench `grid_small`: 27.8 or 44 MiB run to run).
+/// Just over the ceiling the lane is mapped every time. The surplus is
+/// address space only — zeroed pages the arena never touches are never
+/// resident — and other allocators see one larger request.
+const MAPPED_LANE_BYTES: usize = (32 << 20) + 1;
+
 /// Flat bounded storage for a batch of waveforms.
 ///
 /// Entry `i` occupies `times[i * capacity .. i * capacity + len[i]]`; the
@@ -90,11 +110,19 @@ impl WaveformArena {
     /// Allocates an arena of `entries` waveforms with room for `capacity`
     /// transitions each. All entries start as constant-low signals.
     pub fn new(entries: usize, capacity: usize) -> WaveformArena {
+        let cells = entries * capacity;
+        let reserved = if cells * std::mem::size_of::<f64>() < HEAP_LANE_BYTES {
+            cells
+        } else {
+            cells.max(MAPPED_LANE_BYTES.div_ceil(std::mem::size_of::<f64>()))
+        };
+        let mut times = vec![0.0; reserved];
+        times.truncate(cells);
         WaveformArena {
             capacity,
             initial: vec![false; entries],
             len: vec![0; entries],
-            times: vec![0.0; entries * capacity],
+            times,
             claims: (0..entries.div_ceil(64))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -797,7 +825,7 @@ impl LevelWriter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate_gate_bounded_scratch, GateScratch, PinDelays};
+    use crate::{evaluate_gate_bounded_raw, GateScratch, PinDelays};
 
     #[test]
     fn round_trips_waveforms() {
@@ -878,6 +906,18 @@ mod tests {
     }
 
     #[test]
+    fn a_times_lane_is_heap_sized_or_reserved_past_the_mmap_ceiling() {
+        let small = WaveformArena::new(255, 64);
+        assert_eq!(small.times.capacity(), 255 * 64);
+        let large = WaveformArena::new(256, 64);
+        assert_eq!(large.times.len(), 256 * 64);
+        assert!(large.times.capacity() * 8 >= MAPPED_LANE_BYTES);
+        assert!(large.times.iter().all(|&t| t == 0.0));
+        let huge = WaveformArena::new(1 << 16, 128);
+        assert_eq!(huge.times.capacity(), (1 << 16) * 128);
+    }
+
+    #[test]
     fn reshape_beyond_the_allocation_reallocates() {
         let mut arena = WaveformArena::new(4, 4);
         let w = Waveform::with_transitions(true, vec![1.0, 2.0]).unwrap();
@@ -941,15 +981,17 @@ mod tests {
             rise: 10.0,
             fall: 10.0,
         }; 2];
-        let out = evaluate_gate_bounded_scratch(
+        let mut scratch = GateScratch::new();
+        let initial = evaluate_gate_bounded_raw(
             &[arena.view(0), arena.view(1)],
             &d,
             |v| v[0] && v[1],
-            &mut GateScratch::new(),
+            &mut scratch,
             4,
         )
         .unwrap();
-        assert_eq!(out.transitions(), &[110.0]);
+        assert!(!initial);
+        assert_eq!(scratch.scheduled(), &[110.0]);
     }
 
     #[test]
@@ -962,25 +1004,13 @@ mod tests {
             rise: 1.0,
             fall: 1.0,
         }; 2];
-        let err = evaluate_gate_bounded_scratch(
-            &[&a, &b],
-            &d,
-            |v| v[0] ^ v[1],
-            &mut GateScratch::new(),
-            2,
-        )
-        .unwrap_err();
+        let mut scratch = GateScratch::new();
+        let err =
+            evaluate_gate_bounded_raw(&[&a, &b], &d, |v| v[0] ^ v[1], &mut scratch, 2).unwrap_err();
         assert_eq!(err, CapacityOverflow { capacity: 2 });
         // The same evaluation succeeds with room to spare.
-        let out = evaluate_gate_bounded_scratch(
-            &[&a, &b],
-            &d,
-            |v| v[0] ^ v[1],
-            &mut GateScratch::new(),
-            8,
-        )
-        .unwrap();
-        assert_eq!(out.num_transitions(), 8);
+        evaluate_gate_bounded_raw(&[&a, &b], &d, |v| v[0] ^ v[1], &mut scratch, 8).unwrap();
+        assert_eq!(scratch.scheduled().len(), 8);
     }
 
     #[test]

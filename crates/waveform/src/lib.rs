@@ -78,7 +78,7 @@ impl<W: WaveformRead + ?Sized> WaveformRead for &W {
 }
 
 /// A gate evaluation exceeded the per-net transition capacity of its
-/// bounded output buffer (see [`evaluate_gate_bounded_scratch`]).
+/// bounded output buffer (see [`evaluate_gate_bounded_raw`]).
 ///
 /// This is the CPU analogue of the GPU waveform-memory overflow flag: the
 /// affected slot's result is unusable at this capacity, and the caller is
@@ -305,7 +305,7 @@ impl PinDelays {
     }
 }
 
-/// Reusable working memory for [`evaluate_gate_scratch`].
+/// Reusable working memory for [`evaluate_gate_bounded_raw`].
 ///
 /// One instance per simulation worker avoids the per-gate heap traffic
 /// that would otherwise dominate the oblivious (every-gate-every-slot)
@@ -348,64 +348,30 @@ pub fn evaluate_gate(
     delays: &[PinDelays],
     eval: impl Fn(&[bool]) -> bool,
 ) -> Waveform {
-    evaluate_gate_scratch(inputs, delays, eval, &mut GateScratch::new())
-}
-
-/// [`evaluate_gate`] with caller-provided scratch buffers (the hot-loop
-/// form used by the engine).
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != delays.len()` or either is empty.
-pub fn evaluate_gate_scratch<W: WaveformRead>(
-    inputs: &[W],
-    delays: &[PinDelays],
-    eval: impl Fn(&[bool]) -> bool,
-    scratch: &mut GateScratch,
-) -> Waveform {
-    evaluate_gate_bounded_scratch(inputs, delays, eval, scratch, usize::MAX)
-        .expect("unbounded evaluation cannot overflow")
-}
-
-/// [`evaluate_gate_scratch`] with a hard cap on *scheduled* output
-/// transitions — the bounded-arena form used by the fault-isolated engine.
-///
-/// The cap is enforced on the peak size of the pending-transition schedule,
-/// not just the final count: like the GPU original, which allocates a fixed
-/// waveform buffer per `(slot, net)` and raises an overflow flag when a
-/// write would run past it, evaluation aborts the moment the schedule needs
-/// its `cap + 1`-th entry, even if later cancellations would have shrunk it
-/// again. The returned waveform therefore always fits in `cap` transitions.
-///
-/// # Errors
-///
-/// Returns [`CapacityOverflow`] when the schedule would exceed `cap`.
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != delays.len()` or either is empty.
-pub fn evaluate_gate_bounded_scratch<W: WaveformRead>(
-    inputs: &[W],
-    delays: &[PinDelays],
-    eval: impl Fn(&[bool]) -> bool,
-    scratch: &mut GateScratch,
-    cap: usize,
-) -> Result<Waveform, CapacityOverflow> {
-    let initial = evaluate_gate_bounded_raw(inputs, delays, eval, scratch, cap)?;
+    let mut scratch = GateScratch::new();
+    let initial = evaluate_gate_bounded_raw(inputs, delays, eval, &mut scratch, usize::MAX)
+        .expect("unbounded evaluation cannot overflow");
     let out = Waveform {
         initial,
-        // Exact-size copy out of the reusable buffer.
-        transitions: scratch.sched.as_slice().to_vec(),
+        transitions: scratch.scheduled().to_vec(),
     };
     debug_assert!(out.check_invariants());
-    Ok(out)
+    out
 }
 
-/// The allocation-free core of [`evaluate_gate_bounded_scratch`]: returns
-/// the output's initial value and leaves its transitions in
+/// The allocation-free, bounded form of [`evaluate_gate`]: returns the
+/// output's initial value and leaves its transitions in
 /// [`GateScratch::scheduled`] instead of materializing an owned
 /// [`Waveform`] — the form the engine uses to write gate outputs directly
 /// into the waveform arena.
+///
+/// `cap` is a hard limit on *scheduled* output transitions, enforced on
+/// the peak size of the pending-transition schedule, not just the final
+/// count: like the GPU original, which allocates a fixed waveform buffer
+/// per `(slot, net)` and raises an overflow flag when a write would run
+/// past it, evaluation aborts the moment the schedule needs its
+/// `cap + 1`-th entry, even if later cancellations would have shrunk it
+/// again.
 ///
 /// # Errors
 ///
@@ -554,12 +520,6 @@ fn merge_transitions<W: WaveformRead>(
     Ok(initial_out)
 }
 
-/// Propagates a waveform through an identity stage with per-polarity delay
-/// (used for primary-output observation nodes).
-pub fn delay_waveform(input: &Waveform, delays: PinDelays) -> Waveform {
-    evaluate_gate(&[input], &[delays], |v| v[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,6 +527,11 @@ mod tests {
 
     fn wf(initial: bool, times: &[f64]) -> Waveform {
         Waveform::with_transitions(initial, times.to_vec()).unwrap()
+    }
+
+    /// An identity stage with per-polarity delay.
+    fn delay_waveform(input: &Waveform, delays: PinDelays) -> Waveform {
+        evaluate_gate(&[input], &[delays], |v| v[0])
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! cross-validated between the parallel engine and the event-driven
 //! baseline.
 
-use avfs::atpg::PatternSet;
+use avfs::atpg::{Pattern, PatternPair, PatternSet};
 use avfs::circuits::{random_netlist, ripple_carry_adder, GeneratorConfig};
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::delay::{CharacterizedLibrary, StaticModel};
 use avfs::netlist::{CellLibrary, Netlist, NodeKind};
-use avfs::sim::{slots, CompiledNetlist, EventDrivenSimulator, SimOptions, TimeSimulator};
+use avfs::sim::{phases, slots, CompiledNetlist, EventDrivenSimulator, SimOptions, TimeSimulator};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -125,39 +125,77 @@ fn final_values_match_zero_delay_semantics() {
     }
 }
 
+/// The determinism matrix on a characterized polynomial model: every
+/// combination of worker count, lane width and activity gating must
+/// reproduce the serial scalar ungated run bit for bit, over quiescent,
+/// LFSR and fully toggling stimuli. 25 pairs × 2 voltages leave a ragged
+/// tail lane group at widths 4 and 8, and rca32's 64-gate first level
+/// schedules enough lane tasks to wake the pool.
 #[test]
 fn multithreaded_engine_equals_serial() {
     let library = CellLibrary::nangate15_like();
-    let netlist = Arc::new(ripple_carry_adder(12, &library).expect("adder builds"));
+    let netlist = Arc::new(ripple_carry_adder(32, &library).expect("adder builds"));
     let chars = characterize_for(&netlist, &library);
-    let sim = TimeSimulator::from_characterization(Arc::clone(&netlist), &chars)
-        .expect("simulator builds");
-    let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 4);
-    let serial = sim
-        .voltage_sweep(
-            &patterns,
-            &[0.6, 0.9],
-            &SimOptions {
-                threads: 1,
+    let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
+    let engine = CompiledNetlist::compile(
+        Arc::clone(&netlist),
+        annotation,
+        Arc::new(chars.model().clone()),
+    )
+    .expect("engine builds");
+    let width = netlist.inputs().len();
+
+    let lfsr = PatternSet::lfsr(width, 25, 4);
+    let with_capture = |capture: fn(&Pattern) -> Pattern| -> PatternSet {
+        lfsr.pairs()
+            .iter()
+            .map(|p| PatternPair::new(p.launch.clone(), capture(&p.launch)).expect("same width"))
+            .collect()
+    };
+    let quiet = with_capture(Pattern::clone);
+    let busy = with_capture(|launch| Pattern::from_bits(launch.iter().map(|bit| !bit)));
+
+    for (stimuli, patterns) in [("quiet", &quiet), ("lfsr", &lfsr), ("busy", &busy)] {
+        let slot_list = slots::cross(patterns.len(), &[0.6, 0.9]);
+        let launch = |threads, lanes, activity_gating, profiling| {
+            let options = SimOptions {
+                threads,
+                lanes,
+                activity_gating,
+                profiling,
                 ..SimOptions::default()
-            },
-        )
-        .expect("serial run");
-    let parallel = sim
-        .voltage_sweep(
-            &patterns,
-            &[0.6, 0.9],
-            &SimOptions {
-                threads: 8,
-                ..SimOptions::default()
-            },
-        )
-        .expect("parallel run");
-    for (a, b) in serial.slots.iter().zip(&parallel.slots) {
-        assert_eq!(a.spec.pattern, b.spec.pattern);
-        assert_eq!(a.responses, b.responses);
-        assert_eq!(a.latest_output_transition_ps, b.latest_output_transition_ps);
-        assert_eq!(a.activity, b.activity);
+            };
+            engine
+                .launch(patterns, &slot_list, &options)
+                .expect("engine runs")
+        };
+        let reference = launch(1, 1, false, false);
+        for threads in [1, 2, 8] {
+            for lanes in [1, 4, 8] {
+                for gating in [false, true] {
+                    let run = launch(threads, lanes, gating, true);
+                    let at = format!("{stimuli}: threads={threads} lanes={lanes} gating={gating}");
+                    assert_eq!(run.slots, reference.slots, "{at}");
+                    assert_eq!(run.diagnostics, reference.diagnostics, "{at}");
+                    let profile = run.profile.as_ref().expect("profiling was on");
+                    let count = |name| profile.counter(name).unwrap_or(0);
+                    if gating && stimuli == "quiet" {
+                        assert_eq!(
+                            count(phases::ENGINE_GATES_SKIPPED_QUIET),
+                            (netlist.num_gates() * slot_list.len()) as u64,
+                            "{at}: quiescent stimuli must skip every gate task"
+                        );
+                    }
+                    if threads > 1 && stimuli == "busy" {
+                        assert!(
+                            count(phases::ENGINE_EPOCHS_POOLED) > 0
+                                && count(phases::ENGINE_EPOCHS_INLINE) > 0,
+                            "{at}: the matrix must cross both dispatch arms"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
