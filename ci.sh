@@ -19,9 +19,19 @@ cargo test --workspace --offline -q
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> doc references (every --bin the docs name is 'benchmark' or a file in crates/bench/src/bin)"
-for bin in $(grep -oh -e '--bin [a-z0-9_]*' README.md EXPERIMENTS.md DESIGN.md | cut -d' ' -f2 | sort -u); do
+echo "==> doc references (every --bin, crates/*.rs path and \`Type::item\` the docs name exists in the sources)"
+docs="README.md EXPERIMENTS.md DESIGN.md"
+for bin in $(grep -oh -e '--bin [a-z0-9_]*' $docs | cut -d' ' -f2 | sort -u); do
     [ "$bin" = benchmark ] || [ -f "crates/bench/src/bin/$bin.rs" ] || { echo "docs name a missing bin: $bin"; exit 1; }
+done
+for path in $(grep -oh 'crates/[a-z0-9_/]*\.rs' $docs | sort -u); do
+    [ -f "$path" ] || { echo "docs name a missing file: $path"; exit 1; }
+done
+for ref in $(grep -ohE '`[A-Z][A-Za-z0-9]*::[A-Za-z_][A-Za-z0-9_]*' $docs | tr -d '`' | sort -u); do
+    ty=${ref%%::*} item=${ref##*::}
+    crates=$(grep -rlE "(struct|enum|trait) $ty([^A-Za-z0-9_]|\$)" crates/*/src | cut -d/ -f1-2 | sort -u)
+    [ -n "$crates" ] && grep -rqE "(fn|const) $item[^A-Za-z0-9_]|^ *(pub(\([a-z]*\))? )?$item(:|,|\(| \{|\$)" $crates ||
+        { echo "docs name $ref: no such fn, field or variant in ${crates:-any crate (no struct/enum/trait $ty)}"; exit 1; }
 done
 
 echo "==> checker --smoke (static-analysis gate: avfs-check/1 schema, zero deny findings)"

@@ -1,5 +1,5 @@
 //! scenario_sweep — failure probability vs supply voltage under droop
-//! schedules with Monte Carlo process variation (DESIGN.md §15).
+//! schedules with Monte Carlo process variation (DESIGN.md §5).
 //!
 //! One launch per invocation: every pattern pair is replayed under a
 //! three-segment voltage-droop [`Schedule`] per nominal supply, expanded

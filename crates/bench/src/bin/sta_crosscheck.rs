@@ -1,5 +1,5 @@
 //! sta_crosscheck — cross-validates the time simulator against the
-//! independent `avfs-sta` static-timing oracle (DESIGN.md §16).
+//! independent `avfs-sta` static-timing oracle (DESIGN.md §9).
 //!
 //! Per circuit, the gate simulates an LFSR pattern set across the
 //! paper's sweep voltages and runs [`avfs_core::sta::crosscheck`] on

@@ -1,7 +1,7 @@
 //! Tier-1 lint for piecewise operating-point schedules (AVC-N010).
 //!
 //! The scenario engine drives each slot with a *schedule* of
-//! `(t_start, voltage)` segments (DESIGN.md §15). A malformed schedule —
+//! `(t_start, voltage)` segments (DESIGN.md §5). A malformed schedule —
 //! empty, not anchored at `t = 0`, non-finite, or with non-increasing
 //! segment starts — has no sound simulation semantics: segment lookup is
 //! a `partition_point` over the boundary list, which requires a strictly

@@ -163,12 +163,9 @@ pub struct BatchRunner {
     waiting: AtomicU64,
     artifacts: Mutex<Lru<CompileKey, Arc<CompiledNetlist>>>,
     libraries: Mutex<Lru<u64, Arc<CharacterizedLibrary>>>,
-    compile_hits: AtomicU64,
-    compile_misses: AtomicU64,
-    library_hits: AtomicU64,
-    library_misses: AtomicU64,
     /// The runner's own instrument registry (cache and queue
-    /// instruments; per-run engine profiles remain per run).
+    /// instruments — the hit/miss accessors read its counters; per-run
+    /// engine profiles remain per run).
     metrics: Metrics,
 }
 
@@ -183,10 +180,6 @@ impl BatchRunner {
             waiting: AtomicU64::new(0),
             artifacts: Mutex::new(Lru::new(cache_capacity)),
             libraries: Mutex::new(Lru::new(cache_capacity)),
-            compile_hits: AtomicU64::new(0),
-            compile_misses: AtomicU64::new(0),
-            library_hits: AtomicU64::new(0),
-            library_misses: AtomicU64::new(0),
             metrics: Metrics::new("engine"),
         }
     }
@@ -216,11 +209,9 @@ impl BatchRunner {
             .expect("artifact cache lock")
             .get(&key)
         {
-            self.compile_hits.fetch_add(1, Ordering::Relaxed);
             self.metrics.add(phases::ENGINE_COMPILE_HITS, 1);
             return Ok(Arc::clone(hit));
         }
-        self.compile_misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.add(phases::ENGINE_COMPILE_MISSES, 1);
         let built = Arc::new(build()?);
         let mut cache = self.artifacts.lock().expect("artifact cache lock");
@@ -250,11 +241,9 @@ impl BatchRunner {
             .expect("library cache lock")
             .get(&library_hash)
         {
-            self.library_hits.fetch_add(1, Ordering::Relaxed);
             self.metrics.add(phases::ENGINE_LIBRARY_HITS, 1);
             return Ok(Arc::clone(hit));
         }
-        self.library_misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.add(phases::ENGINE_LIBRARY_MISSES, 1);
         let built = Arc::new(build()?);
         self.libraries
@@ -266,12 +255,12 @@ impl BatchRunner {
 
     /// Artifact-cache hits so far.
     pub fn compile_hits(&self) -> u64 {
-        self.compile_hits.load(Ordering::Relaxed)
+        self.metrics.counter(phases::ENGINE_COMPILE_HITS).get()
     }
 
     /// Artifact-cache misses (= compiles actually performed) so far.
     pub fn compile_misses(&self) -> u64 {
-        self.compile_misses.load(Ordering::Relaxed)
+        self.metrics.counter(phases::ENGINE_COMPILE_MISSES).get()
     }
 
     /// Times a run on this runner had to allocate its waveform arena
@@ -285,12 +274,12 @@ impl BatchRunner {
 
     /// Library-cache hits so far.
     pub fn library_hits(&self) -> u64 {
-        self.library_hits.load(Ordering::Relaxed)
+        self.metrics.counter(phases::ENGINE_LIBRARY_HITS).get()
     }
 
     /// Library-cache misses so far.
     pub fn library_misses(&self) -> u64 {
-        self.library_misses.load(Ordering::Relaxed)
+        self.metrics.counter(phases::ENGINE_LIBRARY_MISSES).get()
     }
 
     /// Snapshot of the runner's instrument registry

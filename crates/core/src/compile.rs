@@ -244,6 +244,22 @@ impl CompiledNetlist {
         })
     }
 
+    /// Compiles a netlist against a characterization: the netlist is
+    /// annotated with nominal delays at its instance loads, and the
+    /// characterized polynomial model becomes the delay kernel.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Model`] for a cell the characterization lacks, plus
+    /// everything [`CompiledNetlist::compile`] returns.
+    pub fn from_characterization(
+        netlist: Arc<Netlist>,
+        chars: &avfs_delay::CharacterizedLibrary,
+    ) -> Result<CompiledNetlist, SimError> {
+        let annotation = Arc::new(chars.annotate(&netlist)?);
+        CompiledNetlist::compile(netlist, annotation, Arc::new(chars.model().clone()))
+    }
+
     /// The bound netlist.
     pub fn netlist(&self) -> &Arc<Netlist> {
         &self.netlist

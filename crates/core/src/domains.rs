@@ -166,13 +166,8 @@ mod tests {
             Some(&used),
         )
         .expect("characterizes");
-        let annotation = Arc::new(chars.annotate(&netlist).expect("annotates"));
-        let engine = CompiledNetlist::compile(
-            Arc::clone(&netlist),
-            annotation,
-            Arc::new(chars.model().clone()),
-        )
-        .expect("engine builds");
+        let engine = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
+            .expect("engine builds");
         (netlist, engine)
     }
 

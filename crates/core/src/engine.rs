@@ -108,8 +108,6 @@ pub struct SimOptions {
     /// per run and parked between levels; at each level the count is
     /// further clamped to the level's task count.
     pub threads: usize,
-    /// Time at which pattern pairs launch their transition, ps.
-    pub launch_time_ps: f64,
     /// Upper bound on total transitions resident in the waveform arena at
     /// once (`slots × nodes × capacity`); slots are processed in batches
     /// respecting it (the global-memory budget).
@@ -171,17 +169,16 @@ pub struct SimOptions {
     pub activity_gating: bool,
     /// Lane width `L` of the slot-packed (lane-major) arena layout: slots
     /// are grouped `L` at a time and one net's `L` waveforms are stored
-    /// contiguously, so gate evaluation advances `L` slots per pass —
+    /// contiguously, so one (lane group, gate) task advances `L` slots —
     /// logic values bit-packed into `u64` lane words on the quiet fast
-    /// path, the delay kernel batched with hand-unrolled Horner blocks,
-    /// and claim/quiet bookkeeping handled as per-lane-word masks. Must
-    /// be a power of two ≤ 64 (lane masks are single `u64` words, and
+    /// path, claim/quiet bookkeeping handled as per-lane-word masks, and
+    /// each active lane merged by the scalar waveform kernel. Must be a
+    /// power of two ≤ 64 (lane masks are single `u64` words, and
     /// power-of-two widths keep a full group's claim run inside one
     /// atomic word); 0 — the default — selects 8. `lanes: 1` is exactly
-    /// the scalar slot-major path, and every lane width produces
-    /// bit-for-bit identical results: the layout change is a pure memory
-    /// permutation and the batched arithmetic performs the identical
-    /// per-lane operation sequence.
+    /// the slot-major layout, and every lane width produces bit-for-bit
+    /// identical results: the layout change is a pure memory permutation
+    /// and every lane runs the identical operation sequence.
     pub lanes: usize,
     /// Up-front validation of the netlist and the launch's operating
     /// points (tier-1/tier-2 `avfs-check` lints). Defaults to
@@ -257,7 +254,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             threads: 0,
-            launch_time_ps: 0.0,
             waveform_budget: 16 << 20,
             keep_waveforms: false,
             arena_capacity: 0,
@@ -665,7 +661,7 @@ impl CompiledNetlist {
 /// Scenario instruments are recorded only when the work list actually
 /// carries a multi-segment schedule or a Monte Carlo die: a
 /// constant-schedule scenario launch lowers to static slots and stays
-/// bit-identical to the static run — profile included (DESIGN.md §15).
+/// bit-identical to the static run — profile included (DESIGN.md §6).
 fn record_scenario_shape(m: &Metrics, work: &[SlotWork]) {
     if work
         .iter()

@@ -25,7 +25,7 @@ use std::sync::Mutex;
 /// pool pays: a release is a mutex + condvar round trip of ~35 µs per
 /// epoch against ~0.15 µs per lane task, so a level below the threshold
 /// finishes on the coordinator before a second worker would have
-/// started. Chosen from the sweep recorded in DESIGN.md §9; not an
+/// started. Chosen from the sweep recorded in EXPERIMENTS.md E5; not an
 /// option, because no caller has a better number than the measurement.
 const POOLED_EPOCH_LANE_TASKS: usize = 2048;
 
@@ -177,32 +177,17 @@ impl<'c> Batch<'c> {
         Ok(())
     }
 
-    /// Level 0: stimuli waveforms, written through lane-group-disjoint
-    /// arena partitions (one per lane group of the batch; a group's
-    /// cells are contiguous by construction).
+    /// Level 0: stimuli waveforms, one pattern pair per slot, launched
+    /// at t = 0 (where every `Schedule` is anchored).
     fn stimuli(&mut self, arena: &mut WaveformArena) {
         let ctx = self.ctx;
         let layout = self.layout;
-        for (g, mut part) in arena
-            .partitions(layout.group_entries())
-            .take(layout.groups())
-            .enumerate()
-        {
-            let w = layout.group_width(g);
-            for lane in 0..w {
-                let si = layout.group_slot(g) + lane;
-                let pair = &ctx.patterns.pairs()[ctx.work[self.chunk[si]].pattern];
-                for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
-                    let wf = Waveform::from_pattern(
-                        pair.launch.bit(k),
-                        pair.capture.bit(k),
-                        ctx.options.launch_time_ps,
-                    );
-                    // Partition-local lane-major index: net-major
-                    // within the group, lanes contiguous.
-                    if part.write(pi.index() * w + lane, &wf).is_err() {
-                        self.dead[si] = Some(Dead::Overflow);
-                    }
+        for (si, &slot) in self.chunk.iter().enumerate() {
+            let pair = &ctx.patterns.pairs()[ctx.work[slot].pattern];
+            for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
+                let wf = Waveform::from_pattern(pair.launch.bit(k), pair.capture.bit(k), 0.0);
+                if arena.write(layout.index(si, pi.index()), &wf).is_err() {
+                    self.dead[si] = Some(Dead::Overflow);
                 }
             }
         }
@@ -338,7 +323,7 @@ impl<'c> Batch<'c> {
         // into the arena (claim-guarded, cell-disjoint) while reading
         // only previous levels' cells — no per-task waveform allocation,
         // no serial write-back.
-        let writer = arena.level_writer_hooked(overflow_hook.as_ref().map(|h| h as &OverflowHook));
+        let writer = arena.level_writer(overflow_hook.as_ref().map(|h| h as &OverflowHook));
         // The scheduled task list: (lane-group grid index, eval mask)
         // pairs — the surviving active lanes when gated, the whole grid
         // otherwise.

@@ -428,41 +428,6 @@ fn quarantined_lane_masking_on_overflow_retry() {
 }
 
 #[test]
-fn launch_time_offsets_all_transitions() {
-    let n = chain_netlist();
-    let engine = static_engine(&n, 10.0, 10.0);
-    let patterns = one_pattern();
-    let base = engine
-        .launch(
-            &patterns,
-            &at_voltage(1, 0.8),
-            &SimOptions {
-                threads: 1,
-                launch_time_ps: 0.0,
-                ..SimOptions::default()
-            },
-        )
-        .unwrap();
-    let shifted = engine
-        .launch(
-            &patterns,
-            &at_voltage(1, 0.8),
-            &SimOptions {
-                threads: 1,
-                launch_time_ps: 250.0,
-                ..SimOptions::default()
-            },
-        )
-        .unwrap();
-    let (t0, t1) = (
-        base.slots[0].latest_output_transition_ps.unwrap(),
-        shifted.slots[0].latest_output_transition_ps.unwrap(),
-    );
-    assert!((t1 - t0 - 250.0).abs() < 1e-9, "{t0} vs {t1}");
-    assert_eq!(base.slots[0].responses, shifted.slots[0].responses);
-}
-
-#[test]
 fn mixed_island_vectors_group_correctly() {
     // Slots with different per-domain voltage vectors in ONE launch:
     // the per-(level, voltage-assignment) grouping must keep them

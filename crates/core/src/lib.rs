@@ -29,9 +29,7 @@
 //!   reference (Table II column 2) plus the voltage-scaled
 //!   per-pin-transition oracle from `avfs-sta` and its
 //!   [`sta::crosscheck`] driver, which proves `sim ≤ sta` per run
-//!   (DESIGN.md §16),
-//! * [`api::TimeSimulator`] — a high-level facade wiring netlist,
-//!   annotation, model and engine together for the examples and benches.
+//!   (DESIGN.md §9).
 //!
 //! On top of the static grid, [`scenario`] makes the operating point a
 //! *function of time*: piecewise `(t_start, V)` supply [`Schedule`]s per
@@ -43,7 +41,6 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod api;
 pub mod batch;
 pub mod compile;
 pub mod delay_fault;
@@ -59,7 +56,6 @@ pub mod session;
 pub mod slots;
 pub mod sta;
 
-pub use api::TimeSimulator;
 /// Re-exported so scenario launches configure variation without naming
 /// `avfs_delay` directly.
 pub use avfs_delay::VariationConfig;

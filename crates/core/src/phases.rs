@@ -118,7 +118,7 @@ pub const ENGINE_LANES_GROUPS: &str = "engine.lanes_groups";
 pub const ENGINE_POOL_STEALS: &str = "engine.pool_steals";
 
 /// Level epochs released to the parked pool: the scheduled lane tasks
-/// were worth a wake-up (DESIGN.md §9). Together with
+/// were worth a wake-up (DESIGN.md §5). Together with
 /// [`ENGINE_EPOCHS_INLINE`] this counts every dispatched level epoch —
 /// a simulated level with at least one task left after activity gating.
 pub const ENGINE_EPOCHS_POOLED: &str = "engine.epochs_pooled";
@@ -198,7 +198,7 @@ pub const ENGINE_DELAY_TABLE_HITS: &str = "engine.delay_table_hits";
 /// Recorded only when the work list carries a multi-segment schedule or
 /// a Monte Carlo die: a constant-schedule scenario launch lowers to
 /// static slots and stays bit-identical to the static run, profile
-/// included (DESIGN.md §15).
+/// included (DESIGN.md §6).
 pub const ENGINE_SCENARIO_SEGMENTS: &str = "engine.scenario_segments";
 
 /// Monte Carlo sampled slots in a launch (slots carrying a process

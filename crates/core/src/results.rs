@@ -236,7 +236,7 @@ pub struct SimRun {
     /// through the scenario engine
     /// ([`CompiledNetlist::launch_scenarios`](crate::CompiledNetlist::launch_scenarios)
     /// and friends): the failure-probability-vs-voltage curve over the
-    /// run's slots (DESIGN.md §15).
+    /// run's slots (DESIGN.md §5).
     pub scenario: Option<crate::scenario::ScenarioSummary>,
 }
 

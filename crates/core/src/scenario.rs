@@ -1,5 +1,5 @@
 //! Time-domain AVFS scenarios: piecewise operating-point schedules and
-//! Monte Carlo process variation (DESIGN.md §15).
+//! Monte Carlo process variation (DESIGN.md §5).
 //!
 //! A *scenario* replays one stimulus pair under a [`Schedule`] — a
 //! piecewise-constant supply trace of `(t_start, voltage)` [`Segment`]s
@@ -31,7 +31,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use avfs_core::{scenario::{Schedule, ScenarioSpec}, TimeSimulator};
+//! use avfs_core::{scenario::{Schedule, ScenarioSpec}, slots, CompiledNetlist};
 //! use avfs_delay::characterize::{characterize_library, CharacterizationConfig};
 //! use avfs_netlist::CellLibrary;
 //! use avfs_spice::Technology;
@@ -47,17 +47,17 @@
 //!     &CharacterizationConfig::fast(),
 //!     Some(&[nand]),
 //! )?;
-//! let sim = TimeSimulator::from_characterization(netlist, &chars)?;
+//! let sim = CompiledNetlist::from_characterization(netlist, &chars)?;
 //! let patterns = PatternSet::lfsr(5, 4, 42);
 //!
 //! // "Schedule" every pattern at a constant 0.8 V ...
 //! let scenarios: Vec<ScenarioSpec> = (0..patterns.len())
 //!     .map(|pattern| ScenarioSpec { pattern, schedule: Schedule::constant(0.8) })
 //!     .collect();
-//! let scheduled = sim.run_scenarios(&patterns, &scenarios, None, None, &Default::default())?;
+//! let scheduled = sim.launch_scenarios(&patterns, &scenarios, None, None, &Default::default())?;
 //!
 //! // ... and it is the 0.8 V static run, bit for bit.
-//! let fixed = sim.run_at(&patterns, 0.8, &Default::default())?;
+//! let fixed = sim.launch(&patterns, &slots::at_voltage(patterns.len(), 0.8), &Default::default())?;
 //! for (a, b) in scheduled.slots.iter().zip(&fixed.slots) {
 //!     assert_eq!(a.responses, b.responses);
 //!     assert_eq!(a.latest_output_transition_ps, b.latest_output_transition_ps);

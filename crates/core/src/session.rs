@@ -144,19 +144,6 @@ impl Session {
         )?;
         self.compiled.execute(plan, options, &self.pool)
     }
-
-    /// Cross-validates a finished uniform-voltage run of this session's
-    /// artifact against the independent STA oracle — see
-    /// [`sta::crosscheck`](crate::sta::crosscheck) for the comparison
-    /// semantics and the uniform-launch precondition.
-    pub fn crosscheck(
-        &self,
-        run: &SimRun,
-        circuit: &str,
-        options: &crate::sta::CrossCheckOptions,
-    ) -> Result<crate::sta::CrossCheck, SimError> {
-        crate::sta::crosscheck(&self.compiled, run, circuit, options)
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Static timing analysis glue: voltage-scaled oracle runs and the
-//! STA ↔ simulator cross-check (DESIGN.md §16).
+//! STA ↔ simulator cross-check (DESIGN.md §9).
 //!
 //! Two analyses live here:
 //!
@@ -146,10 +146,10 @@ pub fn scaled_graph(compiled: &CompiledNetlist, voltage: f64) -> Result<TimingGr
 }
 
 /// Runs the independent STA oracle over `compiled` at one operating
-/// point, with arrivals seeded at `t = 0 ps` (the default
-/// [`SimOptions::launch_time_ps`](crate::SimOptions)). Only the supply
-/// axis of `point` is used — the load axis is per node, from the
-/// artifact's annotation, exactly as in a simulator launch.
+/// point, with arrivals seeded at `t = 0 ps` — where every launch puts
+/// its stimulus. Only the supply axis of `point` is used — the load axis
+/// is per node, from the artifact's annotation, exactly as in a
+/// simulator launch.
 ///
 /// The returned report's `latest_arrival_ps` is a sound upper bound on
 /// every [`SlotResult::latest_output_transition_ps`](crate::SlotResult)
@@ -164,18 +164,7 @@ pub fn analyze(
     compiled: &CompiledNetlist,
     point: &OperatingPoint,
 ) -> Result<avfs_sta::StaReport, SimError> {
-    analyze_at(compiled, point, 0.0)
-}
-
-/// [`analyze`] with an explicit launch instant — pass the run's
-/// [`SimOptions::launch_time_ps`](crate::SimOptions) so the oracle's
-/// folds start where the simulator's stimulus does.
-pub fn analyze_at(
-    compiled: &CompiledNetlist,
-    point: &OperatingPoint,
-    launch_time_ps: f64,
-) -> Result<avfs_sta::StaReport, SimError> {
-    Ok(scaled_graph(compiled, point.voltage)?.report(launch_time_ps))
+    Ok(scaled_graph(compiled, point.voltage)?.report(0.0))
 }
 
 /// Knobs of one [`crosscheck`] comparison.
@@ -186,17 +175,12 @@ pub struct CrossCheckOptions {
     /// by default — see `avfs-sta`'s docs for why the bound itself needs
     /// none).
     pub epsilon_ps: f64,
-    /// The launch instant the compared run used
-    /// ([`SimOptions::launch_time_ps`](crate::SimOptions); 0 by
-    /// default).
-    pub launch_time_ps: f64,
 }
 
 impl Default for CrossCheckOptions {
     fn default() -> CrossCheckOptions {
         CrossCheckOptions {
             epsilon_ps: DEFAULT_EPSILON_PS,
-            launch_time_ps: 0.0,
         }
     }
 }
@@ -278,11 +262,7 @@ pub fn crosscheck(
     let mut findings = Vec::new();
     let mut rows = Vec::with_capacity(groups.len());
     for (gi, (voltage, slot_indices)) in groups.iter().enumerate() {
-        let report = analyze_at(
-            compiled,
-            &OperatingPoint::new(*voltage, compiled.model.space().load_range().0),
-            options.launch_time_ps,
-        )?;
+        let report = scaled_graph(compiled, *voltage)?.report(0.0);
         if gi == 0 {
             // Structure is voltage-independent: render the warnings once.
             findings.extend(structure_findings(&compiled.netlist, &report));
@@ -316,18 +296,6 @@ pub fn crosscheck(
         rows,
         epsilon_ps: options.epsilon_ps,
     })
-}
-
-impl CompiledNetlist {
-    /// [`sta::analyze`](analyze) as a method — the oracle view of this
-    /// artifact at one operating point.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Model`] when the delay model rejects the point.
-    pub fn sta(&self, point: &OperatingPoint) -> Result<avfs_sta::StaReport, SimError> {
-        analyze(self, point)
-    }
 }
 
 #[cfg(test)]
@@ -418,7 +386,7 @@ mod tests {
         // At two sweep voltages the oracle bound must dominate every
         // simulated arrival — bitwise, per the shared-matrix argument.
         for &v in &[0.55, 0.8] {
-            let report = compiled.sta(&OperatingPoint::new(v, 1.0)).unwrap();
+            let report = analyze(&compiled, &OperatingPoint::new(v, 1.0)).unwrap();
             assert!(report.latest_arrival_ps.is_finite());
             let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 8, 11);
             let run = compiled
@@ -446,8 +414,8 @@ mod tests {
     #[test]
     fn lower_voltage_never_tightens_the_bound() {
         let compiled = compiled_c17();
-        let slow = compiled.sta(&OperatingPoint::new(0.55, 1.0)).unwrap();
-        let fast = compiled.sta(&OperatingPoint::new(1.1, 1.0)).unwrap();
+        let slow = analyze(&compiled, &OperatingPoint::new(0.55, 1.0)).unwrap();
+        let fast = analyze(&compiled, &OperatingPoint::new(1.1, 1.0)).unwrap();
         assert!(slow.latest_arrival_ps >= fast.latest_arrival_ps);
     }
 

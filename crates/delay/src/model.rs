@@ -23,7 +23,6 @@ use crate::op::{NormalizedPoint, ParameterSpace};
 use crate::table::CoefficientTable;
 use crate::DelayError;
 use avfs_netlist::library::{CellId, Polarity};
-use avfs_obs::Counter;
 use avfs_regression::DataGrid;
 use std::fmt;
 
@@ -43,39 +42,6 @@ pub trait DelayModel: Send + Sync + fmt::Debug {
         polarity: Polarity,
         p: NormalizedPoint,
     ) -> Result<f64, DelayError>;
-
-    /// Lane-batched [`DelayModel::factor`]: `out[k] = factor(points[k])`
-    /// for a whole lane group sharing one (cell, pin, polarity).
-    ///
-    /// The default implementation is the scalar loop, so every model keeps
-    /// its exact per-point semantics (including panics and errors surfacing
-    /// at the same point index). Models with a vectorizable kernel override
-    /// this — [`PolynomialModel`] batches the nested Horner reduction
-    /// through unrolled FMA blocks while staying bitwise identical to the
-    /// scalar path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`DelayError`] encountered, leaving later lanes
-    /// unwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points.len() != out.len()`.
-    fn factor_lanes(
-        &self,
-        cell: CellId,
-        pin: usize,
-        polarity: Polarity,
-        points: &[NormalizedPoint],
-        out: &mut [f64],
-    ) -> Result<(), DelayError> {
-        assert_eq!(points.len(), out.len(), "lane output length mismatch");
-        for (p, o) in points.iter().zip(out.iter_mut()) {
-            *o = self.factor(cell, pin, polarity, *p)?;
-        }
-        Ok(())
-    }
 
     /// A short human-readable model name for reports.
     fn name(&self) -> &str;
@@ -124,36 +90,12 @@ impl DelayModel for StaticModel {
 pub struct PolynomialModel {
     table: CoefficientTable,
     space: ParameterSpace,
-    /// Optional kernel-evaluation counter (see
-    /// [`PolynomialModel::metered`]); `None` costs one branch per call.
-    evals: Option<Counter>,
 }
 
 impl PolynomialModel {
     /// Wraps a coefficient table.
     pub fn new(table: CoefficientTable, space: ParameterSpace) -> PolynomialModel {
-        PolynomialModel {
-            table,
-            space,
-            evals: None,
-        }
-    }
-
-    /// Like [`PolynomialModel::new`], but every successful
-    /// [`DelayModel::factor`] call additionally bumps `evals` — a
-    /// lock-free [`Counter`] handle, typically
-    /// `metrics.counter("delay.kernel_evals")`, shared with the profile
-    /// that reports it.
-    pub fn metered(
-        table: CoefficientTable,
-        space: ParameterSpace,
-        evals: Counter,
-    ) -> PolynomialModel {
-        PolynomialModel {
-            table,
-            space,
-            evals: Some(evals),
-        }
+        PolynomialModel { table, space }
     }
 
     /// The underlying coefficient table.
@@ -176,32 +118,7 @@ impl DelayModel for PolynomialModel {
         polarity: Polarity,
         p: NormalizedPoint,
     ) -> Result<f64, DelayError> {
-        let d = self.table.deviation(cell, pin, polarity, p)?;
-        if let Some(evals) = &self.evals {
-            evals.incr();
-        }
-        Ok(1.0 + d)
-    }
-
-    #[inline]
-    fn factor_lanes(
-        &self,
-        cell: CellId,
-        pin: usize,
-        polarity: Polarity,
-        points: &[NormalizedPoint],
-        out: &mut [f64],
-    ) -> Result<(), DelayError> {
-        self.table
-            .deviation_lanes(cell, pin, polarity, points, out)?;
-        for o in out.iter_mut() {
-            *o += 1.0;
-        }
-        if let Some(evals) = &self.evals {
-            // Same total as points.len() scalar factor() calls.
-            evals.add(points.len() as u64);
-        }
-        Ok(())
+        Ok(1.0 + self.table.deviation(cell, pin, polarity, p)?)
     }
 
     fn name(&self) -> &str {
@@ -428,76 +345,6 @@ mod tests {
             .factor(CellId::from_index(0), 0, Polarity::Rise, p_nom)
             .unwrap();
         assert!((f - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn polynomial_factor_lanes_matches_scalar_bitwise() {
-        let mut table = CoefficientTable::new(1, 2);
-        let coeffs: Vec<f64> = (0..9).map(|k| 0.017 * k as f64 - 0.05).collect();
-        let s = SurfacePolynomial::new(2, coeffs).unwrap();
-        table
-            .insert(CellId::from_index(0), &[[s.clone(), s]])
-            .unwrap();
-        let m = PolynomialModel::new(table, space());
-        let cell = CellId::from_index(0);
-        for len in [0usize, 1, 4, 5, 9] {
-            let points: Vec<NormalizedPoint> = (0..len)
-                .map(|k| NormalizedPoint {
-                    v: 0.04 + 0.09 * k as f64,
-                    c: 0.93 - 0.08 * k as f64,
-                })
-                .collect();
-            let mut out = vec![0.0; len];
-            m.factor_lanes(cell, 0, Polarity::Fall, &points, &mut out)
-                .unwrap();
-            for (k, &p) in points.iter().enumerate() {
-                let scalar = m.factor(cell, 0, Polarity::Fall, p).unwrap();
-                assert_eq!(out[k].to_bits(), scalar.to_bits());
-            }
-        }
-        // Missing cell propagates from the batch path too.
-        let mut out = [0.0; 1];
-        assert!(m
-            .factor_lanes(
-                CellId::from_index(1),
-                0,
-                Polarity::Rise,
-                &[NormalizedPoint { v: 0.5, c: 0.5 }],
-                &mut out
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn metered_lane_counts_match_scalar_counts() {
-        use avfs_obs::Metrics;
-        let mut table = CoefficientTable::new(1, 1);
-        let s = SurfacePolynomial::zero(1);
-        table
-            .insert(CellId::from_index(0), &[[s.clone(), s]])
-            .unwrap();
-        let metrics = Metrics::new("lane-meter");
-        let m = PolynomialModel::metered(table, space(), metrics.counter("delay.kernel_evals"));
-        let cell = CellId::from_index(0);
-        let points = [NormalizedPoint { v: 0.2, c: 0.3 }; 7];
-        let mut out = [0.0; 7];
-        m.factor_lanes(cell, 0, Polarity::Rise, &points, &mut out)
-            .unwrap();
-        for &p in &points {
-            m.factor(cell, 0, Polarity::Rise, p).unwrap();
-        }
-        // Batched and scalar paths meter one eval per lane each.
-        assert_eq!(metrics.counter("delay.kernel_evals").get(), 14);
-    }
-
-    #[test]
-    fn default_factor_lanes_is_the_scalar_loop() {
-        let m = StaticModel::new(space());
-        let points = [NormalizedPoint { v: 0.1, c: 0.9 }; 5];
-        let mut out = [0.0; 5];
-        m.factor_lanes(CellId::from_index(0), 0, Polarity::Rise, &points, &mut out)
-            .unwrap();
-        assert_eq!(out, [1.0; 5]);
     }
 
     #[test]

@@ -142,21 +142,6 @@ impl ParameterSpace {
         }
     }
 
-    /// Lane-batched [`ParameterSpace::normalize_clamped`]: maps every
-    /// operating point of a lane group to the unit square in one pass, for
-    /// engines that assign per-lane operating points up front and then run
-    /// pure-Horner kernels over the normalized coordinates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops.len() != out.len()`.
-    pub fn normalize_clamped_lanes(&self, ops: &[OperatingPoint], out: &mut [NormalizedPoint]) {
-        assert_eq!(ops.len(), out.len(), "lane output length mismatch");
-        for (op, o) in ops.iter().zip(out.iter_mut()) {
-            *o = self.normalize_clamped(*op);
-        }
-    }
-
     /// The voltage normalizer `φ_V`.
     pub fn phi_v(&self) -> &VoltageNormalizer {
         &self.phi_v
@@ -222,23 +207,6 @@ mod tests {
         let p = s.normalize_clamped(OperatingPoint::new(2.0, 300.0));
         assert!((p.v - 1.0).abs() < 1e-12);
         assert!((p.c - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lane_normalization_matches_scalar() {
-        let s = ParameterSpace::paper();
-        let ops = [
-            OperatingPoint::new(0.8, 4.0),
-            OperatingPoint::new(0.55, 0.01), // clamps load
-            OperatingPoint::new(2.0, 300.0), // clamps both
-        ];
-        let mut out = [NormalizedPoint { v: 0.0, c: 0.0 }; 3];
-        s.normalize_clamped_lanes(&ops, &mut out);
-        for (op, got) in ops.iter().zip(&out) {
-            let want = s.normalize_clamped(*op);
-            assert_eq!(got.v.to_bits(), want.v.to_bits());
-            assert_eq!(got.c.to_bits(), want.c.to_bits());
-        }
     }
 
     #[test]

@@ -81,36 +81,13 @@ impl SurfacePolynomial {
     pub fn factor(&self, p: NormalizedPoint) -> f64 {
         1.0 + self.eval(p)
     }
-
-    /// Lane-batched [`SurfacePolynomial::eval`]: `out[k] = f(points[k])`.
-    ///
-    /// Gathers the points into lane-block coordinate buffers and runs the
-    /// unrolled FMA kernel [`avfs_regression::poly::eval_horner_lanes`];
-    /// every lane is bitwise identical to the scalar [`SurfacePolynomial::eval`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points.len() != out.len()`.
-    pub fn eval_lanes(&self, points: &[NormalizedPoint], out: &mut [f64]) {
-        eval_lanes_with(self.order, &self.coeffs, points, out);
-    }
-
-    /// Lane-batched [`SurfacePolynomial::factor`]: `out[k] = 1 + f(points[k])`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points.len() != out.len()`.
-    pub fn factor_lanes(&self, points: &[NormalizedPoint], out: &mut [f64]) {
-        self.eval_lanes(points, out);
-        for o in out.iter_mut() {
-            *o += 1.0;
-        }
-    }
 }
 
-/// Shared lane-gather helper: evaluates the surface `(order, beta)` at each
-/// point, processing [`HORNER_LANE_BLOCK`]-wide blocks through the unrolled
-/// kernel and the partial tail through scalar [`eval_horner`].
+/// The lane-gather helper behind
+/// [`CoefficientTable::deviation_lanes`](crate::table::CoefficientTable::deviation_lanes):
+/// evaluates the surface `(order, beta)` at each point, processing
+/// [`HORNER_LANE_BLOCK`]-wide blocks through the unrolled kernel and the
+/// partial tail through scalar [`eval_horner`].
 ///
 /// # Panics
 ///
@@ -174,29 +151,6 @@ mod tests {
         for &(v, c) in &[(0.1, 0.9), (0.5, 0.5), (0.99, 0.01)] {
             let via_basis = basis.eval(&coeffs, v, c).unwrap();
             assert!((s.eval(NormalizedPoint { v, c }) - via_basis).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn lane_eval_matches_scalar_bitwise() {
-        let coeffs: Vec<f64> = (0..16).map(|k| 0.013 * k as f64 - 0.07).collect();
-        let s = SurfacePolynomial::new(3, coeffs).unwrap();
-        // Lengths around the unroll width exercise full blocks and tails.
-        for len in 0..10usize {
-            let points: Vec<NormalizedPoint> = (0..len)
-                .map(|k| NormalizedPoint {
-                    v: 0.03 + 0.1 * k as f64,
-                    c: 0.97 - 0.09 * k as f64,
-                })
-                .collect();
-            let mut evals = vec![0.0; len];
-            let mut factors = vec![0.0; len];
-            s.eval_lanes(&points, &mut evals);
-            s.factor_lanes(&points, &mut factors);
-            for (k, &p) in points.iter().enumerate() {
-                assert_eq!(evals[k].to_bits(), s.eval(p).to_bits());
-                assert_eq!(factors[k].to_bits(), s.factor(p).to_bits());
-            }
         }
     }
 

@@ -13,19 +13,14 @@
 //!
 //! # Concurrent access
 //!
-//! Two APIs let several workers populate the arena without funneling every
-//! waveform through one `&mut` writer:
-//!
-//! * [`WaveformArena::partitions`] — a `split_at_mut`-style split into
-//!   contiguous, disjoint [`ArenaPartition`]s, each with exclusive `&mut`
-//!   access to its cell range. Fully safe; used when work is statically
-//!   assigned by cell range (e.g. one partition per slot).
-//! * [`WaveformArena::level_writer`] — a shared [`LevelWriter`] for one
-//!   *write epoch* (one level of a levelized simulation). Any worker may
-//!   write any cell **once** per epoch; a per-cell atomic claim bit makes
-//!   each cell's writer exclusive, so scattered work-stealing schedules
-//!   (where the set of written cells is disjoint but not contiguous) can
-//!   write in place concurrently.
+//! A single owner fills cells through `&mut` ([`WaveformArena::write`],
+//! [`WaveformArena::copy_cell`]). Several workers populate the arena
+//! through [`WaveformArena::level_writer`]: a shared [`LevelWriter`] for
+//! one *write epoch* (one level of a levelized simulation). Any worker may
+//! write any cell **once** per epoch; a per-cell atomic claim bit makes
+//! each cell's writer exclusive, so scattered work-stealing schedules
+//! (where the set of written cells is disjoint but not contiguous) can
+//! write in place concurrently.
 
 use crate::{CapacityOverflow, Waveform, WaveformRead};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -53,9 +48,9 @@ const MAPPED_LANE_BYTES: usize = (32 << 20) + 1;
 /// Flat bounded storage for a batch of waveforms.
 ///
 /// Entry `i` occupies `times[i * capacity .. i * capacity + len[i]]`; the
-/// engine indexes entries as `slot_in_batch * nets + net`. The default
-/// arena is empty and owns no storage — what a long-lived owner holds
-/// until the first [`WaveformArena::reshape`].
+/// engine maps `(slot, net)` to entries through [`crate::LaneLayout`].
+/// The default arena is empty and owns no storage — what a long-lived
+/// owner holds until the first [`WaveformArena::reshape`].
 #[derive(Debug, Default)]
 pub struct WaveformArena {
     capacity: usize,
@@ -257,15 +252,6 @@ impl WaveformArena {
         }
     }
 
-    /// Transition count of entry `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn occupancy(&self, idx: usize) -> usize {
-        self.len[idx] as usize
-    }
-
     /// The largest transition count written to any entry since
     /// construction or the last [`Self::reshape`] — the watermark the
     /// engine reports as peak arena occupancy (survives [`Self::reset`]).
@@ -275,56 +261,22 @@ impl WaveformArena {
         self.peak.load(Ordering::Relaxed)
     }
 
-    /// Splits the arena into disjoint contiguous partitions of
-    /// `chunk_entries` cells each (the last may be shorter) — the
-    /// `split_at_mut` of arenas. No two partitions expose the same cell,
-    /// so partitions can be written from different threads without any
-    /// synchronization. With `chunk_entries = nets`, each partition is
-    /// exactly one slot's cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_entries` is 0.
-    pub fn partitions(&mut self, chunk_entries: usize) -> impl Iterator<Item = ArenaPartition<'_>> {
-        assert!(chunk_entries > 0, "partition size must be positive");
-        let capacity = self.capacity;
-        let peak = &self.peak;
-        self.initial
-            .chunks_mut(chunk_entries)
-            .zip(self.len.chunks_mut(chunk_entries))
-            .zip(self.times.chunks_mut(chunk_entries * capacity.max(1)))
-            .enumerate()
-            .map(move |(i, ((initial, len), times))| ArenaPartition {
-                start: i * chunk_entries,
-                capacity,
-                initial,
-                len,
-                times,
-                peak,
-            })
-    }
-
     /// Begins a concurrent write epoch: clears every claim bit and
     /// returns a shared [`LevelWriter`] through which any worker may
     /// write each cell at most once. See [`LevelWriter`] for the access
     /// discipline.
-    pub fn level_writer(&mut self) -> LevelWriter<'_> {
-        self.level_writer_hooked(None)
-    }
-
-    /// [`Self::level_writer`] with a fault-injection hook: when `hook`
-    /// is present, every *non-empty* [`LevelWriter::write`] consults
+    ///
+    /// `hook` is the fault-injection seam (`None` on every normal epoch):
+    /// when present, every *non-empty* [`LevelWriter::write`] consults
     /// `hook(idx)` first and reports [`CapacityOverflow`] — cell
     /// untouched, unclaimed — when it returns `true`, exactly as if the
     /// waveform had outgrown the cell. The hook must be pure per `(epoch,
     /// idx)` (it runs on whichever worker owns the task), and it is never
-    /// consulted for empty writes or [`LevelWriter::write_constant`], so
-    /// a quiet cell can not be forced to overflow — the activity-gating
-    /// invariant ("a quiet task cannot overflow") survives injection.
-    pub fn level_writer_hooked<'a>(
-        &'a mut self,
-        hook: Option<&'a OverflowHook<'a>>,
-    ) -> LevelWriter<'a> {
+    /// consulted for empty writes or
+    /// [`LevelWriter::write_constant_run`], so a quiet cell can not be
+    /// forced to overflow — the activity-gating invariant ("a quiet task
+    /// cannot overflow") survives injection.
+    pub fn level_writer<'a>(&'a mut self, hook: Option<&'a OverflowHook<'a>>) -> LevelWriter<'a> {
         for word in &mut self.claims {
             *word.get_mut() = 0;
         }
@@ -343,79 +295,11 @@ impl WaveformArena {
     }
 }
 
-/// A forced-overflow predicate for [`WaveformArena::level_writer_hooked`]:
+/// A forced-overflow predicate for [`WaveformArena::level_writer`]:
 /// `hook(cell index) == true` makes that cell's write report
 /// [`CapacityOverflow`]. Installed by fault-injection harnesses; `Sync`
 /// because it is consulted from pool workers.
 pub type OverflowHook<'h> = dyn Fn(usize) -> bool + Sync + 'h;
-
-/// One contiguous, exclusively-owned range of arena cells, produced by
-/// [`WaveformArena::partitions`]. Indices are *local* to the partition;
-/// [`ArenaPartition::start`] gives the global index of local cell 0.
-#[derive(Debug)]
-pub struct ArenaPartition<'a> {
-    start: usize,
-    capacity: usize,
-    initial: &'a mut [bool],
-    len: &'a mut [u32],
-    times: &'a mut [f64],
-    peak: &'a AtomicUsize,
-}
-
-impl ArenaPartition<'_> {
-    /// Global index of the partition's first cell.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// Number of cells in this partition.
-    pub fn entries(&self) -> usize {
-        self.len.len()
-    }
-
-    /// Per-entry transition capacity (same as the parent arena's).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// A read view of local cell `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is outside the partition.
-    pub fn view(&self, idx: usize) -> WaveformView<'_> {
-        let start = idx * self.capacity;
-        WaveformView {
-            initial: self.initial[idx],
-            times: &self.times[start..start + self.len[idx] as usize],
-        }
-    }
-
-    /// Writes a waveform into local cell `idx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CapacityOverflow`] (leaving the cell untouched) if the
-    /// waveform exceeds the per-cell capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is outside the partition.
-    pub fn write(&mut self, idx: usize, waveform: &Waveform) -> Result<(), CapacityOverflow> {
-        let transitions = waveform.transitions();
-        if transitions.len() > self.capacity {
-            return Err(CapacityOverflow {
-                capacity: self.capacity,
-            });
-        }
-        let start = idx * self.capacity;
-        self.initial[idx] = waveform.initial_value();
-        self.len[idx] = transitions.len() as u32;
-        self.times[start..start + transitions.len()].copy_from_slice(transitions);
-        self.peak.fetch_max(transitions.len(), Ordering::Relaxed);
-        Ok(())
-    }
-}
 
 /// A shared handle for one concurrent write epoch of a [`WaveformArena`]
 /// (one *level* of a levelized simulation), created by
@@ -427,8 +311,10 @@ impl ArenaPartition<'_> {
 ///   the cell's atomic bit first (`fetch_or`, acquire-release); exactly
 ///   one writer wins, so the subsequent plain stores are exclusive. A
 ///   second write of the same cell panics instead of racing.
-/// * Reads ([`LevelWriter::view`]) must target cells that are **not
-///   written in this epoch**. In a levelized schedule this holds by
+/// * Reads ([`LevelWriter::view`] and the lane-run forms
+///   [`LevelWriter::quiet_run`] and [`LevelWriter::initial_run`]) must
+///   target cells that are **not written in this epoch**. In a
+///   levelized schedule this holds by
 ///   construction: a level's gates read only fanin cells of strictly
 ///   earlier levels, and each level writes only its own gates' outputs.
 ///   The claim bit is checked on every read and panics on a violation;
@@ -448,7 +334,7 @@ pub struct LevelWriter<'a> {
     claims: &'a [AtomicU64],
     peak: &'a AtomicUsize,
     /// Fault-injection forced-overflow predicate (see
-    /// [`WaveformArena::level_writer_hooked`]); `None` on every normal
+    /// [`WaveformArena::level_writer`]); `None` on every normal
     /// epoch, so the unarmed cost is one discriminant branch per write.
     overflow_hook: Option<&'a OverflowHook<'a>>,
     _arena: std::marker::PhantomData<&'a mut WaveformArena>,
@@ -469,9 +355,9 @@ impl std::fmt::Debug for LevelWriter<'_> {
 // pointers are valid for the arena borrow 'a.
 unsafe impl Send for LevelWriter<'_> {}
 // SAFETY: shared references only permit claim-protocol-mediated access
-// (same argument as Send above): `write`/`write_constant` first win the
-// per-cell atomic claim, and `view`/`transition_count` assert the cell is
-// unclaimed for the epoch, so `&LevelWriter` is safe to share.
+// (same argument as Send above): `write`/`write_constant_run` first win
+// the per-cell atomic claim, and `view`/`quiet_run`/`initial_run` assert
+// the cells are unclaimed for the epoch, so `&LevelWriter` is safe to share.
 unsafe impl Sync for LevelWriter<'_> {}
 
 impl LevelWriter<'_> {
@@ -580,50 +466,15 @@ impl LevelWriter<'_> {
         }
     }
 
-    /// Transition count of cell `idx` — the *quiet bit* source: a cell
-    /// with zero transitions carries a constant signal for the whole
-    /// simulation window. Like [`LevelWriter::view`], the cell must not be
-    /// written in this epoch (it is a fanin of the level being computed,
-    /// so it belongs to a strictly earlier level).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range or the cell was already written in
-    /// this epoch.
-    #[inline]
-    pub fn transition_count(&self, idx: usize) -> usize {
-        assert!(idx < self.entries, "arena cell {idx} out of range");
-        assert!(
-            !self.is_claimed(idx),
-            "read of arena cell {idx} written in the same level epoch"
-        );
-        // SAFETY: idx is in range; the cell is unclaimed, and under the
-        // levelization contract no writer will claim it during this epoch,
-        // so the plain read cannot race.
-        unsafe { *self.len.add(idx) as usize }
-    }
-
-    /// Whether cell `idx` is *quiet* — zero transitions, i.e. a constant
-    /// signal. A gate whose fanin cells are all quiet has a constant
-    /// output and needs no waveform evaluation. Same access discipline as
-    /// [`LevelWriter::transition_count`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range or the cell was already written in
-    /// this epoch.
-    #[inline]
-    pub fn is_quiet(&self, idx: usize) -> bool {
-        self.transition_count(idx) == 0
-    }
-
     /// The *quiet bits* of the lane run `start .. start + width`: bit `k`
-    /// of the result is set iff cell `start + k` has zero transitions.
-    /// This is the batch form of [`LevelWriter::is_quiet`] for a
-    /// lane-major arena, where one gate's waveforms for a whole lane group
-    /// are contiguous ([`crate::LaneLayout::run_start`]). Same access
-    /// discipline as [`LevelWriter::transition_count`]: the run must not
-    /// be written in this epoch.
+    /// of the result is set iff cell `start + k` is *quiet* — zero
+    /// transitions, i.e. a constant signal for the whole simulation
+    /// window. A gate whose fanin cells are all quiet has a constant
+    /// output and needs no waveform evaluation. In a lane-major arena one
+    /// net's waveforms for a whole lane group are contiguous
+    /// ([`crate::LaneLayout::run_start`]); a width-1 run is the single
+    /// cell. Same access discipline as [`LevelWriter::view`]: the run
+    /// must not be written in this epoch.
     ///
     /// # Panics
     ///
@@ -692,8 +543,10 @@ impl LevelWriter<'_> {
     /// set bit `k` of `mask`, cell `start + k` becomes a constant of logic
     /// value `bit k of values`. The whole run's claims are won with at
     /// most two `fetch_or`s (one for a word-aligned full group) — the
-    /// lane-packed quiet-cell fast path. Unmasked lanes are untouched and
-    /// stay unclaimed.
+    /// quiet-cell fast path. Per cell it is equivalent to
+    /// `write(idx, value, &[])` but infallible: a constant (zero
+    /// transitions) fits any capacity, so no overflow is possible.
+    /// Unmasked lanes are untouched and stay unclaimed.
     ///
     /// # Panics
     ///
@@ -725,32 +578,6 @@ impl LevelWriter<'_> {
                 *self.initial.add(start + k) = values >> k & 1 == 1;
                 *self.len.add(start + k) = 0;
             }
-        }
-    }
-
-    /// Writes a constant signal of `value` into cell `idx`, claiming it
-    /// for this epoch — the quiet-cell fast path. Equivalent to
-    /// `write(idx, value, &[])` but infallible: a constant (zero
-    /// transitions) fits any capacity, so no overflow is possible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range or the cell was already written in
-    /// this epoch.
-    #[inline]
-    pub fn write_constant(&self, idx: usize, value: bool) {
-        assert!(idx < self.entries, "arena cell {idx} out of range");
-        assert!(
-            self.claim(idx),
-            "arena cell {idx} written twice within one level epoch"
-        );
-        // SAFETY: this caller won the claim for idx, so it has exclusive
-        // write access to the cell's initial/len storage for the rest of
-        // the epoch; idx is in bounds. The peak watermark is untouched —
-        // `max(peak, 0)` is the identity.
-        unsafe {
-            *self.initial.add(idx) = value;
-            *self.len.add(idx) = 0;
         }
     }
 
@@ -838,7 +665,6 @@ mod tests {
         assert_eq!(v.transitions(), &[1.0, 5.0, 9.0]);
         // Other entries are untouched constants.
         assert_eq!(arena.to_waveform(0), Waveform::constant(false));
-        assert_eq!(arena.occupancy(2), 3);
         assert_eq!(arena.peak_occupancy(), 3);
     }
 
@@ -858,7 +684,6 @@ mod tests {
         arena.write(1, &w).unwrap();
         arena.reset();
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
-        assert_eq!(arena.occupancy(1), 0);
         assert_eq!(arena.peak_occupancy(), 2);
     }
 
@@ -885,9 +710,9 @@ mod tests {
             let w = Waveform::with_transitions(false, full).unwrap();
             arena.write(entries - 1, &w).unwrap();
             assert_eq!(arena.to_waveform(entries - 1), w);
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             assert_eq!(writer.entries(), entries);
-            writer.write_constant(0, true);
+            writer.write_constant_run(0, 1, 1);
         }
     }
 
@@ -942,7 +767,7 @@ mod tests {
     fn level_writer_reports_occupancy_once_per_worker() {
         let mut arena = WaveformArena::new(4, 8);
         {
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             writer.write(0, false, &[1.0, 2.0, 3.0]).unwrap();
             writer.write(1, false, &[1.0]).unwrap();
             // Writes alone leave the shared watermark alone ...
@@ -951,7 +776,7 @@ mod tests {
         assert_eq!(arena.peak_occupancy(), 1);
         {
             // ... until the worker folds its running maximum in.
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             writer.note_occupancy(3);
             writer.note_occupancy(2);
         }
@@ -1014,57 +839,15 @@ mod tests {
     }
 
     #[test]
-    fn partitions_are_disjoint_and_cover_the_arena() {
-        let mut arena = WaveformArena::new(10, 4);
-        let mut seen = [false; 10];
-        for part in arena.partitions(3) {
-            for local in 0..part.entries() {
-                let global = part.start() + local;
-                assert!(!seen[global], "cell {global} exposed by two partitions");
-                seen[global] = true;
-            }
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "every cell owned by exactly one partition"
-        );
-        // Partition sizes: 3+3+3+1.
-        let sizes: Vec<usize> = arena.partitions(3).map(|p| p.entries()).collect();
-        assert_eq!(sizes, vec![3, 3, 3, 1]);
-    }
-
-    #[test]
-    fn partitions_write_concurrently_without_interference() {
-        let mut arena = WaveformArena::new(8, 4);
-        std::thread::scope(|scope| {
-            for mut part in arena.partitions(2) {
-                scope.spawn(move || {
-                    for local in 0..part.entries() {
-                        let t = (part.start() + local) as f64 + 1.0;
-                        let w = Waveform::with_transitions(true, vec![t]).unwrap();
-                        part.write(local, &w).unwrap();
-                    }
-                });
-            }
-        });
-        for idx in 0..8 {
-            let v = arena.view(idx);
-            assert!(v.initial_value());
-            assert_eq!(v.transitions(), &[idx as f64 + 1.0]);
-        }
-        assert_eq!(arena.peak_occupancy(), 1);
-    }
-
-    #[test]
     fn level_writer_concurrent_disjoint_writes() {
         let mut arena = WaveformArena::new(64, 4);
         {
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             let writer = &writer;
             std::thread::scope(|scope| {
                 // Scattered (non-contiguous) assignment: worker w writes
                 // every 4th cell — the shape a work-stealing schedule
-                // produces, which contiguous partitions cannot express.
+                // produces.
                 for w in 0..4usize {
                     scope.spawn(move || {
                         for idx in (w..64).step_by(4) {
@@ -1090,34 +873,32 @@ mod tests {
         arena.write(1, &w).unwrap();
         arena.write(2, &Waveform::constant(true)).unwrap();
         {
-            let writer = arena.level_writer();
+            // A width-1 run is the single cell.
+            let writer = arena.level_writer(None);
             // Quiet = zero transitions; a toggling cell is not quiet.
-            assert_eq!(writer.transition_count(0), 0);
-            assert!(writer.is_quiet(0));
-            assert_eq!(writer.transition_count(1), 1);
-            assert!(!writer.is_quiet(1));
-            assert!(writer.is_quiet(2), "constant-high is quiet too");
+            assert_eq!(writer.quiet_run(0, 1), 1);
+            assert_eq!(writer.quiet_run(1, 1), 0);
+            assert_eq!(writer.quiet_run(2, 1), 1, "constant-high is quiet too");
             // The constant fast path claims the cell like a normal write.
-            writer.write_constant(3, true);
+            writer.write_constant_run(3, 1, 1);
             let double = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                writer.write_constant(3, false);
+                writer.write_constant_run(3, 1, 0);
             }));
             assert!(double.is_err(), "double constant write must panic");
             // Reading the quiet bit of a cell written this epoch trips
             // the same wire as a dirty view.
             let dirty = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = writer.is_quiet(3);
+                let _ = writer.quiet_run(3, 1);
             }));
             assert!(dirty.is_err(), "same-epoch quiet read must panic");
         }
         assert_eq!(arena.to_waveform(3), Waveform::constant(true));
-        assert_eq!(arena.occupancy(3), 0);
         // A constant write never moves the peak watermark.
         assert_eq!(arena.peak_occupancy(), 1);
-        // write_constant is bit-for-bit equivalent to an empty write.
+        // A constant write is bit-for-bit equivalent to an empty write.
         {
-            let writer = arena.level_writer();
-            writer.write_constant(0, true);
+            let writer = arena.level_writer(None);
+            writer.write_constant_run(0, 1, 1);
             writer.write(3, true, &[]).unwrap();
         }
         assert_eq!(arena.to_waveform(0), arena.to_waveform(3));
@@ -1128,7 +909,7 @@ mod tests {
         let mut arena = WaveformArena::new(4, 8);
         let hook = |idx: usize| idx == 1;
         {
-            let writer = arena.level_writer_hooked(Some(&hook));
+            let writer = arena.level_writer(Some(&hook));
             writer.write(0, false, &[1.0]).unwrap();
             // The hooked cell reports the same error a real capacity miss
             // would, even though 1 transition fits a capacity of 8 ...
@@ -1145,7 +926,7 @@ mod tests {
         // The cell was left unclaimed: the quarantine epoch (no hook)
         // writes it normally.
         {
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             writer.write(1, false, &[2.0]).unwrap();
         }
         assert_eq!(
@@ -1162,7 +943,7 @@ mod tests {
         arena.write(2, &loud).unwrap();
         arena.write(5, &Waveform::constant(true)).unwrap();
         {
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             // Quiet bits: all but cell 2.
             assert_eq!(writer.quiet_run(0, 8), 0b1111_1011);
             // Initial bits: only cell 5 is high.
@@ -1170,8 +951,8 @@ mod tests {
             // Masked constant write: lanes 0, 2, 3 of run 8..12.
             writer.write_constant_run(8, 0b1101, 0b0100);
             // Unmasked lane 1 stays unclaimed and writable.
-            writer.write_constant(9, true);
-            // Double-writing a masked lane panics like the scalar path.
+            writer.write_constant_run(9, 1, 1);
+            // Double-writing a masked lane panics.
             let double = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 writer.write_constant_run(8, 0b0001, 0);
             }));
@@ -1183,7 +964,7 @@ mod tests {
         assert_eq!(arena.to_waveform(11), Waveform::constant(false));
         // An all-zero mask is a no-op.
         {
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             writer.write_constant_run(0, 0, !0);
             assert_eq!(writer.quiet_run(12, 4), 0b1111);
         }
@@ -1198,7 +979,7 @@ mod tests {
             .write(70, &Waveform::with_transitions(true, vec![1.0]).unwrap())
             .unwrap();
         {
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             let quiet = writer.quiet_run(60, 16);
             assert_eq!(quiet, !(1u64 << 10) & 0xFFFF);
             assert_eq!(writer.initial_run(60, 16), 1 << 10);
@@ -1208,6 +989,10 @@ mod tests {
                 let _ = writer.quiet_run(60, 16);
             }));
             assert!(dirty.is_err(), "same-epoch lane read must panic");
+            let dirty = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = writer.initial_run(60, 16);
+            }));
+            assert!(dirty.is_err(), "same-epoch initial-value read must panic");
         }
         // Mask bits 0, 1 land in claim word 0 (cells 60, 61); bits 8, 9
         // land in claim word 1 (cells 68, 69).
@@ -1216,7 +1001,7 @@ mod tests {
         assert_eq!(arena.to_waveform(68), Waveform::constant(false));
         assert_eq!(arena.to_waveform(69), Waveform::constant(true));
         // Cells outside the mask kept their prior contents.
-        assert_eq!(arena.occupancy(70), 1);
+        assert_eq!(arena.view(70).transitions(), &[1.0]);
     }
 
     #[test]
@@ -1224,7 +1009,7 @@ mod tests {
         // Two threads fight over overlapping masked runs; exactly one may
         // win each lane, and the loser must observe the claim panic.
         let mut arena = WaveformArena::new(64, 2);
-        let writer = arena.level_writer();
+        let writer = arena.level_writer(None);
         let writer = &writer;
         let wins: Vec<bool> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
@@ -1250,7 +1035,7 @@ mod tests {
     fn level_writer_rejects_double_write_and_dirty_read() {
         let mut arena = WaveformArena::new(4, 2);
         {
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             writer.write(1, true, &[5.0]).unwrap();
             // Second write of the same cell in one epoch: claim panic.
             let double = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1273,7 +1058,7 @@ mod tests {
         }
         // A fresh epoch clears the claims.
         {
-            let writer = arena.level_writer();
+            let writer = arena.level_writer(None);
             writer.write(1, false, &[9.0]).unwrap();
         }
         assert_eq!(arena.view(1).transitions(), &[9.0]);

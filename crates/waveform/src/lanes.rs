@@ -121,8 +121,7 @@ impl LaneLayout {
         self.slots * self.nodes
     }
 
-    /// Arena entries per **full** group (`L · nodes`) — the partition
-    /// chunk size for group-disjoint stimuli writes; the tail partition is
+    /// Arena entries per **full** group (`L · nodes`); the tail group is
     /// naturally shorter.
     pub fn group_entries(&self) -> usize {
         self.lanes * self.nodes
@@ -138,17 +137,6 @@ impl LaneLayout {
     pub fn group_width(&self, g: usize) -> usize {
         debug_assert!(g < self.groups(), "group {g} out of range");
         self.lanes.min(self.slots - g * self.lanes)
-    }
-
-    /// The live-lane mask of a full-width group `g`: bits `0..width` set.
-    #[inline]
-    pub fn group_mask(&self, g: usize) -> u64 {
-        let w = self.group_width(g);
-        if w >= 64 {
-            !0
-        } else {
-            (1u64 << w) - 1
-        }
     }
 
     /// First slot of group `g`.
@@ -228,6 +216,7 @@ mod tests {
         let lay = LaneLayout::new(4, 5, 11);
         assert_eq!(lay.groups(), 3);
         assert_eq!(lay.group_width(2), 3);
+        assert_eq!(lay.group_slot(2), 8);
         assert_eq!(lay.entries(), 55);
         let mut seen = vec![false; lay.entries()];
         for slot in 0..11 {
@@ -267,16 +256,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn group_masks() {
-        let lay = LaneLayout::new(4, 2, 6); // widths 4, 2
-        assert_eq!(lay.group_mask(0), 0b1111);
-        assert_eq!(lay.group_mask(1), 0b11);
-        let full = LaneLayout::new(64, 1, 64);
-        assert_eq!(lay.group_slot(1), 4);
-        assert_eq!(full.group_mask(0), !0u64);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod lanes;
 pub mod vcd;
 
 pub use activity::{SwitchingActivity, WaveformStats};
-pub use arena::{ArenaPartition, LevelWriter, OverflowHook, WaveformArena, WaveformView};
+pub use arena::{LevelWriter, OverflowHook, WaveformArena, WaveformView};
 pub use lanes::LaneLayout;
 
 use std::error::Error;

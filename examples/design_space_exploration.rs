@@ -17,7 +17,7 @@ use avfs::circuits::CircuitProfile;
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::netlist::{CellLibrary, NodeKind};
 use avfs::sim::{
-    cross_schedules, MonteCarlo, Schedule, SimOptions, TimeSimulator, VariationConfig,
+    cross_schedules, slots, CompiledNetlist, MonteCarlo, Schedule, SimOptions, VariationConfig,
 };
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
@@ -49,13 +49,17 @@ fn main() -> Result<(), Box<dyn Error>> {
         &CharacterizationConfig::default(),
         Some(&used),
     )?;
-    let sim = TimeSimulator::from_characterization(Arc::clone(&netlist), &chars)?;
+    let sim = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)?;
 
     // A fine AVFS voltage grid (the paper's interval at 0.05 V steps) and
     // a realistic pattern budget — all in ONE launch.
     let voltages: Vec<f64> = (0..12).map(|i| 0.55 + 0.05 * i as f64).collect();
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 24, 11);
-    let run = sim.voltage_sweep(&patterns, &voltages, &SimOptions::default())?;
+    let run = sim.launch(
+        &patterns,
+        &slots::cross(patterns.len(), &voltages),
+        &SimOptions::default(),
+    )?;
     println!(
         "swept {} operating points x {} patterns = {} slots in {:?} ({:.1} MEPS)",
         voltages.len(),
@@ -112,7 +116,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Static V_min tables assume a quiet supply and a typical die. The
     // scenario engine stresses the same operating points with a supply
-    // droop plus Monte Carlo process variation (DESIGN.md §15): how much
+    // droop plus Monte Carlo process variation (DESIGN.md §5): how much
     // guard-band does each candidate V_DD really have at a 1.3x clock?
     let deadline = 1.3 * worst;
     let candidates: Vec<f64> = rows
@@ -133,7 +137,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             seed: 0xD5E,
         },
     };
-    let stressed = sim.run_scenarios(
+    let stressed = sim.launch_scenarios(
         &patterns,
         &scenarios,
         Some(&mc),

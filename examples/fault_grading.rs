@@ -17,7 +17,7 @@ use avfs::circuits::ripple_carry_adder;
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::delay::variation::{apply_variation, VariationConfig};
 use avfs::netlist::{CellLibrary, NodeKind};
-use avfs::sim::{DelayFaultSimulator, SimOptions, TimeSimulator};
+use avfs::sim::{slots, CompiledNetlist, DelayFaultSimulator, SimOptions};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -42,9 +42,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         &CharacterizationConfig::default(),
         Some(&used),
     )?;
-    let sim = TimeSimulator::from_characterization(Arc::clone(&netlist), &chars)?;
+    let sim = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)?;
     let annotation = Arc::clone(sim.annotation());
-    let model: Arc<dyn avfs::delay::DelayModel> = Arc::new(chars.model().clone());
+    let model = Arc::clone(sim.model());
 
     // A fixed system clock with 25 % guardband over the *measured*
     // fault-free arrival at the nominal supply. Lowering the supply eats
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 24, 19);
     let opts = SimOptions::default();
     let nominal_arrival = sim
-        .run_at(&patterns, 0.8, &opts)?
+        .launch(&patterns, &slots::at_voltage(patterns.len(), 0.8), &opts)?
         .latest_arrival_at(0.8)
         .expect("adder toggles");
     let capture_ps = nominal_arrival * 1.25;
@@ -74,7 +74,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
     for &voltage in &[0.8, 0.75, 0.7] {
         let arrival = sim
-            .run_at(&patterns, voltage, &opts)?
+            .launch(
+                &patterns,
+                &slots::at_voltage(patterns.len(), voltage),
+                &opts,
+            )?
             .latest_arrival_at(voltage)
             .expect("adder toggles");
         // Nominal die.

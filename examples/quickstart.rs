@@ -8,7 +8,7 @@
 use avfs::atpg::PatternSet;
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::netlist::CellLibrary;
-use avfs::sim::{SimOptions, TimeSimulator};
+use avfs::sim::{slots, CompiledNetlist, SimOptions};
 use avfs::spice::Technology;
 use std::error::Error;
 use std::sync::Arc;
@@ -41,9 +41,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         report.fit_millis
     );
 
-    // 3. A simulator bound to the netlist, its nominal annotation and the
-    //    polynomial delay model.
-    let sim = TimeSimulator::from_characterization(Arc::clone(&netlist), &chars)?;
+    // 3. Compile: the netlist bound to its nominal annotation and the
+    //    polynomial delay model — paid once, launched any number of times.
+    let sim = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)?;
 
     // 4. Transition patterns and a two-voltage comparison, with the
     //    phase-level profile attached to the run.
@@ -52,7 +52,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         profiling: true,
         ..SimOptions::default()
     };
-    let run = sim.voltage_sweep(&patterns, &[0.55, 0.8], &options)?;
+    let run = sim.launch(
+        &patterns,
+        &slots::cross(patterns.len(), &[0.55, 0.8]),
+        &options,
+    )?;
 
     for v in [0.55, 0.8] {
         let latest = run.latest_arrival_at(v).expect("c17 outputs toggle");

@@ -12,7 +12,7 @@ use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::delay::StaticModel;
 use avfs::netlist::{CellLibrary, NodeKind};
 use avfs::sdf::{sdf, spef};
-use avfs::sim::{SimOptions, TimeSimulator};
+use avfs::sim::{slots, CompiledNetlist, SimOptions};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -60,12 +60,14 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // Same simulation through both annotations must agree.
     let model = Arc::new(StaticModel::new(*chars.space()));
-    let sim_a = TimeSimulator::new(Arc::clone(&netlist), annotation, Arc::clone(&model) as _)?;
-    let sim_b = TimeSimulator::new(Arc::clone(&netlist), Arc::new(parsed), model as _)?;
+    let sim_a =
+        CompiledNetlist::compile(Arc::clone(&netlist), annotation, Arc::clone(&model) as _)?;
+    let sim_b = CompiledNetlist::compile(Arc::clone(&netlist), Arc::new(parsed), model as _)?;
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 5);
     let opts = SimOptions::default();
-    let a = sim_a.run_at(&patterns, 0.8, &opts)?;
-    let b = sim_b.run_at(&patterns, 0.8, &opts)?;
+    let at_nominal = slots::at_voltage(patterns.len(), 0.8);
+    let a = sim_a.launch(&patterns, &at_nominal, &opts)?;
+    let b = sim_b.launch(&patterns, &at_nominal, &opts)?;
     for (x, y) in a.slots.iter().zip(&b.slots) {
         assert_eq!(x.responses, y.responses);
         let (ta, tb) = (

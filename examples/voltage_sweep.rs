@@ -13,8 +13,8 @@ use avfs::atpg::timing_aware::{collect_pairs, generate_timing_aware};
 use avfs::atpg::{k_longest_paths, PatternSet};
 use avfs::circuits::ripple_carry_adder;
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
-use avfs::netlist::{CellLibrary, Levelization, NodeKind};
-use avfs::sim::{cross_schedules, Schedule, SimOptions, TimeSimulator};
+use avfs::netlist::{CellLibrary, NodeKind};
+use avfs::sim::{cross_schedules, slots, sta, CompiledNetlist, Schedule, SimOptions};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -43,19 +43,19 @@ fn main() -> Result<(), Box<dyn Error>> {
         &CharacterizationConfig::default(),
         Some(&used),
     )?;
-    let sim = TimeSimulator::from_characterization(Arc::clone(&netlist), &chars)?;
+    let sim = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)?;
 
     // Random transition pairs plus timing-aware patterns on the carry
     // chain (the adder's longest paths).
     let mut patterns = PatternSet::random(netlist.inputs().len(), 32, 7);
-    let levels = Levelization::of(&netlist).expect("acyclic");
-    let paths = k_longest_paths(&netlist, &levels, Some(sim.annotation()), 8);
+    let levels = sim.levels();
+    let paths = k_longest_paths(&netlist, levels, Some(sim.annotation()), 8);
     println!(
         "longest structural path: {:.1} ps over {} nodes",
         paths[0].length,
         paths[0].nodes.len()
     );
-    let outcomes = generate_timing_aware(&netlist, &levels, &paths, 16, 3);
+    let outcomes = generate_timing_aware(&netlist, levels, &paths, 16, 3);
     let sensitized = outcomes.iter().filter(|o| o.sensitized).count();
     println!(
         "timing-aware patterns: {sensitized}/{} paths sensitized",
@@ -64,9 +64,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     patterns.extend(collect_pairs(&outcomes).iter().cloned());
 
     // The whole design-space slice in one launch.
-    let run = sim.voltage_sweep(&patterns, &VOLTAGES, &SimOptions::default())?;
-    let sta = sim.sta();
-    println!("STA longest path (nominal): {:.1} ps", sta.longest_path_ps);
+    let run = sim.launch(
+        &patterns,
+        &slots::cross(patterns.len(), &VOLTAGES),
+        &SimOptions::default(),
+    )?;
+    let nominal_sta = sta::longest_path(&netlist, levels, sim.annotation());
+    println!(
+        "STA longest path (nominal): {:.1} ps",
+        nominal_sta.longest_path_ps
+    );
     println!(
         "{:>8} {:>14} {:>12}",
         "V_DD", "latest arrival", "vs nominal"
@@ -87,11 +94,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     );
 
     // The same grid as time-domain *scenarios*: a constant schedule is
-    // bit-identical to the static slot above (DESIGN.md §15), while a
+    // bit-identical to the static slot above (DESIGN.md §5), while a
     // supply droop across the critical window stretches arrivals.
     let droop = Schedule::droop(0.8, 0.1, 0.25 * nominal, 0.8 * nominal);
     let scenarios = cross_schedules(patterns.len(), &[Schedule::constant(0.8), droop]);
-    let scheduled = sim.run_scenarios(&patterns, &scenarios, None, None, &SimOptions::default())?;
+    let scheduled =
+        sim.launch_scenarios(&patterns, &scenarios, None, None, &SimOptions::default())?;
     let constant_slice = &scheduled.slots[..patterns.len()];
     assert!(
         constant_slice

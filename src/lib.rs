@@ -40,15 +40,16 @@
 //!
 //! # Quickstart
 //!
-//! The core flow — characterize a cell library, bind a simulator, sweep
-//! supply voltages, and read the profiled result (the runnable
+//! The core flow — characterize a cell library, compile the netlist
+//! against it, sweep supply voltages in one launch, and read the profiled
+//! result (the runnable
 //! `examples/quickstart.rs` is the same flow with reporting):
 //!
 //! ```
 //! use avfs::atpg::PatternSet;
 //! use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 //! use avfs::netlist::CellLibrary;
-//! use avfs::sim::{SimOptions, TimeSimulator};
+//! use avfs::sim::{slots, CompiledNetlist, SimOptions};
 //! use avfs::spice::Technology;
 //! use std::sync::Arc;
 //!
@@ -65,13 +66,13 @@
 //! )?;
 //!
 //! // Online (Sec. IV): simulate the same patterns at two supply voltages.
-//! let sim = TimeSimulator::from_characterization(Arc::clone(&netlist), &chars)?;
+//! let compiled = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)?;
 //! let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 42);
 //! let options = SimOptions {
 //!     profiling: true, // attach a phase-level profile to the run
 //!     ..SimOptions::default()
 //! };
-//! let run = sim.voltage_sweep(&patterns, &[0.55, 0.8], &options)?;
+//! let run = compiled.launch(&patterns, &slots::cross(patterns.len(), &[0.55, 0.8]), &options)?;
 //!
 //! let t_low = run.latest_arrival_at(0.55).expect("c17 outputs toggle");
 //! let t_nom = run.latest_arrival_at(0.8).expect("c17 outputs toggle");
@@ -120,12 +121,7 @@
 //! for _ in 0..3 {
 //!     // Compiled exactly once; later iterations reuse the artifact.
 //!     let compiled = runner.compile(key, || {
-//!         let annotation = Arc::new(chars.annotate(&netlist)?);
-//!         CompiledNetlist::compile(
-//!             Arc::clone(&netlist),
-//!             annotation,
-//!             Arc::new(chars.model().clone()),
-//!         )
+//!         CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
 //!     })?;
 //!     let run = runner.run(&compiled, &patterns, &slot_list, &SimOptions::default())?;
 //!     let prev = first.get_or_insert_with(|| run.slots.clone());

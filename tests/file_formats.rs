@@ -6,7 +6,7 @@ use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::delay::StaticModel;
 use avfs::netlist::{bench, verilog, CellLibrary, NodeKind};
 use avfs::sdf::{sdf, spef};
-use avfs::sim::{SimOptions, TimeSimulator};
+use avfs::sim::{slots, CompiledNetlist, SimOptions};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -102,14 +102,15 @@ fn sdf_spef_roundtrip_preserves_timing() {
 
     // And the simulation built on the parsed annotation is identical.
     let model = Arc::new(StaticModel::new(*chars.space()));
-    let sim_a = TimeSimulator::new(Arc::clone(&netlist), annotation, Arc::clone(&model) as _)
+    let sim_a = CompiledNetlist::compile(Arc::clone(&netlist), annotation, Arc::clone(&model) as _)
         .expect("builds");
-    let sim_b =
-        TimeSimulator::new(Arc::clone(&netlist), Arc::new(parsed), model as _).expect("builds");
+    let sim_b = CompiledNetlist::compile(Arc::clone(&netlist), Arc::new(parsed), model as _)
+        .expect("builds");
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 6);
     let opts = SimOptions::default();
-    let a = sim_a.run_at(&patterns, 0.8, &opts).expect("runs");
-    let b = sim_b.run_at(&patterns, 0.8, &opts).expect("runs");
+    let at_nominal = slots::at_voltage(patterns.len(), 0.8);
+    let a = sim_a.launch(&patterns, &at_nominal, &opts).expect("runs");
+    let b = sim_b.launch(&patterns, &at_nominal, &opts).expect("runs");
     for (x, y) in a.slots.iter().zip(&b.slots) {
         assert_eq!(x.responses, y.responses);
         match (x.latest_output_transition_ps, y.latest_output_transition_ps) {

@@ -7,7 +7,7 @@ use avfs::circuits::{random_netlist, ripple_carry_adder, GeneratorConfig};
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::delay::{CharacterizedLibrary, StaticModel};
 use avfs::netlist::{CellLibrary, Netlist, NodeKind};
-use avfs::sim::{phases, slots, CompiledNetlist, EventDrivenSimulator, SimOptions, TimeSimulator};
+use avfs::sim::{phases, slots, CompiledNetlist, EventDrivenSimulator, SimOptions};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -92,16 +92,16 @@ fn final_values_match_zero_delay_semantics() {
     };
     let netlist = Arc::new(random_netlist("zchk", &cfg, &library, 21).expect("generates"));
     let chars = characterize_for(&netlist, &library);
-    let sim = TimeSimulator::from_characterization(Arc::clone(&netlist), &chars)
+    let sim = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
         .expect("simulator builds");
 
     let patterns = PatternSet::random(netlist.inputs().len(), 10, 33);
     let levels = avfs::netlist::Levelization::of(&netlist).expect("acyclic");
     for &voltage in &[0.55, 0.8, 1.1] {
         let run = sim
-            .run_at(
+            .launch(
                 &patterns,
-                voltage,
+                &slots::at_voltage(patterns.len(), voltage),
                 &SimOptions {
                     threads: 1,
                     ..SimOptions::default()
@@ -136,13 +136,8 @@ fn multithreaded_engine_equals_serial() {
     let library = CellLibrary::nangate15_like();
     let netlist = Arc::new(ripple_carry_adder(32, &library).expect("adder builds"));
     let chars = characterize_for(&netlist, &library);
-    let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
-    let engine = CompiledNetlist::compile(
-        Arc::clone(&netlist),
-        annotation,
-        Arc::new(chars.model().clone()),
-    )
-    .expect("engine builds");
+    let engine = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
+        .expect("engine builds");
     let width = netlist.inputs().len();
 
     let lfsr = PatternSet::lfsr(width, 25, 4);
@@ -226,9 +221,9 @@ fn hot_corner_characterization_slows_the_design() {
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 12, 6);
     let opts = SimOptions::default();
     let arrival = |chars: &CharacterizedLibrary| {
-        TimeSimulator::from_characterization(Arc::clone(&netlist), chars)
+        CompiledNetlist::from_characterization(Arc::clone(&netlist), chars)
             .expect("builds")
-            .run_at(&patterns, 1.0, &opts)
+            .launch(&patterns, &slots::at_voltage(patterns.len(), 1.0), &opts)
             .expect("runs")
             .latest_arrival_at(1.0)
             .expect("toggles")
@@ -323,12 +318,14 @@ fn kernel_persistence_preserves_simulation() {
         threads: 1,
         ..SimOptions::default()
     };
-    let sim_a = TimeSimulator::from_characterization(Arc::clone(&netlist), &chars).expect("builds");
+    let sim_a =
+        CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars).expect("builds");
     let sim_b =
-        TimeSimulator::from_characterization(Arc::clone(&netlist), &restored).expect("builds");
+        CompiledNetlist::from_characterization(Arc::clone(&netlist), &restored).expect("builds");
     for &v in &[0.55, 0.8, 1.1] {
-        let a = sim_a.run_at(&patterns, v, &opts).expect("runs");
-        let b = sim_b.run_at(&patterns, v, &opts).expect("runs");
+        let at_v = slots::at_voltage(patterns.len(), v);
+        let a = sim_a.launch(&patterns, &at_v, &opts).expect("runs");
+        let b = sim_b.launch(&patterns, &at_v, &opts).expect("runs");
         for (x, y) in a.slots.iter().zip(&b.slots) {
             assert_eq!(x.responses, y.responses);
             assert_eq!(x.latest_output_transition_ps, y.latest_output_transition_ps);
@@ -341,13 +338,17 @@ fn sta_bounds_simulated_arrivals() {
     let library = CellLibrary::nangate15_like();
     let netlist = Arc::new(ripple_carry_adder(10, &library).expect("adder builds"));
     let chars = characterize_for(&netlist, &library);
-    let sim = TimeSimulator::from_characterization(Arc::clone(&netlist), &chars)
+    let sim = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
         .expect("simulator builds");
-    let sta = sim.sta();
+    let sta = avfs::sim::sta::longest_path(&netlist, sim.levels(), sim.annotation());
     assert!(sta.longest_path_ps > 0.0);
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 24, 77);
     let run = sim
-        .run_at(&patterns, 0.8, &SimOptions::default())
+        .launch(
+            &patterns,
+            &slots::at_voltage(patterns.len(), 0.8),
+            &SimOptions::default(),
+        )
         .expect("runs");
     let latest = run.latest_arrival_at(0.8).expect("adder toggles");
     // Allow the fit's small nominal deviation on top of the bound.

@@ -39,13 +39,8 @@ fn run_adder(profiling: bool) -> SimRun {
     let library = CellLibrary::nangate15_like();
     let netlist = Arc::new(ripple_carry_adder(64, &library).expect("adder builds"));
     let chars = characterize_for(&netlist, &library);
-    let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
-    let engine = CompiledNetlist::compile(
-        Arc::clone(&netlist),
-        annotation,
-        Arc::new(chars.model().clone()),
-    )
-    .expect("engine builds");
+    let engine = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
+        .expect("engine builds");
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 7);
     let mut slot_list = slots::at_voltage(patterns.len(), 0.8);
     slot_list.extend(slots::at_voltage(patterns.len(), 0.6));

@@ -1,5 +1,5 @@
 //! Integration: the `avfs-sta` static-timing oracle cross-validating
-//! the time simulator through the public facade (DESIGN.md §16).
+//! the time simulator through the public facade (DESIGN.md §9).
 //!
 //! Two properties anchor the cross-check:
 //!
@@ -19,7 +19,7 @@ use avfs::delay::characterize::{
 };
 use avfs::delay::OperatingPoint;
 use avfs::netlist::{CellLibrary, Netlist, NodeId};
-use avfs::sim::sta::{crosscheck, scaled_graph, CrossCheckOptions};
+use avfs::sim::sta::{analyze, crosscheck, scaled_graph, CrossCheckOptions};
 use avfs::sim::{slots, CompiledNetlist, SimOptions, SlotResult};
 use avfs::spice::Technology;
 use avfs::sta::TimingGraph;
@@ -46,11 +46,8 @@ fn shared_characterization() -> &'static CharacterizedLibrary {
 /// Compiles a netlist against the shared characterization.
 fn compile(netlist: Netlist) -> Arc<CompiledNetlist> {
     let chars = shared_characterization();
-    let netlist = Arc::new(netlist);
-    let annotation = Arc::new(chars.annotate(&netlist).expect("annotation covers netlist"));
     Arc::new(
-        CompiledNetlist::compile(netlist, annotation, Arc::new(chars.model().clone()))
-            .expect("netlist compiles"),
+        CompiledNetlist::from_characterization(Arc::new(netlist), chars).expect("netlist compiles"),
     )
 }
 
@@ -162,7 +159,7 @@ fn realized_chain_fold(
 /// arrival is reproduced exactly by the STA fold along the realized
 /// event chain. Forward sensitization cannot carry this circuit — its
 /// long paths are tens of levels deep and random fill never sensitizes
-/// them — so the backward walk is the witness (DESIGN.md §16).
+/// them — so the backward walk is the witness (DESIGN.md §9).
 #[test]
 fn p951k_critical_path_agrees_with_sta_fold() {
     let library = CellLibrary::nangate15_like();
@@ -211,26 +208,6 @@ fn p951k_critical_path_agrees_with_sta_fold() {
     );
 
     // And the fold is itself bounded by the global STA latest arrival.
-    let report = compiled
-        .sta(&OperatingPoint::new(voltage, 0.0))
-        .expect("modelable");
+    let report = analyze(&compiled, &OperatingPoint::new(voltage, 0.0)).expect("modelable");
     assert!(fold <= report.latest_arrival_ps + options.epsilon_ps);
-}
-
-/// `CompiledNetlist::sta` and `scaled_graph` are two views of one
-/// oracle: the method's report must equal the graph's report at the
-/// same operating point.
-#[test]
-fn compiled_sta_method_matches_scaled_graph_report() {
-    let library = CellLibrary::nangate15_like();
-    let netlist = avfs::circuits::c17(&library).expect("c17 builds");
-    let compiled = compile(netlist);
-    for voltage in [0.55, 0.8, 1.1] {
-        let graph = scaled_graph(&compiled, voltage).expect("modelable");
-        let from_graph = graph.report(0.0);
-        let from_method = compiled
-            .sta(&OperatingPoint::new(voltage, 0.0))
-            .expect("modelable");
-        assert_eq!(from_method, from_graph, "views diverge at {voltage} V");
-    }
 }

@@ -6,10 +6,10 @@ use avfs::atpg::PatternSet;
 use avfs::check::interleave::{explore, StepResult, ThreadModel};
 use avfs::check::{InterleaveError, Report, Severity, Subject};
 use avfs::netlist::CellLibrary;
-use avfs::sim::{slots, SimError, SimOptions, TimeSimulator, ValidationMode};
+use avfs::sim::{slots, CompiledNetlist, SimError, SimOptions, ValidationMode};
 use std::sync::Arc;
 
-fn simulator() -> TimeSimulator {
+fn simulator() -> CompiledNetlist {
     let library = CellLibrary::nangate15_like();
     let netlist = Arc::new(avfs::circuits::c17(&library).expect("c17 builds"));
     let chars = avfs::delay::characterize::characterize_library(
@@ -19,7 +19,7 @@ fn simulator() -> TimeSimulator {
         None,
     )
     .expect("characterization");
-    TimeSimulator::from_characterization(netlist, &chars).expect("simulator binds")
+    CompiledNetlist::from_characterization(netlist, &chars).expect("simulator binds")
 }
 
 #[test]
@@ -30,7 +30,6 @@ fn warn_mode_records_out_of_domain_slots() {
     // engine used to clamp it silently. Warn (the default) still clamps
     // but records the finding.
     let run = sim
-        .compiled()
         .launch(
             &patterns,
             &slots::cross(1, &[0.3, 0.8]),
@@ -58,7 +57,7 @@ fn deny_mode_refuses_and_off_mode_ignores() {
     let sim = simulator();
     let patterns = PatternSet::lfsr(sim.netlist().inputs().len(), 2, 9);
     let bad = slots::at_voltage(patterns.len(), 1.4); // above v_max
-    let denied = sim.compiled().launch(
+    let denied = sim.launch(
         &patterns,
         &bad,
         &SimOptions {
@@ -77,7 +76,6 @@ fn deny_mode_refuses_and_off_mode_ignores() {
     );
     // Off mode simulates the same launch and records nothing.
     let run = sim
-        .compiled()
         .launch(
             &patterns,
             &bad,

@@ -6,14 +6,14 @@ use avfs::circuits::{random_netlist, ripple_carry_adder, GeneratorConfig};
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::delay::{AlphaPowerModel, StaticModel};
 use avfs::netlist::{CellLibrary, Netlist, NodeKind};
-use avfs::sim::{SimOptions, TimeSimulator};
+use avfs::sim::{slots, CompiledNetlist, SimOptions};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const SWEEP: [f64; 6] = [0.55, 0.6, 0.7, 0.8, 0.9, 1.1];
 
-fn characterized_sim(netlist: &Arc<Netlist>, library: &Arc<CellLibrary>) -> TimeSimulator {
+fn characterized_sim(netlist: &Arc<Netlist>, library: &Arc<CellLibrary>) -> CompiledNetlist {
     let used: Vec<_> = {
         let mut set = BTreeSet::new();
         for (_, node) in netlist.iter() {
@@ -30,7 +30,7 @@ fn characterized_sim(netlist: &Arc<Netlist>, library: &Arc<CellLibrary>) -> Time
         Some(&used),
     )
     .expect("characterization succeeds");
-    TimeSimulator::from_characterization(Arc::clone(netlist), &chars).expect("builds")
+    CompiledNetlist::from_characterization(Arc::clone(netlist), &chars).expect("builds")
 }
 
 #[test]
@@ -57,7 +57,11 @@ fn arrival_times_fall_monotonically_with_voltage() {
         let sim = characterized_sim(&netlist, &library);
         let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 2);
         let run = sim
-            .voltage_sweep(&patterns, &SWEEP, &SimOptions::default())
+            .launch(
+                &patterns,
+                &slots::cross(patterns.len(), &SWEEP),
+                &SimOptions::default(),
+            )
             .expect("sweep runs");
         let arrivals: Vec<f64> = SWEEP
             .iter()
@@ -89,16 +93,19 @@ fn nominal_parametric_deviation_is_small() {
     let library = CellLibrary::nangate15_like();
     let netlist = Arc::new(ripple_carry_adder(8, &library).expect("adder"));
     let sim = characterized_sim(&netlist, &library);
-    let static_sim = TimeSimulator::new(
+    let static_sim = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(sim.annotation()),
-        Arc::new(StaticModel::new(*sim.compiled().model().space())),
+        Arc::new(StaticModel::new(*sim.model().space())),
     )
     .expect("builds");
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 8);
     let opts = SimOptions::default();
-    let a = sim.run_at(&patterns, 0.8, &opts).expect("runs");
-    let b = static_sim.run_at(&patterns, 0.8, &opts).expect("runs");
+    let at_nominal = slots::at_voltage(patterns.len(), 0.8);
+    let a = sim.launch(&patterns, &at_nominal, &opts).expect("runs");
+    let b = static_sim
+        .launch(&patterns, &at_nominal, &opts)
+        .expect("runs");
     let (ta, tb) = (
         a.latest_arrival_at(0.8).expect("toggles"),
         b.latest_arrival_at(0.8).expect("toggles"),
@@ -120,26 +127,27 @@ fn alpha_power_baseline_tracks_polynomial_roughly() {
     let netlist = Arc::new(ripple_carry_adder(8, &library).expect("adder"));
     let sim = characterized_sim(&netlist, &library);
     let tech = Technology::nm15();
-    let alpha_sim = TimeSimulator::new(
+    let alpha_sim = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(sim.annotation()),
         Arc::new(AlphaPowerModel::new(
             tech.vth_n,
             tech.alpha,
-            *sim.compiled().model().space(),
+            *sim.model().space(),
         )),
     )
     .expect("builds");
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 13);
     let opts = SimOptions::default();
     for &v in &[0.55, 0.8, 1.1] {
+        let at_v = slots::at_voltage(patterns.len(), v);
         let poly = sim
-            .run_at(&patterns, v, &opts)
+            .launch(&patterns, &at_v, &opts)
             .expect("runs")
             .latest_arrival_at(v)
             .expect("toggles");
         let alpha = alpha_sim
-            .run_at(&patterns, v, &opts)
+            .launch(&patterns, &at_v, &opts)
             .expect("runs")
             .latest_arrival_at(v)
             .expect("toggles");
@@ -160,9 +168,9 @@ fn energy_grows_with_voltage_while_latency_falls() {
     let sim = characterized_sim(&netlist, &library);
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 21);
     let run = sim
-        .voltage_sweep(
+        .launch(
             &patterns,
-            &[0.6, 0.8, 1.0],
+            &slots::cross(patterns.len(), &[0.6, 0.8, 1.0]),
             &SimOptions {
                 keep_waveforms: true,
                 ..SimOptions::default()
@@ -197,22 +205,27 @@ fn process_variation_shifts_arrivals_modestly() {
         sim.annotation(),
         &VariationConfig::sigma5(99),
     ));
-    let varied_sim = TimeSimulator::new(
+    let varied_sim = CompiledNetlist::compile(
         Arc::clone(&netlist),
         varied,
-        Arc::new(StaticModel::new(*sim.compiled().model().space())),
+        Arc::new(StaticModel::new(*sim.model().space())),
     )
     .expect("builds");
-    let base_sim = TimeSimulator::new(
+    let base_sim = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(sim.annotation()),
-        Arc::new(StaticModel::new(*sim.compiled().model().space())),
+        Arc::new(StaticModel::new(*sim.model().space())),
     )
     .expect("builds");
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 2);
     let opts = SimOptions::default();
-    let a = base_sim.run_at(&patterns, 0.8, &opts).expect("runs");
-    let b = varied_sim.run_at(&patterns, 0.8, &opts).expect("runs");
+    let at_nominal = slots::at_voltage(patterns.len(), 0.8);
+    let a = base_sim
+        .launch(&patterns, &at_nominal, &opts)
+        .expect("runs");
+    let b = varied_sim
+        .launch(&patterns, &at_nominal, &opts)
+        .expect("runs");
     let (ta, tb) = (
         a.latest_arrival_at(0.8).expect("toggles"),
         b.latest_arrival_at(0.8).expect("toggles"),
@@ -253,7 +266,11 @@ fn glitch_activity_is_observed() {
     let sim = characterized_sim(&netlist, &library);
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 3);
     let run = sim
-        .run_at(&patterns, 0.8, &SimOptions::default())
+        .launch(
+            &patterns,
+            &slots::at_voltage(patterns.len(), 0.8),
+            &SimOptions::default(),
+        )
         .expect("runs");
     let glitches: usize = run
         .slots
