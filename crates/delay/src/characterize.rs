@@ -19,7 +19,7 @@ use avfs_netlist::library::{CellId, CellLibrary, Polarity};
 use avfs_netlist::{Netlist, NodeKind};
 use avfs_obs::Metrics;
 use avfs_regression::{fit_least_squares_metered, DataGrid, ErrorStats, PolyBasis};
-use avfs_spice::{sweep::sweep_pin_metered, SweepConfig, Technology};
+use avfs_spice::{sweep_pin_memo, StageMemo, SweepConfig, Technology};
 use avfs_waveform::PinDelays;
 use std::time::Instant;
 
@@ -543,10 +543,10 @@ pub fn characterize_library(
 
 /// [`characterize_library`] with optional instrumentation: each per-cell
 /// flow records `"delay/characterize"` timing, the sweeps record
-/// `"spice/sweep"` / `"spice.transient_points"` and the fits record
-/// `"regression/fit"` / `"regression.fits"` / `"regression.fit_ns"` — the
-/// measured counterpart of the paper's 1–40 ms per-fit runtime claim
-/// (Sec. V.A).
+/// `"spice/sweep"` / `"spice.transient_points"` / `"spice.stage_runs"` and
+/// the fits record `"regression/fit"` / `"regression.fits"` /
+/// `"regression.fit_ns"` — the measured counterpart of the paper's
+/// 1–40 ms per-fit runtime claim (Sec. V.A).
 ///
 /// # Errors
 ///
@@ -586,14 +586,6 @@ pub fn characterize_library_injected(
     metrics: Option<&Metrics>,
     injector: &avfs_inject::Injector,
 ) -> Result<CharacterizedLibrary, DelayError> {
-    let (v_min, v_max) = (
-        config.sweep.voltages[0],
-        *config.sweep.voltages.last().expect("validated below"),
-    );
-    let (c_min, c_max) = (
-        config.sweep.loads_ff[0],
-        *config.sweep.loads_ff.last().expect("validated below"),
-    );
     config
         .sweep
         .validate()
@@ -601,6 +593,8 @@ pub fn characterize_library_injected(
             cell: String::new(),
             message: e.to_string(),
         })?;
+    let (v_min, v_max) = config.sweep.voltage_range();
+    let (c_min, c_max) = config.sweep.load_range();
     let space = ParameterSpace::new(v_min, v_max, c_min, c_max, config.sweep.nominal_vdd)?;
 
     let all_ids: Vec<CellId>;
@@ -617,7 +611,9 @@ pub fn characterize_library_injected(
     let mut nominal: Vec<Option<Vec<[NominalCurve; 2]>>> =
         (0..library.len()).map(|_| None).collect();
     let mut reports = Vec::with_capacity(selected.len());
-    let _basis = PolyBasis::new(config.order);
+    // One transient per distinct stage across every sweep of this call;
+    // dropped with it.
+    let mut memo = StageMemo::default();
 
     // Index of the nominal voltage within the sweep.
     let nom_idx = config
@@ -660,8 +656,9 @@ pub fn characterize_library_injected(
                 };
                 // Step A: transient sweep.
                 let t0 = Instant::now();
-                let surface = sweep_pin_metered(tech, cell, pin, polarity, &config.sweep, metrics)
-                    .map_err(|e| wrap(e.to_string()))?;
+                let surface =
+                    sweep_pin_memo(tech, cell, pin, polarity, &config.sweep, &mut memo, metrics)
+                        .map_err(|e| wrap(e.to_string()))?;
                 sweep_millis += t0.elapsed().as_secs_f64() * 1e3;
 
                 // Nominal curve (the SDF view).
@@ -779,6 +776,25 @@ mod tests {
         let hi = ch.space().normalize(OperatingPoint::new(1.1, 4.0)).unwrap();
         assert!(ch.model().factor(id, 0, Polarity::Fall, lo).unwrap() > 1.15);
         assert!(ch.model().factor(id, 0, Polarity::Fall, hi).unwrap() < 0.95);
+    }
+
+    #[test]
+    fn empty_sweep_axis_is_a_typed_error() {
+        let lib = CellLibrary::nangate15_like();
+        let tech = Technology::nm15();
+        let ids = subset(&lib, &["INV_X1"]);
+        let mut no_voltages = CharacterizationConfig::fast();
+        no_voltages.sweep.voltages.clear();
+        let mut no_loads = CharacterizationConfig::fast();
+        no_loads.sweep.loads_ff.clear();
+        for cfg in [no_voltages, no_loads] {
+            match characterize_library(&lib, &tech, &cfg, Some(&ids)) {
+                Err(DelayError::Characterization { message, .. }) => {
+                    assert!(message.contains("invalid sweep"), "{message}");
+                }
+                other => panic!("expected Characterization, got {other:?}"),
+            }
+        }
     }
 
     #[test]

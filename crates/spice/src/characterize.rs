@@ -3,7 +3,7 @@
 
 use crate::mosfet::Mosfet;
 use crate::technology::Technology;
-use crate::transient::{simulate_stage, Stage};
+use crate::transient::{Stage, StageMemo};
 use crate::SpiceError;
 use avfs_netlist::library::{Cell, Polarity};
 
@@ -40,9 +40,42 @@ pub fn pin_delay_ps(
     vdd: f64,
     c_load_ff: f64,
 ) -> Result<f64, SpiceError> {
+    let mut memo = StageMemo::default();
+    pin_delay_memo(tech, cell, pin, polarity, vdd, c_load_ff, &mut memo)
+}
+
+/// [`pin_delay_ps`] with the stage transients looked up in, and added to,
+/// the caller's `memo`.
+pub(crate) fn pin_delay_memo(
+    tech: &Technology,
+    cell: &Cell,
+    pin: usize,
+    polarity: Polarity,
+    vdd: f64,
+    c_load_ff: f64,
+    memo: &mut StageMemo,
+) -> Result<f64, SpiceError> {
+    let (output, internal) = pin_stages(tech, cell, pin, polarity, vdd, c_load_ff);
+    let mut total = memo.delay_ps(tech, &output)?;
+    if let Some(internal) = internal {
+        total += memo.delay_ps(tech, &internal)?;
+    }
+    Ok(total)
+}
+
+/// The equivalent stages of one pin-to-pin arc: the output stage and, for
+/// two-stage cells, the internal stage in front of it.
+pub(crate) fn pin_stages(
+    tech: &Technology,
+    cell: &Cell,
+    pin: usize,
+    polarity: Polarity,
+    vdd: f64,
+    c_load_ff: f64,
+) -> (Stage, Option<Stage>) {
     let drive = cell.pin_drive(pin, polarity);
     let out_cap = c_load_ff + cell.parasitic_cap_ff();
-    let mut total = output_stage_delay_ps(
+    let output = equivalent_stage(
         tech,
         drive.width,
         drive.stack,
@@ -50,9 +83,8 @@ pub fn pin_delay_ps(
         polarity,
         vdd,
         out_cap,
-    )?;
-
-    if drive.stages > 1 {
+    );
+    let internal = (drive.stages > 1).then(|| {
         // First stage: inverting core driving the internal node. Its
         // transition polarity is the opposite of the output's, and its
         // load is the internal parasitic plus the output stage's gate.
@@ -62,8 +94,9 @@ pub fn pin_delay_ps(
         };
         let internal_cap = (0.8 * cell.parasitic_cap_ff()).max(0.2);
         // The internal stage runs at ~70 % of the cell's drive (first
-        // stage devices are smaller).
-        total += output_stage_delay_ps(
+        // stage devices are smaller). Nothing in it depends on the
+        // external load, so a sweep's memo runs it once per voltage.
+        equivalent_stage(
             tech,
             0.7 * drive.width.max(0.5),
             drive.stack,
@@ -71,13 +104,13 @@ pub fn pin_delay_ps(
             internal_polarity,
             vdd,
             internal_cap,
-        )?;
-    }
-    Ok(total)
+        )
+    });
+    (output, internal)
 }
 
-/// Delay of a single equivalent stage, ps.
-fn output_stage_delay_ps(
+/// The single equivalent stage of one conducting network.
+fn equivalent_stage(
     tech: &Technology,
     width: f64,
     stack: u8,
@@ -85,7 +118,7 @@ fn output_stage_delay_ps(
     polarity: Polarity,
     vdd: f64,
     cap_ff: f64,
-) -> Result<f64, SpiceError> {
+) -> Stage {
     // Body effect: threshold rises with stack depth.
     let vth_scale = 1.0 + tech.stack_vth_derate * (stack.saturating_sub(1)) as f64;
     // Internal-node charging: current derates with switching-pin position.
@@ -100,16 +133,12 @@ fn output_stage_delay_ps(
             ..Mosfet::pmos(tech, width_eff)
         },
     };
-    let result = simulate_stage(
-        tech,
-        &Stage {
-            device,
-            cap_ff,
-            vdd,
-            slew_ps: tech.input_slew_ps,
-        },
-    )?;
-    Ok(result.delay_ps)
+    Stage {
+        device,
+        cap_ff,
+        vdd,
+        slew_ps: tech.input_slew_ps,
+    }
 }
 
 #[cfg(test)]

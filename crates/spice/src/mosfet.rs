@@ -12,11 +12,18 @@
 //! The model is exactly the origin of the paper's Eq. 1: the time to move
 //! charge `C·V_DD` at current `∝ (V_DD − V_th)^α` gives
 //! `τ ∝ V_DD/(V_DD − V_th)^α`.
+//!
+//! The current factors into a part that depends only on the gate —
+//! `(I_dsat, V_dsat)`, the two `powf` calls (`Mosfet::drive`) — and the
+//! `V_ds` profile applied to it (`Drive::current`).
+//! [`Mosfet::drain_current`] is the two composed; the transient integrator
+//! evaluates the gate part once per distinct `V_gs` and the `V_ds` part at
+//! every slope.
 
 use crate::technology::Technology;
 
 /// Device polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceType {
     /// N-channel (pull-down).
     Nmos,
@@ -34,6 +41,31 @@ pub struct Mosfet {
     pub width: f64,
     /// Effective threshold voltage, V (stack body effect folded in).
     pub vth: f64,
+}
+
+/// A conducting device's state at one gate voltage: everything of the
+/// drain current that does not depend on `V_ds`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Drive {
+    /// Saturation current `w · k · V_ov^α`, µA.
+    idsat: f64,
+    /// Saturation voltage `k_sat · V_ov^{α/2}`, V.
+    vdsat: f64,
+}
+
+impl Drive {
+    /// Drain current in µA at `|V_ds| = vds` (negative inputs are clamped).
+    pub(crate) fn current(self, vds: f64) -> f64 {
+        let vds = vds.max(0.0);
+        if vds == 0.0 {
+            0.0
+        } else if vds >= self.vdsat {
+            self.idsat
+        } else {
+            let x = vds / self.vdsat;
+            self.idsat * (2.0 - x) * x
+        }
+    }
 }
 
 impl Mosfet {
@@ -55,29 +87,30 @@ impl Mosfet {
         }
     }
 
-    /// Drain current in µA for gate-overdrive-relevant voltages given as
-    /// magnitudes: `vgs` is `|V_gs|` and `vds` is `|V_ds|`.
-    ///
-    /// Returns 0 in cut-off (`vgs ≤ vth`). Negative inputs are clamped.
-    pub fn drain_current(&self, tech: &Technology, vgs: f64, vds: f64) -> f64 {
-        let vgs = vgs.max(0.0);
-        let vds = vds.max(0.0);
-        let vov = vgs - self.vth;
-        if vov <= 0.0 || vds == 0.0 {
-            return 0.0;
+    /// The gate-dependent part of the drain current at `|V_gs| = vgs`:
+    /// `None` in cut-off (`vgs ≤ vth`; negative inputs are clamped).
+    pub(crate) fn drive(&self, tech: &Technology, vgs: f64) -> Option<Drive> {
+        let vov = vgs.max(0.0) - self.vth;
+        if vov <= 0.0 {
+            return None;
         }
         let k = match self.device {
             DeviceType::Nmos => tech.k_n,
             DeviceType::Pmos => tech.k_p,
         };
-        let idsat = self.width * k * vov.powf(tech.alpha);
-        let vdsat = tech.k_sat * vov.powf(tech.alpha / 2.0);
-        if vds >= vdsat {
-            idsat
-        } else {
-            let x = vds / vdsat;
-            idsat * (2.0 - x) * x
-        }
+        Some(Drive {
+            idsat: self.width * k * vov.powf(tech.alpha),
+            vdsat: tech.k_sat * vov.powf(tech.alpha / 2.0),
+        })
+    }
+
+    /// Drain current in µA for gate-overdrive-relevant voltages given as
+    /// magnitudes: `vgs` is `|V_gs|` and `vds` is `|V_ds|`.
+    ///
+    /// Returns 0 in cut-off (`vgs ≤ vth`). Negative inputs are clamped.
+    pub fn drain_current(&self, tech: &Technology, vgs: f64, vds: f64) -> f64 {
+        self.drive(tech, vgs)
+            .map_or(0.0, |drive| drive.current(vds))
     }
 
     /// Saturation current in µA at gate overdrive `vgs`.

@@ -4,9 +4,17 @@
 //! `(V_DD, C_load)` and collects the resulting delay surface. The paper's
 //! sweep is `V_DD ∈ [0.55 V, 1.1 V]` in 0.05 V steps (nominal 0.8 V) with
 //! loads `2^i fF, i = −1 … 7`; [`SweepConfig::paper`] reproduces it.
+//!
+//! Many of a sweep's stage transients are the same [`Stage`](crate::transient::Stage)
+//! bit for bit — the first stage of a two-stage cell at every load, the
+//! symmetric pins of a cell — so a sweep looks each one up in a
+//! [`StageMemo`] and integrates only the distinct ones. The memo is
+//! scoped by the caller: [`sweep_pin`] creates one per call and drops it,
+//! [`sweep_pin_memo`] shares the one a library characterization owns.
 
-use crate::characterize::pin_delay_ps;
+use crate::characterize::pin_delay_memo;
 use crate::technology::Technology;
+use crate::transient::StageMemo;
 use crate::SpiceError;
 use avfs_netlist::library::{Cell, Polarity};
 
@@ -147,7 +155,9 @@ fn nearest(axis: &[f64], x: f64) -> usize {
 ///
 /// This is step A of Fig. 1; the paper notes the SPICE sweeps "took few
 /// minutes for each cell" — this substitute takes milliseconds, which is
-/// what makes the full Fig. 4 experiment tractable in CI.
+/// what makes the full Fig. 4 experiment tractable in CI. Every call
+/// starts from an empty [`StageMemo`], so its cost does not depend on
+/// what was swept before.
 ///
 /// # Errors
 ///
@@ -160,35 +170,41 @@ pub fn sweep_pin(
     polarity: Polarity,
     config: &SweepConfig,
 ) -> Result<DelaySurface, SpiceError> {
-    sweep_pin_metered(tech, cell, pin, polarity, config, None)
+    let mut memo = StageMemo::default();
+    sweep_pin_memo(tech, cell, pin, polarity, config, &mut memo, None)
 }
 
-/// [`sweep_pin`] with optional instrumentation: when `metrics` is
-/// present, each call records the phase `"spice/sweep"` and adds the
-/// number of simulated grid points to the `"spice.transient_points"`
-/// counter.
+/// [`sweep_pin`] over a caller-owned `memo` — stages already integrated
+/// through it (by earlier sweeps of the same characterization) are not
+/// integrated again — with optional instrumentation: when `metrics` is
+/// present, each call records the phase `"spice/sweep"`, adds the number
+/// of grid points to the `"spice.transient_points"` counter and the
+/// number of integrations it actually ran to `"spice.stage_runs"`.
 ///
 /// # Errors
 ///
 /// Identical to [`sweep_pin`].
-pub fn sweep_pin_metered(
+pub fn sweep_pin_memo(
     tech: &Technology,
     cell: &Cell,
     pin: usize,
     polarity: Polarity,
     config: &SweepConfig,
+    memo: &mut StageMemo,
     metrics: Option<&avfs_obs::Metrics>,
 ) -> Result<DelaySurface, SpiceError> {
     let span = metrics.map(|m| m.span("spice/sweep"));
     config.validate()?;
+    let runs_before = memo.runs();
     let mut delays_ps = Vec::with_capacity(config.voltages.len() * config.loads_ff.len());
     for &v in &config.voltages {
         for &c in &config.loads_ff {
-            delays_ps.push(pin_delay_ps(tech, cell, pin, polarity, v, c)?);
+            delays_ps.push(pin_delay_memo(tech, cell, pin, polarity, v, c, memo)?);
         }
     }
     if let Some(m) = metrics {
         m.add("spice.transient_points", delays_ps.len() as u64);
+        m.add("spice.stage_runs", memo.runs() - runs_before);
     }
     if let Some(span) = span {
         span.finish();
@@ -257,6 +273,59 @@ mod tests {
                 assert!(surf.at(i, j) < surf.at(i - 1, j));
             }
         }
+    }
+
+    #[test]
+    fn memoised_surface_equals_the_unmemoised_one_for_every_cell() {
+        // One memo shared across the whole library, as a characterization
+        // shares it, against a grid of independent `pin_delay_ps` calls.
+        let tech = Technology::nm15();
+        let lib = CellLibrary::nangate15_like();
+        let cfg = SweepConfig::coarse();
+        let mut memo = StageMemo::default();
+        for (_, cell) in lib.iter() {
+            for pin in 0..cell.num_inputs() {
+                for polarity in Polarity::both() {
+                    let surf =
+                        sweep_pin_memo(&tech, cell, pin, polarity, &cfg, &mut memo, None).unwrap();
+                    for (k, (v, c, d)) in surf.samples().enumerate() {
+                        let alone = crate::pin_delay_ps(&tech, cell, pin, polarity, v, c).unwrap();
+                        assert_eq!(
+                            d.to_bits(),
+                            alone.to_bits(),
+                            "{} pin {pin} {polarity} point {k}",
+                            cell.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_runs_distinct_stages_once_and_does_not_outlive_a_call() {
+        let tech = Technology::nm15();
+        let lib = CellLibrary::nangate15_like();
+        let and2 = lib.cell(lib.find("AND2_X1").unwrap());
+        let cfg = SweepConfig::coarse();
+        let points = (cfg.voltages.len() * cfg.loads_ff.len()) as u64;
+        let stage_runs = |memo: &mut StageMemo| {
+            let metrics = avfs_obs::Metrics::new("sweep");
+            sweep_pin_memo(&tech, and2, 0, Polarity::Rise, &cfg, memo, Some(&metrics)).unwrap();
+            let profile = metrics.snapshot();
+            assert_eq!(profile.counter("spice.transient_points"), Some(points));
+            profile.counter("spice.stage_runs").unwrap()
+        };
+        // A two-stage cell: one output-stage transient per point, one
+        // first-stage transient per voltage.
+        let mut memo = StageMemo::default();
+        let first = stage_runs(&mut memo);
+        assert_eq!(first, points + cfg.voltages.len() as u64);
+        assert!(first < 2 * points);
+        // The same memo has nothing left to integrate; a fresh one — what
+        // every `sweep_pin` call starts from — integrates all of it again.
+        assert_eq!(stage_runs(&mut memo), 0);
+        assert_eq!(stage_runs(&mut StageMemo::default()), first);
     }
 
     #[test]

@@ -4,15 +4,24 @@
 
 use avfs::atpg::PatternSet;
 use avfs::circuits::ripple_carry_adder;
-use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
+use avfs::delay::characterize::{characterize_library_metered, CharacterizationConfig};
 use avfs::delay::CharacterizedLibrary;
 use avfs::netlist::{CellLibrary, Netlist, NodeKind};
+use avfs::obs::Metrics;
 use avfs::sim::{phases, slots, CompiledNetlist, EventDrivenSimulator, SimOptions, SimRun};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn characterize_for(netlist: &Netlist, library: &Arc<CellLibrary>) -> CharacterizedLibrary {
+    characterize_metered_for(netlist, library, None)
+}
+
+fn characterize_metered_for(
+    netlist: &Netlist,
+    library: &Arc<CellLibrary>,
+    metrics: Option<&Metrics>,
+) -> CharacterizedLibrary {
     let used: Vec<_> = {
         let mut set = BTreeSet::new();
         for (_, node) in netlist.iter() {
@@ -22,11 +31,12 @@ fn characterize_for(netlist: &Netlist, library: &Arc<CellLibrary>) -> Characteri
         }
         set.into_iter().collect()
     };
-    characterize_library(
+    characterize_library_metered(
         library,
         &Technology::nm15(),
         &CharacterizationConfig::fast(),
         Some(&used),
+        metrics,
     )
     .expect("characterization succeeds")
 }
@@ -53,6 +63,35 @@ fn run_adder(profiling: bool) -> SimRun {
     engine
         .launch(&patterns, &slot_list, &options)
         .expect("engine runs")
+}
+
+#[test]
+fn characterization_counts_grid_points_and_integrations() {
+    let library = CellLibrary::nangate15_like();
+    let netlist = ripple_carry_adder(64, &library).expect("adder builds");
+    let metrics = Metrics::new("characterize");
+    let metered = characterize_metered_for(&netlist, &library, Some(&metrics));
+    let profile = metrics.snapshot();
+    // AND2, OR2, XOR2: 3 cells × 2 pins × 2 polarities × the 5 × 5 grid.
+    let points = profile
+        .counter("spice.transient_points")
+        .expect("grid points counted");
+    assert_eq!(points, 3 * 2 * 2 * 25);
+    // All three are two-stage cells, so an un-memoised sweep would run two
+    // integrations per point; the characterization's memo runs the
+    // load-independent first stages and the symmetric pins once.
+    let runs = profile
+        .counter("spice.stage_runs")
+        .expect("integrations counted");
+    assert!(
+        0 < runs && runs < 2 * points,
+        "{runs} runs, {points} points"
+    );
+    // Metering observes only.
+    assert_eq!(
+        metered.content_hash(),
+        characterize_for(&netlist, &library).content_hash()
+    );
 }
 
 #[test]
