@@ -27,11 +27,19 @@ done
 for path in $(grep -oh 'crates/[a-z0-9_/]*\.rs' $docs | sort -u); do
     [ -f "$path" ] || { echo "docs name a missing file: $path"; exit 1; }
 done
+# A `Type::item` resolves only inside a definition or an `impl` block of
+# `Type` (rustfmt puts their headers and closing braces in column 0), so a
+# method that was renamed or deleted cannot pass through a same-named
+# item elsewhere in the crate.
+word='[^A-Za-z0-9_]'
+vis='(pub([(][a-z]*[)])? )?'
 for ref in $(grep -ohE '`[A-Z][A-Za-z0-9]*::[A-Za-z_][A-Za-z0-9_]*' $docs | tr -d '`' | sort -u); do
     ty=${ref%%::*} item=${ref##*::}
-    crates=$(grep -rlE "(struct|enum|trait) $ty([^A-Za-z0-9_]|\$)" crates/*/src | cut -d/ -f1-2 | sort -u)
-    [ -n "$crates" ] && grep -rqE "(fn|const) $item[^A-Za-z0-9_]|^ *(pub(\([a-z]*\))? )?$item(:|,|\(| \{|\$)" $crates ||
-        { echo "docs name $ref: no such fn, field or variant in ${crates:-any crate (no struct/enum/trait $ty)}"; exit 1; }
+    header="^$vis(unsafe )?(struct|enum|trait|impl)[ <](.*$word)?$ty($word|\$)"
+    files=$(grep -rlE "$header" crates/*/src || true)
+    [ -n "$files" ] && awk -v header="$header" '$0 ~ header && !/;$/ { inside = 1 } inside { print } /^}/ { inside = 0 }' $files |
+        grep -qE "(fn|const) $item$word|^ *$vis$item(:|,|[(]| [{]|\$)" ||
+        { echo "docs name $ref: no such fn, const, field or variant in ${files:-any definition or impl (no struct/enum/trait/impl $ty)}"; exit 1; }
 done
 
 echo "==> checker --smoke (static-analysis gate: avfs-check/1 schema, zero deny findings)"

@@ -15,6 +15,13 @@
 //!   and the writer wins exactly the bits it observed clear, so the
 //!   single-winner invariant must hold per lane even when racing masks
 //!   overlap on some lanes and not others.
+//! * **Reservation protocol** (`avfs-waveform`'s `LevelWriter::publish`):
+//!   waveforms are stored packed behind a shared bump cursor. A
+//!   publisher reserves its block's span with one `fetch_add`, copies
+//!   the block into it, then wins each cell's claim and only then stores
+//!   the cell's `off`/`len`. Spans reserved by concurrent publishers
+//!   must be disjoint and gap-free, and an output that overflowed
+//!   reserves nothing.
 //! * **Epoch protocol** (`avfs-core`'s `WorkerPool`): the coordinator
 //!   publishes a job, bumps the epoch counter to release parked workers,
 //!   then waits for the running count to drain back to zero before
@@ -23,9 +30,9 @@
 //! Each `check_*` function explores **every** interleaving of the model
 //! via [`explore`] and returns the exploration statistics, or a failing
 //! schedule as a witness. The `tests` module additionally contains
-//! deliberately broken variants (non-atomic claim, barrier-free
-//! coordinator) proving the checker detects the races these protocols
-//! are designed to prevent.
+//! deliberately broken variants (non-atomic claim, non-atomic
+//! reservation, barrier-free coordinator) proving the checker detects
+//! the races these protocols are designed to prevent.
 
 use crate::interleave::{explore, Explored, InterleaveError, StepResult, ThreadModel};
 use crate::Finding;
@@ -352,6 +359,243 @@ pub fn check_lane_claim_protocol(
 }
 
 // ---------------------------------------------------------------------
+// Reservation protocol (LevelWriter::publish into the packed times lane)
+// ---------------------------------------------------------------------
+
+/// Cells in the reservation model.
+const MODEL_CELLS: usize = 4;
+
+/// Elements of the modeled `times` lane — the reservation
+/// (`entries × capacity` in the real arena).
+const MODEL_TIMES: usize = 8;
+
+/// Shared state of the reservation model: the bump cursor, the packed
+/// lane with the publisher that filled each element, and the per-cell
+/// claim and span lanes.
+#[derive(Clone, Debug)]
+struct ReservationState {
+    /// The storage cursor (`AtomicUsize` in the real arena).
+    cursor: usize,
+    /// Which publisher filled each element of the packed lane.
+    filled: [Option<usize>; MODEL_TIMES],
+    /// Which publisher holds each cell's claim.
+    claimed_by: [Option<usize>; MODEL_CELLS],
+    /// The `(publisher, off, len)` stored for each cell.
+    spans: [Option<(usize, usize, usize)>; MODEL_CELLS],
+    /// Set by a step that broke the protocol.
+    violation: Option<String>,
+}
+
+/// One publisher's block in the reservation model: its staged outputs as
+/// `(cell, len)` pairs, in staging order.
+pub type ModelBlock = [(usize, usize)];
+
+/// One worker publishing a block of `(cell, len)` outputs.
+#[derive(Clone)]
+struct Publisher {
+    id: usize,
+    block: Vec<(usize, usize)>,
+    /// An output that overflowed was never staged: nothing to publish.
+    overflow: bool,
+    /// When false, the reservation is a load and a store instead of one
+    /// `fetch_add` — the broken variant used by tests to prove the
+    /// checker catches overlapping spans.
+    atomic_reserve: bool,
+    /// Start of the reserved span (in the torn variant: the cursor value
+    /// its load observed).
+    start: usize,
+    pc: usize,
+}
+
+impl Publisher {
+    fn total(&self) -> usize {
+        self.block.iter().map(|&(_, len)| len).sum()
+    }
+}
+
+impl ThreadModel<ReservationState> for Publisher {
+    fn step(&mut self, shared: &mut ReservationState) -> StepResult {
+        if self.overflow {
+            // Overflow path: bail before touching the cursor or a claim.
+            return StepResult::Finished;
+        }
+        match self.pc {
+            0 if self.atomic_reserve => {
+                // fetch_add(total): one atomic step.
+                self.start = shared.cursor;
+                shared.cursor += self.total();
+                self.pc = 2;
+            }
+            0 => {
+                self.start = shared.cursor;
+                self.pc = 1;
+            }
+            1 => {
+                shared.cursor = self.start + self.total();
+                self.pc = 2;
+            }
+            2 => {
+                // The block copy: plain stores into the reserved span.
+                for e in self.start..self.start + self.total() {
+                    match shared.filled.get(e).copied() {
+                        None => {
+                            shared.violation =
+                                Some(format!("publisher {} wrote past the reservation", self.id));
+                        }
+                        Some(Some(other)) => {
+                            shared.violation = Some(format!(
+                                "element {e} filled by publishers {other} and {}",
+                                self.id
+                            ));
+                        }
+                        Some(None) => shared.filled[e] = Some(self.id),
+                    }
+                }
+                self.pc = 3;
+            }
+            pc => {
+                // Per staged cell: win the claim, then store its span.
+                let (k, store) = ((pc - 3) / 2, (pc - 3) % 2 == 1);
+                let Some(&(cell, len)) = self.block.get(k) else {
+                    return StepResult::Finished;
+                };
+                if !store {
+                    if shared.claimed_by[cell].is_some() {
+                        // The real writer panics on a lost claim.
+                        return StepResult::Finished;
+                    }
+                    shared.claimed_by[cell] = Some(self.id);
+                } else {
+                    if shared.claimed_by[cell] != Some(self.id) {
+                        shared.violation = Some(format!(
+                            "publisher {} stored cell {cell} without holding its claim",
+                            self.id
+                        ));
+                    }
+                    let off = self.start + self.block[..k].iter().map(|&(_, l)| l).sum::<usize>();
+                    shared.spans[cell] = Some((self.id, off, len));
+                    if k + 1 == self.block.len() {
+                        return StepResult::Finished;
+                    }
+                }
+                self.pc += 1;
+            }
+        }
+        StepResult::Ran
+    }
+}
+
+fn reservation_invariant(s: &ReservationState) -> Result<(), String> {
+    match &s.violation {
+        Some(v) => Err(v.clone()),
+        None => Ok(()),
+    }
+}
+
+fn check_reservation(
+    blocks: &[&ModelBlock],
+    overflow_publishers: usize,
+    atomic_reserve: bool,
+) -> Result<Explored, InterleaveError> {
+    let mut threads: Vec<Publisher> = blocks
+        .iter()
+        .take(MAX_MODEL_THREADS)
+        .enumerate()
+        .map(|(id, block)| Publisher {
+            id,
+            block: block.to_vec(),
+            overflow: false,
+            atomic_reserve,
+            start: 0,
+            pc: 0,
+        })
+        .collect();
+    let publishing = threads.len();
+    let expect_used: usize = threads.iter().map(Publisher::total).sum();
+    let expect_cells: usize = threads.iter().map(|t| t.block.len()).sum();
+    assert!(
+        expect_used <= MODEL_TIMES
+            && threads
+                .iter()
+                .all(|t| t.block.iter().all(|&(c, _)| c < MODEL_CELLS)),
+        "blocks fit the modeled arena"
+    );
+    threads.extend(
+        (0..overflow_publishers.min(MAX_MODEL_THREADS)).map(|i| Publisher {
+            id: publishing + i,
+            block: vec![(0, 1)],
+            overflow: true,
+            atomic_reserve,
+            start: 0,
+            pc: 0,
+        }),
+    );
+    let shared = ReservationState {
+        cursor: 0,
+        filled: [None; MODEL_TIMES],
+        claimed_by: [None; MODEL_CELLS],
+        spans: [None; MODEL_CELLS],
+        violation: None,
+    };
+    explore(&shared, &threads, &reservation_invariant, &|s| {
+        if s.cursor != expect_used {
+            return Err(format!(
+                "cursor ended at {}, want {expect_used} (zero waste, nothing for overflows)",
+                s.cursor
+            ));
+        }
+        let stored: Vec<(usize, usize, usize)> = s.spans.iter().flatten().copied().collect();
+        if stored.len() != expect_cells {
+            return Err(format!(
+                "{} cells stored, want {expect_cells}",
+                stored.len()
+            ));
+        }
+        let mut covered = 0u32;
+        for (id, off, len) in stored {
+            if id >= publishing {
+                return Err(format!("overflow publisher {id} stored a cell"));
+            }
+            for e in off..off + len {
+                if s.filled.get(e).copied().flatten() != Some(id) {
+                    return Err(format!(
+                        "publisher {id}'s cell reads element {e}, which it did not fill"
+                    ));
+                }
+                if covered >> e & 1 == 1 {
+                    return Err(format!("element {e} belongs to two cells"));
+                }
+                covered |= 1 << e;
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Checks the packed-storage reservation protocol: `blocks[i]` is
+/// publisher `i`'s block of `(cell, len)` outputs (clamped to
+/// [`MAX_MODEL_THREADS`] publishers over `MODEL_CELLS` = 4 cells and
+/// `MODEL_TIMES` = 8 elements), with `overflow_publishers` additional
+/// threads whose output overflowed and was never staged.
+///
+/// # Errors
+///
+/// Returns the failing schedule if any interleaving lets two publishers
+/// fill one element, stores a cell's span before its claim is won,
+/// leaves a gap or a stored cell reading foreign data, or lets the
+/// overflow path move the cursor.
+///
+/// # Panics
+///
+/// Panics if the blocks do not fit the modeled arena.
+pub fn check_reservation_protocol(
+    blocks: &[&ModelBlock],
+    overflow_publishers: usize,
+) -> Result<Explored, InterleaveError> {
+    check_reservation(blocks, overflow_publishers, true)
+}
+
+// ---------------------------------------------------------------------
 // Epoch protocol (WorkerPool publish → release → drain barrier)
 // ---------------------------------------------------------------------
 
@@ -558,10 +802,12 @@ pub struct ProtocolRun {
     pub result: Result<Explored, InterleaveError>,
 }
 
-/// Runs the full tier-3 concurrency audit: all three protocols at 2 and
+/// Runs the full tier-3 concurrency audit: all four protocols at 2 and
 /// 3 threads (the epoch model over two epochs, so job invalidation and
 /// re-publish are both exercised; the lane-claim model over overlapping,
-/// partially overlapping, and overflow-path masks). Returns the per-run
+/// partially overlapping, and overflow-path masks; the reservation model
+/// over multi-cell blocks, an empty cell and an overflow-path
+/// publisher). Returns the per-run
 /// outcomes plus `AVC-C001` findings for any run that uncovered a
 /// violation.
 pub fn audit_concurrency() -> (Vec<ProtocolRun>, Vec<Finding>) {
@@ -595,6 +841,21 @@ pub fn audit_concurrency() -> (Vec<ProtocolRun>, Vec<Finding>) {
             protocol: "lane-claim/2-writers+overflow",
             threads: 3,
             result: check_lane_claim_protocol(&[0b11, 0b01], 1),
+        },
+        ProtocolRun {
+            protocol: "reservation/2-blocks",
+            threads: 2,
+            result: check_reservation_protocol(&[&[(0, 2), (2, 1)], &[(1, 3), (3, 0)]], 0),
+        },
+        ProtocolRun {
+            protocol: "reservation/3-blocks",
+            threads: 3,
+            result: check_reservation_protocol(&[&[(0, 2)], &[(1, 3)], &[(2, 1)]], 0),
+        },
+        ProtocolRun {
+            protocol: "reservation/2-blocks+overflow",
+            threads: 3,
+            result: check_reservation_protocol(&[&[(0, 1), (1, 2)], &[(2, 2)]], 1),
         },
         ProtocolRun {
             protocol: "epoch/1-worker-2-epochs",
@@ -735,6 +996,47 @@ mod tests {
     }
 
     #[test]
+    fn reservation_spans_are_disjoint_and_gap_free() {
+        // Multi-cell blocks, an empty cell, three publishers, and an
+        // overflow-path publisher that must reserve nothing.
+        let cases: [(&[&ModelBlock], usize); 4] = [
+            (&[&[(0, 2), (2, 1)], &[(1, 3), (3, 0)]], 0),
+            (&[&[(0, 2)], &[(1, 3)], &[(2, 1)]], 0),
+            (&[&[(0, 1), (1, 2)], &[(2, 2)]], 1),
+            (&[&[(0, 4), (1, 4)]], 2),
+        ];
+        for (blocks, overflow) in cases {
+            let explored = check_reservation_protocol(blocks, overflow).unwrap();
+            assert!(explored.schedules >= 1, "blocks {blocks:?}");
+        }
+    }
+
+    #[test]
+    fn contested_cell_is_stored_by_its_claim_winner_only() {
+        // Two publishers stage the same cell (a scheduling bug): the
+        // loser bails at the claim, so the cell holds one publisher's
+        // span — and the final check reports the cell that went missing.
+        let err = check_reservation_protocol(&[&[(0, 1)], &[(0, 2)]], 0).unwrap_err();
+        assert!(
+            matches!(err, InterleaveError::FinalCheckFailed { ref message, .. }
+                if message.contains("cells stored")),
+            "expected the lost cell to be reported, got {err}"
+        );
+    }
+
+    #[test]
+    fn torn_reservation_is_caught() {
+        // A cursor bumped with a load and a store instead of one
+        // `fetch_add` hands two publishers the same span.
+        let err = check_reservation(&[&[(0, 2)], &[(1, 2)]], 0, false).unwrap_err();
+        assert!(
+            matches!(err, InterleaveError::InvariantViolated { ref message, .. }
+                if message.contains("filled by publishers")),
+            "expected overlapping spans, got {err}"
+        );
+    }
+
+    #[test]
     fn epoch_protocol_holds_across_republish() {
         let explored = check_epoch_protocol(2, 2).unwrap();
         // Two workers × coordinator over two epochs is a real state
@@ -829,7 +1131,7 @@ mod tests {
     #[test]
     fn audit_is_clean() {
         let (runs, findings) = audit_concurrency();
-        assert_eq!(runs.len(), 8);
+        assert_eq!(runs.len(), 11);
         assert!(
             findings.is_empty(),
             "concurrency audit found violations: {findings:?}"

@@ -27,7 +27,7 @@ use avfs_check::Finding;
 use avfs_delay::model::DelayModel;
 use avfs_delay::op::OperatingPoint;
 use avfs_delay::TimingAnnotation;
-use avfs_netlist::{Levelization, Netlist, NodeId, NodeKind};
+use avfs_netlist::{Levelization, LogicFunction, Netlist, NetlistError, NodeId, NodeKind};
 use std::sync::{Arc, Mutex};
 
 /// Distinct uniform supply voltages whose fully-scaled delay tables the
@@ -37,18 +37,71 @@ use std::sync::{Arc, Mutex};
 const DELAY_TABLE_SLOTS: usize = 16;
 
 /// The precomputed task plan of one level: which nodes are gate tasks
-/// (with their pin-delay offsets into the level's flat delay buffer) and
-/// which are primary-output passthroughs. Previously rebuilt per batch
-/// per level on the coordinator; now computed once at compile.
+/// and which are primary-output passthroughs, and per gate everything
+/// the level epoch needs of it — pin range, fan-in nets, function — in
+/// flat arrays, so neither the gating scan nor a lane task walks the
+/// netlist graph. Computed once at compile.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LevelPlan {
     /// The level's gate nodes, in level order — the task axis.
     pub(crate) gate_nodes: Vec<NodeId>,
-    /// `gate_offsets[pos]` — offset of `gate_nodes[pos]`'s first pin in
-    /// the level's flat per-voltage-group delay buffer.
+    /// `gate_offsets[pos] .. gate_offsets[pos + 1]` — the pins of
+    /// `gate_nodes[pos]` in `gate_fanin` and in the level's flat
+    /// per-voltage-group delay buffer (one entry more than there are
+    /// gates; empty for a level without gates).
     pub(crate) gate_offsets: Vec<usize>,
+    /// The net driving each pin, flat at `gate_offsets`.
+    pub(crate) gate_fanin: Vec<NodeId>,
+    /// `gate_tables[pos]` — the gate's [`CellKind::truth_table`], what
+    /// the merge loop evaluates per input event.
+    ///
+    /// [`CellKind::truth_table`]: avfs_netlist::CellKind::truth_table
+    pub(crate) gate_tables: Vec<u16>,
+    /// `gate_functions[pos]` — the same function in the form the gating
+    /// scan evaluates 64 lanes at a time.
+    pub(crate) gate_functions: Vec<LogicFunction>,
     /// Primary outputs of the level, copied cell-to-cell at the barrier.
     pub(crate) output_nodes: Vec<NodeId>,
+}
+
+impl LevelPlan {
+    /// Plans `nodes`, one level of `netlist`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::ArityMismatch`] for a gate wired to a different
+    /// number of nets than its cell has pins: the truth table is indexed
+    /// by exactly the cell's pins.
+    fn of(netlist: &Netlist, nodes: &[NodeId]) -> Result<LevelPlan, NetlistError> {
+        let mut plan = LevelPlan::default();
+        for &node_id in nodes {
+            let node = netlist.node(node_id);
+            match node.kind() {
+                NodeKind::Gate(_) => {
+                    let kind = netlist.kind_of(node_id).expect("gate has a cell");
+                    if node.fanin().len() != kind.num_inputs() {
+                        return Err(NetlistError::ArityMismatch {
+                            gate: node.name().to_owned(),
+                            cell: kind.to_string(),
+                            expected: kind.num_inputs(),
+                            got: node.fanin().len(),
+                        });
+                    }
+                    plan.gate_nodes.push(node_id);
+                    plan.gate_offsets.push(plan.gate_fanin.len());
+                    plan.gate_fanin.extend_from_slice(node.fanin());
+                    plan.gate_tables.push(kind.truth_table());
+                    plan.gate_functions.push(kind.function());
+                }
+                NodeKind::Output => plan.output_nodes.push(node_id),
+                NodeKind::Input => {}
+            }
+        }
+        if !plan.gate_nodes.is_empty() {
+            plan.gate_offsets.push(plan.gate_fanin.len());
+        }
+        Ok(plan)
+    }
 }
 
 /// An immutable compiled simulation artifact: one netlist, levelized and
@@ -131,7 +184,7 @@ impl CompiledNetlist {
     /// * [`SimError::AnnotationMismatch`] if the annotation does not cover
     ///   the netlist,
     /// * [`SimError::Netlist`] if the netlist contains a combinational
-    ///   loop,
+    ///   loop or a gate whose fan-in does not match its cell's arity,
     /// * [`SimError::InvalidLoad`] / [`SimError::InvalidDelay`] if the
     ///   annotation carries non-finite or negative loads or delays.
     pub fn compile(
@@ -207,28 +260,13 @@ impl CompiledNetlist {
             .any(|f| f.severity >= avfs_check::Severity::Warn);
         // Per-level task plans: gates become pool tasks; primary outputs
         // are mere passthroughs, copied cell-to-cell at the barrier.
-        // Formerly rebuilt on the coordinator per batch per level.
+        // Level 0 is the stimuli: no tasks.
         let level_plans = (0..levels.depth())
-            .map(|level| {
-                let mut plan = LevelPlan::default();
-                if level == 0 {
-                    return plan; // Stimuli level: no gate tasks.
-                }
-                let mut offset = 0usize;
-                for &node_id in levels.level(level) {
-                    match netlist.node(node_id).kind() {
-                        NodeKind::Gate(_) => {
-                            plan.gate_nodes.push(node_id);
-                            plan.gate_offsets.push(offset);
-                            offset += netlist.node(node_id).fanin().len();
-                        }
-                        NodeKind::Output => plan.output_nodes.push(node_id),
-                        NodeKind::Input => {}
-                    }
-                }
-                plan
+            .map(|level| match level {
+                0 => Ok(LevelPlan::default()),
+                _ => LevelPlan::of(&netlist, levels.level(level)),
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         Ok(CompiledNetlist {
             netlist,
             levels,

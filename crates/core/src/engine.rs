@@ -108,9 +108,11 @@ pub struct SimOptions {
     /// per run and parked between levels; at each level the count is
     /// further clamped to the level's task count.
     pub threads: usize,
-    /// Upper bound on total transitions resident in the waveform arena at
-    /// once (`slots × nodes × capacity`); slots are processed in batches
-    /// respecting it (the global-memory budget).
+    /// Upper bound on the transitions the waveform arena *reserves* at
+    /// once (`slots × nodes × capacity`, the worst case); slots are
+    /// processed in batches respecting it (the global-memory budget).
+    /// Transitions are stored packed, so what is resident is what a batch
+    /// actually wrote — usually a small fraction of the reservation.
     pub waveform_budget: usize,
     /// Retain full per-net waveforms in each [`SlotResult`] (small runs
     /// and tests only).
@@ -213,7 +215,7 @@ pub struct SimOptions {
     pub stall_timeout: Option<Duration>,
     /// Global memory budget in bytes for quarantine-retry capacity
     /// growth (admission control): a retry round is only admitted when
-    /// its projected per-slot arena footprint
+    /// its projected per-slot arena reservation
     /// (`nodes × capacity × sizeof(f64)` plus per-cell bookkeeping) fits
     /// the budget. Denied slots resolve to
     /// [`SlotStatus::BudgetExceeded`] without growing capacity, counted
@@ -270,15 +272,15 @@ impl Default for SimOptions {
     }
 }
 
-/// Projected arena bytes one slot needs at `capacity` transitions per
-/// cell: the `times` lane (`f64`), the `len` lane (`u32`) and the
-/// `initial`/claim bookkeeping — the accounting unit of
-/// [`SimOptions::memory_budget`].
+/// Projected arena bytes one slot reserves at `capacity` transitions
+/// per cell: its share of the `times` lane (`f64`), the `len` and `off`
+/// lanes (`u32` each) and the `initial`/claim bookkeeping — the
+/// accounting unit of [`SimOptions::memory_budget`].
 fn slot_arena_bytes(nodes: usize, capacity: usize) -> usize {
     nodes.saturating_mul(
         capacity
             .saturating_mul(std::mem::size_of::<f64>())
-            .saturating_add(std::mem::size_of::<u32>() + 2),
+            .saturating_add(2 * std::mem::size_of::<u32>() + 2),
     )
 }
 
@@ -740,9 +742,12 @@ impl RunCtx<'_> {
         let mut pending: Vec<usize> = (0..self.work.len()).collect();
         let mut cap = self.options.resolved_arena_capacity();
         let mut round = 0u32;
+        let budget = self
+            .options
+            .waveform_budget
+            .min(WaveformArena::MAX_RESERVATION);
         loop {
-            let batch_slots =
-                (self.options.waveform_budget / (nodes.max(1) * cap)).clamp(1, pending.len());
+            let batch_slots = (budget / (nodes.max(1) * cap)).clamp(1, pending.len());
             let entries = batch_slots * nodes;
             let mut arena = if round == 0 {
                 self.pool.take_arena(entries, cap)

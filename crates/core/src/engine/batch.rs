@@ -5,17 +5,16 @@
 
 use super::delays::{DelayFault, GroupDelays, VoltageGroup};
 use super::{RunCtx, RunState, MAX_STEAL_CHUNK, STEAL_GRABS_PER_WORKER};
+use crate::compile::LevelPlan;
 use crate::phases;
 use crate::pool::WorkerPool;
 use crate::results::{SlotResult, SlotStatus};
 use crate::SimError;
 use avfs_inject::InjectionSite;
-use avfs_netlist::NodeId;
 use avfs_obs::time_option;
 use avfs_waveform::{
-    evaluate_gate_bounded_raw, evaluate_gate_bounded_raw_segmented, CapacityOverflow, GateScratch,
-    LaneLayout, LevelWriter, OverflowHook, SwitchingActivity, Waveform, WaveformArena,
-    WaveformStats, WaveformView,
+    merge_transitions, segment_of, CapacityOverflow, GateScratch, LaneLayout, LevelWriter,
+    OverflowHook, SwitchingActivity, Waveform, WaveformArena, WaveformStats, WaveformView,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,11 +22,15 @@ use std::sync::Mutex;
 
 /// Lane tasks (one lane of one gate) an epoch needs before waking the
 /// pool pays: a release is a mutex + condvar round trip of ~35 µs per
-/// epoch against ~0.15 µs per lane task, so a level below the threshold
+/// epoch against ~0.1 µs per lane task, so a level below the threshold
 /// finishes on the coordinator before a second worker would have
-/// started. Chosen from the sweep recorded in EXPERIMENTS.md E5; not an
-/// option, because no caller has a better number than the measurement.
+/// started. Chosen from the sweeps recorded in EXPERIMENTS.md E5 (the
+/// second one at today's per-task cost); not an option, because no
+/// caller has a better number than the measurement.
 const POOLED_EPOCH_LANE_TASKS: usize = 2048;
+
+/// Most pins a gate of the level plan has.
+const MAX_PINS: usize = avfs_netlist::CellKind::MAX_INPUTS;
 
 /// Why a slot died within a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,21 +62,25 @@ pub(super) struct Batch<'c> {
     dead: Vec<Option<Dead>>,
     groups: Vec<VoltageGroup<'c>>,
     group_of_slot: Vec<usize>,
+    /// Per-slot switching activity, accumulated where a cell is written:
+    /// stimuli and output passthroughs on the coordinator, gate outputs
+    /// by the workers, which fold their own tallies in once per epoch.
+    /// Sums and one maximum, so the fold order cannot matter. Constant
+    /// cells add nothing, and `nets` is filled in at analysis.
+    activity: Mutex<Vec<SwitchingActivity>>,
     fallbacks: u64,
     variation_draws: u64,
 }
 
 /// Shared per-level context handed to the device threads. The task grid
-/// is `live_groups × gate_nodes`: scheduled entry `(gt, mask)` evaluates
-/// gate `gate_nodes[gt % gates]` for every lane set in `mask` of lane
-/// group `live_groups[gt / gates]`.
+/// is `live_groups × plan.gate_nodes`: scheduled entry `(gt, mask)`
+/// evaluates gate `gt % gates` of the plan for every lane set in `mask`
+/// of lane group `live_groups[gt / gates]`.
 struct LevelCtx<'l> {
-    /// The level's gate nodes (outputs are barrier passthroughs, not
-    /// tasks).
-    gate_nodes: &'l [NodeId],
-    gate_offsets: &'l [usize],
-    /// `delays[group].segs[segment][gate_offsets[pos] + pin]` — modified
-    /// pin delays per voltage group and schedule segment.
+    /// The level's gates (outputs are barrier passthroughs, not tasks).
+    plan: &'l LevelPlan,
+    /// `delays[group].segs[segment][plan.gate_offsets[pos] + pin]` —
+    /// modified pin delays per voltage group and schedule segment.
     delays: Vec<GroupDelays<'l>>,
     /// Lane groups with at least one live lane at the start of the level,
     /// as `(group index, live-lane mask)`.
@@ -108,6 +115,7 @@ impl<'c> Batch<'c> {
             dead: vec![None; chunk.len()],
             groups,
             group_of_slot,
+            activity: Mutex::new(vec![SwitchingActivity::default(); chunk.len()]),
             fallbacks: 0,
             variation_draws: 0,
         }
@@ -182,12 +190,14 @@ impl<'c> Batch<'c> {
     fn stimuli(&mut self, arena: &mut WaveformArena) {
         let ctx = self.ctx;
         let layout = self.layout;
+        let activity = self.activity.get_mut().expect("activity lock");
         for (si, &slot) in self.chunk.iter().enumerate() {
             let pair = &ctx.patterns.pairs()[ctx.work[slot].pattern];
             for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
                 let wf = Waveform::from_pattern(pair.launch.bit(k), pair.capture.bit(k), 0.0);
-                if arena.write(layout.index(si, pi.index()), &wf).is_err() {
-                    self.dead[si] = Some(Dead::Overflow);
+                match arena.write(layout.index(si, pi.index()), &wf) {
+                    Ok(()) => activity[si].record(&WaveformStats::of(&wf)),
+                    Err(_) => self.dead[si] = Some(Dead::Overflow),
                 }
             }
         }
@@ -304,8 +314,7 @@ impl<'c> Batch<'c> {
             return Vec::new();
         }
         let level_ctx = LevelCtx {
-            gate_nodes: &plan.gate_nodes,
-            gate_offsets: &plan.gate_offsets,
+            plan,
             delays: self.groups.iter().map(|g| g.level_view(level)).collect(),
             live_groups,
         };
@@ -319,16 +328,18 @@ impl<'c> Batch<'c> {
             ctx.injector
                 .fires(InjectionSite::ArenaOverflow, slot, round)
         });
-        // In-place epoch writer: tasks write this level's cells directly
-        // into the arena (claim-guarded, cell-disjoint) while reading
-        // only previous levels' cells — no per-task waveform allocation,
-        // no serial write-back.
+        // The epoch writer: workers publish this level's cells into the
+        // arena themselves (claim-guarded, cell-disjoint, a block per
+        // stolen chunk) while reading only previous levels' cells — no
+        // per-task waveform allocation, no serial write-back.
         let writer = arena.level_writer(overflow_hook.as_ref().map(|h| h as &OverflowHook));
         // The scheduled task list: (lane-group grid index, eval mask)
         // pairs — the surviving active lanes when gated, the whole grid
         // otherwise.
         let scheduled: Vec<(usize, u64)> = if ctx.options.activity_gating {
-            self.gate(&level_ctx, &writer, grid_tasks)
+            time_option(ctx.metrics, phases::ENGINE_GATING, || {
+                self.gate(&level_ctx, &writer, grid_tasks)
+            })
         } else {
             let gates = plan.gate_nodes.len();
             live_groups
@@ -359,35 +370,31 @@ impl<'c> Batch<'c> {
         writer: &LevelWriter<'_>,
         grid_tasks: usize,
     ) -> Vec<(usize, u64)> {
-        let netlist = &self.ctx.compiled.netlist;
+        let plan = level_ctx.plan;
         let layout = self.layout;
-        let gates = level_ctx.gate_nodes.len();
+        let gates = plan.gate_nodes.len();
         let mut active: Vec<(usize, u64)> = Vec::new();
         let mut quiet_lanes = 0u64;
-        let mut fan_words: Vec<u64> = Vec::new();
         for (gi, &(g, live_mask)) in level_ctx.live_groups.iter().enumerate() {
             let w = layout.group_width(g);
-            for (pos, &node_id) in level_ctx.gate_nodes.iter().enumerate() {
-                let node = netlist.node(node_id);
+            for (pos, pins) in plan.gate_offsets.windows(2).enumerate() {
+                let fanin = &plan.gate_fanin[pins[0]..pins[1]];
                 let mut quiet = live_mask;
-                for f in node.fanin() {
+                for f in fanin {
                     if quiet == 0 {
                         break;
                     }
                     quiet &= writer.quiet_run(layout.run_start(g, f.index()), w);
                 }
                 if quiet != 0 {
-                    fan_words.clear();
-                    fan_words.extend(
-                        node.fanin()
-                            .iter()
-                            .map(|f| writer.initial_run(layout.run_start(g, f.index()), w)),
-                    );
-                    let cell = netlist.cell_of(node_id).expect("gate has a cell");
+                    let mut fan_words = [0u64; MAX_PINS];
+                    for (word, f) in fan_words.iter_mut().zip(fanin) {
+                        *word = writer.initial_run(layout.run_start(g, f.index()), w);
+                    }
                     writer.write_constant_run(
-                        layout.run_start(g, node_id.index()),
+                        layout.run_start(g, plan.gate_nodes[pos].index()),
                         quiet,
-                        cell.eval_lanes(&fan_words),
+                        plan.gate_functions[pos].eval_lanes(&fan_words[..fanin.len()]),
                     );
                     quiet_lanes += u64::from(quiet.count_ones());
                 }
@@ -477,6 +484,7 @@ impl<'c> Batch<'c> {
         let compiled = self.ctx.compiled;
         let plan = &compiled.level_plans[level];
         let layout = self.layout;
+        let activity = self.activity.get_mut().expect("activity lock");
         for &(g, mask) in live_groups {
             let mut rem = mask;
             while rem != 0 {
@@ -485,7 +493,9 @@ impl<'c> Batch<'c> {
                 let si = layout.group_slot(g) + lane;
                 for &out in &plan.output_nodes {
                     let from = compiled.netlist.node(out).fanin()[0].index();
-                    arena.copy_cell(layout.index(si, from), layout.index(si, out.index()));
+                    let to = layout.index(si, out.index());
+                    arena.copy_cell(layout.index(si, from), to);
+                    activity[si].record(&WaveformStats::of(&arena.view(to)));
                 }
             }
         }
@@ -505,6 +515,7 @@ impl<'c> Batch<'c> {
         let netlist = &ctx.compiled.netlist;
         let nodes = netlist.num_nodes();
         let layout = self.layout;
+        let written = self.activity.lock().expect("activity lock");
         for (si, &slot) in self.chunk.iter().enumerate() {
             let status = match self.dead[si] {
                 Some(Dead::Overflow) => {
@@ -531,8 +542,17 @@ impl<'c> Batch<'c> {
                     (a, b) => a.or(b),
                 };
             }
-            let activity =
-                SwitchingActivity::of((0..nodes).map(|net| arena.view(layout.index(si, net))));
+            // A completed slot wrote every one of its nets exactly once,
+            // and the constant ones added nothing to the tally.
+            let activity = SwitchingActivity {
+                nets: nodes,
+                ..written[si]
+            };
+            debug_assert_eq!(
+                activity,
+                SwitchingActivity::of((0..nodes).map(|net| arena.view(layout.index(si, net)))),
+                "write-side activity of slot {slot} disagrees with its waveforms"
+            );
             if let Some(m) = ctx.metrics {
                 // The activity headroom gating exploits: quiet cells
                 // observed over the whole window (recorded whether or not
@@ -581,11 +601,11 @@ impl Epoch<'_> {
     fn work(&self, w: usize) {
         let batch = self.batch;
         let ctx = batch.ctx;
-        let gates = self.level_ctx.gate_nodes.len();
+        let gates = self.level_ctx.plan.gate_nodes.len();
         let tasks = self.scheduled.len();
         let mut scratch = GateScratch::new();
-        let mut inputs: Vec<WaveformView<'_>> = Vec::new();
         let mut local_verdicts: Vec<(usize, Dead)> = Vec::new();
+        let mut activity = vec![SwitchingActivity::default(); batch.chunk.len()];
         // Longest waveform this worker wrote: folded into the arena's
         // occupancy watermark once, below, instead of once per gate.
         let mut peak = 0usize;
@@ -622,20 +642,25 @@ impl Epoch<'_> {
                         {
                             panic!("injected kernel panic (slot {slot})");
                         }
-                        self.eval_lane(si, pos, &mut scratch, &mut inputs)
+                        self.eval_lane(si, pos, &mut scratch)
                     }));
-                    inputs.clear();
                     // Verdicts carry the slot-major grid index (slot ×
                     // gates + gate) so barrier reconciliation is
                     // independent of gating, lane width and stealing.
                     let grid = si * gates + pos;
                     match r {
-                        Ok(Ok(written)) => peak = peak.max(written),
+                        Ok(Ok(stats)) => {
+                            peak = peak.max(stats.transitions);
+                            activity[si].record(&stats);
+                        }
                         Ok(Err(_)) => local_verdicts.push((grid, Dead::Overflow)),
                         Err(_) => local_verdicts.push((grid, Dead::Panic)),
                     }
                 }
             }
+            // One reservation and one copy for the whole chunk; a lane
+            // that overflowed or panicked staged nothing.
+            self.writer.publish(&mut scratch);
         }
         if !local_verdicts.is_empty() {
             self.verdicts
@@ -643,69 +668,62 @@ impl Epoch<'_> {
                 .expect("verdict lock survives (worker panics are contained)")
                 .extend(local_verdicts);
         }
+        if executed > 0 {
+            let mut shared = batch
+                .activity
+                .lock()
+                .expect("activity lock survives (worker panics are contained)");
+            for (slot, local) in shared.iter_mut().zip(&activity) {
+                slot.merge(local);
+            }
+        }
         self.writer.note_occupancy(peak);
         ctx.tallies.tasks[w].fetch_add(executed, Ordering::Relaxed);
         ctx.tallies.steals[w].fetch_add(grabs.saturating_sub(1), Ordering::Relaxed);
     }
 
-    /// Evaluates one lane of a (lane group, gate) task — gate
-    /// `gate_nodes[pos]` for batch slot `si` — the body of a device
-    /// thread. Inputs are read through the epoch writer from previous
-    /// levels' cells and the result is written in place into this
-    /// level's output cell; `inputs` is reusable scratch whose borrows
-    /// of the writer end when the caller clears it. Returns the number
-    /// of transitions written.
+    /// Evaluates one lane of a (lane group, gate) task — gate `pos` of
+    /// the level plan for batch slot `si` — the body of a device thread.
+    /// Inputs are read through the epoch writer from previous levels'
+    /// cells; the output is staged in `scratch` as this level's cell,
+    /// for the chunk's `publish`. Returns the statistics of the staged
+    /// waveform.
     ///
     /// # Errors
     ///
     /// Returns [`CapacityOverflow`] when the gate's output history would
-    /// outgrow the arena's per-net capacity — the quarantine signal (the
-    /// output cell is left untouched and unclaimed).
-    fn eval_lane<'a>(
-        &'a self,
+    /// outgrow the arena's per-net capacity — the quarantine signal
+    /// (nothing is staged, so the output cell stays untouched and
+    /// unclaimed).
+    fn eval_lane(
+        &self,
         si: usize,
         pos: usize,
         scratch: &mut GateScratch,
-        inputs: &mut Vec<WaveformView<'a>>,
-    ) -> Result<usize, CapacityOverflow> {
-        let netlist = &self.batch.ctx.compiled.netlist;
+    ) -> Result<WaveformStats, CapacityOverflow> {
+        let plan = self.level_ctx.plan;
         let layout = self.batch.layout;
-        let node_id = self.level_ctx.gate_nodes[pos];
-        let node = netlist.node(node_id);
-        let cell = netlist.cell_of(node_id).expect("gate has a cell");
-        let npins = node.fanin().len();
-        let off = self.level_ctx.gate_offsets[pos];
+        let (lo, hi) = (plan.gate_offsets[pos], plan.gate_offsets[pos + 1]);
+        let mut inputs = [WaveformView::default(); MAX_PINS];
+        for (view, f) in inputs.iter_mut().zip(&plan.gate_fanin[lo..hi]) {
+            *view = self.writer.view(layout.index(si, f.index()));
+        }
+        let inputs = &inputs[..hi - lo];
+        let table = plan.gate_tables[pos];
+        let output = |pins: u32| table >> pins & 1 == 1;
         let gd = &self.level_ctx.delays[self.batch.group_of_slot[si]];
-        inputs.clear();
-        inputs.extend(
-            node.fanin()
-                .iter()
-                .map(|f| self.writer.view(layout.index(si, f.index()))),
-        );
+        let cap = self.writer.capacity();
         let initial = if gd.boundaries.is_empty() {
             // Static timeline: one delay per pin.
-            evaluate_gate_bounded_raw(
-                inputs,
-                &gd.segs[0][off..off + npins],
-                |vals| cell.eval(vals),
-                scratch,
-                self.writer.capacity(),
-            )?
+            let delays = &gd.segs[0][lo..hi];
+            merge_transitions(inputs, |_, pin| delays[pin], output, scratch, cap)?
         } else {
             // Scheduled timeline: each input event is charged the delay
             // of the segment its cause time falls in.
-            evaluate_gate_bounded_raw_segmented(
-                inputs,
-                gd.boundaries,
-                |seg, pin| gd.segs[seg][off + pin],
-                |vals| cell.eval(vals),
-                scratch,
-                self.writer.capacity(),
-            )?
+            let delay = |t, pin: usize| gd.segs[segment_of(gd.boundaries, t)][lo + pin];
+            merge_transitions(inputs, delay, output, scratch, cap)?
         };
-        let transitions = scratch.scheduled();
-        self.writer
-            .write(layout.index(si, node_id.index()), initial, transitions)?;
-        Ok(transitions.len())
+        let cell = layout.index(si, plan.gate_nodes[pos].index());
+        self.writer.stage(scratch, cell, initial)
     }
 }

@@ -23,10 +23,21 @@ pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 /// Per-level gate evaluation: the waveform-processing loop across the
 /// level's (slot, gate) tasks — distributed over the persistent worker
 /// pool by work stealing, or run on the coordinator when the level is
-/// too small to repay a wake-up — with outputs written in place into
-/// disjoint arena cells (no per-task waveform copies). One call per
+/// too small to repay a wake-up — with each stolen chunk's outputs
+/// published as one block into disjoint arena cells. Includes the
+/// coordinator's gating scan ([`ENGINE_GATING`]). One call per
 /// simulated level.
 pub const ENGINE_WAVEFORM_MERGE: &str = "engine/waveform_merge";
+
+/// The serial part of [`ENGINE_WAVEFORM_MERGE`], timed inside it: the
+/// coordinator's activity-gating scan over the level's (lane group,
+/// gate) grid — quiet-bit reads, constant writes, the surviving task
+/// list — before any worker wakes. One call per gated level, so the
+/// phase is absent when [`SimOptions::activity_gating`] is off and is
+/// *not* part of [`ENGINE_PHASES`]; the parent's total includes it.
+///
+/// [`SimOptions::activity_gating`]: crate::SimOptions::activity_gating
+pub const ENGINE_GATING: &str = "engine/waveform_merge/gating";
 
 /// Per-level barrier: reconciling worker fault verdicts, copying
 /// primary-output passthrough cells, and updating slot liveness after
@@ -41,8 +52,9 @@ pub const ENGINE_BARRIER: &str = "engine/barrier";
 /// [`ENGINE_PHASES`].
 pub const ENGINE_POOL_IDLE: &str = "engine/pool_idle";
 
-/// Per-batch waveform analysis (Fig. 2 step 4): output responses, latest
-/// transition arrival, switching activity.
+/// Per-batch waveform analysis (Fig. 2 step 4): output responses and
+/// latest transition arrival read from the primary-output cells, and
+/// the switching activity tallied while the batch's cells were written.
 pub const ENGINE_ANALYSIS: &str = "engine/analysis";
 
 /// Every phase a completed profiled engine run reports (each with at

@@ -215,9 +215,12 @@ pub(crate) struct ParkedPool {
     /// on the caller.
     workers: Option<WorkerPool>,
     /// The round-0 arena of the previous launch (empty before the first
-    /// launch and while a launch has it checked out). Holds up to
+    /// launch and while a launch has it checked out). While idle it
+    /// *reserves* up to
     /// [`SimOptions::waveform_budget`](crate::SimOptions::waveform_budget)
-    /// × 8 B while idle; dropping the owner frees it.
+    /// × 8 B of address space; what stays resident is what the launch
+    /// wrote (its transitions, packed) plus ≈ 9 B per cell. Dropping the
+    /// owner frees it.
     arena: Mutex<WaveformArena>,
     /// Times [`ParkedPool::take_arena`] had to allocate (first use or a
     /// shape the resident allocations could not hold).

@@ -344,6 +344,11 @@ pub struct CellKind {
 }
 
 impl CellKind {
+    /// Most input pins any cell has (the widest
+    /// [`LogicFunction::arity_range`]): what bounds a
+    /// [`CellKind::truth_table`] to sixteen rows.
+    pub const MAX_INPUTS: usize = 4;
+
     /// Creates a cell kind, validating the arity against the function.
     ///
     /// # Errors
@@ -397,6 +402,27 @@ impl CellKind {
             "cell {self} evaluated with wrong input count"
         );
         self.function.eval(inputs)
+    }
+
+    /// The cell's function as a truth table: bit `r` is [`CellKind::eval`]
+    /// on the input row whose pin `p` carries bit `p` of `r`. Derived by
+    /// enumerating `eval`, so the two cannot disagree; sixteen bits cover
+    /// every row because no cell has more than
+    /// [`CellKind::MAX_INPUTS`] pins.
+    pub fn truth_table(&self) -> u16 {
+        let pins = self.num_inputs();
+        assert!(
+            pins <= Self::MAX_INPUTS,
+            "cell {self} has more than {} inputs",
+            Self::MAX_INPUTS
+        );
+        let mut row = [false; Self::MAX_INPUTS];
+        (0..1u16 << pins).fold(0, |table, r| {
+            for (p, value) in row.iter_mut().enumerate() {
+                *value = r >> p & 1 == 1;
+            }
+            table | u16::from(self.eval(&row[..pins])) << r
+        })
     }
 
     /// Evaluates the cell's function over 64 packed lanes

@@ -489,6 +489,29 @@ mod tests {
     }
 
     #[test]
+    fn truth_tables_agree_with_eval_on_every_row_of_every_cell() {
+        let lib = CellLibrary::nangate15_like();
+        let mut checked = 0;
+        for (_, cell) in lib.iter() {
+            let pins = cell.num_inputs();
+            let table = cell.kind().truth_table();
+            for row in 0..1usize << pins {
+                let inputs: Vec<bool> = (0..pins).map(|p| row >> p & 1 == 1).collect();
+                assert_eq!(
+                    table >> row & 1 == 1,
+                    cell.eval(&inputs),
+                    "{} row {row:#06b}",
+                    cell.name()
+                );
+            }
+            // Rows past 2^pins stay clear, so a wider index reads `false`.
+            assert_eq!(u32::from(table) >> (1u32 << pins), 0, "{}", cell.name());
+            checked += 1;
+        }
+        assert_eq!(checked, 84);
+    }
+
+    #[test]
     fn ids_are_stable() {
         let lib = CellLibrary::nangate15_like();
         for (id, cell) in lib.iter() {

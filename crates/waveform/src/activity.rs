@@ -75,19 +75,33 @@ impl SwitchingActivity {
     pub fn of<W: WaveformRead>(waveforms: impl IntoIterator<Item = W>) -> SwitchingActivity {
         let mut act = SwitchingActivity::default();
         for w in waveforms {
-            let s = WaveformStats::of(&w);
-            act.nets += 1;
-            act.total_transitions += s.transitions;
-            act.total_glitch_transitions += s.glitch_transitions;
-            if s.transitions > 0 {
-                act.active_nets += 1;
-            }
-            act.latest_transition = match (act.latest_transition, s.latest_transition) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
+            act.record(&WaveformStats::of(&w));
         }
         act
+    }
+
+    /// Adds one net's statistics. Sums and one maximum, so the result
+    /// does not depend on the order nets are recorded in.
+    pub fn record(&mut self, net: &WaveformStats) {
+        self.merge(&SwitchingActivity {
+            total_transitions: net.transitions,
+            total_glitch_transitions: net.glitch_transitions,
+            active_nets: usize::from(net.transitions > 0),
+            nets: 1,
+            latest_transition: net.latest_transition,
+        });
+    }
+
+    /// Folds in the activity of a disjoint set of nets.
+    pub fn merge(&mut self, other: &SwitchingActivity) {
+        self.total_transitions += other.total_transitions;
+        self.total_glitch_transitions += other.total_glitch_transitions;
+        self.active_nets += other.active_nets;
+        self.nets += other.nets;
+        self.latest_transition = match (self.latest_transition, other.latest_transition) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
     }
 
     /// Average transitions per net, 0 for an empty set.

@@ -3,13 +3,25 @@
 //! The GPU algorithm of Holst et al. \[25\] stores all waveforms of a
 //! launch in one flat global-memory allocation: a fixed-size buffer per
 //! `(slot, net)` cell, with an overflow flag raised when a gate's output
-//! history would run past its buffer. This module is the CPU realization of
-//! that layout: storage for `entries` waveforms of at most `capacity`
-//! transitions each, dense in one `Vec<f64>`, with explicit overflow
-//! reporting instead of reallocation. The simulation engine sizes the
-//! arena from its memory budget, quarantines slots whose gates overflow,
-//! and re-runs them against a larger arena — so a glitch-heavy slot can
-//! never abort or bloat a whole batch.
+//! history would run past its buffer. This module is the CPU realization
+//! of that contract: `entries` waveforms of at most `capacity`
+//! transitions each, with explicit overflow reporting instead of
+//! reallocation. The simulation engine sizes the arena from its memory
+//! budget, quarantines slots whose gates overflow, and re-runs them
+//! against a larger arena — so a glitch-heavy slot can never abort or
+//! bloat a whole batch.
+//!
+//! # Storage
+//!
+//! The arena *reserves* the worst case — `entries × capacity`
+//! transitions in one `times` lane — and stores what is written packed
+//! end to end: entry `i` occupies `times[off[i]..][..len[i]]`, appended
+//! behind a bump cursor that [`WaveformArena::reset`] rewinds. No cell
+//! may exceed `capacity` and every cell is written at most once between
+//! resets, so the written total never exceeds the reservation and
+//! running out is impossible by construction; what is *resident* is what
+//! was written (the reservation's other pages are never touched), and a
+//! constant cell costs no `times` storage at all.
 //!
 //! # Concurrent access
 //!
@@ -20,9 +32,13 @@
 //! write any cell **once** per epoch; a per-cell atomic claim bit makes
 //! each cell's writer exclusive, so scattered work-stealing schedules
 //! (where the set of written cells is disjoint but not contiguous) can
-//! write in place concurrently.
+//! write in place concurrently. A worker collects finished cells in its
+//! [`GateScratch`] and publishes them a block at a time: one `fetch_add`
+//! on the cursor reserves the block's span of `times`, one copy fills
+//! it, and each cell's `off`/`len`/`initial` are stored once its claim
+//! is won.
 
-use crate::{CapacityOverflow, Waveform, WaveformRead};
+use crate::{CapacityOverflow, GateScratch, Waveform, WaveformRead, WaveformStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A `times` lane below this size always comes from the allocator's heap.
@@ -47,16 +63,28 @@ const MAPPED_LANE_BYTES: usize = (32 << 20) + 1;
 
 /// Flat bounded storage for a batch of waveforms.
 ///
-/// Entry `i` occupies `times[i * capacity .. i * capacity + len[i]]`; the
-/// engine maps `(slot, net)` to entries through [`crate::LaneLayout`].
-/// The default arena is empty and owns no storage — what a long-lived
-/// owner holds until the first [`WaveformArena::reshape`].
+/// Entry `i` occupies `times[off[i]..][..len[i]]` (see the module docs);
+/// the engine maps `(slot, net)` to entries through
+/// [`crate::LaneLayout`]. The default arena is empty and owns no storage
+/// — what a long-lived owner holds until the first
+/// [`WaveformArena::reshape`].
 #[derive(Debug, Default)]
 pub struct WaveformArena {
     capacity: usize,
     initial: Vec<bool>,
     len: Vec<u32>,
+    /// Where each entry's transitions start in `times`. Read only for an
+    /// entry with `len > 0`; what an empty entry holds is stale.
+    off: Vec<u32>,
+    /// The whole allocation, zero-initialised and never resized: only
+    /// the first `reserved` elements belong to the current shape, and
+    /// only the first `used` of those were ever written.
     times: Vec<f64>,
+    /// `entries × capacity`, the worst case of the current shape.
+    reserved: usize,
+    /// The bump cursor: first unwritten element of `times`. Atomic so
+    /// concurrent publishers can reserve disjoint spans.
+    used: AtomicUsize,
     /// One claim bit per entry (64 per word), reset at the start of each
     /// [`Self::level_writer`] epoch. The word width matches the lane-group
     /// width of [`crate::LaneLayout`], so a full lane run's claims live in
@@ -74,7 +102,10 @@ impl Clone for WaveformArena {
             capacity: self.capacity,
             initial: self.initial.clone(),
             len: self.len.clone(),
+            off: self.off.clone(),
             times: self.times.clone(),
+            reserved: self.reserved,
+            used: AtomicUsize::new(self.used.load(Ordering::Relaxed)),
             claims: self
                 .claims
                 .iter()
@@ -86,7 +117,7 @@ impl Clone for WaveformArena {
 }
 
 /// A borrowed waveform inside a [`WaveformArena`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WaveformView<'a> {
     initial: bool,
     times: &'a [f64],
@@ -101,23 +132,40 @@ impl WaveformRead for WaveformView<'_> {
     }
 }
 
+/// `entries × capacity`, which the `u32` offsets of the `off` lane must
+/// be able to address.
+fn reservation(entries: usize, capacity: usize) -> usize {
+    entries
+        .checked_mul(capacity)
+        .filter(|&cells| cells <= WaveformArena::MAX_RESERVATION)
+        .expect("arena reservation (entries × capacity) fits u32 offsets")
+}
+
 impl WaveformArena {
+    /// The largest `entries × capacity` an arena can be shaped to.
+    pub const MAX_RESERVATION: usize = u32::MAX as usize;
+
     /// Allocates an arena of `entries` waveforms with room for `capacity`
     /// transitions each. All entries start as constant-low signals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries × capacity` exceeds [`Self::MAX_RESERVATION`].
     pub fn new(entries: usize, capacity: usize) -> WaveformArena {
-        let cells = entries * capacity;
-        let reserved = if cells * std::mem::size_of::<f64>() < HEAP_LANE_BYTES {
-            cells
+        let reserved = reservation(entries, capacity);
+        let allocated = if reserved * std::mem::size_of::<f64>() < HEAP_LANE_BYTES {
+            reserved
         } else {
-            cells.max(MAPPED_LANE_BYTES.div_ceil(std::mem::size_of::<f64>()))
+            reserved.max(MAPPED_LANE_BYTES.div_ceil(std::mem::size_of::<f64>()))
         };
-        let mut times = vec![0.0; reserved];
-        times.truncate(cells);
         WaveformArena {
             capacity,
             initial: vec![false; entries],
             len: vec![0; entries],
-            times,
+            off: vec![0; entries],
+            times: vec![0.0; allocated],
+            reserved,
+            used: AtomicUsize::new(0),
             claims: (0..entries.div_ceil(64))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
@@ -135,11 +183,13 @@ impl WaveformArena {
         self.capacity
     }
 
-    /// Resets every entry to a constant-low signal (storage is retained;
-    /// the peak-occupancy watermark is kept for diagnostics).
+    /// Resets every entry to a constant-low signal and rewinds the
+    /// storage cursor (storage is retained; the peak-occupancy watermark
+    /// is kept for diagnostics).
     pub fn reset(&mut self) {
         self.initial.fill(false);
         self.len.fill(0);
+        *self.used.get_mut() = 0;
         for word in &mut self.claims {
             *word.get_mut() = 0;
         }
@@ -157,15 +207,17 @@ impl WaveformArena {
     /// Cells are valid but stale afterwards (a changed shape leaves them
     /// constant-low, an unchanged one leaves them as they were): call
     /// [`Self::reset`] before use, as after any earlier batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries × capacity` exceeds [`Self::MAX_RESERVATION`].
     pub fn reshape(&mut self, entries: usize, capacity: usize) -> bool {
         *self.peak.get_mut() = 0;
         if entries == self.entries() && capacity == self.capacity {
             return false;
         }
-        let cells = entries
-            .checked_mul(capacity)
-            .expect("arena shape fits usize");
-        if cells > self.times.capacity() || entries > self.len.capacity() {
+        let reserved = reservation(entries, capacity);
+        if reserved > self.times.len() || entries > self.len.capacity() {
             // Release the old lanes before asking for larger ones, so
             // the two never coexist.
             *self = WaveformArena::default();
@@ -173,12 +225,13 @@ impl WaveformArena {
             return true;
         }
         self.capacity = capacity;
+        self.reserved = reserved;
         self.initial.resize(entries, false);
         self.len.resize(entries, 0);
-        self.times.resize(cells, 0.0);
+        self.off.resize(entries, 0);
         self.claims
             .resize_with(entries.div_ceil(64), || AtomicU64::new(0));
-        // Old lengths are meaningless under the new cell stride.
+        // Old spans are meaningless under the new shape.
         self.reset();
         false
     }
@@ -189,14 +242,16 @@ impl WaveformArena {
     ///
     /// Panics if `idx` is out of range.
     pub fn view(&self, idx: usize) -> WaveformView<'_> {
-        let start = idx * self.capacity;
+        let len = self.len[idx] as usize;
+        let start = if len == 0 { 0 } else { self.off[idx] as usize };
         WaveformView {
             initial: self.initial[idx],
-            times: &self.times[start..start + self.len[idx] as usize],
+            times: &self.times[start..start + len],
         }
     }
 
-    /// Writes a waveform into entry `idx`.
+    /// Writes a waveform into entry `idx`, appending its transitions to
+    /// the packed storage.
     ///
     /// # Errors
     ///
@@ -205,7 +260,8 @@ impl WaveformArena {
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range.
+    /// Panics if `idx` is out of range, or if rewriting entries without
+    /// a [`Self::reset`] in between has used up the reservation.
     pub fn write(&mut self, idx: usize, waveform: &Waveform) -> Result<(), CapacityOverflow> {
         let transitions = waveform.transitions();
         if transitions.len() > self.capacity {
@@ -213,30 +269,28 @@ impl WaveformArena {
                 capacity: self.capacity,
             });
         }
-        let start = idx * self.capacity;
+        let used = self.used.get_mut();
+        let start = *used;
+        self.times[..self.reserved][start..start + transitions.len()].copy_from_slice(transitions);
+        *used += transitions.len();
         self.initial[idx] = waveform.initial_value();
         self.len[idx] = transitions.len() as u32;
-        self.times[start..start + transitions.len()].copy_from_slice(transitions);
+        self.off[idx] = start as u32;
         self.peak.fetch_max(transitions.len(), Ordering::Relaxed);
         Ok(())
     }
 
-    /// Copies entry `src` over entry `dst` within the arena — the cheap
-    /// passthrough for identity stages (e.g. primary-output observation
-    /// nodes), avoiding the owned-[`Waveform`] round trip.
+    /// Makes entry `dst` the same waveform as entry `src` by pointing it
+    /// at `src`'s stored transitions — the passthrough for identity
+    /// stages (e.g. primary-output observation nodes); nothing is copied.
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range or `src == dst`.
+    /// Panics if either index is out of range.
     pub fn copy_cell(&mut self, src: usize, dst: usize) {
-        assert_ne!(src, dst, "copy_cell requires distinct cells");
         self.initial[dst] = self.initial[src];
-        let n = self.len[src];
-        self.len[dst] = n;
-        self.times.copy_within(
-            src * self.capacity..src * self.capacity + n as usize,
-            dst * self.capacity,
-        );
+        self.len[dst] = self.len[src];
+        self.off[dst] = self.off[src];
     }
 
     /// Copies entry `idx` out into an owned [`Waveform`].
@@ -267,12 +321,12 @@ impl WaveformArena {
     /// discipline.
     ///
     /// `hook` is the fault-injection seam (`None` on every normal epoch):
-    /// when present, every *non-empty* [`LevelWriter::write`] consults
-    /// `hook(idx)` first and reports [`CapacityOverflow`] — cell
-    /// untouched, unclaimed — when it returns `true`, exactly as if the
-    /// waveform had outgrown the cell. The hook must be pure per `(epoch,
-    /// idx)` (it runs on whichever worker owns the task), and it is never
-    /// consulted for empty writes or
+    /// when present, every *non-empty* [`LevelWriter::stage`] consults
+    /// `hook(idx)` first and reports [`CapacityOverflow`] — nothing
+    /// staged, cell untouched and unclaimed — when it returns `true`,
+    /// exactly as if the waveform had outgrown the cell. The hook must be
+    /// pure per `(epoch, idx)` (it runs on whichever worker owns the
+    /// task), and it is never consulted for empty outputs or
     /// [`LevelWriter::write_constant_run`], so a quiet cell can not be
     /// forced to overflow — the activity-gating invariant ("a quiet task
     /// cannot overflow") survives injection.
@@ -284,9 +338,12 @@ impl WaveformArena {
         LevelWriter {
             capacity: self.capacity,
             entries,
+            reserved: self.reserved,
             initial: self.initial.as_mut_ptr(),
             len: self.len.as_mut_ptr(),
+            off: self.off.as_mut_ptr(),
             times: self.times.as_mut_ptr(),
+            used: &self.used,
             claims: &self.claims,
             peak: &self.peak,
             overflow_hook: hook,
@@ -301,6 +358,16 @@ impl WaveformArena {
 /// because it is consulted from pool workers.
 pub type OverflowHook<'h> = dyn Fn(usize) -> bool + Sync + 'h;
 
+/// One finished cell waiting in a [`GateScratch`] for
+/// [`LevelWriter::publish`]; its transitions are the next `len` of the
+/// scratch's staged times.
+#[derive(Debug)]
+pub(crate) struct StagedCell {
+    idx: usize,
+    len: u32,
+    initial: bool,
+}
+
 /// A shared handle for one concurrent write epoch of a [`WaveformArena`]
 /// (one *level* of a levelized simulation), created by
 /// [`WaveformArena::level_writer`].
@@ -311,6 +378,13 @@ pub type OverflowHook<'h> = dyn Fn(usize) -> bool + Sync + 'h;
 ///   the cell's atomic bit first (`fetch_or`, acquire-release); exactly
 ///   one writer wins, so the subsequent plain stores are exclusive. A
 ///   second write of the same cell panics instead of racing.
+/// * Transitions reach the arena a block at a time
+///   ([`LevelWriter::stage`], then [`LevelWriter::publish`]): the
+///   publisher reserves a span of the packed `times` lane with one
+///   `fetch_add` on the storage cursor, so concurrent publishers fill
+///   disjoint spans, and a cell's `off`/`len`/`initial` are stored only
+///   after its claim is won. An output that is never staged reserves
+///   nothing.
 /// * Reads ([`LevelWriter::view`] and the lane-run forms
 ///   [`LevelWriter::quiet_run`] and [`LevelWriter::initial_run`]) must
 ///   target cells that are **not written in this epoch**. In a
@@ -328,9 +402,13 @@ pub type OverflowHook<'h> = dyn Fn(usize) -> bool + Sync + 'h;
 pub struct LevelWriter<'a> {
     capacity: usize,
     entries: usize,
+    /// `entries × capacity`: the part of `times` a span may lie in.
+    reserved: usize,
     initial: *mut bool,
     len: *mut u32,
+    off: *mut u32,
     times: *mut f64,
+    used: &'a AtomicUsize,
     claims: &'a [AtomicU64],
     peak: &'a AtomicUsize,
     /// Fault-injection forced-overflow predicate (see
@@ -351,13 +429,15 @@ impl std::fmt::Debug for LevelWriter<'_> {
 }
 
 // SAFETY: all mutation goes through the per-cell claim protocol (one
-// exclusive winner per cell per epoch); reads are claim-checked. The raw
-// pointers are valid for the arena borrow 'a.
+// exclusive winner per cell per epoch) and the cursor reservation (one
+// exclusive span of `times` per published block); reads are
+// claim-checked. The raw pointers are valid for the arena borrow 'a.
 unsafe impl Send for LevelWriter<'_> {}
-// SAFETY: shared references only permit claim-protocol-mediated access
-// (same argument as Send above): `write`/`write_constant_run` first win
-// the per-cell atomic claim, and `view`/`quiet_run`/`initial_run` assert
-// the cells are unclaimed for the epoch, so `&LevelWriter` is safe to share.
+// SAFETY: shared references only permit protocol-mediated access (same
+// argument as Send above): `publish`/`write_constant_run` first win the
+// per-cell atomic claim, `publish` copies only into the span its own
+// `fetch_add` reserved, and `view`/`quiet_run`/`initial_run` assert the
+// cells are unclaimed for the epoch, so `&LevelWriter` is safe to share.
 unsafe impl Sync for LevelWriter<'_> {}
 
 impl LevelWriter<'_> {
@@ -454,14 +534,20 @@ impl LevelWriter<'_> {
         );
         // SAFETY: idx is in range; the cell is unclaimed, and under the
         // levelization contract no writer will claim it during this epoch,
-        // so the plain reads cannot race.
+        // so the plain reads cannot race. A non-empty cell's span was
+        // stored by `WaveformArena::write` or `publish`, both of which
+        // keep `off + len` within `reserved`, and nothing in this epoch
+        // writes below the cursor its publishers started from.
         unsafe {
+            let len = *self.len.add(idx) as usize;
+            let start = if len == 0 {
+                0
+            } else {
+                *self.off.add(idx) as usize
+            };
             WaveformView {
                 initial: *self.initial.add(idx),
-                times: std::slice::from_raw_parts(
-                    self.times.add(idx * self.capacity),
-                    *self.len.add(idx) as usize,
-                ),
+                times: std::slice::from_raw_parts(self.times.add(start), len),
             }
         }
     }
@@ -543,10 +629,10 @@ impl LevelWriter<'_> {
     /// set bit `k` of `mask`, cell `start + k` becomes a constant of logic
     /// value `bit k of values`. The whole run's claims are won with at
     /// most two `fetch_or`s (one for a word-aligned full group) — the
-    /// quiet-cell fast path. Per cell it is equivalent to
-    /// `write(idx, value, &[])` but infallible: a constant (zero
-    /// transitions) fits any capacity, so no overflow is possible.
-    /// Unmasked lanes are untouched and stay unclaimed.
+    /// quiet-cell fast path. Per cell it is equivalent to staging and
+    /// publishing an empty output, but infallible and storage-free: a
+    /// constant (zero transitions) fits any capacity and reserves
+    /// nothing. Unmasked lanes are untouched and stay unclaimed.
     ///
     /// # Panics
     ///
@@ -573,7 +659,8 @@ impl LevelWriter<'_> {
             // SAFETY: this caller won the claim for every masked cell, so
             // it has exclusive write access for the rest of the epoch; the
             // indices are in bounds. The peak watermark is untouched —
-            // `max(peak, 0)` is the identity.
+            // `max(peak, 0)` is the identity — and so is `off`, which is
+            // never read for an empty cell.
             unsafe {
                 *self.initial.add(start + k) = values >> k & 1 == 1;
                 *self.len.add(start + k) = 0;
@@ -581,62 +668,118 @@ impl LevelWriter<'_> {
         }
     }
 
-    /// Writes `transitions` (with initial value `initial`) into cell
-    /// `idx`, claiming it for this epoch. The arena's peak-occupancy
-    /// watermark is *not* touched — one shared cache line per gate
-    /// written is what this path avoids; the caller keeps its own
-    /// running maximum of the lengths it wrote and reports it once with
-    /// [`LevelWriter::note_occupancy`].
+    /// Stages the output the last evaluation left in `scratch`
+    /// ([`GateScratch::scheduled`]) as cell `idx` with initial value
+    /// `initial`, and returns its statistics. Nothing reaches the arena
+    /// — no claim, no reservation — before [`LevelWriter::publish`].
     ///
     /// # Errors
     ///
-    /// Returns [`CapacityOverflow`] (leaving the cell untouched and
-    /// unclaimed) if `transitions` exceeds the per-cell capacity.
+    /// Returns [`CapacityOverflow`] if the output exceeds the per-cell
+    /// capacity or the epoch's overflow hook fires for `idx`; the output
+    /// stays unstaged (the next evaluation drops it), so the cell is left
+    /// untouched and unclaimed.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range or the cell was already written in
-    /// this epoch.
-    pub fn write(
+    /// Panics if `idx` is out of range.
+    pub fn stage(
         &self,
+        scratch: &mut GateScratch,
         idx: usize,
         initial: bool,
-        transitions: &[f64],
-    ) -> Result<(), CapacityOverflow> {
+    ) -> Result<WaveformStats, CapacityOverflow> {
         assert!(idx < self.entries, "arena cell {idx} out of range");
+        let transitions = scratch.scheduled();
+        let overflow = Err(CapacityOverflow {
+            capacity: self.capacity,
+        });
         if transitions.len() > self.capacity {
-            return Err(CapacityOverflow {
-                capacity: self.capacity,
-            });
+            return overflow;
         }
         // Injected forced overflow: same observable outcome as a real
-        // capacity miss — cell untouched and unclaimed — taken before the
-        // claim so quarantine sees a clean cell. Empty writes are exempt
-        // (a constant output fits any capacity, hooked or not).
+        // capacity miss. Empty outputs are exempt (a constant output
+        // fits any capacity, hooked or not).
         if let Some(hook) = self.overflow_hook {
             if !transitions.is_empty() && hook(idx) {
-                return Err(CapacityOverflow {
-                    capacity: self.capacity,
-                });
+                return overflow;
             }
         }
-        assert!(
-            self.claim(idx),
-            "arena cell {idx} written twice within one level epoch"
-        );
-        // SAFETY: this caller won the claim for idx, so it has exclusive
-        // write access to the cell's initial/len/times storage for the
-        // rest of the epoch; the ranges are in bounds.
-        unsafe {
-            *self.initial.add(idx) = initial;
-            *self.len.add(idx) = transitions.len() as u32;
-            std::ptr::copy_nonoverlapping(
-                transitions.as_ptr(),
-                self.times.add(idx * self.capacity),
-                transitions.len(),
-            );
+        let stats = WaveformStats::of(&WaveformView {
+            initial,
+            times: transitions,
+        });
+        scratch.staged.push(StagedCell {
+            idx,
+            len: stats.transitions as u32,
+            initial,
+        });
+        scratch.staged_len = scratch.sched.len();
+        Ok(stats)
+    }
+
+    /// Moves every cell staged in `scratch` into the arena and empties
+    /// the scratch: one `fetch_add` on the storage cursor reserves the
+    /// block's span of `times`, one copy fills it, then each cell's claim
+    /// is won and its `off`/`len`/`initial` stored. The arena's
+    /// peak-occupancy watermark is *not* touched — one shared cache line
+    /// per gate written is what this path avoids; the caller keeps its
+    /// own running maximum of the lengths it staged and reports it once
+    /// with [`LevelWriter::note_occupancy`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a staged cell was already written in this epoch, or if
+    /// the block does not fit the arena's reservation — which takes a
+    /// cell rewritten in a later epoch without a
+    /// [`WaveformArena::reset`] in between.
+    pub fn publish(&self, scratch: &mut GateScratch) {
+        let total = scratch.staged_len;
+        if scratch.staged.is_empty() {
+            scratch.sched.clear();
+            return;
         }
-        Ok(())
+        // Relaxed: the cursor publishes no data, it only hands out
+        // disjoint spans; the spans' contents become visible to readers
+        // with the end of the epoch's borrow, like every other write.
+        let start = self.used.fetch_add(total, Ordering::Relaxed);
+        assert!(
+            start
+                .checked_add(total)
+                .is_some_and(|end| end <= self.reserved),
+            "arena reservation exhausted: cells rewritten without a reset"
+        );
+        // SAFETY: `start .. start + total` lies inside the `reserved`
+        // elements of `times` (asserted above) and was handed to this
+        // caller alone by the `fetch_add`; no view can reach it, because
+        // every stored span ends at or below a cursor value observed
+        // before this reservation. `sched` holds at least `staged_len`
+        // initialised elements.
+        unsafe {
+            std::ptr::copy_nonoverlapping(scratch.sched.as_ptr(), self.times.add(start), total);
+        }
+        scratch.sched.clear();
+        scratch.staged_len = 0;
+        let mut off = start;
+        for cell in scratch.staged.drain(..) {
+            assert!(
+                self.claim(cell.idx),
+                "arena cell {} written twice within one level epoch",
+                cell.idx
+            );
+            // SAFETY: this caller won the claim for `cell.idx` (in range,
+            // checked by `stage`), so it has exclusive write access to
+            // the cell's initial/len/off for the rest of the epoch. The
+            // span `off .. off + len` is the cell's share of the block
+            // copied above and `off < reserved ≤ u32::MAX`.
+            unsafe {
+                *self.initial.add(cell.idx) = cell.initial;
+                *self.len.add(cell.idx) = cell.len;
+                *self.off.add(cell.idx) = off as u32;
+            }
+            off += cell.len as usize;
+        }
+        debug_assert_eq!(off, start + total);
     }
 
     /// Folds a worker's running maximum of written transition counts
@@ -652,7 +795,21 @@ impl LevelWriter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate_gate_bounded_raw, GateScratch, PinDelays};
+    use crate::{evaluate_gate_bounded_raw, PinDelays};
+
+    /// Stages and publishes `transitions` as cell `idx`: a one-cell block.
+    fn write_one(
+        writer: &LevelWriter<'_>,
+        idx: usize,
+        initial: bool,
+        transitions: &[f64],
+    ) -> Result<(), CapacityOverflow> {
+        let mut scratch = GateScratch::new();
+        scratch.sched.extend_from_slice(transitions);
+        writer.stage(&mut scratch, idx, initial)?;
+        writer.publish(&mut scratch);
+        Ok(())
+    }
 
     #[test]
     fn round_trips_waveforms() {
@@ -733,13 +890,45 @@ mod tests {
     #[test]
     fn a_times_lane_is_heap_sized_or_reserved_past_the_mmap_ceiling() {
         let small = WaveformArena::new(255, 64);
-        assert_eq!(small.times.capacity(), 255 * 64);
+        assert_eq!(small.times.len(), 255 * 64);
         let large = WaveformArena::new(256, 64);
-        assert_eq!(large.times.len(), 256 * 64);
-        assert!(large.times.capacity() * 8 >= MAPPED_LANE_BYTES);
+        assert_eq!(large.reserved, 256 * 64);
+        assert!(large.times.len() * 8 >= MAPPED_LANE_BYTES);
         assert!(large.times.iter().all(|&t| t == 0.0));
         let huge = WaveformArena::new(1 << 16, 128);
-        assert_eq!(huge.times.capacity(), (1 << 16) * 128);
+        assert_eq!(huge.times.len(), (1 << 16) * 128);
+    }
+
+    #[test]
+    fn reset_and_reshape_rewind_the_storage_cursor() {
+        let mut arena = WaveformArena::new(4, 2);
+        let full = Waveform::with_transitions(false, vec![1.0, 2.0]).unwrap();
+        // Every cell at full capacity ends exactly at the reservation.
+        for idx in 0..4 {
+            arena.write(idx, &full).unwrap();
+        }
+        assert_eq!(*arena.used.get_mut(), 4 * 2);
+        // Without a rewind there is no room left for a rewrite ...
+        let rewrite = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = arena.write(0, &full);
+        }));
+        assert!(
+            rewrite.is_err(),
+            "a rewrite past the reservation must panic"
+        );
+        // ... a reset gives the whole reservation back ...
+        arena.reset();
+        assert_eq!(*arena.used.get_mut(), 0);
+        for idx in 0..4 {
+            arena.write(idx, &full).unwrap();
+        }
+        // ... and so does a reshape that changes the shape.
+        assert!(!arena.reshape(2, 4));
+        assert_eq!((*arena.used.get_mut(), arena.reserved), (0, 8));
+        let wide = Waveform::with_transitions(true, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        arena.write(0, &wide).unwrap();
+        arena.write(1, &wide).unwrap();
+        assert_eq!(arena.to_waveform(1), wide);
     }
 
     #[test]
@@ -768,8 +957,8 @@ mod tests {
         let mut arena = WaveformArena::new(4, 8);
         {
             let writer = arena.level_writer(None);
-            writer.write(0, false, &[1.0, 2.0, 3.0]).unwrap();
-            writer.write(1, false, &[1.0]).unwrap();
+            write_one(&writer, 0, false, &[1.0, 2.0, 3.0]).unwrap();
+            write_one(&writer, 1, false, &[1.0]).unwrap();
             // Writes alone leave the shared watermark alone ...
             writer.note_occupancy(1);
         }
@@ -793,6 +982,17 @@ mod tests {
         // Source is untouched, unrelated cells too.
         assert_eq!(arena.to_waveform(0), w);
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
+        // The copy is an alias: it took no storage of its own ...
+        assert_eq!(*arena.used.get_mut(), 2);
+        // ... and still reads back after later epochs appended theirs.
+        for epoch in 0..2 {
+            let writer = arena.level_writer(None);
+            assert_eq!(writer.view(2).transitions(), &[3.0, 8.0]);
+            write_one(&writer, 1, false, &[10.0 + epoch as f64]).unwrap();
+        }
+        assert_eq!(arena.to_waveform(2), w);
+        assert_eq!(arena.to_waveform(0), w);
+        assert_eq!(arena.view(1).transitions(), &[11.0]);
     }
 
     #[test]
@@ -838,32 +1038,85 @@ mod tests {
         assert_eq!(scratch.scheduled().len(), 8);
     }
 
+    /// What cell `idx` holds in the block tests below: `idx % 4`
+    /// transitions (so every fourth cell is a constant).
+    fn cell_times(idx: usize) -> Vec<f64> {
+        (0..idx % 4).map(|k| (idx * 10 + k) as f64).collect()
+    }
+
     #[test]
-    fn level_writer_concurrent_disjoint_writes() {
+    fn level_writer_concurrent_scattered_blocks() {
         let mut arena = WaveformArena::new(64, 4);
         {
             let writer = arena.level_writer(None);
             let writer = &writer;
+            let start = std::sync::Barrier::new(4);
+            let start = &start;
             std::thread::scope(|scope| {
-                // Scattered (non-contiguous) assignment: worker w writes
+                // Scattered (non-contiguous) assignment: worker w stages
                 // every 4th cell — the shape a work-stealing schedule
-                // produces.
+                // produces — and publishes four cells to a block.
                 for w in 0..4usize {
                     scope.spawn(move || {
-                        for idx in (w..64).step_by(4) {
-                            writer
-                                .write(idx, idx % 2 == 0, &[idx as f64 + 0.5])
-                                .unwrap();
+                        let mut scratch = GateScratch::new();
+                        start.wait();
+                        for (n, idx) in (w..64).step_by(4).enumerate() {
+                            scratch.sched.extend(cell_times(idx));
+                            writer.stage(&mut scratch, idx, idx % 2 == 0).unwrap();
+                            if n % 4 == 3 {
+                                writer.publish(&mut scratch);
+                            }
                         }
                     });
                 }
             });
         }
+        let mut spans: Vec<(usize, usize)> = Vec::new();
         for idx in 0..64 {
             let v = arena.view(idx);
             assert_eq!(v.initial_value(), idx % 2 == 0);
-            assert_eq!(v.transitions(), &[idx as f64 + 0.5]);
+            assert_eq!(v.transitions(), cell_times(idx));
+            if arena.len[idx] > 0 {
+                spans.push((arena.off[idx] as usize, arena.len[idx] as usize));
+            }
         }
+        // Packed with zero waste: the spans tile `0 .. used` exactly.
+        spans.sort_unstable();
+        let mut end = 0;
+        for (off, len) in spans {
+            assert_eq!(off, end, "spans are disjoint and gap-free");
+            end = off + len;
+        }
+        assert_eq!(end, *arena.used.get_mut());
+        assert_eq!(end, (0..64).map(|idx| idx % 4).sum::<usize>());
+    }
+
+    #[test]
+    fn every_cell_at_full_capacity_fits_the_reservation_exactly() {
+        let mut arena = WaveformArena::new(6, 3);
+        let full = [1.0, 2.0, 3.0];
+        {
+            let writer = arena.level_writer(None);
+            let mut scratch = GateScratch::new();
+            for idx in 0..6 {
+                scratch.sched.extend_from_slice(&full);
+                writer.stage(&mut scratch, idx, true).unwrap();
+                if idx % 2 == 1 {
+                    writer.publish(&mut scratch);
+                }
+            }
+        }
+        assert_eq!(*arena.used.get_mut(), arena.reserved);
+        for idx in 0..6 {
+            assert_eq!(arena.view(idx).transitions(), &full);
+        }
+        // One transition more has nowhere to go: the next epoch's
+        // publisher panics instead of writing past the reservation.
+        let writer = arena.level_writer(None);
+        let spill = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = write_one(&writer, 0, true, &[9.0]);
+        }));
+        assert!(spill.is_err(), "a block past the reservation must panic");
     }
 
     #[test]
@@ -899,7 +1152,7 @@ mod tests {
         {
             let writer = arena.level_writer(None);
             writer.write_constant_run(0, 1, 1);
-            writer.write(3, true, &[]).unwrap();
+            write_one(&writer, 3, true, &[]).unwrap();
         }
         assert_eq!(arena.to_waveform(0), arena.to_waveform(3));
     }
@@ -910,24 +1163,36 @@ mod tests {
         let hook = |idx: usize| idx == 1;
         {
             let writer = arena.level_writer(Some(&hook));
-            writer.write(0, false, &[1.0]).unwrap();
+            let mut scratch = GateScratch::new();
+            scratch.sched.push(1.0);
+            writer.stage(&mut scratch, 0, false).unwrap();
             // The hooked cell reports the same error a real capacity miss
             // would, even though 1 transition fits a capacity of 8 ...
+            scratch.sched.push(2.0);
             assert_eq!(
-                writer.write(1, false, &[2.0]),
+                writer.stage(&mut scratch, 1, false),
                 Err(CapacityOverflow { capacity: 8 })
             );
-            // ... and an empty write is exempt: a quiet cell can not be
-            // forced to overflow.
-            writer.write(2, true, &[]).unwrap();
+            // ... its output is dropped by the next evaluation, which
+            // here produces a constant, and an empty output is exempt: a
+            // quiet cell can not be forced to overflow.
+            let quiet = Waveform::constant(true);
+            let d = [PinDelays::default()];
+            evaluate_gate_bounded_raw(&[&quiet], &d, |v| v[0], &mut scratch, 8).unwrap();
+            writer.stage(&mut scratch, 2, true).unwrap();
+            writer.publish(&mut scratch);
         }
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
         assert_eq!(arena.to_waveform(2), Waveform::constant(true));
+        // The published block holds cell 0's transition and nothing of
+        // the hooked cell's.
+        assert_eq!(*arena.used.get_mut(), 1);
+        assert_eq!(arena.view(0).transitions(), &[1.0]);
         // The cell was left unclaimed: the quarantine epoch (no hook)
         // writes it normally.
         {
             let writer = arena.level_writer(None);
-            writer.write(1, false, &[2.0]).unwrap();
+            write_one(&writer, 1, false, &[2.0]).unwrap();
         }
         assert_eq!(
             arena.to_waveform(1),
@@ -1036,10 +1301,10 @@ mod tests {
         let mut arena = WaveformArena::new(4, 2);
         {
             let writer = arena.level_writer(None);
-            writer.write(1, true, &[5.0]).unwrap();
+            write_one(&writer, 1, true, &[5.0]).unwrap();
             // Second write of the same cell in one epoch: claim panic.
             let double = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = writer.write(1, false, &[6.0]);
+                let _ = write_one(&writer, 1, false, &[6.0]);
             }));
             assert!(double.is_err(), "double write must panic");
             // Reading a cell written this epoch: tripwire panic.
@@ -1051,15 +1316,15 @@ mod tests {
             assert_eq!(writer.view(0).transitions(), &[] as &[f64]);
             // Overflow leaves the cell unclaimed and untouched.
             assert_eq!(
-                writer.write(2, false, &[1.0, 2.0, 3.0]),
+                write_one(&writer, 2, false, &[1.0, 2.0, 3.0]),
                 Err(CapacityOverflow { capacity: 2 })
             );
-            writer.write(2, false, &[1.0, 2.0]).unwrap();
+            write_one(&writer, 2, false, &[1.0, 2.0]).unwrap();
         }
         // A fresh epoch clears the claims.
         {
             let writer = arena.level_writer(None);
-            writer.write(1, false, &[9.0]).unwrap();
+            write_one(&writer, 1, false, &[9.0]).unwrap();
         }
         assert_eq!(arena.view(1).transitions(), &[9.0]);
         assert_eq!(arena.view(2).transitions(), &[1.0, 2.0]);

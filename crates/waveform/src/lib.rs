@@ -7,14 +7,16 @@
 //! global memory, and what this reproduction's simulator stores per
 //! `(slot, net)`.
 //!
-//! [`evaluate_gate`] implements the waveform-processing loop each simulator
+//! [`merge_transitions`] is the waveform-processing loop each simulator
 //! thread runs for one gate: merge the input histories in time order,
 //! re-evaluate the gate function after every input event, schedule output
 //! transitions after the pin-to-pin propagation delay of the causing pin
 //! and the output polarity, and cancel *overtaken* transitions — the
 //! inertial pulse filtering of the paper (Sec. IV: "inertial delay is
 //! considered for pulse filtering of glitches and hazards", with inertial
-//! delay equal to the propagation delay).
+//! delay equal to the propagation delay). [`evaluate_gate`] and the two
+//! `evaluate_gate_bounded_raw` forms are doors onto it for a gate function
+//! given as a closure over `&[bool]`.
 //!
 //! # Example
 //!
@@ -305,16 +307,30 @@ impl PinDelays {
     }
 }
 
-/// Reusable working memory for [`evaluate_gate_bounded_raw`].
+/// Reusable working memory for the merge kernel, and the worker-local
+/// block its outputs collect in on their way into a [`WaveformArena`].
 ///
 /// One instance per simulation worker avoids the per-gate heap traffic
 /// that would otherwise dominate the oblivious (every-gate-every-slot)
-/// simulation schedule.
+/// simulation schedule. An evaluation appends its output transitions
+/// after those of the cells already staged with [`LevelWriter::stage`];
+/// [`LevelWriter::publish`] moves the staged cells into the arena in one
+/// copy. An output that is never staged — an overflow, a panic half way
+/// through the loop, a caller that only reads [`GateScratch::scheduled`]
+/// — is dropped by the next evaluation, so only staged cells ever reach
+/// the arena.
 #[derive(Debug, Default)]
 pub struct GateScratch {
-    values: Vec<bool>,
+    /// Per pin, the time of its next pending transition (`∞` once the
+    /// pin is exhausted).
+    heads: Vec<f64>,
+    /// Per pin, the index of that transition.
     cursors: Vec<usize>,
+    /// The staged cells' transitions end to end, then — from
+    /// `staged_len` — the output of the last evaluation.
     sched: Vec<f64>,
+    staged_len: usize,
+    staged: Vec<arena::StagedCell>,
 }
 
 impl GateScratch {
@@ -324,10 +340,10 @@ impl GateScratch {
     }
 
     /// The output transitions left behind by the last successful
-    /// [`evaluate_gate_bounded_raw`] call — sorted, strictly increasing,
-    /// at most the requested cap. Valid until the scratch is reused.
+    /// evaluation — sorted, strictly increasing, at most the requested
+    /// cap. Valid until the scratch is reused or the output is staged.
     pub fn scheduled(&self) -> &[f64] {
-        &self.sched
+        &self.sched[self.staged_len..]
     }
 }
 
@@ -342,7 +358,8 @@ impl GateScratch {
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != delays.len()` or either is empty.
+/// Panics if `inputs.len() != delays.len()`, either is empty, or there
+/// are more than [`MAX_MERGE_PINS`] inputs.
 pub fn evaluate_gate(
     inputs: &[&Waveform],
     delays: &[PinDelays],
@@ -362,16 +379,8 @@ pub fn evaluate_gate(
 /// The allocation-free, bounded form of [`evaluate_gate`]: returns the
 /// output's initial value and leaves its transitions in
 /// [`GateScratch::scheduled`] instead of materializing an owned
-/// [`Waveform`] — the form the engine uses to write gate outputs directly
-/// into the waveform arena.
-///
-/// `cap` is a hard limit on *scheduled* output transitions, enforced on
-/// the peak size of the pending-transition schedule, not just the final
-/// count: like the GPU original, which allocates a fixed waveform buffer
-/// per `(slot, net)` and raises an overflow flag when a write would run
-/// past it, evaluation aborts the moment the schedule needs its
-/// `cap + 1`-th entry, even if later cancellations would have shrunk it
-/// again.
+/// [`Waveform`]. A `&[bool]`-function door onto [`merge_transitions`],
+/// which documents `cap`.
 ///
 /// # Errors
 ///
@@ -379,7 +388,8 @@ pub fn evaluate_gate(
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != delays.len()` or either is empty.
+/// Panics if `inputs.len() != delays.len()`, either is empty, or there
+/// are more than [`MAX_MERGE_PINS`] inputs.
 pub fn evaluate_gate_bounded_raw<W: WaveformRead>(
     inputs: &[W],
     delays: &[PinDelays],
@@ -392,7 +402,13 @@ pub fn evaluate_gate_bounded_raw<W: WaveformRead>(
         delays.len(),
         "one PinDelays entry per input pin required"
     );
-    merge_transitions(inputs, |_, pin| delays[pin], eval, scratch, cap)
+    merge_transitions(
+        inputs,
+        |_, pin| delays[pin],
+        unpacked(inputs.len(), eval),
+        scratch,
+        cap,
+    )
 }
 
 /// [`evaluate_gate_bounded_raw`] over a *segmented* delay timeline — the
@@ -401,8 +417,8 @@ pub fn evaluate_gate_bounded_raw<W: WaveformRead>(
 /// The simulation window is split into `boundaries.len() + 1` *segments*
 /// by the strictly increasing `boundaries` (segment start times in ps,
 /// excluding the implicit segment 0 start at −∞). An input event at time
-/// `t` belongs to segment `boundaries.partition_point(|b| *b <= t)` — an
-/// event **exactly at** a boundary belongs to the *later* segment, the
+/// `t` belongs to segment [`segment_of`]`(boundaries, t)` — an event
+/// **exactly at** a boundary belongs to the *later* segment, the
 /// convention under which a supply step applied at the launch instant of
 /// a transition already sees the new voltage. The pin-to-output delay
 /// charged to that event is `delays(segment, pin)`.
@@ -424,7 +440,8 @@ pub fn evaluate_gate_bounded_raw<W: WaveformRead>(
 ///
 /// # Panics
 ///
-/// Panics if `inputs` is empty.
+/// Panics if `inputs` is empty or holds more than [`MAX_MERGE_PINS`]
+/// waveforms.
 pub fn evaluate_gate_bounded_raw_segmented<W: WaveformRead>(
     inputs: &[W],
     boundaries: &[f64],
@@ -435,80 +452,146 @@ pub fn evaluate_gate_bounded_raw_segmented<W: WaveformRead>(
 ) -> Result<bool, CapacityOverflow> {
     merge_transitions(
         inputs,
-        |t, pin| delays(boundaries.partition_point(|b| *b <= t), pin),
-        eval,
+        |t, pin| delays(segment_of(boundaries, t), pin),
+        unpacked(inputs.len(), eval),
         scratch,
         cap,
     )
 }
 
-/// The waveform-processing loop behind both bounded evaluators: a k-way
-/// merge over the input transition lists with inertial cancellation.
-/// `delay(t, pin)` is consulted only for input events that change the
-/// scheduled output value, with the event's cause time `t`.
+/// The segment of a piecewise timeline an input event at `t` falls in:
+/// the number of `boundaries` (strictly increasing segment start times)
+/// at or before `t`, so an event exactly on a boundary already belongs
+/// to the segment that starts there.
 #[inline]
-fn merge_transitions<W: WaveformRead>(
+pub fn segment_of(boundaries: &[f64], t: f64) -> usize {
+    boundaries.partition_point(|b| *b <= t)
+}
+
+/// Most input pins [`merge_transitions`] takes: their logic values
+/// travel as the bits of one `u32`.
+pub const MAX_MERGE_PINS: usize = 32;
+
+/// Adapts a `&[bool]` gate function over `pins` inputs to the packed pin
+/// values the merge loop keeps (bit `p` = pin `p`).
+fn unpacked(pins: usize, eval: impl Fn(&[bool]) -> bool) -> impl Fn(u32) -> bool {
+    move |bits| {
+        let mut values = [false; MAX_MERGE_PINS];
+        for (p, value) in values[..pins].iter_mut().enumerate() {
+            *value = bits >> p & 1 == 1;
+        }
+        eval(&values[..pins])
+    }
+}
+
+/// The waveform-processing loop every gate evaluation runs: a k-way
+/// merge over the input transition lists with inertial cancellation.
+///
+/// Input events are taken one at a time in time order, the lowest pin
+/// first among equal times. The pins' current values are the low bits
+/// of a `u32` (bit `p` = pin `p`) and `output` maps them to the gate's
+/// output — for a library cell `|bits| table >> bits & 1 == 1` over its
+/// truth table. `delay(t, pin)` is consulted only for an event that
+/// changes the scheduled output value, with the event's cause time `t`.
+/// A newly caused output transition cancels every already scheduled one
+/// at the same time or later.
+///
+/// Returns the output's initial value and leaves its transitions in
+/// [`GateScratch::scheduled`], ready for [`LevelWriter::stage`].
+///
+/// `cap` is a hard limit on *scheduled* output transitions, enforced on
+/// the peak size of the pending-transition schedule, not just the final
+/// count: like the GPU original, which allocates a fixed waveform buffer
+/// per `(slot, net)` and raises an overflow flag when a write would run
+/// past it, evaluation aborts the moment the schedule needs its
+/// `cap + 1`-th entry, even if later cancellations would have shrunk it
+/// again.
+///
+/// # Errors
+///
+/// Returns [`CapacityOverflow`] when the schedule would exceed `cap`;
+/// nothing is left scheduled.
+///
+/// # Panics
+///
+/// Panics if `inputs` is empty or holds more than [`MAX_MERGE_PINS`]
+/// waveforms.
+#[inline]
+pub fn merge_transitions<W: WaveformRead>(
     inputs: &[W],
     delay: impl Fn(f64, usize) -> PinDelays,
-    eval: impl Fn(&[bool]) -> bool,
+    output: impl Fn(u32) -> bool,
     scratch: &mut GateScratch,
     cap: usize,
 ) -> Result<bool, CapacityOverflow> {
     assert!(!inputs.is_empty(), "gate must have at least one input");
+    assert!(
+        inputs.len() <= MAX_MERGE_PINS,
+        "gate has more than {MAX_MERGE_PINS} inputs"
+    );
+    let GateScratch {
+        heads,
+        cursors,
+        sched,
+        staged_len,
+        ..
+    } = scratch;
+    // Whatever an earlier evaluation left unstaged is dropped here.
+    let base = *staged_len;
+    sched.truncate(base);
 
-    let values = &mut scratch.values;
-    values.clear();
-    values.extend(inputs.iter().map(|w| w.initial_value()));
-    let initial_out = eval(values);
-
-    // Scheduled output transition times (sorted ascending, alternating
-    // from initial_out). `scheduled_value` is the output value after all
-    // currently scheduled transitions.
-    let sched = &mut scratch.sched;
-    sched.clear();
-
-    // Fast path: quiescent inputs produce a constant output.
-    if inputs.iter().all(|w| w.transitions().is_empty()) {
-        return Ok(initial_out);
+    // Transition times are finite (the `Waveform` invariant), so `∞`
+    // marks an exhausted pin and never wins the scan below while any
+    // event is pending.
+    let mut bits = 0u32;
+    let mut pending = 0usize;
+    heads.clear();
+    for (pin, w) in inputs.iter().enumerate() {
+        bits |= u32::from(w.initial_value()) << pin;
+        let times = w.transitions();
+        pending += times.len();
+        heads.push(times.first().copied().unwrap_or(f64::INFINITY));
     }
-
-    let mut scheduled_value = initial_out;
-
-    // K-way merge over the input transition lists.
-    let cursors = &mut scratch.cursors;
     cursors.clear();
     cursors.resize(inputs.len(), 0);
-    loop {
-        // Find the earliest pending input event.
-        let mut best: Option<(f64, usize)> = None;
-        for (p, w) in inputs.iter().enumerate() {
-            if let Some(&t) = w.transitions().get(cursors[p]) {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, p));
-                }
+    let heads = heads.as_mut_slice();
+
+    let initial_out = output(bits);
+    // `sched[base..]` holds the scheduled output transitions (sorted
+    // ascending, alternating from `initial_out`); `scheduled_value` is
+    // the output value after all of them. Quiescent inputs schedule
+    // nothing: the output is the constant `initial_out`.
+    let mut scheduled_value = initial_out;
+    for _ in 0..pending {
+        // The earliest pending input event, lowest pin on equal times.
+        let (mut pin, mut t) = (0, heads[0]);
+        for (p, &head) in heads.iter().enumerate().skip(1) {
+            if head < t {
+                (pin, t) = (p, head);
             }
         }
-        let Some((t, pin)) = best else { break };
         cursors[pin] += 1;
-        values[pin] = !values[pin];
+        heads[pin] = inputs[pin]
+            .transitions()
+            .get(cursors[pin])
+            .copied()
+            .unwrap_or(f64::INFINITY);
+        bits ^= 1 << pin;
 
-        let new_out = eval(values);
+        let new_out = output(bits);
         if new_out == scheduled_value {
             continue;
         }
         let tt = t + delay(t, pin).for_output(new_out);
         // Inertial cancellation: the new cause overtakes any scheduled
         // transition at tt or later.
-        while let Some(&last) = sched.last() {
-            if last >= tt {
-                sched.pop();
-                scheduled_value = !scheduled_value;
-            } else {
-                break;
-            }
+        while sched.len() > base && sched[sched.len() - 1] >= tt {
+            sched.pop();
+            scheduled_value = !scheduled_value;
         }
         if scheduled_value != new_out {
-            if sched.len() >= cap {
+            if sched.len() - base >= cap {
+                sched.truncate(base);
                 return Err(CapacityOverflow { capacity: cap });
             }
             sched.push(tt);
@@ -516,7 +599,10 @@ fn merge_transitions<W: WaveformRead>(
         }
     }
 
-    debug_assert!(sched.iter().all(|t| t.is_finite()) && sched.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(
+        sched[base..].iter().all(|t| t.is_finite())
+            && sched[base..].windows(2).all(|w| w[0] < w[1])
+    );
     Ok(initial_out)
 }
 
@@ -527,6 +613,56 @@ mod tests {
 
     fn wf(initial: bool, times: &[f64]) -> Waveform {
         Waveform::with_transitions(initial, times.to_vec()).unwrap()
+    }
+
+    /// The `Vec<bool>` merge loop [`merge_transitions`] replaced, kept
+    /// as the oracle its event order, cancellation and cap check are
+    /// compared against.
+    fn reference_merge<W: WaveformRead>(
+        inputs: &[W],
+        delay: impl Fn(f64, usize) -> PinDelays,
+        eval: impl Fn(&[bool]) -> bool,
+        cap: usize,
+    ) -> Result<(bool, Vec<f64>), CapacityOverflow> {
+        let mut values: Vec<bool> = inputs.iter().map(|w| w.initial_value()).collect();
+        let initial_out = eval(&values);
+        let mut sched: Vec<f64> = Vec::new();
+        let mut scheduled_value = initial_out;
+        let mut cursors = vec![0usize; inputs.len()];
+        loop {
+            let mut best: Option<(f64, usize)> = None;
+            for (p, w) in inputs.iter().enumerate() {
+                if let Some(&t) = w.transitions().get(cursors[p]) {
+                    if best.is_none_or(|(bt, _)| t < bt) {
+                        best = Some((t, p));
+                    }
+                }
+            }
+            let Some((t, pin)) = best else { break };
+            cursors[pin] += 1;
+            values[pin] = !values[pin];
+            let new_out = eval(&values);
+            if new_out == scheduled_value {
+                continue;
+            }
+            let tt = t + delay(t, pin).for_output(new_out);
+            while let Some(&last) = sched.last() {
+                if last >= tt {
+                    sched.pop();
+                    scheduled_value = !scheduled_value;
+                } else {
+                    break;
+                }
+            }
+            if scheduled_value != new_out {
+                if sched.len() >= cap {
+                    return Err(CapacityOverflow { capacity: cap });
+                }
+                sched.push(tt);
+                scheduled_value = new_out;
+            }
+        }
+        Ok((initial_out, sched))
     }
 
     /// An identity stage with per-polarity delay.
@@ -812,7 +948,106 @@ mod tests {
         assert_eq!(err.capacity, 2);
     }
 
+    #[test]
+    fn an_unstaged_output_is_dropped_by_the_next_evaluation() {
+        let d = [PinDelays {
+            rise: 1.0,
+            fall: 1.0,
+        }];
+        let mut scratch = GateScratch::new();
+        let long = wf(false, &[1.0, 2.0, 3.0]);
+        evaluate_gate_bounded_raw(&[&long], &d, |v| v[0], &mut scratch, 8).unwrap();
+        assert_eq!(scratch.scheduled(), &[2.0, 3.0, 4.0]);
+        // An overflow leaves nothing scheduled ...
+        evaluate_gate_bounded_raw(&[&long], &d, |v| v[0], &mut scratch, 2).unwrap_err();
+        assert_eq!(scratch.scheduled(), &[] as &[f64]);
+        // ... and a later evaluation starts from a clean schedule.
+        let short = wf(true, &[5.0]);
+        assert!(evaluate_gate_bounded_raw(&[&short], &d, |v| v[0], &mut scratch, 8).unwrap());
+        assert_eq!(scratch.scheduled(), &[6.0]);
+    }
+
     proptest! {
+        #[test]
+        fn truth_table_loop_matches_the_vec_bool_reference(
+            grid_times in proptest::collection::vec(proptest::collection::vec(0usize..40, 0..10), 4),
+            initials in 0u32..16,
+            delay_values in proptest::collection::vec(0.5f64..30.0, 24),
+        ) {
+            use avfs_netlist::{CellKind, DriveStrength, LogicFunction};
+            // Times sit on a 5 ps grid, so two pins often switch at the
+            // same instant and events land exactly on the segment
+            // boundaries below.
+            let waveforms: Vec<Waveform> = grid_times
+                .iter()
+                .enumerate()
+                .map(|(pin, ticks)| {
+                    let mut ticks = ticks.clone();
+                    ticks.sort_unstable();
+                    ticks.dedup();
+                    let times = ticks.iter().map(|&k| 5.0 * k as f64).collect();
+                    Waveform::with_transitions(initials >> pin & 1 == 1, times).unwrap()
+                })
+                .collect();
+            let boundaries = [50.0, 120.0];
+            let seg_delay = |segment: usize, pin: usize| PinDelays {
+                rise: delay_values[(segment * 4 + pin) * 2],
+                fall: delay_values[(segment * 4 + pin) * 2 + 1],
+            };
+            let mut scratch = GateScratch::new();
+            for &function in LogicFunction::all() {
+                for pins in function.arity_range() {
+                    let kind = CellKind::new(function, pins, DriveStrength::X1).unwrap();
+                    let table = kind.truth_table();
+                    let inputs = &waveforms[..pins];
+                    let static_delays: Vec<PinDelays> =
+                        (0..pins).map(|pin| seg_delay(0, pin)).collect();
+                    for cap in [1, 2, 8, usize::MAX] {
+                        // Static timeline: the truth-table form the
+                        // engine runs and the `&[bool]` door.
+                        let want =
+                            reference_merge(inputs, |_, pin| static_delays[pin], |v| kind.eval(v), cap);
+                        let got = merge_transitions(
+                            inputs,
+                            |_, pin| static_delays[pin],
+                            |bits| table >> bits & 1 == 1,
+                            &mut scratch,
+                            cap,
+                        )
+                        .map(|initial| (initial, scratch.scheduled().to_vec()));
+                        prop_assert_eq!(&got, &want, "{} static cap {}", kind, cap);
+                        let got = evaluate_gate_bounded_raw(
+                            inputs, &static_delays, |v| kind.eval(v), &mut scratch, cap,
+                        )
+                        .map(|initial| (initial, scratch.scheduled().to_vec()));
+                        prop_assert_eq!(&got, &want, "{} static door cap {}", kind, cap);
+
+                        // Three segments, each with its own delays.
+                        let want = reference_merge(
+                            inputs,
+                            |t, pin| seg_delay(boundaries.partition_point(|b| *b <= t), pin),
+                            |v| kind.eval(v),
+                            cap,
+                        );
+                        let got = merge_transitions(
+                            inputs,
+                            |t, pin| seg_delay(segment_of(&boundaries, t), pin),
+                            |bits| table >> bits & 1 == 1,
+                            &mut scratch,
+                            cap,
+                        )
+                        .map(|initial| (initial, scratch.scheduled().to_vec()));
+                        prop_assert_eq!(&got, &want, "{} segmented cap {}", kind, cap);
+                        let got = evaluate_gate_bounded_raw_segmented(
+                            inputs, &boundaries, seg_delay, |v| kind.eval(v), &mut scratch, cap,
+                        )
+                        .map(|initial| (initial, scratch.scheduled().to_vec()));
+                        prop_assert_eq!(&got, &want, "{} segmented door cap {}", kind, cap);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn value_at_consistent_with_final(times in proptest::collection::vec(0.0f64..1e6, 0..20)) {
             let mut sorted = times.clone();

@@ -126,6 +126,19 @@ fn profile_reports_every_documented_phase() {
     for phase in phases::ENGINE_PHASES {
         assert!(profile.phase(phase).unwrap().total_ns <= total);
     }
+    // The gating scan is timed as a child span inside the merge phase,
+    // so the parent's total keeps covering it (gating is on by default).
+    let merge = profile.phase(phases::ENGINE_WAVEFORM_MERGE).unwrap();
+    let gating = profile
+        .phase(phases::ENGINE_GATING)
+        .expect("the gating scan is timed under default (gated) options");
+    assert!(
+        0 < gating.total_ns && gating.total_ns <= merge.total_ns,
+        "gating {} ns inside waveform_merge {} ns",
+        gating.total_ns,
+        merge.total_ns
+    );
+    assert!(0 < gating.calls && gating.calls <= merge.calls);
     // Counters and histograms of the same run.
     assert!(profile.counter(phases::ENGINE_KERNEL_EVALS).unwrap() > 0);
     assert!(profile.counter(phases::ENGINE_LEVELS).unwrap() > 0);

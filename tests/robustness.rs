@@ -191,6 +191,89 @@ fn panicked_slot_is_quarantined_while_others_match_oracle() {
     }
 }
 
+/// A slot's activity is accumulated where its cells are written —
+/// stimuli, worker blocks, output passthroughs — and never re-read from
+/// the arena; `SwitchingActivity::of` over the kept waveforms is the
+/// oracle, across every schedule that changes who writes what, with
+/// retry rounds and a contained kernel panic in the mix.
+#[test]
+fn write_side_activity_equals_the_waveform_oracle() {
+    use avfs::inject::{FaultPlan, InjectionSite};
+    use avfs::waveform::SwitchingActivity;
+    let lib = CellLibrary::nangate15_like();
+    let cfg = GeneratorConfig {
+        nodes: 160,
+        inputs: 12,
+        outputs: 8,
+        depth: 9,
+        two_input_fraction: 0.6,
+    };
+    let netlist = Arc::new(random_netlist("rnd", &cfg, &lib, 41).unwrap());
+    let engine = CompiledNetlist::compile(
+        Arc::clone(&netlist),
+        Arc::new(static_annotation(&netlist, 9.0, 6.0)),
+        Arc::new(StaticModel::new(ParameterSpace::paper())),
+    )
+    .unwrap();
+    let patterns = PatternSet::lfsr(netlist.inputs().len(), 5, 11);
+    let specs = slots::cross(patterns.len(), &[0.7, 0.9]);
+    let modes: [(&str, usize, Option<f64>); 3] = [
+        ("normal", 0, None),
+        ("retry rounds", 1, None),
+        ("panicked slot", 0, Some(0.3)),
+    ];
+    for (mode, arena_capacity, panic_rate) in modes {
+        for threads in [1, 2, 4] {
+            for lanes in [1, 4, 8] {
+                for activity_gating in [true, false] {
+                    let label = format!(
+                        "{mode}, {threads} threads, {lanes} lanes, gating {activity_gating}"
+                    );
+                    let run = engine
+                        .launch(
+                            &patterns,
+                            &specs,
+                            &SimOptions {
+                                threads,
+                                lanes,
+                                activity_gating,
+                                arena_capacity,
+                                keep_waveforms: true,
+                                fault_plan: panic_rate.map(|rate| {
+                                    Arc::new(
+                                        FaultPlan::empty(5)
+                                            .with_rate(InjectionSite::KernelPanic, rate),
+                                    )
+                                }),
+                                ..SimOptions::default()
+                            },
+                        )
+                        .unwrap();
+                    match mode {
+                        "retry rounds" => assert!(run.diagnostics.slot_retries > 0, "{label}"),
+                        "panicked slot" => {
+                            let panicked = run.diagnostics.panicked_slots.len();
+                            assert!(0 < panicked && panicked < specs.len(), "{label}");
+                        }
+                        _ => assert!(run.is_complete(), "{label}"),
+                    }
+                    for (i, slot) in run.slots.iter().enumerate() {
+                        let Some(waveforms) = &slot.waveforms else {
+                            assert!(!slot.status.is_completed(), "{label}, slot {i}");
+                            continue;
+                        };
+                        assert_eq!(
+                            slot.activity,
+                            SwitchingActivity::of(waveforms.iter()),
+                            "{label}, slot {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn every_slot_poisoned_is_a_run_error() {
     let netlist = glitch_cascade(1);
