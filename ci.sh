@@ -19,7 +19,7 @@ cargo test --workspace --offline -q
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> doc references (every --bin, crates/*.rs path and \`Type::item\` the docs name exists in the sources)"
+echo "==> doc references (every --bin, crates/*.rs path, \`Type::item\` and \`layer.metric\` the docs name exists in the sources or BENCHMARK.json)"
 docs="README.md EXPERIMENTS.md DESIGN.md"
 for bin in $(grep -oh -e '--bin [a-z0-9_]*' $docs | cut -d' ' -f2 | sort -u); do
     [ "$bin" = benchmark ] || [ -f "crates/bench/src/bin/$bin.rs" ] || { echo "docs name a missing bin: $bin"; exit 1; }
@@ -40,6 +40,26 @@ for ref in $(grep -ohE '`[A-Z][A-Za-z0-9]*::[A-Za-z_][A-Za-z0-9_]*' $docs | tr -
     [ -n "$files" ] && awk -v header="$header" '$0 ~ header && !/;$/ { inside = 1 } inside { print } /^}/ { inside = 0 }' $files |
         grep -qE "(fn|const) $item$word|^ *$vis$item(:|,|[(]| [{]|\$)" ||
         { echo "docs name $ref: no such fn, const, field or variant in ${files:-any definition or impl (no struct/enum/trait/impl $ty)}"; exit 1; }
+done
+# A backticked `layer.name` whose layer is one of BENCHMARK.json's must be
+# a metric BENCHMARK.json declares (read, never written) or an instrument
+# name the sources record — a string literal such as the constants of
+# crates/core/src/phases.rs. `*` in a token globs (`engine.pool_*`);
+# `layer.rs` is a file name, checked above, and `layer.name(` is a method
+# call on a value that happens to be named like a layer (`session.launch(`),
+# not a metric. Limitation: several layers are everyday words (`batch`,
+# `session`, `host`, `netlist`), so a backticked field access on such a
+# value (no parenthesis) still reads as a metric — write it `Type::field`.
+layers=$(grep -oE '"name": "[a-z_]+\.' BENCHMARK.json | cut -d'"' -f4 | tr -d . | sort -u | paste -sd'|' -)
+known=$({
+    grep -oE '"name": "[a-z_]+\.[a-z0-9_]+"' BENCHMARK.json | cut -d'"' -f4
+    grep -rhoE "\"($layers)\.[a-z0-9_]+\"" crates/*/src | tr -d '"'
+} | sort -u)
+for metric in $(grep -ohE "\`($layers)\.[A-Za-z0-9_*]+[(]?" $docs | tr -d '`' | sort -u); do
+    case $metric in *.rs | *'(') continue ;; esac
+    glob=$(printf '%s' "$metric" | sed 's/\./\\./g; s/\*/.*/g')
+    printf '%s\n' "$known" | grep -qE "^$glob\$" ||
+        { echo "docs name $metric: neither a BENCHMARK.json metric nor an instrument name in crates/*/src"; exit 1; }
 done
 
 echo "==> checker --smoke (static-analysis gate: avfs-check/1 schema, zero deny findings)"

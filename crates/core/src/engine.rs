@@ -740,6 +740,14 @@ impl RunCtx<'_> {
     fn retry_rounds(&self, state: &mut RunState) -> Result<(), SimError> {
         let nodes = self.compiled.netlist.num_nodes();
         let mut pending: Vec<usize> = (0..self.work.len()).collect();
+        // Die-major batches: a die's derates are drawn once per batch
+        // that carries it, so a batch should carry few dice and all of
+        // each. The sort is stable — within a die the launch's scenario
+        // order is kept, and a launch without a Monte Carlo plan keeps
+        // its order outright — and results never see it: they are stored
+        // by launch slot. Retry rounds inherit the order from the batches
+        // that overflowed.
+        pending.sort_by_key(|&slot| self.work[slot].variation.map(|v| v.sample));
         let mut cap = self.options.resolved_arena_capacity();
         let mut round = 0u32;
         let budget = self

@@ -3,8 +3,8 @@
 //! phases — stimuli, voltage grouping, delay initialisation, activity
 //! gating, dispatch, barrier, analysis.
 
-use super::delays::{DelayFault, GroupDelays, VoltageGroup};
-use super::{RunCtx, RunState, MAX_STEAL_CHUNK, STEAL_GRABS_PER_WORKER};
+use super::delays::{draw_level_derates, DelayFault, GroupDelays, VoltageGroup};
+use super::{RunCtx, RunState, VariationSample, MAX_STEAL_CHUNK, STEAL_GRABS_PER_WORKER};
 use crate::compile::LevelPlan;
 use crate::phases;
 use crate::pool::WorkerPool;
@@ -69,6 +69,9 @@ pub(super) struct Batch<'c> {
     /// cells add nothing, and `nets` is filled in at analysis.
     activity: Mutex<Vec<SwitchingActivity>>,
     fallbacks: u64,
+    /// Scratch for the die being applied this level (see
+    /// [`Batch::init_delays`]); nothing drawn outlives its level.
+    derates: Vec<(f64, f64)>,
     variation_draws: u64,
 }
 
@@ -117,6 +120,7 @@ impl<'c> Batch<'c> {
             group_of_slot,
             activity: Mutex::new(vec![SwitchingActivity::default(); chunk.len()]),
             fallbacks: 0,
+            derates: Vec::new(),
             variation_draws: 0,
         }
     }
@@ -242,11 +246,17 @@ impl<'c> Batch<'c> {
 
     /// Delay initialisation, level half: every voltage group still live
     /// this level (a group is live while any of its slots is) gets its
-    /// modified pin delays for `level`.
+    /// modified pin delays for `level`, and a die's groups are derated
+    /// by one shared draw of the die. Groups are met in batch order,
+    /// which is die-major, so a die's groups are adjacent and the die is
+    /// drawn once per level; the values never depend on that order, only
+    /// the draw count does.
     fn init_delays(&mut self, level: usize) -> Result<(), SimError> {
         let ctx = self.ctx;
         let _span = ctx.metrics.map(|m| m.span(phases::ENGINE_DELAY_KERNEL));
         let mut kernel_evals = 0u64;
+        // The die whose derates for this level `self.derates` holds.
+        let mut drawn: Option<VariationSample> = None;
         for g in 0..self.groups.len() {
             let live = self
                 .group_of_slot
@@ -264,8 +274,15 @@ impl<'c> Batch<'c> {
             match self.groups[g].init_level(ctx.compiled, level, corrupt) {
                 Ok(init) => {
                     self.fallbacks += init.fallbacks;
-                    self.variation_draws += init.draws;
                     kernel_evals += init.kernel_evals;
+                    if let Some(die) = self.groups[g].variation() {
+                        if drawn != Some(die) {
+                            self.variation_draws +=
+                                draw_level_derates(ctx.compiled, level, &die, &mut self.derates);
+                            drawn = Some(die);
+                        }
+                        self.groups[g].derate_level(level, &self.derates);
+                    }
                 }
                 Err(DelayFault::Model(e)) => return Err(e),
                 Err(DelayFault::Panicked) => self.kill_group(g, Dead::Panic),

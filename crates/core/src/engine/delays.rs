@@ -2,16 +2,22 @@
 //! pin delays by the delay-kernel factor at a slot's operating point.
 //!
 //! "The delay calculations of threads from parallel instances of a gate
-//! utilize the same coefficients and delay function calls", so the work
-//! is done once per *voltage group* — the slots of a batch that share a
-//! voltage assignment and a Monte Carlo die — and it is written once:
-//! [`CompiledNetlist::level_delays`] scales one level for one supply
-//! assignment. A per-voltage [`DelayTable`] is that routine looped over
-//! levels and cached on the artifact; uniform and scheduled groups read
-//! the cache (one table per segment), and a Monte Carlo die derates the
-//! table's level slice. Only voltage islands (no single supply to key a
-//! table by) and armed fault plans (factor corruption is keyed per run
-//! and round) call the routine per launch.
+//! utilize the same coefficients and delay function calls", so each piece
+//! of the work is done once per thing it depends on. Scaling depends on
+//! the supply: it is done once per *voltage group* — the slots of a batch
+//! that share a voltage assignment and a Monte Carlo die — and it is
+//! written once: [`CompiledNetlist::level_delays`] scales one level for
+//! one supply assignment. A per-voltage [`DelayTable`] is that routine
+//! looped over levels and cached on the artifact; uniform and scheduled
+//! groups read the cache (one table per segment). Only voltage islands
+//! (no single supply to key a table by) and armed fault plans (factor
+//! corruption is keyed per run and round) call the routine per launch.
+//! Process variation depends on the die alone — not on the schedule, the
+//! segment or the batch: [`draw_level_derates`] draws a die's derates
+//! for one level once, and every group of the batch that carries the die
+//! multiplies its level slices by that one vector
+//! ([`VoltageGroup::derate_level`]). The vector is scratch: nothing
+//! drawn outlives its level.
 
 use super::{VariationSample, VoltageAssign};
 use crate::compile::CompiledNetlist;
@@ -169,8 +175,30 @@ pub(super) struct LevelInit {
     /// Kernel factor evaluations performed now (0 for cached groups:
     /// theirs were counted when the table was built).
     pub(super) kernel_evals: u64,
-    /// Hashed variation derates drawn.
-    pub(super) draws: u64,
+}
+
+/// Draws `die`'s derates for `level` into `out` (cleared first): one
+/// `(rise, fall)` pair per fanin pin, laid out like
+/// [`DelayTable::per_level`]. Derates are hashed per (die, node, pin,
+/// polarity) — segment-, schedule- and batch-independent — so one vector
+/// serves every voltage group carrying the die. Returns the number of
+/// hashes run.
+pub(super) fn draw_level_derates(
+    compiled: &CompiledNetlist,
+    level: usize,
+    die: &VariationSample,
+    out: &mut Vec<(f64, f64)>,
+) -> u64 {
+    out.clear();
+    for &node_id in &compiled.level_plans[level].gate_nodes {
+        for pin in 0..compiled.annotation.node_delays(node_id).len() {
+            let derate = |polarity| {
+                avfs_delay::variation::derate(&die.config, die.sample, node_id, pin, polarity)
+            };
+            out.push((derate(Polarity::Rise), derate(Polarity::Fall)));
+        }
+    }
+    2 * out.len() as u64
 }
 
 /// The slots of a batch that share one delay initialisation: same
@@ -180,9 +208,12 @@ pub(super) struct LevelInit {
 pub(super) struct VoltageGroup<'w> {
     assign: &'w VoltageAssign,
     variation: Option<VariationSample>,
-    /// Fault-injection key: the global slot of the group's first batch
-    /// member (a group shares one kernel evaluation, so the
-    /// non-finite-kernel site is per group).
+    /// Fault-injection key: the global (launch-order) slot of the
+    /// group's first batch member (a group shares one kernel evaluation,
+    /// so the non-finite-kernel site is per group). Batches are
+    /// die-major, so in a Monte Carlo launch that is the group's
+    /// earliest scenario *of the die the batch carries* — a group is met
+    /// once per die-batch, each time under that die's slot.
     key: u64,
     /// One cached table per segment; empty for groups that run the
     /// routine per launch (islands, armed fault plans).
@@ -212,11 +243,17 @@ impl<'w> VoltageGroup<'w> {
         assign: &VoltageAssign,
         variation: Option<VariationSample>,
     ) -> bool {
-        *self.assign == *assign && self.variation == variation
+        // The die first: a cheap reject before the deep assignment compare.
+        self.variation == variation && *self.assign == *assign
     }
 
     pub(super) fn key(&self) -> u64 {
         self.key
+    }
+
+    /// The die this group's delays are derated by (`None` = nominal).
+    pub(super) fn variation(&self) -> Option<VariationSample> {
+        self.variation
     }
 
     pub(super) fn is_cached(&self) -> bool {
@@ -246,9 +283,10 @@ impl<'w> VoltageGroup<'w> {
 
     /// Initializes this group's delays for `level`: cached groups replay
     /// their tables' fallback tallies, uncached groups run the routine
-    /// (under one `catch_unwind`, with `corrupt` on the raw factors),
-    /// and a die then derates the level slice — the same operation order
-    /// either way, so cached and uncached delays are bit-identical.
+    /// (under one `catch_unwind`, with `corrupt` on the raw factors). A
+    /// die's group is then derated by [`VoltageGroup::derate_level`] —
+    /// the same operation order either way, so cached and uncached
+    /// delays are bit-identical.
     pub(super) fn init_level(
         &mut self,
         compiled: &CompiledNetlist,
@@ -275,45 +313,26 @@ impl<'w> VoltageGroup<'w> {
             // Two kernel evaluations (rise + fall) per pin per segment.
             init.kernel_evals = bufs.iter().map(|b| 2 * b.len() as u64).sum();
         }
-        if let Some(die) = self.variation {
-            init.draws = self.derate_level(compiled, level, die);
-        }
         Ok(init)
     }
 
-    /// Applies `die` to this level's scaled delays (copied out of the
-    /// cached tables first). Derates are hashed per (die, node, pin,
-    /// polarity) — segment- and schedule-independent — and multiply the
-    /// scaled delay after the fallback guard; a nominal die multiplies
-    /// by exactly 1.0.
-    fn derate_level(
-        &mut self,
-        compiled: &CompiledNetlist,
-        level: usize,
-        die: VariationSample,
-    ) -> u64 {
+    /// Applies a die's `derates` ([`draw_level_derates`] of this group's
+    /// die) to this level's scaled delays, copied out of the cached
+    /// tables first. A derate multiplies the scaled delay after the
+    /// fallback guard, the same factor in every segment; a nominal die
+    /// multiplies by exactly 1.0.
+    pub(super) fn derate_level(&mut self, level: usize, derates: &[(f64, f64)]) {
         for (buf, table) in self.bufs.iter_mut().zip(&self.tables) {
             buf.clear();
             buf.extend_from_slice(&table.per_level[level]);
         }
-        let mut draws = 0u64;
-        let mut i = 0;
-        for &node_id in &compiled.level_plans[level].gate_nodes {
-            for pin in 0..compiled.annotation.node_delays(node_id).len() {
-                let derate = |polarity| {
-                    avfs_delay::variation::derate(&die.config, die.sample, node_id, pin, polarity)
-                };
-                let (rise, fall) = (derate(Polarity::Rise), derate(Polarity::Fall));
-                draws += 2;
-                for buf in &mut self.bufs {
-                    let d = &mut buf[i];
-                    d.rise = derate_delay(d.rise, rise);
-                    d.fall = derate_delay(d.fall, fall);
-                }
-                i += 1;
+        for buf in &mut self.bufs {
+            assert_eq!(buf.len(), derates.len(), "one derate pair per pin");
+            for (d, &(rise, fall)) in buf.iter_mut().zip(derates) {
+                d.rise = derate_delay(d.rise, rise);
+                d.fall = derate_delay(d.fall, fall);
             }
         }
-        draws
     }
 
     /// This group's delay view of `level` for the merge kernel.

@@ -1829,6 +1829,326 @@ fn mc_replays_exactly_from_seed() {
     assert_eq!(nominal.slots, plain.slots);
 }
 
+/// A droop × Monte Carlo launch whose batches can be cut anywhere: 3
+/// schedules × 3 patterns = 9 scenarios × 4 dice = 36 slots, scenario
+/// `i`'s dice at launch slots `i * 4 ..`.
+struct DiceGrid {
+    engine: CompiledNetlist,
+    patterns: PatternSet,
+    scenarios: Vec<ScenarioSpec>,
+    mc: MonteCarlo,
+}
+
+impl DiceGrid {
+    fn new() -> DiceGrid {
+        let lib = CellLibrary::nangate15_like();
+        let n = Arc::new(avfs_circuits::ripple_carry_adder(8, &lib).unwrap());
+        let patterns = PatternSet::random(n.inputs().len(), 3, 9);
+        let scenarios = cross_schedules(
+            patterns.len(),
+            &[
+                Schedule::droop(0.9, 0.15, 12.0, 40.0),
+                Schedule::steps([(0.0, 0.7), (25.0, 1.0)]),
+                Schedule::droop(0.8, 0.1, 20.0, 55.0),
+            ],
+        );
+        DiceGrid {
+            engine: voltage_scaled_engine(&n, 8.0, 9.5),
+            patterns,
+            scenarios,
+            mc: MonteCarlo {
+                samples: 4,
+                variation: VariationConfig {
+                    sigma: 0.05,
+                    max_deviation: 0.2,
+                    seed: 0xD1CE,
+                },
+            },
+        }
+    }
+
+    fn slots(&self) -> usize {
+        self.scenarios.len() * self.mc.samples
+    }
+
+    /// The `waveform_budget` that cuts round 0 into batches of
+    /// `batch_slots` slots at per-cell capacity `cap`.
+    fn budget(&self, batch_slots: usize, cap: usize) -> usize {
+        batch_slots * self.engine.netlist().num_nodes() * cap
+    }
+
+    fn launch(&self, mc: &MonteCarlo, opts: &SimOptions) -> SimRun {
+        self.engine
+            .launch_scenarios(&self.patterns, &self.scenarios, Some(mc), Some(60.0), opts)
+            .unwrap()
+    }
+
+    /// How often a die is drawn per level when round 0 is cut into
+    /// batches of `batch_slots`: batches are die-major (position `p` of
+    /// the batch order carries die `p / scenarios`), and a batch draws
+    /// each die it carries once.
+    fn dice_drawn(&self, batch_slots: usize) -> u64 {
+        let die_of = |p: usize| p / self.scenarios.len();
+        (0..self.slots())
+            .step_by(batch_slots)
+            .map(|first| {
+                let last = (first + batch_slots).min(self.slots()) - 1;
+                (die_of(last) - die_of(first) + 1) as u64
+            })
+            .sum()
+    }
+}
+
+/// Batch order is invisible: batches are cut die-major, results come
+/// back in launch order (scenario `i`'s dice at `i * samples ..`), and
+/// every cut — one slot per batch, a batch straddling two dice, exactly
+/// one die per batch, everything in one batch — at every thread count,
+/// lane width and gating setting equals the single-threaded single-batch
+/// reference bit for bit. Retry rounds keep the order (`arena_capacity:
+/// 1` overflows every toggling slot into round 1), and the
+/// unbound-tables derate path (an armed all-zero fault plan) is the
+/// bound one.
+#[test]
+fn batch_order_is_invisible_in_a_droop_mc_launch() {
+    let grid = DiceGrid::new();
+    let (scenarios, samples) = (grid.scenarios.len(), grid.mc.samples);
+    let base = |arena_capacity: usize| SimOptions {
+        threads: 1,
+        lanes: 1,
+        arena_capacity,
+        ..SimOptions::default()
+    };
+    let reference = grid.launch(&grid.mc, &base(0));
+    assert_eq!(reference.slots.len(), grid.slots());
+    assert!(reference.is_complete());
+    // Launch order, checked against launches the die sort cannot touch:
+    // one die per scenario is already die-major, and a one-die plan
+    // draws sample 0 — so scenario `i`'s first slot is that launch's
+    // slot `i`, and every slot reports its own scenario's spec.
+    let die0 = grid.launch(
+        &MonteCarlo {
+            samples: 1,
+            ..grid.mc
+        },
+        &base(0),
+    );
+    for (i, spec) in grid.scenarios.iter().enumerate() {
+        assert_eq!(reference.slots[i * samples], die0.slots[i], "scenario {i}");
+        for die in 0..samples {
+            let slot = &reference.slots[i * samples + die];
+            assert_eq!(slot.spec.pattern, spec.pattern, "scenario {i}, die {die}");
+            assert_eq!(
+                Some(slot.spec.voltage),
+                spec.schedule.representative_voltage(),
+                "scenario {i}, die {die}"
+            );
+        }
+    }
+    let overflowing = grid.launch(&grid.mc, &base(1));
+    assert!(
+        overflowing.diagnostics.slot_retries > 0,
+        "capacity 1 retries"
+    );
+    for (name, arena_capacity, armed, expected) in [
+        ("bound tables", 0, false, &reference),
+        ("retry rounds", 1, false, &overflowing),
+        ("armed all-zero plan", 0, true, &reference),
+    ] {
+        let cap = base(arena_capacity).resolved_arena_capacity();
+        // 5 slots straddle two dice (9 slots each); 9 is one die.
+        for batch_slots in [1, 5, scenarios, grid.slots()] {
+            for threads in [1usize, 2, 4] {
+                for lanes in [1usize, 8] {
+                    for activity_gating in [true, false] {
+                        let got = grid.launch(
+                            &grid.mc,
+                            &SimOptions {
+                                threads,
+                                lanes,
+                                activity_gating,
+                                waveform_budget: grid.budget(batch_slots, cap),
+                                fault_plan: armed.then(|| Arc::new(FaultPlan::empty(0xC0FFEE))),
+                                ..base(arena_capacity)
+                            },
+                        );
+                        let case = format!(
+                            "{name}: {batch_slots} slots/batch, threads={threads}, \
+                             lanes={lanes}, gating={activity_gating}"
+                        );
+                        assert_eq!(got.slots, expected.slots, "{case}");
+                        assert_eq!(got.scenario, expected.scenario, "{case}");
+                        assert_eq!(got.diagnostics, expected.diagnostics, "{case}");
+                        assert_eq!(got.node_evaluations, expected.node_evaluations, "{case}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The draw count is exact: a die is hashed once per pin and polarity
+/// per level *per batch that carries it* — never once per voltage group,
+/// never once per slot — so a launch cut into whole-die batches draws
+/// `2 × pins × dice`, and a launch without a plan draws nothing.
+#[test]
+fn variation_draws_count_dice_per_batch() {
+    let grid = DiceGrid::new();
+    let netlist = grid.engine.netlist();
+    let pins: u64 = netlist
+        .iter()
+        .filter(|(_, node)| matches!(node.kind(), NodeKind::Gate(_)))
+        .map(|(_, node)| node.fanin().len() as u64)
+        .sum();
+    let dice = grid.mc.samples as u64;
+    assert_eq!(grid.dice_drawn(grid.scenarios.len()), dice);
+    assert_eq!(grid.dice_drawn(grid.slots()), dice);
+    assert_eq!(grid.dice_drawn(1), grid.slots() as u64);
+    for batch_slots in [1, 5, grid.scenarios.len(), grid.slots()] {
+        for threads in [1usize, 2] {
+            let run = grid.launch(
+                &grid.mc,
+                &SimOptions {
+                    threads,
+                    profiling: true,
+                    waveform_budget: grid.budget(batch_slots, 64),
+                    ..SimOptions::default()
+                },
+            );
+            assert!(run.is_complete(), "no slot dies, so every level draws");
+            let profile = run.profile.as_ref().unwrap();
+            assert_eq!(
+                profile.counter(phases::ENGINE_BATCHES),
+                Some(grid.slots().div_ceil(batch_slots) as u64)
+            );
+            assert_eq!(
+                profile.counter(phases::ENGINE_VARIATION_DRAWS),
+                Some(2 * pins * grid.dice_drawn(batch_slots)),
+                "{batch_slots} slots/batch, threads={threads}"
+            );
+        }
+    }
+    // No plan, no draws — and no instrument.
+    let plain = grid
+        .engine
+        .launch_scenarios(
+            &grid.patterns,
+            &grid.scenarios,
+            None,
+            None,
+            &SimOptions {
+                profiling: true,
+                ..SimOptions::default()
+            },
+        )
+        .unwrap();
+    let profile = plain.profile.as_ref().unwrap();
+    assert_eq!(profile.counter(phases::ENGINE_VARIATION_DRAWS), None);
+}
+
+/// Armed runs stay deterministic under die-major batches: the
+/// non-finite-kernel site is keyed by a voltage group's first batch
+/// member, which the batch order decides and the thread count and lane
+/// width do not.
+#[test]
+fn armed_droop_mc_launch_is_deterministic_across_threads_and_lanes() {
+    let grid = DiceGrid::new();
+    let launch = |threads: usize, lanes: usize| {
+        let plan = FaultPlan::empty(0x5EED)
+            .with_rate(InjectionSite::NonFiniteKernel, 0.5)
+            .with_rate(InjectionSite::ArenaOverflow, 0.2);
+        grid.launch(
+            &grid.mc,
+            &SimOptions {
+                threads,
+                lanes,
+                waveform_budget: grid.budget(5, 64),
+                fault_plan: Some(Arc::new(plan)),
+                ..SimOptions::default()
+            },
+        )
+    };
+    let reference = launch(1, 1);
+    assert!(reference.diagnostics.kernel_fallbacks > 0, "a group fired");
+    assert!(reference.diagnostics.slot_retries > 0, "a slot overflowed");
+    for threads in [1usize, 2, 4] {
+        for lanes in [1usize, 8] {
+            let got = launch(threads, lanes);
+            let case = format!("threads={threads}, lanes={lanes}");
+            assert_eq!(got.slots, reference.slots, "{case}");
+            assert_eq!(got.scenario, reference.scenario, "{case}");
+            assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
+        }
+    }
+}
+
+/// A variation distribution `derate` cannot draw from is a typed error
+/// in every validation mode — not a coordinator panic (`clamp` with a
+/// negative or NaN bound) and not silently zeroed delays (a NaN sigma)
+/// — while `sigma == 0.0` stays the exact identity.
+#[test]
+fn invalid_variation_rejected() {
+    let n = chain_netlist();
+    let engine = voltage_scaled_engine(&n, 10.0, 10.0);
+    let patterns = one_pattern();
+    let scenarios = [ScenarioSpec {
+        pattern: 0,
+        schedule: Schedule::droop(0.9, 0.1, 5.0, 15.0),
+    }];
+    let launch = |sigma: f64, max_deviation: f64, mode: ValidationMode| {
+        engine.launch_scenarios(
+            &patterns,
+            &scenarios,
+            Some(&MonteCarlo {
+                samples: 2,
+                variation: VariationConfig {
+                    sigma,
+                    max_deviation,
+                    seed: 1,
+                },
+            }),
+            None,
+            &SimOptions {
+                threads: 1,
+                strict_validation: mode,
+                ..SimOptions::default()
+            },
+        )
+    };
+    for (sigma, max_deviation) in [
+        (f64::NAN, 0.2),
+        (-0.05, 0.2),
+        (f64::INFINITY, 0.2),
+        (0.05, f64::NAN),
+        (0.05, -0.2),
+        (0.05, f64::INFINITY),
+    ] {
+        for mode in [
+            ValidationMode::Off,
+            ValidationMode::Warn,
+            ValidationMode::Deny,
+        ] {
+            match launch(sigma, max_deviation, mode) {
+                Err(SimError::InvalidVariation { .. }) => {}
+                other => panic!(
+                    "sigma {sigma}, max_deviation {max_deviation}, {mode:?}: \
+                     expected InvalidVariation, got {other:?}"
+                ),
+            }
+        }
+    }
+    // The boundary values are usable: a zero clamp and a zero sigma both
+    // leave every delay exactly as scaled.
+    let plain = engine
+        .launch_scenarios(&patterns, &scenarios, None, None, &SimOptions::default())
+        .unwrap();
+    for (sigma, max_deviation) in [(0.0, 0.2), (0.0, 0.0), (0.05, 0.0)] {
+        let run = launch(sigma, max_deviation, ValidationMode::Warn).unwrap();
+        for die in &run.slots {
+            assert_eq!(*die, plain.slots[0], "sigma {sigma}, clamp {max_deviation}");
+        }
+    }
+}
+
 #[test]
 fn malformed_scenarios_rejected() {
     let n = chain_netlist();

@@ -140,6 +140,17 @@ pub enum SimError {
         /// The first lint finding's message.
         message: String,
     },
+    /// A [`MonteCarlo`] plan's variation distribution is unusable: a
+    /// non-finite or negative `sigma` or `max_deviation` (a NaN sigma
+    /// would derate every delay to 0 ps; a negative clamp has no
+    /// interval to clamp into). Refused before any kernel work, in every
+    /// validation mode.
+    InvalidVariation {
+        /// The plan's relative standard deviation.
+        sigma: f64,
+        /// The plan's clamp on the absolute relative deviation.
+        max_deviation: f64,
+    },
     /// An annotated output load is non-finite or negative.
     InvalidLoad {
         /// Name of the offending node.
@@ -231,6 +242,16 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidSchedule { slot, message } => {
                 write!(f, "scenario {slot} has a malformed schedule: {message}")
+            }
+            SimError::InvalidVariation {
+                sigma,
+                max_deviation,
+            } => {
+                write!(
+                    f,
+                    "Monte Carlo variation needs finite, non-negative sigma and \
+                     max_deviation (got sigma {sigma}, max_deviation {max_deviation})"
+                )
             }
             SimError::InvalidLoad { node, load } => {
                 write!(f, "node `{node}` has invalid annotated load {load} fF")

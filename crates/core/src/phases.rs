@@ -17,7 +17,8 @@ pub const ENGINE_STIMULI: &str = "engine/stimuli";
 /// Delay initialisation (paper Sec. IV.A): per batch, binding voltage
 /// groups to the artifact's per-voltage tables (first-use builds
 /// included); per simulated level, the uncached groups' kernel
-/// evaluation and the Monte Carlo derate pass.
+/// evaluation and the Monte Carlo derate pass (one draw of each die the
+/// batch carries, applied to every group of that die).
 pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 
 /// Per-level gate evaluation: the waveform-processing loop across the
@@ -220,9 +221,10 @@ pub const ENGINE_SCENARIO_SEGMENTS: &str = "engine.scenario_segments";
 pub const ENGINE_MC_SAMPLES: &str = "engine.mc_samples";
 
 /// Hashed process-variation derate draws performed by the delay
-/// initialisation's derate pass (two per annotated pin per sampled
-/// voltage group per level: rise and fall). Coordinator-only, like every other
-/// instrument; recorded only when at least one draw happened.
+/// initialisation's derate pass: two (rise and fall) per annotated pin
+/// per level per distinct die of a batch — the die's voltage groups
+/// share the draw. Coordinator-only, like every other instrument;
+/// recorded only when at least one draw happened.
 pub const ENGINE_VARIATION_DRAWS: &str = "engine.variation_draws";
 
 /// Whole event-driven baseline run (all slots, serial).

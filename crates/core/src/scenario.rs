@@ -17,7 +17,12 @@
 //! derate drawn by hashing, never by a stateful RNG (see
 //! [`avfs_delay::variation::derate`]), so draws are independent of the
 //! schedule, of slot order, of batching, and of the thread count —
-//! replaying a seed replays the dice exactly. The run's
+//! replaying a seed replays the dice exactly. The engine leans on that
+//! twice: the *launch* order is scenario-major (scenario `i`'s dice are
+//! slots `i * N ..`, which is how results come back), but batches are cut
+//! die-major, and within a batch a die is drawn once per level and shared
+//! by every schedule that carries it — a die costs one draw per batch,
+//! not one per scenario. The run's
 //! [`ScenarioSummary`] reduces the sampled slots into a
 //! failure-probability-vs-voltage curve against a capture deadline.
 //!
@@ -179,7 +184,9 @@ pub fn cross_schedules(num_patterns: usize, schedules: &[Schedule]) -> Vec<Scena
 /// A Monte Carlo process-variation plan: expand every scenario into
 /// `samples` dice drawn from `variation`. Sample 0 of seed `s` is the
 /// same die in every launch, batch, and schedule — draws are pure hashes
-/// of `(seed, sample, node, pin, polarity)`.
+/// of `(seed, sample, node, pin, polarity)`. `variation.sigma` and
+/// `variation.max_deviation` must be finite and non-negative
+/// ([`SimError::InvalidVariation`] otherwise).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarlo {
     /// Dice per scenario (must be nonzero).
@@ -286,8 +293,13 @@ impl CompiledNetlist {
     /// kernel clamps them onto the boundary) — follow the validation
     /// mode instead.
     ///
+    /// A Monte Carlo plan with zero samples is [`SimError::EmptySlots`];
+    /// one whose `sigma` or `max_deviation` is non-finite or negative is
+    /// [`SimError::InvalidVariation`], also in every validation mode.
+    ///
     /// Scenario `i`'s dice occupy slots `i * samples .. (i + 1) * samples`
-    /// in launch order.
+    /// in launch order (the engine batches them die-major; results stay
+    /// in launch order).
     pub(crate) fn prepare_scenarios<'a>(
         &self,
         patterns: &'a PatternSet,
@@ -298,6 +310,19 @@ impl CompiledNetlist {
     ) -> Result<LaunchPlan<'a>, SimError> {
         if mc.is_some_and(|m| m.samples == 0) {
             return Err(SimError::EmptySlots);
+        }
+        // `derate` clamps a deviate into `±max_deviation` (a panic for a
+        // negative or NaN bound) and floors `1 + ε` at 0 (which maps a
+        // NaN sigma's ε to a 0 ps delay everywhere), so the distribution
+        // is checked here, where it enters, not where it is drawn.
+        let usable = |x: f64| x.is_finite() && x >= 0.0;
+        if let Some(v) = mc.map(|m| m.variation) {
+            if !usable(v.sigma) || !usable(v.max_deviation) {
+                return Err(SimError::InvalidVariation {
+                    sigma: v.sigma,
+                    max_deviation: v.max_deviation,
+                });
+            }
         }
         let slots = scenarios.iter().map(|spec| {
             let voltages = spec.schedule.segments.iter().map(|seg| seg.voltage);
@@ -396,7 +421,8 @@ impl CompiledNetlist {
     /// [`RunDiagnostics::validation_findings`](crate::RunDiagnostics)
     /// under `Warn`, refused as [`SimError::Validation`] under `Deny`.
     /// An empty scenario list or a zero-sample Monte Carlo plan is
-    /// [`SimError::EmptySlots`].
+    /// [`SimError::EmptySlots`]; a plan whose `sigma` or `max_deviation`
+    /// is non-finite or negative is [`SimError::InvalidVariation`].
     pub fn launch_scenarios(
         &self,
         patterns: &PatternSet,
