@@ -62,6 +62,16 @@ for metric in $(grep -ohE "\`($layers)\.[A-Za-z0-9_*]+[(]?" $docs | tr -d '`' | 
         { echo "docs name $metric: neither a BENCHMARK.json metric nor an instrument name in crates/*/src"; exit 1; }
 done
 
+echo "==> fault-site table (every InjectionSite::name has a row in DESIGN.md §7's site table, every row names a registered site)"
+sites=$(awk '/pub fn name\(self\)/,/^    }$/' crates/inject/src/lib.rs | grep -oE '=> "[a-z-]+"' | cut -d'"' -f2 | sort)
+rows=$(awk '/^\| Site \| Keyed by/,/^$/' DESIGN.md | grep -oE '^\| `[^`]*` \|' | cut -d'`' -f2 | sort)
+if [ -z "$sites" ] || [ "$sites" != "$rows" ]; then
+    echo "DESIGN.md §7 site table disagrees with InjectionSite::name:"
+    echo "  registered sites: $(echo $sites)"
+    echo "  table rows:       $(echo $rows)"
+    exit 1
+fi
+
 echo "==> checker --smoke (static-analysis gate: avfs-check/1 schema, zero deny findings)"
 cargo run --release --offline -p avfs-bench --bin checker -- --smoke
 

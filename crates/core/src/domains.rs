@@ -31,7 +31,9 @@ impl VoltageDomains {
     ///
     /// # Panics
     ///
-    /// Panics if the function returns a domain index ≥ 65536.
+    /// Panics if the function returns a domain index ≥ 65 535
+    /// (`u16::MAX`, which [`VoltageDomains::by_output_cones`] reserves as
+    /// its "not yet claimed" sentinel).
     pub fn from_fn(netlist: &Netlist, mut assign: impl FnMut(NodeId) -> usize) -> VoltageDomains {
         let mut count = 0usize;
         let domain_of: Vec<u16> = netlist
@@ -108,12 +110,6 @@ impl VoltageDomains {
         self.domain_of[node.index()] as usize
     }
 
-    /// The domain of a raw node index (hot-path form).
-    #[inline]
-    pub fn domain_of_index(&self, node: usize) -> usize {
-        self.domain_of[node] as usize
-    }
-
     /// Nodes per domain (diagnostic).
     pub fn sizes(&self) -> Vec<usize> {
         let mut sizes = vec![0usize; self.count];
@@ -139,14 +135,22 @@ mod tests {
     use super::*;
     use crate::compile::CompiledNetlist;
     use crate::engine::SimOptions;
-    use crate::slots;
+    use crate::{phases, slots, SimRun};
     use avfs_atpg::PatternSet;
     use avfs_delay::characterize::{characterize_library, CharacterizationConfig};
+    use avfs_delay::CharacterizedLibrary;
     use avfs_netlist::{CellLibrary, NodeKind};
     use avfs_spice::Technology;
     use std::sync::Arc;
 
     fn setup() -> (Arc<Netlist>, CompiledNetlist) {
+        let (netlist, chars) = characterized();
+        let engine = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
+            .expect("engine builds");
+        (netlist, engine)
+    }
+
+    fn characterized() -> (Arc<Netlist>, CharacterizedLibrary) {
         let library = CellLibrary::nangate15_like();
         let netlist =
             Arc::new(avfs_circuits::ripple_carry_adder(8, &library).expect("adder builds"));
@@ -166,9 +170,7 @@ mod tests {
             Some(&used),
         )
         .expect("characterizes");
-        let engine = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
-            .expect("engine builds");
-        (netlist, engine)
+        (netlist, chars)
     }
 
     #[test]
@@ -193,11 +195,60 @@ mod tests {
         let uniform_run = engine
             .launch(&patterns, &slots::at_voltage(patterns.len(), 0.7), &opts)
             .expect("runs");
-        for (a, b) in island_run.slots.iter().zip(&uniform_run.slots) {
-            assert_eq!(a.responses, b.responses);
-            assert_eq!(a.latest_output_transition_ps, b.latest_output_transition_ps);
-            assert_eq!(a.activity, b.activity);
+        assert_eq!(island_run.slots, uniform_run.slots);
+        assert_eq!(island_run.diagnostics, uniform_run.diagnostics);
+    }
+
+    /// Three islands at one supply are the uniform launch at that supply:
+    /// same slots, same diagnostics, and the same delay-table work — each
+    /// launch builds the one table of its supply on a fresh artifact, and
+    /// a second island launch builds nothing.
+    #[test]
+    fn islands_at_one_supply_equal_the_uniform_launch() {
+        let (netlist, chars) = characterized();
+        let compile = || {
+            CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
+                .expect("engine builds")
+        };
+        let (uniform_engine, island_engine) = (compile(), compile());
+        let domains = VoltageDomains::by_output_cones(&netlist, 3);
+        assert_eq!(domains.count(), 3);
+        let patterns = PatternSet::lfsr(netlist.inputs().len(), 6, 3);
+        let specs: Vec<DomainSlotSpec> = (0..patterns.len())
+            .map(|pattern| DomainSlotSpec {
+                pattern,
+                voltages: vec![0.7; 3],
+            })
+            .collect();
+        let opts = SimOptions {
+            threads: 1,
+            profiling: true,
+            ..SimOptions::default()
+        };
+        let uniform = uniform_engine
+            .launch(&patterns, &slots::at_voltage(patterns.len(), 0.7), &opts)
+            .expect("runs");
+        let islands = island_engine
+            .launch_domains(&patterns, &domains, &specs, &opts)
+            .expect("runs");
+        assert_eq!(islands.slots, uniform.slots);
+        assert_eq!(islands.diagnostics, uniform.diagnostics);
+        let count = |run: &SimRun, name| run.profile.as_ref().expect("profiled").counter(name);
+        for name in [
+            phases::ENGINE_KERNEL_EVALS,
+            phases::ENGINE_DELAY_TABLE_BUILDS,
+            phases::ENGINE_DELAY_TABLE_HITS,
+        ] {
+            assert_eq!(count(&islands, name), count(&uniform, name), "{name}");
         }
+        assert_eq!(count(&islands, phases::ENGINE_DELAY_TABLE_BUILDS), Some(1));
+        let again = island_engine
+            .launch_domains(&patterns, &domains, &specs, &opts)
+            .expect("runs");
+        assert_eq!(again.slots, islands.slots);
+        assert_eq!(count(&again, phases::ENGINE_DELAY_TABLE_BUILDS), None);
+        assert_eq!(count(&again, phases::ENGINE_KERNEL_EVALS), None);
+        assert_eq!(count(&again, phases::ENGINE_DELAY_TABLE_HITS), Some(1));
     }
 
     #[test]
@@ -346,5 +397,20 @@ mod tests {
         for (id, _) in netlist.iter() {
             assert_eq!(domains.domain_of(id), id.index() % 4);
         }
+    }
+
+    /// The largest domain index `from_fn` takes is 65 534; 65 535 is
+    /// `by_output_cones`' sentinel and panics.
+    #[test]
+    fn from_fn_domain_index_boundary() {
+        let library = CellLibrary::nangate15_like();
+        let netlist = avfs_circuits::ripple_carry_adder(1, &library).expect("adder builds");
+        let top = VoltageDomains::from_fn(&netlist, |_| 65_534);
+        assert_eq!(top.count(), 65_535);
+        assert!(netlist.iter().all(|(id, _)| top.domain_of(id) == 65_534));
+        let sentinel = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            VoltageDomains::from_fn(&netlist, |_| 65_535)
+        }));
+        assert!(sentinel.is_err(), "65 535 must panic");
     }
 }

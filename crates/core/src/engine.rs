@@ -293,6 +293,9 @@ pub(crate) struct LaunchPlan<'a> {
     /// Rendered validation findings for
     /// [`RunDiagnostics::validation_findings`].
     pub(crate) validation: Vec<String>,
+    /// The node → domain map of a voltage-island launch, which its
+    /// [`VoltageAssign::PerDomain`] slots index (`None` otherwise).
+    pub(crate) domains: Option<&'a VoltageDomains>,
     /// Scenario launches reduce their slots into a
     /// [`ScenarioSummary`](crate::scenario::ScenarioSummary) against
     /// this Monte Carlo plan and capture deadline.
@@ -412,6 +415,7 @@ impl CompiledNetlist {
             patterns,
             work,
             validation,
+            domains: None,
             reduction: None,
         })
     }
@@ -452,7 +456,7 @@ impl CompiledNetlist {
     pub(crate) fn prepare_domains<'a>(
         &self,
         patterns: &'a PatternSet,
-        domains: &VoltageDomains,
+        domains: &'a VoltageDomains,
         specs: &[DomainSlotSpec],
         options: &SimOptions,
     ) -> Result<LaunchPlan<'a>, SimError> {
@@ -493,24 +497,20 @@ impl CompiledNetlist {
         let validation = self.validate_launch(options.strict_validation, &slot_points, &[])?;
         let work = specs
             .iter()
-            .map(|spec| {
-                // Normalize each domain voltage once, then expand per node.
-                let per_domain: Vec<f64> = spec.voltages.iter().map(|&v| self.v_norm(v)).collect();
-                let per_node: Vec<f64> = (0..self.netlist.num_nodes())
-                    .map(|n| per_domain[domains.domain_of_index(n)])
-                    .collect();
-                SlotWork {
-                    pattern: spec.pattern,
-                    assign: VoltageAssign::PerNode(Arc::new(per_node)),
-                    voltage: spec.voltages[0],
-                    variation: None,
-                }
+            .map(|spec| SlotWork {
+                pattern: spec.pattern,
+                assign: VoltageAssign::PerDomain(
+                    spec.voltages.iter().map(|&v| self.v_norm(v)).collect(),
+                ),
+                voltage: spec.voltages[0],
+                variation: None,
             })
             .collect();
         Ok(LaunchPlan {
             patterns,
             work,
             validation,
+            domains: Some(domains),
             reduction: None,
         })
     }
@@ -579,6 +579,7 @@ impl CompiledNetlist {
             compiled: self,
             patterns: plan.patterns,
             work: &plan.work,
+            domains: plan.domains,
             options,
             pool,
             tallies: PoolTallies::new(pool.threads()),
@@ -685,6 +686,8 @@ struct RunCtx<'a> {
     compiled: &'a CompiledNetlist,
     patterns: &'a PatternSet,
     work: &'a [SlotWork],
+    /// The launch's node → domain map (voltage-island launches only).
+    domains: Option<&'a VoltageDomains>,
     options: &'a SimOptions,
     /// The parked workers every level epoch worth waking them for is
     /// released through (the GPU grid analogue), and the resident arena
@@ -940,9 +943,9 @@ pub(crate) struct VariationSample {
 pub(crate) enum VoltageAssign {
     /// One global supply (normalized).
     Uniform(f64),
-    /// Per-node normalized voltage (voltage islands), expanded from the
-    /// domain map once per slot.
-    PerNode(Arc<Vec<f64>>),
+    /// One normalized supply per voltage domain (voltage islands),
+    /// indexed by the launch's domain map.
+    PerDomain(Vec<f64>),
     /// A piecewise operating-point schedule (always ≥ 2 segments: the
     /// scenario layer lowers a single-segment schedule to `Uniform`, so
     /// the constant-schedule ≡ static identity holds by construction).
@@ -964,12 +967,13 @@ pub(crate) struct NormalizedSchedule {
 }
 
 impl VoltageAssign {
-    #[inline]
-    fn v_norm_at(&self, node: usize, segment: usize) -> f64 {
+    /// The normalized supplies this assignment's delays are read at:
+    /// the one global supply, one per domain, or one per segment.
+    fn v_norms(&self) -> &[f64] {
         match self {
-            VoltageAssign::Uniform(v) => *v,
-            VoltageAssign::PerNode(per_node) => per_node[node],
-            VoltageAssign::Scheduled(s) => s.v_norms[segment],
+            VoltageAssign::Uniform(v) => std::slice::from_ref(v),
+            VoltageAssign::PerDomain(v_norms) => v_norms,
+            VoltageAssign::Scheduled(s) => &s.v_norms,
         }
     }
 

@@ -151,7 +151,7 @@ impl<'c> Batch<'c> {
             if let Some(m) = metrics {
                 m.add(phases::ENGINE_LEVELS, 1);
             }
-            self.init_delays(level)?;
+            self.init_delays(level);
             let live_groups = self.live_lane_groups();
             if live_groups.is_empty() {
                 continue;
@@ -216,45 +216,45 @@ impl<'c> Batch<'c> {
         }
     }
 
-    /// Delay initialisation, launch half: binds every uniform and
-    /// scheduled group to the artifact's per-voltage tables. An armed
-    /// fault plan corrupts factors per (run, round), which no cached
-    /// table can reflect, so armed runs bind nothing and initialize
-    /// every group per level instead.
+    /// Delay initialisation, batch half: binds every voltage group to
+    /// the artifact's per-voltage tables and probes the injected
+    /// non-finite kernel once per group, keyed (group, round).
     fn bind_delay_tables(&mut self) -> Result<(), SimError> {
         let ctx = self.ctx;
-        if ctx.injector.is_armed() {
-            return Ok(());
-        }
         // Table fetches (and first-use builds) are delay-kernel work.
         let _span = ctx.metrics.map(|m| m.span(phases::ENGINE_DELAY_KERNEL));
+        let mut all_bound = true;
         for g in 0..self.groups.len() {
-            match self.groups[g].bind_tables(ctx.compiled, ctx.metrics) {
+            let poisoned = ctx.injector.fires(
+                InjectionSite::NonFiniteKernel,
+                self.groups[g].key(),
+                u64::from(self.round),
+            );
+            match self.groups[g].bind_tables(ctx.compiled, ctx.metrics, poisoned) {
                 Ok(()) => {}
                 Err(DelayFault::Model(e)) => return Err(e),
-                Err(DelayFault::Panicked) => self.kill_group(g, Dead::Panic),
+                Err(DelayFault::Panicked) => {
+                    all_bound = false;
+                    self.kill_group(g, Dead::Panic);
+                }
             }
         }
-        if let Some(m) = ctx
-            .metrics
-            .filter(|_| self.groups.iter().all(VoltageGroup::is_cached))
-        {
+        if let Some(m) = ctx.metrics.filter(|_| all_bound) {
             m.add(phases::ENGINE_DELAY_TABLE_HITS, 1);
         }
         Ok(())
     }
 
     /// Delay initialisation, level half: every voltage group still live
-    /// this level (a group is live while any of its slots is) gets its
-    /// modified pin delays for `level`, and a die's groups are derated
-    /// by one shared draw of the die. Groups are met in batch order,
-    /// which is die-major, so a die's groups are adjacent and the die is
-    /// drawn once per level; the values never depend on that order, only
-    /// the draw count does.
-    fn init_delays(&mut self, level: usize) -> Result<(), SimError> {
+    /// this level (a group is live while any of its slots is) reads its
+    /// pin delays for `level` from its tables, and a die's groups are
+    /// derated by one shared draw of the die. Groups are met in batch
+    /// order, which is die-major, so a die's groups are adjacent and the
+    /// die is drawn once per level; the values never depend on that
+    /// order, only the draw count does.
+    fn init_delays(&mut self, level: usize) {
         let ctx = self.ctx;
         let _span = ctx.metrics.map(|m| m.span(phases::ENGINE_DELAY_KERNEL));
-        let mut kernel_evals = 0u64;
         // The die whose derates for this level `self.derates` holds.
         let mut drawn: Option<VariationSample> = None;
         for g in 0..self.groups.len() {
@@ -266,32 +266,16 @@ impl<'c> Batch<'c> {
             if !live {
                 continue;
             }
-            // Injected non-finite kernel output: corrupted factors flow
-            // into the fallback guard exactly like an organically broken
-            // kernel's would.
-            let (key, salt) = (self.groups[g].key(), u64::from(self.round));
-            let corrupt = |f| ctx.injector.corrupt_factor(f, key, salt);
-            match self.groups[g].init_level(ctx.compiled, level, corrupt) {
-                Ok(init) => {
-                    self.fallbacks += init.fallbacks;
-                    kernel_evals += init.kernel_evals;
-                    if let Some(die) = self.groups[g].variation() {
-                        if drawn != Some(die) {
-                            self.variation_draws +=
-                                draw_level_derates(ctx.compiled, level, &die, &mut self.derates);
-                            drawn = Some(die);
-                        }
-                        self.groups[g].derate_level(level, &self.derates);
-                    }
+            self.fallbacks += self.groups[g].init_level(ctx.compiled, ctx.domains, level);
+            if let Some(die) = self.groups[g].variation() {
+                if drawn != Some(die) {
+                    self.variation_draws +=
+                        draw_level_derates(ctx.compiled, level, &die, &mut self.derates);
+                    drawn = Some(die);
                 }
-                Err(DelayFault::Model(e)) => return Err(e),
-                Err(DelayFault::Panicked) => self.kill_group(g, Dead::Panic),
+                self.groups[g].derate_level(&self.derates);
             }
         }
-        if let Some(m) = ctx.metrics {
-            m.add(phases::ENGINE_KERNEL_EVALS, kernel_evals);
-        }
-        Ok(())
     }
 
     /// The lane groups of the level's task grid: dead lanes are masked

@@ -4,23 +4,23 @@
 //! "The delay calculations of threads from parallel instances of a gate
 //! utilize the same coefficients and delay function calls", so each piece
 //! of the work is done once per thing it depends on. Scaling depends on
-//! the supply: it is done once per *voltage group* — the slots of a batch
-//! that share a voltage assignment and a Monte Carlo die — and it is
-//! written once: [`CompiledNetlist::level_delays`] scales one level for
-//! one supply assignment. A per-voltage [`DelayTable`] is that routine
-//! looped over levels and cached on the artifact; uniform and scheduled
-//! groups read the cache (one table per segment). Only voltage islands
-//! (no single supply to key a table by) and armed fault plans (factor
-//! corruption is keyed per run and round) call the routine per launch.
-//! Process variation depends on the die alone — not on the schedule, the
-//! segment or the batch: [`draw_level_derates`] draws a die's derates
-//! for one level once, and every group of the batch that carries the die
-//! multiplies its level slices by that one vector
-//! ([`VoltageGroup::derate_level`]). The vector is scratch: nothing
-//! drawn outlives its level.
+//! the supply alone: [`CompiledNetlist::level_delays`] scales one level at
+//! one supply, and a per-voltage [`DelayTable`] — that routine looped over
+//! levels — is cached on the artifact. Model code runs nowhere else.
+//!
+//! Every *voltage group* (the slots of a batch that share a voltage
+//! assignment and a Monte Carlo die) reads tables: a uniform group one, a
+//! scheduled group one per segment, an island group one per domain. A
+//! group whose delays are a table slice verbatim reads it in place; any
+//! other writes its own copy of the level: an island group gathers each
+//! gate from its domain's table, a group the injected non-finite kernel
+//! fired on falls back to nominal, and a die derates the copy. The die is
+//! drawn once per level per batch ([`draw_level_derates`]) and shared by
+//! every group carrying it; nothing drawn outlives its level.
 
 use super::{VariationSample, VoltageAssign};
 use crate::compile::CompiledNetlist;
+use crate::domains::VoltageDomains;
 use crate::phases;
 use crate::SimError;
 use avfs_delay::op::NormalizedPoint;
@@ -40,13 +40,18 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub(crate) struct DelayTable {
     pub(crate) per_level: Vec<Vec<PinDelays>>,
-    /// Non-finite scaled delays that fell back to nominal while the
-    /// table was built, per level — replayed into
+    /// Per level, the gates that fell back to nominal. Replayed into
     /// [`RunDiagnostics::kernel_fallbacks`](crate::RunDiagnostics::kernel_fallbacks)
-    /// for every launch the table serves, so cached and uncached runs
-    /// report identical diagnostics.
-    pub(crate) fallbacks_per_level: Vec<u64>,
+    /// for every launch the table serves: whole by the groups that read
+    /// the whole table, gate by gate by the island groups that read only
+    /// some of its gates.
+    pub(crate) fallbacks_per_level: Vec<GateFallbacks>,
 }
+
+/// `(gate position, scaled delays that fell back to nominal)` for every
+/// gate of one level plan that had any, in position order — empty for a
+/// finite model.
+type GateFallbacks = Vec<(usize, u64)>;
 
 /// Guards the delay calculation: a non-finite scaled delay falls back to
 /// the nominal delay and is counted in
@@ -82,56 +87,47 @@ pub(super) enum DelayFault {
     Panicked,
 }
 
-/// Runs model code for one voltage group, containing a panic to that
-/// group.
-fn contained<T>(f: impl FnOnce() -> Result<T, SimError>) -> Result<T, DelayFault> {
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(Ok(v)) => Ok(v),
-        Ok(Err(e)) => Err(DelayFault::Model(e)),
-        Err(_) => Err(DelayFault::Panicked),
-    }
-}
-
 impl CompiledNetlist {
-    /// The delay-initialisation routine: scales the nominal pin delays
-    /// of `level`'s gates by the kernel factor at each gate's
-    /// `(v_norm(node), φ_C(load))` into `out` (cleared first, laid out
-    /// like [`DelayTable::per_level`]) and returns how many scaled delays
-    /// fell back to nominal. `corrupt` is the fault-injection seam on
-    /// the raw factors (identity on clean runs).
+    /// The delay-initialisation routine: the nominal pin delays of
+    /// `level`'s gates scaled by the kernel factor at each gate's
+    /// `(v_norm, φ_C(load))`, and the gates that fell back to nominal —
+    /// one level of a [`DelayTable`].
     fn level_delays(
         &self,
         level: usize,
-        v_norm: impl Fn(usize) -> f64,
-        corrupt: impl Fn(f64) -> f64,
-        out: &mut Vec<PinDelays>,
-    ) -> Result<u64, SimError> {
-        out.clear();
-        let mut fallbacks = 0u64;
-        for &node_id in self.levels.level(level) {
-            if let NodeKind::Gate(cell_id) = self.netlist.node(node_id).kind() {
-                let p = NormalizedPoint {
-                    v: v_norm(node_id.index()),
-                    c: self.c_norm[node_id.index()],
-                };
-                for (pin, d) in self.annotation.node_delays(node_id).iter().enumerate() {
-                    let f_rise = corrupt(self.model.factor(cell_id, pin, Polarity::Rise, p)?);
-                    let f_fall = corrupt(self.model.factor(cell_id, pin, Polarity::Fall, p)?);
-                    out.push(PinDelays {
-                        rise: scale_or_fallback(d.rise, f_rise, &mut fallbacks),
-                        fall: scale_or_fallback(d.fall, f_fall, &mut fallbacks),
-                    });
-                }
+        v_norm: f64,
+    ) -> Result<(Vec<PinDelays>, GateFallbacks), SimError> {
+        let (mut out, mut fallbacks) = (Vec::new(), Vec::new());
+        for (pos, &node_id) in self.level_plans[level].gate_nodes.iter().enumerate() {
+            let NodeKind::Gate(cell_id) = self.netlist.node(node_id).kind() else {
+                unreachable!("level plans list gates only");
+            };
+            let p = NormalizedPoint {
+                v: v_norm,
+                c: self.c_norm[node_id.index()],
+            };
+            let mut gate_fallbacks = 0u64;
+            for (pin, d) in self.annotation.node_delays(node_id).iter().enumerate() {
+                let f_rise = self.model.factor(cell_id, pin, Polarity::Rise, p)?;
+                let f_fall = self.model.factor(cell_id, pin, Polarity::Fall, p)?;
+                out.push(PinDelays {
+                    rise: scale_or_fallback(d.rise, f_rise, &mut gate_fallbacks),
+                    fall: scale_or_fallback(d.fall, f_fall, &mut gate_fallbacks),
+                });
+            }
+            if gate_fallbacks > 0 {
+                fallbacks.push((pos, gate_fallbacks));
             }
         }
-        Ok(fallbacks)
+        Ok((out, fallbacks))
     }
 
     /// The artifact's cached delay table for one uniform normalized
     /// supply (keyed by the supply's bit pattern), built on first use by
     /// looping [`CompiledNetlist::level_delays`] over the levels. The
-    /// build runs outside the cache lock, so a model error or panic
-    /// caches nothing and poisons nothing.
+    /// build runs outside the cache lock and under one `catch_unwind`, so
+    /// a model error or panic caches nothing, poisons nothing and fails
+    /// only the groups that asked for the supply.
     pub(super) fn cached_delay_table(
         &self,
         v_norm: f64,
@@ -142,20 +138,21 @@ impl CompiledNetlist {
         if let Some(hit) = lock().get(&key) {
             return Ok(Arc::clone(hit));
         }
-        let table = Arc::new(contained(|| {
-            let depth = self.levels.depth();
-            let mut per_level = vec![Vec::new(); depth];
-            let mut fallbacks_per_level = vec![0u64; depth];
-            // Level 0 is the stimuli level: no gates, empty buffer.
-            for level in 1..depth {
-                fallbacks_per_level[level] =
-                    self.level_delays(level, |_| v_norm, |f| f, &mut per_level[level])?;
-            }
+        // Level 0, the stimuli, plans no gates: its entries stay empty.
+        let build = || -> Result<_, SimError> {
+            let levels = (0..self.levels.depth()).map(|level| self.level_delays(level, v_norm));
+            let (per_level, fallbacks_per_level) =
+                levels.collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
             Ok(DelayTable {
                 per_level,
                 fallbacks_per_level,
             })
-        })?);
+        };
+        let table = match catch_unwind(AssertUnwindSafe(build)) {
+            Ok(Ok(table)) => Arc::new(table),
+            Ok(Err(e)) => return Err(DelayFault::Model(e)),
+            Err(_) => return Err(DelayFault::Panicked),
+        };
         if let Some(m) = metrics {
             let pins: usize = table.per_level.iter().map(Vec::len).sum();
             m.add(phases::ENGINE_KERNEL_EVALS, 2 * pins as u64);
@@ -164,17 +161,6 @@ impl CompiledNetlist {
         lock().insert(key, Arc::clone(&table));
         Ok(table)
     }
-}
-
-/// What one level's delay initialisation of one voltage group cost.
-#[derive(Default)]
-pub(super) struct LevelInit {
-    /// Scaled delays that fell back to nominal (replayed from the table
-    /// for cached groups).
-    pub(super) fallbacks: u64,
-    /// Kernel factor evaluations performed now (0 for cached groups:
-    /// theirs were counted when the table was built).
-    pub(super) kernel_evals: u64,
 }
 
 /// Draws `die`'s derates for `level` into `out` (cleared first): one
@@ -209,17 +195,21 @@ pub(super) struct VoltageGroup<'w> {
     assign: &'w VoltageAssign,
     variation: Option<VariationSample>,
     /// Fault-injection key: the global (launch-order) slot of the
-    /// group's first batch member (a group shares one kernel evaluation,
-    /// so the non-finite-kernel site is per group). Batches are
-    /// die-major, so in a Monte Carlo launch that is the group's
-    /// earliest scenario *of the die the batch carries* — a group is met
-    /// once per die-batch, each time under that die's slot.
+    /// group's first batch member (a group shares one delay
+    /// initialisation, so the non-finite-kernel site is per group).
+    /// Batches are die-major, so in a Monte Carlo launch that is the
+    /// group's earliest scenario *of the die the batch carries* — a group
+    /// is met once per die-batch, each time under that die's slot.
     key: u64,
-    /// One cached table per segment; empty for groups that run the
-    /// routine per launch (islands, armed fault plans).
+    /// The artifact's tables this group reads, one per entry of
+    /// [`VoltageAssign::v_norms`]: per segment of a uniform or scheduled
+    /// assignment, per domain of an island assignment.
     tables: Vec<Arc<DelayTable>>,
-    /// One level buffer per segment: what uncached groups compute into
-    /// and what a die's derated delays live in.
+    /// The injected non-finite kernel fired on this group this batch:
+    /// every delay falls back to nominal.
+    poisoned: bool,
+    /// One level buffer per segment: the group's own copy of a level,
+    /// for every group whose delays are not a table slice verbatim.
     bufs: Vec<Vec<PinDelays>>,
 }
 
@@ -234,6 +224,7 @@ impl<'w> VoltageGroup<'w> {
             variation,
             key,
             tables: Vec::new(),
+            poisoned: false,
             bufs: vec![Vec::new(); assign.segments()],
         }
     }
@@ -243,7 +234,7 @@ impl<'w> VoltageGroup<'w> {
         assign: &VoltageAssign,
         variation: Option<VariationSample>,
     ) -> bool {
-        // The die first: a cheap reject before the deep assignment compare.
+        // The die first: a cheap reject before the assignment compare.
         self.variation == variation && *self.assign == *assign
     }
 
@@ -256,76 +247,97 @@ impl<'w> VoltageGroup<'w> {
         self.variation
     }
 
-    pub(super) fn is_cached(&self) -> bool {
-        !self.tables.is_empty()
-    }
-
-    /// Binds a uniform or scheduled group to the artifact's cached
-    /// tables, one per segment (so a droop schedule over an
-    /// already-swept voltage grid pays no kernel work at all). Island
-    /// groups have no single supply to key a table by and stay unbound.
+    /// Binds the group to the artifact's cached tables (so a droop or an
+    /// island over an already-swept voltage grid pays no kernel work at
+    /// all) and records whether the injected non-finite kernel fired on
+    /// it.
     pub(super) fn bind_tables(
         &mut self,
         compiled: &CompiledNetlist,
         metrics: Option<&Metrics>,
+        poisoned: bool,
     ) -> Result<(), DelayFault> {
-        let v_norms = match self.assign {
-            VoltageAssign::Uniform(v) => std::slice::from_ref(v),
-            VoltageAssign::Scheduled(s) => s.v_norms.as_slice(),
-            VoltageAssign::PerNode(_) => return Ok(()),
-        };
-        self.tables = v_norms
+        self.poisoned = poisoned;
+        self.tables = self
+            .assign
+            .v_norms()
             .iter()
             .map(|&v| compiled.cached_delay_table(v, metrics))
             .collect::<Result<_, _>>()?;
         Ok(())
     }
 
-    /// Initializes this group's delays for `level`: cached groups replay
-    /// their tables' fallback tallies, uncached groups run the routine
-    /// (under one `catch_unwind`, with `corrupt` on the raw factors). A
-    /// die's group is then derated by [`VoltageGroup::derate_level`] —
-    /// the same operation order either way, so cached and uncached
-    /// delays are bit-identical.
+    /// Whether this group's delays differ from a table slice, so it
+    /// reads its own copy of each level.
+    fn owns_copy(&self) -> bool {
+        self.poisoned
+            || self.variation.is_some()
+            || matches!(self.assign, VoltageAssign::PerDomain(_))
+    }
+
+    /// Initializes this group's delays for `level` and returns how many
+    /// fell back to nominal: the tables' tallies of the gates it reads,
+    /// or — poisoned — every delay, which is what a non-finite factor
+    /// makes of each through [`scale_or_fallback`]. A group that owns a
+    /// copy writes it here (island groups gather each gate's pins from
+    /// its domain's table in `domains`, the launch's map); a die's group
+    /// is then derated by [`VoltageGroup::derate_level`].
     pub(super) fn init_level(
         &mut self,
         compiled: &CompiledNetlist,
+        domains: Option<&VoltageDomains>,
         level: usize,
-        corrupt: impl Fn(f64) -> f64,
-    ) -> Result<LevelInit, DelayFault> {
-        let mut init = LevelInit::default();
-        if self.is_cached() {
-            init.fallbacks = self
-                .tables
+    ) -> u64 {
+        let plan = &compiled.level_plans[level];
+        if self.poisoned {
+            let nominal = plan
+                .gate_nodes
                 .iter()
-                .map(|t| t.fallbacks_per_level[level])
-                .sum();
-        } else {
-            let (assign, bufs) = (self.assign, &mut self.bufs);
-            init.fallbacks = contained(|| {
-                let mut fallbacks = 0u64;
-                for (seg, buf) in bufs.iter_mut().enumerate() {
-                    let v_norm = |node| assign.v_norm_at(node, seg);
-                    fallbacks += compiled.level_delays(level, v_norm, &corrupt, buf)?;
-                }
-                Ok(fallbacks)
-            })?;
-            // Two kernel evaluations (rise + fall) per pin per segment.
-            init.kernel_evals = bufs.iter().map(|b| 2 * b.len() as u64).sum();
+                .flat_map(|&node| compiled.annotation.node_delays(node));
+            for buf in &mut self.bufs {
+                buf.clear();
+                buf.extend(nominal.clone().map(|d| PinDelays {
+                    rise: d.rise.max(0.0),
+                    fall: d.fall.max(0.0),
+                }));
+            }
+            return self.bufs.iter().map(|b| 2 * b.len() as u64).sum();
         }
-        Ok(init)
+        if let VoltageAssign::PerDomain(_) = self.assign {
+            let domains = domains.expect("an island launch carries its domain map");
+            let buf = &mut self.bufs[0];
+            buf.clear();
+            let mut fallbacks = 0u64;
+            for (pos, &node) in plan.gate_nodes.iter().enumerate() {
+                let table = &self.tables[domains.domain_of(node)];
+                buf.extend_from_slice(
+                    &table.per_level[level][plan.gate_offsets[pos]..plan.gate_offsets[pos + 1]],
+                );
+                let gates = &table.fallbacks_per_level[level];
+                fallbacks += gates
+                    .binary_search_by_key(&pos, |&(p, _)| p)
+                    .map_or(0, |i| gates[i].1);
+            }
+            return fallbacks;
+        }
+        if self.owns_copy() {
+            for (buf, table) in self.bufs.iter_mut().zip(&self.tables) {
+                buf.clear();
+                buf.extend_from_slice(&table.per_level[level]);
+            }
+        }
+        self.tables
+            .iter()
+            .flat_map(|t| &t.fallbacks_per_level[level])
+            .map(|&(_, n)| n)
+            .sum()
     }
 
     /// Applies a die's `derates` ([`draw_level_derates`] of this group's
-    /// die) to this level's scaled delays, copied out of the cached
-    /// tables first. A derate multiplies the scaled delay after the
-    /// fallback guard, the same factor in every segment; a nominal die
-    /// multiplies by exactly 1.0.
-    pub(super) fn derate_level(&mut self, level: usize, derates: &[(f64, f64)]) {
-        for (buf, table) in self.bufs.iter_mut().zip(&self.tables) {
-            buf.clear();
-            buf.extend_from_slice(&table.per_level[level]);
-        }
+    /// die) to this level's copy. A derate multiplies the scaled delay
+    /// after the fallback guard, the same factor in every segment; a
+    /// nominal die multiplies by exactly 1.0.
+    pub(super) fn derate_level(&mut self, derates: &[(f64, f64)]) {
         for buf in &mut self.bufs {
             assert_eq!(buf.len(), derates.len(), "one derate pair per pin");
             for (d, &(rise, fall)) in buf.iter_mut().zip(derates) {
@@ -337,13 +349,13 @@ impl<'w> VoltageGroup<'w> {
 
     /// This group's delay view of `level` for the merge kernel.
     pub(super) fn level_view(&self, level: usize) -> GroupDelays<'_> {
-        let segs = if self.is_cached() && self.variation.is_none() {
+        let segs = if self.owns_copy() {
+            self.bufs.iter().map(Vec::as_slice).collect()
+        } else {
             self.tables
                 .iter()
                 .map(|t| t.per_level[level].as_slice())
                 .collect()
-        } else {
-            self.bufs.iter().map(Vec::as_slice).collect()
         };
         GroupDelays {
             segs,

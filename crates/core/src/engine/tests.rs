@@ -5,7 +5,7 @@ use crate::slots::{at_voltage, cross};
 use avfs_delay::model::DelayModel;
 use avfs_delay::op::NormalizedPoint;
 use avfs_delay::{ParameterSpace, StaticModel, TimingAnnotation};
-use avfs_netlist::{CellLibrary, Netlist, NetlistBuilder, NodeKind};
+use avfs_netlist::{CellLibrary, Netlist, NetlistBuilder, NodeId, NodeKind};
 use avfs_waveform::PinDelays;
 
 fn chain_netlist() -> Arc<Netlist> {
@@ -213,10 +213,29 @@ fn multithreaded_matches_single_threaded() {
         if *name == "overflow-retry" {
             assert_eq!(reference.diagnostics.slot_retries, 4, "scenario {name}");
         }
+        // The engine's work counts, which every profiled point of the
+        // matrix must repeat exactly (the reference run above filled the
+        // delay-table cache, so none of them builds a table).
+        let work = |run: &SimRun| -> Vec<Option<u64>> {
+            let profile = run.profile.as_ref().expect("profiled");
+            [
+                phases::ENGINE_LEVELS,
+                phases::ENGINE_BATCHES,
+                phases::ENGINE_KERNEL_EVALS,
+                phases::ENGINE_DELAY_TABLE_BUILDS,
+                phases::ENGINE_DELAY_TABLE_HITS,
+                phases::ENGINE_VARIATION_DRAWS,
+            ]
+            .into_iter()
+            .map(|name| profile.counter(name))
+            .collect()
+        };
+        let mut reference_work: Option<Vec<Option<u64>>> = None;
         for injection in ["unarmed", "armed-empty"] {
             // The profiled-identity principle extended to injection:
             // an armed-but-empty fault plan (every rate zero) must be
-            // bit-for-bit identical to no plan at all.
+            // bit-for-bit identical to no plan at all — results and the
+            // work that produced them: both take the one delay path.
             let fault_plan =
                 (injection == "armed-empty").then(|| Arc::new(FaultPlan::empty(0xC0FFEE)));
             for activity_gating in [false, true] {
@@ -240,6 +259,10 @@ fn multithreaded_matches_single_threaded() {
                             assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
                             assert_eq!(got.node_evaluations, reference.node_evaluations, "{case}");
                             assert_eq!(got.profile.is_some(), profiling, "{case}");
+                            if profiling {
+                                let want = reference_work.get_or_insert_with(|| work(&got));
+                                assert_eq!(&work(&got), want, "{case}");
+                            }
                         }
                     }
                 }
@@ -1360,9 +1383,11 @@ fn injected_kernel_panic_is_contained_like_an_organic_one() {
 
 #[test]
 fn injected_nonfinite_kernel_falls_back_to_nominal() {
-    // A corrupted (infinite) kernel factor exercises the
-    // scale_or_fallback guard: results equal the nominal-delay run,
-    // with the fallback and the fault both on the books.
+    // An injected non-finite kernel poisons the group: every delay falls
+    // back to nominal, as the scale_or_fallback guard would make of an
+    // infinite factor — results equal the nominal-delay run, with two
+    // fallbacks per pin (two one-pin gates) and one hit for the one
+    // (group, batch) on the books.
     let n = chain_netlist();
     let engine = static_engine(&n, 10.0, 10.0);
     let plan = Arc::new(FaultPlan::empty(1).with_rate(InjectionSite::NonFiniteKernel, 1.0));
@@ -1384,8 +1409,8 @@ fn injected_nonfinite_kernel_falls_back_to_nominal() {
         .launch(&one_pattern(), &at_voltage(1, 0.8), &opts)
         .unwrap();
     assert!(injected.is_complete());
-    assert!(injected.diagnostics.kernel_fallbacks > 0);
-    assert!(injected.diagnostics.faults_injected > 0);
+    assert_eq!(injected.diagnostics.kernel_fallbacks, 4);
+    assert_eq!(injected.diagnostics.faults_injected, 1);
     assert_eq!(injected.slots, clean.slots);
     assert_eq!(clean.diagnostics.kernel_fallbacks, 0);
     assert_eq!(clean.diagnostics.faults_injected, 0);
@@ -1629,14 +1654,16 @@ fn scheduled_mc_runs_match_single_threaded_reference() {
     }
 }
 
-/// The unified delay path's identity: a scheduled × Monte Carlo launch
-/// with no fault plan reads the artifact's cached tables and derates
-/// them per die; the same launch under an armed all-zero plan runs the
-/// delay routine uncached, level by level. Both must agree in slots and
-/// diagnostics — `kernel_fallbacks` included, which a kernel that is
-/// non-finite across the droop segment makes nonzero.
+/// The one delay-initialisation path against an independent oracle:
+/// every kind of voltage group's level view equals, bit for bit, the
+/// delays `sta::scaled_graph` derives gate by gate with its own model
+/// calls — uniform, every segment of a droop, a three-domain island at
+/// two supplies (each gate at its domain's supply), a die (the reference
+/// × its derate) and a poisoned group (nominal). The model is non-finite
+/// below `v_norm` 0.3, so the fallback tallies are known in closed form:
+/// every pin at 0.6 V falls back twice, no pin at 0.8 V or above does.
 #[test]
-fn cached_tables_match_the_uncached_routine() {
+fn group_level_views_match_the_sta_derivation() {
     /// [`VoltageScaledModel`] with a non-finite kernel at low supply.
     #[derive(Debug)]
     struct DroopBlindModel(VoltageScaledModel);
@@ -1660,6 +1687,8 @@ fn cached_tables_match_the_uncached_routine() {
             self.0.space()
         }
     }
+    use super::delays::{draw_level_derates, VoltageGroup};
+    use avfs_netlist::library::Polarity;
     let lib = CellLibrary::nangate15_like();
     let cfg = avfs_circuits::GeneratorConfig::small();
     let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 31).unwrap());
@@ -1671,47 +1700,197 @@ fn cached_tables_match_the_uncached_routine() {
         })),
     )
     .unwrap();
-    let patterns = PatternSet::lfsr(n.inputs().len(), 3, 9);
-    let scenarios = cross_schedules(
-        patterns.len(),
-        &[
-            Schedule::droop(0.9, 0.3, 12.0, 40.0),
-            Schedule::constant(0.8),
-        ],
-    );
-    let mc = MonteCarlo {
-        samples: 3,
-        variation: VariationConfig {
+    let (low, mid, high) = (0.6, 0.8, 0.9);
+    assert!(engine.v_norm(low) < 0.3 && engine.v_norm(mid) >= 0.3);
+    let reference = |volts: f64| crate::sta::scaled_graph(&engine, volts).unwrap();
+    let (ref_low, ref_mid, ref_high) = (reference(low), reference(mid), reference(high));
+    let domains = crate::domains::VoltageDomains::from_fn(&n, |id| id.index() % 3);
+    let island_supplies = [high, low, high];
+    let bits = |d: &[PinDelays]| -> Vec<(u64, u64)> {
+        d.iter()
+            .map(|p| (p.rise.to_bits(), p.fall.to_bits()))
+            .collect()
+    };
+    let pins_of = |node: NodeId| engine.annotation().node_delays(node).len() as u64;
+    let die = VariationSample {
+        config: VariationConfig {
             sigma: 0.05,
             max_deviation: 0.2,
             seed: 0xD1CE,
         },
+        sample: 2,
     };
+    // Binds a group, initializes every level and compares its view with
+    // `expect(segment, gate)` and its fallbacks with the sum of `tally`.
+    let mut derates = Vec::new();
+    let mut check = |name: &str,
+                     assign: VoltageAssign,
+                     variation: Option<VariationSample>,
+                     poisoned: bool,
+                     expect: &dyn Fn(usize, NodeId) -> Vec<PinDelays>,
+                     tally: &dyn Fn(NodeId) -> u64| {
+        let mut group = VoltageGroup::new(&assign, variation, 0);
+        assert!(
+            group.bind_tables(&engine, None, poisoned).is_ok(),
+            "{name}: binds"
+        );
+        for level in 1..engine.levels().depth() {
+            let fallbacks = group.init_level(&engine, Some(&domains), level);
+            if let Some(die) = &variation {
+                draw_level_derates(&engine, level, die, &mut derates);
+                group.derate_level(&derates);
+            }
+            let plan = &engine.level_plans[level];
+            let view = group.level_view(level);
+            assert_eq!(view.segs.len(), assign.segments(), "{name}");
+            for (seg, delays) in view.segs.iter().enumerate() {
+                for (pos, &gate) in plan.gate_nodes.iter().enumerate() {
+                    let pins = plan.gate_offsets[pos]..plan.gate_offsets[pos + 1];
+                    assert_eq!(
+                        bits(&delays[pins]),
+                        bits(&expect(seg, gate)),
+                        "{name}: level {level}, segment {seg}, gate {pos}"
+                    );
+                }
+            }
+            let want: u64 = plan.gate_nodes.iter().map(|&gate| tally(gate)).sum();
+            assert_eq!(fallbacks, want, "{name}: level {level} fallbacks");
+        }
+    };
+    let v = |volts: f64| engine.v_norm(volts);
+    let droop = || {
+        VoltageAssign::Scheduled(Arc::new(NormalizedSchedule {
+            v_norms: vec![v(high), v(low), v(high)],
+            boundaries: vec![12.0, 40.0],
+        }))
+    };
+    let fall_back = |gate| 2 * pins_of(gate);
+    check(
+        "uniform",
+        VoltageAssign::Uniform(v(mid)),
+        None,
+        false,
+        &|_, gate| ref_mid.node_delays(gate).to_vec(),
+        &|_| 0,
+    );
+    check(
+        "uniform, non-finite",
+        VoltageAssign::Uniform(v(low)),
+        None,
+        false,
+        &|_, gate| ref_low.node_delays(gate).to_vec(),
+        &fall_back,
+    );
+    check(
+        "droop",
+        droop(),
+        None,
+        false,
+        &|seg, gate| match seg {
+            1 => ref_low.node_delays(gate).to_vec(),
+            _ => ref_high.node_delays(gate).to_vec(),
+        },
+        // Segment 1 of three falls back.
+        &fall_back,
+    );
+    let island_low = |gate| island_supplies[domains.domain_of(gate)] == low;
+    check(
+        "islands",
+        VoltageAssign::PerDomain(island_supplies.iter().map(|&s| v(s)).collect()),
+        None,
+        false,
+        &|_, gate| match island_low(gate) {
+            true => ref_low.node_delays(gate).to_vec(),
+            false => ref_high.node_delays(gate).to_vec(),
+        },
+        &|gate| if island_low(gate) { fall_back(gate) } else { 0 },
+    );
+    check(
+        "die",
+        VoltageAssign::Uniform(v(mid)),
+        Some(die),
+        false,
+        &|_, gate| {
+            let derate = |pin, polarity| {
+                avfs_delay::variation::derate(&die.config, die.sample, gate, pin, polarity)
+            };
+            ref_mid
+                .node_delays(gate)
+                .iter()
+                .enumerate()
+                .map(|(pin, d)| PinDelays {
+                    rise: (d.rise * derate(pin, Polarity::Rise)).max(0.0),
+                    fall: (d.fall * derate(pin, Polarity::Fall)).max(0.0),
+                })
+                .collect()
+        },
+        &|_| 0,
+    );
+    check(
+        "poisoned droop",
+        droop(),
+        None,
+        true,
+        &|_, gate| {
+            engine
+                .annotation()
+                .node_delays(gate)
+                .iter()
+                .map(|d| PinDelays {
+                    rise: d.rise.max(0.0),
+                    fall: d.fall.max(0.0),
+                })
+                .collect()
+        },
+        // Every pin of all three segments.
+        &|gate| 3 * fall_back(gate),
+    );
+    // A launch reports exactly the tallies of the gates each group reads:
+    // two island groups, one per supply vector.
+    let patterns = PatternSet::lfsr(n.inputs().len(), 2, 9);
+    let vectors = [vec![high, low, high], vec![low, low, high]];
+    let specs: Vec<crate::domains::DomainSlotSpec> = vectors
+        .iter()
+        .flat_map(|voltages| {
+            (0..patterns.len()).map(|pattern| crate::domains::DomainSlotSpec {
+                pattern,
+                voltages: voltages.clone(),
+            })
+        })
+        .collect();
+    let gates = || {
+        n.iter()
+            .filter(|(_, node)| matches!(node.kind(), NodeKind::Gate(_)))
+            .map(|(id, _)| id)
+    };
+    let expected: u64 = vectors
+        .iter()
+        .map(|voltages| {
+            gates()
+                .filter(|&gate| voltages[domains.domain_of(gate)] == low)
+                .map(|gate| 2 * pins_of(gate))
+                .sum::<u64>()
+        })
+        .sum();
     for threads in [1usize, 2] {
         for lanes in [1usize, 8] {
-            let launch = |fault_plan: Option<Arc<FaultPlan>>| {
-                engine
-                    .launch_scenarios(
-                        &patterns,
-                        &scenarios,
-                        Some(&mc),
-                        Some(500.0),
-                        &SimOptions {
-                            threads,
-                            lanes,
-                            fault_plan,
-                            ..SimOptions::default()
-                        },
-                    )
-                    .unwrap()
-            };
-            let cached = launch(None);
-            let uncached = launch(Some(Arc::new(FaultPlan::empty(0xC0FFEE))));
-            let case = format!("threads={threads}, lanes={lanes}");
-            assert!(cached.diagnostics.kernel_fallbacks > 0, "{case}");
-            assert_eq!(cached.slots, uncached.slots, "{case}");
-            assert_eq!(cached.diagnostics, uncached.diagnostics, "{case}");
-            assert_eq!(cached.scenario, uncached.scenario, "{case}");
+            let run = engine
+                .launch_domains(
+                    &patterns,
+                    &domains,
+                    &specs,
+                    &SimOptions {
+                        threads,
+                        lanes,
+                        ..SimOptions::default()
+                    },
+                )
+                .unwrap();
+            assert!(run.is_complete());
+            assert_eq!(
+                run.diagnostics.kernel_fallbacks, expected,
+                "threads={threads}, lanes={lanes}"
+            );
         }
     }
 }
@@ -1905,9 +2084,8 @@ impl DiceGrid {
 /// one die per batch, everything in one batch — at every thread count,
 /// lane width and gating setting equals the single-threaded single-batch
 /// reference bit for bit. Retry rounds keep the order (`arena_capacity:
-/// 1` overflows every toggling slot into round 1), and the
-/// unbound-tables derate path (an armed all-zero fault plan) is the
-/// bound one.
+/// 1` overflows every toggling slot into round 1), and an armed
+/// all-zero fault plan changes nothing.
 #[test]
 fn batch_order_is_invisible_in_a_droop_mc_launch() {
     let grid = DiceGrid::new();
@@ -1950,7 +2128,7 @@ fn batch_order_is_invisible_in_a_droop_mc_launch() {
         "capacity 1 retries"
     );
     for (name, arena_capacity, armed, expected) in [
-        ("bound tables", 0, false, &reference),
+        ("clean", 0, false, &reference),
         ("retry rounds", 1, false, &overflowing),
         ("armed all-zero plan", 0, true, &reference),
     ] {

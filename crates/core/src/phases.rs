@@ -14,11 +14,13 @@ pub const ENGINE_RUN: &str = "engine/run";
 /// Level 0 of each batch: expanding pattern pairs into stimuli waveforms.
 pub const ENGINE_STIMULI: &str = "engine/stimuli";
 
-/// Delay initialisation (paper Sec. IV.A): per batch, binding voltage
-/// groups to the artifact's per-voltage tables (first-use builds
-/// included); per simulated level, the uncached groups' kernel
-/// evaluation and the Monte Carlo derate pass (one draw of each die the
-/// batch carries, applied to every group of that die).
+/// Delay initialisation (paper Sec. IV.A): per batch, binding every
+/// voltage group to the artifact's per-voltage tables (first-use builds
+/// included); per simulated level, the copies of the groups whose delays
+/// are not a table slice verbatim (island gathers, groups an injected
+/// non-finite kernel poisoned, dice) and the Monte Carlo derate pass
+/// (one draw of each die the batch carries, applied to every group of
+/// that die).
 pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 
 /// Per-level gate evaluation: the waveform-processing loop across the
@@ -69,10 +71,9 @@ pub const ENGINE_PHASES: [&str; 6] = [
     ENGINE_ANALYSIS,
 ];
 
-/// Delay-kernel factor evaluations (rise and fall per annotated pin):
-/// a whole netlist's worth per delay-table build, plus one level's worth
-/// per level for every live voltage group that is not table-served
-/// (voltage islands, armed fault plans).
+/// Delay-kernel factor evaluations (rise and fall per annotated pin): a
+/// whole netlist's worth per delay-table build — the only place the
+/// model runs. Absent from a launch that built no table.
 pub const ENGINE_KERNEL_EVALS: &str = "engine.kernel_evals";
 
 /// Circuit levels processed, summed over batches and retry rounds.
@@ -201,10 +202,10 @@ pub const ENGINE_CACHE_OCCUPANCY: &str = "engine.cache_occupancy";
 pub const ENGINE_DELAY_TABLE_BUILDS: &str = "engine.delay_table_builds";
 
 /// Per-voltage delay-table cache hits — batches whose every voltage
-/// group was served from a
-/// [`CompiledNetlist`](crate::CompiledNetlist)'s resident tables
-/// (uniform and scheduled assignments, Monte Carlo dice included, no
-/// armed fault plan) instead of being re-evaluated.
+/// group bound a [`CompiledNetlist`](crate::CompiledNetlist)'s resident
+/// tables (a first-use build included) instead of re-evaluating the
+/// model: every batch of every launch — uniform, scheduled, island,
+/// Monte Carlo, fault-injected — unless a table build panicked.
 pub const ENGINE_DELAY_TABLE_HITS: &str = "engine.delay_table_hits";
 
 /// Total schedule segments across a launch's slots (1 per static slot).

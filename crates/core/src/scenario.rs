@@ -397,6 +397,7 @@ impl CompiledNetlist {
             patterns,
             work,
             validation,
+            domains: None,
             reduction: Some((mc.copied(), capture_deadline_ps)),
         })
     }

@@ -28,7 +28,7 @@
 //! |---|---|---|---|
 //! | `ArenaOverflow` | global slot index | retry round | `avfs-waveform` writer hook, installed by the engine |
 //! | `KernelPanic` | global slot index | retry round | engine gate task |
-//! | `NonFiniteKernel` | global slot of the voltage group's first batch member | retry round | engine delay-kernel init |
+//! | `NonFiniteKernel` | global slot of the voltage group's first batch member | retry round | engine delay-table binding, once per group per batch |
 //! | `WorkerStall` | pool worker index | pool epoch | `avfs-core` worker pool |
 //! | `AllocCapBreach` | global slot index | denied retry round | engine retry admission |
 //! | `SpiceFailure` | library cell index | 0 | `avfs-delay` characterization |
@@ -71,8 +71,9 @@ pub enum InjectionSite {
     /// A gate task panics inside its `catch_unwind` — exercises per-slot
     /// panic containment.
     KernelPanic,
-    /// A delay-kernel scaling factor comes back non-finite — exercises
-    /// the nominal-delay fallback guard.
+    /// A voltage group's delay kernel comes back non-finite for a whole
+    /// batch — every delay of the group falls back to nominal, as the
+    /// fallback guard would make of a non-finite factor.
     NonFiniteKernel,
     /// A pool worker sleeps before joining an epoch — exercises the
     /// stall watchdog (timing only; never changes results).
@@ -337,17 +338,6 @@ impl Injector {
         }
     }
 
-    /// Passes `factor` through, or poisons it to `f64::INFINITY` when
-    /// the [`InjectionSite::NonFiniteKernel`] probe fires.
-    #[inline]
-    pub fn corrupt_factor(&self, factor: f64, key: u64, salt: u64) -> f64 {
-        if self.fires(InjectionSite::NonFiniteKernel, key, salt) {
-            f64::INFINITY
-        } else {
-            factor
-        }
-    }
-
     /// The sleep to impose at a [`InjectionSite::WorkerStall`] probe,
     /// if it fires.
     #[inline]
@@ -453,7 +443,7 @@ mod tests {
         let inj = Injector::unarmed();
         assert!(!inj.is_armed());
         assert!(!inj.fires(InjectionSite::SpiceFailure, 0, 0));
-        assert_eq!(inj.corrupt_factor(1.25, 0, 0), 1.25);
+        assert!(!inj.fires(InjectionSite::NonFiniteKernel, 0, 0));
         assert!(inj.stall_duration(0, 0).is_none());
     }
 
