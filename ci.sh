@@ -70,6 +70,14 @@ for path in $(grep -ohE '`(engine|ed)/[a-z_/]*`' $docs | tr -d '`' | sort -u); d
     printf '%s\n' "$phases" | grep -qxF "$path" ||
         { echo "docs name phase $path: not the value of a constant in crates/core/src/phases.rs"; exit 1; }
 done
+# The leaf crates name their spans with string literals, so a backticked
+# `spice/…`, `regression/…` or `delay/…` path must be one under
+# crates/*/src.
+spans=$(grep -rhoE '"(spice|regression|delay)/[a-z_/]+"' crates/*/src | tr -d '"' | sort -u)
+for path in $(grep -ohE '`(spice|regression|delay)/[a-z_/]*`' $docs | tr -d '`' | sort -u); do
+    printf '%s\n' "$spans" | grep -qxF "$path" ||
+        { echo "docs name span $path: not a string literal in crates/*/src"; exit 1; }
+done
 
 echo "==> fault-site table (every InjectionSite::name has a row in DESIGN.md §7's site table, every row names a registered site)"
 sites=$(awk '/pub fn name\(self\)/,/^    }$/' crates/inject/src/lib.rs | grep -oE '=> "[a-z-]+"' | cut -d'"' -f2 | sort)

@@ -19,7 +19,7 @@ use avfs_netlist::library::{CellId, CellLibrary, Polarity};
 use avfs_netlist::{Netlist, NodeKind};
 use avfs_obs::Metrics;
 use avfs_regression::{fit_least_squares_metered, DataGrid, ErrorStats, PolyBasis};
-use avfs_spice::{sweep_pin_memo, StageMemo, SweepConfig, Technology};
+use avfs_spice::{SweepConfig, SweepPlan, Technology};
 use avfs_waveform::PinDelays;
 use std::time::Instant;
 
@@ -112,8 +112,6 @@ pub struct CharacterizationReport {
     /// Wall-clock time of the regression solves only, milliseconds (the
     /// paper reports 1–40 ms per coefficient set).
     pub fit_millis: f64,
-    /// Wall-clock time of the transient sweeps, milliseconds.
-    pub sweep_millis: f64,
 }
 
 /// The outcome of characterizing a library: compiled kernels, the LUT
@@ -526,12 +524,34 @@ pub fn fit_deviation_grid_metered(
     })
 }
 
-/// Runs the Fig. 1 flow for `cells` (or the whole library when `None`).
+/// The fitted arcs of the cell being characterized, in (pin, polarity)
+/// order.
+#[derive(Default)]
+struct CellFits {
+    polys: Vec<SurfacePolynomial>,
+    grids: Vec<DataGrid>,
+    curves: Vec<NominalCurve>,
+    errors: Vec<f64>,
+    fit_millis: f64,
+}
+
+/// Per-pin `[rise, fall]` pairs of per-arc results in (pin, polarity)
+/// order ([`Polarity::both`] is rise then fall).
+fn pairs<T>(arcs: Vec<T>) -> Vec<[T; 2]> {
+    let mut arcs = arcs.into_iter();
+    std::iter::from_fn(|| Some([arcs.next()?, arcs.next()?])).collect()
+}
+
+/// Runs the Fig. 1 flow for `cells` (or the whole library when `None`):
+/// one [`SweepPlan`] over every (cell, pin, polarity) arc, integrated on
+/// every core, with each arc fitted on the calling thread as soon as its
+/// surface is swept.
 ///
 /// # Errors
 ///
 /// Returns [`DelayError::Characterization`] wrapping any sweep or
-/// regression failure, tagged with the failing cell.
+/// regression failure, tagged with the failing cell: the first one in
+/// (cell, pin, polarity) order, as a serial per-arc flow would meet it.
 pub fn characterize_library(
     library: &CellLibrary,
     tech: &Technology,
@@ -541,12 +561,12 @@ pub fn characterize_library(
     characterize_library_metered(library, tech, config, cells, None)
 }
 
-/// [`characterize_library`] with optional instrumentation: each per-cell
-/// flow records `"delay/characterize"` timing, the sweeps record
-/// `"spice/sweep"` / `"spice.transient_points"` / `"spice.stage_runs"` and
-/// the fits record `"regression/fit"` / `"regression.fits"` /
-/// `"regression.fit_ns"` — the measured counterpart of the paper's
-/// 1–40 ms per-fit runtime claim (Sec. V.A).
+/// [`characterize_library`] with optional instrumentation: the call
+/// records one `"delay/characterize"` span, its planned sweep records
+/// `"spice/sweep"` / `"spice.transient_points"` / `"spice.stage_runs"`
+/// (see [`SweepPlan::run`]) and the fits record `"regression/fit"` /
+/// `"regression.fits"` / `"regression.fit_ns"` — the measured counterpart
+/// of the paper's 1–40 ms per-fit runtime claim (Sec. V.A).
 ///
 /// # Errors
 ///
@@ -572,8 +592,10 @@ pub fn characterize_library_metered(
 /// firing [`avfs_inject::InjectionSite::SpiceFailure`] (keyed by the cell
 /// index, salt 0) makes that cell's characterization fail with
 /// [`DelayError::Characterization`], rehearsing a transistor-level sweep
-/// blowing up mid-flow. An unarmed injector (or an empty plan) is
-/// behaviorally identical to [`characterize_library_metered`].
+/// blowing up mid-flow. The cells after it are never probed or swept;
+/// the cells before it are, and their own errors take precedence. An
+/// unarmed injector (or an empty plan) is behaviorally identical to
+/// [`characterize_library_metered`].
 ///
 /// # Errors
 ///
@@ -586,10 +608,9 @@ pub fn characterize_library_injected(
     metrics: Option<&Metrics>,
     injector: &avfs_inject::Injector,
 ) -> Result<CharacterizedLibrary, DelayError> {
-    config
-        .sweep
-        .validate()
-        .map_err(|e| DelayError::Characterization {
+    let span = metrics.map(|m| m.span("delay/characterize"));
+    let mut plan =
+        SweepPlan::new(tech, &config.sweep).map_err(|e| DelayError::Characterization {
             cell: String::new(),
             message: e.to_string(),
         })?;
@@ -606,14 +627,38 @@ pub fn characterize_library_injected(
         }
     };
 
+    // Step A, planned: every arc of every selected cell, in (cell, pin,
+    // polarity) order, up to the first cell an injected SPICE failure
+    // aborts. Its error is returned only if the cells before it are
+    // characterized cleanly, as an organic sweep error on it would be.
+    let mut arcs: Vec<CellId> = Vec::new();
+    let mut injected = None;
+    for &cell_id in selected {
+        let cell = library.cell(cell_id);
+        if injector.fires(
+            avfs_inject::InjectionSite::SpiceFailure,
+            cell_id.index() as u64,
+            0,
+        ) {
+            injected = Some(DelayError::Characterization {
+                cell: cell.name().to_owned(),
+                message: "injected SPICE failure (transient sweep aborted)".to_owned(),
+            });
+            break;
+        }
+        for pin in 0..cell.num_inputs() {
+            for polarity in Polarity::both() {
+                plan.push(cell, pin, polarity);
+                arcs.push(cell_id);
+            }
+        }
+    }
+
     let mut table = CoefficientTable::new(library.len(), config.order);
     let mut lut = LutModel::new(library.len(), space);
     let mut nominal: Vec<Option<Vec<[NominalCurve; 2]>>> =
         (0..library.len()).map(|_| None).collect();
     let mut reports = Vec::with_capacity(selected.len());
-    // One transient per distinct stage across every sweep of this call;
-    // dropped with it.
-    let mut memo = StageMemo::default();
 
     // Index of the nominal voltage within the sweep.
     let nom_idx = config
@@ -623,98 +668,61 @@ pub fn characterize_library_injected(
         .position(|&v| (v - config.sweep.nominal_vdd).abs() < 1e-9)
         .expect("validated: nominal on grid");
 
-    for &cell_id in selected {
-        let cell_span = metrics.map(|m| m.span("delay/characterize"));
+    // Steps B–D run here, on the calling thread, one arc at a time as the
+    // sweep delivers it; a cell is assembled once its last arc is fitted.
+    let mut fitted = CellFits::default();
+    plan.run(metrics, |arc, swept| {
+        let cell_id = arcs[arc];
         let cell = library.cell(cell_id);
-        // Injected SPICE failure: the whole flow aborts on the affected
-        // cell, exactly as an organic sweep error would propagate.
-        if injector.fires(
-            avfs_inject::InjectionSite::SpiceFailure,
-            cell_id.index() as u64,
-            0,
-        ) {
-            return Err(DelayError::Characterization {
+        let wrap = |message: String| DelayError::Characterization {
+            cell: cell.name().to_owned(),
+            message,
+        };
+        let tag = |e| match e {
+            DelayError::Characterization { message, .. } => wrap(message),
+            other => other,
+        };
+        let surface = swept.map_err(|e| wrap(e.to_string()))?;
+        // Steps B–D plus the Fig. 4 error evaluation.
+        let grid = deviation_grid(&surface, &space).map_err(tag)?;
+        let fit = fit_deviation_grid_metered(
+            &grid,
+            config.order,
+            config.refine_factor,
+            config.probe_grid,
+            metrics,
+        )
+        .map_err(tag)?;
+        fitted.fit_millis += fit.fit_millis;
+        fitted.errors.extend(fit.probe_errors);
+        fitted.polys.push(fit.poly);
+        fitted.grids.push(grid);
+        // Nominal curve (the SDF view).
+        fitted.curves.push(NominalCurve {
+            delays_ps: (0..surface.loads_ff.len())
+                .map(|j| surface.at(nom_idx, j))
+                .collect(),
+            loads_ff: surface.loads_ff,
+        });
+
+        if fitted.polys.len() == 2 * cell.num_inputs() {
+            let done = std::mem::take(&mut fitted);
+            table.insert(cell_id, &pairs(done.polys))?;
+            lut.insert(cell_id, pairs(done.grids))?;
+            nominal[cell_id.index()] = Some(pairs(done.curves));
+            reports.push(CharacterizationReport {
                 cell: cell.name().to_owned(),
-                message: "injected SPICE failure (transient sweep aborted)".to_owned(),
+                stats: ErrorStats::from_errors(done.errors),
+                fit_millis: done.fit_millis,
             });
         }
-        let mut surfaces: Vec<[SurfacePolynomial; 2]> = Vec::with_capacity(cell.num_inputs());
-        let mut lut_grids: Vec<[DataGrid; 2]> = Vec::with_capacity(cell.num_inputs());
-        let mut curves: Vec<[NominalCurve; 2]> = Vec::with_capacity(cell.num_inputs());
-        let mut errors: Vec<f64> = Vec::new();
-        let mut fit_millis = 0.0;
-        let mut sweep_millis = 0.0;
-
-        for pin in 0..cell.num_inputs() {
-            let mut pin_surfaces: Vec<SurfacePolynomial> = Vec::with_capacity(2);
-            let mut pin_grids: Vec<DataGrid> = Vec::with_capacity(2);
-            let mut pin_curves: Vec<NominalCurve> = Vec::with_capacity(2);
-            for polarity in Polarity::both() {
-                let wrap = |message: String| DelayError::Characterization {
-                    cell: cell.name().to_owned(),
-                    message,
-                };
-                // Step A: transient sweep.
-                let t0 = Instant::now();
-                let surface =
-                    sweep_pin_memo(tech, cell, pin, polarity, &config.sweep, &mut memo, metrics)
-                        .map_err(|e| wrap(e.to_string()))?;
-                sweep_millis += t0.elapsed().as_secs_f64() * 1e3;
-
-                // Nominal curve (the SDF view).
-                let loads = surface.loads_ff.clone();
-                let nominal_delays: Vec<f64> =
-                    (0..loads.len()).map(|j| surface.at(nom_idx, j)).collect();
-
-                // Steps B–D plus the Fig. 4 error evaluation.
-                let grid = deviation_grid(&surface, &space).map_err(|e| match e {
-                    DelayError::Characterization { message, .. } => wrap(message),
-                    other => other,
-                })?;
-                let fit = fit_deviation_grid_metered(
-                    &grid,
-                    config.order,
-                    config.refine_factor,
-                    config.probe_grid,
-                    metrics,
-                )
-                .map_err(|e| match e {
-                    DelayError::Characterization { message, .. } => wrap(message),
-                    other => other,
-                })?;
-                fit_millis += fit.fit_millis;
-                errors.extend(fit.probe_errors);
-
-                pin_surfaces.push(fit.poly);
-                pin_grids.push(grid);
-                pin_curves.push(NominalCurve {
-                    loads_ff: loads,
-                    delays_ps: nominal_delays,
-                });
-            }
-            let [s_rise, s_fall] =
-                <[SurfacePolynomial; 2]>::try_from(pin_surfaces).expect("exactly two polarities");
-            surfaces.push([s_rise, s_fall]);
-            let [g_rise, g_fall] =
-                <[DataGrid; 2]>::try_from(pin_grids).expect("exactly two polarities");
-            lut_grids.push([g_rise, g_fall]);
-            let [c_rise, c_fall] =
-                <[NominalCurve; 2]>::try_from(pin_curves).expect("exactly two polarities");
-            curves.push([c_rise, c_fall]);
-        }
-
-        table.insert(cell_id, &surfaces)?;
-        lut.insert(cell_id, lut_grids)?;
-        nominal[cell_id.index()] = Some(curves);
-        reports.push(CharacterizationReport {
-            cell: cell.name().to_owned(),
-            stats: ErrorStats::from_errors(errors),
-            fit_millis,
-            sweep_millis,
-        });
-        if let Some(span) = cell_span {
-            span.finish();
-        }
+        Ok(())
+    })?;
+    if let Some(injected) = injected {
+        return Err(injected);
+    }
+    if let Some(span) = span {
+        span.finish();
     }
 
     Ok(CharacterizedLibrary {
@@ -843,6 +851,59 @@ mod tests {
     }
 
     #[test]
+    fn an_injected_failure_stops_planning_and_yields_to_earlier_cells() {
+        use avfs_inject::{FaultPlan, InjectionSite, Injector};
+        use std::sync::Arc;
+        let lib = CellLibrary::nangate15_like();
+        let tech = Technology::nm15();
+        // A 4-stack cell first, then two cells that switch lower.
+        let ids = subset(&lib, &["NAND4_X1", "INV_X1", "NAND2_X1"]);
+        let keys: Vec<u64> = ids.iter().map(|id| id.index() as u64).collect();
+        // A seed at which the second cell is the first to fire, and the
+        // third would fire too if it were ever probed.
+        let plan_at = |seed| FaultPlan::empty(seed).with_rate(InjectionSite::SpiceFailure, 0.5);
+        let seed = (0..)
+            .find(|&seed| {
+                let plan = plan_at(seed);
+                keys.iter()
+                    .map(|&k| plan.decide(InjectionSite::SpiceFailure, k, 0))
+                    .eq([false, true, true])
+            })
+            .unwrap();
+        let run = |config: &CharacterizationConfig| {
+            let plan = Arc::new(plan_at(seed));
+            let injector = Injector::armed(Arc::clone(&plan));
+            let err =
+                characterize_library_injected(&lib, &tech, config, Some(&ids), None, &injector)
+                    .unwrap_err();
+            match err {
+                DelayError::Characterization { cell, message } => {
+                    (cell, message, plan.fired_keys(InjectionSite::SpiceFailure))
+                }
+                other => panic!("expected Characterization, got {other:?}"),
+            }
+        };
+
+        let fast = CharacterizationConfig::fast();
+        let (cell, message, fired) = run(&fast);
+        assert_eq!(cell, "INV_X1");
+        assert!(message.contains("injected"), "{message}");
+        // Planning probed the first two cells and stopped at the second.
+        assert_eq!(fired, vec![keys[1]]);
+
+        // 0.313 V switches INV_X1 (|V_th| 0.26 V) but not a 4-deep NMOS
+        // stack (0.265 V raised by the 0.05 V margin): only the first
+        // cell fails organically, and its error wins over the injection.
+        let mut low = CharacterizationConfig::fast();
+        low.sweep.voltages = vec![0.313, 0.55, 0.8, 1.1];
+        assert!(characterize_library(&lib, &tech, &low, Some(&ids[1..])).is_ok());
+        let (cell, message, fired) = run(&low);
+        assert_eq!(cell, "NAND4_X1");
+        assert!(message.contains("below device threshold"), "{message}");
+        assert_eq!(fired, vec![keys[1]]);
+    }
+
+    #[test]
     fn polynomial_beats_nothing_and_tracks_lut() {
         let lib = CellLibrary::nangate15_like();
         let tech = Technology::nm15();
@@ -919,6 +980,53 @@ mod tests {
         assert!((curve.delay_ps(100.0) - 30.0).abs() < 1e-12);
         assert_eq!(curve.loads_ff().len(), 3);
         assert_eq!(curve.delays_ps().len(), 3);
+    }
+
+    /// Every [`CharacterizationReport`] field but the wall-clock one, bit
+    /// for bit.
+    fn reports_digest(reports: &[CharacterizationReport]) -> u64 {
+        let mut h = avfs_netlist::hash::Fnv1a::new();
+        for r in reports {
+            h.write_str(&r.cell);
+            h.write_f64(r.stats.mean);
+            h.write_f64(r.stats.stddev);
+            h.write_f64(r.stats.max);
+            h.write_usize(r.stats.count);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn characterization_is_bit_identical_to_the_serial_sweep() {
+        // Recorded from the serial per-arc flow the planned sweep replaced.
+        let lib = CellLibrary::nangate15_like();
+        let tech = Technology::nm15();
+        let fast =
+            characterize_library(&lib, &tech, &CharacterizationConfig::fast(), None).unwrap();
+        // The 64-bit adder's cells at the paper's sweep: what the
+        // `pipeline_cold` benchmark workload characterizes.
+        let mut ids = subset(&lib, &["XOR2_X1", "AND2_X1", "OR2_X1"]);
+        ids.sort();
+        let metrics = Metrics::new("characterize");
+        let paper = characterize_library_metered(
+            &lib,
+            &tech,
+            &CharacterizationConfig::default(),
+            Some(&ids),
+            Some(&metrics),
+        )
+        .unwrap();
+        assert_eq!(fast.content_hash(), 0xfa0c_5beb_1829_86d9);
+        assert_eq!(reports_digest(fast.reports()), 0x703d_ca4d_7140_3292);
+        assert_eq!(paper.content_hash(), 0x6843_4022_c99d_f58a);
+        assert_eq!(reports_digest(paper.reports()), 0x6da1_3903_a612_950b);
+        // One span per call, one planned sweep, and the plan's distinct
+        // stages are the integrations the per-call memo ran.
+        let profile = metrics.snapshot();
+        assert_eq!(profile.phase("delay/characterize").unwrap().calls, 1);
+        assert_eq!(profile.phase("spice/sweep").unwrap().calls, 1);
+        assert_eq!(profile.counter("spice.transient_points"), Some(1296));
+        assert_eq!(profile.counter("spice.stage_runs"), Some(1200));
     }
 
     #[test]

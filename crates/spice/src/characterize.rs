@@ -3,7 +3,7 @@
 
 use crate::mosfet::Mosfet;
 use crate::technology::Technology;
-use crate::transient::{Stage, StageMemo};
+use crate::transient::{simulate_stage, Stage};
 use crate::SpiceError;
 use avfs_netlist::library::{Cell, Polarity};
 
@@ -40,25 +40,10 @@ pub fn pin_delay_ps(
     vdd: f64,
     c_load_ff: f64,
 ) -> Result<f64, SpiceError> {
-    let mut memo = StageMemo::default();
-    pin_delay_memo(tech, cell, pin, polarity, vdd, c_load_ff, &mut memo)
-}
-
-/// [`pin_delay_ps`] with the stage transients looked up in, and added to,
-/// the caller's `memo`.
-pub(crate) fn pin_delay_memo(
-    tech: &Technology,
-    cell: &Cell,
-    pin: usize,
-    polarity: Polarity,
-    vdd: f64,
-    c_load_ff: f64,
-    memo: &mut StageMemo,
-) -> Result<f64, SpiceError> {
     let (output, internal) = pin_stages(tech, cell, pin, polarity, vdd, c_load_ff);
-    let mut total = memo.delay_ps(tech, &output)?;
+    let mut total = simulate_stage(tech, &output)?.delay_ps;
     if let Some(internal) = internal {
-        total += memo.delay_ps(tech, &internal)?;
+        total += simulate_stage(tech, &internal)?.delay_ps;
     }
     Ok(total)
 }
@@ -95,7 +80,7 @@ pub(crate) fn pin_stages(
         let internal_cap = (0.8 * cell.parasitic_cap_ff()).max(0.2);
         // The internal stage runs at ~70 % of the cell's drive (first
         // stage devices are smaller). Nothing in it depends on the
-        // external load, so a sweep's memo runs it once per voltage.
+        // external load, so a sweep plan runs it once per voltage.
         equivalent_stage(
             tech,
             0.7 * drive.width.max(0.5),

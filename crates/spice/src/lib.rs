@@ -46,9 +46,8 @@ pub mod transient;
 
 pub use characterize::pin_delay_ps;
 pub use mosfet::Mosfet;
-pub use sweep::{sweep_pin, sweep_pin_memo, DelaySurface, SweepConfig};
+pub use sweep::{sweep_pin, DelaySurface, SweepConfig, SweepPlan};
 pub use technology::Technology;
-pub use transient::StageMemo;
 
 use std::error::Error;
 use std::fmt;

@@ -1,22 +1,45 @@
 //! Parameter-sweep harness (Fig. 1, step A).
 //!
 //! Runs the transient characterization over a grid of operating points
-//! `(V_DD, C_load)` and collects the resulting delay surface. The paper's
+//! `(V_DD, C_load)` and collects the resulting delay surfaces. The paper's
 //! sweep is `V_DD ∈ [0.55 V, 1.1 V]` in 0.05 V steps (nominal 0.8 V) with
 //! loads `2^i fF, i = −1 … 7`; [`SweepConfig::paper`] reproduces it.
 //!
-//! Many of a sweep's stage transients are the same [`Stage`](crate::transient::Stage)
-//! bit for bit — the first stage of a two-stage cell at every load, the
-//! symmetric pins of a cell — so a sweep looks each one up in a
-//! [`StageMemo`] and integrates only the distinct ones. The memo is
-//! scoped by the caller: [`sweep_pin`] creates one per call and drops it,
-//! [`sweep_pin_memo`] shares the one a library characterization owns.
+//! A [`SweepPlan`] sweeps any number of (cell, pin, polarity) arcs in
+//! three steps:
+//!
+//! 1. **Plan.** [`SweepPlan::push`] enumerates an arc's grid points
+//!    through the cell's equivalent stages and interns each [`Stage`] by
+//!    the bit patterns of everything the integration reads. Many are the
+//!    same bit for bit — the first stage of a two-stage cell at every
+//!    load, the symmetric pins of a cell — so the plan is one ordered list
+//!    of *distinct* stages.
+//! 2. **Integrate.** [`SweepPlan::run`] runs [`simulate_stage`] over that
+//!    list on [`std::thread::available_parallelism`] scoped workers, the
+//!    calling thread one of them. Workers claim stage indices from one
+//!    atomic cursor and write each result into a preallocated slot, so a
+//!    worker allocates nothing.
+//! 3. **Deliver.** Each arc's [`DelaySurface`] goes to the caller's
+//!    closure on the calling thread, in arc order, as soon as that arc's
+//!    stages are done, so the caller's per-arc work overlaps the other
+//!    workers' integration.
+//!
+//! Every stage is a pure function of its key, so the worker count cannot
+//! change a bit of any surface. The error a sweep returns is the one a
+//! serial point-by-point sweep returns: the first failing point in arc
+//! then (V, C) order, output stage before internal stage.
 
-use crate::characterize::pin_delay_memo;
+use crate::characterize::pin_stages;
+use crate::mosfet::DeviceType;
 use crate::technology::Technology;
-use crate::transient::StageMemo;
+use crate::transient::{simulate_stage, Stage};
 use crate::SpiceError;
 use avfs_netlist::library::{Cell, Polarity};
+use std::collections::HashMap;
+use std::num::NonZeroUsize;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The operating-point grid to characterize.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,13 +174,12 @@ fn nearest(axis: &[f64], x: f64) -> usize {
         .expect("axis is non-empty")
 }
 
-/// Sweeps one (cell, pin, polarity) over the configured grid.
+/// Sweeps one (cell, pin, polarity) over the configured grid: the one-arc
+/// case of a [`SweepPlan`].
 ///
 /// This is step A of Fig. 1; the paper notes the SPICE sweeps "took few
 /// minutes for each cell" — this substitute takes milliseconds, which is
-/// what makes the full Fig. 4 experiment tractable in CI. Every call
-/// starts from an empty [`StageMemo`], so its cost does not depend on
-/// what was swept before.
+/// what makes the full Fig. 4 experiment tractable in CI.
 ///
 /// # Errors
 ///
@@ -170,56 +192,298 @@ pub fn sweep_pin(
     polarity: Polarity,
     config: &SweepConfig,
 ) -> Result<DelaySurface, SpiceError> {
-    let mut memo = StageMemo::default();
-    sweep_pin_memo(tech, cell, pin, polarity, config, &mut memo, None)
+    let mut plan = SweepPlan::new(tech, config)?;
+    plan.push(cell, pin, polarity);
+    let mut surface = None;
+    plan.run(None, |_, swept| swept.map(|s| surface = Some(s)))?;
+    Ok(surface.expect("a planned arc is delivered"))
 }
 
-/// [`sweep_pin`] over a caller-owned `memo` — stages already integrated
-/// through it (by earlier sweeps of the same characterization) are not
-/// integrated again — with optional instrumentation: when `metrics` is
-/// present, each call records the phase `"spice/sweep"`, adds the number
-/// of grid points to the `"spice.transient_points"` counter and the
-/// number of integrations it actually ran to `"spice.stage_runs"`.
-///
-/// # Errors
-///
-/// Identical to [`sweep_pin`].
-pub fn sweep_pin_memo(
-    tech: &Technology,
-    cell: &Cell,
-    pin: usize,
-    polarity: Polarity,
-    config: &SweepConfig,
-    memo: &mut StageMemo,
-    metrics: Option<&avfs_obs::Metrics>,
-) -> Result<DelaySurface, SpiceError> {
-    let span = metrics.map(|m| m.span("spice/sweep"));
-    config.validate()?;
-    let runs_before = memo.runs();
-    let mut delays_ps = Vec::with_capacity(config.voltages.len() * config.loads_ff.len());
-    for &v in &config.voltages {
-        for &c in &config.loads_ff {
-            delays_ps.push(pin_delay_memo(tech, cell, pin, polarity, v, c, memo)?);
+/// No internal stage at this grid point: a single-stage cell.
+const NO_STAGE: u32 = u32::MAX;
+
+/// The interning key of a [`Stage`]: the bit patterns of everything
+/// [`simulate_stage`] reads — device type, effective width, threshold,
+/// capacitance, supply, input slew and the technology's `k`, `α` and
+/// `k_sat`.
+type StageKey = (DeviceType, [u64; 8]);
+
+fn stage_key(tech: &Technology, stage: &Stage) -> StageKey {
+    let k = match stage.device.device {
+        DeviceType::Nmos => tech.k_n,
+        DeviceType::Pmos => tech.k_p,
+    };
+    (
+        stage.device.device,
+        [
+            stage.device.width,
+            stage.device.vth,
+            stage.cap_ff,
+            stage.vdd,
+            stage.slew_ps,
+            k,
+            tech.alpha,
+            tech.k_sat,
+        ]
+        .map(f64::to_bits),
+    )
+}
+
+/// A planned sweep of (cell, pin, polarity) arcs over one grid: the
+/// distinct stages of every grid point of every arc, integrated once each
+/// by [`SweepPlan::run`].
+#[derive(Debug)]
+pub struct SweepPlan<'a> {
+    tech: &'a Technology,
+    config: &'a SweepConfig,
+    /// Where each distinct stage sits in `stages`.
+    index: HashMap<StageKey, u32>,
+    /// The distinct stages, in order of first appearance.
+    stages: Vec<Stage>,
+    /// Per grid point of every arc, in arc order: the output stage and the
+    /// internal stage (or [`NO_STAGE`]).
+    points: Vec<[u32; 2]>,
+    /// Per arc: the number of stages planned once it was pushed. Indices
+    /// follow first appearance, so every stage an arc reads lies below it.
+    ends: Vec<usize>,
+}
+
+impl<'a> SweepPlan<'a> {
+    /// An empty plan over `config`'s grid.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::InvalidSweep`] for a bad configuration.
+    pub fn new(tech: &'a Technology, config: &'a SweepConfig) -> Result<SweepPlan<'a>, SpiceError> {
+        config.validate()?;
+        Ok(SweepPlan {
+            tech,
+            config,
+            index: HashMap::new(),
+            stages: Vec::new(),
+            points: Vec::new(),
+            ends: Vec::new(),
+        })
+    }
+
+    /// Plans one arc; [`SweepPlan::run`] delivers it under the index this
+    /// returns (arcs are numbered in push order from 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pin` is out of range for the cell.
+    pub fn push(&mut self, cell: &Cell, pin: usize, polarity: Polarity) -> usize {
+        for &v in &self.config.voltages {
+            for &c in &self.config.loads_ff {
+                let (output, internal) = pin_stages(self.tech, cell, pin, polarity, v, c);
+                let output = self.intern(&output);
+                let internal = internal.map_or(NO_STAGE, |internal| self.intern(&internal));
+                self.points.push([output, internal]);
+            }
+        }
+        self.ends.push(self.stages.len());
+        self.ends.len() - 1
+    }
+
+    fn intern(&mut self, stage: &Stage) -> u32 {
+        let next = u32::try_from(self.stages.len()).expect("fewer than 2^32 stages");
+        let index = *self
+            .index
+            .entry(stage_key(self.tech, stage))
+            .or_insert(next);
+        if index == next {
+            self.stages.push(*stage);
+        }
+        index
+    }
+
+    /// Integrates the plan and hands `deliver` each arc's surface, in arc
+    /// order, on the calling thread. An arc whose stages failed is
+    /// delivered as its first failing point's error and is the last arc
+    /// delivered; an `Err` from `deliver` stops the sweep and is returned.
+    /// When `metrics` is present, the call records the phase
+    /// `"spice/sweep"` and, once every arc is delivered, adds the plan's
+    /// grid points to `"spice.transient_points"` and its distinct stages —
+    /// the integrations it ran — to `"spice.stage_runs"`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `deliver` returns.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the stage integration, whichever worker ran it.
+    pub fn run<E>(
+        &self,
+        metrics: Option<&avfs_obs::Metrics>,
+        deliver: impl FnMut(usize, Result<DelaySurface, SpiceError>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        self.run_on(workers, metrics, deliver)
+    }
+
+    /// [`SweepPlan::run`] on `workers` threads.
+    fn run_on<E>(
+        &self,
+        workers: usize,
+        metrics: Option<&avfs_obs::Metrics>,
+        mut deliver: impl FnMut(usize, Result<DelaySurface, SpiceError>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let span = metrics.map(|m| m.span("spice/sweep"));
+        let tech = self.tech;
+        let grid = self.config.voltages.len() * self.config.loads_ff.len();
+        integrate(
+            &self.stages,
+            &self.ends,
+            workers,
+            |stage| simulate_stage(tech, stage).map(|r| r.delay_ps),
+            |arc, delays| {
+                let surface = delays.map(|delays| DelaySurface {
+                    voltages: self.config.voltages.clone(),
+                    loads_ff: self.config.loads_ff.clone(),
+                    delays_ps: self.points[arc * grid..][..grid]
+                        .iter()
+                        .map(|&[output, internal]| {
+                            let mut total = delays.ps(output);
+                            if internal != NO_STAGE {
+                                total += delays.ps(internal);
+                            }
+                            total
+                        })
+                        .collect(),
+                });
+                deliver(arc, surface)
+            },
+        )?;
+        if let Some(m) = metrics {
+            m.add("spice.transient_points", self.points.len() as u64);
+            m.add("spice.stage_runs", self.stages.len() as u64);
+        }
+        if let Some(span) = span {
+            span.finish();
+        }
+        Ok(())
+    }
+}
+
+/// What a worker made of one stage.
+enum Outcome {
+    Delay(f64),
+    Failed(SpiceError),
+    /// The solver panicked; [`integrate`] holds the payload.
+    Panicked,
+}
+
+/// The stage delays a delivered arc may read: every stage below its end.
+struct Delays<'s>(&'s [OnceLock<Outcome>]);
+
+impl Delays<'_> {
+    fn ps(&self, stage: u32) -> f64 {
+        match self.0[stage as usize].get() {
+            Some(Outcome::Delay(ps)) => *ps,
+            _ => unreachable!("an arc is delivered only once its stages are integrated"),
         }
     }
-    if let Some(m) = metrics {
-        m.add("spice.transient_points", delays_ps.len() as u64);
-        m.add("spice.stage_runs", memo.runs() - runs_before);
-    }
-    if let Some(span) = span {
-        span.finish();
-    }
-    Ok(DelaySurface {
-        voltages: config.voltages.clone(),
-        loads_ff: config.loads_ff.clone(),
-        delays_ps,
+}
+
+/// The worker loop of [`SweepPlan::run`], generic over the stage solver:
+/// runs `solve` over `stages` on `workers` threads, the caller one of
+/// them, and calls `deliver(arc, …)` on the caller, in arc order, once
+/// every stage below `ends[arc]` is done.
+///
+/// Workers claim indices from one cursor and store each outcome in its
+/// preallocated slot. A failed or panicking stage pushes the cursor past
+/// the end, and so does the caller however it leaves, so nothing more is
+/// claimed. The caller walks the slots in index order, helping to
+/// integrate while the next one is pending: indices follow first
+/// appearance, so the first failed slot it meets is the serial sweep's
+/// first failing point, and every slot below the cursor's final value was
+/// claimed, so it never waits on one nobody will fill. A panic's payload
+/// is re-raised on the caller after every worker has stopped.
+fn integrate<T: Sync, E>(
+    stages: &[T],
+    ends: &[usize],
+    workers: usize,
+    solve: impl Fn(&T) -> Result<f64, SpiceError> + Sync,
+    mut deliver: impl FnMut(usize, Result<Delays<'_>, SpiceError>) -> Result<(), E>,
+) -> Result<(), E> {
+    let n = stages.len();
+    let slots: Vec<OnceLock<Outcome>> = (0..n).map(|_| OnceLock::new()).collect();
+    // The cursor publishes no data — each slot's `OnceLock` does — and a
+    // claim is unique because `fetch_add` is one read-modify-write, so
+    // every access to it is `Relaxed`.
+    let cursor = AtomicUsize::new(0);
+    let payload = Mutex::new(None);
+    // Claims and resolves the next stage; `false` once none is left.
+    let step = || {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            return false;
+        }
+        let outcome = match panic::catch_unwind(AssertUnwindSafe(|| solve(&stages[i]))) {
+            Ok(Ok(ps)) => Outcome::Delay(ps),
+            Ok(Err(e)) => Outcome::Failed(e),
+            Err(p) => {
+                payload
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert(p);
+                Outcome::Panicked
+            }
+        };
+        if !matches!(outcome, Outcome::Delay(_)) {
+            cursor.store(n, Ordering::Relaxed);
+        }
+        let _ = slots[i].set(outcome);
+        true
+    };
+    let delivered = std::thread::scope(|scope| {
+        for _ in 1..workers.min(n) {
+            scope.spawn(|| while step() {});
+        }
+        let _stop = StopOnDrop(&cursor, n);
+        let mut ready = 0;
+        for (arc, &end) in ends.iter().enumerate() {
+            while ready < end {
+                let outcome = match slots[ready].get() {
+                    Some(outcome) => outcome,
+                    None if step() => continue,
+                    None => slots[ready].wait(),
+                };
+                match outcome {
+                    Outcome::Delay(_) => ready += 1,
+                    Outcome::Failed(e) => return Some(deliver(arc, Err(e.clone()))),
+                    Outcome::Panicked => return None,
+                }
+            }
+            if let Err(e) = deliver(arc, Ok(Delays(&slots))) {
+                return Some(Err(e));
+            }
+        }
+        Some(Ok(()))
+    });
+    delivered.unwrap_or_else(|| {
+        let p = payload.into_inner().unwrap_or_else(PoisonError::into_inner);
+        panic::resume_unwind(p.expect("a panicked stage leaves its payload"))
     })
+}
+
+/// Pushes the cursor past the end when the caller leaves the scope —
+/// returning or unwinding — so the other workers stop claiming.
+struct StopOnDrop<'c>(&'c AtomicUsize, usize);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(self.1, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use avfs_netlist::CellLibrary;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn paper_sweep_matches_section_v() {
@@ -275,57 +539,216 @@ mod tests {
         }
     }
 
-    #[test]
-    fn memoised_surface_equals_the_unmemoised_one_for_every_cell() {
-        // One memo shared across the whole library, as a characterization
-        // shares it, against a grid of independent `pin_delay_ps` calls.
-        let tech = Technology::nm15();
-        let lib = CellLibrary::nangate15_like();
-        let cfg = SweepConfig::coarse();
-        let mut memo = StageMemo::default();
+    /// Every arc of the whole library, planned into one sweep.
+    fn library_plan<'a>(
+        tech: &'a Technology,
+        lib: &'a CellLibrary,
+        cfg: &'a SweepConfig,
+    ) -> (SweepPlan<'a>, Vec<(&'a Cell, usize, Polarity)>) {
+        let mut plan = SweepPlan::new(tech, cfg).unwrap();
+        let mut arcs = Vec::new();
         for (_, cell) in lib.iter() {
             for pin in 0..cell.num_inputs() {
                 for polarity in Polarity::both() {
-                    let surf =
-                        sweep_pin_memo(&tech, cell, pin, polarity, &cfg, &mut memo, None).unwrap();
-                    for (k, (v, c, d)) in surf.samples().enumerate() {
-                        let alone = crate::pin_delay_ps(&tech, cell, pin, polarity, v, c).unwrap();
-                        assert_eq!(
-                            d.to_bits(),
-                            alone.to_bits(),
-                            "{} pin {pin} {polarity} point {k}",
-                            cell.name()
-                        );
-                    }
+                    assert_eq!(plan.push(cell, pin, polarity), arcs.len());
+                    arcs.push((cell, pin, polarity));
                 }
+            }
+        }
+        (plan, arcs)
+    }
+
+    /// The surfaces a plan delivers at `workers`, checking arc order.
+    fn surfaces_at(plan: &SweepPlan<'_>, workers: usize) -> Vec<DelaySurface> {
+        let mut surfaces = Vec::new();
+        plan.run_on(workers, None, |arc, swept| {
+            assert_eq!(arc, surfaces.len(), "arcs arrive in order");
+            swept.map(|s| surfaces.push(s))
+        })
+        .unwrap();
+        surfaces
+    }
+
+    #[test]
+    fn planned_sweep_equals_pin_delay_ps_for_every_cell() {
+        // One plan over the whole library against a grid of independent
+        // `pin_delay_ps` calls, each integrating its own stages.
+        let tech = Technology::nm15();
+        let lib = CellLibrary::nangate15_like();
+        let cfg = SweepConfig::coarse();
+        let (plan, arcs) = library_plan(&tech, &lib, &cfg);
+        let surfaces = surfaces_at(&plan, 2);
+        assert_eq!(surfaces.len(), arcs.len());
+        for (&(cell, pin, polarity), surf) in arcs.iter().zip(&surfaces) {
+            for (k, (v, c, d)) in surf.samples().enumerate() {
+                let alone = crate::pin_delay_ps(&tech, cell, pin, polarity, v, c).unwrap();
+                assert_eq!(
+                    d.to_bits(),
+                    alone.to_bits(),
+                    "{} pin {pin} {polarity} point {k}",
+                    cell.name()
+                );
             }
         }
     }
 
     #[test]
-    fn memo_runs_distinct_stages_once_and_does_not_outlive_a_call() {
+    fn worker_count_cannot_change_a_bit() {
+        let tech = Technology::nm15();
+        let lib = CellLibrary::nangate15_like();
+        let cfg = SweepConfig::coarse();
+        let (plan, _) = library_plan(&tech, &lib, &cfg);
+        let bits = |surfaces: Vec<DelaySurface>| -> Vec<u64> {
+            surfaces
+                .iter()
+                .flat_map(|s| s.delays_ps.iter().map(|d| d.to_bits()))
+                .collect()
+        };
+        let serial = bits(surfaces_at(&plan, 1));
+        for workers in [2, 7] {
+            assert_eq!(
+                bits(surfaces_at(&plan, workers)),
+                serial,
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn plan_integrates_each_distinct_stage_once() {
         let tech = Technology::nm15();
         let lib = CellLibrary::nangate15_like();
         let and2 = lib.cell(lib.find("AND2_X1").unwrap());
         let cfg = SweepConfig::coarse();
         let points = (cfg.voltages.len() * cfg.loads_ff.len()) as u64;
-        let stage_runs = |memo: &mut StageMemo| {
+        let counted = |plan: &SweepPlan<'_>| {
             let metrics = avfs_obs::Metrics::new("sweep");
-            sweep_pin_memo(&tech, and2, 0, Polarity::Rise, &cfg, memo, Some(&metrics)).unwrap();
+            plan.run(Some(&metrics), |_, swept| swept.map(drop))
+                .unwrap();
             let profile = metrics.snapshot();
-            assert_eq!(profile.counter("spice.transient_points"), Some(points));
-            profile.counter("spice.stage_runs").unwrap()
+            assert_eq!(profile.phase("spice/sweep").unwrap().calls, 1);
+            (
+                profile.counter("spice.transient_points").unwrap(),
+                profile.counter("spice.stage_runs").unwrap(),
+            )
         };
         // A two-stage cell: one output-stage transient per point, one
         // first-stage transient per voltage.
-        let mut memo = StageMemo::default();
-        let first = stage_runs(&mut memo);
-        assert_eq!(first, points + cfg.voltages.len() as u64);
-        assert!(first < 2 * points);
-        // The same memo has nothing left to integrate; a fresh one — what
-        // every `sweep_pin` call starts from — integrates all of it again.
-        assert_eq!(stage_runs(&mut memo), 0);
-        assert_eq!(stage_runs(&mut StageMemo::default()), first);
+        let mut plan = SweepPlan::new(&tech, &cfg).unwrap();
+        plan.push(and2, 0, Polarity::Rise);
+        assert_eq!(counted(&plan), (points, points + cfg.voltages.len() as u64));
+        // Planning the same arc again adds points and no stage.
+        plan.push(and2, 0, Polarity::Rise);
+        assert_eq!(
+            counted(&plan),
+            (2 * points, points + cfg.voltages.len() as u64)
+        );
+    }
+
+    /// Stages `0..n`, one arc per `width` of them.
+    fn toy_plan(n: usize, width: usize) -> (Vec<usize>, Vec<usize>) {
+        let stages = (0..n).collect();
+        let ends = (1..=n.div_ceil(width))
+            .map(|a| (a * width).min(n))
+            .collect();
+        (stages, ends)
+    }
+
+    #[test]
+    fn a_failing_stage_yields_the_serial_order_error_at_every_worker_count() {
+        let (stages, ends) = toy_plan(300, 7);
+        // Two failing stages; the lower index is the one a serial sweep
+        // meets first, whichever worker finishes first.
+        let solve = |&i: &usize| match i {
+            57 | 58 | 211 => Err(SpiceError::NoConvergence {
+                reached_ps: i as f64,
+            }),
+            _ => Ok(i as f64),
+        };
+        for workers in [1, 2, 7] {
+            let mut delivered = Vec::new();
+            let err = integrate(&stages, &ends, workers, solve, |arc, delays| {
+                let delays = delays?;
+                let lo = if arc == 0 { 0 } else { ends[arc - 1] };
+                for i in lo..ends[arc] {
+                    assert_eq!(delays.ps(i as u32), i as f64);
+                }
+                delivered.push(arc);
+                Ok::<(), SpiceError>(())
+            })
+            .unwrap_err();
+            assert_eq!(err, SpiceError::NoConvergence { reached_ps: 57.0 });
+            // Stage 57 belongs to arc 8: the eight arcs before it arrive.
+            assert_eq!(delivered, (0..8).collect::<Vec<_>>(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn an_error_from_deliver_stops_the_sweep() {
+        let (stages, ends) = toy_plan(100, 10);
+        for workers in [1, 2, 7] {
+            let mut delivered = 0;
+            let err = integrate(
+                &stages,
+                &ends,
+                workers,
+                |&i| Ok(i as f64),
+                |arc, _| {
+                    delivered += 1;
+                    if arc == 3 {
+                        Err("fit failed")
+                    } else {
+                        Ok(())
+                    }
+                },
+            )
+            .unwrap_err();
+            assert_eq!((err, delivered), ("fit failed", 4));
+        }
+    }
+
+    #[test]
+    fn a_panicking_stage_on_a_spawned_worker_re_raises_on_the_caller() {
+        // The spawned worker panics on the first stage it claims; the
+        // caller does not integrate until the spawned worker has claimed
+        // one, so the panic happens off the calling thread.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let (stages, ends) = toy_plan(64, 4);
+            let caller = std::thread::current().id();
+            let claimed = AtomicUsize::new(0);
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                integrate(
+                    &stages,
+                    &ends,
+                    2,
+                    |&i| {
+                        if std::thread::current().id() != caller {
+                            claimed.store(1, Ordering::SeqCst);
+                            panic!("stage {i} blew up");
+                        }
+                        while claimed.load(Ordering::SeqCst) == 0 {
+                            std::thread::yield_now();
+                        }
+                        Ok(i as f64)
+                    },
+                    |_, delays| delays.map(drop),
+                )
+            }));
+            let message = run
+                .expect_err("the panic reaches the caller")
+                .downcast::<String>()
+                .map(|m| *m);
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the caller is never left waiting on a panicked stage")
+            .expect("the original payload");
+        assert!(
+            message.starts_with("stage ") && message.ends_with(" blew up"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -19,14 +19,14 @@
 //!   over as the next step's `t`, and never again once the ramp has
 //!   reached `V_DD`; every slope then costs only the `V_ds` profile;
 //! * the loop ends at the output's 50 % crossing, the one thing measured;
-//! * a [`StageMemo`] runs one transient per distinct [`Stage`]: the
-//!   first stage of a two-stage cell does not see the external load, and
-//!   symmetric pins reduce to the same equivalent device.
+//! * a [`SweepPlan`](crate::sweep::SweepPlan) runs one transient per
+//!   distinct [`Stage`]: the first stage of a two-stage cell does not see
+//!   the external load, and symmetric pins reduce to the same equivalent
+//!   device.
 
 use crate::mosfet::{DeviceType, Drive, Mosfet};
 use crate::technology::Technology;
 use crate::SpiceError;
-use std::collections::HashMap;
 
 /// Description of one switching stage to simulate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -179,60 +179,6 @@ pub fn simulate_stage(tech: &Technology, stage: &Stage) -> Result<TransientResul
         }
     }
     Err(SpiceError::NoConvergence { reached_ps: t })
-}
-
-/// One transient per distinct stage: a memo of [`simulate_stage`] delays
-/// keyed by the bit patterns of everything the integration reads — device
-/// type, effective width, threshold, capacitance, supply, input slew and
-/// the technology's `k`, `α` and `k_sat`.
-///
-/// A memo lives as long as its owner keeps it: one library
-/// characterization shares one across its sweeps
-/// ([`sweep_pin_memo`](crate::sweep::sweep_pin_memo)), and
-/// [`sweep_pin`](crate::sweep::sweep_pin) starts from an empty one on
-/// every call. Nothing in this crate keeps one alive between calls.
-#[derive(Debug, Default)]
-pub struct StageMemo {
-    delays_ps: HashMap<(DeviceType, [u64; 8]), f64>,
-    /// Integrations actually run (memo misses).
-    runs: u64,
-}
-
-impl StageMemo {
-    /// The 50 %-to-50 % delay of `stage`, ps: looked up, or integrated
-    /// once and remembered. Errors are not remembered.
-    pub(crate) fn delay_ps(&mut self, tech: &Technology, stage: &Stage) -> Result<f64, SpiceError> {
-        let k = match stage.device.device {
-            DeviceType::Nmos => tech.k_n,
-            DeviceType::Pmos => tech.k_p,
-        };
-        let key = (
-            stage.device.device,
-            [
-                stage.device.width,
-                stage.device.vth,
-                stage.cap_ff,
-                stage.vdd,
-                stage.slew_ps,
-                k,
-                tech.alpha,
-                tech.k_sat,
-            ]
-            .map(f64::to_bits),
-        );
-        if let Some(&delay_ps) = self.delays_ps.get(&key) {
-            return Ok(delay_ps);
-        }
-        self.runs += 1;
-        let delay_ps = simulate_stage(tech, stage)?.delay_ps;
-        self.delays_ps.insert(key, delay_ps);
-        Ok(delay_ps)
-    }
-
-    /// Integrations run through this memo so far.
-    pub(crate) fn runs(&self) -> u64 {
-        self.runs
-    }
 }
 
 /// The integrator as it stood before [`simulate_stage`] learned to skip

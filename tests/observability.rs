@@ -77,15 +77,18 @@ fn characterization_counts_grid_points_and_integrations() {
         .counter("spice.transient_points")
         .expect("grid points counted");
     assert_eq!(points, 3 * 2 * 2 * 25);
-    // All three are two-stage cells, so an un-memoised sweep would run two
-    // integrations per point; the characterization's memo runs the
-    // load-independent first stages and the symmetric pins once.
+    // All three are two-stage cells, so a point-by-point sweep would run
+    // two integrations per point; the characterization's one planned
+    // sweep integrates the load-independent first stages and the
+    // symmetric pins once — as many as the per-call memo it replaced ran.
     let runs = profile
         .counter("spice.stage_runs")
         .expect("integrations counted");
-    assert!(
-        0 < runs && runs < 2 * points,
-        "{runs} runs, {points} points"
+    assert_eq!(runs, 300, "{points} points");
+    assert_eq!(profile.phase("spice/sweep").map(|p| p.calls), Some(1));
+    assert_eq!(
+        profile.phase("delay/characterize").map(|p| p.calls),
+        Some(1)
     );
     // Metering observes only.
     assert_eq!(
