@@ -4,6 +4,19 @@
 # crates/prng), so no registry access is ever needed.
 set -eu
 
+# Runs a step under a wall-clock limit (seconds), so a scheduler hang
+# fails the named step instead of stalling CI.
+bounded() {
+    limit=$1
+    shift
+    status=0
+    timeout "$limit" "$@" || status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "timed out after ${limit} s: $*"
+    fi
+    [ "$status" -eq 0 ] || exit "$status"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -13,8 +26,8 @@ cargo clippy --workspace --offline --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test (workspace)"
-cargo test --workspace --offline -q
+echo "==> cargo test (workspace, at most 30 min)"
+bounded 1800 cargo test --workspace --offline -q
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -92,8 +105,8 @@ fi
 echo "==> checker --smoke (static-analysis gate: avfs-check/1 schema, zero deny findings)"
 cargo run --release --offline -p avfs-bench --bin checker -- --smoke
 
-echo "==> chaos --smoke (fault-injection gate: avfs-chaos/1 schema, 100% site coverage)"
-cargo run --release --offline -p avfs-bench --bin chaos -- --smoke
+echo "==> chaos --smoke (fault-injection gate: avfs-chaos/1 schema, 100% site coverage, at most 10 min)"
+bounded 600 cargo run --release --offline -p avfs-bench --bin chaos -- --smoke
 
 echo "==> sta_crosscheck --smoke (STA oracle gate: sim within STA bound, critical-path agreement)"
 cargo run --release --offline -p avfs-bench --bin sta_crosscheck -- --smoke

@@ -97,10 +97,11 @@ struct Subject {
     netlist: Arc<Netlist>,
 }
 
-/// A 64-bit adder under 32 slots: its first gate level schedules
-/// thousands of lane tasks and wakes the pool — the only place the
-/// worker-stall site is consulted — while its carry chain runs on the
-/// coordinator, so every fault plan meets both dispatch arms.
+/// A 64-bit adder under 32 slots: several lane groups per batch (four at
+/// the default lane width), walked by their owners while idle workers
+/// join their open levels, so a fault plan meets tasks run by owners and
+/// by helpers. The pool is released once per batch — the only place the
+/// worker-stall site is consulted.
 fn subject(seed: u64) -> Subject {
     let library = CellLibrary::nangate15_like();
     let netlist = Arc::new(ripple_carry_adder(64, &library).expect("adder builds"));
@@ -265,8 +266,10 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     assert!(plan.hits(InjectionSite::NonFiniteKernel) > 0);
     tally.absorb_plan(&plan);
 
-    // Every worker stalls every epoch (briefly); results must not move
-    // and the armed watchdog must observe at least one stall.
+    // Every spawned worker stalls at every release (briefly), before it
+    // takes its share: results must not move. A stalled worker holds no
+    // task, so the others keep closing levels and the armed watchdog
+    // need not see a quiet period; it only must not change a result.
     let plan = Arc::new(
         FaultPlan::empty(0x0DD5EED)
             .with_rate(InjectionSite::WorkerStall, 1.0)
@@ -282,10 +285,6 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
         .expect("stalls delay, never fail");
     assert_eq!(run.slots, clean.slots, "stalls are timing-only");
     assert!(plan.hits(InjectionSite::WorkerStall) > 0);
-    assert!(
-        run.diagnostics.watchdog_stalls > 0,
-        "the watchdog must notice a 3 ms stall at a 1 ms timeout"
-    );
     tally.absorb_plan(&plan);
 
     // Allocation-cap breach: organic overflows (capacity 1) whose retry

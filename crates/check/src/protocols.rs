@@ -14,7 +14,7 @@
 //!   `fetch_or(AcqRel)` claims a whole lane *mask* of a run's claim word
 //!   and the writer wins exactly the bits it observed clear, so the
 //!   single-winner invariant must hold per lane even when racing masks
-//!   overlap on some lanes and not others. Within a level epoch one
+//!   overlap on some lanes and not others. Within a level one
 //!   worker's constant run (the quiet lanes of its task) and another
 //!   worker's `publish` (one single-bit claim per cell) claim disjoint
 //!   bits of the *same* word, so neither may clear a bit the other won.
@@ -29,13 +29,21 @@
 //!   publishes a job, bumps the epoch counter to release parked workers,
 //!   then waits for the running count to drain back to zero before
 //!   invalidating the job and publishing the next one.
+//! * **Hand-off protocol** (`avfs-core`'s batch walk): inside one pool
+//!   release, a lane group's owner opens each level by resetting the
+//!   group's `done` count and fault bits and then publishing the level
+//!   and its first gate as one packed cursor word; any worker grabs a
+//!   chunk with one `fetch_add` on that word, runs it, records its
+//!   faults and bumps `done`; the owner closes the level once `done`
+//!   reaches the gate count, then opens the next.
 //!
 //! Each `check_*` function explores **every** interleaving of the model
 //! via [`explore`] and returns the exploration statistics, or a failing
 //! schedule as a witness. The `tests` module additionally contains
 //! deliberately broken variants (non-atomic claim, non-atomic lane
-//! claim, non-atomic reservation, barrier-free coordinator) proving the
-//! checker detects the races these protocols are designed to prevent.
+//! claim, non-atomic reservation, barrier-free coordinator, a cursor
+//! torn into a level word and a gate word) proving the checker detects
+//! the races these protocols are designed to prevent.
 
 use crate::interleave::{explore, Explored, InterleaveError, StepResult, ThreadModel};
 use crate::Finding;
@@ -828,6 +836,230 @@ pub fn check_epoch_protocol(workers: usize, epochs: u64) -> Result<Explored, Int
 }
 
 // ---------------------------------------------------------------------
+// Hand-off protocol (a lane group's level walk inside one batch)
+// ---------------------------------------------------------------------
+
+/// Levels of the hand-off model.
+const HANDOFF_LEVELS: usize = 2;
+
+/// Gates per level of the hand-off model (one task each: chunk 1).
+const HANDOFF_GATES: usize = 2;
+
+/// Shared state of the hand-off model: one lane group's walk state plus
+/// instrumentation.
+#[derive(Clone, Debug)]
+struct HandOffState {
+    /// The cursor: the open level and its next gate — one packed word
+    /// (`AtomicU64`) in the engine, two separate words in the torn
+    /// variant.
+    level: usize,
+    gate: usize,
+    /// Tasks of the open level that finished.
+    done: usize,
+    /// Fault bits of the open level: every task faults on its own bit,
+    /// so a close must see all of them.
+    died: u64,
+    /// Runs per `(level, gate)` task.
+    ran: [[u32; HANDOFF_GATES]; HANDOFF_LEVELS],
+    /// Levels the owner closed.
+    closed: usize,
+    /// Set by a step that broke the protocol.
+    violation: Option<String>,
+}
+
+impl HandOffState {
+    /// Runs task `(level, gate)`: records it, checks that every task of
+    /// the level before finished first, and sets the task's fault bit.
+    fn run(&mut self, (level, gate): (usize, usize)) {
+        if level > 0 && self.ran[level - 1].contains(&0) {
+            self.violation = Some(format!(
+                "task ({level}, {gate}) started before level {} finished",
+                level - 1
+            ));
+        }
+        self.ran[level][gate] += 1;
+        self.died |= 1 << gate;
+    }
+}
+
+/// A worker of the hand-off model: the owner (opens and closes levels,
+/// grabs tasks of its open level) or a helper (grabs tasks until the
+/// owner closed the last level).
+#[derive(Clone)]
+struct HandOffWorker {
+    owner: bool,
+    /// The cursor is two words: a grab reads the level, then bumps the
+    /// gate, as two steps — and an open stores them as two steps.
+    torn: bool,
+    /// The owner's level to open next.
+    level: usize,
+    /// The torn grab's level, between its two steps.
+    seen: Option<usize>,
+    /// The grabbed task, between its run and its `done` increment.
+    task: Option<(usize, usize)>,
+    pc: u8,
+}
+
+impl HandOffWorker {
+    /// One step of a grab through the cursor: `Some(Some(task))` when it
+    /// won one, `Some(None)` when the level had no gate left, `None`
+    /// after the first step of a torn grab.
+    fn grab(&mut self, shared: &mut HandOffState) -> Option<Option<(usize, usize)>> {
+        let (level, gate) = if self.torn {
+            let Some(level) = self.seen.take() else {
+                self.seen = Some(shared.level);
+                return None;
+            };
+            (level, shared.gate)
+        } else {
+            // fetch_add on the packed word: level and gate in one step.
+            (shared.level, shared.gate)
+        };
+        shared.gate += 1;
+        Some((gate < HANDOFF_GATES).then_some((level, gate)))
+    }
+}
+
+impl ThreadModel<HandOffState> for HandOffWorker {
+    fn step(&mut self, shared: &mut HandOffState) -> StepResult {
+        match (self.owner, self.pc) {
+            // Owner: open the level — reset the counters it owns until
+            // the publish, then publish level and gate 0.
+            (true, 0) => {
+                shared.done = 0;
+                shared.died = 0;
+                self.pc = 1;
+            }
+            (true, 1) if self.torn => {
+                shared.gate = 0;
+                self.pc = 2;
+            }
+            (true, 1 | 2) => {
+                (shared.level, shared.gate) = (self.level, 0);
+                self.pc = 3;
+            }
+            // Either role: grab, run, bump `done`.
+            (_, 3) => match self.grab(shared) {
+                None => {}
+                Some(Some(task)) => {
+                    self.task = Some(task);
+                    self.pc = 4;
+                }
+                Some(None) => self.pc = 6,
+            },
+            (_, 4) => {
+                shared.run(self.task.expect("grabbed"));
+                self.pc = 5;
+            }
+            (_, 5) => {
+                shared.done += 1;
+                self.task = None;
+                self.pc = 3;
+            }
+            // Owner: wait for every task of the level, then close it.
+            (true, _) => {
+                if shared.done < HANDOFF_GATES {
+                    return StepResult::Blocked;
+                }
+                let all = (1 << HANDOFF_GATES) - 1;
+                if shared.died != all {
+                    shared.violation = Some(format!(
+                        "close of level {} saw fault bits {:#b}, want {all:#b}",
+                        self.level, shared.died
+                    ));
+                }
+                shared.closed += 1;
+                self.level += 1;
+                if self.level == HANDOFF_LEVELS {
+                    return StepResult::Finished;
+                }
+                self.pc = 0;
+            }
+            // Helper with nothing to grab: done once the walk ended,
+            // else wait for a gate to appear.
+            (false, _) => {
+                if shared.closed == HANDOFF_LEVELS {
+                    return StepResult::Finished;
+                }
+                if shared.gate >= HANDOFF_GATES {
+                    return StepResult::Blocked;
+                }
+                self.pc = 3;
+            }
+        }
+        StepResult::Ran
+    }
+}
+
+fn handoff_invariant(s: &HandOffState) -> Result<(), String> {
+    if let Some(v) = &s.violation {
+        return Err(v.clone());
+    }
+    for (level, gates) in s.ran.iter().enumerate() {
+        for (gate, &n) in gates.iter().enumerate() {
+            if n > 1 {
+                return Err(format!("task ({level}, {gate}) ran {n} times"));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn check_handoff(torn: bool) -> Result<Explored, InterleaveError> {
+    let worker = |owner| HandOffWorker {
+        owner,
+        torn,
+        level: 0,
+        seen: None,
+        task: None,
+        // A helper starts by looking for a gate, the owner by opening.
+        pc: if owner { 0 } else { 6 },
+    };
+    let shared = HandOffState {
+        level: 0,
+        // Nothing is open before the owner's first publish.
+        gate: HANDOFF_GATES,
+        done: 0,
+        died: 0,
+        ran: [[0; HANDOFF_GATES]; HANDOFF_LEVELS],
+        closed: 0,
+        violation: None,
+    };
+    explore(
+        &shared,
+        &[worker(true), worker(false)],
+        &handoff_invariant,
+        &|s| {
+            if s.closed != HANDOFF_LEVELS {
+                return Err(format!("{} of {HANDOFF_LEVELS} levels closed", s.closed));
+            }
+            for (level, gates) in s.ran.iter().enumerate() {
+                if let Some(gate) = gates.iter().position(|&n| n != 1) {
+                    return Err(format!("task ({level}, {gate}) ran {} times", gates[gate]));
+                }
+            }
+            Ok(())
+        },
+    )
+}
+
+/// Checks the lane-group hand-off of a batch walk: an owner and one
+/// helper over two levels of two gates, chunks of one gate, every task
+/// faulting on its own bit. Proves every `(level, gate)` task runs
+/// exactly once, no task of a level starts before every task of the
+/// level before it finished, and each close sees the fault bits of every
+/// task of its level, whoever ran it.
+///
+/// # Errors
+///
+/// Returns the failing schedule if any interleaving runs a task twice
+/// or never, starts a level early, hides a fault from a close, or
+/// deadlocks.
+pub fn check_handoff_protocol() -> Result<Explored, InterleaveError> {
+    check_handoff(false)
+}
+
+// ---------------------------------------------------------------------
 // Audit entry point
 // ---------------------------------------------------------------------
 
@@ -842,13 +1074,14 @@ pub struct ProtocolRun {
     pub result: Result<Explored, InterleaveError>,
 }
 
-/// Runs the full tier-3 concurrency audit: all four protocols at 2 and
-/// 3 threads (the epoch model over two epochs, so job invalidation and
-/// re-publish are both exercised; the lane-claim model over overlapping,
-/// partially overlapping, and overflow-path masks; the reservation model
-/// over multi-cell blocks, an empty cell and an overflow-path
-/// publisher; and a constant run against a two-cell publish on one claim
-/// word). Returns the per-run
+/// Runs the full tier-3 concurrency audit: the claim, lane-claim,
+/// reservation and epoch protocols at 2 and 3 threads (the epoch model
+/// over two epochs, so job invalidation and re-publish are both
+/// exercised; the lane-claim model over overlapping, partially
+/// overlapping, and overflow-path masks; the reservation model over
+/// multi-cell blocks, an empty cell and an overflow-path publisher; and
+/// a constant run against a two-cell publish on one claim word), and the
+/// hand-off protocol with an owner and a helper. Returns the per-run
 /// outcomes plus `AVC-C001` findings for any run that uncovered a
 /// violation.
 pub fn audit_concurrency() -> (Vec<ProtocolRun>, Vec<Finding>) {
@@ -912,6 +1145,11 @@ pub fn audit_concurrency() -> (Vec<ProtocolRun>, Vec<Finding>) {
             protocol: "epoch/2-workers-2-epochs",
             threads: 3,
             result: check_epoch_protocol(2, 2),
+        },
+        ProtocolRun {
+            protocol: "handoff/owner+helper",
+            threads: 2,
+            result: check_handoff_protocol(),
         },
     ];
     let findings = runs
@@ -1143,9 +1381,31 @@ mod tests {
     }
 
     #[test]
+    fn handoff_protocol_holds_exhaustively() {
+        let explored = check_handoff_protocol().unwrap();
+        // Owner and helper race for every task of both levels.
+        assert!(explored.schedules > 10, "{explored:?}");
+    }
+
+    /// A cursor torn into a level word and a gate word: a helper that
+    /// read the old level takes a gate of the newly opened one under the
+    /// old level's number, so a task runs twice and another never.
+    #[test]
+    fn torn_handoff_cursor_is_caught() {
+        let err = check_handoff(true).unwrap_err();
+        match err {
+            InterleaveError::InvariantViolated { message, schedule } => {
+                assert!(message.contains("ran 2 times"), "{message}");
+                assert!(schedule.contains(&0) && schedule.contains(&1));
+            }
+            other => panic!("expected a double run, got {other}"),
+        }
+    }
+
+    #[test]
     fn audit_is_clean() {
         let (runs, findings) = audit_concurrency();
-        assert_eq!(runs.len(), 12);
+        assert_eq!(runs.len(), 13);
         assert!(
             findings.is_empty(),
             "concurrency audit found violations: {findings:?}"

@@ -38,7 +38,7 @@ const DELAY_TABLE_SLOTS: usize = 16;
 
 /// The precomputed task plan of one level: which nodes are gate tasks
 /// and which are primary-output passthroughs, and per gate everything
-/// the level epoch needs of it — pin range, fan-in nets, function — in
+/// a level's tasks need of it — pin range, fan-in nets, function — in
 /// flat arrays, so neither the gating scan nor a lane task walks the
 /// netlist graph. Computed once at compile.
 #[derive(Debug, Clone, Default)]
@@ -60,7 +60,7 @@ pub(crate) struct LevelPlan {
     /// `gate_functions[pos]` — the same function in the form the gating
     /// scan evaluates 64 lanes at a time.
     pub(crate) gate_functions: Vec<LogicFunction>,
-    /// Primary outputs of the level, copied cell-to-cell at the barrier.
+    /// Primary outputs of the level, copied cell-to-cell at its close.
     pub(crate) output_nodes: Vec<NodeId>,
 }
 
@@ -171,6 +171,10 @@ pub struct CompiledNetlist {
     /// so repeated launches reuse it instead of re-evaluating every
     /// `φ_V`/`φ_C` factor.
     pub(crate) delay_tables: Mutex<Lru<u64, Arc<DelayTable>>>,
+    /// Test seam: a worker panics outside any lane right after it grabs
+    /// a chunk as a helper, holding tasks no other worker will run.
+    #[cfg(test)]
+    pub(crate) panic_in_help: std::sync::atomic::AtomicBool,
 }
 
 impl CompiledNetlist {
@@ -259,7 +263,7 @@ impl CompiledNetlist {
             .iter()
             .any(|f| f.severity >= avfs_check::Severity::Warn);
         // Per-level task plans: gates become pool tasks; primary outputs
-        // are mere passthroughs, copied cell-to-cell at the barrier.
+        // are mere passthroughs, copied cell-to-cell at a level's close.
         // Level 0 is the stimuli: no tasks.
         let level_plans = (0..levels.depth())
             .map(|level| match level {
@@ -279,6 +283,8 @@ impl CompiledNetlist {
             setup_deny,
             level_plans,
             delay_tables: Mutex::new(Lru::new(DELAY_TABLE_SLOTS)),
+            #[cfg(test)]
+            panic_in_help: std::sync::atomic::AtomicBool::new(false),
         })
     }
 

@@ -1,8 +1,9 @@
 //! The parallel thread-grid time simulator (paper Sec. IV, Fig. 3).
 //!
 //! A CPU realization of the GPU kernel organization: slots × gates of a
-//! level form the parallel work of one launch; a barrier separates
-//! levels. Waveforms live in one flat structure-of-arrays arena indexed
+//! level form the parallel work of one launch, and a level waits for the
+//! one before it — within a lane group of slots, which is all it reads.
+//! Waveforms live in one flat structure-of-arrays arena indexed
 //! `(slot, net)`, and slots are processed in batches sized by a memory
 //! budget — the direct analogue of launching as many slots as fit in GPU
 //! global memory.
@@ -105,8 +106,8 @@ pub struct SimOptions {
     /// Worker threads (the SIMD lanes of the substitute device); 0 — the
     /// default — selects the machine's available parallelism at run time
     /// (see [`SimOptions::resolved_threads`]). Workers are spawned once
-    /// per run and parked between levels; at each level the count is
-    /// further clamped to the level's task count.
+    /// per run (or parked across runs by a session) and released once per
+    /// batch.
     pub threads: usize,
     /// Upper bound on the transitions the waveform arena *reserves* at
     /// once (`slots × nodes × capacity`, the worst case); slots are
@@ -130,9 +131,10 @@ pub struct SimOptions {
     /// the last round are reported as [`SlotStatus::Overflowed`].
     pub overflow_retries: u32,
     /// Collect a phase-level performance profile into
-    /// [`SimRun::profile`]. All timing happens on the coordinator thread,
-    /// so simulation results are bit-for-bit identical with profiling on
-    /// or off; when off (the default) the only cost is an `Option`
+    /// [`SimRun::profile`]. Timing only reads clocks — workers time
+    /// their own share of a batch, fold it in once, and no decision reads
+    /// it — so simulation results are bit-for-bit identical with profiling
+    /// on or off; when off (the default) the only cost is an `Option`
     /// check per phase boundary.
     pub profiling: bool,
     /// Lane width `L` of the slot-packed (lane-major) arena layout: slots
@@ -165,7 +167,8 @@ pub struct SimOptions {
     /// plan also records what fired (see [`FaultPlan`]).
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Wall-clock budget for the whole run, checked cooperatively at
-    /// level barriers and between batches and retry rounds. On expiry the
+    /// every level close of a lane group and between batches and retry
+    /// rounds. On expiry the
     /// run degrades gracefully: slots already completed are returned,
     /// every unfinished slot resolves to
     /// [`SlotStatus::DeadlineExceeded`], and
@@ -173,11 +176,12 @@ pub struct SimOptions {
     /// default) never expires. A run whose *every* slot hits the deadline
     /// returns [`SimError::AllSlotsFailed`] like any other total loss.
     pub deadline: Option<Duration>,
-    /// Arms a coordinator-side watchdog that samples pool progress and
-    /// counts stalls longer than this timeout into
-    /// [`RunDiagnostics::watchdog_stalls`]. Observation only — a stalled
-    /// epoch is waited out, never killed — so the deterministic schedule
-    /// is untouched. `None` (the default) runs without a watchdog.
+    /// Arms a watchdog that samples the engine's progress (one bump per
+    /// level close of a lane group) and counts stalls longer than this
+    /// timeout into [`RunDiagnostics::watchdog_stalls`]. Observation only
+    /// — a stalled batch is waited out, never killed — so the
+    /// deterministic results are untouched. `None` (the default) runs
+    /// without a watchdog.
     pub stall_timeout: Option<Duration>,
     /// Global memory budget in bytes for quarantine-retry capacity
     /// growth (admission control): a retry round is only admitted when
@@ -567,9 +571,9 @@ impl CompiledNetlist {
             return Err(SimError::InvalidArenaCapacity { capacity, nodes });
         }
         // Profiling is strictly observational: all instruments live in a
-        // per-run registry touched only by this coordinator thread, so the
-        // deterministic schedule (and therefore every waveform) is
-        // identical whether the registry exists or not.
+        // per-run registry written only by this thread, from what the
+        // workers fold in per batch, so every waveform is identical
+        // whether the registry exists or not.
         let metrics = options.profiling.then(|| Metrics::new("engine"));
         let metrics = metrics.as_ref();
         let run_span = metrics.map(|m| m.span(phases::ENGINE_RUN));
@@ -596,8 +600,8 @@ impl CompiledNetlist {
                 .as_ref()
                 .map_or_else(Injector::unarmed, |p| Injector::armed(Arc::clone(p))),
             deadline_at: options.deadline.map(|d| start + d),
-            // The watchdog observes coordinator progress (bumped at level
-            // barriers) from a monitor thread; it never intervenes, so
+            // The watchdog observes progress (bumped at every level close)
+            // from a monitor thread; it never intervenes, so
             // arming it cannot perturb results. Disarmed on drop, Err
             // paths included.
             watchdog: options.stall_timeout.map(Watchdog::arm),
@@ -692,9 +696,8 @@ struct RunCtx<'a> {
     /// The launch's node → domain map (voltage-island launches only).
     domains: Option<&'a VoltageDomains>,
     options: &'a SimOptions,
-    /// The parked workers every level epoch worth waking them for is
-    /// released through (the GPU grid analogue), and the resident arena
-    /// round 0 runs in.
+    /// The parked workers every batch is released to once (the GPU grid
+    /// analogue), and the resident arena round 0 runs in.
     pool: &'a ParkedPool,
     tallies: PoolTallies,
     injector: Injector,
@@ -885,9 +888,9 @@ impl RunCtx<'_> {
 }
 
 /// Per-worker execution tallies over a whole run (tasks executed and
-/// work-stealing chunk grabs beyond the first per level), folded into the
+/// chunks run of lane groups the worker does not own), folded into the
 /// profile at run end. Atomics make them writable from the pool without
-/// synchronizing the level schedule.
+/// synchronizing the walk.
 struct PoolTallies {
     tasks: Vec<AtomicU64>,
     steals: Vec<AtomicU64>,

@@ -1,37 +1,38 @@
-//! One batch of a launch: as many slots as fit the arena, simulated
-//! level by level with a barrier per level (paper Fig. 3) in named
-//! phases — stimuli, voltage grouping, delay initialisation, dispatch
-//! (activity gating included), barrier, analysis.
+//! One batch of a launch: as many slots as fit the arena, simulated in
+//! one release of the worker pool (paper Fig. 3). Slots are independent
+//! (the slot dimension, Sec. IV.B), so a level barrier is needed only
+//! between one lane group's own levels: the worker that owns a lane
+//! group walks its levels — stimuli, then per level the delay views, the
+//! gate tasks and the close — while workers with no group left to own
+//! join any group's open level. Grouping, delay binding and analysis run
+//! on the caller, before and after the release.
 
-use super::delays::{draw_level_derates, DelayFault, GroupDelays, VoltageGroup};
-use super::{RunCtx, RunState, VariationSample, MAX_STEAL_CHUNK, STEAL_GRABS_PER_WORKER};
+use super::delays::{BatchDelays, DelayFault, VoltageGroup};
+use super::{RunCtx, RunState, MAX_STEAL_CHUNK, STEAL_GRABS_PER_WORKER};
 use crate::compile::LevelPlan;
 use crate::phases;
-use crate::pool::WorkerPool;
 use crate::results::{SlotResult, SlotStatus};
 use crate::SimError;
 use avfs_inject::InjectionSite;
 use avfs_obs::time_option;
 use avfs_waveform::{
-    merge_transitions, segment_of, CapacityOverflow, GateScratch, LaneLayout, LevelWriter,
-    OverflowHook, SwitchingActivity, Waveform, WaveformArena, WaveformStats, WaveformView,
+    merge_transitions, CapacityOverflow, GateScratch, LaneLayout, LevelWriter, SwitchingActivity,
+    Waveform, WaveformArena, WaveformStats, WaveformView,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Live lane tasks (one live lane of one gate, quiet or not) an epoch
-/// needs before waking the pool pays: a release is a mutex + condvar
-/// round trip of ~35 µs per epoch against well under a microsecond per
-/// lane task, so a level below the threshold finishes on the coordinator
-/// before a second worker would have started. Chosen from the sweeps
-/// recorded in EXPERIMENTS.md E5 (the last one in this unit, with the
-/// quiet scan in the workers); not an option, because no caller has a
-/// better number than the measurement.
-const POOLED_EPOCH_LANE_TASKS: usize = 2048;
+use std::time::{Duration, Instant};
 
 /// Most pins a gate of the level plan has.
 const MAX_PINS: usize = avfs_netlist::CellKind::MAX_INPUTS;
+
+/// Turns a waiting worker spends on spin-loop hints before it starts
+/// yielding its core: a level's close takes about a microsecond, so a
+/// short spin usually sees the next level open, and the yields keep a
+/// worker that waits longer from starving the owner it waits for.
+const SPINS_BEFORE_YIELD: u32 = 64;
 
 /// Why a slot died within a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,8 +42,8 @@ enum Dead {
     Overflow,
     /// The slot's evaluation panicked — contained, no retry.
     Panic,
-    /// The run's wall-clock deadline expired at a level barrier — the
-    /// slot is abandoned, no retry.
+    /// The run's wall-clock deadline expired at a close of the slot's
+    /// lane group — the slot is abandoned, no retry.
     Deadline,
 }
 
@@ -57,37 +58,11 @@ pub(super) struct Batch<'c> {
     /// group. `L = 1` degenerates exactly to the slot-major layout,
     /// which is what the determinism matrix compares against.
     layout: LaneLayout,
-    /// Per-slot fault status. A dead slot's remaining work is skipped;
-    /// flags are only updated at level barriers so the schedule stays
-    /// deterministic.
+    /// Per-slot fault status before the walk: only a voltage group whose
+    /// delay binding panicked starts dead.
     dead: Vec<Option<Dead>>,
     groups: Vec<VoltageGroup<'c>>,
     group_of_slot: Vec<usize>,
-    /// Per-slot switching activity, accumulated where a cell is written:
-    /// stimuli and output passthroughs on the coordinator, gate outputs
-    /// by the workers, which fold their own tallies in once per epoch.
-    /// Sums and one maximum, so the fold order cannot matter. Constant
-    /// cells add nothing, and `nets` is filled in at analysis.
-    activity: Mutex<Vec<SwitchingActivity>>,
-    fallbacks: u64,
-    /// Scratch for the die being applied this level (see
-    /// [`Batch::init_delays`]); nothing drawn outlives its level.
-    derates: Vec<(f64, f64)>,
-    variation_draws: u64,
-}
-
-/// Shared per-level context handed to the device threads. The task grid
-/// is `live_groups × plan.gate_nodes`: task `t` is gate `t % gates` of
-/// the plan for the live lanes of lane group `live_groups[t / gates]`.
-struct LevelCtx<'l> {
-    /// The level's gates (outputs are barrier passthroughs, not tasks).
-    plan: &'l LevelPlan,
-    /// `delays[group].segs[segment][plan.gate_offsets[pos] + pin]` —
-    /// modified pin delays per voltage group and schedule segment.
-    delays: Vec<GroupDelays<'l>>,
-    /// Lane groups with at least one live lane at the start of the level,
-    /// as `(group index, live-lane mask)`.
-    live_groups: &'l [(usize, u64)],
 }
 
 impl<'c> Batch<'c> {
@@ -126,10 +101,6 @@ impl<'c> Batch<'c> {
             dead: vec![None; chunk.len()],
             groups,
             group_of_slot,
-            activity: Mutex::new(vec![SwitchingActivity::default(); chunk.len()]),
-            fallbacks: 0,
-            derates: Vec::new(),
-            variation_draws: 0,
         }
     }
 
@@ -138,81 +109,46 @@ impl<'c> Batch<'c> {
     /// retry loop; slots whose evaluation panics are contained and
     /// recorded as failed. Only errors affecting the whole run (a
     /// delay-model error) propagate as `Err`.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic that escaped a worker outside any lane (a
+    /// broken arena discipline, a bug in a close), after every worker
+    /// gave up the batch.
     pub(super) fn run(
         mut self,
         arena: &mut WaveformArena,
         state: &mut RunState,
         overflowed: &mut Vec<usize>,
     ) -> Result<(), SimError> {
-        let metrics = self.ctx.metrics;
+        let ctx = self.ctx;
+        let metrics = ctx.metrics;
         arena.reset();
-        time_option(metrics, phases::ENGINE_STIMULI, || self.stimuli(arena));
         self.bind_delay_tables()?;
-        // Levels 1…L: the vertical dimension with a barrier per level.
-        for level in 1..self.ctx.compiled.levels.depth() {
-            if self.dead.iter().all(Option::is_some) {
-                break;
-            }
-            if self.ctx.compiled.levels.level(level).is_empty() {
-                continue;
-            }
-            if let Some(m) = metrics {
-                m.add(phases::ENGINE_LEVELS, 1);
-            }
-            self.init_delays(level);
-            let live_groups = self.live_lane_groups();
-            if live_groups.is_empty() {
-                continue;
-            }
-            if let Some(m) = metrics {
-                m.add(phases::ENGINE_LANES_GROUPS, live_groups.len() as u64);
-            }
-            let verdicts = time_option(metrics, phases::ENGINE_WAVEFORM_MERGE, || {
-                self.merge_level(level, &live_groups, arena)
-            });
-            time_option(metrics, phases::ENGINE_BARRIER, || {
-                self.barrier(level, &live_groups, verdicts, arena);
-            });
-            // Level-barrier progress bump (the watchdog's liveness signal)
-            // and the cooperative deadline check: a level runs to its
-            // barrier, then every still-live slot of an expired batch is
-            // abandoned at once.
-            if let Some(wd) = &self.ctx.watchdog {
-                wd.progress();
-            }
-            if self.ctx.deadline_expired() {
-                for d in self.dead.iter_mut().filter(|d| d.is_none()) {
-                    *d = Some(Dead::Deadline);
-                }
-                break;
-            }
+        let delays = BatchDelays::new(ctx.compiled, ctx.domains, &self.groups);
+        let walk = Walk::new(&self, &delays, arena.level_writer());
+        let release = metrics.map(|_| Instant::now());
+        match ctx.pool.workers() {
+            Some(pool) => pool.run(&|w| walk.work(w), &ctx.injector),
+            None => walk.work(0),
         }
-        state.diag.kernel_fallbacks += self.fallbacks;
-        if let Some(m) = metrics.filter(|_| self.variation_draws > 0) {
-            m.add(phases::ENGINE_VARIATION_DRAWS, self.variation_draws);
+        let release = release.map_or(Duration::ZERO, |t| t.elapsed());
+        let walked = walk.finish();
+        let mut dead = self.dead.clone();
+        for &(si, verdict) in &walked.verdicts {
+            dead[si] = Some(verdict);
+        }
+        state.diag.kernel_fallbacks += walked.fallbacks;
+        if let Some(m) = metrics {
+            walked.record(m, release, ctx.pool.workers().is_some());
+            if delays.draws() > 0 {
+                m.add(phases::ENGINE_VARIATION_DRAWS, delays.draws());
+            }
         }
         time_option(metrics, phases::ENGINE_ANALYSIS, || {
-            self.analyze(arena, state, overflowed);
+            self.analyze(arena, &dead, &walked.activity, state, overflowed);
         });
         Ok(())
-    }
-
-    /// Level 0: stimuli waveforms, one pattern pair per slot, launched
-    /// at t = 0 (where every `Schedule` is anchored).
-    fn stimuli(&mut self, arena: &mut WaveformArena) {
-        let ctx = self.ctx;
-        let layout = self.layout;
-        let activity = self.activity.get_mut().expect("activity lock");
-        for (si, &slot) in self.chunk.iter().enumerate() {
-            let pair = &ctx.patterns.pairs()[ctx.work[slot].pattern];
-            for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
-                let wf = Waveform::from_pattern(pair.launch.bit(k), pair.capture.bit(k), 0.0);
-                match arena.write(layout.index(si, pi.index()), &wf) {
-                    Ok(()) => activity[si].record(&WaveformStats::of(&wf)),
-                    Err(_) => self.dead[si] = Some(Dead::Overflow),
-                }
-            }
-        }
     }
 
     /// Marks every still-live slot of voltage group `g` dead.
@@ -247,203 +183,22 @@ impl<'c> Batch<'c> {
         Ok(())
     }
 
-    /// Delay initialisation, level half: every voltage group still live
-    /// this level (a group is live while any of its slots is) reads its
-    /// pin delays for `level` from its tables, and a die's groups are
-    /// derated by one shared draw of the die. Groups are met in batch
-    /// order, which is die-major, so a die's groups are adjacent and the
-    /// die is drawn once per level; the values never depend on that
-    /// order, only the draw count does. Fallbacks count once per live
-    /// slot, so the batch cut cannot move them.
-    fn init_delays(&mut self, level: usize) {
-        let ctx = self.ctx;
-        let _span = ctx.metrics.map(|m| m.span(phases::ENGINE_DELAY_KERNEL));
-        let mut live = vec![0u64; self.groups.len()];
-        for (&g, d) in self.group_of_slot.iter().zip(&self.dead) {
-            live[g] += u64::from(d.is_none());
-        }
-        // The die whose derates for this level `self.derates` holds.
-        let mut drawn: Option<VariationSample> = None;
-        for (g, &live) in live.iter().enumerate() {
-            if live == 0 {
-                continue;
-            }
-            self.fallbacks += live * self.groups[g].init_level(ctx.compiled, ctx.domains, level);
-            if let Some(die) = self.groups[g].variation() {
-                if drawn != Some(die) {
-                    self.variation_draws +=
-                        draw_level_derates(ctx.compiled, level, &die, &mut self.derates);
-                    drawn = Some(die);
-                }
-                self.groups[g].derate_level(&self.derates);
-            }
-        }
-    }
-
-    /// The lane groups of the level's task grid: dead lanes are masked
-    /// out of their group's live mask up front, so neither round 0 nor
-    /// retry rounds ever evaluate a quarantined slot's lanes; a fully
-    /// dead group is dropped from the grid.
-    fn live_lane_groups(&self) -> Vec<(usize, u64)> {
-        (0..self.layout.groups())
-            .filter_map(|g| {
-                let mut mask = 0u64;
-                for lane in 0..self.layout.group_width(g) {
-                    if self.dead[self.layout.group_slot(g) + lane].is_none() {
-                        mask |= 1 << lane;
-                    }
-                }
-                (mask != 0).then_some((g, mask))
-            })
-            .collect()
-    }
-
-    /// Evaluates the level's live lane groups × gates and returns the
-    /// fault verdicts `(slot-major grid index, fault)` the workers
-    /// collected.
-    fn merge_level(
-        &self,
-        level: usize,
-        live_groups: &[(usize, u64)],
-        arena: &mut WaveformArena,
-    ) -> Vec<(usize, Dead)> {
-        let ctx = self.ctx;
-        let plan = &ctx.compiled.level_plans[level];
-        // Live lane tasks, one per (live slot, gate) — the unit of the
-        // dispatch threshold and the activity counters, independent of
-        // the lane width and known before any quiet bit is read.
-        let live_count = self.dead.iter().filter(|d| d.is_none()).count();
-        let lane_tasks = live_count * plan.gate_nodes.len();
-        if lane_tasks == 0 {
-            return Vec::new();
-        }
-        let level_ctx = LevelCtx {
-            plan,
-            delays: self.groups.iter().map(|g| g.level_view(level)).collect(),
-            live_groups,
-        };
-        // Injected forced overflow: an armed run installs a hook that
-        // maps the written cell back to its global slot and asks the
-        // plan; a firing cell reports CapacityOverflow exactly like a
-        // real capacity miss, feeding the same quarantine-and-retry loop.
-        let (chunk, layout, round) = (self.chunk, self.layout, u64::from(self.round));
-        let overflow_hook = ctx.injector.is_armed().then_some(move |idx: usize| {
-            let slot = chunk[layout.slot_of(idx)] as u64;
-            ctx.injector
-                .fires(InjectionSite::ArenaOverflow, slot, round)
-        });
-        // The epoch writer: workers publish this level's cells into the
-        // arena themselves (claim-guarded, cell-disjoint, a block per
-        // stolen chunk) while reading only previous levels' cells — no
-        // per-task waveform allocation, no serial write-back.
-        let writer = arena.level_writer(overflow_hook.as_ref().map(|h| h as &OverflowHook));
-        self.dispatch(&level_ctx, &writer, lane_tasks)
-    }
-
-    /// Runs the level's task grid — on the pool when its `lane_tasks`
-    /// live lane tasks are worth a wake-up, on the coordinator otherwise
-    /// — and returns the fault verdicts. The choice depends on the live
-    /// lanes alone, never on timing or on what the quiet scan will find,
-    /// and either arm claims, writes and reports the same cells, so
-    /// results are independent of it.
-    fn dispatch(
-        &self,
-        level_ctx: &LevelCtx<'_>,
-        writer: &LevelWriter<'_>,
-        lane_tasks: usize,
-    ) -> Vec<(usize, Dead)> {
-        let ctx = self.ctx;
-        let tasks = level_ctx.live_groups.len() * level_ctx.plan.gate_nodes.len();
-        let pool = ctx
-            .pool
-            .workers()
-            .filter(|_| lane_tasks >= POOLED_EPOCH_LANE_TASKS);
-        let workers = pool.map_or(1, WorkerPool::size).clamp(1, tasks);
-        let epoch = Epoch {
-            batch: self,
-            level_ctx,
-            writer,
-            tasks,
-            cursor: AtomicUsize::new(0),
-            chunk_tasks: (tasks / (workers * STEAL_GRABS_PER_WORKER)).clamp(1, MAX_STEAL_CHUNK),
-            verdicts: Mutex::new(Vec::new()),
-            quiet_lanes: AtomicU64::new(0),
-        };
-        if let Some(m) = ctx.metrics {
-            m.add(phases::ENGINE_EPOCHS_POOLED, u64::from(pool.is_some()));
-            m.add(phases::ENGINE_EPOCHS_INLINE, u64::from(pool.is_none()));
-        }
-        match pool {
-            Some(p) => {
-                let idle = p.run(&|w| epoch.work(w), &ctx.injector, ctx.metrics.is_some());
-                if let Some(m) = ctx.metrics {
-                    m.record_duration(phases::ENGINE_POOL_IDLE, idle);
-                }
-            }
-            None => epoch.work(0),
-        }
-        if let Some(m) = ctx.metrics {
-            let quiet = epoch.quiet_lanes.into_inner();
-            m.add(phases::ENGINE_GATES_SKIPPED_QUIET, quiet);
-            m.record(
-                phases::ENGINE_LEVEL_ACTIVITY,
-                (lane_tasks as u64 - quiet) * 100 / lane_tasks as u64,
-            );
-        }
-        epoch
-            .verdicts
-            .into_inner()
-            .expect("verdict lock survives (worker panics are contained)")
-    }
-
-    /// The barrier: primary-output passthroughs, then fault verdicts.
-    /// Sorting by task index makes reconciliation independent of which
-    /// worker stole which chunk — first fault in task order wins, exactly
-    /// as a serial sweep would decide.
-    fn barrier(
-        &mut self,
-        level: usize,
-        live_groups: &[(usize, u64)],
-        mut verdicts: Vec<(usize, Dead)>,
-        arena: &mut WaveformArena,
-    ) {
-        let compiled = self.ctx.compiled;
-        let plan = &compiled.level_plans[level];
-        let layout = self.layout;
-        let activity = self.activity.get_mut().expect("activity lock");
-        for &(g, mask) in live_groups {
-            let mut rem = mask;
-            while rem != 0 {
-                let lane = rem.trailing_zeros() as usize;
-                rem &= rem - 1;
-                let si = layout.group_slot(g) + lane;
-                for &out in &plan.output_nodes {
-                    let from = compiled.netlist.node(out).fanin()[0].index();
-                    let to = layout.index(si, out.index());
-                    arena.copy_cell(layout.index(si, from), to);
-                    activity[si].record(&WaveformStats::of(&arena.view(to)));
-                }
-            }
-        }
-        verdicts.sort_unstable_by_key(|&(t, _)| t);
-        for (t, verdict) in verdicts {
-            let si = t / plan.gate_nodes.len();
-            if self.dead[si].is_none() {
-                self.dead[si] = Some(verdict);
-            }
-        }
-    }
-
     /// Waveform analysis (Fig. 2, step 4) for surviving slots;
     /// quarantine verdicts for the rest.
-    fn analyze(&self, arena: &WaveformArena, state: &mut RunState, overflowed: &mut Vec<usize>) {
+    fn analyze(
+        &self,
+        arena: &WaveformArena,
+        dead: &[Option<Dead>],
+        written: &[SwitchingActivity],
+        state: &mut RunState,
+        overflowed: &mut Vec<usize>,
+    ) {
         let ctx = self.ctx;
         let netlist = &ctx.compiled.netlist;
         let nodes = netlist.num_nodes();
         let layout = self.layout;
-        let written = self.activity.lock().expect("activity lock");
         for (si, &slot) in self.chunk.iter().enumerate() {
-            let status = match self.dead[si] {
+            let status = match dead[si] {
                 Some(Dead::Overflow) => {
                     overflowed.push(slot);
                     continue;
@@ -504,147 +259,578 @@ impl<'c> Batch<'c> {
     }
 }
 
-/// One level's release to the workers: the size of the task grid, the
-/// shared work-stealing cursor and what the workers fold in once each —
-/// their verdicts and quiet-lane tallies.
-struct Epoch<'l> {
-    batch: &'l Batch<'l>,
-    level_ctx: &'l LevelCtx<'l>,
-    writer: &'l LevelWriter<'l>,
-    /// `live_groups × gates` (see [`LevelCtx`]).
-    tasks: usize,
-    cursor: AtomicUsize,
-    chunk_tasks: usize,
-    /// Verdicts (grid-task index, fault) collected by workers; applied
-    /// deterministically at the barrier.
-    verdicts: Mutex<Vec<(usize, Dead)>>,
-    /// Lanes the workers' quiet scans resolved to constants — a sum, so
-    /// the fold order cannot matter.
-    quiet_lanes: AtomicU64,
+/// The live-lane mask of a lane group's verdicts.
+fn live_lanes(dead: &[Option<Dead>]) -> u64 {
+    dead.iter()
+        .enumerate()
+        .filter(|(_, d)| d.is_none())
+        .fold(0, |mask, (lane, _)| mask | 1 << lane)
 }
 
-impl Epoch<'_> {
-    /// One worker's share of the level: steal task chunks off the shared
-    /// cursor until it runs dry. A task is one (lane group, gate) pair:
-    /// its quiet lanes are resolved first, then each remaining live lane
-    /// is evaluated under its own `catch_unwind` so one lane's panic or
-    /// overflow never takes down the group's other slots.
+/// The set bits of `mask`, lowest first.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// A group's open level and next unclaimed gate in one word, so one
+/// `fetch_add` can never hand out a gate of one level under the number
+/// of another. A cursor overshoots its level by at most one chunk per
+/// racing worker, far below the 2³² gates the low half holds.
+fn pack(level: usize, gate: usize) -> u64 {
+    (level as u64) << 32 | gate as u64
+}
+
+fn unpack(word: u64) -> (usize, usize) {
+    ((word >> 32) as usize, (word & 0xFFFF_FFFF) as usize)
+}
+
+/// One turn of a wait loop: a spin-loop hint for the first
+/// [`SPINS_BEFORE_YIELD`] turns, a yield of the core after that — a
+/// worker never parks mid-batch.
+fn pause(turns: &mut u32) {
+    if *turns < SPINS_BEFORE_YIELD {
+        *turns += 1;
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
+
+/// The time since `start`, zero when nothing is timed.
+fn since(start: Option<Instant>) -> Duration {
+    start.map_or(Duration::ZERO, |t| t.elapsed())
+}
+
+/// One batch's release: the lane groups' walk state, the writer every
+/// worker publishes through, and what the workers fold in once each.
+struct Walk<'a> {
+    batch: &'a Batch<'a>,
+    delays: &'a BatchDelays<'a>,
+    writer: LevelWriter<'a>,
+    /// The non-empty levels in order: every lane group's walk.
+    levels: Vec<usize>,
+    /// Workers in the release, for the chunk rule.
+    workers: usize,
+    /// The first lane group no worker owns yet.
+    unowned: AtomicUsize,
+    /// Lane groups whose walk ended.
+    closed: AtomicUsize,
+    /// Set when a panic escaped a worker outside any lane: tasks it held
+    /// will never report done, so every wait loop gives up instead.
+    abort: AtomicBool,
+    groups: Vec<GroupWalk>,
+    walked: Mutex<Walked>,
+}
+
+/// The shared state of one lane group's walk, on cache lines of its own.
+#[repr(align(128))]
+struct GroupWalk {
+    /// The open level and its next unclaimed gate ([`pack`]). Level 0 —
+    /// the stimuli — has no gates, so the initial word opens nothing.
+    cursor: AtomicU64,
+    /// The lanes live at the open level.
+    live: AtomicU64,
+    /// Gates of the open level whose tasks finished.
+    done: AtomicUsize,
+    /// Lanes of the open level the quiet scans resolved to constants.
+    quiet: AtomicU64,
+    /// The open level's faults as `(gate position, lane, verdict)`.
+    faults: Mutex<Vec<(usize, usize, Dead)>>,
+}
+
+/// What the release produces, folded from every worker's share: sums,
+/// maxima and per-slot verdicts, so the fold order cannot matter.
+struct Walked {
+    /// `(batch slot, verdict)` of every slot that died in the walk.
+    verdicts: Vec<(usize, Dead)>,
+    /// Per-slot switching activity, tallied where each cell was written.
+    activity: Vec<SwitchingActivity>,
+    /// Delays that fell back to nominal, once per live slot per level.
+    fallbacks: u64,
+    /// Levels the longest-lived lane group walked.
+    levels: usize,
+    /// Levels walked, summed over lane groups.
+    lane_groups: u64,
+    /// Per level: live lane tasks (live lanes × gates) and how many of
+    /// them the quiet scans resolved.
+    level_tasks: Vec<u64>,
+    level_quiet: Vec<u64>,
+    /// Worker time (profiled runs only) spent writing stimuli, readying
+    /// delay views, closing levels and waiting with nothing to grab.
+    stimuli: Duration,
+    delays: Duration,
+    closes: Duration,
+    idle: Duration,
+}
+
+impl Walked {
+    fn new(slots: usize, depth: usize) -> Walked {
+        Walked {
+            verdicts: Vec::new(),
+            activity: vec![SwitchingActivity::default(); slots],
+            fallbacks: 0,
+            levels: 0,
+            lane_groups: 0,
+            level_tasks: vec![0; depth],
+            level_quiet: vec![0; depth],
+            stimuli: Duration::ZERO,
+            delays: Duration::ZERO,
+            closes: Duration::ZERO,
+            idle: Duration::ZERO,
+        }
+    }
+
+    fn merge(&mut self, other: Walked) {
+        self.verdicts.extend(other.verdicts);
+        for (slot, local) in self.activity.iter_mut().zip(&other.activity) {
+            slot.merge(local);
+        }
+        self.fallbacks += other.fallbacks;
+        self.levels = self.levels.max(other.levels);
+        self.lane_groups += other.lane_groups;
+        for (sum, n) in self.level_tasks.iter_mut().zip(other.level_tasks) {
+            *sum += n;
+        }
+        for (sum, n) in self.level_quiet.iter_mut().zip(other.level_quiet) {
+            *sum += n;
+        }
+        self.stimuli += other.stimuli;
+        self.delays += other.delays;
+        self.closes += other.closes;
+        self.idle += other.idle;
+    }
+
+    /// Records the batch's instruments. The worker-side phases are worker
+    /// time, so the release's wall time less their sum is what
+    /// `engine/waveform_merge` reports: the phases still add up to the
+    /// launch.
+    fn record(&self, m: &avfs_obs::Metrics, release: Duration, pooled: bool) {
+        if self.levels > 0 {
+            m.add(phases::ENGINE_LEVELS, self.levels as u64);
+            m.add(phases::ENGINE_LANES_GROUPS, self.lane_groups);
+        }
+        let mut skipped = None;
+        for (&tasks, &quiet) in self.level_tasks.iter().zip(&self.level_quiet) {
+            if let Some(active_pct) = ((tasks - quiet) * 100).checked_div(tasks) {
+                m.record(phases::ENGINE_LEVEL_ACTIVITY, active_pct);
+                *skipped.get_or_insert(0) += quiet;
+            }
+        }
+        if let Some(skipped) = skipped {
+            m.add(phases::ENGINE_GATES_SKIPPED_QUIET, skipped);
+        }
+        m.record_duration(phases::ENGINE_STIMULI, self.stimuli);
+        m.record_duration(phases::ENGINE_DELAY_KERNEL, self.delays);
+        m.record_duration(phases::ENGINE_BARRIER, self.closes);
+        m.record_duration(
+            phases::ENGINE_WAVEFORM_MERGE,
+            release.saturating_sub(self.stimuli + self.delays + self.closes),
+        );
+        if pooled {
+            m.record_duration(phases::ENGINE_POOL_IDLE, self.idle);
+        }
+    }
+}
+
+/// One worker's share of the release, folded in when it leaves.
+struct Share {
+    scratch: GateScratch,
+    walked: Walked,
+    /// Longest waveform this worker wrote: folded into the arena's
+    /// occupancy watermark once, instead of once per cell.
+    peak: usize,
+    /// Lane tasks this worker ran through the merge loop.
+    executed: u64,
+    /// Chunks this worker ran of lane groups it does not own.
+    steals: u64,
+    profiling: bool,
+}
+
+impl Share {
+    fn clock(&self) -> Option<Instant> {
+        self.profiling.then(Instant::now)
+    }
+}
+
+impl<'a> Walk<'a> {
+    fn new(batch: &'a Batch<'a>, delays: &'a BatchDelays<'a>, writer: LevelWriter<'a>) -> Self {
+        let levels = &batch.ctx.compiled.levels;
+        Walk {
+            batch,
+            delays,
+            writer,
+            levels: (1..levels.depth())
+                .filter(|&level| !levels.level(level).is_empty())
+                .collect(),
+            workers: batch.ctx.pool.threads(),
+            unowned: AtomicUsize::new(0),
+            closed: AtomicUsize::new(0),
+            abort: AtomicBool::new(false),
+            groups: (0..batch.layout.groups())
+                .map(|_| GroupWalk {
+                    cursor: AtomicU64::new(pack(0, 0)),
+                    live: AtomicU64::new(0),
+                    done: AtomicUsize::new(0),
+                    quiet: AtomicU64::new(0),
+                    faults: Mutex::new(Vec::new()),
+                })
+                .collect(),
+            walked: Mutex::new(Walked::new(batch.chunk.len(), levels.depth())),
+        }
+    }
+
+    /// Everything the workers folded in; ends the writer's borrow.
+    fn finish(self) -> Walked {
+        self.walked.into_inner().expect("fold lock survives")
+    }
+
+    /// Worker `w`'s release: walk every lane group it can claim, then
+    /// help the groups still walking until every group is closed. A panic
+    /// that escapes outside any lane aborts the batch for every worker
+    /// and is re-raised.
     fn work(&self, w: usize) {
+        let ctx = self.batch.ctx;
+        let mut share = Share {
+            scratch: GateScratch::new(),
+            walked: Walked::new(self.batch.chunk.len(), ctx.compiled.levels.depth()),
+            peak: 0,
+            executed: 0,
+            steals: 0,
+            profiling: ctx.metrics.is_some(),
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            while let Some(g) = self.claim() {
+                self.walk(g, &mut share);
+            }
+            self.help(&mut share);
+        }));
+        if let Err(payload) = outcome {
+            self.abort.store(true, Ordering::Relaxed);
+            resume_unwind(payload);
+        }
+        self.writer.note_occupancy(share.peak);
+        ctx.tallies.tasks[w].fetch_add(share.executed, Ordering::Relaxed);
+        ctx.tallies.steals[w].fetch_add(share.steals, Ordering::Relaxed);
+        self.walked
+            .lock()
+            .expect("fold lock survives (a panicking worker never holds it)")
+            .merge(share.walked);
+    }
+
+    /// The next lane group no worker owns, now owned by the caller.
+    fn claim(&self) -> Option<usize> {
+        if self.abort.load(Ordering::Relaxed) {
+            return None;
+        }
+        let g = self.unowned.fetch_add(1, Ordering::Relaxed);
+        (g < self.groups.len()).then_some(g)
+    }
+
+    /// The owner's walk of lane group `g`: its stimuli, then each
+    /// non-empty level while any lane lives — open it, run its chunks,
+    /// wait for the helpers' chunks, close it.
+    fn walk(&self, g: usize, share: &mut Share) {
         let batch = self.batch;
-        let ctx = batch.ctx;
-        let gates = self.level_ctx.plan.gate_nodes.len();
-        let mut scratch = GateScratch::new();
-        let mut local_verdicts: Vec<(usize, Dead)> = Vec::new();
-        let mut activity = vec![SwitchingActivity::default(); batch.chunk.len()];
-        // Longest waveform this worker wrote: folded into the arena's
-        // occupancy watermark once, below, instead of once per gate.
-        let mut peak = 0usize;
-        let mut executed = 0u64;
-        let mut quiet_lanes = 0u64;
-        let mut grabs = 0u64;
-        loop {
-            let t0 = self.cursor.fetch_add(self.chunk_tasks, Ordering::Relaxed);
-            if t0 >= self.tasks {
+        let group = &self.groups[g];
+        let base = batch.layout.group_slot(g);
+        let mut dead = batch.dead[base..base + batch.layout.group_width(g)].to_vec();
+        self.stimuli(g, share);
+        let mut walked = 0;
+        for &level in &self.levels {
+            let live = live_lanes(&dead);
+            if live == 0 {
                 break;
             }
-            grabs += 1;
-            let t1 = (t0 + self.chunk_tasks).min(self.tasks);
-            for t in t0..t1 {
-                let (g, live) = self.level_ctx.live_groups[t / gates];
-                let pos = t % gates;
-                let quiet = self.resolve_quiet(g, live, pos);
-                quiet_lanes += u64::from(quiet.count_ones());
-                let mut rem = live & !quiet;
-                while rem != 0 {
-                    let lane = rem.trailing_zeros() as usize;
-                    rem &= rem - 1;
-                    let si = batch.layout.group_slot(g) + lane;
-                    executed += 1;
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        // Injected kernel panic: every lane task of the
-                        // affected (slot, round) panics, so the
-                        // first-in-grid-order verdict is
-                        // schedule-independent.
-                        let slot = batch.chunk[si];
-                        if ctx.injector.is_armed()
-                            && ctx.injector.fires(
-                                InjectionSite::KernelPanic,
-                                slot as u64,
-                                u64::from(batch.round),
-                            )
-                        {
-                            panic!("injected kernel panic (slot {slot})");
+            walked += 1;
+            let gates = batch.ctx.compiled.level_plans[level].gate_nodes.len();
+            let t = share.clock();
+            for lane in lanes_of(live) {
+                share.walked.fallbacks += self.delays.open(batch.group_of_slot[base + lane], level);
+            }
+            share.walked.delays += since(t);
+            group.live.store(live, Ordering::Relaxed);
+            group.done.store(0, Ordering::Relaxed);
+            group.quiet.store(0, Ordering::Relaxed);
+            // Release: a worker whose grab reads this word (or a later
+            // one of its `fetch_add`s) sees the level's live lanes and
+            // reset counters.
+            group.cursor.store(pack(level, 0), Ordering::Release);
+            while let Some((level, gates)) = self.grab(g) {
+                self.run_chunk(g, level, gates, true, share);
+            }
+            // The owner's cells of the level in one block: only the next
+            // level reads them, and the owner opens it.
+            self.writer.publish(&mut share.scratch);
+            // Acquire: pairs with each chunk's Release `done` increment,
+            // so the close sees the level's cells, faults and quiet
+            // tallies.
+            if !self.wait(share, || group.done.load(Ordering::Acquire) == gates) {
+                return;
+            }
+            let t = share.clock();
+            self.close(g, level, live, &mut dead, share);
+            share.walked.closes += since(t);
+        }
+        share.walked.levels = share.walked.levels.max(walked);
+        share.walked.lane_groups += walked as u64;
+        for (lane, verdict) in dead.iter().enumerate() {
+            if let (None, Some(verdict)) = (batch.dead[base + lane], verdict) {
+                share.walked.verdicts.push((base + lane, *verdict));
+            }
+        }
+        self.closed.fetch_add(1, Ordering::Release);
+    }
+
+    /// Level 0 of lane group `g`: stimuli waveforms, one pattern pair
+    /// per slot, launched at t = 0 (where every `Schedule` is anchored),
+    /// dead slots included so the occupancy watermark never depends on
+    /// which slots died.
+    fn stimuli(&self, g: usize, share: &mut Share) {
+        let t = share.clock();
+        let ctx = self.batch.ctx;
+        let layout = self.batch.layout;
+        let base = layout.group_slot(g);
+        for si in base..base + layout.group_width(g) {
+            let pair = &ctx.patterns.pairs()[ctx.work[self.batch.chunk[si]].pattern];
+            for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
+                let wf = Waveform::from_pattern(pair.launch.bit(k), pair.capture.bit(k), 0.0);
+                let stats = self
+                    .writer
+                    .stage_waveform(&mut share.scratch, layout.index(si, pi.index()), &wf)
+                    .expect("a stimulus has at most one transition, and every cell holds one");
+                share.peak = share.peak.max(stats.transitions);
+                share.walked.activity[si].record(&stats);
+            }
+        }
+        self.writer.publish(&mut share.scratch);
+        share.walked.stimuli += since(t);
+    }
+
+    /// The close of `level` for lane group `g`, whose `live` lanes it
+    /// opened with: tallies, verdicts — a lane dies of its first fault in
+    /// gate order, whoever ran the chunk — then the level's output
+    /// passthroughs for the lanes still live, the watchdog's progress
+    /// bump and the cooperative deadline check, which abandons every
+    /// live lane of the group at once.
+    fn close(
+        &self,
+        g: usize,
+        level: usize,
+        live: u64,
+        dead: &mut [Option<Dead>],
+        share: &mut Share,
+    ) {
+        let ctx = self.batch.ctx;
+        let layout = self.batch.layout;
+        let group = &self.groups[g];
+        let plan = &ctx.compiled.level_plans[level];
+        share.walked.level_tasks[level] +=
+            u64::from(live.count_ones()) * plan.gate_nodes.len() as u64;
+        share.walked.level_quiet[level] += group.quiet.load(Ordering::Relaxed);
+        let mut faults = std::mem::take(&mut *group.faults.lock().expect("fault lock"));
+        faults.sort_unstable_by_key(|&(pos, _, _)| pos);
+        for (_, lane, verdict) in faults {
+            if dead[lane].is_none() {
+                dead[lane] = Some(verdict);
+            }
+        }
+        for lane in lanes_of(live_lanes(dead)) {
+            let si = layout.group_slot(g) + lane;
+            for &out in &plan.output_nodes {
+                let from = ctx.compiled.netlist.node(out).fanin()[0].index();
+                let to = layout.index(si, out.index());
+                self.writer.copy_cell(layout.index(si, from), to);
+                share.walked.activity[si].record(&WaveformStats::of(&self.writer.view(to)));
+            }
+        }
+        if let Some(wd) = &ctx.watchdog {
+            wd.progress();
+        }
+        if ctx.deadline_expired() {
+            for d in dead.iter_mut().filter(|d| d.is_none()) {
+                *d = Some(Dead::Deadline);
+            }
+        }
+    }
+
+    /// Waits until `ready` holds, timed as idle; false when the batch
+    /// aborted first.
+    fn wait(&self, share: &mut Share, ready: impl Fn() -> bool) -> bool {
+        if ready() {
+            return true;
+        }
+        let t = share.clock();
+        let mut turns = 0;
+        let ready = loop {
+            if ready() {
+                break true;
+            }
+            if self.abort.load(Ordering::Relaxed) {
+                break false;
+            }
+            pause(&mut turns);
+        };
+        share.walked.idle += since(t);
+        ready
+    }
+
+    /// A helper's share: chunks of any lane group's open level, until
+    /// every group is closed.
+    fn help(&self, share: &mut Share) {
+        let n = self.groups.len();
+        let (mut from, mut turns) = (0, 0);
+        let mut idle_since = None;
+        while self.closed.load(Ordering::Acquire) < n && !self.abort.load(Ordering::Relaxed) {
+            let grabbed = (0..n)
+                .map(|k| (from + k) % n)
+                .find_map(|g| self.grab(g).map(|(level, gates)| (g, level, gates)));
+            let Some((g, level, gates)) = grabbed else {
+                idle_since.get_or_insert_with(|| share.clock());
+                pause(&mut turns);
+                continue;
+            };
+            share.walked.idle += since(idle_since.take().flatten());
+            #[cfg(test)]
+            assert!(
+                !self
+                    .batch
+                    .ctx
+                    .compiled
+                    .panic_in_help
+                    .load(Ordering::Relaxed),
+                "a helper panicked holding a chunk"
+            );
+            (from, turns) = (g, 0);
+            share.steals += 1;
+            self.run_chunk(g, level, gates, false, share);
+        }
+        share.walked.idle += since(idle_since.flatten());
+    }
+
+    /// Grabs the next chunk of lane group `g`'s open level, if it has
+    /// gates left: `(level, gate positions)`. Chunks are sized so each
+    /// worker sees about [`STEAL_GRABS_PER_WORKER`] grabs per level.
+    fn grab(&self, g: usize) -> Option<(usize, Range<usize>)> {
+        let plans = &self.batch.ctx.compiled.level_plans;
+        let cursor = &self.groups[g].cursor;
+        let (level, gate) = unpack(cursor.load(Ordering::Acquire));
+        let gates = plans[level].gate_nodes.len();
+        if gate >= gates {
+            return None;
+        }
+        let chunk = (gates / (self.workers * STEAL_GRABS_PER_WORKER)).clamp(1, MAX_STEAL_CHUNK);
+        // The level may have closed and the next opened since the load:
+        // the word this `fetch_add` reads says which level its gates
+        // belong to.
+        let (level, gate) = unpack(cursor.fetch_add(chunk as u64, Ordering::Acquire));
+        let gates = plans[level].gate_nodes.len();
+        (gate < gates).then(|| (level, gate..(gate + chunk).min(gates)))
+    }
+
+    /// Runs gate positions `gates` of `level` for lane group `g`'s live
+    /// lanes: per task the quiet lanes resolve to constants, the rest run
+    /// the merge loop. One `catch_unwind` covers the chunk; the lane in
+    /// flight when it unwinds dies of `Dead::Panic` and the chunk goes on
+    /// with the next lane. A helper publishes the chunk's cells as one
+    /// block (the group's `owner` publishes its chunks of a level
+    /// together), and `done` is bumped last.
+    fn run_chunk(
+        &self,
+        g: usize,
+        level: usize,
+        gates: Range<usize>,
+        owner: bool,
+        share: &mut Share,
+    ) {
+        let group = &self.groups[g];
+        let live = group.live.load(Ordering::Relaxed);
+        let plan = &self.batch.ctx.compiled.level_plans[level];
+        let (mut pos, mut left) = (gates.start, None::<u64>);
+        let (mut quiet, mut faults) = (0u64, Vec::new());
+        loop {
+            // Read only by the unwind path below.
+            let mut in_flight = None;
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                while pos < gates.end {
+                    let mut lanes = match left {
+                        Some(lanes) => lanes,
+                        None => {
+                            let resolved = self.resolve_quiet(g, live, plan, pos);
+                            quiet += u64::from(resolved.count_ones());
+                            live & !resolved
                         }
-                        self.eval_lane(si, pos, &mut scratch)
-                    }));
-                    // Verdicts carry the slot-major grid index (slot ×
-                    // gates + gate) so barrier reconciliation is
-                    // independent of gating, lane width and stealing.
-                    let grid = si * gates + pos;
-                    match r {
-                        Ok(Ok(stats)) => {
-                            peak = peak.max(stats.transitions);
-                            activity[si].record(&stats);
+                    };
+                    while lanes != 0 {
+                        let lane = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        left = Some(lanes);
+                        in_flight = Some(lane);
+                        share.executed += 1;
+                        let evaluated = self.eval_lane(g, lane, level, plan, pos, share);
+                        in_flight = None;
+                        match evaluated {
+                            Ok(stats) => {
+                                let si = self.batch.layout.group_slot(g) + lane;
+                                share.peak = share.peak.max(stats.transitions);
+                                share.walked.activity[si].record(&stats);
+                            }
+                            Err(_) => faults.push((pos, lane, Dead::Overflow)),
                         }
-                        Ok(Err(_)) => local_verdicts.push((grid, Dead::Overflow)),
-                        Err(_) => local_verdicts.push((grid, Dead::Panic)),
                     }
+                    (pos, left) = (pos + 1, None);
                 }
-            }
-            // One reservation and one copy for the whole chunk; a lane
-            // that overflowed or panicked staged nothing.
-            self.writer.publish(&mut scratch);
-        }
-        if !local_verdicts.is_empty() {
-            self.verdicts
-                .lock()
-                .expect("verdict lock survives (worker panics are contained)")
-                .extend(local_verdicts);
-        }
-        if executed > 0 {
-            let mut shared = batch
-                .activity
-                .lock()
-                .expect("activity lock survives (worker panics are contained)");
-            for (slot, local) in shared.iter_mut().zip(&activity) {
-                slot.merge(local);
+            }));
+            match (run, in_flight) {
+                (Ok(()), _) => break,
+                (Err(_), Some(lane)) => faults.push((pos, lane, Dead::Panic)),
+                (Err(payload), None) => resume_unwind(payload),
             }
         }
-        self.quiet_lanes.fetch_add(quiet_lanes, Ordering::Relaxed);
-        self.writer.note_occupancy(peak);
-        ctx.tallies.tasks[w].fetch_add(executed, Ordering::Relaxed);
-        ctx.tallies.steals[w].fetch_add(grabs.saturating_sub(1), Ordering::Relaxed);
+        // One reservation and one copy for the whole chunk; a lane that
+        // overflowed or panicked staged nothing.
+        if !owner {
+            self.writer.publish(&mut share.scratch);
+        }
+        if !faults.is_empty() {
+            group.faults.lock().expect("fault lock").extend(faults);
+        }
+        group.quiet.fetch_add(quiet, Ordering::Relaxed);
+        // Release: pairs with the owner's Acquire wait before the close.
+        group.done.fetch_add(gates.len(), Ordering::Release);
     }
 
     /// Activity gating of one task — gate `pos` over the `live` lanes of
     /// lane group `g`: a gate whose fanin cells are all quiet (zero
     /// transitions) has a constant output, which needs neither delays
-    /// nor the merge loop. The quiet lanes are found
-    /// with word-wide quiet-bit reads, their constant outputs computed
-    /// with one bit-parallel `eval_lanes` word op and written under a
-    /// single masked run claim; returns them, so the caller evaluates
-    /// only the rest. The task belongs to this worker alone and the
-    /// values depend only on earlier levels' cells, so what is written
-    /// does not depend on the schedule; retry rounds re-derive quiet
-    /// bits from the surviving lanes' freshly written cells.
-    fn resolve_quiet(&self, g: usize, live: u64, pos: usize) -> u64 {
-        let plan = self.level_ctx.plan;
+    /// nor the merge loop. The quiet lanes are found with word-wide
+    /// quiet-bit reads, their constant outputs computed with one
+    /// bit-parallel `eval_lanes` word op and written under a single
+    /// masked run claim; returns them, so the caller evaluates only the
+    /// rest. The values depend only on earlier levels' cells, so what is
+    /// written does not depend on the schedule; retry rounds re-derive
+    /// quiet bits from the surviving lanes' freshly written cells.
+    fn resolve_quiet(&self, g: usize, live: u64, plan: &LevelPlan, pos: usize) -> u64 {
         let layout = self.batch.layout;
-        let width = layout.group_width(g);
         let fanin = &plan.gate_fanin[plan.gate_offsets[pos]..plan.gate_offsets[pos + 1]];
         let mut quiet = live;
         for f in fanin {
             if quiet == 0 {
                 return 0;
             }
-            quiet &= self.writer.quiet_run(layout.run_start(g, f.index()), width);
+            quiet &= self.writer.quiet_run(layout.run_start(g, f.index()), quiet);
         }
         if quiet != 0 {
             let mut fan_words = [0u64; MAX_PINS];
             for (word, f) in fan_words.iter_mut().zip(fanin) {
                 *word = self
                     .writer
-                    .initial_run(layout.run_start(g, f.index()), width);
+                    .initial_run(layout.run_start(g, f.index()), quiet);
             }
             self.writer.write_constant_run(
                 layout.run_start(g, plan.gate_nodes[pos].index()),
@@ -655,47 +841,63 @@ impl Epoch<'_> {
         quiet
     }
 
-    /// Evaluates one lane of a (lane group, gate) task — gate `pos` of
-    /// the level plan for batch slot `si` — the body of a device thread.
-    /// Inputs are read through the epoch writer from previous levels'
-    /// cells; the output is staged in `scratch` as this level's cell,
-    /// for the chunk's `publish`. Returns the statistics of the staged
-    /// waveform.
+    /// Evaluates gate `pos` of `level` for lane `lane` of lane group
+    /// `g`: inputs are read through the writer from earlier levels'
+    /// cells, the output is staged in the worker's scratch for the
+    /// chunk's `publish`. Returns the statistics of the staged waveform.
     ///
     /// # Errors
     ///
     /// Returns [`CapacityOverflow`] when the gate's output history would
-    /// outgrow the arena's per-net capacity — the quarantine signal
-    /// (nothing is staged, so the output cell stays untouched and
-    /// unclaimed).
+    /// outgrow the arena's per-net capacity, or the injected arena
+    /// overflow fires for the slot — the quarantine signal (nothing is
+    /// staged, so the output cell stays untouched and unclaimed).
     fn eval_lane(
         &self,
-        si: usize,
+        g: usize,
+        lane: usize,
+        level: usize,
+        plan: &LevelPlan,
         pos: usize,
-        scratch: &mut GateScratch,
+        share: &mut Share,
     ) -> Result<WaveformStats, CapacityOverflow> {
-        let plan = self.level_ctx.plan;
-        let layout = self.batch.layout;
+        let batch = self.batch;
+        let ctx = batch.ctx;
+        let layout = batch.layout;
+        let si = layout.group_slot(g) + lane;
+        let slot = batch.chunk[si] as u64;
+        let injected = |site| {
+            ctx.injector.is_armed() && ctx.injector.fires(site, slot, u64::from(batch.round))
+        };
+        // Injected kernel panic: every lane task of the affected (slot,
+        // round) panics, so the slot dies at its first evaluated gate
+        // whichever worker runs it.
+        if injected(InjectionSite::KernelPanic) {
+            panic!("injected kernel panic (slot {slot})");
+        }
         let (lo, hi) = (plan.gate_offsets[pos], plan.gate_offsets[pos + 1]);
         let mut inputs = [WaveformView::default(); MAX_PINS];
         for (view, f) in inputs.iter_mut().zip(&plan.gate_fanin[lo..hi]) {
             *view = self.writer.view(layout.index(si, f.index()));
         }
-        let inputs = &inputs[..hi - lo];
         let table = plan.gate_tables[pos];
         let output = |pins: u32| table >> pins & 1 == 1;
-        let gd = &self.level_ctx.delays[self.batch.group_of_slot[si]];
+        let delays = self.delays.level(batch.group_of_slot[si], level);
         let cap = self.writer.capacity();
-        let initial = if gd.boundaries.is_empty() {
-            // Static timeline: one delay per pin.
-            let delays = &gd.segs[0][lo..hi];
-            merge_transitions(inputs, |_, pin| delays[pin], output, scratch, cap)?
-        } else {
-            // Scheduled timeline: each input event is charged the delay
-            // of the segment its cause time falls in.
-            let delay = |t, pin: usize| gd.segs[segment_of(gd.boundaries, t)][lo + pin];
-            merge_transitions(inputs, delay, output, scratch, cap)?
-        };
+        let scratch = &mut share.scratch;
+        let initial = merge_transitions(
+            &inputs[..hi - lo],
+            |t, pin| delays.pin(t, lo + pin),
+            output,
+            scratch,
+            cap,
+        )?;
+        // Injected forced overflow: the same observable outcome as a real
+        // capacity miss. A constant output fits any capacity and is
+        // exempt, so a quiet task cannot overflow, injected or not.
+        if !scratch.scheduled().is_empty() && injected(InjectionSite::ArenaOverflow) {
+            return Err(CapacityOverflow { capacity: cap });
+        }
         let cell = layout.index(si, plan.gate_nodes[pos].index());
         self.writer.stage(scratch, cell, initial)
     }

@@ -11,12 +11,15 @@
 //! Every *voltage group* (the slots of a batch that share a voltage
 //! assignment and a Monte Carlo die) reads tables: a uniform group one, a
 //! scheduled group one per segment, an island group one per domain. A
-//! group whose delays are a table slice verbatim reads it in place; any
-//! other writes its own copy of the level: an island group gathers each
-//! gate from its domain's table, a group the injected non-finite kernel
-//! fired on falls back to nominal, and a die derates the copy. The die is
-//! drawn once per level per batch ([`draw_level_derates`]) and shared by
-//! every group carrying it; nothing drawn outlives its level.
+//! group whose delays are a table slice verbatim reads it in place; an
+//! island group gathers each gate from its domain's table and a group the
+//! injected non-finite kernel fired on falls back to nominal, each into
+//! its own copy of the level. A die is drawn once per level per batch
+//! ([`draw_level_derates`]), shared by every group carrying it, and
+//! applied as the merge loop reads each delay ([`LevelDelays::pin`]).
+//! Lane groups walk the levels independently, so a level's copies and
+//! draws are made by the first worker that opens the level for a slot
+//! that reads them ([`BatchDelays::open`]) and live until the batch ends.
 
 use super::{VariationSample, VoltageAssign};
 use crate::compile::CompiledNetlist;
@@ -27,9 +30,10 @@ use avfs_delay::op::NormalizedPoint;
 use avfs_netlist::library::Polarity;
 use avfs_netlist::NodeKind;
 use avfs_obs::Metrics;
-use avfs_waveform::PinDelays;
+use avfs_waveform::{segment_of, PinDelays};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A fully-scaled per-level delay table for one uniform normalized
 /// supply — the entire delay initialisation of a launch at that supply,
@@ -163,19 +167,19 @@ impl CompiledNetlist {
     }
 }
 
-/// Draws `die`'s derates for `level` into `out` (cleared first): one
-/// `(rise, fall)` pair per fanin pin, laid out like
-/// [`DelayTable::per_level`]. Derates are hashed per (die, node, pin,
-/// polarity) — segment-, schedule- and batch-independent — so one vector
-/// serves every voltage group carrying the die. Returns the number of
-/// hashes run.
-pub(super) fn draw_level_derates(
+/// A die's draw of one level: one `(rise, fall)` derate pair per fanin
+/// pin, laid out like [`DelayTable::per_level`].
+type LevelDerates = Vec<(f64, f64)>;
+
+/// Draws `die`'s derates for `level`. Derates are hashed per (die, node,
+/// pin, polarity) — segment-, schedule- and batch-independent — so one
+/// vector serves every voltage group carrying the die.
+fn draw_level_derates(
     compiled: &CompiledNetlist,
     level: usize,
     die: &VariationSample,
-    out: &mut Vec<(f64, f64)>,
-) -> u64 {
-    out.clear();
+) -> LevelDerates {
+    let mut out = Vec::new();
     for &node_id in &compiled.level_plans[level].gate_nodes {
         for pin in 0..compiled.annotation.node_delays(node_id).len() {
             let derate = |polarity| {
@@ -184,7 +188,7 @@ pub(super) fn draw_level_derates(
             out.push((derate(Polarity::Rise), derate(Polarity::Fall)));
         }
     }
-    2 * out.len() as u64
+    out
 }
 
 /// The slots of a batch that share one delay initialisation: same
@@ -202,9 +206,6 @@ pub(super) struct VoltageGroup<'w> {
     /// round (probed per slot; poisoned and clean slots never share a
     /// group): every delay falls back to nominal.
     poisoned: bool,
-    /// One level buffer per segment: the group's own copy of a level,
-    /// for every group whose delays are not a table slice verbatim.
-    bufs: Vec<Vec<PinDelays>>,
 }
 
 impl<'w> VoltageGroup<'w> {
@@ -218,7 +219,6 @@ impl<'w> VoltageGroup<'w> {
             variation,
             tables: Vec::new(),
             poisoned,
-            bufs: vec![Vec::new(); assign.segments()],
         }
     }
 
@@ -230,11 +230,6 @@ impl<'w> VoltageGroup<'w> {
     ) -> bool {
         // The die first: a cheap reject before the assignment compare.
         self.variation == variation && self.poisoned == poisoned && *self.assign == *assign
-    }
-
-    /// The die this group's delays are derated by (`None` = nominal).
-    pub(super) fn variation(&self) -> Option<VariationSample> {
-        self.variation
     }
 
     /// Binds the group to the artifact's cached tables (so a droop or an
@@ -257,104 +252,217 @@ impl<'w> VoltageGroup<'w> {
     /// Whether this group's delays differ from a table slice, so it
     /// reads its own copy of each level.
     fn owns_copy(&self) -> bool {
-        self.poisoned
-            || self.variation.is_some()
-            || matches!(self.assign, VoltageAssign::PerDomain(_))
+        self.poisoned || matches!(self.assign, VoltageAssign::PerDomain(_))
     }
 
-    /// Initializes this group's delays for `level` and returns how many
-    /// of one slot's fell back to nominal: the tables' tallies of the
-    /// gates it reads, or — poisoned — every delay, which is what a non-finite factor
-    /// makes of each through [`scale_or_fallback`]. A group that owns a
-    /// copy writes it here (island groups gather each gate's pins from
-    /// its domain's table in `domains`, the launch's map); a die's group
-    /// is then derated by [`VoltageGroup::derate_level`].
-    pub(super) fn init_level(
-        &mut self,
+    /// This group's own copy of `level`: island groups gather each gate's
+    /// pins from its domain's table in `domains`, the launch's map; a
+    /// poisoned group reads the nominal delays — what a non-finite factor
+    /// makes of each through [`scale_or_fallback`] — once for every
+    /// segment, which all read the same copy.
+    fn level_copy(
+        &self,
         compiled: &CompiledNetlist,
         domains: Option<&VoltageDomains>,
         level: usize,
-    ) -> u64 {
+    ) -> LevelCopy {
         let plan = &compiled.level_plans[level];
         if self.poisoned {
-            let nominal = plan
+            let delays: Vec<PinDelays> = plan
                 .gate_nodes
                 .iter()
-                .flat_map(|&node| compiled.annotation.node_delays(node));
-            for buf in &mut self.bufs {
-                buf.clear();
-                buf.extend(nominal.clone().map(|d| PinDelays {
+                .flat_map(|&node| compiled.annotation.node_delays(node))
+                .map(|d| PinDelays {
                     rise: d.rise.max(0.0),
                     fall: d.fall.max(0.0),
-                }));
-            }
-            return self.bufs.iter().map(|b| 2 * b.len() as u64).sum();
+                })
+                .collect();
+            let fallbacks = (2 * delays.len() * self.assign.segments()) as u64;
+            return LevelCopy { delays, fallbacks };
         }
-        if let VoltageAssign::PerDomain(_) = self.assign {
-            let domains = domains.expect("an island launch carries its domain map");
-            let buf = &mut self.bufs[0];
-            buf.clear();
-            let mut fallbacks = 0u64;
-            for (pos, &node) in plan.gate_nodes.iter().enumerate() {
-                let table = &self.tables[domains.domain_of(node)];
-                buf.extend_from_slice(
-                    &table.per_level[level][plan.gate_offsets[pos]..plan.gate_offsets[pos + 1]],
-                );
-                let gates = &table.fallbacks_per_level[level];
-                fallbacks += gates
-                    .binary_search_by_key(&pos, |&(p, _)| p)
-                    .map_or(0, |i| gates[i].1);
-            }
-            return fallbacks;
+        let domains = domains.expect("an island launch carries its domain map");
+        let (mut delays, mut fallbacks) = (Vec::new(), 0u64);
+        for (pos, &node) in plan.gate_nodes.iter().enumerate() {
+            let table = &self.tables[domains.domain_of(node)];
+            delays.extend_from_slice(
+                &table.per_level[level][plan.gate_offsets[pos]..plan.gate_offsets[pos + 1]],
+            );
+            let gates = &table.fallbacks_per_level[level];
+            fallbacks += gates
+                .binary_search_by_key(&pos, |&(p, _)| p)
+                .map_or(0, |i| gates[i].1);
         }
-        if self.owns_copy() {
-            for (buf, table) in self.bufs.iter_mut().zip(&self.tables) {
-                buf.clear();
-                buf.extend_from_slice(&table.per_level[level]);
-            }
-        }
-        self.tables
-            .iter()
-            .flat_map(|t| &t.fallbacks_per_level[level])
-            .map(|&(_, n)| n)
-            .sum()
-    }
-
-    /// Applies a die's `derates` ([`draw_level_derates`] of this group's
-    /// die) to this level's copy. A derate multiplies the scaled delay
-    /// after the fallback guard, the same factor in every segment; a
-    /// nominal die multiplies by exactly 1.0.
-    pub(super) fn derate_level(&mut self, derates: &[(f64, f64)]) {
-        for buf in &mut self.bufs {
-            assert_eq!(buf.len(), derates.len(), "one derate pair per pin");
-            for (d, &(rise, fall)) in buf.iter_mut().zip(derates) {
-                d.rise = derate_delay(d.rise, rise);
-                d.fall = derate_delay(d.fall, fall);
-            }
-        }
-    }
-
-    /// This group's delay view of `level` for the merge kernel.
-    pub(super) fn level_view(&self, level: usize) -> GroupDelays<'_> {
-        let segs = if self.owns_copy() {
-            self.bufs.iter().map(Vec::as_slice).collect()
-        } else {
-            self.tables
-                .iter()
-                .map(|t| t.per_level[level].as_slice())
-                .collect()
-        };
-        GroupDelays {
-            segs,
-            boundaries: self.assign.boundaries(),
-        }
+        LevelCopy { delays, fallbacks }
     }
 }
 
-/// One voltage group's delay view of a level: one pin-delay slice per
-/// schedule segment plus the segment boundaries that select among them.
-/// `segs.len() == 1` with empty `boundaries` is the static case.
-pub(super) struct GroupDelays<'l> {
-    pub(super) segs: Vec<&'l [PinDelays]>,
-    pub(super) boundaries: &'l [f64],
+/// A voltage group's own copy of one level and how many of one slot's
+/// delays in it fell back to nominal.
+struct LevelCopy {
+    delays: Vec<PinDelays>,
+    fallbacks: u64,
+}
+
+/// A batch's delay views, level by level, for workers that walk the
+/// levels independently: a group that reads its tables in place needs
+/// nothing per level; a die's draw of a level and a group's own copy of
+/// a level are made once per batch, by the first worker to open that
+/// level for a slot that reads them, and kept until the batch ends.
+pub(super) struct BatchDelays<'b> {
+    compiled: &'b CompiledNetlist,
+    domains: Option<&'b VoltageDomains>,
+    groups: &'b [VoltageGroup<'b>],
+    /// The batch's distinct dice, in group order.
+    dice: Vec<VariationSample>,
+    /// Per voltage group, its die's index in `dice`.
+    die_of: Vec<Option<usize>>,
+    /// `derates[die][level]`: [`draw_level_derates`] of the die.
+    derates: Vec<Vec<OnceLock<LevelDerates>>>,
+    /// `copies[group][level]` for the groups that own copies (empty for
+    /// the others).
+    copies: Vec<Vec<OnceLock<LevelCopy>>>,
+    /// Hashes the draws ran.
+    draws: AtomicU64,
+}
+
+impl<'b> BatchDelays<'b> {
+    /// Delay views for the bound voltage `groups` of one batch
+    /// (`domains` is the launch's island map, if any).
+    pub(super) fn new(
+        compiled: &'b CompiledNetlist,
+        domains: Option<&'b VoltageDomains>,
+        groups: &'b [VoltageGroup<'b>],
+    ) -> Self {
+        fn per_level<T>(compiled: &CompiledNetlist) -> Vec<OnceLock<T>> {
+            (0..compiled.levels.depth())
+                .map(|_| OnceLock::new())
+                .collect()
+        }
+        let mut dice: Vec<VariationSample> = Vec::new();
+        let die_of = groups
+            .iter()
+            .map(|g| {
+                let die = g.variation?;
+                Some(dice.iter().position(|&d| d == die).unwrap_or_else(|| {
+                    dice.push(die);
+                    dice.len() - 1
+                }))
+            })
+            .collect();
+        BatchDelays {
+            compiled,
+            domains,
+            groups,
+            derates: dice.iter().map(|_| per_level(compiled)).collect(),
+            dice,
+            die_of,
+            copies: groups
+                .iter()
+                .map(|g| {
+                    if g.owns_copy() {
+                        per_level(compiled)
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect(),
+            draws: AtomicU64::new(0),
+        }
+    }
+
+    /// Readies voltage group `group`'s delays of `level` — its die's
+    /// draw and its own copy, whichever it reads and no worker made yet —
+    /// and returns how many of one slot's delays fell back to nominal:
+    /// the tables' tallies of the gates the group reads.
+    pub(super) fn open(&self, group: usize, level: usize) -> u64 {
+        if let Some(die) = self.die_of[group] {
+            self.derates[die][level].get_or_init(|| {
+                let drawn = draw_level_derates(self.compiled, level, &self.dice[die]);
+                self.draws
+                    .fetch_add(2 * drawn.len() as u64, Ordering::Relaxed);
+                drawn
+            });
+        }
+        let g = &self.groups[group];
+        match self.copies[group].get(level) {
+            Some(copy) => {
+                copy.get_or_init(|| g.level_copy(self.compiled, self.domains, level))
+                    .fallbacks
+            }
+            None => g
+                .tables
+                .iter()
+                .flat_map(|t| &t.fallbacks_per_level[level])
+                .map(|&(_, n)| n)
+                .sum(),
+        }
+    }
+
+    /// Voltage group `group`'s delay view of `level`, which
+    /// [`BatchDelays::open`] readied.
+    pub(super) fn level(&self, group: usize, level: usize) -> LevelDelays<'_> {
+        let g = &self.groups[group];
+        let (first, tables): (&[PinDelays], &[Arc<DelayTable>]) =
+            match self.copies[group].get(level) {
+                Some(copy) => (copy.get().expect("opened").delays.as_slice(), &[]),
+                None if g.assign.segments() == 1 => (g.tables[0].per_level[level].as_slice(), &[]),
+                None => (&[], g.tables.as_slice()),
+            };
+        LevelDelays {
+            first,
+            tables,
+            level,
+            boundaries: g.assign.boundaries(),
+            derates: self.die_of[group].map(|die| {
+                self.derates[die][level]
+                    .get()
+                    .expect("drawn at open")
+                    .as_slice()
+            }),
+        }
+    }
+
+    /// Hashes the batch's die draws ran: two (rise and fall) per
+    /// annotated pin per level per die, whichever worker drew.
+    pub(super) fn draws(&self) -> u64 {
+        self.draws.load(Ordering::Relaxed)
+    }
+}
+
+/// One voltage group's delays of one level, as the merge loop reads
+/// them ([`LevelDelays::pin`]).
+pub(super) struct LevelDelays<'l> {
+    /// The one slice every event reads: a static group's table slice, or
+    /// the group's own copy. Empty for a scheduled group reading
+    /// `tables` in place.
+    first: &'l [PinDelays],
+    /// A scheduled group's per-segment tables (empty otherwise).
+    tables: &'l [Arc<DelayTable>],
+    level: usize,
+    boundaries: &'l [f64],
+    /// The die's draw of the level, applied as each delay is read.
+    derates: Option<&'l [(f64, f64)]>,
+}
+
+impl LevelDelays<'_> {
+    /// The delays of flat pin index `idx` (the level plan's
+    /// `gate_offsets[pos] + pin`) for an input event at cause time `t`:
+    /// the segment `t` falls in, derated by the die after the fallback
+    /// guard — the same factor in every segment, exactly 1.0 on a
+    /// nominal die.
+    #[inline]
+    pub(super) fn pin(&self, t: f64, idx: usize) -> PinDelays {
+        let d = if self.tables.is_empty() {
+            self.first[idx]
+        } else {
+            self.tables[segment_of(self.boundaries, t)].per_level[self.level][idx]
+        };
+        match self.derates {
+            None => d,
+            Some(derates) => PinDelays {
+                rise: derate_delay(d.rise, derates[idx].0),
+                fall: derate_delay(d.fall, derates[idx].1),
+            },
+        }
+    }
 }

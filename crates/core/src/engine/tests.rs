@@ -241,24 +241,130 @@ fn unaddressable_retry_capacity_is_not_grown() {
     assert_eq!(slots_per_batch(usize::MAX, nodes, 64, 8, 100), 100);
 }
 
+/// A profiled run's exact work counts, which every point of a
+/// determinism matrix must repeat: the counters any schedule must agree
+/// on, and the per-level activity histogram whole. Quiet lanes are
+/// tallied by whichever worker ran each task and folded per batch, so a
+/// lost fold shows here.
+fn work_counts(run: &SimRun) -> (Vec<Option<u64>>, Option<avfs_obs::HistogramStats>) {
+    let profile = run.profile.as_ref().expect("profiled");
+    let counters = [
+        phases::ENGINE_LEVELS,
+        phases::ENGINE_BATCHES,
+        phases::ENGINE_KERNEL_EVALS,
+        phases::ENGINE_DELAY_TABLE_BUILDS,
+        phases::ENGINE_DELAY_TABLE_HITS,
+        phases::ENGINE_VARIATION_DRAWS,
+        phases::ENGINE_GATES_SKIPPED_QUIET,
+        phases::ENGINE_QUIET_CELLS,
+        phases::ENGINE_RETRY_ROUNDS,
+    ]
+    .into_iter()
+    .map(|name| profile.counter(name))
+    .collect();
+    let activity = profile.histogram(phases::ENGINE_LEVEL_ACTIVITY).cloned();
+    (counters, activity)
+}
+
 /// Determinism matrix: the hard invariant of the pooled engine is that
-/// results are bit-for-bit identical to the single-threaded path
-/// across worker counts, lane widths, profiling on/off, both epoch
-/// dispatch arms, and the fault paths (overflow quarantine-and-retry,
-/// panic containment).
+/// results — and the work that produced them — are bit-for-bit
+/// identical to the single-threaded scalar path whoever walks which
+/// lane group. The group-shape axis cuts 48 slots into batches of one
+/// lane group of 8 slots (shared by every worker), three (more groups
+/// than two workers) and six, at the same slots per batch for lane
+/// widths 1 and 8; crossed with workers, lane width, profiling and an
+/// armed-but-empty fault plan, which must equal no plan at all.
 #[test]
 fn multithreaded_matches_single_threaded() {
     let lib = CellLibrary::nangate15_like();
     let cfg = avfs_circuits::GeneratorConfig::small();
-    let rnd = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 11).unwrap());
-    let rnd_engine = static_engine(&rnd, 8.0, 9.5);
-    let rnd_patterns = PatternSet::lfsr(rnd.inputs().len(), 4, 5);
-    // A 64-bit adder under 32 slots: its first gate level is thousands
-    // of lane tasks (a pooled epoch whenever there is a pool), its
-    // carry chain a handful per level (inline).
-    let adder = Arc::new(avfs_circuits::ripple_carry_adder(64, &lib).unwrap());
-    let adder_engine = static_engine(&adder, 8.0, 9.5);
-    let adder_patterns = PatternSet::random(adder.inputs().len(), 8, 0xD15);
+    let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 11).unwrap());
+    let engine = static_engine(&n, 8.0, 9.5);
+    let patterns = PatternSet::lfsr(n.inputs().len(), 24, 5);
+    let slots = cross(patterns.len(), &[0.8, 1.0]);
+    assert_eq!(slots.len(), 48);
+    let per_slot = n.num_nodes() * SimOptions::default().resolved_arena_capacity();
+    let launch = |opts: SimOptions| {
+        engine
+            .launch(
+                &patterns,
+                &slots,
+                &SimOptions {
+                    keep_waveforms: true,
+                    ..opts
+                },
+            )
+            .unwrap()
+    };
+    let whole = launch(SimOptions {
+        threads: 1,
+        lanes: 1,
+        ..SimOptions::default()
+    });
+    for groups in [1usize, 3, 6] {
+        let budget = groups * 8 * per_slot;
+        let reference = launch(SimOptions {
+            threads: 1,
+            lanes: 1,
+            profiling: true,
+            waveform_budget: budget,
+            ..SimOptions::default()
+        });
+        assert_eq!(reference.slots, whole.slots, "{groups} groups per batch");
+        assert_eq!(reference.diagnostics, whole.diagnostics);
+        let batches = reference
+            .profile
+            .as_ref()
+            .unwrap()
+            .counter(phases::ENGINE_BATCHES);
+        assert_eq!(
+            batches,
+            Some(6 / groups as u64),
+            "{groups} groups per batch"
+        );
+        for injection in ["unarmed", "armed-empty"] {
+            let fault_plan =
+                (injection == "armed-empty").then(|| Arc::new(FaultPlan::empty(0xC0FFEE)));
+            for lanes in [1, 8] {
+                for threads in [1, 2, 4, 8] {
+                    for profiling in [false, true] {
+                        let got = launch(SimOptions {
+                            threads,
+                            profiling,
+                            lanes,
+                            waveform_budget: budget,
+                            fault_plan: fault_plan.clone(),
+                            ..SimOptions::default()
+                        });
+                        let case = format!(
+                            "{groups} groups per batch, threads={threads}, lanes={lanes}, \
+                             profiling={profiling}, injection={injection}"
+                        );
+                        assert_eq!(got.slots, reference.slots, "{case}");
+                        assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
+                        assert_eq!(got.node_evaluations, reference.node_evaluations, "{case}");
+                        assert_eq!(got.profile.is_some(), profiling, "{case}");
+                        if profiling {
+                            assert_eq!(work_counts(&got), work_counts(&reference), "{case}");
+                        }
+                    }
+                }
+            }
+            if let Some(plan) = &fault_plan {
+                assert_eq!(plan.total_fired(), 0, "an empty plan never fires");
+            }
+        }
+    }
+}
+
+/// The fault and scenario paths under the same matrix at four workers:
+/// quarantine-and-retry, a contained delay-model panic, a deadline that
+/// expires inside the walk, Monte Carlo dice over droop schedules,
+/// voltage islands and an injected non-finite kernel (a poisoned group)
+/// each equal their single-threaded scalar reference — slots,
+/// diagnostics and exact work counts.
+#[test]
+fn fault_and_scenario_paths_match_single_threaded() {
     let glitch = glitch_netlist();
     let glitch_engine = static_engine(&glitch, 10.0, 10.0);
     let chain = chain_netlist();
@@ -275,33 +381,40 @@ fn multithreaded_matches_single_threaded() {
         }),
     )
     .unwrap();
-    type Scenario<'a> = (&'a str, Box<dyn Fn(SimOptions) -> SimRun + 'a>);
-    let scenarios: Vec<Scenario<'_>> = vec![
+    let lib = CellLibrary::nangate15_like();
+    let cfg = avfs_circuits::GeneratorConfig::small();
+    let rnd = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 31).unwrap());
+    let scaled = voltage_scaled_engine(&rnd, 8.0, 9.5);
+    let rnd_patterns = PatternSet::lfsr(rnd.inputs().len(), 6, 9);
+    let schedules = cross_schedules(
+        rnd_patterns.len(),
+        &[
+            Schedule::droop(0.9, 0.15, 12.0, 40.0),
+            Schedule::steps([(0.0, 0.7), (25.0, 1.0)]),
+        ],
+    );
+    let mc = MonteCarlo {
+        samples: 3,
+        variation: VariationConfig {
+            sigma: 0.05,
+            max_deviation: 0.2,
+            seed: 0xD1CE,
+        },
+    };
+    let domains = crate::domains::VoltageDomains::from_fn(&rnd, |id| id.index() % 3);
+    let islands: Vec<crate::domains::DomainSlotSpec> = [[0.9, 0.6, 0.9], [0.6, 0.6, 1.0]]
+        .iter()
+        .flat_map(|voltages| {
+            (0..rnd_patterns.len()).map(|pattern| crate::domains::DomainSlotSpec {
+                pattern,
+                voltages: voltages.to_vec(),
+            })
+        })
+        .collect();
+    type Path<'a> = (&'a str, Box<dyn Fn(SimOptions) -> SimRun + 'a>);
+    let paths: Vec<Path<'_>> = vec![
         (
-            "normal",
-            Box::new(|opts| {
-                rnd_engine
-                    .launch(
-                        &rnd_patterns,
-                        &cross(4, &[0.8, 1.0]),
-                        &SimOptions {
-                            keep_waveforms: true,
-                            ..opts
-                        },
-                    )
-                    .unwrap()
-            }),
-        ),
-        (
-            "both-arms",
-            Box::new(|opts| {
-                adder_engine
-                    .launch(&adder_patterns, &cross(8, &[0.7, 0.8, 0.9, 1.0]), &opts)
-                    .unwrap()
-            }),
-        ),
-        (
-            "overflow-retry",
+            "retry",
             Box::new(|opts| {
                 glitch_engine
                     .launch(
@@ -325,83 +438,94 @@ fn multithreaded_matches_single_threaded() {
                     .unwrap()
             }),
         ),
+        (
+            "deadline",
+            Box::new(|opts| {
+                // One-slot batches; binding the second slot's tables
+                // sleeps past the deadline, which its group's first close
+                // then trips. A fresh artifact per launch, so the table
+                // is built (and slept over) every time.
+                slow_engine(&chain, Duration::from_millis(40))
+                    .launch(
+                        &one_pattern(),
+                        &cross(1, &[0.8, 1.1]),
+                        &SimOptions {
+                            lanes: 1,
+                            waveform_budget: 1,
+                            deadline: Some(Duration::from_millis(60)),
+                            ..opts
+                        },
+                    )
+                    .unwrap()
+            }),
+        ),
+        (
+            "dice",
+            Box::new(|opts| {
+                scaled
+                    .launch_scenarios(&rnd_patterns, &schedules, Some(&mc), Some(500.0), &opts)
+                    .unwrap()
+            }),
+        ),
+        (
+            "islands",
+            Box::new(|opts| {
+                scaled
+                    .launch_domains(&rnd_patterns, &domains, &islands, &opts)
+                    .unwrap()
+            }),
+        ),
+        (
+            "poisoned",
+            Box::new(|opts| {
+                let plan = FaultPlan::empty(0x5EED).with_rate(InjectionSite::NonFiniteKernel, 0.5);
+                scaled
+                    .launch_scenarios(
+                        &rnd_patterns,
+                        &schedules,
+                        None,
+                        None,
+                        &SimOptions {
+                            fault_plan: Some(Arc::new(plan)),
+                            ..opts
+                        },
+                    )
+                    .unwrap()
+            }),
+        ),
     ];
-    for (name, run) in &scenarios {
-        // The reference is the plainest possible path: single thread,
-        // unprofiled, scalar (lane width 1) slot-major layout.
-        let reference = run(SimOptions {
+    for (name, run) in &paths {
+        // Fills the delay-table caches, so the profiled runs below
+        // repeat one another's work exactly.
+        run(SimOptions {
             threads: 1,
-            profiling: false,
-            lanes: 1,
             ..SimOptions::default()
         });
-        if *name == "overflow-retry" {
-            assert_eq!(reference.diagnostics.slot_retries, 4, "scenario {name}");
+        let reference = run(SimOptions {
+            threads: 1,
+            lanes: 1,
+            profiling: true,
+            ..SimOptions::default()
+        });
+        match *name {
+            "retry" => assert_eq!(reference.diagnostics.slot_retries, 4),
+            "panicking" => assert_eq!(reference.diagnostics.panicked_slots, vec![1]),
+            "deadline" => assert_eq!(reference.diagnostics.deadline_aborts, 1),
+            "poisoned" => assert!(reference.diagnostics.kernel_fallbacks > 0),
+            _ => {}
         }
-        // The engine's work counts, which every profiled point of the
-        // matrix must repeat exactly (the reference run above filled the
-        // delay-table cache, so none of them builds a table). The quiet
-        // lanes are tallied by whichever worker stole each task and
-        // folded once per epoch, so a lost fold shows here.
-        let work = |run: &SimRun| -> Vec<Option<u64>> {
-            let profile = run.profile.as_ref().expect("profiled");
-            [
-                phases::ENGINE_LEVELS,
-                phases::ENGINE_BATCHES,
-                phases::ENGINE_KERNEL_EVALS,
-                phases::ENGINE_DELAY_TABLE_BUILDS,
-                phases::ENGINE_DELAY_TABLE_HITS,
-                phases::ENGINE_VARIATION_DRAWS,
-                phases::ENGINE_GATES_SKIPPED_QUIET,
-            ]
-            .into_iter()
-            .map(|name| profile.counter(name))
-            .collect()
-        };
-        let mut reference_work: Option<Vec<Option<u64>>> = None;
-        for injection in ["unarmed", "armed-empty"] {
-            // The profiled-identity principle extended to injection:
-            // an armed-but-empty fault plan (every rate zero) must be
-            // bit-for-bit identical to no plan at all — results and the
-            // work that produced them: both take the one delay path.
-            let fault_plan =
-                (injection == "armed-empty").then(|| Arc::new(FaultPlan::empty(0xC0FFEE)));
-            for lanes in [1, 4, 8] {
-                for threads in [1, 2, 4, 8] {
-                    for profiling in [false, true] {
-                        let got = run(SimOptions {
-                            threads,
-                            profiling,
-                            lanes,
-                            fault_plan: fault_plan.clone(),
-                            ..SimOptions::default()
-                        });
-                        let case = format!(
-                            "{name}, threads={threads}, lanes={lanes}, \
-                             profiling={profiling}, injection={injection}"
-                        );
-                        assert_eq!(got.slots, reference.slots, "{case}");
-                        assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
-                        assert_eq!(got.node_evaluations, reference.node_evaluations, "{case}");
-                        assert_eq!(got.profile.is_some(), profiling, "{case}");
-                        if profiling {
-                            let want = reference_work.get_or_insert_with(|| work(&got));
-                            assert_eq!(&work(&got), want, "{case}");
-                            let epochs = |arm| got.profile.as_ref().unwrap().counter(arm);
-                            if *name == "both-arms" && threads > 1 {
-                                assert!(
-                                    epochs(phases::ENGINE_EPOCHS_POOLED) > Some(0)
-                                        && epochs(phases::ENGINE_EPOCHS_INLINE) > Some(0),
-                                    "{case}: both dispatch arms"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(plan) = &fault_plan {
-                assert_eq!(plan.total_fired(), 0, "an empty plan never fires");
-            }
+        for lanes in [1, 8] {
+            let got = run(SimOptions {
+                threads: 4,
+                lanes,
+                profiling: true,
+                ..SimOptions::default()
+            });
+            let case = format!("{name}, lanes={lanes}");
+            assert_eq!(got.slots, reference.slots, "{case}");
+            assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
+            assert_eq!(got.scenario, reference.scenario, "{case}");
+            assert_eq!(work_counts(&got), work_counts(&reference), "{case}");
         }
     }
 }
@@ -1807,7 +1931,7 @@ fn group_level_views_match_the_sta_derivation() {
             self.0.space()
         }
     }
-    use super::delays::{draw_level_derates, VoltageGroup};
+    use super::delays::{BatchDelays, VoltageGroup};
     use avfs_netlist::library::Polarity;
     let lib = CellLibrary::nangate15_like();
     let cfg = avfs_circuits::GeneratorConfig::small();
@@ -1840,31 +1964,33 @@ fn group_level_views_match_the_sta_derivation() {
         },
         sample: 2,
     };
-    // Binds a group, initializes every level and compares its view with
+    // Binds a group, opens every level and compares what the merge loop
+    // reads in each segment — at the segment's start time — with
     // `expect(segment, gate)` and its fallbacks with the sum of `tally`.
-    let mut derates = Vec::new();
-    let mut check = |name: &str,
-                     assign: VoltageAssign,
-                     variation: Option<VariationSample>,
-                     poisoned: bool,
-                     expect: &dyn Fn(usize, NodeId) -> Vec<PinDelays>,
-                     tally: &dyn Fn(NodeId) -> u64| {
+    let check = |name: &str,
+                 assign: VoltageAssign,
+                 variation: Option<VariationSample>,
+                 poisoned: bool,
+                 expect: &dyn Fn(usize, NodeId) -> Vec<PinDelays>,
+                 tally: &dyn Fn(NodeId) -> u64| {
         let mut group = VoltageGroup::new(&assign, variation, poisoned);
         assert!(group.bind_tables(&engine, None).is_ok(), "{name}: binds");
+        let groups = [group];
+        let delays = BatchDelays::new(&engine, Some(&domains), &groups);
+        let starts: Vec<f64> = std::iter::once(f64::NEG_INFINITY)
+            .chain(assign.boundaries().iter().copied())
+            .collect();
+        assert_eq!(starts.len(), assign.segments(), "{name}");
         for level in 1..engine.levels().depth() {
-            let fallbacks = group.init_level(&engine, Some(&domains), level);
-            if let Some(die) = &variation {
-                draw_level_derates(&engine, level, die, &mut derates);
-                group.derate_level(&derates);
-            }
+            let fallbacks = delays.open(0, level);
             let plan = &engine.level_plans[level];
-            let view = group.level_view(level);
-            assert_eq!(view.segs.len(), assign.segments(), "{name}");
-            for (seg, delays) in view.segs.iter().enumerate() {
+            let view = delays.level(0, level);
+            for (seg, &t) in starts.iter().enumerate() {
                 for (pos, &gate) in plan.gate_nodes.iter().enumerate() {
                     let pins = plan.gate_offsets[pos]..plan.gate_offsets[pos + 1];
+                    let read: Vec<PinDelays> = pins.map(|idx| view.pin(t, idx)).collect();
                     assert_eq!(
-                        bits(&delays[pins]),
+                        bits(&read),
                         bits(&expect(seg, gate)),
                         "{name}: level {level}, segment {seg}, gate {pos}"
                     );
@@ -1872,6 +1998,13 @@ fn group_level_views_match_the_sta_derivation() {
             }
             let want: u64 = plan.gate_nodes.iter().map(|&gate| tally(gate)).sum();
             assert_eq!(fallbacks, want, "{name}: level {level} fallbacks");
+        }
+        if variation.is_some() {
+            // One draw per level, whoever opens it: re-opening draws
+            // nothing.
+            let drawn = delays.draws();
+            delays.open(0, 1);
+            assert_eq!(delays.draws(), drawn, "{name}");
         }
     };
     let v = |volts: f64| engine.v_norm(volts);
@@ -2840,98 +2973,200 @@ fn resident_arena_is_indistinguishable_from_a_fresh_one() {
     }
 }
 
-/// The dispatch boundary: a 64-bit adder's first gate level is thousands
-/// of lane tasks (released to the pool), its carry chain a handful per
-/// level (run on the coordinator). Two workers must reproduce one
-/// worker bit for bit — every exact count of the profile included —
-/// while actually using both arms, and a worker-stall plan, which only
-/// pooled epochs consult, must replay from its seed.
+/// A batch is one pool release: a 64-bit adder under 32 slots cut into
+/// four one-group batches, so at two or four workers every group is
+/// walked by its owner while the other workers help at its open levels.
+/// More workers must reproduce one worker bit for bit — every exact
+/// count of the profile included — the pool's idle time is recorded
+/// once per batch of a pooled run, and a worker-stall plan, probed once
+/// per spawned worker per release, fires `batches × (threads − 1)` times
+/// and replays from its seed.
 #[test]
-fn epoch_dispatch_boundary_is_invisible_in_results() {
+fn a_batch_is_one_pool_release() {
     let lib = CellLibrary::nangate15_like();
     let n = Arc::new(avfs_circuits::ripple_carry_adder(64, &lib).unwrap());
     let engine = static_engine(&n, 8.0, 9.5);
     let patterns = PatternSet::random(n.inputs().len(), 8, 0xD15);
     let slots = cross(8, &[0.7, 0.8, 0.9, 1.0]);
+    let batches = 4;
+    let opts = |threads: usize| SimOptions {
+        threads,
+        lanes: 8,
+        waveform_budget: 8 * n.num_nodes() * 64,
+        ..SimOptions::default()
+    };
     let launch = |opts: SimOptions| engine.launch(&patterns, &slots, &opts).unwrap();
     // Fill the delay-table cache so every profiled launch below hits it.
-    launch(SimOptions::default());
+    launch(opts(1));
     let count = |run: &SimRun, name: &str| run.profile.as_ref().unwrap().counter(name).unwrap_or(0);
     let profiled = |threads: usize| {
         launch(SimOptions {
-            threads,
             profiling: true,
-            ..SimOptions::default()
+            ..opts(threads)
         })
     };
-    let (one, two) = (profiled(1), profiled(2));
-    assert_eq!(one.slots, two.slots);
-    assert_eq!(one.diagnostics, two.diagnostics);
-    assert_eq!(one.node_evaluations, two.node_evaluations);
-    for counter in [
-        phases::ENGINE_LEVELS,
-        phases::ENGINE_BATCHES,
-        phases::ENGINE_KERNEL_EVALS,
-        phases::ENGINE_RETRY_ROUNDS,
-        phases::ENGINE_GATES_SKIPPED_QUIET,
-        phases::ENGINE_QUIET_CELLS,
-        phases::ENGINE_LANES_GROUPS,
-        phases::ENGINE_DELAY_TABLE_BUILDS,
-        phases::ENGINE_DELAY_TABLE_HITS,
-    ] {
-        assert_eq!(count(&one, counter), count(&two, counter), "{counter}");
-    }
-    let (p1, p2) = (one.profile.as_ref().unwrap(), two.profile.as_ref().unwrap());
-    for histogram in [
-        phases::ENGINE_ARENA_OCCUPANCY,
-        phases::ENGINE_BATCH_SLOTS,
-        phases::ENGINE_LEVEL_ACTIVITY,
-    ] {
-        assert_eq!(
-            p1.histogram(histogram),
-            p2.histogram(histogram),
-            "{histogram}"
-        );
-    }
-    let (inline, pooled) = (
-        count(&two, phases::ENGINE_EPOCHS_INLINE),
-        count(&two, phases::ENGINE_EPOCHS_POOLED),
-    );
-    assert!(inline > 0 && pooled > 0, "{inline} inline, {pooled} pooled");
-    // One worker runs the same epochs, all of them itself.
-    assert_eq!(count(&one, phases::ENGINE_EPOCHS_POOLED), 0);
-    assert_eq!(count(&one, phases::ENGINE_EPOCHS_INLINE), inline + pooled);
-    // The coordinator waits at a barrier only where it woke the pool.
-    assert_eq!(p2.phase(phases::ENGINE_POOL_IDLE).unwrap().calls, pooled);
+    let one = profiled(1);
+    assert_eq!(count(&one, phases::ENGINE_BATCHES), batches);
+    let p1 = one.profile.as_ref().unwrap();
     assert!(p1.phase(phases::ENGINE_POOL_IDLE).is_none());
-    // Worker 1 stalls at every epoch it is woken for: once per pooled
-    // epoch, never for an inline one — and identically on a second run.
-    let clean = launch(SimOptions {
-        threads: 2,
-        profiling: true,
-        ..SimOptions::default()
-    });
-    let stalled = || {
-        let plan = Arc::new(
-            FaultPlan::empty(0x57A11)
-                .with_rate(InjectionSite::WorkerStall, 1.0)
-                .with_stall(Duration::from_micros(50)),
+    for threads in [2, 4] {
+        let many = profiled(threads);
+        assert_eq!(one.slots, many.slots, "threads={threads}");
+        assert_eq!(one.diagnostics, many.diagnostics, "threads={threads}");
+        assert_eq!(one.node_evaluations, many.node_evaluations);
+        assert_eq!(work_counts(&one), work_counts(&many), "threads={threads}");
+        for counter in [phases::ENGINE_LANES_GROUPS, phases::ENGINE_QUIET_CELLS] {
+            assert_eq!(count(&one, counter), count(&many, counter), "{counter}");
+        }
+        let pn = many.profile.as_ref().unwrap();
+        for histogram in [phases::ENGINE_ARENA_OCCUPANCY, phases::ENGINE_BATCH_SLOTS] {
+            assert_eq!(
+                p1.histogram(histogram),
+                pn.histogram(histogram),
+                "{histogram}"
+            );
+        }
+        // One release per batch, and the pool's idle time once per release.
+        assert_eq!(pn.phase(phases::ENGINE_POOL_IDLE).unwrap().calls, batches);
+        let stalled = || {
+            let plan = Arc::new(
+                FaultPlan::empty(0x57A11)
+                    .with_rate(InjectionSite::WorkerStall, 1.0)
+                    .with_stall(Duration::from_micros(50)),
+            );
+            let run = launch(SimOptions {
+                fault_plan: Some(Arc::clone(&plan)),
+                ..opts(threads)
+            });
+            (run, plan.hits(InjectionSite::WorkerStall))
+        };
+        let ((first, first_stalls), (second, second_stalls)) = (stalled(), stalled());
+        assert_eq!(
+            first_stalls,
+            batches * (threads as u64 - 1),
+            "threads={threads}"
         );
-        let run = launch(SimOptions {
-            threads: 2,
-            fault_plan: Some(Arc::clone(&plan)),
-            ..SimOptions::default()
-        });
-        (run, plan.hits(InjectionSite::WorkerStall))
-    };
-    let ((first, first_stalls), (second, second_stalls)) = (stalled(), stalled());
-    assert_eq!(first_stalls, count(&clean, phases::ENGINE_EPOCHS_POOLED));
-    assert_eq!(
-        first_stalls, second_stalls,
-        "the plan replays from its seed"
-    );
-    for run in [&first, &second] {
-        assert_eq!(run.slots, clean.slots, "stalls are timing-only");
-        assert_eq!(run.diagnostics.faults_injected, first_stalls);
+        assert_eq!(
+            first_stalls, second_stalls,
+            "the plan replays from its seed"
+        );
+        for run in [&first, &second] {
+            assert_eq!(run.slots, one.slots, "stalls are timing-only");
+            assert_eq!(run.diagnostics.faults_injected, first_stalls);
+        }
     }
+}
+
+/// No hang: a panic outside any lane on a helper — after it grabbed a
+/// chunk whose tasks no other worker will run — aborts the batch for
+/// every worker and re-raises on the caller, at two and four workers.
+/// One-group batches make every worker but the owner a helper; the
+/// launch is repeated until a helper grabs, which the first launch all
+/// but always does.
+#[test]
+fn a_helper_panic_outside_any_lane_re_raises_instead_of_hanging() {
+    use std::sync::mpsc;
+    let lib = CellLibrary::nangate15_like();
+    let n = Arc::new(avfs_circuits::ripple_carry_adder(64, &lib).unwrap());
+    let engine = Arc::new(static_engine(&n, 8.0, 9.5));
+    engine.panic_in_help.store(true, Ordering::Relaxed);
+    let patterns = Arc::new(PatternSet::random(n.inputs().len(), 8, 0xD15));
+    for threads in [2usize, 4] {
+        let (engine, patterns) = (Arc::clone(&engine), Arc::clone(&patterns));
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let opts = SimOptions {
+                threads,
+                lanes: 8,
+                ..SimOptions::default()
+            };
+            let slots = at_voltage(8, 0.8);
+            let panicked = (0..50).any(|_| {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.launch(&patterns, &slots, &opts)
+                }))
+                .is_err()
+            });
+            let _ = tx.send(panicked);
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("a helper's panic must never hang the launch");
+        assert!(panicked, "threads={threads}: a helper grabbed and panicked");
+    }
+}
+
+/// Containment is per lane inside one `catch_unwind` per chunk: with an
+/// injected kernel panic on one slot of an eight-lane group, the lanes
+/// after it in every chunk it shares still run, and every other slot
+/// completes with the clean run's result. Slots and diagnostics also
+/// equal digests recorded before chunks replaced per-lane containment.
+#[test]
+fn an_injected_panic_leaves_the_other_lanes_of_its_chunks_complete() {
+    let lib = CellLibrary::nangate15_like();
+    let cfg = avfs_circuits::GeneratorConfig::small();
+    let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 11).unwrap());
+    let engine = static_engine(&n, 8.0, 9.5);
+    let patterns = PatternSet::lfsr(n.inputs().len(), 8, 5);
+    let slots = at_voltage(8, 0.8);
+    let plan = |seed| Arc::new(FaultPlan::empty(seed).with_rate(InjectionSite::KernelPanic, 0.15));
+    let doomed = |seed| -> Vec<usize> {
+        (0..slots.len())
+            .filter(|&slot| plan(seed).decide(InjectionSite::KernelPanic, slot as u64, 0))
+            .collect()
+    };
+    // The first seed that dooms lane 3 alone: lanes before and after it.
+    let seed = (0u64..)
+        .find(|&seed| doomed(seed) == [DOOMED_SLOT])
+        .unwrap();
+    let clean = engine
+        .launch(&patterns, &slots, &SimOptions::default())
+        .unwrap();
+    for threads in [1usize, 2, 4] {
+        let run = engine
+            .launch(
+                &patterns,
+                &slots,
+                &SimOptions {
+                    threads,
+                    fault_plan: Some(plan(seed)),
+                    ..SimOptions::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(
+            run.diagnostics.panicked_slots,
+            [DOOMED_SLOT],
+            "threads={threads}"
+        );
+        for (i, (got, want)) in run.slots.iter().zip(&clean.slots).enumerate() {
+            if i == DOOMED_SLOT {
+                assert_eq!(got.status, SlotStatus::Panicked);
+            } else {
+                assert_eq!(got, want, "threads={threads}, slot {i}");
+            }
+        }
+        assert_eq!(
+            (digest(&run.slots), digest(&run.diagnostics)),
+            RECORDED_DIGESTS,
+            "threads={threads}"
+        );
+    }
+}
+
+/// The slot the kernel-panic plan above dooms.
+const DOOMED_SLOT: usize = 3;
+
+/// `(slots, diagnostics)` digests of the kernel-panic launch above,
+/// recorded on the per-level engine with per-lane `catch_unwind`.
+const RECORDED_DIGESTS: (u64, u64) = (13_698_186_902_048_818_133, 4_263_676_137_089_281_978);
+
+/// FNV-1a over a value's `Debug` rendering: stable for as long as the
+/// value and its `Debug` impls are.
+fn digest(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
 }

@@ -1,10 +1,13 @@
 //! Canonical instrument names recorded by the simulators when
 //! [`SimOptions::profiling`](crate::SimOptions::profiling) is enabled.
 //!
-//! All phase durations are wall-clock nanoseconds measured on the
-//! coordinator thread (workers are never timed, and the counts they keep
-//! are sums folded in once per level epoch, so profiling cannot perturb
-//! the deterministic schedule). Tests and report tooling
+//! Phase durations are nanoseconds: wall clock on the coordinator for
+//! the phases around a batch's pool release, and worker time — summed
+//! over workers, folded in once per batch — for the parts of a release
+//! that run on the workers. Timing reads clocks and nothing else, and
+//! every count a worker keeps is a sum or a maximum folded in once per
+//! batch, so profiling cannot perturb the deterministic results. Tests
+//! and report tooling
 //! should reference these constants rather than repeating string
 //! literals; [`ENGINE_PHASES`] lists every phase a completed engine run
 //! is guaranteed to report.
@@ -12,38 +15,44 @@
 /// Whole engine run: batching, retry rounds, everything below.
 pub const ENGINE_RUN: &str = "engine/run";
 
-/// Level 0 of each batch: expanding pattern pairs into stimuli waveforms.
+/// Level 0 of each batch: expanding pattern pairs into stimuli
+/// waveforms, written by each lane group's owner before it opens the
+/// group's first level. Worker time, one call per batch.
 pub const ENGINE_STIMULI: &str = "engine/stimuli";
 
 /// Delay initialisation (paper Sec. IV.A): per batch, binding every
 /// voltage group to the artifact's per-voltage tables (first-use builds
-/// included); per simulated level, the copies of the groups whose delays
-/// are not a table slice verbatim (island gathers, groups an injected
-/// non-finite kernel poisoned, dice) and the Monte Carlo derate pass
-/// (one draw of each die the batch carries, applied to every group of
-/// that die).
+/// included), on the coordinator; inside the release, readying each
+/// level's delay views as a lane group opens it — the copies of the
+/// groups whose delays are not a table slice verbatim (island gathers,
+/// groups an injected non-finite kernel poisoned) and the Monte Carlo
+/// draws (one per die per level, shared by every group of that die),
+/// made by whichever worker opens the level first — as worker time. Two
+/// calls per batch.
 pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 
-/// Per-level gate evaluation: the level's (lane group, gate) task grid
-/// — distributed over the persistent worker pool by work stealing, or
-/// run on the coordinator when the level is too small to repay a
-/// wake-up. Per task the worker resolves the quiet lanes to constants
-/// (activity gating) and runs the waveform-processing loop on the rest;
-/// each stolen chunk's outputs are published as one block into disjoint
-/// arena cells. One call per simulated level.
+/// Gate evaluation: the batch's pool release — every lane group's
+/// (gate × live lane) tasks, walked level by level by the group's owner
+/// and shared with idle workers by work stealing; per task the quiet
+/// lanes resolve to constants (activity gating) and the rest run the
+/// waveform-processing loop, and each stolen chunk's outputs are
+/// published as one block into disjoint arena cells. The release's wall
+/// time less the worker time of [`ENGINE_STIMULI`], the release's share
+/// of [`ENGINE_DELAY_KERNEL`] and [`ENGINE_BARRIER`], which run inside
+/// it, so the phases still sum to the launch. One call per batch.
 pub const ENGINE_WAVEFORM_MERGE: &str = "engine/waveform_merge";
 
-/// Per-level barrier: reconciling worker fault verdicts, copying
-/// primary-output passthrough cells, and updating slot liveness after
-/// the epoch completes. One call per simulated level.
+/// Level closes: per lane group and level, once its tasks are done —
+/// applying the fault verdicts, copying primary-output passthrough
+/// cells, the watchdog's progress bump and the deadline check. Worker
+/// time of the groups' owners, one call per batch.
 pub const ENGINE_BARRIER: &str = "engine/barrier";
 
-/// Coordinator wait time at the level barrier: after finishing its own
-/// share of the level, the time spent blocked until the remaining pool
-/// workers drain the work-stealing cursor. Recorded once per pooled
-/// epoch ([`ENGINE_EPOCHS_POOLED`]) — never at `threads = 1` or for a
-/// launch whose every level ran inline — so it is *not* part of
-/// [`ENGINE_PHASES`].
+/// Worker time spent waiting inside a batch's release with nothing to
+/// grab — an owner waiting for helpers to finish its level, a helper
+/// waiting for a level to open — summed over workers. Recorded once per
+/// batch of a pooled run (never at `threads = 1`), nested inside
+/// [`ENGINE_WAVEFORM_MERGE`], so it is *not* part of [`ENGINE_PHASES`].
 pub const ENGINE_POOL_IDLE: &str = "engine/pool_idle";
 
 /// Per-batch waveform analysis (Fig. 2 step 4): output responses and
@@ -86,8 +95,9 @@ pub const ENGINE_BATCH_SLOTS: &str = "engine.batch_slots";
 /// Live lane tasks — one slot's evaluation of one gate — that the
 /// workers' quiet scan resolved to a constant write instead of running
 /// the waveform-processing loop, summed over levels, batches and retry
-/// rounds. Each worker tallies its own and folds the sum in once per
-/// level epoch; recorded (possibly 0) by every run with an epoch.
+/// rounds. Tallied per lane group and level by whichever worker ran the
+/// task, folded in at the batch's end; recorded (possibly 0) by every
+/// run with a gate task.
 pub const ENGINE_GATES_SKIPPED_QUIET: &str = "engine.gates_skipped_quiet";
 
 /// Quiet `(slot, net)` cells (zero transitions over the simulation
@@ -95,10 +105,11 @@ pub const ENGINE_GATES_SKIPPED_QUIET: &str = "engine.gates_skipped_quiet";
 /// the activity headroom gating exploits.
 pub const ENGINE_QUIET_CELLS: &str = "engine.quiet_cells";
 
-/// Histogram of per-level activity: for every level epoch, the
-/// percentage (0–100) of its live lane tasks that were *active* — not
-/// resolved by the quiet scan, so evaluated by the merge loop. Recorded
-/// from the workers' folded quiet tallies at the end of the epoch.
+/// Histogram of per-level activity: for every level of a batch with a
+/// live lane task, the percentage (0–100) of its live lane tasks — over
+/// all the batch's lane groups — that were *active*: not resolved by the
+/// quiet scan, so evaluated by the merge loop. Recorded from the
+/// per-level sums folded at the batch's end.
 pub const ENGINE_LEVEL_ACTIVITY: &str = "engine.level_activity";
 
 /// The resolved lane width `L` of the run — how many slots the
@@ -107,28 +118,14 @@ pub const ENGINE_LEVEL_ACTIVITY: &str = "engine.level_activity";
 /// [`SimOptions::lanes`](crate::SimOptions::lanes).
 pub const ENGINE_LANES_WIDTH: &str = "engine.lanes_width";
 
-/// Live lane groups scheduled, summed over levels, batches and retry
-/// rounds — the row count of the lane-major task grid (`live lane
-/// groups × gates`). A group stays scheduled while any of its lanes is
-/// live; quarantined lanes are masked out of it rather than removed.
+/// Levels walked by lane groups, summed over lane groups, batches and
+/// retry rounds. A group walks a level while any of its lanes is live;
+/// quarantined lanes are masked out of it rather than removed.
 pub const ENGINE_LANES_GROUPS: &str = "engine.lanes_groups";
 
-/// Work-stealing chunk grabs beyond each worker's first in a level,
-/// summed over the run — how often the atomic cursor rebalanced load
-/// across the pool.
+/// Chunks workers ran of lane groups they do not own, summed over the
+/// run — how often idle workers joined another group's open level.
 pub const ENGINE_POOL_STEALS: &str = "engine.pool_steals";
-
-/// Level epochs released to the parked pool: the live lane tasks
-/// (live slots × gates, quiet ones included) were worth a wake-up
-/// (DESIGN.md §5). Together with [`ENGINE_EPOCHS_INLINE`] this counts
-/// every level epoch — a simulated level with at least one live slot.
-pub const ENGINE_EPOCHS_POOLED: &str = "engine.epochs_pooled";
-
-/// Level epochs the coordinator ran itself — every epoch of a
-/// single-threaded run, and with a pool the ones too small to amortize
-/// a wake-up. A pure function of the live lanes, decided before any
-/// quiet bit is read, so it repeats exactly from run to run.
-pub const ENGINE_EPOCHS_INLINE: &str = "engine.epochs_inline";
 
 /// Histogram of gate tasks executed per pool worker over the whole run
 /// (one sample per worker) — the load-balance fingerprint of the
@@ -208,11 +205,11 @@ pub const ENGINE_SCENARIO_SEGMENTS: &str = "engine.scenario_segments";
 /// that still has multi-segment schedules.
 pub const ENGINE_MC_SAMPLES: &str = "engine.mc_samples";
 
-/// Hashed process-variation derate draws performed by the delay
-/// initialisation's derate pass: two (rise and fall) per annotated pin
-/// per level per distinct die of a batch — the die's voltage groups
-/// share the draw. Coordinator-only, like every other instrument;
-/// recorded only when at least one draw happened.
+/// Hashed process-variation derate draws: two (rise and fall) per
+/// annotated pin per level per distinct die of a batch — the die's
+/// voltage groups share the draw, made by whichever worker opens the
+/// level first for a slot of that die. Recorded only when at least one
+/// draw happened.
 pub const ENGINE_VARIATION_DRAWS: &str = "engine.variation_draws";
 
 /// Whole event-driven baseline run (all slots, serial).

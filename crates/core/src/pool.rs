@@ -2,16 +2,16 @@
 //! the paper's resident GPU thread grid.
 //!
 //! The paper's engine launches one kernel per level and pays no thread
-//! management beyond that launch: the grid stays resident on the device
-//! and only a barrier separates levels. The previous CPU realization
-//! instead paid a full `std::thread::scope` spawn/join per level of every
-//! batch. This module replaces that with OS threads created **once per
-//! simulation run**: workers park on a condvar between levels and are
-//! released by bumping an epoch counter; the coordinator participates as
-//! worker 0 and then waits for the remaining workers — the level barrier.
+//! management beyond that launch: the grid stays resident on the device.
+//! This module keeps OS threads resident the same way: workers park on a
+//! condvar between releases and are released by bumping an epoch
+//! counter; the coordinator participates as worker 0 and then waits for
+//! the remaining workers. The engine releases the pool once per batch —
+//! the levels inside a batch synchronize among the workers themselves
+//! (`engine::batch`), never through the coordinator.
 //!
-//! Jobs are released by reference, so they may borrow level-local state
-//! (the arena writer, the level context). The lifetime is erased with an
+//! Jobs are released by reference, so they may borrow batch-local state
+//! (the arena writer, the walk state). The lifetime is erased with an
 //! internal `transmute`; soundness rests on [`WorkerPool::run`] not
 //! returning — even by unwinding — until every worker has finished the
 //! epoch and dropped its reference.
@@ -29,7 +29,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The erased job type workers execute: called once per worker per epoch
 /// with the worker's index (0 is the coordinator). In a type alias a bare
@@ -63,7 +63,7 @@ struct Shared {
     done: Condvar,
 }
 
-/// A pool of parked worker threads released level-by-level via an epoch
+/// A pool of parked worker threads released job by job via an epoch
 /// barrier. Created once per [`Session`](crate::session::Session) /
 /// [`BatchRunner`](crate::batch::BatchRunner) (or once per run by a bare
 /// [`CompiledNetlist::launch`](crate::CompiledNetlist::launch)) and
@@ -108,10 +108,7 @@ impl WorkerPool {
     }
 
     /// Runs `job` on every worker (the calling thread is worker 0) and
-    /// blocks until all of them finished — the level barrier. Returns the
-    /// time the coordinator spent waiting for workers after finishing its
-    /// own share; when `measure_idle` is false no clock is read and
-    /// [`Duration::ZERO`] is returned.
+    /// blocks until all of them finished.
     ///
     /// `injector` carries the current run's fault plan for the
     /// [`WorkerStall`](avfs_inject::InjectionSite::WorkerStall) site: a
@@ -128,12 +125,7 @@ impl WorkerPool {
     /// Re-raises a panic from the coordinator's own job share (after the
     /// barrier, so borrows stay valid), and panics if a spawned worker's
     /// job share panicked.
-    pub fn run(
-        &self,
-        job: &(dyn Fn(usize) + Sync + '_),
-        injector: &Injector,
-        measure_idle: bool,
-    ) -> Duration {
+    pub fn run(&self, job: &(dyn Fn(usize) + Sync + '_), injector: &Injector) {
         // SAFETY: the 'static lifetime is a lie confined to this call.
         // Workers only hold the reference while `running > 0`, and this
         // function does not return — the coordinator's own panic is
@@ -152,7 +144,6 @@ impl WorkerPool {
         // Worker 0's share, panic-deferred so the barrier below always
         // runs before any unwinding invalidates the job's borrows.
         let own = catch_unwind(AssertUnwindSafe(|| job(0)));
-        let wait_start = measure_idle.then(Instant::now);
         let poisoned = {
             let mut state = self.shared.state.lock().expect("pool lock");
             while state.running > 0 {
@@ -161,12 +152,10 @@ impl WorkerPool {
             state.job = None;
             state.poisoned
         };
-        let idle = wait_start.map_or(Duration::ZERO, |t| t.elapsed());
         if let Err(payload) = own {
             resume_unwind(payload);
         }
         assert!(!poisoned, "pool worker's job share panicked");
-        idle
     }
 }
 
@@ -315,9 +304,8 @@ fn worker_loop(index: usize, shared: &Shared) {
             )
         };
         // Injected slow-worker stall: sleep before taking a share, so the
-        // chunked cursor sheds this worker's load onto its peers and the
-        // watchdog sees a quiet epoch. Timing only — results are schedule
-        // independent (§9 reconciliation).
+        // other workers take this one's load. Timing only — results are
+        // schedule independent (DESIGN.md §6).
         if let Some(stall) = injector.stall_duration(index as u64, seen) {
             std::thread::sleep(stall);
         }
@@ -335,15 +323,15 @@ fn worker_loop(index: usize, shared: &Shared) {
     }
 }
 
-/// A coordinator-side stall detector for the epoch barrier.
+/// A stall detector for the engine's level walks.
 ///
 /// Armed by [`SimOptions::stall_timeout`](crate::SimOptions::stall_timeout):
-/// a monitor thread watches a progress counter the coordinator bumps at
-/// every level barrier. When no progress lands within the timeout, one
+/// a monitor thread watches a progress counter bumped at every close of
+/// a lane group's level. When no progress lands within the timeout, one
 /// stall is recorded for that quiet period (re-armed by the next
-/// progress bump). The watchdog only *observes* — a stalled epoch is
+/// progress bump). The watchdog only *observes* — a stalled batch is
 /// waited out, never killed, because workers may hold borrows into
-/// level-local state — so it can never change results; its tally
+/// batch-local state — so it can never change results; its tally
 /// surfaces as `RunDiagnostics::watchdog_stalls`. Dropping the handle
 /// disarms: the monitor is woken and joined.
 pub(crate) struct Watchdog {
@@ -352,7 +340,7 @@ pub(crate) struct Watchdog {
 }
 
 struct WatchdogShared {
-    /// Bumped by the coordinator at every level barrier.
+    /// Bumped at every close of a lane group's level.
     progress: AtomicU64,
     /// Quiet periods of at least `timeout` with no progress.
     stalls: AtomicU64,
@@ -384,7 +372,7 @@ impl Watchdog {
         }
     }
 
-    /// Reports forward progress (called at every level barrier).
+    /// Reports forward progress (called at every level close).
     pub fn progress(&self) {
         self.shared.progress.fetch_add(1, Ordering::Relaxed);
     }
@@ -454,22 +442,21 @@ mod tests {
     use super::*;
     use avfs_inject::{FaultPlan, InjectionSite};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
 
     #[test]
     fn single_worker_pool_runs_inline() {
         let pool = WorkerPool::new(1);
         assert_eq!(pool.size(), 1);
         let hits = AtomicUsize::new(0);
-        let idle = pool.run(
+        pool.run(
             &|w| {
                 assert_eq!(w, 0);
                 hits.fetch_add(1, Ordering::Relaxed);
             },
             &Injector::unarmed(),
-            false,
         );
         assert_eq!(hits.load(Ordering::Relaxed), 1);
-        assert_eq!(idle, Duration::ZERO);
     }
 
     #[test]
@@ -487,7 +474,6 @@ mod tests {
                     total.fetch_add(1, Ordering::Relaxed);
                 },
                 &Injector::unarmed(),
-                true,
             );
             for s in &seen {
                 assert_eq!(s.load(Ordering::Relaxed), epoch);
@@ -513,7 +499,6 @@ mod tests {
                 }
             },
             &Injector::unarmed(),
-            false,
         );
         assert!(done.iter().all(|d| d.load(Ordering::Relaxed) == 1));
     }
@@ -529,7 +514,6 @@ mod tests {
                     }
                 },
                 &Injector::unarmed(),
-                false,
             );
         }));
         assert!(outcome.is_err());
@@ -540,7 +524,6 @@ mod tests {
                 hits.fetch_add(1, Ordering::Relaxed);
             },
             &Injector::unarmed(),
-            false,
         );
         assert_eq!(hits.load(Ordering::Relaxed), 2);
     }
@@ -556,7 +539,6 @@ mod tests {
                     }
                 },
                 &Injector::unarmed(),
-                false,
             );
         }));
         assert!(outcome.is_err());
@@ -577,7 +559,6 @@ mod tests {
                 hits.fetch_add(1, Ordering::Relaxed);
             },
             &Injector::armed(Arc::clone(&plan)),
-            false,
         );
         assert_eq!(hits.load(Ordering::Relaxed), 2, "both shares still ran");
         assert!(

@@ -26,7 +26,7 @@
 //!
 //! | Site | key | salt | host |
 //! |---|---|---|---|
-//! | `ArenaOverflow` | global slot index | retry round | `avfs-waveform` writer hook, installed by the engine |
+//! | `ArenaOverflow` | global slot index | retry round | engine gate task, after the merge and before the output is staged |
 //! | `KernelPanic` | global slot index | retry round | engine gate task |
 //! | `NonFiniteKernel` | global slot index | retry round | engine voltage grouping, once per slot per round |
 //! | `WorkerStall` | pool worker index | pool epoch | `avfs-core` worker pool |
@@ -75,8 +75,8 @@ pub enum InjectionSite {
     /// round — every delay the slot reads falls back to nominal, as the
     /// fallback guard would make of a non-finite factor.
     NonFiniteKernel,
-    /// A pool worker sleeps before joining an epoch — exercises the
-    /// stall watchdog (timing only; never changes results).
+    /// A pool worker sleeps before taking its share of a release —
+    /// timing only; never changes results.
     WorkerStall,
     /// A quarantine-retry round is denied capacity growth — exercises
     /// memory-budget admission control.

@@ -25,18 +25,18 @@
 //!
 //! # Concurrent access
 //!
-//! A single owner fills cells through `&mut` ([`WaveformArena::write`],
-//! [`WaveformArena::copy_cell`]). Several workers populate the arena
-//! through [`WaveformArena::level_writer`]: a shared [`LevelWriter`] for
-//! one *write epoch* (one level of a levelized simulation). Any worker may
-//! write any cell **once** per epoch; a per-cell atomic claim bit makes
-//! each cell's writer exclusive, so scattered work-stealing schedules
-//! (where the set of written cells is disjoint but not contiguous) can
-//! write in place concurrently. A worker collects finished cells in its
-//! [`GateScratch`] and publishes them a block at a time: one `fetch_add`
-//! on the cursor reserves the block's span of `times`, one copy fills
-//! it, and each cell's `off`/`len`/`initial` are stored once its claim
-//! is won.
+//! Cells are written only through a shared [`LevelWriter`]
+//! ([`WaveformArena::level_writer`]), from any number of workers, and
+//! read back through `&self` ([`WaveformArena::view`]) once the writer is
+//! gone. Between two [`WaveformArena::reset`]s — one *batch* of a
+//! levelized simulation, every level of it — any worker may write any
+//! cell **once**; a per-cell atomic claim bit makes each cell's writer
+//! exclusive, so scattered work-stealing schedules (where the set of
+//! written cells is disjoint but not contiguous) can write in place
+//! concurrently. A worker collects finished cells in its [`GateScratch`]
+//! and publishes them a block at a time: one `fetch_add` on the cursor
+//! reserves the block's span of `times`, one copy fills it, and each
+//! cell's `off`/`len`/`initial` are stored once its claim is won.
 
 use crate::{CapacityOverflow, GateScratch, Waveform, WaveformRead, WaveformStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -85,8 +85,8 @@ pub struct WaveformArena {
     /// The bump cursor: first unwritten element of `times`. Atomic so
     /// concurrent publishers can reserve disjoint spans.
     used: AtomicUsize,
-    /// One claim bit per entry (64 per word), reset at the start of each
-    /// [`Self::level_writer`] epoch. The word width matches the lane-group
+    /// One claim bit per entry (64 per word): set by the entry's one
+    /// write, cleared by [`Self::reset`]. The word width matches the lane-group
     /// width of [`crate::LaneLayout`], so a full lane run's claims live in
     /// one word and batch claims are a single `fetch_or`.
     claims: Vec<AtomicU64>,
@@ -195,7 +195,8 @@ impl WaveformArena {
         self.capacity
     }
 
-    /// Resets every entry to a constant-low signal and rewinds the
+    /// Resets every entry to an unwritten constant-low signal — its
+    /// claim cleared, so it may be written once more — and rewinds the
     /// storage cursor (storage is retained; the peak-occupancy watermark
     /// is kept for diagnostics).
     pub fn reset(&mut self) {
@@ -262,49 +263,6 @@ impl WaveformArena {
         }
     }
 
-    /// Writes a waveform into entry `idx`, appending its transitions to
-    /// the packed storage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CapacityOverflow`] (leaving the entry untouched) if the
-    /// waveform has more than [`Self::capacity`] transitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range, or if rewriting entries without
-    /// a [`Self::reset`] in between has used up the reservation.
-    pub fn write(&mut self, idx: usize, waveform: &Waveform) -> Result<(), CapacityOverflow> {
-        let transitions = waveform.transitions();
-        if transitions.len() > self.capacity {
-            return Err(CapacityOverflow {
-                capacity: self.capacity,
-            });
-        }
-        let used = self.used.get_mut();
-        let start = *used;
-        self.times[..self.reserved][start..start + transitions.len()].copy_from_slice(transitions);
-        *used += transitions.len();
-        self.initial[idx] = waveform.initial_value();
-        self.len[idx] = transitions.len() as u32;
-        self.off[idx] = start as u32;
-        self.peak.fetch_max(transitions.len(), Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Makes entry `dst` the same waveform as entry `src` by pointing it
-    /// at `src`'s stored transitions — the passthrough for identity
-    /// stages (e.g. primary-output observation nodes); nothing is copied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn copy_cell(&mut self, src: usize, dst: usize) {
-        self.initial[dst] = self.initial[src];
-        self.len[dst] = self.len[src];
-        self.off[dst] = self.off[src];
-    }
-
     /// Copies entry `idx` out into an owned [`Waveform`].
     ///
     /// # Panics
@@ -327,25 +285,12 @@ impl WaveformArena {
         self.peak.load(Ordering::Relaxed)
     }
 
-    /// Begins a concurrent write epoch: clears every claim bit and
-    /// returns a shared [`LevelWriter`] through which any worker may
-    /// write each cell at most once. See [`LevelWriter`] for the access
-    /// discipline.
-    ///
-    /// `hook` is the fault-injection seam (`None` on every normal epoch):
-    /// when present, every *non-empty* [`LevelWriter::stage`] consults
-    /// `hook(idx)` first and reports [`CapacityOverflow`] — nothing
-    /// staged, cell untouched and unclaimed — when it returns `true`,
-    /// exactly as if the waveform had outgrown the cell. The hook must be
-    /// pure per `(epoch, idx)` (it runs on whichever worker owns the
-    /// task), and it is never consulted for empty outputs or
-    /// [`LevelWriter::write_constant_run`], so a quiet cell can not be
-    /// forced to overflow — the activity-gating invariant ("a quiet task
-    /// cannot overflow") survives injection.
-    pub fn level_writer<'a>(&'a mut self, hook: Option<&'a OverflowHook<'a>>) -> LevelWriter<'a> {
-        for word in &mut self.claims {
-            *word.get_mut() = 0;
-        }
+    /// A shared [`LevelWriter`] through which any worker may write each
+    /// cell not yet written since the last [`Self::reset`] — once. Claims
+    /// outlive the writer, so writers opened one after another within a
+    /// batch see each other's cells as written. See [`LevelWriter`] for
+    /// the access discipline.
+    pub fn level_writer(&mut self) -> LevelWriter<'_> {
         let entries = self.len.len();
         LevelWriter {
             capacity: self.capacity,
@@ -358,17 +303,10 @@ impl WaveformArena {
             used: &self.used,
             claims: &self.claims,
             peak: &self.peak,
-            overflow_hook: hook,
             _arena: std::marker::PhantomData,
         }
     }
 }
-
-/// A forced-overflow predicate for [`WaveformArena::level_writer`]:
-/// `hook(cell index) == true` makes that cell's write report
-/// [`CapacityOverflow`]. Installed by fault-injection harnesses; `Sync`
-/// because it is consulted from pool workers.
-pub type OverflowHook<'h> = dyn Fn(usize) -> bool + Sync + 'h;
 
 /// One finished cell waiting in a [`GateScratch`] for
 /// [`LevelWriter::publish`]; its transitions are the next `len` of the
@@ -380,37 +318,40 @@ pub(crate) struct StagedCell {
     initial: bool,
 }
 
-/// A shared handle for one concurrent write epoch of a [`WaveformArena`]
-/// (one *level* of a levelized simulation), created by
+/// A shared handle through which the workers of one *batch* of a
+/// levelized simulation write a [`WaveformArena`] — stimuli, every
+/// level's gate outputs and passthroughs — created by
 /// [`WaveformArena::level_writer`].
 ///
 /// # Access discipline
 ///
-/// * Every cell may be **written at most once** per epoch. Writes claim
-///   the cell's atomic bit first (`fetch_or`, acquire-release); exactly
-///   one writer wins, so the subsequent plain stores are exclusive. A
-///   second write of the same cell panics instead of racing.
+/// * Every cell may be **written at most once** between two
+///   [`WaveformArena::reset`]s. Writes claim the cell's atomic bit first
+///   (`fetch_or`, acquire-release); exactly one writer wins, so the
+///   subsequent plain stores are exclusive. A second write of the same
+///   cell panics instead of racing.
 /// * Transitions reach the arena a block at a time
-///   ([`LevelWriter::stage`], then [`LevelWriter::publish`]): the
-///   publisher reserves a span of the packed `times` lane with one
-///   `fetch_add` on the storage cursor, so concurrent publishers fill
-///   disjoint spans, and a cell's `off`/`len`/`initial` are stored only
-///   after its claim is won. An output that is never staged reserves
-///   nothing.
-/// * Reads ([`LevelWriter::view`] and the lane-run forms
-///   [`LevelWriter::quiet_run`] and [`LevelWriter::initial_run`]) must
-///   target cells that are **not written in this epoch**. In a
-///   levelized schedule this holds by
-///   construction: a level's gates read only fanin cells of strictly
-///   earlier levels, and each level writes only its own gates' outputs.
-///   The claim bit is checked on every read and panics on a violation;
-///   this is a best-effort tripwire — the levelization invariant, not the
-///   check, is the memory-model argument (a read can only race with a
-///   write if that invariant is already broken).
+///   ([`LevelWriter::stage`] or [`LevelWriter::stage_waveform`], then
+///   [`LevelWriter::publish`]): the publisher reserves a span of the
+///   packed `times` lane with one `fetch_add` on the storage cursor, so
+///   concurrent publishers fill disjoint spans, and a cell's
+///   `off`/`len`/`initial` are stored only after its claim is won. An
+///   output that is never staged reserves nothing.
+/// * Reads ([`LevelWriter::view`], [`LevelWriter::copy_cell`]'s source
+///   and the lane-run forms [`LevelWriter::quiet_run`] and
+///   [`LevelWriter::initial_run`]) must target cells **already written
+///   in this batch**, and the caller must have synchronized with their
+///   writer. In a levelized schedule both hold by construction: a
+///   level's gates read only fanin cells of strictly earlier levels, and
+///   a level opens only after every task of the one before it reported
+///   done. The claim bit is checked on every read and panics when the
+///   cell is unwritten — a read ahead of levelization. This is a
+///   best-effort tripwire: the levelization invariant, not the check, is
+///   the memory-model argument (a claimed cell whose stores are still in
+///   flight passes the check, and only a broken schedule can read one).
 ///
 /// The writer is `Send + Sync`; it borrows the arena mutably, so no other
-/// access to the arena is possible until it is dropped — the epoch's
-/// *barrier* is simply the end of the borrow.
+/// access to the arena is possible until it is dropped.
 pub struct LevelWriter<'a> {
     capacity: usize,
     entries: usize,
@@ -423,10 +364,6 @@ pub struct LevelWriter<'a> {
     used: &'a AtomicUsize,
     claims: &'a [AtomicU64],
     peak: &'a AtomicUsize,
-    /// Fault-injection forced-overflow predicate (see
-    /// [`WaveformArena::level_writer`]); `None` on every normal
-    /// epoch, so the unarmed cost is one discriminant branch per write.
-    overflow_hook: Option<&'a OverflowHook<'a>>,
     _arena: std::marker::PhantomData<&'a mut WaveformArena>,
 }
 
@@ -435,21 +372,22 @@ impl std::fmt::Debug for LevelWriter<'_> {
         f.debug_struct("LevelWriter")
             .field("capacity", &self.capacity)
             .field("entries", &self.entries)
-            .field("hooked", &self.overflow_hook.is_some())
             .finish_non_exhaustive()
     }
 }
 
 // SAFETY: all mutation goes through the per-cell claim protocol (one
-// exclusive winner per cell per epoch) and the cursor reservation (one
+// exclusive winner per cell per batch) and the cursor reservation (one
 // exclusive span of `times` per published block); reads are
 // claim-checked. The raw pointers are valid for the arena borrow 'a.
 unsafe impl Send for LevelWriter<'_> {}
 // SAFETY: shared references only permit protocol-mediated access (same
-// argument as Send above): `publish`/`write_constant_run` first win the
-// per-cell atomic claim, `publish` copies only into the span its own
-// `fetch_add` reserved, and `view`/`quiet_run`/`initial_run` assert the
-// cells are unclaimed for the epoch, so `&LevelWriter` is safe to share.
+// argument as Send above): `publish`/`write_constant_run`/`copy_cell`
+// first win the per-cell atomic claim, `publish` copies only into the
+// span its own `fetch_add` reserved, and `view`/`quiet_run`/
+// `initial_run`/`copy_cell` read only cells whose claim is already set —
+// cells no one writes again before the next reset — so `&LevelWriter`
+// is safe to share.
 unsafe impl Sync for LevelWriter<'_> {}
 
 impl LevelWriter<'_> {
@@ -530,26 +468,45 @@ impl LevelWriter<'_> {
         out
     }
 
-    /// A read view of cell `idx`, which must not be written in this epoch
-    /// (see the access discipline above).
+    /// Checks that every masked cell of the run at `start` is written:
+    /// the tripwire of the read discipline (see the type docs).
+    #[inline]
+    fn check_written(&self, start: usize, lanes: u64) {
+        if lanes == 0 {
+            return;
+        }
+        let width = 64 - lanes.leading_zeros() as usize;
+        assert!(
+            start + width <= self.entries,
+            "lane run {start}+{width} out of range"
+        );
+        let unwritten = lanes & !self.claimed_bits(start, width);
+        assert!(
+            unwritten == 0,
+            "read of arena run {start} (lanes {unwritten:#x}) not written yet this batch"
+        );
+    }
+
+    /// A read view of cell `idx`, which must be written already (see the
+    /// access discipline above).
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range or the cell was already written in
-    /// this epoch.
+    /// Panics if `idx` is out of range or the cell is not written yet.
     #[inline]
     pub fn view(&self, idx: usize) -> WaveformView<'_> {
         assert!(idx < self.entries, "arena cell {idx} out of range");
         assert!(
-            !self.is_claimed(idx),
-            "read of arena cell {idx} written in the same level epoch"
+            self.is_claimed(idx),
+            "read of arena cell {idx} not written yet this batch"
         );
-        // SAFETY: idx is in range; the cell is unclaimed, and under the
-        // levelization contract no writer will claim it during this epoch,
-        // so the plain reads cannot race. A non-empty cell's span was
-        // stored by `WaveformArena::write` or `publish`, both of which
-        // keep `off + len` within `reserved`, and nothing in this epoch
-        // writes below the cursor its publishers started from.
+        // SAFETY: idx is in range and the cell is written: its one writer
+        // finished its stores before the caller synchronized with it (the
+        // levelization contract), and nothing writes it again before the
+        // next reset, so the plain reads cannot race. A non-empty cell's
+        // span was stored by `publish` or `copy_cell`, which keep
+        // `off + len` within `reserved`, and no publisher writes below the
+        // cursor it reserved from.
         unsafe {
             let len = *self.len.add(idx) as usize;
             let start = if len == 0 {
@@ -564,37 +521,30 @@ impl LevelWriter<'_> {
         }
     }
 
-    /// The *quiet bits* of the lane run `start .. start + width`: bit `k`
-    /// of the result is set iff cell `start + k` is *quiet* — zero
-    /// transitions, i.e. a constant signal for the whole simulation
-    /// window. A gate whose fanin cells are all quiet has a constant
-    /// output and needs no waveform evaluation. In a lane-major arena one
-    /// net's waveforms for a whole lane group are contiguous
-    /// ([`crate::LaneLayout::run_start`]); a width-1 run is the single
-    /// cell. Same access discipline as [`LevelWriter::view`]: the run
-    /// must not be written in this epoch.
+    /// The *quiet bits* of the `lanes` of the run at `start`: bit `k` of
+    /// the result is set iff bit `k` of `lanes` is and cell `start + k` is
+    /// *quiet* — zero transitions, i.e. a constant signal for the whole
+    /// simulation window. A gate whose fanin cells are all quiet has a
+    /// constant output and needs no waveform evaluation. In a lane-major
+    /// arena one net's waveforms for a whole lane group are contiguous
+    /// ([`crate::LaneLayout::run_start`]); a one-lane run is the single
+    /// cell. Same access discipline as [`LevelWriter::view`] for every
+    /// masked cell; unmasked lanes are not read.
     ///
     /// # Panics
     ///
-    /// Panics if `width > 64`, the run leaves the arena, or any cell of
-    /// the run was already written in this epoch.
+    /// Panics if the masked run leaves the arena or any masked cell is
+    /// not written yet.
     #[inline]
-    pub fn quiet_run(&self, start: usize, width: usize) -> u64 {
-        assert!(width <= 64, "lane run width {width} exceeds 64");
-        assert!(
-            start + width <= self.entries,
-            "lane run {start}+{width} out of range"
-        );
-        assert_eq!(
-            self.claimed_bits(start, width),
-            0,
-            "read of arena run {start}+{width} written in the same level epoch"
-        );
+    pub fn quiet_run(&self, start: usize, lanes: u64) -> u64 {
+        self.check_written(start, lanes);
         let mut out = 0u64;
-        for k in 0..width {
-            // SAFETY: the run is in range and unclaimed; under the
-            // levelization contract no writer will claim it during this
-            // epoch, so the plain reads cannot race.
+        let mut rem = lanes;
+        while rem != 0 {
+            let k = rem.trailing_zeros() as usize;
+            rem &= rem - 1;
+            // SAFETY: in range and written, per `check_written` — plain
+            // reads cannot race (see `view`).
             if unsafe { *self.len.add(start + k) } == 0 {
                 out |= 1 << k;
             }
@@ -602,34 +552,28 @@ impl LevelWriter<'_> {
         out
     }
 
-    /// The packed *initial values* of the lane run `start .. start +
-    /// width`: bit `k` of the result is cell `start + k`'s initial logic
-    /// value. Together with [`LevelWriter::quiet_run`] this feeds the
-    /// bit-parallel boolean kernel
+    /// The packed *initial values* of the `lanes` of the run at `start`:
+    /// bit `k` of the result is cell `start + k`'s initial logic value
+    /// (0 for an unmasked lane). Together with [`LevelWriter::quiet_run`]
+    /// this feeds the bit-parallel boolean kernel
     /// (`LogicFunction::eval_lanes`): all-quiet fanin runs reduce a gate
     /// to one word-wide logic op per input. Same access discipline as
-    /// [`LevelWriter::view`].
+    /// [`LevelWriter::quiet_run`].
     ///
     /// # Panics
     ///
-    /// Panics if `width > 64`, the run leaves the arena, or any cell of
-    /// the run was already written in this epoch.
+    /// Panics if the masked run leaves the arena or any masked cell is
+    /// not written yet.
     #[inline]
-    pub fn initial_run(&self, start: usize, width: usize) -> u64 {
-        assert!(width <= 64, "lane run width {width} exceeds 64");
-        assert!(
-            start + width <= self.entries,
-            "lane run {start}+{width} out of range"
-        );
-        assert_eq!(
-            self.claimed_bits(start, width),
-            0,
-            "read of arena run {start}+{width} written in the same level epoch"
-        );
+    pub fn initial_run(&self, start: usize, lanes: u64) -> u64 {
+        self.check_written(start, lanes);
         let mut out = 0u64;
-        for k in 0..width {
-            // SAFETY: in range, unclaimed, and not written this epoch per
-            // the levelization contract — plain reads cannot race.
+        let mut rem = lanes;
+        while rem != 0 {
+            let k = rem.trailing_zeros() as usize;
+            rem &= rem - 1;
+            // SAFETY: in range and written, per `check_written` — plain
+            // reads cannot race (see `view`).
             if unsafe { *self.initial.add(start + k) } {
                 out |= 1 << k;
             }
@@ -649,7 +593,7 @@ impl LevelWriter<'_> {
     /// # Panics
     ///
     /// Panics if the masked run leaves the arena or any masked cell was
-    /// already written in this epoch.
+    /// already written.
     pub fn write_constant_run(&self, start: usize, mask: u64, values: u64) {
         if mask == 0 {
             return;
@@ -662,14 +606,14 @@ impl LevelWriter<'_> {
         let lost = self.claim_run(start, mask);
         assert!(
             lost == 0,
-            "arena run {start} (lanes {lost:#x}) written twice within one level epoch"
+            "arena run {start} (lanes {lost:#x}) written twice within one batch"
         );
         let mut rem = mask;
         while rem != 0 {
             let k = rem.trailing_zeros() as usize;
             rem &= rem - 1;
             // SAFETY: this caller won the claim for every masked cell, so
-            // it has exclusive write access for the rest of the epoch; the
+            // it has exclusive write access until the next reset; the
             // indices are in bounds. The peak watermark is untouched —
             // `max(peak, 0)` is the identity — and so is `off`, which is
             // never read for an empty cell.
@@ -677,6 +621,33 @@ impl LevelWriter<'_> {
                 *self.initial.add(start + k) = values >> k & 1 == 1;
                 *self.len.add(start + k) = 0;
             }
+        }
+    }
+
+    /// Makes cell `dst` the same waveform as the written cell `src` by
+    /// pointing it at `src`'s stored transitions — the passthrough for
+    /// identity stages (e.g. primary-output observation nodes); nothing
+    /// is copied and no storage is reserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range, `src` is not written yet
+    /// or `dst` was already written.
+    pub fn copy_cell(&self, src: usize, dst: usize) {
+        assert!(dst < self.entries, "arena cell {dst} out of range");
+        let from = self.view(src);
+        assert!(
+            self.claim(dst),
+            "arena cell {dst} written twice within one batch"
+        );
+        // SAFETY: this caller won `dst`'s claim (in range, checked above),
+        // so it has exclusive write access until the next reset; `src` is
+        // written and never written again (see `view`), so its span stays
+        // valid — the two cells alias one span of `times`.
+        unsafe {
+            *self.initial.add(dst) = from.initial;
+            *self.len.add(dst) = *self.len.add(src);
+            *self.off.add(dst) = *self.off.add(src);
         }
     }
 
@@ -688,9 +659,8 @@ impl LevelWriter<'_> {
     /// # Errors
     ///
     /// Returns [`CapacityOverflow`] if the output exceeds the per-cell
-    /// capacity or the epoch's overflow hook fires for `idx`; the output
-    /// stays unstaged (the next evaluation drops it), so the cell is left
-    /// untouched and unclaimed.
+    /// capacity; the output stays unstaged (the next evaluation drops
+    /// it), so the cell is left untouched and unclaimed.
     ///
     /// # Panics
     ///
@@ -703,19 +673,10 @@ impl LevelWriter<'_> {
     ) -> Result<WaveformStats, CapacityOverflow> {
         assert!(idx < self.entries, "arena cell {idx} out of range");
         let transitions = scratch.scheduled();
-        let overflow = Err(CapacityOverflow {
-            capacity: self.capacity,
-        });
         if transitions.len() > self.capacity {
-            return overflow;
-        }
-        // Injected forced overflow: same observable outcome as a real
-        // capacity miss. Empty outputs are exempt (a constant output
-        // fits any capacity, hooked or not).
-        if let Some(hook) = self.overflow_hook {
-            if !transitions.is_empty() && hook(idx) {
-                return overflow;
-            }
+            return Err(CapacityOverflow {
+                capacity: self.capacity,
+            });
         }
         let stats = WaveformStats::of(&WaveformView {
             initial,
@@ -730,6 +691,28 @@ impl LevelWriter<'_> {
         Ok(stats)
     }
 
+    /// Stages a copy of `waveform` as cell `idx` — [`LevelWriter::stage`]
+    /// for an output no evaluation produced, such as a stimulus.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CapacityOverflow`] if `waveform` exceeds the per-cell
+    /// capacity (nothing staged).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn stage_waveform(
+        &self,
+        scratch: &mut GateScratch,
+        idx: usize,
+        waveform: &Waveform,
+    ) -> Result<WaveformStats, CapacityOverflow> {
+        scratch.sched.truncate(scratch.staged_len);
+        scratch.sched.extend_from_slice(waveform.transitions());
+        self.stage(scratch, idx, waveform.initial_value())
+    }
+
     /// Moves every cell staged in `scratch` into the arena and empties
     /// the scratch: one `fetch_add` on the storage cursor reserves the
     /// block's span of `times`, one copy fills it, then each cell's claim
@@ -741,10 +724,9 @@ impl LevelWriter<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if a staged cell was already written in this epoch, or if
-    /// the block does not fit the arena's reservation — which takes a
-    /// cell rewritten in a later epoch without a
-    /// [`WaveformArena::reset`] in between.
+    /// Panics if a staged cell was already written, or if the block does
+    /// not fit the arena's reservation — which takes a cell rewritten
+    /// without a [`WaveformArena::reset`] in between.
     pub fn publish(&self, scratch: &mut GateScratch) {
         let total = scratch.staged_len;
         if scratch.staged.is_empty() {
@@ -752,8 +734,10 @@ impl LevelWriter<'_> {
             return;
         }
         // Relaxed: the cursor publishes no data, it only hands out
-        // disjoint spans; the spans' contents become visible to readers
-        // with the end of the epoch's borrow, like every other write.
+        // disjoint spans; the spans' contents reach readers the way every
+        // other write does — through the synchronization that orders a
+        // level's tasks after the ones before it, or the end of the
+        // writer's borrow.
         let start = self.used.fetch_add(total, Ordering::Relaxed);
         assert!(
             start
@@ -776,12 +760,12 @@ impl LevelWriter<'_> {
         for cell in scratch.staged.drain(..) {
             assert!(
                 self.claim(cell.idx),
-                "arena cell {} written twice within one level epoch",
+                "arena cell {} written twice within one batch",
                 cell.idx
             );
             // SAFETY: this caller won the claim for `cell.idx` (in range,
             // checked by `stage`), so it has exclusive write access to
-            // the cell's initial/len/off for the rest of the epoch. The
+            // the cell's initial/len/off until the next reset. The
             // span `off .. off + len` is the cell's share of the block
             // copied above and `off < reserved ≤ u32::MAX`.
             unsafe {
@@ -796,7 +780,7 @@ impl LevelWriter<'_> {
 
     /// Folds a worker's running maximum of written transition counts
     /// into the arena's peak-occupancy watermark — called once per
-    /// worker per epoch rather than once per write. Max is
+    /// worker per batch rather than once per write. Max is
     /// order-independent, so the watermark equals what per-write
     /// updates would have produced.
     pub fn note_occupancy(&self, transitions: usize) {
@@ -823,11 +807,31 @@ mod tests {
         Ok(())
     }
 
+    /// Writes `waveform` as cell `idx` through a writer of its own, and
+    /// folds its length into the occupancy watermark.
+    fn write(
+        arena: &mut WaveformArena,
+        idx: usize,
+        waveform: &Waveform,
+    ) -> Result<(), CapacityOverflow> {
+        let writer = arena.level_writer();
+        let mut scratch = GateScratch::new();
+        let stats = writer.stage_waveform(&mut scratch, idx, waveform)?;
+        writer.publish(&mut scratch);
+        writer.note_occupancy(stats.transitions);
+        Ok(())
+    }
+
+    /// Whether `f` panics.
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
     #[test]
     fn round_trips_waveforms() {
         let mut arena = WaveformArena::new(4, 8);
         let w = Waveform::with_transitions(true, vec![1.0, 5.0, 9.0]).unwrap();
-        arena.write(2, &w).unwrap();
+        write(&mut arena, 2, &w).unwrap();
         assert_eq!(arena.to_waveform(2), w);
         let v = arena.view(2);
         assert!(v.initial_value());
@@ -841,26 +845,39 @@ mod tests {
     fn write_rejects_oversized() {
         let mut arena = WaveformArena::new(1, 2);
         let w = Waveform::with_transitions(false, vec![1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(arena.write(0, &w), Err(CapacityOverflow { capacity: 2 }));
-        // Entry unchanged.
+        assert_eq!(
+            write(&mut arena, 0, &w),
+            Err(CapacityOverflow { capacity: 2 })
+        );
+        // Entry unchanged, and still writable.
         assert_eq!(arena.to_waveform(0), Waveform::constant(false));
+        let fits = Waveform::with_transitions(false, vec![1.0, 2.0]).unwrap();
+        write(&mut arena, 0, &fits).unwrap();
+        assert_eq!(arena.to_waveform(0), fits);
     }
 
     #[test]
-    fn reset_clears_entries_but_keeps_peak() {
+    fn reset_clears_entries_and_claims_but_keeps_peak() {
         let mut arena = WaveformArena::new(2, 4);
         let w = Waveform::with_transitions(true, vec![1.0, 2.0]).unwrap();
-        arena.write(1, &w).unwrap();
+        write(&mut arena, 1, &w).unwrap();
         arena.reset();
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
         assert_eq!(arena.peak_occupancy(), 2);
+        // The cell is unwritten again: readable through no writer, and
+        // writable once more.
+        assert!(panics(|| {
+            let _ = arena.level_writer().view(1);
+        }));
+        write(&mut arena, 1, &w).unwrap();
+        assert_eq!(arena.to_waveform(1), w);
     }
 
     #[test]
     fn reshape_to_a_smaller_shape_keeps_storage() {
         let mut arena = WaveformArena::new(8, 16);
         let w = Waveform::with_transitions(true, vec![1.0, 2.0, 3.0]).unwrap();
-        arena.write(7, &w).unwrap();
+        write(&mut arena, 7, &w).unwrap();
         let (times, lens) = (arena.times.as_ptr(), arena.len.as_ptr());
         // Fewer entries, then fewer-but-wider cells, then the original
         // shape again: all fit the first allocation.
@@ -877,9 +894,9 @@ mod tests {
             // The reshaped arena is fully usable: last cell, full capacity.
             let full: Vec<f64> = (0..capacity).map(|t| t as f64).collect();
             let w = Waveform::with_transitions(false, full).unwrap();
-            arena.write(entries - 1, &w).unwrap();
+            write(&mut arena, entries - 1, &w).unwrap();
             assert_eq!(arena.to_waveform(entries - 1), w);
-            let writer = arena.level_writer(None);
+            let writer = arena.level_writer();
             assert_eq!(writer.entries(), entries);
             writer.write_constant_run(0, 1, 1);
         }
@@ -889,7 +906,7 @@ mod tests {
     fn reshape_to_the_same_shape_touches_nothing_but_the_watermark() {
         let mut arena = WaveformArena::new(4, 4);
         let w = Waveform::with_transitions(true, vec![1.0, 2.0]).unwrap();
-        arena.write(1, &w).unwrap();
+        write(&mut arena, 1, &w).unwrap();
         assert_eq!(arena.peak_occupancy(), 2);
         assert!(!arena.reshape(4, 4));
         assert_eq!(arena.peak_occupancy(), 0);
@@ -917,29 +934,28 @@ mod tests {
         let full = Waveform::with_transitions(false, vec![1.0, 2.0]).unwrap();
         // Every cell at full capacity ends exactly at the reservation.
         for idx in 0..4 {
-            arena.write(idx, &full).unwrap();
+            write(&mut arena, idx, &full).unwrap();
         }
         assert_eq!(*arena.used.get_mut(), 4 * 2);
         // Without a rewind there is no room left for a rewrite ...
-        let rewrite = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = arena.write(0, &full);
-        }));
         assert!(
-            rewrite.is_err(),
+            panics(|| {
+                let _ = write(&mut arena, 0, &full);
+            }),
             "a rewrite past the reservation must panic"
         );
         // ... a reset gives the whole reservation back ...
         arena.reset();
         assert_eq!(*arena.used.get_mut(), 0);
         for idx in 0..4 {
-            arena.write(idx, &full).unwrap();
+            write(&mut arena, idx, &full).unwrap();
         }
         // ... and so does a reshape that changes the shape.
         assert!(!arena.reshape(2, 4));
         assert_eq!((*arena.used.get_mut(), arena.reserved), (0, 8));
         let wide = Waveform::with_transitions(true, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        arena.write(0, &wide).unwrap();
-        arena.write(1, &wide).unwrap();
+        write(&mut arena, 0, &wide).unwrap();
+        write(&mut arena, 1, &wide).unwrap();
         assert_eq!(arena.to_waveform(1), wide);
     }
 
@@ -947,7 +963,7 @@ mod tests {
     fn reshape_beyond_the_allocation_reallocates() {
         let mut arena = WaveformArena::new(4, 4);
         let w = Waveform::with_transitions(true, vec![1.0, 2.0]).unwrap();
-        arena.write(3, &w).unwrap();
+        write(&mut arena, 3, &w).unwrap();
         // More cells than the times lane holds.
         assert!(arena.reshape(4, 8));
         assert_eq!((arena.entries(), arena.capacity()), (4, 8));
@@ -960,7 +976,7 @@ mod tests {
             assert_eq!(arena.to_waveform(idx), Waveform::constant(false));
         }
         let w = Waveform::with_transitions(false, vec![9.0]).unwrap();
-        arena.write(15, &w).unwrap();
+        write(&mut arena, 15, &w).unwrap();
         assert_eq!(arena.to_waveform(15), w);
     }
 
@@ -968,7 +984,7 @@ mod tests {
     fn level_writer_reports_occupancy_once_per_worker() {
         let mut arena = WaveformArena::new(4, 8);
         {
-            let writer = arena.level_writer(None);
+            let writer = arena.level_writer();
             write_one(&writer, 0, false, &[1.0, 2.0, 3.0]).unwrap();
             write_one(&writer, 1, false, &[1.0]).unwrap();
             // Writes alone leave the shared watermark alone ...
@@ -977,7 +993,7 @@ mod tests {
         assert_eq!(arena.peak_occupancy(), 1);
         {
             // ... until the worker folds its running maximum in.
-            let writer = arena.level_writer(None);
+            let writer = arena.level_writer();
             writer.note_occupancy(3);
             writer.note_occupancy(2);
         }
@@ -986,25 +1002,32 @@ mod tests {
 
     #[test]
     fn copy_cell_is_a_passthrough() {
-        let mut arena = WaveformArena::new(3, 4);
+        let mut arena = WaveformArena::new(4, 4);
         let w = Waveform::with_transitions(true, vec![3.0, 8.0]).unwrap();
-        arena.write(0, &w).unwrap();
-        arena.copy_cell(0, 2);
+        {
+            let writer = arena.level_writer();
+            write_one(&writer, 0, true, &[3.0, 8.0]).unwrap();
+            writer.copy_cell(0, 2);
+            assert_eq!(writer.view(2).transitions(), &[3.0, 8.0]);
+            // The source must be written and the target must not be.
+            assert!(panics(|| writer.copy_cell(1, 3)), "unwritten source");
+            assert!(panics(|| writer.copy_cell(0, 2)), "written target");
+        }
         assert_eq!(arena.to_waveform(2), w);
         // Source is untouched, unrelated cells too.
         assert_eq!(arena.to_waveform(0), w);
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
         // The copy is an alias: it took no storage of its own ...
         assert_eq!(*arena.used.get_mut(), 2);
-        // ... and still reads back after later epochs appended theirs.
-        for epoch in 0..2 {
-            let writer = arena.level_writer(None);
+        // ... and still reads back after later writers appended theirs.
+        for (idx, t) in [(1, 10.0), (3, 11.0)] {
+            let writer = arena.level_writer();
             assert_eq!(writer.view(2).transitions(), &[3.0, 8.0]);
-            write_one(&writer, 1, false, &[10.0 + epoch as f64]).unwrap();
+            write_one(&writer, idx, false, &[t]).unwrap();
         }
         assert_eq!(arena.to_waveform(2), w);
         assert_eq!(arena.to_waveform(0), w);
-        assert_eq!(arena.view(1).transitions(), &[11.0]);
+        assert_eq!(arena.view(3).transitions(), &[11.0]);
     }
 
     #[test]
@@ -1012,8 +1035,8 @@ mod tests {
         let mut arena = WaveformArena::new(2, 4);
         let a = Waveform::with_transitions(false, vec![100.0]).unwrap();
         let b = Waveform::constant(true);
-        arena.write(0, &a).unwrap();
-        arena.write(1, &b).unwrap();
+        write(&mut arena, 0, &a).unwrap();
+        write(&mut arena, 1, &b).unwrap();
         let d = [PinDelays {
             rise: 10.0,
             fall: 10.0,
@@ -1060,7 +1083,7 @@ mod tests {
     fn level_writer_concurrent_scattered_blocks() {
         let mut arena = WaveformArena::new(64, 4);
         {
-            let writer = arena.level_writer(None);
+            let writer = arena.level_writer();
             let writer = &writer;
             let start = std::sync::Barrier::new(4);
             let start = &start;
@@ -1108,7 +1131,7 @@ mod tests {
         let mut arena = WaveformArena::new(6, 3);
         let full = [1.0, 2.0, 3.0];
         {
-            let writer = arena.level_writer(None);
+            let writer = arena.level_writer();
             let mut scratch = GateScratch::new();
             for idx in 0..6 {
                 scratch.sched.extend_from_slice(&full);
@@ -1122,47 +1145,53 @@ mod tests {
         for idx in 0..6 {
             assert_eq!(arena.view(idx).transitions(), &full);
         }
-        // One transition more has nowhere to go: the next epoch's
-        // publisher panics instead of writing past the reservation.
-        let writer = arena.level_writer(None);
-        let spill = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = write_one(&writer, 0, true, &[9.0]);
-        }));
-        assert!(spill.is_err(), "a block past the reservation must panic");
+        // One transition more has nowhere to go: the next publisher
+        // panics instead of writing past the reservation.
+        let writer = arena.level_writer();
+        assert!(
+            panics(|| {
+                let _ = write_one(&writer, 0, true, &[9.0]);
+            }),
+            "a block past the reservation must panic"
+        );
     }
 
     #[test]
     fn level_writer_quiet_bits_and_constant_writes() {
-        let mut arena = WaveformArena::new(4, 2);
-        let w = Waveform::with_transitions(true, vec![5.0]).unwrap();
-        arena.write(1, &w).unwrap();
-        arena.write(2, &Waveform::constant(true)).unwrap();
+        let mut arena = WaveformArena::new(5, 2);
         {
-            // A width-1 run is the single cell.
-            let writer = arena.level_writer(None);
-            // Quiet = zero transitions; a toggling cell is not quiet.
+            let writer = arena.level_writer();
+            writer.write_constant_run(0, 1, 0);
+            write_one(&writer, 1, true, &[5.0]).unwrap();
+            writer.write_constant_run(2, 1, 1);
+            // A one-lane run is the single cell. Quiet = zero
+            // transitions; a toggling cell is not quiet.
             assert_eq!(writer.quiet_run(0, 1), 1);
             assert_eq!(writer.quiet_run(1, 1), 0);
             assert_eq!(writer.quiet_run(2, 1), 1, "constant-high is quiet too");
             // The constant fast path claims the cell like a normal write.
             writer.write_constant_run(3, 1, 1);
-            let double = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                writer.write_constant_run(3, 1, 0);
-            }));
-            assert!(double.is_err(), "double constant write must panic");
-            // Reading the quiet bit of a cell written this epoch trips
-            // the same wire as a dirty view.
-            let dirty = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = writer.quiet_run(3, 1);
-            }));
-            assert!(dirty.is_err(), "same-epoch quiet read must panic");
+            assert!(
+                panics(|| writer.write_constant_run(3, 1, 0)),
+                "double constant write must panic"
+            );
+            // Reading the quiet bit of a cell not written yet trips the
+            // same wire as a view of it.
+            assert!(
+                panics(|| {
+                    let _ = writer.quiet_run(4, 1);
+                }),
+                "unwritten quiet read must panic"
+            );
+            writer.note_occupancy(1);
         }
         assert_eq!(arena.to_waveform(3), Waveform::constant(true));
         // A constant write never moves the peak watermark.
         assert_eq!(arena.peak_occupancy(), 1);
         // A constant write is bit-for-bit equivalent to an empty write.
+        arena.reset();
         {
-            let writer = arena.level_writer(None);
+            let writer = arena.level_writer();
             writer.write_constant_run(0, 1, 1);
             write_one(&writer, 3, true, &[]).unwrap();
         }
@@ -1170,40 +1199,37 @@ mod tests {
     }
 
     #[test]
-    fn overflow_hook_forces_capacity_miss_and_leaves_cell_unclaimed() {
-        let mut arena = WaveformArena::new(4, 8);
-        let hook = |idx: usize| idx == 1;
+    fn an_overflowed_output_leaves_the_block_and_its_cell_alone() {
+        let mut arena = WaveformArena::new(4, 1);
         {
-            let writer = arena.level_writer(Some(&hook));
+            let writer = arena.level_writer();
             let mut scratch = GateScratch::new();
             scratch.sched.push(1.0);
             writer.stage(&mut scratch, 0, false).unwrap();
-            // The hooked cell reports the same error a real capacity miss
-            // would, even though 1 transition fits a capacity of 8 ...
-            scratch.sched.push(2.0);
+            // Two transitions do not fit a capacity of 1 ...
+            scratch.sched.extend_from_slice(&[2.0, 3.0]);
             assert_eq!(
                 writer.stage(&mut scratch, 1, false),
-                Err(CapacityOverflow { capacity: 8 })
+                Err(CapacityOverflow { capacity: 1 })
             );
-            // ... its output is dropped by the next evaluation, which
-            // here produces a constant, and an empty output is exempt: a
-            // quiet cell can not be forced to overflow.
+            // ... and the unstaged output is dropped by the next
+            // evaluation, which here produces a constant.
             let quiet = Waveform::constant(true);
             let d = [PinDelays::default()];
-            evaluate_gate_bounded_raw(&[&quiet], &d, |v| v[0], &mut scratch, 8).unwrap();
+            evaluate_gate_bounded_raw(&[&quiet], &d, |v| v[0], &mut scratch, 1).unwrap();
             writer.stage(&mut scratch, 2, true).unwrap();
             writer.publish(&mut scratch);
         }
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
         assert_eq!(arena.to_waveform(2), Waveform::constant(true));
         // The published block holds cell 0's transition and nothing of
-        // the hooked cell's.
+        // the overflowed cell's.
         assert_eq!(*arena.used.get_mut(), 1);
         assert_eq!(arena.view(0).transitions(), &[1.0]);
-        // The cell was left unclaimed: the quarantine epoch (no hook)
+        // The cell was left unclaimed: a later writer of the same batch
         // writes it normally.
         {
-            let writer = arena.level_writer(None);
+            let writer = arena.level_writer();
             write_one(&writer, 1, false, &[2.0]).unwrap();
         }
         assert_eq!(
@@ -1215,69 +1241,74 @@ mod tests {
     #[test]
     fn lane_runs_round_trip_quiet_initial_and_constant_writes() {
         let mut arena = WaveformArena::new(16, 4);
+        let writer = arena.level_writer();
         // Cells 0..8: a run with mixed initial values and one loud cell.
-        let loud = Waveform::with_transitions(false, vec![3.0]).unwrap();
-        arena.write(2, &loud).unwrap();
-        arena.write(5, &Waveform::constant(true)).unwrap();
-        {
-            let writer = arena.level_writer(None);
-            // Quiet bits: all but cell 2.
-            assert_eq!(writer.quiet_run(0, 8), 0b1111_1011);
-            // Initial bits: only cell 5 is high.
-            assert_eq!(writer.initial_run(0, 8), 0b0010_0000);
-            // Masked constant write: lanes 0, 2, 3 of run 8..12.
-            writer.write_constant_run(8, 0b1101, 0b0100);
-            // Unmasked lane 1 stays unclaimed and writable.
-            writer.write_constant_run(9, 1, 1);
-            // Double-writing a masked lane panics.
-            let double = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                writer.write_constant_run(8, 0b0001, 0);
-            }));
-            assert!(double.is_err(), "lane double write must panic");
-        }
+        writer.write_constant_run(0, 0b1111_1011, 0b0010_0000);
+        write_one(&writer, 2, false, &[3.0]).unwrap();
+        // Quiet bits: all but cell 2.
+        assert_eq!(writer.quiet_run(0, 0xFF), 0b1111_1011);
+        // Initial bits: only cell 5 is high.
+        assert_eq!(writer.initial_run(0, 0xFF), 0b0010_0000);
+        // Only the masked lanes are read and reported.
+        assert_eq!(writer.quiet_run(0, 0b0000_0110), 0b0000_0010);
+        assert_eq!(writer.initial_run(0, 0b0000_1111), 0);
+        // Masked constant write: lanes 0, 2, 3 of run 8..12.
+        writer.write_constant_run(8, 0b1101, 0b0100);
+        // The written lanes read back; unmasked lane 1 is unwritten, so a
+        // mask naming it trips the wire ...
+        assert_eq!(writer.quiet_run(8, 0b1101), 0b1101);
+        assert!(
+            panics(|| {
+                let _ = writer.initial_run(8, 0b1111);
+            }),
+            "a run read naming an unwritten lane must panic"
+        );
+        // ... and it stays unclaimed and writable.
+        writer.write_constant_run(9, 1, 1);
+        // Double-writing a masked lane panics.
+        assert!(
+            panics(|| writer.write_constant_run(8, 0b0001, 0)),
+            "lane double write must panic"
+        );
+        // An all-zero mask is a no-op that reads nothing.
+        writer.write_constant_run(12, 0, !0);
+        assert_eq!(writer.quiet_run(12, 0), 0);
         assert_eq!(arena.to_waveform(8), Waveform::constant(false));
         assert_eq!(arena.to_waveform(9), Waveform::constant(true));
         assert_eq!(arena.to_waveform(10), Waveform::constant(true));
         assert_eq!(arena.to_waveform(11), Waveform::constant(false));
-        // An all-zero mask is a no-op.
-        {
-            let writer = arena.level_writer(None);
-            writer.write_constant_run(0, 0, !0);
-            assert_eq!(writer.quiet_run(12, 4), 0b1111);
-        }
     }
 
     #[test]
     fn lane_runs_straddle_claim_words() {
-        // A run crossing the 64-bit claim-word boundary (cells 60..76)
-        // exercises the two-word fetch_or path a partial tail group hits.
-        let mut arena = WaveformArena::new(128, 2);
-        arena
-            .write(70, &Waveform::with_transitions(true, vec![1.0]).unwrap())
-            .unwrap();
-        {
-            let writer = arena.level_writer(None);
-            let quiet = writer.quiet_run(60, 16);
-            assert_eq!(quiet, !(1u64 << 10) & 0xFFFF);
-            assert_eq!(writer.initial_run(60, 16), 1 << 10);
-            // Claim lanes on both sides of the boundary in one call.
-            writer.write_constant_run(60, 0b11_0000_0011, 0b10_0000_0001);
-            let dirty = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = writer.quiet_run(60, 16);
-            }));
-            assert!(dirty.is_err(), "same-epoch lane read must panic");
-            let dirty = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = writer.initial_run(60, 16);
-            }));
-            assert!(dirty.is_err(), "same-epoch initial-value read must panic");
-        }
-        // Mask bits 0, 1 land in claim word 0 (cells 60, 61); bits 8, 9
-        // land in claim word 1 (cells 68, 69).
-        assert_eq!(arena.to_waveform(60), Waveform::constant(true));
-        assert_eq!(arena.to_waveform(61), Waveform::constant(false));
-        assert_eq!(arena.to_waveform(68), Waveform::constant(false));
-        assert_eq!(arena.to_waveform(69), Waveform::constant(true));
-        // Cells outside the mask kept their prior contents.
+        // Runs crossing a 64-bit claim-word boundary exercise the two-word
+        // paths a partial tail group hits: reads over cells 60..76,
+        // claims over cells 124..140.
+        let mut arena = WaveformArena::new(192, 2);
+        let writer = arena.level_writer();
+        writer.write_constant_run(60, 0xFFFF & !(1 << 10), 0);
+        write_one(&writer, 70, true, &[1.0]).unwrap();
+        assert_eq!(writer.quiet_run(60, 0xFFFF), !(1u64 << 10) & 0xFFFF);
+        assert_eq!(writer.initial_run(60, 0xFFFF), 1 << 10);
+        // Claim lanes on both sides of the boundary in one call.
+        writer.write_constant_run(124, 0b11_0000_0011, 0b10_0000_0001);
+        assert_eq!(writer.initial_run(124, 0b11_0000_0011), 0b10_0000_0001);
+        assert!(
+            panics(|| {
+                let _ = writer.quiet_run(124, 0xFFFF);
+            }),
+            "a run read over unwritten lanes must panic"
+        );
+        assert!(
+            panics(|| writer.write_constant_run(124, 0b1_0000_0000, 0)),
+            "a lane past the boundary is claimed"
+        );
+        // Mask bits 0, 1 land in claim word 1 (cells 124, 125); bits 8, 9
+        // land in claim word 2 (cells 132, 133).
+        assert_eq!(arena.to_waveform(124), Waveform::constant(true));
+        assert_eq!(arena.to_waveform(125), Waveform::constant(false));
+        assert_eq!(arena.to_waveform(132), Waveform::constant(false));
+        assert_eq!(arena.to_waveform(133), Waveform::constant(true));
         assert_eq!(arena.view(70).transitions(), &[1.0]);
     }
 
@@ -1286,16 +1317,15 @@ mod tests {
         // Two threads fight over overlapping masked runs; exactly one may
         // win each lane, and the loser must observe the claim panic.
         let mut arena = WaveformArena::new(64, 2);
-        let writer = arena.level_writer(None);
+        let writer = arena.level_writer();
         let writer = &writer;
         let wins: Vec<bool> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..2)
                 .map(|t| {
                     scope.spawn(move || {
-                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        !panics(|| {
                             writer.write_constant_run(0, 0xFF, if t == 0 { 0xFF } else { 0 });
-                        }));
-                        r.is_ok()
+                        })
                     })
                 })
                 .collect();
@@ -1309,23 +1339,27 @@ mod tests {
     }
 
     #[test]
-    fn level_writer_rejects_double_write_and_dirty_read() {
+    fn level_writer_rejects_double_write_and_unwritten_read() {
         let mut arena = WaveformArena::new(4, 2);
         {
-            let writer = arena.level_writer(None);
+            let writer = arena.level_writer();
             write_one(&writer, 1, true, &[5.0]).unwrap();
-            // Second write of the same cell in one epoch: claim panic.
-            let double = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = write_one(&writer, 1, false, &[6.0]);
-            }));
-            assert!(double.is_err(), "double write must panic");
-            // Reading a cell written this epoch: tripwire panic.
-            let dirty = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = writer.view(1);
-            }));
-            assert!(dirty.is_err(), "same-epoch read must panic");
-            // Unwritten cells remain readable.
-            assert_eq!(writer.view(0).transitions(), &[] as &[f64]);
+            // Second write of the same cell in one batch: claim panic.
+            assert!(
+                panics(|| {
+                    let _ = write_one(&writer, 1, false, &[6.0]);
+                }),
+                "double write must panic"
+            );
+            // Reading a cell no one wrote yet: tripwire panic.
+            assert!(
+                panics(|| {
+                    let _ = writer.view(0);
+                }),
+                "unwritten read must panic"
+            );
+            // Written cells are readable.
+            assert_eq!(writer.view(1).transitions(), &[5.0]);
             // Overflow leaves the cell unclaimed and untouched.
             assert_eq!(
                 write_one(&writer, 2, false, &[1.0, 2.0, 3.0]),
@@ -1333,12 +1367,23 @@ mod tests {
             );
             write_one(&writer, 2, false, &[1.0, 2.0]).unwrap();
         }
-        // A fresh epoch clears the claims.
         {
-            let writer = arena.level_writer(None);
+            // A later writer of the same batch sees both cells written.
+            let writer = arena.level_writer();
+            assert_eq!(writer.view(2).transitions(), &[1.0, 2.0]);
+            assert!(
+                panics(|| {
+                    let _ = write_one(&writer, 1, false, &[9.0]);
+                }),
+                "claims outlive the writer"
+            );
+        }
+        // A reset clears the claims.
+        arena.reset();
+        {
+            let writer = arena.level_writer();
             write_one(&writer, 1, false, &[9.0]).unwrap();
         }
         assert_eq!(arena.view(1).transitions(), &[9.0]);
-        assert_eq!(arena.view(2).transitions(), &[1.0, 2.0]);
     }
 }

@@ -42,7 +42,7 @@ pub mod lanes;
 pub mod vcd;
 
 pub use activity::{SwitchingActivity, WaveformStats};
-pub use arena::{LevelWriter, OverflowHook, WaveformArena, WaveformView};
+pub use arena::{LevelWriter, WaveformArena, WaveformView};
 pub use lanes::LaneLayout;
 
 use std::error::Error;

@@ -129,8 +129,7 @@ fn final_values_match_zero_delay_semantics() {
 /// combination of worker count and lane width must reproduce the serial
 /// scalar run bit for bit, over quiescent, LFSR and fully toggling
 /// stimuli. 25 pairs × 2 voltages leave a ragged tail lane group at
-/// widths 4 and 8, and rca32's 64-gate first level schedules enough
-/// lane tasks to wake the pool.
+/// widths 4 and 8, and every pooled batch is one release of the pool.
 #[test]
 fn multithreaded_engine_equals_serial() {
     let library = CellLibrary::nangate15_like();
@@ -179,11 +178,11 @@ fn multithreaded_engine_equals_serial() {
                         "{at}: quiescent stimuli must skip every gate task"
                     );
                 }
-                if threads > 1 && stimuli == "busy" {
-                    assert!(
-                        count(phases::ENGINE_EPOCHS_POOLED) > 0
-                            && count(phases::ENGINE_EPOCHS_INLINE) > 0,
-                        "{at}: the matrix must cross both dispatch arms"
+                if threads > 1 {
+                    assert_eq!(
+                        profile.phase(phases::ENGINE_POOL_IDLE).map(|p| p.calls),
+                        Some(count(phases::ENGINE_BATCHES)),
+                        "{at}: one pool release per batch"
                     );
                 }
             }

@@ -41,10 +41,10 @@ fn characterize_metered_for(
     .expect("characterization succeeds")
 }
 
-/// A run that exercises every engine phase and both dispatch arms:
-/// several patterns at two voltages over a 64-bit adder, whose first
-/// gate level is wide enough to wake the pool and whose carry chain is
-/// not; waveforms retained.
+/// A run that exercises every engine phase on a two-worker pool:
+/// several patterns at two voltages over a 64-bit adder — four lane
+/// groups in one batch, walked level by level by their owners — with
+/// waveforms retained.
 fn run_adder(profiling: bool) -> SimRun {
     let library = CellLibrary::nangate15_like();
     let netlist = Arc::new(ripple_carry_adder(64, &library).expect("adder builds"));
@@ -129,7 +129,7 @@ fn profile_reports_every_documented_phase() {
     for phase in phases::ENGINE_PHASES {
         assert!(profile.phase(phase).unwrap().total_ns <= total);
     }
-    // The quiet scan runs inside the workers' share of each epoch, so
+    // The quiet scan runs inside the workers' share of each release, so
     // the merge phase has no serial child span to report.
     let merge = profile.phase(phases::ENGINE_WAVEFORM_MERGE).unwrap();
     assert!(
@@ -156,26 +156,15 @@ fn profile_reports_every_documented_phase() {
         occupancy.max as usize, run.diagnostics.peak_arena_occupancy,
         "histogram max agrees with diagnostics"
     );
-    // Worker-pool instrumentation (the run used threads = 2): how many
-    // level epochs woke the pool and how many the coordinator ran itself,
-    // its wait time at the barrier of each pooled one, the work-stealing
-    // counter, and one per-worker task-count sample each.
-    let pooled = profile
-        .counter(phases::ENGINE_EPOCHS_POOLED)
-        .expect("pooled-epoch counter recorded");
-    let inline = profile
-        .counter(phases::ENGINE_EPOCHS_INLINE)
-        .expect("inline-epoch counter recorded");
-    assert!(pooled > 0, "the wide first level wakes the pool");
-    assert!(inline > 0, "the carry chain runs on the coordinator");
-    assert!(
-        pooled + inline <= merge.calls,
-        "at most one epoch per simulated level"
-    );
+    // Worker-pool instrumentation (the run used threads = 2): one pool
+    // release per batch, the workers' idle time inside each, the
+    // work-stealing counter, and one per-worker task-count sample each.
+    let batches = profile.counter(phases::ENGINE_BATCHES).unwrap();
+    assert_eq!(merge.calls, batches, "one release per batch");
     let idle = profile
         .phase(phases::ENGINE_POOL_IDLE)
         .expect("pool idle recorded for a threads=2 run");
-    assert_eq!(idle.calls, pooled, "one idle sample per pooled epoch");
+    assert_eq!(idle.calls, batches, "one idle sample per release");
     assert!(
         profile.counter(phases::ENGINE_POOL_STEALS).is_some(),
         "steal counter present (possibly zero)"
@@ -186,8 +175,8 @@ fn profile_reports_every_documented_phase() {
     assert_eq!(worker_tasks.count, 2, "one sample per pool worker");
     // Activity-gating instruments: the skip counter exists even when
     // busy stimuli leave nothing to skip, the quiet-cell tally exists
-    // even when every net toggled, and every level epoch samples its
-    // activity share as a 0–100 percentage.
+    // even when every net toggled, and every batch level with a gate
+    // samples its activity share as a 0–100 percentage.
     assert!(
         profile
             .counter(phases::ENGINE_GATES_SKIPPED_QUIET)
@@ -201,10 +190,10 @@ fn profile_reports_every_documented_phase() {
     let level_activity = profile
         .histogram(phases::ENGINE_LEVEL_ACTIVITY)
         .expect("per-level activity histogram recorded");
-    assert_eq!(
-        level_activity.count,
-        pooled + inline,
-        "one sample per level epoch"
+    let levels = profile.counter(phases::ENGINE_LEVELS).unwrap();
+    assert!(
+        level_activity.count > 0 && level_activity.count <= levels,
+        "at most one sample per simulated level"
     );
     assert!(
         level_activity.max <= 100,
