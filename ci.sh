@@ -114,6 +114,9 @@ cargo run --release --offline -p avfs-bench --bin sta_crosscheck -- --smoke
 echo "==> perfbench build (the repo benchmark compiles against the layer crates' public APIs)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench tests (two in-process runs repeat every simulated value bit for bit, at most 10 min)"
+bounded 600 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> benchmark run --smoke (repo-benchmark gate: every oracle passes on the smoke workloads)"
 cargo run --release --offline --manifest-path perfbench/Cargo.toml --bin benchmark -- run --smoke
 

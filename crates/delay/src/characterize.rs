@@ -18,9 +18,11 @@ use crate::DelayError;
 use avfs_netlist::library::{CellId, CellLibrary, Polarity};
 use avfs_netlist::{Netlist, NodeKind};
 use avfs_obs::Metrics;
-use avfs_regression::{fit_least_squares_metered, DataGrid, ErrorStats, PolyBasis};
+use avfs_regression::grid::refine_axis;
+use avfs_regression::{DataGrid, ErrorStats, LeastSquaresPlan, PolyBasis, RegressionError};
 use avfs_spice::{SweepConfig, SweepPlan, Technology};
 use avfs_waveform::PinDelays;
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// Configuration of the characterization flow.
@@ -109,8 +111,9 @@ pub struct CharacterizationReport {
     /// Relative-error statistics over the probe lattice, aggregated over
     /// all pins and polarities of the cell.
     pub stats: ErrorStats,
-    /// Wall-clock time of the regression solves only, milliseconds (the
-    /// paper reports 1–40 ms per coefficient set).
+    /// Wall-clock time of the regression solves only, milliseconds: each
+    /// arc's solve against the call's one factorization (the paper reports
+    /// 1–40 ms per coefficient set).
     pub fit_millis: f64,
 }
 
@@ -425,16 +428,7 @@ pub fn deviation_grid(
         .iter()
         .position(|&v| (v - space.nominal_vdd()).abs() < 1e-9)
         .ok_or_else(|| err("nominal voltage not on the sweep grid"))?;
-    let xs: Vec<f64> = surface
-        .voltages
-        .iter()
-        .map(|&v| space.phi_v().apply(v))
-        .collect();
-    let ys: Vec<f64> = surface
-        .loads_ff
-        .iter()
-        .map(|&c| space.phi_c().apply(c))
-        .collect();
+    let (xs, ys) = normalized_axes(&surface.voltages, &surface.loads_ff, space);
     let mut dev = Vec::with_capacity(xs.len() * ys.len());
     for i in 0..xs.len() {
         for j in 0..ys.len() {
@@ -446,6 +440,18 @@ pub fn deviation_grid(
         }
     }
     DataGrid::new(xs, ys, dev).map_err(|e| err(&e.to_string()))
+}
+
+/// The `(φ_V, φ_C)` axes of a sweep's deviation grid.
+fn normalized_axes(
+    voltages: &[f64],
+    loads_ff: &[f64],
+    space: &ParameterSpace,
+) -> (Vec<f64>, Vec<f64>) {
+    (
+        voltages.iter().map(|&v| space.phi_v().apply(v)).collect(),
+        loads_ff.iter().map(|&c| space.phi_c().apply(c)).collect(),
+    )
 }
 
 /// One fitted deviation surface plus its quality metrics.
@@ -463,7 +469,9 @@ pub struct GridFit {
 
 /// Fits one deviation grid: densification (step B), OLS regression
 /// (step C), compilation (step D) and the probe-lattice error evaluation
-/// of Fig. 4 against the linearly interpolated reference.
+/// of Fig. 4 against the linearly interpolated reference. This is the
+/// one-arc case of the plan a characterization call shares across its
+/// arcs, so `fit_millis` covers the factorization as well as the solve.
 ///
 /// # Errors
 ///
@@ -474,54 +482,114 @@ pub fn fit_deviation_grid(
     refine_factor: usize,
     probe_grid: usize,
 ) -> Result<GridFit, DelayError> {
-    fit_deviation_grid_metered(grid, order, refine_factor, probe_grid, None)
+    let t0 = Instant::now();
+    let plan = FitPlan::new(grid.xs(), grid.ys(), order, refine_factor, probe_grid)?;
+    let planned = t0.elapsed().as_secs_f64() * 1e3;
+    let mut fit = plan.fit(grid, None)?;
+    fit.fit_millis += planned;
+    Ok(fit)
 }
 
-/// [`fit_deviation_grid`] with optional instrumentation: the regression
-/// step records `"regression/fit"` timing, the `"regression.fits"`
-/// counter and the `"regression.fit_ns"` histogram (see
-/// [`avfs_regression::fit_least_squares_metered`]).
-///
-/// # Errors
-///
-/// Identical to [`fit_deviation_grid`].
-pub fn fit_deviation_grid_metered(
-    grid: &DataGrid,
+/// A regression failure as a characterization error (the caller tags the
+/// cell).
+fn regression_error(e: RegressionError) -> DelayError {
+    DelayError::Characterization {
+        cell: String::new(),
+        message: e.to_string(),
+    }
+}
+
+/// Steps B–D for every deviation grid on one pair of coarse axes. The
+/// refined lattice, and with it the design matrix and its factorization,
+/// depends on the axes alone, so it is built once and each grid's fit is
+/// one solve against it.
+struct FitPlan {
+    /// The coarse axes the plan was built for.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
     order: usize,
     refine_factor: usize,
     probe_grid: usize,
-    metrics: Option<&Metrics>,
-) -> Result<GridFit, DelayError> {
-    let refined = grid.refine(refine_factor.max(1));
-    let basis = PolyBasis::new(order);
-    let samples: Vec<(f64, f64)> = refined.samples().map(|(v, c, _)| (v, c)).collect();
-    let targets: Vec<f64> = refined.samples().map(|(_, _, d)| d).collect();
-    let t0 = Instant::now();
-    let beta = fit_least_squares_metered(&basis, &samples, &targets, metrics).map_err(|e| {
-        DelayError::Characterization {
-            cell: String::new(),
-            message: e.to_string(),
-        }
-    })?;
-    let fit_millis = t0.elapsed().as_secs_f64() * 1e3;
-    let poly = SurfacePolynomial::new(order, beta)?;
+    least_squares: LeastSquaresPlan,
+}
 
-    let (pvs, pcs) = refined.equidistant_probes(probe_grid);
-    let mut probe_errors = Vec::with_capacity(pvs.len() * pcs.len());
-    for &pv in &pvs {
-        for &pc in &pcs {
-            let reference = 1.0 + refined.sample(pv, pc);
-            let predicted = 1.0 + poly.eval(crate::op::NormalizedPoint { v: pv, c: pc });
-            probe_errors.push((predicted - reference) / reference);
-        }
+impl FitPlan {
+    fn new(
+        xs: &[f64],
+        ys: &[f64],
+        order: usize,
+        refine_factor: usize,
+        probe_grid: usize,
+    ) -> Result<FitPlan, DelayError> {
+        let refine_factor = refine_factor.max(1);
+        // The samples of `DataGrid::refine`, in its row-major order.
+        let refined_ys = refine_axis(ys, refine_factor);
+        let samples: Vec<(f64, f64)> = refine_axis(xs, refine_factor)
+            .into_iter()
+            .flat_map(|v| refined_ys.iter().map(move |&c| (v, c)))
+            .collect();
+        let least_squares =
+            LeastSquaresPlan::new(&PolyBasis::new(order), &samples).map_err(regression_error)?;
+        Ok(FitPlan {
+            xs: xs.to_vec(),
+            ys: ys.to_vec(),
+            order,
+            refine_factor,
+            probe_grid,
+            least_squares,
+        })
     }
-    let stats = ErrorStats::from_errors(probe_errors.iter().copied());
-    Ok(GridFit {
-        poly,
-        probe_errors,
-        stats,
-        fit_millis,
-    })
+
+    /// Fits `grid`. When `metrics` is present, the solve records the phase
+    /// `"regression/fit"`, bumps `"regression.fits"` and feeds its duration
+    /// into the `"regression.fit_ns"` histogram (nanoseconds).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grid` is not on the plan's axes, bit for bit.
+    fn fit(&self, grid: &DataGrid, metrics: Option<&Metrics>) -> Result<GridFit, DelayError> {
+        let bits = |axis: &[f64]| axis.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(grid.xs()) == bits(&self.xs) && bits(grid.ys()) == bits(&self.ys),
+            "a deviation grid is fitted on the axes its plan was built for"
+        );
+        let refined = grid.refine(self.refine_factor);
+        let targets: Vec<f64> = refined.samples().map(|(_, _, d)| d).collect();
+        let t0 = Instant::now();
+        let beta = match metrics {
+            None => self.least_squares.fit(&targets),
+            Some(m) => {
+                let span = m.span("regression/fit");
+                let beta = self.least_squares.fit(&targets);
+                let elapsed = span.finish();
+                m.add("regression.fits", 1);
+                m.record(
+                    "regression.fit_ns",
+                    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+                );
+                beta
+            }
+        };
+        let fit_millis = t0.elapsed().as_secs_f64() * 1e3;
+        let poly = SurfacePolynomial::new(self.order, beta.map_err(regression_error)?)?;
+
+        let (pvs, pcs) = refined.equidistant_probes(self.probe_grid);
+        let mut probe_errors = Vec::with_capacity(pvs.len() * pcs.len());
+        for &pv in &pvs {
+            for &pc in &pcs {
+                let reference = 1.0 + refined.sample(pv, pc);
+                let predicted = 1.0 + poly.eval(crate::op::NormalizedPoint { v: pv, c: pc });
+                probe_errors.push((predicted - reference) / reference);
+            }
+        }
+        let stats = ErrorStats::from_errors(probe_errors.iter().copied());
+        Ok(GridFit {
+            poly,
+            probe_errors,
+            stats,
+            fit_millis,
+        })
+    }
 }
 
 /// The fitted arcs of the cell being characterized, in (pin, polarity)
@@ -545,7 +613,9 @@ fn pairs<T>(arcs: Vec<T>) -> Vec<[T; 2]> {
 /// Runs the Fig. 1 flow for `cells` (or the whole library when `None`):
 /// one [`SweepPlan`] over every (cell, pin, polarity) arc, integrated on
 /// every core, with each arc fitted on the calling thread as soon as its
-/// surface is swept.
+/// surface is swept. Every arc is fitted on the same refined lattice, so
+/// the call factors its least-squares system once and each arc's fit is
+/// one solve against it.
 ///
 /// # Errors
 ///
@@ -563,8 +633,9 @@ pub fn characterize_library(
 
 /// [`characterize_library`] with optional instrumentation: the call
 /// records one `"delay/characterize"` span, its planned sweep records
-/// `"spice/sweep"` / `"spice.transient_points"` / `"spice.stage_runs"`
-/// (see [`SweepPlan::run`]) and the fits record `"regression/fit"` /
+/// `"spice/sweep"` / `"spice.rk4_steps"` / `"spice.transient_points"` /
+/// `"spice.stage_runs"` (see [`SweepPlan::run`]) and each arc's solve
+/// against the call's factorization records `"regression/fit"` /
 /// `"regression.fits"` / `"regression.fit_ns"` — the measured counterpart
 /// of the paper's 1–40 ms per-fit runtime claim (Sec. V.A).
 ///
@@ -601,6 +672,20 @@ pub fn characterize_library_metered(
 ///
 /// Identical to [`characterize_library`], plus the injected failure.
 pub fn characterize_library_injected(
+    library: &CellLibrary,
+    tech: &Technology,
+    config: &CharacterizationConfig,
+    cells: Option<&[CellId]>,
+    metrics: Option<&Metrics>,
+    injector: &avfs_inject::Injector,
+) -> Result<CharacterizedLibrary, DelayError> {
+    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    characterize_on(workers, library, tech, config, cells, metrics, injector)
+}
+
+/// [`characterize_library_injected`] with its sweep on `workers` threads.
+fn characterize_on(
+    workers: usize,
     library: &CellLibrary,
     tech: &Technology,
     config: &CharacterizationConfig,
@@ -668,10 +753,22 @@ pub fn characterize_library_injected(
         .position(|&v| (v - config.sweep.nominal_vdd).abs() < 1e-9)
         .expect("validated: nominal on grid");
 
+    // Every arc's deviation grid lies on these axes. A failure to factor
+    // their system surfaces at the first arc's fit, where the per-arc
+    // flow met it.
+    let (xs, ys) = normalized_axes(&config.sweep.voltages, &config.sweep.loads_ff, &space);
+    let fits = FitPlan::new(
+        &xs,
+        &ys,
+        config.order,
+        config.refine_factor,
+        config.probe_grid,
+    );
+
     // Steps B–D run here, on the calling thread, one arc at a time as the
     // sweep delivers it; a cell is assembled once its last arc is fitted.
     let mut fitted = CellFits::default();
-    plan.run(metrics, |arc, swept| {
+    plan.run_on(workers, metrics, |arc, swept| {
         let cell_id = arcs[arc];
         let cell = library.cell(cell_id);
         let wrap = |message: String| DelayError::Characterization {
@@ -685,14 +782,11 @@ pub fn characterize_library_injected(
         let surface = swept.map_err(|e| wrap(e.to_string()))?;
         // Steps B–D plus the Fig. 4 error evaluation.
         let grid = deviation_grid(&surface, &space).map_err(tag)?;
-        let fit = fit_deviation_grid_metered(
-            &grid,
-            config.order,
-            config.refine_factor,
-            config.probe_grid,
-            metrics,
-        )
-        .map_err(tag)?;
+        let fit = fits
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|fits| fits.fit(&grid, metrics))
+            .map_err(tag)?;
         fitted.fit_millis += fit.fit_millis;
         fitted.errors.extend(fit.probe_errors);
         fitted.polys.push(fit.poly);
@@ -1001,32 +1095,55 @@ mod tests {
         // Recorded from the serial per-arc flow the planned sweep replaced.
         let lib = CellLibrary::nangate15_like();
         let tech = Technology::nm15();
-        let fast =
-            characterize_library(&lib, &tech, &CharacterizationConfig::fast(), None).unwrap();
         // The 64-bit adder's cells at the paper's sweep: what the
         // `pipeline_cold` benchmark workload characterizes.
         let mut ids = subset(&lib, &["XOR2_X1", "AND2_X1", "OR2_X1"]);
         ids.sort();
-        let metrics = Metrics::new("characterize");
-        let paper = characterize_library_metered(
-            &lib,
-            &tech,
-            &CharacterizationConfig::default(),
-            Some(&ids),
-            Some(&metrics),
-        )
-        .unwrap();
-        assert_eq!(fast.content_hash(), 0xfa0c_5beb_1829_86d9);
-        assert_eq!(reports_digest(fast.reports()), 0x703d_ca4d_7140_3292);
-        assert_eq!(paper.content_hash(), 0x6843_4022_c99d_f58a);
-        assert_eq!(reports_digest(paper.reports()), 0x6da1_3903_a612_950b);
-        // One span per call, one planned sweep, and the plan's distinct
-        // stages are the integrations the per-call memo ran.
-        let profile = metrics.snapshot();
-        assert_eq!(profile.phase("delay/characterize").unwrap().calls, 1);
-        assert_eq!(profile.phase("spice/sweep").unwrap().calls, 1);
-        assert_eq!(profile.counter("spice.transient_points"), Some(1296));
-        assert_eq!(profile.counter("spice.stage_runs"), Some(1200));
+        let unarmed = avfs_inject::Injector::unarmed();
+        for workers in [1, 2, 4] {
+            let fast = CharacterizationConfig::fast();
+            let fast = characterize_on(workers, &lib, &tech, &fast, None, None, &unarmed).unwrap();
+            let metrics = Metrics::new("characterize");
+            let paper = characterize_on(
+                workers,
+                &lib,
+                &tech,
+                &CharacterizationConfig::default(),
+                Some(&ids),
+                Some(&metrics),
+                &unarmed,
+            )
+            .unwrap();
+            let context = format!("{workers} workers");
+            assert_eq!(fast.content_hash(), 0xfa0c_5beb_1829_86d9, "{context}");
+            assert_eq!(
+                reports_digest(fast.reports()),
+                0x703d_ca4d_7140_3292,
+                "{context}"
+            );
+            assert_eq!(paper.content_hash(), 0x6843_4022_c99d_f58a, "{context}");
+            assert_eq!(
+                reports_digest(paper.reports()),
+                0x6da1_3903_a612_950b,
+                "{context}"
+            );
+            // One span per call, one planned sweep, the plan's distinct
+            // stages are the integrations the per-call memo ran, their RK4
+            // steps are a function of the plan, and every arc is one solve
+            // against the call's factorization.
+            let profile = metrics.snapshot();
+            assert_eq!(profile.phase("delay/characterize").unwrap().calls, 1);
+            assert_eq!(profile.phase("spice/sweep").unwrap().calls, 1);
+            assert_eq!(profile.counter("spice.transient_points"), Some(1296));
+            assert_eq!(profile.counter("spice.stage_runs"), Some(1200));
+            assert_eq!(
+                profile.counter("spice.rk4_steps"),
+                Some(1_078_145),
+                "{context}"
+            );
+            assert_eq!(profile.counter("regression.fits"), Some(12));
+            assert_eq!(profile.phase("regression/fit").unwrap().calls, 12);
+        }
     }
 
     #[test]

@@ -223,7 +223,14 @@ fn locate(axis: &[f64], x: f64) -> (usize, f64) {
     (idx, t)
 }
 
-fn refine_axis(axis: &[f64], factor: usize) -> Vec<f64> {
+/// The positions [`DataGrid::refine`] samples along one axis: `factor`
+/// equidistant points per interval, the axis' own points included, so the
+/// refined lattice depends on the axes alone.
+///
+/// # Panics
+///
+/// Panics if `axis` is empty.
+pub fn refine_axis(axis: &[f64], factor: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity((axis.len() - 1) * factor + 1);
     for w in axis.windows(2) {
         for k in 0..factor {

@@ -46,7 +46,7 @@ pub mod solve;
 pub mod stats;
 
 pub use grid::DataGrid;
-pub use linreg::{fit_least_squares, fit_least_squares_metered};
+pub use linreg::{fit_least_squares, LeastSquaresPlan};
 pub use matrix::Matrix;
 pub use normalize::{CapNormalizer, DelayNormalizer, VoltageNormalizer};
 pub use poly::PolyBasis;

@@ -6,12 +6,16 @@
 //! equation `β̂ = (XᵀX)⁻¹ Xᵀ y` (Eq. 8) via Cholesky factorization of the
 //! Gram matrix, with a Householder-QR fallback when `XᵀX` is numerically
 //! indefinite.
+//!
+//! `X` and the factorization depend only on the sample positions, so a
+//! [`LeastSquaresPlan`] builds them once and fits any number of target
+//! vectors over the same samples — every arc of a characterization call
+//! shares one refined lattice.
 
 use crate::matrix::Matrix;
 use crate::poly::PolyBasis;
-use crate::solve::{solve_cholesky, solve_qr_least_squares};
+use crate::solve::{cholesky_factor, solve_factored, solve_qr_least_squares};
 use crate::RegressionError;
-use avfs_obs::Metrics;
 
 /// Builds the design matrix `X` of Eq. 6 for normalized samples `(v, c)`.
 ///
@@ -79,59 +83,77 @@ pub fn fit_least_squares(
             right: (targets.len(), 1),
         });
     }
-    if samples.len() < basis.len() {
-        return Err(RegressionError::UnderDetermined {
-            samples: samples.len(),
-            unknowns: basis.len(),
-        });
-    }
-    for (k, &(v, c)) in samples.iter().enumerate() {
-        if !v.is_finite() || !c.is_finite() {
-            return Err(RegressionError::NonFiniteSample { index: k });
-        }
-    }
-    if let Some(k) = targets.iter().position(|t| !t.is_finite()) {
-        return Err(RegressionError::NonFiniteSample { index: k });
-    }
-
-    let x = design_matrix(basis, samples);
-    let gram = x.gram();
-    let rhs = x.transpose_mul_vec(targets)?;
-    match solve_cholesky(&gram, &rhs) {
-        Ok(beta) => Ok(beta),
-        // Ill-conditioned normal equation: retry on the un-squared problem.
-        Err(RegressionError::SingularMatrix { .. }) => solve_qr_least_squares(&x, targets),
-        Err(e) => Err(e),
-    }
+    LeastSquaresPlan::new(basis, samples)?.fit(targets)
 }
 
-/// [`fit_least_squares`] with optional instrumentation: when `metrics` is
-/// present, each call records the phase `"regression/fit"`, bumps the
-/// counter `"regression.fits"` and feeds the per-fit duration into the
-/// `"regression.fit_ns"` histogram (nanoseconds) — the distribution to
-/// compare against the paper's 1–40 ms per-fit claim (Sec. V.A).
-///
-/// # Errors
-///
-/// Identical to [`fit_least_squares`].
-pub fn fit_least_squares_metered(
-    basis: &PolyBasis,
-    samples: &[(f64, f64)],
-    targets: &[f64],
-    metrics: Option<&Metrics>,
-) -> Result<Vec<f64>, RegressionError> {
-    match metrics {
-        None => fit_least_squares(basis, samples, targets),
-        Some(m) => {
-            let span = m.span("regression/fit");
-            let result = fit_least_squares(basis, samples, targets);
-            let elapsed = span.finish();
-            m.add("regression.fits", 1);
-            m.record(
-                "regression.fit_ns",
-                u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            );
-            result
+/// The least-squares system of one sample set, factored once: the design
+/// matrix `X` and the Cholesky factor of `XᵀX`, or — when `XᵀX` is too
+/// ill-conditioned to factorize — `X` alone for the Householder-QR
+/// fallback. [`LeastSquaresPlan::fit`] then costs one `Xᵀ·y` and two
+/// triangular solves per target vector, and returns what
+/// [`fit_least_squares`] returns for the same samples, bit for bit.
+#[derive(Debug, Clone)]
+pub struct LeastSquaresPlan {
+    x: Matrix,
+    /// `L` with `XᵀX = L·Lᵀ`; `None` selects the QR fallback.
+    factor: Option<Matrix>,
+}
+
+impl LeastSquaresPlan {
+    /// Validates `samples` (normalized `(v, c)` pairs) and factors their
+    /// system under `basis`.
+    ///
+    /// # Errors
+    ///
+    /// * [`RegressionError::UnderDetermined`] if there are fewer samples
+    ///   than coefficients.
+    /// * [`RegressionError::NonFiniteSample`] if a sample is NaN/infinite.
+    pub fn new(basis: &PolyBasis, samples: &[(f64, f64)]) -> Result<Self, RegressionError> {
+        if samples.len() < basis.len() {
+            return Err(RegressionError::UnderDetermined {
+                samples: samples.len(),
+                unknowns: basis.len(),
+            });
+        }
+        for (k, &(v, c)) in samples.iter().enumerate() {
+            if !v.is_finite() || !c.is_finite() {
+                return Err(RegressionError::NonFiniteSample { index: k });
+            }
+        }
+        let x = design_matrix(basis, samples);
+        let factor = match cholesky_factor(&x.gram()) {
+            Ok(l) => Some(l),
+            // Ill-conditioned normal equation: fit on the un-squared
+            // problem instead.
+            Err(RegressionError::SingularMatrix { .. }) => None,
+            Err(e) => return Err(e),
+        };
+        Ok(LeastSquaresPlan { x, factor })
+    }
+
+    /// Fits the coefficients `β̂` of one target vector, in sample order.
+    ///
+    /// # Errors
+    ///
+    /// * [`RegressionError::DimensionMismatch`] if `targets` does not hold
+    ///   one value per sample.
+    /// * [`RegressionError::NonFiniteSample`] if a target is NaN/infinite.
+    /// * [`RegressionError::SingularMatrix`] if even the QR fallback cannot
+    ///   determine the coefficients (rank-deficient design).
+    pub fn fit(&self, targets: &[f64]) -> Result<Vec<f64>, RegressionError> {
+        if targets.len() != self.x.rows() {
+            return Err(RegressionError::DimensionMismatch {
+                context: "LeastSquaresPlan::fit",
+                left: (self.x.rows(), 2),
+                right: (targets.len(), 1),
+            });
+        }
+        if let Some(k) = targets.iter().position(|t| !t.is_finite()) {
+            return Err(RegressionError::NonFiniteSample { index: k });
+        }
+        match &self.factor {
+            Some(l) => Ok(solve_factored(l, &self.x.transpose_mul_vec(targets)?)),
+            None => solve_qr_least_squares(&self.x, targets),
         }
     }
 }
@@ -254,6 +276,57 @@ mod tests {
             fit_least_squares(&basis, &lattice(3, 3), &targets),
             Err(RegressionError::NonFiniteSample { index: 4 })
         ));
+    }
+
+    /// `targets` under the plan and one-shot, bit for bit.
+    fn assert_plan_matches_one_shot(basis: &PolyBasis, samples: &[(f64, f64)], targets: &[f64]) {
+        let plan = LeastSquaresPlan::new(basis, samples).unwrap();
+        let bits = |beta: Vec<f64>| beta.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(plan.fit(targets).unwrap()),
+            bits(fit_least_squares(basis, samples, targets).unwrap())
+        );
+    }
+
+    #[test]
+    fn one_plan_fits_every_target_as_the_one_shot_fit_does() {
+        let basis = PolyBasis::new(3);
+        let samples = lattice(37, 37);
+        let plan = LeastSquaresPlan::new(&basis, &samples).unwrap();
+        assert!(plan.factor.is_some(), "a well-posed lattice factors");
+        for seed in 1..6u64 {
+            let targets: Vec<f64> = samples
+                .iter()
+                .map(|&(v, c)| ((seed as f64) * v).sin() + c * c / seed as f64)
+                .collect();
+            assert_plan_matches_one_shot(&basis, &samples, &targets);
+        }
+        assert!(matches!(
+            plan.fit(&[0.0; 3]),
+            Err(RegressionError::DimensionMismatch { .. })
+        ));
+        let mut nan = vec![0.0; samples.len()];
+        nan[17] = f64::NAN;
+        assert!(matches!(
+            plan.fit(&nan),
+            Err(RegressionError::NonFiniteSample { index: 17 })
+        ));
+    }
+
+    #[test]
+    fn a_plan_that_cannot_factor_falls_back_to_qr_per_fit() {
+        // Order 2 on a lattice squeezed near the origin: the v²c² column is
+        // so small that XᵀX loses definiteness, while X keeps full column
+        // rank.
+        let basis = PolyBasis::new(2);
+        let samples: Vec<(f64, f64)> = lattice(12, 12)
+            .into_iter()
+            .map(|(v, c)| (1e-2 * v, 1e-2 * c))
+            .collect();
+        let plan = LeastSquaresPlan::new(&basis, &samples).unwrap();
+        assert!(plan.factor.is_none(), "the Gram matrix must not factor");
+        let targets: Vec<f64> = samples.iter().map(|&(v, c)| 1.0 + v - 2.0 * c).collect();
+        assert_plan_matches_one_shot(&basis, &samples, &targets);
     }
 
     #[test]

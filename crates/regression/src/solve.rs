@@ -28,7 +28,17 @@ pub fn solve_cholesky(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, RegressionError
             right: (b.len(), 1),
         });
     }
-    let l = cholesky_factor(a)?;
+    Ok(solve_factored(&cholesky_factor(a)?, b))
+}
+
+/// Solves `L·Lᵀ·x = b` for a lower-triangular Cholesky factor `L` (from
+/// [`cholesky_factor`]) by forward then back substitution.
+///
+/// # Panics
+///
+/// Panics if `b` has fewer entries than `L` has rows.
+pub(crate) fn solve_factored(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let n = l.rows();
     // Forward substitution: L·y = b.
     let mut y = vec![0.0; n];
     for i in 0..n {
@@ -47,7 +57,7 @@ pub fn solve_cholesky(a: &Matrix, b: &[f64]) -> Result<Vec<f64>, RegressionError
         }
         x[i] = s / l[(i, i)];
     }
-    Ok(x)
+    x
 }
 
 /// Computes the lower-triangular Cholesky factor `L` with `A = L·Lᵀ`.

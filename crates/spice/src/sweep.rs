@@ -14,11 +14,12 @@
 //!    same bit for bit — the first stage of a two-stage cell at every
 //!    load, the symmetric pins of a cell — so the plan is one ordered list
 //!    of *distinct* stages.
-//! 2. **Integrate.** [`SweepPlan::run`] runs [`simulate_stage`] over that
-//!    list on [`std::thread::available_parallelism`] scoped workers, the
-//!    calling thread one of them. Workers claim stage indices from one
-//!    atomic cursor and write each result into a preallocated slot, so a
-//!    worker allocates nothing.
+//! 2. **Integrate.** [`SweepPlan::run`] integrates that list on
+//!    [`std::thread::available_parallelism`] scoped workers, the calling
+//!    thread one of them. Each worker runs the transient lane kernel:
+//!    eight stages in lockstep, and a lane whose stage is done claims the
+//!    next index from one atomic cursor and writes the outcome into that
+//!    index's preallocated slot, so a worker allocates nothing.
 //! 3. **Deliver.** Each arc's [`DelaySurface`] goes to the caller's
 //!    closure on the calling thread, in arc order, as soon as that arc's
 //!    stages are done, so the caller's per-arc work overlaps the other
@@ -32,11 +33,12 @@
 use crate::characterize::pin_stages;
 use crate::mosfet::DeviceType;
 use crate::technology::Technology;
-use crate::transient::{simulate_stage, Stage};
+use crate::transient::{integrate_lanes, Stage, StageFeed, LANES};
 use crate::SpiceError;
 use avfs_netlist::library::{Cell, Polarity};
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -203,7 +205,8 @@ pub fn sweep_pin(
 const NO_STAGE: u32 = u32::MAX;
 
 /// The interning key of a [`Stage`]: the bit patterns of everything
-/// [`simulate_stage`] reads — device type, effective width, threshold,
+/// [`simulate_stage`](crate::transient::simulate_stage) reads — device
+/// type, effective width, threshold,
 /// capacitance, supply, input slew and the technology's `k`, `α` and
 /// `k_sat`.
 type StageKey = (DeviceType, [u64; 8]);
@@ -302,9 +305,12 @@ impl<'a> SweepPlan<'a> {
     /// delivered as its first failing point's error and is the last arc
     /// delivered; an `Err` from `deliver` stops the sweep and is returned.
     /// When `metrics` is present, the call records the phase
-    /// `"spice/sweep"` and, once every arc is delivered, adds the plan's
-    /// grid points to `"spice.transient_points"` and its distinct stages —
-    /// the integrations it ran — to `"spice.stage_runs"`.
+    /// `"spice/sweep"`, each worker adds the RK4 steps of every kernel call
+    /// it made to `"spice.rk4_steps"` (for a sweep that delivers every arc,
+    /// the steps of the plan's distinct stages), and once every arc is
+    /// delivered the call adds the plan's grid points to
+    /// `"spice.transient_points"` and its distinct stages — the
+    /// integrations it ran — to `"spice.stage_runs"`.
     ///
     /// # Errors
     ///
@@ -322,8 +328,18 @@ impl<'a> SweepPlan<'a> {
         self.run_on(workers, metrics, deliver)
     }
 
-    /// [`SweepPlan::run`] on `workers` threads.
-    fn run_on<E>(
+    /// [`SweepPlan::run`] on `workers` threads, the calling thread one of
+    /// them (`0` counts as 1). The worker count cannot change a bit of any
+    /// surface.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `deliver` returns.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the stage integration, whichever worker ran it.
+    pub fn run_on<E>(
         &self,
         workers: usize,
         metrics: Option<&avfs_obs::Metrics>,
@@ -333,10 +349,15 @@ impl<'a> SweepPlan<'a> {
         let tech = self.tech;
         let grid = self.config.voltages.len() * self.config.loads_ff.len();
         integrate(
-            &self.stages,
+            self.stages.len(),
             &self.ends,
             workers,
-            |stage| simulate_stage(tech, stage).map(|r| r.delay_ps),
+            |feed| {
+                let steps = integrate_lanes(tech, &self.stages, feed);
+                if let Some(m) = metrics {
+                    m.add("spice.rk4_steps", steps);
+                }
+            },
             |arc, delays| {
                 let surface = delays.map(|delays| DelaySurface {
                     voltages: self.config.voltages.clone(),
@@ -386,60 +407,121 @@ impl Delays<'_> {
     }
 }
 
-/// The worker loop of [`SweepPlan::run`], generic over the stage solver:
-/// runs `solve` over `stages` on `workers` threads, the caller one of
-/// them, and calls `deliver(arc, …)` on the caller, in arc order, once
-/// every stage below `ends[arc]` is done.
+/// The stages one kernel call has claimed and not yet emitted, and where
+/// it claims and emits: the plan's cursor and slots.
+struct Claims<'s> {
+    cursor: &'s AtomicUsize,
+    slots: &'s [OnceLock<Outcome>],
+    /// The stages of the arc the caller waits for: its kernel stops
+    /// claiming once they are all filled (`start` advances as they land).
+    waiting: Option<Range<usize>>,
+    held: [usize; LANES],
+    len: usize,
+}
+
+impl Claims<'_> {
+    /// Pushes the cursor past the end: nothing more is claimed.
+    fn stop(&self) {
+        self.cursor.store(self.slots.len(), Ordering::Relaxed);
+    }
+}
+
+impl StageFeed for Claims<'_> {
+    fn claim(&mut self) -> Option<usize> {
+        if let Some(waiting) = &mut self.waiting {
+            while waiting.start < waiting.end && self.slots[waiting.start].get().is_some() {
+                waiting.start += 1;
+            }
+            if waiting.start == waiting.end {
+                return None;
+            }
+        }
+        // Checked before the claim, so a kernel that overreaches panics
+        // holding only stages it will be charged with.
+        assert!(self.len < LANES, "a kernel holds at most {LANES} stages");
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= self.slots.len() {
+            return None;
+        }
+        self.held[self.len] = i;
+        self.len += 1;
+        Some(i)
+    }
+
+    fn emit(&mut self, index: usize, outcome: Result<f64, SpiceError>) {
+        let k = self.held[..self.len]
+            .iter()
+            .position(|&i| i == index)
+            .expect("a kernel emits only the stages it holds");
+        self.len -= 1;
+        self.held[k] = self.held[self.len];
+        let outcome = outcome.map_or_else(
+            |e| {
+                self.stop();
+                Outcome::Failed(e)
+            },
+            Outcome::Delay,
+        );
+        let _ = self.slots[index].set(outcome);
+    }
+}
+
+/// The worker loop of [`SweepPlan::run`], generic over the lane kernel:
+/// integrates stages `0..n` on `workers` threads, the caller one of them,
+/// each thread calling `kernel` with its [`StageFeed`], and calls
+/// `deliver(arc, …)` on the caller, in arc order, once every stage below
+/// `ends[arc]` is done.
 ///
-/// Workers claim indices from one cursor and store each outcome in its
-/// preallocated slot. A failed or panicking stage pushes the cursor past
-/// the end, and so does the caller however it leaves, so nothing more is
-/// claimed. The caller walks the slots in index order, helping to
-/// integrate while the next one is pending: indices follow first
-/// appearance, so the first failed slot it meets is the serial sweep's
-/// first failing point, and every slot below the cursor's final value was
-/// claimed, so it never waits on one nobody will fill. A panic's payload
+/// Lanes claim indices from one cursor, one `fetch_add` per stage, and
+/// store each outcome in its preallocated slot. A failed stage pushes the
+/// cursor past the end, and so does the caller however it leaves, so
+/// nothing more is claimed. Each kernel call runs under one
+/// `catch_unwind`: on a panic, every stage it held is marked panicked and
+/// the cursor is pushed past the end. The caller walks the slots in index
+/// order; while the next one is pending and stages are left, it runs the
+/// kernel, which stops claiming once every slot of the arc it waits for
+/// is filled and returns when its lanes are done — one drain per arc, not
+/// per slot. Indices follow first appearance, so the first failed slot it
+/// meets is the serial sweep's first failing point, and every slot below
+/// the cursor's final value was claimed — and a claimed slot is always
+/// filled — so it never waits on one nobody will fill. A panic's payload
 /// is re-raised on the caller after every worker has stopped.
-fn integrate<T: Sync, E>(
-    stages: &[T],
+fn integrate<E>(
+    n: usize,
     ends: &[usize],
     workers: usize,
-    solve: impl Fn(&T) -> Result<f64, SpiceError> + Sync,
+    kernel: impl Fn(&mut dyn StageFeed) + Sync,
     mut deliver: impl FnMut(usize, Result<Delays<'_>, SpiceError>) -> Result<(), E>,
 ) -> Result<(), E> {
-    let n = stages.len();
     let slots: Vec<OnceLock<Outcome>> = (0..n).map(|_| OnceLock::new()).collect();
     // The cursor publishes no data — each slot's `OnceLock` does — and a
     // claim is unique because `fetch_add` is one read-modify-write, so
     // every access to it is `Relaxed`.
     let cursor = AtomicUsize::new(0);
     let payload = Mutex::new(None);
-    // Claims and resolves the next stage; `false` once none is left.
-    let step = || {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            return false;
-        }
-        let outcome = match panic::catch_unwind(AssertUnwindSafe(|| solve(&stages[i]))) {
-            Ok(Ok(ps)) => Outcome::Delay(ps),
-            Ok(Err(e)) => Outcome::Failed(e),
-            Err(p) => {
-                payload
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get_or_insert(p);
-                Outcome::Panicked
-            }
+    // One kernel call under containment.
+    let run = |waiting: Option<Range<usize>>| {
+        let mut claims = Claims {
+            cursor: &cursor,
+            slots: &slots,
+            waiting,
+            held: [0; LANES],
+            len: 0,
         };
-        if !matches!(outcome, Outcome::Delay(_)) {
-            cursor.store(n, Ordering::Relaxed);
+        if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| kernel(&mut claims))) {
+            payload
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(p);
+            claims.stop();
+            for &i in &claims.held[..claims.len] {
+                let _ = slots[i].set(Outcome::Panicked);
+            }
         }
-        let _ = slots[i].set(outcome);
-        true
     };
     let delivered = std::thread::scope(|scope| {
         for _ in 1..workers.min(n) {
-            scope.spawn(|| while step() {});
+            scope.spawn(|| run(None));
         }
         let _stop = StopOnDrop(&cursor, n);
         let mut ready = 0;
@@ -447,7 +529,10 @@ fn integrate<T: Sync, E>(
             while ready < end {
                 let outcome = match slots[ready].get() {
                     Some(outcome) => outcome,
-                    None if step() => continue,
+                    None if cursor.load(Ordering::Relaxed) < n => {
+                        run(Some(ready..end));
+                        continue;
+                    }
                     None => slots[ready].wait(),
                 };
                 match outcome {
@@ -482,6 +567,7 @@ impl Drop for StopOnDrop<'_> {
 mod tests {
     use super::*;
     use avfs_netlist::CellLibrary;
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
     use std::time::Duration;
 
@@ -645,29 +731,64 @@ mod tests {
         );
     }
 
-    /// Stages `0..n`, one arc per `width` of them.
-    fn toy_plan(n: usize, width: usize) -> (Vec<usize>, Vec<usize>) {
-        let stages = (0..n).collect();
-        let ends = (1..=n.div_ceil(width))
+    /// Arcs over stages `0..n`, one per `width` of them.
+    fn toy_ends(n: usize, width: usize) -> Vec<usize> {
+        (1..=n.div_ceil(width))
             .map(|a| (a * width).min(n))
-            .collect();
-        (stages, ends)
+            .collect()
+    }
+
+    /// A lockstep model of the lane kernel over toy stages: stage `i`
+    /// takes `1 + 5i mod 7` ticks, so stages finish out of claim order,
+    /// and every lane refills as soon as its stage is emitted. A tick
+    /// resolves all its finished stages with `solve(i, others)` — `others`
+    /// the stages the call still holds besides `i` — before it emits any.
+    fn toy_kernel(
+        solve: impl Fn(usize, usize) -> Result<f64, SpiceError> + Sync,
+    ) -> impl Fn(&mut dyn StageFeed) + Sync {
+        move |feed| {
+            let mut lanes: Vec<(usize, usize)> = Vec::new();
+            loop {
+                while lanes.len() < LANES {
+                    let Some(i) = feed.claim() else { break };
+                    lanes.push((i, 1 + i * 5 % 7));
+                }
+                if lanes.is_empty() {
+                    return;
+                }
+                for lane in &mut lanes {
+                    lane.1 -= 1;
+                }
+                let held = lanes.len();
+                let finished: Vec<_> = lanes
+                    .iter()
+                    .filter(|lane| lane.1 == 0)
+                    .map(|&(i, _)| (i, solve(i, held - 1)))
+                    .collect();
+                lanes.retain(|lane| lane.1 > 0);
+                for (i, outcome) in finished {
+                    feed.emit(i, outcome);
+                }
+            }
+        }
     }
 
     #[test]
-    fn a_failing_stage_yields_the_serial_order_error_at_every_worker_count() {
-        let (stages, ends) = toy_plan(300, 7);
+    fn a_failing_lane_yields_the_serial_order_error_at_every_worker_count() {
+        let n = 300;
+        let ends = toy_ends(n, 7);
         // Two failing stages; the lower index is the one a serial sweep
-        // meets first, whichever worker finishes first.
-        let solve = |&i: &usize| match i {
+        // meets first, whichever lane finishes first (58 takes 4 ticks, 57
+        // takes 6).
+        let kernel = toy_kernel(|i, _| match i {
             57 | 58 | 211 => Err(SpiceError::NoConvergence {
                 reached_ps: i as f64,
             }),
             _ => Ok(i as f64),
-        };
-        for workers in [1, 2, 7] {
+        });
+        for workers in [1, 2, 4] {
             let mut delivered = Vec::new();
-            let err = integrate(&stages, &ends, workers, solve, |arc, delays| {
+            let err = integrate(n, &ends, workers, &kernel, |arc, delays| {
                 let delays = delays?;
                 let lo = if arc == 0 { 0 } else { ends[arc - 1] };
                 for i in lo..ends[arc] {
@@ -685,14 +806,14 @@ mod tests {
 
     #[test]
     fn an_error_from_deliver_stops_the_sweep() {
-        let (stages, ends) = toy_plan(100, 10);
-        for workers in [1, 2, 7] {
+        let ends = toy_ends(100, 10);
+        for workers in [1, 2, 4] {
             let mut delivered = 0;
             let err = integrate(
-                &stages,
+                100,
                 &ends,
                 workers,
-                |&i| Ok(i as f64),
+                toy_kernel(|i, _| Ok(i as f64)),
                 |arc, _| {
                     delivered += 1;
                     if arc == 3 {
@@ -708,47 +829,51 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_stage_on_a_spawned_worker_re_raises_on_the_caller() {
-        // The spawned worker panics on the first stage it claims; the
-        // caller does not integrate until the spawned worker has claimed
-        // one, so the panic happens off the calling thread.
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let (stages, ends) = toy_plan(64, 4);
-            let caller = std::thread::current().id();
-            let claimed = AtomicUsize::new(0);
-            let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                integrate(
-                    &stages,
-                    &ends,
-                    2,
-                    |&i| {
-                        if std::thread::current().id() != caller {
-                            claimed.store(1, Ordering::SeqCst);
-                            panic!("stage {i} blew up");
-                        }
-                        while claimed.load(Ordering::SeqCst) == 0 {
-                            std::thread::yield_now();
-                        }
-                        Ok(i as f64)
-                    },
-                    |_, delays| delays.map(drop),
-                )
-            }));
-            let message = run
-                .expect_err("the panic reaches the caller")
-                .downcast::<String>()
-                .map(|m| *m);
-            let _ = tx.send(message);
-        });
-        let message = rx
-            .recv_timeout(Duration::from_secs(20))
-            .expect("the caller is never left waiting on a panicked stage")
-            .expect("the original payload");
-        assert!(
-            message.starts_with("stage ") && message.ends_with(" blew up"),
-            "{message}"
-        );
+    fn a_panicking_lane_re_raises_on_the_caller_at_every_worker_count() {
+        // The first stage from 13 up that finishes while its kernel call
+        // holds other stages panics; the caller waits on one of those held
+        // stages or on the panicked one, and neither is ever integrated.
+        // With spawned workers, the caller's lanes wait until one of them
+        // has panicked, so the panic happens off the calling thread.
+        for workers in [1, 2, 4] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let ends = toy_ends(64, 4);
+                let caller = std::thread::current().id();
+                let fired = AtomicBool::new(false);
+                let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                    integrate(
+                        64,
+                        &ends,
+                        workers,
+                        toy_kernel(|i, others| {
+                            if workers > 1 && std::thread::current().id() == caller {
+                                while !fired.load(Ordering::SeqCst) {
+                                    std::thread::yield_now();
+                                }
+                            } else if i >= 13 && others > 0 && !fired.swap(true, Ordering::SeqCst) {
+                                panic!("stage {i} blew up");
+                            }
+                            Ok(i as f64)
+                        }),
+                        |_, delays| delays.map(drop),
+                    )
+                }));
+                let message = run
+                    .expect_err("the panic reaches the caller")
+                    .downcast::<String>()
+                    .map(|m| *m);
+                let _ = tx.send(message);
+            });
+            let message = rx
+                .recv_timeout(Duration::from_secs(20))
+                .expect("the caller is never left waiting on a held stage")
+                .expect("the original payload");
+            assert!(
+                message.starts_with("stage ") && message.ends_with(" blew up"),
+                "{workers} workers: {message}"
+            );
+        }
     }
 
     #[test]
