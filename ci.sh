@@ -29,6 +29,9 @@ cargo build --release --offline
 echo "==> cargo test (workspace, at most 30 min)"
 bounded 1800 cargo test --workspace --offline -q
 
+echo "==> fault_grading example (one fault-grading launch per supply and die, at most 5 min)"
+bounded 300 cargo run --release --offline --example fault_grading
+
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

@@ -28,6 +28,7 @@ use avfs_delay::model::DelayModel;
 use avfs_delay::op::OperatingPoint;
 use avfs_delay::TimingAnnotation;
 use avfs_netlist::{Levelization, LogicFunction, Netlist, NetlistError, NodeId, NodeKind};
+use avfs_waveform::PinDelays;
 use std::sync::{Arc, Mutex};
 
 /// Distinct uniform supply voltages whose fully-scaled delay tables the
@@ -35,6 +36,26 @@ use std::sync::{Arc, Mutex};
 /// DVFS operating points, so a handful of slots covers the steady state;
 /// one table costs `O(total gate pins)` `PinDelays`.
 const DELAY_TABLE_SLOTS: usize = 16;
+
+/// Refuses gate `gate`'s `pins` with [`SimError::InvalidDelay`], naming
+/// the first pin whose rise or fall delay is non-finite or negative: a
+/// delay no launch may scale.
+pub(crate) fn check_pins(
+    gate: &str,
+    pins: impl IntoIterator<Item = PinDelays>,
+) -> Result<(), SimError> {
+    let usable = |d: f64| d.is_finite() && d >= 0.0;
+    match pins
+        .into_iter()
+        .position(|d| !usable(d.rise) || !usable(d.fall))
+    {
+        Some(pin) => Err(SimError::InvalidDelay {
+            gate: gate.to_owned(),
+            pin,
+        }),
+        None => Ok(()),
+    }
+}
 
 /// The precomputed task plan of one level: which nodes are gate tasks
 /// and which are primary-output passthroughs, and per gate everything
@@ -211,14 +232,7 @@ impl CompiledNetlist {
                 });
             }
             if matches!(node.kind(), NodeKind::Gate(_)) {
-                for (pin, d) in annotation.node_delays(id).iter().enumerate() {
-                    if !d.rise.is_finite() || d.rise < 0.0 || !d.fall.is_finite() || d.fall < 0.0 {
-                        return Err(SimError::InvalidDelay {
-                            gate: node.name().to_owned(),
-                            pin,
-                        });
-                    }
-                }
+                check_pins(node.name(), annotation.node_delays(id).iter().copied())?;
             }
         }
         let space = model.space();

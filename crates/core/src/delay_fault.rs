@@ -4,22 +4,22 @@
 //! simulator family (its reference \[28\], "GPU-Accelerated Simulation of
 //! Small Delay Faults", and the small-delay test motivation of the
 //! introduction): a defect adds an extra delay `δ` at one node; a pattern
-//! pair *detects* it if any primary output either changes its captured
-//! value at the capture time or settles later than the fault-free run.
+//! pair *detects* it if any primary output holds a different value at the
+//! capture time than in the fault-free run.
 //!
-//! This module simulates a fault list by annotation perturbation: each
-//! fault gets a derived [`TimingAnnotation`] with `δ` added to every pin
-//! of the fault site, reusing the unmodified engine. Detection is judged
-//! against a capture period.
+//! A fault is one more per-group delay modifier (DESIGN.md §5): one
+//! launch on one compiled artifact simulates the slots patterns ×
+//! (golden + faults), a fault's slots reading the artifact's tables with
+//! `δ` added to the site's nominal pin delays before they are scaled.
 
-use crate::compile::CompiledNetlist;
-use crate::engine::SimOptions;
-use crate::slots::SlotSpec;
+use crate::compile::{check_pins, CompiledNetlist};
+use crate::engine::{SimOptions, SlotWork, VariationSample};
+use crate::pool::ParkedPool;
+use crate::scenario::{check_capture_time, check_variation};
 use crate::SimError;
 use avfs_atpg::PatternSet;
-use avfs_delay::model::DelayModel;
-use avfs_delay::TimingAnnotation;
-use avfs_netlist::{Netlist, NodeId, NodeKind};
+use avfs_delay::{TimingAnnotation, VariationConfig};
+use avfs_netlist::{NodeId, NodeKind};
 use avfs_waveform::PinDelays;
 use std::sync::Arc;
 
@@ -30,6 +30,24 @@ pub struct SmallDelayFault {
     pub node: NodeId,
     /// The extra delay, ps.
     pub delta_ps: f64,
+}
+
+impl SmallDelayFault {
+    /// The fault site's pin delays in `annotation` with `δ` added to
+    /// every rise and fall: what the fault does to the circuit.
+    pub(crate) fn pins<'a>(
+        &self,
+        annotation: &'a TimingAnnotation,
+    ) -> impl Iterator<Item = PinDelays> + 'a {
+        let delta = self.delta_ps;
+        annotation
+            .node_delays(self.node)
+            .iter()
+            .map(move |d| PinDelays {
+                rise: d.rise + delta,
+                fall: d.fall + delta,
+            })
+    }
 }
 
 /// The verdict for one fault under one pattern set.
@@ -48,32 +66,26 @@ pub struct FaultVerdict {
 
 /// Small-delay fault simulator.
 pub struct DelayFaultSimulator {
-    netlist: Arc<Netlist>,
-    annotation: Arc<TimingAnnotation>,
-    model: Arc<dyn DelayModel>,
+    compiled: Arc<CompiledNetlist>,
     /// Capture period: outputs are sampled at this time, ps.
     capture_ps: f64,
 }
 
 impl DelayFaultSimulator {
-    /// Creates a fault simulator sampling outputs at `capture_ps`.
+    /// Creates a fault simulator over `compiled` sampling outputs at
+    /// `capture_ps`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::AnnotationMismatch`] on shape mismatch.
+    /// Returns [`SimError::InvalidCaptureTime`] for a non-finite or
+    /// negative capture time.
     pub fn new(
-        netlist: Arc<Netlist>,
-        annotation: Arc<TimingAnnotation>,
-        model: Arc<dyn DelayModel>,
+        compiled: Arc<CompiledNetlist>,
         capture_ps: f64,
     ) -> Result<DelayFaultSimulator, SimError> {
-        if !annotation.matches(&netlist) {
-            return Err(SimError::AnnotationMismatch);
-        }
+        check_capture_time(capture_ps)?;
         Ok(DelayFaultSimulator {
-            netlist,
-            annotation,
-            model,
+            compiled,
             capture_ps,
         })
     }
@@ -86,78 +98,83 @@ impl DelayFaultSimulator {
     /// Builds the candidate fault list: one fault of size `delta_ps` per
     /// gate node.
     pub fn full_fault_list(&self, delta_ps: f64) -> Vec<SmallDelayFault> {
-        self.netlist
+        self.compiled
+            .netlist
             .iter()
             .filter(|(_, node)| matches!(node.kind(), NodeKind::Gate(_)))
             .map(|(id, _)| SmallDelayFault { node: id, delta_ps })
             .collect()
     }
 
-    /// Simulates the fault-free reference and every fault at `voltage`,
-    /// returning per-fault verdicts.
-    ///
-    /// Detection criterion per pattern: a primary output's value *at the
-    /// capture time* differs from the fault-free run, or the output
-    /// settles after the capture time while the fault-free run settled
-    /// before it.
+    /// Simulates the fault-free circuit and every fault at `voltage` in
+    /// one launch on `die` — sample 0 of that variation, what a
+    /// one-sample [`MonteCarlo`](crate::MonteCarlo) plan draws — or the
+    /// nominal die, and returns per-fault verdicts. A pattern detects a
+    /// fault when an output's value *at the capture time* differs from
+    /// the fault-free run's and both slots completed.
     ///
     /// # Errors
     ///
-    /// Propagates engine failures.
+    /// * [`SimError::FaultSite`] for a fault on a node that is not a gate
+    ///   of the netlist,
+    /// * [`SimError::InvalidDelay`] for a fault that makes a nominal pin
+    ///   delay of its gate non-finite or negative,
+    /// * [`SimError::InvalidVariation`] for an unusable `die`,
+    /// * everything [`CompiledNetlist::launch`] reports.
     pub fn run(
         &self,
         faults: &[SmallDelayFault],
         patterns: &PatternSet,
         voltage: f64,
+        die: Option<VariationConfig>,
         options: &SimOptions,
     ) -> Result<Vec<FaultVerdict>, SimError> {
-        let slots: Vec<SlotSpec> = crate::slots::at_voltage(patterns.len(), voltage);
-        let mut opts = options.clone();
-        opts.keep_waveforms = true;
-
-        // Fault-free reference captures.
-        let golden_engine = CompiledNetlist::compile(
-            Arc::clone(&self.netlist),
-            Arc::clone(&self.annotation),
-            Arc::clone(&self.model),
-        )?;
-        let golden = golden_engine.launch(patterns, &slots, &opts)?;
-        let golden_captures: Vec<Vec<bool>> = golden
-            .slots
-            .iter()
-            .map(|s| self.captures(s.waveforms.as_ref().expect("kept")))
-            .collect();
-
-        let mut verdicts = Vec::with_capacity(faults.len());
-        for &fault in faults {
-            let faulty_annotation = Arc::new(self.inject(fault));
-            let engine = CompiledNetlist::compile(
-                Arc::clone(&self.netlist),
-                faulty_annotation,
-                Arc::clone(&self.model),
-            )?;
-            let run = engine.launch(patterns, &slots, &opts)?;
-            let mut detected_by = None;
-            let mut worst_overshoot = f64::NEG_INFINITY;
-            for (pi, slot) in run.slots.iter().enumerate() {
-                let wfs = slot.waveforms.as_ref().expect("kept");
-                let captures = self.captures(wfs);
-                let late = slot
-                    .latest_output_transition_ps
-                    .map_or(f64::NEG_INFINITY, |t| t - self.capture_ps);
-                worst_overshoot = worst_overshoot.max(late);
-                if detected_by.is_none() && captures != golden_captures[pi] {
-                    detected_by = Some(pi);
-                }
-            }
-            verdicts.push(FaultVerdict {
-                fault,
-                detected: detected_by.is_some(),
-                detected_by,
-                worst_overshoot_ps: worst_overshoot.max(-self.capture_ps),
-            });
+        for (index, fault) in faults.iter().enumerate() {
+            self.check_fault(index, fault)?;
         }
-        Ok(verdicts)
+        if let Some(config) = &die {
+            check_variation(config)?;
+        }
+        let slots = crate::slots::at_voltage(patterns.len(), voltage);
+        let mut plan = self.compiled.prepare_uniform(patterns, &slots, options)?;
+        let golden = std::mem::take(&mut plan.work);
+        let die = die.map(|config| VariationSample { config, sample: 0 });
+        // Fault-major, so each fault's slots are adjacent in every batch.
+        plan.work = std::iter::once(None)
+            .chain(faults.iter().copied().map(Some))
+            .flat_map(|fault| {
+                golden.iter().map(move |w| SlotWork {
+                    fault,
+                    variation: die,
+                    ..w.clone()
+                })
+            })
+            .collect();
+        plan.capture_ps = Some(self.capture_ps);
+        let pool = ParkedPool::new(options.threads);
+        let run = self.compiled.execute(plan, options, &pool)?;
+        let (golden, faulty) = run.slots.split_at(patterns.len());
+        let graded = faults.iter().zip(faulty.chunks(patterns.len()));
+        Ok(graded
+            .map(|(&fault, slots)| {
+                let detected_by = slots.iter().zip(golden).position(|(bad, good)| {
+                    bad.status.is_completed()
+                        && good.status.is_completed()
+                        && bad.responses != good.responses
+                });
+                let worst_overshoot_ps = slots
+                    .iter()
+                    .filter_map(|s| s.latest_output_transition_ps)
+                    .fold(f64::NEG_INFINITY, |worst, t| worst.max(t - self.capture_ps))
+                    .max(-self.capture_ps);
+                FaultVerdict {
+                    fault,
+                    detected: detected_by.is_some(),
+                    detected_by,
+                    worst_overshoot_ps,
+                }
+            })
+            .collect())
     }
 
     /// Fault coverage of a verdict list.
@@ -168,38 +185,35 @@ impl DelayFaultSimulator {
         verdicts.iter().filter(|v| v.detected).count() as f64 / verdicts.len() as f64
     }
 
-    /// Output values at the capture time.
-    fn captures(&self, waveforms: &[avfs_waveform::Waveform]) -> Vec<bool> {
-        self.netlist
-            .outputs()
-            .iter()
-            .map(|&po| waveforms[po.index()].value_at(self.capture_ps))
-            .collect()
-    }
-
-    /// Derives the faulty annotation: `δ` added to every pin delay of the
-    /// fault site.
-    fn inject(&self, fault: SmallDelayFault) -> TimingAnnotation {
-        let mut ann = (*self.annotation).clone();
-        for d in ann.node_delays_mut(fault.node).iter_mut() {
-            *d = PinDelays {
-                rise: d.rise + fault.delta_ps,
-                fall: d.fall + fault.delta_ps,
-            };
-        }
-        ann
+    /// Refuses fault `index` unless it names a gate whose nominal pin
+    /// delays stay finite and non-negative with `δ` added.
+    fn check_fault(&self, index: usize, fault: &SmallDelayFault) -> Result<(), SimError> {
+        let node = self.compiled.netlist.nodes().get(fault.node.index());
+        let Some(gate) = node.filter(|node| matches!(node.kind(), NodeKind::Gate(_))) else {
+            return Err(SimError::FaultSite {
+                fault: index,
+                node: fault.node.index(),
+            });
+        };
+        check_pins(gate.name(), fault.pins(&self.compiled.annotation))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::results::SimRun;
+    use crate::scenario::{cross_schedules, MonteCarlo, Schedule};
     use avfs_atpg::pattern::{Pattern, PatternPair};
-    use avfs_delay::{ParameterSpace, StaticModel};
-    use avfs_netlist::{CellLibrary, NetlistBuilder};
+    use avfs_delay::model::DelayModel;
+    use avfs_delay::op::NormalizedPoint;
+    use avfs_delay::{ParameterSpace, StaticModel, TimingAnnotation};
+    use avfs_netlist::library::Polarity;
+    use avfs_netlist::{CellId, CellLibrary, Netlist, NetlistBuilder};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Chain of four inverters, 10 ps each → nominal arrival 40 ps.
-    fn chain() -> (Arc<Netlist>, Arc<TimingAnnotation>) {
+    fn chain(model: Arc<dyn DelayModel>) -> Arc<CompiledNetlist> {
         let lib = CellLibrary::nangate15_like();
         let mut b = NetlistBuilder::new("chain", &lib);
         let a = b.add_input("a").unwrap();
@@ -220,7 +234,11 @@ mod tests {
                 }
             }
         }
-        (n, Arc::new(ann))
+        Arc::new(CompiledNetlist::compile(n, Arc::new(ann), model).unwrap())
+    }
+
+    fn static_model() -> Arc<dyn DelayModel> {
+        Arc::new(StaticModel::new(ParameterSpace::paper()))
     }
 
     fn toggle_pattern() -> PatternSet {
@@ -231,14 +249,14 @@ mod tests {
     }
 
     fn sim(capture: f64) -> DelayFaultSimulator {
-        let (n, ann) = chain();
-        DelayFaultSimulator::new(
-            n,
-            ann,
-            Arc::new(StaticModel::new(ParameterSpace::paper())),
-            capture,
-        )
-        .unwrap()
+        DelayFaultSimulator::new(chain(static_model()), capture).unwrap()
+    }
+
+    fn serial() -> SimOptions {
+        SimOptions {
+            threads: 1,
+            ..SimOptions::default()
+        }
     }
 
     #[test]
@@ -248,15 +266,7 @@ mod tests {
         let faults = s.full_fault_list(10.0);
         assert_eq!(faults.len(), 4);
         let verdicts = s
-            .run(
-                &faults,
-                &toggle_pattern(),
-                0.8,
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
+            .run(&faults, &toggle_pattern(), 0.8, None, &serial())
             .unwrap();
         assert!(verdicts.iter().all(|v| v.detected), "{verdicts:?}");
         assert!((DelayFaultSimulator::coverage(&verdicts) - 1.0).abs() < 1e-12);
@@ -273,15 +283,7 @@ mod tests {
         let s = sim(100.0);
         let faults = s.full_fault_list(10.0);
         let verdicts = s
-            .run(
-                &faults,
-                &toggle_pattern(),
-                0.8,
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
+            .run(&faults, &toggle_pattern(), 0.8, None, &serial())
             .unwrap();
         assert!(verdicts.iter().all(|v| !v.detected));
         assert_eq!(DelayFaultSimulator::coverage(&verdicts), 0.0);
@@ -292,30 +294,18 @@ mod tests {
         // Capture 45: δ = 4 keeps arrival at 44 < 45 (undetected); δ = 6
         // lands at 46 > 45 (detected).
         let s = sim(45.0);
-        let small = s
-            .run(
-                &s.full_fault_list(4.0),
+        let grade = |delta| {
+            s.run(
+                &s.full_fault_list(delta),
                 &toggle_pattern(),
                 0.8,
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
+                None,
+                &serial(),
             )
-            .unwrap();
-        assert!(small.iter().all(|v| !v.detected));
-        let big = s
-            .run(
-                &s.full_fault_list(6.0),
-                &toggle_pattern(),
-                0.8,
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(big.iter().all(|v| v.detected));
+            .unwrap()
+        };
+        assert!(grade(4.0).iter().all(|v| !v.detected));
+        assert!(grade(6.0).iter().all(|v| v.detected));
     }
 
     #[test]
@@ -326,15 +316,7 @@ mod tests {
         )
         .collect();
         let verdicts = s
-            .run(
-                &s.full_fault_list(50.0),
-                &quiet,
-                0.8,
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
+            .run(&s.full_fault_list(50.0), &quiet, 0.8, None, &serial())
             .unwrap();
         assert!(verdicts.iter().all(|v| !v.detected));
     }
@@ -344,8 +326,327 @@ mod tests {
         let s = sim(45.0);
         assert_eq!(DelayFaultSimulator::coverage(&[]), 0.0);
         let verdicts = s
-            .run(&[], &toggle_pattern(), 0.8, &SimOptions::default())
+            .run(&[], &toggle_pattern(), 0.8, None, &SimOptions::default())
             .unwrap();
         assert!(verdicts.is_empty());
+    }
+
+    /// The per-fault recompile loop [`DelayFaultSimulator::run`]
+    /// replaced, kept as its oracle: the fault-free artifact and one
+    /// artifact recompiled per fault from an annotation with `δ` added to
+    /// every pin of the fault site, each launched on its own with every
+    /// waveform kept — as a one-die constant-schedule scenario when a die
+    /// is given — and each output read at the capture time.
+    fn recompile_oracle(
+        sim: &DelayFaultSimulator,
+        faults: &[SmallDelayFault],
+        patterns: &PatternSet,
+        voltage: f64,
+        die: Option<VariationConfig>,
+    ) -> Vec<FaultVerdict> {
+        let compiled = &sim.compiled;
+        let opts = SimOptions {
+            keep_waveforms: true,
+            ..serial()
+        };
+        let launch = |artifact: &CompiledNetlist| {
+            let n = patterns.len();
+            match die {
+                None => artifact.launch(patterns, &crate::slots::at_voltage(n, voltage), &opts),
+                Some(variation) => artifact.launch_scenarios(
+                    patterns,
+                    &cross_schedules(n, &[Schedule::constant(voltage)]),
+                    Some(&MonteCarlo {
+                        samples: 1,
+                        variation,
+                    }),
+                    None,
+                    &opts,
+                ),
+            }
+            .unwrap()
+        };
+        let captures = |run: &SimRun| -> Vec<Vec<bool>> {
+            let outputs = compiled.netlist().outputs();
+            run.slots
+                .iter()
+                .map(|slot| {
+                    let waveforms = slot.waveforms.as_ref().expect("kept");
+                    outputs
+                        .iter()
+                        .map(|&po| waveforms[po.index()].value_at(sim.capture_ps))
+                        .collect()
+                })
+                .collect()
+        };
+        let golden = captures(&launch(compiled));
+        faults
+            .iter()
+            .map(|&fault| {
+                let mut annotation = compiled.annotation().as_ref().clone();
+                for d in annotation.node_delays_mut(fault.node).iter_mut() {
+                    *d = PinDelays {
+                        rise: d.rise + fault.delta_ps,
+                        fall: d.fall + fault.delta_ps,
+                    };
+                }
+                let faulty = CompiledNetlist::compile(
+                    Arc::clone(compiled.netlist()),
+                    Arc::new(annotation),
+                    Arc::clone(compiled.model()),
+                )
+                .unwrap();
+                let run = launch(&faulty);
+                let mut detected_by = None;
+                let mut worst_overshoot = f64::NEG_INFINITY;
+                for (pi, (slot, captured)) in run.slots.iter().zip(captures(&run)).enumerate() {
+                    let late = slot
+                        .latest_output_transition_ps
+                        .map_or(f64::NEG_INFINITY, |t| t - sim.capture_ps);
+                    worst_overshoot = worst_overshoot.max(late);
+                    if detected_by.is_none() && captured != golden[pi] {
+                        detected_by = Some(pi);
+                    }
+                }
+                FaultVerdict {
+                    fault,
+                    detected: detected_by.is_some(),
+                    detected_by,
+                    worst_overshoot_ps: worst_overshoot.max(-sim.capture_ps),
+                }
+            })
+            .collect()
+    }
+
+    /// A verdict list with every float as its bits.
+    fn bits(verdicts: &[FaultVerdict]) -> Vec<(usize, u64, bool, Option<usize>, u64)> {
+        verdicts
+            .iter()
+            .map(|v| {
+                (
+                    v.fault.node.index(),
+                    v.fault.delta_ps.to_bits(),
+                    v.detected,
+                    v.detected_by,
+                    v.worst_overshoot_ps.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// `netlist` compiled against a fast characterization of the cells
+    /// it uses.
+    fn characterized(netlist: Netlist) -> Arc<CompiledNetlist> {
+        let netlist = Arc::new(netlist);
+        let mut cells: Vec<CellId> = netlist
+            .iter()
+            .filter_map(|(_, node)| match node.kind() {
+                NodeKind::Gate(cell) => Some(cell),
+                _ => None,
+            })
+            .collect();
+        cells.sort_unstable();
+        cells.dedup();
+        let chars = avfs_delay::characterize::characterize_library(
+            netlist.library(),
+            &avfs_spice::Technology::nm15(),
+            &avfs_delay::characterize::CharacterizationConfig::fast(),
+            Some(&cells),
+        )
+        .unwrap();
+        Arc::new(CompiledNetlist::from_characterization(netlist, &chars).unwrap())
+    }
+
+    /// The acceptance matrix: one launch grades exactly like the
+    /// recompile oracle — `detected`, `detected_by` and the overshoot's
+    /// bits — on the inverter chain, `c17` and an 8-bit adder, at two
+    /// supplies, on the nominal die and one varied die, at threads
+    /// {1, 4} × lanes {1, 8}, and with a one-transition arena that sends
+    /// glitching slots through retry rounds.
+    #[test]
+    fn one_launch_grades_like_the_per_fault_recompile_oracle() {
+        let lib = CellLibrary::nangate15_like();
+        let lfsr =
+            |compiled: &CompiledNetlist| PatternSet::lfsr(compiled.netlist().inputs().len(), 32, 5);
+        let c17 = characterized(avfs_circuits::c17(&lib).unwrap());
+        let adder = characterized(avfs_circuits::ripple_carry_adder(8, &lib).unwrap());
+        // The adder glitches, so a one-transition arena runs retry rounds.
+        let one_transition = SimOptions {
+            arena_capacity: 1,
+            ..serial()
+        };
+        let slots = crate::slots::at_voltage(32, 0.7);
+        let retried = adder.launch(&lfsr(&adder), &slots, &one_transition);
+        assert!(retried.unwrap().diagnostics.slot_retries > 0);
+        let circuits = [
+            ("chain", chain(static_model()), toggle_pattern()),
+            ("c17", Arc::clone(&c17), lfsr(&c17)),
+            ("adder", Arc::clone(&adder), lfsr(&adder)),
+        ];
+        let die = VariationConfig::sigma5(0xFA17);
+        for (name, compiled, patterns) in circuits {
+            let arrival = compiled
+                .launch(
+                    &patterns,
+                    &crate::slots::at_voltage(patterns.len(), 0.8),
+                    &serial(),
+                )
+                .unwrap()
+                .latest_arrival_at(0.8)
+                .expect("toggles");
+            let sim = DelayFaultSimulator::new(compiled, arrival * 1.1).unwrap();
+            // Three fault sizes, so some faults hide and some show.
+            let faults: Vec<SmallDelayFault> = sim
+                .full_fault_list(arrival * 0.1)
+                .into_iter()
+                .enumerate()
+                .map(|(i, f)| SmallDelayFault {
+                    delta_ps: f.delta_ps * [0.5, 1.0, 2.0][i % 3],
+                    ..f
+                })
+                .collect();
+            let (mut detected, mut hidden) = (0, 0);
+            for voltage in [0.7, 0.8] {
+                for die in [None, Some(die)] {
+                    let want = recompile_oracle(&sim, &faults, &patterns, voltage, die);
+                    detected += want.iter().filter(|v| v.detected).count();
+                    hidden += want.iter().filter(|v| !v.detected).count();
+                    let mut options: Vec<SimOptions> = [1, 4]
+                        .into_iter()
+                        .flat_map(|threads| {
+                            [1, 8].map(|lanes| SimOptions {
+                                threads,
+                                lanes,
+                                ..SimOptions::default()
+                            })
+                        })
+                        .collect();
+                    options.push(SimOptions {
+                        threads: 4,
+                        arena_capacity: 1,
+                        ..SimOptions::default()
+                    });
+                    for opts in options {
+                        let got = sim.run(&faults, &patterns, voltage, die, &opts).unwrap();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{name} at {voltage} V, die {die:?}, threads {}, lanes {}, cap {}",
+                            opts.threads,
+                            opts.lanes,
+                            opts.arena_capacity
+                        );
+                    }
+                }
+            }
+            assert!(detected > 0 && hidden > 0, "{name}: {detected} / {hidden}");
+        }
+    }
+
+    /// [`StaticModel`] counting its kernel evaluations.
+    #[derive(Debug)]
+    struct CountingModel {
+        inner: StaticModel,
+        calls: AtomicUsize,
+    }
+
+    impl DelayModel for CountingModel {
+        fn factor(
+            &self,
+            cell: CellId,
+            pin: usize,
+            polarity: Polarity,
+            p: NormalizedPoint,
+        ) -> Result<f64, avfs_delay::DelayError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.factor(cell, pin, polarity, p)
+        }
+        fn name(&self) -> &str {
+            "counting"
+        }
+        fn space(&self) -> &ParameterSpace {
+            self.inner.space()
+        }
+    }
+
+    /// One `run` is one launch on the simulator's one artifact: a single
+    /// table build — every pin of the chain, rise and fall — plus each
+    /// faulted gate's pins once. A recompile per fault would build the
+    /// table once per artifact, five times here.
+    #[test]
+    fn one_run_is_one_launch_on_one_artifact() {
+        let model = Arc::new(CountingModel {
+            inner: StaticModel::new(ParameterSpace::paper()),
+            calls: AtomicUsize::new(0),
+        });
+        let s = DelayFaultSimulator::new(chain(model.clone()), 45.0).unwrap();
+        let faults = s.full_fault_list(10.0);
+        let calls = || model.calls.load(Ordering::Relaxed);
+        let verdicts = s
+            .run(&faults, &toggle_pattern(), 0.8, None, &serial())
+            .unwrap();
+        assert_eq!(verdicts.len(), 4);
+        assert_eq!(calls(), 2 * 4 + 2 * 4);
+        // The artifact's table serves the next run at that supply: only
+        // the faulted gates are scaled again.
+        s.run(&faults, &toggle_pattern(), 0.8, None, &serial())
+            .unwrap();
+        assert_eq!(calls(), 16 + 2 * 4);
+    }
+
+    /// Capture times no arrival can be judged against, and faults the
+    /// launch could not apply, are typed errors — not a simulator that
+    /// detects nothing, a silent no-op or an index panic.
+    #[test]
+    fn unusable_capture_times_and_faults_are_typed_errors() {
+        for capture in [f64::NAN, f64::INFINITY, -1.0] {
+            assert!(matches!(
+                DelayFaultSimulator::new(chain(static_model()), capture),
+                Err(SimError::InvalidCaptureTime { .. })
+            ));
+        }
+        let s = sim(45.0);
+        let netlist = Arc::clone(s.compiled.netlist());
+        let input = netlist.inputs()[0];
+        let output = netlist.outputs()[0];
+        let gate = netlist.find("g2").unwrap();
+        let grade = |node: NodeId, delta_ps: f64| {
+            let faults = [
+                SmallDelayFault {
+                    node: netlist.find("g0").unwrap(),
+                    delta_ps: 1.0,
+                },
+                SmallDelayFault { node, delta_ps },
+            ];
+            s.run(&faults, &toggle_pattern(), 0.8, None, &serial())
+        };
+        for node in [input, output, NodeId::from_index(netlist.num_nodes())] {
+            assert_eq!(
+                grade(node, 1.0).unwrap_err(),
+                SimError::FaultSite {
+                    fault: 1,
+                    node: node.index(),
+                }
+            );
+        }
+        for delta in [-10.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                grade(gate, delta).unwrap_err(),
+                SimError::InvalidDelay {
+                    gate: "g2".to_owned(),
+                    pin: 0,
+                }
+            );
+        }
+        // Down to a zero-delay gate is a usable fault.
+        assert!(grade(gate, -10.0).is_ok());
+        let bad_die = VariationConfig {
+            sigma: f64::NAN,
+            ..VariationConfig::sigma5(1)
+        };
+        assert!(matches!(
+            s.run(&[], &toggle_pattern(), 0.8, Some(bad_die), &serial()),
+            Err(SimError::InvalidVariation { .. })
+        ));
     }
 }

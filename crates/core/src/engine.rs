@@ -14,7 +14,8 @@
 //! (pin, polarity), scale, then run the waveform-processing loop.
 //!
 //! There is one launch path. The uniform, domain and scenario preparers
-//! lower their inputs to a `LaunchPlan`; `CompiledNetlist::execute`
+//! lower their inputs to a `LaunchPlan` (the small-delay fault grader
+//! widens a uniform one by its faults); `CompiledNetlist::execute`
 //! runs it on a pool — retry rounds and arena-sized batches here, one
 //! batch's level loop in `batch`, delay initialisation in `delays`.
 //!
@@ -302,29 +303,40 @@ pub(crate) struct LaunchPlan<'a> {
     /// [`ScenarioSummary`](crate::scenario::ScenarioSummary) against
     /// this Monte Carlo plan and capture deadline.
     pub(crate) reduction: Option<(Option<MonteCarlo>, Option<f64>)>,
+    /// A fault launch's capture time, ps: the responses are sampled then.
+    pub(crate) capture_ps: Option<f64>,
 }
 
 impl CompiledNetlist {
     /// Runs the launch validation: the artifact's pre-rendered setup
-    /// findings, an `AVC-D005` check of every slot operating point in
-    /// `slot_points`, and any launch-specific findings the preparer
-    /// already produced (`extra`: the scenario layer's
-    /// `AVC-N010`/`AVC-D006` schedule lints) — the only validation work
-    /// left per run after the netlist/delay-model tiers were hoisted
-    /// into compile. Returns the rendered findings for
+    /// findings, an `AVC-D005` check of every `(location, supply)` in
+    /// `slot_supplies` at the minimum load, and any launch-specific
+    /// findings the preparer already produced (`extra`: the scenario
+    /// layer's `AVC-N010`/`AVC-D006` schedule lints) — the only
+    /// validation work left per run after the netlist/delay-model tiers
+    /// were hoisted into compile. Returns the rendered findings for
     /// [`RunDiagnostics::validation_findings`], or
     /// [`SimError::Validation`] under [`ValidationMode::Deny`] when any
     /// warn-or-worse finding exists.
     pub(crate) fn validate_launch(
         &self,
         mode: ValidationMode,
-        slot_points: &[(String, OperatingPoint)],
+        slot_supplies: impl Iterator<Item = (String, f64)>,
         extra: &[avfs_check::Finding],
     ) -> Result<Vec<String>, SimError> {
         if mode == ValidationMode::Off {
             return Ok(Vec::new());
         }
-        let op_findings = avfs_check::model::lint_operating_points(self.model.space(), slot_points);
+        // Supplies are checked against the model's characterized domain
+        // *before* normalization clamps them into it, so an out-of-domain
+        // sweep point is recorded (Warn) or refused (Deny) instead of
+        // silently repaired.
+        let c_min = self.model.space().load_range().0;
+        let slot_points: Vec<(String, OperatingPoint)> = slot_supplies
+            .map(|(location, v)| (location, OperatingPoint::new(v, c_min)))
+            .collect();
+        let op_findings =
+            avfs_check::model::lint_operating_points(self.model.space(), &slot_points);
         let mut rendered = self.setup_rendered.clone();
         rendered.extend(op_findings.iter().map(ToString::to_string));
         rendered.extend(extra.iter().map(ToString::to_string));
@@ -393,17 +405,9 @@ impl CompiledNetlist {
         options: &SimOptions,
     ) -> Result<LaunchPlan<'a>, SimError> {
         self.check_launch(patterns, slots.iter().map(|s| (s.pattern, [s.voltage])))?;
-        // Slot operating points are checked against the model's
-        // characterized domain *before* normalization clamps them into
-        // it, so an out-of-domain sweep point is recorded (Warn) or
-        // refused (Deny) instead of silently repaired.
-        let c_min = self.model.space().load_range().0;
-        let slot_points: Vec<(String, OperatingPoint)> = slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (format!("slot {i}"), OperatingPoint::new(s.voltage, c_min)))
-            .collect();
-        let validation = self.validate_launch(options.strict_validation, &slot_points, &[])?;
+        let supplies = slots.iter().enumerate();
+        let supplies = supplies.map(|(i, s)| (format!("slot {i}"), s.voltage));
+        let validation = self.validate_launch(options.strict_validation, supplies, &[])?;
         let work = slots
             .iter()
             .map(|s| SlotWork {
@@ -411,6 +415,7 @@ impl CompiledNetlist {
                 assign: VoltageAssign::Uniform(self.v_norm(s.voltage)),
                 voltage: s.voltage,
                 variation: None,
+                fault: None,
             })
             .collect();
         Ok(LaunchPlan {
@@ -419,6 +424,7 @@ impl CompiledNetlist {
             validation,
             domains: None,
             reduction: None,
+            capture_ps: None,
         })
     }
 
@@ -483,20 +489,11 @@ impl CompiledNetlist {
         // Each distinct (slot, domain) supply is a checked operating
         // point — islands extend the validation the same way they extend
         // the voltage assignment.
-        let c_min = self.model.space().load_range().0;
-        let slot_points: Vec<(String, OperatingPoint)> = specs
-            .iter()
-            .enumerate()
-            .flat_map(|(i, spec)| {
-                spec.voltages.iter().enumerate().map(move |(d, &v)| {
-                    (
-                        format!("slot {i}/domain {d}"),
-                        OperatingPoint::new(v, c_min),
-                    )
-                })
-            })
-            .collect();
-        let validation = self.validate_launch(options.strict_validation, &slot_points, &[])?;
+        let supplies = specs.iter().enumerate().flat_map(|(i, spec)| {
+            let domains = spec.voltages.iter().enumerate();
+            domains.map(move |(d, &v)| (format!("slot {i}/domain {d}"), v))
+        });
+        let validation = self.validate_launch(options.strict_validation, supplies, &[])?;
         let work = specs
             .iter()
             .map(|spec| SlotWork {
@@ -506,6 +503,7 @@ impl CompiledNetlist {
                 ),
                 voltage: spec.voltages[0],
                 variation: None,
+                fault: None,
             })
             .collect();
         Ok(LaunchPlan {
@@ -514,6 +512,7 @@ impl CompiledNetlist {
             validation,
             domains: Some(domains),
             reduction: None,
+            capture_ps: None,
         })
     }
 
@@ -551,7 +550,7 @@ impl CompiledNetlist {
     /// [`BatchRunner`](crate::batch::BatchRunner)) ends in.
     pub(crate) fn execute(
         &self,
-        plan: LaunchPlan<'_>,
+        mut plan: LaunchPlan<'_>,
         options: &SimOptions,
         pool: &ParkedPool,
     ) -> Result<SimRun, SimError> {
@@ -582,11 +581,10 @@ impl CompiledNetlist {
             record_scenario_shape(m, &plan.work);
         }
         let start = Instant::now();
+        let validation = std::mem::take(&mut plan.validation);
         let ctx = RunCtx {
             compiled: self,
-            patterns: plan.patterns,
-            work: &plan.work,
-            domains: plan.domains,
+            plan: &plan,
             options,
             pool,
             tallies: PoolTallies::new(pool.threads()),
@@ -613,7 +611,7 @@ impl CompiledNetlist {
             results: vec![None; plan.work.len()],
             diag: RunDiagnostics {
                 clamped_loads: self.clamped_loads,
-                validation_findings: plan.validation,
+                validation_findings: validation,
                 ..RunDiagnostics::default()
             },
             slot_sims: 0,
@@ -691,10 +689,7 @@ fn record_scenario_shape(m: &Metrics, work: &[SlotWork]) {
 /// Everything one launch's batches share and none of them mutates.
 struct RunCtx<'a> {
     compiled: &'a CompiledNetlist,
-    patterns: &'a PatternSet,
-    work: &'a [SlotWork],
-    /// The launch's node → domain map (voltage-island launches only).
-    domains: Option<&'a VoltageDomains>,
+    plan: &'a LaunchPlan<'a>,
     options: &'a SimOptions,
     /// The parked workers every batch is released to once (the GPU grid
     /// analogue), and the resident arena round 0 runs in.
@@ -751,7 +746,7 @@ impl RunCtx<'_> {
     fn retry_rounds(&self, state: &mut RunState) -> Result<(), SimError> {
         let nodes = self.compiled.netlist.num_nodes();
         let lanes = self.options.resolved_lanes();
-        let mut pending: Vec<usize> = (0..self.work.len()).collect();
+        let mut pending: Vec<usize> = (0..self.plan.work.len()).collect();
         // Die-major batches: a die's derates are drawn once per batch
         // that carries it, so a batch should carry few dice and all of
         // each. The sort is stable — within a die the launch's scenario
@@ -759,7 +754,7 @@ impl RunCtx<'_> {
         // its order outright — and results never see it: they are stored
         // by launch slot. Retry rounds inherit the order from the batches
         // that overflowed.
-        pending.sort_by_key(|&slot| self.work[slot].variation.map(|v| v.sample));
+        pending.sort_by_key(|&slot| self.plan.work[slot].variation.map(|v| v.sample));
         let mut cap = self.options.resolved_arena_capacity();
         let mut round = 0u32;
         loop {
@@ -796,7 +791,7 @@ impl RunCtx<'_> {
                 grown_capacity(nodes, cap).filter(|_| round < self.options.overflow_retries);
             let Some(grown) = grown else {
                 for &s in &overflowed {
-                    state.fail(self.work, s, SlotStatus::Overflowed { capacity: cap });
+                    state.fail(&self.plan.work, s, SlotStatus::Overflowed { capacity: cap });
                 }
                 return Ok(());
             };
@@ -832,7 +827,7 @@ impl RunCtx<'_> {
             // their results (graceful degradation).
             if self.deadline_expired() {
                 for &slot in chunk {
-                    state.fail(self.work, slot, SlotStatus::DeadlineExceeded);
+                    state.fail(&self.plan.work, slot, SlotStatus::DeadlineExceeded);
                 }
                 continue;
             }
@@ -878,7 +873,7 @@ impl RunCtx<'_> {
                 self.injector
                     .fires(InjectionSite::AllocCapBreach, slot as u64, u64::from(round));
             if over_budget || injected {
-                state.fail(self.work, slot, SlotStatus::BudgetExceeded);
+                state.fail(&self.plan.work, slot, SlotStatus::BudgetExceeded);
             } else {
                 admitted.push(slot);
             }
@@ -932,6 +927,8 @@ pub(crate) struct SlotWork {
     /// delay-initialization group only when both their voltage
     /// assignment *and* their die agree.
     pub(crate) variation: Option<VariationSample>,
+    /// The slot's small-delay fault, also part of the voltage-group key.
+    pub(crate) fault: Option<crate::delay_fault::SmallDelayFault>,
 }
 
 impl SlotWork {

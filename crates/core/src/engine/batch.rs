@@ -17,7 +17,7 @@ use avfs_inject::InjectionSite;
 use avfs_obs::time_option;
 use avfs_waveform::{
     merge_transitions, CapacityOverflow, GateScratch, LaneLayout, LevelWriter, SwitchingActivity,
-    Waveform, WaveformArena, WaveformStats, WaveformView,
+    Waveform, WaveformArena, WaveformRead, WaveformStats, WaveformView,
 };
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -71,24 +71,26 @@ impl<'c> Batch<'c> {
     /// (level, group) instead of once per (slot, gate). The injected
     /// non-finite kernel is probed here, once per (slot, round), and a
     /// slot it fired on joins only slots it also fired on — so what a
-    /// slot reads never depends on which slots share its batch.
+    /// slot reads never depends on which slots share its batch. Each
+    /// fault's slots are adjacent, so a faulted slot joins the last group
+    /// or opens one, never scans: grouping stays linear in slots.
     pub(super) fn new(ctx: &'c RunCtx<'c>, chunk: &'c [usize], round: u32) -> Self {
         let nodes = ctx.compiled.netlist.num_nodes();
         let mut groups: Vec<VoltageGroup<'c>> = Vec::new();
         let group_of_slot = chunk
             .iter()
             .map(|&slot| {
-                let w = &ctx.work[slot];
+                let w = &ctx.plan.work[slot];
                 let poisoned = ctx.injector.fires(
                     InjectionSite::NonFiniteKernel,
                     slot as u64,
                     u64::from(round),
                 );
-                groups
-                    .iter()
-                    .position(|g| g.matches(&w.assign, w.variation, poisoned))
+                let first = w.fault.map_or(0, |_| groups.len().saturating_sub(1));
+                (first..groups.len())
+                    .find(|&g| groups[g].matches(w, poisoned))
                     .unwrap_or_else(|| {
-                        groups.push(VoltageGroup::new(&w.assign, w.variation, poisoned));
+                        groups.push(VoltageGroup::new(w, poisoned));
                         groups.len() - 1
                     })
             })
@@ -125,7 +127,7 @@ impl<'c> Batch<'c> {
         let metrics = ctx.metrics;
         arena.reset();
         self.bind_delay_tables()?;
-        let delays = BatchDelays::new(ctx.compiled, ctx.domains, &self.groups);
+        let delays = BatchDelays::new(ctx.compiled, ctx.plan.domains, &self.groups);
         let walk = Walk::new(&self, &delays, arena.level_writer());
         let release = metrics.map(|_| Instant::now());
         match ctx.pool.workers() {
@@ -184,7 +186,8 @@ impl<'c> Batch<'c> {
     }
 
     /// Waveform analysis (Fig. 2, step 4) for surviving slots;
-    /// quarantine verdicts for the rest.
+    /// quarantine verdicts for the rest. An output's response is its
+    /// final value, or its value at a fault launch's capture time.
     fn analyze(
         &self,
         arena: &WaveformArena,
@@ -197,6 +200,7 @@ impl<'c> Batch<'c> {
         let netlist = &ctx.compiled.netlist;
         let nodes = netlist.num_nodes();
         let layout = self.layout;
+        let capture = ctx.plan.capture_ps;
         for (si, &slot) in self.chunk.iter().enumerate() {
             let status = match dead[si] {
                 Some(Dead::Overflow) => {
@@ -210,14 +214,15 @@ impl<'c> Batch<'c> {
                 },
             };
             if !status.is_completed() {
-                state.fail(ctx.work, slot, status);
+                state.fail(&ctx.plan.work, slot, status);
                 continue;
             }
             let mut responses = Vec::with_capacity(netlist.outputs().len());
             let mut latest: Option<f64> = None;
             for &po in netlist.outputs() {
-                let stats = WaveformStats::of(&arena.view(layout.index(si, po.index())));
-                responses.push(stats.final_value);
+                let view = arena.view(layout.index(si, po.index()));
+                let stats = WaveformStats::of(&view);
+                responses.push(capture.map_or(stats.final_value, |t| view.value_at(t)));
                 latest = match (latest, stats.latest_transition) {
                     (Some(a), Some(b)) => Some(a.max(b)),
                     (a, b) => a.or(b),
@@ -244,7 +249,7 @@ impl<'c> Batch<'c> {
                 );
             }
             state.results[slot] = Some(SlotResult {
-                spec: ctx.work[slot].spec(),
+                spec: ctx.plan.work[slot].spec(),
                 status,
                 responses,
                 latest_output_transition_ps: latest,
@@ -597,7 +602,7 @@ impl<'a> Walk<'a> {
         let layout = self.batch.layout;
         let base = layout.group_slot(g);
         for si in base..base + layout.group_width(g) {
-            let pair = &ctx.patterns.pairs()[ctx.work[self.batch.chunk[si]].pattern];
+            let pair = &ctx.plan.patterns.pairs()[ctx.plan.work[self.batch.chunk[si]].pattern];
             for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
                 let wf = Waveform::from_pattern(pair.launch.bit(k), pair.capture.bit(k), 0.0);
                 let stats = self

@@ -14,21 +14,23 @@
 //! group whose delays are a table slice verbatim reads it in place; an
 //! island group gathers each gate from its domain's table and a group the
 //! injected non-finite kernel fired on falls back to nominal, each into
-//! its own copy of the level. A die is drawn once per level per batch
-//! ([`draw_level_derates`]), shared by every group carrying it, and
-//! applied as the merge loop reads each delay ([`LevelDelays::pin`]).
+//! its own copy of the level; a fault group reads one copy, its faulted
+//! gate's level with the gate swapped in, made when the group binds. A
+//! die is drawn once per level per batch ([`draw_level_derates`]), shared
+//! by every group carrying it, and applied as the merge loop reads each
+//! delay ([`LevelDelays::pin`]).
 //! Lane groups walk the levels independently, so a level's copies and
 //! draws are made by the first worker that opens the level for a slot
 //! that reads them ([`BatchDelays::open`]) and live until the batch ends.
 
-use super::{VariationSample, VoltageAssign};
+use super::{SlotWork, VariationSample, VoltageAssign};
 use crate::compile::CompiledNetlist;
 use crate::domains::VoltageDomains;
 use crate::phases;
 use crate::SimError;
 use avfs_delay::op::NormalizedPoint;
 use avfs_netlist::library::Polarity;
-use avfs_netlist::NodeKind;
+use avfs_netlist::{NodeId, NodeKind};
 use avfs_obs::Metrics;
 use avfs_waveform::{segment_of, PinDelays};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,36 +93,57 @@ pub(super) enum DelayFault {
     Panicked,
 }
 
+/// Runs delay-model work, a panic contained as [`DelayFault::Panicked`].
+fn guarded<T>(work: impl FnOnce() -> Result<T, SimError>) -> Result<T, DelayFault> {
+    match catch_unwind(AssertUnwindSafe(work)) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(e)) => Err(DelayFault::Model(e)),
+        Err(_) => Err(DelayFault::Panicked),
+    }
+}
+
 impl CompiledNetlist {
-    /// The delay-initialisation routine: the nominal pin delays of
-    /// `level`'s gates scaled by the kernel factor at each gate's
-    /// `(v_norm, φ_C(load))`, and the gates that fell back to nominal —
-    /// one level of a [`DelayTable`].
+    /// The delay-initialisation routine: `nominal`, the pin delays of
+    /// gate `node`, scaled by the kernel factor at `(v_norm, φ_C(load))`
+    /// and appended to `out`. Returns how many fell back to nominal.
+    fn gate_delays(
+        &self,
+        node: NodeId,
+        nominal: &[PinDelays],
+        v_norm: f64,
+        out: &mut Vec<PinDelays>,
+    ) -> Result<u64, SimError> {
+        let NodeKind::Gate(cell_id) = self.netlist.node(node).kind() else {
+            unreachable!("only gates carry scaled delays");
+        };
+        let p = NormalizedPoint {
+            v: v_norm,
+            c: self.c_norm[node.index()],
+        };
+        let mut fallbacks = 0u64;
+        for (pin, d) in nominal.iter().enumerate() {
+            let f_rise = self.model.factor(cell_id, pin, Polarity::Rise, p)?;
+            let f_fall = self.model.factor(cell_id, pin, Polarity::Fall, p)?;
+            out.push(PinDelays {
+                rise: scale_or_fallback(d.rise, f_rise, &mut fallbacks),
+                fall: scale_or_fallback(d.fall, f_fall, &mut fallbacks),
+            });
+        }
+        Ok(fallbacks)
+    }
+
+    /// One level of a [`DelayTable`]: [`CompiledNetlist::gate_delays`] over
+    /// `level`'s annotated gates, and the gates that fell back to nominal.
     fn level_delays(
         &self,
         level: usize,
         v_norm: f64,
     ) -> Result<(Vec<PinDelays>, GateFallbacks), SimError> {
         let (mut out, mut fallbacks) = (Vec::new(), Vec::new());
-        for (pos, &node_id) in self.level_plans[level].gate_nodes.iter().enumerate() {
-            let NodeKind::Gate(cell_id) = self.netlist.node(node_id).kind() else {
-                unreachable!("level plans list gates only");
-            };
-            let p = NormalizedPoint {
-                v: v_norm,
-                c: self.c_norm[node_id.index()],
-            };
-            let mut gate_fallbacks = 0u64;
-            for (pin, d) in self.annotation.node_delays(node_id).iter().enumerate() {
-                let f_rise = self.model.factor(cell_id, pin, Polarity::Rise, p)?;
-                let f_fall = self.model.factor(cell_id, pin, Polarity::Fall, p)?;
-                out.push(PinDelays {
-                    rise: scale_or_fallback(d.rise, f_rise, &mut gate_fallbacks),
-                    fall: scale_or_fallback(d.fall, f_fall, &mut gate_fallbacks),
-                });
-            }
-            if gate_fallbacks > 0 {
-                fallbacks.push((pos, gate_fallbacks));
+        for (pos, &node) in self.level_plans[level].gate_nodes.iter().enumerate() {
+            let n = self.gate_delays(node, self.annotation.node_delays(node), v_norm, &mut out)?;
+            if n > 0 {
+                fallbacks.push((pos, n));
             }
         }
         Ok((out, fallbacks))
@@ -152,11 +175,7 @@ impl CompiledNetlist {
                 fallbacks_per_level,
             })
         };
-        let table = match catch_unwind(AssertUnwindSafe(build)) {
-            Ok(Ok(table)) => Arc::new(table),
-            Ok(Err(e)) => return Err(DelayFault::Model(e)),
-            Err(_) => return Err(DelayFault::Panicked),
-        };
+        let table = Arc::new(guarded(build)?);
         if let Some(m) = metrics {
             let pins: usize = table.per_level.iter().map(Vec::len).sum();
             m.add(phases::ENGINE_KERNEL_EVALS, 2 * pins as u64);
@@ -194,72 +213,107 @@ fn draw_level_derates(
 /// The slots of a batch that share one delay initialisation: same
 /// voltage assignment, same Monte Carlo die (variation derates the
 /// initialized delays, so sampled slots only share a group with slots of
-/// the same die).
+/// the same die) and same small-delay fault.
 pub(super) struct VoltageGroup<'w> {
-    assign: &'w VoltageAssign,
-    variation: Option<VariationSample>,
+    /// The first slot's work, whose assignment, die and fault the group
+    /// shares.
+    work: &'w SlotWork,
     /// The artifact's tables this group reads, one per entry of
     /// [`VoltageAssign::v_norms`]: per segment of a uniform or scheduled
     /// assignment, per domain of an island assignment.
     tables: Vec<Arc<DelayTable>>,
+    /// The fault's gate, bound with the tables.
+    faulted: Option<FaultedGate>,
     /// The injected non-finite kernel fired on this group's slots this
     /// round (probed per slot; poisoned and clean slots never share a
     /// group): every delay falls back to nominal.
     poisoned: bool,
 }
 
+/// A fault group's gate: its pins with `δ` added, and the group's one
+/// own copy — its level's table slice with those pins scaled in place of
+/// the gate's, bitwise a faulty table's level.
+struct FaultedGate {
+    nominal: Vec<PinDelays>,
+    level: usize,
+    copy: LevelCopy,
+}
+
 impl<'w> VoltageGroup<'w> {
-    pub(super) fn new(
-        assign: &'w VoltageAssign,
-        variation: Option<VariationSample>,
-        poisoned: bool,
-    ) -> Self {
+    pub(super) fn new(work: &'w SlotWork, poisoned: bool) -> Self {
         VoltageGroup {
-            assign,
-            variation,
+            work,
             tables: Vec::new(),
+            faulted: None,
             poisoned,
         }
     }
 
-    pub(super) fn matches(
-        &self,
-        assign: &VoltageAssign,
-        variation: Option<VariationSample>,
-        poisoned: bool,
-    ) -> bool {
-        // The die first: a cheap reject before the assignment compare.
-        self.variation == variation && self.poisoned == poisoned && *self.assign == *assign
+    pub(super) fn matches(&self, work: &SlotWork, poisoned: bool) -> bool {
+        // Cheap rejects before the assignment compare.
+        self.work.variation == work.variation
+            && self.work.fault == work.fault
+            && self.poisoned == poisoned
+            && self.work.assign == work.assign
     }
 
     /// Binds the group to the artifact's cached tables (so a droop or an
     /// island over an already-swept voltage grid pays no kernel work at
-    /// all).
+    /// all), and a fault group to its faulted gate: `nominal + δ` scaled
+    /// by [`CompiledNetlist::gate_delays`] into a copy of its level.
     pub(super) fn bind_tables(
         &mut self,
         compiled: &CompiledNetlist,
         metrics: Option<&Metrics>,
     ) -> Result<(), DelayFault> {
         self.tables = self
+            .work
             .assign
             .v_norms()
             .iter()
             .map(|&v| compiled.cached_delay_table(v, metrics))
             .collect::<Result<_, _>>()?;
+        let Some(fault) = self.work.fault else {
+            return Ok(());
+        };
+        let nominal: Vec<PinDelays> = fault.pins(&compiled.annotation).collect();
+        let level = compiled.levels.level_of(fault.node) as usize;
+        let plan = &compiled.level_plans[level];
+        let at = plan.gate_nodes.iter().position(|&g| g == fault.node);
+        let at = at.expect("a gate is planned at its level");
+        let (table, v_norm) = (&self.tables[0], self.work.assign.v_norms()[0]);
+        let slice = &table.per_level[level];
+        let mut delays = slice[..plan.gate_offsets[at]].to_vec();
+        let own = guarded(|| compiled.gate_delays(fault.node, &nominal, v_norm, &mut delays))?;
+        delays.extend_from_slice(&slice[plan.gate_offsets[at + 1]..]);
+        if let Some(m) = metrics {
+            m.add(phases::ENGINE_KERNEL_EVALS, 2 * nominal.len() as u64);
+        }
+        let others = table.fallbacks_per_level[level]
+            .iter()
+            .filter(|&&(pos, _)| pos != at);
+        let fallbacks = own + others.map(|&(_, n)| n).sum::<u64>();
+        let copy = LevelCopy { delays, fallbacks };
+        self.faulted = Some(FaultedGate {
+            nominal,
+            level,
+            copy,
+        });
         Ok(())
     }
 
-    /// Whether this group's delays differ from a table slice, so it
-    /// reads its own copy of each level.
+    /// Whether this group's delays differ from a table slice at every
+    /// level, so it reads its own copy of each.
     fn owns_copy(&self) -> bool {
-        self.poisoned || matches!(self.assign, VoltageAssign::PerDomain(_))
+        self.poisoned || matches!(self.work.assign, VoltageAssign::PerDomain(_))
     }
 
     /// This group's own copy of `level`: island groups gather each gate's
     /// pins from its domain's table in `domains`, the launch's map; a
-    /// poisoned group reads the nominal delays — what a non-finite factor
-    /// makes of each through [`scale_or_fallback`] — once for every
-    /// segment, which all read the same copy.
+    /// poisoned group reads the nominal delays (`δ` added at a faulted
+    /// gate) — what a non-finite factor makes of each through
+    /// [`scale_or_fallback`] — once for every segment, which all read the
+    /// same copy.
     fn level_copy(
         &self,
         compiled: &CompiledNetlist,
@@ -271,13 +325,16 @@ impl<'w> VoltageGroup<'w> {
             let delays: Vec<PinDelays> = plan
                 .gate_nodes
                 .iter()
-                .flat_map(|&node| compiled.annotation.node_delays(node))
+                .flat_map(|&node| match (self.work.fault, &self.faulted) {
+                    (Some(fault), Some(f)) if fault.node == node => &f.nominal,
+                    _ => compiled.annotation.node_delays(node),
+                })
                 .map(|d| PinDelays {
                     rise: d.rise.max(0.0),
                     fall: d.fall.max(0.0),
                 })
                 .collect();
-            let fallbacks = (2 * delays.len() * self.assign.segments()) as u64;
+            let fallbacks = (2 * delays.len() * self.work.assign.segments()) as u64;
             return LevelCopy { delays, fallbacks };
         }
         let domains = domains.expect("an island launch carries its domain map");
@@ -342,7 +399,7 @@ impl<'b> BatchDelays<'b> {
         let die_of = groups
             .iter()
             .map(|g| {
-                let die = g.variation?;
+                let die = g.work.variation?;
                 Some(dice.iter().position(|&d| d == die).unwrap_or_else(|| {
                     dice.push(die);
                     dice.len() - 1
@@ -370,6 +427,19 @@ impl<'b> BatchDelays<'b> {
         }
     }
 
+    /// Voltage group `group`'s own copy of `level`, if it reads one
+    /// rather than a table slice in place: an island or poisoned group's
+    /// (made here by the first worker to ask), or a fault group's at its
+    /// faulted gate's level (made at bind time).
+    fn own_copy(&self, group: usize, level: usize) -> Option<&LevelCopy> {
+        let g = &self.groups[group];
+        if let Some(copy) = self.copies[group].get(level) {
+            return Some(copy.get_or_init(|| g.level_copy(self.compiled, self.domains, level)));
+        }
+        let faulted = g.faulted.as_ref()?;
+        (faulted.level == level).then_some(&faulted.copy)
+    }
+
     /// Readies voltage group `group`'s delays of `level` — its die's
     /// draw and its own copy, whichever it reads and no worker made yet —
     /// and returns how many of one slot's delays fell back to nominal:
@@ -383,13 +453,9 @@ impl<'b> BatchDelays<'b> {
                 drawn
             });
         }
-        let g = &self.groups[group];
-        match self.copies[group].get(level) {
-            Some(copy) => {
-                copy.get_or_init(|| g.level_copy(self.compiled, self.domains, level))
-                    .fallbacks
-            }
-            None => g
+        match self.own_copy(group, level) {
+            Some(copy) => copy.fallbacks,
+            None => self.groups[group]
                 .tables
                 .iter()
                 .flat_map(|t| &t.fallbacks_per_level[level])
@@ -401,18 +467,18 @@ impl<'b> BatchDelays<'b> {
     /// Voltage group `group`'s delay view of `level`, which
     /// [`BatchDelays::open`] readied.
     pub(super) fn level(&self, group: usize, level: usize) -> LevelDelays<'_> {
-        let g = &self.groups[group];
-        let (first, tables): (&[PinDelays], &[Arc<DelayTable>]) =
-            match self.copies[group].get(level) {
-                Some(copy) => (copy.get().expect("opened").delays.as_slice(), &[]),
-                None if g.assign.segments() == 1 => (g.tables[0].per_level[level].as_slice(), &[]),
-                None => (&[], g.tables.as_slice()),
-            };
+        let (g, own) = (&self.groups[group], self.own_copy(group, level));
+        let assign = &g.work.assign;
+        let (first, tables): (&[PinDelays], &[Arc<DelayTable>]) = match own {
+            Some(copy) => (copy.delays.as_slice(), &[]),
+            None if assign.segments() == 1 => (g.tables[0].per_level[level].as_slice(), &[]),
+            None => (&[], g.tables.as_slice()),
+        };
         LevelDelays {
             first,
             tables,
             level,
-            boundaries: g.assign.boundaries(),
+            boundaries: assign.boundaries(),
             derates: self.die_of[group].map(|die| {
                 self.derates[die][level]
                     .get()

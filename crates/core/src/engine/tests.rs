@@ -1903,7 +1903,9 @@ fn scheduled_mc_runs_match_single_threaded_reference() {
 /// delays `sta::scaled_graph` derives gate by gate with its own model
 /// calls — uniform, every segment of a droop, a three-domain island at
 /// two supplies (each gate at its domain's supply), a die (the reference
-/// × its derate) and a poisoned group (nominal). The model is non-finite
+/// × its derate), a poisoned group (nominal) and a small-delay fault
+/// group (the derivation of the artifact recompiled with the fault in
+/// its annotation: on a die, non-finite and poisoned). The model is non-finite
 /// below `v_norm` 0.3, so the fallback tallies are known in closed form:
 /// every pin at 0.6 V falls back twice, no pin at 0.8 V or above does.
 #[test]
@@ -1968,19 +1970,18 @@ fn group_level_views_match_the_sta_derivation() {
     // reads in each segment — at the segment's start time — with
     // `expect(segment, gate)` and its fallbacks with the sum of `tally`.
     let check = |name: &str,
-                 assign: VoltageAssign,
-                 variation: Option<VariationSample>,
+                 work: SlotWork,
                  poisoned: bool,
                  expect: &dyn Fn(usize, NodeId) -> Vec<PinDelays>,
                  tally: &dyn Fn(NodeId) -> u64| {
-        let mut group = VoltageGroup::new(&assign, variation, poisoned);
+        let mut group = VoltageGroup::new(&work, poisoned);
         assert!(group.bind_tables(&engine, None).is_ok(), "{name}: binds");
         let groups = [group];
         let delays = BatchDelays::new(&engine, Some(&domains), &groups);
         let starts: Vec<f64> = std::iter::once(f64::NEG_INFINITY)
-            .chain(assign.boundaries().iter().copied())
+            .chain(work.assign.boundaries().iter().copied())
             .collect();
-        assert_eq!(starts.len(), assign.segments(), "{name}");
+        assert_eq!(starts.len(), work.assign.segments(), "{name}");
         for level in 1..engine.levels().depth() {
             let fallbacks = delays.open(0, level);
             let plan = &engine.level_plans[level];
@@ -1999,13 +2000,20 @@ fn group_level_views_match_the_sta_derivation() {
             let want: u64 = plan.gate_nodes.iter().map(|&gate| tally(gate)).sum();
             assert_eq!(fallbacks, want, "{name}: level {level} fallbacks");
         }
-        if variation.is_some() {
+        if work.variation.is_some() {
             // One draw per level, whoever opens it: re-opening draws
             // nothing.
             let drawn = delays.draws();
             delays.open(0, 1);
             assert_eq!(delays.draws(), drawn, "{name}");
         }
+    };
+    let slot = |assign, variation, fault| SlotWork {
+        pattern: 0,
+        assign,
+        voltage: 0.0,
+        variation,
+        fault,
     };
     let v = |volts: f64| engine.v_norm(volts);
     let droop = || {
@@ -2015,26 +2023,36 @@ fn group_level_views_match_the_sta_derivation() {
         }))
     };
     let fall_back = |gate| 2 * pins_of(gate);
+    let derated = |delays: &[PinDelays], gate| -> Vec<PinDelays> {
+        let derate = |pin, polarity| {
+            avfs_delay::variation::derate(&die.config, die.sample, gate, pin, polarity)
+        };
+        delays
+            .iter()
+            .enumerate()
+            .map(|(pin, d)| PinDelays {
+                rise: (d.rise * derate(pin, Polarity::Rise)).max(0.0),
+                fall: (d.fall * derate(pin, Polarity::Fall)).max(0.0),
+            })
+            .collect()
+    };
     check(
         "uniform",
-        VoltageAssign::Uniform(v(mid)),
-        None,
+        slot(VoltageAssign::Uniform(v(mid)), None, None),
         false,
         &|_, gate| ref_mid.node_delays(gate).to_vec(),
         &|_| 0,
     );
     check(
         "uniform, non-finite",
-        VoltageAssign::Uniform(v(low)),
-        None,
+        slot(VoltageAssign::Uniform(v(low)), None, None),
         false,
         &|_, gate| ref_low.node_delays(gate).to_vec(),
         &fall_back,
     );
     check(
         "droop",
-        droop(),
-        None,
+        slot(droop(), None, None),
         false,
         &|seg, gate| match seg {
             1 => ref_low.node_delays(gate).to_vec(),
@@ -2046,8 +2064,11 @@ fn group_level_views_match_the_sta_derivation() {
     let island_low = |gate| island_supplies[domains.domain_of(gate)] == low;
     check(
         "islands",
-        VoltageAssign::PerDomain(island_supplies.iter().map(|&s| v(s)).collect()),
-        None,
+        slot(
+            VoltageAssign::PerDomain(island_supplies.iter().map(|&s| v(s)).collect()),
+            None,
+            None,
+        ),
         false,
         &|_, gate| match island_low(gate) {
             true => ref_low.node_delays(gate).to_vec(),
@@ -2057,29 +2078,14 @@ fn group_level_views_match_the_sta_derivation() {
     );
     check(
         "die",
-        VoltageAssign::Uniform(v(mid)),
-        Some(die),
+        slot(VoltageAssign::Uniform(v(mid)), Some(die), None),
         false,
-        &|_, gate| {
-            let derate = |pin, polarity| {
-                avfs_delay::variation::derate(&die.config, die.sample, gate, pin, polarity)
-            };
-            ref_mid
-                .node_delays(gate)
-                .iter()
-                .enumerate()
-                .map(|(pin, d)| PinDelays {
-                    rise: (d.rise * derate(pin, Polarity::Rise)).max(0.0),
-                    fall: (d.fall * derate(pin, Polarity::Fall)).max(0.0),
-                })
-                .collect()
-        },
+        &|_, gate| derated(ref_mid.node_delays(gate), gate),
         &|_| 0,
     );
     check(
         "poisoned droop",
-        droop(),
-        None,
+        slot(droop(), None, None),
         true,
         &|_, gate| {
             engine
@@ -2094,6 +2100,61 @@ fn group_level_views_match_the_sta_derivation() {
         },
         // Every pin of all three segments.
         &|gate| 3 * fall_back(gate),
+    );
+    // A small-delay fault on the last gate of a middle level, against the
+    // derivation of an artifact recompiled with `δ` in its annotation: on
+    // a die, at the non-finite supply, and poisoned.
+    let depth = engine.levels().depth();
+    let site = (depth / 2..depth)
+        .find_map(|level| engine.level_plans[level].gate_nodes.last().copied())
+        .unwrap();
+    let fault = crate::delay_fault::SmallDelayFault {
+        node: site,
+        delta_ps: 3.25,
+    };
+    let mut annotation = engine.annotation().as_ref().clone();
+    for d in annotation.node_delays_mut(site).iter_mut() {
+        d.rise += fault.delta_ps;
+        d.fall += fault.delta_ps;
+    }
+    let faulty = CompiledNetlist::compile(
+        Arc::clone(&n),
+        Arc::new(annotation),
+        Arc::clone(engine.model()),
+    )
+    .unwrap();
+    let faulty_at = |volts: f64| crate::sta::scaled_graph(&faulty, volts).unwrap();
+    let (faulty_low, faulty_mid) = (faulty_at(low), faulty_at(mid));
+    check(
+        "fault on a die",
+        slot(VoltageAssign::Uniform(v(mid)), Some(die), Some(fault)),
+        false,
+        &|_, gate| derated(faulty_mid.node_delays(gate), gate),
+        &|_| 0,
+    );
+    check(
+        "fault, non-finite",
+        slot(VoltageAssign::Uniform(v(low)), None, Some(fault)),
+        false,
+        &|_, gate| faulty_low.node_delays(gate).to_vec(),
+        &fall_back,
+    );
+    check(
+        "poisoned fault",
+        slot(VoltageAssign::Uniform(v(mid)), None, Some(fault)),
+        true,
+        &|_, gate| {
+            faulty
+                .annotation()
+                .node_delays(gate)
+                .iter()
+                .map(|d| PinDelays {
+                    rise: d.rise.max(0.0),
+                    fall: d.fall.max(0.0),
+                })
+                .collect()
+        },
+        &fall_back,
     );
     // A launch reports exactly the tallies of the gates each slot reads:
     // two island groups, one per supply vector, of one slot per pattern.
@@ -2580,6 +2641,57 @@ fn invalid_variation_rejected() {
             assert_eq!(*die, plain.slots[0], "sigma {sigma}, clamp {max_deviation}");
         }
     }
+}
+
+/// A capture deadline no arrival can be judged against is a typed error
+/// at all three scenario doors, in every validation mode — a NaN
+/// deadline used to pass every sample (`t > NaN` is false), reading
+/// p_fail 0 — while 0 ps stays a usable deadline.
+#[test]
+fn unusable_capture_deadline_rejected() {
+    let n = chain_netlist();
+    let engine = Arc::new(voltage_scaled_engine(&n, 10.0, 10.0));
+    let patterns = one_pattern();
+    let scenarios = [ScenarioSpec {
+        pattern: 0,
+        schedule: Schedule::constant(0.8),
+    }];
+    let mut session = crate::session::Session::new(Arc::clone(&engine), 1);
+    let runner = crate::batch::BatchRunner::new(1, 1);
+    for deadline in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+        for mode in [
+            ValidationMode::Off,
+            ValidationMode::Warn,
+            ValidationMode::Deny,
+        ] {
+            let opts = SimOptions {
+                strict_validation: mode,
+                ..SimOptions::default()
+            };
+            let d = Some(deadline);
+            for got in [
+                engine.launch_scenarios(&patterns, &scenarios, None, d, &opts),
+                session.run_scenarios(&patterns, &scenarios, None, d, &opts),
+                runner.run_scenarios(&engine, &patterns, &scenarios, None, d, &opts),
+            ] {
+                assert!(
+                    matches!(got, Err(SimError::InvalidCaptureTime { .. })),
+                    "deadline {deadline}, {mode:?}: {got:?}"
+                );
+            }
+        }
+    }
+    let run = engine
+        .launch_scenarios(
+            &patterns,
+            &scenarios,
+            None,
+            Some(0.0),
+            &SimOptions::default(),
+        )
+        .unwrap();
+    let summary = run.scenario.unwrap();
+    assert_eq!(summary.points[0].p_fail, 1.0);
 }
 
 #[test]

@@ -151,6 +151,22 @@ pub enum SimError {
         /// The plan's clamp on the absolute relative deviation.
         max_deviation: f64,
     },
+    /// A capture time — a scenario launch's `capture_deadline_ps` or a
+    /// [`DelayFaultSimulator`]'s — is non-finite or negative, so no
+    /// arrival could be judged against it (a NaN deadline would pass
+    /// every sample). Refused in every validation mode.
+    InvalidCaptureTime {
+        /// The rejected capture time, ps.
+        capture_ps: f64,
+    },
+    /// A small-delay fault names a node that is not a gate of the
+    /// netlist.
+    FaultSite {
+        /// Index of the offending fault in the fault list.
+        fault: usize,
+        /// The node index it names.
+        node: usize,
+    },
     /// An annotated output load is non-finite or negative.
     InvalidLoad {
         /// Name of the offending node.
@@ -158,7 +174,8 @@ pub enum SimError {
         /// The rejected load (femtofarads).
         load: f64,
     },
-    /// An annotated pin delay is non-finite or negative.
+    /// An annotated pin delay — or one a small-delay fault adds to — is
+    /// non-finite or negative.
     InvalidDelay {
         /// Name of the offending gate.
         gate: String,
@@ -264,6 +281,15 @@ impl fmt::Display for SimError {
                     "Monte Carlo variation needs finite, non-negative sigma and \
                      max_deviation (got sigma {sigma}, max_deviation {max_deviation})"
                 )
+            }
+            SimError::InvalidCaptureTime { capture_ps } => {
+                write!(
+                    f,
+                    "capture time {capture_ps} ps is not a finite, non-negative time"
+                )
+            }
+            SimError::FaultSite { fault, node } => {
+                write!(f, "fault {fault} names node {node}, which is not a gate")
             }
             SimError::InvalidLoad { node, load } => {
                 write!(f, "node `{node}` has invalid annotated load {load} fF")

@@ -229,6 +229,33 @@ pub struct ScenarioSummary {
     pub points: Vec<FailurePoint>,
 }
 
+/// Refuses a variation distribution `derate` cannot draw from: it clamps
+/// a deviate into `±max_deviation` (a panic for a negative or NaN bound)
+/// and floors `1 + ε` at 0 (which maps a NaN sigma's ε to a 0 ps delay
+/// everywhere), so the distribution is checked where it enters a launch,
+/// not where it is drawn.
+pub(crate) fn check_variation(v: &VariationConfig) -> Result<(), SimError> {
+    let usable = |x: f64| x.is_finite() && x >= 0.0;
+    if usable(v.sigma) && usable(v.max_deviation) {
+        Ok(())
+    } else {
+        Err(SimError::InvalidVariation {
+            sigma: v.sigma,
+            max_deviation: v.max_deviation,
+        })
+    }
+}
+
+/// Refuses a capture time no waveform can be judged against: a NaN
+/// compares false with every arrival, so it would pass every sample.
+pub(crate) fn check_capture_time(capture_ps: f64) -> Result<(), SimError> {
+    if capture_ps.is_finite() && capture_ps >= 0.0 {
+        Ok(())
+    } else {
+        Err(SimError::InvalidCaptureTime { capture_ps })
+    }
+}
+
 /// Reduces a run's slots into the failure-probability-vs-voltage curve.
 /// Voltages within `1e-12` V collapse into one point; only completed
 /// slots count as samples.
@@ -295,7 +322,9 @@ impl CompiledNetlist {
     ///
     /// A Monte Carlo plan with zero samples is [`SimError::EmptySlots`];
     /// one whose `sigma` or `max_deviation` is non-finite or negative is
-    /// [`SimError::InvalidVariation`], also in every validation mode.
+    /// [`SimError::InvalidVariation`], and a non-finite or negative
+    /// capture deadline [`SimError::InvalidCaptureTime`], also in every
+    /// validation mode.
     ///
     /// Scenario `i`'s dice occupy slots `i * samples .. (i + 1) * samples`
     /// in launch order (the engine batches them die-major; results stay
@@ -311,18 +340,11 @@ impl CompiledNetlist {
         if mc.is_some_and(|m| m.samples == 0) {
             return Err(SimError::EmptySlots);
         }
-        // `derate` clamps a deviate into `±max_deviation` (a panic for a
-        // negative or NaN bound) and floors `1 + ε` at 0 (which maps a
-        // NaN sigma's ε to a 0 ps delay everywhere), so the distribution
-        // is checked here, where it enters, not where it is drawn.
-        let usable = |x: f64| x.is_finite() && x >= 0.0;
-        if let Some(v) = mc.map(|m| m.variation) {
-            if !usable(v.sigma) || !usable(v.max_deviation) {
-                return Err(SimError::InvalidVariation {
-                    sigma: v.sigma,
-                    max_deviation: v.max_deviation,
-                });
-            }
+        if let Some(m) = mc {
+            check_variation(&m.variation)?;
+        }
+        if let Some(t) = capture_deadline_ps {
+            check_capture_time(t)?;
         }
         let slots = scenarios.iter().map(|spec| {
             let voltages = spec.schedule.segments.iter().map(|seg| seg.voltage);
@@ -373,11 +395,12 @@ impl CompiledNetlist {
                 assign,
                 voltage: segs[0].voltage,
                 variation: None,
+                fault: None,
             });
         }
         let validation = self.validate_launch(
             options.strict_validation,
-            &[],
+            std::iter::empty(),
             &avfs_check::cap_findings(findings),
         )?;
         let samples = mc.map_or(1, |m| m.samples);
@@ -399,6 +422,7 @@ impl CompiledNetlist {
             validation,
             domains: None,
             reduction: Some((mc.copied(), capture_deadline_ps)),
+            capture_ps: None,
         })
     }
 
@@ -423,7 +447,9 @@ impl CompiledNetlist {
     /// under `Warn`, refused as [`SimError::Validation`] under `Deny`.
     /// An empty scenario list or a zero-sample Monte Carlo plan is
     /// [`SimError::EmptySlots`]; a plan whose `sigma` or `max_deviation`
-    /// is non-finite or negative is [`SimError::InvalidVariation`].
+    /// is non-finite or negative is [`SimError::InvalidVariation`], and a
+    /// non-finite or negative `capture_deadline_ps` is
+    /// [`SimError::InvalidCaptureTime`].
     pub fn launch_scenarios(
         &self,
         patterns: &PatternSet,

@@ -2,7 +2,7 @@
 //! step 4: "the waveforms are analyzed to extract the output information,
 //! such as test responses, switching activity and transition times").
 
-use crate::{Waveform, WaveformRead};
+use crate::WaveformRead;
 
 /// Per-waveform summary extracted after simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -112,25 +112,12 @@ impl SwitchingActivity {
             self.total_transitions as f64 / self.nets as f64
         }
     }
-
-    /// Capacitance-weighted switching energy proxy `Σ caps[i] · toggles_i`
-    /// (the dynamic-power estimation input mentioned in the paper's
-    /// introduction). `caps` must be indexable by net order.
-    pub fn weighted_switching<'a>(
-        waveforms: impl IntoIterator<Item = &'a Waveform>,
-        caps_ff: &[f64],
-    ) -> f64 {
-        waveforms
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| caps_ff.get(i).copied().unwrap_or(0.0) * w.num_transitions() as f64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Waveform;
 
     fn wf(initial: bool, times: &[f64]) -> Waveform {
         Waveform::with_transitions(initial, times.to_vec()).unwrap()
@@ -236,16 +223,5 @@ mod tests {
         let act = SwitchingActivity::of(std::iter::empty::<&Waveform>());
         assert_eq!(act, SwitchingActivity::default());
         assert_eq!(act.avg_transitions(), 0.0);
-    }
-
-    #[test]
-    fn weighted_switching_sums() {
-        let wfs = [wf(false, &[1.0]), wf(false, &[1.0, 2.0])];
-        let caps = [3.0, 0.5];
-        let e = SwitchingActivity::weighted_switching(wfs.iter(), &caps);
-        assert!((e - (3.0 + 1.0)).abs() < 1e-12);
-        // Missing caps count as zero load.
-        let e2 = SwitchingActivity::weighted_switching(wfs.iter(), &caps[..1]);
-        assert!((e2 - 3.0).abs() < 1e-12);
     }
 }

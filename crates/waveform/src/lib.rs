@@ -14,22 +14,25 @@
 //! and the output polarity, and cancel *overtaken* transitions — the
 //! inertial pulse filtering of the paper (Sec. IV: "inertial delay is
 //! considered for pulse filtering of glitches and hazards", with inertial
-//! delay equal to the propagation delay). [`evaluate_gate`] and the two
+//! delay equal to the propagation delay). The two
 //! `evaluate_gate_bounded_raw` forms are doors onto it for a gate function
 //! given as a closure over `&[bool]`.
 //!
 //! # Example
 //!
 //! ```
-//! use avfs_waveform::{Waveform, PinDelays, evaluate_gate};
+//! use avfs_waveform::{evaluate_gate_bounded_raw, GateScratch, PinDelays, Waveform};
 //!
-//! # fn main() -> Result<(), avfs_waveform::WaveformError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // An AND gate: input a rises at t=100, input b is constant 1.
 //! let a = Waveform::with_transitions(false, vec![100.0])?;
 //! let b = Waveform::constant(true);
 //! let delays = [PinDelays { rise: 10.0, fall: 12.0 }; 2];
-//! let out = evaluate_gate(&[&a, &b], &delays, |ins| ins[0] && ins[1]);
-//! assert_eq!(out.transitions(), &[110.0]); // rises 10 time units later
+//! let mut scratch = GateScratch::new();
+//! let initial =
+//!     evaluate_gate_bounded_raw(&[&a, &b], &delays, |ins| ins[0] && ins[1], &mut scratch, 8)?;
+//! assert!(!initial);
+//! assert_eq!(scratch.scheduled(), &[110.0]); // rises 10 time units later
 //! # Ok(())
 //! # }
 //! ```
@@ -49,7 +52,7 @@ use std::error::Error;
 use std::fmt;
 
 /// Read access to a waveform: the interface the gate-evaluation kernel
-/// needs of its inputs.
+/// needs of its inputs and the analysis of its outputs.
 ///
 /// Implemented by [`Waveform`] (owned storage), by references, and by
 /// [`WaveformView`] (a slice into a [`WaveformArena`]), so the kernel can
@@ -59,6 +62,12 @@ pub trait WaveformRead {
     fn initial_value(&self) -> bool;
     /// The sorted transition times.
     fn transitions(&self) -> &[f64];
+
+    /// The value at time `t` (transitions take effect *at* their time).
+    fn value_at(&self, t: f64) -> bool {
+        let flips = self.transitions().partition_point(|&x| x <= t);
+        self.initial_value() ^ (flips % 2 == 1)
+    }
 }
 
 impl WaveformRead for Waveform {
@@ -205,8 +214,7 @@ impl Waveform {
 
     /// The value at time `t` (transitions take effect *at* their time).
     pub fn value_at(&self, t: f64) -> bool {
-        let flips = self.transitions.partition_point(|&x| x <= t);
-        self.initial ^ (flips % 2 == 1)
+        WaveformRead::value_at(self, t)
     }
 
     /// The sorted transition times.
@@ -236,8 +244,9 @@ impl Waveform {
     /// transitions closer than `min_width` is deleted. Applied repeatedly
     /// until stable, so the result contains no sub-threshold pulse.
     ///
-    /// This is the *explicit* inertial filter; [`evaluate_gate`] performs
-    /// the equivalent cancellation on the fly via transition overtaking.
+    /// This is the *explicit* inertial filter; [`evaluate_gate_bounded_raw`]
+    /// performs the equivalent cancellation on the fly via transition
+    /// overtaking.
     pub fn filter_pulses(&self, min_width: f64) -> Waveform {
         let mut times = self.transitions.clone();
         loop {
@@ -266,7 +275,8 @@ impl Waveform {
         }
     }
 
-    /// Internal invariant check (used by debug assertions and tests).
+    /// Internal invariant check, for tests.
+    #[cfg(test)]
     fn check_invariants(&self) -> bool {
         self.transitions.iter().all(|t| t.is_finite())
             && self.transitions.windows(2).all(|w| w[0] < w[1])
@@ -348,39 +358,17 @@ impl GateScratch {
 }
 
 /// Evaluates one gate over its input waveforms — the per-thread waveform
-/// processing loop of the parallel time simulator.
+/// processing loop of the parallel time simulator, for a gate function
+/// over `&[bool]`: a door onto [`merge_transitions`], which documents
+/// `cap`.
 ///
 /// `delays[p]` gives the pin-to-pin delays from input `p` to the output;
-/// `eval` is the gate's Boolean function. The output waveform reflects
+/// `eval` is the gate's Boolean function. The output reflects
 /// glitch-accurate timing with inertial pulse filtering by transition
 /// overtaking: a newly caused output transition cancels any already
 /// scheduled transition that would occur at the same time or later.
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != delays.len()`, either is empty, or there
-/// are more than [`MAX_MERGE_PINS`] inputs.
-pub fn evaluate_gate(
-    inputs: &[&Waveform],
-    delays: &[PinDelays],
-    eval: impl Fn(&[bool]) -> bool,
-) -> Waveform {
-    let mut scratch = GateScratch::new();
-    let initial = evaluate_gate_bounded_raw(inputs, delays, eval, &mut scratch, usize::MAX)
-        .expect("unbounded evaluation cannot overflow");
-    let out = Waveform {
-        initial,
-        transitions: scratch.scheduled().to_vec(),
-    };
-    debug_assert!(out.check_invariants());
-    out
-}
-
-/// The allocation-free, bounded form of [`evaluate_gate`]: returns the
-/// output's initial value and leaves its transitions in
-/// [`GateScratch::scheduled`] instead of materializing an owned
-/// [`Waveform`]. A `&[bool]`-function door onto [`merge_transitions`],
-/// which documents `cap`.
+/// Returns the output's initial value and leaves its transitions in
+/// [`GateScratch::scheduled`].
 ///
 /// # Errors
 ///
@@ -613,6 +601,21 @@ mod tests {
 
     fn wf(initial: bool, times: &[f64]) -> Waveform {
         Waveform::with_transitions(initial, times.to_vec()).unwrap()
+    }
+
+    /// [`evaluate_gate_bounded_raw`] unbounded, as an owned waveform.
+    fn evaluate_gate(
+        inputs: &[&Waveform],
+        delays: &[PinDelays],
+        eval: impl Fn(&[bool]) -> bool,
+    ) -> Waveform {
+        let mut scratch = GateScratch::new();
+        let initial = evaluate_gate_bounded_raw(inputs, delays, eval, &mut scratch, usize::MAX)
+            .expect("unbounded evaluation cannot overflow");
+        Waveform {
+            initial,
+            transitions: scratch.scheduled().to_vec(),
+        }
     }
 
     /// The `Vec<bool>` merge loop [`merge_transitions`] replaced, kept

@@ -6,7 +6,8 @@
 //! become detectable at a lowered supply (the defect consumes a larger
 //! share of the shrunken slack) — the "faster-than-at-speed" insight.
 //! This example grades the same fault list at three supplies, with and
-//! without random process variation.
+//! without random process variation — each grading one launch on one
+//! compiled artifact, the faults a per-slot delay modifier.
 //!
 //! ```text
 //! cargo run --release --example fault_grading
@@ -15,9 +16,8 @@
 use avfs::atpg::PatternSet;
 use avfs::circuits::ripple_carry_adder;
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
-use avfs::delay::variation::{apply_variation, VariationConfig};
 use avfs::netlist::{CellLibrary, NodeKind};
-use avfs::sim::{slots, CompiledNetlist, DelayFaultSimulator, SimOptions};
+use avfs::sim::{slots, CompiledNetlist, DelayFaultSimulator, SimOptions, VariationConfig};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -42,9 +42,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         &CharacterizationConfig::default(),
         Some(&used),
     )?;
-    let sim = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)?;
-    let annotation = Arc::clone(sim.annotation());
-    let model = Arc::clone(sim.model());
+    let sim = Arc::new(CompiledNetlist::from_characterization(
+        Arc::clone(&netlist),
+        &chars,
+    )?);
 
     // A fixed system clock with 25 % guardband over the *measured*
     // fault-free arrival at the nominal supply. Lowering the supply eats
@@ -62,6 +63,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!(
         "fault-free nominal arrival {nominal_arrival:.1} ps, capture {capture_ps:.1} ps, δ = {delta_ps:.1} ps"
     );
+    let fsim = DelayFaultSimulator::new(Arc::clone(&sim), capture_ps)?;
+    let faults = fsim.full_fault_list(delta_ps);
 
     println!(
         "{:>8} {:>12} {:>16} {:>18}  ({} faults, {} patterns)",
@@ -82,21 +85,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             .latest_arrival_at(voltage)
             .expect("adder toggles");
         // Nominal die.
-        let fsim = DelayFaultSimulator::new(
-            Arc::clone(&netlist),
-            Arc::clone(&annotation),
-            Arc::clone(&model),
-            capture_ps,
-        )?;
-        let faults = fsim.full_fault_list(delta_ps);
-        let verdicts = fsim.run(&faults, &patterns, voltage, &opts)?;
+        let verdicts = fsim.run(&faults, &patterns, voltage, None, &opts)?;
         let coverage = DelayFaultSimulator::coverage(&verdicts);
 
         // A process-varied die (same defect, different silicon).
-        let varied = Arc::new(apply_variation(&annotation, &VariationConfig::sigma5(42)));
-        let fsim_var =
-            DelayFaultSimulator::new(Arc::clone(&netlist), varied, Arc::clone(&model), capture_ps)?;
-        let verdicts_var = fsim_var.run(&faults, &patterns, voltage, &opts)?;
+        let die = Some(VariationConfig::sigma5(42));
+        let verdicts_var = fsim.run(&faults, &patterns, voltage, die, &opts)?;
         let coverage_var = DelayFaultSimulator::coverage(&verdicts_var);
 
         println!(

@@ -197,20 +197,10 @@ fn energy_grows_with_voltage_while_latency_falls() {
 
 #[test]
 fn process_variation_shifts_arrivals_modestly() {
-    use avfs::delay::variation::{apply_variation, VariationConfig};
+    use avfs::sim::{cross_schedules, MonteCarlo, Schedule, VariationConfig};
     let library = CellLibrary::nangate15_like();
     let netlist = Arc::new(ripple_carry_adder(8, &library).expect("adder"));
     let sim = characterized_sim(&netlist, &library);
-    let varied = Arc::new(apply_variation(
-        sim.annotation(),
-        &VariationConfig::sigma5(99),
-    ));
-    let varied_sim = CompiledNetlist::compile(
-        Arc::clone(&netlist),
-        varied,
-        Arc::new(StaticModel::new(*sim.model().space())),
-    )
-    .expect("builds");
     let base_sim = CompiledNetlist::compile(
         Arc::clone(&netlist),
         Arc::clone(sim.annotation()),
@@ -219,12 +209,21 @@ fn process_variation_shifts_arrivals_modestly() {
     .expect("builds");
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 16, 2);
     let opts = SimOptions::default();
-    let at_nominal = slots::at_voltage(patterns.len(), 0.8);
     let a = base_sim
-        .launch(&patterns, &at_nominal, &opts)
+        .launch(&patterns, &slots::at_voltage(patterns.len(), 0.8), &opts)
         .expect("runs");
-    let b = varied_sim
-        .launch(&patterns, &at_nominal, &opts)
+    // One die, every pattern at a constant 0.8 V.
+    let b = base_sim
+        .launch_scenarios(
+            &patterns,
+            &cross_schedules(patterns.len(), &[Schedule::constant(0.8)]),
+            Some(&MonteCarlo {
+                samples: 1,
+                variation: VariationConfig::sigma5(99),
+            }),
+            None,
+            &opts,
+        )
         .expect("runs");
     let (ta, tb) = (
         a.latest_arrival_at(0.8).expect("toggles"),
