@@ -29,6 +29,12 @@ cargo build --release --offline
 echo "==> cargo test (workspace, at most 30 min)"
 bounded 1800 cargo test --workspace --offline -q
 
+echo "==> transient oracle (every distinct stage of the library within 0.01 % of the fixed-step oracle, release, at most 10 min)"
+bounded 600 cargo test --release --offline -p avfs-spice -- --ignored
+
+echo "==> fig4 --smoke (Fig. 4 verdicts: error falls with order, N = 3 within the paper's bounds, at most 5 min)"
+bounded 300 cargo run --release --offline -p avfs-bench --bin fig4 -- --smoke
+
 echo "==> fault_grading example (one fault-grading launch per supply and die, at most 5 min)"
 bounded 300 cargo run --release --offline --example fault_grading
 

@@ -19,6 +19,7 @@ use avfs_netlist::library::{CellId, CellLibrary, Polarity};
 use avfs_netlist::{Netlist, NodeKind};
 use avfs_obs::Metrics;
 use avfs_regression::grid::refine_axis;
+use avfs_regression::poly::eval_horner_lattice;
 use avfs_regression::{DataGrid, ErrorStats, LeastSquaresPlan, PolyBasis, RegressionError};
 use avfs_spice::{SweepConfig, SweepPlan, Technology};
 use avfs_waveform::PinDelays;
@@ -574,14 +575,16 @@ impl FitPlan {
         let poly = SurfacePolynomial::new(self.order, beta.map_err(regression_error)?)?;
 
         let (pvs, pcs) = refined.equidistant_probes(self.probe_grid);
-        let mut probe_errors = Vec::with_capacity(pvs.len() * pcs.len());
-        for &pv in &pvs {
-            for &pc in &pcs {
-                let reference = 1.0 + refined.sample(pv, pc);
-                let predicted = 1.0 + poly.eval(crate::op::NormalizedPoint { v: pv, c: pc });
-                probe_errors.push((predicted - reference) / reference);
-            }
-        }
+        let references = refined.sample_lattice(&pvs, &pcs);
+        let predictions = eval_horner_lattice(self.order, poly.coefficients(), &pvs, &pcs);
+        let probe_errors: Vec<f64> = references
+            .iter()
+            .zip(&predictions)
+            .map(|(&reference, &predicted)| {
+                let (reference, predicted) = (1.0 + reference, 1.0 + predicted);
+                (predicted - reference) / reference
+            })
+            .collect();
         let stats = ErrorStats::from_errors(probe_errors.iter().copied());
         Ok(GridFit {
             poly,
@@ -633,7 +636,7 @@ pub fn characterize_library(
 
 /// [`characterize_library`] with optional instrumentation: the call
 /// records one `"delay/characterize"` span, its planned sweep records
-/// `"spice/sweep"` / `"spice.rk4_steps"` / `"spice.transient_points"` /
+/// `"spice/sweep"` / `"spice.ode_steps"` / `"spice.transient_points"` /
 /// `"spice.stage_runs"` (see [`SweepPlan::run`]) and each arc's solve
 /// against the call's factorization records `"regression/fit"` /
 /// `"regression.fits"` / `"regression.fit_ns"` — the measured counterpart
@@ -1092,7 +1095,8 @@ mod tests {
 
     #[test]
     fn characterization_is_bit_identical_to_the_serial_sweep() {
-        // Recorded from the serial per-arc flow the planned sweep replaced.
+        // Recorded once from the error-controlled transient integrator:
+        // every worker count must reproduce them bit for bit.
         let lib = CellLibrary::nangate15_like();
         let tech = Technology::nm15();
         // The 64-bit adder's cells at the paper's sweep: what the
@@ -1115,20 +1119,20 @@ mod tests {
             )
             .unwrap();
             let context = format!("{workers} workers");
-            assert_eq!(fast.content_hash(), 0xfa0c_5beb_1829_86d9, "{context}");
+            assert_eq!(fast.content_hash(), 0xd4dc_2487_73c6_9d89, "{context}");
             assert_eq!(
                 reports_digest(fast.reports()),
-                0x703d_ca4d_7140_3292,
+                0x5389_c70c_9c0f_941b,
                 "{context}"
             );
-            assert_eq!(paper.content_hash(), 0x6843_4022_c99d_f58a, "{context}");
+            assert_eq!(paper.content_hash(), 0x11c5_b549_6624_7066, "{context}");
             assert_eq!(
                 reports_digest(paper.reports()),
-                0x6da1_3903_a612_950b,
+                0x41c6_0522_6c66_a6b0,
                 "{context}"
             );
             // One span per call, one planned sweep, the plan's distinct
-            // stages are the integrations the per-call memo ran, their RK4
+            // stages are the integrations the per-call memo ran, their accepted
             // steps are a function of the plan, and every arc is one solve
             // against the call's factorization.
             let profile = metrics.snapshot();
@@ -1137,8 +1141,8 @@ mod tests {
             assert_eq!(profile.counter("spice.transient_points"), Some(1296));
             assert_eq!(profile.counter("spice.stage_runs"), Some(1200));
             assert_eq!(
-                profile.counter("spice.rk4_steps"),
-                Some(1_078_145),
+                profile.counter("spice.ode_steps"),
+                Some(19_308),
                 "{context}"
             );
             assert_eq!(profile.counter("regression.fits"), Some(12));

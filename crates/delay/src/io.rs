@@ -23,6 +23,7 @@
 
 use crate::characterize::{CellKernelData, KernelPackage, PinKernelData};
 use crate::DelayError;
+use avfs_netlist::CellKind;
 use std::fmt::Write as _;
 
 /// Serializes a package to text.
@@ -89,13 +90,16 @@ pub fn read_kernels(text: &str) -> Result<KernelPackage, DelayError> {
                 space = Some((vals[0], vals[1], vals[2], vals[3], vals[4]));
             }
             Some("order") => {
-                order = Some(
-                    words
-                        .next()
-                        .ok_or_else(|| err(ln, "order needs a value".to_owned()))?
-                        .parse::<usize>()
-                        .map_err(|e| err(ln, format!("bad order: {e}")))?,
-                );
+                let n = words
+                    .next()
+                    .ok_or_else(|| err(ln, "order needs a value".to_owned()))?
+                    .parse::<usize>()
+                    .map_err(|e| err(ln, format!("bad order: {e}")))?;
+                // A surface holds (order + 1)² coefficients.
+                if n.checked_add(1).and_then(|w| w.checked_mul(w)).is_none() {
+                    return Err(err(ln, format!("order {n} is too large")));
+                }
+                order = Some(n);
             }
             Some("cell") => {
                 let name = words
@@ -110,6 +114,15 @@ pub fn read_kernels(text: &str) -> Result<KernelPackage, DelayError> {
                     .ok_or_else(|| err(ln, "missing pin count".to_owned()))?
                     .parse()
                     .map_err(|e| err(ln, format!("bad pin count: {e}")))?;
+                if pin_count > CellKind::MAX_INPUTS {
+                    return Err(err(
+                        ln,
+                        format!(
+                            "pin count {pin_count} exceeds the {} inputs a cell can have",
+                            CellKind::MAX_INPUTS
+                        ),
+                    ));
+                }
                 let mut pins = Vec::with_capacity(pin_count);
                 for expect_pin in 0..pin_count {
                     let mut take = |keyword: &str| -> Result<Vec<f64>, DelayError> {
@@ -240,6 +253,23 @@ mod tests {
             "avfs-kernels v1\nspace 0.55 1.1 0.5 128 0.8\norder 3\n", // no end
         ] {
             assert!(read_kernels(bad).is_err(), "should reject: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_hostile_counts_without_allocating() {
+        let head = "avfs-kernels v1\nspace 0.55 1.1 0.5 128 0.8\n";
+        for bad in [
+            "avfs-kernels v1\ncell X pins 18446744073709551615".to_owned(),
+            format!("{head}order 3\ncell X pins 4000000000000\nend\n"),
+            format!("{head}order 3\ncell X pins 5\nend\n"),
+            format!("{head}order 18446744073709551615\nend\n"),
+            format!("{head}order 4294967296\nend\n"),
+        ] {
+            assert!(
+                matches!(read_kernels(&bad), Err(DelayError::Characterization { .. })),
+                "should reject: {bad:?}"
+            );
         }
     }
 

@@ -123,8 +123,24 @@ impl DataGrid {
     /// constrains operating points to the characterized intervals, so
     /// clamping only guards against floating-point edge noise).
     pub fn sample(&self, x: f64, y: f64) -> f64 {
-        let (i0, tx) = locate(&self.xs, x);
-        let (j0, ty) = locate(&self.ys, y);
+        self.interpolate(locate(&self.xs, x), locate(&self.ys, y))
+    }
+
+    /// [`DataGrid::sample`] at every point of the lattice `xs × ys`,
+    /// row-major by `x`, bit for bit: each coordinate is located once, not
+    /// once per point.
+    pub fn sample_lattice(&self, xs: &[f64], ys: &[f64]) -> Vec<f64> {
+        let columns: Vec<_> = ys.iter().map(|&y| locate(&self.ys, y)).collect();
+        let mut out = Vec::with_capacity(xs.len() * ys.len());
+        for &x in xs {
+            let row = locate(&self.xs, x);
+            out.extend(columns.iter().map(|&column| self.interpolate(row, column)));
+        }
+        out
+    }
+
+    /// Bilinear interpolation in the cell `(i0, j0)` at weights `(tx, ty)`.
+    fn interpolate(&self, (i0, tx): (usize, f64), (j0, ty): (usize, f64)) -> f64 {
         let w = self.ys.len();
         let d00 = self.values[i0 * w + j0];
         let d01 = self.values[i0 * w + j0 + 1];
@@ -149,12 +165,7 @@ impl DataGrid {
         assert!(factor > 0, "refinement factor must be ≥ 1");
         let xs = refine_axis(&self.xs, factor);
         let ys = refine_axis(&self.ys, factor);
-        let mut values = Vec::with_capacity(xs.len() * ys.len());
-        for &x in &xs {
-            for &y in &ys {
-                values.push(self.sample(x, y));
-            }
-        }
+        let values = self.sample_lattice(&xs, &ys);
         DataGrid { xs, ys, values }
     }
 
@@ -357,6 +368,24 @@ mod tests {
                 f,
             ).unwrap();
             prop_assert!((g.sample(x, y) - f(x, y)).abs() < 1e-10);
+        }
+
+        #[test]
+        fn lattice_samples_equal_point_samples_bitwise(
+            xs in prop::collection::vec(-0.5f64..1.5, 0..6),
+            ys in prop::collection::vec(-0.5f64..1.5, 0..6),
+        ) {
+            let g = DataGrid::from_fn(
+                vec![0.0, 0.3, 0.7, 1.0],
+                vec![0.0, 0.4, 1.0],
+                |x, y| (7.3 * x).sin() + (3.1 * y).cos(),
+            ).unwrap();
+            let lattice = g.sample_lattice(&xs, &ys);
+            prop_assert_eq!(lattice.len(), xs.len() * ys.len());
+            for (k, got) in lattice.iter().enumerate() {
+                let want = g.sample(xs[k / ys.len()], ys[k % ys.len()]);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
         }
 
         #[test]

@@ -136,6 +136,34 @@ pub fn eval_horner(n: usize, beta: &[f64], v: f64, c: f64) -> f64 {
     acc
 }
 
+/// [`eval_horner`] at every point of the lattice `vs × cs`, row-major by
+/// `v`, bit for bit: a row's inner Horner over `c` does not depend on `v`,
+/// so it runs once per `c`, and only the outer Horner runs per point.
+///
+/// # Panics
+///
+/// Panics if `beta.len() < (n+1)²`.
+pub fn eval_horner_lattice(n: usize, beta: &[f64], vs: &[f64], cs: &[f64]) -> Vec<f64> {
+    let width = n + 1;
+    let beta = &beta[..width * width];
+    // The inner Horner of every row at every `c`, `width` per `c`.
+    let rows: Vec<f64> = cs
+        .iter()
+        .flat_map(|&c| {
+            beta.chunks_exact(width)
+                .map(move |row| row.iter().rev().fold(0.0f64, |r, &b| r.mul_add(c, b)))
+        })
+        .collect();
+    let mut out = Vec::with_capacity(vs.len() * cs.len());
+    for &v in vs {
+        out.extend(
+            rows.chunks_exact(width)
+                .map(|r| r.iter().rev().fold(0.0f64, |acc, &r| acc.mul_add(v, r))),
+        );
+    }
+    out
+}
+
 /// Lane-batched nested Horner evaluation: `out[k] = f(v[k], c[k])` for a
 /// whole lane group in one call.
 ///
@@ -307,6 +335,29 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn lattice_matches_scalar_bitwise(
+            n in 0usize..=5,
+            rows in 0usize..7,
+            columns in 0usize..7,
+            seed in any::<u64>(),
+        ) {
+            let mut state = seed | 1;
+            let mut next = || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+            };
+            let beta: Vec<f64> = (0..(n + 1) * (n + 1)).map(|_| next()).collect();
+            let v: Vec<f64> = (0..rows).map(|_| next()).collect();
+            let c: Vec<f64> = (0..columns).map(|_| next()).collect();
+            let out = eval_horner_lattice(n, &beta, &v, &c);
+            prop_assert_eq!(out.len(), rows * columns);
+            for (k, got) in out.iter().enumerate() {
+                let want = eval_horner(n, &beta, v[k / columns], c[k % columns]);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+
         #[test]
         fn lanes_match_scalar_bitwise_random(
             n in 1usize..=4,

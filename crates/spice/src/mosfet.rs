@@ -14,7 +14,7 @@
 //! `τ ∝ V_DD/(V_DD − V_th)^α`.
 //!
 //! The current factors into a part that depends only on the gate —
-//! `(I_dsat, V_dsat)`, the two `powf` calls (`Mosfet::drive`) — and the
+//! `(I_dsat, V_dsat)`, one `powf` (`Mosfet::drive`) — and the
 //! `V_ds` profile applied to it (`Drive::current`).
 //! [`Mosfet::drain_current`] is the two composed; the transient integrator
 //! evaluates the gate part once per distinct `V_gs` and the `V_ds` part at
@@ -56,15 +56,10 @@ pub(crate) struct Drive {
 impl Drive {
     /// Drain current in µA at `|V_ds| = vds` (negative inputs are clamped).
     pub(crate) fn current(self, vds: f64) -> f64 {
-        let vds = vds.max(0.0);
-        if vds == 0.0 {
-            0.0
-        } else if vds >= self.vdsat {
-            self.idsat
-        } else {
-            let x = vds / self.vdsat;
-            self.idsat * (2.0 - x) * x
-        }
+        // Clamping `V_ds/V_dsat` to [0, 1] covers `V_ds ≤ 0` and
+        // saturation without a branch: at 1 the profile is exactly `I_dsat`.
+        let x = (vds / self.vdsat).clamp(0.0, 1.0);
+        self.idsat * (2.0 - x) * x
     }
 }
 
@@ -98,9 +93,11 @@ impl Mosfet {
             DeviceType::Nmos => tech.k_n,
             DeviceType::Pmos => tech.k_p,
         };
+        // V_ov^α is the square of V_ov^{α/2}: one `powf` serves both.
+        let root = vov.powf(tech.alpha / 2.0);
         Some(Drive {
-            idsat: self.width * k * vov.powf(tech.alpha),
-            vdsat: tech.k_sat * vov.powf(tech.alpha / 2.0),
+            idsat: self.width * k * (root * root),
+            vdsat: tech.k_sat * root,
         })
     }
 

@@ -305,8 +305,8 @@ impl<'a> SweepPlan<'a> {
     /// delivered as its first failing point's error and is the last arc
     /// delivered; an `Err` from `deliver` stops the sweep and is returned.
     /// When `metrics` is present, the call records the phase
-    /// `"spice/sweep"`, each worker adds the RK4 steps of every kernel call
-    /// it made to `"spice.rk4_steps"` (for a sweep that delivers every arc,
+    /// `"spice/sweep"`, each worker adds the accepted steps of every kernel call
+    /// it made to `"spice.ode_steps"` (for a sweep that delivers every arc,
     /// the steps of the plan's distinct stages), and once every arc is
     /// delivered the call adds the plan's grid points to
     /// `"spice.transient_points"` and its distinct stages — the
@@ -355,7 +355,7 @@ impl<'a> SweepPlan<'a> {
             |feed| {
                 let steps = integrate_lanes(tech, &self.stages, feed);
                 if let Some(m) = metrics {
-                    m.add("spice.rk4_steps", steps);
+                    m.add("spice.ode_steps", steps);
                 }
             },
             |arc, delays| {
@@ -566,6 +566,7 @@ impl Drop for StopOnDrop<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transient::{assert_near_oracle, simulate_stage};
     use avfs_netlist::CellLibrary;
     use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
@@ -874,6 +875,33 @@ mod tests {
                 "{workers} workers: {message}"
             );
         }
+    }
+
+    /// Every distinct stage of the whole library at the paper's sweep
+    /// against the fixed-step oracle, on every core. The oracle takes
+    /// seconds in a release build and far longer in a debug one, so this
+    /// runs on request: `cargo test --release -p avfs-spice -- --ignored`
+    /// (a step of `ci.sh`).
+    #[test]
+    #[ignore = "release build only; ci.sh runs it"]
+    fn full_library_is_within_0_01_pct_of_the_fixed_step_oracle() {
+        let tech = Technology::nm15();
+        let lib = CellLibrary::nangate15_like();
+        let cfg = SweepConfig::paper();
+        let (plan, _) = library_plan(&tech, &lib, &cfg);
+        assert_eq!(plan.stages.len(), 27_144);
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let tech = &tech;
+        std::thread::scope(|scope| {
+            for chunk in plan.stages.chunks(plan.stages.len().div_ceil(workers)) {
+                scope.spawn(move || {
+                    for stage in chunk {
+                        let got = simulate_stage(tech, stage).expect("stage switches");
+                        assert_near_oracle(tech, stage, got.delay_ps);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

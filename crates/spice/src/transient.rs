@@ -6,32 +6,49 @@
 //! C · dV_out/dt = ± I_D(V_in(t), V_out)
 //! ```
 //!
-//! with a linear input ramp, using 4th-order Runge–Kutta with a step sized
-//! from the stage time constant, and measures the propagation delay as the
+//! with a linear input ramp, using the embedded Dormand–Prince 5(4) pair
+//! under local error control, and measures the propagation delay as the
 //! time between the input and output 50 % crossings — the standard
 //! `.MEASURE TRIG v(in) VAL=vdd/2 TARG v(out) VAL=vdd/2` of a SPICE deck.
 //!
 //! The integration does only what that measurement needs:
 //!
-//! * the gate-dependent half of the drain current (the two `powf` calls,
-//!   see [`crate::mosfet`]) is evaluated once per distinct gate voltage —
-//!   at `t + dt/2` and `t + dt` while the input ramps, the latter carried
-//!   over as the next step's `t`, and never again once the ramp has
-//!   reached `V_DD`; every slope then costs only the `V_ds` profile;
-//! * the loop ends at the output's 50 % crossing, the one thing measured;
+//! * it starts at the device's turn-on, `t = slew · V_th / V_DD`: before
+//!   it the device is in cut-off and the output does not move;
+//! * a step is accepted when the pair's embedded error estimate is within
+//!   `1e-7 · V_DD`, and the next step is sized from that estimate; a step
+//!   that would pass the ramp's end, `t = slew`, is cut to land on it,
+//!   because the gate drive has a corner there;
+//! * no step is longer than `τ/20`, `τ` the stage time constant at full
+//!   drive: the drain current is only C¹ where `V_ds` crosses `V_dsat`,
+//!   and the embedded estimate does not see the error a long step commits
+//!   across that kink;
+//! * the last slope of a step is the next step's first (FSAL), so a step
+//!   costs six slopes, and the gate-dependent half of the drain current
+//!   (the `powf`, see [`crate::mosfet`]) is evaluated once per distinct
+//!   gate time while the input ramps and never again once it has reached
+//!   `V_DD`; every slope then costs only the `V_ds` profile;
+//! * the loop ends at the step that crosses the output's 50 %, and the
+//!   crossing is the root of that step's 4th-order dense output (a linear
+//!   interpolation across a step this long is not accurate enough);
 //! * a [`SweepPlan`](crate::sweep::SweepPlan) runs one transient per
 //!   distinct [`Stage`]: the first stage of a two-stage cell does not see
 //!   the external load, and symmetric pins reduce to the same equivalent
 //!   device.
 //!
-//! One step is four dependent slopes of two dependent divisions each, so
-//! a single stage keeps a core waiting on latency. The integrator is
+//! A step is six dependent slopes of two dependent divisions each, so a
+//! single stage keeps a core waiting on latency. The integrator is
 //! therefore a lane kernel: eight distinct stages step in lockstep, slope
-//! by slope, so an out-of-order core overlaps their chains, and a lane
-//! whose stage is done takes the next one from the sweep's cursor. Every
-//! lane runs the serial statement sequence on its own state, so a stage's
+//! by slope, so an out-of-order core overlaps their chains; each lane has
+//! its own step size and its own accept/reject decision, and a lane whose
+//! stage is done takes the next one from the sweep's cursor. Every lane
+//! runs the serial statement sequence on its own state, so a stage's
 //! delay does not depend on its neighbours; [`simulate_stage`] is the
 //! one-stage call.
+//!
+//! The fixed-step RK4 integrator this kernel replaced (`τ/400` or `slew/40`
+//! per step, whichever is shorter) survives as the tests' oracle: run at a
+//! quarter of its step, it bounds every delay to within 0.01 %.
 
 use crate::mosfet::{DeviceType, Drive, Mosfet};
 use crate::technology::Technology;
@@ -60,17 +77,85 @@ pub struct TransientResult {
 /// µA / fF → V/ps conversion: 1 µA into 1 fF slews 1 V per ns = 1e-3 V/ps.
 const UA_PER_FF_TO_V_PER_PS: f64 = 1.0e-3;
 
-/// Integration budget: enough for very slow near-threshold corners.
+/// Integration budget in step attempts, accepted or rejected: enough for
+/// very slow near-threshold corners.
 const MAX_STEPS: usize = 4_000_000;
+
+/// The local error a step may commit, as a fraction of `V_DD`.
+const TOLERANCE: f64 = 1e-7;
+
+/// The first step, as a fraction of the stage time constant
+/// `τ = C · V_DD / I_dsat(V_DD)`.
+const FIRST_STEP: f64 = 1.0 / 400.0;
+
+/// The longest step, as a fraction of `τ`.
+const STEP_CAP: f64 = 1.0 / 20.0;
+
+/// Dormand–Prince 5(4): the stage nodes `c`.
+const C: [f64; 7] = [0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0];
+
+/// The stage weights: row `s` weighs slopes `0..s` into stage `s`'s
+/// state. The last row is the 5th-order solution, so the last stage's
+/// slope is the next step's first.
+const A: [[f64; 6]; 7] = [
+    [0.0; 6],
+    [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
+    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
+    [
+        19372.0 / 6561.0,
+        -25360.0 / 2187.0,
+        64448.0 / 6561.0,
+        -212.0 / 729.0,
+        0.0,
+        0.0,
+    ],
+    [
+        9017.0 / 3168.0,
+        -355.0 / 33.0,
+        46732.0 / 5247.0,
+        49.0 / 176.0,
+        -5103.0 / 18656.0,
+        0.0,
+    ],
+    [
+        35.0 / 384.0,
+        0.0,
+        500.0 / 1113.0,
+        125.0 / 192.0,
+        -2187.0 / 6784.0,
+        11.0 / 84.0,
+    ],
+];
+
+/// The 5th- less the 4th-order weights: the local error estimate.
+const E: [f64; 7] = [
+    71.0 / 57600.0,
+    0.0,
+    -71.0 / 16695.0,
+    71.0 / 1920.0,
+    -17253.0 / 339200.0,
+    22.0 / 525.0,
+    -1.0 / 40.0,
+];
+
+/// The weights of the dense output's 4th-order term (Hairer's DOPRI5).
+const D: [f64; 7] = [
+    -12715105075.0 / 11282082432.0,
+    0.0,
+    87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0,
+    701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0,
+    69997945.0 / 29380423.0,
+];
 
 /// Stages one kernel call integrates in lockstep. Measured on a 2-vCPU
 /// x86-64 host (Xeon, 2.0 GHz): the whole library at the paper's sweep
-/// (27 144 distinct stages, 16.1 M RK4 steps) on one thread takes 0.76 s
-/// at 1 lane (the serial integrator: 0.75 s), 0.56–0.58 s at 4, 0.45 s at
-/// 8 and 0.45 s at 16, and 0.67–0.69 s at 8 lanes claimed only once all
-/// are empty instead of refilled one by one; the 64-bit adder's
-/// characterization on both threads takes 29, 21–22, 17–18 and 16–20 ms
-/// at 1, 4, 8 and 16 lanes, and 28–30 ms at 8 without refill.
+/// (27 144 distinct stages, 455 433 accepted steps) on one thread takes
+/// 0.10–0.11 s at 1 lane, 0.053 s at 4, 0.053–0.055 s at 8 and
+/// 0.053–0.057 s at 16; the 64-bit adder's sweep alone on both threads
+/// takes 2.7, 1.3, 1.2 and 1.2 ms.
 pub(crate) const LANES: usize = 8;
 
 /// Where a lane kernel takes its stages from and leaves their outcomes.
@@ -117,7 +202,7 @@ pub fn simulate_stage(tech: &Technology, stage: &Stage) -> Result<TransientResul
 }
 
 /// Integrates `stages[i]` for every index `feed` hands out, [`LANES`] at a
-/// time, and returns the RK4 steps taken. A lane whose stage crosses, fails
+/// time, and returns the steps accepted. A lane whose stage crosses, fails
 /// validation or exhausts [`MAX_STEPS`] emits that outcome and claims the
 /// next index at once; once `feed` stops handing them out, the kernel runs
 /// its remaining lanes to the end.
@@ -137,40 +222,33 @@ pub(crate) fn integrate_lanes(
     }
     let mut steps = 0u64;
     while live > 0 {
-        // One RK4 step of every live lane, each slope across all lanes
+        // One step attempt of every live lane, each slope across all lanes
         // before the next, so the lanes' dependency chains interleave.
-        let mut mid = [None; LANES];
-        let mut end = [(0.0, None); LANES];
+        let mut span = [(0.0, 0.0); LANES];
+        let mut end = [None; LANES];
+        let mut k = [[0.0; LANES]; 7];
         for (l, lane) in lanes[..live].iter().enumerate() {
-            // Classic RK4 samples the gate at t, t + dt/2 (twice) and
-            // t + dt. The ramp is monotone, so a gate that has reached vdd
-            // stays there; before that, the state at t + dt is the next
-            // step's state at t (`t += dt` below produces the same float).
-            (mid[l], end[l]) = if lane.gate.0 == lane.vdd {
-                (lane.gate.1, lane.gate)
-            } else {
-                (
-                    lane.gate_at(tech, lane.t + lane.dt / 2.0).1,
-                    lane.gate_at(tech, lane.t + lane.dt),
-                )
-            };
+            span[l] = lane.span();
+            end[l] = lane.drive_at(tech, span[l].1);
+            k[0][l] = lane.slope;
         }
-        let mut k = [[0.0; LANES]; 4];
-        for (l, lane) in lanes[..live].iter().enumerate() {
-            k[0][l] = lane.dv_dt(lane.gate.1, lane.v_out);
-        }
-        for (l, lane) in lanes[..live].iter().enumerate() {
-            k[1][l] = lane.dv_dt(mid[l], lane.v_out + lane.dt / 2.0 * k[0][l]);
-        }
-        for (l, lane) in lanes[..live].iter().enumerate() {
-            k[2][l] = lane.dv_dt(mid[l], lane.v_out + lane.dt / 2.0 * k[1][l]);
-        }
-        for (l, lane) in lanes[..live].iter().enumerate() {
-            k[3][l] = lane.dv_dt(end[l].1, lane.v_out + lane.dt * k[2][l]);
+        for s in 1..7 {
+            for (l, lane) in lanes[..live].iter().enumerate() {
+                let h = span[l].0;
+                // The last two stages sit at the step's end, which may be
+                // the ramp's end rather than `t + h` to the last bit.
+                let drive = if s < 5 {
+                    lane.drive_at(tech, lane.t + C[s] * h)
+                } else {
+                    end[l]
+                };
+                let dv = (0..s).fold(0.0, |dv, j| dv + A[s][j] * k[j][l]);
+                k[s][l] = lane.dv_dt(drive, lane.v_out + h * dv);
+            }
         }
         let mut any_done = false;
         for (l, lane) in lanes[..live].iter_mut().enumerate() {
-            any_done |= lane.advance([k[0][l], k[1][l], k[2][l], k[3][l]], end[l]);
+            any_done |= lane.finish(std::array::from_fn(|s| k[s][l]), span[l]);
         }
         if !any_done {
             continue;
@@ -200,24 +278,37 @@ struct Lane {
     /// The stage's index in the kernel's list.
     index: usize,
     device: Mosfet,
-    falling: bool,
+    /// The rail the conducting device pulls the output to: 0 for the
+    /// NMOS, `vdd` for the PMOS.
+    rail: f64,
+    /// The output's direction: −1 falling, +1 rising.
+    sign: f64,
     vdd: f64,
     cap_ff: f64,
     slew_ps: f64,
     v_half: f64,
     /// Input 50 % crossing of the linear ramp.
     t_in_cross: f64,
-    dt: f64,
+    /// The gate state once the ramp has reached `vdd`.
+    full: Option<Drive>,
+    /// The error bound per step, V.
+    tol: f64,
+    /// The longest step, ps.
+    h_max: f64,
+    /// The size of the next step attempt.
+    h: f64,
+    /// The last attempt was rejected: the next one may not grow.
+    rejected: bool,
     v_out: f64,
     t: f64,
-    /// The gate state at `t`, the start of the step.
-    gate: (f64, Option<Drive>),
-    /// `v_out` and `t` at the start of the last step.
-    v_prev: f64,
-    t_prev: f64,
-    /// Steps taken so far.
+    /// dV_out/dt at `(t, v_out)`: the next step's first slope.
+    slope: f64,
+    /// Steps accepted and step attempts so far.
     steps: usize,
-    /// The last step crossed the output's 50 % or exhausted the budget.
+    attempts: usize,
+    /// The delay, once an accepted step has crossed the output's 50 %.
+    delay_ps: Option<f64>,
+    /// The stage has crossed or exhausted the budget.
     done: bool,
 }
 
@@ -230,19 +321,24 @@ impl Lane {
             width: 0.0,
             vth: 0.0,
         },
-        falling: true,
+        rail: 0.0,
+        sign: -1.0,
         vdd: 0.0,
         cap_ff: 0.0,
         slew_ps: 0.0,
         v_half: 0.0,
         t_in_cross: 0.0,
-        dt: 0.0,
+        full: None,
+        tol: 0.0,
+        h_max: 0.0,
+        h: 0.0,
+        rejected: false,
         v_out: 0.0,
         t: 0.0,
-        gate: (0.0, None),
-        v_prev: 0.0,
-        t_prev: 0.0,
+        slope: 0.0,
         steps: 0,
+        attempts: 0,
+        delay_ps: None,
         done: false,
     };
 
@@ -259,7 +355,8 @@ impl Lane {
         }
     }
 
-    /// Validates `stage` and sets up its integration.
+    /// Validates `stage` and sets up its integration at the device's
+    /// turn-on.
     fn start(tech: &Technology, index: usize, stage: &Stage) -> Result<Lane, SpiceError> {
         let Stage {
             device,
@@ -284,112 +381,161 @@ impl Lane {
             return invalid("supply voltage at or below device threshold");
         }
 
-        let falling = device.device == DeviceType::Nmos;
-        // Step size from the stage time constant at full drive.
+        let (rail, sign) = match device.device {
+            DeviceType::Nmos => (0.0, -1.0),
+            DeviceType::Pmos => (vdd, 1.0),
+        };
+        // The step sizes from the stage time constant at full drive.
         let i_full = device.saturation_current(tech, vdd).max(1e-9);
         let tau_ps = cap_ff * vdd / (i_full * UA_PER_FF_TO_V_PER_PS);
-        let dt = (tau_ps / 400.0).min(slew_ps.max(0.1) / 40.0).max(1e-4);
         let mut lane = Lane {
             index,
             device,
-            falling,
+            rail,
+            sign,
             vdd,
             cap_ff,
             slew_ps,
             v_half: vdd / 2.0,
             t_in_cross: slew_ps * 0.5,
-            dt,
-            v_out: if falling { vdd } else { 0.0 },
+            full: device.drive(tech, vdd),
+            tol: TOLERANCE * vdd,
+            h_max: STEP_CAP * tau_ps,
+            h: FIRST_STEP * tau_ps,
+            v_out: vdd - rail,
+            t: slew_ps * device.vth / vdd,
             ..Lane::IDLE
         };
-        lane.gate = lane.gate_at(tech, 0.0);
+        lane.slope = lane.dv_dt(lane.drive_at(tech, lane.t), lane.v_out);
         Ok(lane)
     }
 
-    /// Gate overdrive magnitude and the device state it sets, as a
-    /// function of time: the input ramps from the non-conducting rail to
-    /// the conducting rail over `slew_ps`. For the NMOS (output falls) the
-    /// input rises 0→vdd so |Vgs| = Vin; for the PMOS (output rises) the
-    /// input falls vdd→0 so |Vgs| = vdd − Vin. Both give the same ramp in
-    /// magnitude.
-    fn gate_at(&self, tech: &Technology, t: f64) -> (f64, Option<Drive>) {
-        let vgs = if self.slew_ps <= 0.0 {
-            self.vdd
+    /// The next attempt's step and end time: `h`, cut to land on the
+    /// ramp's end if it would pass it.
+    fn span(&self) -> (f64, f64) {
+        if self.t < self.slew_ps && self.t + self.h >= self.slew_ps {
+            (self.slew_ps - self.t, self.slew_ps)
         } else {
-            (self.vdd * t / self.slew_ps).clamp(0.0, self.vdd)
-        };
-        (vgs, self.device.drive(tech, vgs))
+            (self.h, self.t + self.h)
+        }
+    }
+
+    /// The gate state at time `t`: the input ramps from the
+    /// non-conducting rail to the conducting rail over `slew_ps`. For the
+    /// NMOS (output falls) the input rises 0→vdd so |Vgs| = Vin; for the
+    /// PMOS (output rises) the input falls vdd→0 so |Vgs| = vdd − Vin.
+    /// Both give the same ramp in magnitude.
+    fn drive_at(&self, tech: &Technology, t: f64) -> Option<Drive> {
+        if t >= self.slew_ps {
+            self.full
+        } else {
+            self.device.drive(tech, self.vdd * t / self.slew_ps)
+        }
     }
 
     /// dV_out/dt at output voltage `v` under gate state `drive`; the vds
     /// magnitude is |V_out − conducting rail|.
     fn dv_dt(&self, drive: Option<Drive>, v: f64) -> f64 {
-        let vds = if self.falling { v } else { self.vdd - v };
+        let vds = self.sign * (self.rail - v);
         let i = drive.map_or(0.0, |d| d.current(vds));
-        let slope = i * UA_PER_FF_TO_V_PER_PS / self.cap_ff;
-        if self.falling {
-            -slope
-        } else {
-            slope
-        }
+        self.sign * (i * UA_PER_FF_TO_V_PER_PS / self.cap_ff)
     }
 
-    /// Completes one step from its four slopes and the gate state at its
-    /// end; `true` once the stage is done.
-    fn advance(&mut self, [k1, k2, k3, k4]: [f64; 4], end: (f64, Option<Drive>)) -> bool {
-        self.v_prev = self.v_out;
-        self.t_prev = self.t;
-        self.v_out += self.dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
-        self.v_out = self.v_out.clamp(0.0, self.vdd);
-        self.t += self.dt;
-        self.gate = end;
-        self.steps += 1;
-        self.done = self.crossed() || self.steps == MAX_STEPS;
+    /// Judges one attempt from its seven slopes and its `(h, t_end)`:
+    /// accepts or rejects it, sizes the next, and `true` once the stage
+    /// has an outcome.
+    fn finish(&mut self, k: [f64; 7], (h, t_end): (f64, f64)) -> bool {
+        self.attempts += 1;
+        // The same sum, in the same order, as the last stage's state.
+        let v_new = self.v_out + h * (0..6).fold(0.0, |dv, j| dv + A[6][j] * k[j]);
+        let err = (h * (0..7).fold(0.0, |e, j| e + E[j] * k[j])).abs();
+        let accepted = err <= self.tol;
+        if accepted {
+            self.steps += 1;
+            if self.crossed(v_new) {
+                let t_out_cross = self.t + h * self.crossing(&k, h, v_new);
+                self.delay_ps = Some(t_out_cross - self.t_in_cross);
+                self.done = true;
+                return true;
+            }
+            self.v_out = v_new;
+            self.t = t_end;
+            self.slope = k[6];
+        }
+        // The elementary controller: the error ratio's 4th root (two square
+        // roots, not a `powf`) with a safety factor, growth at most 5× and
+        // none right after a rejection, shrinkage at most 5×.
+        let mut grow = if err == 0.0 {
+            5.0
+        } else {
+            (0.9 * (self.tol / err).sqrt().sqrt()).clamp(0.2, 5.0)
+        };
+        if self.rejected {
+            grow = grow.min(1.0);
+        }
+        self.rejected = !accepted;
+        self.h = (h * grow).min(self.h_max);
+        self.done = self.attempts == MAX_STEPS;
         self.done
     }
 
-    /// The output starts on the far side of `v_half`, so the first step
-    /// that lands on or past it is the crossing.
-    fn crossed(&self) -> bool {
-        if self.falling {
-            self.v_out <= self.v_half
-        } else {
-            self.v_out >= self.v_half
-        }
+    /// The stage's outcome once it is done: the delay, or the exhausted
+    /// budget.
+    fn outcome(&self) -> Option<Result<f64, SpiceError>> {
+        self.done.then(|| {
+            self.delay_ps
+                .ok_or(SpiceError::NoConvergence { reached_ps: self.t })
+        })
     }
 
-    /// The stage's outcome once its last step made it done: the delay,
-    /// with the crossing interpolated linearly inside the step, or the
-    /// exhausted budget.
-    fn outcome(&self) -> Option<Result<f64, SpiceError>> {
-        if !self.done {
-            return None;
-        }
-        if !self.crossed() {
-            return Some(Err(SpiceError::NoConvergence { reached_ps: self.t }));
-        }
-        let frac = if (self.v_out - self.v_prev).abs() < 1e-15 {
-            1.0
-        } else {
-            (self.v_half - self.v_prev) / (self.v_out - self.v_prev)
+    /// The output starts on the far side of `v_half`, so the first
+    /// accepted step that lands on or past it is the crossing.
+    fn crossed(&self, v: f64) -> bool {
+        self.sign * (v - self.v_half) >= 0.0
+    }
+
+    /// Where in the step from `(t, v_out)` to `v_new` the output crosses
+    /// `v_half`, as a fraction of `h`: the root of the step's dense
+    /// output, found by regula falsi with the Illinois modification on
+    /// the bracket `[0, 1]`.
+    fn crossing(&self, k: &[f64; 7], h: f64, v_new: f64) -> f64 {
+        let dv = v_new - self.v_out;
+        let r3 = h * k[0] - dv;
+        let r4 = dv - h * k[6] - r3;
+        let r5 = h * (0..7).fold(0.0, |r, j| r + D[j] * k[j]);
+        let miss = |theta: f64| {
+            let rest = 1.0 - theta;
+            self.v_out + theta * (dv + rest * (r3 + theta * (r4 + rest * r5))) - self.v_half
         };
-        let t_out_cross = self.t_prev + frac.clamp(0.0, 1.0) * self.dt;
-        Some(Ok(t_out_cross - self.t_in_cross))
+        let (mut a, mut miss_a) = (0.0, self.v_out - self.v_half);
+        let (mut b, mut miss_b) = (1.0, v_new - self.v_half);
+        for _ in 0..64 {
+            if miss_b.abs() <= 1e-6 * self.tol || miss_a == miss_b {
+                break;
+            }
+            let c = (a * miss_b - b * miss_a) / (miss_b - miss_a);
+            let miss_c = miss(c);
+            if (miss_c < 0.0) != (miss_b < 0.0) {
+                (a, miss_a) = (b, miss_b);
+            } else {
+                miss_a /= 2.0;
+            }
+            (b, miss_b) = (c, miss_c);
+        }
+        b
     }
 }
 
-/// The integrator as it stood before [`simulate_stage`] learned to skip
-/// work, kept as its oracle: four full [`Mosfet::drain_current`] calls
-/// (eight `powf`) per step, run until the output is within 2 % of the
-/// target rail, the 50 % crossing picked up on the way. (Its 10 %/90 %
-/// slew bookkeeping, which never fed the delay, is not reproduced.)
+/// The fixed-step integrator the error-controlled kernel replaced, kept
+/// as its oracle at a fraction of its step: classic RK4 from `t = 0` at
+/// `min(τ/400, slew/40) / divisor`, four full [`Mosfet::drain_current`]
+/// calls per step, the 50 % crossing interpolated linearly inside the
+/// step that reaches it.
 #[cfg(test)]
-fn simulate_stage_reference(tech: &Technology, stage: &Stage) -> Result<f64, SpiceError> {
+fn simulate_stage_fixed(tech: &Technology, stage: &Stage, divisor: f64) -> Result<f64, SpiceError> {
     let vdd = stage.vdd;
     let falling = stage.device.device == DeviceType::Nmos;
     let v_half = vdd / 2.0;
-    let t_in_cross = stage.slew_ps * 0.5;
-
     let vgs_at = |t: f64| -> f64 {
         if stage.slew_ps <= 0.0 {
             vdd
@@ -397,22 +543,9 @@ fn simulate_stage_reference(tech: &Technology, stage: &Stage) -> Result<f64, Spi
             (vdd * t / stage.slew_ps).clamp(0.0, vdd)
         }
     };
-
-    let i_full = stage.device.saturation_current(tech, vdd).max(1e-9);
-    let tau_ps = stage.cap_ff * vdd / (i_full * UA_PER_FF_TO_V_PER_PS);
-    let dt = (tau_ps / 400.0)
-        .min(stage.slew_ps.max(0.1) / 40.0)
-        .max(1e-4);
-    let max_steps = 4_000_000usize;
-
-    let mut v_out = if falling { vdd } else { 0.0 };
-    let mut t = 0.0f64;
-    let mut t_out_cross = None;
-
     let dv_dt = |t: f64, v: f64| -> f64 {
-        let vgs = vgs_at(t);
         let vds = if falling { v } else { vdd - v };
-        let i = stage.device.drain_current(tech, vgs, vds);
+        let i = stage.device.drain_current(tech, vgs_at(t), vds);
         let slope = i * UA_PER_FF_TO_V_PER_PS / stage.cap_ff;
         if falling {
             -slope
@@ -420,60 +553,45 @@ fn simulate_stage_reference(tech: &Technology, stage: &Stage) -> Result<f64, Spi
             slope
         }
     };
+    let i_full = stage.device.saturation_current(tech, vdd).max(1e-9);
+    let tau_ps = stage.cap_ff * vdd / (i_full * UA_PER_FF_TO_V_PER_PS);
+    let dt = (tau_ps / 400.0)
+        .min(stage.slew_ps.max(0.1) / 40.0)
+        .max(1e-4)
+        / divisor;
 
-    let target_reached = |v: f64| -> bool {
-        if falling {
-            v <= 0.02 * vdd
-        } else {
-            v >= 0.98 * vdd
-        }
-    };
-
-    for step in 0..max_steps {
+    let mut v_out = if falling { vdd } else { 0.0 };
+    let mut t = 0.0f64;
+    for _ in 0..MAX_STEPS * divisor as usize {
         let v_prev = v_out;
-        let t_prev = t;
         let k1 = dv_dt(t, v_out);
         let k2 = dv_dt(t + dt / 2.0, v_out + dt / 2.0 * k1);
         let k3 = dv_dt(t + dt / 2.0, v_out + dt / 2.0 * k2);
         let k4 = dv_dt(t + dt, v_out + dt * k3);
         v_out += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4);
         v_out = v_out.clamp(0.0, vdd);
+        if (falling && v_out <= v_half) || (!falling && v_out >= v_half) {
+            let frac = if (v_out - v_prev).abs() < 1e-15 {
+                1.0
+            } else {
+                (v_half - v_prev) / (v_out - v_prev)
+            };
+            return Ok(t + frac.clamp(0.0, 1.0) * dt - stage.slew_ps * 0.5);
+        }
         t += dt;
-
-        let crossed = |mark: f64, slot: &mut Option<f64>| {
-            if slot.is_none() {
-                let before = if falling {
-                    v_prev > mark
-                } else {
-                    v_prev < mark
-                };
-                let after = if falling {
-                    v_out <= mark
-                } else {
-                    v_out >= mark
-                };
-                if before && after {
-                    let frac = if (v_out - v_prev).abs() < 1e-15 {
-                        1.0
-                    } else {
-                        (mark - v_prev) / (v_out - v_prev)
-                    };
-                    *slot = Some(t_prev + frac.clamp(0.0, 1.0) * dt);
-                }
-            }
-        };
-        crossed(v_half, &mut t_out_cross);
-
-        if target_reached(v_out) && t_out_cross.is_some() {
-            break;
-        }
-        if step == max_steps - 1 {
-            return Err(SpiceError::NoConvergence { reached_ps: t });
-        }
     }
+    Err(SpiceError::NoConvergence { reached_ps: t })
+}
 
-    let t_out = t_out_cross.ok_or(SpiceError::NoConvergence { reached_ps: t })?;
-    Ok(t_out - t_in_cross)
+/// Panics unless `got` is within 0.01 % of the delay of `stage` that
+/// [`simulate_stage_fixed`] measures at a quarter of its step.
+#[cfg(test)]
+pub(crate) fn assert_near_oracle(tech: &Technology, stage: &Stage, got: f64) {
+    let want = simulate_stage_fixed(tech, stage, 4.0).expect("oracle converges");
+    assert!(
+        (got - want).abs() <= 1e-4 * want.abs(),
+        "{stage:?}: {got} vs {want}"
+    );
 }
 
 #[cfg(test)]
@@ -651,16 +769,9 @@ mod tests {
         );
     }
 
-    /// Bitwise agreement with the reference.
-    fn assert_matches_reference(t: &Technology, s: &Stage) {
-        let got = simulate_stage(t, s).expect("stage switches").delay_ps;
-        let want = simulate_stage_reference(t, s).expect("reference converges");
-        assert_eq!(got.to_bits(), want.to_bits(), "{s:?}: {got} vs {want}");
-    }
-
     proptest! {
         #[test]
-        fn delay_is_bit_identical_to_the_reference_integrator(
+        fn delay_is_within_0_01_pct_of_the_fixed_step_oracle(
             vdd in 0.45f64..1.2,
             cap_ff in 0.2f64..160.0,
             width in 0.25f64..8.0,
@@ -672,12 +783,13 @@ mod tests {
             let mut s = stage(vdd, cap_ff, width, falling);
             s.device.vth *= 1.0 + t.stack_vth_derate * (stack - 1) as f64;
             s.slew_ps = slew_ps;
-            assert_matches_reference(&t, &s);
+            let got = simulate_stage(&t, &s).expect("stage switches").delay_ps;
+            assert_near_oracle(&t, &s, got);
         }
     }
 
     #[test]
-    fn paper_grid_is_bit_identical_to_the_reference_integrator() {
+    fn paper_grid_is_within_0_01_pct_of_the_fixed_step_oracle() {
         use avfs_netlist::library::Polarity;
         let t = tech();
         let lib = avfs_netlist::CellLibrary::nangate15_like();
@@ -701,9 +813,7 @@ mod tests {
         // Every stage through the lane kernel, claimed out of order.
         let outcomes = through_lanes(&t, &stages, 0x9E37_79B9);
         for (s, outcome) in stages.iter().zip(outcomes) {
-            let got = outcome.expect("stage switches");
-            let want = simulate_stage_reference(&t, s).expect("reference converges");
-            assert_eq!(got.to_bits(), want.to_bits(), "{s:?}: {got} vs {want}");
+            assert_near_oracle(&t, s, outcome.expect("stage switches"));
         }
     }
 
@@ -805,8 +915,8 @@ mod tests {
 
     #[test]
     fn a_lane_that_exhausts_the_budget_fails_as_the_serial_call_does() {
-        // A ramp so slow the gate stays in cut-off for the whole budget,
-        // between stages that finish and refill around it.
+        // A ramp so slow that the budget runs out while the device barely
+        // conducts, between stages that finish and refill around it.
         let t = tech();
         let mut stuck = stage(0.8, 2.0, 1.0, true);
         stuck.slew_ps = 1e12;
@@ -814,14 +924,14 @@ mod tests {
         let mut stages = random_stages(&t, &mut state, 11);
         stages[4] = stuck;
         let outcomes = through_lanes(&t, &stages, 3);
-        let serial = simulate_stage(&t, &stuck).map(|r| r.delay_ps);
-        assert!(
-            matches!(serial, Err(SpiceError::NoConvergence { .. })),
-            "{serial:?}"
-        );
         for (s, outcome) in stages.iter().zip(&outcomes) {
             let serial = simulate_stage(&t, s).map(|r| r.delay_ps);
             assert_eq!(key(outcome), key(&serial), "{s:?}");
         }
+        assert!(
+            matches!(outcomes[4], Err(SpiceError::NoConvergence { .. })),
+            "{:?}",
+            outcomes[4]
+        );
     }
 }
