@@ -35,8 +35,12 @@ bounded 600 cargo test --release --offline -p avfs-spice -- --ignored
 echo "==> fig4 --smoke (Fig. 4 verdicts: error falls with order, N = 3 within the paper's bounds, at most 5 min)"
 bounded 300 cargo run --release --offline -p avfs-bench --bin fig4 -- --smoke
 
-echo "==> fault_grading example (one fault-grading launch per supply and die, at most 5 min)"
-bounded 300 cargo run --release --offline --example fault_grading
+echo "==> examples (every example end to end, at most 5 min)"
+bounded 300 sh -c 'for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "--> $name"
+    cargo run --quiet --release --offline --example "$name" >/dev/null || exit 1
+done'
 
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

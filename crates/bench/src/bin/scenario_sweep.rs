@@ -19,7 +19,7 @@ use avfs_atpg::PatternSet;
 use avfs_bench::{characterize_used, Args};
 use avfs_circuits::PAPER_PROFILES;
 use avfs_core::scenario::{cross_schedules, MonteCarlo, Schedule};
-use avfs_core::{cross, CompiledNetlist, SimOptions, VariationConfig};
+use avfs_core::{cross, CompiledNetlist, Launch, SimOptions, VariationConfig};
 use avfs_netlist::CellLibrary;
 use std::sync::Arc;
 
@@ -103,9 +103,12 @@ fn main() {
         samples,
         scenarios.len() * samples
     );
-    let run = engine
-        .launch_scenarios(&patterns, &scenarios, Some(&mc), Some(deadline), &opts)
-        .expect("sweep run");
+    let request = Launch::Scenarios {
+        scenarios: &scenarios,
+        mc: Some(mc),
+        capture_deadline_ps: Some(deadline),
+    };
+    let run = engine.launch(&patterns, request, &opts).expect("sweep run");
     let summary = run.scenario.as_ref().expect("scenario summary");
 
     println!(

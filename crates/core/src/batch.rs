@@ -1,5 +1,5 @@
-//! Cross-run batch execution: a parked worker pool and bounded artifact
-//! caches — the server-shaped front half of the compile-once /
+//! Cross-run batch execution: a parked worker pool and a bounded
+//! artifact cache — the server-shaped front half of the compile-once /
 //! simulate-many split.
 //!
 //! Where a [`Session`](crate::session::Session) binds one compiled
@@ -7,29 +7,26 @@
 //! whole workload:
 //!
 //! * **pool reuse** — one worker pool, spawned at construction, serves
-//!   every run (runs serialize on an internal lock; the queue depth is
-//!   instrumented);
-//! * **artifact caching** — compiled netlists and characterized
-//!   libraries live in bounded LRUs keyed by
-//!   [`CompileKey`] = (netlist hash, library hash, corner), with
+//!   every run (runs serialize on an internal lock);
+//! * **artifact caching** — compiled netlists live in a bounded LRU
+//!   keyed by [`CompileKey`] = (netlist hash, library hash, corner), with
 //!   `engine.compile_{hits,misses}` counters riding `avfs-obs`.
 //!
-//! A run is the same launch [`CompiledNetlist::launch`] performs — slot
-//! grids larger than the waveform budget are batched inside the engine —
-//! so results, diagnostics and profiles are bit-for-bit identical.
+//! A run is the same launch [`CompiledNetlist::launch`] performs, for
+//! every [`Launch`] kind — slot grids larger than the waveform budget are
+//! batched inside the engine — so results, diagnostics and profiles are
+//! bit-for-bit identical.
 
 use crate::compile::CompiledNetlist;
-use crate::engine::{LaunchPlan, SimOptions};
+use crate::engine::{Launch, SimOptions};
 use crate::phases;
 use crate::pool::ParkedPool;
 use crate::results::SimRun;
-use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
 use avfs_delay::CharacterizedLibrary;
 use avfs_netlist::Netlist;
-use avfs_obs::{Metrics, Profile};
-use std::sync::atomic::{AtomicU64, Ordering};
+use avfs_obs::Metrics;
 use std::sync::{Arc, Mutex};
 
 /// Cache key of one compiled artifact: what the compile step actually
@@ -115,15 +112,11 @@ impl<K: PartialEq + Copy, V> Lru<K, V> {
         }
         self.entries.push((key, value, self.tick));
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
-/// A compile-and-launch hub: one parked worker pool plus bounded LRU
-/// caches of compiled artifacts and characterized libraries, shared
-/// across threads (`&self` everywhere; runs serialize internally).
+/// A compile-and-launch hub: one parked worker pool plus a bounded LRU
+/// cache of compiled artifacts, shared across threads (`&self`
+/// everywhere; runs serialize internally).
 ///
 /// ```
 /// use avfs_core::{slots, BatchRunner, CompileKey, CompiledNetlist, SimOptions};
@@ -158,28 +151,22 @@ pub struct BatchRunner {
     pool: ParkedPool,
     /// Serializes runs: the epoch-barrier pool admits one run at a time.
     run_lock: Mutex<()>,
-    /// Runs currently waiting on (or holding) the run lock — sampled
-    /// into the queue-depth histogram as each run gets in line.
-    waiting: AtomicU64,
     artifacts: Mutex<Lru<CompileKey, Arc<CompiledNetlist>>>,
-    libraries: Mutex<Lru<u64, Arc<CharacterizedLibrary>>>,
-    /// The runner's own instrument registry (cache and queue
-    /// instruments — the hit/miss accessors read its counters; per-run
-    /// engine profiles remain per run).
+    /// The runner's own instrument registry (the artifact cache's
+    /// counters, which the hit/miss accessors read; per-run engine
+    /// profiles remain per run).
     metrics: Metrics,
 }
 
 impl BatchRunner {
     /// Creates a runner with `threads` workers (0 resolves to available
     /// parallelism once, here) and at most `cache_capacity` entries in
-    /// each artifact cache (clamped to at least 1).
+    /// the artifact cache (clamped to at least 1).
     pub fn new(threads: usize, cache_capacity: usize) -> BatchRunner {
         BatchRunner {
             pool: ParkedPool::new(threads),
             run_lock: Mutex::new(()),
-            waiting: AtomicU64::new(0),
             artifacts: Mutex::new(Lru::new(cache_capacity)),
-            libraries: Mutex::new(Lru::new(cache_capacity)),
             metrics: Metrics::new("engine"),
         }
     }
@@ -214,42 +201,10 @@ impl BatchRunner {
         }
         self.metrics.add(phases::ENGINE_COMPILE_MISSES, 1);
         let built = Arc::new(build()?);
-        let mut cache = self.artifacts.lock().expect("artifact cache lock");
-        cache.insert(key, Arc::clone(&built));
-        self.metrics
-            .set_gauge(phases::ENGINE_CACHE_OCCUPANCY, cache.len() as f64);
-        Ok(built)
-    }
-
-    /// Returns the cached characterized library for `library_hash`, or
-    /// builds and caches it — the SetupKit-shaped half of amortization:
-    /// one characterization serves every corner and netlist that shares
-    /// the library. Same non-caching failure semantics as
-    /// [`BatchRunner::compile`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever `build` returns; the cache is left untouched on `Err`.
-    pub fn characterized<E>(
-        &self,
-        library_hash: u64,
-        build: impl FnOnce() -> Result<CharacterizedLibrary, E>,
-    ) -> Result<Arc<CharacterizedLibrary>, E> {
-        if let Some(hit) = self
-            .libraries
+        self.artifacts
             .lock()
-            .expect("library cache lock")
-            .get(&library_hash)
-        {
-            self.metrics.add(phases::ENGINE_LIBRARY_HITS, 1);
-            return Ok(Arc::clone(hit));
-        }
-        self.metrics.add(phases::ENGINE_LIBRARY_MISSES, 1);
-        let built = Arc::new(build()?);
-        self.libraries
-            .lock()
-            .expect("library cache lock")
-            .insert(library_hash, Arc::clone(&built));
+            .expect("artifact cache lock")
+            .insert(key, Arc::clone(&built));
         Ok(built)
     }
 
@@ -272,24 +227,7 @@ impl BatchRunner {
         self.pool.arena_allocations()
     }
 
-    /// Library-cache hits so far.
-    pub fn library_hits(&self) -> u64 {
-        self.metrics.counter(phases::ENGINE_LIBRARY_HITS).get()
-    }
-
-    /// Library-cache misses so far.
-    pub fn library_misses(&self) -> u64 {
-        self.metrics.counter(phases::ENGINE_LIBRARY_MISSES).get()
-    }
-
-    /// Snapshot of the runner's instrument registry
-    /// (`engine.compile_{hits,misses}`, `engine.library_{hits,misses}`,
-    /// `engine.batch_runs`, queue depth, cache occupancy).
-    pub fn profile(&self) -> Profile {
-        self.metrics.snapshot()
-    }
-
-    /// Simulates `slots` over `patterns` on the parked pool — bit-for-bit
+    /// Simulates `launch` over `patterns` on the parked pool — bit-for-bit
     /// the launch [`CompiledNetlist::launch`] performs.
     ///
     /// # Errors
@@ -298,47 +236,15 @@ impl BatchRunner {
     /// [`SimError::ThreadMismatch`] for a per-run
     /// [`SimOptions::threads`] override that differs from the runner's
     /// pool.
-    pub fn run(
+    pub fn run<'a>(
         &self,
         compiled: &Arc<CompiledNetlist>,
         patterns: &PatternSet,
-        slots: &[SlotSpec],
+        launch: impl Into<Launch<'a>>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let plan = compiled.prepare_uniform(patterns, slots, options)?;
-        self.execute(compiled, plan, options)
-    }
-
-    /// Simulates piecewise-scheduled scenarios (optionally Monte Carlo
-    /// sampled) on the parked pool — see
-    /// [`CompiledNetlist::launch_scenarios`] for semantics and errors.
-    pub fn run_scenarios(
-        &self,
-        compiled: &Arc<CompiledNetlist>,
-        patterns: &PatternSet,
-        scenarios: &[crate::scenario::ScenarioSpec],
-        mc: Option<&crate::scenario::MonteCarlo>,
-        capture_deadline_ps: Option<f64>,
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        let plan =
-            compiled.prepare_scenarios(patterns, scenarios, mc, capture_deadline_ps, options)?;
-        self.execute(compiled, plan, options)
-    }
-
-    /// Queue admission, then the launch: the epoch-barrier pool admits
-    /// one run at a time.
-    fn execute(
-        &self,
-        compiled: &CompiledNetlist,
-        plan: LaunchPlan<'_>,
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        let depth = self.waiting.fetch_add(1, Ordering::Relaxed);
+        let plan = compiled.prepare(patterns, launch.into(), options)?;
         let _guard = self.run_lock.lock().expect("run lock");
-        self.waiting.fetch_sub(1, Ordering::Relaxed);
-        self.metrics.record(phases::ENGINE_BATCH_QUEUE_DEPTH, depth);
-        self.metrics.add(phases::ENGINE_BATCH_RUNS, 1);
         compiled.execute(plan, options, &self.pool)
     }
 }
@@ -405,132 +311,6 @@ mod tests {
         )
     }
 
-    /// The runner's determinism matrix: threads (1, 4) × lanes (1, 8),
-    /// in a normal scenario and a tight-arena scenario that forces
-    /// quarantine-and-retry — every cell bit-identical (slots,
-    /// diagnostics, node evaluations) to the single-threaded
-    /// [`CompiledNetlist::launch`] reference.
-    #[test]
-    fn batch_runs_match_compiled_launch_matrix() {
-        let compiled = compiled_adder();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 10, 7);
-        let slot_list = cross(patterns.len(), &[0.7, 0.8]); // 20 slots
-        let scenarios: [(&str, SimOptions); 2] = [
-            ("normal", SimOptions::default()),
-            (
-                "tight-arena",
-                SimOptions {
-                    // Capacity 1 overflows glitchy carry-chain nets and
-                    // exercises quarantine-and-retry.
-                    arena_capacity: 1,
-                    ..SimOptions::default()
-                },
-            ),
-        ];
-        for (name, base) in scenarios {
-            let reference = compiled
-                .launch(
-                    &patterns,
-                    &slot_list,
-                    &SimOptions {
-                        threads: 1,
-                        ..base.clone()
-                    },
-                )
-                .unwrap();
-            if name == "tight-arena" {
-                assert!(
-                    reference.diagnostics.slot_retries > 0,
-                    "tight-arena scenario must exercise retries"
-                );
-            }
-            for threads in [1usize, 4] {
-                let runner = BatchRunner::new(threads, 4);
-                for lanes in [1usize, 8] {
-                    let run = runner
-                        .run(
-                            &compiled,
-                            &patterns,
-                            &slot_list,
-                            &SimOptions {
-                                lanes,
-                                ..base.clone()
-                            },
-                        )
-                        .unwrap();
-                    let label = format!("{name} threads={threads} lanes={lanes}");
-                    assert_eq!(run.slots, reference.slots, "{label}");
-                    assert_eq!(run.diagnostics, reference.diagnostics, "{label}");
-                    assert_eq!(run.node_evaluations, reference.node_evaluations, "{label}");
-                }
-            }
-        }
-    }
-
-    /// The scenario-engine extension of the matrix: scheduled (droop)
-    /// and Monte Carlo sampled grids stay bit-identical to the
-    /// single-threaded [`CompiledNetlist::launch_scenarios`] across
-    /// threads × lanes, summary included.
-    #[test]
-    fn batch_scenarios_match_compiled_launch_matrix() {
-        use crate::scenario::{cross_schedules, MonteCarlo, Schedule};
-        let compiled = compiled_adder();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 6, 11);
-        let scenarios = cross_schedules(
-            patterns.len(),
-            &[
-                Schedule::droop(0.8, 0.1, 20.0, 70.0),
-                Schedule::constant(0.7),
-            ],
-        );
-        let mc = MonteCarlo {
-            samples: 2,
-            variation: avfs_delay::VariationConfig {
-                sigma: 0.06,
-                max_deviation: 0.2,
-                seed: 0xA11CE,
-            },
-        };
-        let deadline = Some(120.0);
-        let reference = compiled
-            .launch_scenarios(
-                &patterns,
-                &scenarios,
-                Some(&mc),
-                deadline,
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(reference.slots.len(), scenarios.len() * mc.samples);
-        assert!(reference.scenario.is_some());
-        for threads in [1usize, 4] {
-            let runner = BatchRunner::new(threads, 4);
-            for lanes in [1usize, 8] {
-                let run = runner
-                    .run_scenarios(
-                        &compiled,
-                        &patterns,
-                        &scenarios,
-                        Some(&mc),
-                        deadline,
-                        &SimOptions {
-                            lanes,
-                            ..SimOptions::default()
-                        },
-                    )
-                    .unwrap();
-                let label = format!("threads={threads} lanes={lanes}");
-                assert_eq!(run.slots, reference.slots, "{label}");
-                assert_eq!(run.diagnostics, reference.diagnostics, "{label}");
-                assert_eq!(run.node_evaluations, reference.node_evaluations, "{label}");
-                assert_eq!(run.scenario, reference.scenario, "{label}");
-            }
-        }
-    }
-
     /// A grid larger than the waveform budget is batched inside the
     /// engine, on the runner's parked pool: a budget that only fits a
     /// few slots per arena batch stays bit-identical to the large-budget
@@ -571,7 +351,6 @@ mod tests {
         assert_eq!(run.diagnostics, reference.diagnostics);
         let profile = run.profile.expect("profiled run");
         assert_eq!(profile.counter(phases::ENGINE_BATCHES), Some(3));
-        assert_eq!(runner.profile().counter(phases::ENGINE_BATCH_RUNS), Some(1));
     }
 
     #[test]
@@ -667,39 +446,27 @@ mod tests {
         assert_eq!(runner.compile_misses(), 3);
     }
 
+    /// A characterized library's content hash is stable, so it keys
+    /// artifacts like a netlist's does.
     #[test]
-    fn library_cache_follows_the_same_protocol() {
-        let runner = BatchRunner::new(1, 2);
+    fn compile_key_of_a_characterized_library_is_stable() {
         let library = CellLibrary::nangate15_like();
-        let hash = library.content_hash();
-        let build = || {
-            let ids = [library.find("INV_X1").unwrap()];
+        let ids = [library.find("INV_X1").unwrap()];
+        let characterize = || {
             avfs_delay::characterize_library(
                 &library,
                 &avfs_spice::Technology::nm15(),
                 &avfs_delay::characterize::CharacterizationConfig::fast(),
                 Some(&ids),
             )
+            .unwrap()
         };
-        let a = runner.characterized(hash, build).unwrap();
-        let b = runner.characterized(hash, build).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((runner.library_hits(), runner.library_misses()), (1, 1));
-        // The characterized library's own content hash is stable and
-        // usable as a CompileKey component.
+        let (a, b) = (characterize(), characterize());
         assert_eq!(a.content_hash(), b.content_hash());
-        let key = CompileKey::of(
-            &avfs_circuits::ripple_carry_adder(2, &library).unwrap(),
-            &a,
-            "typ",
-        );
+        let adder = avfs_circuits::ripple_carry_adder(2, &library).unwrap();
         assert_eq!(
-            key,
-            CompileKey::of(
-                &avfs_circuits::ripple_carry_adder(2, &library).unwrap(),
-                &a,
-                "typ"
-            )
+            CompileKey::of(&adder, &a, "typ"),
+            CompileKey::of(&adder, &b, "typ")
         );
     }
 

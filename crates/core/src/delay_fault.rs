@@ -1,4 +1,4 @@
-//! Small-delay-fault simulation on top of the parametric engine.
+//! Small-delay-fault grading on top of the parametric engine.
 //!
 //! Small (gate) delay faults are the headline application of the paper's
 //! simulator family (its reference \[28\], "GPU-Accelerated Simulation of
@@ -7,21 +7,19 @@
 //! pair *detects* it if any primary output holds a different value at the
 //! capture time than in the fault-free run.
 //!
-//! A fault is one more per-group delay modifier (DESIGN.md §5): one
-//! launch on one compiled artifact simulates the slots patterns ×
-//! (golden + faults), a fault's slots reading the artifact's tables with
+//! A fault is one more per-group delay modifier (DESIGN.md §5): a
+//! [`Launch::Faults`](crate::Launch::Faults) request, through any door,
+//! simulates the slots patterns × (golden + faults) in one launch on one
+//! compiled artifact, a fault's slots reading the artifact's tables with
 //! `δ` added to the site's nominal pin delays before they are scaled.
+//! [`FaultVerdict::grade`] reads the verdicts off the run.
 
 use crate::compile::{check_pins, CompiledNetlist};
-use crate::engine::{SimOptions, SlotWork, VariationSample};
-use crate::pool::ParkedPool;
-use crate::scenario::{check_capture_time, check_variation};
+use crate::results::SimRun;
 use crate::SimError;
-use avfs_atpg::PatternSet;
-use avfs_delay::{TimingAnnotation, VariationConfig};
-use avfs_netlist::{NodeId, NodeKind};
+use avfs_delay::TimingAnnotation;
+use avfs_netlist::{Netlist, NodeId, NodeKind};
 use avfs_waveform::PinDelays;
-use std::sync::Arc;
 
 /// One small-delay fault: extra delay at a node's output.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,6 +31,16 @@ pub struct SmallDelayFault {
 }
 
 impl SmallDelayFault {
+    /// The candidate fault list: one fault of size `delta_ps` per gate
+    /// node of `netlist`, in node order.
+    pub fn every_gate(netlist: &Netlist, delta_ps: f64) -> Vec<SmallDelayFault> {
+        netlist
+            .iter()
+            .filter(|(_, node)| matches!(node.kind(), NodeKind::Gate(_)))
+            .map(|(id, _)| SmallDelayFault { node: id, delta_ps })
+            .collect()
+    }
+
     /// The fault site's pin delays in `annotation` with `δ` added to
     /// every rise and fall: what the fault does to the circuit.
     pub(crate) fn pins<'a>(
@@ -64,98 +72,17 @@ pub struct FaultVerdict {
     pub worst_overshoot_ps: f64,
 }
 
-/// Small-delay fault simulator.
-pub struct DelayFaultSimulator {
-    compiled: Arc<CompiledNetlist>,
-    /// Capture period: outputs are sampled at this time, ps.
-    capture_ps: f64,
-}
-
-impl DelayFaultSimulator {
-    /// Creates a fault simulator over `compiled` sampling outputs at
-    /// `capture_ps`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidCaptureTime`] for a non-finite or
-    /// negative capture time.
-    pub fn new(
-        compiled: Arc<CompiledNetlist>,
-        capture_ps: f64,
-    ) -> Result<DelayFaultSimulator, SimError> {
-        check_capture_time(capture_ps)?;
-        Ok(DelayFaultSimulator {
-            compiled,
-            capture_ps,
-        })
-    }
-
-    /// The capture period.
-    pub fn capture_ps(&self) -> f64 {
-        self.capture_ps
-    }
-
-    /// Builds the candidate fault list: one fault of size `delta_ps` per
-    /// gate node.
-    pub fn full_fault_list(&self, delta_ps: f64) -> Vec<SmallDelayFault> {
-        self.compiled
-            .netlist
-            .iter()
-            .filter(|(_, node)| matches!(node.kind(), NodeKind::Gate(_)))
-            .map(|(id, _)| SmallDelayFault { node: id, delta_ps })
-            .collect()
-    }
-
-    /// Simulates the fault-free circuit and every fault at `voltage` in
-    /// one launch on `die` — sample 0 of that variation, what a
-    /// one-sample [`MonteCarlo`](crate::MonteCarlo) plan draws — or the
-    /// nominal die, and returns per-fault verdicts. A pattern detects a
-    /// fault when an output's value *at the capture time* differs from
-    /// the fault-free run's and both slots completed.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::FaultSite`] for a fault on a node that is not a gate
-    ///   of the netlist,
-    /// * [`SimError::InvalidDelay`] for a fault that makes a nominal pin
-    ///   delay of its gate non-finite or negative,
-    /// * [`SimError::InvalidVariation`] for an unusable `die`,
-    /// * everything [`CompiledNetlist::launch`] reports.
-    pub fn run(
-        &self,
-        faults: &[SmallDelayFault],
-        patterns: &PatternSet,
-        voltage: f64,
-        die: Option<VariationConfig>,
-        options: &SimOptions,
-    ) -> Result<Vec<FaultVerdict>, SimError> {
-        for (index, fault) in faults.iter().enumerate() {
-            self.check_fault(index, fault)?;
-        }
-        if let Some(config) = &die {
-            check_variation(config)?;
-        }
-        let slots = crate::slots::at_voltage(patterns.len(), voltage);
-        let mut plan = self.compiled.prepare_uniform(patterns, &slots, options)?;
-        let golden = std::mem::take(&mut plan.work);
-        let die = die.map(|config| VariationSample { config, sample: 0 });
-        // Fault-major, so each fault's slots are adjacent in every batch.
-        plan.work = std::iter::once(None)
-            .chain(faults.iter().copied().map(Some))
-            .flat_map(|fault| {
-                golden.iter().map(move |w| SlotWork {
-                    fault,
-                    variation: die,
-                    ..w.clone()
-                })
-            })
-            .collect();
-        plan.capture_ps = Some(self.capture_ps);
-        let pool = ParkedPool::new(options.threads);
-        let run = self.compiled.execute(plan, options, &pool)?;
-        let (golden, faulty) = run.slots.split_at(patterns.len());
-        let graded = faults.iter().zip(faulty.chunks(patterns.len()));
-        Ok(graded
+impl FaultVerdict {
+    /// Per-fault verdicts of `run`, the run of a
+    /// [`Launch::Faults`](crate::Launch::Faults) request for `faults`
+    /// sampled at `capture_ps`. A pattern detects a fault when an
+    /// output's value at the capture time differs from the fault-free
+    /// run's and both slots completed.
+    pub fn grade(run: &SimRun, faults: &[SmallDelayFault], capture_ps: f64) -> Vec<FaultVerdict> {
+        let patterns = run.slots.len() / (faults.len() + 1);
+        let (golden, faulty) = run.slots.split_at(patterns);
+        let graded = faults.iter().zip(faulty.chunks(patterns.max(1)));
+        graded
             .map(|(&fault, slots)| {
                 let detected_by = slots.iter().zip(golden).position(|(bad, good)| {
                     bad.status.is_completed()
@@ -165,8 +92,8 @@ impl DelayFaultSimulator {
                 let worst_overshoot_ps = slots
                     .iter()
                     .filter_map(|s| s.latest_output_transition_ps)
-                    .fold(f64::NEG_INFINITY, |worst, t| worst.max(t - self.capture_ps))
-                    .max(-self.capture_ps);
+                    .fold(f64::NEG_INFINITY, |worst, t| worst.max(t - capture_ps))
+                    .max(-capture_ps);
                 FaultVerdict {
                     fault,
                     detected: detected_by.is_some(),
@@ -174,7 +101,7 @@ impl DelayFaultSimulator {
                     worst_overshoot_ps,
                 }
             })
-            .collect())
+            .collect()
     }
 
     /// Fault coverage of a verdict list.
@@ -184,33 +111,41 @@ impl DelayFaultSimulator {
         }
         verdicts.iter().filter(|v| v.detected).count() as f64 / verdicts.len() as f64
     }
+}
 
+impl CompiledNetlist {
     /// Refuses fault `index` unless it names a gate whose nominal pin
     /// delays stay finite and non-negative with `δ` added.
-    fn check_fault(&self, index: usize, fault: &SmallDelayFault) -> Result<(), SimError> {
-        let node = self.compiled.netlist.nodes().get(fault.node.index());
+    pub(crate) fn check_fault(
+        &self,
+        index: usize,
+        fault: &SmallDelayFault,
+    ) -> Result<(), SimError> {
+        let node = self.netlist.nodes().get(fault.node.index());
         let Some(gate) = node.filter(|node| matches!(node.kind(), NodeKind::Gate(_))) else {
             return Err(SimError::FaultSite {
                 fault: index,
                 node: fault.node.index(),
             });
         };
-        check_pins(gate.name(), fault.pins(&self.compiled.annotation))
+        check_pins(gate.name(), fault.pins(&self.annotation))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::results::SimRun;
+    use crate::engine::{Launch, SimOptions};
     use crate::scenario::{cross_schedules, MonteCarlo, Schedule};
     use avfs_atpg::pattern::{Pattern, PatternPair};
+    use avfs_atpg::PatternSet;
     use avfs_delay::model::DelayModel;
     use avfs_delay::op::NormalizedPoint;
-    use avfs_delay::{ParameterSpace, StaticModel, TimingAnnotation};
+    use avfs_delay::{ParameterSpace, StaticModel, VariationConfig};
     use avfs_netlist::library::Polarity;
-    use avfs_netlist::{CellId, CellLibrary, Netlist, NetlistBuilder};
+    use avfs_netlist::{CellId, CellLibrary, NetlistBuilder};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Chain of four inverters, 10 ps each → nominal arrival 40 ps.
     fn chain(model: Arc<dyn DelayModel>) -> Arc<CompiledNetlist> {
@@ -248,8 +183,28 @@ mod tests {
         .collect()
     }
 
-    fn sim(capture: f64) -> DelayFaultSimulator {
-        DelayFaultSimulator::new(chain(static_model()), capture).unwrap()
+    /// Grades `faults` in one [`Launch::Faults`] launch on `compiled`.
+    fn grade(
+        compiled: &CompiledNetlist,
+        faults: &[SmallDelayFault],
+        patterns: &PatternSet,
+        (voltage, die): (f64, Option<VariationConfig>),
+        capture_ps: f64,
+        options: &SimOptions,
+    ) -> Result<Vec<FaultVerdict>, SimError> {
+        let request = Launch::Faults {
+            faults,
+            voltage,
+            die,
+            capture_ps,
+        };
+        let run = compiled.launch(patterns, request, options)?;
+        Ok(FaultVerdict::grade(&run, faults, capture_ps))
+    }
+
+    /// Every gate of `compiled`'s netlist faulted by `delta_ps`.
+    fn every_gate(compiled: &CompiledNetlist, delta_ps: f64) -> Vec<SmallDelayFault> {
+        SmallDelayFault::every_gate(compiled.netlist(), delta_ps)
     }
 
     fn serial() -> SimOptions {
@@ -262,14 +217,12 @@ mod tests {
     #[test]
     fn tight_capture_detects_small_delta() {
         // Arrival 40 ps, capture 45 ps → δ = 10 pushes past capture.
-        let s = sim(45.0);
-        let faults = s.full_fault_list(10.0);
+        let s = chain(static_model());
+        let faults = every_gate(&s, 10.0);
         assert_eq!(faults.len(), 4);
-        let verdicts = s
-            .run(&faults, &toggle_pattern(), 0.8, None, &serial())
-            .unwrap();
+        let verdicts = grade(&s, &faults, &toggle_pattern(), (0.8, None), 45.0, &serial()).unwrap();
         assert!(verdicts.iter().all(|v| v.detected), "{verdicts:?}");
-        assert!((DelayFaultSimulator::coverage(&verdicts) - 1.0).abs() < 1e-12);
+        assert!((FaultVerdict::coverage(&verdicts) - 1.0).abs() < 1e-12);
         for v in &verdicts {
             assert_eq!(v.detected_by, Some(0));
             assert!((v.worst_overshoot_ps - 5.0).abs() < 1e-9);
@@ -280,91 +233,88 @@ mod tests {
     fn loose_capture_hides_small_delta() {
         // Capture 100 ps → a 10 ps defect stays invisible ("hidden delay
         // fault", the FAST-BIST motivation the paper cites).
-        let s = sim(100.0);
-        let faults = s.full_fault_list(10.0);
-        let verdicts = s
-            .run(&faults, &toggle_pattern(), 0.8, None, &serial())
-            .unwrap();
+        let s = chain(static_model());
+        let faults = every_gate(&s, 10.0);
+        let verdicts = grade(
+            &s,
+            &faults,
+            &toggle_pattern(),
+            (0.8, None),
+            100.0,
+            &serial(),
+        )
+        .unwrap();
         assert!(verdicts.iter().all(|v| !v.detected));
-        assert_eq!(DelayFaultSimulator::coverage(&verdicts), 0.0);
+        assert_eq!(FaultVerdict::coverage(&verdicts), 0.0);
     }
 
     #[test]
     fn threshold_delta_behaviour() {
         // Capture 45: δ = 4 keeps arrival at 44 < 45 (undetected); δ = 6
         // lands at 46 > 45 (detected).
-        let s = sim(45.0);
-        let grade = |delta| {
-            s.run(
-                &s.full_fault_list(delta),
-                &toggle_pattern(),
-                0.8,
-                None,
-                &serial(),
-            )
-            .unwrap()
+        let s = chain(static_model());
+        let at = |delta| {
+            let faults = every_gate(&s, delta);
+            grade(&s, &faults, &toggle_pattern(), (0.8, None), 45.0, &serial()).unwrap()
         };
-        assert!(grade(4.0).iter().all(|v| !v.detected));
-        assert!(grade(6.0).iter().all(|v| v.detected));
+        assert!(at(4.0).iter().all(|v| !v.detected));
+        assert!(at(6.0).iter().all(|v| v.detected));
     }
 
     #[test]
     fn quiet_pattern_detects_nothing() {
-        let s = sim(45.0);
+        let s = chain(static_model());
         let quiet: PatternSet = std::iter::once(
             PatternPair::new(Pattern::from_bits([true]), Pattern::from_bits([true])).unwrap(),
         )
         .collect();
-        let verdicts = s
-            .run(&s.full_fault_list(50.0), &quiet, 0.8, None, &serial())
-            .unwrap();
+        let faults = every_gate(&s, 50.0);
+        let verdicts = grade(&s, &faults, &quiet, (0.8, None), 45.0, &serial()).unwrap();
         assert!(verdicts.iter().all(|v| !v.detected));
     }
 
     #[test]
     fn empty_inputs() {
-        let s = sim(45.0);
-        assert_eq!(DelayFaultSimulator::coverage(&[]), 0.0);
-        let verdicts = s
-            .run(&[], &toggle_pattern(), 0.8, None, &SimOptions::default())
-            .unwrap();
+        let s = chain(static_model());
+        assert_eq!(FaultVerdict::coverage(&[]), 0.0);
+        let opts = SimOptions::default();
+        let verdicts = grade(&s, &[], &toggle_pattern(), (0.8, None), 45.0, &opts).unwrap();
         assert!(verdicts.is_empty());
     }
 
-    /// The per-fault recompile loop [`DelayFaultSimulator::run`]
-    /// replaced, kept as its oracle: the fault-free artifact and one
-    /// artifact recompiled per fault from an annotation with `δ` added to
-    /// every pin of the fault site, each launched on its own with every
+    /// The per-fault recompile loop [`Launch::Faults`] replaced, kept
+    /// as its oracle: the fault-free artifact and one artifact
+    /// recompiled per fault from an annotation with `δ` added to every
+    /// pin of the fault site, each launched on its own with every
     /// waveform kept — as a one-die constant-schedule scenario when a die
     /// is given — and each output read at the capture time.
-    fn recompile_oracle(
-        sim: &DelayFaultSimulator,
+    pub(crate) fn recompile_oracle(
+        compiled: &CompiledNetlist,
         faults: &[SmallDelayFault],
         patterns: &PatternSet,
-        voltage: f64,
-        die: Option<VariationConfig>,
+        (voltage, die): (f64, Option<VariationConfig>),
+        capture_ps: f64,
     ) -> Vec<FaultVerdict> {
-        let compiled = &sim.compiled;
         let opts = SimOptions {
             keep_waveforms: true,
             ..serial()
         };
+        let n = patterns.len();
+        let scenarios = cross_schedules(n, &[Schedule::constant(voltage)]);
+        let slots = crate::slots::at_voltage(n, voltage);
         let launch = |artifact: &CompiledNetlist| {
-            let n = patterns.len();
-            match die {
-                None => artifact.launch(patterns, &crate::slots::at_voltage(n, voltage), &opts),
-                Some(variation) => artifact.launch_scenarios(
-                    patterns,
-                    &cross_schedules(n, &[Schedule::constant(voltage)]),
-                    Some(&MonteCarlo {
+            let request = match die {
+                None => Launch::Uniform(&slots),
+                Some(variation) => Launch::Scenarios {
+                    scenarios: &scenarios,
+                    mc: Some(MonteCarlo {
                         samples: 1,
                         variation,
                     }),
-                    None,
-                    &opts,
-                ),
-            }
-            .unwrap()
+                    capture_deadline_ps: None,
+                },
+            };
+            artifact.launch(patterns, request, &opts).unwrap()
         };
         let captures = |run: &SimRun| -> Vec<Vec<bool>> {
             let outputs = compiled.netlist().outputs();
@@ -374,7 +324,7 @@ mod tests {
                     let waveforms = slot.waveforms.as_ref().expect("kept");
                     outputs
                         .iter()
-                        .map(|&po| waveforms[po.index()].value_at(sim.capture_ps))
+                        .map(|&po| waveforms[po.index()].value_at(capture_ps))
                         .collect()
                 })
                 .collect()
@@ -402,7 +352,7 @@ mod tests {
                 for (pi, (slot, captured)) in run.slots.iter().zip(captures(&run)).enumerate() {
                     let late = slot
                         .latest_output_transition_ps
-                        .map_or(f64::NEG_INFINITY, |t| t - sim.capture_ps);
+                        .map_or(f64::NEG_INFINITY, |t| t - capture_ps);
                     worst_overshoot = worst_overshoot.max(late);
                     if detected_by.is_none() && captured != golden[pi] {
                         detected_by = Some(pi);
@@ -412,14 +362,14 @@ mod tests {
                     fault,
                     detected: detected_by.is_some(),
                     detected_by,
-                    worst_overshoot_ps: worst_overshoot.max(-sim.capture_ps),
+                    worst_overshoot_ps: worst_overshoot.max(-capture_ps),
                 }
             })
             .collect()
     }
 
     /// A verdict list with every float as its bits.
-    fn bits(verdicts: &[FaultVerdict]) -> Vec<(usize, u64, bool, Option<usize>, u64)> {
+    pub(crate) fn bits(verdicts: &[FaultVerdict]) -> Vec<(usize, u64, bool, Option<usize>, u64)> {
         verdicts
             .iter()
             .map(|v| {
@@ -436,7 +386,7 @@ mod tests {
 
     /// `netlist` compiled against a fast characterization of the cells
     /// it uses.
-    fn characterized(netlist: Netlist) -> Arc<CompiledNetlist> {
+    pub(crate) fn characterized(netlist: avfs_netlist::Netlist) -> Arc<CompiledNetlist> {
         let netlist = Arc::new(netlist);
         let mut cells: Vec<CellId> = netlist
             .iter()
@@ -494,10 +444,9 @@ mod tests {
                 .unwrap()
                 .latest_arrival_at(0.8)
                 .expect("toggles");
-            let sim = DelayFaultSimulator::new(compiled, arrival * 1.1).unwrap();
+            let capture = arrival * 1.1;
             // Three fault sizes, so some faults hide and some show.
-            let faults: Vec<SmallDelayFault> = sim
-                .full_fault_list(arrival * 0.1)
+            let faults: Vec<SmallDelayFault> = every_gate(&compiled, arrival * 0.1)
                 .into_iter()
                 .enumerate()
                 .map(|(i, f)| SmallDelayFault {
@@ -508,7 +457,8 @@ mod tests {
             let (mut detected, mut hidden) = (0, 0);
             for voltage in [0.7, 0.8] {
                 for die in [None, Some(die)] {
-                    let want = recompile_oracle(&sim, &faults, &patterns, voltage, die);
+                    let point = (voltage, die);
+                    let want = recompile_oracle(&compiled, &faults, &patterns, point, capture);
                     detected += want.iter().filter(|v| v.detected).count();
                     hidden += want.iter().filter(|v| !v.detected).count();
                     let mut options: Vec<SimOptions> = [1, 4]
@@ -527,7 +477,8 @@ mod tests {
                         ..SimOptions::default()
                     });
                     for opts in options {
-                        let got = sim.run(&faults, &patterns, voltage, die, &opts).unwrap();
+                        let got =
+                            grade(&compiled, &faults, &patterns, point, capture, &opts).unwrap();
                         assert_eq!(
                             bits(&got),
                             bits(&want),
@@ -569,28 +520,25 @@ mod tests {
         }
     }
 
-    /// One `run` is one launch on the simulator's one artifact: a single
-    /// table build — every pin of the chain, rise and fall — plus each
-    /// faulted gate's pins once. A recompile per fault would build the
-    /// table once per artifact, five times here.
+    /// A fault grading is one launch on one artifact: a single table
+    /// build — every pin of the chain, rise and fall — plus each faulted
+    /// gate's pins once. A recompile per fault would build the table once
+    /// per artifact, five times here.
     #[test]
     fn one_run_is_one_launch_on_one_artifact() {
         let model = Arc::new(CountingModel {
             inner: StaticModel::new(ParameterSpace::paper()),
             calls: AtomicUsize::new(0),
         });
-        let s = DelayFaultSimulator::new(chain(model.clone()), 45.0).unwrap();
-        let faults = s.full_fault_list(10.0);
+        let s = chain(model.clone());
+        let faults = every_gate(&s, 10.0);
         let calls = || model.calls.load(Ordering::Relaxed);
-        let verdicts = s
-            .run(&faults, &toggle_pattern(), 0.8, None, &serial())
-            .unwrap();
-        assert_eq!(verdicts.len(), 4);
+        let run = || grade(&s, &faults, &toggle_pattern(), (0.8, None), 45.0, &serial()).unwrap();
+        assert_eq!(run().len(), 4);
         assert_eq!(calls(), 2 * 4 + 2 * 4);
         // The artifact's table serves the next run at that supply: only
         // the faulted gates are scaled again.
-        s.run(&faults, &toggle_pattern(), 0.8, None, &serial())
-            .unwrap();
+        run();
         assert_eq!(calls(), 16 + 2 * 4);
     }
 
@@ -599,18 +547,18 @@ mod tests {
     /// detects nothing, a silent no-op or an index panic.
     #[test]
     fn unusable_capture_times_and_faults_are_typed_errors() {
+        let s = chain(static_model());
         for capture in [f64::NAN, f64::INFINITY, -1.0] {
             assert!(matches!(
-                DelayFaultSimulator::new(chain(static_model()), capture),
+                grade(&s, &[], &toggle_pattern(), (0.8, None), capture, &serial()),
                 Err(SimError::InvalidCaptureTime { .. })
             ));
         }
-        let s = sim(45.0);
-        let netlist = Arc::clone(s.compiled.netlist());
+        let netlist = Arc::clone(s.netlist());
         let input = netlist.inputs()[0];
         let output = netlist.outputs()[0];
         let gate = netlist.find("g2").unwrap();
-        let grade = |node: NodeId, delta_ps: f64| {
+        let grade_one = |node: NodeId, delta_ps: f64| {
             let faults = [
                 SmallDelayFault {
                     node: netlist.find("g0").unwrap(),
@@ -618,11 +566,11 @@ mod tests {
                 },
                 SmallDelayFault { node, delta_ps },
             ];
-            s.run(&faults, &toggle_pattern(), 0.8, None, &serial())
+            grade(&s, &faults, &toggle_pattern(), (0.8, None), 45.0, &serial())
         };
         for node in [input, output, NodeId::from_index(netlist.num_nodes())] {
             assert_eq!(
-                grade(node, 1.0).unwrap_err(),
+                grade_one(node, 1.0).unwrap_err(),
                 SimError::FaultSite {
                     fault: 1,
                     node: node.index(),
@@ -631,7 +579,7 @@ mod tests {
         }
         for delta in [-10.5, f64::NAN, f64::INFINITY] {
             assert_eq!(
-                grade(gate, delta).unwrap_err(),
+                grade_one(gate, delta).unwrap_err(),
                 SimError::InvalidDelay {
                     gate: "g2".to_owned(),
                     pin: 0,
@@ -639,13 +587,20 @@ mod tests {
             );
         }
         // Down to a zero-delay gate is a usable fault.
-        assert!(grade(gate, -10.0).is_ok());
+        assert!(grade_one(gate, -10.0).is_ok());
         let bad_die = VariationConfig {
             sigma: f64::NAN,
             ..VariationConfig::sigma5(1)
         };
         assert!(matches!(
-            s.run(&[], &toggle_pattern(), 0.8, Some(bad_die), &serial()),
+            grade(
+                &s,
+                &[],
+                &toggle_pattern(),
+                (0.8, Some(bad_die)),
+                45.0,
+                &serial()
+            ),
             Err(SimError::InvalidVariation { .. })
         ));
     }

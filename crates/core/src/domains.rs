@@ -3,10 +3,9 @@
 //! The paper's introduction describes AVFS systems that "actively control
 //! internal voltages" — in real SoCs those are multiple independently
 //! scaled supply rails. [`VoltageDomains`] partitions a netlist's nodes
-//! into such rails;
-//! [`CompiledNetlist::launch_domains`](crate::CompiledNetlist::launch_domains)
+//! into such rails; a [`Launch::Domains`](crate::Launch::Domains) request
 //! then sweeps per-island voltage configurations exactly as slots sweep
-//! global supplies.
+//! global supplies, through any launch door.
 
 use avfs_netlist::{Netlist, NodeId};
 
@@ -134,7 +133,7 @@ pub struct DomainSlotSpec {
 mod tests {
     use super::*;
     use crate::compile::CompiledNetlist;
-    use crate::engine::SimOptions;
+    use crate::engine::{Launch, SimOptions};
     use crate::{phases, slots, SimRun};
     use avfs_atpg::PatternSet;
     use avfs_delay::characterize::{characterize_library, CharacterizationConfig};
@@ -190,7 +189,14 @@ mod tests {
             ..SimOptions::default()
         };
         let island_run = engine
-            .launch_domains(&patterns, &domains, &specs, &opts)
+            .launch(
+                &patterns,
+                Launch::Domains {
+                    domains: &domains,
+                    slots: &specs,
+                },
+                &opts,
+            )
             .expect("runs");
         let uniform_run = engine
             .launch(&patterns, &slots::at_voltage(patterns.len(), 0.7), &opts)
@@ -229,7 +235,14 @@ mod tests {
             .launch(&patterns, &slots::at_voltage(patterns.len(), 0.7), &opts)
             .expect("runs");
         let islands = island_engine
-            .launch_domains(&patterns, &domains, &specs, &opts)
+            .launch(
+                &patterns,
+                Launch::Domains {
+                    domains: &domains,
+                    slots: &specs,
+                },
+                &opts,
+            )
             .expect("runs");
         assert_eq!(islands.slots, uniform.slots);
         assert_eq!(islands.diagnostics, uniform.diagnostics);
@@ -243,7 +256,14 @@ mod tests {
         }
         assert_eq!(count(&islands, phases::ENGINE_DELAY_TABLE_BUILDS), Some(1));
         let again = island_engine
-            .launch_domains(&patterns, &domains, &specs, &opts)
+            .launch(
+                &patterns,
+                Launch::Domains {
+                    domains: &domains,
+                    slots: &specs,
+                },
+                &opts,
+            )
             .expect("runs");
         assert_eq!(again.slots, islands.slots);
         assert_eq!(count(&again, phases::ENGINE_DELAY_TABLE_BUILDS), None);
@@ -280,10 +300,12 @@ mod tests {
                 })
                 .collect();
             engine
-                .launch_domains(
+                .launch(
                     &patterns,
-                    &domains,
-                    &specs,
+                    Launch::Domains {
+                        domains: &domains,
+                        slots: &specs,
+                    },
                     &SimOptions {
                         keep_waveforms: true,
                         ..opts.clone()
@@ -328,9 +350,9 @@ mod tests {
         assert!(strictly_slower, "island 1's cone must slow down somewhere");
     }
 
-    /// `launch_domains` refuses what `launch` refuses, with the same
-    /// typed errors: its slots go through the same stimulus/operating-point
-    /// check.
+    /// An island launch refuses what a uniform one refuses, with the
+    /// same typed errors: its slots go through the same
+    /// stimulus/operating-point check.
     #[test]
     fn validation_rejects_bad_specs() {
         use crate::SimError;
@@ -343,7 +365,14 @@ mod tests {
                 pattern,
                 voltages: voltages.to_vec(),
             }];
-            engine.launch_domains(patterns, &domains, &specs, &opts)
+            engine.launch(
+                patterns,
+                Launch::Domains {
+                    domains: &domains,
+                    slots: &specs,
+                },
+                &opts,
+            )
         };
         // A voltage vector that does not assign every domain.
         assert_eq!(
@@ -357,7 +386,14 @@ mod tests {
         // Empty specs.
         assert_eq!(
             engine
-                .launch_domains(&patterns, &domains, &[], &opts)
+                .launch(
+                    &patterns,
+                    Launch::Domains {
+                        domains: &domains,
+                        slots: &[]
+                    },
+                    &opts
+                )
                 .unwrap_err(),
             SimError::EmptySlots
         );

@@ -13,11 +13,12 @@
 //! slot's operating point, evaluate the delay kernel for each
 //! (pin, polarity), scale, then run the waveform-processing loop.
 //!
-//! There is one launch path. The uniform, domain and scenario preparers
-//! lower their inputs to a `LaunchPlan` (the small-delay fault grader
-//! widens a uniform one by its faults); `CompiledNetlist::execute`
-//! runs it on a pool — retry rounds and arena-sized batches here, one
-//! batch's level loop in `batch`, delay initialisation in `delays`.
+//! There is one launch path. Every door takes a [`Launch`] request —
+//! uniform supplies, voltage islands, scenarios or a fault list — and
+//! `CompiledNetlist::prepare` lowers it to a `LaunchPlan`;
+//! `CompiledNetlist::execute` runs the plan on a pool — retry rounds and
+//! arena-sized batches here, one batch's level loop in `batch`, delay
+//! initialisation in `delays`.
 //!
 //! # Fault isolation
 //!
@@ -42,15 +43,17 @@ mod tests;
 pub(crate) use delays::{scale_or_fallback, DelayTable};
 
 use crate::compile::CompiledNetlist;
+use crate::delay_fault::SmallDelayFault;
 use crate::domains::{DomainSlotSpec, VoltageDomains};
 use crate::phases;
 use crate::pool::{ParkedPool, Watchdog};
 use crate::results::{RunDiagnostics, SimRun, SlotResult, SlotStatus, TrippedBudget};
-use crate::scenario::MonteCarlo;
+use crate::scenario::{check_capture_time, check_variation, MonteCarlo, ScenarioSpec};
 use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
 use avfs_delay::op::OperatingPoint;
+use avfs_delay::VariationConfig;
 use avfs_inject::{FaultPlan, InjectionSite, Injector};
 use avfs_obs::Metrics;
 use avfs_waveform::WaveformArena;
@@ -287,8 +290,80 @@ fn slot_arena_bytes(nodes: usize, capacity: usize) -> usize {
     )
 }
 
+/// One launch request: the slots one kernel launch runs, and how the
+/// host chose them. Every kind lowers to the same grid of (stimulus,
+/// operating point) slots and runs the same kernel, through any of the
+/// three doors: [`CompiledNetlist::launch`],
+/// [`Session::run`](crate::Session::run) and
+/// [`BatchRunner::run`](crate::BatchRunner::run). A slot list converts
+/// into a [`Launch::Uniform`] request.
+#[derive(Debug, Clone, Copy)]
+pub enum Launch<'a> {
+    /// One global supply per slot.
+    Uniform(&'a [SlotSpec]),
+    /// Voltage islands: every slot assigns one supply to each domain of
+    /// `domains`, the multi-rail AVFS systems the paper's introduction
+    /// describes. A result's [`SlotSpec::voltage`] is its domain-0
+    /// supply.
+    Domains {
+        /// The node → domain map; it must cover the netlist.
+        domains: &'a VoltageDomains,
+        /// One supply per domain for every slot.
+        slots: &'a [DomainSlotSpec],
+    },
+    /// Piecewise supply schedules, each expanded into `mc.samples`
+    /// Monte Carlo dice when a plan is given — scenario `i`'s dice are
+    /// slots `i * samples .. (i + 1) * samples` — and reduced into the
+    /// run's [`ScenarioSummary`](crate::ScenarioSummary) against the
+    /// capture deadline (DESIGN.md §5).
+    Scenarios {
+        /// The scenarios, in launch order.
+        scenarios: &'a [ScenarioSpec],
+        /// The Monte Carlo plan (`None`: the nominal die only).
+        mc: Option<MonteCarlo>,
+        /// The deadline failures are counted against (`None`: no slot
+        /// fails).
+        capture_deadline_ps: Option<f64>,
+    },
+    /// Small-delay fault grading: every pattern at `voltage`, fault-free
+    /// first and then under each fault in turn — slot
+    /// `(k + 1) * patterns + p` is pattern `p` under `faults[k]`. A fault
+    /// run's `responses` are the outputs' values at `capture_ps`, not
+    /// their settled values; [`FaultVerdict::grade`](crate::FaultVerdict::grade)
+    /// reads the verdicts off the run.
+    Faults {
+        /// The faults, each a delay added at one gate.
+        faults: &'a [SmallDelayFault],
+        /// The supply every slot runs at, V.
+        voltage: f64,
+        /// The die: sample 0 of this variation — what a one-sample
+        /// [`MonteCarlo`] plan draws — or the nominal die.
+        die: Option<VariationConfig>,
+        /// The capture time the outputs are sampled at, ps.
+        capture_ps: f64,
+    },
+}
+
+impl<'a> From<&'a [SlotSpec]> for Launch<'a> {
+    fn from(slots: &'a [SlotSpec]) -> Launch<'a> {
+        Launch::Uniform(slots)
+    }
+}
+
+impl<'a> From<&'a Vec<SlotSpec>> for Launch<'a> {
+    fn from(slots: &'a Vec<SlotSpec>) -> Launch<'a> {
+        Launch::Uniform(slots)
+    }
+}
+
+impl<'a, const N: usize> From<&'a [SlotSpec; N]> for Launch<'a> {
+    fn from(slots: &'a [SlotSpec; N]) -> Launch<'a> {
+        Launch::Uniform(slots)
+    }
+}
+
 /// One validated launch, ready for [`CompiledNetlist::execute`]: what
-/// the uniform, domain and scenario preparers lower their inputs to.
+/// [`CompiledNetlist::prepare`] lowers a [`Launch`] to.
 pub(crate) struct LaunchPlan<'a> {
     pub(crate) patterns: &'a PatternSet,
     /// Per-slot resolved work, in launch order.
@@ -351,8 +426,8 @@ impl CompiledNetlist {
         Ok(rendered)
     }
 
-    /// The stimulus/operating-point check every preparer runs first, over
-    /// its slots as `(pattern index, supply voltages)`: a non-empty slot
+    /// The stimulus/operating-point check every launch runs, over its
+    /// slots as `(pattern index, supply voltages)`: a non-empty slot
     /// list, pattern pairs as wide as the netlist's primary inputs, and
     /// per slot an existing pattern under finite, positive supplies —
     /// checked *before* normalization clamps them into the characterized
@@ -397,46 +472,171 @@ impl CompiledNetlist {
             .v
     }
 
-    /// Validates one uniform-voltage launch and lowers it to a plan.
-    pub(crate) fn prepare_uniform<'a>(
+    /// Checks `launch` and lowers it to a plan. Each kind runs its own
+    /// checks and [`CompiledNetlist::check_launch`], lowers its slots to
+    /// per-slot work and names the supplies (and schedule lints) that
+    /// [`CompiledNetlist::validate_launch`] then sees.
+    pub(crate) fn prepare<'a>(
         &self,
         patterns: &'a PatternSet,
-        slots: &[SlotSpec],
+        launch: Launch<'a>,
         options: &SimOptions,
     ) -> Result<LaunchPlan<'a>, SimError> {
-        self.check_launch(patterns, slots.iter().map(|s| (s.pattern, [s.voltage])))?;
-        let supplies = slots.iter().enumerate();
-        let supplies = supplies.map(|(i, s)| (format!("slot {i}"), s.voltage));
-        let validation = self.validate_launch(options.strict_validation, supplies, &[])?;
-        let work = slots
-            .iter()
-            .map(|s| SlotWork {
-                pattern: s.pattern,
-                assign: VoltageAssign::Uniform(self.v_norm(s.voltage)),
-                voltage: s.voltage,
-                variation: None,
-                fault: None,
-            })
-            .collect();
-        Ok(LaunchPlan {
+        let mut plan = LaunchPlan {
             patterns,
-            work,
-            validation,
+            work: Vec::new(),
+            validation: Vec::new(),
             domains: None,
             reduction: None,
             capture_ps: None,
-        })
+        };
+        let uniform = |pattern, voltage| SlotWork {
+            pattern,
+            assign: VoltageAssign::Uniform(self.v_norm(voltage)),
+            voltage,
+            variation: None,
+            fault: None,
+        };
+        let (supplies, findings) = match launch {
+            Launch::Uniform(slots) => {
+                self.check_launch(patterns, slots.iter().map(|s| (s.pattern, [s.voltage])))?;
+                plan.work = slots
+                    .iter()
+                    .map(|s| uniform(s.pattern, s.voltage))
+                    .collect();
+                let supplies = slots.iter().enumerate();
+                let supplies = supplies.map(|(i, s)| (format!("slot {i}"), s.voltage));
+                (supplies.collect(), Vec::new())
+            }
+            Launch::Domains { domains, slots } => {
+                if domains.len() != self.netlist.num_nodes() {
+                    return Err(SimError::AnnotationMismatch);
+                }
+                let count = domains.count();
+                let short = slots.iter().position(|s| s.voltages.len() != count);
+                if let Some(slot) = short {
+                    let got = slots[slot].voltages.len();
+                    return Err(SimError::DomainCount {
+                        slot,
+                        expected: count,
+                        got,
+                    });
+                }
+                let voltages = slots
+                    .iter()
+                    .map(|s| (s.pattern, s.voltages.iter().copied()));
+                self.check_launch(patterns, voltages)?;
+                plan.domains = Some(domains);
+                plan.work = slots
+                    .iter()
+                    .map(|s| SlotWork {
+                        pattern: s.pattern,
+                        assign: VoltageAssign::PerDomain(
+                            s.voltages.iter().map(|&v| self.v_norm(v)).collect(),
+                        ),
+                        voltage: s.voltages[0],
+                        variation: None,
+                        fault: None,
+                    })
+                    .collect();
+                // Each (slot, domain) supply is a checked operating
+                // point — islands extend the validation the same way
+                // they extend the voltage assignment.
+                let supplies = slots.iter().enumerate().flat_map(|(i, s)| {
+                    let domains = s.voltages.iter().enumerate();
+                    domains.map(move |(d, &v)| (format!("slot {i}/domain {d}"), v))
+                });
+                (supplies.collect(), Vec::new())
+            }
+            Launch::Scenarios {
+                scenarios,
+                mc,
+                capture_deadline_ps,
+            } => {
+                if let Some(m) = &mc {
+                    if m.samples == 0 {
+                        return Err(SimError::EmptySlots);
+                    }
+                    check_variation(&m.variation)?;
+                }
+                if let Some(t) = capture_deadline_ps {
+                    check_capture_time(t)?;
+                }
+                let voltages = scenarios.iter().map(|s| {
+                    let segments = s.schedule.segments.iter();
+                    (s.pattern, segments.map(|seg| seg.voltage))
+                });
+                self.check_launch(patterns, voltages)?;
+                let mut findings = Vec::new();
+                for (i, spec) in scenarios.iter().enumerate() {
+                    let assign = self.lower_schedule(i, &spec.schedule, &mut findings)?;
+                    let voltage = spec.schedule.segments[0].voltage;
+                    // One slot per die, scenario-major.
+                    let dice = (0..mc.map_or(1, |m| m.samples)).map(|sample| SlotWork {
+                        pattern: spec.pattern,
+                        assign: assign.clone(),
+                        voltage,
+                        variation: mc.map(|m| VariationSample {
+                            config: m.variation,
+                            sample: sample as u32,
+                        }),
+                        fault: None,
+                    });
+                    plan.work.extend(dice);
+                }
+                plan.reduction = Some((mc, capture_deadline_ps));
+                // One finding set per scenario segment, not per die, so
+                // findings don't multiply with the sample count.
+                (Vec::new(), avfs_check::cap_findings(findings))
+            }
+            Launch::Faults {
+                faults,
+                voltage,
+                die,
+                capture_ps,
+            } => {
+                check_capture_time(capture_ps)?;
+                for (index, fault) in faults.iter().enumerate() {
+                    self.check_fault(index, fault)?;
+                }
+                if let Some(config) = &die {
+                    check_variation(config)?;
+                }
+                let n = patterns.len();
+                self.check_launch(patterns, (0..n).map(|p| (p, [voltage])))?;
+                let die = die.map(|config| VariationSample { config, sample: 0 });
+                // Fault-major, so each fault's slots are adjacent in
+                // every batch.
+                let faults = std::iter::once(None).chain(faults.iter().copied().map(Some));
+                plan.work = faults
+                    .flat_map(|fault| {
+                        (0..n).map(move |p| SlotWork {
+                            fault,
+                            variation: die,
+                            ..uniform(p, voltage)
+                        })
+                    })
+                    .collect();
+                plan.capture_ps = Some(capture_ps);
+                let supplies = (0..n).map(|i| (format!("slot {i}"), voltage));
+                (supplies.collect(), Vec::new())
+            }
+        };
+        plan.validation =
+            self.validate_launch(options.strict_validation, supplies.into_iter(), &findings)?;
+        Ok(plan)
     }
 
-    /// Simulates `slots` over `patterns` — the launch half of the
+    /// Simulates `launch` over `patterns` — the launch half of the
     /// compile/launch split. Pays no compile cost; a worker pool is
     /// spawned per call when `threads > 1` (use a
     /// [`Session`](crate::session::Session) or
     /// [`BatchRunner`](crate::batch::BatchRunner) to park one across
-    /// runs).
+    /// runs). Results come back in slot order.
     ///
     /// # Errors
     ///
+    /// Every kind:
     /// * [`SimError::EmptySlots`] for an empty slot list,
     /// * [`SimError::PatternWidth`] / [`SimError::BadPatternIndex`] for
     ///   inconsistent stimuli,
@@ -450,103 +650,40 @@ impl CompiledNetlist {
     ///   or lacks a kernel,
     /// * [`SimError::AllSlotsFailed`] if no slot produced a usable result
     ///   (individual slot failures are reported per slot instead).
-    pub fn launch(
+    ///
+    /// [`Launch::Domains`]: [`SimError::AnnotationMismatch`] for a domain
+    /// map that does not cover the netlist and [`SimError::DomainCount`]
+    /// for a slot whose voltage vector does not assign every domain.
+    ///
+    /// [`Launch::Scenarios`], in every validation mode:
+    /// [`SimError::InvalidSchedule`] for a structurally un-lowerable
+    /// schedule (empty, unsorted, or with non-finite start times — lint
+    /// rule `AVC-N010`), [`SimError::EmptySlots`] for a zero-sample
+    /// Monte Carlo plan, [`SimError::InvalidVariation`] for a plan whose
+    /// `sigma` or `max_deviation` is non-finite or negative, and
+    /// [`SimError::InvalidCaptureTime`] for a non-finite or negative
+    /// deadline. Repairable findings — an unanchored first segment
+    /// (`AVC-N010`, lowering extends it back to `t = 0`) or supplies
+    /// outside the characterized range (`AVC-D006`, the kernel clamps
+    /// them) — follow [`SimOptions::strict_validation`].
+    ///
+    /// [`Launch::Faults`]: [`SimError::InvalidCaptureTime`] for an
+    /// unusable capture time, [`SimError::FaultSite`] for a fault on a
+    /// node that is not a gate, [`SimError::InvalidDelay`] for a fault
+    /// that makes a nominal pin delay of its gate non-finite or negative,
+    /// and [`SimError::InvalidVariation`] for an unusable die.
+    pub fn launch<'a>(
         &self,
         patterns: &PatternSet,
-        slots: &[SlotSpec],
+        launch: impl Into<Launch<'a>>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let plan = self.prepare_uniform(patterns, slots, options)?;
+        let plan = self.prepare(patterns, launch.into(), options)?;
         self.execute(plan, options, &ParkedPool::new(options.threads))
     }
 
-    /// Validates one voltage-island launch and lowers it to a plan.
-    pub(crate) fn prepare_domains<'a>(
-        &self,
-        patterns: &'a PatternSet,
-        domains: &'a VoltageDomains,
-        specs: &[DomainSlotSpec],
-        options: &SimOptions,
-    ) -> Result<LaunchPlan<'a>, SimError> {
-        if domains.len() != self.netlist.num_nodes() {
-            return Err(SimError::AnnotationMismatch);
-        }
-        if let Some((slot, spec)) = specs
-            .iter()
-            .enumerate()
-            .find(|(_, spec)| spec.voltages.len() != domains.count())
-        {
-            return Err(SimError::DomainCount {
-                slot,
-                expected: domains.count(),
-                got: spec.voltages.len(),
-            });
-        }
-        let slots = specs
-            .iter()
-            .map(|s| (s.pattern, s.voltages.iter().copied()));
-        self.check_launch(patterns, slots)?;
-        // Each distinct (slot, domain) supply is a checked operating
-        // point — islands extend the validation the same way they extend
-        // the voltage assignment.
-        let supplies = specs.iter().enumerate().flat_map(|(i, spec)| {
-            let domains = spec.voltages.iter().enumerate();
-            domains.map(move |(d, &v)| (format!("slot {i}/domain {d}"), v))
-        });
-        let validation = self.validate_launch(options.strict_validation, supplies, &[])?;
-        let work = specs
-            .iter()
-            .map(|spec| SlotWork {
-                pattern: spec.pattern,
-                assign: VoltageAssign::PerDomain(
-                    spec.voltages.iter().map(|&v| self.v_norm(v)).collect(),
-                ),
-                voltage: spec.voltages[0],
-                variation: None,
-                fault: None,
-            })
-            .collect();
-        Ok(LaunchPlan {
-            patterns,
-            work,
-            validation,
-            domains: Some(domains),
-            reduction: None,
-            capture_ps: None,
-        })
-    }
-
-    /// Simulates with per-node voltage *domains* (voltage islands): every
-    /// slot assigns one supply voltage to each domain of `domains`.
-    ///
-    /// This extends the paper's per-instance operating points to the
-    /// multi-rail AVFS systems its introduction describes ("actively
-    /// control internal voltages", plural): one launch can sweep island
-    /// configurations the way [`CompiledNetlist::launch`] sweeps global
-    /// supplies. The reported [`SlotSpec::voltage`] of each result is the
-    /// slot's domain-0 voltage (results are in slot order, so callers
-    /// index the spec list they passed).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompiledNetlist::launch`], plus
-    /// [`SimError::AnnotationMismatch`] for a domain map that does not
-    /// cover the netlist and [`SimError::DomainCount`] for a slot whose
-    /// voltage vector does not assign every domain.
-    pub fn launch_domains(
-        &self,
-        patterns: &PatternSet,
-        domains: &VoltageDomains,
-        specs: &[DomainSlotSpec],
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        let plan = self.prepare_domains(patterns, domains, specs, options)?;
-        self.execute(plan, options, &ParkedPool::new(options.threads))
-    }
-
-    /// Executes a prepared launch on `pool` — the one path every front
-    /// door ([`CompiledNetlist::launch`] and its domain/scenario
-    /// siblings, [`Session`](crate::session::Session),
+    /// Executes a prepared launch on `pool` — the one path every door
+    /// ([`CompiledNetlist::launch`], [`Session`](crate::session::Session),
     /// [`BatchRunner`](crate::batch::BatchRunner)) ends in.
     pub(crate) fn execute(
         &self,
@@ -577,7 +714,6 @@ impl CompiledNetlist {
         let metrics = metrics.as_ref();
         let run_span = metrics.map(|m| m.span(phases::ENGINE_RUN));
         if let Some(m) = metrics {
-            m.record(phases::ENGINE_LANES_WIDTH, lanes as u64);
             record_scenario_shape(m, &plan.work);
         }
         let start = Instant::now();
@@ -641,11 +777,6 @@ impl CompiledNetlist {
             return Err(SimError::AllSlotsFailed { slots: slots.len() });
         }
         if let Some(m) = metrics {
-            // Always recorded (created at zero on clean runs) so report
-            // tooling can assert a profiled run was fault- and budget-free.
-            m.add(phases::ENGINE_FAULTS_INJECTED, diag.faults_injected);
-            m.add(phases::ENGINE_DEADLINE_ABORTS, diag.deadline_aborts);
-            m.add(phases::ENGINE_BUDGET_DENIALS, diag.budget_denials);
             ctx.tallies.record(m);
         }
         let elapsed = start.elapsed();
@@ -928,7 +1059,7 @@ pub(crate) struct SlotWork {
     /// assignment *and* their die agree.
     pub(crate) variation: Option<VariationSample>,
     /// The slot's small-delay fault, also part of the voltage-group key.
-    pub(crate) fault: Option<crate::delay_fault::SmallDelayFault>,
+    pub(crate) fault: Option<SmallDelayFault>,
 }
 
 impl SlotWork {

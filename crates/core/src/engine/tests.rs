@@ -463,7 +463,11 @@ fn fault_and_scenario_paths_match_single_threaded() {
             "dice",
             Box::new(|opts| {
                 scaled
-                    .launch_scenarios(&rnd_patterns, &schedules, Some(&mc), Some(500.0), &opts)
+                    .launch(
+                        &rnd_patterns,
+                        scheduled(&schedules, Some(&mc), Some(500.0)),
+                        &opts,
+                    )
                     .unwrap()
             }),
         ),
@@ -471,7 +475,14 @@ fn fault_and_scenario_paths_match_single_threaded() {
             "islands",
             Box::new(|opts| {
                 scaled
-                    .launch_domains(&rnd_patterns, &domains, &islands, &opts)
+                    .launch(
+                        &rnd_patterns,
+                        Launch::Domains {
+                            domains: &domains,
+                            slots: &islands,
+                        },
+                        &opts,
+                    )
                     .unwrap()
             }),
         ),
@@ -480,11 +491,9 @@ fn fault_and_scenario_paths_match_single_threaded() {
             Box::new(|opts| {
                 let plan = FaultPlan::empty(0x5EED).with_rate(InjectionSite::NonFiniteKernel, 0.5);
                 scaled
-                    .launch_scenarios(
+                    .launch(
                         &rnd_patterns,
-                        &schedules,
-                        None,
-                        None,
+                        scheduled(&schedules, None, None),
                         &SimOptions {
                             fault_plan: Some(Arc::new(plan)),
                             ..opts
@@ -744,12 +753,26 @@ fn mixed_island_vectors_group_correctly() {
         },
     ];
     let run = engine
-        .launch_domains(&patterns, &domains, &mixed, &opts)
+        .launch(
+            &patterns,
+            Launch::Domains {
+                domains: &domains,
+                slots: &mixed,
+            },
+            &opts,
+        )
         .unwrap();
     assert_eq!(run.slots.len(), 3);
     for (spec, slot) in mixed.iter().zip(&run.slots) {
         let solo = engine
-            .launch_domains(&patterns, &domains, std::slice::from_ref(spec), &opts)
+            .launch(
+                &patterns,
+                Launch::Domains {
+                    domains: &domains,
+                    slots: std::slice::from_ref(spec),
+                },
+                &opts,
+            )
             .unwrap();
         assert_eq!(slot.responses, solo.slots[0].responses);
         assert_eq!(
@@ -1710,6 +1733,19 @@ fn injected_alloc_cap_breach_denies_the_retry() {
 use crate::scenario::{cross_schedules, MonteCarlo, ScenarioSpec, Schedule};
 use avfs_delay::VariationConfig;
 
+/// A [`Launch::Scenarios`] request.
+fn scheduled<'a>(
+    scenarios: &'a [ScenarioSpec],
+    mc: Option<&MonteCarlo>,
+    capture_deadline_ps: Option<f64>,
+) -> Launch<'a> {
+    Launch::Scenarios {
+        scenarios,
+        mc: mc.copied(),
+        capture_deadline_ps,
+    }
+}
+
 /// A kernel whose factor actually depends on voltage — the flat
 /// [`StaticModel`] would make every schedule segment indistinguishable,
 /// so the segment-snapping and schedule tests need this instead.
@@ -1786,7 +1822,7 @@ fn constant_schedule_is_bit_identical_to_static() {
                 let case = format!("threads={threads}, lanes={lanes}, profiling={profiling}");
                 let fixed = engine.launch(&patterns, &slots, &opts).unwrap();
                 let scheduled = engine
-                    .launch_scenarios(&patterns, &scenarios, None, None, &opts)
+                    .launch(&patterns, scheduled(&scenarios, None, None), &opts)
                     .unwrap();
                 assert_eq!(scheduled.slots, fixed.slots, "{case}");
                 assert_eq!(scheduled.diagnostics, fixed.diagnostics, "{case}");
@@ -1840,11 +1876,9 @@ fn scheduled_mc_runs_match_single_threaded_reference() {
         },
     };
     let reference = engine
-        .launch_scenarios(
+        .launch(
             &patterns,
-            &scenarios,
-            Some(&mc),
-            Some(500.0),
+            scheduled(&scenarios, Some(&mc), Some(500.0)),
             &SimOptions {
                 threads: 1,
                 lanes: 1,
@@ -1858,11 +1892,9 @@ fn scheduled_mc_runs_match_single_threaded_reference() {
             for profiling in [false, true] {
                 let case = format!("threads={threads}, lanes={lanes}, profiling={profiling}");
                 let got = engine
-                    .launch_scenarios(
+                    .launch(
                         &patterns,
-                        &scenarios,
-                        Some(&mc),
-                        Some(500.0),
+                        scheduled(&scenarios, Some(&mc), Some(500.0)),
                         &SimOptions {
                             threads,
                             lanes,
@@ -2187,10 +2219,12 @@ fn group_level_views_match_the_sta_derivation() {
     for threads in [1usize, 2] {
         for lanes in [1usize, 8] {
             let run = engine
-                .launch_domains(
+                .launch(
                     &patterns,
-                    &domains,
-                    &specs,
+                    Launch::Domains {
+                        domains: &domains,
+                        slots: &specs,
+                    },
                     &SimOptions {
                         threads,
                         lanes,
@@ -2231,7 +2265,7 @@ fn boundary_event_snaps_to_later_segment() {
             schedule: Schedule::steps([(0.0, v0), (boundary, v1)]),
         }];
         let run = engine
-            .launch_scenarios(&one_pattern(), &scenarios, None, None, &opts)
+            .launch(&one_pattern(), scheduled(&scenarios, None, None), &opts)
             .unwrap();
         run.slots[0].latest_output_transition_ps.unwrap()
     };
@@ -2274,15 +2308,27 @@ fn mc_replays_exactly_from_seed() {
         },
     };
     let a = engine
-        .launch_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
+        .launch(
+            &patterns,
+            scheduled(&scenarios, Some(&mc(0.08, 7)), None),
+            &opts,
+        )
         .unwrap();
     let b = engine
-        .launch_scenarios(&patterns, &scenarios, Some(&mc(0.08, 7)), None, &opts)
+        .launch(
+            &patterns,
+            scheduled(&scenarios, Some(&mc(0.08, 7)), None),
+            &opts,
+        )
         .unwrap();
     assert_eq!(a.slots, b.slots, "same seed must replay exactly");
     assert_eq!(a.scenario, b.scenario);
     let c = engine
-        .launch_scenarios(&patterns, &scenarios, Some(&mc(0.08, 8)), None, &opts)
+        .launch(
+            &patterns,
+            scheduled(&scenarios, Some(&mc(0.08, 8)), None),
+            &opts,
+        )
         .unwrap();
     assert_ne!(
         a.slots
@@ -2299,23 +2345,25 @@ fn mc_replays_exactly_from_seed() {
     // variation-free run bit for bit (slot-for-slot: each scenario's
     // single nominal die).
     let nominal = engine
-        .launch_scenarios(
+        .launch(
             &patterns,
-            &scenarios,
-            Some(&MonteCarlo {
-                samples: 1,
-                variation: VariationConfig {
-                    sigma: 0.0,
-                    max_deviation: 0.25,
-                    seed: 99,
-                },
-            }),
-            None,
+            scheduled(
+                &scenarios,
+                Some(&MonteCarlo {
+                    samples: 1,
+                    variation: VariationConfig {
+                        sigma: 0.0,
+                        max_deviation: 0.25,
+                        seed: 99,
+                    },
+                }),
+                None,
+            ),
             &opts,
         )
         .unwrap();
     let plain = engine
-        .launch_scenarios(&patterns, &scenarios, None, None, &opts)
+        .launch(&patterns, scheduled(&scenarios, None, None), &opts)
         .unwrap();
     assert_eq!(nominal.slots, plain.slots);
 }
@@ -2371,7 +2419,11 @@ impl DiceGrid {
 
     fn launch(&self, mc: &MonteCarlo, opts: &SimOptions) -> SimRun {
         self.engine
-            .launch_scenarios(&self.patterns, &self.scenarios, Some(mc), Some(60.0), opts)
+            .launch(
+                &self.patterns,
+                scheduled(&self.scenarios, Some(mc), Some(60.0)),
+                opts,
+            )
             .unwrap()
     }
 
@@ -2522,11 +2574,9 @@ fn variation_draws_count_dice_per_batch() {
     // No plan, no draws — and no instrument.
     let plain = grid
         .engine
-        .launch_scenarios(
+        .launch(
             &grid.patterns,
-            &grid.scenarios,
-            None,
-            None,
+            scheduled(&grid.scenarios, None, None),
             &SimOptions {
                 profiling: true,
                 ..SimOptions::default()
@@ -2589,18 +2639,20 @@ fn invalid_variation_rejected() {
         schedule: Schedule::droop(0.9, 0.1, 5.0, 15.0),
     }];
     let launch = |sigma: f64, max_deviation: f64, mode: ValidationMode| {
-        engine.launch_scenarios(
+        engine.launch(
             &patterns,
-            &scenarios,
-            Some(&MonteCarlo {
-                samples: 2,
-                variation: VariationConfig {
-                    sigma,
-                    max_deviation,
-                    seed: 1,
-                },
-            }),
-            None,
+            scheduled(
+                &scenarios,
+                Some(&MonteCarlo {
+                    samples: 2,
+                    variation: VariationConfig {
+                        sigma,
+                        max_deviation,
+                        seed: 1,
+                    },
+                }),
+                None,
+            ),
             &SimOptions {
                 threads: 1,
                 strict_validation: mode,
@@ -2633,7 +2685,11 @@ fn invalid_variation_rejected() {
     // The boundary values are usable: a zero clamp and a zero sigma both
     // leave every delay exactly as scaled.
     let plain = engine
-        .launch_scenarios(&patterns, &scenarios, None, None, &SimOptions::default())
+        .launch(
+            &patterns,
+            scheduled(&scenarios, None, None),
+            &SimOptions::default(),
+        )
         .unwrap();
     for (sigma, max_deviation) in [(0.0, 0.2), (0.0, 0.0), (0.05, 0.0)] {
         let run = launch(sigma, max_deviation, ValidationMode::Warn).unwrap();
@@ -2644,7 +2700,7 @@ fn invalid_variation_rejected() {
 }
 
 /// A capture deadline no arrival can be judged against is a typed error
-/// at all three scenario doors, in every validation mode — a NaN
+/// at all three doors, in every validation mode — a NaN
 /// deadline used to pass every sample (`t > NaN` is false), reading
 /// p_fail 0 — while 0 ps stays a usable deadline.
 #[test]
@@ -2670,9 +2726,9 @@ fn unusable_capture_deadline_rejected() {
             };
             let d = Some(deadline);
             for got in [
-                engine.launch_scenarios(&patterns, &scenarios, None, d, &opts),
-                session.run_scenarios(&patterns, &scenarios, None, d, &opts),
-                runner.run_scenarios(&engine, &patterns, &scenarios, None, d, &opts),
+                engine.launch(&patterns, scheduled(&scenarios, None, d), &opts),
+                session.run(&patterns, scheduled(&scenarios, None, d), &opts),
+                runner.run(&engine, &patterns, scheduled(&scenarios, None, d), &opts),
             ] {
                 assert!(
                     matches!(got, Err(SimError::InvalidCaptureTime { .. })),
@@ -2682,16 +2738,161 @@ fn unusable_capture_deadline_rejected() {
         }
     }
     let run = engine
-        .launch_scenarios(
+        .launch(
             &patterns,
-            &scenarios,
-            None,
-            Some(0.0),
+            scheduled(&scenarios, None, Some(0.0)),
             &SimOptions::default(),
         )
         .unwrap();
     let summary = run.scenario.unwrap();
     assert_eq!(summary.points[0].p_fail, 1.0);
+}
+
+/// Every launch kind through all three doors: uniform supplies (also at
+/// a one-transition arena, which forces retry rounds), voltage islands,
+/// droop × Monte Carlo scenarios under a capture deadline, and a fault
+/// list on a die at a one-transition arena. At threads {1, 4} × lanes
+/// {1, 8}, the slots, diagnostics and summary of
+/// [`CompiledNetlist::launch`], [`Session::run`](crate::Session::run) and
+/// [`BatchRunner::run`](crate::BatchRunner::run) are those of the
+/// single-threaded `launch`, and the verdicts graded off every fault run
+/// are the per-fault recompile oracle's.
+#[test]
+fn every_launch_kind_runs_alike_through_every_door() {
+    use crate::delay_fault::tests::{bits, recompile_oracle};
+    use crate::delay_fault::{FaultVerdict, SmallDelayFault};
+    use crate::domains::{DomainSlotSpec, VoltageDomains};
+    let lib = CellLibrary::nangate15_like();
+    let netlist = Arc::new(avfs_circuits::ripple_carry_adder(8, &lib).unwrap());
+    let engine = Arc::new(voltage_scaled_engine(&netlist, 10.0, 7.0));
+    let patterns = PatternSet::lfsr(netlist.inputs().len(), 6, 11);
+    let uniform = cross(patterns.len(), &[0.7, 0.8]);
+    let domains = VoltageDomains::by_output_cones(&netlist, 2);
+    let islands: Vec<DomainSlotSpec> = [[0.9, 0.6], [0.7, 1.0]]
+        .iter()
+        .flat_map(|voltages| {
+            (0..patterns.len()).map(|pattern| DomainSlotSpec {
+                pattern,
+                voltages: voltages.to_vec(),
+            })
+        })
+        .collect();
+    let schedules = cross_schedules(
+        patterns.len(),
+        &[
+            Schedule::droop(0.8, 0.1, 20.0, 70.0),
+            Schedule::constant(0.7),
+        ],
+    );
+    let mc = MonteCarlo {
+        samples: 2,
+        variation: VariationConfig {
+            sigma: 0.06,
+            max_deviation: 0.2,
+            seed: 0xA11CE,
+        },
+    };
+    // Three fault sizes around a capture 10 % past the nominal arrival,
+    // so some faults hide and some show.
+    let arrival = engine
+        .launch(
+            &patterns,
+            &at_voltage(patterns.len(), 0.8),
+            &SimOptions::default(),
+        )
+        .unwrap()
+        .latest_arrival_at(0.8)
+        .unwrap();
+    let capture_ps = arrival * 1.1;
+    let faults: Vec<SmallDelayFault> = SmallDelayFault::every_gate(&netlist, arrival * 0.1)
+        .into_iter()
+        .enumerate()
+        .map(|(i, f)| SmallDelayFault {
+            delta_ps: f.delta_ps * [0.5, 1.0, 2.0][i % 3],
+            ..f
+        })
+        .collect();
+    let die = Some(VariationConfig::sigma5(0xFA17));
+    let verdicts = recompile_oracle(&engine, &faults, &patterns, (0.8, die), capture_ps);
+    assert!(verdicts.iter().any(|v| v.detected) && verdicts.iter().any(|v| !v.detected));
+    let tight = SimOptions {
+        arena_capacity: 1,
+        ..SimOptions::default()
+    };
+    let rows = [
+        ("uniform", Launch::from(&uniform), SimOptions::default()),
+        (
+            "uniform, tight arena",
+            Launch::from(&uniform),
+            tight.clone(),
+        ),
+        (
+            "islands",
+            Launch::Domains {
+                domains: &domains,
+                slots: &islands,
+            },
+            SimOptions::default(),
+        ),
+        (
+            "scenarios",
+            scheduled(&schedules, Some(&mc), Some(120.0)),
+            SimOptions::default(),
+        ),
+        (
+            "faults",
+            Launch::Faults {
+                faults: &faults,
+                voltage: 0.8,
+                die,
+                capture_ps,
+            },
+            tight,
+        ),
+    ];
+    for (name, request, base) in rows {
+        let reference = engine
+            .launch(
+                &patterns,
+                request,
+                &SimOptions {
+                    threads: 1,
+                    ..base.clone()
+                },
+            )
+            .unwrap();
+        if base.arena_capacity == 1 {
+            assert!(reference.diagnostics.slot_retries > 0, "{name} retries");
+        }
+        for threads in [1, 4] {
+            let mut session = crate::session::Session::new(Arc::clone(&engine), threads);
+            let runner = crate::batch::BatchRunner::new(threads, 1);
+            for lanes in [1, 8] {
+                let opts = SimOptions {
+                    threads,
+                    lanes,
+                    ..base.clone()
+                };
+                let runs = [
+                    ("launch", engine.launch(&patterns, request, &opts)),
+                    ("session", session.run(&patterns, request, &opts)),
+                    ("runner", runner.run(&engine, &patterns, request, &opts)),
+                ];
+                for (door, run) in runs {
+                    let run = run.unwrap();
+                    let case = format!("{name} via {door}, threads={threads}, lanes={lanes}");
+                    assert_eq!(run.slots, reference.slots, "{case}");
+                    assert_eq!(run.diagnostics, reference.diagnostics, "{case}");
+                    assert_eq!(run.node_evaluations, reference.node_evaluations, "{case}");
+                    assert_eq!(run.scenario, reference.scenario, "{case}");
+                    if let Launch::Faults { faults, .. } = request {
+                        let graded = FaultVerdict::grade(&run, faults, capture_ps);
+                        assert_eq!(bits(&graded), bits(&verdicts), "{case}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -2701,14 +2902,16 @@ fn malformed_scenarios_rejected() {
     let patterns = one_pattern();
     let opts = SimOptions::default();
     let launch = |schedule: Schedule| {
-        engine.launch_scenarios(
+        engine.launch(
             &patterns,
-            &[ScenarioSpec {
-                pattern: 0,
-                schedule,
-            }],
-            None,
-            None,
+            scheduled(
+                &[ScenarioSpec {
+                    pattern: 0,
+                    schedule,
+                }],
+                None,
+                None,
+            ),
             &opts,
         )
     };
@@ -2741,37 +2944,41 @@ fn malformed_scenarios_rejected() {
     // Empty launches.
     assert_eq!(
         engine
-            .launch_scenarios(&patterns, &[], None, None, &opts)
+            .launch(&patterns, scheduled(&[], None, None), &opts)
             .unwrap_err(),
         SimError::EmptySlots
     );
     assert_eq!(
         engine
-            .launch_scenarios(
+            .launch(
                 &patterns,
-                &[ScenarioSpec {
-                    pattern: 0,
-                    schedule: Schedule::constant(0.8),
-                }],
-                Some(&MonteCarlo {
-                    samples: 0,
-                    variation: VariationConfig::sigma5(0),
-                }),
-                None,
-                &opts,
+                scheduled(
+                    &[ScenarioSpec {
+                        pattern: 0,
+                        schedule: Schedule::constant(0.8),
+                    }],
+                    Some(&MonteCarlo {
+                        samples: 0,
+                        variation: VariationConfig::sigma5(0),
+                    }),
+                    None
+                ),
+                &opts
             )
             .unwrap_err(),
         SimError::EmptySlots
     );
     // Pattern index out of range.
-    match engine.launch_scenarios(
+    match engine.launch(
         &patterns,
-        &[ScenarioSpec {
-            pattern: 7,
-            schedule: Schedule::constant(0.8),
-        }],
-        None,
-        None,
+        scheduled(
+            &[ScenarioSpec {
+                pattern: 7,
+                schedule: Schedule::constant(0.8),
+            }],
+            None,
+            None,
+        ),
         &opts,
     ) {
         Err(SimError::BadPatternIndex {
@@ -2793,14 +3000,16 @@ fn repairable_schedules_follow_validation_mode() {
     let engine = voltage_scaled_engine(&n, 10.0, 10.0);
     let patterns = one_pattern();
     let launch = |schedule: Schedule, mode: ValidationMode| {
-        engine.launch_scenarios(
+        engine.launch(
             &patterns,
-            &[ScenarioSpec {
-                pattern: 0,
-                schedule,
-            }],
-            None,
-            None,
+            scheduled(
+                &[ScenarioSpec {
+                    pattern: 0,
+                    schedule,
+                }],
+                None,
+                None,
+            ),
             &SimOptions {
                 strict_validation: mode,
                 ..SimOptions::default()
@@ -2866,11 +3075,9 @@ fn scenario_summary_separates_voltages_at_a_deadline() {
     let deadline = 20.0 * (f(slow_v) + f(fast_v)) / 2.0;
     let scenarios = cross_schedules(1, &[Schedule::constant(slow_v), Schedule::constant(fast_v)]);
     let run = engine
-        .launch_scenarios(
+        .launch(
             &one_pattern(),
-            &scenarios,
-            None,
-            Some(deadline),
+            scheduled(&scenarios, None, Some(deadline)),
             &SimOptions {
                 threads: 1,
                 ..SimOptions::default()

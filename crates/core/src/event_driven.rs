@@ -119,10 +119,9 @@ impl EventDrivenSimulator {
     /// Like [`EventDrivenSimulator::run`], optionally collecting a
     /// performance profile into [`SimRun::profile`]: total simulation time
     /// ([`phases::ED_SIMULATE`]), committed events
-    /// ([`phases::ED_EVENTS`]), a queue-depth histogram sampled once per
-    /// simulation time step ([`phases::ED_QUEUE_DEPTH`]) and an events/s
-    /// gauge ([`phases::ED_EVENTS_PER_SEC`]). Simulation results are
-    /// bit-for-bit identical with profiling on or off.
+    /// ([`phases::ED_EVENTS`]) and a queue-depth histogram sampled once
+    /// per simulation time step ([`phases::ED_QUEUE_DEPTH`]). Simulation
+    /// results are bit-for-bit identical with profiling on or off.
     ///
     /// # Errors
     ///
@@ -245,10 +244,6 @@ impl EventDrivenSimulator {
             m.add(phases::ED_EVENTS, total_events);
             if let Some(h) = &depth_hist {
                 m.merge_histogram(phases::ED_QUEUE_DEPTH, h);
-            }
-            let secs = elapsed.as_secs_f64();
-            if secs > 0.0 {
-                m.set_gauge(phases::ED_EVENTS_PER_SEC, total_events as f64 / secs);
             }
         }
         Ok(SimRun {

@@ -2,7 +2,7 @@
 //! paper's primary contribution (Sec. IV).
 //!
 //! The centerpiece is [`CompiledNetlist::launch`], a CPU realization of
-//! the GPU execution model of Fig. 3:
+//! the GPU execution model of Fig. 3, which runs any [`Launch`] request:
 //!
 //! * **vertical dimension** — structural parallelism: the circuit is
 //!   processed level by level, all gates of a level concurrently;
@@ -49,7 +49,6 @@ pub mod engine;
 pub mod event_driven;
 pub mod phases;
 mod pool;
-pub mod power;
 pub mod results;
 pub mod scenario;
 pub mod session;
@@ -64,11 +63,10 @@ pub use avfs_delay::VariationConfig;
 pub use avfs_obs::{Metrics, PhaseStats, Profile};
 pub use batch::{BatchRunner, CompileKey};
 pub use compile::CompiledNetlist;
-pub use delay_fault::{DelayFaultSimulator, FaultVerdict, SmallDelayFault};
+pub use delay_fault::{FaultVerdict, SmallDelayFault};
 pub use domains::{DomainSlotSpec, VoltageDomains};
-pub use engine::{SimOptions, ValidationMode};
+pub use engine::{Launch, SimOptions, ValidationMode};
 pub use event_driven::EventDrivenSimulator;
-pub use power::{energy_by_voltage, slot_energy, EnergyEstimate};
 pub use results::{RunDiagnostics, SimRun, SlotResult, SlotStatus};
 pub use scenario::{
     cross_schedules, FailurePoint, MonteCarlo, ScenarioSpec, ScenarioSummary, Schedule, Segment,
@@ -151,10 +149,11 @@ pub enum SimError {
         /// The plan's clamp on the absolute relative deviation.
         max_deviation: f64,
     },
-    /// A capture time — a scenario launch's `capture_deadline_ps` or a
-    /// [`DelayFaultSimulator`]'s — is non-finite or negative, so no
-    /// arrival could be judged against it (a NaN deadline would pass
-    /// every sample). Refused in every validation mode.
+    /// A capture time — a [`Launch::Scenarios`] request's
+    /// `capture_deadline_ps` or a [`Launch::Faults`] request's
+    /// `capture_ps` — is non-finite or negative, so no arrival could be
+    /// judged against it (a NaN deadline would pass every sample).
+    /// Refused in every validation mode.
     InvalidCaptureTime {
         /// The rejected capture time, ps.
         capture_ps: f64,

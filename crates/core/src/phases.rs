@@ -112,12 +112,6 @@ pub const ENGINE_QUIET_CELLS: &str = "engine.quiet_cells";
 /// per-level sums folded at the batch's end.
 pub const ENGINE_LEVEL_ACTIVITY: &str = "engine.level_activity";
 
-/// The resolved lane width `L` of the run — how many slots the
-/// lane-major arena packs per lane group (and per `u64` lane word).
-/// Recorded once per run; `1` means the scalar slot-major path. See
-/// [`SimOptions::lanes`](crate::SimOptions::lanes).
-pub const ENGINE_LANES_WIDTH: &str = "engine.lanes_width";
-
 /// Levels walked by lane groups, summed over lane groups, batches and
 /// retry rounds. A group walks a level while any of its lanes is live;
 /// quarantined lanes are masked out of it rather than removed.
@@ -132,21 +126,6 @@ pub const ENGINE_POOL_STEALS: &str = "engine.pool_steals";
 /// work-stealing schedule.
 pub const ENGINE_POOL_WORKER_TASKS: &str = "engine.pool_worker_tasks";
 
-/// Faults fired by an armed fault plan during the run — always recorded
-/// (0 on clean runs), so report tooling can assert a run was fault-free.
-/// See [`SimOptions::fault_plan`](crate::SimOptions::fault_plan).
-pub const ENGINE_FAULTS_INJECTED: &str = "engine.faults_injected";
-
-/// Slots abandoned because the wall-clock
-/// [`deadline`](crate::SimOptions::deadline) expired — always recorded
-/// (0 on clean runs).
-pub const ENGINE_DEADLINE_ABORTS: &str = "engine.deadline_aborts";
-
-/// Quarantine-retry admissions denied by the
-/// [`memory_budget`](crate::SimOptions::memory_budget) (or an injected
-/// allocation-cap breach) — always recorded (0 on clean runs).
-pub const ENGINE_BUDGET_DENIALS: &str = "engine.budget_denials";
-
 /// Compiled-artifact cache hits on a
 /// [`BatchRunner`](crate::BatchRunner) — launches that reused a cached
 /// [`CompiledNetlist`](crate::CompiledNetlist) instead of compiling.
@@ -156,27 +135,6 @@ pub const ENGINE_COMPILE_HITS: &str = "engine.compile_hits";
 /// [`BatchRunner`](crate::BatchRunner). A compile-once workload shows
 /// exactly 1 here regardless of run count.
 pub const ENGINE_COMPILE_MISSES: &str = "engine.compile_misses";
-
-/// Characterized-library cache hits on a
-/// [`BatchRunner`](crate::BatchRunner).
-pub const ENGINE_LIBRARY_HITS: &str = "engine.library_hits";
-
-/// Characterized-library cache misses — characterizations actually
-/// performed by a [`BatchRunner`](crate::BatchRunner).
-pub const ENGINE_LIBRARY_MISSES: &str = "engine.library_misses";
-
-/// Runs admitted through a [`BatchRunner`](crate::BatchRunner)'s run
-/// queue.
-pub const ENGINE_BATCH_RUNS: &str = "engine.batch_runs";
-
-/// Histogram of [`BatchRunner`](crate::BatchRunner) run-queue depth:
-/// how many runs were already waiting on (or holding) the parked pool
-/// when each run got in line — 0 means the pool was free.
-pub const ENGINE_BATCH_QUEUE_DEPTH: &str = "engine.batch_queue_depth";
-
-/// Gauge: compiled artifacts currently resident in a
-/// [`BatchRunner`](crate::BatchRunner)'s bounded LRU.
-pub const ENGINE_CACHE_OCCUPANCY: &str = "engine.cache_occupancy";
 
 /// Per-voltage delay tables built on a
 /// [`CompiledNetlist`](crate::CompiledNetlist) — the one-time scalar
@@ -221,6 +179,3 @@ pub const ED_EVENTS: &str = "ed.events";
 /// Histogram of event-queue depth, sampled once per simulation time step
 /// (pending heap entries, cancelled ones included).
 pub const ED_QUEUE_DEPTH: &str = "ed.queue_depth";
-
-/// Committed events per second of event-driven simulation time.
-pub const ED_EVENTS_PER_SEC: &str = "ed.events_per_sec";

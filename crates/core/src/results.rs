@@ -233,11 +233,10 @@ pub struct SimRun {
     /// Phase names are the constants of [`crate::phases`]; durations are
     /// nanoseconds.
     pub profile: Option<Profile>,
-    /// Scenario reduction — `Some` only when the run was launched
-    /// through the scenario engine
-    /// ([`CompiledNetlist::launch_scenarios`](crate::CompiledNetlist::launch_scenarios)
-    /// and friends): the failure-probability-vs-voltage curve over the
-    /// run's slots (DESIGN.md §5).
+    /// Scenario reduction — `Some` only when the run was launched from a
+    /// [`Launch::Scenarios`](crate::Launch::Scenarios) request: the
+    /// failure-probability-vs-voltage curve over the run's slots
+    /// (DESIGN.md §5).
     pub scenario: Option<crate::scenario::ScenarioSummary>,
 }
 

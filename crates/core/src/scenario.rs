@@ -36,7 +36,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use avfs_core::{scenario::{Schedule, ScenarioSpec}, slots, CompiledNetlist};
+//! use avfs_core::{scenario::{Schedule, ScenarioSpec}, slots, CompiledNetlist, Launch};
 //! use avfs_delay::characterize::{characterize_library, CharacterizationConfig};
 //! use avfs_netlist::CellLibrary;
 //! use avfs_spice::Technology;
@@ -59,7 +59,8 @@
 //! let scenarios: Vec<ScenarioSpec> = (0..patterns.len())
 //!     .map(|pattern| ScenarioSpec { pattern, schedule: Schedule::constant(0.8) })
 //!     .collect();
-//! let scheduled = sim.launch_scenarios(&patterns, &scenarios, None, None, &Default::default())?;
+//! let request = Launch::Scenarios { scenarios: &scenarios, mc: None, capture_deadline_ps: None };
+//! let scheduled = sim.launch(&patterns, request, &Default::default())?;
 //!
 //! // ... and it is the 0.8 V static run, bit for bit.
 //! let fixed = sim.launch(&patterns, &slots::at_voltage(patterns.len(), 0.8), &Default::default())?;
@@ -72,13 +73,9 @@
 //! ```
 
 use crate::compile::CompiledNetlist;
-use crate::engine::{
-    LaunchPlan, NormalizedSchedule, SimOptions, SlotWork, VariationSample, VoltageAssign,
-};
-use crate::pool::ParkedPool;
-use crate::results::{SimRun, SlotResult};
+use crate::engine::{NormalizedSchedule, VoltageAssign};
+use crate::results::SlotResult;
 use crate::SimError;
-use avfs_atpg::PatternSet;
 use avfs_delay::VariationConfig;
 use std::sync::Arc;
 
@@ -159,7 +156,7 @@ impl Schedule {
 /// scheduled analogue of [`SlotSpec`](crate::SlotSpec).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Index into the [`PatternSet`] under simulation.
+    /// Index into the [`PatternSet`](avfs_atpg::PatternSet) under simulation.
     pub pattern: usize,
     /// The supply schedule driving this circuit instance.
     pub schedule: Schedule,
@@ -211,8 +208,8 @@ pub struct FailurePoint {
     pub p_fail: f64,
 }
 
-/// The scenario reduction attached to a [`SimRun`] by
-/// [`CompiledNetlist::launch_scenarios`]: sampled slots grouped by
+/// The scenario reduction attached to the run of a
+/// [`Launch::Scenarios`](crate::Launch::Scenarios) request: sampled slots grouped by
 /// representative voltage into a failure-probability curve — the
 /// V_min-style readout of a Monte Carlo AVFS exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -304,11 +301,8 @@ pub(crate) fn summarize(
 }
 
 impl CompiledNetlist {
-    /// Validates a scenario launch and lowers it to a plan: per-slot
-    /// voltage assignments plus Monte Carlo dice, with the schedule lint
-    /// findings routed through [`SimOptions::strict_validation`] — one
-    /// finding set per scenario *segment*, not per die, so findings don't
-    /// multiply with the sample count.
+    /// Lowers scenario `i`'s schedule to a voltage assignment, adding its
+    /// repairable lint findings to `findings`.
     ///
     /// Schedules with no lowering semantics — empty, non-finite, or
     /// non-increasing segment starts (`partition_point` needs a strictly
@@ -319,147 +313,43 @@ impl CompiledNetlist {
     /// supplies outside the characterized voltage range (`AVC-D006`: the
     /// kernel clamps them onto the boundary) — follow the validation
     /// mode instead.
-    ///
-    /// A Monte Carlo plan with zero samples is [`SimError::EmptySlots`];
-    /// one whose `sigma` or `max_deviation` is non-finite or negative is
-    /// [`SimError::InvalidVariation`], and a non-finite or negative
-    /// capture deadline [`SimError::InvalidCaptureTime`], also in every
-    /// validation mode.
-    ///
-    /// Scenario `i`'s dice occupy slots `i * samples .. (i + 1) * samples`
-    /// in launch order (the engine batches them die-major; results stay
-    /// in launch order).
-    pub(crate) fn prepare_scenarios<'a>(
+    pub(crate) fn lower_schedule(
         &self,
-        patterns: &'a PatternSet,
-        scenarios: &[ScenarioSpec],
-        mc: Option<&MonteCarlo>,
-        capture_deadline_ps: Option<f64>,
-        options: &SimOptions,
-    ) -> Result<LaunchPlan<'a>, SimError> {
-        if mc.is_some_and(|m| m.samples == 0) {
-            return Err(SimError::EmptySlots);
-        }
-        if let Some(m) = mc {
-            check_variation(&m.variation)?;
-        }
-        if let Some(t) = capture_deadline_ps {
-            check_capture_time(t)?;
-        }
-        let slots = scenarios.iter().map(|spec| {
-            let voltages = spec.schedule.segments.iter().map(|seg| seg.voltage);
-            (spec.pattern, voltages)
-        });
-        self.check_launch(patterns, slots)?;
-        let (v_min, v_max) = self.model.space().voltage_range();
-        let mut findings = Vec::new();
-        let mut scenario_work: Vec<SlotWork> = Vec::with_capacity(scenarios.len());
-        for (i, spec) in scenarios.iter().enumerate() {
-            let segs = &spec.schedule.segments;
-            // Structurally un-lowerable shapes have no simulation
-            // semantics (the segment lookup's `partition_point` needs a
-            // strictly sorted finite boundary list), so they hard-fail
-            // regardless of `strict_validation`. Anything else the lint
-            // flags is repairable and goes through the validation mode.
-            let fatal = segs.is_empty()
-                || segs.iter().any(|s| !s.t_start_ps.is_finite())
-                || segs.windows(2).any(|w| w[1].t_start_ps <= w[0].t_start_ps);
-            let pairs: Vec<(f64, f64)> = segs.iter().map(|s| (s.t_start_ps, s.voltage)).collect();
-            let location = format!("scenario {i}");
-            let shape = avfs_check::schedule::lint_schedule(&location, &pairs);
-            if fatal {
-                let first = shape.first().expect("fatal schedule has a lint finding");
-                return Err(SimError::InvalidSchedule {
-                    slot: i,
-                    message: first.message.clone(),
-                });
-            }
-            findings.extend(shape);
-            findings.extend(avfs_check::schedule::lint_schedule_voltages(
-                &location, &pairs, v_min, v_max,
-            ));
-            let v_norms: Vec<f64> = segs.iter().map(|seg| self.v_norm(seg.voltage)).collect();
-            // A single-segment schedule lowers to the exact assignment a
-            // static slot gets — the constant-schedule ≡ static identity
-            // holds by construction, not by numerical luck.
-            let assign = if v_norms.len() == 1 {
-                VoltageAssign::Uniform(v_norms[0])
-            } else {
-                VoltageAssign::Scheduled(Arc::new(NormalizedSchedule {
-                    v_norms,
-                    boundaries: segs[1..].iter().map(|s| s.t_start_ps).collect(),
-                }))
-            };
-            scenario_work.push(SlotWork {
-                pattern: spec.pattern,
-                assign,
-                voltage: segs[0].voltage,
-                variation: None,
-                fault: None,
+        i: usize,
+        schedule: &Schedule,
+        findings: &mut Vec<avfs_check::Finding>,
+    ) -> Result<VoltageAssign, SimError> {
+        let segs = &schedule.segments;
+        let fatal = segs.is_empty()
+            || segs.iter().any(|s| !s.t_start_ps.is_finite())
+            || segs.windows(2).any(|w| w[1].t_start_ps <= w[0].t_start_ps);
+        let pairs: Vec<(f64, f64)> = segs.iter().map(|s| (s.t_start_ps, s.voltage)).collect();
+        let location = format!("scenario {i}");
+        let shape = avfs_check::schedule::lint_schedule(&location, &pairs);
+        if fatal {
+            let first = shape.first().expect("fatal schedule has a lint finding");
+            return Err(SimError::InvalidSchedule {
+                slot: i,
+                message: first.message.clone(),
             });
         }
-        let validation = self.validate_launch(
-            options.strict_validation,
-            std::iter::empty(),
-            &avfs_check::cap_findings(findings),
-        )?;
-        let samples = mc.map_or(1, |m| m.samples);
-        let mut work = Vec::with_capacity(scenario_work.len() * samples);
-        for w in &scenario_work {
-            for s in 0..samples {
-                work.push(SlotWork {
-                    variation: mc.map(|m| VariationSample {
-                        config: m.variation,
-                        sample: s as u32,
-                    }),
-                    ..w.clone()
-                });
-            }
-        }
-        Ok(LaunchPlan {
-            patterns,
-            work,
-            validation,
-            domains: None,
-            reduction: Some((mc.copied(), capture_deadline_ps)),
-            capture_ps: None,
+        findings.extend(shape);
+        let (v_min, v_max) = self.model.space().voltage_range();
+        findings.extend(avfs_check::schedule::lint_schedule_voltages(
+            &location, &pairs, v_min, v_max,
+        ));
+        let v_norms: Vec<f64> = segs.iter().map(|seg| self.v_norm(seg.voltage)).collect();
+        // A single-segment schedule lowers to the exact assignment a
+        // static slot gets — the constant-schedule ≡ static identity
+        // holds by construction, not by numerical luck.
+        Ok(if v_norms.len() == 1 {
+            VoltageAssign::Uniform(v_norms[0])
+        } else {
+            VoltageAssign::Scheduled(Arc::new(NormalizedSchedule {
+                v_norms,
+                boundaries: segs[1..].iter().map(|s| s.t_start_ps).collect(),
+            }))
         })
-    }
-
-    /// Simulates `scenarios` over `patterns`, each slot driven by its
-    /// piecewise supply schedule, optionally expanded `mc.samples`-fold
-    /// into Monte Carlo dice. The returned run carries one slot per die
-    /// (scenario-major: scenario `i`'s dice are slots
-    /// `i * samples .. (i + 1) * samples`) plus a [`ScenarioSummary`]
-    /// reducing them into a failure-probability-vs-voltage curve against
-    /// `capture_deadline_ps`.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`CompiledNetlist::launch`] reports, plus
-    /// [`SimError::InvalidSchedule`] for a structurally un-lowerable
-    /// schedule (empty, unsorted, or with non-finite start times — lint
-    /// rule `AVC-N010`), in every validation mode. Repairable findings —
-    /// an unanchored first segment (`AVC-N010`) or supplies outside the
-    /// characterized range (`AVC-D006`) — follow
-    /// [`SimOptions::strict_validation`]: recorded in
-    /// [`RunDiagnostics::validation_findings`](crate::RunDiagnostics)
-    /// under `Warn`, refused as [`SimError::Validation`] under `Deny`.
-    /// An empty scenario list or a zero-sample Monte Carlo plan is
-    /// [`SimError::EmptySlots`]; a plan whose `sigma` or `max_deviation`
-    /// is non-finite or negative is [`SimError::InvalidVariation`], and a
-    /// non-finite or negative `capture_deadline_ps` is
-    /// [`SimError::InvalidCaptureTime`].
-    pub fn launch_scenarios(
-        &self,
-        patterns: &PatternSet,
-        scenarios: &[ScenarioSpec],
-        mc: Option<&MonteCarlo>,
-        capture_deadline_ps: Option<f64>,
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        let plan = self.prepare_scenarios(patterns, scenarios, mc, capture_deadline_ps, options)?;
-        self.execute(plan, options, &ParkedPool::new(options.threads))
     }
 }
 

@@ -16,10 +16,10 @@
 //! `Session::run`.
 
 use crate::compile::CompiledNetlist;
-use crate::engine::SimOptions;
+use crate::engine::{Launch, SimOptions};
 use crate::pool::ParkedPool;
 use crate::results::SimRun;
-use crate::slots::SlotSpec;
+use crate::scenario::{MonteCarlo, ScenarioSpec};
 use crate::SimError;
 use avfs_atpg::PatternSet;
 use std::sync::Arc;
@@ -93,56 +93,40 @@ impl Session {
         self.pool.arena_allocations()
     }
 
-    /// Simulates `slots` over `patterns` on the parked pool. Semantics,
+    /// Simulates `launch` over `patterns` on the parked pool. Semantics,
     /// results and errors are identical to
     /// [`CompiledNetlist::launch`] (bit-for-bit: the pool only changes
     /// where threads come from, not what they compute), plus
     /// [`SimError::ThreadMismatch`] for a conflicting per-run
     /// [`SimOptions::threads`] override.
-    pub fn run(
+    pub fn run<'a>(
         &mut self,
         patterns: &PatternSet,
-        slots: &[SlotSpec],
+        launch: impl Into<Launch<'a>>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let plan = self.compiled.prepare_uniform(patterns, slots, options)?;
+        let plan = self.compiled.prepare(patterns, launch.into(), options)?;
         self.compiled.execute(plan, options, &self.pool)
     }
 
-    /// Simulates with per-node voltage domains on the parked pool — see
-    /// [`CompiledNetlist::launch_domains`].
-    pub fn run_domains(
-        &mut self,
-        patterns: &PatternSet,
-        domains: &crate::domains::VoltageDomains,
-        specs: &[crate::domains::DomainSlotSpec],
-        options: &SimOptions,
-    ) -> Result<SimRun, SimError> {
-        let plan = self
-            .compiled
-            .prepare_domains(patterns, domains, specs, options)?;
-        self.compiled.execute(plan, options, &self.pool)
-    }
-
-    /// Simulates piecewise-scheduled scenarios (optionally Monte Carlo
-    /// sampled) on the parked pool — see
-    /// [`CompiledNetlist::launch_scenarios`].
+    /// [`Session::run`] of a [`Launch::Scenarios`] request.
     pub fn run_scenarios(
         &mut self,
         patterns: &PatternSet,
-        scenarios: &[crate::scenario::ScenarioSpec],
-        mc: Option<&crate::scenario::MonteCarlo>,
+        scenarios: &[ScenarioSpec],
+        mc: Option<&MonteCarlo>,
         capture_deadline_ps: Option<f64>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let plan = self.compiled.prepare_scenarios(
+        self.run(
             patterns,
-            scenarios,
-            mc,
-            capture_deadline_ps,
+            Launch::Scenarios {
+                scenarios,
+                mc: mc.copied(),
+                capture_deadline_ps,
+            },
             options,
-        )?;
-        self.compiled.execute(plan, options, &self.pool)
+        )
     }
 }
 
@@ -186,46 +170,6 @@ mod tests {
                 .unwrap();
             assert_eq!(run.slots, reference.slots);
             assert_eq!(run.diagnostics, reference.diagnostics);
-        }
-    }
-
-    /// Scenario launches ride the parked pool like every other run and
-    /// stay bit-identical to the per-run-pool reference.
-    #[test]
-    fn session_scenarios_match_compiled_launch() {
-        use crate::scenario::{cross_schedules, MonteCarlo, Schedule};
-        let compiled = compiled_adder();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 4, 13);
-        let scenarios = cross_schedules(patterns.len(), &[Schedule::droop(0.9, 0.15, 10.0, 40.0)]);
-        let mc = MonteCarlo {
-            samples: 2,
-            variation: avfs_delay::VariationConfig::sigma5(21),
-        };
-        let reference = compiled
-            .launch_scenarios(
-                &patterns,
-                &scenarios,
-                Some(&mc),
-                Some(90.0),
-                &SimOptions {
-                    threads: 1,
-                    ..SimOptions::default()
-                },
-            )
-            .unwrap();
-        let mut session = Session::new(Arc::clone(&compiled), 4);
-        for _ in 0..2 {
-            let run = session
-                .run_scenarios(
-                    &patterns,
-                    &scenarios,
-                    Some(&mc),
-                    Some(90.0),
-                    &SimOptions::default(),
-                )
-                .unwrap();
-            assert_eq!(run.slots, reference.slots);
-            assert_eq!(run.scenario, reference.scenario);
         }
     }
 

@@ -17,7 +17,8 @@ use avfs::circuits::CircuitProfile;
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::netlist::{CellLibrary, NodeKind};
 use avfs::sim::{
-    cross_schedules, slots, CompiledNetlist, MonteCarlo, Schedule, SimOptions, VariationConfig,
+    cross_schedules, slots, CompiledNetlist, Launch, MonteCarlo, Schedule, SimOptions,
+    VariationConfig,
 };
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
@@ -137,13 +138,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             seed: 0xD5E,
         },
     };
-    let stressed = sim.launch_scenarios(
-        &patterns,
-        &scenarios,
-        Some(&mc),
-        Some(deadline),
-        &SimOptions::default(),
-    )?;
+    let request = Launch::Scenarios {
+        scenarios: &scenarios,
+        mc: Some(mc),
+        capture_deadline_ps: Some(deadline),
+    };
+    let stressed = sim.launch(&patterns, request, &SimOptions::default())?;
     let summary = stressed.scenario.as_ref().expect("scenario summary");
     println!(
         "\n50 mV droop + sigma-4% variation, {} dice/pattern, deadline {deadline:.0} ps:",

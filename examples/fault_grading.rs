@@ -6,8 +6,9 @@
 //! become detectable at a lowered supply (the defect consumes a larger
 //! share of the shrunken slack) — the "faster-than-at-speed" insight.
 //! This example grades the same fault list at three supplies, with and
-//! without random process variation — each grading one launch on one
-//! compiled artifact, the faults a per-slot delay modifier.
+//! without random process variation — each grading one `Launch::Faults`
+//! launch on one session's parked worker pool, the faults a per-slot
+//! delay modifier.
 //!
 //! ```text
 //! cargo run --release --example fault_grading
@@ -17,7 +18,10 @@ use avfs::atpg::PatternSet;
 use avfs::circuits::ripple_carry_adder;
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::netlist::{CellLibrary, NodeKind};
-use avfs::sim::{slots, CompiledNetlist, DelayFaultSimulator, SimOptions, VariationConfig};
+use avfs::sim::{
+    slots, CompiledNetlist, FaultVerdict, Launch, Session, SimOptions, SmallDelayFault,
+    VariationConfig,
+};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -46,6 +50,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         Arc::clone(&netlist),
         &chars,
     )?);
+    // One worker pool, parked across every launch below.
+    let mut session = Session::new(sim, 0);
 
     // A fixed system clock with 25 % guardband over the *measured*
     // fault-free arrival at the nominal supply. Lowering the supply eats
@@ -54,8 +60,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     // here by voltage instead of clock scaling.
     let patterns = PatternSet::lfsr(netlist.inputs().len(), 24, 19);
     let opts = SimOptions::default();
-    let nominal_arrival = sim
-        .launch(&patterns, &slots::at_voltage(patterns.len(), 0.8), &opts)?
+    let nominal_arrival = session
+        .run(&patterns, &slots::at_voltage(patterns.len(), 0.8), &opts)?
         .latest_arrival_at(0.8)
         .expect("adder toggles");
     let capture_ps = nominal_arrival * 1.25;
@@ -63,8 +69,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!(
         "fault-free nominal arrival {nominal_arrival:.1} ps, capture {capture_ps:.1} ps, δ = {delta_ps:.1} ps"
     );
-    let fsim = DelayFaultSimulator::new(Arc::clone(&sim), capture_ps)?;
-    let faults = fsim.full_fault_list(delta_ps);
+    let faults = SmallDelayFault::every_gate(&netlist, delta_ps);
 
     println!(
         "{:>8} {:>12} {:>16} {:>18}  ({} faults, {} patterns)",
@@ -76,22 +81,30 @@ fn main() -> Result<(), Box<dyn Error>> {
         patterns.len()
     );
     for &voltage in &[0.8, 0.75, 0.7] {
-        let arrival = sim
-            .launch(
+        let arrival = session
+            .run(
                 &patterns,
                 &slots::at_voltage(patterns.len(), voltage),
                 &opts,
             )?
             .latest_arrival_at(voltage)
             .expect("adder toggles");
-        // Nominal die.
-        let verdicts = fsim.run(&faults, &patterns, voltage, None, &opts)?;
-        let coverage = DelayFaultSimulator::coverage(&verdicts);
-
-        // A process-varied die (same defect, different silicon).
-        let die = Some(VariationConfig::sigma5(42));
-        let verdicts_var = fsim.run(&faults, &patterns, voltage, die, &opts)?;
-        let coverage_var = DelayFaultSimulator::coverage(&verdicts_var);
+        // The nominal die, then a process-varied die (same defect,
+        // different silicon).
+        let mut grade = |die: Option<VariationConfig>| {
+            let request = Launch::Faults {
+                faults: &faults,
+                voltage,
+                die,
+                capture_ps,
+            };
+            let run = session.run(&patterns, request, &opts)?;
+            Ok::<_, Box<dyn Error>>(FaultVerdict::coverage(&FaultVerdict::grade(
+                &run, &faults, capture_ps,
+            )))
+        };
+        let coverage = grade(None)?;
+        let coverage_var = grade(Some(VariationConfig::sigma5(42)))?;
 
         println!(
             "{voltage:>7.2}V {:>9.1}ps {:>15.1}% {:>17.1}%",

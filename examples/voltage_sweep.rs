@@ -14,7 +14,7 @@ use avfs::atpg::{k_longest_paths, PatternSet};
 use avfs::circuits::ripple_carry_adder;
 use avfs::delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs::netlist::{CellLibrary, NodeKind};
-use avfs::sim::{cross_schedules, slots, sta, CompiledNetlist, Schedule, SimOptions};
+use avfs::sim::{cross_schedules, slots, sta, CompiledNetlist, Launch, Schedule, SimOptions};
 use avfs::spice::Technology;
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -98,8 +98,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // supply droop across the critical window stretches arrivals.
     let droop = Schedule::droop(0.8, 0.1, 0.25 * nominal, 0.8 * nominal);
     let scenarios = cross_schedules(patterns.len(), &[Schedule::constant(0.8), droop]);
-    let scheduled =
-        sim.launch_scenarios(&patterns, &scenarios, None, None, &SimOptions::default())?;
+    let request = Launch::Scenarios {
+        scenarios: &scenarios,
+        mc: None,
+        capture_deadline_ps: None,
+    };
+    let scheduled = sim.launch(&patterns, request, &SimOptions::default())?;
     let constant_slice = &scheduled.slots[..patterns.len()];
     assert!(
         constant_slice

@@ -19,7 +19,8 @@
 //!   (the paper's Sec. IV), split compile-once / simulate-many:
 //!   [`CompiledNetlist`](sim::CompiledNetlist) artifacts,
 //!   [`Session`](sim::Session)s and the caching
-//!   [`BatchRunner`](sim::BatchRunner), all ending in one launch path,
+//!   [`BatchRunner`](sim::BatchRunner), each taking any
+//!   [`Launch`](sim::Launch) request down one launch path,
 //! * [`atpg`] — pattern-pair generation (transition + timing-aware),
 //! * [`circuits`] — benchmark circuits and Table-I/II profiles,
 //! * [`obs`] — phase timers, counters and histograms behind

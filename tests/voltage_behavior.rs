@@ -160,44 +160,8 @@ fn alpha_power_baseline_tracks_polynomial_roughly() {
 }
 
 #[test]
-fn energy_grows_with_voltage_while_latency_falls() {
-    // The AVFS trade-off in one assertion: raising the supply buys
-    // latency and costs quadratic energy.
-    let library = CellLibrary::nangate15_like();
-    let netlist = Arc::new(ripple_carry_adder(8, &library).expect("adder"));
-    let sim = characterized_sim(&netlist, &library);
-    let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 21);
-    let run = sim
-        .launch(
-            &patterns,
-            &slots::cross(patterns.len(), &[0.6, 0.8, 1.0]),
-            &SimOptions {
-                keep_waveforms: true,
-                ..SimOptions::default()
-            },
-        )
-        .expect("sweep runs");
-    let energies = avfs::sim::energy_by_voltage(&netlist, sim.annotation(), &run);
-    assert_eq!(energies.len(), 3);
-    for w in energies.windows(2) {
-        let ((v0, e0), (v1, e1)) = (w[0], w[1]);
-        assert!(v0 < v1);
-        assert!(
-            e1.total_fj > e0.total_fj,
-            "energy must grow with voltage: {e0:?} vs {e1:?}"
-        );
-        // More than linear (V² on equal-toggle counts; toggles may shift
-        // a little as glitches appear/vanish).
-        assert!(e1.total_fj / e0.total_fj > v1 / v0);
-    }
-    let t_low = run.latest_arrival_at(0.6).expect("toggles");
-    let t_high = run.latest_arrival_at(1.0).expect("toggles");
-    assert!(t_low > t_high);
-}
-
-#[test]
 fn process_variation_shifts_arrivals_modestly() {
-    use avfs::sim::{cross_schedules, MonteCarlo, Schedule, VariationConfig};
+    use avfs::sim::{cross_schedules, Launch, MonteCarlo, Schedule, VariationConfig};
     let library = CellLibrary::nangate15_like();
     let netlist = Arc::new(ripple_carry_adder(8, &library).expect("adder"));
     let sim = characterized_sim(&netlist, &library);
@@ -214,14 +178,16 @@ fn process_variation_shifts_arrivals_modestly() {
         .expect("runs");
     // One die, every pattern at a constant 0.8 V.
     let b = base_sim
-        .launch_scenarios(
+        .launch(
             &patterns,
-            &cross_schedules(patterns.len(), &[Schedule::constant(0.8)]),
-            Some(&MonteCarlo {
-                samples: 1,
-                variation: VariationConfig::sigma5(99),
-            }),
-            None,
+            Launch::Scenarios {
+                scenarios: &cross_schedules(patterns.len(), &[Schedule::constant(0.8)]),
+                mc: Some(MonteCarlo {
+                    samples: 1,
+                    variation: VariationConfig::sigma5(99),
+                }),
+                capture_deadline_ps: None,
+            },
             &opts,
         )
         .expect("runs");
