@@ -836,7 +836,7 @@ fn characterize_on(
 mod tests {
     use super::*;
     use crate::model::DelayModel;
-    use crate::op::OperatingPoint;
+    use crate::op::{NormalizedPoint, OperatingPoint};
     use avfs_netlist::bench::{parse_bench, BenchOptions, C17_BENCH};
 
     fn subset(lib: &CellLibrary, names: &[&str]) -> Vec<CellId> {
@@ -1095,8 +1095,9 @@ mod tests {
 
     #[test]
     fn characterization_is_bit_identical_to_the_serial_sweep() {
-        // Recorded once from the error-controlled transient integrator:
-        // every worker count must reproduce them bit for bit.
+        // Recorded once from the error-controlled transient integrator and
+        // the unfused (multiply, then add) regression kernels: every worker
+        // count must reproduce them bit for bit.
         let lib = CellLibrary::nangate15_like();
         let tech = Technology::nm15();
         // The 64-bit adder's cells at the paper's sweep: what the
@@ -1119,16 +1120,16 @@ mod tests {
             )
             .unwrap();
             let context = format!("{workers} workers");
-            assert_eq!(fast.content_hash(), 0xd4dc_2487_73c6_9d89, "{context}");
+            assert_eq!(fast.content_hash(), 0x6f7d_3a51_b0ad_71d7, "{context}");
             assert_eq!(
                 reports_digest(fast.reports()),
-                0x5389_c70c_9c0f_941b,
+                0x509e_c138_cb4d_e609,
                 "{context}"
             );
-            assert_eq!(paper.content_hash(), 0x11c5_b549_6624_7066, "{context}");
+            assert_eq!(paper.content_hash(), 0x34b2_02df_bf96_207f, "{context}");
             assert_eq!(
                 reports_digest(paper.reports()),
-                0x41c6_0522_6c66_a6b0,
+                0x1d89_4ac7_4cbb_62c3,
                 "{context}"
             );
             // One span per call, one planned sweep, the plan's distinct
@@ -1147,6 +1148,74 @@ mod tests {
             );
             assert_eq!(profile.counter("regression.fits"), Some(12));
             assert_eq!(profile.phase("regression/fit").unwrap().calls, 12);
+        }
+    }
+
+    /// Factors of the `pipeline_cold` cells at the paper's sweep on the
+    /// lattice `{0, ½, 1}²` (`v` major), recorded from the fit whose Gram,
+    /// `Xᵀy` and Horner kernels fused every multiply-add.
+    #[rustfmt::skip]
+    const FUSED_FACTORS: [(&str, usize, Polarity, [f64; 9]); 12] = [
+        ("XOR2_X1", 0, Polarity::Rise, [1.5228820770555218e0, 1.579732102906327e0, 1.5980470648155016e0, 9.684967178689063e-1, 9.656922590972108e-1, 9.647874911824194e-1, 7.603166774321259e-1, 7.458184149650721e-1, 7.411462457108995e-1]),
+        ("XOR2_X1", 0, Polarity::Fall, [1.5147356264619072e0, 1.52914686668929e0, 1.5359839963471753e0, 9.689007843229586e-1, 9.681605235510037e-1, 9.678096923576264e-1, 7.624250978849187e-1, 7.577152234295473e-1, 7.554804446661624e-1]),
+        ("XOR2_X1", 1, Polarity::Rise, [1.5255099187917562e0, 1.5806274161625518e0, 1.5981948804508639e0, 9.683709124361398e-1, 9.656486899822985e-1, 9.647805235388394e-1, 7.59679608225245e-1, 7.455988506993818e-1, 7.411106512833645e-1]),
+        ("XOR2_X1", 1, Polarity::Fall, [1.5173593001644223e0, 1.5301422671297247e0, 1.5361394900329466e0, 9.687703467150754e-1, 9.681109277254754e-1, 9.678018135528138e-1, 7.617237583355516e-1, 7.574445294860513e-1, 7.554395202942134e-1]),
+        ("AND2_X1", 0, Polarity::Rise, [1.48979325614357e0, 1.5522998852485888e0, 1.5687973038878047e0, 9.701013952100248e-1, 9.670204454229298e-1, 9.662082197171142e-1, 7.673564339704251e-1, 7.518172397813823e-1, 7.477165091509005e-1]),
+        ("AND2_X1", 0, Polarity::Fall, [1.4982955602920298e0, 1.5250902008608271e0, 1.5352751784696665e0, 9.697184492748744e-1, 9.683609059467028e-1, 9.678448363365292e-1, 7.666510846181794e-1, 7.58715091910296e-1, 7.556691418373761e-1]),
+        ("AND2_X1", 1, Polarity::Rise, [1.48979325614357e0, 1.5522998852485888e0, 1.5687973038878047e0, 9.701013952100248e-1, 9.670204454229298e-1, 9.662082197171142e-1, 7.673564339704251e-1, 7.518172397813823e-1, 7.477165091509005e-1]),
+        ("AND2_X1", 1, Polarity::Fall, [1.501366170855896e0, 1.5261562358884178e0, 1.5354472520807478e0, 9.695658018596499e-1, 9.683072880690855e-1, 9.678360057057037e-1, 7.658974125592418e-1, 7.584304262841304e-1, 7.556193375606833e-1]),
+        ("OR2_X1", 0, Polarity::Rise, [1.5155810982159112e0, 1.5798679651951137e0, 1.598073518558023e0, 9.688261729684945e-1, 9.656776204228578e-1, 9.647848075381017e-1, 7.618333215979676e-1, 7.45696327692384e-1, 7.411249458303578e-1]),
+        ("OR2_X1", 0, Polarity::Fall, [1.4835979365615968e0, 1.5039958472812427e0, 1.5123752999610627e0, 9.704445158363821e-1, 9.693975880464326e-1, 9.68967209807146e-1, 7.702550501746706e-1, 7.638746741492803e-1, 7.61232537153196e-1]),
+        ("OR2_X1", 1, Polarity::Rise, [1.518465010135822e0, 1.5807920260690853e0, 1.5982301723221912e0, 9.686952974725672e-1, 9.656344525559378e-1, 9.647775660750713e-1, 7.612268237930623e-1, 7.454931084556596e-1, 7.410907779914288e-1]),
+        ("OR2_X1", 1, Polarity::Fall, [1.4835979365615968e0, 1.5039958472812427e0, 1.5123752999610627e0, 9.704445158363821e-1, 9.693975880464326e-1, 9.68967209807146e-1, 7.702550501746706e-1, 7.638746741492803e-1, 7.61232537153196e-1]),
+    ];
+
+    /// Each cell's Fig. 4 statistics `[mean, stddev, max]` from the same
+    /// fused fit.
+    #[rustfmt::skip]
+    const FUSED_STATS: [(&str, [f64; 3]); 3] = [
+        ("XOR2_X1", [3.620934330669271e-3, 1.979887033189581e-3, 1.2785557304574811e-2]),
+        ("AND2_X1", [3.371874019735202e-3, 1.8236219867930501e-3, 1.1396888789482851e-2]),
+        ("OR2_X1", [3.439157188104214e-3, 1.9377682175350547e-3, 1.2796827996793145e-2]),
+    ];
+
+    #[test]
+    fn unfused_fit_matches_the_fused_record() {
+        // The kernels round each multiply-add twice; the monomial Gram is
+        // badly conditioned, so coefficients move by up to ~1e-6 relative,
+        // but the fitted surfaces (what the engine reads) and the Fig. 4
+        // statistics must not.
+        let lib = CellLibrary::nangate15_like();
+        let tech = Technology::nm15();
+        let ids = subset(&lib, &["XOR2_X1", "AND2_X1", "OR2_X1"]);
+        let ch = characterize_library(&lib, &tech, &CharacterizationConfig::default(), Some(&ids))
+            .unwrap();
+        let close = |got: f64, want: f64, rel: f64| (got - want).abs() <= rel * want.abs();
+        for (cell, pin, polarity, want) in FUSED_FACTORS {
+            let id = lib.find(cell).unwrap();
+            let lattice = [0.0, 0.5, 1.0]
+                .into_iter()
+                .flat_map(|v| [0.0, 0.5, 1.0].map(|c| NormalizedPoint { v, c }));
+            for (p, want) in lattice.zip(want) {
+                let got = ch.model().factor(id, pin, polarity, p).unwrap();
+                assert!(
+                    close(got, want, 1e-10),
+                    "{cell} pin {pin} {polarity:?} at {p:?}: {got:e} vs fused {want:e}"
+                );
+            }
+        }
+        for (cell, [mean, stddev, max]) in FUSED_STATS {
+            let stats = &ch.reports().iter().find(|r| r.cell == cell).unwrap().stats;
+            for (what, got, want) in [
+                ("mean", stats.mean, mean),
+                ("stddev", stats.stddev, stddev),
+                ("max", stats.max, max),
+            ] {
+                assert!(
+                    close(got, want, 1e-8),
+                    "{cell} {what}: {got:e} vs fused {want:e}"
+                );
+            }
         }
     }
 

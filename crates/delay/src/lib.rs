@@ -6,7 +6,7 @@
 //! * [`op`] — operating points `P = (v, c)` and the constrained parameter
 //!   space `𝒫` with its normalizations,
 //! * [`polynomial`] — compiled delay-deviation surfaces `f : 𝒫 → ℝ`
-//!   evaluated with nested Horner / FMA (the paper's GPU delay kernel),
+//!   evaluated with nested Horner (the paper's GPU delay kernel),
 //! * [`table`] — coefficient storage indexed by (cell type, input pin,
 //!   transition polarity), "a constant double-precision floating-point
 //!   array structure … indexed by the cell type, input pin and transition

@@ -70,7 +70,7 @@ impl SurfacePolynomial {
 
     /// Evaluates the deviation `f(P)` at a normalized operating point —
     /// the hot path of the online delay calculation. Nested Horner over
-    /// both variables; every multiply-add fuses.
+    /// both variables, each multiply-add rounded as a multiply and an add.
     #[inline]
     pub fn eval(&self, p: NormalizedPoint) -> f64 {
         eval_horner(self.order, &self.coeffs, p.v, p.c)

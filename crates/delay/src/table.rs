@@ -188,7 +188,7 @@ impl CoefficientTable {
     /// surface at every point in one call, `out[k] = f(points[k])`.
     ///
     /// One offset computation is amortized over the whole lane group and the
-    /// Horner reduction runs through the unrolled FMA kernel
+    /// Horner reduction runs through the unrolled multiply-add kernel
     /// ([`avfs_regression::poly::eval_horner_lanes`]); each lane is bitwise
     /// identical to the scalar path.
     ///

@@ -37,6 +37,8 @@
 
 #![forbid(unsafe_code)]
 
+#[cfg(test)]
+mod fused;
 pub mod grid;
 pub mod linreg;
 pub mod matrix;

@@ -192,7 +192,7 @@ impl Matrix {
                 self.row(i)
                     .iter()
                     .zip(v)
-                    .fold(0.0, |acc, (&a, &b)| a.mul_add(b, acc))
+                    .fold(0.0, |acc, (&a, &b)| a * b + acc)
             })
             .collect())
     }
@@ -213,7 +213,7 @@ impl Matrix {
                 }
                 let g_row = g.row_mut(i);
                 for (j, &b) in row.iter().enumerate().skip(i) {
-                    g_row[j] = a.mul_add(b, g_row[j]);
+                    g_row[j] += a * b;
                 }
             }
         }
@@ -246,7 +246,7 @@ impl Matrix {
                 continue;
             }
             for (o, &x) in out.iter_mut().zip(self.row(r)) {
-                *o = x.mul_add(yr, *o);
+                *o += x * yr;
             }
         }
         Ok(out)

@@ -83,7 +83,8 @@ impl PolyBasis {
     ///
     /// This is the same nested-Horner scheme the paper compiles into the GPU
     /// delay kernel (Sec. IV): the inner reduction over `c` and outer
-    /// reduction over `v` are chains of fused multiply-adds.
+    /// reduction over `v` are chains of multiply-adds, each a multiply and
+    /// an add rounded separately (see [`eval_horner`]).
     ///
     /// # Errors
     ///
@@ -111,13 +112,15 @@ impl PolyBasis {
 ///
 /// `beta` is laid out with voltage power major (Eq. 6 ordering):
 /// `beta[i*(n+1) + j] = β_{i,j}`. The outer Horner loop runs over `v`, the
-/// inner one over `c`; both compile to FMA chains.
+/// inner one over `c`; each step is `a * b + c`, two roundings. A GPU fuses
+/// the pair in hardware, but the x86-64 baseline target has no FMA
+/// instruction, so `f64::mul_add` would be an out-of-line libm call there.
 ///
 /// # Panics
 ///
-/// Panics (debug assertions only) if `beta.len() < (n+1)²`; release builds
-/// would read out of bounds, so callers must validate first — the public
-/// entry point [`PolyBasis::eval`] does.
+/// Panics if `beta.len() < (n+1)²` (a debug assertion states it up front;
+/// in every build the row slicing panics), so callers validate first — the
+/// public entry point [`PolyBasis::eval`] does.
 #[inline]
 pub fn eval_horner(n: usize, beta: &[f64], v: f64, c: f64) -> f64 {
     debug_assert!(beta.len() >= (n + 1) * (n + 1));
@@ -129,9 +132,9 @@ pub fn eval_horner(n: usize, beta: &[f64], v: f64, c: f64) -> f64 {
         // Inner Horner over c.
         let mut r = 0.0f64;
         for &b in row.iter().rev() {
-            r = r.mul_add(c, b);
+            r = r * c + b;
         }
-        acc = acc.mul_add(v, r);
+        acc = acc * v + r;
     }
     acc
 }
@@ -151,14 +154,14 @@ pub fn eval_horner_lattice(n: usize, beta: &[f64], vs: &[f64], cs: &[f64]) -> Ve
         .iter()
         .flat_map(|&c| {
             beta.chunks_exact(width)
-                .map(move |row| row.iter().rev().fold(0.0f64, |r, &b| r.mul_add(c, b)))
+                .map(move |row| row.iter().rev().fold(0.0f64, |r, &b| r * c + b))
         })
         .collect();
     let mut out = Vec::with_capacity(vs.len() * cs.len());
     for &v in vs {
         out.extend(
             rows.chunks_exact(width)
-                .map(|r| r.iter().rev().fold(0.0f64, |acc, &r| acc.mul_add(v, r))),
+                .map(|r| r.iter().rev().fold(0.0f64, |acc, &r| acc * v + r)),
         );
     }
     out
@@ -168,10 +171,10 @@ pub fn eval_horner_lattice(n: usize, beta: &[f64], vs: &[f64], cs: &[f64]) -> Ve
 /// whole lane group in one call.
 ///
 /// The loop body is hand-unrolled into [`HORNER_LANE_BLOCK`]-wide blocks of
-/// **independent** fused-multiply-add accumulator chains (`f64x4`-style):
-/// the four chains share no data, so they fill the FMA pipeline (and let
-/// the compiler pack them into vector registers) without reordering any
-/// per-lane arithmetic. Each lane performs *exactly* the operation sequence
+/// **independent** multiply-add accumulator chains (`f64x4`-style): the
+/// four chains share no data, so they fill the floating-point pipelines
+/// (and let the compiler pack them into vector registers) without
+/// reordering any per-lane arithmetic. Each lane performs *exactly* the operation sequence
 /// of [`eval_horner`] — same inner reduction over `c`, same outer reduction
 /// over `v`, in the same order — so the batched result is **bitwise
 /// identical** to the scalar result, which is what lets the simulator's
@@ -210,16 +213,16 @@ pub fn eval_horner_lanes(n: usize, beta: &[f64], v: &[f64], c: &[f64], out: &mut
             let row = &beta[i * width..(i + 1) * width];
             let (mut r0, mut r1, mut r2, mut r3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
             for &b in row.iter().rev() {
-                // Four independent FMA chains — no cross-lane data flow.
-                r0 = r0.mul_add(c0, b);
-                r1 = r1.mul_add(c1, b);
-                r2 = r2.mul_add(c2, b);
-                r3 = r3.mul_add(c3, b);
+                // Four independent multiply-add chains — no cross-lane data flow.
+                r0 = r0 * c0 + b;
+                r1 = r1 * c1 + b;
+                r2 = r2 * c2 + b;
+                r3 = r3 * c3 + b;
             }
-            a0 = a0.mul_add(v0, r0);
-            a1 = a1.mul_add(v1, r1);
-            a2 = a2.mul_add(v2, r2);
-            a3 = a3.mul_add(v3, r3);
+            a0 = a0 * v0 + r0;
+            a1 = a1 * v1 + r1;
+            a2 = a2 * v2 + r2;
+            a3 = a3 * v3 + r3;
         }
         out[k] = a0;
         out[k + 1] = a1;
