@@ -115,6 +115,14 @@ if [ -z "$sites" ] || [ "$sites" != "$rows" ]; then
     exit 1
 fi
 
+echo "==> layering (avfs-delay's normal dependency tree has no avfs-inject: characterization has no injection site)"
+tree=$(cargo tree -p avfs-delay -e normal --offline)
+if printf '%s\n' "$tree" | grep -q 'avfs-inject'; then
+    echo "avfs-delay depends on avfs-inject:"
+    printf '%s\n' "$tree" | grep 'avfs-inject'
+    exit 1
+fi
+
 echo "==> checker --smoke (static-analysis gate: avfs-check/1 schema, zero deny findings)"
 cargo run --release --offline -p avfs-bench --bin checker -- --smoke
 

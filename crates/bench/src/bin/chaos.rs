@@ -3,9 +3,9 @@
 //! Soaks the engine under deterministic fault injection ([`avfs_inject`])
 //! in two sweeps, asserting the robustness invariants after every run:
 //!
-//! 1. **targeted** — one run per [`InjectionSite`] at rate 1.0 (plus a
-//!    zero-deadline and a starved-memory-budget run), so every site and
-//!    every degraded [`SlotStatus`] is exercised deterministically;
+//! 1. **targeted** — one run per [`InjectionSite`] at rate 1.0 (plus an
+//!    overflow run without retries), so every site and every degraded
+//!    [`SlotStatus`] is exercised deterministically;
 //! 2. **soak** — randomized fault plans ([`FaultPlan::randomized`])
 //!    replayed across the determinism matrix (threads × lane width ×
 //!    profiling), with a seed-replay pass per plan.
@@ -36,11 +36,9 @@ use avfs_bench::{activity_patterns, characterize_used, Args};
 use avfs_circuits::ripple_carry_adder;
 use avfs_core::slots::cross;
 use avfs_core::{CompiledNetlist, EventDrivenSimulator, SimError, SimOptions, SimRun, SlotStatus};
-use avfs_delay::characterize::{characterize_library_injected, CharacterizationConfig};
-use avfs_inject::{FaultPlan, InjectionSite, Injector, SITE_COUNT};
-use avfs_netlist::{CellLibrary, Netlist};
+use avfs_inject::{FaultPlan, InjectionSite, SITE_COUNT};
+use avfs_netlist::CellLibrary;
 use avfs_obs::Json;
-use avfs_spice::Technology;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,8 +60,6 @@ struct Tally {
     completed: u64,
     overflowed: u64,
     panicked: u64,
-    deadline_exceeded: u64,
-    budget_exceeded: u64,
 }
 
 impl Tally {
@@ -79,8 +75,6 @@ impl Tally {
                 SlotStatus::Completed { .. } => self.completed += 1,
                 SlotStatus::Overflowed { .. } => self.overflowed += 1,
                 SlotStatus::Panicked => self.panicked += 1,
-                SlotStatus::DeadlineExceeded => self.deadline_exceeded += 1,
-                SlotStatus::BudgetExceeded => self.budget_exceeded += 1,
             }
         }
     }
@@ -93,8 +87,6 @@ struct Subject {
     baseline: EventDrivenSimulator,
     patterns: avfs_atpg::PatternSet,
     slots: Vec<avfs_core::slots::SlotSpec>,
-    library: Arc<CellLibrary>,
-    netlist: Arc<Netlist>,
 }
 
 /// A 64-bit adder under 32 slots: several lane groups per batch (four at
@@ -122,28 +114,22 @@ fn subject(seed: u64) -> Subject {
         baseline,
         patterns,
         slots,
-        library,
-        netlist,
     }
 }
 
 /// Offline prediction of the slots a plan may have perturbed, from the
 /// pure decision hash alone (never from run output). A slot is *suspect*
 /// if a result-changing site could fire for it in any retry round:
-/// forced arena overflow, an injected kernel panic or a non-finite
-/// kernel corruption (the fallback to the nominal factor shifts every
-/// delay of the slot at non-nominal voltages) at rounds `0..=retries`,
-/// or an allocation-cap denial at rounds `1..=retries`. Worker stalls
-/// are timing-only and never change results, so they are excluded — the
-/// identity check *proves* they are harmless.
+/// forced arena overflow or an injected kernel panic at rounds
+/// `0..=retries`. Worker stalls are timing-only and never change
+/// results, so they are excluded — the identity check *proves* they are
+/// harmless.
 fn suspect_slots(plan: &FaultPlan, slots: usize, retries: u32) -> Vec<bool> {
     (0..slots as u64)
         .map(|key| {
             (0..=u64::from(retries)).any(|round| {
                 plan.decide(InjectionSite::ArenaOverflow, key, round)
                     || plan.decide(InjectionSite::KernelPanic, key, round)
-                    || plan.decide(InjectionSite::NonFiniteKernel, key, round)
-                    || (round > 0 && plan.decide(InjectionSite::AllocCapBreach, key, round))
             })
         })
         .collect()
@@ -200,8 +186,7 @@ fn checked_run(
 }
 
 /// One targeted run per injection site at rate 1.0, so coverage of every
-/// site is deterministic rather than probabilistic, plus the two budget
-/// degradations (deadline, memory) the soak cannot force on demand.
+/// site is deterministic rather than probabilistic.
 fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     // Forced arena overflow on every write of every round: every busy
     // slot must degrade to Overflowed (or the run to total loss).
@@ -248,28 +233,9 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     assert!(plan.hits(InjectionSite::KernelPanic) > 0);
     tally.absorb_plan(&plan);
 
-    // Non-finite kernel output everywhere: the nominal-factor fallback
-    // must keep every slot alive (delays revert to nominal, so results
-    // legitimately differ from clean at non-nominal voltages).
-    let plan = Arc::new(FaultPlan::empty(0x0DD5EED).with_rate(InjectionSite::NonFiniteKernel, 1.0));
-    let opts = SimOptions {
-        fault_plan: Some(Arc::clone(&plan)),
-        ..SimOptions::default()
-    };
-    let run = checked_run(subject, &opts, &clean, tally, "targeted non-finite-kernel")
-        .expect("fallback keeps every slot alive");
-    assert!(
-        run.is_complete(),
-        "nominal-factor fallback must keep every corrupted slot alive"
-    );
-    assert!(run.diagnostics.kernel_fallbacks > 0);
-    assert!(plan.hits(InjectionSite::NonFiniteKernel) > 0);
-    tally.absorb_plan(&plan);
-
     // Every spawned worker stalls at every release (briefly), before it
     // takes its share: results must not move. A stalled worker holds no
-    // task, so the others keep closing levels and the armed watchdog
-    // need not see a quiet period; it only must not change a result.
+    // task, so the others keep closing levels.
     let plan = Arc::new(
         FaultPlan::empty(0x0DD5EED)
             .with_rate(InjectionSite::WorkerStall, 1.0)
@@ -277,7 +243,6 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     );
     let opts = SimOptions {
         threads: 2,
-        stall_timeout: Some(Duration::from_millis(1)),
         fault_plan: Some(Arc::clone(&plan)),
         ..SimOptions::default()
     };
@@ -287,167 +252,7 @@ fn targeted_sweep(subject: &Subject, tally: &mut Tally) {
     assert!(plan.hits(InjectionSite::WorkerStall) > 0);
     tally.absorb_plan(&plan);
 
-    // Allocation-cap breach: organic overflows (capacity 1) whose retry
-    // round is denied — the slot degrades to BudgetExceeded.
-    let plan = Arc::new(FaultPlan::empty(0x0DD5EED).with_rate(InjectionSite::AllocCapBreach, 1.0));
-    let opts = SimOptions {
-        arena_capacity: 1,
-        fault_plan: Some(Arc::clone(&plan)),
-        ..SimOptions::default()
-    };
-    let clean_tiny = subject
-        .engine
-        .launch(
-            &subject.patterns,
-            &subject.slots,
-            &SimOptions {
-                arena_capacity: 1,
-                ..SimOptions::default()
-            },
-        )
-        .expect("clean capacity-1 reference");
-    assert!(
-        !clean_tiny.diagnostics.overflowed_slots.is_empty(),
-        "capacity 1 must overflow organically for the breach site to matter"
-    );
-    checked_run(
-        subject,
-        &opts,
-        &clean_tiny,
-        tally,
-        "targeted alloc-cap-breach",
-    );
-    assert!(plan.hits(InjectionSite::AllocCapBreach) > 0);
-    tally.absorb_plan(&plan);
-
-    // SPICE / characterization failure: the delay flow must abort with a
-    // clean error, not a panic.
-    let plan = Arc::new(FaultPlan::empty(0x0DD5EED).with_rate(InjectionSite::SpiceFailure, 1.0));
-    let cells = avfs_bench::used_cells(&[subject.netlist.as_ref()]);
-    let config = CharacterizationConfig {
-        order: 2,
-        ..CharacterizationConfig::default()
-    };
-    let err = characterize_library_injected(
-        &subject.library,
-        &Technology::nm15(),
-        &config,
-        Some(&cells),
-        None,
-        &Injector::armed(Arc::clone(&plan)),
-    )
-    .expect_err("an injected SPICE failure must abort characterization");
-    assert!(
-        err.to_string().contains("injected"),
-        "the error must carry the injection provenance: {err}"
-    );
-    assert!(plan.hits(InjectionSite::SpiceFailure) > 0);
-    tally.absorb_plan(&plan);
-
-    // Deadline zero: every slot must degrade to DeadlineExceeded and the
-    // run to the graceful total-loss error.
-    let opts = SimOptions {
-        deadline: Some(Duration::ZERO),
-        ..SimOptions::default()
-    };
-    match subject
-        .engine
-        .launch(&subject.patterns, &subject.slots, &opts)
-    {
-        Err(SimError::AllSlotsFailed { slots }) => {
-            assert_eq!(slots, subject.slots.len());
-            tally.graceful_all_failed += 1;
-        }
-        other => panic!(
-            "a zero deadline must fail every slot, got {:?}",
-            other.map(|r| r.summary())
-        ),
-    }
-
-    // Deadline mid-run, best effort: one-slot batches (lane width 1, so
-    // the budget is not rounded up to a lane group) and a widening
-    // ladder of deadlines so at least one run usually degrades
-    // partially (some slots Completed, the rest DeadlineExceeded). The
-    // split point is a wall-clock race, so no assertion rides on it —
-    // the ladder only feeds the status census.
-    let one_slot_batches = subject.netlist.num_nodes() * 64;
-    for micros in [150, 400, 1000, 3000, 8000] {
-        let opts = SimOptions {
-            deadline: Some(Duration::from_micros(micros)),
-            lanes: 1,
-            waveform_budget: one_slot_batches,
-            ..SimOptions::default()
-        };
-        match subject
-            .engine
-            .launch(&subject.patterns, &subject.slots, &opts)
-        {
-            Ok(run) => {
-                let partial = run
-                    .slots
-                    .iter()
-                    .any(|s| s.status == SlotStatus::DeadlineExceeded);
-                tally.graceful_ok += 1;
-                tally.absorb_statuses(&run);
-                if partial || run.is_complete() {
-                    break;
-                }
-            }
-            Err(SimError::AllSlotsFailed { .. }) => tally.graceful_all_failed += 1,
-            Err(other) => panic!("deadline ladder: ungraceful failure: {other}"),
-        }
-    }
-
-    // Memory budget of one byte: every quarantine retry is denied and
-    // the organically overflowing slots degrade to BudgetExceeded. The
-    // probe finds a capacity where only *some* slots overflow, so the
-    // denial demonstrably spares the healthy ones.
-    let mut probed = None;
-    for cap in [2, 4, 8, 16, 32] {
-        let probe = subject
-            .engine
-            .launch(
-                &subject.patterns,
-                &subject.slots,
-                &SimOptions {
-                    arena_capacity: cap,
-                    ..SimOptions::default()
-                },
-            )
-            .expect("probe run");
-        let over = probe.diagnostics.overflowed_slots.len();
-        if over > 0 && over < subject.slots.len() {
-            probed = Some((cap, probe.diagnostics.overflowed_slots.clone()));
-            break;
-        }
-    }
-    let (cap, overflowers) = probed.expect("some capacity splits the slot population");
-    let run = subject
-        .engine
-        .launch(
-            &subject.patterns,
-            &subject.slots,
-            &SimOptions {
-                arena_capacity: cap,
-                memory_budget: 1,
-                ..SimOptions::default()
-            },
-        )
-        .expect("the non-overflowing slots survive the starved budget");
-    for (i, slot) in run.slots.iter().enumerate() {
-        let expected = if overflowers.contains(&i) {
-            SlotStatus::BudgetExceeded
-        } else {
-            SlotStatus::Completed { retries: 0 }
-        };
-        assert_eq!(
-            slot.status, expected,
-            "slot {i} at capacity {cap} under a 1-byte budget"
-        );
-    }
-    tally.graceful_ok += 1;
-    tally.absorb_statuses(&run);
-    eprintln!("chaos: targeted sweep OK (all {SITE_COUNT} sites + deadline + memory budget)");
+    eprintln!("chaos: targeted sweep OK (all {SITE_COUNT} sites)");
 }
 
 /// Randomized plans across the determinism matrix, with a seed-replay
@@ -474,7 +279,6 @@ fn soak_sweep(subject: &Subject, seeds: &[u64], thread_axis: &[usize], tally: &m
                         threads,
                         lanes,
                         profiling,
-                        stall_timeout: Some(Duration::from_millis(50)),
                         fault_plan: Some(Arc::clone(&plan)),
                         ..SimOptions::default()
                     };
@@ -500,7 +304,6 @@ fn soak_sweep(subject: &Subject, seeds: &[u64], thread_axis: &[usize], tally: &m
             Arc::new(FaultPlan::randomized(seed, 0.1).with_stall(Duration::from_micros(200)));
         let replay_opts = |p: &Arc<FaultPlan>| SimOptions {
             threads: *thread_axis.last().expect("axis is non-empty"),
-            stall_timeout: Some(Duration::from_millis(50)),
             fault_plan: Some(Arc::clone(p)),
             ..SimOptions::default()
         };
@@ -616,8 +419,6 @@ fn report(tally: &Tally, soaks: usize, matrix_runs: u64, wall: Duration) -> Json
                 ("completed", num(tally.completed)),
                 ("overflowed", num(tally.overflowed)),
                 ("panicked", num(tally.panicked)),
-                ("deadline_exceeded", num(tally.deadline_exceeded)),
-                ("budget_exceeded", num(tally.budget_exceeded)),
             ]),
         ),
     ])

@@ -4,9 +4,9 @@
 //! level form the parallel work of one launch, and a level waits for the
 //! one before it — within a lane group of slots, which is all it reads.
 //! Waveforms live in one flat structure-of-arrays arena indexed
-//! `(slot, net)`, and slots are processed in batches sized by a memory
-//! budget — the direct analogue of launching as many slots as fit in GPU
-//! global memory.
+//! `(slot, net)`, and slots are processed in batches sized by
+//! [`SimOptions::waveform_budget`] — the direct analogue of launching as
+//! many slots as fit in GPU global memory.
 //!
 //! Every gate evaluation runs the paper's online delay calculation
 //! (Sec. IV.A): load the nominal pin delays from the annotation, read the
@@ -31,7 +31,10 @@
 //! overflow-flag-and-relaunch loop. A slot whose worker panics is likewise
 //! contained via `catch_unwind` and reported in the run's
 //! [`RunDiagnostics`] instead of poisoning the batch. Only when *every*
-//! slot fails does a run return an error.
+//! slot fails does a run return an error. Nothing else stops a slot:
+//! retry growth is bounded by the round count and by what the arena can
+//! address, and no time or byte budget applies, so results read no
+//! clock.
 
 #![deny(clippy::too_many_lines)]
 
@@ -46,21 +49,21 @@ use crate::compile::CompiledNetlist;
 use crate::delay_fault::SmallDelayFault;
 use crate::domains::{DomainSlotSpec, VoltageDomains};
 use crate::phases;
-use crate::pool::{ParkedPool, Watchdog};
-use crate::results::{RunDiagnostics, SimRun, SlotResult, SlotStatus, TrippedBudget};
+use crate::pool::ParkedPool;
+use crate::results::{RunDiagnostics, SimRun, SlotResult, SlotStatus};
 use crate::scenario::{check_capture_time, check_variation, MonteCarlo, ScenarioSpec};
 use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
 use avfs_delay::op::OperatingPoint;
 use avfs_delay::VariationConfig;
-use avfs_inject::{FaultPlan, InjectionSite, Injector};
+use avfs_inject::{FaultPlan, Injector};
 use avfs_obs::Metrics;
 use avfs_waveform::WaveformArena;
 use batch::Batch;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default per-`(slot, net)` transition capacity when
 /// [`SimOptions::arena_capacity`] is 0 (auto).
@@ -164,38 +167,12 @@ pub struct SimOptions {
     /// Armed fault plan for deterministic fault injection (`None` — the
     /// default — compiles every probe down to one `Option`-discriminant
     /// branch). An *empty* plan (all rates zero) is bit-for-bit identical
-    /// to no plan at all; a firing plan exercises the engine's quarantine,
-    /// containment and budget paths exactly as the matching organic fault
-    /// would. Decisions are pure functions of `(seed, site, key, salt)`,
-    /// so a plan replays identically across thread counts and runs; the
-    /// plan also records what fired (see [`FaultPlan`]).
+    /// to no plan at all; a firing plan exercises the engine's quarantine
+    /// and containment paths exactly as the matching organic fault would.
+    /// Decisions are pure functions of `(seed, site, key, salt)`, so a
+    /// plan replays identically across thread counts and runs; the plan
+    /// also records what fired (see [`FaultPlan`]).
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Wall-clock budget for the whole run, checked cooperatively at
-    /// every level close of a lane group and between batches and retry
-    /// rounds. On expiry the
-    /// run degrades gracefully: slots already completed are returned,
-    /// every unfinished slot resolves to
-    /// [`SlotStatus::DeadlineExceeded`], and
-    /// [`RunDiagnostics::budget_tripped`] records the trip. `None` (the
-    /// default) never expires. A run whose *every* slot hits the deadline
-    /// returns [`SimError::AllSlotsFailed`] like any other total loss.
-    pub deadline: Option<Duration>,
-    /// Arms a watchdog that samples the engine's progress (one bump per
-    /// level close of a lane group) and counts stalls longer than this
-    /// timeout into [`RunDiagnostics::watchdog_stalls`]. Observation only
-    /// — a stalled batch is waited out, never killed — so the
-    /// deterministic results are untouched. `None` (the default) runs
-    /// without a watchdog.
-    pub stall_timeout: Option<Duration>,
-    /// Global memory budget in bytes for quarantine-retry capacity
-    /// growth (admission control): a retry round is only admitted when
-    /// its projected per-slot arena reservation
-    /// (`nodes × capacity × sizeof(f64)` plus per-cell bookkeeping) fits
-    /// the budget. Denied slots resolve to
-    /// [`SlotStatus::BudgetExceeded`] without growing capacity, counted
-    /// in [`RunDiagnostics::budget_denials`]. `0` (the default) is
-    /// unlimited — the seed behavior of unconditional ×4 growth.
-    pub memory_budget: usize,
 }
 
 impl SimOptions {
@@ -238,9 +215,6 @@ impl Default for SimOptions {
             lanes: 0,
             strict_validation: ValidationMode::default(),
             fault_plan: None,
-            deadline: None,
-            stall_timeout: None,
-            memory_budget: 0,
         }
     }
 }
@@ -276,18 +250,6 @@ fn slots_per_batch(
     (groups * lanes)
         .min(pending)
         .min(max_batch_slots(nodes, capacity))
-}
-
-/// Projected arena bytes one slot reserves at `capacity` transitions
-/// per cell: its share of the `times` lane (`f64`), the `len` and `off`
-/// lanes (`u32` each) and the `initial`/claim bookkeeping — the
-/// accounting unit of [`SimOptions::memory_budget`].
-fn slot_arena_bytes(nodes: usize, capacity: usize) -> usize {
-    nodes.saturating_mul(
-        capacity
-            .saturating_mul(std::mem::size_of::<f64>())
-            .saturating_add(2 * std::mem::size_of::<u32>() + 2),
-    )
 }
 
 /// One launch request: the slots one kernel launch runs, and how the
@@ -733,12 +695,6 @@ impl CompiledNetlist {
                 .fault_plan
                 .as_ref()
                 .map_or_else(Injector::unarmed, |p| Injector::armed(Arc::clone(p))),
-            deadline_at: options.deadline.map(|d| start + d),
-            // The watchdog observes progress (bumped at every level close)
-            // from a monitor thread; it never intervenes, so
-            // arming it cannot perturb results. Disarmed on drop, Err
-            // paths included.
-            watchdog: options.stall_timeout.map(Watchdog::arm),
             metrics,
         };
         // Snapshot so a plan reused across runs reports per-run deltas.
@@ -761,9 +717,6 @@ impl CompiledNetlist {
         diag.overflowed_slots.sort_unstable();
         diag.panicked_slots.sort_unstable();
         diag.failed_slots.sort_unstable();
-        if let Some(wd) = &ctx.watchdog {
-            diag.watchdog_stalls = wd.stalls();
-        }
         diag.faults_injected = options
             .fault_plan
             .as_ref()
@@ -827,8 +780,6 @@ struct RunCtx<'a> {
     pool: &'a ParkedPool,
     tallies: PoolTallies,
     injector: Injector,
-    deadline_at: Option<Instant>,
-    watchdog: Option<Watchdog>,
     metrics: Option<&'a Metrics>,
 }
 
@@ -842,17 +793,8 @@ struct RunState {
 impl RunState {
     /// Resolves `slot` to a failed result with `status`.
     fn fail(&mut self, work: &[SlotWork], slot: usize, status: SlotStatus) {
-        match status {
-            SlotStatus::Panicked => self.diag.panicked_slots.push(slot),
-            SlotStatus::DeadlineExceeded => {
-                self.diag.deadline_aborts += 1;
-                self.diag.budget_tripped = Some(TrippedBudget::Deadline);
-            }
-            SlotStatus::BudgetExceeded => {
-                self.diag.budget_denials += 1;
-                self.diag.budget_tripped = Some(TrippedBudget::Memory);
-            }
-            _ => {}
+        if status == SlotStatus::Panicked {
+            self.diag.panicked_slots.push(slot);
         }
         self.diag.failed_slots.push(slot);
         self.results[slot] = Some(SlotResult::failed(work[slot].spec(), status));
@@ -860,10 +802,6 @@ impl RunState {
 }
 
 impl RunCtx<'_> {
-    fn deadline_expired(&self) -> bool {
-        self.deadline_at.is_some_and(|t| Instant::now() >= t)
-    }
-
     /// Quarantine-and-retry rounds: round 0 simulates every slot at the
     /// base capacity; each later round re-simulates only the slots that
     /// overflowed, at geometrically grown capacity — the CPU analogue of
@@ -928,10 +866,7 @@ impl RunCtx<'_> {
             };
             round += 1;
             cap = grown;
-            pending = self.admit_retries(state, overflowed, cap, round);
-            if pending.is_empty() {
-                return Ok(());
-            }
+            pending = overflowed;
             if let Some(m) = self.metrics {
                 m.add(phases::ENGINE_RETRY_ROUNDS, 1);
             }
@@ -952,16 +887,6 @@ impl RunCtx<'_> {
     ) -> Result<Vec<usize>, SimError> {
         let mut overflowed: Vec<usize> = Vec::new();
         for chunk in pending.chunks(batch_slots) {
-            // Between-batch deadline check: once the budget is spent,
-            // remaining batches are not even launched — their slots
-            // resolve to DeadlineExceeded while completed ones keep
-            // their results (graceful degradation).
-            if self.deadline_expired() {
-                for &slot in chunk {
-                    state.fail(&self.plan.work, slot, SlotStatus::DeadlineExceeded);
-                }
-                continue;
-            }
             state.slot_sims += chunk.len() as u64;
             if let Some(m) = self.metrics {
                 m.add(phases::ENGINE_BATCHES, 1);
@@ -978,38 +903,6 @@ impl RunCtx<'_> {
         let diag = &mut state.diag;
         diag.peak_arena_occupancy = diag.peak_arena_occupancy.max(arena.peak_occupancy());
         Ok(overflowed)
-    }
-
-    /// Retry admission control: growing the arena ×4 is the one place
-    /// the engine's memory use escalates, so the memory budget (and the
-    /// injected allocation-cap breach that rehearses it) gates entry
-    /// into round `round` at capacity `cap`. Denied slots fail as
-    /// BudgetExceeded instead of growing; the admitted ones are returned.
-    fn admit_retries(
-        &self,
-        state: &mut RunState,
-        overflowed: Vec<usize>,
-        cap: usize,
-        round: u32,
-    ) -> Vec<usize> {
-        let budget = self.options.memory_budget;
-        if budget == 0 && !self.injector.is_armed() {
-            return overflowed;
-        }
-        let nodes = self.compiled.netlist.num_nodes();
-        let over_budget = budget != 0 && slot_arena_bytes(nodes, cap) > budget;
-        let mut admitted = Vec::with_capacity(overflowed.len());
-        for slot in overflowed {
-            let injected =
-                self.injector
-                    .fires(InjectionSite::AllocCapBreach, slot as u64, u64::from(round));
-            if over_budget || injected {
-                state.fail(&self.plan.work, slot, SlotStatus::BudgetExceeded);
-            } else {
-                admitted.push(slot);
-            }
-        }
-        admitted
     }
 }
 

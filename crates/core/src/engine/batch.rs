@@ -42,9 +42,6 @@ enum Dead {
     Overflow,
     /// The slot's evaluation panicked — contained, no retry.
     Panic,
-    /// The run's wall-clock deadline expired at a close of the slot's
-    /// lane group — the slot is abandoned, no retry.
-    Deadline,
 }
 
 /// One batch in flight: `chunk` indexes into the launch's work list.
@@ -68,12 +65,9 @@ pub(super) struct Batch<'c> {
 impl<'c> Batch<'c> {
     /// Grouping phase: lays the chunk out lane-major and sorts its slots
     /// into voltage groups, so delay initialisation runs once per
-    /// (level, group) instead of once per (slot, gate). The injected
-    /// non-finite kernel is probed here, once per (slot, round), and a
-    /// slot it fired on joins only slots it also fired on — so what a
-    /// slot reads never depends on which slots share its batch. Each
-    /// fault's slots are adjacent, so a faulted slot joins the last group
-    /// or opens one, never scans: grouping stays linear in slots.
+    /// (level, group) instead of once per (slot, gate). Each fault's
+    /// slots are adjacent, so a faulted slot joins the last group or
+    /// opens one, never scans: grouping stays linear in slots.
     pub(super) fn new(ctx: &'c RunCtx<'c>, chunk: &'c [usize], round: u32) -> Self {
         let nodes = ctx.compiled.netlist.num_nodes();
         let mut groups: Vec<VoltageGroup<'c>> = Vec::new();
@@ -81,16 +75,11 @@ impl<'c> Batch<'c> {
             .iter()
             .map(|&slot| {
                 let w = &ctx.plan.work[slot];
-                let poisoned = ctx.injector.fires(
-                    InjectionSite::NonFiniteKernel,
-                    slot as u64,
-                    u64::from(round),
-                );
                 let first = w.fault.map_or(0, |_| groups.len().saturating_sub(1));
                 (first..groups.len())
-                    .find(|&g| groups[g].matches(w, poisoned))
+                    .find(|&g| groups[g].matches(w))
                     .unwrap_or_else(|| {
-                        groups.push(VoltageGroup::new(w, poisoned));
+                        groups.push(VoltageGroup::new(w));
                         groups.len() - 1
                     })
             })
@@ -208,7 +197,6 @@ impl<'c> Batch<'c> {
                     continue;
                 }
                 Some(Dead::Panic) => SlotStatus::Panicked,
-                Some(Dead::Deadline) => SlotStatus::DeadlineExceeded,
                 None => SlotStatus::Completed {
                     retries: self.round,
                 },
@@ -620,9 +608,7 @@ impl<'a> Walk<'a> {
     /// The close of `level` for lane group `g`, whose `live` lanes it
     /// opened with: tallies, verdicts — a lane dies of its first fault in
     /// gate order, whoever ran the chunk — then the level's output
-    /// passthroughs for the lanes still live, the watchdog's progress
-    /// bump and the cooperative deadline check, which abandons every
-    /// live lane of the group at once.
+    /// passthroughs for the lanes still live.
     fn close(
         &self,
         g: usize,
@@ -652,14 +638,6 @@ impl<'a> Walk<'a> {
                 let to = layout.index(si, out.index());
                 self.writer.copy_cell(layout.index(si, from), to);
                 share.walked.activity[si].record(&WaveformStats::of(&self.writer.view(to)));
-            }
-        }
-        if let Some(wd) = &ctx.watchdog {
-            wd.progress();
-        }
-        if ctx.deadline_expired() {
-            for d in dead.iter_mut().filter(|d| d.is_none()) {
-                *d = Some(Dead::Deadline);
             }
         }
     }

@@ -12,10 +12,9 @@
 //! assignment and a Monte Carlo die) reads tables: a uniform group one, a
 //! scheduled group one per segment, an island group one per domain. A
 //! group whose delays are a table slice verbatim reads it in place; an
-//! island group gathers each gate from its domain's table and a group the
-//! injected non-finite kernel fired on falls back to nominal, each into
-//! its own copy of the level; a fault group reads one copy, its faulted
-//! gate's level with the gate swapped in, made when the group binds. A
+//! island group gathers each gate from its domain's table into its own
+//! copy of the level; a fault group reads one copy, its faulted gate's
+//! level with the gate swapped in, made when the group binds. A
 //! die is drawn once per level per batch ([`draw_level_derates`]), shared
 //! by every group carrying it, and applied as the merge loop reads each
 //! delay ([`LevelDelays::pin`]).
@@ -224,36 +223,29 @@ pub(super) struct VoltageGroup<'w> {
     tables: Vec<Arc<DelayTable>>,
     /// The fault's gate, bound with the tables.
     faulted: Option<FaultedGate>,
-    /// The injected non-finite kernel fired on this group's slots this
-    /// round (probed per slot; poisoned and clean slots never share a
-    /// group): every delay falls back to nominal.
-    poisoned: bool,
 }
 
-/// A fault group's gate: its pins with `δ` added, and the group's one
-/// own copy — its level's table slice with those pins scaled in place of
-/// the gate's, bitwise a faulty table's level.
+/// A fault group's gate: its level and the group's one own copy — the
+/// level's table slice with the gate's pins, `δ` added, scaled in place
+/// of the gate's, bitwise a faulty table's level.
 struct FaultedGate {
-    nominal: Vec<PinDelays>,
     level: usize,
     copy: LevelCopy,
 }
 
 impl<'w> VoltageGroup<'w> {
-    pub(super) fn new(work: &'w SlotWork, poisoned: bool) -> Self {
+    pub(super) fn new(work: &'w SlotWork) -> Self {
         VoltageGroup {
             work,
             tables: Vec::new(),
             faulted: None,
-            poisoned,
         }
     }
 
-    pub(super) fn matches(&self, work: &SlotWork, poisoned: bool) -> bool {
+    pub(super) fn matches(&self, work: &SlotWork) -> bool {
         // Cheap rejects before the assignment compare.
         self.work.variation == work.variation
             && self.work.fault == work.fault
-            && self.poisoned == poisoned
             && self.work.assign == work.assign
     }
 
@@ -294,26 +286,18 @@ impl<'w> VoltageGroup<'w> {
             .filter(|&&(pos, _)| pos != at);
         let fallbacks = own + others.map(|&(_, n)| n).sum::<u64>();
         let copy = LevelCopy { delays, fallbacks };
-        self.faulted = Some(FaultedGate {
-            nominal,
-            level,
-            copy,
-        });
+        self.faulted = Some(FaultedGate { level, copy });
         Ok(())
     }
 
     /// Whether this group's delays differ from a table slice at every
-    /// level, so it reads its own copy of each.
+    /// level, so it reads its own copy of each: an island group.
     fn owns_copy(&self) -> bool {
-        self.poisoned || matches!(self.work.assign, VoltageAssign::PerDomain(_))
+        matches!(self.work.assign, VoltageAssign::PerDomain(_))
     }
 
-    /// This group's own copy of `level`: island groups gather each gate's
-    /// pins from its domain's table in `domains`, the launch's map; a
-    /// poisoned group reads the nominal delays (`δ` added at a faulted
-    /// gate) — what a non-finite factor makes of each through
-    /// [`scale_or_fallback`] — once for every segment, which all read the
-    /// same copy.
+    /// This island group's own copy of `level`: each gate's pins gathered
+    /// from its domain's table in `domains`, the launch's map.
     fn level_copy(
         &self,
         compiled: &CompiledNetlist,
@@ -321,22 +305,6 @@ impl<'w> VoltageGroup<'w> {
         level: usize,
     ) -> LevelCopy {
         let plan = &compiled.level_plans[level];
-        if self.poisoned {
-            let delays: Vec<PinDelays> = plan
-                .gate_nodes
-                .iter()
-                .flat_map(|&node| match (self.work.fault, &self.faulted) {
-                    (Some(fault), Some(f)) if fault.node == node => &f.nominal,
-                    _ => compiled.annotation.node_delays(node),
-                })
-                .map(|d| PinDelays {
-                    rise: d.rise.max(0.0),
-                    fall: d.fall.max(0.0),
-                })
-                .collect();
-            let fallbacks = (2 * delays.len() * self.work.assign.segments()) as u64;
-            return LevelCopy { delays, fallbacks };
-        }
         let domains = domains.expect("an island launch carries its domain map");
         let (mut delays, mut fallbacks) = (Vec::new(), 0u64);
         for (pos, &node) in plan.gate_nodes.iter().enumerate() {
@@ -428,9 +396,9 @@ impl<'b> BatchDelays<'b> {
     }
 
     /// Voltage group `group`'s own copy of `level`, if it reads one
-    /// rather than a table slice in place: an island or poisoned group's
-    /// (made here by the first worker to ask), or a fault group's at its
-    /// faulted gate's level (made at bind time).
+    /// rather than a table slice in place: an island group's (made here
+    /// by the first worker to ask), or a fault group's at its faulted
+    /// gate's level (made at bind time).
     fn own_copy(&self, group: usize, level: usize) -> Option<&LevelCopy> {
         let g = &self.groups[group];
         if let Some(copy) = self.copies[group].get(level) {

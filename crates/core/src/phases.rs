@@ -24,8 +24,8 @@ pub const ENGINE_STIMULI: &str = "engine/stimuli";
 /// voltage group to the artifact's per-voltage tables (first-use builds
 /// included), on the coordinator; inside the release, readying each
 /// level's delay views as a lane group opens it — the copies of the
-/// groups whose delays are not a table slice verbatim (island gathers,
-/// groups an injected non-finite kernel poisoned) and the Monte Carlo
+/// groups whose delays are not a table slice verbatim (island gathers)
+/// and the Monte Carlo
 /// draws (one per die per level, shared by every group of that die),
 /// made by whichever worker opens the level first — as worker time. Two
 /// calls per batch.
@@ -43,9 +43,8 @@ pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 pub const ENGINE_WAVEFORM_MERGE: &str = "engine/waveform_merge";
 
 /// Level closes: per lane group and level, once its tasks are done —
-/// applying the fault verdicts, copying primary-output passthrough
-/// cells, the watchdog's progress bump and the deadline check. Worker
-/// time of the groups' owners, one call per batch.
+/// applying the fault verdicts and copying primary-output passthrough
+/// cells. Worker time of the groups' owners, one call per batch.
 pub const ENGINE_BARRIER: &str = "engine/barrier";
 
 /// Worker time spent waiting inside a batch's release with nothing to

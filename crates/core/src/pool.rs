@@ -21,7 +21,9 @@
 //! [`BatchRunner`](crate::batch::BatchRunner) construct a pool once and
 //! park it *across* runs, so repeated launches pay zero thread spawns.
 //! The run-scoped fault [`Injector`] is therefore published per epoch
-//! (alongside the job) rather than captured at construction.
+//! (alongside the job) rather than captured at construction; its one
+//! site here, [`WorkerStall`](avfs_inject::InjectionSite::WorkerStall),
+//! perturbs the schedule and never a result.
 
 use avfs_inject::Injector;
 use avfs_waveform::WaveformArena;
@@ -29,7 +31,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// The erased job type workers execute: called once per worker per epoch
 /// with the worker's index (0 is the coordinator). In a type alias a bare
@@ -113,9 +114,9 @@ impl WorkerPool {
     /// `injector` carries the current run's fault plan for the
     /// [`WorkerStall`](avfs_inject::InjectionSite::WorkerStall) site: a
     /// firing probe — keyed `(worker index, epoch)` — makes the worker
-    /// sleep before taking its share, which perturbs timing (exercising
-    /// the stall watchdog and the work-stealing rebalance) but never
-    /// results. Unarmed, the probe is one branch per worker per epoch.
+    /// sleep before taking its share, which perturbs the schedule
+    /// (exercising the work-stealing rebalance) but never results.
+    /// Unarmed, the probe is one branch per worker per epoch.
     /// The caller must have exclusive use of the pool for the duration of
     /// the call (`Session` takes `&mut self`; `BatchRunner` holds its run
     /// lock) — epochs of concurrent runs must never interleave.
@@ -323,126 +324,12 @@ fn worker_loop(index: usize, shared: &Shared) {
     }
 }
 
-/// A stall detector for the engine's level walks.
-///
-/// Armed by [`SimOptions::stall_timeout`](crate::SimOptions::stall_timeout):
-/// a monitor thread watches a progress counter bumped at every close of
-/// a lane group's level. When no progress lands within the timeout, one
-/// stall is recorded for that quiet period (re-armed by the next
-/// progress bump). The watchdog only *observes* — a stalled batch is
-/// waited out, never killed, because workers may hold borrows into
-/// batch-local state — so it can never change results; its tally
-/// surfaces as `RunDiagnostics::watchdog_stalls`. Dropping the handle
-/// disarms: the monitor is woken and joined.
-pub(crate) struct Watchdog {
-    shared: Arc<WatchdogShared>,
-    handle: Option<JoinHandle<()>>,
-}
-
-struct WatchdogShared {
-    /// Bumped at every close of a lane group's level.
-    progress: AtomicU64,
-    /// Quiet periods of at least `timeout` with no progress.
-    stalls: AtomicU64,
-    /// Disarm flag + wakeup bell for the monitor thread.
-    disarm: Mutex<bool>,
-    bell: Condvar,
-    timeout: Duration,
-}
-
-impl Watchdog {
-    /// Arms a watchdog: spawns the monitor thread with the given stall
-    /// timeout (clamped to at least 1 ms so a zero timeout cannot spin).
-    pub fn arm(timeout: Duration) -> Watchdog {
-        let shared = Arc::new(WatchdogShared {
-            progress: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            disarm: Mutex::new(false),
-            bell: Condvar::new(),
-            timeout: timeout.max(Duration::from_millis(1)),
-        });
-        let monitor = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("avfs-watchdog".to_owned())
-            .spawn(move || watchdog_loop(&monitor))
-            .expect("watchdog thread spawns");
-        Watchdog {
-            shared,
-            handle: Some(handle),
-        }
-    }
-
-    /// Reports forward progress (called at every level close).
-    pub fn progress(&self) {
-        self.shared.progress.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Stall periods detected so far.
-    pub fn stalls(&self) -> u64 {
-        self.shared.stalls.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        *self.shared.disarm.lock().expect("watchdog lock") = true;
-        self.shared.bell.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for Watchdog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Watchdog")
-            .field("timeout", &self.shared.timeout)
-            .field("stalls", &self.stalls())
-            .finish()
-    }
-}
-
-/// Monitor body: sample the progress counter every quarter timeout;
-/// record one stall per quiet period of at least the full timeout.
-fn watchdog_loop(shared: &WatchdogShared) {
-    let tick = (shared.timeout / 4).max(Duration::from_millis(1));
-    let mut last_seen = shared.progress.load(Ordering::Relaxed);
-    let mut quiet = Duration::ZERO;
-    let mut flagged = false;
-    let mut disarmed = shared.disarm.lock().expect("watchdog lock");
-    loop {
-        if *disarmed {
-            return;
-        }
-        let (guard, timeout) = shared
-            .bell
-            .wait_timeout(disarmed, tick)
-            .expect("watchdog lock");
-        disarmed = guard;
-        if !timeout.timed_out() {
-            continue; // Woken by disarm (or spuriously); re-check the flag.
-        }
-        let now = shared.progress.load(Ordering::Relaxed);
-        if now != last_seen {
-            last_seen = now;
-            quiet = Duration::ZERO;
-            flagged = false;
-        } else {
-            quiet += tick;
-            if quiet >= shared.timeout && !flagged {
-                shared.stalls.fetch_add(1, Ordering::Relaxed);
-                flagged = true;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use avfs_inject::{FaultPlan, InjectionSite};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn single_worker_pool_runs_inline() {
@@ -567,38 +454,5 @@ mod tests {
         );
         assert!(plan.hits(InjectionSite::WorkerStall) >= 1);
         assert_eq!(plan.fired_keys(InjectionSite::WorkerStall), vec![1]);
-    }
-
-    #[test]
-    fn watchdog_detects_a_stalled_epoch() {
-        let dog = Watchdog::arm(Duration::from_millis(10));
-        assert_eq!(dog.stalls(), 0);
-        // No progress for many timeouts: exactly one stall is recorded
-        // for the quiet period (the flag re-arms only on progress).
-        std::thread::sleep(Duration::from_millis(120));
-        assert_eq!(dog.stalls(), 1, "one stall per quiet period");
-        // Progress re-arms the detector; a second quiet period records a
-        // second stall.
-        dog.progress();
-        std::thread::sleep(Duration::from_millis(120));
-        assert_eq!(dog.stalls(), 2);
-    }
-
-    #[test]
-    fn watchdog_stays_quiet_under_progress_and_disarms_cleanly() {
-        let dog = Watchdog::arm(Duration::from_millis(40));
-        for _ in 0..20 {
-            dog.progress();
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(dog.stalls(), 0, "steady progress must never stall");
-        // Disarm (drop) must join the monitor promptly, not wait out a
-        // full timeout cycle left over from arming.
-        let t0 = Instant::now();
-        drop(dog);
-        assert!(
-            t0.elapsed() < Duration::from_millis(40),
-            "disarm joins the monitor without waiting a full timeout"
-        );
     }
 }

@@ -30,15 +30,6 @@ pub enum SlotStatus {
     /// The slot's worker panicked; the panic was contained and the slot's
     /// result fields are empty.
     Panicked,
-    /// The run's wall-clock [`deadline`](crate::engine::SimOptions::deadline)
-    /// expired before this slot finished; its result fields are empty.
-    /// Slots that completed before the deadline are returned normally.
-    DeadlineExceeded,
-    /// A quarantine-retry round for this slot was denied by the
-    /// [`memory_budget`](crate::engine::SimOptions::memory_budget)
-    /// admission check (or an injected allocation-cap breach); its result
-    /// fields are empty.
-    BudgetExceeded,
 }
 
 impl SlotStatus {
@@ -52,29 +43,6 @@ impl Default for SlotStatus {
     /// Completed on the first attempt.
     fn default() -> Self {
         SlotStatus::Completed { retries: 0 }
-    }
-}
-
-/// Which run budget cut a run short (recorded in
-/// [`RunDiagnostics::budget_tripped`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrippedBudget {
-    /// The wall-clock [`deadline`](crate::engine::SimOptions::deadline)
-    /// expired; unfinished slots were marked
-    /// [`SlotStatus::DeadlineExceeded`].
-    Deadline,
-    /// The [`memory_budget`](crate::engine::SimOptions::memory_budget)
-    /// denied a quarantine-retry round capacity growth; the denied slots
-    /// were marked [`SlotStatus::BudgetExceeded`].
-    Memory,
-}
-
-impl fmt::Display for TrippedBudget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TrippedBudget::Deadline => "deadline",
-            TrippedBudget::Memory => "memory",
-        })
     }
 }
 
@@ -107,21 +75,6 @@ pub struct RunDiagnostics {
     /// Largest per-`(slot, net)` transition count observed in the arena —
     /// compare against the configured capacity to judge headroom.
     pub peak_arena_occupancy: usize,
-    /// The first run budget that cut the run short, if any (the deadline
-    /// and the memory budget can both trip; the first to fire is
-    /// recorded).
-    pub budget_tripped: Option<TrippedBudget>,
-    /// Slots marked [`SlotStatus::DeadlineExceeded`] because the
-    /// wall-clock deadline expired before they finished.
-    pub deadline_aborts: u64,
-    /// Quarantine-retry admissions denied by the memory budget (or an
-    /// injected allocation-cap breach); each denial lands one slot in
-    /// [`SlotStatus::BudgetExceeded`].
-    pub budget_denials: u64,
-    /// Stalled pool epochs detected by the coordinator-side watchdog
-    /// (armed by [`stall_timeout`](crate::engine::SimOptions::stall_timeout);
-    /// observation only — a stall is waited out, never killed).
-    pub watchdog_stalls: u64,
     /// Faults fired by an armed
     /// [`fault_plan`](crate::engine::SimOptions::fault_plan) during this
     /// run (0 when unarmed or armed-empty).
@@ -154,16 +107,6 @@ impl fmt::Display for RunDiagnostics {
             "  peak arena use   : {} transitions/net",
             self.peak_arena_occupancy
         )?;
-        if let Some(budget) = self.budget_tripped {
-            writeln!(
-                f,
-                "  budget tripped   : {budget} (deadline aborts: {}, budget denials: {})",
-                self.deadline_aborts, self.budget_denials
-            )?;
-        }
-        if self.watchdog_stalls > 0 {
-            writeln!(f, "  watchdog stalls  : {}", self.watchdog_stalls)?;
-        }
         if self.faults_injected > 0 {
             writeln!(f, "  faults injected  : {}", self.faults_injected)?;
         }
@@ -362,8 +305,6 @@ mod tests {
         assert!(SlotStatus::Completed { retries: 3 }.is_completed());
         assert!(!SlotStatus::Overflowed { capacity: 64 }.is_completed());
         assert!(!SlotStatus::Panicked.is_completed());
-        assert!(!SlotStatus::DeadlineExceeded.is_completed());
-        assert!(!SlotStatus::BudgetExceeded.is_completed());
         let clean = SimRun {
             slots: vec![slot(0.8, None)],
             elapsed: Duration::ZERO,

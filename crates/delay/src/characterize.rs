@@ -652,41 +652,11 @@ pub fn characterize_library_metered(
     cells: Option<&[CellId]>,
     metrics: Option<&Metrics>,
 ) -> Result<CharacterizedLibrary, DelayError> {
-    characterize_library_injected(
-        library,
-        tech,
-        config,
-        cells,
-        metrics,
-        &avfs_inject::Injector::unarmed(),
-    )
-}
-
-/// [`characterize_library_metered`] with a fault injector: an armed plan
-/// firing [`avfs_inject::InjectionSite::SpiceFailure`] (keyed by the cell
-/// index, salt 0) makes that cell's characterization fail with
-/// [`DelayError::Characterization`], rehearsing a transistor-level sweep
-/// blowing up mid-flow. The cells after it are never probed or swept;
-/// the cells before it are, and their own errors take precedence. An
-/// unarmed injector (or an empty plan) is behaviorally identical to
-/// [`characterize_library_metered`].
-///
-/// # Errors
-///
-/// Identical to [`characterize_library`], plus the injected failure.
-pub fn characterize_library_injected(
-    library: &CellLibrary,
-    tech: &Technology,
-    config: &CharacterizationConfig,
-    cells: Option<&[CellId]>,
-    metrics: Option<&Metrics>,
-    injector: &avfs_inject::Injector,
-) -> Result<CharacterizedLibrary, DelayError> {
     let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    characterize_on(workers, library, tech, config, cells, metrics, injector)
+    characterize_on(workers, library, tech, config, cells, metrics)
 }
 
-/// [`characterize_library_injected`] with its sweep on `workers` threads.
+/// [`characterize_library_metered`] with its sweep on `workers` threads.
 fn characterize_on(
     workers: usize,
     library: &CellLibrary,
@@ -694,7 +664,6 @@ fn characterize_on(
     config: &CharacterizationConfig,
     cells: Option<&[CellId]>,
     metrics: Option<&Metrics>,
-    injector: &avfs_inject::Injector,
 ) -> Result<CharacterizedLibrary, DelayError> {
     let span = metrics.map(|m| m.span("delay/characterize"));
     let mut plan =
@@ -716,24 +685,10 @@ fn characterize_on(
     };
 
     // Step A, planned: every arc of every selected cell, in (cell, pin,
-    // polarity) order, up to the first cell an injected SPICE failure
-    // aborts. Its error is returned only if the cells before it are
-    // characterized cleanly, as an organic sweep error on it would be.
+    // polarity) order.
     let mut arcs: Vec<CellId> = Vec::new();
-    let mut injected = None;
     for &cell_id in selected {
         let cell = library.cell(cell_id);
-        if injector.fires(
-            avfs_inject::InjectionSite::SpiceFailure,
-            cell_id.index() as u64,
-            0,
-        ) {
-            injected = Some(DelayError::Characterization {
-                cell: cell.name().to_owned(),
-                message: "injected SPICE failure (transient sweep aborted)".to_owned(),
-            });
-            break;
-        }
         for pin in 0..cell.num_inputs() {
             for polarity in Polarity::both() {
                 plan.push(cell, pin, polarity);
@@ -815,9 +770,6 @@ fn characterize_on(
         }
         Ok(())
     })?;
-    if let Some(injected) = injected {
-        return Err(injected);
-    }
     if let Some(span) = span {
         span.finish();
     }
@@ -902,102 +854,34 @@ mod tests {
         }
     }
 
+    /// A cell whose sweep fails surfaces as a typed
+    /// [`DelayError::Characterization`] naming it, never as a panic, and
+    /// of two failing cells the first in `cells` order names the error at
+    /// every worker count. 0.313 V switches `INV_X1` (|V_th| 0.26 V) but
+    /// not a 4-deep stack (0.265 V raised by the 0.05 V margin).
     #[test]
-    fn injected_spice_failure_aborts_the_flow() {
+    fn the_first_failing_cell_in_cells_order_names_the_error() {
         let lib = CellLibrary::nangate15_like();
         let tech = Technology::nm15();
-        let cfg = CharacterizationConfig::fast();
-        let ids = subset(&lib, &["INV_X1"]);
-        let plan = std::sync::Arc::new(
-            avfs_inject::FaultPlan::empty(2)
-                .with_rate(avfs_inject::InjectionSite::SpiceFailure, 1.0),
-        );
-        let err = characterize_library_injected(
-            &lib,
-            &tech,
-            &cfg,
-            Some(&ids),
-            None,
-            &avfs_inject::Injector::armed(std::sync::Arc::clone(&plan)),
-        )
-        .unwrap_err();
-        match err {
-            DelayError::Characterization { cell, message } => {
-                assert_eq!(cell, "INV_X1");
-                assert!(message.contains("injected"), "{message}");
-            }
-            other => panic!("expected Characterization, got {other:?}"),
-        }
-        assert_eq!(
-            plan.fired_keys(avfs_inject::InjectionSite::SpiceFailure),
-            vec![ids[0].index() as u64]
-        );
-        // An empty plan characterizes normally.
-        let empty = std::sync::Arc::new(avfs_inject::FaultPlan::empty(2));
-        let ch = characterize_library_injected(
-            &lib,
-            &tech,
-            &cfg,
-            Some(&ids),
-            None,
-            &avfs_inject::Injector::armed(std::sync::Arc::clone(&empty)),
-        )
-        .unwrap();
-        assert_eq!(ch.reports().len(), 1);
-        assert_eq!(empty.total_fired(), 0);
-    }
-
-    #[test]
-    fn an_injected_failure_stops_planning_and_yields_to_earlier_cells() {
-        use avfs_inject::{FaultPlan, InjectionSite, Injector};
-        use std::sync::Arc;
-        let lib = CellLibrary::nangate15_like();
-        let tech = Technology::nm15();
-        // A 4-stack cell first, then two cells that switch lower.
-        let ids = subset(&lib, &["NAND4_X1", "INV_X1", "NAND2_X1"]);
-        let keys: Vec<u64> = ids.iter().map(|id| id.index() as u64).collect();
-        // A seed at which the second cell is the first to fire, and the
-        // third would fire too if it were ever probed.
-        let plan_at = |seed| FaultPlan::empty(seed).with_rate(InjectionSite::SpiceFailure, 0.5);
-        let seed = (0..)
-            .find(|&seed| {
-                let plan = plan_at(seed);
-                keys.iter()
-                    .map(|&k| plan.decide(InjectionSite::SpiceFailure, k, 0))
-                    .eq([false, true, true])
-            })
-            .unwrap();
-        let run = |config: &CharacterizationConfig| {
-            let plan = Arc::new(plan_at(seed));
-            let injector = Injector::armed(Arc::clone(&plan));
-            let err =
-                characterize_library_injected(&lib, &tech, config, Some(&ids), None, &injector)
-                    .unwrap_err();
-            match err {
-                DelayError::Characterization { cell, message } => {
-                    (cell, message, plan.fired_keys(InjectionSite::SpiceFailure))
-                }
-                other => panic!("expected Characterization, got {other:?}"),
-            }
-        };
-
-        let fast = CharacterizationConfig::fast();
-        let (cell, message, fired) = run(&fast);
-        assert_eq!(cell, "INV_X1");
-        assert!(message.contains("injected"), "{message}");
-        // Planning probed the first two cells and stopped at the second.
-        assert_eq!(fired, vec![keys[1]]);
-
-        // 0.313 V switches INV_X1 (|V_th| 0.26 V) but not a 4-deep NMOS
-        // stack (0.265 V raised by the 0.05 V margin): only the first
-        // cell fails organically, and its error wins over the injection.
         let mut low = CharacterizationConfig::fast();
         low.sweep.voltages = vec![0.313, 0.55, 0.8, 1.1];
-        assert!(characterize_library(&lib, &tech, &low, Some(&ids[1..])).is_ok());
-        let (cell, message, fired) = run(&low);
-        assert_eq!(cell, "NAND4_X1");
-        assert!(message.contains("below device threshold"), "{message}");
-        assert_eq!(fired, vec![keys[1]]);
+        let inv = subset(&lib, &["INV_X1"]);
+        assert!(characterize_library(&lib, &tech, &low, Some(&inv)).is_ok());
+        for (cells, first) in [
+            (["INV_X1", "NAND4_X1", "NOR4_X1"], "NAND4_X1"),
+            (["INV_X1", "NOR4_X1", "NAND4_X1"], "NOR4_X1"),
+        ] {
+            let ids = subset(&lib, &cells);
+            for workers in [1, 2, 7] {
+                match characterize_on(workers, &lib, &tech, &low, Some(&ids), None) {
+                    Err(DelayError::Characterization { cell, message }) => {
+                        assert_eq!(cell, first, "{cells:?}, {workers} workers");
+                        assert!(message.contains("below device threshold"), "{message}");
+                    }
+                    other => panic!("{cells:?}, {workers} workers: {:?}", other.map(|_| ())),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1104,10 +988,9 @@ mod tests {
         // `pipeline_cold` benchmark workload characterizes.
         let mut ids = subset(&lib, &["XOR2_X1", "AND2_X1", "OR2_X1"]);
         ids.sort();
-        let unarmed = avfs_inject::Injector::unarmed();
         for workers in [1, 2, 4] {
             let fast = CharacterizationConfig::fast();
-            let fast = characterize_on(workers, &lib, &tech, &fast, None, None, &unarmed).unwrap();
+            let fast = characterize_on(workers, &lib, &tech, &fast, None, None).unwrap();
             let metrics = Metrics::new("characterize");
             let paper = characterize_on(
                 workers,
@@ -1116,7 +999,6 @@ mod tests {
                 &CharacterizationConfig::default(),
                 Some(&ids),
                 Some(&metrics),
-                &unarmed,
             )
             .unwrap();
             let context = format!("{workers} workers");

@@ -1,15 +1,16 @@
 //! Deterministic fault injection: seeded fault plans over named
 //! injection sites.
 //!
-//! The engine's recovery paths — quarantine-and-retry, per-slot panic
-//! containment, kernel fallbacks, budget admission — are only trustworthy
-//! if they are *exercised*. This crate provides the substrate: a
-//! [`FaultPlan`] maps each registered [`InjectionSite`] to a firing rate,
-//! and every decision is a **pure hash** of `(seed, site, key, salt)` —
-//! not a draw from a stateful generator — so the outcome of a probe does
-//! not depend on how many other probes ran before it or on which thread
-//! asks. That makes injected runs deterministic under work stealing, and
-//! lets a harness *predict* the affected keys by replaying
+//! The engine's own recovery paths — quarantine-and-retry and per-slot
+//! panic containment — are only trustworthy if they are *exercised*, and
+//! its results only schedule independent if a perturbed schedule leaves
+//! them alone. This crate provides the substrate: a [`FaultPlan`] maps
+//! each registered [`InjectionSite`] to a firing rate, and every
+//! decision is a **pure hash** of `(seed, site, key, salt)` — not a draw
+//! from a stateful generator — so the outcome of a probe does not depend
+//! on how many other probes ran before it or on which thread asks. That
+//! makes injected runs deterministic under work stealing, and lets a
+//! harness *predict* the affected keys by replaying
 //! [`FaultPlan::decide`] offline.
 //!
 //! The consuming crates thread an [`Injector`] — a cheap clonable handle
@@ -28,10 +29,7 @@
 //! |---|---|---|---|
 //! | `ArenaOverflow` | global slot index | retry round | engine gate task, after the merge and before the output is staged |
 //! | `KernelPanic` | global slot index | retry round | engine gate task |
-//! | `NonFiniteKernel` | global slot index | retry round | engine voltage grouping, once per slot per round |
 //! | `WorkerStall` | pool worker index | pool epoch | `avfs-core` worker pool |
-//! | `AllocCapBreach` | global slot index | denied retry round | engine retry admission |
-//! | `SpiceFailure` | library cell index | 0 | `avfs-delay` characterization |
 //!
 //! # Example
 //!
@@ -71,33 +69,20 @@ pub enum InjectionSite {
     /// A gate task panics inside its `catch_unwind` — exercises per-slot
     /// panic containment.
     KernelPanic,
-    /// A slot's delay kernel comes back non-finite for a whole retry
-    /// round — every delay the slot reads falls back to nominal, as the
-    /// fallback guard would make of a non-finite factor.
-    NonFiniteKernel,
     /// A pool worker sleeps before taking its share of a release —
     /// timing only; never changes results.
     WorkerStall,
-    /// A quarantine-retry round is denied capacity growth — exercises
-    /// memory-budget admission control.
-    AllocCapBreach,
-    /// A cell characterization fails as a SPICE sweep would — exercises
-    /// the offline flow's error propagation.
-    SpiceFailure,
 }
 
 /// Number of registered injection sites.
-pub const SITE_COUNT: usize = 6;
+pub const SITE_COUNT: usize = 3;
 
 impl InjectionSite {
     /// Every registered site, in stable order.
     pub const ALL: [InjectionSite; SITE_COUNT] = [
         InjectionSite::ArenaOverflow,
         InjectionSite::KernelPanic,
-        InjectionSite::NonFiniteKernel,
         InjectionSite::WorkerStall,
-        InjectionSite::AllocCapBreach,
-        InjectionSite::SpiceFailure,
     ];
 
     /// Stable index of the site within [`InjectionSite::ALL`].
@@ -105,10 +90,7 @@ impl InjectionSite {
         match self {
             InjectionSite::ArenaOverflow => 0,
             InjectionSite::KernelPanic => 1,
-            InjectionSite::NonFiniteKernel => 2,
-            InjectionSite::WorkerStall => 3,
-            InjectionSite::AllocCapBreach => 4,
-            InjectionSite::SpiceFailure => 5,
+            InjectionSite::WorkerStall => 2,
         }
     }
 
@@ -117,10 +99,7 @@ impl InjectionSite {
         match self {
             InjectionSite::ArenaOverflow => "arena-overflow",
             InjectionSite::KernelPanic => "kernel-panic",
-            InjectionSite::NonFiniteKernel => "non-finite-kernel",
             InjectionSite::WorkerStall => "worker-stall",
-            InjectionSite::AllocCapBreach => "alloc-cap-breach",
-            InjectionSite::SpiceFailure => "spice-failure",
         }
     }
 }
@@ -442,8 +421,8 @@ mod tests {
     fn unarmed_injector_is_inert() {
         let inj = Injector::unarmed();
         assert!(!inj.is_armed());
-        assert!(!inj.fires(InjectionSite::SpiceFailure, 0, 0));
-        assert!(!inj.fires(InjectionSite::NonFiniteKernel, 0, 0));
+        assert!(!inj.fires(InjectionSite::ArenaOverflow, 0, 0));
+        assert!(!inj.fires(InjectionSite::KernelPanic, 0, 0));
         assert!(inj.stall_duration(0, 0).is_none());
     }
 

@@ -199,16 +199,10 @@ fn profile_reports_every_documented_phase() {
         level_activity.max <= 100,
         "activity is a percentage of the level's tasks"
     );
-    // The run's diagnostics say it was fault- and budget-free.
-    let diag = &run.diagnostics;
+    // The run's diagnostics say it was fault-free.
     assert_eq!(
-        (
-            diag.faults_injected,
-            diag.deadline_aborts,
-            diag.budget_denials
-        ),
-        (0, 0, 0),
-        "a clean run injects no fault and trips no budget"
+        run.diagnostics.faults_injected, 0,
+        "a clean run injects no fault"
     );
     // The profile survives its JSON round-trip unchanged.
     let json = profile.to_json().to_string_pretty();
