@@ -132,6 +132,9 @@ bounded 600 cargo run --release --offline -p avfs-bench --bin chaos -- --smoke
 echo "==> sta_crosscheck --smoke (STA oracle gate: sim within STA bound, critical-path agreement)"
 cargo run --release --offline -p avfs-bench --bin sta_crosscheck -- --smoke
 
+echo "==> sta_crosscheck --check (CHECK_report.json's sta section equals a fresh full run, at most 2 min)"
+bounded 120 cargo run --release --offline -p avfs-bench --bin sta_crosscheck -- --check CHECK_report.json
+
 echo "==> perfbench build (the repo benchmark compiles against the layer crates' public APIs)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 

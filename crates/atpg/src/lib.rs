@@ -13,9 +13,13 @@
 //!   unit-delay) netlist,
 //! * [`timing_aware`] — best-effort sensitization of those paths: side
 //!   inputs are justified toward non-controlling values with bounded
-//!   random retry, verified by zero-delay simulation,
+//!   random retry, verified by zero-delay simulation of all of a path's
+//!   attempts in one word-parallel pass,
 //! * [`fault`] — transition-fault bookkeeping with excitation-coverage
 //!   reporting.
+//!
+//! The last two share a crate-private word-parallel zero-delay simulator
+//! that evaluates up to 64 vectors per pass.
 //!
 //! The fault-grade quality of a commercial tool is irrelevant to the
 //! paper's timing/throughput experiments; what matters is pattern *pairs*
@@ -29,6 +33,7 @@ pub mod fault;
 pub mod paths;
 pub mod pattern;
 pub mod timing_aware;
+mod zero_delay;
 
 pub use fault::{FaultList, TransitionFault};
 pub use paths::{k_longest_paths, Path};
@@ -70,9 +75,10 @@ impl fmt::Display for AtpgError {
 impl Error for AtpgError {}
 
 /// Zero-delay logic simulation of one input vector; returns the value of
-/// every node. Shared by the justification heuristics and the fault
-/// analysis (and cross-checked against the timing simulator's steady
-/// state in the integration tests).
+/// every node. The scalar reference: the event-driven baseline
+/// initializes each pair with it, the crate's word-parallel simulator is
+/// tested lane by lane against it, and the integration tests cross-check
+/// it against the timing simulator's steady state.
 pub fn zero_delay_values(
     netlist: &avfs_netlist::Netlist,
     levels: &avfs_netlist::Levelization,

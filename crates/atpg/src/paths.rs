@@ -57,9 +57,10 @@ fn edge_delay(annotation: Option<&TimingAnnotation>, node: NodeId, fanin_idx: us
 /// delay (a static-timing view); with `None` every edge weighs 1
 /// (structural depth). Ties break deterministically by node order.
 ///
-/// Returns fewer than `k` paths when the circuit has fewer distinct paths
-/// (enumeration is capped at `k` completions and `64·k` heap expansions
-/// per output to bound memory on reconvergent fan-out).
+/// Returns fewer than `k` paths when the circuit has fewer distinct paths,
+/// or when enumeration stops early: it is capped at `k` completions and
+/// at `max(128·k, 4096)` heap expansions in total (over all outputs) to
+/// bound memory on reconvergent fan-out.
 pub fn k_longest_paths(
     netlist: &Netlist,
     levels: &Levelization,

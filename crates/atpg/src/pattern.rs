@@ -54,6 +54,12 @@ impl Pattern {
         }
     }
 
+    /// The packed bits: bit `k % 64` of word `k / 64` is bit `k`; bits at
+    /// and above the width are zero.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Number of bits (primary inputs).
     pub fn width(&self) -> usize {
         self.width

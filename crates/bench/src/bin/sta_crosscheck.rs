@@ -15,13 +15,17 @@
 //! ```text
 //! cargo run -p avfs-bench --bin sta_crosscheck -- --smoke   # CI: tier-1 circuits, no file write
 //! cargo run -p avfs-bench --bin sta_crosscheck [-- --scale 0.01 --order 3 --patterns 12 --out CHECK_report.json]
+//! cargo run -p avfs-bench --bin sta_crosscheck -- --check CHECK_report.json   # CI: full run, no file write
 //! ```
 //!
 //! A full run merges its `sta-crosscheck` subjects and the quantitative
 //! `sta` section into the existing `CHECK_report.json` (preserving the
 //! checker's own subjects). The process exits non-zero when any
 //! deny-severity cross-check finding exists, so the binary doubles as
-//! the CI gate alongside `checker`.
+//! the CI gate alongside `checker`. `--check <file>` runs the full roster
+//! without writing and also exits non-zero when the fresh `sta` section
+//! differs from the one in `<file>`, so a committed report cannot go
+//! stale.
 
 use avfs_atpg::timing_aware::collect_pairs;
 use avfs_atpg::{generate_timing_aware, k_longest_paths, zero_delay_values, PatternSet};
@@ -53,9 +57,19 @@ fn main() -> ExitCode {
         println!("  --patterns <N>   LFSR pattern pairs per circuit (default 12)");
         println!("  --out <path>     report to merge into (default CHECK_report.json)");
         println!("  --smoke          tier-1 circuits only, validate, no file write");
+        println!("  --check <path>   full run, no file write; fail unless its sta section equals <path>'s");
         return ExitCode::SUCCESS;
     }
     let smoke = args.flag("--smoke");
+    let check: Option<String> = args.value("--check");
+    if args.flag("--check") && check.is_none() {
+        eprintln!("sta_crosscheck: --check needs the report to compare against");
+        return ExitCode::FAILURE;
+    }
+    if smoke && check.is_some() {
+        eprintln!("sta_crosscheck: --check compares a full run; it does not combine with --smoke");
+        return ExitCode::FAILURE;
+    }
     let scale: f64 = args.value("--scale").unwrap_or(0.01);
     let order: usize = args.value("--order").unwrap_or(3);
     let n_patterns: usize = args.value("--patterns").unwrap_or(12);
@@ -151,11 +165,17 @@ fn main() -> ExitCode {
         rows,
     };
 
-    // Assemble the report: fresh in smoke mode; merged into the
-    // checker's document on a full run (its own subjects preserved, any
-    // previous cross-check subjects and section replaced).
+    // A `--check` run compares its section before it is moved into the
+    // report.
+    let stale = check
+        .as_deref()
+        .is_some_and(|path| !committed_section_matches(path, &section));
+
+    // Assemble the report: fresh in smoke and check mode; merged into
+    // the checker's document on a full run (its own subjects preserved,
+    // any previous cross-check subjects and section replaced).
     let mut report = Report::new();
-    if !smoke {
+    if !smoke && check.is_none() {
         if let Ok(prev) = std::fs::read_to_string(&out) {
             if let Ok(prev) = Report::validate(&prev) {
                 report.tool_version = prev.tool_version;
@@ -203,16 +223,65 @@ fn main() -> ExitCode {
             "sta_crosscheck --smoke: schema avfs-check/1 OK ({} bytes)",
             text.len()
         );
-    } else {
+    } else if check.is_none() {
         std::fs::write(&out, &text).expect("report written");
         println!("sta_crosscheck: merged sta section into {out}");
     }
-    if deny == 0 {
+    if deny > 0 {
+        eprintln!("sta_crosscheck: deny-severity findings present");
+    }
+    if deny == 0 && !stale {
         ExitCode::SUCCESS
     } else {
-        eprintln!("sta_crosscheck: deny-severity findings present");
         ExitCode::FAILURE
     }
+}
+
+/// The `--check` comparison: whether the `sta` section of the report at
+/// `path` equals `fresh` exactly, every row bit for bit. Prints each
+/// difference.
+fn committed_section_matches(path: &str, fresh: &StaSection) -> bool {
+    let committed = match std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Report::validate(&text))
+    {
+        Ok(report) => report.sta,
+        Err(e) => {
+            eprintln!("sta_crosscheck --check: cannot read {path}: {e}");
+            return false;
+        }
+    };
+    let Some(committed) = committed else {
+        eprintln!("sta_crosscheck --check: {path} has no sta section");
+        return false;
+    };
+    if committed == *fresh {
+        println!(
+            "sta_crosscheck --check: {path}'s sta section equals a fresh run ({} rows)",
+            fresh.rows.len()
+        );
+        return true;
+    }
+    eprintln!("sta_crosscheck --check: {path}'s sta section differs from a fresh run:");
+    if committed.epsilon_ps != fresh.epsilon_ps {
+        eprintln!(
+            "  epsilon_ps: committed {}, fresh {}",
+            committed.epsilon_ps, fresh.epsilon_ps
+        );
+    }
+    if committed.rows.len() != fresh.rows.len() {
+        eprintln!(
+            "  rows: committed {}, fresh {}",
+            committed.rows.len(),
+            fresh.rows.len()
+        );
+    }
+    for (old, new) in committed.rows.iter().zip(&fresh.rows) {
+        if old != new {
+            eprintln!("  committed {old:?}\n  fresh     {new:?}");
+        }
+    }
+    false
 }
 
 /// The `AVC-T002` agreement check: sensitize the longest structural
