@@ -16,15 +16,16 @@
 //!   single-winner invariant must hold per lane even when racing masks
 //!   overlap on some lanes and not others. Within a level one
 //!   worker's constant run (the quiet lanes of its task) and another
-//!   worker's `publish` (one single-bit claim per cell) claim disjoint
-//!   bits of the *same* word, so neither may clear a bit the other won.
+//!   worker's `publish` (one claim per claim word its block touches)
+//!   claim disjoint bits of the *same* word, so neither may clear a bit
+//!   the other won.
 //! * **Reservation protocol** (`avfs-waveform`'s `LevelWriter::publish`):
 //!   waveforms are stored packed behind a shared bump cursor. A
 //!   publisher reserves its block's span with one `fetch_add`, copies
-//!   the block into it, then wins each cell's claim and only then stores
-//!   the cell's `off`/`len`. Spans reserved by concurrent publishers
-//!   must be disjoint and gap-free, and an output that overflowed
-//!   reserves nothing.
+//!   the block into it, then wins its cells' claims with one `fetch_or`
+//!   per claim word and only then stores each cell's `off`/`len`. Spans
+//!   reserved by concurrent publishers must be disjoint and gap-free,
+//!   and an output that overflowed reserves nothing.
 //! * **Epoch protocol** (`avfs-core`'s `WorkerPool`): the coordinator
 //!   publishes a job, bumps the epoch counter to release parked workers,
 //!   then waits for the running count to drain back to zero before
@@ -213,7 +214,7 @@ struct LaneClaimState {
 /// One writer claiming its lane masks in order, filling the lanes each
 /// claim won before making the next: a constant run
 /// (`write_constant_run`) is one mask of its task's quiet lanes, a
-/// `publish` one single-lane mask per staged cell.
+/// `publish` one mask of its block's cells per claim word.
 #[derive(Clone)]
 struct LaneClaimWriter {
     id: usize,
@@ -320,9 +321,9 @@ fn lane_claim_invariant(s: &LaneClaimState) -> Result<(), String> {
 /// `writers[i]` is the sequence of claim masks writer `i` makes (clamped
 /// to [`MAX_MODEL_THREADS`] writers over `MODEL_LANES` = 4 lanes), with
 /// `overflow_writers` additional threads taking the capacity bail-out
-/// path (mask held but never claimed). A one-mask writer is a constant
-/// run; a writer of single-lane masks is a `publish`, so constant runs
-/// and publishes can share one claim word.
+/// path (mask held but never claimed). A writer's mask is a constant
+/// run's quiet lanes or a `publish`'s cells of the word, so constant
+/// runs and publishes can share one claim word.
 ///
 /// # Errors
 ///
@@ -438,7 +439,9 @@ struct ReservationState {
 /// `(cell, len)` pairs, in staging order.
 pub type ModelBlock = [(usize, usize)];
 
-/// One worker publishing a block of `(cell, len)` outputs.
+/// One worker publishing a block of `(cell, len)` outputs. The modeled
+/// cells share one claim word, so the block's claims are one
+/// `fetch_or`.
 #[derive(Clone)]
 struct Publisher {
     id: usize,
@@ -501,30 +504,36 @@ impl ThreadModel<ReservationState> for Publisher {
                 }
                 self.pc = 3;
             }
-            pc => {
-                // Per staged cell: win the claim, then store its span.
-                let (k, store) = ((pc - 3) / 2, (pc - 3) % 2 == 1);
-                let Some(&(cell, len)) = self.block.get(k) else {
+            3 => {
+                // fetch_or of the block's bits of the claim word: one
+                // atomic step sets them all, and a bit already set makes
+                // the real writer panic before it stores a cell.
+                let lost = self
+                    .block
+                    .iter()
+                    .any(|&(cell, _)| shared.claimed_by[cell].is_some());
+                for &(cell, _) in &self.block {
+                    shared.claimed_by[cell].get_or_insert(self.id);
+                }
+                if lost || self.block.is_empty() {
                     return StepResult::Finished;
-                };
-                if !store {
-                    if shared.claimed_by[cell].is_some() {
-                        // The real writer panics on a lost claim.
-                        return StepResult::Finished;
-                    }
-                    shared.claimed_by[cell] = Some(self.id);
-                } else {
-                    if shared.claimed_by[cell] != Some(self.id) {
-                        shared.violation = Some(format!(
-                            "publisher {} stored cell {cell} without holding its claim",
-                            self.id
-                        ));
-                    }
-                    let off = self.start + self.block[..k].iter().map(|&(_, l)| l).sum::<usize>();
-                    shared.spans[cell] = Some((self.id, off, len));
-                    if k + 1 == self.block.len() {
-                        return StepResult::Finished;
-                    }
+                }
+                self.pc = 4;
+            }
+            pc => {
+                // Per staged cell: store its span under the won claim.
+                let k = pc - 4;
+                let (cell, len) = self.block[k];
+                if shared.claimed_by[cell] != Some(self.id) {
+                    shared.violation = Some(format!(
+                        "publisher {} stored cell {cell} without holding its claim",
+                        self.id
+                    ));
+                }
+                let off = self.start + self.block[..k].iter().map(|&(_, l)| l).sum::<usize>();
+                shared.spans[cell] = Some((self.id, off, len));
+                if k + 1 == self.block.len() {
+                    return StepResult::Finished;
                 }
                 self.pc += 1;
             }
@@ -1119,7 +1128,7 @@ pub fn audit_concurrency() -> (Vec<ProtocolRun>, Vec<Finding>) {
         ProtocolRun {
             protocol: "lane-claim/run+publish",
             threads: 2,
-            result: check_lane_claim_protocol(&[&[0b0101], &[0b0010, 0b1000]], 0),
+            result: check_lane_claim_protocol(&[&[0b0101], &[0b1010]], 0),
         },
         ProtocolRun {
             protocol: "reservation/2-blocks",
@@ -1210,10 +1219,10 @@ mod tests {
 
     #[test]
     fn constant_runs_and_publishes_share_a_claim_word() {
-        // A run against a publish, interleaved cells; two runs against a
-        // publish; a run against two single-cell publishes.
+        // A run against a two-cell publish, interleaved cells; two runs
+        // against a publish; a run against two single-cell publishes.
         for writers in [
-            &[&[0b0101u64][..], &[0b0010, 0b1000]][..],
+            &[&[0b0101u64][..], &[0b1010]][..],
             &[&[0b0101], &[0b1000], &[0b0010]],
             &[&[0b1001], &[0b0010], &[0b0100]],
         ] {

@@ -120,11 +120,14 @@ pub struct SimOptions {
     /// once (`slots × nodes × capacity`, the worst case); slots are
     /// processed in batches respecting it (the global-memory budget).
     /// Batches are cut in whole lane groups of [`SimOptions::lanes`]
-    /// slots, so a budget below one group's reservation is rounded up
-    /// to one group (`lanes: 1` keeps the exact budget, down to
-    /// one-slot batches). Transitions are stored packed, so what is
-    /// resident is what a batch actually wrote — usually a small
-    /// fraction of the reservation.
+    /// slots, at least one group per worker, so that every worker walks
+    /// a group of its own: a budget below that many groups' reservation
+    /// is rounded up to it (one worker at `lanes: 1` keeps the exact
+    /// budget, down to one-slot batches). Each group adds about
+    /// `nodes × lanes × 9` B of resident per-cell bookkeeping.
+    /// Transitions are stored packed, so what is resident is what a
+    /// batch actually wrote — usually a small fraction of the
+    /// reservation.
     pub waveform_budget: usize,
     /// Retain full per-net waveforms in each [`SlotResult`] (small runs
     /// and tests only).
@@ -235,19 +238,22 @@ fn grown_capacity(nodes: usize, capacity: usize) -> Option<usize> {
 }
 
 /// Slots per batch at `capacity` transitions per cell: what `budget`
-/// reserves, cut in whole lane groups of `lanes` (at least one group, so
-/// a budget smaller than a group still fills one), then clamped to the
+/// reserves, cut in whole lane groups of `lanes` — at least one group
+/// per worker of the pool's `workers`, so no two workers walk one lane
+/// group when the batch can give each its own — then clamped to the
 /// `pending` slots and to what the arena can address.
 fn slots_per_batch(
     budget: usize,
     nodes: usize,
     capacity: usize,
     lanes: usize,
+    workers: usize,
     pending: usize,
 ) -> usize {
     let per_slot = nodes.max(1).saturating_mul(capacity);
-    let groups = (budget / per_slot / lanes).max(1);
-    (groups * lanes)
+    let groups = (budget / per_slot / lanes).max(workers).max(1);
+    groups
+        .saturating_mul(lanes)
         .min(pending)
         .min(max_batch_slots(nodes, capacity))
 }
@@ -834,6 +840,7 @@ impl RunCtx<'_> {
                 nodes,
                 cap,
                 lanes,
+                self.pool.threads(),
                 pending.len(),
             );
             let entries = batch_slots * nodes;

@@ -7,17 +7,18 @@
 //! join any group's open level. Grouping, delay binding and analysis run
 //! on the caller, before and after the release.
 
-use super::delays::{BatchDelays, DelayFault, VoltageGroup};
+use super::delays::{BatchDelays, DelayFault, LevelDelays, VoltageGroup};
 use super::{RunCtx, RunState, MAX_STEAL_CHUNK, STEAL_GRABS_PER_WORKER};
 use crate::compile::LevelPlan;
 use crate::phases;
 use crate::results::{SlotResult, SlotStatus};
 use crate::SimError;
 use avfs_inject::InjectionSite;
+use avfs_netlist::{LogicFunction, NodeId};
 use avfs_obs::time_option;
 use avfs_waveform::{
     merge_transitions, CapacityOverflow, GateScratch, LaneLayout, LevelWriter, SwitchingActivity,
-    Waveform, WaveformArena, WaveformRead, WaveformStats, WaveformView,
+    WaveformArena, WaveformRead, WaveformStats, WaveformView, WrittenRun,
 };
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -149,6 +150,22 @@ impl<'c> Batch<'c> {
                 *d = Some(verdict);
             }
         }
+    }
+
+    /// Lane group `g`'s runs of consecutive lanes that share a voltage
+    /// group, as `(lane mask, voltage group)`. Slots are voltage-major, so
+    /// a lane group is usually one run.
+    fn voltage_runs(&self, g: usize) -> Vec<(u64, usize)> {
+        let base = self.layout.group_slot(g);
+        let mut runs: Vec<(u64, usize)> = Vec::new();
+        for lane in 0..self.layout.group_width(g) {
+            let group = self.group_of_slot[base + lane];
+            match runs.last_mut() {
+                Some((lanes, last)) if *last == group => *lanes |= 1 << lane,
+                _ => runs.push((1 << lane, group)),
+            }
+        }
+        runs
     }
 
     /// Delay initialisation, batch half: binds every voltage group to
@@ -310,6 +327,9 @@ struct Walk<'a> {
     levels: Vec<usize>,
     /// Workers in the release, for the chunk rule.
     workers: usize,
+    /// Per lane group, its runs of consecutive lanes that share a voltage
+    /// group, as `(lane mask, voltage group)`: one delay view serves each.
+    voltage_runs: Vec<Vec<(u64, usize)>>,
     /// The first lane group no worker owns yet.
     unowned: AtomicUsize,
     /// Lane groups whose walk ended.
@@ -432,8 +452,11 @@ impl Walked {
 }
 
 /// One worker's share of the release, folded in when it leaves.
-struct Share {
+struct Share<'a> {
     scratch: GateScratch,
+    /// The running chunk's delay views, one per run of its lane group's
+    /// lanes that share a voltage group (kept to reuse the allocation).
+    views: Vec<(u64, LevelDelays<'a>)>,
     walked: Walked,
     /// Longest waveform this worker wrote: folded into the arena's
     /// occupancy watermark once, instead of once per cell.
@@ -445,7 +468,7 @@ struct Share {
     profiling: bool,
 }
 
-impl Share {
+impl Share<'_> {
     fn clock(&self) -> Option<Instant> {
         self.profiling.then(Instant::now)
     }
@@ -462,6 +485,9 @@ impl<'a> Walk<'a> {
                 .filter(|&level| !levels.level(level).is_empty())
                 .collect(),
             workers: batch.ctx.pool.threads(),
+            voltage_runs: (0..batch.layout.groups())
+                .map(|g| batch.voltage_runs(g))
+                .collect(),
             unowned: AtomicUsize::new(0),
             closed: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
@@ -491,6 +517,7 @@ impl<'a> Walk<'a> {
         let ctx = self.batch.ctx;
         let mut share = Share {
             scratch: GateScratch::new(),
+            views: Vec::new(),
             walked: Walked::new(self.batch.chunk.len(), ctx.compiled.levels.depth()),
             peak: 0,
             executed: 0,
@@ -528,7 +555,7 @@ impl<'a> Walk<'a> {
     /// The owner's walk of lane group `g`: its stimuli, then each
     /// non-empty level while any lane lives — open it, run its chunks,
     /// wait for the helpers' chunks, close it.
-    fn walk(&self, g: usize, share: &mut Share) {
+    fn walk(&self, g: usize, share: &mut Share<'a>) {
         let batch = self.batch;
         let group = &self.groups[g];
         let base = batch.layout.group_slot(g);
@@ -543,8 +570,11 @@ impl<'a> Walk<'a> {
             walked += 1;
             let gates = batch.ctx.compiled.level_plans[level].gate_nodes.len();
             let t = share.clock();
-            for lane in lanes_of(live) {
-                share.walked.fallbacks += self.delays.open(batch.group_of_slot[base + lane], level);
+            for &(lanes, vg) in &self.voltage_runs[g] {
+                let slots = u64::from((live & lanes).count_ones());
+                if slots > 0 {
+                    share.walked.fallbacks += slots * self.delays.open(vg, level);
+                }
             }
             share.walked.delays += since(t);
             group.live.store(live, Ordering::Relaxed);
@@ -583,22 +613,30 @@ impl<'a> Walk<'a> {
     /// Level 0 of lane group `g`: stimuli waveforms, one pattern pair
     /// per slot, launched at t = 0 (where every `Schedule` is anchored),
     /// dead slots included so the occupancy watermark never depends on
-    /// which slots died.
-    fn stimuli(&self, g: usize, share: &mut Share) {
+    /// which slots died. Each input's lanes are one run, staged in turn.
+    fn stimuli(&self, g: usize, share: &mut Share<'a>) {
         let t = share.clock();
         let ctx = self.batch.ctx;
         let layout = self.batch.layout;
         let base = layout.group_slot(g);
-        for si in base..base + layout.group_width(g) {
-            let pair = &ctx.plan.patterns.pairs()[ctx.plan.work[self.batch.chunk[si]].pattern];
-            for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
-                let wf = Waveform::from_pattern(pair.launch.bit(k), pair.capture.bit(k), 0.0);
+        let pairs: Vec<_> = (base..base + layout.group_width(g))
+            .map(|si| &ctx.plan.patterns.pairs()[ctx.plan.work[self.batch.chunk[si]].pattern])
+            .collect();
+        for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
+            let run = layout.run_start(g, pi.index());
+            for (lane, pair) in pairs.iter().enumerate() {
+                let (launch, capture) = (pair.launch.bit(k), pair.capture.bit(k));
                 let stats = self
                     .writer
-                    .stage_waveform(&mut share.scratch, layout.index(si, pi.index()), &wf)
+                    .stage_edge(
+                        &mut share.scratch,
+                        run + lane,
+                        launch,
+                        (launch != capture).then_some(0.0),
+                    )
                     .expect("a stimulus has at most one transition, and every cell holds one");
                 share.peak = share.peak.max(stats.transitions);
-                share.walked.activity[si].record(&stats);
+                share.walked.activity[base + lane].record(&stats);
             }
         }
         self.writer.publish(&mut share.scratch);
@@ -615,7 +653,7 @@ impl<'a> Walk<'a> {
         level: usize,
         live: u64,
         dead: &mut [Option<Dead>],
-        share: &mut Share,
+        share: &mut Share<'a>,
     ) {
         let ctx = self.batch.ctx;
         let layout = self.batch.layout;
@@ -644,7 +682,7 @@ impl<'a> Walk<'a> {
 
     /// Waits until `ready` holds, timed as idle; false when the batch
     /// aborted first.
-    fn wait(&self, share: &mut Share, ready: impl Fn() -> bool) -> bool {
+    fn wait(&self, share: &mut Share<'a>, ready: impl Fn() -> bool) -> bool {
         if ready() {
             return true;
         }
@@ -665,7 +703,7 @@ impl<'a> Walk<'a> {
 
     /// A helper's share: chunks of any lane group's open level, until
     /// every group is closed.
-    fn help(&self, share: &mut Share) {
+    fn help(&self, share: &mut Share<'a>) {
         let n = self.groups.len();
         let (mut from, mut turns) = (0, 0);
         let mut idle_since = None;
@@ -717,23 +755,33 @@ impl<'a> Walk<'a> {
     }
 
     /// Runs gate positions `gates` of `level` for lane group `g`'s live
-    /// lanes: per task the quiet lanes resolve to constants, the rest run
-    /// the merge loop. One `catch_unwind` covers the chunk; the lane in
-    /// flight when it unwinds dies of `Dead::Panic` and the chunk goes on
-    /// with the next lane. A helper publishes the chunk's cells as one
-    /// block (the group's `owner` publishes its chunks of a level
-    /// together), and `done` is bumped last.
+    /// lanes: per task the fanin runs are read once, the quiet lanes
+    /// resolve to constants and the rest run the merge loop, each under
+    /// the delay view of its voltage group, made once per chunk. One
+    /// `catch_unwind` covers the chunk; the lane in flight when it
+    /// unwinds dies of `Dead::Panic` and the chunk goes on with the next
+    /// lane. A helper publishes the chunk's cells as one block (the
+    /// group's `owner` publishes its chunks of a level together), and
+    /// `done` is bumped last.
     fn run_chunk(
         &self,
         g: usize,
         level: usize,
         gates: Range<usize>,
         owner: bool,
-        share: &mut Share,
+        share: &mut Share<'a>,
     ) {
         let group = &self.groups[g];
         let live = group.live.load(Ordering::Relaxed);
         let plan = &self.batch.ctx.compiled.level_plans[level];
+        let mut views = std::mem::take(&mut share.views);
+        views.clear();
+        views.extend(
+            self.voltage_runs[g]
+                .iter()
+                .filter(|&&(lanes, _)| lanes & live != 0)
+                .map(|&(lanes, vg)| (lanes, self.delays.level(vg, level))),
+        );
         let (mut pos, mut left) = (gates.start, None::<u64>);
         let (mut quiet, mut faults) = (0u64, Vec::new());
         loop {
@@ -741,10 +789,11 @@ impl<'a> Walk<'a> {
             let mut in_flight = None;
             let run = catch_unwind(AssertUnwindSafe(|| {
                 while pos < gates.end {
+                    let task = self.task(g, live, plan, pos);
                     let mut lanes = match left {
                         Some(lanes) => lanes,
                         None => {
-                            let resolved = self.resolve_quiet(g, live, plan, pos);
+                            let resolved = self.resolve_quiet(&task, live);
                             quiet += u64::from(resolved.count_ones());
                             live & !resolved
                         }
@@ -755,7 +804,11 @@ impl<'a> Walk<'a> {
                         left = Some(lanes);
                         in_flight = Some(lane);
                         share.executed += 1;
-                        let evaluated = self.eval_lane(g, lane, level, plan, pos, share);
+                        let (_, delays) = views
+                            .iter()
+                            .find(|(run, _)| run >> lane & 1 == 1)
+                            .expect("a live lane's voltage group has a view");
+                        let evaluated = self.eval_lane(g, lane, &task, delays, share);
                         in_flight = None;
                         match evaluated {
                             Ok(stats) => {
@@ -775,6 +828,7 @@ impl<'a> Walk<'a> {
                 (Err(payload), None) => resume_unwind(payload),
             }
         }
+        share.views = views;
         // One reservation and one copy for the whole chunk; a lane that
         // overflowed or panicked staged nothing.
         if !owner {
@@ -788,45 +842,58 @@ impl<'a> Walk<'a> {
         group.done.fetch_add(gates.len(), Ordering::Release);
     }
 
-    /// Activity gating of one task — gate `pos` over the `live` lanes of
-    /// lane group `g`: a gate whose fanin cells are all quiet (zero
-    /// transitions) has a constant output, which needs neither delays
-    /// nor the merge loop. The quiet lanes are found with word-wide
-    /// quiet-bit reads, their constant outputs computed with one
+    /// Gate `pos` of `plan` as a task of lane group `g`: each fanin's run
+    /// read — and claim-checked — once for the `live` lanes, a superset of
+    /// the lanes any view of the task reads, and the output run's start.
+    fn task(&self, g: usize, live: u64, plan: &LevelPlan, pos: usize) -> GateTask<'_> {
+        let layout = self.batch.layout;
+        let (lo, hi) = (plan.gate_offsets[pos], plan.gate_offsets[pos + 1]);
+        let fanin = &plan.gate_fanin[lo..hi];
+        let read = |net: NodeId| self.writer.read_run(layout.run_start(g, net.index()), live);
+        // Every gate has at least one pin.
+        let mut runs = [read(fanin[0]); MAX_PINS];
+        for (run, &net) in runs.iter_mut().zip(fanin).skip(1) {
+            *run = read(net);
+        }
+        GateTask {
+            runs,
+            pins: lo..hi,
+            table: plan.gate_tables[pos],
+            function: plan.gate_functions[pos],
+            out: layout.run_start(g, plan.gate_nodes[pos].index()),
+        }
+    }
+
+    /// Activity gating of one task over the `live` lanes: a gate whose
+    /// fanin cells are all quiet (zero transitions) has a constant
+    /// output, which needs neither delays nor the merge loop. The quiet
+    /// lanes are the AND of the fanin runs' quiet words, their constant
+    /// outputs computed from the runs' initial words with one
     /// bit-parallel `eval_lanes` word op and written under a single
     /// masked run claim; returns them, so the caller evaluates only the
     /// rest. The values depend only on earlier levels' cells, so what is
     /// written does not depend on the schedule; retry rounds re-derive
     /// quiet bits from the surviving lanes' freshly written cells.
-    fn resolve_quiet(&self, g: usize, live: u64, plan: &LevelPlan, pos: usize) -> u64 {
-        let layout = self.batch.layout;
-        let fanin = &plan.gate_fanin[plan.gate_offsets[pos]..plan.gate_offsets[pos + 1]];
-        let mut quiet = live;
-        for f in fanin {
-            if quiet == 0 {
-                return 0;
-            }
-            quiet &= self.writer.quiet_run(layout.run_start(g, f.index()), quiet);
-        }
+    fn resolve_quiet(&self, task: &GateTask<'_>, live: u64) -> u64 {
+        let runs = task.runs();
+        let quiet = runs.iter().fold(live, |quiet, run| quiet & run.quiet());
         if quiet != 0 {
             let mut fan_words = [0u64; MAX_PINS];
-            for (word, f) in fan_words.iter_mut().zip(fanin) {
-                *word = self
-                    .writer
-                    .initial_run(layout.run_start(g, f.index()), quiet);
+            for (word, run) in fan_words.iter_mut().zip(runs) {
+                *word = run.initial() & quiet;
             }
             self.writer.write_constant_run(
-                layout.run_start(g, plan.gate_nodes[pos].index()),
+                task.out,
                 quiet,
-                plan.gate_functions[pos].eval_lanes(&fan_words[..fanin.len()]),
+                task.function.eval_lanes(&fan_words[..runs.len()]),
             );
         }
         quiet
     }
 
-    /// Evaluates gate `pos` of `level` for lane `lane` of lane group
-    /// `g`: inputs are read through the writer from earlier levels'
-    /// cells, the output is staged in the worker's scratch for the
+    /// Evaluates `task` for lane `lane` of lane group `g` under its
+    /// voltage group's `delays`: inputs are read through the task's
+    /// fanin runs, the output is staged in the worker's scratch for the
     /// chunk's `publish`. Returns the statistics of the staged waveform.
     ///
     /// # Errors
@@ -839,16 +906,13 @@ impl<'a> Walk<'a> {
         &self,
         g: usize,
         lane: usize,
-        level: usize,
-        plan: &LevelPlan,
-        pos: usize,
-        share: &mut Share,
+        task: &GateTask<'_>,
+        delays: &LevelDelays<'_>,
+        share: &mut Share<'a>,
     ) -> Result<WaveformStats, CapacityOverflow> {
         let batch = self.batch;
         let ctx = batch.ctx;
-        let layout = batch.layout;
-        let si = layout.group_slot(g) + lane;
-        let slot = batch.chunk[si] as u64;
+        let slot = batch.chunk[batch.layout.group_slot(g) + lane] as u64;
         let injected = |site| {
             ctx.injector.is_armed() && ctx.injector.fires(site, slot, u64::from(batch.round))
         };
@@ -858,18 +922,17 @@ impl<'a> Walk<'a> {
         if injected(InjectionSite::KernelPanic) {
             panic!("injected kernel panic (slot {slot})");
         }
-        let (lo, hi) = (plan.gate_offsets[pos], plan.gate_offsets[pos + 1]);
+        let runs = task.runs();
         let mut inputs = [WaveformView::default(); MAX_PINS];
-        for (view, f) in inputs.iter_mut().zip(&plan.gate_fanin[lo..hi]) {
-            *view = self.writer.view(layout.index(si, f.index()));
+        for (view, run) in inputs.iter_mut().zip(runs) {
+            *view = run.view(lane);
         }
-        let table = plan.gate_tables[pos];
+        let (lo, table) = (task.pins.start, task.table);
         let output = |pins: u32| table >> pins & 1 == 1;
-        let delays = self.delays.level(batch.group_of_slot[si], level);
         let cap = self.writer.capacity();
         let scratch = &mut share.scratch;
         let initial = merge_transitions(
-            &inputs[..hi - lo],
+            &inputs[..runs.len()],
             |t, pin| delays.pin(t, lo + pin),
             output,
             scratch,
@@ -881,7 +944,28 @@ impl<'a> Walk<'a> {
         if !scratch.scheduled().is_empty() && injected(InjectionSite::ArenaOverflow) {
             return Err(CapacityOverflow { capacity: cap });
         }
-        let cell = layout.index(si, plan.gate_nodes[pos].index());
-        self.writer.stage(scratch, cell, initial)
+        self.writer.stage(scratch, task.out + lane, initial)
+    }
+}
+
+/// One gate task's addresses, made once for all its lanes.
+struct GateTask<'w> {
+    /// The fanin runs, read for the task's live lanes (the first
+    /// `pins.len()` entries; the rest repeat the first).
+    runs: [WrittenRun<'w>; MAX_PINS],
+    /// The gate's flat pin indices in the level's delay views.
+    pins: Range<usize>,
+    /// The gate's truth table, what the merge loop evaluates.
+    table: u16,
+    /// The same function, what the quiet scan evaluates 64 lanes at a
+    /// time.
+    function: LogicFunction,
+    /// The start of the output net's lane run.
+    out: usize,
+}
+
+impl<'w> GateTask<'w> {
+    fn runs(&self) -> &[WrittenRun<'w>] {
+        &self.runs[..self.pins.len()]
     }
 }

@@ -208,7 +208,8 @@ pub(crate) struct ParkedPool {
     /// launch and while a launch has it checked out). While idle it
     /// *reserves* up to
     /// [`SimOptions::waveform_budget`](crate::SimOptions::waveform_budget)
-    /// × 8 B of address space; what stays resident is what the launch
+    /// × 8 B of address space, or one lane group per worker's when that
+    /// is larger; what stays resident is what the launch
     /// wrote (its transitions, packed) plus ≈ 9 B per cell. Dropping the
     /// owner frees it.
     arena: Mutex<WaveformArena>,

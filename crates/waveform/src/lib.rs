@@ -45,7 +45,7 @@ pub mod lanes;
 pub mod vcd;
 
 pub use activity::{SwitchingActivity, WaveformStats};
-pub use arena::{LevelWriter, WaveformArena, WaveformView};
+pub use arena::{LevelWriter, WaveformArena, WaveformView, WrittenRun};
 pub use lanes::LaneLayout;
 
 use std::error::Error;
@@ -189,19 +189,6 @@ impl Waveform {
         })
     }
 
-    /// The waveform of a two-pattern (launch/capture) stimulus: value `v1`
-    /// initially, switching to `v2` at `t` if they differ.
-    pub fn from_pattern(v1: bool, v2: bool, t: f64) -> Waveform {
-        if v1 == v2 {
-            Waveform::constant(v1)
-        } else {
-            Waveform {
-                initial: v1,
-                transitions: vec![t],
-            }
-        }
-    }
-
     /// The value before the first transition.
     pub fn initial_value(&self) -> bool {
         self.initial
@@ -341,6 +328,9 @@ pub struct GateScratch {
     sched: Vec<f64>,
     staged_len: usize,
     staged: Vec<arena::StagedCell>,
+    /// The staged cells' claim words as `(word, bits)`, gathered by
+    /// [`LevelWriter::publish`].
+    claim_words: Vec<(usize, u64)>,
 }
 
 impl GateScratch {
@@ -701,17 +691,6 @@ mod tests {
         assert!(w.value_at(30.0));
         assert_eq!(w.num_transitions(), 3);
         assert_eq!(w.last_transition(), Some(30.0));
-    }
-
-    #[test]
-    fn pattern_waveforms() {
-        assert_eq!(
-            Waveform::from_pattern(true, true, 5.0),
-            Waveform::constant(true)
-        );
-        let w = Waveform::from_pattern(false, true, 5.0);
-        assert_eq!(w.transitions(), &[5.0]);
-        assert!(w.final_value());
     }
 
     #[test]
