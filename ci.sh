@@ -135,6 +135,9 @@ cargo run --release --offline -p avfs-bench --bin sta_crosscheck -- --smoke
 echo "==> sta_crosscheck --check (CHECK_report.json's sta section equals a fresh full run, at most 2 min)"
 bounded 120 cargo run --release --offline -p avfs-bench --bin sta_crosscheck -- --check CHECK_report.json
 
+echo "==> activity_sweep --check (EXPERIMENTS.md's E6 skipped-task counts equal a fresh sweep, at most 2 min)"
+bounded 120 cargo run --release --offline -p avfs-bench --bin activity_sweep -- --check EXPERIMENTS.md
+
 echo "==> perfbench build (the repo benchmark compiles against the layer crates' public APIs)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 

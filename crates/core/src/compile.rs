@@ -27,7 +27,7 @@ use avfs_check::Finding;
 use avfs_delay::model::DelayModel;
 use avfs_delay::op::OperatingPoint;
 use avfs_delay::TimingAnnotation;
-use avfs_netlist::{Levelization, LogicFunction, Netlist, NetlistError, NodeId, NodeKind};
+use avfs_netlist::{Levelization, Netlist, NetlistError, NodeId, NodeKind};
 use avfs_waveform::PinDelays;
 use std::sync::{Arc, Mutex};
 
@@ -73,14 +73,12 @@ pub(crate) struct LevelPlan {
     pub(crate) gate_offsets: Vec<usize>,
     /// The net driving each pin, flat at `gate_offsets`.
     pub(crate) gate_fanin: Vec<NodeId>,
-    /// `gate_tables[pos]` — the gate's [`CellKind::truth_table`], what
-    /// the merge loop evaluates per input event.
+    /// `gate_tables[pos]` — the gate's [`CellKind::truth_table`]: what
+    /// the constant scan cofactors over the quiet pins, 64 lanes at a
+    /// time, and what the merge loop evaluates per input event.
     ///
     /// [`CellKind::truth_table`]: avfs_netlist::CellKind::truth_table
     pub(crate) gate_tables: Vec<u16>,
-    /// `gate_functions[pos]` — the same function in the form the gating
-    /// scan evaluates 64 lanes at a time.
-    pub(crate) gate_functions: Vec<LogicFunction>,
     /// Primary outputs of the level, copied cell-to-cell at its close.
     pub(crate) output_nodes: Vec<NodeId>,
 }
@@ -112,7 +110,6 @@ impl LevelPlan {
                     plan.gate_offsets.push(plan.gate_fanin.len());
                     plan.gate_fanin.extend_from_slice(node.fanin());
                     plan.gate_tables.push(kind.truth_table());
-                    plan.gate_functions.push(kind.function());
                 }
                 NodeKind::Output => plan.output_nodes.push(node_id),
                 NodeKind::Input => {}

@@ -14,11 +14,12 @@ use crate::phases;
 use crate::results::{SlotResult, SlotStatus};
 use crate::SimError;
 use avfs_inject::InjectionSite;
-use avfs_netlist::{LogicFunction, NodeId};
+use avfs_netlist::NodeId;
 use avfs_obs::time_option;
 use avfs_waveform::{
-    merge_transitions, CapacityOverflow, GateScratch, LaneLayout, LevelWriter, SwitchingActivity,
-    WaveformArena, WaveformRead, WaveformStats, WaveformView, WrittenRun,
+    cofactor, constant_lanes, merge_transitions, CapacityOverflow, GateScratch, LaneLayout,
+    LevelWriter, SwitchingActivity, WaveformArena, WaveformRead, WaveformStats, WaveformView,
+    WrittenRun,
 };
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -351,7 +352,7 @@ struct GroupWalk {
     live: AtomicU64,
     /// Gates of the open level whose tasks finished.
     done: AtomicUsize,
-    /// Lanes of the open level the quiet scans resolved to constants.
+    /// Lanes of the open level the constant scans resolved.
     quiet: AtomicU64,
     /// The open level's faults as `(gate position, lane, verdict)`.
     faults: Mutex<Vec<(usize, usize, Dead)>>,
@@ -371,7 +372,7 @@ struct Walked {
     /// Levels walked, summed over lane groups.
     lane_groups: u64,
     /// Per level: live lane tasks (live lanes × gates) and how many of
-    /// them the quiet scans resolved.
+    /// them the constant scans resolved.
     level_tasks: Vec<u64>,
     level_quiet: Vec<u64>,
     /// Worker time (profiled runs only) spent writing stimuli, readying
@@ -755,14 +756,14 @@ impl<'a> Walk<'a> {
     }
 
     /// Runs gate positions `gates` of `level` for lane group `g`'s live
-    /// lanes: per task the fanin runs are read once, the quiet lanes
-    /// resolve to constants and the rest run the merge loop, each under
-    /// the delay view of its voltage group, made once per chunk. One
-    /// `catch_unwind` covers the chunk; the lane in flight when it
-    /// unwinds dies of `Dead::Panic` and the chunk goes on with the next
-    /// lane. A helper publishes the chunk's cells as one block (the
-    /// group's `owner` publishes its chunks of a level together), and
-    /// `done` is bumped last.
+    /// lanes: per task the fanin runs are read once, the lanes whose
+    /// quiet fanins fix the output resolve to constants and the rest are
+    /// merged, each under the delay view of its voltage group, made once
+    /// per chunk. One `catch_unwind` covers the chunk; the lane in flight
+    /// when it unwinds dies of `Dead::Panic` and the chunk goes on with
+    /// the next lane. A helper publishes the chunk's cells as one block
+    /// (the group's `owner` publishes its chunks of a level together),
+    /// and `done` is bumped last.
     fn run_chunk(
         &self,
         g: usize,
@@ -793,7 +794,7 @@ impl<'a> Walk<'a> {
                     let mut lanes = match left {
                         Some(lanes) => lanes,
                         None => {
-                            let resolved = self.resolve_quiet(&task, live);
+                            let resolved = self.resolve_constant(&task, live);
                             quiet += u64::from(resolved.count_ones());
                             live & !resolved
                         }
@@ -859,42 +860,33 @@ impl<'a> Walk<'a> {
             runs,
             pins: lo..hi,
             table: plan.gate_tables[pos],
-            function: plan.gate_functions[pos],
             out: layout.run_start(g, plan.gate_nodes[pos].index()),
         }
     }
 
-    /// Activity gating of one task over the `live` lanes: a gate whose
-    /// fanin cells are all quiet (zero transitions) has a constant
-    /// output, which needs neither delays nor the merge loop. The quiet
-    /// lanes are the AND of the fanin runs' quiet words, their constant
-    /// outputs computed from the runs' initial words with one
-    /// bit-parallel `eval_lanes` word op and written under a single
-    /// masked run claim; returns them, so the caller evaluates only the
-    /// rest. The values depend only on earlier levels' cells, so what is
-    /// written does not depend on the schedule; retry rounds re-derive
-    /// quiet bits from the surviving lanes' freshly written cells.
-    fn resolve_quiet(&self, task: &GateTask<'_>, live: u64) -> u64 {
-        let runs = task.runs();
-        let quiet = runs.iter().fold(live, |quiet, run| quiet & run.quiet());
-        if quiet != 0 {
-            let mut fan_words = [0u64; MAX_PINS];
-            for (word, run) in fan_words.iter_mut().zip(runs) {
-                *word = run.initial() & quiet;
-            }
-            self.writer.write_constant_run(
-                task.out,
-                quiet,
-                task.function.eval_lanes(&fan_words[..runs.len()]),
-            );
-        }
-        quiet
+    /// Activity gating of one task over the `live` lanes: a lane whose
+    /// quiet fanin cells (zero transitions) fix the gate's output — all
+    /// quiet, or a quiet controlling value — has a constant output, which
+    /// needs neither delays nor the merge loop. [`constant_lanes`] finds
+    /// the lanes and their values from the runs' quiet and initial words;
+    /// they are written under a single masked run claim and returned, so
+    /// the caller evaluates only the rest. The values depend only on
+    /// earlier levels' cells, so what is written does not depend on the
+    /// schedule; retry rounds re-derive quiet bits from the surviving
+    /// lanes' freshly written cells.
+    fn resolve_constant(&self, task: &GateTask<'_>, live: u64) -> u64 {
+        let pins = task.runs().iter().map(|run| (run.quiet(), run.initial()));
+        let (constant, values) = constant_lanes(task.table, pins, live);
+        self.writer.write_constant_run(task.out, constant, values);
+        constant
     }
 
     /// Evaluates `task` for lane `lane` of lane group `g` under its
-    /// voltage group's `delays`: inputs are read through the task's
-    /// fanin runs, the output is staged in the worker's scratch for the
-    /// chunk's `publish`. Returns the statistics of the staged waveform.
+    /// voltage group's `delays`: only the fanin runs' switching pins are
+    /// merged, in ascending order (the full merge's tie-break), under the
+    /// truth table's [`cofactor`] over the quiet ones; the output is
+    /// staged in the worker's scratch for the chunk's `publish`. Returns
+    /// the statistics of the staged waveform.
     ///
     /// # Errors
     ///
@@ -924,23 +916,32 @@ impl<'a> Walk<'a> {
         }
         let runs = task.runs();
         let mut inputs = [WaveformView::default(); MAX_PINS];
-        for (view, run) in inputs.iter_mut().zip(runs) {
-            *view = run.view(lane);
+        let mut pins = [0usize; MAX_PINS];
+        let (mut switching, mut quiet, mut fixed) = (0, 0u32, 0u32);
+        for (p, run) in runs.iter().enumerate() {
+            if run.quiet() >> lane & 1 == 1 {
+                quiet |= 1 << p;
+                fixed |= u32::from(run.initial() >> lane & 1 == 1) << p;
+            } else {
+                inputs[switching] = run.view(lane);
+                pins[switching] = task.pins.start + p;
+                switching += 1;
+            }
         }
-        let (lo, table) = (task.pins.start, task.table);
-        let output = |pins: u32| table >> pins & 1 == 1;
+        let table = cofactor(task.table, runs.len(), quiet, fixed);
+        let output = |bits: u32| table >> bits & 1 == 1;
         let cap = self.writer.capacity();
         let scratch = &mut share.scratch;
         let initial = merge_transitions(
-            &inputs[..runs.len()],
-            |t, pin| delays.pin(t, lo + pin),
+            &inputs[..switching],
+            |t, i| delays.pin(t, pins[i]),
             output,
             scratch,
             cap,
         )?;
         // Injected forced overflow: the same observable outcome as a real
         // capacity miss. A constant output fits any capacity and is
-        // exempt, so a quiet task cannot overflow, injected or not.
+        // exempt, so a constant lane cannot overflow, injected or not.
         if !scratch.scheduled().is_empty() && injected(InjectionSite::ArenaOverflow) {
             return Err(CapacityOverflow { capacity: cap });
         }
@@ -955,11 +956,8 @@ struct GateTask<'w> {
     runs: [WrittenRun<'w>; MAX_PINS],
     /// The gate's flat pin indices in the level's delay views.
     pins: Range<usize>,
-    /// The gate's truth table, what the merge loop evaluates.
+    /// The gate's truth table, what the scan and the merge evaluate.
     table: u16,
-    /// The same function, what the quiet scan evaluates 64 lanes at a
-    /// time.
-    function: LogicFunction,
     /// The start of the output net's lane run.
     out: usize,
 }

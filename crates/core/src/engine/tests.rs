@@ -654,6 +654,81 @@ fn quiet_stimuli_resolve_without_pool_tasks() {
 }
 
 #[test]
+fn quiet_controlling_inputs_resolve_without_the_merge() {
+    // Two NAND2s share the toggling input b; a and c are quiet. A quiet 0
+    // controls a NAND: that lane's output is a constant 1 and never
+    // reaches the merge, while a quiet 1 does not control it, so the lane
+    // merges b alone.
+    use avfs_atpg::pattern::{Pattern, PatternPair};
+    let lib = CellLibrary::nangate15_like();
+    let mut b = NetlistBuilder::new("masked", &lib);
+    let a = b.add_input("a").unwrap();
+    let toggling = b.add_input("b").unwrap();
+    let c = b.add_input("c").unwrap();
+    let g1 = b.add_gate("g1", "NAND2_X1", &[a, toggling]).unwrap();
+    let g2 = b.add_gate("g2", "NAND2_X1", &[c, toggling]).unwrap();
+    b.add_output("y1", g1).unwrap();
+    b.add_output("y2", g2).unwrap();
+    let n = Arc::new(b.finish().unwrap());
+    let engine = static_engine(&n, 4.0, 6.0);
+    // (a, b launch, b capture, c): g1 is masked in the first two slots,
+    // g2 in the third.
+    let patterns: PatternSet = [
+        (false, false, true, true),
+        (false, true, false, true),
+        (true, false, true, false),
+    ]
+    .into_iter()
+    .map(|(a, launch, capture, c)| {
+        PatternPair::new(
+            Pattern::from_bits([a, launch, c]),
+            Pattern::from_bits([a, capture, c]),
+        )
+        .unwrap()
+    })
+    .collect();
+    let baseline =
+        crate::EventDrivenSimulator::new(Arc::clone(&n), Arc::clone(engine.annotation())).unwrap();
+    let oracle = baseline.run(&patterns, &at_voltage(3, 0.8), true).unwrap();
+    for lanes in [1, 8] {
+        let run = engine
+            .launch(
+                &patterns,
+                &at_voltage(3, 0.8),
+                &SimOptions {
+                    threads: 1,
+                    lanes,
+                    profiling: true,
+                    keep_waveforms: true,
+                    ..SimOptions::default()
+                },
+            )
+            .unwrap();
+        let profile = run.profile.as_ref().unwrap();
+        assert_eq!(
+            profile.counter(phases::ENGINE_GATES_SKIPPED_QUIET),
+            Some(3),
+            "lanes={lanes}: one masked gate per slot"
+        );
+        let merged = profile.histogram(phases::ENGINE_POOL_WORKER_TASKS).unwrap();
+        assert_eq!(
+            (merged.count, merged.max),
+            (1, 3),
+            "lanes={lanes}: only the unmasked lanes reach the merge"
+        );
+        for (slot, masked) in [(0, g1), (1, g1), (2, g2)] {
+            let wf = &run.slots[slot].waveforms.as_ref().unwrap()[masked.index()];
+            assert_eq!(wf.num_transitions(), 0, "lanes={lanes} slot {slot}");
+            assert!(wf.initial_value(), "lanes={lanes} slot {slot}");
+        }
+        for (got, want) in run.slots.iter().zip(&oracle.slots) {
+            assert_eq!(got.waveforms, want.waveforms, "lanes={lanes}");
+            assert_eq!(got.responses, want.responses, "lanes={lanes}");
+        }
+    }
+}
+
+#[test]
 fn lane_width_validation() {
     let n = chain_netlist();
     let engine = static_engine(&n, 1.0, 1.0);

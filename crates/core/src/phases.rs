@@ -33,10 +33,10 @@ pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 
 /// Gate evaluation: the batch's pool release — every lane group's
 /// (gate × live lane) tasks, walked level by level by the group's owner
-/// and shared with idle workers by work stealing; per task the quiet
-/// lanes resolve to constants (activity gating) and the rest run the
-/// waveform-processing loop, and each stolen chunk's outputs are
-/// published as one block into disjoint arena cells. The release's wall
+/// and shared with idle workers by work stealing; per task the lanes
+/// whose quiet fan-ins fix the output resolve to constants (activity
+/// gating), the rest merge their switching fan-ins, and each stolen
+/// chunk's outputs are published as one block into disjoint arena cells. The release's wall
 /// time less the worker time of [`ENGINE_STIMULI`], the release's share
 /// of [`ENGINE_DELAY_KERNEL`] and [`ENGINE_BARRIER`], which run inside
 /// it, so the phases still sum to the launch. One call per batch.
@@ -91,12 +91,11 @@ pub const ENGINE_ARENA_OCCUPANCY: &str = "engine.arena_occupancy";
 /// Histogram of slots per launched batch.
 pub const ENGINE_BATCH_SLOTS: &str = "engine.batch_slots";
 
-/// Live lane tasks — one slot's evaluation of one gate — that the
-/// workers' quiet scan resolved to a constant write instead of running
-/// the waveform-processing loop, summed over levels, batches and retry
-/// rounds. Tallied per lane group and level by whichever worker ran the
-/// task, folded in at the batch's end; recorded (possibly 0) by every
-/// run with a gate task.
+/// Live lane tasks — one slot's evaluation of one gate — resolved
+/// without the merge (all fan-ins quiet, or the quiet ones fix the
+/// output), summed over levels, batches and retry rounds. Tallied per
+/// lane group and level by whichever worker ran the task, folded in at
+/// the batch's end; recorded (possibly 0) by every run with a gate task.
 pub const ENGINE_GATES_SKIPPED_QUIET: &str = "engine.gates_skipped_quiet";
 
 /// Quiet `(slot, net)` cells (zero transitions over the simulation
@@ -106,9 +105,9 @@ pub const ENGINE_QUIET_CELLS: &str = "engine.quiet_cells";
 
 /// Histogram of per-level activity: for every level of a batch with a
 /// live lane task, the percentage (0–100) of its live lane tasks — over
-/// all the batch's lane groups — that were *active*: not resolved by the
-/// quiet scan, so evaluated by the merge loop. Recorded from the
-/// per-level sums folded at the batch's end.
+/// all the batch's lane groups — that were *active*: not resolved
+/// without the merge (all fan-ins quiet, or the quiet ones fix the
+/// output). Recorded from the per-level sums folded at the batch's end.
 pub const ENGINE_LEVEL_ACTIVITY: &str = "engine.level_activity";
 
 /// Levels walked by lane groups, summed over lane groups, batches and
@@ -120,9 +119,9 @@ pub const ENGINE_LANES_GROUPS: &str = "engine.lanes_groups";
 /// run — how often idle workers joined another group's open level.
 pub const ENGINE_POOL_STEALS: &str = "engine.pool_steals";
 
-/// Histogram of gate tasks executed per pool worker over the whole run
-/// (one sample per worker) — the load-balance fingerprint of the
-/// work-stealing schedule.
+/// Histogram of lane tasks each pool worker merged over the whole run
+/// (one sample per worker; tasks resolved without the merge — all
+/// fan-ins quiet, or the quiet ones fix the output — are not counted).
 pub const ENGINE_POOL_WORKER_TASKS: &str = "engine.pool_worker_tasks";
 
 /// Compiled-artifact cache hits on a

@@ -424,21 +424,6 @@ impl CellKind {
             table | u16::from(self.eval(&row[..pins])) << r
         })
     }
-
-    /// Evaluates the cell's function over 64 packed lanes
-    /// (see [`LogicFunction::eval_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != self.num_inputs()`.
-    pub fn eval_lanes(&self, inputs: &[u64]) -> u64 {
-        assert_eq!(
-            inputs.len(),
-            self.num_inputs(),
-            "cell {self} evaluated with wrong input count"
-        );
-        self.function.eval_lanes(inputs)
-    }
 }
 
 impl fmt::Display for CellKind {
@@ -644,11 +629,11 @@ mod tests {
     }
 
     #[test]
-    fn cell_kind_eval_lanes_checks_arity() {
+    fn cell_kind_eval_checks_arity() {
         let kind = CellKind::new(LogicFunction::Nand, 3, DriveStrength::X1).unwrap();
-        assert_eq!(kind.eval_lanes(&[!0, !0, 0]), !0);
-        assert_eq!(kind.eval_lanes(&[!0, !0, !0]), 0);
-        let r = std::panic::catch_unwind(|| kind.eval_lanes(&[0, 0]));
+        assert!(kind.eval(&[true, true, false]));
+        assert!(!kind.eval(&[true, true, true]));
+        let r = std::panic::catch_unwind(|| kind.eval(&[false, false]));
         assert!(r.is_err(), "wrong input count must panic");
     }
 

@@ -215,17 +215,6 @@ impl Cell {
     pub fn eval(&self, inputs: &[bool]) -> bool {
         self.kind.eval(inputs)
     }
-
-    /// Evaluates the cell function for 64 lanes at once: bit `k` of the
-    /// result is `eval` of bit `k` of every input word (see
-    /// [`LogicFunction::eval_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != self.num_inputs()`.
-    pub fn eval_lanes(&self, inputs: &[u64]) -> u64 {
-        self.kind.eval_lanes(inputs)
-    }
 }
 
 /// Conventional pin names: `A1…An` for simple gates, `A/B/S` for muxes,

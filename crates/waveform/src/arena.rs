@@ -563,9 +563,9 @@ impl LevelWriter<'_> {
     /// of [`WrittenRun::quiet`] is set iff bit `k` of `lanes` is and cell
     /// `start + k` has zero transitions — a constant signal for the whole
     /// simulation window; bit `k` of [`WrittenRun::initial`] is that
-    /// cell's initial logic value. A gate whose fanin cells are all quiet
-    /// has a constant output, computed with one bit-parallel word op
-    /// (`LogicFunction::eval_lanes`) per input instead of a waveform
+    /// cell's initial logic value. A gate whose quiet fanin cells fix its
+    /// output has a constant output, found for 64 lanes at once from
+    /// these words by [`crate::constant_lanes`] instead of a waveform
     /// evaluation. In a lane-major arena one net's waveforms for a whole
     /// lane group are contiguous ([`crate::LaneLayout::run_start`]); a
     /// one-lane run is the single cell. Unmasked lanes are not read, and

@@ -41,11 +41,13 @@
 
 pub mod activity;
 pub mod arena;
+pub mod cofactor;
 pub mod lanes;
 pub mod vcd;
 
 pub use activity::{SwitchingActivity, WaveformStats};
 pub use arena::{LevelWriter, WaveformArena, WaveformView, WrittenRun};
+pub use cofactor::{cofactor, constant_lanes};
 pub use lanes::LaneLayout;
 
 use std::error::Error;
@@ -518,6 +520,23 @@ pub fn merge_transitions<W: WaveformRead>(
     let base = *staged_len;
     sched.truncate(base);
 
+    // One pin — about two thirds of the engine's merges once quiet pins
+    // are cofactored out — needs no scan: its events are in time order.
+    if let [w] = inputs {
+        let mut bits = u32::from(w.initial_value());
+        let initial_out = output(bits);
+        let mut scheduled_value = initial_out;
+        for &t in w.transitions() {
+            bits ^= 1;
+            let new_out = output(bits);
+            if new_out != scheduled_value {
+                let tt = t + delay(t, 0).for_output(new_out);
+                schedule(sched, base, &mut scheduled_value, tt, cap)?;
+            }
+        }
+        return Ok(initial_out);
+    }
+
     // Transition times are finite (the `Waveform` invariant), so `∞`
     // marks an exhausted pin and never wins the scan below while any
     // event is pending.
@@ -561,27 +580,44 @@ pub fn merge_transitions<W: WaveformRead>(
             continue;
         }
         let tt = t + delay(t, pin).for_output(new_out);
-        // Inertial cancellation: the new cause overtakes any scheduled
-        // transition at tt or later.
-        while sched.len() > base && sched[sched.len() - 1] >= tt {
-            sched.pop();
-            scheduled_value = !scheduled_value;
-        }
-        if scheduled_value != new_out {
-            if sched.len() - base >= cap {
-                sched.truncate(base);
-                return Err(CapacityOverflow { capacity: cap });
-            }
-            sched.push(tt);
-            scheduled_value = new_out;
-        }
+        schedule(sched, base, &mut scheduled_value, tt, cap)?;
     }
-
-    debug_assert!(
-        sched[base..].iter().all(|t| t.is_finite())
-            && sched[base..].windows(2).all(|w| w[0] < w[1])
-    );
     Ok(initial_out)
+}
+
+/// Schedules the output change away from `scheduled_value` that an
+/// input event causes at `tt`, in the schedule `sched[base..]`.
+/// Inertial cancellation: the new cause overtakes any scheduled
+/// transition at `tt` or later, and when that leaves the output at its
+/// new value already, nothing is pushed.
+///
+/// # Errors
+///
+/// [`CapacityOverflow`] when the push would be the `cap + 1`-th entry;
+/// the schedule is emptied.
+#[inline(always)]
+fn schedule(
+    sched: &mut Vec<f64>,
+    base: usize,
+    scheduled_value: &mut bool,
+    tt: f64,
+    cap: usize,
+) -> Result<(), CapacityOverflow> {
+    let new_out = !*scheduled_value;
+    while sched.len() > base && sched[sched.len() - 1] >= tt {
+        sched.pop();
+        *scheduled_value = !*scheduled_value;
+    }
+    if *scheduled_value != new_out {
+        if sched.len() - base >= cap {
+            sched.truncate(base);
+            return Err(CapacityOverflow { capacity: cap });
+        }
+        debug_assert!(tt.is_finite() && sched[base..].last().is_none_or(|&last| last < tt));
+        sched.push(tt);
+        *scheduled_value = new_out;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
