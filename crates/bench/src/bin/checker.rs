@@ -99,7 +99,7 @@ fn main() -> ExitCode {
         report.push(Subject::new(
             name.clone(),
             "netlist",
-            avfs_check::netlist::lint_netlist(netlist),
+            avfs_check::netlist::lint_netlist(netlist, None),
         ));
     }
 

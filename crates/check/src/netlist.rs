@@ -13,7 +13,12 @@ use avfs_netlist::{Levelization, Netlist, NetlistError, NodeId, NodeKind};
 /// Runs every tier-1 rule over a netlist and returns the (per-rule
 /// capped, deterministic) findings. A clean netlist returns an empty
 /// vector.
-pub fn lint_netlist(netlist: &Netlist) -> Vec<Finding> {
+///
+/// `levels` is a levelization of `netlist` the caller already holds (the
+/// engine's compile computes one): it is checked against the level
+/// invariant instead of levelizing again. With `None` the netlist is
+/// levelized here.
+pub fn lint_netlist(netlist: &Netlist, levels: Option<&Levelization>) -> Vec<Finding> {
     let mut findings = Vec::new();
     lint_arity(netlist, &mut findings);
     lint_graph_consistency(netlist, &mut findings);
@@ -23,7 +28,10 @@ pub fn lint_netlist(netlist: &Netlist) -> Vec<Finding> {
     if findings.iter().any(|f| f.rule == "AVC-N003") {
         return cap_findings(findings);
     }
-    lint_levelization(netlist, &mut findings);
+    match levels {
+        Some(levels) => findings.extend(lint_levels(netlist, levels)),
+        None => lint_levelization(netlist, &mut findings),
+    }
     lint_connectivity(netlist, &mut findings);
     lint_duplicate_fanin(netlist, &mut findings);
     cap_findings(findings)
@@ -135,12 +143,9 @@ fn lint_levelization(netlist: &Netlist, findings: &mut Vec<Finding>) {
 /// AVC-N004: checks a *given* levelization against a netlist — every
 /// node's level must strictly exceed all of its fan-ins' levels, the
 /// precondition for the engine's one-epoch-per-level arena writes.
-///
-/// [`lint_netlist`] applies this to a freshly computed levelization
-/// (where it holds by construction); the engine applies it to its
-/// *cached* levelization, so a stale or mismatched cache is caught
-/// before any waveform is written.
-pub fn lint_levels(netlist: &Netlist, levels: &Levelization) -> Vec<Finding> {
+/// [`lint_netlist`] applies it to the caller's levelization, or to a
+/// fresh one (where it holds by construction).
+fn lint_levels(netlist: &Netlist, levels: &Levelization) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (id, node) in netlist.iter() {
         for &f in node.fanin() {
@@ -293,7 +298,7 @@ mod tests {
 
     #[test]
     fn clean_netlist_has_no_findings() {
-        assert_eq!(lint_netlist(&clean()), Vec::new());
+        assert_eq!(lint_netlist(&clean(), None), Vec::new());
     }
 
     #[test]
@@ -305,7 +310,7 @@ mod tests {
         let g2 = b.add_gate("g2", "INV_X1", &[g1]).unwrap();
         b.add_output("y", g2).unwrap();
         b.rewire_unchecked(g1, 1, g2);
-        let findings = lint_netlist(&b.finish_unchecked());
+        let findings = lint_netlist(&b.finish_unchecked(), None);
         let loops: Vec<&Finding> = findings.iter().filter(|f| f.rule == "AVC-N001").collect();
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].severity, Severity::Deny);
@@ -323,7 +328,7 @@ mod tests {
         let feeder = b.add_gate("feeder", "BUF_X1", &[a]).unwrap();
         let _sink = b.add_gate("sink", "INV_X1", &[feeder]).unwrap();
         b.add_output("y", live).unwrap();
-        let findings = lint_netlist(&b.finish().unwrap());
+        let findings = lint_netlist(&b.finish().unwrap(), None);
         assert_eq!(rules_of(&findings), vec!["AVC-N005", "AVC-N006"]);
         assert_eq!(findings[0].location, "sink");
         assert_eq!(findings[1].location, "feeder");
@@ -337,7 +342,7 @@ mod tests {
         let _unused = b.add_input("unused").unwrap();
         let g = b.add_gate("g", "INV_X1", &[a]).unwrap();
         b.add_output("y", g).unwrap();
-        let findings = lint_netlist(&b.finish().unwrap());
+        let findings = lint_netlist(&b.finish().unwrap(), None);
         assert_eq!(rules_of(&findings), vec!["AVC-N007"]);
         assert_eq!(findings[0].location, "unused");
     }
@@ -349,7 +354,7 @@ mod tests {
         let a = b.add_input("a").unwrap();
         let g = b.add_gate("g", "NAND2_X1", &[a, a]).unwrap();
         b.add_output("y", g).unwrap();
-        let findings = lint_netlist(&b.finish().unwrap());
+        let findings = lint_netlist(&b.finish().unwrap(), None);
         assert_eq!(rules_of(&findings), vec!["AVC-N009"]);
         assert_eq!(findings[0].severity, Severity::Info);
     }
@@ -362,7 +367,7 @@ mod tests {
         let mut netlist = clean();
         let g1 = netlist.find("g1").unwrap();
         netlist.clear_fanout_unchecked(g1);
-        let findings = lint_netlist(&netlist);
+        let findings = lint_netlist(&netlist, None);
         let integrity: Vec<&Finding> = findings.iter().filter(|f| f.rule == "AVC-N003").collect();
         assert!(!integrity.is_empty(), "expected AVC-N003 in {findings:?}");
         assert_eq!(integrity[0].severity, Severity::Deny);
@@ -378,7 +383,7 @@ mod tests {
         let g = b.add_gate("g", "NAND2_X1", &[a, c]).unwrap();
         b.add_output("y", g).unwrap();
         b.pop_fanin_unchecked(g);
-        let findings = lint_netlist(&b.finish_unchecked());
+        let findings = lint_netlist(&b.finish_unchecked(), None);
         let arity: Vec<&Finding> = findings.iter().filter(|f| f.rule == "AVC-N002").collect();
         assert_eq!(arity.len(), 1);
         assert_eq!(arity[0].severity, Severity::Deny);
@@ -407,11 +412,11 @@ mod tests {
 
         let chain_levels = Levelization::of(&chain).unwrap();
         let flat_levels = Levelization::of(&flat).unwrap();
-        assert_eq!(lint_levels(&chain, &chain_levels), Vec::new());
+        assert_eq!(lint_netlist(&chain, Some(&chain_levels)), Vec::new());
         // `flat`'s g2 reads `a` directly; under `chain`'s levels that is
         // fine, but `chain`'s g2 (level 2) read against `flat`'s levels
         // (g2 at level 1, g1 at level 1) breaks the invariant.
-        let findings = lint_levels(&chain, &flat_levels);
+        let findings = lint_netlist(&chain, Some(&flat_levels));
         assert!(
             findings.iter().any(|f| f.rule == "AVC-N004"),
             "expected AVC-N004 in {findings:?}"
@@ -433,7 +438,7 @@ mod tests {
         b.add_output("z", g3).unwrap();
         b.rewire_unchecked(g1, 0, g2);
         b.rewire_unchecked(g1, 1, g2);
-        let findings = lint_netlist(&b.finish_unchecked());
+        let findings = lint_netlist(&b.finish_unchecked(), None);
         let rules = rules_of(&findings);
         assert!(rules.contains(&"AVC-N001"), "loop missing in {rules:?}");
         let undriven: Vec<&Finding> = findings.iter().filter(|f| f.rule == "AVC-N008").collect();
@@ -451,7 +456,7 @@ mod tests {
             b.add_gate(format!("dead{i}"), "INV_X1", &[a]).unwrap();
         }
         b.add_output("y", g).unwrap();
-        let findings = lint_netlist(&b.finish().unwrap());
+        let findings = lint_netlist(&b.finish().unwrap(), None);
         let dangling: Vec<&Finding> = findings.iter().filter(|f| f.rule == "AVC-N005").collect();
         assert_eq!(dangling.len(), crate::MAX_FINDINGS_PER_RULE + 1);
         assert!(dangling.last().unwrap().message.contains("12 further"));

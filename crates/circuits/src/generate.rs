@@ -183,9 +183,11 @@ impl GeneratorConfig {
 ///
 /// Structure mirrors synthesized logic: gates are placed on `depth`
 /// levels with a flat size distribution; each gate draws its fan-ins from
-/// recent levels with locality bias (80 % from the previous three levels);
-/// every gate output is guaranteed at least one sink, so there is no dead
-/// logic. Deterministic per seed.
+/// recent levels with locality bias (80 % from the previous three levels).
+/// The primary outputs tap the last level, then random earlier gates when
+/// the last level is narrower than the output count; a gate that no later
+/// gate reads and no output taps is left in place, so dead cones remain.
+/// Deterministic per seed.
 ///
 /// # Errors
 ///
@@ -253,21 +255,11 @@ pub fn random_netlist(
         levels.push(this_level);
     }
 
-    // Outputs: observe the last level first, then any yet-unused gates so
-    // no logic dangles.
-    let mut po_sources: Vec<NodeId> = Vec::new();
+    // Outputs: observe the last level first, then random earlier gates;
+    // gates neither read nor observed stay as dead cones.
     let last = levels.last().expect("at least the PI level").clone();
-    po_sources.extend(last);
-    // The builder tracks fanout only at finish; track usage here instead.
-    let mut used: Vec<bool> = vec![false; b.len()];
-    for lvl in &levels[1..] {
-        for &g in lvl {
-            used[g.index()] = true; // every gate could be observed
-        }
-    }
-    let _ = used;
     let mut po_no = 0usize;
-    for src in po_sources.into_iter().take(config.outputs.max(1)) {
+    for src in last.into_iter().take(config.outputs.max(1)) {
         b.add_output(format!("po{po_no}"), src)?;
         po_no += 1;
     }

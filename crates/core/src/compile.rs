@@ -266,8 +266,7 @@ impl CompiledNetlist {
         // characterized interval. Per-launch data (slot operating points)
         // is checked at run time instead — the only validation work a
         // launch pays.
-        let mut setup_findings = avfs_check::netlist::lint_netlist(&netlist);
-        setup_findings.extend(avfs_check::netlist::lint_levels(&netlist, &levels));
+        let mut setup_findings = avfs_check::netlist::lint_netlist(&netlist, Some(&levels));
         setup_findings.extend(avfs_check::cap_findings(load_findings));
         let setup_rendered: Vec<String> = setup_findings.iter().map(ToString::to_string).collect();
         let setup_deny = setup_findings

@@ -95,8 +95,6 @@ const MAX_STEAL_CHUNK: usize = 64;
 /// domain boundary and simulates anyway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ValidationMode {
-    /// Skip validation entirely (findings list stays empty).
-    Off,
     /// Run the checks and record rendered findings in
     /// [`RunDiagnostics::validation_findings`]; the simulation proceeds
     /// regardless. The default.
@@ -367,9 +365,6 @@ impl CompiledNetlist {
         slot_supplies: impl Iterator<Item = (String, f64)>,
         extra: &[avfs_check::Finding],
     ) -> Result<Vec<String>, SimError> {
-        if mode == ValidationMode::Off {
-            return Ok(Vec::new());
-        }
         // Supplies are checked against the model's characterized domain
         // *before* normalization clamps them into it, so an out-of-domain
         // sweep point is recorded (Warn) or refused (Deny) instead of

@@ -1385,19 +1385,6 @@ fn strict_validation_modes() {
         "{:?}",
         warn.diagnostics.validation_findings
     );
-    let off = engine
-        .launch(
-            &patterns,
-            &low,
-            &SimOptions {
-                threads: 1,
-                strict_validation: ValidationMode::Off,
-                ..SimOptions::default()
-            },
-        )
-        .unwrap();
-    assert!(off.diagnostics.validation_findings.is_empty());
-    assert_eq!(off.slots, warn.slots, "validation never changes results");
     let denied = engine.launch(
         &patterns,
         &low,
@@ -2585,11 +2572,7 @@ fn invalid_variation_rejected() {
         (0.05, -0.2),
         (0.05, f64::INFINITY),
     ] {
-        for mode in [
-            ValidationMode::Off,
-            ValidationMode::Warn,
-            ValidationMode::Deny,
-        ] {
+        for mode in [ValidationMode::Warn, ValidationMode::Deny] {
             match launch(sigma, max_deviation, mode) {
                 Err(SimError::InvalidVariation { .. }) => {}
                 other => panic!(
@@ -2632,11 +2615,7 @@ fn unusable_capture_deadline_rejected() {
     let mut session = crate::session::Session::new(Arc::clone(&engine), 1);
     let runner = crate::batch::BatchRunner::new(1, 1);
     for deadline in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
-        for mode in [
-            ValidationMode::Off,
-            ValidationMode::Warn,
-            ValidationMode::Deny,
-        ] {
+        for mode in [ValidationMode::Warn, ValidationMode::Deny] {
             let opts = SimOptions {
                 strict_validation: mode,
                 ..SimOptions::default()
@@ -2910,7 +2889,7 @@ fn malformed_scenarios_rejected() {
 /// (`AVC-N010`, lowering extends it back to `t = 0`) and supplies
 /// outside the characterized range (`AVC-D006`, the kernel clamps) —
 /// follow `SimOptions::strict_validation` instead of hard-failing:
-/// recorded under `Warn`, refused under `Deny`, silent under `Off`.
+/// recorded under `Warn`, refused under `Deny`.
 #[test]
 fn repairable_schedules_follow_validation_mode() {
     let n = chain_netlist();
@@ -2958,9 +2937,6 @@ fn repairable_schedules_follow_validation_mode() {
             }
             other => panic!("{rule}: expected Validation refusal, got {other:?}"),
         }
-        // Off: runs, records nothing.
-        let off = launch(schedule.clone(), ValidationMode::Off).unwrap();
-        assert!(off.diagnostics.validation_findings.is_empty());
     }
     // An unanchored schedule still lowers soundly: segment 0 extends
     // back to the launch instant, so this two-segment trace equals

@@ -18,9 +18,8 @@ use crate::DelayError;
 use avfs_netlist::library::{CellId, CellLibrary, Polarity};
 use avfs_netlist::{Netlist, NodeKind};
 use avfs_obs::Metrics;
-use avfs_regression::grid::refine_axis;
 use avfs_regression::poly::eval_horner_lattice;
-use avfs_regression::{DataGrid, ErrorStats, LeastSquaresPlan, PolyBasis, RegressionError};
+use avfs_regression::{DataGrid, ErrorStats, PolyBasis, RegressionError, SeparableFit};
 use avfs_spice::{SweepConfig, SweepPlan, Technology};
 use avfs_waveform::PinDelays;
 use std::num::NonZeroUsize;
@@ -112,9 +111,9 @@ pub struct CharacterizationReport {
     /// Relative-error statistics over the probe lattice, aggregated over
     /// all pins and polarities of the cell.
     pub stats: ErrorStats,
-    /// Wall-clock time of the regression solves only, milliseconds: each
-    /// arc's solve against the call's one factorization (the paper reports
-    /// 1–40 ms per coefficient set).
+    /// Wall-clock time of the regression fits only, milliseconds: each
+    /// arc's fit against the call's one pair of axis operators (the paper
+    /// reports 1–40 ms per coefficient set).
     pub fit_millis: f64,
 }
 
@@ -472,7 +471,8 @@ pub struct GridFit {
 /// (step C), compilation (step D) and the probe-lattice error evaluation
 /// of Fig. 4 against the linearly interpolated reference. This is the
 /// one-arc case of the plan a characterization call shares across its
-/// arcs, so `fit_millis` covers the factorization as well as the solve.
+/// arcs, so `fit_millis` covers building the axis operators as well as the
+/// fit.
 ///
 /// # Errors
 ///
@@ -501,9 +501,10 @@ fn regression_error(e: RegressionError) -> DelayError {
 }
 
 /// Steps B–D for every deviation grid on one pair of coarse axes. The
-/// refined lattice, and with it the design matrix and its factorization,
-/// depends on the axes alone, so it is built once and each grid's fit is
-/// one solve against it.
+/// refined lattice is the tensor product of the refined axes, so the
+/// least-squares fit on it is two 1-D axis operators `M_V`, `M_C` that
+/// depend on the axes alone ([`SeparableFit`]): they are built once, and
+/// each grid's fit is the product `M_V · Y · M_Cᵀ` on its coarse values.
 struct FitPlan {
     /// The coarse axes the plan was built for.
     xs: Vec<f64>,
@@ -511,7 +512,7 @@ struct FitPlan {
     order: usize,
     refine_factor: usize,
     probe_grid: usize,
-    least_squares: LeastSquaresPlan,
+    separable: SeparableFit,
 }
 
 impl FitPlan {
@@ -523,25 +524,19 @@ impl FitPlan {
         probe_grid: usize,
     ) -> Result<FitPlan, DelayError> {
         let refine_factor = refine_factor.max(1);
-        // The samples of `DataGrid::refine`, in its row-major order.
-        let refined_ys = refine_axis(ys, refine_factor);
-        let samples: Vec<(f64, f64)> = refine_axis(xs, refine_factor)
-            .into_iter()
-            .flat_map(|v| refined_ys.iter().map(move |&c| (v, c)))
-            .collect();
-        let least_squares =
-            LeastSquaresPlan::new(&PolyBasis::new(order), &samples).map_err(regression_error)?;
+        let separable = SeparableFit::new(&PolyBasis::new(order), xs, ys, refine_factor)
+            .map_err(regression_error)?;
         Ok(FitPlan {
             xs: xs.to_vec(),
             ys: ys.to_vec(),
             order,
             refine_factor,
             probe_grid,
-            least_squares,
+            separable,
         })
     }
 
-    /// Fits `grid`. When `metrics` is present, the solve records the phase
+    /// Fits `grid`. When `metrics` is present, the fit records the phase
     /// `"regression/fit"`, bumps `"regression.fits"` and feeds its duration
     /// into the `"regression.fit_ns"` histogram (nanoseconds).
     ///
@@ -554,14 +549,12 @@ impl FitPlan {
             bits(grid.xs()) == bits(&self.xs) && bits(grid.ys()) == bits(&self.ys),
             "a deviation grid is fitted on the axes its plan was built for"
         );
-        let refined = grid.refine(self.refine_factor);
-        let targets: Vec<f64> = refined.samples().map(|(_, _, d)| d).collect();
         let t0 = Instant::now();
         let beta = match metrics {
-            None => self.least_squares.fit(&targets),
+            None => self.separable.fit(grid),
             Some(m) => {
                 let span = m.span("regression/fit");
-                let beta = self.least_squares.fit(&targets);
+                let beta = self.separable.fit(grid);
                 let elapsed = span.finish();
                 m.add("regression.fits", 1);
                 m.record(
@@ -574,6 +567,7 @@ impl FitPlan {
         let fit_millis = t0.elapsed().as_secs_f64() * 1e3;
         let poly = SurfacePolynomial::new(self.order, beta.map_err(regression_error)?)?;
 
+        let refined = grid.refine(self.refine_factor);
         let (pvs, pcs) = refined.equidistant_probes(self.probe_grid);
         let references = refined.sample_lattice(&pvs, &pcs);
         let predictions = eval_horner_lattice(self.order, poly.coefficients(), &pvs, &pcs);
@@ -617,8 +611,8 @@ fn pairs<T>(arcs: Vec<T>) -> Vec<[T; 2]> {
 /// one [`SweepPlan`] over every (cell, pin, polarity) arc, integrated on
 /// every core, with each arc fitted on the calling thread as soon as its
 /// surface is swept. Every arc is fitted on the same refined lattice, so
-/// the call factors its least-squares system once and each arc's fit is
-/// one solve against it.
+/// the call builds its two axis operators once and each arc's fit is two
+/// small matrix products.
 ///
 /// # Errors
 ///
@@ -637,8 +631,8 @@ pub fn characterize_library(
 /// [`characterize_library`] with optional instrumentation: the call
 /// records one `"delay/characterize"` span, its planned sweep records
 /// `"spice/sweep"` / `"spice.ode_steps"` / `"spice.transient_points"` /
-/// `"spice.stage_runs"` (see [`SweepPlan::run`]) and each arc's solve
-/// against the call's factorization records `"regression/fit"` /
+/// `"spice.stage_runs"` (see [`SweepPlan::run`]) and each arc's fit
+/// against the call's axis operators records `"regression/fit"` /
 /// `"regression.fits"` / `"regression.fit_ns"` — the measured counterpart
 /// of the paper's 1–40 ms per-fit runtime claim (Sec. V.A).
 ///
@@ -711,8 +705,8 @@ fn characterize_on(
         .position(|&v| (v - config.sweep.nominal_vdd).abs() < 1e-9)
         .expect("validated: nominal on grid");
 
-    // Every arc's deviation grid lies on these axes. A failure to factor
-    // their system surfaces at the first arc's fit, where the per-arc
+    // Every arc's deviation grid lies on these axes. A failure to build
+    // their operators surfaces at the first arc's fit, where the per-arc
     // flow met it.
     let (xs, ys) = normalized_axes(&config.sweep.voltages, &config.sweep.loads_ff, &space);
     let fits = FitPlan::new(
@@ -979,9 +973,10 @@ mod tests {
 
     #[test]
     fn characterization_is_bit_identical_to_the_serial_sweep() {
-        // Recorded once from the error-controlled transient integrator and
-        // the unfused (multiply, then add) regression kernels: every worker
-        // count must reproduce them bit for bit.
+        // Recorded once from the error-controlled transient integrator, the
+        // separable least-squares fit and the unfused (multiply, then add)
+        // Horner kernels: every worker count must reproduce them bit for
+        // bit.
         let lib = CellLibrary::nangate15_like();
         let tech = Technology::nm15();
         // The 64-bit adder's cells at the paper's sweep: what the
@@ -1002,22 +997,22 @@ mod tests {
             )
             .unwrap();
             let context = format!("{workers} workers");
-            assert_eq!(fast.content_hash(), 0x6f7d_3a51_b0ad_71d7, "{context}");
+            assert_eq!(fast.content_hash(), 0xedd4_2209_8278_0abf, "{context}");
             assert_eq!(
                 reports_digest(fast.reports()),
-                0x509e_c138_cb4d_e609,
+                0x7c0f_d389_8e99_f714,
                 "{context}"
             );
-            assert_eq!(paper.content_hash(), 0x34b2_02df_bf96_207f, "{context}");
+            assert_eq!(paper.content_hash(), 0x931a_a655_1f7a_68fa, "{context}");
             assert_eq!(
                 reports_digest(paper.reports()),
-                0x1d89_4ac7_4cbb_62c3,
+                0x65af_0a84_2d42_7185,
                 "{context}"
             );
             // One span per call, one planned sweep, the plan's distinct
             // stages are the integrations the per-call memo ran, their accepted
-            // steps are a function of the plan, and every arc is one solve
-            // against the call's factorization.
+            // steps are a function of the plan, and every arc is one fit
+            // against the call's axis operators.
             let profile = metrics.snapshot();
             assert_eq!(profile.phase("delay/characterize").unwrap().calls, 1);
             assert_eq!(profile.phase("spice/sweep").unwrap().calls, 1);
@@ -1063,10 +1058,10 @@ mod tests {
 
     #[test]
     fn unfused_fit_matches_the_fused_record() {
-        // The kernels round each multiply-add twice; the monomial Gram is
-        // badly conditioned, so coefficients move by up to ~1e-6 relative,
-        // but the fitted surfaces (what the engine reads) and the Fig. 4
-        // statistics must not.
+        // The record came from the fused normal-equation fit. The separable
+        // fit and the unfused kernels move coefficients (the monomial basis
+        // is badly conditioned), but the fitted surfaces (what the engine
+        // reads) and the Fig. 4 statistics must not.
         let lib = CellLibrary::nangate15_like();
         let tech = Technology::nm15();
         let ids = subset(&lib, &["XOR2_X1", "AND2_X1", "OR2_X1"]);

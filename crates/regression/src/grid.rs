@@ -8,7 +8,7 @@
 //! ("linearly interpolated SPICE results") the fitted polynomials are
 //! compared against in Figs. 4 and 5.
 
-use crate::RegressionError;
+use crate::{Matrix, RegressionError};
 
 /// A rectangular grid of values `d[i][j]` sampled at axis positions
 /// `xs[i]`, `ys[j]`.
@@ -104,19 +104,6 @@ impl DataGrid {
         &self.ys
     }
 
-    /// The stored value at grid indices `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of bounds.
-    pub fn at(&self, i: usize, j: usize) -> f64 {
-        assert!(
-            i < self.xs.len() && j < self.ys.len(),
-            "grid index out of bounds"
-        );
-        self.values[i * self.ys.len() + j]
-    }
-
     /// Bilinear interpolation at `(x, y)`.
     ///
     /// Coordinates outside the grid are clamped to the boundary (the paper
@@ -200,7 +187,7 @@ impl DataGrid {
 }
 
 /// `count` equidistant points covering `[lo, hi]` inclusive.
-pub fn linspace(lo: f64, hi: f64, count: usize) -> Vec<f64> {
+fn linspace(lo: f64, hi: f64, count: usize) -> Vec<f64> {
     match count {
         0 => Vec::new(),
         1 => vec![lo],
@@ -241,7 +228,7 @@ fn locate(axis: &[f64], x: f64) -> (usize, f64) {
 /// # Panics
 ///
 /// Panics if `axis` is empty.
-pub fn refine_axis(axis: &[f64], factor: usize) -> Vec<f64> {
+pub(crate) fn refine_axis(axis: &[f64], factor: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity((axis.len() - 1) * factor + 1);
     for w in axis.windows(2) {
         for k in 0..factor {
@@ -250,6 +237,21 @@ pub fn refine_axis(axis: &[f64], factor: usize) -> Vec<f64> {
     }
     out.push(*axis.last().expect("non-empty axis"));
     out
+}
+
+/// The linear interpolation [`DataGrid::refine`] applies along one axis,
+/// as a `refined × axis` matrix `R`: row `p` holds the weights of
+/// `refine_axis(axis, factor)[p]` on the axis' points, so a refined grid
+/// is `R_x · values · R_yᵀ`.
+pub(crate) fn refine_matrix(axis: &[f64], factor: usize) -> Matrix {
+    let refined = refine_axis(axis, factor);
+    let mut r = Matrix::zeros(refined.len(), axis.len());
+    for (p, &x) in refined.iter().enumerate() {
+        let (i, t) = locate(axis, x);
+        r[(p, i)] = 1.0 - t;
+        r[(p, i + 1)] = t;
+    }
+    r
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //! This crate implements the offline learning machinery of Schneider &
 //! Wunderlich (DATE'20), Section III: dense linear algebra, ordinary
 //! least-squares multi-variable linear regression (the normal equation
-//! `β̂ = (XᵀX)⁻¹ Xᵀ y`, Eq. 8), bivariate polynomial feature expansion
+//! `β̂ = (XᵀX)⁻¹ Xᵀ y`, Eq. 8, solved by Householder QR, and on a refined
+//! tensor lattice as two 1-D fits), bivariate polynomial feature expansion
 //! (Eq. 4/6), the parameter normalizations `φ_V`, `φ_C`, `φ_D`, data-grid
 //! densification by bilinear interpolation (Fig. 1, step B), and the error
 //! statistics reported in Fig. 4.
@@ -48,9 +49,9 @@ pub mod solve;
 pub mod stats;
 
 pub use grid::DataGrid;
-pub use linreg::{fit_least_squares, LeastSquaresPlan};
+pub use linreg::{fit_least_squares, SeparableFit};
 pub use matrix::Matrix;
-pub use normalize::{CapNormalizer, DelayNormalizer, VoltageNormalizer};
+pub use normalize::{CapNormalizer, VoltageNormalizer};
 pub use poly::PolyBasis;
 pub use stats::ErrorStats;
 

@@ -2,25 +2,29 @@
 //!
 //! The regression model is `y = X·β + ε` (Eq. 5) with the design matrix `X`
 //! of polynomial power terms (Eq. 6). The fitted coefficients follow the
-//! ordinary-least-squares criterion (Eq. 7), obtained by solving the normal
-//! equation `β̂ = (XᵀX)⁻¹ Xᵀ y` (Eq. 8) via Cholesky factorization of the
-//! Gram matrix, with a Householder-QR fallback when `XᵀX` is numerically
-//! indefinite.
+//! ordinary-least-squares criterion (Eq. 7), the solution of the normal
+//! equation `β̂ = (XᵀX)⁻¹ Xᵀ y` (Eq. 8), computed without forming `XᵀX`:
 //!
-//! `X` and the factorization depend only on the sample positions, so a
-//! [`LeastSquaresPlan`] builds them once and fits any number of target
-//! vectors over the same samples — every arc of a characterization call
-//! shares one refined lattice.
+//! * [`fit_least_squares`] factors `X` itself by Householder QR, for any
+//!   sample set;
+//! * [`SeparableFit`] fits on the lattice [`DataGrid::refine`] builds from a
+//!   pair of coarse axes. There `X` is the Kronecker product `A_V ⊗ A_C` of
+//!   two 1-D monomial Vandermonde matrices and the refined targets are
+//!   `R_V · Y · R_Cᵀ` for the coarse grid `Y` and the 1-D interpolation
+//!   matrices `R`, so Eq. 8 is exactly `B = M_V · Y · M_Cᵀ` with
+//!   `M = A⁺·R` per axis: two small 1-D least-squares problems, solved once
+//!   per axis pair, and two matrix products per fit.
 
+use crate::grid::{refine_axis, refine_matrix};
 use crate::matrix::Matrix;
 use crate::poly::PolyBasis;
-use crate::solve::{cholesky_factor, solve_factored, solve_qr_least_squares};
-use crate::RegressionError;
+use crate::solve::solve_qr_least_squares;
+use crate::{DataGrid, RegressionError};
 
 /// Builds the design matrix `X` of Eq. 6 for normalized samples `(v, c)`.
 ///
 /// Row `k` contains the power terms `v_kⁱ c_kʲ` in basis order.
-pub fn design_matrix(basis: &PolyBasis, samples: &[(f64, f64)]) -> Matrix {
+fn design_matrix(basis: &PolyBasis, samples: &[(f64, f64)]) -> Matrix {
     let cols = basis.len();
     let mut data = Vec::with_capacity(samples.len() * cols);
     for &(v, c) in samples {
@@ -32,10 +36,9 @@ pub fn design_matrix(basis: &PolyBasis, samples: &[(f64, f64)]) -> Matrix {
 /// Fits polynomial coefficients `β̂` to samples by ordinary least squares.
 ///
 /// `samples` are the normalized `(v, c)` predictor pairs and `targets` the
-/// normalized delay deviations `φ_D(d)`. Solving goes through the normal
-/// equation with Cholesky (the paper's Eq. 8); if the Gram matrix is too
-/// ill-conditioned to factorize, the solver transparently falls back to a
-/// Householder-QR least-squares factorization of `X` itself.
+/// normalized delay deviations `φ_D(d)`. The solve is a Householder-QR
+/// factorization of the design matrix, which never squares its condition
+/// number the way the Gram matrix `XᵀX` would.
 ///
 /// # Errors
 ///
@@ -44,8 +47,8 @@ pub fn design_matrix(basis: &PolyBasis, samples: &[(f64, f64)]) -> Matrix {
 /// * [`RegressionError::UnderDetermined`] if there are fewer samples than
 ///   coefficients.
 /// * [`RegressionError::NonFiniteSample`] if any input is NaN/infinite.
-/// * [`RegressionError::SingularMatrix`] if even the QR fallback cannot
-///   determine the coefficients (rank-deficient design).
+/// * [`RegressionError::SingularMatrix`] if the design is column-rank
+///   deficient.
 ///
 /// # Example
 ///
@@ -83,128 +86,117 @@ pub fn fit_least_squares(
             right: (targets.len(), 1),
         });
     }
-    LeastSquaresPlan::new(basis, samples)?.fit(targets)
+    for (index, (&(v, c), &t)) in samples.iter().zip(targets).enumerate() {
+        if !(v.is_finite() && c.is_finite() && t.is_finite()) {
+            return Err(RegressionError::NonFiniteSample { index });
+        }
+    }
+    solve_qr_least_squares(&design_matrix(basis, samples), targets)
 }
 
-/// The least-squares system of one sample set, factored once: the design
-/// matrix `X` and the Cholesky factor of `XᵀX`, or — when `XᵀX` is too
-/// ill-conditioned to factorize — `X` alone for the Householder-QR
-/// fallback. [`LeastSquaresPlan::fit`] then costs one `Xᵀ·y` and two
-/// triangular solves per target vector, and returns what
-/// [`fit_least_squares`] returns for the same samples, bit for bit.
+/// [`fit_least_squares`] on the lattice `grid.refine(refine_factor)` of every
+/// grid on one pair of coarse axes, as two axis operators built once:
+/// `M_V = A_V⁺·R_V` and `M_C = A_C⁺·R_C`, where `A` is the monomial
+/// Vandermonde matrix of the refined axis and `R` the linear interpolation
+/// [`DataGrid::refine`] applies along it. [`SeparableFit::fit`] is then
+/// `B = M_V · Y · M_Cᵀ` on the coarse values `Y`, whose row-major entries
+/// are the coefficients in [`PolyBasis`] order.
+///
+/// # Example
+///
+/// ```
+/// use avfs_regression::{DataGrid, PolyBasis, SeparableFit};
+///
+/// # fn main() -> Result<(), avfs_regression::RegressionError> {
+/// let (xs, ys) = (vec![0.0, 0.3, 0.6, 1.0], vec![0.0, 0.5, 1.0]);
+/// let grid = DataGrid::from_fn(xs.clone(), ys.clone(), |v, c| 1.0 + 2.0 * v - c)?;
+/// let beta = SeparableFit::new(&PolyBasis::new(1), &xs, &ys, 4)?.fit(&grid)?;
+/// for (b, t) in beta.iter().zip([1.0, -1.0, 2.0, 0.0]) {
+///     assert!((b - t).abs() < 1e-12); // terms 1, c, v, v·c
+/// }
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
-pub struct LeastSquaresPlan {
-    x: Matrix,
-    /// `L` with `XᵀX = L·Lᵀ`; `None` selects the QR fallback.
-    factor: Option<Matrix>,
+pub struct SeparableFit {
+    /// `M_V`, `(N+1) × |xs|`.
+    v: Matrix,
+    /// `M_Cᵀ`, `|ys| × (N+1)`.
+    c_transposed: Matrix,
 }
 
-impl LeastSquaresPlan {
-    /// Validates `samples` (normalized `(v, c)` pairs) and factors their
-    /// system under `basis`.
+impl SeparableFit {
+    /// Builds the axis operators of `basis` for grids on the coarse axes
+    /// `xs × ys` (strictly increasing, at least two points each) refined
+    /// `refine_factor`-fold.
     ///
     /// # Errors
     ///
-    /// * [`RegressionError::UnderDetermined`] if there are fewer samples
-    ///   than coefficients.
-    /// * [`RegressionError::NonFiniteSample`] if a sample is NaN/infinite.
-    pub fn new(basis: &PolyBasis, samples: &[(f64, f64)]) -> Result<Self, RegressionError> {
-        if samples.len() < basis.len() {
-            return Err(RegressionError::UnderDetermined {
-                samples: samples.len(),
-                unknowns: basis.len(),
-            });
-        }
-        for (k, &(v, c)) in samples.iter().enumerate() {
-            if !v.is_finite() || !c.is_finite() {
-                return Err(RegressionError::NonFiniteSample { index: k });
-            }
-        }
-        let x = design_matrix(basis, samples);
-        let factor = match cholesky_factor(&x.gram()) {
-            Ok(l) => Some(l),
-            // Ill-conditioned normal equation: fit on the un-squared
-            // problem instead.
-            Err(RegressionError::SingularMatrix { .. }) => None,
-            Err(e) => return Err(e),
-        };
-        Ok(LeastSquaresPlan { x, factor })
+    /// * [`RegressionError::UnderDetermined`] if a refined axis has fewer
+    ///   points than `N + 1`.
+    /// * [`RegressionError::SingularMatrix`] if a refined axis' Vandermonde
+    ///   matrix is numerically rank deficient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `refine_factor == 0` or an axis has fewer than two points.
+    pub fn new(
+        basis: &PolyBasis,
+        xs: &[f64],
+        ys: &[f64],
+        refine_factor: usize,
+    ) -> Result<Self, RegressionError> {
+        Ok(SeparableFit {
+            v: transposed_axis_operator(basis.order(), xs, refine_factor)?.transpose(),
+            c_transposed: transposed_axis_operator(basis.order(), ys, refine_factor)?,
+        })
     }
 
-    /// Fits the coefficients `β̂` of one target vector, in sample order.
+    /// The coefficients of `grid`, in [`PolyBasis`] order.
     ///
     /// # Errors
     ///
-    /// * [`RegressionError::DimensionMismatch`] if `targets` does not hold
-    ///   one value per sample.
-    /// * [`RegressionError::NonFiniteSample`] if a target is NaN/infinite.
-    /// * [`RegressionError::SingularMatrix`] if even the QR fallback cannot
-    ///   determine the coefficients (rank-deficient design).
-    pub fn fit(&self, targets: &[f64]) -> Result<Vec<f64>, RegressionError> {
-        if targets.len() != self.x.rows() {
-            return Err(RegressionError::DimensionMismatch {
-                context: "LeastSquaresPlan::fit",
-                left: (self.x.rows(), 2),
-                right: (targets.len(), 1),
-            });
-        }
-        if let Some(k) = targets.iter().position(|t| !t.is_finite()) {
-            return Err(RegressionError::NonFiniteSample { index: k });
-        }
-        match &self.factor {
-            Some(l) => Ok(solve_factored(l, &self.x.transpose_mul_vec(targets)?)),
-            None => solve_qr_least_squares(&self.x, targets),
-        }
+    /// Returns [`RegressionError::DimensionMismatch`] if `grid` does not
+    /// have the axis lengths the operators were built for.
+    pub fn fit(&self, grid: &DataGrid) -> Result<Vec<f64>, RegressionError> {
+        let y = Matrix::from_vec(
+            grid.xs().len(),
+            grid.ys().len(),
+            grid.samples().map(|(_, _, d)| d).collect(),
+        )?;
+        Ok(self.v.mul(&y)?.mul(&self.c_transposed)?.into_vec())
     }
 }
 
-/// The fitted-model residual summary `ε = y − X·β̂`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResidualSummary {
-    /// Sum of squared residuals `‖ε‖₂²` (the quantity Eq. 7 minimizes).
-    pub sum_squares: f64,
-    /// Maximum absolute residual.
-    pub max_abs: f64,
-    /// Root-mean-square residual.
-    pub rms: f64,
+/// `Mᵀ = (A⁺·R)ᵀ` of one axis: row `i` is the least-squares fit of the
+/// order-`order` monomials to column `i` of the axis' interpolation matrix.
+fn transposed_axis_operator(
+    order: usize,
+    axis: &[f64],
+    factor: usize,
+) -> Result<Matrix, RegressionError> {
+    assert!(factor > 0, "refinement factor must be ≥ 1");
+    let a = vandermonde(order, &refine_axis(axis, factor));
+    let r_transposed = refine_matrix(axis, factor).transpose();
+    let mut rows = Vec::with_capacity(axis.len() * (order + 1));
+    for i in 0..axis.len() {
+        rows.extend(solve_qr_least_squares(&a, r_transposed.row(i))?);
+    }
+    Matrix::from_vec(axis.len(), order + 1, rows)
 }
 
-/// Computes residual statistics of a fit over its training samples.
-///
-/// # Errors
-///
-/// Returns [`RegressionError::DimensionMismatch`] if the coefficient count
-/// does not match the basis or the sample/target lengths differ.
-pub fn residuals(
-    basis: &PolyBasis,
-    beta: &[f64],
-    samples: &[(f64, f64)],
-    targets: &[f64],
-) -> Result<ResidualSummary, RegressionError> {
-    if samples.len() != targets.len() {
-        return Err(RegressionError::DimensionMismatch {
-            context: "residuals",
-            left: (samples.len(), 2),
-            right: (targets.len(), 1),
-        });
+/// The 1-D monomial design `A`: row `p` is `[1, x_p, …, x_pᴺ]`.
+fn vandermonde(order: usize, points: &[f64]) -> Matrix {
+    let width = order + 1;
+    let mut data = Vec::with_capacity(points.len() * width);
+    for &x in points {
+        let mut power = 1.0;
+        for _ in 0..width {
+            data.push(power);
+            power *= x;
+        }
     }
-    let mut sum_squares = 0.0;
-    let mut max_abs = 0.0f64;
-    for (&(v, c), &t) in samples.iter().zip(targets) {
-        let r = basis.eval(beta, v, c)? - t;
-        sum_squares += r * r;
-        max_abs = max_abs.max(r.abs());
-    }
-    let rms = if samples.is_empty() {
-        0.0
-    } else {
-        (sum_squares / samples.len() as f64).sqrt()
-    };
-    Ok(ResidualSummary {
-        sum_squares,
-        max_abs,
-        rms,
-    })
+    Matrix::from_vec(points.len(), width, data).expect("Vandermonde shape is consistent")
 }
 
 #[cfg(test)]
@@ -220,6 +212,56 @@ mod tests {
             }
         }
         s
+    }
+
+    /// `‖X·β − y‖₂²`, the quantity Eq. 7 minimizes.
+    fn sum_squares(
+        basis: &PolyBasis,
+        beta: &[f64],
+        samples: &[(f64, f64)],
+        targets: &[f64],
+    ) -> f64 {
+        samples
+            .iter()
+            .zip(targets)
+            .map(|(&(v, c), &t)| (basis.eval(beta, v, c).unwrap() - t).powi(2))
+            .sum()
+    }
+
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed | 1;
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// `κ_F(A) = ‖A‖_F·‖A⁺‖_F` of the refined axis' Vandermonde matrix.
+    fn condition(order: usize, axis: &[f64], factor: usize) -> f64 {
+        let a = vandermonde(order, &refine_axis(axis, factor));
+        let frobenius = |x: &[f64]| x.iter().map(|x| x * x).sum::<f64>();
+        let pinv: f64 = (0..a.rows())
+            .map(|p| {
+                let mut unit = vec![0.0; a.rows()];
+                unit[p] = 1.0;
+                frobenius(&solve_qr_least_squares(&a, &unit).unwrap())
+            })
+            .sum();
+        (frobenius(a.as_slice()) * pinv).sqrt()
+    }
+
+    /// A strictly increasing axis on `[0, 1]` with the given relative gaps.
+    fn axis(gaps: &[f64]) -> Vec<f64> {
+        let total: f64 = gaps.iter().sum();
+        let mut x = 0.0;
+        std::iter::once(0.0)
+            .chain(gaps.iter().map(|g| {
+                x += g;
+                x / total
+            }))
+            .collect()
     }
 
     #[test]
@@ -278,55 +320,15 @@ mod tests {
         ));
     }
 
-    /// `targets` under the plan and one-shot, bit for bit.
-    fn assert_plan_matches_one_shot(basis: &PolyBasis, samples: &[(f64, f64)], targets: &[f64]) {
-        let plan = LeastSquaresPlan::new(basis, samples).unwrap();
-        let bits = |beta: Vec<f64>| beta.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(plan.fit(targets).unwrap()),
-            bits(fit_least_squares(basis, samples, targets).unwrap())
-        );
-    }
-
     #[test]
-    fn one_plan_fits_every_target_as_the_one_shot_fit_does() {
-        let basis = PolyBasis::new(3);
-        let samples = lattice(37, 37);
-        let plan = LeastSquaresPlan::new(&basis, &samples).unwrap();
-        assert!(plan.factor.is_some(), "a well-posed lattice factors");
-        for seed in 1..6u64 {
-            let targets: Vec<f64> = samples
-                .iter()
-                .map(|&(v, c)| ((seed as f64) * v).sin() + c * c / seed as f64)
-                .collect();
-            assert_plan_matches_one_shot(&basis, &samples, &targets);
-        }
+    fn separable_fit_rejects_a_grid_on_other_axes() {
+        let (xs, ys) = (vec![0.0, 0.5, 1.0], vec![0.0, 1.0]);
+        let fit = SeparableFit::new(&PolyBasis::new(1), &xs, &ys, 2).unwrap();
+        let other = DataGrid::from_fn(ys.clone(), xs.clone(), |v, c| v + c).unwrap();
         assert!(matches!(
-            plan.fit(&[0.0; 3]),
+            fit.fit(&other),
             Err(RegressionError::DimensionMismatch { .. })
         ));
-        let mut nan = vec![0.0; samples.len()];
-        nan[17] = f64::NAN;
-        assert!(matches!(
-            plan.fit(&nan),
-            Err(RegressionError::NonFiniteSample { index: 17 })
-        ));
-    }
-
-    #[test]
-    fn a_plan_that_cannot_factor_falls_back_to_qr_per_fit() {
-        // Order 2 on a lattice squeezed near the origin: the v²c² column is
-        // so small that XᵀX loses definiteness, while X keeps full column
-        // rank.
-        let basis = PolyBasis::new(2);
-        let samples: Vec<(f64, f64)> = lattice(12, 12)
-            .into_iter()
-            .map(|(v, c)| (1e-2 * v, 1e-2 * c))
-            .collect();
-        let plan = LeastSquaresPlan::new(&basis, &samples).unwrap();
-        assert!(plan.factor.is_none(), "the Gram matrix must not factor");
-        let targets: Vec<f64> = samples.iter().map(|&(v, c)| 1.0 + v - 2.0 * c).collect();
-        assert_plan_matches_one_shot(&basis, &samples, &targets);
     }
 
     #[test]
@@ -343,23 +345,8 @@ mod tests {
         let beta = fit_least_squares(&basis, &samples, &targets).unwrap();
         assert!((beta[2] - 0.5).abs() < 1e-2); // v coefficient
         assert!((beta[1] + 0.25).abs() < 1e-2); // c coefficient
-        let res = residuals(&basis, &beta, &samples, &targets).unwrap();
-        assert!(res.rms < 2e-3);
-    }
-
-    #[test]
-    fn residuals_zero_for_exact_fit() {
-        let basis = PolyBasis::new(2);
-        let truth = [0.1; 9];
-        let samples = lattice(5, 5);
-        let targets: Vec<f64> = samples
-            .iter()
-            .map(|&(v, c)| basis.eval(&truth, v, c).unwrap())
-            .collect();
-        let beta = fit_least_squares(&basis, &samples, &targets).unwrap();
-        let res = residuals(&basis, &beta, &samples, &targets).unwrap();
-        assert!(res.max_abs < 1e-9);
-        assert!(res.sum_squares < 1e-18);
+        let rms = (sum_squares(&basis, &beta, &samples, &targets) / samples.len() as f64).sqrt();
+        assert!(rms < 2e-3);
     }
 
     proptest! {
@@ -371,21 +358,16 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let basis = PolyBasis::new(n);
-            let mut state = seed | 1;
-            let truth: Vec<f64> = (0..basis.len())
-                .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5
-                })
-                .collect();
+            let mut next = uniform(seed);
+            let truth: Vec<f64> = (0..basis.len()).map(|_| next() - 0.5).collect();
             let samples = lattice(2 * n + 3, 2 * n + 3);
             let targets: Vec<f64> = samples
                 .iter()
                 .map(|&(v, c)| basis.eval(&truth, v, c).unwrap())
                 .collect();
             let beta = fit_least_squares(&basis, &samples, &targets).unwrap();
-            // The monomial Gram matrix is badly conditioned at higher orders,
-            // so compare in function space (what the delay kernel consumes)
+            // The monomial design is badly conditioned at higher orders, so
+            // compare in function space (what the delay kernel consumes)
             // rather than coefficient space.
             for (&(v, c), &t) in samples.iter().zip(&targets) {
                 let p = basis.eval(&beta, v, c).unwrap();
@@ -403,21 +385,61 @@ mod tests {
         ) {
             let basis = PolyBasis::new(1);
             let samples = lattice(6, 6);
-            let mut state = seed | 1;
+            let mut next = uniform(seed);
             let targets: Vec<f64> = samples
                 .iter()
-                .map(|&(v, c)| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    let noise = ((state >> 11) as f64 / (1u64 << 53) as f64) - 0.5;
-                    v - c + 0.1 * noise
-                })
+                .map(|&(v, c)| v - c + 0.1 * (next() - 0.5))
                 .collect();
             let beta = fit_least_squares(&basis, &samples, &targets).unwrap();
-            let base = residuals(&basis, &beta, &samples, &targets).unwrap().sum_squares;
+            let base = sum_squares(&basis, &beta, &samples, &targets);
             let mut perturbed = beta.clone();
             perturbed[coeff_idx] += delta;
-            let worse = residuals(&basis, &perturbed, &samples, &targets).unwrap().sum_squares;
+            let worse = sum_squares(&basis, &perturbed, &samples, &targets);
             prop_assert!(base <= worse + 1e-12);
+        }
+
+        // The separable product is Eq. 8 on the refined lattice: the QR fit
+        // of the full design agrees with it, and an axis too short for the
+        // order is a typed error, not a panic. The QR oracle is itself only
+        // accurate to about κ(X)·ε relative (ε = f64::EPSILON), with
+        // κ(A_V ⊗ A_C) = κ(A_V)·κ(A_C): far below 1e-9 up to N = 3 (κ·ε at
+        // most 1.1e-11 over these axes), up to 3e-8 at N = 5, so the bound
+        // is 1e-9 or 64·κ·ε, whichever is larger.
+        #[test]
+        fn separable_fit_is_the_least_squares_fit_of_the_refined_lattice(
+            v_gaps in prop::collection::vec(0.05f64..1.0, 2..=13),
+            c_gaps in prop::collection::vec(0.05f64..1.0, 2..=13),
+            n in 1usize..=5,
+            factor in 1usize..=4,
+            seed in any::<u64>(),
+        ) {
+            let (xs, ys) = (axis(&v_gaps), axis(&c_gaps));
+            let basis = PolyBasis::new(n);
+            let mut next = uniform(seed);
+            let grid = DataGrid::from_fn(xs.clone(), ys.clone(), |_, _| 2.0 * next() - 1.0).unwrap();
+            let separable = SeparableFit::new(&basis, &xs, &ys, factor);
+            let refined = grid.refine(factor);
+            if refined.xs().len().min(refined.ys().len()) < n + 1 {
+                prop_assert!(
+                    matches!(separable, Err(RegressionError::UnderDetermined { .. })),
+                    "{separable:?}"
+                );
+            } else {
+                let samples: Vec<(f64, f64)> = refined.samples().map(|(v, c, _)| (v, c)).collect();
+                let targets: Vec<f64> = refined.samples().map(|(_, _, d)| d).collect();
+                let want = fit_least_squares(&basis, &samples, &targets).unwrap();
+                let got = separable.unwrap().fit(&grid).unwrap();
+                let scale = want.iter().fold(0.0f64, |m, b| m.max(b.abs()));
+                let kappa = condition(n, &xs, factor) * condition(n, &ys, factor);
+                let tolerance = 1e-9f64.max(64.0 * f64::EPSILON * kappa);
+                prop_assert_eq!(got.len(), want.len());
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert!(
+                        (g - w).abs() <= tolerance * scale,
+                        "β[{k}]: separable {g:e} vs QR {w:e} (max |β| {scale:e}, κ {kappa:e})"
+                    );
+                }
+            }
         }
     }
 }

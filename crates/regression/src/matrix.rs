@@ -16,9 +16,12 @@ use std::ops::{Index, IndexMut};
 /// ```
 /// use avfs_regression::Matrix;
 ///
-/// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+/// # fn main() -> Result<(), avfs_regression::RegressionError> {
+/// let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0])?;
 /// assert_eq!(m[(1, 0)], 3.0);
 /// assert_eq!(m.transpose()[(0, 1)], 3.0);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Clone, PartialEq)]
 pub struct Matrix {
@@ -44,20 +47,12 @@ impl Matrix {
         }
     }
 
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from row slices.
     ///
     /// # Panics
     ///
     /// Panics if the rows have inconsistent lengths.
+    #[cfg(test)]
     pub fn from_rows(rows: &[&[f64]]) -> Self {
         let nrows = rows.len();
         let ncols = rows.first().map_or(0, |r| r.len());
@@ -106,8 +101,14 @@ impl Matrix {
     }
 
     /// Borrows the underlying row-major storage.
+    #[cfg(test)]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
+    }
+
+    /// Consumes the matrix into its row-major storage.
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        self.data
     }
 
     /// Borrows one row as a slice.
@@ -125,7 +126,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r >= self.rows()`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+    fn row_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(r < self.rows, "row index {r} out of bounds");
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -179,6 +180,7 @@ impl Matrix {
     ///
     /// Returns [`RegressionError::DimensionMismatch`] if `v.len() !=
     /// self.cols()`.
+    #[cfg(test)]
     pub fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>, RegressionError> {
         if self.cols != v.len() {
             return Err(RegressionError::DimensionMismatch {
@@ -195,61 +197,6 @@ impl Matrix {
                     .fold(0.0, |acc, (&a, &b)| a * b + acc)
             })
             .collect())
-    }
-
-    /// Computes `Xᵀ · X` for `X = self` without forming the transpose.
-    ///
-    /// This is the Gram matrix of the normal equation (Eq. 8); it is
-    /// symmetric positive semi-definite by construction.
-    pub fn gram(&self) -> Matrix {
-        let n = self.cols;
-        let mut g = Matrix::zeros(n, n);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for i in 0..n {
-                let a = row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                let g_row = g.row_mut(i);
-                for (j, &b) in row.iter().enumerate().skip(i) {
-                    g_row[j] += a * b;
-                }
-            }
-        }
-        // Mirror the upper triangle into the lower one.
-        for i in 0..n {
-            for j in 0..i {
-                g[(i, j)] = g[(j, i)];
-            }
-        }
-        g
-    }
-
-    /// Computes `Xᵀ · y` for `X = self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegressionError::DimensionMismatch`] if `y.len() !=
-    /// self.rows()`.
-    pub fn transpose_mul_vec(&self, y: &[f64]) -> Result<Vec<f64>, RegressionError> {
-        if self.rows != y.len() {
-            return Err(RegressionError::DimensionMismatch {
-                context: "Matrix::transpose_mul_vec",
-                left: (self.rows, self.cols),
-                right: (y.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.cols];
-        for (r, &yr) in y.iter().enumerate() {
-            if yr == 0.0 {
-                continue;
-            }
-            for (o, &x) in out.iter_mut().zip(self.row(r)) {
-                *o += x * yr;
-            }
-        }
-        Ok(out)
     }
 
     /// Maximum absolute element, or 0 for an empty matrix.
@@ -298,15 +245,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_and_identity() {
+    fn zeros() {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.rows(), 2);
         assert_eq!(z.cols(), 3);
         assert!(z.as_slice().iter().all(|&x| x == 0.0));
-
-        let i = Matrix::identity(3);
-        assert_eq!(i[(0, 0)], 1.0);
-        assert_eq!(i[(1, 2)], 0.0);
     }
 
     #[test]
@@ -351,7 +294,7 @@ mod tests {
     #[test]
     fn mul_identity_is_noop() {
         let a = Matrix::from_rows(&[&[1.5, -2.0], &[0.25, 9.0]]);
-        let i = Matrix::identity(2);
+        let i = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
         assert_eq!(a.mul(&i).unwrap(), a);
         assert_eq!(i.mul(&a).unwrap(), a);
     }
@@ -361,27 +304,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let v = vec![10.0, 20.0];
         assert_eq!(a.mul_vec(&v).unwrap(), vec![50.0, 110.0]);
-    }
-
-    #[test]
-    fn gram_matches_explicit_transpose_mul() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0, 0.5], &[3.0, -1.0, 2.0], &[0.0, 4.0, 1.0]]);
-        let g = x.gram();
-        let explicit = x.transpose().mul(&x).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((g[(i, j)] - explicit[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn transpose_mul_vec_matches_explicit() {
-        let x = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, -1.0], &[0.5, 4.0]]);
-        let y = vec![1.0, 2.0, 3.0];
-        let xty = x.transpose_mul_vec(&y).unwrap();
-        let explicit = x.transpose().mul_vec(&y).unwrap();
-        assert_eq!(xty, explicit);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! * capacitances: `φ_C(c) = (log₂ c − log₂ C_min) / (log₂ C_max − log₂ C_min)`
 //!   — logarithmic, because load sweeps span powers of two,
 //! * delays: `φ_D(d) = d / d_nom − 1` — relative deviation from the nominal
-//!   operating point (Eq. 3).
+//!   operating point (Eq. 3), applied where a sweep becomes a deviation
+//!   grid (`avfs-delay`'s `deviation_grid`).
+//!
+//! This module holds the two predictor normalizers.
 
 use crate::RegressionError;
 
@@ -126,59 +129,9 @@ impl CapNormalizer {
         (c.log2() - self.log_min) / self.log_span
     }
 
-    /// Inverts `φ_C`.
-    #[inline]
-    pub fn invert(&self, u: f64) -> f64 {
-        (self.log_min + u * self.log_span).exp2()
-    }
-
     /// Whether `c` lies inside the modeled interval.
     pub fn contains(&self, c: f64) -> bool {
         (self.c_min..=self.c_max).contains(&c)
-    }
-}
-
-/// Relative delay normalizer `φ_D(d) = d / d_nom − 1` (Eq. 3).
-///
-/// The normalized value is the *delay deviation* the surface polynomial
-/// approximates; `invert` recovers an absolute delay via Eq. 9,
-/// `d' = d_nom · (1 + f(P))`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DelayNormalizer {
-    d_nom: f64,
-}
-
-impl DelayNormalizer {
-    /// Creates a normalizer anchored at the nominal delay `d_nom`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegressionError::InvalidInterval`] if `d_nom` is not a
-    /// strictly positive finite value.
-    pub fn new(d_nom: f64) -> Result<Self, RegressionError> {
-        if !d_nom.is_finite() || d_nom <= 0.0 {
-            return Err(RegressionError::InvalidInterval {
-                what: "nominal delay must be finite and positive",
-            });
-        }
-        Ok(DelayNormalizer { d_nom })
-    }
-
-    /// The nominal delay `d_nom`.
-    pub fn nominal(&self) -> f64 {
-        self.d_nom
-    }
-
-    /// Applies `φ_D`: absolute delay → relative deviation.
-    #[inline]
-    pub fn apply(&self, d: f64) -> f64 {
-        d / self.d_nom - 1.0
-    }
-
-    /// Inverts `φ_D` (Eq. 9): relative deviation → absolute delay.
-    #[inline]
-    pub fn invert(&self, deviation: f64) -> f64 {
-        self.d_nom * (1.0 + deviation)
     }
 }
 
@@ -221,23 +174,6 @@ mod tests {
         assert!(CapNormalizer::new(2.0, 1.0).is_err());
     }
 
-    #[test]
-    fn delay_deviation_matches_eq3() {
-        let phi = DelayNormalizer::new(100.0).unwrap();
-        assert!((phi.apply(100.0)).abs() < 1e-12);
-        assert!((phi.apply(150.0) - 0.5).abs() < 1e-12);
-        assert!((phi.apply(50.0) + 0.5).abs() < 1e-12);
-        // Eq. 9 round trip.
-        assert!((phi.invert(0.5) - 150.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn delay_rejects_nonpositive_nominal() {
-        assert!(DelayNormalizer::new(0.0).is_err());
-        assert!(DelayNormalizer::new(-1.0).is_err());
-        assert!(DelayNormalizer::new(f64::INFINITY).is_err());
-    }
-
     proptest! {
         #[test]
         fn voltage_roundtrip(v in 0.55f64..1.1) {
@@ -247,9 +183,8 @@ mod tests {
         }
 
         #[test]
-        fn cap_roundtrip(c in 0.5f64..128.0) {
+        fn cap_maps_into_the_unit_interval(c in 0.5f64..128.0) {
             let phi = CapNormalizer::new(0.5, 128.0).unwrap();
-            prop_assert!((phi.invert(phi.apply(c)) - c).abs() < 1e-9 * c);
             prop_assert!((0.0..=1.0).contains(&phi.apply(c)));
         }
 
@@ -261,10 +196,5 @@ mod tests {
             }
         }
 
-        #[test]
-        fn delay_roundtrip(d in 1.0f64..1e4, d_nom in 1.0f64..1e4) {
-            let phi = DelayNormalizer::new(d_nom).unwrap();
-            prop_assert!((phi.invert(phi.apply(d)) - d).abs() < 1e-9 * d);
-        }
     }
 }

@@ -22,7 +22,9 @@ use crate::RegressionError;
 ///
 /// let basis = PolyBasis::new(1);
 /// assert_eq!(basis.len(), 4); // 1, c, v, v·c
-/// assert_eq!(basis.features(2.0, 3.0), vec![1.0, 3.0, 2.0, 6.0]);
+/// let mut row = Vec::new();
+/// basis.write_features(2.0, 3.0, &mut row);
+/// assert_eq!(row, [1.0, 3.0, 2.0, 6.0]);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PolyBasis {
@@ -52,18 +54,10 @@ impl PolyBasis {
         false
     }
 
-    /// Expands one sample `(v, c)` into its feature row `[vⁱcʲ]`.
+    /// Appends the feature row `[vⁱcʲ]` of one sample `(v, c)` to `out`.
     ///
     /// Ordering matches Eq. 6: `(i, j)` iterates with `i` major, `j` minor,
     /// i.e. `v⁰c⁰, v⁰c¹, …, v⁰cᴺ, v¹c⁰, …, vᴺcᴺ`.
-    pub fn features(&self, v: f64, c: f64) -> Vec<f64> {
-        let mut row = Vec::with_capacity(self.len());
-        self.write_features(v, c, &mut row);
-        row
-    }
-
-    /// Like [`PolyBasis::features`] but appends into a caller-provided
-    /// buffer, avoiding per-row allocations in the hot sweep loop.
     pub fn write_features(&self, v: f64, c: f64, out: &mut Vec<f64>) {
         let n = self.n;
         // Incremental powers avoid calling powi in the inner loop.
@@ -99,12 +93,6 @@ impl PolyBasis {
             });
         }
         Ok(eval_horner(self.n, beta, v, c))
-    }
-
-    /// Enumerates the `(i, j)` power pairs in design-matrix column order.
-    pub fn powers(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let n = self.n;
-        (0..=n).flat_map(move |i| (0..=n).map(move |j| (i, j)))
     }
 }
 
@@ -241,23 +229,28 @@ pub fn eval_horner_lanes(n: usize, beta: &[f64], v: &[f64], c: &[f64], out: &mut
 /// chains per block, matching one AVX2 `f64x4` vector register.
 pub const HORNER_LANE_BLOCK: usize = 4;
 
-/// Naive power-sum evaluation, kept as a cross-check oracle for the Horner
-/// kernel (and used by tests/benches only).
-pub fn eval_naive(n: usize, beta: &[f64], v: f64, c: f64) -> f64 {
-    let width = n + 1;
-    let mut acc = 0.0;
-    for i in 0..width {
-        for j in 0..width {
-            acc += beta[i * width + j] * v.powi(i as i32) * c.powi(j as i32);
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Naive power-sum evaluation, the cross-check oracle for Horner.
+    fn eval_naive(n: usize, beta: &[f64], v: f64, c: f64) -> f64 {
+        let width = n + 1;
+        let mut acc = 0.0;
+        for i in 0..width {
+            for j in 0..width {
+                acc += beta[i * width + j] * v.powi(i as i32) * c.powi(j as i32);
+            }
+        }
+        acc
+    }
+
+    fn features(basis: &PolyBasis, v: f64, c: f64) -> Vec<f64> {
+        let mut row = Vec::new();
+        basis.write_features(v, c, &mut row);
+        row
+    }
 
     #[test]
     fn term_counts_match_paper() {
@@ -273,9 +266,9 @@ mod tests {
     fn feature_ordering_matches_eq6() {
         // Eq. 6 row: v⁰c⁰, v⁰c¹, v¹c⁰ (for N=1 with i major: 1, c, v, vc).
         let basis = PolyBasis::new(1);
-        assert_eq!(basis.features(2.0, 3.0), vec![1.0, 3.0, 2.0, 6.0]);
+        assert_eq!(features(&basis, 2.0, 3.0), vec![1.0, 3.0, 2.0, 6.0]);
         let basis2 = PolyBasis::new(2);
-        let f = basis2.features(2.0, 3.0);
+        let f = features(&basis2, 2.0, 3.0);
         // 1, c, c², v, vc, vc², v², v²c, v²c²
         assert_eq!(f, vec![1.0, 3.0, 9.0, 2.0, 6.0, 18.0, 4.0, 12.0, 36.0]);
     }
@@ -284,7 +277,7 @@ mod tests {
     fn first_column_is_ones() {
         let basis = PolyBasis::new(3);
         for &(v, c) in &[(0.0, 0.0), (0.5, 0.7), (1.0, 1.0)] {
-            assert_eq!(basis.features(v, c)[0], 1.0);
+            assert_eq!(features(&basis, v, c)[0], 1.0);
         }
     }
 
@@ -293,13 +286,6 @@ mod tests {
         let basis = PolyBasis::new(2);
         assert!(basis.eval(&[0.0; 4], 0.5, 0.5).is_err());
         assert!(basis.eval(&[0.0; 9], 0.5, 0.5).is_ok());
-    }
-
-    #[test]
-    fn powers_enumeration() {
-        let basis = PolyBasis::new(1);
-        let p: Vec<_> = basis.powers().collect();
-        assert_eq!(p, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
     }
 
     #[test]
@@ -414,7 +400,7 @@ mod tests {
         ) {
             let basis = PolyBasis::new(n);
             let beta: Vec<f64> = (0..basis.len()).map(|k| (k as f64) * 0.37 - 1.0).collect();
-            let row = basis.features(v, c);
+            let row = features(&basis, v, c);
             let dot: f64 = row.iter().zip(&beta).map(|(a, b)| a * b).sum();
             let ev = basis.eval(&beta, v, c).unwrap();
             prop_assert!((dot - ev).abs() < 1e-10 * (1.0 + ev.abs()));

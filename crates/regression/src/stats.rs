@@ -78,21 +78,6 @@ impl StatsDistribution {
         self.per_cell.push(stats);
     }
 
-    /// Number of aggregated cells.
-    pub fn len(&self) -> usize {
-        self.per_cell.len()
-    }
-
-    /// `true` if no cells have been aggregated.
-    pub fn is_empty(&self) -> bool {
-        self.per_cell.is_empty()
-    }
-
-    /// The aggregated per-cell statistics.
-    pub fn cells(&self) -> &[ErrorStats] {
-        &self.per_cell
-    }
-
     /// Average of the per-cell mean errors.
     pub fn avg_mean(&self) -> f64 {
         average(self.per_cell.iter().map(|s| s.mean))
@@ -119,25 +104,6 @@ impl StatsDistribution {
     /// Quantile of the per-cell mean errors, `q ∈ [0, 1]` (nearest-rank).
     pub fn mean_quantile(&self, q: f64) -> f64 {
         quantile(self.per_cell.iter().map(|s| s.mean).collect(), q)
-    }
-
-    /// Quantile of the per-cell maximum errors, `q ∈ [0, 1]` (nearest-rank).
-    pub fn max_quantile(&self, q: f64) -> f64 {
-        quantile(self.per_cell.iter().map(|s| s.max).collect(), q)
-    }
-}
-
-impl FromIterator<ErrorStats> for StatsDistribution {
-    fn from_iter<I: IntoIterator<Item = ErrorStats>>(iter: I) -> Self {
-        StatsDistribution {
-            per_cell: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<ErrorStats> for StatsDistribution {
-    fn extend<I: IntoIterator<Item = ErrorStats>>(&mut self, iter: I) {
-        self.per_cell.extend(iter);
     }
 }
 
@@ -206,29 +172,27 @@ mod tests {
         assert!((d.avg_stddev() - 0.01).abs() < 1e-12);
         assert!((d.avg_max() - 0.04).abs() < 1e-12);
         assert!((d.worst_max() - 0.06).abs() < 1e-12);
-        assert_eq!(d.len(), 2);
     }
 
     #[test]
     fn quantiles() {
-        let d: StatsDistribution = (1..=5)
-            .map(|k| ErrorStats {
+        let mut d = StatsDistribution::new();
+        for k in [4, 1, 5, 3, 2] {
+            d.push(ErrorStats {
                 mean: k as f64,
                 stddev: 0.0,
                 max: 10.0 * k as f64,
                 count: 1,
-            })
-            .collect();
+            });
+        }
         assert_eq!(d.mean_quantile(0.0), 1.0);
         assert_eq!(d.mean_quantile(0.5), 3.0);
         assert_eq!(d.mean_quantile(1.0), 5.0);
-        assert_eq!(d.max_quantile(1.0), 50.0);
     }
 
     #[test]
     fn empty_distribution_is_zero() {
         let d = StatsDistribution::new();
-        assert!(d.is_empty());
         assert_eq!(d.avg_mean(), 0.0);
         assert_eq!(d.worst_max(), 0.0);
         assert_eq!(d.mean_quantile(0.5), 0.0);

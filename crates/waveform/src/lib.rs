@@ -43,7 +43,6 @@ pub mod activity;
 pub mod arena;
 pub mod cofactor;
 pub mod lanes;
-pub mod vcd;
 
 pub use activity::{SwitchingActivity, WaveformStats};
 pub use arena::{LevelWriter, WaveformArena, WaveformView, WrittenRun};
