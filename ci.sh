@@ -126,6 +126,9 @@ fi
 echo "==> checker --smoke (static-analysis gate: avfs-check/1 schema, zero deny findings)"
 cargo run --release --offline -p avfs-bench --bin checker -- --smoke
 
+echo "==> checker --check (CHECK_report.json's non-sta-crosscheck subjects equal a fresh full run, at most 2 min)"
+bounded 120 cargo run --release --offline -p avfs-bench --bin checker -- --check CHECK_report.json
+
 echo "==> chaos --smoke (fault-injection gate: avfs-chaos/1 schema, 100% site coverage, at most 10 min)"
 bounded 600 cargo run --release --offline -p avfs-bench --bin chaos -- --smoke
 

@@ -16,13 +16,17 @@
 //! ```text
 //! cargo run -p avfs-bench --bin checker [-- --scale 0.01 --order 3 --out CHECK_report.json]
 //! cargo run -p avfs-bench --bin checker -- --smoke   # CI: validate, require zero deny findings, write nothing
+//! cargo run -p avfs-bench --bin checker -- --check CHECK_report.json   # CI: full run, no file write
 //! ```
 //!
 //! The process exits non-zero when any deny-severity finding exists, so
-//! the binary doubles as the CI gate (`ci.sh`).
+//! the binary doubles as the CI gate (`ci.sh`). `--check <path>` also
+//! exits non-zero unless the fresh subjects equal the report's subjects
+//! other than the `sta-crosscheck` ones (which `sta_crosscheck --check`
+//! gates), finding for finding.
 
 use avfs_bench::{characterize_used, Args};
-use avfs_check::{Report, Severity, Subject};
+use avfs_check::{Finding, Findings, Report, Severity, Subject};
 use avfs_circuits::PAPER_PROFILES;
 use avfs_delay::OperatingPoint;
 use avfs_netlist::{CellLibrary, Netlist};
@@ -37,6 +41,9 @@ fn main() -> ExitCode {
         println!("  --order <N>   characterization polynomial order (default 3)");
         println!("  --out <path>  output path (default CHECK_report.json)");
         println!("  --smoke       small circuits only, validate, require zero deny, no file");
+        println!(
+            "  --check <path>  full run, no file write; fail unless its subjects equal <path>'s"
+        );
         println!("  --list-rules  print the full rule registry with severities and exit");
         return ExitCode::SUCCESS;
     }
@@ -55,6 +62,15 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let smoke = args.flag("--smoke");
+    let check: Option<String> = args.value("--check");
+    if args.flag("--check") && check.is_none() {
+        eprintln!("checker: --check needs the report to compare against");
+        return ExitCode::FAILURE;
+    }
+    if smoke && check.is_some() {
+        eprintln!("checker: --check compares a full run; it does not combine with --smoke");
+        return ExitCode::FAILURE;
+    }
     let scale: f64 = args.value("--scale").unwrap_or(0.01);
     let order: usize = args.value("--order").unwrap_or(3);
     let out: String = args
@@ -96,11 +112,9 @@ fn main() -> ExitCode {
         }
     }
     for (name, netlist) in &netlists {
-        report.push(Subject::new(
-            name.clone(),
-            "netlist",
-            avfs_check::netlist::lint_netlist(netlist, None),
-        ));
+        let mut findings = Findings::default();
+        avfs_check::netlist::lint_netlist(netlist, None, &mut findings);
+        report.push(Subject::new(name.clone(), "netlist", findings.finish()));
     }
 
     // Tier 2 — delay-model lints over a freshly characterized kernel:
@@ -111,20 +125,23 @@ fn main() -> ExitCode {
     let space = chars.space();
     let (v_min, v_max) = space.voltage_range();
     let (c_min, c_max) = space.load_range();
-    let corners: Vec<(String, OperatingPoint)> = [
+    let corners = [
         ("corner v_min/c_min", OperatingPoint::new(v_min, c_min)),
         ("corner v_max/c_max", OperatingPoint::new(v_max, c_max)),
         (
             "nominal",
             OperatingPoint::new(space.nominal_vdd(), (c_min + c_max) / 2.0),
         ),
-    ]
-    .map(|(name, op)| (name.to_owned(), op))
-    .into();
+    ];
+    let mut findings = Findings::default();
+    avfs_check::model::lint_polynomial_model(chars.model(), &mut findings);
+    for (name, op) in corners {
+        avfs_check::model::lint_operating_point(space, op, || name.to_owned(), &mut findings);
+    }
     report.push(Subject::new(
         "characterized-model",
         "delay-model",
-        avfs_check::model::lint_model(chars.model(), &corners),
+        findings.finish(),
     ));
 
     // Tier 3a — concurrency audit: exhaustive interleaving exploration of
@@ -147,10 +164,10 @@ fn main() -> ExitCode {
     report.push(Subject::new("engine-protocols", "concurrency", findings));
 
     // Tier 3b — SAFETY-comment lint over the workspace source tree.
-    let root = workspace_root();
-    let safety =
-        avfs_check::safety::lint_unsafe_comments(&root).expect("workspace tree is readable");
-    report.push(Subject::new("workspace", "safety", safety));
+    let mut findings = Findings::default();
+    avfs_check::safety::lint_unsafe_comments(&workspace_root(), &mut findings)
+        .expect("workspace tree is readable");
+    report.push(Subject::new("workspace", "safety", findings.finish()));
 
     // The document must survive its own schema validation, always.
     let text = report.to_json().to_string_pretty();
@@ -171,11 +188,14 @@ fn main() -> ExitCode {
         }
     }
 
+    let mut stale = false;
     if smoke {
         println!(
             "checker --smoke: schema avfs-check/1 OK ({} bytes)",
             text.len()
         );
+    } else if let Some(path) = &check {
+        stale = !committed_subjects_match(path, &report.subjects);
     } else {
         // Carry over the STA cross-check section and subjects a previous
         // `sta_crosscheck` run merged into the document, so re-running
@@ -200,12 +220,67 @@ fn main() -> ExitCode {
         std::fs::write(&out, &text).expect("report written");
         println!("checker: wrote {out}");
     }
-    if report.passes_ci() {
+    if !report.passes_ci() {
+        eprintln!("checker: deny-severity findings present");
+    }
+    if report.passes_ci() && !stale {
         ExitCode::SUCCESS
     } else {
-        eprintln!("checker: deny-severity findings present");
         ExitCode::FAILURE
     }
+}
+
+/// The `--check` comparison: whether the subjects of the report at
+/// `path`, less its `sta-crosscheck` ones, equal `fresh` exactly. Prints
+/// each difference.
+fn committed_subjects_match(path: &str, fresh: &[Subject]) -> bool {
+    let committed = match std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Report::validate(&text))
+    {
+        Ok(report) => report.subjects,
+        Err(e) => {
+            eprintln!("checker --check: cannot read {path}: {e}");
+            return false;
+        }
+    };
+    let committed: Vec<Subject> = committed
+        .into_iter()
+        .filter(|s| s.kind != "sta-crosscheck")
+        .collect();
+    if committed == fresh {
+        println!(
+            "checker --check: {path}'s subjects equal a fresh run ({} subjects)",
+            fresh.len()
+        );
+        return true;
+    }
+    eprintln!("checker --check: {path}'s subjects differ from a fresh run:");
+    if committed.len() != fresh.len() {
+        eprintln!(
+            "  subjects: committed {}, fresh {}",
+            committed.len(),
+            fresh.len()
+        );
+    }
+    for (old, new) in committed.iter().zip(fresh) {
+        if old == new {
+            continue;
+        }
+        eprintln!(
+            "  {} ({}) vs {} ({}):",
+            old.name, old.kind, new.name, new.kind
+        );
+        let (old_findings, new_findings) = (&old.findings, &new.findings);
+        for i in 0..old_findings.len().max(new_findings.len()) {
+            let (a, b) = (old_findings.get(i), new_findings.get(i));
+            if a != b {
+                let show = |f: Option<&Finding>| f.map_or("(none)".into(), |f| f.to_string());
+                eprintln!("    committed {}\n    fresh     {}", show(a), show(b));
+            }
+        }
+    }
+    false
 }
 
 /// The workspace root, two levels up from this crate's manifest — the

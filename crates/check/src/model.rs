@@ -24,9 +24,9 @@
 //! so the audit costs `O(cells · pins · GRID_SAMPLES²)` Horner
 //! evaluations and nothing else.
 
-use crate::{cap_findings, Finding};
+use crate::Findings;
 use avfs_delay::{
-    CoefficientTable, DelayModel, NormalizedPoint, OperatingPoint, ParameterSpace, PolynomialModel,
+    CoefficientTable, NormalizedPoint, OperatingPoint, ParameterSpace, PolynomialModel,
 };
 use avfs_netlist::library::{CellId, Polarity};
 
@@ -46,10 +46,9 @@ fn grid_coord(i: usize) -> f64 {
 
 /// Audits every characterized surface of `model`: coefficient
 /// finiteness (`AVC-D001`) and grid behavior of the factor `1 + f(P)`
-/// (`AVC-D002`, `AVC-D003`, `AVC-D004`). Findings are capped per rule.
-pub fn lint_polynomial_model(model: &PolynomialModel) -> Vec<Finding> {
+/// (`AVC-D002`, `AVC-D003`, `AVC-D004`), writing into `findings`.
+pub fn lint_polynomial_model(model: &PolynomialModel, findings: &mut Findings) {
     let table = model.table();
-    let mut findings = Vec::new();
     for cell_idx in 0..table.num_cells() {
         let cell = CellId::from_index(cell_idx);
         for pin in 0..table.num_pins(cell) {
@@ -57,17 +56,16 @@ pub fn lint_polynomial_model(model: &PolynomialModel) -> Vec<Finding> {
                 let Ok(beta) = table.coefficients(cell, pin, polarity) else {
                     continue;
                 };
-                let at = surface_location(cell_idx, pin, polarity);
-                lint_coefficients(&at, beta, &mut findings);
+                let at = || surface_location(cell_idx, pin, polarity);
+                lint_coefficients(at, beta, findings);
                 // A non-finite coefficient poisons every grid sample;
                 // skip the grid lints to avoid cascading noise.
                 if beta.iter().all(|b| b.is_finite()) {
-                    lint_grid(&at, table, cell, pin, polarity, &mut findings);
+                    lint_grid(at, table, cell, pin, polarity, findings);
                 }
             }
         }
     }
-    cap_findings(findings)
 }
 
 fn surface_location(cell: usize, pin: usize, polarity: Polarity) -> String {
@@ -78,25 +76,21 @@ fn surface_location(cell: usize, pin: usize, polarity: Polarity) -> String {
     format!("cell{cell}/pin{pin}/{pol}")
 }
 
-fn lint_coefficients(at: &str, beta: &[f64], findings: &mut Vec<Finding>) {
+fn lint_coefficients(at: impl Fn() -> String, beta: &[f64], findings: &mut Findings) {
     for (k, b) in beta.iter().enumerate() {
         if !b.is_finite() {
-            findings.push(Finding::new(
-                "AVC-D001",
-                at,
-                format!("coefficient β[{k}] is {b}"),
-            ));
+            findings.push("AVC-D001", || (at(), format!("coefficient β[{k}] is {b}")));
         }
     }
 }
 
 fn lint_grid(
-    at: &str,
+    at: impl Fn() -> String,
     table: &CoefficientTable,
     cell: CellId,
     pin: usize,
     polarity: Polarity,
-    findings: &mut Vec<Finding>,
+    findings: &mut Findings,
 ) {
     // One factor matrix per surface, sampled through the same
     // `deviation` entry point the simulation kernel uses: factors[ci][vi].
@@ -118,15 +112,13 @@ fn lint_grid(
     for (ci, row) in factors.iter().enumerate() {
         for (vi, &f) in row.iter().enumerate() {
             if !f.is_finite() {
-                findings.push(Finding::new(
-                    "AVC-D004",
-                    at,
-                    format!(
-                        "factor is {f} at normalized (v={:.3}, c={:.3})",
-                        grid_coord(vi),
-                        grid_coord(ci)
-                    ),
-                ));
+                findings.push("AVC-D004", || {
+                    let (v, c) = (grid_coord(vi), grid_coord(ci));
+                    (
+                        at(),
+                        format!("factor is {f} at normalized (v={v:.3}, c={c:.3})"),
+                    )
+                });
                 return; // grid is poisoned; one finding suffices
             }
             if f <= 0.0 && worst_nonpos.is_none_or(|(w, _, _)| f < w) {
@@ -141,79 +133,68 @@ fn lint_grid(
         }
     }
     if let Some((f, vi, ci)) = worst_nonpos {
-        findings.push(Finding::new(
-            "AVC-D002",
-            at,
-            format!(
-                "factor 1 + f(P) = {f:.6} ≤ 0 at normalized (v={:.3}, c={:.3})",
-                grid_coord(vi),
-                grid_coord(ci)
-            ),
-        ));
+        findings.push("AVC-D002", || {
+            let (v, c) = (grid_coord(vi), grid_coord(ci));
+            let message =
+                format!("factor 1 + f(P) = {f:.6} ≤ 0 at normalized (v={v:.3}, c={c:.3})");
+            (at(), message)
+        });
     }
     if let Some((rise, vi, ci)) = worst_rise {
-        findings.push(Finding::new(
-            "AVC-D003",
-            at,
-            format!(
+        findings.push("AVC-D003", || {
+            let message = format!(
                 "factor rises by {rise:.6} from v={:.3} to v={:.3} at c={:.3} \
                  (gates should speed up with voltage)",
                 grid_coord(vi - 1),
                 grid_coord(vi),
                 grid_coord(ci)
-            ),
-        ));
+            );
+            (at(), message)
+        });
     }
 }
 
 /// Checks one intended operating point against the characterized domain
-/// (`AVC-D005`). `location` names the point in findings (e.g. `slot 3`).
+/// (`AVC-D005`), writing into `findings`. `location` names the point
+/// (e.g. `slot 3`) and runs only when the finding is kept.
 pub fn lint_operating_point(
     space: &ParameterSpace,
-    location: &str,
     op: OperatingPoint,
-) -> Option<Finding> {
+    location: impl FnOnce() -> String,
+    findings: &mut Findings,
+) {
     if space.contains(op) {
-        return None;
+        return;
     }
-    let (v_min, v_max) = space.voltage_range();
-    let (c_min, c_max) = space.load_range();
-    Some(Finding::new(
-        "AVC-D005",
-        location,
-        format!(
+    findings.push("AVC-D005", || {
+        let (v_min, v_max) = space.voltage_range();
+        let (c_min, c_max) = space.load_range();
+        let message = format!(
             "operating point (v={} V, c={} fF) outside characterized \
              [{v_min}, {v_max}] V × [{c_min}, {c_max}] fF",
             op.voltage, op.load_ff
-        ),
-    ))
-}
-
-/// Batch form of [`lint_operating_point`], capped per rule.
-pub fn lint_operating_points(
-    space: &ParameterSpace,
-    points: &[(String, OperatingPoint)],
-) -> Vec<Finding> {
-    cap_findings(
-        points
-            .iter()
-            .filter_map(|(loc, op)| lint_operating_point(space, loc, *op))
-            .collect(),
-    )
-}
-
-/// Convenience: full tier-2 audit of a model plus its intended operating
-/// points.
-pub fn lint_model(model: &PolynomialModel, points: &[(String, OperatingPoint)]) -> Vec<Finding> {
-    let mut findings = lint_polynomial_model(model);
-    findings.extend(lint_operating_points(model.space(), points));
-    findings
+        );
+        (location(), message)
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avfs_delay::{CoefficientTable, SurfacePolynomial};
+    use crate::Finding;
+    use avfs_delay::{CoefficientTable, DelayModel, SurfacePolynomial};
+
+    fn lint(model: &PolynomialModel) -> Vec<Finding> {
+        let mut findings = Findings::default();
+        lint_polynomial_model(model, &mut findings);
+        findings.finish()
+    }
+
+    fn lint_point(space: &ParameterSpace, location: &str, op: OperatingPoint) -> Vec<Finding> {
+        let mut findings = Findings::default();
+        lint_operating_point(space, op, || location.to_owned(), &mut findings);
+        findings.finish()
+    }
 
     fn surface(order: usize, coeffs: Vec<f64>) -> SurfacePolynomial {
         SurfacePolynomial::new(order, coeffs).unwrap()
@@ -235,14 +216,14 @@ mod tests {
     #[test]
     fn sane_model_is_clean() {
         let m = model_of(vec![[sane_surface(), sane_surface()]]);
-        assert_eq!(lint_polynomial_model(&m), Vec::new());
+        assert_eq!(lint(&m), Vec::new());
     }
 
     #[test]
     fn nan_coefficient_flagged_and_grid_skipped() {
         let bad = surface(1, vec![0.1, f64::NAN, 0.0, 0.0]);
         let m = model_of(vec![[bad, sane_surface()]]);
-        let findings = lint_polynomial_model(&m);
+        let findings = lint(&m);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "AVC-D001");
         assert_eq!(findings[0].location, "cell0/pin0/rise");
@@ -254,7 +235,7 @@ mod tests {
         // f = −0.5 − v: factor 0.5 − v ≤ 0 for v ≥ 0.5.
         let bad = surface(1, vec![-0.5, 0.0, -1.0, 0.0]);
         let m = model_of(vec![[sane_surface(), bad]]);
-        let findings = lint_polynomial_model(&m);
+        let findings = lint(&m);
         let d002: Vec<&Finding> = findings.iter().filter(|f| f.rule == "AVC-D002").collect();
         assert_eq!(d002.len(), 1);
         assert_eq!(d002[0].location, "cell0/pin0/fall");
@@ -267,7 +248,7 @@ mod tests {
         // f = 0.4·v: factor increases with voltage — implausible.
         let bad = surface(1, vec![0.0, 0.0, 0.4, 0.0]);
         let m = model_of(vec![[bad, sane_surface()]]);
-        let findings = lint_polynomial_model(&m);
+        let findings = lint(&m);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "AVC-D003");
         assert_eq!(findings[0].severity, crate::Severity::Warn);
@@ -279,7 +260,7 @@ mod tests {
         // any single coefficient being non-finite.
         let bad = surface(1, vec![f64::MAX, 0.0, f64::MAX, 0.0]);
         let m = model_of(vec![[bad.clone(), bad]]);
-        let findings = lint_polynomial_model(&m);
+        let findings = lint(&m);
         let d004: Vec<&Finding> = findings.iter().filter(|f| f.rule == "AVC-D004").collect();
         assert_eq!(d004.len(), 2, "one per polarity surface: {findings:?}");
     }
@@ -287,26 +268,30 @@ mod tests {
     #[test]
     fn out_of_domain_operating_points_flagged() {
         let space = ParameterSpace::paper();
-        assert!(lint_operating_point(&space, "slot 0", OperatingPoint::new(0.8, 4.0)).is_none());
-        let f =
-            lint_operating_point(&space, "slot 1", OperatingPoint::new(0.3, 4.0)).expect("flagged");
-        assert_eq!(f.rule, "AVC-D005");
-        assert!(f.message.contains("0.3"));
-        let points = vec![
-            ("slot 0".to_string(), OperatingPoint::new(0.8, 4.0)),
-            ("slot 1".to_string(), OperatingPoint::new(1.2, 4.0)),
-            ("node 7".to_string(), OperatingPoint::new(0.8, 500.0)),
-        ];
-        let findings = lint_operating_points(&space, &points);
-        assert_eq!(findings.len(), 2);
-        assert!(findings.iter().all(|f| f.rule == "AVC-D005"));
+        assert!(lint_point(&space, "slot 0", OperatingPoint::new(0.8, 4.0)).is_empty());
+        let f = lint_point(&space, "slot 1", OperatingPoint::new(0.3, 4.0));
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "AVC-D005");
+        assert_eq!(f[0].location, "slot 1");
+        assert!(f[0].message.contains("0.3"));
+        assert_eq!(
+            lint_point(&space, "node 7", OperatingPoint::new(0.8, 500.0)).len(),
+            1
+        );
     }
 
     #[test]
-    fn lint_model_combines_tiers() {
+    fn one_collector_combines_tiers() {
         let m = model_of(vec![[sane_surface(), sane_surface()]]);
-        let points = vec![("slot 0".to_string(), OperatingPoint::new(2.0, 4.0))];
-        let findings = lint_model(&m, &points);
+        let mut findings = Findings::default();
+        lint_polynomial_model(&m, &mut findings);
+        lint_operating_point(
+            m.space(),
+            OperatingPoint::new(2.0, 4.0),
+            || "slot 0".into(),
+            &mut findings,
+        );
+        let findings = findings.finish();
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "AVC-D005");
     }

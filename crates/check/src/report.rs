@@ -130,7 +130,8 @@ pub struct Subject {
     /// Which analysis produced the findings (`netlist`, `delay-model`,
     /// `concurrency`, `safety`).
     pub kind: String,
-    /// The subject's findings (already capped per rule by the linters).
+    /// The subject's findings (capped per rule by the
+    /// [`Findings`](crate::Findings) collector).
     pub findings: Vec<Finding>,
 }
 

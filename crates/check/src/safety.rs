@@ -27,7 +27,7 @@
 //! string or doc comment is never a site, and `SAFETY:` only counts when
 //! it appears in an actual comment.
 
-use crate::{cap_findings, Finding};
+use crate::Findings;
 use std::path::{Path, PathBuf};
 
 /// One source line split into its code and comment parts by the lexer.
@@ -238,11 +238,10 @@ fn has_unsafe_token(code: &str) -> bool {
     false
 }
 
-/// Scans one file's source text; `label` names it in finding locations
-/// (typically a path relative to the workspace root).
-pub fn scan_source(label: &str, source: &str) -> Vec<Finding> {
+/// Scans one file's source text into `findings`; `label` names it in
+/// finding locations (typically a path relative to the workspace root).
+pub fn scan_source(label: &str, source: &str, findings: &mut Findings) {
     let lines = lex_lines(source);
-    let mut findings = Vec::new();
     for (idx, line) in lines.iter().enumerate() {
         if !has_unsafe_token(&line.code) {
             continue;
@@ -273,27 +272,26 @@ pub fn scan_source(label: &str, source: &str) -> Vec<Finding> {
             }
         }
         if !annotated {
-            findings.push(Finding::new(
-                "AVC-S001",
-                format!("{label}:{}", idx + 1),
-                "`unsafe` site has no adjacent `SAFETY:` comment",
-            ));
+            findings.push("AVC-S001", || {
+                (
+                    format!("{label}:{}", idx + 1),
+                    "`unsafe` site has no adjacent `SAFETY:` comment",
+                )
+            });
         }
     }
-    findings
 }
 
 /// Lints every `.rs` file under `root` (skipping `target/` and hidden
-/// directories), in deterministic path order, findings capped per rule.
+/// directories) into `findings`, in deterministic path order.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the directory walk or file reads.
-pub fn lint_unsafe_comments(root: &Path) -> std::io::Result<Vec<Finding>> {
+pub fn lint_unsafe_comments(root: &Path, findings: &mut Findings) -> std::io::Result<()> {
     let mut files = Vec::new();
     collect_rust_files(root, &mut files)?;
     files.sort();
-    let mut findings = Vec::new();
     for path in files {
         let source = std::fs::read_to_string(&path)?;
         let label = path
@@ -301,9 +299,9 @@ pub fn lint_unsafe_comments(root: &Path) -> std::io::Result<Vec<Finding>> {
             .unwrap_or(&path)
             .to_string_lossy()
             .into_owned();
-        findings.extend(scan_source(&label, &source));
+        scan_source(&label, &source, findings);
     }
-    Ok(cap_findings(findings))
+    Ok(())
 }
 
 fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -327,6 +325,13 @@ fn collect_rust_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Finding;
+
+    fn scan(label: &str, source: &str) -> Vec<Finding> {
+        let mut findings = Findings::default();
+        scan_source(label, source, &mut findings);
+        findings.finish()
+    }
 
     #[test]
     fn annotated_block_passes() {
@@ -334,13 +339,13 @@ mod tests {
                    \x20   // SAFETY: p is valid for reads per the caller contract.\n\
                    \x20   unsafe { *p }\n\
                    }\n";
-        assert_eq!(scan_source("a.rs", src), Vec::new());
+        assert_eq!(scan("a.rs", src), Vec::new());
     }
 
     #[test]
     fn unannotated_block_flagged_with_line() {
         let src = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-        let findings = scan_source("a.rs", src);
+        let findings = scan("a.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "AVC-S001");
         assert_eq!(findings[0].location, "a.rs:2");
@@ -354,7 +359,7 @@ mod tests {
                    \x20   let job: &'static Job =\n\
                    \x20       unsafe { std::mem::transmute(job) };\n\
                    }\n";
-        assert_eq!(scan_source("pool.rs", src), Vec::new());
+        assert_eq!(scan("pool.rs", src), Vec::new());
     }
 
     #[test]
@@ -362,7 +367,7 @@ mod tests {
         let src = "// SAFETY: justified above the attribute.\n\
                    #[allow(clippy::undocumented_unsafe_blocks)]\n\
                    unsafe impl Send for T {}\n";
-        assert_eq!(scan_source("a.rs", src), Vec::new());
+        assert_eq!(scan("a.rs", src), Vec::new());
     }
 
     #[test]
@@ -372,7 +377,7 @@ mod tests {
         let src = "// SAFETY: mutation goes through the claim protocol.\n\
                    unsafe impl Send for W {}\n\
                    unsafe impl Sync for W {}\n";
-        let findings = scan_source("arena.rs", src);
+        let findings = scan("arena.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].location, "arena.rs:3");
     }
@@ -390,7 +395,7 @@ mod tests {
             "}\n",
             "#![forbid(unsafe_code)]\n",
         );
-        assert_eq!(scan_source("a.rs", src), Vec::new());
+        assert_eq!(scan("a.rs", src), Vec::new());
     }
 
     #[test]
@@ -398,7 +403,7 @@ mod tests {
         let src = "fn f(p: *const u8) -> u8 {\n\
                    \x20   unsafe { *p } // SAFETY: p valid per contract\n\
                    }\n";
-        assert_eq!(scan_source("a.rs", src), Vec::new());
+        assert_eq!(scan("a.rs", src), Vec::new());
     }
 
     #[test]
@@ -408,7 +413,7 @@ mod tests {
         let src = "fn f(p: *const u8) -> u8 {\n\
                    \x20   let _caption = \"SAFETY: spoofed\"; unsafe { *p }\n\
                    }\n";
-        let findings = scan_source("a.rs", src);
+        let findings = scan("a.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].location, "a.rs:2");
     }
@@ -424,7 +429,7 @@ mod tests {
                    }\n";
         // The '"' char literal must not open a string that swallows the
         // unsafe block below it.
-        let findings = scan_source("a.rs", src);
+        let findings = scan("a.rs", src);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].location, "a.rs:6");
     }
@@ -437,7 +442,9 @@ mod tests {
             .parent()
             .and_then(Path::parent)
             .expect("workspace root");
-        let findings = lint_unsafe_comments(root).expect("workspace scan");
+        let mut findings = Findings::default();
+        lint_unsafe_comments(root, &mut findings).expect("workspace scan");
+        let findings = findings.finish();
         assert_eq!(findings, Vec::new(), "unannotated unsafe: {findings:?}");
     }
 }

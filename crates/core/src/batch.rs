@@ -243,7 +243,7 @@ impl BatchRunner {
         launch: impl Into<Launch<'a>>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let plan = compiled.prepare(patterns, launch.into(), options)?;
+        let plan = compiled.prepare(patterns, launch.into())?;
         let _guard = self.run_lock.lock().expect("run lock");
         compiled.execute(plan, options, &self.pool)
     }

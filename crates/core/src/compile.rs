@@ -23,7 +23,7 @@
 use crate::batch::Lru;
 use crate::engine::DelayTable;
 use crate::SimError;
-use avfs_check::Finding;
+use avfs_check::{Finding, Findings};
 use avfs_delay::model::DelayModel;
 use avfs_delay::op::OperatingPoint;
 use avfs_delay::TimingAnnotation;
@@ -170,16 +170,13 @@ pub struct CompiledNetlist {
     /// [`RunDiagnostics::clamped_loads`](crate::RunDiagnostics::clamped_loads).
     pub(crate) clamped_loads: usize,
     /// Tier-1/tier-2 findings computed once at compile (netlist lints,
-    /// levelization cross-check, clamped annotated loads); replayed into
-    /// every run's validation according to
-    /// [`SimOptions::strict_validation`](crate::SimOptions::strict_validation).
+    /// levelization cross-check, clamped annotated loads); recorded in
+    /// every run's
+    /// [`RunDiagnostics::validation_findings`](crate::RunDiagnostics::validation_findings).
     pub(crate) setup_findings: Vec<Finding>,
     /// The setup findings rendered once at compile, so per-run
     /// validation only renders the launch's operating-point findings.
     pub(crate) setup_rendered: Vec<String>,
-    /// Whether any setup finding is warn-or-worse — the compile-time
-    /// half of the `Deny` decision, precomputed.
-    pub(crate) setup_deny: bool,
     /// Per-level task plans, indexed by level (level 0 — the stimuli —
     /// has an empty plan).
     pub(crate) level_plans: Vec<LevelPlan>,
@@ -235,43 +232,32 @@ impl CompiledNetlist {
         let space = model.space();
         let (c_lo, c_hi) = space.load_range();
         let mut clamped_loads = 0usize;
-        let mut load_findings: Vec<Finding> = Vec::new();
+        // Tier-1/tier-2 lints over what this artifact is permanently
+        // bound to: the annotated loads the normalization below silently
+        // clamps into the characterized interval, the netlist and its
+        // levelization. Per-launch data (slot operating points) is
+        // checked at run time instead — the only lint work a launch pays.
+        let mut findings = Findings::default();
         let c_norm = netlist
             .iter()
             .map(|(id, node)| {
-                let load = annotation.load_ff(id);
-                if load < c_lo || load > c_hi {
+                let op = OperatingPoint::new(space.nominal_vdd(), annotation.load_ff(id));
+                if op.load_ff < c_lo || op.load_ff > c_hi {
                     clamped_loads += 1;
                     // Only gate loads feed the delay kernel; a dangling
                     // or port net clamped at the boundary is expected and
                     // not worth a finding.
                     if matches!(node.kind(), NodeKind::Gate(_)) {
-                        if let Some(f) = avfs_check::model::lint_operating_point(
-                            space,
-                            node.name(),
-                            OperatingPoint::new(space.nominal_vdd(), load),
-                        ) {
-                            load_findings.push(f);
-                        }
+                        let location = || node.name().to_owned();
+                        avfs_check::model::lint_operating_point(space, op, location, &mut findings);
                     }
                 }
-                space
-                    .normalize_clamped(OperatingPoint::new(space.nominal_vdd(), load))
-                    .c
+                space.normalize_clamped(op).c
             })
             .collect();
-        // Tier-1/tier-2 lints over what this artifact is permanently
-        // bound to: the netlist, its levelization, and the annotated
-        // loads the normalization above silently clamped into the
-        // characterized interval. Per-launch data (slot operating points)
-        // is checked at run time instead — the only validation work a
-        // launch pays.
-        let mut setup_findings = avfs_check::netlist::lint_netlist(&netlist, Some(&levels));
-        setup_findings.extend(avfs_check::cap_findings(load_findings));
+        avfs_check::netlist::lint_netlist(&netlist, Some(&levels), &mut findings);
+        let setup_findings = findings.finish();
         let setup_rendered: Vec<String> = setup_findings.iter().map(ToString::to_string).collect();
-        let setup_deny = setup_findings
-            .iter()
-            .any(|f| f.severity >= avfs_check::Severity::Warn);
         // Per-level task plans: gates become pool tasks; primary outputs
         // are mere passthroughs, copied cell-to-cell at a level's close.
         // Level 0 is the stimuli: no tasks.
@@ -290,7 +276,6 @@ impl CompiledNetlist {
             clamped_loads,
             setup_findings,
             setup_rendered,
-            setup_deny,
             level_plans,
             delay_tables: Mutex::new(Lru::new(DELAY_TABLE_SLOTS)),
             #[cfg(test)]
@@ -336,9 +321,10 @@ impl CompiledNetlist {
 
     /// The artifact's cached tier-1/tier-2 findings (netlist lints,
     /// levelization cross-check, clamped annotated loads) — the
-    /// compile-time part of what
-    /// [`SimOptions::strict_validation`](crate::SimOptions::strict_validation)
-    /// reports per run.
+    /// compile-time part of what every run records in
+    /// [`RunDiagnostics::validation_findings`](crate::RunDiagnostics::validation_findings).
+    /// A caller that refuses to simulate a suspect netlist reads them
+    /// here, before any launch.
     pub fn setup_findings(&self) -> &[Finding] {
         &self.setup_findings
     }

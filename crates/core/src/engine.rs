@@ -55,6 +55,7 @@ use crate::scenario::{check_capture_time, check_variation, MonteCarlo, ScenarioS
 use crate::slots::SlotSpec;
 use crate::SimError;
 use avfs_atpg::PatternSet;
+use avfs_check::Findings;
 use avfs_delay::op::OperatingPoint;
 use avfs_delay::VariationConfig;
 use avfs_inject::{FaultPlan, Injector};
@@ -84,26 +85,6 @@ const STEAL_GRABS_PER_WORKER: usize = 4;
 
 /// Upper bound on one work-stealing chunk, so huge levels still rebalance.
 const MAX_STEAL_CHUNK: usize = 64;
-
-/// How much up-front validation a run performs.
-///
-/// The checks are the tier-1 (netlist) and tier-2 (operating point) lints
-/// of `avfs-check`, run against the engine's bound netlist and the slots
-/// of the launch. They catch inputs the engine would otherwise *silently
-/// repair* — most importantly operating points outside the delay model's
-/// characterized domain, which the online delay calculation clamps to the
-/// domain boundary and simulates anyway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ValidationMode {
-    /// Run the checks and record rendered findings in
-    /// [`RunDiagnostics::validation_findings`]; the simulation proceeds
-    /// regardless. The default.
-    #[default]
-    Warn,
-    /// Refuse to simulate when any warn-or-worse finding exists: the run
-    /// returns [`SimError::Validation`] carrying the findings.
-    Deny,
-}
 
 /// Runtime options of one engine launch.
 #[derive(Debug, Clone)]
@@ -158,13 +139,6 @@ pub struct SimOptions {
     /// identical results: the layout change is a pure memory permutation
     /// and every lane runs the identical operation sequence.
     pub lanes: usize,
-    /// Up-front validation of the netlist and the launch's operating
-    /// points (tier-1/tier-2 `avfs-check` lints). Defaults to
-    /// [`ValidationMode::Warn`]: findings land in
-    /// [`RunDiagnostics::validation_findings`] without affecting the
-    /// simulation. [`ValidationMode::Deny`] turns warn-or-worse findings
-    /// into [`SimError::Validation`].
-    pub strict_validation: ValidationMode,
     /// Armed fault plan for deterministic fault injection (`None` — the
     /// default — compiles every probe down to one `Option`-discriminant
     /// branch). An *empty* plan (all rates zero) is bit-for-bit identical
@@ -214,7 +188,6 @@ impl Default for SimOptions {
             overflow_retries: 4,
             profiling: false,
             lanes: 0,
-            strict_validation: ValidationMode::default(),
             fault_plan: None,
         }
     }
@@ -349,44 +322,34 @@ pub(crate) struct LaunchPlan<'a> {
 }
 
 impl CompiledNetlist {
-    /// Runs the launch validation: the artifact's pre-rendered setup
-    /// findings, an `AVC-D005` check of every `(location, supply)` in
-    /// `slot_supplies` at the minimum load, and any launch-specific
-    /// findings the preparer already produced (`extra`: the scenario
-    /// layer's `AVC-N010`/`AVC-D006` schedule lints) — the only
-    /// validation work left per run after the netlist/delay-model tiers
-    /// were hoisted into compile. Returns the rendered findings for
-    /// [`RunDiagnostics::validation_findings`], or
-    /// [`SimError::Validation`] under [`ValidationMode::Deny`] when any
-    /// warn-or-worse finding exists.
-    pub(crate) fn validate_launch(
+    /// The launch validation: the artifact's pre-rendered setup findings
+    /// followed by the launch's own (`AVC-D005` per slot supply, the
+    /// scenario layer's `AVC-N010`/`AVC-D006` schedule lints), rendered
+    /// for [`RunDiagnostics::validation_findings`]. Validation records;
+    /// it never refuses a launch.
+    pub(crate) fn validate_launch(&self, findings: Findings) -> Vec<String> {
+        let launch = findings.finish();
+        let rendered = launch.iter().map(ToString::to_string);
+        self.setup_rendered
+            .iter()
+            .cloned()
+            .chain(rendered)
+            .collect()
+    }
+
+    /// The `AVC-D005` check of one slot supply at the minimum load,
+    /// *before* normalization clamps it into the characterized domain,
+    /// so an out-of-domain sweep point is recorded instead of silently
+    /// repaired. `location` runs only when the finding is kept.
+    fn lint_supply(
         &self,
-        mode: ValidationMode,
-        slot_supplies: impl Iterator<Item = (String, f64)>,
-        extra: &[avfs_check::Finding],
-    ) -> Result<Vec<String>, SimError> {
-        // Supplies are checked against the model's characterized domain
-        // *before* normalization clamps them into it, so an out-of-domain
-        // sweep point is recorded (Warn) or refused (Deny) instead of
-        // silently repaired.
-        let c_min = self.model.space().load_range().0;
-        let slot_points: Vec<(String, OperatingPoint)> = slot_supplies
-            .map(|(location, v)| (location, OperatingPoint::new(v, c_min)))
-            .collect();
-        let op_findings =
-            avfs_check::model::lint_operating_points(self.model.space(), &slot_points);
-        let mut rendered = self.setup_rendered.clone();
-        rendered.extend(op_findings.iter().map(ToString::to_string));
-        rendered.extend(extra.iter().map(ToString::to_string));
-        let warn_or_worse = |f: &avfs_check::Finding| f.severity >= avfs_check::Severity::Warn;
-        if mode == ValidationMode::Deny
-            && (self.setup_deny
-                || op_findings.iter().any(warn_or_worse)
-                || extra.iter().any(warn_or_worse))
-        {
-            return Err(SimError::Validation { findings: rendered });
-        }
-        Ok(rendered)
+        voltage: f64,
+        location: impl FnOnce() -> String,
+        findings: &mut Findings,
+    ) {
+        let space = self.model.space();
+        let op = OperatingPoint::new(voltage, space.load_range().0);
+        avfs_check::model::lint_operating_point(space, op, location, findings);
     }
 
     /// The stimulus/operating-point check every launch runs, over its
@@ -437,13 +400,12 @@ impl CompiledNetlist {
 
     /// Checks `launch` and lowers it to a plan. Each kind runs its own
     /// checks and [`CompiledNetlist::check_launch`], lowers its slots to
-    /// per-slot work and names the supplies (and schedule lints) that
-    /// [`CompiledNetlist::validate_launch`] then sees.
+    /// per-slot work and lints its supplies (or schedules) into the
+    /// findings [`CompiledNetlist::validate_launch`] then renders.
     pub(crate) fn prepare<'a>(
         &self,
         patterns: &'a PatternSet,
         launch: Launch<'a>,
-        options: &SimOptions,
     ) -> Result<LaunchPlan<'a>, SimError> {
         let mut plan = LaunchPlan {
             patterns,
@@ -460,16 +422,17 @@ impl CompiledNetlist {
             variation: None,
             fault: None,
         };
-        let (supplies, findings) = match launch {
+        let mut findings = Findings::default();
+        match launch {
             Launch::Uniform(slots) => {
                 self.check_launch(patterns, slots.iter().map(|s| (s.pattern, [s.voltage])))?;
                 plan.work = slots
                     .iter()
                     .map(|s| uniform(s.pattern, s.voltage))
                     .collect();
-                let supplies = slots.iter().enumerate();
-                let supplies = supplies.map(|(i, s)| (format!("slot {i}"), s.voltage));
-                (supplies.collect(), Vec::new())
+                for (i, s) in slots.iter().enumerate() {
+                    self.lint_supply(s.voltage, || format!("slot {i}"), &mut findings);
+                }
             }
             Launch::Domains { domains, slots } => {
                 if domains.len() != self.netlist.num_nodes() {
@@ -505,11 +468,12 @@ impl CompiledNetlist {
                 // Each (slot, domain) supply is a checked operating
                 // point — islands extend the validation the same way
                 // they extend the voltage assignment.
-                let supplies = slots.iter().enumerate().flat_map(|(i, s)| {
-                    let domains = s.voltages.iter().enumerate();
-                    domains.map(move |(d, &v)| (format!("slot {i}/domain {d}"), v))
-                });
-                (supplies.collect(), Vec::new())
+                for (i, s) in slots.iter().enumerate() {
+                    for (d, &v) in s.voltages.iter().enumerate() {
+                        let location = || format!("slot {i}/domain {d}");
+                        self.lint_supply(v, location, &mut findings);
+                    }
+                }
             }
             Launch::Scenarios {
                 scenarios,
@@ -530,7 +494,6 @@ impl CompiledNetlist {
                     (s.pattern, segments.map(|seg| seg.voltage))
                 });
                 self.check_launch(patterns, voltages)?;
-                let mut findings = Vec::new();
                 for (i, spec) in scenarios.iter().enumerate() {
                     let assign = self.lower_schedule(i, &spec.schedule, &mut findings)?;
                     let voltage = spec.schedule.segments[0].voltage;
@@ -547,10 +510,10 @@ impl CompiledNetlist {
                     });
                     plan.work.extend(dice);
                 }
+                // Schedules were linted once per scenario segment, not
+                // per die, so findings don't multiply with the sample
+                // count.
                 plan.reduction = Some((mc, capture_deadline_ps));
-                // One finding set per scenario segment, not per die, so
-                // findings don't multiply with the sample count.
-                (Vec::new(), avfs_check::cap_findings(findings))
             }
             Launch::Faults {
                 faults,
@@ -581,12 +544,12 @@ impl CompiledNetlist {
                     })
                     .collect();
                 plan.capture_ps = Some(capture_ps);
-                let supplies = (0..n).map(|i| (format!("slot {i}"), voltage));
-                (supplies.collect(), Vec::new())
+                for i in 0..n {
+                    self.lint_supply(voltage, || format!("slot {i}"), &mut findings);
+                }
             }
-        };
-        plan.validation =
-            self.validate_launch(options.strict_validation, supplies.into_iter(), &findings)?;
+        }
+        plan.validation = self.validate_launch(findings);
         Ok(plan)
     }
 
@@ -605,10 +568,6 @@ impl CompiledNetlist {
     ///   inconsistent stimuli,
     /// * [`SimError::InvalidOperatingPoint`] for a non-finite or
     ///   non-positive supply voltage,
-    /// * [`SimError::Validation`] under
-    ///   [`ValidationMode::Deny`] when the up-front checks find a
-    ///   warn-or-worse problem (e.g. a slot voltage outside the model's
-    ///   characterized domain, which `Warn` mode would clamp and record),
     /// * [`SimError::Model`] if the delay model rejects an operating point
     ///   or lacks a kernel,
     /// * [`SimError::AllSlotsFailed`] if no slot produced a usable result
@@ -618,7 +577,7 @@ impl CompiledNetlist {
     /// map that does not cover the netlist and [`SimError::DomainCount`]
     /// for a slot whose voltage vector does not assign every domain.
     ///
-    /// [`Launch::Scenarios`], in every validation mode:
+    /// [`Launch::Scenarios`]:
     /// [`SimError::InvalidSchedule`] for a structurally un-lowerable
     /// schedule (empty, unsorted, or with non-finite start times — lint
     /// rule `AVC-N010`), [`SimError::EmptySlots`] for a zero-sample
@@ -628,7 +587,10 @@ impl CompiledNetlist {
     /// deadline. Repairable findings — an unanchored first segment
     /// (`AVC-N010`, lowering extends it back to `t = 0`) or supplies
     /// outside the characterized range (`AVC-D006`, the kernel clamps
-    /// them) — follow [`SimOptions::strict_validation`].
+    /// them) — are recorded in
+    /// [`RunDiagnostics::validation_findings`], like a slot voltage
+    /// outside the model's characterized domain (`AVC-D005`), and the
+    /// launch proceeds.
     ///
     /// [`Launch::Faults`]: [`SimError::InvalidCaptureTime`] for an
     /// unusable capture time, [`SimError::FaultSite`] for a fault on a
@@ -641,7 +603,7 @@ impl CompiledNetlist {
         launch: impl Into<Launch<'a>>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let plan = self.prepare(patterns, launch.into(), options)?;
+        let plan = self.prepare(patterns, launch.into())?;
         self.execute(plan, options, &ParkedPool::new(options.threads))
     }
 

@@ -1360,14 +1360,14 @@ fn dangling_net_clamp_reported() {
 }
 
 #[test]
-fn strict_validation_modes() {
+fn out_of_domain_slots_are_recorded() {
     let n = chain_netlist();
     let engine = static_engine(&n, 10.0, 10.0);
     let patterns = one_pattern();
-    // 0.3 V is well below the paper space's 0.55 V minimum; Warn (the
-    // default) clamps-and-records, Deny refuses the launch.
+    // 0.3 V is well below the paper space's 0.55 V minimum: the launch
+    // clamps it and records the finding.
     let low = at_voltage(1, 0.3);
-    let warn = engine
+    let run = engine
         .launch(
             &patterns,
             &low,
@@ -1378,32 +1378,17 @@ fn strict_validation_modes() {
         )
         .unwrap();
     assert!(
-        warn.diagnostics
+        run.diagnostics
             .validation_findings
             .iter()
             .any(|f| f.contains("AVC-D005") && f.contains("slot 0")),
         "{:?}",
-        warn.diagnostics.validation_findings
+        run.diagnostics.validation_findings
     );
-    let denied = engine.launch(
-        &patterns,
-        &low,
-        &SimOptions {
-            threads: 1,
-            strict_validation: ValidationMode::Deny,
-            ..SimOptions::default()
-        },
-    );
-    match denied {
-        Err(SimError::Validation { findings }) => {
-            assert!(findings.iter().any(|f| f.contains("AVC-D005")));
-        }
-        other => panic!("expected SimError::Validation, got {other:?}"),
-    }
 }
 
 #[test]
-fn deny_passes_a_clean_launch() {
+fn clean_launch_records_nothing() {
     // Explicit in-range loads so the setup stage has nothing to clamp.
     let n = chain_netlist();
     let delays = n
@@ -1433,7 +1418,6 @@ fn deny_passes_a_clean_launch() {
             &at_voltage(1, 0.8),
             &SimOptions {
                 threads: 1,
-                strict_validation: ValidationMode::Deny,
                 ..SimOptions::default()
             },
         )
@@ -2530,7 +2514,7 @@ fn armed_droop_mc_launch_is_deterministic_across_threads_and_lanes() {
 }
 
 /// A variation distribution `derate` cannot draw from is a typed error
-/// in every validation mode — not a coordinator panic (`clamp` with a
+/// — not a coordinator panic (`clamp` with a
 /// negative or NaN bound) and not silently zeroed delays (a NaN sigma)
 /// — while `sigma == 0.0` stays the exact identity.
 #[test]
@@ -2542,7 +2526,7 @@ fn invalid_variation_rejected() {
         pattern: 0,
         schedule: Schedule::droop(0.9, 0.1, 5.0, 15.0),
     }];
-    let launch = |sigma: f64, max_deviation: f64, mode: ValidationMode| {
+    let launch = |sigma: f64, max_deviation: f64| {
         engine.launch(
             &patterns,
             scheduled(
@@ -2559,7 +2543,6 @@ fn invalid_variation_rejected() {
             ),
             &SimOptions {
                 threads: 1,
-                strict_validation: mode,
                 ..SimOptions::default()
             },
         )
@@ -2572,14 +2555,12 @@ fn invalid_variation_rejected() {
         (0.05, -0.2),
         (0.05, f64::INFINITY),
     ] {
-        for mode in [ValidationMode::Warn, ValidationMode::Deny] {
-            match launch(sigma, max_deviation, mode) {
-                Err(SimError::InvalidVariation { .. }) => {}
-                other => panic!(
-                    "sigma {sigma}, max_deviation {max_deviation}, {mode:?}: \
-                     expected InvalidVariation, got {other:?}"
-                ),
-            }
+        match launch(sigma, max_deviation) {
+            Err(SimError::InvalidVariation { .. }) => {}
+            other => panic!(
+                "sigma {sigma}, max_deviation {max_deviation}: \
+                 expected InvalidVariation, got {other:?}"
+            ),
         }
     }
     // The boundary values are usable: a zero clamp and a zero sigma both
@@ -2592,7 +2573,7 @@ fn invalid_variation_rejected() {
         )
         .unwrap();
     for (sigma, max_deviation) in [(0.0, 0.2), (0.0, 0.0), (0.05, 0.0)] {
-        let run = launch(sigma, max_deviation, ValidationMode::Warn).unwrap();
+        let run = launch(sigma, max_deviation).unwrap();
         for die in &run.slots {
             assert_eq!(*die, plain.slots[0], "sigma {sigma}, clamp {max_deviation}");
         }
@@ -2600,7 +2581,7 @@ fn invalid_variation_rejected() {
 }
 
 /// A capture deadline no arrival can be judged against is a typed error
-/// at all three doors, in every validation mode — a NaN
+/// at all three doors — a NaN
 /// deadline used to pass every sample (`t > NaN` is false), reading
 /// p_fail 0 — while 0 ps stays a usable deadline.
 #[test]
@@ -2614,23 +2595,18 @@ fn unusable_capture_deadline_rejected() {
     }];
     let mut session = crate::session::Session::new(Arc::clone(&engine), 1);
     let runner = crate::batch::BatchRunner::new(1, 1);
+    let opts = SimOptions::default();
     for deadline in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
-        for mode in [ValidationMode::Warn, ValidationMode::Deny] {
-            let opts = SimOptions {
-                strict_validation: mode,
-                ..SimOptions::default()
-            };
-            let d = Some(deadline);
-            for got in [
-                engine.launch(&patterns, scheduled(&scenarios, None, d), &opts),
-                session.run(&patterns, scheduled(&scenarios, None, d), &opts),
-                runner.run(&engine, &patterns, scheduled(&scenarios, None, d), &opts),
-            ] {
-                assert!(
-                    matches!(got, Err(SimError::InvalidCaptureTime { .. })),
-                    "deadline {deadline}, {mode:?}: {got:?}"
-                );
-            }
+        let d = Some(deadline);
+        for got in [
+            engine.launch(&patterns, scheduled(&scenarios, None, d), &opts),
+            session.run(&patterns, scheduled(&scenarios, None, d), &opts),
+            runner.run(&engine, &patterns, scheduled(&scenarios, None, d), &opts),
+        ] {
+            assert!(
+                matches!(got, Err(SimError::InvalidCaptureTime { .. })),
+                "deadline {deadline}: {got:?}"
+            );
         }
     }
     let run = engine
@@ -2888,14 +2864,13 @@ fn malformed_scenarios_rejected() {
 /// Repairable schedule findings — an unanchored first segment
 /// (`AVC-N010`, lowering extends it back to `t = 0`) and supplies
 /// outside the characterized range (`AVC-D006`, the kernel clamps) —
-/// follow `SimOptions::strict_validation` instead of hard-failing:
-/// recorded under `Warn`, refused under `Deny`.
+/// are recorded instead of hard-failing.
 #[test]
-fn repairable_schedules_follow_validation_mode() {
+fn repairable_schedules_are_recorded() {
     let n = chain_netlist();
     let engine = voltage_scaled_engine(&n, 10.0, 10.0);
     let patterns = one_pattern();
-    let launch = |schedule: Schedule, mode: ValidationMode| {
+    let launch = |schedule: Schedule| {
         engine.launch(
             &patterns,
             scheduled(
@@ -2906,10 +2881,7 @@ fn repairable_schedules_follow_validation_mode() {
                 None,
                 None,
             ),
-            &SimOptions {
-                strict_validation: mode,
-                ..SimOptions::default()
-            },
+            &SimOptions::default(),
         )
     };
     // The paper space characterizes [0.55, 1.1] V; 1.3 V clamps.
@@ -2918,9 +2890,8 @@ fn repairable_schedules_follow_validation_mode() {
         ("AVC-D006", Schedule::steps([(0.0, 0.8), (20.0, 1.3)])),
     ];
     for (rule, schedule) in &cases {
-        // Warn (the default): the run proceeds, the finding lands in
-        // the diagnostics.
-        let run = launch(schedule.clone(), ValidationMode::Warn).unwrap();
+        // The run proceeds, the finding lands in the diagnostics.
+        let run = launch(schedule.clone()).unwrap();
         assert!(
             run.diagnostics
                 .validation_findings
@@ -2930,27 +2901,12 @@ fn repairable_schedules_follow_validation_mode() {
             run.diagnostics.validation_findings
         );
         assert!(run.slots[0].status.is_completed());
-        // Deny: the same launch is refused, carrying the finding.
-        match launch(schedule.clone(), ValidationMode::Deny) {
-            Err(SimError::Validation { findings }) => {
-                assert!(findings.iter().any(|f| f.contains(rule)), "{findings:?}");
-            }
-            other => panic!("{rule}: expected Validation refusal, got {other:?}"),
-        }
     }
     // An unanchored schedule still lowers soundly: segment 0 extends
     // back to the launch instant, so this two-segment trace equals
     // the anchored trace with the same boundary.
-    let unanchored = launch(
-        Schedule::steps([(5.0, 0.8), (20.0, 0.7)]),
-        ValidationMode::Warn,
-    )
-    .unwrap();
-    let anchored = launch(
-        Schedule::steps([(0.0, 0.8), (20.0, 0.7)]),
-        ValidationMode::Warn,
-    )
-    .unwrap();
+    let unanchored = launch(Schedule::steps([(5.0, 0.8), (20.0, 0.7)])).unwrap();
+    let anchored = launch(Schedule::steps([(0.0, 0.8), (20.0, 0.7)])).unwrap();
     assert_eq!(unanchored.slots, anchored.slots);
 }
 

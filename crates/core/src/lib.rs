@@ -65,7 +65,7 @@ pub use batch::{BatchRunner, CompileKey};
 pub use compile::CompiledNetlist;
 pub use delay_fault::{FaultVerdict, SmallDelayFault};
 pub use domains::{DomainSlotSpec, VoltageDomains};
-pub use engine::{Launch, SimOptions, ValidationMode};
+pub use engine::{Launch, SimOptions};
 pub use event_driven::EventDrivenSimulator;
 pub use results::{RunDiagnostics, SimRun, SlotResult, SlotStatus};
 pub use scenario::{
@@ -128,10 +128,10 @@ pub enum SimError {
     },
     /// A scenario's piecewise operating-point schedule is structurally
     /// un-lowerable (empty, unsorted, or with non-finite start times) —
-    /// the `AVC-N010` lint refused it before any kernel work, in every
-    /// validation mode. Repairable schedule findings (an unanchored
-    /// first segment, out-of-range supplies) follow
-    /// [`SimOptions::strict_validation`](engine::SimOptions) instead.
+    /// the `AVC-N010` lint refused it before any kernel work. Repairable
+    /// schedule findings (an unanchored first segment, out-of-range
+    /// supplies) are recorded in
+    /// [`RunDiagnostics::validation_findings`] instead.
     InvalidSchedule {
         /// Index of the offending scenario.
         slot: usize,
@@ -141,8 +141,7 @@ pub enum SimError {
     /// A [`MonteCarlo`] plan's variation distribution is unusable: a
     /// non-finite or negative `sigma` or `max_deviation` (a NaN sigma
     /// would derate every delay to 0 ps; a negative clamp has no
-    /// interval to clamp into). Refused before any kernel work, in every
-    /// validation mode.
+    /// interval to clamp into). Refused before any kernel work.
     InvalidVariation {
         /// The plan's relative standard deviation.
         sigma: f64,
@@ -153,7 +152,7 @@ pub enum SimError {
     /// `capture_deadline_ps` or a [`Launch::Faults`] request's
     /// `capture_ps` — is non-finite or negative, so no arrival could be
     /// judged against it (a NaN deadline would pass every sample).
-    /// Refused in every validation mode.
+    /// Refused before any kernel work.
     InvalidCaptureTime {
         /// The rejected capture time, ps.
         capture_ps: f64,
@@ -220,17 +219,6 @@ pub enum SimError {
         pool: usize,
         /// The rejected per-run override.
         requested: usize,
-    },
-    /// Up-front validation refused the launch
-    /// ([`SimOptions::strict_validation`](engine::SimOptions) is
-    /// [`ValidationMode::Deny`](engine::ValidationMode) and a
-    /// warn-or-worse finding exists).
-    Validation {
-        /// Every rendered finding of the launch, one
-        /// `severity rule [location]: message` line each (the same
-        /// strings `Warn` mode records in
-        /// [`RunDiagnostics::validation_findings`]).
-        findings: Vec<String>,
     },
 }
 
@@ -318,17 +306,6 @@ impl fmt::Display for SimError {
                     "run requests {requested} thread(s) but the parked pool was built with {pool}; \
                      threads resolve once at pool construction (pass 0 per run)"
                 )
-            }
-            SimError::Validation { findings } => {
-                write!(
-                    f,
-                    "strict validation refused the launch ({} finding(s))",
-                    findings.len()
-                )?;
-                match findings.first() {
-                    Some(first) => write!(f, "; first: {first}"),
-                    None => Ok(()),
-                }
             }
         }
     }

@@ -80,10 +80,10 @@ pub struct RunDiagnostics {
     /// run (0 when unarmed or armed-empty).
     pub faults_injected: u64,
     /// Rendered `avfs-check` findings from the run's up-front validation
-    /// (`severity rule [location]: message` per line). Empty when the
-    /// launch is clean; under `Deny`
-    /// ([`SimOptions::strict_validation`](crate::engine::SimOptions)) a
-    /// warn-or-worse finding aborts the run instead of landing here.
+    /// (`severity rule [location]: message` per line): the artifact's
+    /// [`setup_findings`](crate::CompiledNetlist::setup_findings), then
+    /// the launch's own. Empty when the launch is clean. Findings never
+    /// stop a run; a caller that wants to refuse one reads them here.
     pub validation_findings: Vec<String>,
 }
 

@@ -76,6 +76,8 @@ use crate::compile::CompiledNetlist;
 use crate::engine::{NormalizedSchedule, VoltageAssign};
 use crate::results::SlotResult;
 use crate::SimError;
+use avfs_check::schedule::{lint_schedule, lint_schedule_voltages};
+use avfs_check::Findings;
 use avfs_delay::VariationConfig;
 use std::sync::Arc;
 
@@ -95,9 +97,9 @@ pub struct Segment {
 /// schedules — empty, unsorted, or non-finite start times — are refused
 /// with [`SimError::InvalidSchedule`] before any kernel work; an
 /// unanchored first segment is repairable (lowering extends it back to
-/// `t = 0`) and is routed through
-/// [`SimOptions::strict_validation`](crate::SimOptions) like any other
-/// launch finding.
+/// `t = 0`) and is recorded in
+/// [`RunDiagnostics::validation_findings`](crate::RunDiagnostics::validation_findings)
+/// like any other launch finding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     /// The segments in timeline order.
@@ -307,17 +309,16 @@ impl CompiledNetlist {
     /// Schedules with no lowering semantics — empty, non-finite, or
     /// non-increasing segment starts (`partition_point` needs a strictly
     /// sorted finite boundary list) — are refused with
-    /// [`SimError::InvalidSchedule`] in *every* validation mode. The
-    /// repairable findings — a first segment not anchored at `t = 0`
-    /// (`AVC-N010`: lowering extends it back to the launch instant) and
-    /// supplies outside the characterized voltage range (`AVC-D006`: the
-    /// kernel clamps them onto the boundary) — follow the validation
-    /// mode instead.
+    /// [`SimError::InvalidSchedule`]. The repairable findings — a first
+    /// segment not anchored at `t = 0` (`AVC-N010`: lowering extends it
+    /// back to the launch instant) and supplies outside the characterized
+    /// voltage range (`AVC-D006`: the kernel clamps them onto the
+    /// boundary) — are recorded and the launch proceeds.
     pub(crate) fn lower_schedule(
         &self,
         i: usize,
         schedule: &Schedule,
-        findings: &mut Vec<avfs_check::Finding>,
+        findings: &mut Findings,
     ) -> Result<VoltageAssign, SimError> {
         let segs = &schedule.segments;
         let fatal = segs.is_empty()
@@ -325,19 +326,18 @@ impl CompiledNetlist {
             || segs.windows(2).any(|w| w[1].t_start_ps <= w[0].t_start_ps);
         let pairs: Vec<(f64, f64)> = segs.iter().map(|s| (s.t_start_ps, s.voltage)).collect();
         let location = format!("scenario {i}");
-        let shape = avfs_check::schedule::lint_schedule(&location, &pairs);
         if fatal {
-            let first = shape.first().expect("fatal schedule has a lint finding");
+            let mut shape = Findings::default();
+            lint_schedule(&location, &pairs, &mut shape);
+            let first = shape.finish().into_iter().next();
             return Err(SimError::InvalidSchedule {
                 slot: i,
-                message: first.message.clone(),
+                message: first.expect("fatal schedule has a lint finding").message,
             });
         }
-        findings.extend(shape);
+        lint_schedule(&location, &pairs, findings);
         let (v_min, v_max) = self.model.space().voltage_range();
-        findings.extend(avfs_check::schedule::lint_schedule_voltages(
-            &location, &pairs, v_min, v_max,
-        ));
+        lint_schedule_voltages(&location, &pairs, v_min, v_max, findings);
         let v_norms: Vec<f64> = segs.iter().map(|seg| self.v_norm(seg.voltage)).collect();
         // A single-segment schedule lowers to the exact assignment a
         // static slot gets — the constant-schedule ≡ static identity

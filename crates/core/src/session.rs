@@ -105,7 +105,7 @@ impl Session {
         launch: impl Into<Launch<'a>>,
         options: &SimOptions,
     ) -> Result<SimRun, SimError> {
-        let plan = self.compiled.prepare(patterns, launch.into(), options)?;
+        let plan = self.compiled.prepare(patterns, launch.into())?;
         self.compiled.execute(plan, options, &self.pool)
     }
 

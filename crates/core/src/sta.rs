@@ -26,7 +26,7 @@ use crate::compile::CompiledNetlist;
 use crate::engine::scale_or_fallback;
 use crate::results::SimRun;
 use crate::SimError;
-use avfs_check::{Finding, Severity, StaRow, StaSection};
+use avfs_check::{Finding, Findings, Severity, StaRow, StaSection};
 use avfs_delay::op::{NormalizedPoint, OperatingPoint};
 use avfs_delay::TimingAnnotation;
 use avfs_netlist::library::Polarity;
@@ -259,13 +259,13 @@ pub fn crosscheck(
             None => groups.push((v, vec![i])),
         }
     }
-    let mut findings = Vec::new();
+    let mut findings = Findings::default();
     let mut rows = Vec::with_capacity(groups.len());
     for (gi, (voltage, slot_indices)) in groups.iter().enumerate() {
         let report = scaled_graph(compiled, *voltage)?.report(0.0);
         if gi == 0 {
             // Structure is voltage-independent: render the warnings once.
-            findings.extend(structure_findings(&compiled.netlist, &report));
+            structure_findings(&compiled.netlist, &report, &mut findings);
         }
         let mut sim_latest: Option<f64> = None;
         for &i in slot_indices {
@@ -273,12 +273,13 @@ pub fn crosscheck(
             if !slot.status.is_completed() {
                 continue;
             }
-            findings.extend(bound_finding(
-                &format!("{circuit} @ {voltage} V slot {i}"),
+            bound_finding(
+                || format!("{circuit} @ {voltage} V slot {i}"),
                 slot.latest_output_transition_ps,
                 report.latest_arrival_ps,
                 options.epsilon_ps,
-            ));
+                &mut findings,
+            );
             if let Some(t) = slot.latest_output_transition_ps {
                 sim_latest = Some(sim_latest.map_or(t, |prev: f64| prev.max(t)));
             }
@@ -292,7 +293,7 @@ pub fn crosscheck(
         });
     }
     Ok(CrossCheck {
-        findings: avfs_check::cap_findings(findings),
+        findings: findings.finish(),
         rows,
         epsilon_ps: options.epsilon_ps,
     })

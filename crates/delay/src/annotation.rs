@@ -126,15 +126,6 @@ impl TimingAnnotation {
         self.loads_ff[node.index()] = load_ff;
     }
 
-    /// The largest pin-to-pin delay in the annotation (used for sanity
-    /// checks and STA bounds).
-    pub fn max_delay_ps(&self) -> f64 {
-        self.delays
-            .iter()
-            .flatten()
-            .fold(0.0, |m, d| m.max(d.max()))
-    }
-
     /// Verifies the annotation covers `netlist` exactly: one entry per
     /// node, one pin pair per fan-in.
     pub fn matches(&self, netlist: &Netlist) -> bool {
@@ -142,11 +133,6 @@ impl TimingAnnotation {
             && netlist
                 .iter()
                 .all(|(id, node)| self.delays[id.index()].len() == node.fanin().len())
-    }
-
-    /// Sum of all gate pin delays (diagnostic).
-    pub fn total_pins(&self) -> usize {
-        self.delays.iter().map(Vec::len).sum()
     }
 }
 
@@ -181,8 +167,6 @@ mod tests {
         let g = n.find("g").unwrap();
         assert_eq!(ann.node_delays(g).len(), 2);
         assert_eq!(ann.pin_delays(g, 0), PinDelays::default());
-        assert_eq!(ann.total_pins(), 2 + 1);
-        assert_eq!(ann.max_delay_ps(), 0.0);
         // Loads come from the netlist.
         assert!(ann.load_ff(g) > 0.0);
     }
@@ -197,7 +181,6 @@ mod tests {
             fall: 9.0,
         };
         assert_eq!(ann.pin_delays(g, 1).rise, 12.0);
-        assert_eq!(ann.max_delay_ps(), 12.0);
         ann.set_load_ff(g, 42.0);
         assert_eq!(ann.load_ff(g), 42.0);
     }

@@ -90,11 +90,6 @@ impl ParameterSpace {
         self.nominal_vdd
     }
 
-    /// The nominal operating point for a given load.
-    pub fn nominal_point(&self, load_ff: f64) -> OperatingPoint {
-        OperatingPoint::new(self.nominal_vdd, load_ff)
-    }
-
     /// The voltage interval `[V_min, V_max]`.
     pub fn voltage_range(&self) -> (f64, f64) {
         (self.phi_v.min(), self.phi_v.max())
@@ -207,13 +202,5 @@ mod tests {
         let p = s.normalize_clamped(OperatingPoint::new(2.0, 300.0));
         assert!((p.v - 1.0).abs() < 1e-12);
         assert!((p.c - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nominal_point_uses_given_load() {
-        let s = ParameterSpace::paper();
-        let p = s.nominal_point(7.0);
-        assert_eq!(p.voltage, 0.8);
-        assert_eq!(p.load_ff, 7.0);
     }
 }

@@ -57,11 +57,6 @@ impl CoefficientTable {
         }
     }
 
-    /// Number of cell types with kernels installed.
-    pub fn num_characterized(&self) -> usize {
-        self.offsets.iter().filter(|o| o.is_some()).count()
-    }
-
     /// Total `f64` storage — the "negligible memory" the paper quantifies
     /// against waveform storage.
     pub fn arena_len(&self) -> usize {
@@ -233,7 +228,8 @@ mod tests {
             [constant_surface(2, 0.3), constant_surface(2, 0.4)],
         ];
         t.insert(CellId::from_index(1), &surfaces).unwrap();
-        assert_eq!(t.num_characterized(), 1);
+        assert_eq!(t.num_pins(CellId::from_index(0)), 0);
+        assert_eq!(t.num_pins(CellId::from_index(1)), 2);
         assert_eq!(t.arena_len(), 4 * 9);
         let p = NormalizedPoint { v: 0.5, c: 0.5 };
         let cell = CellId::from_index(1);

@@ -364,19 +364,6 @@ impl CellLibrary {
         Arc::new(lib)
     }
 
-    /// Builds a library from an explicit set of cell kinds (used by tests
-    /// and by the characterization subset of Fig. 4).
-    pub fn from_kinds(kinds: impl IntoIterator<Item = CellKind>) -> Arc<CellLibrary> {
-        let mut lib = CellLibrary {
-            cells: Vec::new(),
-            by_name: HashMap::new(),
-        };
-        for kind in kinds {
-            lib.insert(Cell::build(kind));
-        }
-        Arc::new(lib)
-    }
-
     fn insert(&mut self, cell: Cell) {
         let id = CellId(self.cells.len() as u32);
         self.by_name.insert(cell.name().to_owned(), id);
@@ -589,18 +576,5 @@ mod tests {
         assert_eq!(Polarity::of_transition_to(true), Polarity::Rise);
         assert_eq!(Polarity::of_transition_to(false), Polarity::Fall);
         assert_eq!(Polarity::both(), [Polarity::Rise, Polarity::Fall]);
-    }
-
-    #[test]
-    fn from_kinds_builds_subset() {
-        let kinds = [
-            CellKind::new(LogicFunction::Inv, 1, DriveStrength::X1).unwrap(),
-            CellKind::new(LogicFunction::Nand, 2, DriveStrength::X2).unwrap(),
-        ];
-        let lib = CellLibrary::from_kinds(kinds);
-        assert_eq!(lib.len(), 2);
-        assert!(lib.find("INV_X1").is_some());
-        assert!(lib.find("NAND2_X2").is_some());
-        assert!(lib.find("NOR2_X1").is_none());
     }
 }

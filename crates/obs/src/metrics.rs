@@ -207,12 +207,6 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds 1.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// The current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -302,14 +296,14 @@ mod tests {
         let a = m.counter("x");
         let b = m.counter("x");
         a.add(2);
-        b.incr();
+        b.add(1);
         assert_eq!(m.counter("x").get(), 3);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let c = m.counter("x");
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        c.incr();
+                        c.add(1);
                     }
                 });
             }

@@ -12,7 +12,7 @@
 //! no outgoing timing arc) mark analysis blind spots, not engine bugs.
 
 use crate::graph::StaReport;
-use avfs_check::Finding;
+use avfs_check::{Finding, Findings};
 use avfs_netlist::Netlist;
 
 /// Default comparison tolerance, ps. The bound comparison needs no slack
@@ -24,27 +24,30 @@ use avfs_netlist::Netlist;
 pub const DEFAULT_EPSILON_PS: f64 = 1e-6;
 
 /// `AVC-T001`: the simulator's latest transition arrival exceeds the STA
-/// upper bound by more than `epsilon_ps`. `None` when the bound holds
-/// (including when the slot saw no transition at all).
+/// upper bound by more than `epsilon_ps`. Adds nothing when the bound
+/// holds (including when the slot saw no transition at all); `location`
+/// runs only when the finding is kept.
 pub fn bound_finding(
-    location: &str,
+    location: impl FnOnce() -> String,
     sim_latest_ps: Option<f64>,
     sta_latest_ps: f64,
     epsilon_ps: f64,
-) -> Option<Finding> {
-    let sim = sim_latest_ps?;
+    findings: &mut Findings,
+) {
+    let Some(sim) = sim_latest_ps else {
+        return;
+    };
     if sim <= sta_latest_ps + epsilon_ps {
-        return None;
+        return;
     }
-    Some(Finding::new(
-        "AVC-T001",
-        location,
-        format!(
+    findings.push("AVC-T001", || {
+        let message = format!(
             "simulated latest arrival {sim} ps exceeds the STA bound {sta_latest_ps} ps \
              by {} ps (ε = {epsilon_ps} ps)",
             sim - sta_latest_ps
-        ),
-    ))
+        );
+        (location(), message)
+    });
 }
 
 /// `AVC-T002`: simulator and STA were expected to agree (a sensitized
@@ -72,27 +75,26 @@ pub fn agreement_finding(
 
 /// `AVC-T003`/`AVC-T004`: structural analysis warnings from one report —
 /// unreachable endpoints and unconstrained launch points, located by
-/// node name. The caller caps the result
-/// (`avfs_check::cap_findings`) before reporting.
-pub fn structure_findings(netlist: &Netlist, report: &StaReport) -> Vec<Finding> {
-    let mut findings = Vec::new();
+/// node name — written into `findings`, which caps them.
+pub fn structure_findings(netlist: &Netlist, report: &StaReport, findings: &mut Findings) {
     for &po in &report.unreachable_endpoints {
-        findings.push(Finding::new(
-            "AVC-T003",
-            netlist.node(po).name(),
-            "endpoint is reached by no launch point: its arrival is undefined and the \
-             simulator can never toggle it",
-        ));
+        findings.push("AVC-T003", || {
+            (
+                netlist.node(po).name(),
+                "endpoint is reached by no launch point: its arrival is undefined and the \
+                 simulator can never toggle it",
+            )
+        });
     }
     for &pi in &report.unconstrained_inputs {
-        findings.push(Finding::new(
-            "AVC-T004",
-            netlist.node(pi).name(),
-            "launch point has no outgoing timing arc: its stimulus cannot affect any \
-             endpoint",
-        ));
+        findings.push("AVC-T004", || {
+            (
+                netlist.node(pi).name(),
+                "launch point has no outgoing timing arc: its stimulus cannot affect any \
+                 endpoint",
+            )
+        });
     }
-    findings
 }
 
 #[cfg(test)]
@@ -102,14 +104,22 @@ mod tests {
     use avfs_check::Severity;
     use avfs_netlist::{CellLibrary, Levelization, NetlistBuilder};
 
+    fn bound(sim_latest_ps: Option<f64>) -> Vec<Finding> {
+        let mut findings = Findings::default();
+        let location = || "c17 @ 0.55 V slot 3".to_owned();
+        bound_finding(location, sim_latest_ps, 10.0, 1e-6, &mut findings);
+        findings.finish()
+    }
+
     #[test]
     fn bound_violations_are_deny() {
-        assert!(bound_finding("s", None, 10.0, 1e-6).is_none());
-        assert!(bound_finding("s", Some(10.0), 10.0, 1e-6).is_none());
+        assert!(bound(None).is_empty());
+        assert!(bound(Some(10.0)).is_empty());
         // Within epsilon: tolerated.
-        assert!(bound_finding("s", Some(10.0 + 1e-9), 10.0, 1e-6).is_none());
-        let f = bound_finding("c17 @ 0.55 V slot 3", Some(12.0), 10.0, 1e-6).unwrap();
+        assert!(bound(Some(10.0 + 1e-9)).is_empty());
+        let f = &bound(Some(12.0))[0];
         assert_eq!(f.rule, "AVC-T001");
+        assert_eq!(f.location, "c17 @ 0.55 V slot 3");
         assert_eq!(f.severity, Severity::Deny);
         assert!(f.message.contains("exceeds the STA bound"), "{}", f.message);
     }
@@ -136,7 +146,9 @@ mod tests {
         let levels = Levelization::of(&n).unwrap();
         let ann = avfs_delay::TimingAnnotation::zero(&n);
         let g = TimingGraph::from_annotation(&n, &levels, &ann).unwrap();
-        let findings = structure_findings(&n, &g.report(0.0));
+        let mut findings = Findings::default();
+        structure_findings(&n, &g.report(0.0), &mut findings);
+        let findings = findings.finish();
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].rule, "AVC-T004");
         assert_eq!(findings[0].severity, Severity::Warn);

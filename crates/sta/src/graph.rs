@@ -178,12 +178,6 @@ pub struct StaReport {
 }
 
 impl StaReport {
-    /// The critical endpoint (last step of the critical path), if any
-    /// endpoint is reachable.
-    pub fn critical_endpoint(&self) -> Option<NodeId> {
-        self.critical_path.last().map(|s| s.node)
-    }
-
     /// The critical path as a plain node sequence (the shape
     /// `avfs_atpg::paths::Path` and sensitization consume).
     pub fn critical_nodes(&self) -> Vec<NodeId> {

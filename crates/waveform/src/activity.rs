@@ -103,15 +103,6 @@ impl SwitchingActivity {
             (a, b) => a.or(b),
         };
     }
-
-    /// Average transitions per net, 0 for an empty set.
-    pub fn avg_transitions(&self) -> f64 {
-        if self.nets == 0 {
-            0.0
-        } else {
-            self.total_transitions as f64 / self.nets as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -215,13 +206,11 @@ mod tests {
         assert_eq!(act.total_transitions, 4);
         assert_eq!(act.total_glitch_transitions, 2);
         assert_eq!(act.latest_transition, Some(11.0));
-        assert!((act.avg_transitions() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_aggregate() {
         let act = SwitchingActivity::of(std::iter::empty::<&Waveform>());
         assert_eq!(act, SwitchingActivity::default());
-        assert_eq!(act.avg_transitions(), 0.0);
     }
 }

@@ -27,8 +27,10 @@
 //!   [`SimOptions::profiling`](sim::SimOptions) (dependency-free),
 //! * [`check`] — four-tier static analysis: netlist lints, delay-model
 //!   lints, the concurrency/unsafe audit, and the STA cross-validation
-//!   rules behind the `checker` CI gate and
-//!   [`SimOptions::strict_validation`](sim::SimOptions),
+//!   rules, each writing into one per-rule-capped
+//!   [`Findings`](check::Findings) collector, behind the `checker` CI
+//!   gate and every run's
+//!   [`RunDiagnostics::validation_findings`](sim::RunDiagnostics),
 //! * [`sta`] — the independent static-timing oracle: a
 //!   per-pin-transition timing graph with earliest/latest arrival
 //!   propagation and critical-path extraction, cross-validating the
