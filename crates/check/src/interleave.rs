@@ -30,8 +30,8 @@
 //! cross-thread access through `AcqRel` RMWs or a mutex, so SC
 //! exploration of the *protocol logic* (who wins, who waits, what is
 //! visible when) is the part that needs proving; per-location release/
-//! acquire pairing is argued in the `SAFETY:` comments the
-//! [`safety`](crate::safety) lint enforces.
+//! acquire pairing is argued in the `SAFETY:` comments clippy's
+//! `undocumented_unsafe_blocks` lint requires.
 
 use std::fmt;
 

@@ -125,10 +125,11 @@ impl StaSection {
 /// One analyzed artifact and its findings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Subject {
-    /// What was analyzed (a circuit name, `delay-model`, `workspace`).
+    /// What was analyzed (a circuit name, `characterized-model`,
+    /// `engine-protocols`).
     pub name: String,
     /// Which analysis produced the findings (`netlist`, `delay-model`,
-    /// `concurrency`, `safety`).
+    /// `concurrency`, `sta-crosscheck`).
     pub kind: String,
     /// The subject's findings (capped per rule by the
     /// [`Findings`](crate::Findings) collector).
@@ -382,9 +383,9 @@ mod tests {
         ));
         report.push(Subject::new("delay-model", "delay-model", Vec::new()));
         report.push(Subject::new(
-            "workspace",
-            "safety",
-            vec![Finding::new("AVC-S001", "src/x.rs:10", "no SAFETY comment")],
+            "engine-protocols",
+            "concurrency",
+            vec![Finding::new("AVC-C001", "claim-bit", "two winners")],
         ));
         report.schedules_explored = 1234;
         report

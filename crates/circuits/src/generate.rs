@@ -473,9 +473,9 @@ mod tests {
             two_input_fraction: 0.6,
         };
         let n = random_netlist("dangle", &cfg, &lib(), 3).unwrap();
-        // Acyclic is guaranteed by finish(); check levelization works and
-        // the circuit is reasonably connected (most gates have fanout).
-        let levels = Levelization::of(&n).expect("acyclic");
+        // The circuit is as deep as asked and reasonably connected (most
+        // gates have fanout).
+        let levels = Levelization::of(&n).expect("a netlist always levelizes");
         assert!(levels.depth() >= cfg.depth);
         let dangling = n
             .iter()
@@ -490,5 +490,22 @@ mod tests {
             "{dangling} of {} gates dangle",
             n.num_gates()
         );
+    }
+
+    #[test]
+    fn generated_netlists_are_in_topological_order() {
+        // The one-pass levelization reads node indices as a topological
+        // order: every fan-in precedes its sink and sits on a lower level.
+        let lib = lib();
+        for profile in crate::PAPER_PROFILES {
+            let n = profile.synthesize(0.01, &lib).unwrap();
+            let levels = Levelization::of(&n).unwrap();
+            for (id, node) in n.iter() {
+                for &f in node.fanin() {
+                    assert!(f < id, "{}: fan-in {f} after its sink {id}", profile.name);
+                    assert!(levels.level_of(f) < levels.level_of(id), "{}", profile.name);
+                }
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! (netlist, annotation, delay model) triple that is independent of a
 //! particular launch —
 //!
-//! * the levelized graph (loop check included),
+//! * the levelized graph,
 //! * input hardening and per-node load normalization (`φ_C` clamped into
 //!   the characterized interval),
 //! * the tier-1/tier-2 lint report, pre-rendered so per-run validation
@@ -27,7 +27,7 @@ use avfs_check::{Finding, Findings};
 use avfs_delay::model::DelayModel;
 use avfs_delay::op::OperatingPoint;
 use avfs_delay::TimingAnnotation;
-use avfs_netlist::{Levelization, Netlist, NetlistError, NodeId, NodeKind};
+use avfs_netlist::{Levelization, Netlist, NodeId, NodeKind};
 use avfs_waveform::PinDelays;
 use std::sync::{Arc, Mutex};
 
@@ -85,27 +85,13 @@ pub(crate) struct LevelPlan {
 
 impl LevelPlan {
     /// Plans `nodes`, one level of `netlist`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::ArityMismatch`] for a gate wired to a different
-    /// number of nets than its cell has pins: the truth table is indexed
-    /// by exactly the cell's pins.
-    fn of(netlist: &Netlist, nodes: &[NodeId]) -> Result<LevelPlan, NetlistError> {
+    fn of(netlist: &Netlist, nodes: &[NodeId]) -> LevelPlan {
         let mut plan = LevelPlan::default();
         for &node_id in nodes {
             let node = netlist.node(node_id);
             match node.kind() {
                 NodeKind::Gate(_) => {
                     let kind = netlist.kind_of(node_id).expect("gate has a cell");
-                    if node.fanin().len() != kind.num_inputs() {
-                        return Err(NetlistError::ArityMismatch {
-                            gate: node.name().to_owned(),
-                            cell: kind.to_string(),
-                            expected: kind.num_inputs(),
-                            got: node.fanin().len(),
-                        });
-                    }
                     plan.gate_nodes.push(node_id);
                     plan.gate_offsets.push(plan.gate_fanin.len());
                     plan.gate_fanin.extend_from_slice(node.fanin());
@@ -118,7 +104,7 @@ impl LevelPlan {
         if !plan.gate_nodes.is_empty() {
             plan.gate_offsets.push(plan.gate_fanin.len());
         }
-        Ok(plan)
+        plan
     }
 }
 
@@ -170,8 +156,7 @@ pub struct CompiledNetlist {
     /// [`RunDiagnostics::clamped_loads`](crate::RunDiagnostics::clamped_loads).
     pub(crate) clamped_loads: usize,
     /// Tier-1/tier-2 findings computed once at compile (netlist lints,
-    /// levelization cross-check, clamped annotated loads); recorded in
-    /// every run's
+    /// clamped annotated loads); recorded in every run's
     /// [`RunDiagnostics::validation_findings`](crate::RunDiagnostics::validation_findings).
     pub(crate) setup_findings: Vec<Finding>,
     /// The setup findings rendered once at compile, so per-run
@@ -202,8 +187,6 @@ impl CompiledNetlist {
     ///
     /// * [`SimError::AnnotationMismatch`] if the annotation does not cover
     ///   the netlist,
-    /// * [`SimError::Netlist`] if the netlist contains a combinational
-    ///   loop or a gate whose fan-in does not match its cell's arity,
     /// * [`SimError::InvalidLoad`] / [`SimError::InvalidDelay`] if the
     ///   annotation carries non-finite or negative loads or delays.
     pub fn compile(
@@ -234,9 +217,9 @@ impl CompiledNetlist {
         let mut clamped_loads = 0usize;
         // Tier-1/tier-2 lints over what this artifact is permanently
         // bound to: the annotated loads the normalization below silently
-        // clamps into the characterized interval, the netlist and its
-        // levelization. Per-launch data (slot operating points) is
-        // checked at run time instead — the only lint work a launch pays.
+        // clamps into the characterized interval, and the netlist.
+        // Per-launch data (slot operating points) is checked at run time
+        // instead — the only lint work a launch pays.
         let mut findings = Findings::default();
         let c_norm = netlist
             .iter()
@@ -255,7 +238,7 @@ impl CompiledNetlist {
                 space.normalize_clamped(op).c
             })
             .collect();
-        avfs_check::netlist::lint_netlist(&netlist, Some(&levels), &mut findings);
+        avfs_check::netlist::lint_netlist(&netlist, &mut findings);
         let setup_findings = findings.finish();
         let setup_rendered: Vec<String> = setup_findings.iter().map(ToString::to_string).collect();
         // Per-level task plans: gates become pool tasks; primary outputs
@@ -263,10 +246,10 @@ impl CompiledNetlist {
         // Level 0 is the stimuli: no tasks.
         let level_plans = (0..levels.depth())
             .map(|level| match level {
-                0 => Ok(LevelPlan::default()),
+                0 => LevelPlan::default(),
                 _ => LevelPlan::of(&netlist, levels.level(level)),
             })
-            .collect::<Result<_, _>>()?;
+            .collect();
         Ok(CompiledNetlist {
             netlist,
             levels,
@@ -320,7 +303,7 @@ impl CompiledNetlist {
     }
 
     /// The artifact's cached tier-1/tier-2 findings (netlist lints,
-    /// levelization cross-check, clamped annotated loads) — the
+    /// clamped annotated loads) — the
     /// compile-time part of what every run records in
     /// [`RunDiagnostics::validation_findings`](crate::RunDiagnostics::validation_findings).
     /// A caller that refuses to simulate a suspect netlist reads them

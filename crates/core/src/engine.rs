@@ -43,7 +43,7 @@ mod delays;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use delays::{scale_or_fallback, DelayTable};
+pub(crate) use delays::DelayTable;
 
 use crate::compile::CompiledNetlist;
 use crate::delay_fault::SmallDelayFault;

@@ -61,10 +61,7 @@ type GateFallbacks = Vec<(usize, u64)>;
 /// Guards the delay calculation: a non-finite scaled delay falls back to
 /// the nominal delay and is counted in
 /// [`RunDiagnostics::kernel_fallbacks`](crate::RunDiagnostics::kernel_fallbacks).
-/// Crate-visible because the STA glue (`crate::sta`) re-derives per-node
-/// scaled delays with the exact same guard so oracle and kernel share
-/// one delay matrix bitwise.
-pub(crate) fn scale_or_fallback(nominal: f64, factor: f64, fallbacks: &mut u64) -> f64 {
+fn scale_or_fallback(nominal: f64, factor: f64, fallbacks: &mut u64) -> f64 {
     let scaled = nominal * factor;
     if scaled.is_finite() {
         scaled.max(0.0)
@@ -105,7 +102,9 @@ impl CompiledNetlist {
     /// The delay-initialisation routine: `nominal`, the pin delays of
     /// gate `node`, scaled by the kernel factor at `(v_norm, φ_C(load))`
     /// and appended to `out`. Returns how many fell back to nominal.
-    fn gate_delays(
+    /// Crate-visible so the STA oracle (`crate::sta::scaled_graph`)
+    /// prices every arc with this very routine.
+    pub(crate) fn gate_delays(
         &self,
         node: NodeId,
         nominal: &[PinDelays],

@@ -1101,28 +1101,6 @@ fn corrupt_annotation_rejected() {
 }
 
 #[test]
-fn combinational_loop_rejected() {
-    let lib = CellLibrary::nangate15_like();
-    let mut b = NetlistBuilder::new("loop", &lib);
-    let a = b.add_input("a").unwrap();
-    let g1 = b.add_gate("g1", "NAND2_X1", &[a, a]).unwrap();
-    let g2 = b.add_gate("g2", "INV_X1", &[g1]).unwrap();
-    b.add_output("y", g2).unwrap();
-    b.rewire_unchecked(g1, 1, g2);
-    let n = Arc::new(b.finish_unchecked());
-    let ann = Arc::new(TimingAnnotation::zero(&n));
-    let model = Arc::new(StaticModel::new(ParameterSpace::paper()));
-    match CompiledNetlist::compile(n, ann, model) {
-        Err(SimError::Netlist(avfs_netlist::NetlistError::CombinationalLoop { nodes })) => {
-            let mut nodes = nodes;
-            nodes.sort();
-            assert_eq!(nodes, vec!["g1".to_owned(), "g2".to_owned()]);
-        }
-        other => panic!("expected a combinational-loop error, got {other:?}"),
-    }
-}
-
-#[test]
 fn model_error_propagates() {
     /// Rejects every factor request.
     #[derive(Debug)]

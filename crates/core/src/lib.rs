@@ -117,7 +117,7 @@ pub enum SimError {
         /// Name of the offending gate.
         gate: String,
     },
-    /// The netlist failed a structural check (e.g. a combinational loop).
+    /// A netlist error, passed through from `avfs-netlist`.
     Netlist(avfs_netlist::NetlistError),
     /// A slot requested a non-finite or non-positive supply voltage.
     InvalidOperatingPoint {

@@ -9,12 +9,11 @@
 //!   delay at every gate.
 //! * [`analyze`] / [`crosscheck`] — the per-pin-transition oracle from
 //!   `avfs-sta`, run over the *voltage-scaled* delay matrix of one
-//!   operating point. [`scaled_graph`] derives that matrix with the
-//!   exact factor/guard calls the engine's delay-kernel initialization
-//!   makes (`scale_or_fallback` included), so the oracle's bound and
-//!   the simulator's arrivals rest on one shared delay matrix — the
-//!   premise of the bitwise `sim ≤ sta` argument in `avfs-sta`'s crate
-//!   docs.
+//!   operating point. [`scaled_graph`] derives that matrix by calling
+//!   the engine's own delay-initialisation routine, so the oracle's
+//!   bound and the simulator's arrivals rest on one shared delay matrix
+//!   — the premise of the bitwise `sim ≤ sta` argument in `avfs-sta`'s
+//!   crate docs.
 //!
 //! The cross-check compares a finished uniform-voltage [`SimRun`]
 //! against the bound per supply voltage and renders the `AVC-T` finding
@@ -23,13 +22,11 @@
 //! engines), structural blind spots are `AVC-T003`/`AVC-T004` (Warn).
 
 use crate::compile::CompiledNetlist;
-use crate::engine::scale_or_fallback;
 use crate::results::SimRun;
 use crate::SimError;
 use avfs_check::{Finding, Findings, Severity, StaRow, StaSection};
-use avfs_delay::op::{NormalizedPoint, OperatingPoint};
+use avfs_delay::op::OperatingPoint;
 use avfs_delay::TimingAnnotation;
-use avfs_netlist::library::Polarity;
 use avfs_netlist::{Levelization, Netlist, NodeId, NodeKind};
 use avfs_sta::crosscheck::{bound_finding, structure_findings, DEFAULT_EPSILON_PS};
 use avfs_sta::TimingGraph;
@@ -92,15 +89,14 @@ pub fn longest_path(
 }
 
 /// Builds the per-pin-transition [`TimingGraph`] of one compiled
-/// artifact at one supply voltage. The delay matrix is derived gate by
-/// gate with the *same* model calls the engine's delay-kernel
-/// initialization performs — same normalized point (`φ_V` of the
-/// clamped supply, the artifact's per-node `φ_C`), same
-/// [`Polarity`]-split factors, same non-finite fallback guard — so a
-/// graph built here and a simulator launch at the same voltage price
-/// every arc bit-identically. Non-gate nodes keep their nominal
-/// annotation delays (zero for the repo's annotations: the simulator
-/// copies primary outputs at zero cost).
+/// artifact at one supply voltage. Every gate's delays come from the
+/// engine's own delay-initialisation routine (`gate_delays` at the
+/// supply's normalized `v_norm`) — same normalized point, same
+/// polarity-split factors, same non-finite fallback guard — so a graph
+/// built here and a simulator launch at the same voltage price every
+/// arc bit-identically. Non-gate nodes keep their nominal annotation
+/// delays (zero for the repo's annotations: the simulator copies
+/// primary outputs at zero cost).
 ///
 /// Only the supply axis is taken from `voltage`; the load axis is the
 /// artifact's per-node normalized value, exactly as in a launch.
@@ -109,30 +105,14 @@ pub fn longest_path(
 ///
 /// [`SimError::Model`] when the delay model rejects the operating point.
 pub fn scaled_graph(compiled: &CompiledNetlist, voltage: f64) -> Result<TimingGraph<'_>, SimError> {
-    let space = compiled.model.space();
-    let c_min = space.load_range().0;
-    let v_norm = space
-        .normalize_clamped(OperatingPoint::new(voltage, c_min))
-        .v;
-    let mut fb = 0u64;
+    let v_norm = compiled.v_norm(voltage);
     let mut delays: Vec<Vec<PinDelays>> = Vec::with_capacity(compiled.netlist.num_nodes());
     for (id, node) in compiled.netlist.iter() {
         let nominal = compiled.annotation.node_delays(id);
         let pins = match node.kind() {
-            NodeKind::Gate(cell_id) => {
-                let p = NormalizedPoint {
-                    v: v_norm,
-                    c: compiled.c_norm[id.index()],
-                };
+            NodeKind::Gate(_) => {
                 let mut buf = Vec::with_capacity(nominal.len());
-                for (pin, d) in nominal.iter().enumerate() {
-                    let f_rise = compiled.model.factor(cell_id, pin, Polarity::Rise, p)?;
-                    let f_fall = compiled.model.factor(cell_id, pin, Polarity::Fall, p)?;
-                    buf.push(PinDelays {
-                        rise: scale_or_fallback(d.rise, f_rise, &mut fb),
-                        fall: scale_or_fallback(d.fall, f_fall, &mut fb),
-                    });
-                }
+                compiled.gate_delays(id, nominal, v_norm, &mut buf)?;
                 buf
             }
             _ => nominal.to_vec(),

@@ -356,6 +356,20 @@ INPUT(a2)
         assert_eq!(n.num_gates(), 2);
         let y = n.find("y").unwrap();
         assert_eq!(n.cell_of(y).unwrap().name(), "INV_X1");
+        // The parser emits definitions in dependency order, which the
+        // one-pass levelization reads.
+        assert!(n
+            .iter()
+            .all(|(id, node)| node.fanin().iter().all(|&f| f < id)));
+        let levels: Vec<Vec<&str>> = Levelization::of(&n)
+            .unwrap()
+            .iter()
+            .map(|level| level.iter().map(|&id| n.node(id).name()).collect())
+            .collect();
+        assert_eq!(
+            levels,
+            [vec!["a", "a2"], vec!["m"], vec!["y"], vec!["y_po"]]
+        );
     }
 
     #[test]

@@ -87,8 +87,19 @@ impl Node {
 
 /// An immutable, validated gate-level netlist.
 ///
-/// Construct through [`NetlistBuilder`] or one of the parsers
-/// ([`bench`](crate::bench), [`verilog`](crate::verilog)).
+/// Constructed only through [`NetlistBuilder`] or one of the parsers
+/// ([`bench`](crate::bench), [`verilog`](crate::verilog)), which go
+/// through it, so every netlist holds three invariants by construction:
+///
+/// 1. **Topological order.** Every fan-in of a node has a smaller
+///    [`NodeId`] than the node itself (`add_gate` and `add_output`
+///    refuse any other driver), so the graph is acyclic and index order
+///    is a topological order.
+/// 2. **Arity.** Every gate has exactly as many fan-ins as its library
+///    cell has input pins (`add_gate` checks it).
+/// 3. **Consistent cross-references.** Every fan-out list is derived
+///    from the fan-in lists by [`NetlistBuilder::finish`]: `s` is in
+///    `f`'s fan-out exactly as often as `f` is a fan-in of `s`.
 #[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
@@ -212,23 +223,6 @@ impl Netlist {
         self.cell_of(id).map(|c| c.kind())
     }
 
-    /// Clears the fan-out list of `node` without touching its sinks'
-    /// fan-in pins, leaving the two edge sets inconsistent.
-    ///
-    /// Test hook for graph-integrity lints (`avfs-check` rule AVC-N003):
-    /// every public construction path keeps fan-in and fan-out
-    /// cross-references consistent, so re-proving that property needs a
-    /// way to corrupt an owned netlist. Production code has no use for
-    /// it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[doc(hidden)]
-    pub fn clear_fanout_unchecked(&mut self, node: NodeId) {
-        self.nodes[node.index()].fanout.clear();
-    }
-
     /// Computes the capacitive load (fF) on every node's output net:
     /// the sum of the fan-out pins' input capacitances, a wire estimate of
     /// [`WIRE_CAP_PER_FANOUT_FF`] per branch, and [`OUTPUT_PORT_CAP_FF`]
@@ -264,11 +258,12 @@ impl Netlist {
     }
 }
 
-/// Incremental, validating netlist constructor.
+/// Incremental, validating netlist constructor — the one way to make a
+/// [`Netlist`].
 ///
-/// Nodes must be added before they are referenced (inputs first, then gates
-/// in any topological-compatible order, though any order is accepted — the
-/// final [`NetlistBuilder::finish`] validates acyclicity).
+/// Nodes must be added before they are referenced: inputs first, then
+/// gates and outputs, each over already-added drivers. That makes every
+/// netlist it finishes valid by construction (see [`Netlist`]).
 pub struct NetlistBuilder {
     name: String,
     library: Arc<CellLibrary>,
@@ -394,101 +389,31 @@ impl NetlistBuilder {
         self.by_name.get(name).copied()
     }
 
-    /// Finalizes the netlist: computes fan-out lists and validates that the
-    /// interface is non-empty and the graph acyclic.
+    /// Finalizes the netlist: derives every node's fan-out list from the
+    /// fan-in lists.
     ///
     /// # Errors
     ///
-    /// * [`NetlistError::EmptyInterface`] without inputs or outputs,
-    /// * [`NetlistError::CombinationalCycle`] on a cycle (impossible when
-    ///   nodes were added in forward order, possible for parsers that
-    ///   resolve names lazily).
-    pub fn finish(self) -> Result<Netlist, NetlistError> {
+    /// [`NetlistError::EmptyInterface`] without inputs or outputs.
+    pub fn finish(mut self) -> Result<Netlist, NetlistError> {
         if self.inputs.is_empty() || self.outputs.is_empty() {
             return Err(NetlistError::EmptyInterface);
         }
-        let netlist = self.assemble();
-        // Kahn's algorithm to detect cycles.
-        let n = netlist.nodes.len();
-        let mut indegree: Vec<u32> = netlist.nodes.iter().map(|x| x.fanin.len() as u32).collect();
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(i) = queue.pop() {
-            seen += 1;
-            for &s in netlist.nodes[i].fanout() {
-                indegree[s.index()] -= 1;
-                if indegree[s.index()] == 0 {
-                    queue.push(s.index());
-                }
-            }
-        }
-        if seen != n {
-            let node = indegree
-                .iter()
-                .position(|&d| d > 0)
-                .map(|i| netlist.nodes[i].name.clone())
-                .unwrap_or_default();
-            return Err(NetlistError::CombinationalCycle { node });
-        }
-        Ok(netlist)
-    }
-
-    /// Finishes the netlist without the acyclicity check.
-    ///
-    /// Exists so robustness tests can construct cyclic graphs and exercise
-    /// the downstream loop detection in
-    /// [`crate::Levelization::of`]; production code should always use
-    /// [`NetlistBuilder::finish`].
-    #[doc(hidden)]
-    pub fn finish_unchecked(self) -> Netlist {
-        self.assemble()
-    }
-
-    /// Rewires input pin `pin` of `sink` to `driver` without validation.
-    ///
-    /// Test hook paired with [`NetlistBuilder::finish_unchecked`] for
-    /// constructing cyclic graphs (the normal `add_gate` path cannot make
-    /// forward references); production code has no use for it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sink` or `pin` is out of range.
-    #[doc(hidden)]
-    pub fn rewire_unchecked(&mut self, sink: NodeId, pin: usize, driver: NodeId) {
-        self.nodes[sink.index()].fanin[pin] = driver;
-    }
-
-    /// Drops the last fan-in pin of `sink` without revalidation.
-    ///
-    /// Test hook paired with [`NetlistBuilder::finish_unchecked`]: the
-    /// normal `add_gate` path enforces cell arity, so lints that re-prove
-    /// it (`avfs-check` rule AVC-N002) need this to construct a positive
-    /// fixture. Production code has no use for it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sink` is out of range.
-    #[doc(hidden)]
-    pub fn pop_fanin_unchecked(&mut self, sink: NodeId) {
-        self.nodes[sink.index()].fanin.pop();
-    }
-
-    /// Computes fanouts and moves the builder's parts into a `Netlist`.
-    fn assemble(mut self) -> Netlist {
         for i in 0..self.nodes.len() {
-            let fanin = self.nodes[i].fanin.clone();
-            for f in fanin {
-                self.nodes[f.index()].fanout.push(NodeId(i as u32));
+            // Every fan-in precedes its sink, so it lies in `drivers`.
+            let (drivers, rest) = self.nodes.split_at_mut(i);
+            for &f in &rest[0].fanin {
+                drivers[f.index()].fanout.push(NodeId(i as u32));
             }
         }
-        Netlist {
+        Ok(Netlist {
             name: self.name,
             library: self.library,
             nodes: self.nodes,
             inputs: self.inputs,
             outputs: self.outputs,
             by_name: self.by_name,
-        }
+        })
     }
 }
 

@@ -87,19 +87,10 @@ pub enum NetlistError {
         /// Inputs that were connected.
         got: usize,
     },
-    /// The netlist contains a combinational cycle.
+    /// A parsed netlist contains a combinational cycle.
     CombinationalCycle {
         /// Name of a node on the cycle.
         node: String,
-    },
-    /// Levelization found a combinational loop and extracted a witness.
-    ///
-    /// Unlike [`NetlistError::CombinationalCycle`] (the builder's early
-    /// rejection, which names a single node), this carries the full cycle
-    /// so diagnostics can print the offending feedback path.
-    CombinationalLoop {
-        /// Names of the nodes forming one cycle, in fan-in order.
-        nodes: Vec<String>,
     },
     /// A parser failed.
     Parse {
@@ -134,9 +125,6 @@ impl fmt::Display for NetlistError {
             ),
             NetlistError::CombinationalCycle { node } => {
                 write!(f, "combinational cycle through node `{node}`")
-            }
-            NetlistError::CombinationalLoop { nodes } => {
-                write!(f, "combinational loop: {}", nodes.join(" -> "))
             }
             NetlistError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")

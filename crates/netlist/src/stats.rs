@@ -42,13 +42,8 @@ pub struct NetlistStats {
 
 impl NetlistStats {
     /// Computes statistics for a netlist.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist contains a combinational loop (impossible for
-    /// netlists built through `NetlistBuilder::finish`).
     pub fn of(netlist: &Netlist) -> NetlistStats {
-        let levels = Levelization::of(netlist).expect("netlist must be acyclic");
+        let levels = Levelization::of(netlist).expect("a netlist always levelizes");
         NetlistStats::with_levels(netlist, &levels)
     }
 

@@ -659,6 +659,17 @@ endmodule
 ";
         let n = parse_verilog(text, &lib()).unwrap();
         assert_eq!(n.num_gates(), 2);
+        // The parser emits instances in dependency order, which the
+        // one-pass levelization reads.
+        assert!(n
+            .iter()
+            .all(|(id, node)| node.fanin().iter().all(|&f| f < id)));
+        let levels: Vec<Vec<&str>> = crate::Levelization::of(&n)
+            .unwrap()
+            .iter()
+            .map(|level| level.iter().map(|&id| n.node(id).name()).collect())
+            .collect();
+        assert_eq!(levels, [vec!["a"], vec!["n1"], vec!["y"], vec!["y_po"]]);
     }
 
     #[test]

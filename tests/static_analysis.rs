@@ -89,7 +89,7 @@ fn report_round_trips_through_the_facade() {
     let c17 = avfs::circuits::c17(&library).expect("c17 builds");
     let mut report = Report::new();
     let mut findings = Findings::default();
-    avfs::check::netlist::lint_netlist(&c17, None, &mut findings);
+    avfs::check::netlist::lint_netlist(&c17, &mut findings);
     report.push(Subject::new("c17", "netlist", findings.finish()));
     let (runs, findings) = avfs::check::protocols::audit_concurrency();
     report.schedules_explored = runs
