@@ -141,6 +141,9 @@ bounded 120 cargo run --release --offline -p avfs-bench --bin sta_crosscheck -- 
 echo "==> activity_sweep --check (EXPERIMENTS.md's E6 skipped-task counts equal a fresh sweep, at most 2 min)"
 bounded 120 cargo run --release --offline -p avfs-bench --bin activity_sweep -- --check EXPERIMENTS.md
 
+echo "==> scenario_sweep --check (EXPERIMENTS.md's E11 p_fail-vs-V curve equals a fresh sweep, at most 2 min)"
+bounded 120 cargo run --release --offline -p avfs-bench --bin scenario_sweep -- --check EXPERIMENTS.md
+
 echo "==> perfbench build (the repo benchmark compiles against the layer crates' public APIs)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 

@@ -15,7 +15,7 @@
 //! cargo run --release -p avfs-bench --bin activity_sweep -- --check EXPERIMENTS.md   # CI
 //! ```
 
-use avfs_bench::{activity_patterns, characterize_used, Args};
+use avfs_bench::{activity_patterns, characterize_used, check_table, doc_table, Args};
 use avfs_circuits::PAPER_PROFILES;
 use avfs_core::{phases, slots, CompiledNetlist, SimOptions};
 use avfs_netlist::CellLibrary;
@@ -101,46 +101,21 @@ fn main() -> ExitCode {
         counts.push((factor, skipped));
     }
     match check {
-        Some(path) if !table_matches(&path, &counts) => ExitCode::FAILURE,
+        Some(path) if !check_table("activity_sweep", &path, "E6 table", e6_table, &counts) => {
+            ExitCode::FAILURE
+        }
         _ => ExitCode::SUCCESS,
     }
-}
-
-/// The `--check` comparison: whether the E6 table of the document at
-/// `path` lists exactly `counts`, factor by factor.
-fn table_matches(path: &str, counts: &[(f64, u64)]) -> bool {
-    let committed = match std::fs::read_to_string(path) {
-        Ok(text) => e6_table(&text),
-        Err(e) => {
-            eprintln!("activity_sweep --check: cannot read {path}: {e}");
-            return false;
-        }
-    };
-    if committed == counts {
-        println!(
-            "activity_sweep --check: {path}'s E6 table equals a fresh run ({} rows)",
-            counts.len()
-        );
-        return true;
-    }
-    eprintln!("activity_sweep --check: {path}'s E6 table differs from a fresh run:");
-    eprintln!("  committed {committed:?}");
-    eprintln!("  fresh     {counts:?}");
-    false
 }
 
 /// The `(a, gate tasks skipped)` rows of the first table under the
 /// `## E6` heading of `doc`: a row reads `| 0.01 | 243 974 / 255 696
 /// (95.4 %) |`, and the count is the digits before its `/` or `(`.
 fn e6_table(doc: &str) -> Vec<(f64, u64)> {
-    doc.lines()
-        .skip_while(|line| !line.starts_with("## E6"))
-        .skip_while(|line| !line.starts_with('|'))
-        .take_while(|line| line.starts_with('|'))
-        .filter_map(|row| {
-            let mut cells = row.split('|').skip(1);
-            let factor = cells.next()?.trim().parse().ok()?;
-            let count = cells.next()?.split(['/', '(']).next()?;
+    doc_table(doc, "## E6")
+        .filter_map(|cells| {
+            let factor = cells.first()?.parse().ok()?;
+            let count = cells.get(1)?.split(['/', '(']).next()?;
             let digits: String = count.chars().filter(char::is_ascii_digit).collect();
             Some((factor, digits.parse().ok()?))
         })

@@ -9,21 +9,25 @@
 //! the margin a capture flop would give the paper's Table II arrivals).
 //! The curve is printed (EXPERIMENTS.md E11); the scenario engine's
 //! identity and replay invariants are workspace tests and the repo
-//! benchmark's `scenario_mc` oracle.
+//! benchmark's `scenario_mc` oracle. The dice are pure hashes of their
+//! seed, so the curve repeats run to run: `--check <file>` fails unless
+//! the `(V, dice, failures)` rows equal the first E11 table in `<file>`.
 //!
 //! ```text
 //! cargo run --release -p avfs-bench --bin scenario_sweep [-- --scale 0.01 --samples 16]
+//! cargo run --release -p avfs-bench --bin scenario_sweep -- --check EXPERIMENTS.md   # CI
 //! ```
 
 use avfs_atpg::PatternSet;
-use avfs_bench::{characterize_used, Args};
+use avfs_bench::{characterize_used, check_table, doc_table, Args};
 use avfs_circuits::PAPER_PROFILES;
 use avfs_core::scenario::{cross_schedules, MonteCarlo, Schedule};
 use avfs_core::{cross, CompiledNetlist, Launch, SimOptions, VariationConfig};
 use avfs_netlist::CellLibrary;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
+fn main() -> ExitCode {
     let args = Args::capture();
     if args.flag("--help") {
         println!("scenario_sweep: droop-schedule Monte Carlo failure-probability curve");
@@ -33,7 +37,13 @@ fn main() {
         println!("  --sigma <f>    relative sigma of the delay derate (default 0.05)");
         println!("  --seed <n>     variation seed (default 3901)");
         println!("  --threads <n>  worker threads (0 = auto, the default)");
-        return;
+        println!("  --check <path> fail unless the curve equals <path>'s first E11 table");
+        return ExitCode::SUCCESS;
+    }
+    let check: Option<String> = args.value("--check");
+    if args.flag("--check") && check.is_none() {
+        eprintln!("scenario_sweep: --check needs the document to compare against");
+        return ExitCode::FAILURE;
     }
     let library = CellLibrary::nangate15_like();
     let threads = SimOptions {
@@ -124,6 +134,54 @@ fn main() {
         println!(
             "  {:>7.2} V  {:>8}  {:>9}   {:.3}",
             p.voltage, p.samples, p.failures, p.p_fail
+        );
+    }
+    let rows: Vec<CurveRow> = summary
+        .points
+        .iter()
+        .map(|p| (format!("{:.2}", p.voltage), p.samples, p.failures))
+        .collect();
+    match check {
+        Some(path) if !check_table("scenario_sweep", &path, "E11 curve", e11_table, &rows) => {
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
+}
+
+/// One point of the curve as E11 prints it: `(V_nominal to two
+/// decimals, dice, failures)`.
+type CurveRow = (String, usize, usize);
+
+/// The `(V, dice, failures)` rows of the first table under the `## E11`
+/// heading of `doc`: a row reads `| 0.70 V | 128 | 121 | 0.945 |`.
+fn e11_table(doc: &str) -> Vec<CurveRow> {
+    doc_table(doc, "## E11")
+        .filter_map(|cells| {
+            let voltage = cells.first()?.strip_suffix(" V")?.to_owned();
+            Some((
+                voltage,
+                cells.get(1)?.parse().ok()?,
+                cells.get(2)?.parse().ok()?,
+            ))
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::e11_table;
+
+    #[test]
+    fn reads_the_first_e11_table_only() {
+        let doc = "## E10\n\n| V_nominal | dice | failures | p_fail |\n|---:|---:|---:|---:|\n\
+                   | 0.50 V | 9 | 9 | 1.000 |\n\n## E11 — curve\n\ntext\n\n\
+                   | V_nominal | dice | failures | p_fail |\n|---:|---:|---:|---:|\n\
+                   | 0.60 V | 128 | 128 | 1.000 |\n| 0.75 V | 128 | 47 | 0.367 |\n\n\
+                   | dice/scenario | p_fail @ 0.70 V |\n| 4 | 0.906 |\n";
+        assert_eq!(
+            e11_table(doc),
+            vec![("0.60".to_owned(), 128, 128), ("0.75".to_owned(), 128, 47)]
         );
     }
 }

@@ -34,6 +34,7 @@ use avfs_netlist::{CellLibrary, Netlist, NodeKind};
 use avfs_prng::{Rng, SeedableRng, SmallRng};
 use avfs_spice::Technology;
 use std::collections::BTreeSet;
+use std::fmt::Debug;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -169,6 +170,47 @@ pub fn fmt_ps(ps: f64) -> String {
     } else {
         format!("{ps:.1}p")
     }
+}
+
+/// The rows of the first Markdown table after the first line of `doc`
+/// that starts with `heading` (an experiment heading such as `## E6`),
+/// each split into its trimmed cells.
+pub fn doc_table<'d>(doc: &'d str, heading: &'d str) -> impl Iterator<Item = Vec<&'d str>> + 'd {
+    doc.lines()
+        .skip_while(move |line| !line.starts_with(heading))
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .map(|row| row.split('|').skip(1).map(str::trim).collect())
+}
+
+/// The `--check` of a binary whose printed table a document commits:
+/// whether `read`, applied to the document at `path`, gives exactly
+/// `fresh`. Reports the verdict either way, naming the table `what`.
+pub fn check_table<T: PartialEq + Debug>(
+    bin: &str,
+    path: &str,
+    what: &str,
+    read: impl Fn(&str) -> Vec<T>,
+    fresh: &[T],
+) -> bool {
+    let committed = match std::fs::read_to_string(path) {
+        Ok(text) => read(&text),
+        Err(e) => {
+            eprintln!("{bin} --check: cannot read {path}: {e}");
+            return false;
+        }
+    };
+    if committed == fresh {
+        println!(
+            "{bin} --check: {path}'s {what} equals a fresh run ({} rows)",
+            fresh.len()
+        );
+        return true;
+    }
+    eprintln!("{bin} --check: {path}'s {what} differs from a fresh run:");
+    eprintln!("  committed {committed:?}");
+    eprintln!("  fresh     {fresh:?}");
+    false
 }
 
 #[cfg(test)]

@@ -127,13 +127,16 @@ impl<'c> Batch<'c> {
         }
         let release = release.map_or(Duration::ZERO, |t| t.elapsed());
         let walked = walk.finish();
+        let rest = metrics.map(|_| Instant::now());
+        delays.draw_rest();
+        let rest = rest.map_or(Duration::ZERO, |t| t.elapsed());
         let mut dead = self.dead.clone();
         for &(si, verdict) in &walked.verdicts {
             dead[si] = Some(verdict);
         }
         state.diag.kernel_fallbacks += walked.fallbacks;
         if let Some(m) = metrics {
-            walked.record(m, release, ctx.pool.workers().is_some());
+            walked.record(m, release, rest, ctx.pool.workers().is_some());
             if delays.draws() > 0 {
                 m.add(phases::ENGINE_VARIATION_DRAWS, delays.draws());
             }
@@ -423,8 +426,9 @@ impl Walked {
     /// Records the batch's instruments. The worker-side phases are worker
     /// time, so the release's wall time less their sum is what
     /// `engine/waveform_merge` reports: the phases still add up to the
-    /// launch.
-    fn record(&self, m: &avfs_obs::Metrics, release: Duration, pooled: bool) {
+    /// launch. `rest` is the caller's draw of the dice's levels no worker
+    /// reached, after the release: delay-kernel time outside it.
+    fn record(&self, m: &avfs_obs::Metrics, release: Duration, rest: Duration, pooled: bool) {
         if self.levels > 0 {
             m.add(phases::ENGINE_LEVELS, self.levels as u64);
             m.add(phases::ENGINE_LANES_GROUPS, self.lane_groups);
@@ -440,7 +444,7 @@ impl Walked {
             m.add(phases::ENGINE_GATES_SKIPPED_QUIET, skipped);
         }
         m.record_duration(phases::ENGINE_STIMULI, self.stimuli);
-        m.record_duration(phases::ENGINE_DELAY_KERNEL, self.delays);
+        m.record_duration(phases::ENGINE_DELAY_KERNEL, self.delays + rest);
         m.record_duration(phases::ENGINE_BARRIER, self.closes);
         m.record_duration(
             phases::ENGINE_WAVEFORM_MERGE,

@@ -15,12 +15,19 @@
 //! island group gathers each gate from its domain's table into its own
 //! copy of the level; a fault group reads one copy, its faulted gate's
 //! level with the gate swapped in, made when the group binds. A
-//! die is drawn once per level per batch ([`draw_level_derates`]), shared
-//! by every group carrying it, and applied as the merge loop reads each
-//! delay ([`LevelDelays::pin`]).
-//! Lane groups walk the levels independently, so a level's copies and
-//! draws are made by the first worker that opens the level for a slot
-//! that reads them ([`BatchDelays::open`]) and live until the batch ends.
+//! die is drawn once per level per batch ([`DieLevels::draw_level`],
+//! hashing the die once, each gate once and each pin once for both
+//! polarities), shared by every group carrying it, and applied as the
+//! merge loop reads each delay ([`LevelDelays::pin`]).
+//! Lane groups walk the levels independently, so a level's copies are
+//! made by the first worker that opens the level for a slot that reads
+//! them ([`BatchDelays::open`]) and live until the batch ends. A die's
+//! levels are claimed in walk order: a worker that opens a level not
+//! yet drawn draws the die's next unclaimed level, until its own is
+//! drawn, so two workers on one die draw alternate levels instead of one
+//! waiting on the other ([`BatchDelays::draw_until`]). After the release
+//! the caller draws the levels of each opened die that no worker reached
+//! ([`BatchDelays::draw_rest`]): every opened die is drawn whole.
 
 use super::{SlotWork, VariationSample, VoltageAssign};
 use crate::compile::CompiledNetlist;
@@ -28,12 +35,13 @@ use crate::domains::VoltageDomains;
 use crate::phases;
 use crate::SimError;
 use avfs_delay::op::NormalizedPoint;
+use avfs_delay::variation::DieDraw;
 use avfs_netlist::library::Polarity;
 use avfs_netlist::{NodeId, NodeKind};
 use avfs_obs::Metrics;
 use avfs_waveform::{segment_of, PinDelays};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A fully-scaled per-level delay table for one uniform normalized
@@ -188,24 +196,38 @@ impl CompiledNetlist {
 /// pin, laid out like [`DelayTable::per_level`].
 type LevelDerates = Vec<(f64, f64)>;
 
-/// Draws `die`'s derates for `level`. Derates are hashed per (die, node,
-/// pin, polarity) — segment-, schedule- and batch-independent — so one
-/// vector serves every voltage group carrying the die.
-fn draw_level_derates(
-    compiled: &CompiledNetlist,
-    level: usize,
-    die: &VariationSample,
-) -> LevelDerates {
-    let mut out = Vec::new();
-    for &node_id in &compiled.level_plans[level].gate_nodes {
-        for pin in 0..compiled.annotation.node_delays(node_id).len() {
-            let derate = |polarity| {
-                avfs_delay::variation::derate(&die.config, die.sample, node_id, pin, polarity)
-            };
-            out.push((derate(Polarity::Rise), derate(Polarity::Fall)));
-        }
+/// One die of a batch, drawn level by level in walk order by whichever
+/// workers need it ([`BatchDelays::draw_until`]).
+struct DieLevels {
+    draw: DieDraw,
+    /// The next level no worker has claimed to draw.
+    next: AtomicUsize,
+    /// `levels[level]`: the die's derates of `level`, drawn once.
+    levels: Vec<OnceLock<LevelDerates>>,
+}
+
+impl DieLevels {
+    /// Draws `level` unless it is drawn, counting its hashes into
+    /// `draws`; returns once it is drawn (by this call or one in flight).
+    /// Derates are hashed per (die, node, pin, polarity) — segment-,
+    /// schedule- and batch-independent — so one vector serves every
+    /// voltage group carrying the die.
+    fn draw_level(&self, compiled: &CompiledNetlist, level: usize, draws: &AtomicU64) {
+        self.levels[level].get_or_init(|| {
+            let plan = &compiled.level_plans[level];
+            let mut out = Vec::with_capacity(plan.gate_offsets.last().copied().unwrap_or(0));
+            for &node in &plan.gate_nodes {
+                let key = self.draw.node_key(node);
+                for pin in 0..compiled.annotation.node_delays(node).len() {
+                    let pin = self.draw.pin(key, pin);
+                    let derate = |polarity| self.draw.derate(pin, polarity);
+                    out.push((derate(Polarity::Rise), derate(Polarity::Fall)));
+                }
+            }
+            draws.fetch_add(2 * out.len() as u64, Ordering::Relaxed);
+            out
+        });
     }
-    out
 }
 
 /// The slots of a batch that share one delay initialisation: same
@@ -337,11 +359,9 @@ pub(super) struct BatchDelays<'b> {
     domains: Option<&'b VoltageDomains>,
     groups: &'b [VoltageGroup<'b>],
     /// The batch's distinct dice, in group order.
-    dice: Vec<VariationSample>,
+    dice: Vec<DieLevels>,
     /// Per voltage group, its die's index in `dice`.
     die_of: Vec<Option<usize>>,
-    /// `derates[die][level]`: [`draw_level_derates`] of the die.
-    derates: Vec<Vec<OnceLock<LevelDerates>>>,
     /// `copies[group][level]` for the groups that own copies (empty for
     /// the others).
     copies: Vec<Vec<OnceLock<LevelCopy>>>,
@@ -377,8 +397,14 @@ impl<'b> BatchDelays<'b> {
             compiled,
             domains,
             groups,
-            derates: dice.iter().map(|_| per_level(compiled)).collect(),
-            dice,
+            dice: dice
+                .iter()
+                .map(|die| DieLevels {
+                    draw: DieDraw::new(&die.config, die.sample),
+                    next: AtomicUsize::new(0),
+                    levels: per_level(compiled),
+                })
+                .collect(),
             die_of,
             copies: groups
                 .iter()
@@ -413,12 +439,7 @@ impl<'b> BatchDelays<'b> {
     /// the tables' tallies of the gates the group reads.
     pub(super) fn open(&self, group: usize, level: usize) -> u64 {
         if let Some(die) = self.die_of[group] {
-            self.derates[die][level].get_or_init(|| {
-                let drawn = draw_level_derates(self.compiled, level, &self.dice[die]);
-                self.draws
-                    .fetch_add(2 * drawn.len() as u64, Ordering::Relaxed);
-                drawn
-            });
+            self.draw_until(die, level);
         }
         match self.own_copy(group, level) {
             Some(copy) => copy.fallbacks,
@@ -447,7 +468,7 @@ impl<'b> BatchDelays<'b> {
             level,
             boundaries: assign.boundaries(),
             derates: self.die_of[group].map(|die| {
-                self.derates[die][level]
+                self.dice[die].levels[level]
                     .get()
                     .expect("drawn at open")
                     .as_slice()
@@ -455,8 +476,39 @@ impl<'b> BatchDelays<'b> {
         }
     }
 
+    /// Draws die `die` until its `level` is drawn: while it is not, the
+    /// caller claims the die's next unclaimed level in walk order and
+    /// draws it, so workers that open the same die draw different
+    /// levels instead of one waiting on the other's draw. Once every
+    /// level is claimed, the caller waits only on a draw of `level`
+    /// already in flight.
+    fn draw_until(&self, die: usize, level: usize) {
+        let die = &self.dice[die];
+        while die.levels[level].get().is_none() {
+            let next = die.next.fetch_add(1, Ordering::Relaxed);
+            let claimed = if next < die.levels.len() { next } else { level };
+            die.draw_level(self.compiled, claimed, &self.draws);
+        }
+    }
+
+    /// Draws every level no worker reached of each die a worker opened,
+    /// after the release: the workers draw ahead of their walks, as far
+    /// as timing takes them, so only whole dice make the draw count a
+    /// function of the launch and its batch cut. Levels are left undrawn
+    /// only when a die's slots all died before its walks ended.
+    pub(super) fn draw_rest(&self) {
+        for die in &self.dice {
+            if die.next.load(Ordering::Relaxed) > 0 {
+                for level in 0..die.levels.len() {
+                    die.draw_level(self.compiled, level, &self.draws);
+                }
+            }
+        }
+    }
+
     /// Hashes the batch's die draws ran: two (rise and fall) per
-    /// annotated pin per level per die, whichever worker drew.
+    /// annotated pin per level of each die a worker opened, whichever
+    /// worker drew, once [`BatchDelays::draw_rest`] ran.
     pub(super) fn draws(&self) -> u64 {
         self.draws.load(Ordering::Relaxed)
     }

@@ -2459,21 +2459,7 @@ fn variation_draws_count_dice_per_batch() {
 #[test]
 fn armed_droop_mc_launch_is_deterministic_across_threads_and_lanes() {
     let grid = DiceGrid::new();
-    let launch = |threads: usize, lanes: usize| {
-        let plan = FaultPlan::empty(0x5EED)
-            .with_rate(InjectionSite::ArenaOverflow, 0.2)
-            .with_rate(InjectionSite::KernelPanic, 0.2);
-        grid.launch(
-            &grid.mc,
-            &SimOptions {
-                threads,
-                lanes,
-                waveform_budget: grid.budget(5, 64),
-                fault_plan: Some(Arc::new(plan)),
-                ..SimOptions::default()
-            },
-        )
-    };
+    let launch = |threads, lanes| armed_droop_mc_launch(&grid, threads, lanes, false);
     let reference = launch(1, 1);
     assert!(reference.diagnostics.slot_retries > 0, "a slot overflowed");
     assert!(
@@ -2488,6 +2474,64 @@ fn armed_droop_mc_launch_is_deterministic_across_threads_and_lanes() {
             assert_eq!(got.scenario, reference.scenario, "{case}");
             assert_eq!(got.diagnostics, reference.diagnostics, "{case}");
         }
+    }
+}
+
+/// [`DiceGrid`]'s Monte Carlo launch under a 5-slot budget (5-slot
+/// batches at lane width 1), with slots overflowing the arena and
+/// panicking in the kernel.
+fn armed_droop_mc_launch(grid: &DiceGrid, threads: usize, lanes: usize, profiling: bool) -> SimRun {
+    let plan = FaultPlan::empty(0x5EED)
+        .with_rate(InjectionSite::ArenaOverflow, 0.2)
+        .with_rate(InjectionSite::KernelPanic, 0.2);
+    grid.launch(
+        &grid.mc,
+        &SimOptions {
+            threads,
+            lanes,
+            profiling,
+            waveform_budget: grid.budget(5, 64),
+            fault_plan: Some(Arc::new(plan)),
+            ..SimOptions::default()
+        },
+    )
+}
+
+/// Workers draw a die's levels ahead of their walks as far as timing
+/// takes them, and a die's slots can die mid-walk; the caller draws
+/// what no worker reached, so every opened die is drawn whole and the
+/// draw count stays a function of the launch and its batch cut, run
+/// after run.
+#[test]
+fn variation_draws_repeat_when_slots_die_mid_walk() {
+    let grid = DiceGrid::new();
+    let pins: u64 = grid
+        .engine
+        .netlist()
+        .iter()
+        .filter(|(_, node)| matches!(node.kind(), NodeKind::Gate(_)))
+        .map(|(_, node)| node.fanin().len() as u64)
+        .sum();
+    for threads in [2usize, 4] {
+        let draws: Vec<Option<u64>> = (0..5)
+            .map(|_| {
+                let run = armed_droop_mc_launch(&grid, threads, 1, true);
+                assert!(
+                    !run.diagnostics.panicked_slots.is_empty(),
+                    "a slot panicked"
+                );
+                let profile = run.profile.as_ref().unwrap();
+                profile.counter(phases::ENGINE_VARIATION_DRAWS)
+            })
+            .collect();
+        assert!(
+            draws[0].is_some_and(|n| n > 0 && n % (2 * pins) == 0),
+            "threads={threads}: whole dice, {draws:?}"
+        );
+        assert!(
+            draws.iter().all(|&n| n == draws[0]),
+            "threads={threads}: {draws:?}"
+        );
     }
 }
 

@@ -24,11 +24,13 @@ pub const ENGINE_STIMULI: &str = "engine/stimuli";
 /// voltage group to the artifact's per-voltage tables (first-use builds
 /// included), on the coordinator; inside the release, readying each
 /// level's delay views as a lane group opens it — the copies of the
-/// groups whose delays are not a table slice verbatim (island gathers)
-/// and the Monte Carlo
+/// groups whose delays are not a table slice verbatim (island gathers),
+/// made by whichever worker opens the level first, and the Monte Carlo
 /// draws (one per die per level, shared by every group of that die),
-/// made by whichever worker opens the level first — as worker time. Two
-/// calls per batch.
+/// each worker that opens an undrawn level drawing the die's next
+/// unclaimed one until its own is drawn — as worker time, plus the
+/// coordinator's draw, after the release, of the levels of opened dice
+/// that no worker reached. Two calls per batch.
 pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 
 /// Gate evaluation: the batch's pool release — every lane group's
@@ -162,10 +164,11 @@ pub const ENGINE_SCENARIO_SEGMENTS: &str = "engine.scenario_segments";
 pub const ENGINE_MC_SAMPLES: &str = "engine.mc_samples";
 
 /// Hashed process-variation derate draws: two (rise and fall) per
-/// annotated pin per level per distinct die of a batch — the die's
-/// voltage groups share the draw, made by whichever worker opens the
-/// level first for a slot of that die. Recorded only when at least one
-/// draw happened.
+/// annotated pin of the netlist per distinct die a batch opened — the
+/// die's voltage groups share the draw, and a die any slot opened is
+/// drawn whole, whichever workers drew which levels and wherever its
+/// slots died, so the count is a function of the launch and its batch
+/// cut. Recorded only when at least one draw happened.
 pub const ENGINE_VARIATION_DRAWS: &str = "engine.variation_draws";
 
 /// Whole event-driven baseline run (all slots, serial).

@@ -9,6 +9,9 @@
 //! random process variation in gate-delay simulation (cf. variation-aware
 //! fault grading, the paper's \[13\]).
 
+use avfs_netlist::library::Polarity;
+use avfs_netlist::NodeId;
+
 /// Configuration of the random variation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationConfig {
@@ -53,29 +56,78 @@ impl VariationConfig {
 /// `sigma == 0.0` returns exactly `1.0` (no floating-point work at all),
 /// so a zero-sigma Monte Carlo run multiplies every delay by the exact
 /// identity.
+///
+/// This is the composition of [`DieDraw`]'s steps, so a caller drawing
+/// many pins of one die gets the same bits without re-hashing the die
+/// and node per pin.
 pub fn derate(
     config: &VariationConfig,
     sample: u32,
-    node: avfs_netlist::NodeId,
+    node: NodeId,
     pin: usize,
-    polarity: avfs_netlist::library::Polarity,
+    polarity: Polarity,
 ) -> f64 {
-    if config.sigma == 0.0 {
-        return 1.0;
+    let die = DieDraw::new(config, sample);
+    die.derate(die.pin(die.node_key(node), pin), polarity)
+}
+
+/// One die's draw, hashed a step at a time: the die's coordinates
+/// `(seed, sample)` once ([`DieDraw::new`]), each node once
+/// ([`DieDraw::node_key`]), each pin once for both polarities
+/// ([`DieDraw::pin`]), then a derate per polarity ([`DieDraw::derate`]).
+/// Each step chains one coordinate through the SplitMix64 finalizer, so
+/// the steps give [`derate`]'s bits exactly.
+#[derive(Debug, Clone, Copy)]
+pub struct DieDraw {
+    sigma: f64,
+    max_deviation: f64,
+    key: u64,
+}
+
+/// A node's hash within one [`DieDraw`].
+#[derive(Debug, Clone, Copy)]
+pub struct NodeKey(u64);
+
+/// A pin's hash within one [`DieDraw`], shared by both polarities.
+#[derive(Debug, Clone, Copy)]
+pub struct PinKey(u64);
+
+impl DieDraw {
+    /// Die `sample` of `config`'s distribution.
+    pub fn new(config: &VariationConfig, sample: u32) -> DieDraw {
+        DieDraw {
+            sigma: config.sigma,
+            max_deviation: config.max_deviation,
+            key: chain(config.seed, u64::from(sample)),
+        }
     }
-    // Chain the coordinates through the SplitMix64 finalizer; the golden
-    // ratio increment keeps zero-valued fields from collapsing the state.
-    let mut key = config.seed;
-    for field in [
-        u64::from(sample),
-        node.index() as u64,
-        pin as u64,
-        matches!(polarity, avfs_netlist::library::Polarity::Rise) as u64,
-    ] {
-        key = finalize(key.wrapping_add(0x9E3779B97F4A7C15).wrapping_add(field));
+
+    /// The hash of `node` on this die.
+    pub fn node_key(&self, node: NodeId) -> NodeKey {
+        NodeKey(chain(self.key, node.index() as u64))
     }
-    let dev = gaussian(key, config.sigma).clamp(-config.max_deviation, config.max_deviation);
-    (1.0 + dev).max(0.0)
+
+    /// The hash of fanin pin `pin` of the node keyed `node`.
+    pub fn pin(&self, node: NodeKey, pin: usize) -> PinKey {
+        PinKey(chain(node.0, pin as u64))
+    }
+
+    /// The derate factor of `pin`'s `polarity`: exactly `1.0` at
+    /// `sigma == 0.0`.
+    pub fn derate(&self, pin: PinKey, polarity: Polarity) -> f64 {
+        if self.sigma == 0.0 {
+            return 1.0;
+        }
+        let key = chain(pin.0, matches!(polarity, Polarity::Rise) as u64);
+        let dev = gaussian(key, self.sigma).clamp(-self.max_deviation, self.max_deviation);
+        (1.0 + dev).max(0.0)
+    }
+}
+
+/// One link of the coordinate chain: the golden-ratio increment keeps
+/// zero-valued fields from collapsing the state.
+fn chain(key: u64, field: u64) -> u64 {
+    finalize(key.wrapping_add(0x9E3779B97F4A7C15).wrapping_add(field))
 }
 
 /// The SplitMix64 output finalizer: [`derate`]'s mixing hash and the
@@ -101,8 +153,6 @@ fn gaussian(key: u64, sigma: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avfs_netlist::library::Polarity;
-    use avfs_netlist::NodeId;
 
     #[test]
     fn derate_is_a_pure_function_of_its_coordinates() {
@@ -148,6 +198,32 @@ mod tests {
         }
     }
 
+    /// The per-die steps, each hashed once and reused across the node's
+    /// pins and the pin's polarities, give `derate`'s bits.
+    #[test]
+    fn die_draw_steps_equal_derate() {
+        let nodes = (0..=60_000).step_by(59).chain([59_999, 60_000]);
+        for seed in [0, 7, 0xD1E] {
+            let cfg = VariationConfig::sigma5(seed);
+            for sample in 0..8u32 {
+                let die = DieDraw::new(&cfg, sample);
+                for node in nodes.clone().map(NodeId::from_index) {
+                    let node_key = die.node_key(node);
+                    for pin in 0..4 {
+                        let pin_key = die.pin(node_key, pin);
+                        for polarity in [Polarity::Rise, Polarity::Fall] {
+                            assert_eq!(
+                                die.derate(pin_key, polarity).to_bits(),
+                                derate(&cfg, sample, node, pin, polarity).to_bits(),
+                                "seed {seed}, sample {sample}, {node:?}, pin {pin}, {polarity:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn derate_zero_sigma_is_exactly_one() {
         let cfg = VariationConfig {
@@ -158,6 +234,11 @@ mod tests {
         for sample in 0..8u32 {
             let f = derate(&cfg, sample, NodeId::from_index(5), 0, Polarity::Rise);
             assert_eq!(f.to_bits(), 1.0f64.to_bits());
+            let die = DieDraw::new(&cfg, sample);
+            let pin = die.pin(die.node_key(NodeId::from_index(5)), 0);
+            for polarity in [Polarity::Rise, Polarity::Fall] {
+                assert_eq!(die.derate(pin, polarity).to_bits(), 1.0f64.to_bits());
+            }
         }
     }
 
