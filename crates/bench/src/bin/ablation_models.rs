@@ -18,16 +18,17 @@
 //! ```
 
 use avfs_atpg::PatternSet;
-use avfs_bench::{characterize_used, Args};
+use avfs_bench::{used_cells, Args};
 use avfs_circuits::ripple_carry_adder;
 use avfs_core::{slots, CompiledNetlist, SimOptions};
+use avfs_delay::characterize::{characterize_library, CharacterizationConfig};
 use avfs_delay::model::DelayModel;
 use avfs_delay::op::NormalizedPoint;
 use avfs_delay::AlphaPowerModel;
 use avfs_netlist::library::Polarity;
-use avfs_netlist::{CellLibrary, NodeKind};
+use avfs_netlist::CellLibrary;
 use avfs_regression::ErrorStats;
-use avfs_spice::Technology;
+use avfs_spice::{SweepConfig, Technology};
 use std::sync::Arc;
 
 fn main() {
@@ -45,22 +46,22 @@ fn main() {
     let tech = Technology::nm15();
     let netlist = Arc::new(ripple_carry_adder(12, &library).expect("adder builds"));
     eprintln!("ablation_models: characterizing used cells (N={order}) ...");
-    let chars = characterize_used(&[netlist.as_ref()], &library, order);
+    // The paper's full sweep, so the LUT below interpolates all twelve
+    // supplies: the reference, not the sparser default lattice.
+    let used = used_cells(&[netlist.as_ref()]);
+    let config = CharacterizationConfig {
+        sweep: SweepConfig::paper(),
+        order,
+        ..CharacterizationConfig::default()
+    };
+    let chars = characterize_library(&library, &tech, &config, Some(&used))
+        .expect("characterization of the synthetic library cannot fail");
     let space = *chars.space();
     let alpha = AlphaPowerModel::new(tech.vth_n, tech.alpha, space);
 
     // Accuracy on the probe lattice: reference = LUT of the *refined*
     // deviation grid ≈ interpolated electrical truth; each model's factor
     // is compared at interior probes.
-    let used: Vec<_> = {
-        let mut set = std::collections::BTreeSet::new();
-        for (_, node) in netlist.iter() {
-            if let NodeKind::Gate(cell) = node.kind() {
-                set.insert(cell);
-            }
-        }
-        set.into_iter().collect()
-    };
     let mut poly_errors = Vec::new();
     let mut lut_errors = Vec::new();
     let mut alpha_errors = Vec::new();

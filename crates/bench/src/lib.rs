@@ -99,8 +99,9 @@ pub fn used_cells(netlists: &[&Netlist]) -> Vec<avfs_netlist::CellId> {
     set.into_iter().collect()
 }
 
-/// Characterizes the cells used by `netlists` at polynomial order `n`
-/// with the paper's sweep.
+/// Characterizes the cells used by `netlists` at polynomial order `n` on
+/// the default lattice ([`avfs_spice::SweepConfig::sparse`]: six of the
+/// paper's twelve supplies at all nine loads).
 ///
 /// # Panics
 ///

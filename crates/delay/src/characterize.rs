@@ -28,7 +28,8 @@ use std::time::Instant;
 /// Configuration of the characterization flow.
 #[derive(Debug, Clone)]
 pub struct CharacterizationConfig {
-    /// The operating-point sweep (step A).
+    /// The operating-point sweep (step A): [`SweepConfig::sparse`] by
+    /// default, [`SweepConfig::paper`] for the accuracy references.
     pub sweep: SweepConfig,
     /// Per-variable polynomial order `N` (the paper uses N = 3 for the
     /// performance experiments).
@@ -43,7 +44,7 @@ pub struct CharacterizationConfig {
 impl Default for CharacterizationConfig {
     fn default() -> Self {
         CharacterizationConfig {
-            sweep: SweepConfig::paper(),
+            sweep: SweepConfig::sparse(),
             order: 3,
             refine_factor: 4,
             probe_grid: 64,
@@ -69,26 +70,45 @@ impl CharacterizationConfig {
 pub struct NominalCurve {
     /// Load axis, fF (strictly increasing).
     loads_ff: Vec<f64>,
+    /// `log₂` of each load, taken once here rather than per interpolation.
+    log2_loads: Vec<f64>,
     /// Delay at nominal voltage for each load, ps.
     delays_ps: Vec<f64>,
 }
 
 impl NominalCurve {
+    fn new(loads_ff: Vec<f64>, delays_ps: Vec<f64>) -> NominalCurve {
+        NominalCurve {
+            log2_loads: loads_ff.iter().map(|c| c.log2()).collect(),
+            loads_ff,
+            delays_ps,
+        }
+    }
+
     /// Interpolates the nominal delay at load `c_ff` (piecewise linear in
     /// `log₂ c`, clamped at the sweep boundaries).
     pub fn delay_ps(&self, c_ff: f64) -> f64 {
+        self.at(self.locate(c_ff))
+    }
+
+    /// The segment containing load `c_ff` and its weight within it. It
+    /// depends on the load axis alone, so curves on one axis share it.
+    fn locate(&self, c_ff: f64) -> (usize, f64) {
         let n = self.loads_ff.len();
         let c = c_ff.max(self.loads_ff[0]).min(self.loads_ff[n - 1]);
         let x = c.log2();
-        // Find the containing segment.
         let mut i = 0;
-        while i + 2 < n && self.loads_ff[i + 1].log2() < x {
+        while i + 2 < n && self.log2_loads[i + 1] < x {
             i += 1;
         }
-        let x0 = self.loads_ff[i].log2();
-        let x1 = self.loads_ff[i + 1].log2();
+        let (x0, x1) = (self.log2_loads[i], self.log2_loads[i + 1]);
         let t = if x1 > x0 { (x - x0) / (x1 - x0) } else { 0.0 };
-        self.delays_ps[i] + t.clamp(0.0, 1.0) * (self.delays_ps[i + 1] - self.delays_ps[i])
+        (i, t.clamp(0.0, 1.0))
+    }
+
+    /// The delay at a located segment and weight.
+    fn at(&self, (i, t): (usize, f64)) -> f64 {
+        self.delays_ps[i] + t * (self.delays_ps[i + 1] - self.delays_ps[i])
     }
 
     /// The sampled loads.
@@ -231,12 +251,23 @@ impl CharacterizedLibrary {
                     .ok_or(DelayError::MissingCell {
                         cell_index: cell.index(),
                     })?;
+                // One load per node: locate it once per load axis (every
+                // curve of a characterization shares one).
+                let mut located: Option<(&[f64], (usize, f64))> = None;
                 let delays = ann.node_delays_mut(id);
                 for (p, pair) in pins.iter().enumerate() {
-                    delays[p] = PinDelays {
-                        rise: pair[Polarity::Rise.index()].delay_ps(load),
-                        fall: pair[Polarity::Fall.index()].delay_ps(load),
-                    };
+                    let [rise, fall] = pair.each_ref().map(|curve| {
+                        let segment = match located {
+                            Some((axis, segment)) if axis == curve.loads_ff => segment,
+                            _ => {
+                                let segment = curve.locate(load);
+                                located = Some((&curve.loads_ff, segment));
+                                segment
+                            }
+                        };
+                        curve.at(segment)
+                    });
+                    delays[p] = PinDelays { rise, fall };
                 }
             }
         }
@@ -383,14 +414,8 @@ impl CharacterizedLibrary {
                     SurfacePolynomial::new(package.order, pin.fall_coeffs.clone())?,
                 ]);
                 curves.push([
-                    NominalCurve {
-                        loads_ff: pin.loads_ff.clone(),
-                        delays_ps: pin.nominal_rise_ps.clone(),
-                    },
-                    NominalCurve {
-                        loads_ff: pin.loads_ff.clone(),
-                        delays_ps: pin.nominal_fall_ps.clone(),
-                    },
+                    NominalCurve::new(pin.loads_ff.clone(), pin.nominal_rise_ps.clone()),
+                    NominalCurve::new(pin.loads_ff.clone(), pin.nominal_fall_ps.clone()),
                 ]);
             }
             table.insert(id, &surfaces)?;
@@ -483,10 +508,39 @@ pub fn fit_deviation_grid(
     refine_factor: usize,
     probe_grid: usize,
 ) -> Result<GridFit, DelayError> {
+    fit_deviation_grid_against(grid, grid, order, refine_factor, probe_grid)
+}
+
+/// [`fit_deviation_grid`] with the probe-lattice errors measured against
+/// `reference`'s refinement instead of `grid`'s own: a fit on a sparse
+/// sweep judged by a denser one over the same interval, such as
+/// [`SweepConfig::sparse`] against [`SweepConfig::paper`] (the `fig4`
+/// binary's supply-lattice search).
+///
+/// # Errors
+///
+/// Returns [`DelayError::Characterization`] wrapping regression failures.
+///
+/// # Panics
+///
+/// Panics if `reference` does not span `grid`'s interval on both axes,
+/// bit for bit.
+pub fn fit_deviation_grid_against(
+    grid: &DataGrid,
+    reference: &DataGrid,
+    order: usize,
+    refine_factor: usize,
+    probe_grid: usize,
+) -> Result<GridFit, DelayError> {
+    let ends = |axis: &[f64]| (axis[0].to_bits(), axis[axis.len() - 1].to_bits());
+    assert!(
+        ends(grid.xs()) == ends(reference.xs()) && ends(grid.ys()) == ends(reference.ys()),
+        "a fit is measured against a reference over its own interval"
+    );
     let t0 = Instant::now();
     let plan = FitPlan::new(grid.xs(), grid.ys(), order, refine_factor, probe_grid)?;
     let planned = t0.elapsed().as_secs_f64() * 1e3;
-    let mut fit = plan.fit(grid, None)?;
+    let mut fit = plan.fit(grid, reference, None)?;
     fit.fit_millis += planned;
     Ok(fit)
 }
@@ -536,14 +590,21 @@ impl FitPlan {
         })
     }
 
-    /// Fits `grid`. When `metrics` is present, the fit records the phase
-    /// `"regression/fit"`, bumps `"regression.fits"` and feeds its duration
-    /// into the `"regression.fit_ns"` histogram (nanoseconds).
+    /// Fits `grid` and measures the fit on the probe lattice against
+    /// `reference`'s refinement. When `metrics` is present, the fit records
+    /// the phase `"regression/fit"`, bumps `"regression.fits"` and feeds
+    /// its duration into the `"regression.fit_ns"` histogram
+    /// (nanoseconds).
     ///
     /// # Panics
     ///
     /// Panics if `grid` is not on the plan's axes, bit for bit.
-    fn fit(&self, grid: &DataGrid, metrics: Option<&Metrics>) -> Result<GridFit, DelayError> {
+    fn fit(
+        &self,
+        grid: &DataGrid,
+        reference: &DataGrid,
+        metrics: Option<&Metrics>,
+    ) -> Result<GridFit, DelayError> {
         let bits = |axis: &[f64]| axis.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert!(
             bits(grid.xs()) == bits(&self.xs) && bits(grid.ys()) == bits(&self.ys),
@@ -567,7 +628,7 @@ impl FitPlan {
         let fit_millis = t0.elapsed().as_secs_f64() * 1e3;
         let poly = SurfacePolynomial::new(self.order, beta.map_err(regression_error)?)?;
 
-        let refined = grid.refine(self.refine_factor);
+        let refined = reference.refine(self.refine_factor);
         let (pvs, pcs) = refined.equidistant_probes(self.probe_grid);
         let references = refined.sample_lattice(&pvs, &pcs);
         let predictions = eval_horner_lattice(self.order, poly.coefficients(), &pvs, &pcs);
@@ -737,19 +798,19 @@ fn characterize_on(
         let fit = fits
             .as_ref()
             .map_err(Clone::clone)
-            .and_then(|fits| fits.fit(&grid, metrics))
+            .and_then(|fits| fits.fit(&grid, &grid, metrics))
             .map_err(tag)?;
         fitted.fit_millis += fit.fit_millis;
         fitted.errors.extend(fit.probe_errors);
         fitted.polys.push(fit.poly);
         fitted.grids.push(grid);
         // Nominal curve (the SDF view).
-        fitted.curves.push(NominalCurve {
-            delays_ps: (0..surface.loads_ff.len())
-                .map(|j| surface.at(nom_idx, j))
-                .collect(),
-            loads_ff: surface.loads_ff,
-        });
+        let delays_ps = (0..surface.loads_ff.len())
+            .map(|j| surface.at(nom_idx, j))
+            .collect();
+        fitted
+            .curves
+            .push(NominalCurve::new(surface.loads_ff, delays_ps));
 
         if fitted.polys.len() == 2 * cell.num_inputs() {
             let done = std::mem::take(&mut fitted);
@@ -942,10 +1003,7 @@ mod tests {
 
     #[test]
     fn nominal_curve_interpolation() {
-        let curve = NominalCurve {
-            loads_ff: vec![1.0, 4.0, 16.0],
-            delays_ps: vec![10.0, 20.0, 30.0],
-        };
+        let curve = NominalCurve::new(vec![1.0, 4.0, 16.0], vec![10.0, 20.0, 30.0]);
         assert!((curve.delay_ps(1.0) - 10.0).abs() < 1e-12);
         assert!((curve.delay_ps(16.0) - 30.0).abs() < 1e-12);
         // Midpoint in log2 space: c = 2 between 1 and 4.
@@ -971,42 +1029,40 @@ mod tests {
         h.finish()
     }
 
-    #[test]
-    fn characterization_is_bit_identical_to_the_serial_sweep() {
-        // Recorded once from the error-controlled transient integrator, the
-        // separable least-squares fit and the unfused (multiply, then add)
-        // Horner kernels: every worker count must reproduce them bit for
-        // bit.
+    /// What a metered characterization of the `pipeline_cold` cells must
+    /// reproduce at every worker count.
+    struct Pins {
+        content_hash: u64,
+        reports_digest: u64,
+        transient_points: u64,
+        stage_runs: u64,
+        ode_steps: u64,
+    }
+
+    /// Characterizes the 64-bit adder's cells (what the `pipeline_cold`
+    /// benchmark workload characterizes) on `sweep` at 1, 2 and 4 workers
+    /// and checks each run against `pins`. The pins were recorded once from
+    /// the error-controlled transient integrator, the separable
+    /// least-squares fit and the unfused (multiply, then add) Horner
+    /// kernels.
+    fn assert_pinned(sweep: SweepConfig, pins: &Pins) {
         let lib = CellLibrary::nangate15_like();
         let tech = Technology::nm15();
-        // The 64-bit adder's cells at the paper's sweep: what the
-        // `pipeline_cold` benchmark workload characterizes.
         let mut ids = subset(&lib, &["XOR2_X1", "AND2_X1", "OR2_X1"]);
         ids.sort();
+        let config = CharacterizationConfig {
+            sweep,
+            ..CharacterizationConfig::default()
+        };
         for workers in [1, 2, 4] {
-            let fast = CharacterizationConfig::fast();
-            let fast = characterize_on(workers, &lib, &tech, &fast, None, None).unwrap();
             let metrics = Metrics::new("characterize");
-            let paper = characterize_on(
-                workers,
-                &lib,
-                &tech,
-                &CharacterizationConfig::default(),
-                Some(&ids),
-                Some(&metrics),
-            )
-            .unwrap();
+            let ch =
+                characterize_on(workers, &lib, &tech, &config, Some(&ids), Some(&metrics)).unwrap();
             let context = format!("{workers} workers");
-            assert_eq!(fast.content_hash(), 0xedd4_2209_8278_0abf, "{context}");
+            assert_eq!(ch.content_hash(), pins.content_hash, "{context}");
             assert_eq!(
-                reports_digest(fast.reports()),
-                0x7c0f_d389_8e99_f714,
-                "{context}"
-            );
-            assert_eq!(paper.content_hash(), 0x931a_a655_1f7a_68fa, "{context}");
-            assert_eq!(
-                reports_digest(paper.reports()),
-                0x65af_0a84_2d42_7185,
+                reports_digest(ch.reports()),
+                pins.reports_digest,
                 "{context}"
             );
             // One span per call, one planned sweep, the plan's distinct
@@ -1016,16 +1072,66 @@ mod tests {
             let profile = metrics.snapshot();
             assert_eq!(profile.phase("delay/characterize").unwrap().calls, 1);
             assert_eq!(profile.phase("spice/sweep").unwrap().calls, 1);
-            assert_eq!(profile.counter("spice.transient_points"), Some(1296));
-            assert_eq!(profile.counter("spice.stage_runs"), Some(1200));
+            assert_eq!(
+                profile.counter("spice.transient_points"),
+                Some(pins.transient_points)
+            );
+            assert_eq!(profile.counter("spice.stage_runs"), Some(pins.stage_runs));
             assert_eq!(
                 profile.counter("spice.ode_steps"),
-                Some(19_308),
+                Some(pins.ode_steps),
                 "{context}"
             );
             assert_eq!(profile.counter("regression.fits"), Some(12));
             assert_eq!(profile.phase("regression/fit").unwrap().calls, 12);
         }
+    }
+
+    #[test]
+    fn characterization_is_bit_identical_to_the_serial_sweep() {
+        // The fast configuration over the whole library, unmetered.
+        let lib = CellLibrary::nangate15_like();
+        let tech = Technology::nm15();
+        for workers in [1, 2, 4] {
+            let fast = CharacterizationConfig::fast();
+            let fast = characterize_on(workers, &lib, &tech, &fast, None, None).unwrap();
+            let context = format!("{workers} workers");
+            assert_eq!(fast.content_hash(), 0xedd4_2209_8278_0abf, "{context}");
+            assert_eq!(
+                reports_digest(fast.reports()),
+                0x7c0f_d389_8e99_f714,
+                "{context}"
+            );
+        }
+        // The adder's cells at the paper's sweep.
+        assert_pinned(
+            SweepConfig::paper(),
+            &Pins {
+                content_hash: 0x931a_a655_1f7a_68fa,
+                reports_digest: 0x65af_0a84_2d42_7185,
+                transient_points: 1296,
+                stage_runs: 1200,
+                ode_steps: 19_308,
+            },
+        );
+    }
+
+    #[test]
+    fn default_lattice_characterization_is_bit_identical_to_the_serial_sweep() {
+        assert_eq!(
+            CharacterizationConfig::default().sweep,
+            SweepConfig::sparse()
+        );
+        assert_pinned(
+            SweepConfig::sparse(),
+            &Pins {
+                content_hash: 0x720b_a0cf_e406_0a95,
+                reports_digest: 0x6c22_b2b1_d7ab_f892,
+                transient_points: 648,
+                stage_runs: 600,
+                ode_steps: 9_565,
+            },
+        );
     }
 
     /// Factors of the `pipeline_cold` cells at the paper's sweep on the
@@ -1065,8 +1171,11 @@ mod tests {
         let lib = CellLibrary::nangate15_like();
         let tech = Technology::nm15();
         let ids = subset(&lib, &["XOR2_X1", "AND2_X1", "OR2_X1"]);
-        let ch = characterize_library(&lib, &tech, &CharacterizationConfig::default(), Some(&ids))
-            .unwrap();
+        let config = CharacterizationConfig {
+            sweep: SweepConfig::paper(),
+            ..CharacterizationConfig::default()
+        };
+        let ch = characterize_library(&lib, &tech, &config, Some(&ids)).unwrap();
         let close = |got: f64, want: f64, rel: f64| (got - want).abs() <= rel * want.abs();
         for (cell, pin, polarity, want) in FUSED_FACTORS {
             let id = lib.find(cell).unwrap();
@@ -1094,6 +1203,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A fit on a row subset judged against the full grid: the same
+    /// polynomial as the subset's own fit, its errors read against the
+    /// full grid's refinement.
+    #[test]
+    fn a_sparse_fit_is_measured_against_the_dense_reference() {
+        let xs: Vec<f64> = (0..12).map(|i| f64::from(i) / 11.0).collect();
+        let ys: Vec<f64> = (0..9).map(|j| f64::from(j) / 8.0).collect();
+        let dense = DataGrid::from_fn(xs.clone(), ys, |v, c| 0.6 * (1.5 - v).powi(4) - 0.1 * c * v)
+            .unwrap();
+        let keep = [0, 1, 3, 5, 8, 11];
+        let values: Vec<f64> = dense.samples().map(|(_, _, d)| d).collect();
+        let sparse = DataGrid::new(
+            keep.iter().map(|&i| xs[i]).collect(),
+            dense.ys().to_vec(),
+            keep.iter()
+                .flat_map(|&i| values[i * 9..(i + 1) * 9].to_vec())
+                .collect(),
+        )
+        .unwrap();
+        let own = fit_deviation_grid(&sparse, 3, 4, 16).unwrap();
+        let judged = fit_deviation_grid_against(&sparse, &dense, 3, 4, 16).unwrap();
+        assert_eq!(own.poly, judged.poly);
+        let refined = dense.refine(4);
+        let (pvs, pcs) = refined.equidistant_probes(16);
+        let predictions = eval_horner_lattice(3, judged.poly.coefficients(), &pvs, &pcs);
+        let want: Vec<f64> = refined
+            .sample_lattice(&pvs, &pcs)
+            .iter()
+            .zip(&predictions)
+            .map(|(&r, &p)| ((1.0 + p) - (1.0 + r)) / (1.0 + r))
+            .collect();
+        assert_eq!(judged.probe_errors, want);
+        assert_ne!(judged.probe_errors, own.probe_errors);
+    }
+
+    #[test]
+    #[should_panic(expected = "over its own interval")]
+    fn a_reference_over_another_interval_is_refused() {
+        let grid = DataGrid::from_fn(vec![0.0, 0.5, 1.0], vec![0.0, 1.0], |v, c| v + c).unwrap();
+        let shorter = DataGrid::from_fn(vec![0.0, 0.5], vec![0.0, 1.0], |v, c| v + c).unwrap();
+        let _ = fit_deviation_grid_against(&grid, &shorter, 1, 2, 4);
     }
 
     #[test]

@@ -67,6 +67,22 @@ impl SweepConfig {
         }
     }
 
+    /// The characterization default: six of the paper's twelve supplies
+    /// (0.55, 0.6, 0.7, 0.8, 0.95 and 1.1 V) at all nine loads, half the
+    /// transients of [`SweepConfig::paper`]. The supplies are read from the
+    /// paper's vector, so every point is bitwise one of its points. Of the
+    /// 84 six-supply subsets that keep both ends and the nominal supply,
+    /// this is the one whose order-3 fit has no cell's max error above the
+    /// paper sweep's fit, both measured against the paper sweep (the `fig4`
+    /// binary prints that search).
+    pub fn sparse() -> SweepConfig {
+        let paper = SweepConfig::paper();
+        SweepConfig {
+            voltages: [0, 1, 3, 5, 8, 11].map(|i| paper.voltages[i]).to_vec(),
+            ..paper
+        }
+    }
+
     /// A coarse 5 × 5 sweep for fast tests.
     pub fn coarse() -> SweepConfig {
         SweepConfig {
@@ -583,6 +599,21 @@ mod tests {
         assert!((s.loads_ff[0] - 0.5).abs() < 1e-12);
         assert!((s.loads_ff[8] - 128.0).abs() < 1e-12);
         assert_eq!(s.voltage_range(), (0.55, s.voltages[11]));
+    }
+
+    #[test]
+    fn sparse_sweep_is_a_bitwise_subset_of_the_paper_sweep() {
+        let (paper, sparse) = (SweepConfig::paper(), SweepConfig::sparse());
+        sparse.validate().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want: Vec<f64> = [0, 1, 3, 5, 8, 11].map(|i| paper.voltages[i]).to_vec();
+        assert_eq!(bits(&sparse.voltages), bits(&want));
+        for (v, nominal) in sparse.voltages.iter().zip([0.55, 0.6, 0.7, 0.8, 0.95, 1.1]) {
+            assert!((v - nominal).abs() < 1e-9, "{v} vs {nominal}");
+        }
+        assert_eq!(bits(&sparse.loads_ff), bits(&paper.loads_ff));
+        assert_eq!(sparse.nominal_vdd.to_bits(), paper.nominal_vdd.to_bits());
+        assert_eq!(sparse.voltage_range(), paper.voltage_range());
     }
 
     #[test]

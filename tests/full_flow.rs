@@ -354,3 +354,57 @@ fn sta_bounds_simulated_arrivals() {
         sta.longest_path_ps
     );
 }
+
+/// The annotation of every benchmark workload's netlist under the
+/// default characterization, bit for bit: the nominal-supply row feeds
+/// it alone, so neither the supplies swept around it nor how the
+/// annotation interpolates may move a delay.
+#[test]
+fn default_annotation_is_pinned_on_every_workload_netlist() {
+    let library = Arc::new(CellLibrary::nangate15_like());
+    let profile = |name: &str, factor: f64| {
+        avfs::circuits::CircuitProfile::find(name)
+            .expect("profile exists")
+            .synthesize(factor, &library)
+            .expect("synthesizes")
+    };
+    let netlists = [
+        (
+            "rca64",
+            ripple_carry_adder(64, &library).expect("adder builds"),
+        ),
+        ("s38417 x 0.05", profile("s38417", 0.05)),
+        ("p951k x 0.01", profile("p951k", 0.01)),
+        ("p951k x 0.05", profile("p951k", 0.05)),
+    ];
+    let refs: Vec<&Netlist> = netlists.iter().map(|(_, n)| n).collect();
+    let used: Vec<_> = refs
+        .iter()
+        .flat_map(|n| n.iter())
+        .filter_map(|(_, node)| match node.kind() {
+            NodeKind::Gate(cell) => Some(cell),
+            _ => None,
+        })
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let chars = characterize_library(
+        &library,
+        &Technology::nm15(),
+        &CharacterizationConfig::default(),
+        Some(&used),
+    )
+    .expect("characterization succeeds");
+    // Recorded from the 12-supply paper sweep with one `log2` of the load
+    // axis per interpolation.
+    let pinned = [
+        0x9786_a742_e1bf_4d8a,
+        0xe6e2_dffe_2300_9442,
+        0x5921_3bb4_363e_ef19,
+        0x1127_55a4_6334_c183,
+    ];
+    for ((name, netlist), want) in netlists.iter().zip(pinned) {
+        let ann = chars.annotate(netlist).expect("annotates");
+        assert_eq!(ann.content_hash(), want, "{name}");
+    }
+}
