@@ -45,7 +45,7 @@ done'
 echo "==> cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> doc references (every --bin, crates/*.rs path, \`Type::item\` and \`layer.metric\` the docs name exists in the sources or BENCHMARK.json)"
+echo "==> doc references (every --bin, crates/*.rs path, \`Type::item\`, \`layer.metric\` and four-word \`fn_name\` the docs name exists in the sources or BENCHMARK.json)"
 docs="README.md EXPERIMENTS.md DESIGN.md"
 for bin in $(grep -oh -e '--bin [a-z0-9_]*' $docs | cut -d' ' -f2 | sort -u); do
     [ "$bin" = benchmark ] || [ -f "crates/bench/src/bin/$bin.rs" ] || { echo "docs name a missing bin: $bin"; exit 1; }
@@ -103,6 +103,13 @@ spans=$(grep -rhoE '"(spice|regression|delay)/[a-z_/]+"' crates/*/src | tr -d '"
 for path in $(grep -ohE '`(spice|regression|delay)/[a-z_/]*`' $docs | tr -d '`' | sort -u); do
     printf '%s\n' "$spans" | grep -qxF "$path" ||
         { echo "docs name span $path: not a string literal in crates/*/src"; exit 1; }
+done
+# A backticked identifier of four or more `_`-joined words is a test or
+# function name, so it must be a `fn` in the sources: a doc cannot name a
+# test that was deleted or renamed.
+for id in $(grep -ohE '`[a-z0-9]+(_[a-z0-9]+){3,}`' $docs | tr -d '`' | sort -u); do
+    grep -rqE "fn $id($word|\$)" crates/*/src crates/*/tests tests perfbench/src ||
+        { echo "docs name $id: no such fn under crates/*/src, crates/*/tests, tests/ or perfbench/src"; exit 1; }
 done
 
 echo "==> fault-site table (every InjectionSite::name has a row in DESIGN.md §7's site table, every row names a registered site)"

@@ -10,8 +10,10 @@
 //!   approach whose table growth motivates the paper),
 //! * the closed-form α-power law (load-blind analytical baseline),
 //!
-//! each judged on a dense probe lattice against the densified reference,
-//! plus the end-to-end arrival-time disagreement on a real netlist.
+//! the first two characterized on the default six-supply lattice, each
+//! judged on a dense probe lattice against the bilinear LUT of the
+//! paper's full twelve-supply sweep, plus the end-to-end arrival-time
+//! disagreement on a real netlist.
 //!
 //! ```text
 //! cargo run --release -p avfs-bench --bin ablation_models [-- --order 3]
@@ -46,22 +48,28 @@ fn main() {
     let tech = Technology::nm15();
     let netlist = Arc::new(ripple_carry_adder(12, &library).expect("adder builds"));
     eprintln!("ablation_models: characterizing used cells (N={order}) ...");
-    // The paper's full sweep, so the LUT below interpolates all twelve
-    // supplies: the reference, not the sparser default lattice.
     let used = used_cells(&[netlist.as_ref()]);
-    let config = CharacterizationConfig {
-        sweep: SweepConfig::paper(),
-        order,
-        ..CharacterizationConfig::default()
+    let characterize = |sweep| {
+        let config = CharacterizationConfig {
+            sweep,
+            order,
+            ..CharacterizationConfig::default()
+        };
+        characterize_library(&library, &tech, &config, Some(&used))
+            .expect("characterization of the synthetic library cannot fail")
     };
-    let chars = characterize_library(&library, &tech, &config, Some(&used))
-        .expect("characterization of the synthetic library cannot fail");
+    // The models under test, on the default lattice, and the reference:
+    // the paper's full sweep, whose LUT interpolates all twelve supplies.
+    let chars = characterize(CharacterizationConfig::default().sweep);
+    let reference_chars = characterize(SweepConfig::paper());
     let space = *chars.space();
     let alpha = AlphaPowerModel::new(tech.vth_n, tech.alpha, space);
 
-    // Accuracy on the probe lattice: reference = LUT of the *refined*
-    // deviation grid ≈ interpolated electrical truth; each model's factor
-    // is compared at interior probes.
+    // Accuracy on the probe lattice against the paper sweep's bilinear
+    // LUT: bilinear refinement is exact under bilinear interpolation, so
+    // that LUT is the refined deviation grid's interpolant (up to
+    // rounding) ≈ interpolated electrical truth. Each model's factor is
+    // compared at interior probes.
     let mut poly_errors = Vec::new();
     let mut lut_errors = Vec::new();
     let mut alpha_errors = Vec::new();
@@ -75,11 +83,11 @@ fn main() {
                             v: i as f64 / probe as f64,
                             c: j as f64 / probe as f64,
                         };
-                        // The LUT over the raw sweep doubles as the
-                        // reference here (it interpolates the measured
-                        // grid); its own "error" column reports the
-                        // LUT-vs-polynomial disagreement instead.
-                        let reference = chars
+                        let reference = reference_chars
+                            .lut()
+                            .factor(cell, pin, polarity, p)
+                            .expect("lut entry");
+                        let f_lut = chars
                             .lut()
                             .factor(cell, pin, polarity, p)
                             .expect("lut entry");
@@ -89,7 +97,7 @@ fn main() {
                             .expect("kernel");
                         let f_alpha = alpha.factor(cell, pin, polarity, p).expect("analytic");
                         poly_errors.push((f_poly - reference) / reference);
-                        lut_errors.push(0.0);
+                        lut_errors.push((f_lut - reference) / reference);
                         alpha_errors.push((f_alpha - reference) / reference);
                     }
                 }
@@ -97,6 +105,7 @@ fn main() {
         }
     }
     let poly_stats = ErrorStats::from_errors(poly_errors);
+    let lut_stats = ErrorStats::from_errors(lut_errors);
     let alpha_stats = ErrorStats::from_errors(alpha_errors);
 
     // Storage: doubles held per model.
@@ -119,8 +128,11 @@ fn main() {
         poly_words
     );
     println!(
-        "{:<14} {:>11.3}% {:>11.3}% {:>14}  (reference here)",
-        "lut-bilinear", 0.0, 0.0, lut_words
+        "{:<14} {:>11.3}% {:>11.3}% {:>14}",
+        "lut-bilinear",
+        100.0 * lut_stats.mean,
+        100.0 * lut_stats.max,
+        lut_words
     );
     println!(
         "{:<14} {:>11.3}% {:>11.3}% {:>14}  (load-blind)",

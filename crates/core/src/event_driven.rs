@@ -10,10 +10,16 @@
 //! identical waveforms — a property the integration tests exploit as a
 //! cross-validation oracle.
 //!
-//! Supports static delays only, like the commercial tool: parametric
-//! evaluation with this baseline requires a full re-annotation and re-run
-//! per operating point, which is precisely the scalability wall the paper
-//! attacks.
+//! Every delay is read from one delay function `(node, pin, polarity,
+//! cause time) → ps`, charged to the output transition an input event
+//! on `pin` of gate `node` at the cause time schedules.
+//! [`EventDrivenSimulator::new`] is its static case, the annotation's
+//! pin delays, like the commercial tool: parametric evaluation with it
+//! requires a full re-annotation and re-run per operating point, which
+//! is precisely the scalability wall the paper attacks.
+//! [`EventDrivenSimulator::with_delays`] takes any function, so a test
+//! can price an operating point, a supply schedule, a die or a fault
+//! with its own arithmetic and hold the engine to it.
 
 use crate::phases;
 use crate::results::{RunDiagnostics, SimRun, SlotResult, SlotStatus};
@@ -22,11 +28,13 @@ use crate::SimError;
 use avfs_atpg::{zero_delay_values, PatternSet};
 use avfs_delay::TimingAnnotation;
 use avfs_inject::{FaultPlan, InjectionSite, Injector};
+use avfs_netlist::library::Polarity;
 use avfs_netlist::{Levelization, Netlist, NodeId, NodeKind};
 use avfs_obs::{Histogram, Metrics};
 use avfs_waveform::{SwitchingActivity, Waveform, WaveformStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,7 +60,30 @@ impl Ord for Time {
 pub struct EventDrivenSimulator {
     netlist: Arc<Netlist>,
     levels: Arc<Levelization>,
-    annotation: Arc<TimingAnnotation>,
+    delays: Delays,
+}
+
+/// A delay function: the delay, ps, of an output transition of
+/// `polarity` caused by an event on input `pin` of gate `node` at time
+/// `t`.
+type DelayFn = dyn Fn(NodeId, usize, Polarity, f64) -> f64 + Send + Sync;
+
+/// Where the simulator reads its delays.
+#[derive(Clone)]
+enum Delays {
+    /// The annotation's static pin delays.
+    Annotated(Arc<TimingAnnotation>),
+    /// Any delay function.
+    Function(Arc<DelayFn>),
+}
+
+impl fmt::Debug for Delays {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Delays::Annotated(annotation) => f.debug_tuple("Annotated").field(annotation).finish(),
+            Delays::Function(_) => f.write_str("Function(..)"),
+        }
+    }
 }
 
 /// Result of one event-driven pattern simulation.
@@ -97,12 +128,39 @@ impl EventDrivenSimulator {
         Ok(EventDrivenSimulator {
             netlist,
             levels,
-            annotation,
+            delays: Delays::Annotated(annotation),
+        })
+    }
+
+    /// Creates the baseline over a delay function: `delay(node, pin,
+    /// polarity, t)` is the delay, ps, of an output transition of
+    /// `polarity` that an event on input `pin` of gate `node` at time `t`
+    /// schedules. [`EventDrivenSimulator::new`] is the case that returns
+    /// the annotation's pin delay whatever `t`.
+    ///
+    /// A delay that is not finite and strictly positive never enters the
+    /// event queue: the simulation panics, naming the gate, the pin and
+    /// the time, and [`EventDrivenSimulator::run`] reports the slot
+    /// [`SlotStatus::Panicked`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Netlist`] if the netlist cannot be levelized.
+    pub fn with_delays(
+        netlist: Arc<Netlist>,
+        delay: impl Fn(NodeId, usize, Polarity, f64) -> f64 + Send + Sync + 'static,
+    ) -> Result<EventDrivenSimulator, SimError> {
+        let levels = Arc::new(Levelization::of(&netlist)?);
+        Ok(EventDrivenSimulator {
+            netlist,
+            levels,
+            delays: Delays::Function(Arc::new(delay)),
         })
     }
 
     /// Simulates every slot serially (the baseline has no slot
-    /// parallelism; its `voltage` field is ignored — static delays only).
+    /// parallelism; its `voltage` field is ignored — the delays are the
+    /// annotation's or the delay function's).
     ///
     /// # Errors
     ///
@@ -273,7 +331,37 @@ impl EventDrivenSimulator {
         &self,
         pair: &avfs_atpg::pattern::PatternPair,
         launch_time_ps: f64,
+        depth: Option<&mut Histogram>,
+    ) -> EventDrivenOutcome {
+        match &self.delays {
+            Delays::Annotated(annotation) => {
+                self.simulate(pair, launch_time_ps, depth, |gate, pin, rising, _| {
+                    annotation.pin_delays(gate, pin).for_output(rising)
+                })
+            }
+            Delays::Function(delay) => {
+                self.simulate(pair, launch_time_ps, depth, |gate, pin, rising, t| {
+                    let d = delay(gate, pin, Polarity::of_transition_to(rising), t);
+                    assert!(
+                        d.is_finite() && d > 0.0,
+                        "delay function gave {d} ps for node `{}` pin {pin} at t = {t} ps",
+                        self.netlist.node(gate).name()
+                    );
+                    d
+                })
+            }
+        }
+    }
+
+    /// The event loop, generic over the delay of `(gate, pin, rising
+    /// output, cause time)` so each source of delays compiles to its own
+    /// loop.
+    fn simulate(
+        &self,
+        pair: &avfs_atpg::pattern::PatternPair,
+        launch_time_ps: f64,
         mut depth: Option<&mut Histogram>,
+        delay: impl Fn(NodeId, usize, bool, f64) -> f64,
     ) -> EventDrivenOutcome {
         let n = self.netlist.num_nodes();
         // Settle the launch vector: initial values of all nets.
@@ -403,8 +491,7 @@ impl EventDrivenSimulator {
                 eval_buf.extend_from_slice(&gate_inputs[gate]);
                 let new_out = cell.eval(&eval_buf);
                 if new_out != scheduled_value[gate] {
-                    let d = self.annotation.pin_delays(gate_id, pin);
-                    let tt = t + d.for_output(new_out);
+                    let tt = t + delay(gate_id, pin, new_out, t);
                     schedule(
                         gate,
                         tt,
@@ -431,11 +518,8 @@ impl EventDrivenSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::CompiledNetlist;
-    use crate::engine::SimOptions;
     use crate::slots::at_voltage;
     use avfs_atpg::pattern::{Pattern, PatternPair};
-    use avfs_delay::{ParameterSpace, StaticModel};
     use avfs_netlist::{CellLibrary, NetlistBuilder};
     use avfs_waveform::PinDelays;
 
@@ -482,88 +566,87 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn matches_levelized_engine_small() {
+    /// The panic message of a pair simulated on `inverter_chain` where
+    /// every delay is 5 ps but g2's pin 1 — whose event, g1's output,
+    /// comes at 5 ps — gets `bad`, and the run's verdict on that slot.
+    fn bad_delay(bad: f64) -> (String, Result<SimRun, SimError>) {
         let n = inverter_chain();
-        let ann = Arc::new(annotate_static(&n, 3));
-        let ed = EventDrivenSimulator::new(Arc::clone(&n), Arc::clone(&ann)).unwrap();
-        let engine = CompiledNetlist::compile(
-            Arc::clone(&n),
-            Arc::clone(&ann),
-            Arc::new(StaticModel::new(ParameterSpace::paper())),
-        )
+        let g2 = n.find("g2").unwrap();
+        let ed = EventDrivenSimulator::with_delays(Arc::clone(&n), move |node, pin, _, _| {
+            if node == g2 && pin == 1 {
+                bad
+            } else {
+                5.0
+            }
+        })
         .unwrap();
-        let patterns: PatternSet = std::iter::once(
-            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap(),
-        )
-        .collect();
-        let slots = at_voltage(1, 0.8);
-        let opts = SimOptions {
-            threads: 1,
-            keep_waveforms: true,
-            ..SimOptions::default()
-        };
-        let run_engine = engine.launch(&patterns, &slots, &opts).unwrap();
-        let run_ed = ed.run(&patterns, &slots, true).unwrap();
-        let wf_a = run_engine.slots[0].waveforms.as_ref().unwrap();
-        let wf_b = run_ed.slots[0].waveforms.as_ref().unwrap();
-        for (id, node) in n.iter() {
-            assert_eq!(
-                wf_a[id.index()],
-                wf_b[id.index()],
-                "waveform mismatch on {} ({})",
-                node.name(),
-                id
-            );
-        }
+        let pair =
+            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap();
+        let panic = catch_unwind(AssertUnwindSafe(|| ed.simulate_pair(&pair, 0.0))).unwrap_err();
+        let message = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("a formatted message");
+        let patterns: PatternSet = std::iter::once(pair).collect();
+        (message, ed.run(&patterns, &at_voltage(1, 0.8), false))
+    }
+
+    /// A bad delay fails its slot with a message naming where it came
+    /// from, and the run reports the loss.
+    fn assert_refused(bad: f64) {
+        let (message, run) = bad_delay(bad);
+        assert!(
+            message.contains("node `g2` pin 1 at t = 5 ps"),
+            "{bad}: {message}"
+        );
+        assert!(
+            matches!(run, Err(SimError::AllSlotsFailed { slots: 1 })),
+            "{bad}: {run:?}"
+        );
     }
 
     #[test]
-    fn cross_validation_random_circuits() {
-        // The load-bearing oracle test: on random circuits with random
-        // positive delays, the event-driven baseline and the levelized
-        // engine must agree net-for-net, transition-for-transition.
-        let lib = CellLibrary::nangate15_like();
-        for seed in 0..4u64 {
-            let cfg = avfs_circuits::GeneratorConfig {
-                nodes: 120,
-                inputs: 10,
-                outputs: 10,
-                depth: 8,
-                two_input_fraction: 0.7,
-            };
-            let n = Arc::new(avfs_circuits::random_netlist("xval", &cfg, &lib, seed).unwrap());
-            let ann = Arc::new(annotate_static(&n, seed.wrapping_mul(77).wrapping_add(1)));
-            let ed = EventDrivenSimulator::new(Arc::clone(&n), Arc::clone(&ann)).unwrap();
-            let engine = CompiledNetlist::compile(
-                Arc::clone(&n),
-                Arc::clone(&ann),
-                Arc::new(StaticModel::new(ParameterSpace::paper())),
-            )
+    fn nan_delay_is_refused() {
+        assert_refused(f64::NAN);
+    }
+
+    #[test]
+    fn infinite_delays_are_refused() {
+        assert_refused(f64::INFINITY);
+        assert_refused(f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn zero_delay_is_refused() {
+        assert_refused(0.0);
+    }
+
+    #[test]
+    fn negative_delay_is_refused() {
+        assert_refused(-2.5);
+    }
+
+    #[test]
+    fn static_delays_are_the_annotated_delay_function() {
+        // The annotation read as a delay function is the static baseline,
+        // event for event.
+        let n = inverter_chain();
+        let ann = Arc::new(annotate_static(&n, 3));
+        let fixed = EventDrivenSimulator::new(Arc::clone(&n), Arc::clone(&ann)).unwrap();
+        let function =
+            EventDrivenSimulator::with_delays(Arc::clone(&n), move |node, pin, pol, _| {
+                ann.pin_delays(node, pin)
+                    .for_output(matches!(pol, Polarity::Rise))
+            })
             .unwrap();
-            let patterns = PatternSet::lfsr(n.inputs().len(), 6, seed + 5);
-            let slots = at_voltage(patterns.len(), 0.8);
-            let opts = SimOptions {
-                threads: 1,
-                keep_waveforms: true,
-                ..SimOptions::default()
-            };
-            let run_a = engine.launch(&patterns, &slots, &opts).unwrap();
-            let run_b = ed.run(&patterns, &slots, true).unwrap();
-            for (sa, sb) in run_a.slots.iter().zip(&run_b.slots) {
-                let wa = sa.waveforms.as_ref().unwrap();
-                let wb = sb.waveforms.as_ref().unwrap();
-                for (id, node) in n.iter() {
-                    assert_eq!(
-                        wa[id.index()],
-                        wb[id.index()],
-                        "seed {seed}: mismatch on {} pattern {}",
-                        node.name(),
-                        sa.spec.pattern
-                    );
-                }
-            }
-        }
+        let pair =
+            PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap();
+        let (a, b) = (
+            fixed.simulate_pair(&pair, 0.0),
+            function.simulate_pair(&pair, 0.0),
+        );
+        assert_eq!(a.waveforms, b.waveforms);
+        assert_eq!(a.events, b.events);
     }
 
     #[test]

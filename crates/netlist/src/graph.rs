@@ -232,27 +232,22 @@ impl Netlist {
     /// flow with extracted parasitics they are overridden from SPEF data
     /// (see `avfs-sdf`).
     pub fn load_caps_ff(&self) -> Vec<f64> {
+        // One pass over every sink's fan-in: each net receives its terms
+        // in fan-out order (sinks ascending, then pins ascending), and a
+        // net on several pins of one gate each pin's own capacitance.
         let mut caps = vec![0.0f64; self.nodes.len()];
-        for (id, node) in self.iter() {
-            let mut load = 0.0;
-            for &sink in node.fanout() {
-                load += WIRE_CAP_PER_FANOUT_FF;
-                match self.node(sink).kind {
+        for node in &self.nodes {
+            for (pin, &f) in node.fanin().iter().enumerate() {
+                let sink_cap = match node.kind {
                     NodeKind::Gate(cell_id) => {
-                        // Which pin of the sink does this net drive?
-                        let sink_node = self.node(sink);
-                        let pin = sink_node
-                            .fanin()
-                            .iter()
-                            .position(|&f| f == id)
-                            .expect("fanout/fanin must be consistent");
-                        load += self.library.cell(cell_id).input_pins()[pin].capacitance_ff;
+                        self.library.cell(cell_id).input_pins()[pin].capacitance_ff
                     }
-                    NodeKind::Output => load += OUTPUT_PORT_CAP_FF,
-                    NodeKind::Input => unreachable!("inputs have no fanin"),
-                }
+                    // Inputs have no fan-in.
+                    _ => OUTPUT_PORT_CAP_FF,
+                };
+                caps[f.index()] += WIRE_CAP_PER_FANOUT_FF;
+                caps[f.index()] += sink_cap;
             }
-            caps[id.index()] = load;
         }
         caps
     }
@@ -560,6 +555,18 @@ mod tests {
         let c4 = lib.cell(lib.find("INV_X4").unwrap()).input_pins()[0].capacitance_ff;
         let expected = 2.0 * WIRE_CAP_PER_FANOUT_FF + c2 + c4;
         assert!((caps[n.find("g1").unwrap().index()] - expected).abs() < 1e-12);
+        // A net on both pins of one gate adds each pin's own capacitance.
+        let mut b = NetlistBuilder::new("twice", lib);
+        let a = b.add_input("a").unwrap();
+        let g = b.add_gate("g", "NAND2_X1", &[a, a]).unwrap();
+        b.add_output("y", g).unwrap();
+        let n = b.finish().unwrap();
+        let pins = lib.cell(lib.find("NAND2_X1").unwrap()).input_pins();
+        let expected = WIRE_CAP_PER_FANOUT_FF
+            + pins[0].capacitance_ff
+            + WIRE_CAP_PER_FANOUT_FF
+            + pins[1].capacitance_ff;
+        assert_eq!(n.load_caps_ff()[a.index()], expected);
     }
 
     #[test]
