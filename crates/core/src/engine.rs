@@ -73,10 +73,20 @@ const DEFAULT_ARENA_CAPACITY: usize = 64;
 /// Capacity growth factor per quarantine-and-retry round.
 const CAPACITY_GROWTH: usize = 4;
 
-/// Default lane width when [`SimOptions::lanes`] is 0 (auto): 8 slots
+/// Default lane width of the batch cut when [`SimOptions::lanes`] is 0
+/// (auto), and the narrowest a batch's lane groups resolve to: 8 slots
 /// per lane group balances lane-word utilization on typical launches
 /// against partial-tail waste on small ones.
 const DEFAULT_LANES: usize = 8;
+
+/// The widest lane group a batch resolves to when [`SimOptions::lanes`]
+/// is 0: one `u64` lane mask.
+const MAX_LANES: usize = 64;
+
+/// Whole lane groups per worker a batch's resolved default lane width
+/// must still leave, so that a worker done with one group has another
+/// to own rather than only helpers' chunks.
+const GROUPS_PER_WORKER: usize = 2;
 
 /// Work-stealing granularity: the cursor hands out chunks sized so each
 /// worker sees about this many grabs per level, bounding both contention
@@ -134,10 +144,12 @@ pub struct SimOptions {
     /// each active lane merged by the scalar waveform kernel. Must be a
     /// power of two ≤ 64 (lane masks are single `u64` words, and
     /// power-of-two widths keep a full group's claim run inside one
-    /// atomic word); 0 — the default — selects 8. `lanes: 1` is exactly
-    /// the slot-major layout, and every lane width produces bit-for-bit
-    /// identical results: the layout change is a pure memory permutation
-    /// and every lane runs the identical operation sequence.
+    /// atomic word); 0 — the default — lets each batch pick its own
+    /// width ([`SimOptions::batch_lanes`]), while batches are cut in
+    /// groups of 8. `lanes: 1` is exactly the slot-major layout, and
+    /// every lane width produces bit-for-bit identical results: the
+    /// layout change is a pure memory permutation and every lane runs
+    /// the identical operation sequence.
     pub lanes: usize,
     /// Armed fault plan for deterministic fault injection (`None` — the
     /// default — compiles every probe down to one `Option`-discriminant
@@ -157,14 +169,32 @@ impl SimOptions {
         crate::pool::resolve_threads(self.threads)
     }
 
-    /// The effective lane width: `lanes`, with 0 resolved to the default
-    /// of 8.
+    /// The lane width batches are cut in: `lanes`, with 0 resolved to
+    /// the default of 8.
     pub fn resolved_lanes(&self) -> usize {
         if self.lanes == 0 {
             DEFAULT_LANES
         } else {
             self.lanes
         }
+    }
+
+    /// The lane width of one batch of `slots` slots walked by `workers`
+    /// workers: `lanes`, or for 0 the widest power of two ≤ 64 that
+    /// still gives every worker two whole lane groups, and never less
+    /// than 8. A deep, narrow circuit then walks its levels in fewer,
+    /// wider groups — fewer level epochs per batch — without changing
+    /// the batch cut, hence the arena's size; every width gives
+    /// bit-identical results.
+    pub fn batch_lanes(&self, slots: usize, workers: usize) -> usize {
+        if self.lanes != 0 {
+            return self.lanes;
+        }
+        let mut lanes = MAX_LANES;
+        while lanes > DEFAULT_LANES && slots / lanes < GROUPS_PER_WORKER * workers {
+            lanes /= 2;
+        }
+        lanes
     }
 
     /// The effective per-`(slot, net)` arena transition capacity:

@@ -65,9 +65,11 @@ pub(super) struct Batch<'c> {
 }
 
 impl<'c> Batch<'c> {
-    /// Grouping phase: lays the chunk out lane-major and sorts its slots
-    /// into voltage groups, so delay initialisation runs once per
-    /// (level, group) instead of once per (slot, gate). Each fault's
+    /// Grouping phase: lays the chunk out lane-major, in lane groups as
+    /// wide as [`SimOptions::batch_lanes`](crate::SimOptions::batch_lanes)
+    /// resolves for it, and sorts its slots into voltage groups, so
+    /// delay initialisation runs once per (level, group) instead of once
+    /// per (slot, gate). Each fault's
     /// slots are adjacent, so a faulted slot joins the last group or
     /// opens one, never scans: grouping stays linear in slots.
     pub(super) fn new(ctx: &'c RunCtx<'c>, chunk: &'c [usize], round: u32) -> Self {
@@ -86,11 +88,12 @@ impl<'c> Batch<'c> {
                     })
             })
             .collect();
+        let lanes = ctx.options.batch_lanes(chunk.len(), ctx.pool.threads());
         Batch {
             ctx,
             chunk,
             round,
-            layout: LaneLayout::new(ctx.options.resolved_lanes(), nodes.max(1), chunk.len()),
+            layout: LaneLayout::new(lanes, nodes.max(1), chunk.len()),
             dead: vec![None; chunk.len()],
             groups,
             group_of_slot,
@@ -116,16 +119,17 @@ impl<'c> Batch<'c> {
     ) -> Result<(), SimError> {
         let ctx = self.ctx;
         let metrics = ctx.metrics;
-        arena.reset();
+        // One arena region per lane group: every block a worker publishes
+        // — a group's stimuli, an owner's level, a helper's chunk — is one
+        // group's cells, so no two groups' publishers share a cursor.
+        arena.reset(self.layout.group_entries());
         self.bind_delay_tables()?;
         let delays = BatchDelays::new(ctx.compiled, ctx.plan.domains, &self.groups);
         let walk = Walk::new(&self, &delays, arena.level_writer());
-        let release = metrics.map(|_| Instant::now());
         match ctx.pool.workers() {
             Some(pool) => pool.run(&|w| walk.work(w), &ctx.injector),
             None => walk.work(0),
         }
-        let release = release.map_or(Duration::ZERO, |t| t.elapsed());
         let walked = walk.finish();
         let rest = metrics.map(|_| Instant::now());
         delays.draw_rest();
@@ -136,7 +140,7 @@ impl<'c> Batch<'c> {
         }
         state.diag.kernel_fallbacks += walked.fallbacks;
         if let Some(m) = metrics {
-            walked.record(m, release, rest, ctx.pool.workers().is_some());
+            walked.record(m, rest, ctx.pool.threads());
             if delays.draws() > 0 {
                 m.add(phases::ENGINE_VARIATION_DRAWS, delays.draws());
             }
@@ -379,9 +383,11 @@ struct Walked {
     level_tasks: Vec<u64>,
     level_quiet: Vec<u64>,
     /// Worker time (profiled runs only) spent writing stimuli, readying
-    /// delay views, closing levels and waiting with nothing to grab.
+    /// delay views, running gate chunks, closing levels and waiting with
+    /// nothing to grab.
     stimuli: Duration,
     delays: Duration,
+    chunks: Duration,
     closes: Duration,
     idle: Duration,
 }
@@ -398,6 +404,7 @@ impl Walked {
             level_quiet: vec![0; depth],
             stimuli: Duration::ZERO,
             delays: Duration::ZERO,
+            chunks: Duration::ZERO,
             closes: Duration::ZERO,
             idle: Duration::ZERO,
         }
@@ -419,16 +426,20 @@ impl Walked {
         }
         self.stimuli += other.stimuli;
         self.delays += other.delays;
+        self.chunks += other.chunks;
         self.closes += other.closes;
         self.idle += other.idle;
     }
 
-    /// Records the batch's instruments. The worker-side phases are worker
-    /// time, so the release's wall time less their sum is what
-    /// `engine/waveform_merge` reports: the phases still add up to the
-    /// launch. `rest` is the caller's draw of the dice's levels no worker
-    /// reached, after the release: delay-kernel time outside it.
-    fn record(&self, m: &avfs_obs::Metrics, release: Duration, rest: Duration, pooled: bool) {
+    /// Records the batch's instruments. The release's phases are worker
+    /// time shared out over its `workers`: each phase's time summed over
+    /// the workers, divided by how many there were. Every worker spends
+    /// its share inside the release, so the shares add up to at most the
+    /// release's wall time — each phase below the launch's — and a phase
+    /// any worker spent time in is nonzero. `rest` is the caller's draw
+    /// of the dice's levels no worker reached, after the release:
+    /// delay-kernel time outside it.
+    fn record(&self, m: &avfs_obs::Metrics, rest: Duration, workers: usize) {
         if self.levels > 0 {
             m.add(phases::ENGINE_LEVELS, self.levels as u64);
             m.add(phases::ENGINE_LANES_GROUPS, self.lane_groups);
@@ -443,15 +454,13 @@ impl Walked {
         if let Some(skipped) = skipped {
             m.add(phases::ENGINE_GATES_SKIPPED_QUIET, skipped);
         }
-        m.record_duration(phases::ENGINE_STIMULI, self.stimuli);
-        m.record_duration(phases::ENGINE_DELAY_KERNEL, self.delays + rest);
-        m.record_duration(phases::ENGINE_BARRIER, self.closes);
-        m.record_duration(
-            phases::ENGINE_WAVEFORM_MERGE,
-            release.saturating_sub(self.stimuli + self.delays + self.closes),
-        );
-        if pooled {
-            m.record_duration(phases::ENGINE_POOL_IDLE, self.idle);
+        let share = |worker_time: Duration| worker_time / workers as u32;
+        m.record_duration(phases::ENGINE_STIMULI, share(self.stimuli));
+        m.record_duration(phases::ENGINE_DELAY_KERNEL, share(self.delays) + rest);
+        m.record_duration(phases::ENGINE_BARRIER, share(self.closes));
+        m.record_duration(phases::ENGINE_WAVEFORM_MERGE, share(self.chunks));
+        if workers > 1 {
+            m.record_duration(phases::ENGINE_POOL_IDLE, share(self.idle));
         }
     }
 }
@@ -594,7 +603,9 @@ impl<'a> Walk<'a> {
             }
             // The owner's cells of the level in one block: only the next
             // level reads them, and the owner opens it.
+            let t = share.clock();
             self.writer.publish(&mut share.scratch);
+            share.walked.chunks += since(t);
             // Acquire: pairs with each chunk's Release `done` increment,
             // so the close sees the level's cells, faults and quiet
             // tallies.
@@ -776,6 +787,7 @@ impl<'a> Walk<'a> {
         owner: bool,
         share: &mut Share<'a>,
     ) {
+        let t = share.clock();
         let group = &self.groups[g];
         let live = group.live.load(Ordering::Relaxed);
         let plan = &self.batch.ctx.compiled.level_plans[level];
@@ -843,6 +855,7 @@ impl<'a> Walk<'a> {
             group.faults.lock().expect("fault lock").extend(faults);
         }
         group.quiet.fetch_add(quiet, Ordering::Relaxed);
+        share.walked.chunks += since(t);
         // Release: pairs with the owner's Acquire wait before the close.
         group.done.fetch_add(gates.len(), Ordering::Release);
     }

@@ -110,8 +110,6 @@ impl CompiledNetlist {
     /// The delay-initialisation routine: `nominal`, the pin delays of
     /// gate `node`, scaled by the kernel factor at `(v_norm, φ_C(load))`
     /// and appended to `out`. Returns how many fell back to nominal.
-    /// Crate-visible so the STA oracle (`crate::sta::scaled_graph`)
-    /// prices every arc with this very routine.
     pub(crate) fn gate_delays(
         &self,
         node: NodeId,
@@ -189,6 +187,29 @@ impl CompiledNetlist {
         }
         lock().insert(key, Arc::clone(&table));
         Ok(table)
+    }
+
+    /// The artifact's cached delay table at supply `voltage`, built on
+    /// first use — what a uniform launch at `voltage` reads, shared with
+    /// the STA oracle (`crate::sta::scaled_graph`) so that both price
+    /// every arc from one table.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Model`] when the delay model rejects the operating
+    /// point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the delay model panicked building the table.
+    pub(crate) fn supply_table(&self, voltage: f64) -> Result<Arc<DelayTable>, SimError> {
+        match self.cached_delay_table(self.v_norm(voltage), None) {
+            Ok(table) => Ok(table),
+            Err(DelayFault::Model(e)) => Err(e),
+            Err(DelayFault::Panicked) => {
+                panic!("the delay model panicked scaling the delays at {voltage} V")
+            }
+        }
     }
 }
 

@@ -380,6 +380,47 @@ fn lane_width_validation() {
         assert_eq!(got.slots, scalar.slots, "lanes={lanes}");
         assert_eq!(got.diagnostics, scalar.diagnostics, "lanes={lanes}");
     }
+
+    // The default widens per batch: 144 slots at 2 workers is the widest
+    // width that leaves each worker two whole groups — 32, five groups of
+    // 32, 32, 32, 32 and 16 — in one batch cut in groups of 8.
+    let defaults = SimOptions::default();
+    assert_eq!(defaults.batch_lanes(144, 2), 32);
+    assert_eq!(defaults.batch_lanes(48, 2), 8, "never below 8");
+    assert_eq!(defaults.batch_lanes(144, 1), 64);
+    assert_eq!(
+        SimOptions {
+            lanes: 4,
+            ..defaults
+        }
+        .batch_lanes(144, 2),
+        4
+    );
+    let adder = Arc::new(avfs_circuits::ripple_carry_adder(64, &lib).unwrap());
+    let engine = static_engine(&adder, 6.0, 7.0);
+    let patterns = PatternSet::random(adder.inputs().len(), 48, 11);
+    let slots = cross(patterns.len(), &[0.6, 0.8, 1.0]);
+    let run = |lanes| {
+        let opts = SimOptions {
+            lanes,
+            threads: 2,
+            keep_waveforms: true,
+            profiling: true,
+            ..SimOptions::default()
+        };
+        engine.launch(&patterns, &slots, &opts).unwrap()
+    };
+    let (wide, scalar) = (run(0), run(1));
+    assert_eq!(wide.slots, scalar.slots);
+    assert_eq!(wide.diagnostics, scalar.diagnostics);
+    let profile = wide.profile.as_ref().unwrap();
+    assert_eq!(profile.counter(phases::ENGINE_BATCHES), Some(1));
+    let levels = profile.counter(phases::ENGINE_LEVELS).unwrap();
+    assert_eq!(
+        profile.counter(phases::ENGINE_LANES_GROUPS),
+        Some(5 * levels),
+        "every one of the five lane groups walks every level"
+    );
 }
 
 #[test]

@@ -2,9 +2,13 @@
 //! [`SimOptions::profiling`](crate::SimOptions::profiling) is enabled.
 //!
 //! Phase durations are nanoseconds: wall clock on the coordinator for
-//! the phases around a batch's pool release, and worker time — summed
-//! over workers, folded in once per batch — for the parts of a release
-//! that run on the workers. Timing reads clocks and nothing else, and
+//! the phases around a batch's pool release, and for the parts of a
+//! release that run on the workers, *worker time shared out over the
+//! release*: each worker times its own share, and a batch records the
+//! sum over the release's workers divided by their number. Every worker
+//! spends its time inside the release, so the shares of one release —
+//! its phases and [`ENGINE_POOL_IDLE`] — add up to at most its wall
+//! time, and a phase that any worker spent time in is nonzero. Timing reads clocks and nothing else, and
 //! every count a worker keeps is a sum or a maximum folded in once per
 //! batch, so profiling cannot perturb the deterministic results. Tests
 //! and report tooling
@@ -17,7 +21,7 @@ pub const ENGINE_RUN: &str = "engine/run";
 
 /// Level 0 of each batch: expanding pattern pairs into stimuli
 /// waveforms, written by each lane group's owner before it opens the
-/// group's first level. Worker time, one call per batch.
+/// group's first level. Worker time, shared out; one call per batch.
 pub const ENGINE_STIMULI: &str = "engine/stimuli";
 
 /// Delay initialisation (paper Sec. IV.A): per batch, binding every
@@ -28,32 +32,36 @@ pub const ENGINE_STIMULI: &str = "engine/stimuli";
 /// made by whichever worker opens the level first, and the Monte Carlo
 /// draws (one per die per level, shared by every group of that die),
 /// each worker that opens an undrawn level drawing the die's next
-/// unclaimed one until its own is drawn — as worker time, plus the
+/// unclaimed one until its own is drawn — as worker time, shared out,
+/// plus the
 /// coordinator's draw, after the release, of the levels of opened dice
 /// that no worker reached. Two calls per batch.
 pub const ENGINE_DELAY_KERNEL: &str = "engine/delay_kernel";
 
-/// Gate evaluation: the batch's pool release — every lane group's
+/// Gate evaluation: inside the batch's pool release, every lane group's
 /// (gate × live lane) tasks, walked level by level by the group's owner
 /// and shared with idle workers by work stealing; per task the lanes
 /// whose quiet fan-ins fix the output resolve to constants (activity
-/// gating), the rest merge their switching fan-ins, and each stolen
-/// chunk's outputs are published as one block into disjoint arena cells. The release's wall
-/// time less the worker time of [`ENGINE_STIMULI`], the release's share
-/// of [`ENGINE_DELAY_KERNEL`] and [`ENGINE_BARRIER`], which run inside
-/// it, so the phases still sum to the launch. One call per batch.
+/// gating), the rest merge their switching fan-ins, and each chunk's
+/// outputs are published as one block into the lane group's arena
+/// region. Worker time, measured where the chunks run and shared out
+/// like [`ENGINE_STIMULI`], the release's share of
+/// [`ENGINE_DELAY_KERNEL`] and [`ENGINE_BARRIER`], so a run with a gate
+/// task reports a nonzero time however loaded its host. One call per
+/// batch.
 pub const ENGINE_WAVEFORM_MERGE: &str = "engine/waveform_merge";
 
 /// Level closes: per lane group and level, once its tasks are done —
 /// applying the fault verdicts and copying primary-output passthrough
-/// cells. Worker time of the groups' owners, one call per batch.
+/// cells. Worker time of the groups' owners, shared out; one call per
+/// batch.
 pub const ENGINE_BARRIER: &str = "engine/barrier";
 
 /// Worker time spent waiting inside a batch's release with nothing to
 /// grab — an owner waiting for helpers to finish its level, a helper
-/// waiting for a level to open — summed over workers. Recorded once per
-/// batch of a pooled run (never at `threads = 1`), nested inside
-/// [`ENGINE_WAVEFORM_MERGE`], so it is *not* part of [`ENGINE_PHASES`].
+/// waiting for a level to open — shared out like the phases. Recorded once per
+/// batch of a pooled run (never at `threads = 1`); it is no engine
+/// phase's work, so it is *not* part of [`ENGINE_PHASES`].
 pub const ENGINE_POOL_IDLE: &str = "engine/pool_idle";
 
 /// Per-batch waveform analysis (Fig. 2 step 4): output responses and

@@ -185,7 +185,7 @@ impl std::fmt::Debug for WorkerPool {
 /// parallelism.
 pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        avfs_obs::host::available_parallelism()
     } else {
         threads
     }

@@ -9,11 +9,11 @@
 //!   delay at every gate.
 //! * [`analyze`] / [`crosscheck`] — the per-pin-transition oracle from
 //!   `avfs-sta`, run over the *voltage-scaled* delay matrix of one
-//!   operating point. [`scaled_graph`] derives that matrix by calling
-//!   the engine's own delay-initialisation routine, so the oracle's
-//!   bound and the simulator's arrivals rest on one shared delay matrix
-//!   — the premise of the bitwise `sim ≤ sta` argument in `avfs-sta`'s
-//!   crate docs.
+//!   operating point. [`scaled_graph`] reads that matrix from the
+//!   artifact's cached per-supply delay table, the one a launch at the
+//!   supply reads, so the oracle's bound and the simulator's arrivals
+//!   rest on one shared delay matrix — the premise of the bitwise
+//!   `sim ≤ sta` argument in `avfs-sta`'s crate docs.
 //!
 //! The cross-check compares a finished uniform-voltage [`SimRun`]
 //! against the bound per supply voltage and renders the `AVC-T` finding
@@ -89,14 +89,17 @@ pub fn longest_path(
 }
 
 /// Builds the per-pin-transition [`TimingGraph`] of one compiled
-/// artifact at one supply voltage. Every gate's delays come from the
-/// engine's own delay-initialisation routine (`gate_delays` at the
-/// supply's normalized `v_norm`) — same normalized point, same
-/// polarity-split factors, same non-finite fallback guard — so a graph
-/// built here and a simulator launch at the same voltage price every
-/// arc bit-identically. Non-gate nodes keep their nominal annotation
-/// delays (zero for the repo's annotations: the simulator copies
-/// primary outputs at zero cost).
+/// artifact at one supply voltage. Every gate's delays are read from the
+/// artifact's cached delay table at the supply — built, on first use, by
+/// the engine's own delay-initialisation routine (`gate_delays` at the
+/// supply's normalized `v_norm`: same normalized point, same
+/// polarity-split factors, same non-finite fallback guard) and read
+/// verbatim by every uniform launch at that voltage — so a graph built
+/// here and a simulator launch at the same voltage price every arc
+/// bit-identically, and a supply a launch already priced is not priced
+/// again. Non-gate nodes keep their nominal annotation delays (zero for
+/// the repo's annotations: the simulator copies primary outputs at zero
+/// cost).
 ///
 /// Only the supply axis is taken from `voltage`; the load axis is the
 /// artifact's per-node normalized value, exactly as in a launch.
@@ -105,19 +108,20 @@ pub fn longest_path(
 ///
 /// [`SimError::Model`] when the delay model rejects the operating point.
 pub fn scaled_graph(compiled: &CompiledNetlist, voltage: f64) -> Result<TimingGraph<'_>, SimError> {
-    let v_norm = compiled.v_norm(voltage);
-    let mut delays: Vec<Vec<PinDelays>> = Vec::with_capacity(compiled.netlist.num_nodes());
-    for (id, node) in compiled.netlist.iter() {
-        let nominal = compiled.annotation.node_delays(id);
-        let pins = match node.kind() {
-            NodeKind::Gate(_) => {
-                let mut buf = Vec::with_capacity(nominal.len());
-                compiled.gate_delays(id, nominal, v_norm, &mut buf)?;
-                buf
-            }
-            _ => nominal.to_vec(),
-        };
-        delays.push(pins);
+    let table = compiled.supply_table(voltage)?;
+    let mut delays: Vec<Vec<PinDelays>> = compiled
+        .netlist
+        .iter()
+        .map(|(id, node)| match node.kind() {
+            NodeKind::Gate(_) => Vec::new(),
+            _ => compiled.annotation.node_delays(id).to_vec(),
+        })
+        .collect();
+    for (plan, scaled) in compiled.level_plans.iter().zip(&table.per_level) {
+        for (pos, node) in plan.gate_nodes.iter().enumerate() {
+            let pins = plan.gate_offsets[pos]..plan.gate_offsets[pos + 1];
+            delays[node.index()] = scaled[pins].to_vec();
+        }
     }
     Ok(
         TimingGraph::new(&compiled.netlist, &compiled.levels, delays)
@@ -367,6 +371,30 @@ mod tests {
         // At two sweep voltages the oracle bound must dominate every
         // simulated arrival — bitwise, per the shared-matrix argument.
         for &v in &[0.55, 0.8] {
+            // The graph read from the cached table is the
+            // delay-initialisation routine's output, bit for bit.
+            let graph = scaled_graph(&compiled, v).unwrap();
+            for (id, node) in compiled.netlist().iter() {
+                let nominal = compiled.annotation.node_delays(id);
+                let mut want = Vec::new();
+                if matches!(node.kind(), NodeKind::Gate(_)) {
+                    compiled
+                        .gate_delays(id, nominal, compiled.v_norm(v), &mut want)
+                        .unwrap();
+                } else {
+                    want.extend_from_slice(nominal);
+                }
+                let bits = |d: &[PinDelays]| -> Vec<(u64, u64)> {
+                    d.iter()
+                        .map(|p| (p.rise.to_bits(), p.fall.to_bits()))
+                        .collect()
+                };
+                assert_eq!(
+                    bits(graph.node_delays(id)),
+                    bits(&want),
+                    "{v} V node {id:?}"
+                );
+            }
             let report = analyze(&compiled, &OperatingPoint::new(v, 1.0)).unwrap();
             assert!(report.latest_arrival_ps.is_finite());
             let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 8, 11);

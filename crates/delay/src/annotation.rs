@@ -13,10 +13,13 @@ use avfs_waveform::PinDelays;
 /// netlist. Times are picoseconds, loads fF.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimingAnnotation {
-    /// `delays[node][pin]` — one rise/fall pair per input pin. Inputs have
-    /// no pins; outputs have exactly one (their observation edge, zero by
-    /// default).
-    delays: Vec<Vec<PinDelays>>,
+    /// Every node's pin delays end to end, node by node: one rise/fall
+    /// pair per input pin. Inputs have no pins; outputs have exactly one
+    /// (their observation edge, zero by default).
+    delays: Vec<PinDelays>,
+    /// Node `i`'s pins are `delays[offsets[i]..offsets[i + 1]]`: one
+    /// entry per node plus the end.
+    offsets: Vec<usize>,
     /// Output-net load per node, fF.
     loads_ff: Vec<f64>,
 }
@@ -25,15 +28,24 @@ impl TimingAnnotation {
     /// Creates a zero-delay annotation shaped like `netlist`, with loads
     /// from [`Netlist::load_caps_ff`].
     pub fn zero(netlist: &Netlist) -> TimingAnnotation {
-        let delays = netlist
-            .nodes()
-            .iter()
-            .map(|node| vec![PinDelays::default(); node.fanin().len()])
-            .collect();
+        let offsets = Self::offsets(netlist.nodes().iter().map(|node| node.fanin().len()));
         TimingAnnotation {
-            delays,
+            delays: vec![PinDelays::default(); offsets[offsets.len() - 1]],
+            offsets,
             loads_ff: netlist.load_caps_ff(),
         }
+    }
+
+    /// The running sums of per-node pin counts, starting at 0.
+    fn offsets(pins: impl ExactSizeIterator<Item = usize>) -> Vec<usize> {
+        let mut offsets = Vec::with_capacity(pins.len() + 1);
+        offsets.push(0);
+        let mut end = 0;
+        offsets.extend(pins.map(|n| {
+            end += n;
+            end
+        }));
+        offsets
     }
 
     /// Creates an annotation from explicit parts.
@@ -43,7 +55,17 @@ impl TimingAnnotation {
     /// Panics if the shapes disagree with each other.
     pub fn from_parts(delays: Vec<Vec<PinDelays>>, loads_ff: Vec<f64>) -> TimingAnnotation {
         assert_eq!(delays.len(), loads_ff.len(), "annotation shape mismatch");
-        TimingAnnotation { delays, loads_ff }
+        TimingAnnotation {
+            offsets: Self::offsets(delays.iter().map(Vec::len)),
+            delays: delays.concat(),
+            loads_ff,
+        }
+    }
+
+    /// Node `i`'s span of `delays`.
+    #[inline]
+    fn pins(&self, i: usize) -> std::ops::Range<usize> {
+        self.offsets[i]..self.offsets[i + 1]
     }
 
     /// A deterministic 64-bit hash of the annotation's content: every
@@ -53,8 +75,9 @@ impl TimingAnnotation {
     /// netlist at different corners hash differently.
     pub fn content_hash(&self) -> u64 {
         let mut h = avfs_netlist::hash::Fnv1a::new();
-        h.write_usize(self.delays.len());
-        for pins in &self.delays {
+        h.write_usize(self.len());
+        for i in 0..self.len() {
+            let pins = &self.delays[self.pins(i)];
             h.write_usize(pins.len());
             for d in pins {
                 h.write_f64(d.rise);
@@ -69,12 +92,12 @@ impl TimingAnnotation {
 
     /// Number of annotated nodes.
     pub fn len(&self) -> usize {
-        self.delays.len()
+        self.loads_ff.len()
     }
 
     /// `true` if the annotation covers no nodes.
     pub fn is_empty(&self) -> bool {
-        self.delays.is_empty()
+        self.loads_ff.is_empty()
     }
 
     /// The nominal rise/fall delays from input `pin` of `node` to its
@@ -85,7 +108,7 @@ impl TimingAnnotation {
     /// Panics if `node` or `pin` is out of range.
     #[inline]
     pub fn pin_delays(&self, node: NodeId, pin: usize) -> PinDelays {
-        self.delays[node.index()][pin]
+        self.node_delays(node)[pin]
     }
 
     /// All pin delays of one node.
@@ -95,7 +118,7 @@ impl TimingAnnotation {
     /// Panics if `node` is out of range.
     #[inline]
     pub fn node_delays(&self, node: NodeId) -> &[PinDelays] {
-        &self.delays[node.index()]
+        &self.delays[self.pins(node.index())]
     }
 
     /// Mutable access for annotators (SDF parser, characterization).
@@ -104,7 +127,8 @@ impl TimingAnnotation {
     ///
     /// Panics if `node` is out of range.
     pub fn node_delays_mut(&mut self, node: NodeId) -> &mut [PinDelays] {
-        &mut self.delays[node.index()]
+        let pins = self.pins(node.index());
+        &mut self.delays[pins]
     }
 
     /// The load on the node's output net, fF.
@@ -129,10 +153,10 @@ impl TimingAnnotation {
     /// Verifies the annotation covers `netlist` exactly: one entry per
     /// node, one pin pair per fan-in.
     pub fn matches(&self, netlist: &Netlist) -> bool {
-        self.delays.len() == netlist.num_nodes()
+        self.len() == netlist.num_nodes()
             && netlist
                 .iter()
-                .all(|(id, node)| self.delays[id.index()].len() == node.fanin().len())
+                .all(|(id, node)| self.node_delays(id).len() == node.fanin().len())
     }
 }
 

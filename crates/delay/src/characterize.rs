@@ -22,7 +22,6 @@ use avfs_regression::poly::eval_horner_lattice;
 use avfs_regression::{DataGrid, ErrorStats, PolyBasis, RegressionError, SeparableFit};
 use avfs_spice::{SweepConfig, SweepPlan, Technology};
 use avfs_waveform::PinDelays;
-use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// Configuration of the characterization flow.
@@ -707,7 +706,7 @@ pub fn characterize_library_metered(
     cells: Option<&[CellId]>,
     metrics: Option<&Metrics>,
 ) -> Result<CharacterizedLibrary, DelayError> {
-    let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let workers = avfs_obs::host::available_parallelism();
     characterize_on(workers, library, tech, config, cells, metrics)
 }
 

@@ -26,6 +26,8 @@
 //!   ([`Metrics::snapshot`]): plain data with a human-readable
 //!   [`Display`](std::fmt::Display) rendering and a JSON round-trip
 //!   ([`Profile::to_json`] / [`Profile::from_json`]).
+//! * [`host::available_parallelism`] — the host's worker count, read
+//!   once per process for every thread pool of the workspace.
 //! * [`json`] — a minimal self-contained JSON value type (emit + parse)
 //!   used for the schema-versioned reports (`avfs-profile/1`,
 //!   `avfs-check/1`, `avfs-chaos/1`).
@@ -60,6 +62,7 @@
 #![warn(missing_docs)]
 
 pub mod histogram;
+pub mod host;
 pub mod json;
 pub mod metrics;
 pub mod profile;

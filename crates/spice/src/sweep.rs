@@ -15,7 +15,7 @@
 //!    load, the symmetric pins of a cell — so the plan is one ordered list
 //!    of *distinct* stages.
 //! 2. **Integrate.** [`SweepPlan::run`] integrates that list on
-//!    [`std::thread::available_parallelism`] scoped workers, the calling
+//!    [`avfs_obs::host::available_parallelism`] scoped workers, the calling
 //!    thread one of them. Each worker runs the transient lane kernel:
 //!    eight stages in lockstep, and a lane whose stage is done claims the
 //!    next index from one atomic cursor and writes the outcome into that
@@ -37,7 +37,6 @@ use crate::transient::{integrate_lanes, Stage, StageFeed, LANES};
 use crate::SpiceError;
 use avfs_netlist::library::{Cell, Polarity};
 use std::collections::HashMap;
-use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -340,7 +339,7 @@ impl<'a> SweepPlan<'a> {
         metrics: Option<&avfs_obs::Metrics>,
         deliver: impl FnMut(usize, Result<DelaySurface, SpiceError>) -> Result<(), E>,
     ) -> Result<(), E> {
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let workers = avfs_obs::host::available_parallelism();
         self.run_on(workers, metrics, deliver)
     }
 
@@ -921,7 +920,7 @@ mod tests {
         let cfg = SweepConfig::paper();
         let (plan, _) = library_plan(&tech, &lib, &cfg);
         assert_eq!(plan.stages.len(), 27_144);
-        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let workers = avfs_obs::host::available_parallelism();
         let tech = &tech;
         std::thread::scope(|scope| {
             for chunk in plan.stages.chunks(plan.stages.len().div_ceil(workers)) {

@@ -14,14 +14,20 @@
 //! # Storage
 //!
 //! The arena *reserves* the worst case — `entries × capacity`
-//! transitions in one `times` lane — and stores what is written packed
-//! end to end: entry `i` occupies `times[off[i]..][..len[i]]`, appended
-//! behind a bump cursor that [`WaveformArena::reset`] rewinds. No cell
-//! may exceed `capacity` and every cell is written at most once between
-//! resets, so the written total never exceeds the reservation and
-//! running out is impossible by construction; what is *resident* is what
-//! was written (the reservation's other pages are never touched), and a
-//! constant cell costs no `times` storage at all.
+//! transitions in one `times` lane — and splits it into *regions*, one
+//! per run of `region` consecutive entries ([`WaveformArena::reset`]
+//! sets `region`; the engine passes a lane group's cell count, so each
+//! lane group owns one region, as the GPU algorithm gives each
+//! `(slot, net)` cell a buffer of its own). Region `r` holds entries
+//! `r·region ..` and owns the `times` span `r·region·capacity ..`, one
+//! `capacity` per entry; what is written is stored packed end to end
+//! behind the region's own bump cursor: entry `i` occupies
+//! `times[off[i]..][..len[i]]`. No cell may exceed `capacity` and every
+//! cell is written at most once between resets, so what a region's
+//! cells write never exceeds the region's span — running out is
+//! impossible by construction, region by region, with no slack; what is
+//! *resident* is what was written (the reservation's other pages are
+//! never touched), and a constant cell costs no `times` storage at all.
 //!
 //! # Concurrent access
 //!
@@ -34,10 +40,12 @@
 //! exclusive, so scattered work-stealing schedules (where the set of
 //! written cells is disjoint but not contiguous) can write in place
 //! concurrently. A worker collects finished cells in its [`GateScratch`]
-//! and publishes them a block at a time: one `fetch_add` on the cursor
-//! reserves the block's span of `times`, one copy fills it, one
-//! `fetch_or` per claim word the block touches wins its cells, and each
-//! cell's `off`/`len`/`initial` are stored once its claim is won.
+//! and publishes them a block at a time — every cell of a block lies in
+//! one region: one `fetch_add` on that region's cursor reserves the
+//! block's span of `times`, one copy fills it, one `fetch_or` per claim
+//! word the block touches wins its cells, and each cell's
+//! `off`/`len`/`initial` are stored once its claim is won. Workers on
+//! different regions share no cursor and fill disjoint parts of `times`.
 
 use crate::{CapacityOverflow, GateScratch, Waveform, WaveformRead, WaveformStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -62,9 +70,19 @@ const HEAP_LANE_BYTES: usize = 128 << 10;
 /// resident — and other allocators see one larger request.
 const MAPPED_LANE_BYTES: usize = (32 << 20) + 1;
 
+/// One region's bump cursor: the first unwritten element of `times` in
+/// the region's span. Atomic so that the publishers of one region (a
+/// lane group's owner and its helpers) reserve disjoint spans, and on
+/// cache lines of its own so that two regions' publishers never touch a
+/// shared one.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Cursor(AtomicUsize);
+
 /// Flat bounded storage for a batch of waveforms.
 ///
-/// Entry `i` occupies `times[off[i]..][..len[i]]` (see the module docs);
+/// Entry `i` occupies `times[off[i]..][..len[i]]`, inside its region's
+/// span (see the module docs);
 /// the engine maps `(slot, net)` to entries through
 /// [`crate::LaneLayout`]. The default arena is empty and owns no storage
 /// — what a long-lived owner holds until the first
@@ -78,14 +96,14 @@ pub struct WaveformArena {
     /// entry with `len > 0`; what an empty entry holds is stale.
     off: Vec<u32>,
     /// The whole allocation, zero-initialised and never resized: only
-    /// the first `reserved` elements belong to the current shape, and
-    /// only the first `used` of those were ever written.
+    /// the first `entries × capacity` elements — the reservation —
+    /// belong to the current shape, and of region `r`'s span only what
+    /// lies below `cursors[r]` was ever written.
     times: Vec<f64>,
-    /// `entries × capacity`, the worst case of the current shape.
-    reserved: usize,
-    /// The bump cursor: first unwritten element of `times`. Atomic so
-    /// concurrent publishers can reserve disjoint spans.
-    used: AtomicUsize,
+    /// Entries per region (at least 1), set by [`Self::reset`].
+    region: usize,
+    /// One cursor per region: `entries.div_ceil(region)` of them.
+    cursors: Vec<Cursor>,
     /// One claim bit per entry (64 per word): set by the entry's one
     /// write, cleared by [`Self::reset`]. The word width matches the lane-group
     /// width of [`crate::LaneLayout`], so a full lane run's claims live in
@@ -105,8 +123,12 @@ impl Clone for WaveformArena {
             len: self.len.clone(),
             off: self.off.clone(),
             times: self.times.clone(),
-            reserved: self.reserved,
-            used: AtomicUsize::new(self.used.load(Ordering::Relaxed)),
+            region: self.region,
+            cursors: self
+                .cursors
+                .iter()
+                .map(|c| Cursor(AtomicUsize::new(c.0.load(Ordering::Relaxed))))
+                .collect(),
             claims: self
                 .claims
                 .iter()
@@ -159,7 +181,8 @@ impl WaveformArena {
     }
 
     /// Allocates an arena of `entries` waveforms with room for `capacity`
-    /// transitions each. All entries start as constant-low signals.
+    /// transitions each, as one region. All entries start as
+    /// constant-low signals.
     ///
     /// # Panics
     ///
@@ -171,19 +194,21 @@ impl WaveformArena {
         } else {
             reserved.max(MAPPED_LANE_BYTES.div_ceil(std::mem::size_of::<f64>()))
         };
-        WaveformArena {
+        let mut arena = WaveformArena {
             capacity,
             initial: vec![false; entries],
             len: vec![0; entries],
             off: vec![0; entries],
             times: vec![0.0; allocated],
-            reserved,
-            used: AtomicUsize::new(0),
+            region: 1,
+            cursors: Vec::new(),
             claims: (0..entries.div_ceil(64))
                 .map(|_| AtomicU64::new(0))
                 .collect(),
             peak: AtomicUsize::new(0),
-        }
+        };
+        arena.partition(entries);
+        arena
     }
 
     /// Number of waveform entries.
@@ -197,15 +222,31 @@ impl WaveformArena {
     }
 
     /// Resets every entry to an unwritten constant-low signal — its
-    /// claim cleared, so it may be written once more — and rewinds the
-    /// storage cursor (storage is retained; the peak-occupancy watermark
-    /// is kept for diagnostics).
-    pub fn reset(&mut self) {
+    /// claim cleared, so it may be written once more — and splits the
+    /// storage into regions of `region` consecutive entries (the last
+    /// may hold fewer; 0 counts as 1, and more than the arena's entries
+    /// as one region), each with its cursor rewound to the start of its
+    /// span. Every block a [`LevelWriter`] publishes
+    /// must lie in one region. Storage is retained; the peak-occupancy
+    /// watermark is kept for diagnostics.
+    pub fn reset(&mut self, region: usize) {
         self.initial.fill(false);
         self.len.fill(0);
-        *self.used.get_mut() = 0;
         for word in &mut self.claims {
             *word.get_mut() = 0;
+        }
+        self.partition(region);
+    }
+
+    /// Splits the storage into regions of `region` entries (clamped to
+    /// `1 ..= entries`), every cursor at the start of its region's span.
+    fn partition(&mut self, region: usize) {
+        self.region = region.clamp(1, self.entries().max(1));
+        let regions = self.entries().div_ceil(self.region);
+        self.cursors.resize_with(regions, Cursor::default);
+        let span = self.region * self.capacity;
+        for (r, cursor) in self.cursors.iter_mut().enumerate() {
+            *cursor.0.get_mut() = r * span;
         }
     }
 
@@ -219,8 +260,9 @@ impl WaveformArena {
     /// fresh one. Returns whether it had to allocate.
     ///
     /// Cells are valid but stale afterwards (a changed shape leaves them
-    /// constant-low, an unchanged one leaves them as they were): call
-    /// [`Self::reset`] before use, as after any earlier batch.
+    /// constant-low, one region, an unchanged one leaves them as they
+    /// were): call [`Self::reset`] before use, as after any earlier
+    /// batch.
     ///
     /// # Panics
     ///
@@ -239,14 +281,13 @@ impl WaveformArena {
             return true;
         }
         self.capacity = capacity;
-        self.reserved = reserved;
         self.initial.resize(entries, false);
         self.len.resize(entries, 0);
         self.off.resize(entries, 0);
         self.claims
             .resize_with(entries.div_ceil(64), || AtomicU64::new(0));
         // Old spans are meaningless under the new shape.
-        self.reset();
+        self.reset(entries);
         false
     }
 
@@ -296,12 +337,12 @@ impl WaveformArena {
         LevelWriter {
             capacity: self.capacity,
             entries,
-            reserved: self.reserved,
+            region: self.region,
             initial: self.initial.as_mut_ptr(),
             len: self.len.as_mut_ptr(),
             off: self.off.as_mut_ptr(),
             times: self.times.as_mut_ptr(),
-            used: &self.used,
+            cursors: &self.cursors,
             claims: &self.claims,
             peak: &self.peak,
             _arena: std::marker::PhantomData,
@@ -333,11 +374,12 @@ pub(crate) struct StagedCell {
 ///   cell panics instead of racing.
 /// * Transitions reach the arena a block at a time
 ///   ([`LevelWriter::stage`] or [`LevelWriter::stage_edge`], then
-///   [`LevelWriter::publish`]): the publisher reserves a span of the
-///   packed `times` lane with one `fetch_add` on the storage cursor, so
-///   concurrent publishers fill disjoint spans, and a cell's
-///   `off`/`len`/`initial` are stored only after its claim is won. An
-///   output that is never staged reserves nothing.
+///   [`LevelWriter::publish`]), every cell of a block in one region
+///   (see [`WaveformArena::reset`]): the publisher reserves a span of
+///   the region's packed part of `times` with one `fetch_add` on the
+///   region's cursor, so concurrent publishers fill disjoint spans, and
+///   a cell's `off`/`len`/`initial` are stored only after its claim is
+///   won. An output that is never staged reserves nothing.
 /// * Reads ([`LevelWriter::view`], [`LevelWriter::copy_cell`]'s source
 ///   and the lane-run form [`LevelWriter::read_run`], whose
 ///   [`WrittenRun::view`]s it checked once) must target cells **already written
@@ -356,13 +398,14 @@ pub(crate) struct StagedCell {
 pub struct LevelWriter<'a> {
     capacity: usize,
     entries: usize,
-    /// `entries × capacity`: the part of `times` a span may lie in.
-    reserved: usize,
+    /// Entries per region: region `r` holds cells `r·region ..` and the
+    /// `times` span `r·region·capacity ..`, one `capacity` per cell.
+    region: usize,
     initial: *mut bool,
     len: *mut u32,
     off: *mut u32,
     times: *mut f64,
-    used: &'a AtomicUsize,
+    cursors: &'a [Cursor],
     claims: &'a [AtomicU64],
     peak: &'a AtomicUsize,
     _arena: std::marker::PhantomData<&'a mut WaveformArena>,
@@ -378,18 +421,17 @@ impl std::fmt::Debug for LevelWriter<'_> {
 }
 
 // SAFETY: all mutation goes through the per-cell claim protocol (one
-// exclusive winner per cell per batch) and the cursor reservation (one
-// exclusive span of `times` per published block); reads are
-// claim-checked. The raw pointers are valid for the arena borrow 'a.
+// exclusive winner per cell per batch) and the region cursors'
+// reservation (one exclusive span of `times` per published block); reads
+// are claim-checked. The raw pointers are valid for the arena borrow 'a.
 unsafe impl Send for LevelWriter<'_> {}
 // SAFETY: shared references only permit protocol-mediated access (same
 // argument as Send above): `publish`/`write_constant_run`/`copy_cell`
 // first win the per-cell atomic claim, `publish` copies only into the
-// span its own `fetch_add` reserved, and `view`/`read_run`/`copy_cell`
-// (and the views of a `WrittenRun`) read only cells whose claim is
-// already set —
-// cells no one writes again before the next reset — so `&LevelWriter`
-// is safe to share.
+// span its own `fetch_add` on its region's cursor reserved, and
+// `view`/`read_run`/`copy_cell` (and the views of a `WrittenRun`) read
+// only cells whose claim is already set — cells no one writes again
+// before the next reset — so `&LevelWriter` is safe to share.
 unsafe impl Sync for LevelWriter<'_> {}
 
 /// A lane run whose masked cells [`LevelWriter::read_run`] found written:
@@ -552,8 +594,8 @@ impl LevelWriter<'_> {
         // levelization contract), and nothing writes it again before the
         // next reset, so the plain reads cannot race. A non-empty cell's
         // span was stored by `publish` or `copy_cell`, which keep
-        // `off + len` within `reserved`, and no publisher writes below the
-        // cursor it reserved from.
+        // `off + len` within a region's span of the reservation, and no
+        // publisher writes below the cursor it reserved from.
         unsafe { self.view_unchecked(idx) }
     }
 
@@ -764,11 +806,11 @@ impl LevelWriter<'_> {
 
     /// Moves every cell staged in `scratch` into the arena and empties
     /// the scratch: the block's cells are gathered into claim words (a
-    /// cell staged twice panics here, before any claim goes out), one
-    /// `fetch_add` on the storage cursor reserves the block's span of
-    /// `times`, one copy fills it, one `fetch_or` per claim word wins the
-    /// block's cells of that word, and each cell's `off`/`len`/`initial`
-    /// are stored. A gate's lanes are consecutive cells of one run, so a
+    /// cell staged twice, or a block that leaves its first cell's region,
+    /// panics here, before any claim goes out), one `fetch_add` on the
+    /// region's cursor reserves the block's span of `times`, one copy
+    /// fills it, one `fetch_or` per claim word wins the block's cells of
+    /// that word, and each cell's `off`/`len`/`initial` are stored. A gate's lanes are consecutive cells of one run, so a
     /// lane group's outputs cost one atomic operation, not one per lane.
     /// The arena's peak-occupancy watermark is *not* touched — one shared
     /// cache line per gate written is what this path avoids; the caller
@@ -777,18 +819,26 @@ impl LevelWriter<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if a cell was staged twice or was already written, or if the
-    /// block does not fit the arena's reservation — which takes a cell
-    /// rewritten without a [`WaveformArena::reset`] in between.
+    /// Panics if a cell was staged twice or was already written, if the
+    /// block holds cells of two regions, or if the block does not fit
+    /// its region's span — which takes a cell rewritten without a
+    /// [`WaveformArena::reset`] in between.
     pub fn publish(&self, scratch: &mut GateScratch) {
         let total = scratch.staged_len;
-        if scratch.staged.is_empty() {
+        let Some(first) = scratch.staged.first() else {
             scratch.sched.clear();
             return;
-        }
+        };
+        let r = first.idx / self.region;
+        let cells = r * self.region..((r + 1) * self.region).min(self.entries);
         let words = &mut scratch.claim_words;
         words.clear();
         for cell in &scratch.staged {
+            assert!(
+                cells.contains(&cell.idx),
+                "arena cell {} published in a block of region {r} (cells {cells:?})",
+                cell.idx
+            );
             let (word, bit) = (cell.idx / 64, 1u64 << (cell.idx % 64));
             match words.last_mut() {
                 Some((last, bits)) if *last == word => {
@@ -824,19 +874,27 @@ impl LevelWriter<'_> {
         // other write does — through the synchronization that orders a
         // level's tasks after the ones before it, or the end of the
         // writer's borrow.
-        let start = self.used.fetch_add(total, Ordering::Relaxed);
+        let start = self.cursors[r].0.fetch_add(total, Ordering::Relaxed);
+        // Region `r`'s span ends where its cells' share of the
+        // reservation does. Each of its cells is written at most once
+        // between resets with at most `capacity` transitions, so the
+        // region's blocks fill at most exactly its span: only a cell
+        // rewritten without a reset can fail this.
         assert!(
             start
                 .checked_add(total)
-                .is_some_and(|end| end <= self.reserved),
-            "arena reservation exhausted: cells rewritten without a reset"
+                .is_some_and(|end| end <= cells.end * self.capacity),
+            "arena region {r} exhausted: cells rewritten without a reset"
         );
-        // SAFETY: `start .. start + total` lies inside the `reserved`
-        // elements of `times` (asserted above) and was handed to this
-        // caller alone by the `fetch_add`; no view can reach it, because
-        // every stored span ends at or below a cursor value observed
-        // before this reservation. `sched` holds at least `staged_len`
-        // initialised elements.
+        // SAFETY: `start .. start + total` lies inside region `r`'s span
+        // (asserted above), which lies inside the reservation's
+        // `entries × capacity` elements of `times`, and was handed to
+        // this caller alone by the `fetch_add` on the region's cursor:
+        // every other block reserves either from another region's span
+        // or from this cursor. No view can reach it, because every stored
+        // span ends at or below a cursor value observed before its
+        // reservation. `sched` holds at least `staged_len` initialised
+        // elements.
         unsafe {
             std::ptr::copy_nonoverlapping(scratch.sched.as_ptr(), self.times.add(start), total);
         }
@@ -856,7 +914,7 @@ impl LevelWriter<'_> {
             // checked by `stage`) above, so it has exclusive write access
             // to the cell's initial/len/off until the next reset. The
             // span `off .. off + len` is the cell's share of the block
-            // copied above and `off < reserved ≤ u32::MAX`.
+            // copied above and `off < entries × capacity ≤ u32::MAX`.
             unsafe {
                 *self.initial.add(cell.idx) = cell.initial;
                 *self.len.add(cell.idx) = cell.len;
@@ -912,6 +970,16 @@ mod tests {
         Ok(())
     }
 
+    /// Transitions written since the last reset, over every region.
+    fn written(arena: &mut WaveformArena) -> usize {
+        let span = arena.region * arena.capacity;
+        let mut total = 0;
+        for (r, cursor) in arena.cursors.iter_mut().enumerate() {
+            total += *cursor.0.get_mut() - r * span;
+        }
+        total
+    }
+
     /// Whether `f` panics.
     fn panics(f: impl FnOnce()) -> bool {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
@@ -951,7 +1019,7 @@ mod tests {
         let mut arena = WaveformArena::new(2, 4);
         let w = Waveform::with_transitions(true, vec![1.0, 2.0]).unwrap();
         write(&mut arena, 1, &w).unwrap();
-        arena.reset();
+        arena.reset(arena.entries());
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
         assert_eq!(arena.peak_occupancy(), 2);
         // The cell is unwritten again: readable through no writer, and
@@ -977,7 +1045,7 @@ mod tests {
             assert_eq!(arena.times.as_ptr(), times, "times lane kept");
             assert_eq!(arena.len.as_ptr(), lens, "len lane kept");
             assert_eq!(arena.peak_occupancy(), 0, "a new watermark per reshape");
-            arena.reset();
+            arena.reset(arena.entries());
             for idx in 0..entries {
                 assert_eq!(arena.to_waveform(idx), Waveform::constant(false));
             }
@@ -1002,7 +1070,7 @@ mod tests {
         assert_eq!(arena.peak_occupancy(), 0);
         // Stale but valid until the caller's reset.
         assert_eq!(arena.to_waveform(1), w);
-        arena.reset();
+        arena.reset(arena.entries());
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
     }
 
@@ -1011,7 +1079,6 @@ mod tests {
         let small = WaveformArena::new(255, 64);
         assert_eq!(small.times.len(), 255 * 64);
         let large = WaveformArena::new(256, 64);
-        assert_eq!(large.reserved, 256 * 64);
         assert!(large.times.len() * 8 >= MAPPED_LANE_BYTES);
         assert!(large.times.iter().all(|&t| t == 0.0));
         let huge = WaveformArena::new(1 << 16, 128);
@@ -1026,7 +1093,7 @@ mod tests {
         for idx in 0..4 {
             write(&mut arena, idx, &full).unwrap();
         }
-        assert_eq!(*arena.used.get_mut(), 4 * 2);
+        assert_eq!(written(&mut arena), 4 * 2);
         // Without a rewind there is no room left for a rewrite ...
         assert!(
             panics(|| {
@@ -1035,14 +1102,14 @@ mod tests {
             "a rewrite past the reservation must panic"
         );
         // ... a reset gives the whole reservation back ...
-        arena.reset();
-        assert_eq!(*arena.used.get_mut(), 0);
+        arena.reset(arena.entries());
+        assert_eq!(written(&mut arena), 0);
         for idx in 0..4 {
             write(&mut arena, idx, &full).unwrap();
         }
         // ... and so does a reshape that changes the shape.
         assert!(!arena.reshape(2, 4));
-        assert_eq!((*arena.used.get_mut(), arena.reserved), (0, 8));
+        assert_eq!(written(&mut arena), 0);
         let wide = Waveform::with_transitions(true, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         write(&mut arena, 0, &wide).unwrap();
         write(&mut arena, 1, &wide).unwrap();
@@ -1061,7 +1128,7 @@ mod tests {
         assert!(arena.reshape(16, 1));
         assert_eq!((arena.entries(), arena.capacity()), (16, 1));
         assert_eq!(arena.peak_occupancy(), 0);
-        arena.reset();
+        arena.reset(arena.entries());
         for idx in 0..16 {
             assert_eq!(arena.to_waveform(idx), Waveform::constant(false));
         }
@@ -1108,7 +1175,7 @@ mod tests {
         assert_eq!(arena.to_waveform(0), w);
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
         // The copy is an alias: it took no storage of its own ...
-        assert_eq!(*arena.used.get_mut(), 2);
+        assert_eq!(written(&mut arena), 2);
         // ... and still reads back after later writers appended theirs.
         for (idx, t) in [(1, 10.0), (3, 11.0)] {
             let writer = arena.level_writer();
@@ -1212,7 +1279,7 @@ mod tests {
             assert_eq!(off, end, "spans are disjoint and gap-free");
             end = off + len;
         }
-        assert_eq!(end, *arena.used.get_mut());
+        assert_eq!(end, written(&mut arena));
         assert_eq!(end, (0..64).map(|idx| idx % 4).sum::<usize>());
     }
 
@@ -1231,7 +1298,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(*arena.used.get_mut(), arena.reserved);
+        assert_eq!(written(&mut arena), 6 * 3);
         for idx in 0..6 {
             assert_eq!(arena.view(idx).transitions(), &full);
         }
@@ -1244,6 +1311,126 @@ mod tests {
             }),
             "a block past the reservation must panic"
         );
+    }
+
+    /// The `(off, len)` spans of region `r`'s non-empty cells, sorted.
+    fn region_spans(arena: &WaveformArena, r: usize) -> Vec<(usize, usize)> {
+        let cells = r * arena.region..((r + 1) * arena.region).min(arena.entries());
+        let mut spans: Vec<_> = cells
+            .filter(|&idx| arena.len[idx] > 0)
+            .map(|idx| (arena.off[idx] as usize, arena.len[idx] as usize))
+            .collect();
+        spans.sort_unstable();
+        spans
+    }
+
+    #[test]
+    fn two_regions_publish_at_once_each_into_its_own_span() {
+        let mut arena = WaveformArena::new(64, 4);
+        arena.reset(32);
+        {
+            let writer = arena.level_writer();
+            let writer = &writer;
+            let start = std::sync::Barrier::new(2);
+            let start = &start;
+            std::thread::scope(|scope| {
+                // Thread `r` writes region `r`'s cells, four to a block.
+                for r in 0..2usize {
+                    scope.spawn(move || {
+                        let mut scratch = GateScratch::new();
+                        start.wait();
+                        for idx in r * 32..(r + 1) * 32 {
+                            scratch.sched.extend(cell_times(idx));
+                            writer.stage(&mut scratch, idx, idx % 2 == 0).unwrap();
+                            if idx % 4 == 3 {
+                                writer.publish(&mut scratch);
+                            }
+                        }
+                    });
+                }
+            });
+        }
+        for idx in 0..64 {
+            assert_eq!(arena.view(idx).transitions(), cell_times(idx));
+        }
+        // Each region's spans tile the start of its own span of `times`,
+        // packed from the region's first element.
+        for r in 0..2 {
+            let mut end = r * 32 * 4;
+            for (off, len) in region_spans(&arena, r) {
+                assert_eq!(off, end, "region {r}: disjoint and gap-free");
+                end = off + len;
+            }
+            let want: usize = (r * 32..(r + 1) * 32).map(|idx| idx % 4).sum();
+            assert_eq!(end, r * 32 * 4 + want, "region {r}");
+            assert!(end <= (r + 1) * 32 * 4, "region {r} stays in its span");
+        }
+    }
+
+    #[test]
+    fn a_region_with_every_cell_at_capacity_fits_exactly() {
+        // Regions of 4 cells over 10: cells 0..4, 4..8 and the tail 8..10.
+        let mut arena = WaveformArena::new(10, 3);
+        arena.reset(4);
+        let full = [1.0, 2.0, 3.0];
+        {
+            let writer = arena.level_writer();
+            let mut scratch = GateScratch::new();
+            for idx in (4..10).chain(0..4) {
+                scratch.sched.extend_from_slice(&full);
+                writer.stage(&mut scratch, idx, true).unwrap();
+                if idx % 2 == 1 {
+                    writer.publish(&mut scratch);
+                }
+            }
+        }
+        // Every region ends exactly at its span's end; the tail's is the
+        // end of the reservation.
+        let ends: Vec<usize> = arena.cursors.iter_mut().map(|c| *c.0.get_mut()).collect();
+        assert_eq!(ends, [4 * 3, 8 * 3, 10 * 3]);
+        for idx in 0..10 {
+            assert_eq!(arena.view(idx).transitions(), &full, "cell {idx}");
+        }
+        // One transition more has nowhere to go in a full region.
+        let writer = arena.level_writer();
+        let message = panic_message(|| {
+            let _ = write_one(&writer, 5, true, &[9.0]);
+        });
+        assert!(message.contains("region 1 exhausted"), "{message}");
+    }
+
+    #[test]
+    fn a_block_mixing_two_regions_panics_before_any_claim() {
+        let mut arena = WaveformArena::new(16, 2);
+        arena.reset(8);
+        {
+            let writer = arena.level_writer();
+            let mut scratch = GateScratch::new();
+            let message = panic_message(|| {
+                for idx in [6, 7, 8] {
+                    stage_cell(&writer, &mut scratch, idx);
+                }
+                writer.publish(&mut scratch);
+            });
+            assert!(
+                message.contains("arena cell 8 published in a block of region 0"),
+                "{message}"
+            );
+            // The block claimed nothing: each cell is written normally
+            // alone.
+            for idx in [6, 7, 8] {
+                write_one(&writer, idx, true, &[1.0]).unwrap();
+            }
+        }
+        // A region wider than the arena is the whole arena.
+        arena.reset(usize::MAX);
+        let writer = arena.level_writer();
+        let mut scratch = GateScratch::new();
+        for idx in [0, 8, 15] {
+            stage_cell(&writer, &mut scratch, idx);
+        }
+        writer.publish(&mut scratch);
+        assert_eq!(writer.view(15).transitions(), &[15.0]);
     }
 
     #[test]
@@ -1283,7 +1470,7 @@ mod tests {
         // A constant write never moves the peak watermark.
         assert_eq!(arena.peak_occupancy(), 1);
         // A constant write is bit-for-bit equivalent to an empty write.
-        arena.reset();
+        arena.reset(arena.entries());
         {
             let writer = arena.level_writer();
             writer.write_constant_run(0, 1, 1);
@@ -1318,7 +1505,7 @@ mod tests {
         assert_eq!(arena.to_waveform(2), Waveform::constant(true));
         // The published block holds cell 0's transition and nothing of
         // the overflowed cell's.
-        assert_eq!(*arena.used.get_mut(), 1);
+        assert_eq!(written(&mut arena), 1);
         assert_eq!(arena.view(0).transitions(), &[1.0]);
         // The cell was left unclaimed: a later writer of the same batch
         // writes it normally.
@@ -1547,7 +1734,7 @@ mod tests {
             );
         }
         // A reset clears the claims.
-        arena.reset();
+        arena.reset(arena.entries());
         {
             let writer = arena.level_writer();
             write_one(&writer, 1, false, &[9.0]).unwrap();
