@@ -112,6 +112,17 @@ for id in $(grep -ohE '`[a-z0-9]+(_[a-z0-9]+){3,}`' $docs | tr -d '`' | sort -u)
         { echo "docs name $id: no such fn under crates/*/src, crates/*/tests, tests/ or perfbench/src"; exit 1; }
 done
 
+echo "==> pub fn callers (every plain \`pub fn\` under crates/*/src is named in another tracked Rust file; a tripwire, not a proof: a name that only a comment elsewhere mentions still passes)"
+rust=$(git ls-files crates src tests examples perfbench/src | grep '\.rs$')
+orphans=0
+for file in $(printf '%s\n' $rust | grep '^crates/[^/]*/src/'); do
+    others=$(printf '%s\n' $rust | grep -vxF "$file")
+    for name in $(grep -oE '(^|[^(a-z])pub fn [a-z_0-9]+' "$file" | sed 's/.*pub fn //' | sort -u); do
+        grep -qw -- "$name" $others || { echo "$file: pub fn $name has no caller outside its own file"; orphans=1; }
+    done
+done
+[ "$orphans" -eq 0 ] || exit 1
+
 echo "==> fault-site table (every InjectionSite::name has a row in DESIGN.md §7's site table, every row names a registered site)"
 sites=$(awk '/pub fn name\(self\)/,/^    }$/' crates/inject/src/lib.rs | grep -oE '=> "[a-z-]+"' | cut -d'"' -f2 | sort)
 rows=$(awk '/^\| Site \| Keyed by/,/^$/' DESIGN.md | grep -oE '^\| `[^`]*` \|' | cut -d'`' -f2 | sort)

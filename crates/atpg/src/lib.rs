@@ -14,12 +14,8 @@
 //! * [`timing_aware`] — best-effort sensitization of those paths: side
 //!   inputs are justified toward non-controlling values with bounded
 //!   random retry, verified by zero-delay simulation of all of a path's
-//!   attempts in one word-parallel pass,
-//! * [`fault`] — transition-fault bookkeeping with excitation-coverage
-//!   reporting.
-//!
-//! The last two share a crate-private word-parallel zero-delay simulator
-//! that evaluates up to 64 vectors per pass.
+//!   attempts in one pass of a crate-private word-parallel simulator
+//!   (up to 64 vectors per pass).
 //!
 //! The fault-grade quality of a commercial tool is irrelevant to the
 //! paper's timing/throughput experiments; what matters is pattern *pairs*
@@ -29,13 +25,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod fault;
 pub mod paths;
 pub mod pattern;
 pub mod timing_aware;
 mod zero_delay;
 
-pub use fault::{FaultList, TransitionFault};
 pub use paths::{k_longest_paths, Path};
 pub use pattern::{Pattern, PatternPair, PatternSet};
 pub use timing_aware::generate_timing_aware;
@@ -54,8 +48,6 @@ pub enum AtpgError {
         /// Bits the pattern has.
         got: usize,
     },
-    /// Path enumeration was asked for zero paths.
-    EmptyRequest,
 }
 
 impl fmt::Display for AtpgError {
@@ -67,7 +59,6 @@ impl fmt::Display for AtpgError {
                     "pattern width {got} does not match {expected} primary inputs"
                 )
             }
-            AtpgError::EmptyRequest => write!(f, "requested zero paths/patterns"),
         }
     }
 }

@@ -107,7 +107,7 @@ impl Pattern {
     /// # Errors
     ///
     /// Returns [`AtpgError::WidthMismatch`] if widths differ.
-    pub fn hamming(&self, other: &Pattern) -> Result<usize, AtpgError> {
+    fn hamming(&self, other: &Pattern) -> Result<usize, AtpgError> {
         if self.width != other.width {
             return Err(AtpgError::WidthMismatch {
                 expected: self.width,
@@ -203,9 +203,19 @@ impl PatternSet {
     }
 
     /// Generates `count` pairs from a 64-bit LFSR PRPG (x⁶⁴+x⁶³+x⁶¹+x⁶⁰+1),
-    /// the classic BIST-style stimulus source. Consecutive LFSR states form
-    /// the launch/capture vectors, so each pair launches roughly half the
-    /// inputs — high switching activity, as in at-speed scan testing.
+    /// the classic BIST-style stimulus source. Each input bit is one LFSR
+    /// step: a pair's launch vector takes the next `width` output bits
+    /// and its capture vector the `width` after those.
+    ///
+    /// From a small seed the stream starts sparse. The state starts at
+    /// `seed | 1` and shifts left one bit per step, and feedback enters
+    /// only once the seed's bits reach the taps at bits 59–63. So the
+    /// first bit drawn is 1 and the next 59 − t are 0, where t < 60 is
+    /// the position of the highest set bit of `seed | 1` (57 zeros for
+    /// seed 7); the share of ones then climbs toward one half only over
+    /// the next several hundred bits. On a design with a few dozen inputs the
+    /// first pairs launch few transitions or none at all: use
+    /// [`PatternSet::random`] where every pair must switch.
     pub fn lfsr(width: usize, count: usize, seed: u64) -> PatternSet {
         let mut state = seed | 1; // LFSR must not start at zero
         let mut next_vector = || {
@@ -236,6 +246,14 @@ impl PatternSet {
     /// The pairs in order.
     pub fn pairs(&self) -> &[PatternPair] {
         &self.pairs
+    }
+
+    /// Input transitions launched over all pairs.
+    pub fn launched_transitions(&self) -> usize {
+        self.pairs
+            .iter()
+            .map(PatternPair::launched_transitions)
+            .sum()
     }
 
     /// Number of pairs.
@@ -345,6 +363,34 @@ mod tests {
             .sum::<f64>()
             / s1.len() as f64;
         assert!(avg > 16.0, "average launched transitions {avg} too low");
+    }
+
+    /// Stimuli the benchmark workloads take from `lfsr(width, 8, seed)`
+    /// cannot drift silently: an FNV-1a digest of every word of both seeds'
+    /// 128-input sets, and their launched transitions. Seed 7's stream
+    /// opens with a 1 and 59 − 2 zeros, as the doc says.
+    #[test]
+    fn lfsr_stream_is_pinned() {
+        let digest = |set: &PatternSet| {
+            let mut h = 0xcbf2_9ce4_8422_2325_u64;
+            for pair in set.pairs() {
+                for word in pair.launch.words().iter().chain(pair.capture.words()) {
+                    for byte in word.to_le_bytes() {
+                        h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+            h
+        };
+        let seven = PatternSet::lfsr(128, 8, 7);
+        let opening: Vec<bool> = seven.pairs()[0].launch.iter().take(59).collect();
+        assert!(opening[0] && opening[58]);
+        assert!(opening[1..58].iter().all(|&b| !b));
+        assert_eq!(digest(&seven), 0x36e3_8745_b54e_39c0);
+        assert_eq!(seven.launched_transitions(), 381);
+        let eleven = PatternSet::lfsr(128, 8, 11);
+        assert_eq!(digest(&eleven), 0xf5ca_2bea_e588_bd2d);
+        assert_eq!(eleven.launched_transitions(), 417);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Word-parallel zero-delay simulation: up to 64 input vectors per pass.
 //!
 //! [`crate::zero_delay_values`] walks the netlist once per vector with a
-//! `bool` per node. Pattern generation asks the same question of many
-//! vectors at a time — every random-fill attempt of a path, every pair of
-//! a pattern set — so [`ZeroDelayPlan`] flattens the topological order
-//! into compact arrays once and evaluates 64 vectors per `u64` word, one
+//! `bool` per node. Timing-aware generation asks the same question of
+//! many vectors at a time — every random-fill attempt of a path — so
+//! [`ZeroDelayPlan`] flattens the topological order into compact arrays
+//! once and evaluates 64 vectors per `u64` word, one
 //! [`LogicFunction::eval_lanes`] call per gate.
 
 use crate::pattern::Pattern;

@@ -52,8 +52,9 @@ impl Args {
         }
     }
 
-    /// Builds from an explicit list (tests).
-    pub fn from_list(list: &[&str]) -> Args {
+    /// Builds from an explicit list.
+    #[cfg(test)]
+    fn from_list(list: &[&str]) -> Args {
         Args {
             raw: list.iter().map(|s| (*s).to_owned()).collect(),
         }

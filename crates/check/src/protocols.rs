@@ -331,7 +331,7 @@ fn lane_claim_invariant(s: &LaneClaimState) -> Result<(), String> {
 /// one lane, two concurrent writers in one lane's section, a won claim
 /// cleared from the word, a covered lane left unwritten, or an
 /// overflow-path write.
-pub fn check_lane_claim_protocol(
+fn check_lane_claim_protocol(
     writers: &[&[u64]],
     overflow_writers: usize,
 ) -> Result<Explored, InterleaveError> {
@@ -645,7 +645,7 @@ fn check_reservation(
 /// # Panics
 ///
 /// Panics if the blocks do not fit the modeled arena.
-pub fn check_reservation_protocol(
+fn check_reservation_protocol(
     blocks: &[&ModelBlock],
     overflow_publishers: usize,
 ) -> Result<Explored, InterleaveError> {
@@ -1064,7 +1064,7 @@ fn check_handoff(torn: bool) -> Result<Explored, InterleaveError> {
 /// Returns the failing schedule if any interleaving runs a task twice
 /// or never, starts a level early, hides a fault from a close, or
 /// deadlocks.
-pub fn check_handoff_protocol() -> Result<Explored, InterleaveError> {
+fn check_handoff_protocol() -> Result<Explored, InterleaveError> {
     check_handoff(false)
 }
 

@@ -4,7 +4,7 @@
 //! one [`Subject`] per analyzed artifact (a netlist, a delay model, the
 //! concurrency protocols, the workspace source tree) with the subject's
 //! findings, plus a derived severity summary. The JSON round-trip is
-//! built on [`avfs_obs::Json`] like `avfs-profile/1`;
+//! built on [`avfs_obs::Json`] like `avfs-profile/2`;
 //! [`Report::from_json`] doubles as the schema
 //! validator `checker --smoke` and CI gate on.
 
@@ -193,7 +193,7 @@ impl Report {
     }
 
     /// The most severe finding present, `None` for a clean report.
-    pub fn max_severity(&self) -> Option<Severity> {
+    fn max_severity(&self) -> Option<Severity> {
         self.subjects
             .iter()
             .flat_map(|s| &s.findings)

@@ -186,12 +186,6 @@ impl CircuitProfile {
         };
         random_netlist(self.name, &config, library, seed)
     }
-
-    /// The number of pattern pairs to simulate at `scale` (at least 8, at
-    /// most the paper's count).
-    pub fn scaled_pairs(&self, scale: f64) -> usize {
-        ((self.test_pairs as f64 * scale) as usize).clamp(8, self.test_pairs)
-    }
 }
 
 #[cfg(test)]
@@ -241,13 +235,5 @@ mod tests {
         for (id, node) in a.iter() {
             assert_eq!(node.fanin(), b.node(id).fanin());
         }
-    }
-
-    #[test]
-    fn scaled_pairs_clamped() {
-        let p = CircuitProfile::find("p1522k").unwrap();
-        assert_eq!(p.scaled_pairs(1.0), 8_021);
-        assert_eq!(p.scaled_pairs(0.001), 8); // floor
-        assert_eq!(p.scaled_pairs(100.0), 8_021); // cap at paper count
     }
 }

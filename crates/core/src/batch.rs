@@ -319,7 +319,8 @@ mod tests {
     fn oversized_grids_batch_inside_the_engine() {
         let compiled = compiled_adder();
         let nodes = compiled.netlist().num_nodes();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 6, 9);
+        let patterns = PatternSet::random(compiled.netlist().inputs().len(), 6, 9);
+        assert!(patterns.launched_transitions() >= patterns.len());
         let slot_list = cross(patterns.len(), &[0.75, 0.9]); // 12 slots
         let reference = compiled
             .launch(

@@ -197,7 +197,8 @@ impl CompiledNetlist {
         if !annotation.matches(&netlist) {
             return Err(SimError::AnnotationMismatch);
         }
-        let levels = Arc::new(Levelization::of(&netlist)?);
+        let levels =
+            Arc::new(Levelization::of(&netlist).expect("a Netlist is acyclic by construction"));
         // Input hardening: reject corrupt annotations up front instead of
         // letting NaNs propagate into waveforms.
         for (id, node) in netlist.iter() {

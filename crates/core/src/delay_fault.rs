@@ -416,8 +416,11 @@ pub(crate) mod tests {
     #[test]
     fn one_launch_grades_like_the_per_fault_recompile_oracle() {
         let lib = CellLibrary::nangate15_like();
-        let lfsr =
-            |compiled: &CompiledNetlist| PatternSet::lfsr(compiled.netlist().inputs().len(), 32, 5);
+        let random = |compiled: &CompiledNetlist| {
+            let patterns = PatternSet::random(compiled.netlist().inputs().len(), 32, 5);
+            assert!(patterns.launched_transitions() >= patterns.len());
+            patterns
+        };
         let c17 = characterized(avfs_circuits::c17(&lib).unwrap());
         let adder = characterized(avfs_circuits::ripple_carry_adder(8, &lib).unwrap());
         // The adder glitches, so a one-transition arena runs retry rounds.
@@ -426,12 +429,12 @@ pub(crate) mod tests {
             ..serial()
         };
         let slots = crate::slots::at_voltage(32, 0.7);
-        let retried = adder.launch(&lfsr(&adder), &slots, &one_transition);
+        let retried = adder.launch(&random(&adder), &slots, &one_transition);
         assert!(retried.unwrap().diagnostics.slot_retries > 0);
         let circuits = [
             ("chain", chain(static_model()), toggle_pattern()),
-            ("c17", Arc::clone(&c17), lfsr(&c17)),
-            ("adder", Arc::clone(&adder), lfsr(&adder)),
+            ("c17", Arc::clone(&c17), random(&c17)),
+            ("adder", Arc::clone(&adder), random(&adder)),
         ];
         let die = VariationConfig::sigma5(0xFA17);
         for (name, compiled, patterns) in circuits {

@@ -30,9 +30,8 @@ impl VoltageDomains {
     ///
     /// # Panics
     ///
-    /// Panics if the function returns a domain index ≥ 65 535
-    /// (`u16::MAX`, which [`VoltageDomains::by_output_cones`] reserves as
-    /// its "not yet claimed" sentinel).
+    /// Panics if the function returns a domain index ≥ 65 535: indices
+    /// are stored as `u16`, with `u16::MAX` kept free as a sentinel.
     pub fn from_fn(netlist: &Netlist, mut assign: impl FnMut(NodeId) -> usize) -> VoltageDomains {
         let mut count = 0usize;
         let domain_of: Vec<u16> = netlist
@@ -48,41 +47,6 @@ impl VoltageDomains {
             domain_of,
             count: count.max(1),
         }
-    }
-
-    /// Splits the netlist into `count` domains by output-cone affinity:
-    /// every node joins the domain of the primary-output group it
-    /// (structurally) feeds first — a simple but realistic islanding
-    /// (logic clusters feeding the same interface share a rail).
-    pub fn by_output_cones(netlist: &Netlist, count: usize) -> VoltageDomains {
-        let count = count.clamp(1, netlist.outputs().len().max(1));
-        let mut domain_of = vec![u16::MAX; netlist.num_nodes()];
-        // Seed the domains at the outputs, round-robin.
-        let mut stack: Vec<(NodeId, u16)> = netlist
-            .outputs()
-            .iter()
-            .enumerate()
-            .map(|(k, &po)| (po, (k % count) as u16))
-            .collect();
-        // Reverse BFS: first domain to reach a node claims it.
-        while let Some((id, d)) = stack.pop() {
-            if domain_of[id.index()] != u16::MAX {
-                continue;
-            }
-            domain_of[id.index()] = d;
-            for &f in netlist.node(id).fanin() {
-                if domain_of[f.index()] == u16::MAX {
-                    stack.push((f, d));
-                }
-            }
-        }
-        // Nodes reaching no output (dead logic) fall into domain 0.
-        for d in &mut domain_of {
-            if *d == u16::MAX {
-                *d = 0;
-            }
-        }
-        VoltageDomains { domain_of, count }
     }
 
     /// Number of domains.
@@ -142,6 +106,41 @@ mod tests {
     use avfs_spice::Technology;
     use std::sync::Arc;
 
+    /// Splits the netlist into `count` domains by output-cone affinity:
+    /// every node joins the domain of the primary-output group it
+    /// (structurally) feeds first — a simple but realistic islanding
+    /// (logic clusters feeding the same interface share a rail).
+    fn by_output_cones(netlist: &Netlist, count: usize) -> VoltageDomains {
+        let count = count.clamp(1, netlist.outputs().len().max(1));
+        let mut domain_of = vec![u16::MAX; netlist.num_nodes()];
+        // Seed the domains at the outputs, round-robin.
+        let mut stack: Vec<(NodeId, u16)> = netlist
+            .outputs()
+            .iter()
+            .enumerate()
+            .map(|(k, &po)| (po, (k % count) as u16))
+            .collect();
+        // Reverse BFS: first domain to reach a node claims it.
+        while let Some((id, d)) = stack.pop() {
+            if domain_of[id.index()] != u16::MAX {
+                continue;
+            }
+            domain_of[id.index()] = d;
+            for &f in netlist.node(id).fanin() {
+                if domain_of[f.index()] == u16::MAX {
+                    stack.push((f, d));
+                }
+            }
+        }
+        // Nodes reaching no output (dead logic) fall into domain 0.
+        for d in &mut domain_of {
+            if *d == u16::MAX {
+                *d = 0;
+            }
+        }
+        VoltageDomains { domain_of, count }
+    }
+
     fn setup() -> (Arc<Netlist>, CompiledNetlist) {
         let (netlist, chars) = characterized();
         let engine = CompiledNetlist::from_characterization(Arc::clone(&netlist), &chars)
@@ -177,7 +176,8 @@ mod tests {
         let (netlist, engine) = setup();
         let domains = VoltageDomains::single(&netlist);
         assert_eq!(domains.count(), 1);
-        let patterns = PatternSet::lfsr(netlist.inputs().len(), 6, 3);
+        let patterns = PatternSet::random(netlist.inputs().len(), 6, 3);
+        assert!(patterns.launched_transitions() >= patterns.len());
         let specs: Vec<DomainSlotSpec> = (0..patterns.len())
             .map(|pattern| DomainSlotSpec {
                 pattern,
@@ -217,9 +217,10 @@ mod tests {
                 .expect("engine builds")
         };
         let (uniform_engine, island_engine) = (compile(), compile());
-        let domains = VoltageDomains::by_output_cones(&netlist, 3);
+        let domains = by_output_cones(&netlist, 3);
         assert_eq!(domains.count(), 3);
-        let patterns = PatternSet::lfsr(netlist.inputs().len(), 6, 3);
+        let patterns = PatternSet::random(netlist.inputs().len(), 6, 3);
+        assert!(patterns.launched_transitions() >= patterns.len());
         let specs: Vec<DomainSlotSpec> = (0..patterns.len())
             .map(|pattern| DomainSlotSpec {
                 pattern,
@@ -274,7 +275,7 @@ mod tests {
     #[test]
     fn cone_partition_covers_all_nodes() {
         let (netlist, _) = setup();
-        let domains = VoltageDomains::by_output_cones(&netlist, 3);
+        let domains = by_output_cones(&netlist, 3);
         assert_eq!(domains.count(), 3);
         assert_eq!(domains.len(), netlist.num_nodes());
         let sizes = domains.sizes();
@@ -285,8 +286,9 @@ mod tests {
     #[test]
     fn lowering_one_island_slows_only_its_cone() {
         let (netlist, engine) = setup();
-        let domains = VoltageDomains::by_output_cones(&netlist, 2);
-        let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 9);
+        let domains = by_output_cones(&netlist, 2);
+        let patterns = PatternSet::random(netlist.inputs().len(), 8, 9);
+        assert!(patterns.launched_transitions() >= patterns.len());
         let opts = SimOptions {
             threads: 1,
             ..SimOptions::default()
@@ -357,7 +359,7 @@ mod tests {
     fn validation_rejects_bad_specs() {
         use crate::SimError;
         let (netlist, engine) = setup();
-        let domains = VoltageDomains::by_output_cones(&netlist, 2);
+        let domains = by_output_cones(&netlist, 2);
         let patterns = PatternSet::lfsr(netlist.inputs().len(), 2, 1);
         let opts = SimOptions::default();
         let launch = |patterns: &PatternSet, pattern: usize, voltages: &[f64]| {
@@ -435,8 +437,8 @@ mod tests {
         }
     }
 
-    /// The largest domain index `from_fn` takes is 65 534; 65 535 is
-    /// `by_output_cones`' sentinel and panics.
+    /// The largest domain index `from_fn` takes is 65 534; 65 535 is the
+    /// sentinel and panics.
     #[test]
     fn from_fn_domain_index_boundary() {
         let library = CellLibrary::nangate15_like();

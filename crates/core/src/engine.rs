@@ -171,7 +171,7 @@ impl SimOptions {
 
     /// The lane width batches are cut in: `lanes`, with 0 resolved to
     /// the default of 8.
-    pub fn resolved_lanes(&self) -> usize {
+    fn resolved_lanes(&self) -> usize {
         if self.lanes == 0 {
             DEFAULT_LANES
         } else {

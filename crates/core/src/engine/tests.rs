@@ -1771,6 +1771,7 @@ fn an_injected_panic_leaves_the_other_lanes_of_its_chunks_complete() {
     let n = Arc::new(avfs_circuits::random_netlist("rnd", &cfg, &lib, 11).unwrap());
     let engine = static_engine(&n, 8.0, 9.5);
     let patterns = PatternSet::lfsr(n.inputs().len(), 8, 5);
+    assert!(patterns.launched_transitions() >= patterns.len());
     let slots = at_voltage(8, 0.8);
     let plan = |seed| Arc::new(FaultPlan::empty(seed).with_rate(InjectionSite::KernelPanic, 0.15));
     let doomed = |seed| -> Vec<usize> {

@@ -124,7 +124,8 @@ impl EventDrivenSimulator {
                 }
             }
         }
-        let levels = Arc::new(Levelization::of(&netlist)?);
+        let levels =
+            Arc::new(Levelization::of(&netlist).expect("a Netlist is acyclic by construction"));
         Ok(EventDrivenSimulator {
             netlist,
             levels,
@@ -142,20 +143,17 @@ impl EventDrivenSimulator {
     /// event queue: the simulation panics, naming the gate, the pin and
     /// the time, and [`EventDrivenSimulator::run`] reports the slot
     /// [`SlotStatus::Panicked`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Netlist`] if the netlist cannot be levelized.
     pub fn with_delays(
         netlist: Arc<Netlist>,
         delay: impl Fn(NodeId, usize, Polarity, f64) -> f64 + Send + Sync + 'static,
-    ) -> Result<EventDrivenSimulator, SimError> {
-        let levels = Arc::new(Levelization::of(&netlist)?);
-        Ok(EventDrivenSimulator {
+    ) -> EventDrivenSimulator {
+        let levels =
+            Arc::new(Levelization::of(&netlist).expect("a Netlist is acyclic by construction"));
+        EventDrivenSimulator {
             netlist,
             levels,
             delays: Delays::Function(Arc::new(delay)),
-        })
+        }
     }
 
     /// Simulates every slot serially (the baseline has no slot
@@ -578,8 +576,7 @@ mod tests {
             } else {
                 5.0
             }
-        })
-        .unwrap();
+        });
         let pair =
             PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap();
         let panic = catch_unwind(AssertUnwindSafe(|| ed.simulate_pair(&pair, 0.0))).unwrap_err();
@@ -637,8 +634,7 @@ mod tests {
             EventDrivenSimulator::with_delays(Arc::clone(&n), move |node, pin, pol, _| {
                 ann.pin_delays(node, pin)
                     .for_output(matches!(pol, Polarity::Rise))
-            })
-            .unwrap();
+            });
         let pair =
             PatternPair::new(Pattern::from_bits([false]), Pattern::from_bits([true])).unwrap();
         let (a, b) = (

@@ -117,8 +117,6 @@ pub enum SimError {
         /// Name of the offending gate.
         gate: String,
     },
-    /// A netlist error, passed through from `avfs-netlist`.
-    Netlist(avfs_netlist::NetlistError),
     /// A slot requested a non-finite or non-positive supply voltage.
     InvalidOperatingPoint {
         /// Index of the offending slot.
@@ -252,7 +250,6 @@ impl fmt::Display for SimError {
                     "event-driven simulation requires positive delays (gate `{gate}`)"
                 )
             }
-            SimError::Netlist(e) => write!(f, "netlist error: {e}"),
             SimError::InvalidOperatingPoint { slot, voltage } => {
                 write!(f, "slot {slot} requests invalid supply voltage {voltage} V")
             }
@@ -315,7 +312,6 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Model(e) => Some(e),
-            SimError::Netlist(e) => Some(e),
             _ => None,
         }
     }
@@ -324,11 +320,5 @@ impl Error for SimError {
 impl From<avfs_delay::DelayError> for SimError {
     fn from(e: avfs_delay::DelayError) -> Self {
         SimError::Model(e)
-    }
-}
-
-impl From<avfs_netlist::NetlistError> for SimError {
-    fn from(e: avfs_netlist::NetlistError) -> Self {
-        SimError::Netlist(e)
     }
 }

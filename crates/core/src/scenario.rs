@@ -146,12 +146,6 @@ impl Schedule {
             (t_recover_ps, nominal),
         ])
     }
-
-    /// The representative voltage reported in the slot spec (the segment-0
-    /// supply; `None` for an empty — malformed — schedule).
-    pub fn representative_voltage(&self) -> Option<f64> {
-        self.segments.first().map(|s| s.voltage)
-    }
 }
 
 /// One scenario: which pattern pair to replay under which schedule — the
@@ -393,8 +387,6 @@ mod tests {
             vec![0.0, 40.0, 90.0]
         );
         assert!((droop.segments[1].voltage - 0.7).abs() < 1e-12);
-        assert_eq!(droop.representative_voltage(), Some(0.8));
-        assert_eq!(Schedule { segments: vec![] }.representative_voltage(), None);
     }
 
     #[test]

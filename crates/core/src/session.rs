@@ -153,7 +153,8 @@ mod tests {
     #[test]
     fn session_matches_engine_across_repeated_runs() {
         let compiled = compiled_adder();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 6, 7);
+        let patterns = PatternSet::random(compiled.netlist().inputs().len(), 6, 7);
+        assert!(patterns.launched_transitions() >= patterns.len());
         let slot_list = cross(patterns.len(), &[0.7, 0.8, 1.0]);
         let opts = SimOptions {
             threads: 1,
@@ -215,7 +216,8 @@ mod tests {
     #[test]
     fn single_threaded_session_runs_inline() {
         let compiled = compiled_adder();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 3, 7);
+        let patterns = PatternSet::random(compiled.netlist().inputs().len(), 3, 7);
+        assert!(patterns.launched_transitions() >= patterns.len());
         let slot_list = cross(patterns.len(), &[0.8, 0.9]);
         let mut session = Session::new(Arc::clone(&compiled), 1);
         let run = session

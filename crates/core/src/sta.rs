@@ -397,7 +397,8 @@ mod tests {
             }
             let report = analyze(&compiled, &OperatingPoint::new(v, 1.0)).unwrap();
             assert!(report.latest_arrival_ps.is_finite());
-            let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 8, 11);
+            let patterns = PatternSet::random(compiled.netlist().inputs().len(), 8, 11);
+            assert!(patterns.launched_transitions() >= patterns.len());
             let run = compiled
                 .launch(
                     &patterns,
@@ -431,7 +432,8 @@ mod tests {
     #[test]
     fn crosscheck_produces_rows_and_no_deny_findings() {
         let compiled = compiled_c17();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 6, 3);
+        let patterns = PatternSet::random(compiled.netlist().inputs().len(), 6, 3);
+        assert!(patterns.launched_transitions() >= patterns.len());
         let mut slot_list = slots::at_voltage(patterns.len(), 0.8);
         slot_list.extend(slots::at_voltage(patterns.len(), 0.6));
         let run = compiled
@@ -451,7 +453,7 @@ mod tests {
         assert_eq!(check.rows[1].voltage, 0.6);
         for row in &check.rows {
             assert_eq!(row.circuit, "c17");
-            let margin = row.margin_ps.expect("c17 toggles under LFSR stimuli");
+            let margin = row.margin_ps.expect("c17 toggles under random stimuli");
             assert!(margin >= 0.0, "negative margin {margin}");
         }
         let section = check.section();
@@ -462,7 +464,8 @@ mod tests {
     #[test]
     fn crosscheck_flags_fabricated_bound_violation() {
         let compiled = compiled_c17();
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 2, 5);
+        let patterns = PatternSet::random(compiled.netlist().inputs().len(), 2, 5);
+        assert!(patterns.launched_transitions() >= patterns.len());
         let run = compiled
             .launch(
                 &patterns,

@@ -6,7 +6,7 @@
 //! simulator's "gate description with the nominal delays" that each thread
 //! loads into registers (Sec. IV.A, step 1).
 
-use avfs_netlist::{Netlist, NodeId, NodeKind};
+use avfs_netlist::{Netlist, NodeId};
 use avfs_waveform::PinDelays;
 
 /// Nominal pin-to-pin delays and instance loads for every node of one
@@ -160,12 +160,6 @@ impl TimingAnnotation {
     }
 }
 
-/// Convenience: checks whether a netlist node is a gate (delays apply) or
-/// an interface node.
-pub fn is_gate(netlist: &Netlist, node: NodeId) -> bool {
-    matches!(netlist.node(node).kind(), NodeKind::Gate(_))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,13 +217,5 @@ mod tests {
         let other = b.finish().unwrap();
         let ann = TimingAnnotation::zero(&other);
         assert!(!ann.matches(&n));
-    }
-
-    #[test]
-    fn is_gate_classifier() {
-        let n = small();
-        assert!(is_gate(&n, n.find("g").unwrap()));
-        assert!(!is_gate(&n, n.find("a").unwrap()));
-        assert!(!is_gate(&n, n.find("y").unwrap()));
     }
 }

@@ -235,7 +235,7 @@ impl AlphaPowerModel {
     }
 
     /// The deviation factor at raw voltage `v`.
-    pub fn factor_at_voltage(&self, v: f64) -> f64 {
+    fn factor_at_voltage(&self, v: f64) -> f64 {
         let vnom = self.space.nominal_vdd();
         (v / vnom) * ((vnom - self.vth) / (v - self.vth)).powf(self.alpha)
     }

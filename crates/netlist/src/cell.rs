@@ -233,7 +233,7 @@ impl LogicFunction {
     }
 
     /// The base name used in cell-type identifiers (`NAND` in `NAND2_X1`).
-    pub fn base_name(&self) -> &'static str {
+    fn base_name(&self) -> &'static str {
         match self {
             LogicFunction::Buf => "BUF",
             LogicFunction::Inv => "INV",

@@ -48,7 +48,7 @@ impl NetlistStats {
     }
 
     /// Computes statistics reusing an existing levelization.
-    pub fn with_levels(netlist: &Netlist, levels: &Levelization) -> NetlistStats {
+    fn with_levels(netlist: &Netlist, levels: &Levelization) -> NetlistStats {
         let mut gates = 0;
         let mut max_fanin = 0;
         let mut max_fanout = 0;

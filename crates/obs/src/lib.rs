@@ -70,4 +70,4 @@ pub mod profile;
 pub use histogram::{Histogram, HistogramStats};
 pub use json::{Json, JsonError};
 pub use metrics::{time_option, Counter, Metrics, Span};
-pub use profile::{fmt_ns, CounterStat, GaugeStat, HistogramStat, PhaseStats, Profile};
+pub use profile::{fmt_ns, CounterStat, HistogramStat, PhaseStats, Profile};

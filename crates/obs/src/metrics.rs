@@ -1,8 +1,8 @@
-//! The instrument registry: named phases, counters, gauges and
-//! histograms behind one thread-safe handle.
+//! The instrument registry: named phases, counters and histograms
+//! behind one thread-safe handle.
 
 use crate::histogram::Histogram;
-use crate::profile::{CounterStat, GaugeStat, HistogramStat, PhaseStats, Profile};
+use crate::profile::{CounterStat, HistogramStat, PhaseStats, Profile};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 /// created on first use. [`Metrics::snapshot`] freezes the current state
 /// into an immutable [`Profile`].
 ///
-/// Phase, gauge and histogram updates take a short internal lock; hot
+/// Phase and histogram updates take a short internal lock; hot
 /// loops should either hold a lock-free [`Counter`] handle, accumulate
 /// into a local [`Histogram`] and [`Metrics::merge_histogram`] once, or
 /// time whole phases rather than individual iterations.
@@ -29,7 +29,6 @@ pub struct Metrics {
 struct State {
     phases: BTreeMap<String, PhaseAgg>,
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -102,12 +101,6 @@ impl Metrics {
         self.counter(name).add(n);
     }
 
-    /// Sets the gauge named `name` to `value` (last write wins).
-    pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut state = self.state.lock().expect("metrics lock");
-        state.gauges.insert(name.to_owned(), value);
-    }
-
     /// Records `value` into the histogram named `name`.
     pub fn record(&self, name: &str, value: u64) {
         let mut state = self.state.lock().expect("metrics lock");
@@ -155,14 +148,6 @@ impl Metrics {
                     value: c.get(),
                 })
                 .collect(),
-            gauges: state
-                .gauges
-                .iter()
-                .map(|(name, &value)| GaugeStat {
-                    name: name.clone(),
-                    value,
-                })
-                .collect(),
             histograms: state
                 .histograms
                 .iter()
@@ -182,7 +167,6 @@ impl fmt::Debug for Metrics {
             .field("name", &self.name)
             .field("phases", &state.phases.len())
             .field("counters", &state.counters.len())
-            .field("gauges", &state.gauges.len())
             .field("histograms", &state.histograms.len())
             .finish()
     }
@@ -358,17 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn gauges_and_histograms_snapshot() {
+    fn histograms_snapshot() {
         let m = Metrics::new("t");
-        m.set_gauge("g", 1.0);
-        m.set_gauge("g", 2.5);
         m.record("h", 10);
         m.record("h", 12);
         let mut local = Histogram::new();
         local.record(14);
         m.merge_histogram("h", &local);
         let p = m.snapshot();
-        assert_eq!(p.gauge("g"), Some(2.5));
         let h = p.histogram("h").expect("histogram");
         assert_eq!(h.count, 3);
         assert_eq!(h.min, 10);

@@ -5,7 +5,7 @@ use crate::json::{Json, JsonError};
 use std::fmt;
 
 /// Schema identifier embedded in serialized profiles.
-pub const PROFILE_SCHEMA: &str = "avfs-profile/1";
+pub const PROFILE_SCHEMA: &str = "avfs-profile/2";
 
 /// An immutable snapshot of a [`Metrics`](crate::Metrics) registry.
 ///
@@ -22,8 +22,6 @@ pub struct Profile {
     pub phases: Vec<PhaseStats>,
     /// Monotonic event counts.
     pub counters: Vec<CounterStat>,
-    /// Last-write-wins measurements.
-    pub gauges: Vec<GaugeStat>,
     /// Value distributions.
     pub histograms: Vec<HistogramStat>,
 }
@@ -45,7 +43,7 @@ pub struct PhaseStats {
 
 impl PhaseStats {
     /// Mean span duration in nanoseconds (0 when no calls).
-    pub fn mean_ns(&self) -> f64 {
+    fn mean_ns(&self) -> f64 {
         if self.calls == 0 {
             0.0
         } else {
@@ -61,15 +59,6 @@ pub struct CounterStat {
     pub name: String,
     /// Final count.
     pub value: u64,
-}
-
-/// Final value of one gauge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GaugeStat {
-    /// Gauge name (e.g. `"ed.events_per_sec"`).
-    pub name: String,
-    /// Last written value.
-    pub value: f64,
 }
 
 /// Summary statistics of one histogram.
@@ -95,11 +84,6 @@ impl Profile {
             .map(|c| c.value)
     }
 
-    /// Gauge lookup by name.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
-    }
-
     /// Histogram lookup by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramStats> {
         self.histograms
@@ -108,7 +92,7 @@ impl Profile {
             .map(|h| &h.stats)
     }
 
-    /// Serializes to a schema-versioned JSON value (`avfs-profile/1`).
+    /// Serializes to a schema-versioned JSON value (`avfs-profile/2`).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("schema".into(), Json::Str(PROFILE_SCHEMA.into())),
@@ -139,20 +123,6 @@ impl Profile {
                             Json::Obj(vec![
                                 ("name".into(), Json::Str(c.name.clone())),
                                 ("value".into(), Json::Num(c.value as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges".into(),
-                Json::Arr(
-                    self.gauges
-                        .iter()
-                        .map(|g| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::Str(g.name.clone())),
-                                ("value".into(), Json::Num(g.value)),
                             ])
                         })
                         .collect(),
@@ -238,13 +208,6 @@ impl Profile {
                 value: req_u64(c, "value")?,
             });
         }
-        let mut gauges = Vec::new();
-        for g in arr("gauges")? {
-            gauges.push(GaugeStat {
-                name: req_str(g, "name")?,
-                value: req_f64(g, "value")?,
-            });
-        }
         let mut histograms = Vec::new();
         for h in arr("histograms")? {
             histograms.push(HistogramStat {
@@ -263,7 +226,6 @@ impl Profile {
             name,
             phases,
             counters,
-            gauges,
             histograms,
         })
     }
@@ -321,12 +283,6 @@ impl fmt::Display for Profile {
                 writeln!(f, "    {} = {}", c.name, c.value)?;
             }
         }
-        if !self.gauges.is_empty() {
-            writeln!(f, "  gauges:")?;
-            for g in &self.gauges {
-                writeln!(f, "    {} = {:.3}", g.name, g.value)?;
-            }
-        }
         if !self.histograms.is_empty() {
             writeln!(f, "  histograms (count / min / mean / p50 / p99 / max):")?;
             for h in &self.histograms {
@@ -353,7 +309,6 @@ mod tests {
             m.time("run/level", || ());
         });
         m.counter("evals").add(1234);
-        m.set_gauge("meps", 56.75);
         for v in [3u64, 9, 27, 81] {
             m.record("depth", v);
         }
@@ -382,14 +337,12 @@ mod tests {
     fn accessors_and_display() {
         let p = sample();
         assert_eq!(p.counter("evals"), Some(1234));
-        assert_eq!(p.gauge("meps"), Some(56.75));
         assert_eq!(p.histogram("depth").unwrap().count, 4);
         assert!(p.phase("run/level").is_some());
         assert!(p.phase("run").unwrap().total_ns >= p.phase("run/level").unwrap().total_ns);
         let rendered = format!("{p}");
         assert!(rendered.contains("run/level"));
         assert!(rendered.contains("evals = 1234"));
-        assert!(rendered.contains("meps = 56.750"));
         assert!(rendered.contains("depth:"));
     }
 

@@ -27,7 +27,9 @@ use std::fmt::Write as _;
 /// Serializes a netlist's annotation as SDF text.
 ///
 /// One `(CELL …)` per gate instance with one `IOPATH` per input pin, rise
-/// and fall triples (degenerate `t:t:t`).
+/// and fall triples (degenerate `t:t:t`). Each delay is written in the
+/// shortest decimal form that parses back to the same `f64`, so
+/// [`parse_sdf`] recovers the annotation's delays bit for bit.
 pub fn write_sdf(netlist: &Netlist, annotation: &TimingAnnotation) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "(DELAYFILE");
@@ -44,7 +46,7 @@ pub fn write_sdf(netlist: &Netlist, annotation: &TimingAnnotation) -> String {
                 let d = annotation.pin_delays(id, pin_idx);
                 let _ = writeln!(
                     out,
-                    "      (IOPATH {} {} ({r:.6}:{r:.6}:{r:.6}) ({f:.6}:{f:.6}:{f:.6}))",
+                    "      (IOPATH {} {} ({r}:{r}:{r}) ({f}:{f}:{f}))",
                     pin.name,
                     cell.output_pin(),
                     r = d.rise,
@@ -521,9 +523,7 @@ mod tests {
                         for pin in 0..node.fanin().len() {
                             let a = ann.pin_delays(id, pin);
                             let b = parsed.pin_delays(id, pin);
-                            // Writer rounds to 1e-6 ps.
-                            prop_assert!((a.rise - b.rise).abs() < 1e-5);
-                            prop_assert!((a.fall - b.fall).abs() < 1e-5);
+                            prop_assert_eq!(a, b);
                         }
                     }
                 }

@@ -87,12 +87,6 @@ impl Technology {
             ..self.clone()
         }
     }
-
-    /// The minimum supply voltage at which the model is meaningful: both
-    /// devices need usable overdrive.
-    pub fn vdd_floor(&self) -> f64 {
-        self.vth_n.max(self.vth_p) + 0.1
-    }
 }
 
 impl Default for Technology {
@@ -108,7 +102,6 @@ mod tests {
     #[test]
     fn defaults_are_plausible() {
         let t = Technology::nm15();
-        assert!(t.vdd_nominal > t.vdd_floor());
         assert!(t.alpha >= 1.0 && t.alpha <= 2.0, "α-power law range");
         assert!(t.k_n > t.k_p, "NMOS drives more current per width");
         assert_eq!(Technology::default(), t);
@@ -116,9 +109,10 @@ mod tests {
 
     #[test]
     fn floor_covers_paper_sweep() {
-        // The paper sweeps down to 0.55 V; the model must be valid there.
+        // The paper sweeps down to 0.55 V; both devices need usable
+        // overdrive there.
         let t = Technology::nm15();
-        assert!(t.vdd_floor() < 0.55);
+        assert!(0.55 - t.vth_n.max(t.vth_p) > 0.1);
     }
 
     #[test]
@@ -140,7 +134,6 @@ mod tests {
         let cold = nom.at_temperature(-40.0);
         assert!(cold.k_n > nom.k_n, "mobility rises in the cold");
         assert!(cold.vth_n > nom.vth_n, "threshold rises in the cold");
-        assert!(cold.vdd_floor() > nom.vdd_floor());
     }
 
     #[test]

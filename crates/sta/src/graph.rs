@@ -177,14 +177,6 @@ pub struct StaReport {
     pub unconstrained_inputs: Vec<NodeId>,
 }
 
-impl StaReport {
-    /// The critical path as a plain node sequence (the shape
-    /// `avfs_atpg::paths::Path` and sensitization consume).
-    pub fn critical_nodes(&self) -> Vec<NodeId> {
-        self.critical_path.iter().map(|s| s.node).collect()
-    }
-}
-
 /// Full per-node analysis arrays — kept when callers need more than the
 /// [`StaReport`] summary (per-node slack maps, custom endpoint sets).
 #[derive(Debug, Clone, PartialEq)]
@@ -201,19 +193,6 @@ pub struct StaAnalysis {
     /// (edge 0 = rise, 1 = fall); `None` at launch points and
     /// unreachable transitions.
     pred: Vec<[Option<(NodeId, usize)>; 2]>,
-}
-
-impl StaAnalysis {
-    /// Slack (`required − latest arrival`) per edge at `node`. Positive
-    /// slack means margin against the worst endpoint; ~0 on the critical
-    /// path; non-finite where arrival or required is unreachable.
-    pub fn slack_of(&self, node: NodeId) -> Arrival {
-        let i = node.index();
-        Arrival {
-            rise: self.required[i].rise - self.latest[i].rise,
-            fall: self.required[i].fall - self.latest[i].fall,
-        }
-    }
 }
 
 /// A per-pin-transition timing graph over one netlist: the netlist's
@@ -558,35 +537,6 @@ impl<'a> TimingGraph<'a> {
     }
 
     /// Folds the arrival of one concrete transition chain along `path`
-    /// (consecutive driver→consumer nodes, launch point first) given the
-    /// source edge, deriving each downstream edge from cell unateness.
-    /// Returns `(arrival_ps, final_edge_rising)`; `None` when the path is
-    /// not a fanin chain or crosses a binate cell (whose edge a static
-    /// fold cannot decide — use
-    /// [`TimingGraph::path_arrival_with_edges`] with
-    /// simulation-derived edges instead).
-    pub fn path_arrival(
-        &self,
-        path: &[NodeId],
-        source_rising: bool,
-        launch_time_ps: f64,
-    ) -> Option<(f64, bool)> {
-        let mut rising = source_rising;
-        let mut edges = Vec::with_capacity(path.len());
-        edges.push(rising);
-        for &b in path.iter().skip(1) {
-            rising = match self.node_unateness(b) {
-                Unateness::Positive => rising,
-                Unateness::Negative => !rising,
-                Unateness::Binate => return None,
-            };
-            edges.push(rising);
-        }
-        self.path_arrival_with_edges(path, &edges, launch_time_ps)
-            .map(|t| (t, rising))
-    }
-
-    /// Folds the arrival of one concrete transition chain along `path`
     /// with an explicit per-node edge sequence (`true` = rising at that
     /// node's output) — the caller decides edges, e.g. by evaluating the
     /// launch and capture patterns, so binate cells pose no problem.
@@ -719,9 +669,9 @@ mod tests {
         // arrival of 10 — slack 12. Its falling output is on the
         // critical path — slack 0.
         let a = g.analyze(0.0);
-        let g1 = n.find("g1").unwrap();
-        assert_eq!(a.slack_of(g1).fall, 0.0);
-        assert_eq!(a.slack_of(g1).rise, 12.0);
+        let g1 = n.find("g1").unwrap().index();
+        assert_eq!(a.required[g1].fall - a.latest[g1].fall, 0.0);
+        assert_eq!(a.required[g1].rise - a.latest[g1].rise, 12.0);
     }
 
     #[test]
@@ -793,19 +743,13 @@ mod tests {
         let (n, levels, delays) = inv_and_graph();
         let g = TimingGraph::new(&n, &levels, delays).unwrap();
         let r = g.report(0.0);
-        let nodes = r.critical_nodes();
-        let (t, rising) = g
-            .path_arrival(&nodes, r.critical_path[0].rising, 0.0)
-            .expect("pure unate path");
-        assert_eq!(t, r.latest_arrival_ps);
-        assert!(!rising);
-        // Explicit-edge variant agrees.
+        let nodes: Vec<NodeId> = r.critical_path.iter().map(|s| s.node).collect();
         let edges: Vec<bool> = r.critical_path.iter().map(|s| s.rising).collect();
         assert_eq!(
             g.path_arrival_with_edges(&nodes, &edges, 0.0),
             Some(r.latest_arrival_ps)
         );
-        // Binate cells refuse the static fold.
+        // Explicit edges fold through binate cells too.
         let lib = CellLibrary::nangate15_like();
         let mut b = NetlistBuilder::new("x", &lib);
         let a = b.add_input("a").unwrap();
@@ -817,7 +761,6 @@ mod tests {
         let gx = TimingGraph::from_annotation(&nx, &lx, &avfs_delay::TimingAnnotation::zero(&nx))
             .unwrap();
         let path = [nx.find("a").unwrap(), nx.find("x").unwrap()];
-        assert_eq!(gx.path_arrival(&path, true, 0.0), None);
         assert_eq!(
             gx.path_arrival_with_edges(&path, &[true, false], 0.0),
             Some(0.0)

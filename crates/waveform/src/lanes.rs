@@ -47,14 +47,13 @@
 /// assert_eq!(lay.groups(), 2);
 /// assert_eq!(lay.group_width(0), 4);
 /// assert_eq!(lay.group_width(1), 1);
-/// // Every (slot, net) maps to a distinct cell and back to its slot.
+/// // Every (slot, net) maps to a distinct cell.
 /// let mut seen = vec![false; lay.entries()];
 /// for slot in 0..5 {
 ///     for net in 0..2 {
 ///         let idx = lay.index(slot, net);
 ///         assert!(!seen[idx]);
 ///         seen[idx] = true;
-///         assert_eq!(lay.slot_of(idx), slot);
 ///     }
 /// }
 /// assert!(seen.iter().all(|&s| s), "dense: slots × nodes cells");
@@ -147,7 +146,7 @@ impl LaneLayout {
 
     /// Arena index of group `g`'s first cell.
     #[inline]
-    pub fn group_base(&self, g: usize) -> usize {
+    fn group_base(&self, g: usize) -> usize {
         g * self.lanes * self.nodes
     }
 
@@ -174,23 +173,6 @@ impl LaneLayout {
         let lane = slot % self.lanes;
         self.run_start(g, net) + lane
     }
-
-    /// The slot that owns arena cell `idx` — the inverse of
-    /// [`LaneLayout::index`] projected onto slots, used to attribute
-    /// per-cell events (e.g. overflow injection keys) back to stimuli.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug assertions) if `idx` is out of range.
-    #[inline]
-    pub fn slot_of(&self, idx: usize) -> usize {
-        debug_assert!(idx < self.entries(), "cell {idx} out of range");
-        let per_group = self.group_entries();
-        let g = idx / per_group;
-        let r = idx % per_group;
-        let lane = r % self.group_width(g);
-        g * self.lanes + lane
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +185,6 @@ mod tests {
         for slot in 0..13 {
             for net in 0..7 {
                 assert_eq!(lay.index(slot, net), slot * 7 + net);
-                assert_eq!(lay.slot_of(slot * 7 + net), slot);
             }
         }
         assert_eq!(lay.groups(), 13);
@@ -224,7 +205,6 @@ mod tests {
                 let idx = lay.index(slot, net);
                 assert!(!seen[idx], "cell {idx} mapped twice");
                 seen[idx] = true;
-                assert_eq!(lay.slot_of(idx), slot, "slot_of inverts index");
             }
         }
         assert!(seen.iter().all(|&s| s), "layout is dense");

@@ -228,41 +228,6 @@ impl Waveform {
             .map(move |(i, &t)| (t, self.initial ^ (i % 2 == 0)))
     }
 
-    /// Removes pulses narrower than `min_width`: any pair of consecutive
-    /// transitions closer than `min_width` is deleted. Applied repeatedly
-    /// until stable, so the result contains no sub-threshold pulse.
-    ///
-    /// This is the *explicit* inertial filter; [`evaluate_gate_bounded_raw`]
-    /// performs the equivalent cancellation on the fly via transition
-    /// overtaking.
-    pub fn filter_pulses(&self, min_width: f64) -> Waveform {
-        let mut times = self.transitions.clone();
-        loop {
-            let mut removed = false;
-            let mut kept: Vec<f64> = Vec::with_capacity(times.len());
-            let mut i = 0;
-            while i < times.len() {
-                // A pulse is a pair (times[i], times[i+1]) returning to the
-                // pre-pulse value.
-                if i + 1 < times.len() && times[i + 1] - times[i] < min_width {
-                    i += 2;
-                    removed = true;
-                } else {
-                    kept.push(times[i]);
-                    i += 1;
-                }
-            }
-            times = kept;
-            if !removed {
-                break;
-            }
-        }
-        Waveform {
-            initial: self.initial,
-            transitions: times,
-        }
-    }
-
     /// Internal invariant check, for tests.
     #[cfg(test)]
     fn check_invariants(&self) -> bool {
@@ -858,25 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_pulses_removes_narrow() {
-        let w = wf(false, &[100.0, 101.0, 200.0, 260.0]);
-        let f = w.filter_pulses(5.0);
-        assert_eq!(f.transitions(), &[200.0, 260.0]);
-        // Wide pulses survive.
-        let f2 = w.filter_pulses(0.5);
-        assert_eq!(f2.transitions(), w.transitions());
-    }
-
-    #[test]
-    fn filter_pulses_cascades() {
-        // Removing the inner pulse merges the outer pair, which is then
-        // itself narrow and must be removed too.
-        let w = wf(false, &[100.0, 103.0, 104.0, 107.0]);
-        let f = w.filter_pulses(5.0);
-        assert_eq!(f.num_transitions(), 0);
-    }
-
-    #[test]
     fn segmented_boundary_event_uses_later_segment() {
         // INV with a slow segment 0 (delay 5) and a fast segment 1
         // (delay 1) starting at t = 10.
@@ -1104,22 +1050,6 @@ mod tests {
             prop_assert_eq!(out.final_value(), !(a.final_value() && b.final_value()));
             // Initial value equals the function of initial inputs.
             prop_assert_eq!(out.initial_value(), !(a.initial_value() && b.initial_value()));
-        }
-
-        #[test]
-        fn filter_pulses_idempotent(
-            times in proptest::collection::vec(0.0f64..1000.0, 0..16),
-            width in 0.1f64..50.0,
-        ) {
-            let mut t = times.clone(); t.sort_by(f64::total_cmp); t.dedup();
-            let w = Waveform::with_transitions(false, t).unwrap();
-            let once = w.filter_pulses(width);
-            let twice = once.filter_pulses(width);
-            prop_assert_eq!(&once, &twice);
-            // No surviving pulse is narrower than the width.
-            for pair in once.transitions().windows(2).step_by(2) {
-                prop_assert!(pair[1] - pair[0] >= width);
-            }
         }
 
         #[test]

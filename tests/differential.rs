@@ -247,7 +247,7 @@ fn simulate_pair(
     pair: &PatternPair,
     delay: impl Fn(NodeId, usize, Polarity, f64) -> f64 + Send + Sync + 'static,
 ) -> Vec<Waveform> {
-    let ed = EventDrivenSimulator::with_delays(Arc::clone(case.compiled.netlist()), delay).unwrap();
+    let ed = EventDrivenSimulator::with_delays(Arc::clone(case.compiled.netlist()), delay);
     ed.simulate_pair(pair, 0.0).waveforms
 }
 

@@ -102,7 +102,8 @@ fn sdf_spef_roundtrip_preserves_timing() {
         .expect("builds");
     let sim_b = CompiledNetlist::compile(Arc::clone(&netlist), Arc::new(parsed), model as _)
         .expect("builds");
-    let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 6);
+    let patterns = PatternSet::random(netlist.inputs().len(), 8, 6);
+    assert!(patterns.launched_transitions() >= patterns.len());
     let opts = SimOptions::default();
     let at_nominal = slots::at_voltage(patterns.len(), 0.8);
     let a = sim_a.launch(&patterns, &at_nominal, &opts).expect("runs");

@@ -47,7 +47,8 @@ fn engine_matches_event_driven_on_adder() {
     let baseline = EventDrivenSimulator::new(Arc::clone(&netlist), Arc::clone(&annotation))
         .expect("positive delays");
 
-    let patterns = PatternSet::lfsr(netlist.inputs().len(), 12, 9);
+    let patterns = PatternSet::random(netlist.inputs().len(), 12, 9);
+    assert!(patterns.launched_transitions() >= patterns.len());
     let slot_list = slots::at_voltage(patterns.len(), 0.8);
     let opts = SimOptions {
         threads: 1,
@@ -309,7 +310,8 @@ fn kernel_persistence_preserves_simulation() {
     let restored = avfs::delay::CharacterizedLibrary::from_package(&package, &library)
         .expect("package restores");
 
-    let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 12);
+    let patterns = PatternSet::random(netlist.inputs().len(), 8, 12);
+    assert!(patterns.launched_transitions() >= patterns.len());
     let opts = SimOptions {
         threads: 1,
         ..SimOptions::default()

@@ -218,7 +218,8 @@ fn event_driven_profile_and_identity() {
     let chars = characterize_for(&netlist, &library);
     let annotation = Arc::new(chars.annotate(&netlist).expect("annotation"));
     let ed = EventDrivenSimulator::new(Arc::clone(&netlist), annotation).expect("positive delays");
-    let patterns = PatternSet::lfsr(netlist.inputs().len(), 8, 3);
+    let patterns = PatternSet::random(netlist.inputs().len(), 8, 3);
+    assert!(patterns.launched_transitions() >= patterns.len());
     let slot_list = slots::at_voltage(patterns.len(), 0.8);
 
     let plain = ed.run(&patterns, &slot_list, true).expect("baseline runs");

@@ -152,7 +152,8 @@ fn panicked_slot_is_quarantined_while_others_match_oracle() {
         }),
     )
     .unwrap();
-    let patterns = PatternSet::lfsr(netlist.inputs().len(), 3, 7);
+    let patterns = PatternSet::random(netlist.inputs().len(), 3, 7);
+    assert!(patterns.launched_transitions() >= patterns.len());
     // Slot 2 sits at the poisoned 1.1 V operating point.
     let voltages = [0.8, 0.7, 1.1, 0.9];
     let specs = slots::cross(patterns.len(), &voltages);
@@ -215,7 +216,8 @@ fn write_side_activity_equals_the_waveform_oracle() {
         Arc::new(StaticModel::new(ParameterSpace::paper())),
     )
     .unwrap();
-    let patterns = PatternSet::lfsr(netlist.inputs().len(), 5, 11);
+    let patterns = PatternSet::random(netlist.inputs().len(), 5, 11);
+    assert!(patterns.launched_transitions() >= patterns.len());
     let specs = slots::cross(patterns.len(), &[0.7, 0.9]);
     let modes: [(&str, usize, Option<f64>); 3] = [
         ("normal", 0, None),

@@ -73,7 +73,8 @@ proptest! {
         let netlist = random_netlist(&format!("prop-{seed}"), &config, &library, seed)
             .expect("random netlist builds");
         let compiled = compile(netlist);
-        let patterns = PatternSet::lfsr(compiled.netlist().inputs().len(), 4, seed | 1);
+        let patterns = PatternSet::random(compiled.netlist().inputs().len(), 4, seed);
+        prop_assert!(patterns.launched_transitions() >= patterns.len());
         let run = compiled
             .launch(
                 &patterns,
