@@ -9,7 +9,7 @@
 //!   exclusive write access to the cell's transition storage. Writers
 //!   that hit arena overflow skip the claim entirely and leave the cell
 //!   unclaimed for quarantine-and-retry.
-//! * **Lane-claim protocol** (`avfs-waveform`'s `claim_run` /
+//! * **Lane-claim protocol** (`avfs-waveform`'s `set_run` /
 //!   `write_constant_run`): the lane-major generalization — one
 //!   `fetch_or(AcqRel)` claims a whole lane *mask* of a run's claim word
 //!   and the writer wins exactly the bits it observed clear, so the
@@ -20,12 +20,26 @@
 //!   claim disjoint bits of the *same* word, so neither may clear a bit
 //!   the other won.
 //! * **Reservation protocol** (`avfs-waveform`'s `LevelWriter::publish`):
-//!   waveforms are stored packed behind a shared bump cursor. A
-//!   publisher reserves its block's span with one `fetch_add`, copies
-//!   the block into it, then wins its cells' claims with one `fetch_or`
-//!   per claim word and only then stores each cell's `off`/`len`. Spans
-//!   reserved by concurrent publishers must be disjoint and gap-free,
-//!   and an output that overflowed reserves nothing.
+//!   waveforms are stored packed behind one bump cursor per *region* (a
+//!   lane group's cells and its span of the `times` lane). A publisher
+//!   whose block stays in one region reserves the block's span with one
+//!   `fetch_add` on that region's cursor, copies the block into it, then
+//!   wins its cells' claims with one `fetch_or` per claim word and only
+//!   then stores each cell's `off`/`len`; a block that leaves its first
+//!   cell's region is refused before any claim. Spans reserved by
+//!   concurrent publishers must be disjoint, gap-free and inside their
+//!   region's span, and an output that overflowed reserves nothing.
+//! * **Cell-bit protocol** (`avfs-waveform`'s switching and high bits):
+//!   besides its claim bit, each cell has a *switching* bit (it has
+//!   transitions) and a *high* bit (it starts high), 64 cells to a word
+//!   and cleared by every reset. Whoever wins a cell's claim stores its
+//!   `len` if it switches and then sets both bits with `fetch_or` — a
+//!   constant store of quiet lanes (`write_constant_run`) sets only
+//!   `high`, a publish or passthrough both. Writers of different cells
+//!   of one word run concurrently; every written cell's bits must end as
+//!   its writer set them, and a reader that sees a switching bit must
+//!   find the `len` it guards stored, over `len`s a previous batch left
+//!   stale.
 //! * **Epoch protocol** (`avfs-core`'s `WorkerPool`): the coordinator
 //!   publishes a job, bumps the epoch counter to release parked workers,
 //!   then waits for the running count to drain back to zero before
@@ -42,9 +56,11 @@
 //! via [`explore`] and returns the exploration statistics, or a failing
 //! schedule as a witness. The `tests` module additionally contains
 //! deliberately broken variants (non-atomic claim, non-atomic lane
-//! claim, non-atomic reservation, barrier-free coordinator, a cursor
-//! torn into a level word and a gate word) proving the checker detects
-//! the races these protocols are designed to prevent.
+//! claim, non-atomic reservation, a block published across two regions,
+//! cell bits set with plain stores by two writers of one word, a
+//! switching bit set before its `len`, barrier-free coordinator, a
+//! cursor torn into a level word and a gate word) proving the checker
+//! detects the races these protocols are designed to prevent.
 
 use crate::interleave::{explore, Explored, InterleaveError, StepResult, ThreadModel};
 use crate::Finding;
@@ -195,7 +211,7 @@ const MODEL_LANES: usize = 4;
 
 /// Shared state of the lane-claim model: one claim *word* covering the
 /// lanes of a run, plus per-lane instrumentation. This mirrors
-/// `claim_run` in `avfs-waveform`: a writer claims a whole lane mask with
+/// `set_run` in `avfs-waveform`: a writer claims a whole lane mask with
 /// one `fetch_or(AcqRel)` and wins exactly the bits it observed clear.
 #[derive(Clone, Debug)]
 struct LaneClaimState {
@@ -414,17 +430,30 @@ fn check_lane_claims(
 /// Cells in the reservation model.
 const MODEL_CELLS: usize = 4;
 
+/// Cells per region: the model's two regions are cells 0–1 and 2–3, as
+/// the real arena's are its lane groups' cells.
+const REGION_CELLS: usize = 2;
+
+/// Transitions one cell holds (the real arena's `capacity`), so a
+/// region's span of the `times` lane is `REGION_CELLS × CELL_CAPACITY`
+/// elements.
+const CELL_CAPACITY: usize = 2;
+
 /// Elements of the modeled `times` lane — the reservation
 /// (`entries × capacity` in the real arena).
-const MODEL_TIMES: usize = 8;
+const MODEL_TIMES: usize = MODEL_CELLS * CELL_CAPACITY;
 
-/// Shared state of the reservation model: the bump cursor, the packed
-/// lane with the publisher that filled each element, and the per-cell
-/// claim and span lanes.
+/// Elements of one region's span.
+const REGION_SPAN: usize = REGION_CELLS * CELL_CAPACITY;
+
+/// Shared state of the reservation model: one bump cursor per region,
+/// the packed lane with the publisher that filled each element, and the
+/// per-cell claim and span lanes.
 #[derive(Clone, Debug)]
 struct ReservationState {
-    /// The storage cursor (`AtomicUsize` in the real arena).
-    cursor: usize,
+    /// The regions' storage cursors (one `AtomicUsize` each in the real
+    /// arena), each starting at its region's span.
+    cursors: [usize; MODEL_CELLS / REGION_CELLS],
     /// Which publisher filled each element of the packed lane.
     filled: [Option<usize>; MODEL_TIMES],
     /// Which publisher holds each cell's claim.
@@ -439,6 +468,11 @@ struct ReservationState {
 /// `(cell, len)` pairs, in staging order.
 pub type ModelBlock = [(usize, usize)];
 
+/// The region cell `cell` belongs to.
+fn region_of(cell: usize) -> usize {
+    cell / REGION_CELLS
+}
+
 /// One worker publishing a block of `(cell, len)` outputs. The modeled
 /// cells share one claim word, so the block's claims are one
 /// `fetch_or`.
@@ -452,6 +486,13 @@ struct Publisher {
     /// `fetch_add` — the broken variant used by tests to prove the
     /// checker catches overlapping spans.
     atomic_reserve: bool,
+    /// When false, a block whose cells leave its first cell's region is
+    /// published into that region's span instead of being refused — the
+    /// broken variant used by tests to prove the checker catches a block
+    /// spanning two regions.
+    one_region: bool,
+    /// The region the block reserves from: its first cell's.
+    region: usize,
     /// Start of the reserved span (in the torn variant: the cursor value
     /// its load observed).
     start: usize,
@@ -462,27 +503,50 @@ impl Publisher {
     fn total(&self) -> usize {
         self.block.iter().map(|&(_, len)| len).sum()
     }
+
+    /// Whether the real `publish` refuses the block before any claim or
+    /// reservation: it leaves its first cell's region.
+    fn refused(&self) -> bool {
+        self.one_region && self.block.iter().any(|&(c, _)| region_of(c) != self.region)
+    }
+
+    /// Checks the span just reserved against the region's end — the
+    /// real `publish`'s exhaustion assert, which only a protocol fault
+    /// can fire.
+    fn check_span(&self, shared: &mut ReservationState) {
+        if self.start + self.total() > (self.region + 1) * REGION_SPAN {
+            shared.violation = Some(format!(
+                "publisher {} exhausted region {}",
+                self.id, self.region
+            ));
+        }
+    }
 }
 
 impl ThreadModel<ReservationState> for Publisher {
     fn step(&mut self, shared: &mut ReservationState) -> StepResult {
-        if self.overflow {
-            // Overflow path: bail before touching the cursor or a claim.
+        if self.overflow || self.refused() {
+            // Overflow path, or a block the one-region assert refuses:
+            // bail before touching a cursor or a claim.
             return StepResult::Finished;
         }
+        let r = self.region;
         match self.pc {
             0 if self.atomic_reserve => {
-                // fetch_add(total): one atomic step.
-                self.start = shared.cursor;
-                shared.cursor += self.total();
+                // fetch_add(total) on the region's cursor: one atomic
+                // step.
+                self.start = shared.cursors[r];
+                shared.cursors[r] += self.total();
+                self.check_span(shared);
                 self.pc = 2;
             }
             0 => {
-                self.start = shared.cursor;
+                self.start = shared.cursors[r];
                 self.pc = 1;
             }
             1 => {
-                shared.cursor = self.start + self.total();
+                shared.cursors[r] = self.start + self.total();
+                self.check_span(shared);
                 self.pc = 2;
             }
             2 => {
@@ -553,52 +617,56 @@ fn check_reservation(
     blocks: &[&ModelBlock],
     overflow_publishers: usize,
     atomic_reserve: bool,
+    one_region: bool,
 ) -> Result<Explored, InterleaveError> {
+    let publisher = |id, block: Vec<(usize, usize)>, overflow| Publisher {
+        id,
+        region: block.first().map_or(0, |&(c, _)| region_of(c)),
+        block,
+        overflow,
+        atomic_reserve,
+        one_region,
+        start: 0,
+        pc: 0,
+    };
     let mut threads: Vec<Publisher> = blocks
         .iter()
         .take(MAX_MODEL_THREADS)
         .enumerate()
-        .map(|(id, block)| Publisher {
-            id,
-            block: block.to_vec(),
-            overflow: false,
-            atomic_reserve,
-            start: 0,
-            pc: 0,
-        })
+        .map(|(id, block)| publisher(id, block.to_vec(), false))
         .collect();
     let publishing = threads.len();
-    let expect_used: usize = threads.iter().map(Publisher::total).sum();
-    let expect_cells: usize = threads.iter().map(|t| t.block.len()).sum();
     assert!(
-        expect_used <= MODEL_TIMES
-            && threads
-                .iter()
-                .all(|t| t.block.iter().all(|&(c, _)| c < MODEL_CELLS)),
+        threads.iter().all(|t| t
+            .block
+            .iter()
+            .all(|&(c, len)| c < MODEL_CELLS && len <= CELL_CAPACITY)),
         "blocks fit the modeled arena"
     );
+    let published: Vec<&Publisher> = threads.iter().filter(|t| !t.refused()).collect();
+    let mut expect_cursors: [usize; MODEL_CELLS / REGION_CELLS] =
+        std::array::from_fn(|r| r * REGION_SPAN);
+    for t in &published {
+        expect_cursors[t.region] += t.total();
+    }
+    let expect_cells: usize = published.iter().map(|t| t.block.len()).sum();
     threads.extend(
-        (0..overflow_publishers.min(MAX_MODEL_THREADS)).map(|i| Publisher {
-            id: publishing + i,
-            block: vec![(0, 1)],
-            overflow: true,
-            atomic_reserve,
-            start: 0,
-            pc: 0,
-        }),
+        (0..overflow_publishers.min(MAX_MODEL_THREADS))
+            .map(|i| publisher(publishing + i, vec![(0, 1)], true)),
     );
     let shared = ReservationState {
-        cursor: 0,
+        cursors: std::array::from_fn(|r| r * REGION_SPAN),
         filled: [None; MODEL_TIMES],
         claimed_by: [None; MODEL_CELLS],
         spans: [None; MODEL_CELLS],
         violation: None,
     };
     explore(&shared, &threads, &reservation_invariant, &|s| {
-        if s.cursor != expect_used {
+        if s.cursors != expect_cursors {
             return Err(format!(
-                "cursor ended at {}, want {expect_used} (zero waste, nothing for overflows)",
-                s.cursor
+                "cursors ended at {:?}, want {expect_cursors:?} (zero waste, nothing for \
+                 overflows or refused blocks)",
+                s.cursors
             ));
         }
         let stored: Vec<(usize, usize, usize)> = s.spans.iter().flatten().copied().collect();
@@ -631,16 +699,20 @@ fn check_reservation(
 
 /// Checks the packed-storage reservation protocol: `blocks[i]` is
 /// publisher `i`'s block of `(cell, len)` outputs (clamped to
-/// [`MAX_MODEL_THREADS`] publishers over `MODEL_CELLS` = 4 cells and
-/// `MODEL_TIMES` = 8 elements), with `overflow_publishers` additional
-/// threads whose output overflowed and was never staged.
+/// [`MAX_MODEL_THREADS`] publishers over `MODEL_CELLS` = 4 cells of at
+/// most `CELL_CAPACITY` = 2 transitions, in two regions of two cells,
+/// each with its own cursor over its own 4-element span), with
+/// `overflow_publishers` additional threads whose output overflowed and
+/// was never staged. A block whose cells leave its first cell's region
+/// is refused before any claim, as the real `publish` panics there.
 ///
 /// # Errors
 ///
 /// Returns the failing schedule if any interleaving lets two publishers
-/// fill one element, stores a cell's span before its claim is won,
-/// leaves a gap or a stored cell reading foreign data, or lets the
-/// overflow path move the cursor.
+/// fill one element or a block outgrow its region's span, stores a
+/// cell's span before its claim is won, leaves a gap or a stored cell
+/// reading foreign data, or lets the overflow path or a refused block
+/// move a cursor.
 ///
 /// # Panics
 ///
@@ -649,7 +721,204 @@ fn check_reservation_protocol(
     blocks: &[&ModelBlock],
     overflow_publishers: usize,
 ) -> Result<Explored, InterleaveError> {
-    check_reservation(blocks, overflow_publishers, true)
+    check_reservation(blocks, overflow_publishers, true, true)
+}
+
+// ---------------------------------------------------------------------
+// Cell-bit protocol (the switching and high bits of a LevelWriter's cells)
+// ---------------------------------------------------------------------
+
+/// Cells of the modeled word.
+const BIT_CELLS: usize = 4;
+
+/// What each cell's `len` holds before the batch: a previous batch's
+/// value, which no reset clears.
+const STALE_LEN: usize = 99;
+
+/// One write of cells of the modeled word, as `write_constant_run`,
+/// `publish` and `copy_cell` make it: the cells it claims, those of them
+/// that switch (each stored with `len` = its index + 1) and those that
+/// start high.
+pub type BitWrite = (u64, u64, u64);
+
+/// Shared state of the cell-bit model: the word's three bit words and
+/// the cells' `len`s.
+#[derive(Clone, Debug)]
+struct CellBitState {
+    claimed: u64,
+    switching: u64,
+    high: u64,
+    len: [usize; BIT_CELLS],
+    violation: Option<String>,
+}
+
+/// One writer making its writes in order, each four steps: the claim
+/// (`fetch_or`), the `len` stores of its switching cells, then the
+/// switching and the high bits.
+#[derive(Clone)]
+struct CellBitWriter {
+    writes: Vec<BitWrite>,
+    next: usize,
+    pc: u8,
+    /// When false, each bit word is set with a plain load and a later
+    /// store — the broken variant proving the checker catches two
+    /// writers of one word losing each other's bits.
+    atomic_bits: bool,
+    /// When false, the switching bits are set before the `len`s they
+    /// guard are stored — the broken variant proving the checker catches
+    /// a reader finding a stale span behind a set switching bit.
+    bits_after_len: bool,
+    /// The word a non-atomic bit store loaded, until it stores it.
+    loaded: Option<u64>,
+}
+
+impl CellBitWriter {
+    /// Sets `bits` in `word`: one atomic step, or — in the broken
+    /// variant — a load now and a store of the loaded word next step.
+    /// Returns whether the update is done.
+    fn set(&mut self, word: &mut u64, bits: u64) -> bool {
+        if self.atomic_bits {
+            *word |= bits;
+            return true;
+        }
+        match self.loaded.take() {
+            None => {
+                self.loaded = Some(*word);
+                false
+            }
+            Some(loaded) => {
+                *word = loaded | bits;
+                true
+            }
+        }
+    }
+}
+
+impl ThreadModel<CellBitState> for CellBitWriter {
+    fn step(&mut self, shared: &mut CellBitState) -> StepResult {
+        let Some(&(cells, switching, high)) = self.writes.get(self.next) else {
+            return StepResult::Finished;
+        };
+        // The order of the three stores after the claim.
+        let order: [u8; 3] = if self.bits_after_len {
+            [1, 2, 3]
+        } else {
+            [2, 1, 3]
+        };
+        let done = match self.pc {
+            0 => {
+                // fetch_or of the claims: a cell already claimed is a
+                // double write, which the real writer panics on.
+                if shared.claimed & cells != 0 {
+                    shared.violation = Some(format!("cells {cells:#06b} claimed twice"));
+                }
+                shared.claimed |= cells;
+                true
+            }
+            pc => match order[usize::from(pc - 1)] {
+                1 => {
+                    for c in (0..BIT_CELLS).filter(|&c| switching >> c & 1 == 1) {
+                        shared.len[c] = c + 1;
+                    }
+                    true
+                }
+                2 => self.set(&mut shared.switching, switching),
+                _ => self.set(&mut shared.high, high),
+            },
+        };
+        if done {
+            self.pc += 1;
+            if self.pc == 4 {
+                (self.next, self.pc) = (self.next + 1, 0);
+                if self.next == self.writes.len() {
+                    return StepResult::Finished;
+                }
+            }
+        }
+        StepResult::Ran
+    }
+}
+
+/// The cell-bit invariant, after every step: a cell whose switching bit
+/// is set is claimed and has its `len` stored.
+fn cell_bit_invariant(s: &CellBitState) -> Result<(), String> {
+    if let Some(v) = &s.violation {
+        return Err(v.clone());
+    }
+    for c in (0..BIT_CELLS).filter(|&c| s.switching >> c & 1 == 1) {
+        if s.claimed >> c & 1 == 0 || s.len[c] != c + 1 {
+            return Err(format!(
+                "cell {c} reads as switching with len {} (claimed {:#06b})",
+                s.len[c], s.claimed
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Checks the cell bits of one word of `BIT_CELLS` = 4 cells:
+/// `writers[i]` is the sequence of writes writer `i` makes (clamped to
+/// [`MAX_MODEL_THREADS`] writers, every cell claimed by one write at
+/// most, as the claims make it). The bits start cleared and the `len`s
+/// stale; a cell no write names stays unwritten and must read as a
+/// constant low.
+///
+/// # Errors
+///
+/// Returns the failing schedule if any interleaving lets a reader see a
+/// switching bit before the `len` it guards, or leaves a cell's
+/// switching or high bit other than its writer set it.
+fn check_cell_bits(
+    writers: &[&[BitWrite]],
+    atomic_bits: bool,
+    bits_after_len: bool,
+) -> Result<Explored, InterleaveError> {
+    let writes: Vec<BitWrite> = writers.iter().flat_map(|w| w.iter().copied()).collect();
+    let want = writes
+        .iter()
+        .fold([0u64; 3], |[c, sw, h], &(cells, s, hi)| {
+            [c | cells, sw | s & cells, h | hi & cells]
+        });
+    let threads: Vec<CellBitWriter> = writers
+        .iter()
+        .take(MAX_MODEL_THREADS)
+        .map(|writes| CellBitWriter {
+            writes: writes.to_vec(),
+            next: 0,
+            pc: 0,
+            atomic_bits,
+            bits_after_len,
+            loaded: None,
+        })
+        .collect();
+    let shared = CellBitState {
+        claimed: 0,
+        switching: 0,
+        high: 0,
+        len: [STALE_LEN; BIT_CELLS],
+        violation: None,
+    };
+    explore(&shared, &threads, &cell_bit_invariant, &|s| {
+        let got = [s.claimed, s.switching, s.high];
+        if got != want {
+            return Err(format!(
+                "claimed/switching/high ended {:#06b}/{:#06b}/{:#06b}, want \
+                 {:#06b}/{:#06b}/{:#06b}: a writer lost its store",
+                got[0], got[1], got[2], want[0], want[1], want[2]
+            ));
+        }
+        Ok(())
+    })
+}
+
+/// Checks the cell-bit protocol as the arena runs it: atomic bit
+/// updates, switching bits set after the `len`s they guard.
+///
+/// # Errors
+///
+/// As [`check_cell_bits`].
+fn check_cell_bit_protocol(writers: &[&[BitWrite]]) -> Result<Explored, InterleaveError> {
+    check_cell_bits(writers, true, true)
 }
 
 // ---------------------------------------------------------------------
@@ -1088,9 +1357,13 @@ pub struct ProtocolRun {
 /// over two epochs, so job invalidation and re-publish are both
 /// exercised; the lane-claim model over overlapping, partially
 /// overlapping, and overflow-path masks; the reservation model over
-/// multi-cell blocks, an empty cell and an overflow-path publisher; and
-/// a constant run against a two-cell publish on one claim word), and the
-/// hand-off protocol with an owner and a helper. Returns the per-run
+/// publishers sharing a region's cursor, multi-cell blocks in two
+/// regions at once, an empty cell and an overflow-path publisher; and
+/// a constant run against a two-cell publish on one claim word), the
+/// cell-bit protocol with a writer's constant store and then its
+/// publish beside another writer's publish of the same word, and the
+/// hand-off
+/// protocol with an owner and a helper. Returns the per-run
 /// outcomes plus `AVC-C001` findings for any run that uncovered a
 /// violation.
 pub fn audit_concurrency() -> (Vec<ProtocolRun>, Vec<Finding>) {
@@ -1133,17 +1406,30 @@ pub fn audit_concurrency() -> (Vec<ProtocolRun>, Vec<Finding>) {
         ProtocolRun {
             protocol: "reservation/2-blocks",
             threads: 2,
-            result: check_reservation_protocol(&[&[(0, 2), (2, 1)], &[(1, 3), (3, 0)]], 0),
+            result: check_reservation_protocol(&[&[(0, 2)], &[(1, 1)]], 0),
+        },
+        ProtocolRun {
+            protocol: "reservation/2-regions",
+            threads: 2,
+            result: check_reservation_protocol(&[&[(0, 2), (1, 1)], &[(2, 2), (3, 0)]], 0),
         },
         ProtocolRun {
             protocol: "reservation/3-blocks",
             threads: 3,
-            result: check_reservation_protocol(&[&[(0, 2)], &[(1, 3)], &[(2, 1)]], 0),
+            result: check_reservation_protocol(&[&[(0, 2)], &[(1, 2)], &[(2, 1)]], 0),
         },
         ProtocolRun {
             protocol: "reservation/2-blocks+overflow",
             threads: 3,
             result: check_reservation_protocol(&[&[(0, 1), (1, 2)], &[(2, 2)]], 1),
+        },
+        ProtocolRun {
+            protocol: "cell-bits/constant+publish",
+            threads: 2,
+            result: check_cell_bit_protocol(&[
+                &[(0b0101, 0, 0b0001), (0b0010, 0b0010, 0b0010)],
+                &[(0b1000, 0b1000, 0b1000)],
+            ]),
         },
         ProtocolRun {
             protocol: "epoch/1-worker-2-epochs",
@@ -1258,13 +1544,15 @@ mod tests {
 
     #[test]
     fn reservation_spans_are_disjoint_and_gap_free() {
-        // Multi-cell blocks, an empty cell, three publishers, and an
-        // overflow-path publisher that must reserve nothing.
-        let cases: [(&[&ModelBlock], usize); 4] = [
-            (&[&[(0, 2), (2, 1)], &[(1, 3), (3, 0)]], 0),
-            (&[&[(0, 2)], &[(1, 3)], &[(2, 1)]], 0),
+        // Publishers sharing a region's cursor, multi-cell blocks in two
+        // regions, an empty cell, three publishers, and an overflow-path
+        // publisher that must reserve nothing.
+        let cases: [(&[&ModelBlock], usize); 5] = [
+            (&[&[(0, 2)], &[(1, 1)]], 0),
+            (&[&[(0, 2), (1, 1)], &[(2, 2), (3, 0)]], 0),
+            (&[&[(0, 2)], &[(1, 2)], &[(2, 1)]], 0),
             (&[&[(0, 1), (1, 2)], &[(2, 2)]], 1),
-            (&[&[(0, 4), (1, 4)]], 2),
+            (&[&[(0, 2), (1, 2)]], 2),
         ];
         for (blocks, overflow) in cases {
             let explored = check_reservation_protocol(blocks, overflow).unwrap();
@@ -1289,11 +1577,81 @@ mod tests {
     fn torn_reservation_is_caught() {
         // A cursor bumped with a load and a store instead of one
         // `fetch_add` hands two publishers the same span.
-        let err = check_reservation(&[&[(0, 2)], &[(1, 2)]], 0, false).unwrap_err();
+        let err = check_reservation(&[&[(0, 2)], &[(1, 2)]], 0, false, true).unwrap_err();
         assert!(
             matches!(err, InterleaveError::InvariantViolated { ref message, .. }
                 if message.contains("filled by publishers")),
             "expected overlapping spans, got {err}"
+        );
+    }
+
+    #[test]
+    fn a_block_spanning_two_regions_is_refused_before_any_claim() {
+        // Cells 1 and 2 lie in regions 0 and 1: the block is refused, so
+        // it reserves and stores nothing, and region 0's other publisher
+        // fills its span alone.
+        let explored = check_reservation_protocol(&[&[(1, 2), (2, 2)], &[(0, 2)]], 0).unwrap();
+        assert!(explored.schedules >= 1);
+    }
+
+    #[test]
+    fn a_block_published_across_two_regions_is_caught() {
+        // Without the one-region check the block reserves cells of region
+        // 1 from region 0's span, which the region's own cells then
+        // outgrow.
+        let err = check_reservation(&[&[(1, 2), (2, 2)], &[(0, 2)]], 0, true, false).unwrap_err();
+        assert!(
+            matches!(err, InterleaveError::InvariantViolated { ref message, .. }
+                if message.contains("exhausted region 0")),
+            "expected an exhausted region, got {err}"
+        );
+    }
+
+    #[test]
+    fn cell_bits_hold_every_written_cell() {
+        // A constant store then a publish beside another writer's
+        // publish of the same word; three writers of one cell each; a
+        // cell left unwritten.
+        for writers in [
+            &[
+                &[(0b0101u64, 0u64, 0b0001u64), (0b0010, 0b0010, 0b0010)][..],
+                &[(0b1000, 0b1000, 0b1000)],
+            ][..],
+            &[
+                &[(0b0001, 0b0001, 0)],
+                &[(0b0010, 0, 0b0010)],
+                &[(0b0100, 0b0100, 0b0100)],
+            ],
+        ] {
+            let explored = check_cell_bit_protocol(writers).unwrap();
+            assert!(explored.schedules > 1, "writers {writers:?}");
+        }
+    }
+
+    #[test]
+    fn plain_bit_stores_of_two_writers_are_caught() {
+        // Two writers of one word setting their bits with a load and a
+        // store: one writes back a word loaded before the other's store.
+        let err = check_cell_bits(
+            &[&[(0b0011, 0b0001, 0b0011)], &[(0b0100, 0b0100, 0)]],
+            false,
+            true,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, InterleaveError::FinalCheckFailed { ref message, .. }
+                if message.contains("lost its store")),
+            "expected a lost store, got {err}"
+        );
+    }
+
+    #[test]
+    fn a_switching_bit_set_before_its_len_is_caught() {
+        let err = check_cell_bits(&[&[(0b0001, 0b0001, 0)]], true, false).unwrap_err();
+        assert!(
+            matches!(err, InterleaveError::InvariantViolated { ref message, .. }
+                if message.contains("reads as switching with len 99")),
+            "expected a stale len, got {err}"
         );
     }
 
@@ -1414,7 +1772,7 @@ mod tests {
     #[test]
     fn audit_is_clean() {
         let (runs, findings) = audit_concurrency();
-        assert_eq!(runs.len(), 13);
+        assert_eq!(runs.len(), 15);
         assert!(
             findings.is_empty(),
             "concurrency audit found violations: {findings:?}"

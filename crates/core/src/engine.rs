@@ -83,11 +83,6 @@ const DEFAULT_LANES: usize = 8;
 /// is 0: one `u64` lane mask.
 const MAX_LANES: usize = 64;
 
-/// Whole lane groups per worker a batch's resolved default lane width
-/// must still leave, so that a worker done with one group has another
-/// to own rather than only helpers' chunks.
-const GROUPS_PER_WORKER: usize = 2;
-
 /// Work-stealing granularity: the cursor hands out chunks sized so each
 /// worker sees about this many grabs per level, bounding both contention
 /// (few grabs) and imbalance (small chunks).
@@ -95,6 +90,11 @@ const STEAL_GRABS_PER_WORKER: usize = 4;
 
 /// Upper bound on one work-stealing chunk, so huge levels still rebalance.
 const MAX_STEAL_CHUNK: usize = 64;
+
+/// Lower bound on one work-stealing chunk: a grab costs a `fetch_add` on
+/// the lane group's cursor and a delay view per voltage group, so a
+/// small level is handed out in a few chunks rather than gate by gate.
+const MIN_STEAL_CHUNK: usize = 8;
 
 /// Runtime options of one engine launch.
 #[derive(Debug, Clone)]
@@ -108,15 +108,19 @@ pub struct SimOptions {
     /// Upper bound on the transitions the waveform arena *reserves* at
     /// once (`slots × nodes × capacity`, the worst case); slots are
     /// processed in batches respecting it (the global-memory budget).
-    /// Batches are cut in whole lane groups of [`SimOptions::lanes`]
-    /// slots, at least one group per worker, so that every worker walks
-    /// a group of its own: a budget below that many groups' reservation
-    /// is rounded up to it (one worker at `lanes: 1` keeps the exact
-    /// budget, down to one-slot batches). Each group adds about
-    /// `nodes × lanes × 9` B of resident per-cell bookkeeping.
-    /// Transitions are stored packed, so what is resident is what a
-    /// batch actually wrote — usually a small fraction of the
-    /// reservation.
+    /// Batches are cut in whole groups of [`SimOptions::lanes`] slots
+    /// (8 for `lanes: 0`), at least one group per worker: a budget below
+    /// that many groups' reservation is rounded up to it (one worker at
+    /// `lanes: 1` keeps the exact budget, down to one-slot batches). An
+    /// explicit width walks each batch in those groups, one per worker
+    /// at least; `lanes: 0` walks it in groups as wide as
+    /// [`SimOptions::batch_lanes`] resolves, which may leave a worker
+    /// without a group of its own — it then helps the owners with chunks
+    /// of their levels. Each slot adds at most `nodes × 8⅜` B of resident
+    /// per-cell bookkeeping (the `len`/`off` of cells that switch, and
+    /// three bits per cell). Transitions are stored packed, so what is
+    /// resident is what a batch actually wrote — usually a small
+    /// fraction of the reservation.
     pub waveform_budget: usize,
     /// Retain full per-net waveforms in each [`SlotResult`] (small runs
     /// and tests only).
@@ -179,19 +183,24 @@ impl SimOptions {
         }
     }
 
-    /// The lane width of one batch of `slots` slots walked by `workers`
-    /// workers: `lanes`, or for 0 the widest power of two ≤ 64 that
-    /// still gives every worker two whole lane groups, and never less
-    /// than 8. A deep, narrow circuit then walks its levels in fewer,
-    /// wider groups — fewer level epochs per batch — without changing
-    /// the batch cut, hence the arena's size; every width gives
-    /// bit-identical results.
-    pub fn batch_lanes(&self, slots: usize, workers: usize) -> usize {
+    /// The lane width of one batch of `slots` slots: `lanes`, or for 0
+    /// the widest power of two ≤ 64 that the batch fills at least once,
+    /// and never less than 8. A lane group's gate task then advances as
+    /// many slots as the batch has — a fanin run's quiet and initial
+    /// values are one load of a word each, whatever the width — in fewer
+    /// level epochs per batch, without changing the batch cut, hence the
+    /// arena's size; a worker left without a group of its own helps the
+    /// others with chunks of their levels. Every width gives
+    /// bit-identical results. Measured at 2 workers only (DESIGN.md §5):
+    /// `grid_small`'s `launch_s` fell to 0.8× of the rule it replaced
+    /// (two whole groups per worker), and a bound of one group per
+    /// worker measured 0.9×; more workers are unmeasured.
+    pub fn batch_lanes(&self, slots: usize) -> usize {
         if self.lanes != 0 {
             return self.lanes;
         }
         let mut lanes = MAX_LANES;
-        while lanes > DEFAULT_LANES && slots / lanes < GROUPS_PER_WORKER * workers {
+        while lanes > DEFAULT_LANES && slots < lanes {
             lanes /= 2;
         }
         lanes

@@ -8,7 +8,7 @@
 //! on the caller, before and after the release.
 
 use super::delays::{BatchDelays, DelayFault, LevelDelays, VoltageGroup};
-use super::{RunCtx, RunState, MAX_STEAL_CHUNK, STEAL_GRABS_PER_WORKER};
+use super::{RunCtx, RunState, MAX_STEAL_CHUNK, MIN_STEAL_CHUNK, STEAL_GRABS_PER_WORKER};
 use crate::compile::LevelPlan;
 use crate::phases;
 use crate::results::{SlotResult, SlotStatus};
@@ -88,7 +88,7 @@ impl<'c> Batch<'c> {
                     })
             })
             .collect();
-        let lanes = ctx.options.batch_lanes(chunk.len(), ctx.pool.threads());
+        let lanes = ctx.options.batch_lanes(chunk.len());
         Batch {
             ctx,
             chunk,
@@ -530,7 +530,7 @@ impl<'a> Walk<'a> {
     fn work(&self, w: usize) {
         let ctx = self.batch.ctx;
         let mut share = Share {
-            scratch: GateScratch::new(),
+            scratch: ctx.pool.take_scratch(w),
             views: Vec::new(),
             walked: Walked::new(self.batch.chunk.len(), ctx.compiled.levels.depth()),
             peak: 0,
@@ -549,6 +549,9 @@ impl<'a> Walk<'a> {
             resume_unwind(payload);
         }
         self.writer.note_occupancy(share.peak);
+        // Every block the worker staged was published: a walk publishes
+        // its stimuli and each level's cells, a helper each chunk's.
+        ctx.pool.park_scratch(w, share.scratch);
         ctx.tallies.tasks[w].fetch_add(share.executed, Ordering::Relaxed);
         ctx.tallies.steals[w].fetch_add(share.steals, Ordering::Relaxed);
         self.walked
@@ -629,7 +632,9 @@ impl<'a> Walk<'a> {
     /// Level 0 of lane group `g`: stimuli waveforms, one pattern pair
     /// per slot, launched at t = 0 (where every `Schedule` is anchored),
     /// dead slots included so the occupancy watermark never depends on
-    /// which slots died. Each input's lanes are one run, staged in turn.
+    /// which slots died. Each input's lanes are one run: those whose pair
+    /// holds the input are written as one constant run, the switching
+    /// ones staged in turn.
     fn stimuli(&self, g: usize, share: &mut Share<'a>) {
         let t = share.clock();
         let ctx = self.batch.ctx;
@@ -640,20 +645,22 @@ impl<'a> Walk<'a> {
             .collect();
         for (k, &pi) in ctx.compiled.netlist.inputs().iter().enumerate() {
             let run = layout.run_start(g, pi.index());
+            let (mut quiet, mut high) = (0u64, 0u64);
             for (lane, pair) in pairs.iter().enumerate() {
                 let (launch, capture) = (pair.launch.bit(k), pair.capture.bit(k));
+                high |= u64::from(launch) << lane;
+                if launch == capture {
+                    quiet |= 1 << lane;
+                    continue;
+                }
                 let stats = self
                     .writer
-                    .stage_edge(
-                        &mut share.scratch,
-                        run + lane,
-                        launch,
-                        (launch != capture).then_some(0.0),
-                    )
-                    .expect("a stimulus has at most one transition, and every cell holds one");
+                    .stage_edge(&mut share.scratch, run + lane, launch, 0.0)
+                    .expect("a stimulus has one transition, and every cell holds one");
                 share.peak = share.peak.max(stats.transitions);
                 share.walked.activity[base + lane].record(&stats);
             }
+            self.writer.write_constant_run(run, quiet, high);
         }
         self.writer.publish(&mut share.scratch);
         share.walked.stimuli += since(t);
@@ -689,9 +696,10 @@ impl<'a> Walk<'a> {
             let si = layout.group_slot(g) + lane;
             for &out in &plan.output_nodes {
                 let from = ctx.compiled.netlist.node(out).fanin()[0].index();
-                let to = layout.index(si, out.index());
-                self.writer.copy_cell(layout.index(si, from), to);
-                share.walked.activity[si].record(&WaveformStats::of(&self.writer.view(to)));
+                let copy = self
+                    .writer
+                    .copy_cell(layout.index(si, from), layout.index(si, out.index()));
+                share.walked.activity[si].record(&WaveformStats::of(&copy));
             }
         }
     }
@@ -752,7 +760,8 @@ impl<'a> Walk<'a> {
 
     /// Grabs the next chunk of lane group `g`'s open level, if it has
     /// gates left: `(level, gate positions)`. Chunks are sized so each
-    /// worker sees about [`STEAL_GRABS_PER_WORKER`] grabs per level.
+    /// worker sees about [`STEAL_GRABS_PER_WORKER`] grabs per level,
+    /// within [`MIN_STEAL_CHUNK`] ..= [`MAX_STEAL_CHUNK`] gates.
     fn grab(&self, g: usize) -> Option<(usize, Range<usize>)> {
         let plans = &self.batch.ctx.compiled.level_plans;
         let cursor = &self.groups[g].cursor;
@@ -761,7 +770,8 @@ impl<'a> Walk<'a> {
         if gate >= gates {
             return None;
         }
-        let chunk = (gates / (self.workers * STEAL_GRABS_PER_WORKER)).clamp(1, MAX_STEAL_CHUNK);
+        let chunk = (gates / (self.workers * STEAL_GRABS_PER_WORKER))
+            .clamp(MIN_STEAL_CHUNK, MAX_STEAL_CHUNK);
         // The level may have closed and the next opened since the load:
         // the word this `fetch_add` reads says which level its gates
         // belong to.

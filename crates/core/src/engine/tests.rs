@@ -381,19 +381,20 @@ fn lane_width_validation() {
         assert_eq!(got.diagnostics, scalar.diagnostics, "lanes={lanes}");
     }
 
-    // The default widens per batch: 144 slots at 2 workers is the widest
-    // width that leaves each worker two whole groups — 32, five groups of
-    // 32, 32, 32, 32 and 16 — in one batch cut in groups of 8.
+    // The default widens per batch to the widest width the batch fills
+    // once: 144 slots walk three groups of 64, 64 and 16, in one batch
+    // cut in groups of 8.
     let defaults = SimOptions::default();
-    assert_eq!(defaults.batch_lanes(144, 2), 32);
-    assert_eq!(defaults.batch_lanes(48, 2), 8, "never below 8");
-    assert_eq!(defaults.batch_lanes(144, 1), 64);
+    assert_eq!(defaults.batch_lanes(144), 64);
+    assert_eq!(defaults.batch_lanes(48), 32);
+    assert_eq!(defaults.batch_lanes(16), 16);
+    assert_eq!(defaults.batch_lanes(5), 8, "never below 8");
     assert_eq!(
         SimOptions {
             lanes: 4,
             ..defaults
         }
-        .batch_lanes(144, 2),
+        .batch_lanes(144),
         4
     );
     let adder = Arc::new(avfs_circuits::ripple_carry_adder(64, &lib).unwrap());
@@ -418,8 +419,8 @@ fn lane_width_validation() {
     let levels = profile.counter(phases::ENGINE_LEVELS).unwrap();
     assert_eq!(
         profile.counter(phases::ENGINE_LANES_GROUPS),
-        Some(5 * levels),
-        "every one of the five lane groups walks every level"
+        Some(3 * levels),
+        "every one of the three lane groups walks every level"
     );
 }
 

@@ -26,7 +26,7 @@
 //! perturbs the schedule and never a result.
 
 use avfs_inject::Injector;
-use avfs_waveform::WaveformArena;
+use avfs_waveform::{GateScratch, WaveformArena};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -210,12 +210,18 @@ pub(crate) struct ParkedPool {
     /// [`SimOptions::waveform_budget`](crate::SimOptions::waveform_budget)
     /// × 8 B of address space, or one lane group per worker's when that
     /// is larger; what stays resident is what the launch
-    /// wrote (its transitions, packed) plus ≈ 9 B per cell. Dropping the
+    /// wrote (its transitions, packed) plus at most 8⅜ B per cell
+    /// (`len`/`off` of cells that switch, three bits each). Dropping the
     /// owner frees it.
     arena: Mutex<WaveformArena>,
     /// Times [`ParkedPool::take_arena`] had to allocate (first use or a
     /// shape the resident allocations could not hold).
     arena_allocations: AtomicU64,
+    /// Each worker's merge scratch between its batches, so its vectors
+    /// keep the capacity they grew to instead of regrowing from empty
+    /// every batch (one per worker; a worker's lock is only ever taken
+    /// by that worker, never contended).
+    scratch: Vec<Mutex<GateScratch>>,
 }
 
 impl ParkedPool {
@@ -228,6 +234,7 @@ impl ParkedPool {
             workers: (threads > 1).then(|| WorkerPool::new(threads)),
             arena: Mutex::new(WaveformArena::default()),
             arena_allocations: AtomicU64::new(0),
+            scratch: (0..threads).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -260,6 +267,19 @@ impl ParkedPool {
     /// Parks `arena` for the next launch.
     pub fn park_arena(&self, arena: WaveformArena) {
         *self.arena.lock().expect("arena lock") = arena;
+    }
+
+    /// Checks worker `w`'s merge scratch out for one batch: what it
+    /// parked after its last batch, or an empty one. A worker that
+    /// unwinds drops it instead of parking it, leaving an empty one.
+    pub fn take_scratch(&self, w: usize) -> GateScratch {
+        std::mem::take(&mut *self.scratch[w].lock().expect("scratch lock"))
+    }
+
+    /// Parks worker `w`'s merge scratch for its next batch; everything
+    /// staged in it must have been published.
+    pub fn park_scratch(&self, w: usize, scratch: GateScratch) {
+        *self.scratch[w].lock().expect("scratch lock") = scratch;
     }
 
     /// Arena allocations so far (see [`ParkedPool::take_arena`]): 1 after

@@ -13,6 +13,18 @@
 //!
 //! # Storage
 //!
+//! Each entry has three bits, kept 64 entries to a word like the claim
+//! bits of [`LevelWriter`]: *claimed* (written this batch), *switching*
+//! (it has transitions) and *high* (it starts high). A lane run of the
+//! engine's [`crate::LaneLayout`] — one net's cells of one lane group —
+//! is consecutive entries, and a full power-of-two run never straddles
+//! a word, so a run's quiet and initial values are one load of each word
+//! whatever its width. The transitions of a switching entry are
+//! `times[off[i]..][..len[i]]`; `len` and `off` are written only for
+//! those entries and read only where the switching bit is set, so a
+//! constant entry costs its three bits and nothing else, and
+//! [`WaveformArena::reset`] clears the bits alone.
+//!
 //! The arena *reserves* the worst case — `entries × capacity`
 //! transitions in one `times` lane — and splits it into *regions*, one
 //! per run of `region` consecutive entries ([`WaveformArena::reset`]
@@ -21,13 +33,12 @@
 //! `(slot, net)` cell a buffer of its own). Region `r` holds entries
 //! `r·region ..` and owns the `times` span `r·region·capacity ..`, one
 //! `capacity` per entry; what is written is stored packed end to end
-//! behind the region's own bump cursor: entry `i` occupies
-//! `times[off[i]..][..len[i]]`. No cell may exceed `capacity` and every
-//! cell is written at most once between resets, so what a region's
-//! cells write never exceeds the region's span — running out is
-//! impossible by construction, region by region, with no slack; what is
-//! *resident* is what was written (the reservation's other pages are
-//! never touched), and a constant cell costs no `times` storage at all.
+//! behind the region's own bump cursor. No cell may exceed `capacity`
+//! and every cell is written at most once between resets, so what a
+//! region's cells write never exceeds the region's span — running out
+//! is impossible by construction, region by region, with no slack; what
+//! is *resident* is what was written (the reservation's other pages are
+//! never touched).
 //!
 //! # Concurrent access
 //!
@@ -39,13 +50,18 @@
 //! cell **once**; a per-cell atomic claim bit makes each cell's writer
 //! exclusive, so scattered work-stealing schedules (where the set of
 //! written cells is disjoint but not contiguous) can write in place
-//! concurrently. A worker collects finished cells in its [`GateScratch`]
-//! and publishes them a block at a time — every cell of a block lies in
-//! one region: one `fetch_add` on that region's cursor reserves the
-//! block's span of `times`, one copy fills it, one `fetch_or` per claim
-//! word the block touches wins its cells, and each cell's
-//! `off`/`len`/`initial` are stored once its claim is won. Workers on
-//! different regions share no cursor and fill disjoint parts of `times`.
+//! concurrently. A cell's switching and high bits are set with
+//! `fetch_or` by the worker that won its claim, after it stored the
+//! cell's `off`/`len`, so two workers writing cells of one word never
+//! race on it, and a reader that sees a switching bit sees the span it
+//! guards. A worker collects finished cells in its [`GateScratch`] and
+//! publishes them a block at a time — every cell of a block lies in one
+//! region: one `fetch_add` on that region's cursor reserves the block's
+//! span of `times`, one copy fills it, one `fetch_or` per word the block
+//! touches wins its cells, each switching cell's `off`/`len` is stored,
+//! and one `fetch_or` per word sets each of the other two bits where
+//! any cell needs it. Workers on different regions share no cursor and
+//! fill disjoint parts of `times`.
 
 use crate::{CapacityOverflow, GateScratch, Waveform, WaveformRead, WaveformStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -79,36 +95,64 @@ const MAPPED_LANE_BYTES: usize = (32 << 20) + 1;
 #[repr(align(128))]
 struct Cursor(AtomicUsize);
 
+/// The bits of 64 consecutive entries `64·w ..` — bit `k` for entry
+/// `64·w + k` — side by side, so a lane run's three words share a cache
+/// line. All three are cleared by [`WaveformArena::reset`] and set only
+/// by the entry's one writer.
+#[derive(Debug, Default)]
+struct CellBits {
+    /// Set by the entry's write, before anything else of it is stored.
+    claimed: AtomicU64,
+    /// Set iff the entry has transitions, after its `off`/`len` are
+    /// stored (release), so a reader that sees it (acquire) sees them.
+    switching: AtomicU64,
+    /// Set iff the entry starts high.
+    high: AtomicU64,
+}
+
+impl CellBits {
+    fn copy(&self) -> CellBits {
+        let bits = |word: &AtomicU64| AtomicU64::new(word.load(Ordering::Relaxed));
+        CellBits {
+            claimed: bits(&self.claimed),
+            switching: bits(&self.switching),
+            high: bits(&self.high),
+        }
+    }
+}
+
 /// Flat bounded storage for a batch of waveforms.
 ///
-/// Entry `i` occupies `times[off[i]..][..len[i]]`, inside its region's
-/// span (see the module docs);
-/// the engine maps `(slot, net)` to entries through
-/// [`crate::LaneLayout`]. The default arena is empty and owns no storage
-/// — what a long-lived owner holds until the first
-/// [`WaveformArena::reshape`].
+/// Entry `i` that has transitions occupies `times[off[i]..][..len[i]]`,
+/// inside its region's span; its switching and high bits say whether it
+/// has any and its initial value (see the module docs). The engine maps
+/// `(slot, net)` to entries through [`crate::LaneLayout`]. The default
+/// arena is empty and owns no storage — what a long-lived owner holds
+/// until the first [`WaveformArena::reshape`].
 #[derive(Debug, Default)]
 pub struct WaveformArena {
     capacity: usize,
-    initial: Vec<bool>,
+    /// Transitions of each entry that has any. Written only for such an
+    /// entry and read only where its switching bit is set; what any
+    /// other entry holds is stale.
     len: Vec<u32>,
-    /// Where each entry's transitions start in `times`. Read only for an
-    /// entry with `len > 0`; what an empty entry holds is stale.
+    /// Where each entry's transitions start in `times`, under the same
+    /// rule as `len`.
     off: Vec<u32>,
     /// The whole allocation, zero-initialised and never resized: only
     /// the first `entries × capacity` elements — the reservation —
     /// belong to the current shape, and of region `r`'s span only what
     /// lies below `cursors[r]` was ever written.
     times: Vec<f64>,
-    /// Entries per region (at least 1), set by [`Self::reset`].
+    /// Entries per region (at least 1).
     region: usize,
     /// One cursor per region: `entries.div_ceil(region)` of them.
     cursors: Vec<Cursor>,
-    /// One claim bit per entry (64 per word): set by the entry's one
-    /// write, cleared by [`Self::reset`]. The word width matches the lane-group
-    /// width of [`crate::LaneLayout`], so a full lane run's claims live in
-    /// one word and batch claims are a single `fetch_or`.
-    claims: Vec<AtomicU64>,
+    /// Each entry's claimed, switching and high bits, 64 entries per
+    /// [`CellBits`]. The word width matches the lane-group width of
+    /// [`crate::LaneLayout`], so a full lane run's bits live in one word
+    /// of each kind and batch claims are a single `fetch_or`.
+    bits: Vec<CellBits>,
     /// Peak transitions written to any entry since construction or the
     /// last [`Self::reshape`]; atomic so concurrent writers can fold
     /// into it (max is order-independent, hence deterministic).
@@ -119,7 +163,6 @@ impl Clone for WaveformArena {
     fn clone(&self) -> WaveformArena {
         WaveformArena {
             capacity: self.capacity,
-            initial: self.initial.clone(),
             len: self.len.clone(),
             off: self.off.clone(),
             times: self.times.clone(),
@@ -129,11 +172,7 @@ impl Clone for WaveformArena {
                 .iter()
                 .map(|c| Cursor(AtomicUsize::new(c.0.load(Ordering::Relaxed))))
                 .collect(),
-            claims: self
-                .claims
-                .iter()
-                .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
-                .collect(),
+            bits: self.bits.iter().map(CellBits::copy).collect(),
             peak: AtomicUsize::new(self.peak.load(Ordering::Relaxed)),
         }
     }
@@ -196,14 +235,13 @@ impl WaveformArena {
         };
         let mut arena = WaveformArena {
             capacity,
-            initial: vec![false; entries],
             len: vec![0; entries],
             off: vec![0; entries],
             times: vec![0.0; allocated],
             region: 1,
             cursors: Vec::new(),
-            claims: (0..entries.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
+            bits: (0..entries.div_ceil(64))
+                .map(|_| CellBits::default())
                 .collect(),
             peak: AtomicUsize::new(0),
         };
@@ -222,18 +260,19 @@ impl WaveformArena {
     }
 
     /// Resets every entry to an unwritten constant-low signal — its
-    /// claim cleared, so it may be written once more — and splits the
+    /// bits cleared, so it may be written once more — and splits the
     /// storage into regions of `region` consecutive entries (the last
     /// may hold fewer; 0 counts as 1, and more than the arena's entries
     /// as one region), each with its cursor rewound to the start of its
-    /// span. Every block a [`LevelWriter`] publishes
-    /// must lie in one region. Storage is retained; the peak-occupancy
-    /// watermark is kept for diagnostics.
+    /// span. Every block a [`LevelWriter`] publishes must lie in one
+    /// region. Nothing per entry is cleared but its bits; storage is
+    /// retained, and the peak-occupancy watermark is kept for
+    /// diagnostics.
     pub fn reset(&mut self, region: usize) {
-        self.initial.fill(false);
-        self.len.fill(0);
-        for word in &mut self.claims {
-            *word.get_mut() = 0;
+        for bits in &mut self.bits {
+            *bits.claimed.get_mut() = 0;
+            *bits.switching.get_mut() = 0;
+            *bits.high.get_mut() = 0;
         }
         self.partition(region);
     }
@@ -281,27 +320,33 @@ impl WaveformArena {
             return true;
         }
         self.capacity = capacity;
-        self.initial.resize(entries, false);
         self.len.resize(entries, 0);
         self.off.resize(entries, 0);
-        self.claims
-            .resize_with(entries.div_ceil(64), || AtomicU64::new(0));
+        self.bits
+            .resize_with(entries.div_ceil(64), CellBits::default);
         // Old spans are meaningless under the new shape.
         self.reset(entries);
         false
     }
 
-    /// A read view of entry `idx`.
+    /// A read view of entry `idx`: constant-low while it is unwritten
+    /// since the last [`Self::reset`].
     ///
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
     pub fn view(&self, idx: usize) -> WaveformView<'_> {
-        let len = self.len[idx] as usize;
-        let start = if len == 0 { 0 } else { self.off[idx] as usize };
+        assert!(idx < self.entries(), "arena cell {idx} out of range");
+        let (bits, bit) = (&self.bits[idx / 64], 1u64 << (idx % 64));
+        let times = if bits.switching.load(Ordering::Relaxed) & bit == 0 {
+            &[][..]
+        } else {
+            let start = self.off[idx] as usize;
+            &self.times[start..start + self.len[idx] as usize]
+        };
         WaveformView {
-            initial: self.initial[idx],
-            times: &self.times[start..start + len],
+            initial: bits.high.load(Ordering::Relaxed) & bit != 0,
+            times,
         }
     }
 
@@ -333,17 +378,15 @@ impl WaveformArena {
     /// batch see each other's cells as written. See [`LevelWriter`] for
     /// the access discipline.
     pub fn level_writer(&mut self) -> LevelWriter<'_> {
-        let entries = self.len.len();
         LevelWriter {
             capacity: self.capacity,
-            entries,
+            entries: self.len.len(),
             region: self.region,
-            initial: self.initial.as_mut_ptr(),
             len: self.len.as_mut_ptr(),
             off: self.off.as_mut_ptr(),
             times: self.times.as_mut_ptr(),
             cursors: &self.cursors,
-            claims: &self.claims,
+            bits: &self.bits,
             peak: &self.peak,
             _arena: std::marker::PhantomData,
         }
@@ -360,6 +403,17 @@ pub(crate) struct StagedCell {
     initial: bool,
 }
 
+/// One 64-entry word's share of a block [`LevelWriter::publish`] is
+/// moving into the arena: the cells it writes, and of those the ones
+/// that switch and the ones that start high.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BlockWord {
+    word: usize,
+    cells: u64,
+    switching: u64,
+    high: u64,
+}
+
 /// A shared handle through which the workers of one *batch* of a
 /// levelized simulation write a [`WaveformArena`] — stimuli, every
 /// level's gate outputs and passthroughs — created by
@@ -370,28 +424,31 @@ pub(crate) struct StagedCell {
 /// * Every cell may be **written at most once** between two
 ///   [`WaveformArena::reset`]s. Writes claim the cell's atomic bit first
 ///   (`fetch_or`, acquire-release); exactly one writer wins, so the
-///   subsequent plain stores are exclusive. A second write of the same
-///   cell panics instead of racing.
+///   subsequent plain stores of its `off`/`len` are exclusive, and only
+///   the winner sets its switching and high bits (`fetch_or`, release —
+///   the switching bit after the `off`/`len` it guards). A second write
+///   of the same cell panics instead of racing.
 /// * Transitions reach the arena a block at a time
 ///   ([`LevelWriter::stage`] or [`LevelWriter::stage_edge`], then
 ///   [`LevelWriter::publish`]), every cell of a block in one region
 ///   (see [`WaveformArena::reset`]): the publisher reserves a span of
 ///   the region's packed part of `times` with one `fetch_add` on the
 ///   region's cursor, so concurrent publishers fill disjoint spans, and
-///   a cell's `off`/`len`/`initial` are stored only after its claim is
-///   won. An output that is never staged reserves nothing.
-/// * Reads ([`LevelWriter::view`], [`LevelWriter::copy_cell`]'s source
-///   and the lane-run form [`LevelWriter::read_run`], whose
-///   [`WrittenRun::view`]s it checked once) must target cells **already written
-///   in this batch**, and the caller must have synchronized with their
-///   writer. In a levelized schedule both hold by construction: a
-///   level's gates read only fanin cells of strictly earlier levels, and
-///   a level opens only after every task of the one before it reported
-///   done. The claim bit is checked on every read and panics when the
-///   cell is unwritten — a read ahead of levelization. This is a
-///   best-effort tripwire: the levelization invariant, not the check, is
-///   the memory-model argument (a claimed cell whose stores are still in
-///   flight passes the check, and only a broken schedule can read one).
+///   fills it before any of the block's claims goes out. An output that
+///   is never staged reserves nothing.
+/// * Reads ([`LevelWriter::read_run`], whose [`WrittenRun::view`]s it
+///   checked once, and [`LevelWriter::copy_cell`]'s source) must target
+///   cells **already written in this batch**, and the caller must have
+///   synchronized with their writer. In a levelized schedule both hold
+///   by construction: a level's gates read only fanin cells of strictly
+///   earlier levels, and a level opens only after every task of the one
+///   before it reported done. The claim bit is checked on every read
+///   and panics when the cell is unwritten — a read ahead of
+///   levelization. This is a best-effort tripwire for the *values*: a
+///   claimed cell whose bits are still in flight passes the check and
+///   reads as a constant, which only a broken schedule can see. Memory
+///   safety needs no schedule: a cell's span is read only behind its
+///   switching bit, which its writer sets after storing the span.
 ///
 /// The writer is `Send + Sync`; it borrows the arena mutably, so no other
 /// access to the arena is possible until it is dropped.
@@ -401,12 +458,11 @@ pub struct LevelWriter<'a> {
     /// Entries per region: region `r` holds cells `r·region ..` and the
     /// `times` span `r·region·capacity ..`, one `capacity` per cell.
     region: usize,
-    initial: *mut bool,
     len: *mut u32,
     off: *mut u32,
     times: *mut f64,
     cursors: &'a [Cursor],
-    claims: &'a [AtomicU64],
+    bits: &'a [CellBits],
     peak: &'a AtomicUsize,
     _arena: std::marker::PhantomData<&'a mut WaveformArena>,
 }
@@ -421,17 +477,22 @@ impl std::fmt::Debug for LevelWriter<'_> {
 }
 
 // SAFETY: all mutation goes through the per-cell claim protocol (one
-// exclusive winner per cell per batch) and the region cursors'
-// reservation (one exclusive span of `times` per published block); reads
-// are claim-checked. The raw pointers are valid for the arena borrow 'a.
+// exclusive winner per cell per batch, the only thread that stores the
+// cell's `off`/`len`), atomic `fetch_or`s of the per-cell bits and the
+// region cursors' reservation (one exclusive span of `times` per
+// published block); spans are read only behind a switching bit set
+// after they were stored. The raw pointers are valid for the arena
+// borrow 'a.
 unsafe impl Send for LevelWriter<'_> {}
 // SAFETY: shared references only permit protocol-mediated access (same
 // argument as Send above): `publish`/`write_constant_run`/`copy_cell`
-// first win the per-cell atomic claim, `publish` copies only into the
-// span its own `fetch_add` on its region's cursor reserved, and
-// `view`/`read_run`/`copy_cell` (and the views of a `WrittenRun`) read
-// only cells whose claim is already set — cells no one writes again
-// before the next reset — so `&LevelWriter` is safe to share.
+// first win the per-cell atomic claim and set the other bits with
+// `fetch_or`, `publish` copies only into the span its own `fetch_add` on
+// its region's cursor reserved, and `read_run`/`copy_cell` (and the
+// views of a `WrittenRun`) read a cell's `off`/`len` and span only
+// after an acquire load saw the switching bit its writer set (release)
+// once it had stored them — and no one stores them again before the
+// next reset — so `&LevelWriter` is safe to share.
 unsafe impl Sync for LevelWriter<'_> {}
 
 /// A lane run whose masked cells [`LevelWriter::read_run`] found written:
@@ -473,9 +534,30 @@ impl<'w> WrittenRun<'w> {
             "lane {lane} of arena run {} was not read",
             self.start
         );
-        // SAFETY: `read_run` checked that the masked cells are in range
-        // and written, and none is written again before the next reset.
-        unsafe { self.writer.view_unchecked(self.start + lane) }
+        let times = if self.quiet >> lane & 1 == 1 {
+            &[][..]
+        } else {
+            // SAFETY: `read_run` found the cell in range, and its acquire
+            // load saw the cell's switching bit, which the cell's one
+            // writer set (release) after storing its `off`/`len` and
+            // filling its span; none is stored again before the next
+            // reset.
+            unsafe { self.writer.times_unchecked(self.start + lane) }
+        };
+        WaveformView {
+            initial: self.initial >> lane & 1 == 1,
+            times,
+        }
+    }
+}
+
+/// Bits `shift .. shift + span` of a loaded word, moved down to bit 0.
+#[inline]
+fn lane_window(loaded: u64, shift: usize, span: usize) -> u64 {
+    if span >= 64 {
+        loaded >> shift
+    } else {
+        (loaded >> shift) & ((1u64 << span) - 1)
     }
 }
 
@@ -490,127 +572,89 @@ impl LevelWriter<'_> {
         self.entries
     }
 
-    #[inline]
-    fn is_claimed(&self, idx: usize) -> bool {
-        self.claims[idx / 64].load(Ordering::Acquire) & (1 << (idx % 64)) != 0
-    }
-
     /// Claims cell `idx`; returns whether this caller won the claim.
     #[inline]
     fn claim(&self, idx: usize) -> bool {
         let bit = 1u64 << (idx % 64);
-        self.claims[idx / 64].fetch_or(bit, Ordering::AcqRel) & bit == 0
+        self.bits[idx / 64].claimed.fetch_or(bit, Ordering::AcqRel) & bit == 0
     }
 
-    /// Claims every cell `start + k` for each set bit `k` of `mask`, using
-    /// one `fetch_or` per touched claim word (full lane runs are word-
-    /// aligned by [`crate::LaneLayout`], so the common case is a single
-    /// atomic op; partial tails may straddle two words). Returns the lane
-    /// bits that were **already claimed** — `0` means this caller won every
+    /// Sets, in the word `field` selects, the bit of every cell
+    /// `start + k` for each set bit `k` of `mask`, using one `fetch_or`
+    /// per touched word (full lane runs are word-aligned by
+    /// [`crate::LaneLayout`], so the common case is a single atomic op;
+    /// partial tails may straddle two words). Returns the lane bits that
+    /// were **already set** — for claims, `0` means this caller won every
     /// requested cell.
     #[inline]
-    fn claim_run(&self, start: usize, mask: u64) -> u64 {
+    fn set_run(
+        &self,
+        start: usize,
+        mask: u64,
+        field: fn(&CellBits) -> &AtomicU64,
+        order: Ordering,
+    ) -> u64 {
         let mut lost = 0u64;
         let mut rem = mask;
         while rem != 0 {
             let k = rem.trailing_zeros() as usize;
             let idx = start + k;
-            let word = idx / 64;
             let shift = idx % 64;
-            // Lane bits k .. k + (64 − shift) land in this claim word.
+            // Lane bits k .. k + (64 − shift) land in this word.
             let span = 64 - shift;
             let window = if span >= 64 {
                 rem
             } else {
                 rem & (((1u64 << span) - 1) << k)
             };
-            let claim_bits = (window >> k) << shift;
-            let prev = self.claims[word].fetch_or(claim_bits, Ordering::AcqRel);
-            lost |= ((prev & claim_bits) >> shift) << k;
+            let bits = (window >> k) << shift;
+            let prev = field(&self.bits[idx / 64]).fetch_or(bits, order);
+            lost |= ((prev & bits) >> shift) << k;
             rem &= !window;
         }
         lost
     }
 
-    /// The already-claimed bits among cells `start .. start + width`
-    /// (lane bit `k` ↔ cell `start + k`), read with acquire ordering —
-    /// the batch form of [`LevelWriter::is_claimed`].
+    /// The claimed, switching and high bits of cells
+    /// `start .. start + width` (lane bit `k` ↔ cell `start + k`), read
+    /// with acquire ordering.
     #[inline]
-    fn claimed_bits(&self, start: usize, width: usize) -> u64 {
+    fn run_bits(&self, start: usize, width: usize) -> [u64; 3] {
         debug_assert!(width <= 64);
-        let mut out = 0u64;
+        let mut out = [0u64; 3];
         let mut k = 0;
         while k < width {
             let idx = start + k;
-            let word = idx / 64;
             let shift = idx % 64;
             let span = (64 - shift).min(width - k);
-            let loaded = self.claims[word].load(Ordering::Acquire);
-            let window = if span >= 64 {
-                loaded >> shift
-            } else {
-                (loaded >> shift) & ((1u64 << span) - 1)
-            };
-            out |= window << k;
+            let bits = &self.bits[idx / 64];
+            // The claim first: a reader that sees a cell claimed sees
+            // whatever its writer stored before the claim.
+            for (out, word) in out
+                .iter_mut()
+                .zip([&bits.claimed, &bits.switching, &bits.high])
+            {
+                *out |= lane_window(word.load(Ordering::Acquire), shift, span) << k;
+            }
             k += span;
         }
         out
     }
 
-    /// Checks that every masked cell of the run at `start` is written:
-    /// the tripwire of the read discipline (see the type docs).
-    #[inline]
-    fn check_written(&self, start: usize, lanes: u64) {
-        if lanes == 0 {
-            return;
-        }
-        let width = 64 - lanes.leading_zeros() as usize;
-        assert!(
-            start + width <= self.entries,
-            "lane run {start}+{width} out of range"
-        );
-        let unwritten = lanes & !self.claimed_bits(start, width);
-        assert!(
-            unwritten == 0,
-            "read of arena run {start} (lanes {unwritten:#x}) not written yet this batch"
-        );
-    }
-
-    /// A read view of cell `idx`, which must be written already (see the
-    /// access discipline above).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range or the cell is not written yet.
-    #[inline]
-    pub fn view(&self, idx: usize) -> WaveformView<'_> {
-        assert!(idx < self.entries, "arena cell {idx} out of range");
-        assert!(
-            self.is_claimed(idx),
-            "read of arena cell {idx} not written yet this batch"
-        );
-        // SAFETY: idx is in range and the cell is written: its one writer
-        // finished its stores before the caller synchronized with it (the
-        // levelization contract), and nothing writes it again before the
-        // next reset, so the plain reads cannot race. A non-empty cell's
-        // span was stored by `publish` or `copy_cell`, which keep
-        // `off + len` within a region's span of the reservation, and no
-        // publisher writes below the cursor it reserved from.
-        unsafe { self.view_unchecked(idx) }
-    }
-
     /// Reads the `lanes` of the lane run at `start` once: checks that
     /// every masked cell is written (see the access discipline above)
-    /// and returns the run with its *quiet* and *initial* words. Bit `k`
-    /// of [`WrittenRun::quiet`] is set iff bit `k` of `lanes` is and cell
-    /// `start + k` has zero transitions — a constant signal for the whole
-    /// simulation window; bit `k` of [`WrittenRun::initial`] is that
-    /// cell's initial logic value. A gate whose quiet fanin cells fix its
-    /// output has a constant output, found for 64 lanes at once from
-    /// these words by [`crate::constant_lanes`] instead of a waveform
-    /// evaluation. In a lane-major arena one net's waveforms for a whole
-    /// lane group are contiguous ([`crate::LaneLayout::run_start`]); a
-    /// one-lane run is the single cell. Unmasked lanes are not read, and
+    /// and returns the run with its *quiet* and *initial* words — one
+    /// load of each bit word per 64-cell word the run touches, whatever
+    /// its width. Bit `k` of [`WrittenRun::quiet`] is set iff bit `k` of
+    /// `lanes` is and cell `start + k` has zero transitions — a constant
+    /// signal for the whole simulation window; bit `k` of
+    /// [`WrittenRun::initial`] is that cell's initial logic value. A gate
+    /// whose quiet fanin cells fix its output has a constant output,
+    /// found for 64 lanes at once from these words by
+    /// [`crate::constant_lanes`] instead of a waveform evaluation. In a
+    /// lane-major arena one net's waveforms for a whole lane group are
+    /// contiguous ([`crate::LaneLayout::run_start`]); a one-lane run is
+    /// the single cell. Unmasked lanes are not read, and
     /// [`WrittenRun::view`] serves only the masked ones.
     ///
     /// # Panics
@@ -619,65 +663,63 @@ impl LevelWriter<'_> {
     /// not written yet.
     #[inline]
     pub fn read_run(&self, start: usize, lanes: u64) -> WrittenRun<'_> {
-        self.check_written(start, lanes);
-        let (mut quiet, mut initial) = (0u64, 0u64);
-        let mut rem = lanes;
-        while rem != 0 {
-            let k = rem.trailing_zeros() as usize;
-            rem &= rem - 1;
-            // SAFETY: in range and written, per `check_written` — plain
-            // reads cannot race (see `view`).
-            unsafe {
-                if *self.len.add(start + k) == 0 {
-                    quiet |= 1 << k;
-                }
-                if *self.initial.add(start + k) {
-                    initial |= 1 << k;
-                }
-            }
-        }
+        let [claimed, switching, high] = if lanes == 0 {
+            [0; 3]
+        } else {
+            let width = 64 - lanes.leading_zeros() as usize;
+            assert!(
+                start + width <= self.entries,
+                "lane run {start}+{width} out of range"
+            );
+            self.run_bits(start, width)
+        };
+        let unwritten = lanes & !claimed;
+        assert!(
+            unwritten == 0,
+            "read of arena run {start} (lanes {unwritten:#x}) not written yet this batch"
+        );
         WrittenRun {
             writer: self,
             start,
             lanes,
-            quiet,
-            initial,
+            quiet: lanes & !switching,
+            initial: lanes & high,
         }
     }
 
-    /// A view of cell `idx` without the claim check.
+    /// The stored transitions of cell `idx`.
     ///
     /// # Safety
     ///
-    /// `idx` must be in range and written, and the caller synchronized
-    /// with its writer (see [`LevelWriter::view`]).
+    /// `idx` must be in range, and the caller must have seen its
+    /// switching bit set with an acquire load (see
+    /// [`LevelWriter::read_run`]).
     #[inline]
-    // SAFETY: unsafe to call; `view` and `WrittenRun::view` call it only
-    // for cells their claim checks found written.
-    unsafe fn view_unchecked(&self, idx: usize) -> WaveformView<'_> {
-        // SAFETY: the caller's contract, as in `view`.
+    // SAFETY: unsafe to call; `WrittenRun::view` calls it only for lanes
+    // whose switching bit `read_run` loaded set.
+    unsafe fn times_unchecked(&self, idx: usize) -> &[f64] {
+        // SAFETY: the caller's contract: the cell's one writer stored its
+        // `off`/`len` — within a region's span of the reservation, which
+        // `publish` filled before any claim of the block went out — and
+        // then set the switching bit the caller's acquire load saw; no
+        // one stores them again, nor writes below a cursor it reserved
+        // from, before the next reset.
         unsafe {
+            let start = *self.off.add(idx) as usize;
             let len = *self.len.add(idx) as usize;
-            let start = if len == 0 {
-                0
-            } else {
-                *self.off.add(idx) as usize
-            };
-            WaveformView {
-                initial: *self.initial.add(idx),
-                times: std::slice::from_raw_parts(self.times.add(start), len),
-            }
+            std::slice::from_raw_parts(self.times.add(start), len)
         }
     }
 
     /// Writes constant signals into the masked lanes of a run: for every
     /// set bit `k` of `mask`, cell `start + k` becomes a constant of logic
     /// value `bit k of values`. The whole run's claims are won with at
-    /// most two `fetch_or`s (one for a word-aligned full group) — the
-    /// quiet-cell fast path. Per cell it is equivalent to staging and
-    /// publishing an empty output, but infallible and storage-free: a
-    /// constant (zero transitions) fits any capacity and reserves
-    /// nothing. Unmasked lanes are untouched and stay unclaimed.
+    /// most two `fetch_or`s (one for a word-aligned full group) and its
+    /// high lanes set with as many more — the quiet-cell fast path. Per
+    /// cell it is equivalent to staging and publishing an empty output,
+    /// but infallible and storage-free: a constant (zero transitions)
+    /// fits any capacity and reserves nothing. Unmasked lanes are
+    /// untouched and stay unclaimed.
     ///
     /// # Panics
     ///
@@ -692,52 +734,51 @@ impl LevelWriter<'_> {
             start + top < self.entries,
             "lane run {start}+{top} out of range"
         );
-        let lost = self.claim_run(start, mask);
+        let lost = self.set_run(start, mask, |b| &b.claimed, Ordering::AcqRel);
         assert!(
             lost == 0,
             "arena run {start} (lanes {lost:#x}) written twice within one batch"
         );
-        let mut rem = mask;
-        while rem != 0 {
-            let k = rem.trailing_zeros() as usize;
-            rem &= rem - 1;
-            // SAFETY: this caller won the claim for every masked cell, so
-            // it has exclusive write access until the next reset; the
-            // indices are in bounds. The peak watermark is untouched —
-            // `max(peak, 0)` is the identity — and so is `off`, which is
-            // never read for an empty cell.
-            unsafe {
-                *self.initial.add(start + k) = values >> k & 1 == 1;
-                *self.len.add(start + k) = 0;
-            }
-        }
+        // A quiet cell's switching bit stays clear; the peak watermark is
+        // untouched — `max(peak, 0)` is the identity.
+        self.set_run(start, mask & values, |b| &b.high, Ordering::Release);
     }
 
-    /// Makes cell `dst` the same waveform as the written cell `src` by
-    /// pointing it at `src`'s stored transitions — the passthrough for
-    /// identity stages (e.g. primary-output observation nodes); nothing
-    /// is copied and no storage is reserved.
+    /// Makes cell `dst` the same waveform as the written cell `src` —
+    /// the passthrough for identity stages (e.g. primary-output
+    /// observation nodes) — and returns a view of it. A switching cell is
+    /// pointed at `src`'s stored transitions: nothing is copied and no
+    /// storage is reserved.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range, `src` is not written yet
     /// or `dst` was already written.
-    pub fn copy_cell(&self, src: usize, dst: usize) {
+    pub fn copy_cell(&self, src: usize, dst: usize) -> WaveformView<'_> {
         assert!(dst < self.entries, "arena cell {dst} out of range");
-        let from = self.view(src);
+        let from = self.read_run(src, 1);
         assert!(
             self.claim(dst),
             "arena cell {dst} written twice within one batch"
         );
-        // SAFETY: this caller won `dst`'s claim (in range, checked above),
-        // so it has exclusive write access until the next reset; `src` is
-        // written and never written again (see `view`), so its span stays
-        // valid — the two cells alias one span of `times`.
-        unsafe {
-            *self.initial.add(dst) = from.initial;
-            *self.len.add(dst) = *self.len.add(src);
-            *self.off.add(dst) = *self.off.add(src);
+        let (bits, bit) = (&self.bits[dst / 64], 1u64 << (dst % 64));
+        if from.quiet == 0 {
+            // SAFETY: both cells are in range (checked above and by
+            // `read_run`). `read_run`'s acquire load saw `src`'s switching
+            // bit, so its `off`/`len` are stored and never stored again
+            // before the next reset; this caller won `dst`'s claim, so
+            // its stores of `dst`'s are exclusive — the two cells alias
+            // one span of `times`.
+            unsafe {
+                *self.len.add(dst) = *self.len.add(src);
+                *self.off.add(dst) = *self.off.add(src);
+            }
+            bits.switching.fetch_or(bit, Ordering::Release);
         }
+        if from.initial != 0 {
+            bits.high.fetch_or(bit, Ordering::Release);
+        }
+        from.view(0)
     }
 
     /// Stages the output the last evaluation left in `scratch`
@@ -781,13 +822,14 @@ impl LevelWriter<'_> {
     }
 
     /// Stages a stimulus as cell `idx`: value `initial`, switching once
-    /// at `edge` if there is one — [`LevelWriter::stage`] for an output
-    /// no evaluation produced, with the same statistics.
+    /// at `edge` — [`LevelWriter::stage`] for an output no evaluation
+    /// produced, with the same statistics. A stimulus that holds its
+    /// value is a constant ([`LevelWriter::write_constant_run`]).
     ///
     /// # Errors
     ///
     /// Returns [`CapacityOverflow`] if the arena's cells hold no
-    /// transition and `edge` is one (nothing staged).
+    /// transition (nothing staged).
     ///
     /// # Panics
     ///
@@ -797,25 +839,28 @@ impl LevelWriter<'_> {
         scratch: &mut GateScratch,
         idx: usize,
         initial: bool,
-        edge: Option<f64>,
+        edge: f64,
     ) -> Result<WaveformStats, CapacityOverflow> {
         scratch.sched.truncate(scratch.staged_len);
-        scratch.sched.extend(edge);
+        scratch.sched.push(edge);
         self.stage(scratch, idx, initial)
     }
 
     /// Moves every cell staged in `scratch` into the arena and empties
-    /// the scratch: the block's cells are gathered into claim words (a
+    /// the scratch: the block's cells are gathered into 64-cell words (a
     /// cell staged twice, or a block that leaves its first cell's region,
     /// panics here, before any claim goes out), one `fetch_add` on the
     /// region's cursor reserves the block's span of `times`, one copy
-    /// fills it, one `fetch_or` per claim word wins the block's cells of
-    /// that word, and each cell's `off`/`len`/`initial` are stored. A gate's lanes are consecutive cells of one run, so a
-    /// lane group's outputs cost one atomic operation, not one per lane.
-    /// The arena's peak-occupancy watermark is *not* touched — one shared
-    /// cache line per gate written is what this path avoids; the caller
-    /// keeps its own running maximum of the lengths it staged and reports
-    /// it once with [`LevelWriter::note_occupancy`].
+    /// fills it, one `fetch_or` per word wins the block's cells of that
+    /// word, each switching cell's `off`/`len` is stored, and one
+    /// `fetch_or` per word sets the switching and the high bits where
+    /// any of its cells needs them. A gate's lanes are consecutive cells
+    /// of one run, so a lane group's outputs cost at most three atomic
+    /// operations, not one per lane. The arena's peak-occupancy watermark
+    /// is *not* touched — one shared cache line per gate written is what
+    /// this path avoids; the caller keeps its own running maximum of the
+    /// lengths it staged and reports it once with
+    /// [`LevelWriter::note_occupancy`].
     ///
     /// # Panics
     ///
@@ -831,7 +876,7 @@ impl LevelWriter<'_> {
         };
         let r = first.idx / self.region;
         let cells = r * self.region..((r + 1) * self.region).min(self.entries);
-        let words = &mut scratch.claim_words;
+        let words = &mut scratch.words;
         words.clear();
         for cell in &scratch.staged {
             assert!(
@@ -840,40 +885,49 @@ impl LevelWriter<'_> {
                 cell.idx
             );
             let (word, bit) = (cell.idx / 64, 1u64 << (cell.idx % 64));
+            let switching = if cell.len > 0 { bit } else { 0 };
+            let high = if cell.initial { bit } else { 0 };
             match words.last_mut() {
-                Some((last, bits)) if *last == word => {
+                Some(last) if last.word == word => {
                     assert!(
-                        *bits & bit == 0,
+                        last.cells & bit == 0,
                         "arena cell {} written twice within one batch",
                         cell.idx
                     );
-                    *bits |= bit;
+                    last.cells |= bit;
+                    last.switching |= switching;
+                    last.high |= high;
                 }
-                _ => words.push((word, bit)),
+                _ => words.push(BlockWord {
+                    word,
+                    cells: bit,
+                    switching,
+                    high,
+                }),
             }
         }
         // Consecutive cells of one word — a gate's lanes — merged above;
         // words staged apart merge after the sort, which passes a block
         // already in word order in one scan.
-        words.sort_unstable_by_key(|&(word, _)| word);
+        words.sort_unstable_by_key(|w| w.word);
         words.dedup_by(|later, earlier| {
-            let same = later.0 == earlier.0;
+            let same = later.word == earlier.word;
             if same {
-                let twice = later.1 & earlier.1;
+                let twice = later.cells & earlier.cells;
                 assert!(
                     twice == 0,
                     "arena cell {} written twice within one batch",
-                    later.0 * 64 + twice.trailing_zeros() as usize
+                    later.word * 64 + twice.trailing_zeros() as usize
                 );
-                earlier.1 |= later.1;
+                earlier.cells |= later.cells;
+                earlier.switching |= later.switching;
+                earlier.high |= later.high;
             }
             same
         });
         // Relaxed: the cursor publishes no data, it only hands out
-        // disjoint spans; the spans' contents reach readers the way every
-        // other write does — through the synchronization that orders a
-        // level's tasks after the ones before it, or the end of the
-        // writer's borrow.
+        // disjoint spans; the spans' contents reach readers through the
+        // release `fetch_or`s of the switching bits below.
         let start = self.cursors[r].0.fetch_add(total, Ordering::Relaxed);
         // Region `r`'s span ends where its cells' share of the
         // reservation does. Each of its cells is written at most once
@@ -900,29 +954,44 @@ impl LevelWriter<'_> {
         }
         scratch.sched.clear();
         scratch.staged_len = 0;
-        for &(word, bits) in &scratch.claim_words {
-            let lost = self.claims[word].fetch_or(bits, Ordering::AcqRel) & bits;
+        for w in &scratch.words {
+            let lost = self.bits[w.word]
+                .claimed
+                .fetch_or(w.cells, Ordering::AcqRel)
+                & w.cells;
             assert!(
                 lost == 0,
                 "arena cell {} written twice within one batch",
-                word * 64 + lost.trailing_zeros() as usize
+                w.word * 64 + lost.trailing_zeros() as usize
             );
         }
         let mut off = start;
         for cell in scratch.staged.drain(..) {
-            // SAFETY: this caller won the claim for `cell.idx` (in range,
-            // checked by `stage`) above, so it has exclusive write access
-            // to the cell's initial/len/off until the next reset. The
-            // span `off .. off + len` is the cell's share of the block
-            // copied above and `off < entries × capacity ≤ u32::MAX`.
-            unsafe {
-                *self.initial.add(cell.idx) = cell.initial;
-                *self.len.add(cell.idx) = cell.len;
-                *self.off.add(cell.idx) = off as u32;
+            if cell.len > 0 {
+                // SAFETY: this caller won the claim for `cell.idx` (in
+                // range, checked by `stage`) above, so it has exclusive
+                // write access to the cell's `len`/`off` until the next
+                // reset, and no reader loads them before the switching
+                // bit set below. The span `off .. off + len` is the
+                // cell's share of the block copied above and
+                // `off < entries × capacity ≤ u32::MAX`.
+                unsafe {
+                    *self.len.add(cell.idx) = cell.len;
+                    *self.off.add(cell.idx) = off as u32;
+                }
             }
             off += cell.len as usize;
         }
         debug_assert_eq!(off, start + total);
+        for w in &scratch.words {
+            let bits = &self.bits[w.word];
+            if w.switching != 0 {
+                bits.switching.fetch_or(w.switching, Ordering::Release);
+            }
+            if w.high != 0 {
+                bits.high.fetch_or(w.high, Ordering::Release);
+            }
+        }
     }
 
     /// Folds a worker's running maximum of written transition counts
@@ -938,7 +1007,7 @@ impl LevelWriter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{evaluate_gate_bounded_raw, PinDelays};
+    use crate::{evaluate_gate_bounded_raw, LaneLayout, PinDelays};
 
     /// Stages and publishes `transitions` as cell `idx`: a one-cell block.
     fn write_one(
@@ -952,6 +1021,16 @@ mod tests {
         writer.stage(&mut scratch, idx, initial)?;
         writer.publish(&mut scratch);
         Ok(())
+    }
+
+    /// Writes a constant of value `high` as cell `idx`.
+    fn write_constant(writer: &LevelWriter<'_>, idx: usize, high: bool) {
+        writer.write_constant_run(idx, 1, u64::from(high));
+    }
+
+    /// A view of the written cell `idx`, through a one-lane run read.
+    fn view<'w>(writer: &'w LevelWriter<'w>, idx: usize) -> WaveformView<'w> {
+        writer.read_run(idx, 1).view(0)
     }
 
     /// Writes `waveform` as cell `idx` through a writer of its own, and
@@ -970,6 +1049,11 @@ mod tests {
         Ok(())
     }
 
+    /// Resets `arena` to one region.
+    fn reset_whole(arena: &mut WaveformArena) {
+        arena.reset(arena.entries());
+    }
+
     /// Transitions written since the last reset, over every region.
     fn written(arena: &mut WaveformArena) -> usize {
         let span = arena.region * arena.capacity;
@@ -978,6 +1062,17 @@ mod tests {
             total += *cursor.0.get_mut() - r * span;
         }
         total
+    }
+
+    /// The `(off, len)` spans of the switching cells among `cells`,
+    /// sorted.
+    fn spans(arena: &WaveformArena, cells: std::ops::Range<usize>) -> Vec<(usize, usize)> {
+        let mut spans: Vec<_> = cells
+            .filter(|&idx| !arena.view(idx).transitions().is_empty())
+            .map(|idx| (arena.off[idx] as usize, arena.len[idx] as usize))
+            .collect();
+        spans.sort_unstable();
+        spans
     }
 
     /// Whether `f` panics.
@@ -1019,13 +1114,14 @@ mod tests {
         let mut arena = WaveformArena::new(2, 4);
         let w = Waveform::with_transitions(true, vec![1.0, 2.0]).unwrap();
         write(&mut arena, 1, &w).unwrap();
-        arena.reset(arena.entries());
+        reset_whole(&mut arena);
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
         assert_eq!(arena.peak_occupancy(), 2);
         // The cell is unwritten again: readable through no writer, and
         // writable once more.
         assert!(panics(|| {
-            let _ = arena.level_writer().view(1);
+            let writer = arena.level_writer();
+            let _ = view(&writer, 1);
         }));
         write(&mut arena, 1, &w).unwrap();
         assert_eq!(arena.to_waveform(1), w);
@@ -1037,6 +1133,7 @@ mod tests {
         let w = Waveform::with_transitions(true, vec![1.0, 2.0, 3.0]).unwrap();
         write(&mut arena, 7, &w).unwrap();
         let (times, lens) = (arena.times.as_ptr(), arena.len.as_ptr());
+        let bits = arena.bits.as_ptr();
         // Fewer entries, then fewer-but-wider cells, then the original
         // shape again: all fit the first allocation.
         for (entries, capacity) in [(3, 16), (2, 64), (8, 16)] {
@@ -1044,8 +1141,9 @@ mod tests {
             assert_eq!((arena.entries(), arena.capacity()), (entries, capacity));
             assert_eq!(arena.times.as_ptr(), times, "times lane kept");
             assert_eq!(arena.len.as_ptr(), lens, "len lane kept");
+            assert_eq!(arena.bits.as_ptr(), bits, "cell bits kept");
             assert_eq!(arena.peak_occupancy(), 0, "a new watermark per reshape");
-            arena.reset(arena.entries());
+            reset_whole(&mut arena);
             for idx in 0..entries {
                 assert_eq!(arena.to_waveform(idx), Waveform::constant(false));
             }
@@ -1056,7 +1154,7 @@ mod tests {
             assert_eq!(arena.to_waveform(entries - 1), w);
             let writer = arena.level_writer();
             assert_eq!(writer.entries(), entries);
-            writer.write_constant_run(0, 1, 1);
+            write_constant(&writer, 0, true);
         }
     }
 
@@ -1070,7 +1168,7 @@ mod tests {
         assert_eq!(arena.peak_occupancy(), 0);
         // Stale but valid until the caller's reset.
         assert_eq!(arena.to_waveform(1), w);
-        arena.reset(arena.entries());
+        reset_whole(&mut arena);
         assert_eq!(arena.to_waveform(1), Waveform::constant(false));
     }
 
@@ -1102,7 +1200,7 @@ mod tests {
             "a rewrite past the reservation must panic"
         );
         // ... a reset gives the whole reservation back ...
-        arena.reset(arena.entries());
+        reset_whole(&mut arena);
         assert_eq!(written(&mut arena), 0);
         for idx in 0..4 {
             write(&mut arena, idx, &full).unwrap();
@@ -1128,7 +1226,7 @@ mod tests {
         assert!(arena.reshape(16, 1));
         assert_eq!((arena.entries(), arena.capacity()), (16, 1));
         assert_eq!(arena.peak_occupancy(), 0);
-        arena.reset(arena.entries());
+        reset_whole(&mut arena);
         for idx in 0..16 {
             assert_eq!(arena.to_waveform(idx), Waveform::constant(false));
         }
@@ -1164,11 +1262,15 @@ mod tests {
         {
             let writer = arena.level_writer();
             write_one(&writer, 0, true, &[3.0, 8.0]).unwrap();
-            writer.copy_cell(0, 2);
-            assert_eq!(writer.view(2).transitions(), &[3.0, 8.0]);
+            assert_eq!(writer.copy_cell(0, 2).transitions(), &[3.0, 8.0]);
+            assert_eq!(view(&writer, 2).transitions(), &[3.0, 8.0]);
             // The source must be written and the target must not be.
-            assert!(panics(|| writer.copy_cell(1, 3)), "unwritten source");
-            assert!(panics(|| writer.copy_cell(0, 2)), "written target");
+            assert!(panics(|| {
+                writer.copy_cell(1, 3);
+            }));
+            assert!(panics(|| {
+                writer.copy_cell(0, 2);
+            }));
         }
         assert_eq!(arena.to_waveform(2), w);
         // Source is untouched, unrelated cells too.
@@ -1179,7 +1281,7 @@ mod tests {
         // ... and still reads back after later writers appended theirs.
         for (idx, t) in [(1, 10.0), (3, 11.0)] {
             let writer = arena.level_writer();
-            assert_eq!(writer.view(2).transitions(), &[3.0, 8.0]);
+            assert_eq!(view(&writer, 2).transitions(), &[3.0, 8.0]);
             write_one(&writer, idx, false, &[t]).unwrap();
         }
         assert_eq!(arena.to_waveform(2), w);
@@ -1263,19 +1365,14 @@ mod tests {
                 }
             });
         }
-        let mut spans: Vec<(usize, usize)> = Vec::new();
         for idx in 0..64 {
             let v = arena.view(idx);
             assert_eq!(v.initial_value(), idx % 2 == 0);
             assert_eq!(v.transitions(), cell_times(idx));
-            if arena.len[idx] > 0 {
-                spans.push((arena.off[idx] as usize, arena.len[idx] as usize));
-            }
         }
         // Packed with zero waste: the spans tile `0 .. used` exactly.
-        spans.sort_unstable();
         let mut end = 0;
-        for (off, len) in spans {
+        for (off, len) in spans(&arena, 0..64) {
             assert_eq!(off, end, "spans are disjoint and gap-free");
             end = off + len;
         }
@@ -1313,17 +1410,6 @@ mod tests {
         );
     }
 
-    /// The `(off, len)` spans of region `r`'s non-empty cells, sorted.
-    fn region_spans(arena: &WaveformArena, r: usize) -> Vec<(usize, usize)> {
-        let cells = r * arena.region..((r + 1) * arena.region).min(arena.entries());
-        let mut spans: Vec<_> = cells
-            .filter(|&idx| arena.len[idx] > 0)
-            .map(|idx| (arena.off[idx] as usize, arena.len[idx] as usize))
-            .collect();
-        spans.sort_unstable();
-        spans
-    }
-
     #[test]
     fn two_regions_publish_at_once_each_into_its_own_span() {
         let mut arena = WaveformArena::new(64, 4);
@@ -1357,7 +1443,7 @@ mod tests {
         // packed from the region's first element.
         for r in 0..2 {
             let mut end = r * 32 * 4;
-            for (off, len) in region_spans(&arena, r) {
+            for (off, len) in spans(&arena, r * 32..(r + 1) * 32) {
                 assert_eq!(off, end, "region {r}: disjoint and gap-free");
                 end = off + len;
             }
@@ -1430,7 +1516,7 @@ mod tests {
             stage_cell(&writer, &mut scratch, idx);
         }
         writer.publish(&mut scratch);
-        assert_eq!(writer.view(15).transitions(), &[15.0]);
+        assert_eq!(view(&writer, 15).transitions(), &[15.0]);
     }
 
     #[test]
@@ -1438,29 +1524,26 @@ mod tests {
         let mut arena = WaveformArena::new(5, 2);
         {
             let writer = arena.level_writer();
-            writer.write_constant_run(0, 1, 0);
+            write_constant(&writer, 0, false);
             write_one(&writer, 1, true, &[5.0]).unwrap();
-            writer.write_constant_run(2, 1, 1);
+            write_constant(&writer, 2, true);
             // A one-lane run is the single cell. Quiet = zero
             // transitions; a toggling cell is not quiet.
-            assert_eq!(writer.read_run(0, 1).quiet(), 1);
-            assert_eq!(writer.read_run(1, 1).quiet(), 0);
-            assert_eq!(
-                writer.read_run(2, 1).quiet(),
-                1,
-                "constant-high is quiet too"
-            );
+            let quiet = |idx| writer.read_run(idx, 1).quiet();
+            assert_eq!(quiet(0), 1);
+            assert_eq!(quiet(1), 0);
+            assert_eq!(quiet(2), 1, "constant-high is quiet too");
             // The constant fast path claims the cell like a normal write.
-            writer.write_constant_run(3, 1, 1);
+            write_constant(&writer, 3, true);
             assert!(
-                panics(|| writer.write_constant_run(3, 1, 0)),
+                panics(|| write_constant(&writer, 3, false)),
                 "double constant write must panic"
             );
             // Reading the quiet bit of a cell not written yet trips the
             // same wire as a view of it.
             assert!(
                 panics(|| {
-                    let _ = writer.read_run(4, 1).quiet();
+                    let _ = quiet(4);
                 }),
                 "unwritten quiet read must panic"
             );
@@ -1470,10 +1553,10 @@ mod tests {
         // A constant write never moves the peak watermark.
         assert_eq!(arena.peak_occupancy(), 1);
         // A constant write is bit-for-bit equivalent to an empty write.
-        arena.reset(arena.entries());
+        reset_whole(&mut arena);
         {
             let writer = arena.level_writer();
-            writer.write_constant_run(0, 1, 1);
+            write_constant(&writer, 0, true);
             write_one(&writer, 3, true, &[]).unwrap();
         }
         assert_eq!(arena.to_waveform(0), arena.to_waveform(3));
@@ -1522,84 +1605,89 @@ mod tests {
     #[test]
     fn lane_runs_round_trip_quiet_initial_and_constant_writes() {
         let mut arena = WaveformArena::new(16, 4);
+        // One group of 8 lanes over two nets: runs 0..8 and 8..16.
+        let (a, b) = (0, 8);
         let writer = arena.level_writer();
-        // Cells 0..8: a run with mixed initial values and one loud cell.
-        writer.write_constant_run(0, 0b1111_1011, 0b0010_0000);
+        // Run `a`: mixed initial values and one loud cell.
+        writer.write_constant_run(a, 0b1111_1011, 0b0010_0000);
         write_one(&writer, 2, false, &[3.0]).unwrap();
-        // Quiet bits: all but cell 2.
-        assert_eq!(writer.read_run(0, 0xFF).quiet(), 0b1111_1011);
-        // Initial bits: only cell 5 is high.
-        assert_eq!(writer.read_run(0, 0xFF).initial(), 0b0010_0000);
+        // Quiet bits: all but lane 2.
+        assert_eq!(writer.read_run(a, 0xFF).quiet(), 0b1111_1011);
+        // Initial bits: only lane 5 is high.
+        assert_eq!(writer.read_run(a, 0xFF).initial(), 0b0010_0000);
         // Only the masked lanes are read and reported.
-        assert_eq!(writer.read_run(0, 0b0000_0110).quiet(), 0b0000_0010);
-        assert_eq!(writer.read_run(0, 0b0000_1111).initial(), 0);
-        // Masked constant write: lanes 0, 2, 3 of run 8..12.
-        writer.write_constant_run(8, 0b1101, 0b0100);
+        assert_eq!(writer.read_run(a, 0b0000_0110).quiet(), 0b0000_0010);
+        assert_eq!(writer.read_run(a, 0b0000_1111).initial(), 0);
+        // Masked constant write: lanes 0, 2, 3 of run `b`.
+        writer.write_constant_run(b, 0b1101, 0b0100);
         // The written lanes read back; unmasked lane 1 is unwritten, so a
         // mask naming it trips the wire ...
-        assert_eq!(writer.read_run(8, 0b1101).quiet(), 0b1101);
+        assert_eq!(writer.read_run(b, 0b1101).quiet(), 0b1101);
         assert!(
             panics(|| {
-                let _ = writer.read_run(8, 0b1111).initial();
+                let _ = writer.read_run(b, 0b1111).initial();
             }),
             "a run read naming an unwritten lane must panic"
         );
         // ... and it stays unclaimed and writable.
-        writer.write_constant_run(9, 1, 1);
+        writer.write_constant_run(b, 0b10, 0b10);
         // Double-writing a masked lane panics.
         assert!(
-            panics(|| writer.write_constant_run(8, 0b0001, 0)),
+            panics(|| writer.write_constant_run(b, 0b0001, 0)),
             "lane double write must panic"
         );
         // An all-zero mask is a no-op that reads nothing.
-        writer.write_constant_run(12, 0, !0);
-        assert_eq!(writer.read_run(12, 0).quiet(), 0);
+        writer.write_constant_run(b, 0, !0);
+        assert_eq!(writer.read_run(b, 0).quiet(), 0);
         assert_eq!(arena.to_waveform(8), Waveform::constant(false));
         assert_eq!(arena.to_waveform(9), Waveform::constant(true));
         assert_eq!(arena.to_waveform(10), Waveform::constant(true));
         assert_eq!(arena.to_waveform(11), Waveform::constant(false));
+        assert_eq!(arena.to_waveform(5), Waveform::constant(true));
     }
 
     #[test]
     fn lane_runs_straddle_claim_words() {
-        // Runs crossing a 64-bit claim-word boundary exercise the two-word
-        // paths a partial tail group hits: reads over cells 60..76,
-        // claims over cells 124..140.
+        // One tail group of width 12 over 16 nets: net 5's run holds
+        // cells 60..72 and net 10's cells 120..132, so each crosses a
+        // 64-bit word boundary — the two-word paths of a tail group.
         let mut arena = WaveformArena::new(192, 2);
+        let layout = LaneLayout::new(64, 16, 12);
+        let (five, ten) = (layout.run_start(0, 5), layout.run_start(0, 10));
         let writer = arena.level_writer();
-        writer.write_constant_run(60, 0xFFFF & !(1 << 10), 0);
+        writer.write_constant_run(five, 0xFFF & !(1 << 10), 0);
         write_one(&writer, 70, true, &[1.0]).unwrap();
-        assert_eq!(writer.read_run(60, 0xFFFF).quiet(), !(1u64 << 10) & 0xFFFF);
-        assert_eq!(writer.read_run(60, 0xFFFF).initial(), 1 << 10);
+        assert_eq!(writer.read_run(five, 0xFFF).quiet(), 0xFFF & !(1 << 10));
+        assert_eq!(writer.read_run(five, 0xFFF).initial(), 1 << 10);
         // Claim lanes on both sides of the boundary in one call.
-        writer.write_constant_run(124, 0b11_0000_0011, 0b10_0000_0001);
+        writer.write_constant_run(ten, 0b11_0000_0011, 0b10_0000_0001);
         assert_eq!(
-            writer.read_run(124, 0b11_0000_0011).initial(),
+            writer.read_run(ten, 0b11_0000_0011).initial(),
             0b10_0000_0001
         );
         assert!(
             panics(|| {
-                let _ = writer.read_run(124, 0xFFFF).quiet();
+                let _ = writer.read_run(ten, 0xFFF).quiet();
             }),
             "a run read over unwritten lanes must panic"
         );
         assert!(
-            panics(|| writer.write_constant_run(124, 0b1_0000_0000, 0)),
+            panics(|| writer.write_constant_run(ten, 0b1_0000_0000, 0)),
             "a lane past the boundary is claimed"
         );
-        // Mask bits 0, 1 land in claim word 1 (cells 124, 125); bits 8, 9
-        // land in claim word 2 (cells 132, 133).
-        assert_eq!(arena.to_waveform(124), Waveform::constant(true));
-        assert_eq!(arena.to_waveform(125), Waveform::constant(false));
-        assert_eq!(arena.to_waveform(132), Waveform::constant(false));
-        assert_eq!(arena.to_waveform(133), Waveform::constant(true));
+        // Mask bits 0, 1 land in claim word 1 (cells 120, 121); bits 8, 9
+        // land in claim word 2 (cells 128, 129).
+        assert_eq!(arena.to_waveform(120), Waveform::constant(true));
+        assert_eq!(arena.to_waveform(121), Waveform::constant(false));
+        assert_eq!(arena.to_waveform(128), Waveform::constant(false));
+        assert_eq!(arena.to_waveform(129), Waveform::constant(true));
         assert_eq!(arena.view(70).transitions(), &[1.0]);
     }
 
     #[test]
     fn lane_run_claims_race_to_one_winner() {
-        // Two threads fight over overlapping masked runs; exactly one may
-        // win each lane, and the loser must observe the claim panic.
+        // Two threads fight over the same masked run; exactly one may win
+        // its lanes, and the loser must observe the claim panic.
         let mut arena = WaveformArena::new(64, 2);
         let writer = arena.level_writer();
         let writer = &writer;
@@ -1653,15 +1741,19 @@ mod tests {
         }
         writer.publish(&mut scratch);
         for &idx in &block {
-            assert_eq!(writer.view(idx).transitions(), &[idx as f64], "cell {idx}");
+            assert_eq!(
+                view(&writer, idx).transitions(),
+                &[idx as f64],
+                "cell {idx}"
+            );
             assert!(
-                panic_message(|| writer.write_constant_run(idx, 1, 0)).contains("written twice"),
+                panic_message(|| write_constant(&writer, idx, false)).contains("written twice"),
                 "cell {idx} is claimed"
             );
         }
         // The neighbours of the block stay unclaimed.
         for idx in [59, 68, 129, 131] {
-            writer.write_constant_run(idx, 1, 0);
+            write_constant(&writer, idx, false);
         }
     }
 
@@ -1680,7 +1772,7 @@ mod tests {
         });
         assert!(message.contains("arena cell 3 written twice"), "{message}");
         for idx in [3, 70] {
-            writer.write_constant_run(idx, 1, 0);
+            write_constant(&writer, idx, false);
         }
         // Won by another block already.
         let mut scratch = GateScratch::new();
@@ -1709,12 +1801,12 @@ mod tests {
             // Reading a cell no one wrote yet: tripwire panic.
             assert!(
                 panics(|| {
-                    let _ = writer.view(0);
+                    let _ = view(&writer, 0);
                 }),
                 "unwritten read must panic"
             );
             // Written cells are readable.
-            assert_eq!(writer.view(1).transitions(), &[5.0]);
+            assert_eq!(view(&writer, 1).transitions(), &[5.0]);
             // Overflow leaves the cell unclaimed and untouched.
             assert_eq!(
                 write_one(&writer, 2, false, &[1.0, 2.0, 3.0]),
@@ -1725,7 +1817,7 @@ mod tests {
         {
             // A later writer of the same batch sees both cells written.
             let writer = arena.level_writer();
-            assert_eq!(writer.view(2).transitions(), &[1.0, 2.0]);
+            assert_eq!(view(&writer, 2).transitions(), &[1.0, 2.0]);
             assert!(
                 panics(|| {
                     let _ = write_one(&writer, 1, false, &[9.0]);
@@ -1734,11 +1826,157 @@ mod tests {
             );
         }
         // A reset clears the claims.
-        arena.reset(arena.entries());
+        reset_whole(&mut arena);
         {
             let writer = arena.level_writer();
             write_one(&writer, 1, false, &[9.0]).unwrap();
         }
         assert_eq!(arena.view(1).transitions(), &[9.0]);
+    }
+
+    /// What slot `slot` of net `net` holds in `round` of the lane-word
+    /// test under `layout`: `None` for a cell left unwritten, else its
+    /// waveform.
+    fn planned(layout: LaneLayout, round: usize, slot: usize, net: usize) -> Option<Waveform> {
+        let (s, high) = (slot + round, (slot / 2 + round) % 2 == 1);
+        let g = slot / layout.lanes();
+        let last = layout.group_slot(g) + layout.group_width(g) - 1;
+        let switching = |n: usize| {
+            let times = (0..n).map(|k| (slot * 8 + k + 1) as f64).collect();
+            Waveform::with_transitions(high, times).unwrap()
+        };
+        match net {
+            // Stimuli: one edge or none.
+            0 => Some(switching(s % 3 % 2)),
+            // The passthrough of net 1 leaves each group's last lane out.
+            2 if slot == last => None,
+            // A gate task: every other lane a constant, the rest
+            // switching — or an empty output, one in three.
+            1 | 2 if s.is_multiple_of(2) => Some(Waveform::constant(high)),
+            1 | 2 => Some(switching(s % 3)),
+            _ => None,
+        }
+    }
+
+    /// Stages `wave` as cell `idx`.
+    fn stage_wave(
+        writer: &LevelWriter<'_>,
+        scratch: &mut GateScratch,
+        idx: usize,
+        wave: &Waveform,
+    ) {
+        scratch.sched.extend_from_slice(wave.transitions());
+        writer.stage(scratch, idx, wave.initial_value()).unwrap();
+    }
+
+    /// Writes `round` of the lane-word test into `arena`, reset to
+    /// `layout` (4 nets), one block per group and net: net 0 published
+    /// as stimuli are; net 1 as a gate task is — in even rounds its
+    /// constant lanes stored as one run and the rest published, in odd
+    /// rounds every lane published; net 2 copied from net 1 lane by lane;
+    /// net 3 left unwritten.
+    fn write_round(arena: &mut WaveformArena, layout: LaneLayout, round: usize) {
+        arena.reset(layout.group_entries());
+        let writer = arena.level_writer();
+        let mut scratch = GateScratch::new();
+        for g in 0..layout.groups() {
+            let (base, width) = (layout.group_slot(g), layout.group_width(g));
+            let plan = |lane: usize, net| planned(layout, round, base + lane, net).unwrap();
+            for lane in 0..width {
+                stage_wave(
+                    &writer,
+                    &mut scratch,
+                    layout.run_start(g, 0) + lane,
+                    &plan(lane, 0),
+                );
+            }
+            writer.publish(&mut scratch);
+            let (mut constant, mut values) = (0u64, 0u64);
+            for lane in 0..width {
+                if round.is_multiple_of(2) && (base + lane + round).is_multiple_of(2) {
+                    constant |= 1 << lane;
+                    values |= u64::from(plan(lane, 1).initial_value()) << lane;
+                }
+            }
+            writer.write_constant_run(layout.run_start(g, 1), constant, values);
+            for lane in (0..width).filter(|&lane| constant >> lane & 1 == 0) {
+                stage_wave(
+                    &writer,
+                    &mut scratch,
+                    layout.run_start(g, 1) + lane,
+                    &plan(lane, 1),
+                );
+            }
+            writer.publish(&mut scratch);
+            for lane in 0..width - 1 {
+                let (from, to) = (layout.run_start(g, 1), layout.run_start(g, 2));
+                let copy = writer.copy_cell(from + lane, to + lane);
+                assert_eq!(copy.transitions(), plan(lane, 1).transitions());
+            }
+        }
+    }
+
+    /// Holds every cell of `arena`, and the quiet and initial words of
+    /// its written lanes, to `round`'s plan under `layout`.
+    fn check_round(arena: &mut WaveformArena, layout: LaneLayout, round: usize) {
+        for slot in 0..layout.slots() {
+            for net in 0..4 {
+                let want = planned(layout, round, slot, net);
+                assert_eq!(
+                    arena.to_waveform(layout.index(slot, net)),
+                    want.unwrap_or(Waveform::constant(false)),
+                    "round {round}, L={}, slot {slot}, net {net}",
+                    layout.lanes()
+                );
+            }
+        }
+        let writer = arena.level_writer();
+        for g in 0..layout.groups() {
+            let base = layout.group_slot(g);
+            for net in 0..4 {
+                let at = format!("round {round}, L={}, group {g}, net {net}", layout.lanes());
+                let plan: Vec<_> = (0..layout.group_width(g))
+                    .map(|lane| planned(layout, round, base + lane, net))
+                    .collect();
+                let (mut written, mut quiet, mut high) = (0u64, 0u64, 0u64);
+                for (lane, wave) in plan.iter().enumerate() {
+                    if let Some(wave) = wave {
+                        written |= 1 << lane;
+                        quiet |= u64::from(wave.transitions().is_empty()) << lane;
+                        high |= u64::from(wave.initial_value()) << lane;
+                    }
+                }
+                let run = writer.read_run(layout.run_start(g, net), written);
+                assert_eq!((run.quiet(), run.initial()), (quiet, high), "{at}");
+                for (lane, wave) in plan.iter().enumerate() {
+                    if let Some(wave) = wave {
+                        let view = run.view(lane);
+                        assert_eq!(view.initial_value(), wave.initial_value(), "{at}");
+                        assert_eq!(view.transitions(), wave.transitions(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_words_agree_with_the_cells() {
+        // Widths 1, 8 and 64; the last two end on tail groups of 3 and 19.
+        for (lanes, slots) in [(1, 5), (8, 19), (64, 64 + 19)] {
+            let layout = LaneLayout::new(lanes, 4, slots);
+            let mut arena = WaveformArena::new(layout.entries(), 4);
+            // Constant runs, then everything published, over the
+            // `len`/`off` the first round left.
+            for round in 0..2 {
+                write_round(&mut arena, layout, round);
+                check_round(&mut arena, layout, round);
+            }
+            // A retry round: the slots left, at a larger capacity, in the
+            // reshaped arena, whose stale `len`/`off` no reset clears.
+            let retry = LaneLayout::new(lanes, 4, slots / 2 + 1);
+            assert!(!arena.reshape(retry.entries(), 6));
+            write_round(&mut arena, retry, 2);
+            check_round(&mut arena, retry, 2);
+        }
     }
 }

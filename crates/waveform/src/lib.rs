@@ -294,9 +294,9 @@ pub struct GateScratch {
     sched: Vec<f64>,
     staged_len: usize,
     staged: Vec<arena::StagedCell>,
-    /// The staged cells' claim words as `(word, bits)`, gathered by
+    /// The staged cells' 64-cell words, gathered by
     /// [`LevelWriter::publish`].
-    claim_words: Vec<(usize, u64)>,
+    words: Vec<arena::BlockWord>,
 }
 
 impl GateScratch {
